@@ -69,19 +69,22 @@ impl CostlyMissTracker {
     /// Returns 0 when no lines qualify.
     #[must_use]
     pub fn hot_coverage(&self, percentile: f64, exclude_external: bool) -> f64 {
-        let mut costs: Vec<(u64, CodeRegion)> = self
+        let mut costs: Vec<(u64, u64, CodeRegion)> = self
             .lines
-            .values()
-            .filter_map(|c| c.region.map(|r| (c.total_latency, r)))
-            .filter(|&(_, r)| !(exclude_external && r == CodeRegion::External))
+            .iter()
+            .filter_map(|(&line, c)| c.region.map(|r| (c.total_latency, line, r)))
+            .filter(|&(_, _, r)| !(exclude_external && r == CodeRegion::External))
             .collect();
         if costs.is_empty() {
             return 0.0;
         }
-        costs.sort_unstable_by_key(|&(cost, _)| cost);
+        // Ties on cost break on the line address: which of two equally
+        // costly lines lands above the cut must not depend on the map's
+        // iteration order (it differs between processes).
+        costs.sort_unstable_by_key(|&(cost, line, _)| (cost, line));
         let cut = ((percentile / 100.0) * costs.len() as f64).floor() as usize;
         let top = &costs[cut.min(costs.len() - 1)..];
-        let hot = top.iter().filter(|&&(_, r)| r == CodeRegion::Hot).count();
+        let hot = top.iter().filter(|&&(_, _, r)| r == CodeRegion::Hot).count();
         hot as f64 / top.len() as f64
     }
 
@@ -248,6 +251,39 @@ mod tests {
         let cov = t.hot_coverage(50.0, false);
         assert!((cov - 0.5).abs() < 1e-9 || cov == 1.0, "coverage {cov}");
         assert_eq!(t.distinct_lines(), 2);
+    }
+
+    #[test]
+    fn tied_costs_cut_the_same_way_whatever_the_insertion_order() {
+        // 40 lines in four cost classes of ten, hot and cold alternating
+        // inside each class, so every cut below falls in a run of ties.
+        let lines: Vec<(u64, u64, CodeRegion)> = (0..40)
+            .map(|i| {
+                let region = if (i / 4) % 2 == 0 { CodeRegion::Hot } else { CodeRegion::Cold };
+                (1000 + i * 7, 100 * (1 + i % 4), region)
+            })
+            .collect();
+        let mut forward = CostlyMissTracker::new();
+        for &(line, cost, region) in &lines {
+            forward.record(pc(line), cost, region);
+        }
+        let mut backward = CostlyMissTracker::new();
+        for &(line, cost, region) in lines.iter().rev() {
+            backward.record(pc(line), cost, region);
+        }
+        for percentile in [0.0, 10.0, 33.0, 50.0, 61.5, 80.0, 87.5, 90.0, 99.0] {
+            for exclude_external in [false, true] {
+                assert_eq!(
+                    forward.hot_coverage(percentile, exclude_external),
+                    backward.hot_coverage(percentile, exclude_external),
+                    "coverage at the {percentile}th percentile depends on insertion order"
+                );
+            }
+        }
+        // The rule itself: of the ten lines tied at the top cost (i = 3,
+        // 7, … 39), the cut at 87.5% keeps the five highest addresses
+        // (i = 23 … 39), of which i = 27 and 35 are hot.
+        assert_eq!(forward.hot_coverage(87.5, false), 2.0 / 5.0);
     }
 
     #[test]

@@ -18,7 +18,9 @@
 //!   mixed corpus;
 //! * **warm-sweep delta** — wall time of a warm eight-policy sweep
 //!   through compressed traces and v4 checkpoints, against the in-memory
-//!   walker sweep of the same cells.
+//!   walker sweep of the same cells (which walks each workload once
+//!   since PR 12; `BENCH_pack.json` entries older than that divide by a
+//!   walker sweep that walked once per cell).
 //!
 //! Every sweep result is asserted bit-identical across the walker, the
 //! cold (populating) and the warm (restoring) engines, for all ten

@@ -1,6 +1,7 @@
 //! Replays captured traces through the full paper policy sweep and
 //! reports both the science (speedups over SRRIP) and the engineering
-//! (replay throughput vs regenerating traces with the walker).
+//! (replay throughput vs the storeless sweep, which walks each workload
+//! once and pushes the stream through every policy).
 //!
 //! ```text
 //! trace_replay --trace-dir traces [--bench a,b] [--scale N]
@@ -35,7 +36,7 @@ fn main() {
     let sweep = replay_sweep(&workloads, &config, &PolicyKind::PAPER_SET, &store);
     let replay_elapsed = replay_started.elapsed();
 
-    eprintln!("walker sweep (same jobs, regenerating)…");
+    eprintln!("walker sweep (same cells, each workload walked once)…");
     let walker_started = Instant::now();
     let walked = policy_sweep(&workloads, &config, &PolicyKind::PAPER_SET);
     let walker_elapsed = walker_started.elapsed();

@@ -28,14 +28,16 @@ options:
   --bench a,b      restrict to the named benchmarks (default: all)
   --out DIR        write reports under DIR (default: reports/)
   --trace-dir DIR  capture traces into DIR once and replay them from
-                   disk for every policy, instead of re-generating the
-                   trace per run
+                   disk in this and every later run, instead of walking
+                   each workload once per sweep
   --checkpoint-dir DIR
                    persist warmed (post-fast-forward) simulation state
                    into DIR and restore it on later sweeps, skipping
                    warmup; requires --trace-dir
   --jobs N         cap worker threads for sweeps, preparation and trace
-                   decode (default: available parallelism)
+                   decode (default: available parallelism); a sweep
+                   without --trace-dir runs on exactly min(N, cells)
+                   threads
   --shards N       cut every (workload, policy) run into N chunk-aligned
                    segments chained through checkpoints, scheduled as a
                    DAG of segment tasks (default 1 = unsharded; N > 1
@@ -306,8 +308,9 @@ impl HarnessOptions {
     /// with `--checkpoint-dir`, warm-started checkpointed replay when
     /// both `--trace-dir` and `--checkpoint-dir` are given, decode-once
     /// fan-out replay from `--trace-dir` alone (capture-once/
-    /// replay-many, trace decoded once per workload), and in-memory
-    /// trace generation otherwise. `--warm-prefix` prepends the
+    /// replay-many, trace decoded once per workload), and the in-memory
+    /// walk-once sweep otherwise (each workload walked once, pushed
+    /// through every policy). `--warm-prefix` prepends the
     /// shared-warmup pre-pass to either checkpointed engine, so a cold
     /// populating sweep pays one recorded warmup per workload instead
     /// of one per policy. Results are bit-identical across every

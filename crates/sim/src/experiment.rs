@@ -1,11 +1,18 @@
 //! Parallel policy sweeps — the engine behind Figure 6, Table 3 and the
 //! sensitivity studies.
 //!
-//! Three engines produce the same [`SweepResult`], bit-identically:
+//! Three engines produce the same [`SweepResult`], bit-identically, and
+//! each pays for a workload's instruction stream once, not once per
+//! policy:
 //!
-//! * [`policy_sweep`] regenerates the instruction trace with the CFG
-//!   walker for every `(workload, policy)` job — no disk, but the
-//!   generation cost is paid `policies.len()` times per workload;
+//! * [`policy_sweep`] needs no disk: per workload, one CFG walker fills
+//!   a small bounded window of shared instruction batches, and at most
+//!   `jobs` worker threads push every batch through each of their
+//!   policy cells in turn (**walk once, simulate many** — the
+//!   `walk.instrs` counter and `tests/walk_once_equivalence.rs` hold it
+//!   to that). Whole workloads go to a worker each while there are
+//!   enough of them left; then each remaining workload's cells are
+//!   split across a team of workers reading the same window;
 //! * [`replay_sweep`] captures each workload's trace to a
 //!   [`TraceStore`] once, then fans each capture out **decode-once**:
 //!   a [`trrip_trace::FanoutReplay`] pipeline (parallel chunk-decode
@@ -17,20 +24,27 @@
 //!   (each job opens its own [`trrip_trace::StreamingReplay`]), kept as
 //!   the baseline for the fan-out throughput bench and as an
 //!   independent oracle in equivalence tests.
+//!
+//! The one-cell path, [`crate::simulate`], pulls from a walker of its
+//! own and shares none of the sweep machinery, which is what makes it
+//! the oracle for all of them.
 
+use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
-use trrip_cpu::WarmupTape;
+use trrip_cpu::{TraceInstr, WarmupTape};
 use trrip_policies::PolicyKind;
 use trrip_trace::{FanoutOptions, FanoutReplay, FanoutSubscriber, SourceIter, TraceSource};
+use trrip_workloads::{InputSet, TraceGenerator};
 
 use crate::capture::TraceStore;
 use crate::checkpoint::CheckpointStore;
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::system::{simulate, simulate_source, SimResult, SimRun};
+use crate::system::{simulate_source, SimResult, SimRun};
 use crate::warmstats;
 
 /// Worker threads used when the caller does not cap them: one per
@@ -130,9 +144,11 @@ where
     slots.into_inner().into_iter().map(|v| v.expect("all jobs completed")).collect()
 }
 
-/// Runs every workload under every policy, in parallel across the
-/// machine's cores. Deterministic per (workload, policy) regardless of
-/// scheduling.
+/// Runs every workload under every policy over the CFG walker, with
+/// each workload's instruction stream **walked once** and pushed
+/// through all of its policy cells, on up to one worker thread per
+/// hardware thread. Every cell is bit-identical to a [`simulate`] of
+/// its own, whatever the worker count or scheduling.
 #[must_use]
 pub fn policy_sweep(
     workloads: &[PreparedWorkload],
@@ -142,7 +158,25 @@ pub fn policy_sweep(
     policy_sweep_with(default_jobs(), workloads, config, policies)
 }
 
-/// [`policy_sweep`] with an explicit worker cap.
+/// [`policy_sweep`] on at most `jobs` threads, the caller's included:
+/// a sweep of one cell, or with `jobs == 1`, spawns none.
+///
+/// Workers are dealt to workloads statically, in rounds. While at least
+/// as many workloads remain as there are workers, the next round gives
+/// each worker a whole workload, which it walks and simulates on its
+/// own. When fewer remain, the last round spreads the workers over them
+/// in teams, and the members of a team split that workload's cells
+/// between them (member `m` of `n` takes policies `m`, `m + n`, …) while
+/// reading one shared stream: whichever member reaches the head of the
+/// stream first generates the next turn for all of them — in practice
+/// the member with the lighter share, which is what evens out an odd
+/// split.
+///
+/// The shared stream is a **bounded window** of a few turns. A member
+/// that runs ahead waits for the slowest to let go of the oldest turn
+/// rather than buffering the stream, so memory stays at a few
+/// megabytes per workload in flight whatever the run length, and a turn
+/// is still warm in the host's cache when the last member reads it.
 #[must_use]
 pub fn policy_sweep_with(
     jobs: usize,
@@ -150,18 +184,418 @@ pub fn policy_sweep_with(
     config: &SimConfig,
     policies: &[PolicyKind],
 ) -> SweepResult {
-    let pairs: Vec<(usize, usize)> =
-        (0..workloads.len()).flat_map(|w| (0..policies.len()).map(move |p| (w, p))).collect();
-    let results = parallel_map_with(jobs, pairs.len(), |i| {
-        let (wi, pi) = pairs[i];
-        let run_config = config.clone().with_policy(policies[pi]);
-        simulate(&workloads[wi], &run_config)
-    });
+    push_sweep(jobs, workloads, config, policies, |workload| {
+        let object = workload.object(config.layout);
+        TraceGenerator::new(&workload.program, object, &workload.spec, InputSet::Eval)
+    })
+}
 
+/// Instructions a worker pushes through one cell before it moves on to
+/// its next cell, and the unit the stream window is filled, handed over
+/// and recycled in. Not a knob: measured on `benchmark/run.sh
+/// --workload sweep_walker` (9 cells of 3.3 M instructions, 2 workers on
+/// 2 cores; `wall_s`, medians of four runs, run-to-run spread 6%), 2 Ki
+/// gave 1.66 s, 16 Ki 1.59 s, 64 Ki 1.60 s and 256 Ki 1.63 s — flat,
+/// once turns are handed over uncopied and their buffers recycled. 16 Ki
+/// is kept for what it bounds at either end: two lock acquisitions per
+/// worker per turn, and a window of about 3 MB per workload in flight
+/// (at 256 Ki it would be 50 MB, and each turn would stream from DRAM
+/// rather than sit in the host's cache between one cell and the next).
+const TURN_INSTRS: usize = 16 * 1024;
+
+/// Turns a stream window holds before the worker at its head has to
+/// wait for the slowest reader (about 0.8 MB each). 2 and 8 measured the
+/// same as 4 (three runs each, same workload).
+const WINDOW_TURNS: usize = 4;
+
+/// The walk-once push executor behind [`policy_sweep_with`]: per
+/// workload, `open` is called once, and the stream it returns —
+/// `fast_forward + instructions` long — is pushed turn by turn through
+/// every policy's [`SimRun`] (see [`policy_sweep_with`] for how cells
+/// are dealt to workers). Generic over the producer: nothing here knows
+/// the stream comes from a walker.
+fn push_sweep<'w, S, F>(
+    jobs: usize,
+    workloads: &'w [PreparedWorkload],
+    config: &SimConfig,
+    policies: &[PolicyKind],
+    open: F,
+) -> SweepResult
+where
+    S: TraceSource + Send,
+    F: Fn(&'w PreparedWorkload) -> S + Sync,
+{
+    let cells = workloads.len() * policies.len();
+    let mut finished = Vec::new();
+    if cells > 0 {
+        let workers = jobs.clamp(1, cells);
+        let teams = deal_teams(workloads.len(), policies.len(), workers);
+        let needed = config.fast_forward + config.instructions;
+        let windows: Vec<Window<'w, S>> = std::iter::zip(workloads, &teams)
+            .map(|(workload, team)| Window::new(workload, team.members, needed))
+            .collect();
+        let work = |worker: usize| {
+            let _bail = Bail(&windows);
+            let mut finished = Vec::new();
+            for (wi, team) in teams.iter().enumerate() {
+                if let Some(member) = team.member(worker) {
+                    let share: Vec<(usize, PolicyKind)> = (member..policies.len())
+                        .step_by(team.members)
+                        .map(|pi| (wi * policies.len() + pi, policies[pi]))
+                        .collect();
+                    finished.extend(run_share(&windows[wi], &open, config, &share));
+                }
+            }
+            finished
+        };
+        finished = std::thread::scope(|scope| {
+            let work = &work;
+            let spawned: Vec<_> = (1..workers).map(|w| scope.spawn(move || work(w))).collect();
+            let mut finished = work(0);
+            for handle in spawned {
+                finished.extend(handle.join().unwrap_or_else(|e| std::panic::resume_unwind(e)));
+            }
+            finished
+        });
+    }
+    finished.sort_unstable_by_key(|&(cell, _)| cell);
+    assert_eq!(finished.len(), cells, "every cell runs exactly once");
     SweepResult {
-        results,
+        results: finished.into_iter().map(|(_, result)| result).collect(),
         policies: policies.to_vec(),
         benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
+    }
+}
+
+/// The workers that split one workload's cells: workers `slot`,
+/// `slot + stride`, … — the first `members` of them, member `m` taking
+/// policies `m`, `m + members`, ….
+struct Team {
+    slot: usize,
+    stride: usize,
+    members: usize,
+}
+
+impl Team {
+    /// `worker`'s member number in this team, if it is in it.
+    fn member(&self, worker: usize) -> Option<usize> {
+        let member = worker / self.stride;
+        (worker % self.stride == self.slot && member < self.members).then_some(member)
+    }
+}
+
+/// Deals `workers` workers to the workloads, in rounds (see
+/// [`policy_sweep_with`]): each round takes the next `workers` workloads
+/// one to a worker, or — when fewer remain — all that remain, with the
+/// workers spread over them as evenly as they go. Every worker has at
+/// most one workload per round and visits its workloads in index order,
+/// so a team's members arrive at their window together. A team is never
+/// larger than the number of policies; workers beyond that sit the round
+/// out.
+fn deal_teams(workloads: usize, policies: usize, workers: usize) -> Vec<Team> {
+    let mut teams = Vec::with_capacity(workloads);
+    while teams.len() < workloads {
+        let round = (workloads - teams.len()).min(workers);
+        teams.extend((0..round).map(|slot| Team {
+            slot,
+            stride: round,
+            members: (workers - slot).div_ceil(round).min(policies),
+        }));
+    }
+    teams
+}
+
+/// One worker's share of one workload: builds a [`SimRun`] per cell in
+/// `share` (`(index into the sweep's results, policy)`), pushes the
+/// window's stream through all of them turn by turn, and returns the
+/// results by index. Phase spans are per worker per phase, not per turn.
+fn run_share<'w, S, F>(
+    window: &Window<'w, S>,
+    open: &F,
+    config: &SimConfig,
+    share: &[(usize, PolicyKind)],
+) -> Vec<(usize, SimResult)>
+where
+    S: TraceSource,
+    F: Fn(&'w PreparedWorkload) -> S,
+{
+    let workload = window.workload;
+    let mut reader = Reader { window, open, turn: 0, held: None, offset: 0 };
+    let mut runs: Vec<SimRun<'w>> = share
+        .iter()
+        .map(|&(_, policy)| {
+            journal_cell("cell_started", &workload.spec.name, policy, None);
+            SimRun::new(workload, &config.clone().with_policy(policy))
+        })
+        .collect();
+    if config.fast_forward > 0 {
+        let _span = trrip_obs::span!("fast_forward");
+        reader.feed(config.fast_forward, |slice, last| {
+            runs.iter_mut().for_each(|run| run.push_fast_forward(slice, last));
+        });
+    }
+    runs.iter_mut().for_each(SimRun::begin_measure);
+    {
+        let _span = trrip_obs::span!("measure");
+        reader.feed(config.instructions, |slice, last| {
+            runs.iter_mut().for_each(|run| run.push_measure(slice, last));
+        });
+    }
+    drop(reader);
+    std::iter::zip(share, &mut runs)
+        .map(|(&(cell, policy), run)| {
+            let result = run.finish();
+            journal_cell("cell_finished", &workload.spec.name, policy, Some(result.core.cycles));
+            (cell, result)
+        })
+        .collect()
+}
+
+/// Journals a cell's start (`cycles: None`) or end.
+fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, cycles: Option<f64>) {
+    use trrip_obs::Field;
+    let fields = [
+        ("benchmark", Field::Str(benchmark)),
+        ("policy", Field::Str(policy.name())),
+        ("cycles", Field::F64(cycles.unwrap_or_default())),
+    ];
+    trrip_obs::event(kind, &fields[..if cycles.is_some() { 3 } else { 2 }]);
+}
+
+/// One workload's instruction stream, shared by the team of workers
+/// that split its cells: a bounded queue of generated turns, each
+/// handed to every member without a copy and recycled once the last
+/// member has let go of it.
+struct Window<'w, S> {
+    workload: &'w PreparedWorkload,
+    /// Team size: every turn is read this many times.
+    readers: usize,
+    /// Instructions the sweep needs of the stream.
+    needed: u64,
+    state: std::sync::Mutex<WindowState<S>>,
+    /// Signalled when a turn is published, a turn is retired, or the
+    /// sweep fails.
+    changed: Condvar,
+}
+
+struct WindowState<S> {
+    producer: Producer<S>,
+    /// Stream position (in turns) of `turns[0]`.
+    first: usize,
+    turns: VecDeque<Turn>,
+    /// Retired turns' buffers, for the next turns to be generated into.
+    spare: Vec<Vec<TraceInstr>>,
+    generated: u64,
+    /// A worker of the sweep panicked ([`Bail`]): the rest must not
+    /// wait for turns it will never publish or release.
+    failed: bool,
+}
+
+struct Turn {
+    batch: Arc<Vec<TraceInstr>>,
+    readers_left: usize,
+}
+
+enum Producer<S> {
+    /// No member has asked for the stream yet.
+    Unopened,
+    /// Parked between turns.
+    Idle(S),
+    /// A member has the source out and is generating outside the lock.
+    Busy,
+    /// Everything the sweep needs was generated, or the source ran dry.
+    Done,
+}
+
+impl<'w, S: TraceSource> Window<'w, S> {
+    fn new(workload: &'w PreparedWorkload, readers: usize, needed: u64) -> Window<'w, S> {
+        Window {
+            workload,
+            readers,
+            needed,
+            state: std::sync::Mutex::new(WindowState {
+                producer: Producer::Unopened,
+                first: 0,
+                turns: VecDeque::with_capacity(WINDOW_TURNS),
+                spare: Vec::new(),
+                generated: 0,
+                failed: false,
+            }),
+            changed: Condvar::new(),
+        }
+    }
+
+    fn lock(&self) -> MutexGuard<'_, WindowState<S>> {
+        self.state.lock().expect("a sweep worker panicked inside the stream window")
+    }
+
+    /// Turn `k` of the stream, or `None` when the stream ended before
+    /// it. A member asks for turns in order, so `k` is either in the
+    /// window or the next to be generated — and then the first member to
+    /// find the producer idle and the window not full generates it,
+    /// outside the lock, while the others read what is there or wait.
+    fn acquire<F>(&self, k: usize, open: &F) -> Option<Arc<Vec<TraceInstr>>>
+    where
+        F: Fn(&'w PreparedWorkload) -> S,
+    {
+        let mut state = self.lock();
+        loop {
+            if state.failed {
+                drop(state);
+                panic!("another worker of this sweep panicked");
+            }
+            if let Some(turn) = state.turns.get(k - state.first) {
+                return Some(Arc::clone(&turn.batch));
+            }
+            let room = state.turns.len() < WINDOW_TURNS;
+            match std::mem::replace(&mut state.producer, Producer::Busy) {
+                Producer::Done => {
+                    state.producer = Producer::Done;
+                    return None;
+                }
+                Producer::Busy => {}
+                parked if room => {
+                    let mut batch = state.spare.pop().unwrap_or_default();
+                    let left = self.needed - state.generated;
+                    drop(state);
+                    let mut source = match parked {
+                        Producer::Idle(source) => source,
+                        _ => open(self.workload),
+                    };
+                    let want = left.min(TURN_INSTRS as u64) as usize;
+                    let mut dry = false;
+                    while batch.len() < want && !dry {
+                        dry = source.next_batch(&mut batch) == 0;
+                    }
+                    // Dropped here, not under the lock, when the stream
+                    // is over (a walker publishes its counters then).
+                    let producer = if dry || batch.len() as u64 >= left {
+                        Producer::Done
+                    } else {
+                        Producer::Idle(source)
+                    };
+                    state = self.lock();
+                    if matches!(producer, Producer::Done) {
+                        state.spare.clear();
+                    }
+                    state.producer = producer;
+                    state.generated += batch.len() as u64;
+                    if !batch.is_empty() {
+                        let turn = Turn { batch: Arc::new(batch), readers_left: self.readers };
+                        state.turns.push_back(turn);
+                    }
+                    self.changed.notify_all();
+                    continue;
+                }
+                parked => state.producer = parked,
+            }
+            state = self.changed.wait(state).expect("a sweep worker panicked inside the window");
+        }
+    }
+
+    /// One member is done with turn `k`. Members release in stream
+    /// order, so turns retire from the front; a retired turn's buffer
+    /// goes back to be generated into while there is more to generate.
+    fn release(&self, k: usize) {
+        let mut state = self.lock();
+        let first = state.first;
+        state.turns[k - first].readers_left -= 1;
+        while state.turns.front().is_some_and(|turn| turn.readers_left == 0) {
+            let turn = state.turns.pop_front().expect("checked above");
+            state.first += 1;
+            if !matches!(state.producer, Producer::Done) {
+                if let Ok(mut batch) = Arc::try_unwrap(turn.batch) {
+                    batch.clear();
+                    state.spare.push(batch);
+                }
+            }
+            self.changed.notify_all();
+        }
+    }
+}
+
+/// One team member's position in a [`Window`]: hands out the stream as
+/// slices of the turn it holds, and releases each turn as it moves past.
+struct Reader<'a, 'w, S: TraceSource, F> {
+    window: &'a Window<'w, S>,
+    open: &'a F,
+    turn: usize,
+    held: Option<Arc<Vec<TraceInstr>>>,
+    offset: usize,
+}
+
+impl<'w, S, F> Reader<'_, 'w, S, F>
+where
+    S: TraceSource,
+    F: Fn(&'w PreparedWorkload) -> S,
+{
+    /// The next run of up to `limit` instructions; empty when the
+    /// stream is over (or `limit == 0`). Never crosses a turn.
+    fn next_slice(&mut self, limit: usize) -> &[TraceInstr] {
+        if self.held.as_ref().is_some_and(|batch| self.offset == batch.len()) {
+            self.release();
+        }
+        if self.held.is_none() && limit > 0 {
+            self.held = self.window.acquire(self.turn, self.open);
+            self.offset = 0;
+        }
+        let Some(batch) = &self.held else { return &[] };
+        let start = self.offset;
+        self.offset += limit.min(batch.len() - start);
+        &batch[start..self.offset]
+    }
+
+    /// Hands the stream's next `limit` instructions to `push`, slice by
+    /// slice; the final call carries `last = true`, with an empty slice
+    /// if the stream ended short.
+    fn feed(&mut self, limit: u64, mut push: impl FnMut(&[TraceInstr], bool)) {
+        let mut left = limit as usize;
+        loop {
+            let slice = self.next_slice(left);
+            left -= slice.len();
+            let last = left == 0 || slice.is_empty();
+            push(slice, last);
+            if last {
+                break;
+            }
+        }
+    }
+}
+
+impl<S: TraceSource, F> Reader<'_, '_, S, F> {
+    fn release(&mut self) {
+        if self.held.take().is_some() {
+            self.window.release(self.turn);
+            self.turn += 1;
+        }
+    }
+}
+
+impl<S: TraceSource, F> Drop for Reader<'_, '_, S, F> {
+    /// Lets go of the turn still held (unless unwinding: [`Bail`] has
+    /// the team covered, and the lock may be poisoned).
+    fn drop(&mut self) {
+        if !std::thread::panicking() {
+            self.release();
+        }
+    }
+}
+
+/// Held by every worker of a sweep. A worker that unwinds fails every
+/// window on its way out, so that teammates waiting for a turn it will
+/// never generate or release panic too instead of waiting for ever.
+struct Bail<'a, 'w, S>(&'a [Window<'w, S>]);
+
+impl<S> Drop for Bail<'_, '_, S> {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            for window in self.0 {
+                if let Ok(mut state) = window.state.lock() {
+                    state.failed = true;
+                }
+                window.changed.notify_all();
+            }
+        }
     }
 }
 
@@ -261,25 +695,11 @@ where
                     let run_config = config.clone().with_policy(policy);
                     scope.spawn(move || {
                         let bench = workload.spec.name.as_str();
-                        let policy_name = run_config.hierarchy.l2_policy.name();
-                        trrip_obs::event(
-                            "cell_started",
-                            &[
-                                ("benchmark", trrip_obs::Field::Str(bench)),
-                                ("policy", trrip_obs::Field::Str(policy_name)),
-                            ],
-                        );
+                        journal_cell("cell_started", bench, policy, None);
                         let span = trrip_obs::span!("cell");
                         let result = run_cell(workload, &run_config, subscriber);
                         drop(span);
-                        trrip_obs::event(
-                            "cell_finished",
-                            &[
-                                ("benchmark", trrip_obs::Field::Str(bench)),
-                                ("policy", trrip_obs::Field::Str(policy_name)),
-                                ("cycles", trrip_obs::Field::F64(result.core.cycles)),
-                            ],
-                        );
+                        journal_cell("cell_finished", bench, policy, Some(result.core.cycles));
                         result
                     })
                 })
@@ -629,6 +1049,7 @@ pub fn speedup_vs(baseline_cycles: f64, cycles: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::system::simulate;
     use trrip_core::ClassifierConfig;
     use trrip_workloads::WorkloadSpec;
 
@@ -663,6 +1084,92 @@ mod tests {
         let from_sweep = sweep.get("wx", PolicyKind::Clip);
         assert_eq!(from_sweep.core.cycles, serial.core.cycles);
         assert_eq!(from_sweep.l2, serial.l2);
+    }
+
+    #[test]
+    fn teams_give_every_cell_to_exactly_one_worker() {
+        for workloads in 1..=7 {
+            for policies in 1..=5 {
+                for jobs in 1..=12 {
+                    let workers = jobs.min(workloads * policies);
+                    let teams = deal_teams(workloads, policies, workers);
+                    assert_eq!(teams.len(), workloads);
+                    let mut owners = vec![0; workloads * policies];
+                    for (wi, team) in teams.iter().enumerate() {
+                        assert!((1..=policies).contains(&team.members));
+                        for member in (0..workers).filter_map(|worker| team.member(worker)) {
+                            for pi in (member..policies).step_by(team.members) {
+                                owners[wi * policies + pi] += 1;
+                            }
+                        }
+                    }
+                    assert!(
+                        owners.iter().all(|&n| n == 1),
+                        "{workloads} workloads x {policies} policies on {workers} workers: {owners:?}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The executor knows nothing of walkers: fed a materialised stream
+    /// in batches that divide neither a turn nor the run — and one that
+    /// ends short of the run — it matches the pull path over the same
+    /// stream.
+    #[test]
+    fn push_sweep_over_any_source_matches_simulate_source() {
+        use trrip_trace::source::VecSource;
+        let workloads = vec![tiny_workload("wv")];
+        let mut config = SimConfig::quick(PolicyKind::Srrip);
+        config.instructions = 60_000;
+        config.fast_forward = 7_000;
+        let policies = [PolicyKind::Srrip, PolicyKind::Drrip, PolicyKind::Trrip1];
+        let object = workloads[0].object(config.layout);
+        let spec = &workloads[0].spec;
+        let full: Vec<TraceInstr> =
+            TraceGenerator::new(&workloads[0].program, object, spec, InputSet::Eval)
+                .take(67_000)
+                .collect();
+        for length in [67_000, 41_234] {
+            let stream = &full[..length];
+            let sweep = push_sweep(2, &workloads, &config, &policies, |_| {
+                VecSource::new(stream.to_vec(), 1_000)
+            });
+            for (cell, &policy) in sweep.results.iter().zip(&policies) {
+                let pulled = simulate_source(
+                    &workloads[0],
+                    &config.clone().with_policy(policy),
+                    VecSource::new(stream.to_vec(), 1_000),
+                );
+                assert_eq!(cell.core, pulled.core, "{policy} over {length} instructions");
+                assert_eq!(cell.l2, pulled.l2, "{policy} over {length} instructions");
+                assert_eq!(cell.tlb, pulled.tlb, "{policy} over {length} instructions");
+            }
+        }
+    }
+
+    /// A worker that dies must take its team down with it: the others
+    /// would otherwise wait for turns it will never generate or release.
+    /// (Which worker's panic surfaces depends on who was generating, so
+    /// no message is expected; a hang is what this guards against.)
+    #[test]
+    #[should_panic]
+    fn a_panicking_producer_fails_the_sweep_instead_of_hanging() {
+        struct Breaks(u32);
+        impl TraceSource for Breaks {
+            fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
+                self.0 += 1;
+                assert!(self.0 < 40, "source broke");
+                out.extend(std::iter::repeat_n(TraceInstr::simple(0x40_0000), 1_024));
+                1_024
+            }
+        }
+        let workloads = vec![tiny_workload("wp")];
+        let mut config = SimConfig::quick(PolicyKind::Srrip);
+        config.instructions = 200_000;
+        config.fast_forward = 0;
+        let policies = [PolicyKind::Srrip, PolicyKind::Lru, PolicyKind::Clip];
+        let _ = push_sweep(3, &workloads, &config, &policies, |_| Breaks(0));
     }
 
     #[test]

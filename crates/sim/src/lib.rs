@@ -23,8 +23,8 @@
 //!   **shared prefix** (predictor + warmup tape, one per workload) and
 //!   per-policy **overlays**, so a populating sweep records one warmup
 //!   per workload and fans it out across every policy.
-//! * [`experiment`] — parallel policy sweeps (walker-driven,
-//!   decode-once fan-out replay, the warm-started checkpointed engine,
+//! * [`experiment`] — parallel policy sweeps (the walk-once walker
+//!   sweep, decode-once fan-out replay, the warm-started checkpointed engine,
 //!   the shared-warmup [`replay_sweep_warm_prefix`] engine, and the
 //!   legacy decode-per-job replay) and speedup computation.
 //! * [`warmstats`] — process-wide counters of how cells reached their

@@ -10,11 +10,22 @@
 //! [`simulate_source`] is the plain load → fast-forward → measure
 //! composition and is bit-identical to what it computed before the
 //! phase split.
+//!
+//! The two simulated phases can be driven from either side. **Pull**:
+//! the run takes what it needs from a [`SourceIter`]
+//! ([`SimRun::fast_forward`], [`SimRun::measure`],
+//! [`SimRun::measure_chunk`]) — one cell owns one stream. **Push**: the
+//! caller hands the run slices of a stream it owns
+//! ([`SimRun::push_fast_forward`], [`SimRun::push_measure`]), so one
+//! stream can be walked once and fed to many runs in turn, which is how
+//! [`crate::policy_sweep`] works. Both sit on [`Core::run_batch`], whose
+//! result does not depend on where the stream is cut, so they are
+//! bit-identical (`tests/walk_once_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
 use trrip_cache::{AccessStats, Hierarchy};
-use trrip_cpu::{ChunkCut, Core, CoreResult, RunState, WarmupMode, WarmupTape};
+use trrip_cpu::{ChunkCut, Core, CoreResult, RunState, TraceInstr, WarmupMode, WarmupTape};
 use trrip_os::{Loader, Mmu, PageStats, TlbStats};
 use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -218,6 +229,10 @@ pub struct SimRun<'w> {
     config: SimConfig,
     pages: PageStats,
     core: Core<SystemBackend>,
+    /// In-flight state of a *pushed* fast-forward (present between the
+    /// first [`SimRun::push_fast_forward`] and the closing one). The
+    /// pull-mode warmups run in one call and never park their state.
+    warming: Option<RunState>,
     /// In-flight measure-phase state (present between `begin_measure`
     /// and `finish`).
     measuring: Option<RunState>,
@@ -263,6 +278,7 @@ impl<'w> SimRun<'w> {
             config: config.clone(),
             pages,
             core,
+            warming: None,
             measuring: None,
             segment_base: None,
         }
@@ -324,6 +340,34 @@ impl<'w> SimRun<'w> {
         // Empty final batch: a no-op without drain, the window flush
         // with it.
         self.core.run_batch(state, &[], drain)
+    }
+
+    /// **Fast-forward phase, pushed**: warms the machine with the next
+    /// slice of the warmup stream. The slices of all calls together
+    /// must be the stream's first `fast_forward` instructions, cut
+    /// anywhere; pass `last = true` with the slice that completes them
+    /// (an empty one will do), which drains the core's lookahead window
+    /// and closes the phase exactly as [`SimRun::fast_forward`] does.
+    /// With `fast_forward == 0` there is nothing to push: go straight to
+    /// [`SimRun::begin_measure`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if measurement has started or the slices overrun the
+    /// configured warmup.
+    pub fn push_fast_forward(&mut self, instrs: &[TraceInstr], last: bool) {
+        assert!(self.measuring.is_none(), "fast-forward after measurement started");
+        let mut state = self.warming.take().unwrap_or_else(|| self.core.begin_run());
+        assert!(
+            state.consumed() + instrs.len() as u64 <= self.config.fast_forward,
+            "pushed past the fast-forward boundary"
+        );
+        self.core.run_batch(&mut state, instrs, last);
+        if last {
+            self.core.backend_mut().flush_fastpath_counters();
+        } else {
+            self.warming = Some(state);
+        }
     }
 
     /// [`SimRun::fast_forward`] while **recording** the warmup's
@@ -474,6 +518,7 @@ impl<'w> SimRun<'w> {
     /// fast-forward and arms the configured profilers.
     pub fn begin_measure(&mut self) {
         assert!(self.measuring.is_none(), "measurement already started");
+        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
         self.core
             .backend_mut()
             .arm_measurement(self.config.measure_reuse, self.config.track_costly);
@@ -500,6 +545,28 @@ impl<'w> SimRun<'w> {
         self.measuring = Some(state);
         self.core.backend_mut().flush_fastpath_counters();
         cut
+    }
+
+    /// **Measure phase, pushed**: runs the next slice of the measure
+    /// window — the push twin of [`SimRun::measure_chunk`]. Pass
+    /// `last = true` with the slice that completes the window (an empty
+    /// one will do) so the core's lookahead window drains, then collect
+    /// with [`SimRun::finish`].
+    ///
+    /// # Panics
+    ///
+    /// Panics before [`SimRun::begin_measure`] or if the slices overrun
+    /// the configured window.
+    pub fn push_measure(&mut self, instrs: &[TraceInstr], last: bool) {
+        let state = self.measuring.as_mut().expect("begin_measure first");
+        assert!(
+            state.consumed() + instrs.len() as u64 <= self.config.instructions,
+            "pushed past the measure window"
+        );
+        self.core.run_batch(state, instrs, last);
+        if last {
+            self.core.backend_mut().flush_fastpath_counters();
+        }
     }
 
     /// Starts one shard segment's tally: the core tally rebases (clock
@@ -613,6 +680,7 @@ impl SimRun<'_> {
     /// concept (mid-measure snapshots stay whole-run).
     pub fn save_shared(&self, w: &mut SnapWriter) {
         assert!(!self.is_measuring(), "shared sections are fast-forward states");
+        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
         w.section(b"SHRD", |w| self.core.save_predictor_state(w));
     }
 
@@ -639,6 +707,7 @@ impl SimRun<'_> {
     /// As [`SimRun::save_shared`].
     pub fn save_overlay(&self, w: &mut SnapWriter) {
         assert!(!self.is_measuring(), "overlay sections are fast-forward states");
+        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
         w.section(b"OVLY", |w| {
             self.core.save_starved_state(w);
             self.core.backend().save(w);
@@ -671,6 +740,7 @@ impl SimRun<'_> {
 /// policy ([`crate::checkpoint`]).
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
+        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
         w.tag(b"SRUN");
         self.core.save_core_state(w);
         self.core.backend().save(w);

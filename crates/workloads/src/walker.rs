@@ -149,6 +149,11 @@ pub struct TraceGenerator<'a> {
     /// discipline as the simulator's fast-path counters).
     memo_hits: u64,
     memo_misses: u64,
+    /// Instructions generated so far, tallied per block; what was handed
+    /// out (this less what is still `pending`) is published as
+    /// `walk.instrs` with the memo tallies — the count that says how
+    /// often a sweep walked.
+    emitted: u64,
 }
 
 impl<'a> TraceGenerator<'a> {
@@ -189,6 +194,7 @@ impl<'a> TraceGenerator<'a> {
             memoize: true,
             memo_hits: 0,
             memo_misses: 0,
+            emitted: 0,
         }
     }
 
@@ -722,6 +728,10 @@ impl Drop for TraceGenerator<'_> {
         if self.memo_misses > 0 {
             trrip_obs::counter!("walk.bb_memo.miss").add(self.memo_misses);
         }
+        let handed_out = self.emitted - self.pending.len() as u64;
+        if handed_out > 0 {
+            trrip_obs::counter!("walk.instrs").add(handed_out);
+        }
     }
 }
 
@@ -731,6 +741,7 @@ impl Iterator for TraceGenerator<'_> {
     fn next(&mut self) -> Option<TraceInstr> {
         while self.pending.is_empty() {
             self.step();
+            self.emitted += self.pending.len() as u64;
         }
         self.pending.pop_front()
     }
