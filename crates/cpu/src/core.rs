@@ -28,13 +28,15 @@
 use std::collections::{HashSet, VecDeque};
 
 use serde::{Deserialize, Serialize};
+use trrip_mem::VirtAddr;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::backend::MemoryBackend;
 use crate::branch::{BranchPredictor, PredictorConfig};
+use crate::events::{EventTurn, MAX_FDIP_PCS};
 use crate::tape::{TapeCursor, WarmupTape};
 use crate::topdown::{StallClass, TopDown};
-use crate::trace::TraceInstr;
+use crate::trace::{MemOp, TraceInstr};
 
 /// Share of the exposed miss latency paid by a load that overlaps an
 /// earlier outstanding miss (queueing/bandwidth serialization).
@@ -189,18 +191,44 @@ impl CoreResult {
     }
 }
 
+/// Multiply-xor hasher for line-address keys: the table is consulted on
+/// every fetch line change, where the default SipHash costs more than
+/// the rest of the lookup, and its keys are the program's own line
+/// addresses, not outside input.
+#[derive(Debug, Clone, Default)]
+struct LineHash(u64);
+
+impl std::hash::Hasher for LineHash {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        // Fallback for non-u64 writes (not used by u64 keys).
+        for &b in bytes {
+            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
+        }
+    }
+
+    fn write_u64(&mut self, v: u64) {
+        let mut h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^= h >> 32;
+        self.0 = h;
+    }
+}
+
 /// Bounded FIFO set of instruction lines that caused decode starvation
 /// (the model of Emissary's L1-side metadata).
 #[derive(Debug, Default)]
 struct StarvedLines {
-    set: HashSet<u64>,
+    set: HashSet<u64, std::hash::BuildHasherDefault<LineHash>>,
     order: VecDeque<u64>,
     capacity: usize,
 }
 
 impl StarvedLines {
     fn new(capacity: usize) -> StarvedLines {
-        StarvedLines { set: HashSet::new(), order: VecDeque::new(), capacity }
+        StarvedLines { set: HashSet::default(), order: VecDeque::new(), capacity }
     }
 
     fn contains(&self, line: u64) -> bool {
@@ -300,6 +328,13 @@ pub struct RunState {
     window: VecDeque<TraceInstr>,
     branches_before: u64,
     mispred_before: u64,
+    /// Branches and mispredictions of the turns [`Core::execute`] ran
+    /// since the tally began — resolved by the frontend that digested
+    /// them, not by this core's predictor. Not part of the snapshot: a
+    /// run driven by turns has an untrained predictor and is not a
+    /// resumable whole (the simulator refuses to checkpoint one).
+    fed_branches: u64,
+    fed_mispredictions: u64,
     /// Tally baselines (all zero until [`Core::begin_segment`]): the
     /// cumulative counters' values when the current segment began.
     base_instructions: u64,
@@ -402,15 +437,79 @@ impl Snapshot for RunState {
 /// * [`WarmupMode::Record`] — as `Observe`, but every decision is also
 ///   appended to a [`WarmupTape`]. Used once per workload by the shared
 ///   warmup.
+/// * [`WarmupMode::Digest`] — as `Observe`, but every instruction is
+///   also written to an [`EventTurn`]: the decisions *and* what of the
+///   instruction a backend is shown. Run over a backend that always
+///   hits, this is the whole policy-independent half of the loop, paid
+///   once per workload by the walk-once sweep.
 ///
-/// The tape-driven counterpart is [`Core::run_warmup_tail`]: a
-/// windowless loop that takes every decision off the tape.
+/// The predictor-free counterpart of both is [`Core::execute`], which
+/// runs event turns; [`Core::run_warmup_tail`] turns a stream and a
+/// tape into turns for it.
 #[derive(Debug)]
 pub enum WarmupMode<'t> {
     /// Predict and train normally.
     Observe,
     /// Predict and train normally, recording every decision.
     Record(&'t mut WarmupTape),
+    /// Predict and train normally, writing every instruction's events.
+    Digest(&'t mut EventTurn),
+}
+
+/// What the fused loop tells a [`WarmupMode`] of each instruction. The
+/// loop is compiled once per implementor ([`Core::run_batch_mode`]
+/// picks), so `Observe` pays for no recording at all.
+trait Recorder {
+    /// `instr` was processed. `fdip_pcs` is `Some` if the fetch moved
+    /// to its line, with what the FDIP scan from there issued (nothing,
+    /// with FDIP off); `mispredicted` is `Some` if it is a branch.
+    fn instruction(
+        &mut self,
+        instr: &TraceInstr,
+        fdip: bool,
+        fdip_pcs: Option<&[u64]>,
+        mispredicted: Option<bool>,
+    );
+}
+
+/// [`WarmupMode::Observe`].
+struct Unrecorded;
+
+impl Recorder for Unrecorded {
+    #[inline]
+    fn instruction(&mut self, _: &TraceInstr, _: bool, _: Option<&[u64]>, _: Option<bool>) {}
+}
+
+impl Recorder for WarmupTape {
+    #[inline]
+    fn instruction(
+        &mut self,
+        instr: &TraceInstr,
+        fdip: bool,
+        fdip_pcs: Option<&[u64]>,
+        mispredicted: Option<bool>,
+    ) {
+        self.push_instruction();
+        if let (true, Some(pcs)) = (fdip, fdip_pcs) {
+            self.push_fdip(instr.pc.raw(), pcs);
+        }
+        if let Some(mispredicted) = mispredicted {
+            self.push_mispredict(mispredicted);
+        }
+    }
+}
+
+impl Recorder for EventTurn {
+    #[inline]
+    fn instruction(
+        &mut self,
+        instr: &TraceInstr,
+        _fdip: bool,
+        fdip_pcs: Option<&[u64]>,
+        mispredicted: Option<bool>,
+    ) {
+        self.record(instr, fdip_pcs, mispredicted);
+    }
 }
 
 /// The trace-driven core.
@@ -492,6 +591,8 @@ impl<B: MemoryBackend> Core<B> {
             window: VecDeque::with_capacity(self.config.fdip_lookahead_instrs.max(1) + 1),
             branches_before: self.predictor.branches(),
             mispred_before: self.predictor.mispredictions(),
+            fed_branches: 0,
+            fed_mispredictions: 0,
             base_instructions: 0,
             base_consumed: 0,
             base_stalls: TopDown::default(),
@@ -510,6 +611,8 @@ impl<B: MemoryBackend> Core<B> {
         state.base_stalls = state.topdown;
         state.branches_before = self.predictor.branches();
         state.mispred_before = self.predictor.mispredictions();
+        state.fed_branches = 0;
+        state.fed_mispredictions = 0;
     }
 
     /// Executes one segment of a run.
@@ -600,6 +703,20 @@ impl<B: MemoryBackend> Core<B> {
         drain: bool,
         mode: &mut WarmupMode<'_>,
     ) -> ChunkCut {
+        match mode {
+            WarmupMode::Observe => self.run_batch_recorded(state, batch, drain, &mut Unrecorded),
+            WarmupMode::Record(tape) => self.run_batch_recorded(state, batch, drain, *tape),
+            WarmupMode::Digest(turn) => self.run_batch_recorded(state, batch, drain, *turn),
+        }
+    }
+
+    fn run_batch_recorded<R: Recorder>(
+        &mut self,
+        state: &mut RunState,
+        batch: &[TraceInstr],
+        drain: bool,
+        recorder: &mut R,
+    ) -> ChunkCut {
         let lookahead_cap = self.config.fdip_lookahead_instrs.max(1);
         let dispatch_cost = 1.0 / f64::from(self.config.dispatch_width);
         let ooo_hide = self.config.ooo_hide_cycles() as f64;
@@ -616,12 +733,12 @@ impl<B: MemoryBackend> Core<B> {
         for j in 0..from_window {
             let instr = window[j];
             let lookahead = window.iter().skip(j + 1).chain(batch.iter()).take(lookahead_cap);
-            self.process_one(state, &instr, lookahead, mode, dispatch_cost, ooo_hide);
+            self.process_one(state, &instr, lookahead, recorder, dispatch_cost, ooo_hide);
         }
         for i in 0..to_process - from_window {
             let instr = batch[i];
             let lookahead = batch[i + 1..].iter().take(lookahead_cap);
-            self.process_one(state, &instr, lookahead, mode, dispatch_cost, ooo_hide);
+            self.process_one(state, &instr, lookahead, recorder, dispatch_cost, ooo_hide);
         }
         window.drain(..from_window);
         window.extend(batch[to_process - from_window..].iter().copied());
@@ -638,52 +755,40 @@ impl<B: MemoryBackend> Core<B> {
     /// [`Core::run_batch_mode`]; `lookahead` must already be capped to
     /// the FDIP window.
     #[inline]
-    fn process_one<'a, L>(
+    fn process_one<'a, L, R>(
         &mut self,
         state: &mut RunState,
         instr: &TraceInstr,
         lookahead: L,
-        mode: &mut WarmupMode<'_>,
+        recorder: &mut R,
         dispatch_cost: f64,
         ooo_hide: f64,
     ) where
         L: Iterator<Item = &'a TraceInstr>,
+        R: Recorder,
     {
         state.instructions += 1;
-        if let WarmupMode::Record(tape) = mode {
-            tape.push_instruction();
-        }
 
         // --- Fetch ---
         let line = instr.pc.raw() >> 6;
+        let mut issued = [0u64; FDIP_ISSUE_CAP];
+        let mut fdip_pcs = None;
         if line != state.current_line {
-            state.current_line = line;
-            let starved_flag = self.starved.contains(line);
-            let lat = self.backend.ifetch(instr.pc, starved_flag, state.cycles as u64);
-            if !lat.l1_hit {
-                let stall = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
-                state.topdown.ifetch += stall;
-                state.cycles += stall;
-                if lat.cycles >= self.config.starvation_threshold {
-                    self.starved.insert(line);
-                }
-            }
-            if self.config.fdip {
-                let mut issued = [0u64; FDIP_ISSUE_CAP];
-                let n = self.issue_fdip(lookahead, line, state.cycles as u64, &mut issued);
-                if let WarmupMode::Record(tape) = mode {
-                    tape.push_fdip(instr.pc.raw(), &issued[..n]);
-                }
-            }
+            self.fetch_line(state, instr.pc);
+            let n = if self.config.fdip {
+                self.issue_fdip(lookahead, line, state.cycles as u64, &mut issued)
+            } else {
+                0
+            };
+            fdip_pcs = Some(&issued[..n]);
         }
 
         // --- Branch resolution ---
+        let mut mispredicted = None;
         if let Some(branch) = instr.branch {
-            let mispredicted = self.predictor.observe(instr.pc, &branch);
-            if let WarmupMode::Record(tape) = mode {
-                tape.push_mispredict(mispredicted);
-            }
-            if mispredicted {
+            let wrong = self.predictor.observe(instr.pc, &branch);
+            mispredicted = Some(wrong);
+            if wrong {
                 let penalty = self.predictor.mispredict_penalty() as f64;
                 state.topdown.mispred += penalty;
                 state.cycles += penalty;
@@ -692,30 +797,7 @@ impl<B: MemoryBackend> Core<B> {
 
         // --- Memory ---
         if let Some(mem) = instr.mem {
-            let lat = if mem.store {
-                self.backend.dwrite(mem.addr, instr.pc)
-            } else {
-                self.backend.dread(mem.addr, instr.pc)
-            };
-            // Stores drain through the store buffer; loads stall the
-            // window only beyond what OoO + MLP hide.
-            if !mem.store && !lat.l1_hit {
-                let raw = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
-                let exposed = (raw - ooo_hide).max(0.0);
-                if exposed > 0.0 {
-                    // Misses landing within one ROB span of the previous
-                    // miss overlap (memory-level parallelism): they only
-                    // pay a serialization share. Independent misses pay
-                    // the full exposed latency.
-                    let overlapped = state.last_miss_instr.is_some_and(|li| {
-                        state.instructions - li < u64::from(self.config.rob_entries)
-                    });
-                    let stall = if overlapped { exposed / MLP_SERIALIZATION } else { exposed };
-                    state.topdown.mem += stall;
-                    state.cycles += stall;
-                    state.last_miss_instr = Some(state.instructions);
-                }
-            }
+            self.access_data(state, instr.pc, mem, ooo_hide);
         }
 
         // --- Synthetic backend stalls from the workload model ---
@@ -732,6 +814,127 @@ impl<B: MemoryBackend> Core<B> {
         // (`Core::tally_run`), so the bucket's value cannot depend
         // on where a sharded run was cut.
         state.cycles += dispatch_cost;
+        recorder.instruction(instr, self.config.fdip, fdip_pcs, mispredicted);
+    }
+
+    /// The demand fetch of a new line: the starvation flag goes out with
+    /// the request, and a miss stalls the frontend for what the fetch
+    /// pipeline does not hide. Shared by both timing loops.
+    #[inline]
+    fn fetch_line(&mut self, state: &mut RunState, pc: VirtAddr) {
+        let line = pc.raw() >> 6;
+        state.current_line = line;
+        let starved_flag = self.starved.contains(line);
+        let lat = self.backend.ifetch(pc, starved_flag, state.cycles as u64);
+        if !lat.l1_hit {
+            let stall = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
+            state.topdown.ifetch += stall;
+            state.cycles += stall;
+            if lat.cycles >= self.config.starvation_threshold {
+                self.starved.insert(line);
+            }
+        }
+    }
+
+    /// The cycles one memory operand stalls the window for. Stores
+    /// drain through the store buffer; loads stall only beyond what the
+    /// OoO window and MLP hide: a miss landing within one ROB span of
+    /// the previous one overlaps it (memory-level parallelism) and pays
+    /// only a serialization share, an independent miss the full exposed
+    /// latency.
+    #[inline]
+    fn data_stall(&mut self, state: &RunState, pc: VirtAddr, mem: MemOp, ooo_hide: f64) -> f64 {
+        let lat = if mem.store {
+            self.backend.dwrite(mem.addr, pc)
+        } else {
+            self.backend.dread(mem.addr, pc)
+        };
+        if mem.store || lat.l1_hit {
+            return 0.0;
+        }
+        let raw = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
+        let exposed = (raw - ooo_hide).max(0.0);
+        let overlapped = state
+            .last_miss_instr
+            .is_some_and(|li| state.instructions - li < u64::from(self.config.rob_entries));
+        if overlapped {
+            exposed / MLP_SERIALIZATION
+        } else {
+            exposed
+        }
+    }
+
+    /// One memory operand: the access and the stall it exposes. Shared
+    /// by both timing loops. (The stall is computed apart from its
+    /// bookkeeping on purpose: written as one body, the fused loop over
+    /// an all-hits backend measured 17 ns/instr against 12 this way.)
+    #[inline]
+    fn access_data(&mut self, state: &mut RunState, pc: VirtAddr, mem: MemOp, ooo_hide: f64) {
+        let stall = self.data_stall(state, pc, mem, ooo_hide);
+        if stall > 0.0 {
+            state.topdown.mem += stall;
+            state.cycles += stall;
+            state.last_miss_instr = Some(state.instructions);
+        }
+    }
+
+    /// Runs one event turn: the **predictor-free loop**. Every record's
+    /// fetch, prefetches, mispredict penalty, memory operand and stall
+    /// go through the real backend and the starvation table in the
+    /// order the fused loop takes them, and every instruction — with a
+    /// record or without — advances the clock by the dispatch cost, one
+    /// addition each, so the clock rounds exactly as the fused loop's
+    /// does. The predictor is neither consulted nor trained and no
+    /// lookahead window is kept: the frontend that digested the turn
+    /// ([`WarmupMode::Digest`]) did both.
+    ///
+    /// Turns of one run may be cut anywhere; a run takes either turns or
+    /// instructions, not both.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `state` holds instructions of a fused run in flight.
+    pub fn execute(&mut self, state: &mut RunState, turn: &EventTurn) -> ChunkCut {
+        assert!(state.window.is_empty(), "event turns cannot follow instructions in flight");
+        let dispatch_cost = 1.0 / f64::from(self.config.dispatch_width);
+        let ooo_hide = self.config.ooo_hide_cycles() as f64;
+        let mispredict_penalty = self.predictor.mispredict_penalty() as f64;
+        let idle = |state: &mut RunState, instructions: u64| {
+            for _ in 0..instructions {
+                state.cycles += dispatch_cost;
+            }
+            state.instructions += instructions;
+        };
+
+        for event in turn.events() {
+            idle(state, u64::from(event.quiet));
+            state.instructions += 1;
+            if event.fetch() {
+                self.fetch_line(state, event.pc());
+                for &pc in event.fdip_pcs() {
+                    self.backend.prefetch_ifetch(VirtAddr::new(pc), state.cycles as u64);
+                }
+            }
+            if event.mispredicted() {
+                state.topdown.mispred += mispredict_penalty;
+                state.cycles += mispredict_penalty;
+            }
+            if let Some(mem) = event.mem() {
+                self.access_data(state, event.pc(), mem, ooo_hide);
+            }
+            if let Some((class, extra)) = event.stall() {
+                let extra = f64::from(extra);
+                state.topdown.add_stall(class, extra);
+                state.cycles += extra;
+            }
+            state.cycles += dispatch_cost;
+        }
+        idle(state, turn.tail());
+        state.consumed += turn.instructions();
+        state.fed_branches += turn.branches();
+        state.fed_mispredictions += turn.mispredictions();
+        self.backend.flush_deferred();
+        state.cut()
     }
 
     /// Reports the run's (or, after [`Core::begin_segment`], the current
@@ -755,8 +958,9 @@ impl<B: MemoryBackend> Core<B> {
             instructions,
             cycles: state.cycles,
             topdown,
-            branches: self.predictor.branches() - state.branches_before,
-            mispredictions: self.predictor.mispredictions() - state.mispred_before,
+            branches: self.predictor.branches() - state.branches_before + state.fed_branches,
+            mispredictions: self.predictor.mispredictions() - state.mispred_before
+                + state.fed_mispredictions,
             dispatch_width: self.config.dispatch_width,
         }
     }
@@ -896,7 +1100,7 @@ impl<B: MemoryBackend> Core<B> {
     /// mode (`functional = true`): microarchitectural state — caches,
     /// TLB, prefetch tables, in-flight tracker, starvation FIFO — and
     /// the clock are simulated exactly as in timed replay, but per-cause
-    /// stall *attribution* (the top-down buckets) is skipped.
+    /// stall *attribution* (the top-down buckets) is not reported.
     ///
     /// Why this is legal at the warmup tail: the clock itself is
     /// architectural — the backend's prefetch timeliness compares
@@ -905,9 +1109,13 @@ impl<B: MemoryBackend> Core<B> {
     /// Emissary — so `cycles` must advance identically. The top-down
     /// buckets, by contrast, are pure accounting over already-computed
     /// stalls: nothing downstream reads them during warmup (warmup
-    /// timing is discarded), so dropping the bookkeeping cannot perturb
-    /// any measured result. The returned report therefore carries the
-    /// exact clock but zeroed buckets when `functional` is set.
+    /// timing is discarded), so dropping them cannot perturb any
+    /// measured result. The returned report therefore carries the exact
+    /// clock but zeroed buckets when `functional` is set.
+    ///
+    /// Either way this is [`Core::execute`] behind an adapter: the
+    /// stream and the tape are written down as event turns, and the one
+    /// predictor-free loop runs them.
     pub fn run_warmup_tail_mode<I>(
         &mut self,
         trace: I,
@@ -917,90 +1125,36 @@ impl<B: MemoryBackend> Core<B> {
     where
         I: IntoIterator<Item = TraceInstr>,
     {
-        let width = f64::from(self.config.dispatch_width);
-        let dispatch_cost = 1.0 / width;
-        let ooo_hide = self.config.ooo_hide_cycles();
-        let mispredict_penalty = self.predictor.mispredict_penalty() as f64;
-
-        let mut cycles = 0.0f64;
-        let mut topdown = TopDown::default();
-        let mut instructions = 0u64;
+        let mut state = self.begin_run();
+        let mut turn = EventTurn::new();
         let mut current_line = u64::MAX;
-        let mut last_miss_instr: Option<u64> = None;
-
-        for instr in trace {
-            instructions += 1;
-
-            // --- Fetch --- (mirrors `run_chunk_mode` exactly)
-            let line = instr.pc.raw() >> 6;
-            if line != current_line {
-                current_line = line;
-                let starved_flag = self.starved.contains(line);
-                let lat = self.backend.ifetch(instr.pc, starved_flag, cycles as u64);
-                if !lat.l1_hit {
-                    let stall = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
-                    if !functional {
-                        topdown.ifetch += stall;
+        let mut stream = trace.into_iter();
+        loop {
+            turn.clear();
+            for instr in stream.by_ref().take(STREAM_BATCH) {
+                let mut pcs = [0u64; MAX_FDIP_PCS];
+                let mut fdip_pcs = None;
+                if instr.pc.raw() >> 6 != current_line {
+                    current_line = instr.pc.raw() >> 6;
+                    let n = if self.config.fdip { cursor.next_fdip() } else { 0 };
+                    for pc in &mut pcs[..n] {
+                        *pc = cursor.next_fdip_pc(instr.pc.raw());
                     }
-                    cycles += stall;
-                    if lat.cycles >= self.config.starvation_threshold {
-                        self.starved.insert(line);
-                    }
+                    fdip_pcs = Some(&pcs[..n]);
                 }
-                if self.config.fdip {
-                    let n = cursor.next_fdip();
-                    for _ in 0..n {
-                        let pc = cursor.next_fdip_pc(instr.pc.raw());
-                        self.backend.prefetch_ifetch(trrip_mem::VirtAddr::new(pc), cycles as u64);
-                    }
-                }
+                let mispredicted = instr.branch.map(|_| cursor.next_mispredict());
+                turn.record(&instr, fdip_pcs, mispredicted);
             }
-
-            // --- Branch resolution --- (outcome off the tape)
-            if instr.branch.is_some() && cursor.next_mispredict() {
-                if !functional {
-                    topdown.mispred += mispredict_penalty;
-                }
-                cycles += mispredict_penalty;
+            if turn.instructions() == 0 {
+                break;
             }
-
-            // --- Memory ---
-            if let Some(mem) = instr.mem {
-                let lat = if mem.store {
-                    self.backend.dwrite(mem.addr, instr.pc)
-                } else {
-                    self.backend.dread(mem.addr, instr.pc)
-                };
-                if !mem.store && !lat.l1_hit {
-                    let raw = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
-                    let exposed = (raw - ooo_hide as f64).max(0.0);
-                    if exposed > 0.0 {
-                        let overlapped = last_miss_instr.is_some_and(|li| {
-                            instructions - li < u64::from(self.config.rob_entries)
-                        });
-                        let stall = if overlapped { exposed / MLP_SERIALIZATION } else { exposed };
-                        if !functional {
-                            topdown.mem += stall;
-                        }
-                        cycles += stall;
-                        last_miss_instr = Some(instructions);
-                    }
-                }
-            }
-
-            // --- Synthetic backend stalls ---
-            if let Some((class, extra)) = instr.exec_stall {
-                let extra = f64::from(extra);
-                if !functional {
-                    topdown.add_stall(class, extra);
-                }
-                cycles += extra;
-            }
-
-            // --- Retire ---
-            cycles += dispatch_cost;
+            self.execute(&mut state, &turn);
         }
-        WarmupTailReport { instructions, cycles, topdown }
+        WarmupTailReport {
+            instructions: state.instructions,
+            cycles: state.cycles,
+            topdown: if functional { TopDown::default() } else { state.topdown },
+        }
     }
 }
 
@@ -1008,6 +1162,7 @@ impl<B: MemoryBackend> Core<B> {
 mod tests {
     use super::*;
     use crate::backend::{FlatBackend, MemLatency};
+    use crate::events::InstrEvent;
     use crate::trace::TraceInstr;
 
     fn straight_line(n: u64) -> Vec<TraceInstr> {
@@ -1351,6 +1506,124 @@ mod tests {
             );
         }
         assert_eq!(replayer.predictor().branches(), 0, "replay must not train the predictor");
+    }
+
+    /// Digests `trace` over an all-hits backend, handing the core the
+    /// batches `batches` cuts (stream positions) and starting a new turn
+    /// at every position in `turns`.
+    fn digest(trace: &[TraceInstr], batches: &[usize], turns: &[usize]) -> Vec<EventTurn> {
+        let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
+        let mut state = core.begin_run();
+        let mut out = vec![EventTurn::new()];
+        let mut prev = 0;
+        let mut ends: Vec<usize> = batches.iter().chain(turns).copied().collect();
+        ends.push(trace.len());
+        ends.sort_unstable();
+        for end in ends {
+            let turn = out.last_mut().expect("never empty");
+            let drain = end == trace.len();
+            core.run_batch_mode(
+                &mut state,
+                &trace[prev..end],
+                drain,
+                &mut WarmupMode::Digest(turn),
+            );
+            prev = end;
+            if turns.contains(&end) {
+                out.push(EventTurn::new());
+            }
+        }
+        out
+    }
+
+    /// The turns as one: records in order, each run of event-free
+    /// instructions joined across the cuts.
+    fn joined(turns: &[EventTurn]) -> (Vec<InstrEvent>, u64, u64, u64, u64) {
+        let (mut events, mut quiet) = (Vec::new(), 0u64);
+        for turn in turns {
+            for &(mut event) in turn.events() {
+                event.quiet += quiet as u32;
+                quiet = 0;
+                events.push(event);
+            }
+            quiet += turn.tail();
+        }
+        let sum = |f: fn(&EventTurn) -> u64| turns.iter().map(f).sum::<u64>();
+        (events, quiet, sum(EventTurn::instructions), sum(EventTurn::branches), {
+            sum(EventTurn::mispredictions)
+        })
+    }
+
+    #[test]
+    fn a_digesting_run_leaves_timing_unchanged() {
+        let trace = mixed_trace(4000);
+        let mut plain = Core::new(CoreConfig::paper(), stall_backend());
+        let reference = plain.run(trace.clone());
+
+        let mut digesting = Core::new(CoreConfig::paper(), stall_backend());
+        let mut state = digesting.begin_run();
+        let mut turn = EventTurn::new();
+        digesting.run_chunk_mode(
+            &mut state,
+            trace.iter().copied(),
+            true,
+            &mut WarmupMode::Digest(&mut turn),
+        );
+        assert_eq!(digesting.finish_run(state), reference, "digesting only writes down");
+        assert_eq!(turn.instructions(), 4000);
+        assert_eq!(turn.branches(), reference.branches);
+        assert_eq!(turn.mispredictions(), reference.mispredictions);
+        assert!(!turn.events().is_empty() && (turn.events().len() as u64) < turn.instructions());
+    }
+
+    #[test]
+    fn event_turns_concatenate_wherever_batches_and_turns_are_cut() {
+        let trace = mixed_trace(3000);
+        let whole = joined(&digest(&trace, &[], &[]));
+        assert_eq!(whole.2, 3000);
+        for (batches, turns) in [
+            (vec![1usize, 2, 47, 48, 49, 1000], vec![]),
+            (vec![], vec![1usize, 47, 48, 49, 1500, 2999]),
+            (vec![700, 1400, 1401], vec![10, 1400, 2990]),
+            ((0..3000).step_by(37).collect(), (0..3000).step_by(611).collect()),
+        ] {
+            let cut = digest(&trace, &batches, &turns);
+            assert!(cut.len() > turns.len(), "one turn more than cuts");
+            assert_eq!(joined(&cut), whole, "batches {batches:?}, turns {turns:?}");
+        }
+    }
+
+    #[test]
+    fn executed_turns_match_the_fused_run_without_touching_the_predictor() {
+        let trace = mixed_trace(4000);
+        let mut fused = Core::new(CoreConfig::paper(), stall_backend());
+        let reference = fused.run(trace.clone());
+        assert!(reference.mispredictions > 0 && reference.topdown.mem > 0.0);
+
+        for turns in [vec![], vec![1usize, 47, 48, 49, 2000, 3999], (0..4000).step_by(97).collect()]
+        {
+            let mut core = Core::new(CoreConfig::paper(), stall_backend());
+            let mut state = core.begin_run();
+            let mut fed = 0;
+            for turn in digest(&trace, &[1234], &turns) {
+                fed += turn.instructions();
+                let cut = core.execute(&mut state, &turn);
+                assert_eq!((cut.consumed, cut.retired), (fed, fed), "no lookahead lag");
+            }
+            assert_eq!(core.finish_run(state), reference, "turns cut at {turns:?}");
+            assert_eq!(core.backend().prefetches, fused.backend().prefetches);
+            assert_eq!(core.predictor().branches(), 0, "execute must not train the predictor");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "event turns cannot follow instructions in flight")]
+    fn execute_refuses_a_state_with_instructions_in_flight() {
+        let trace = mixed_trace(100);
+        let mut core = Core::new(CoreConfig::paper(), stall_backend());
+        let mut state = core.begin_run();
+        core.run_batch(&mut state, &trace, false);
+        core.execute(&mut state, &EventTurn::new());
     }
 
     #[test]

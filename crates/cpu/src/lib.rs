@@ -11,9 +11,13 @@
 //! * [`backend`] — the [`MemoryBackend`](backend::MemoryBackend) trait the
 //!   core drives for fetches, loads, stores and prefetches (implemented in
 //!   `trrip-sim` over the MMU + hierarchy).
-//! * [`core`] — the timing loop with pseudo-FDIP lookahead prefetching and
-//!   decode-starvation tracking for Emissary; runs in three
-//!   [`WarmupMode`]s (observe / record / tape-replay).
+//! * [`core`] — the timing loops: the fused loop with pseudo-FDIP
+//!   lookahead prefetching and decode-starvation tracking for Emissary,
+//!   in three [`WarmupMode`]s (observe / record / digest), and the
+//!   predictor-free event loop [`Core::execute`].
+//! * [`events`] — the [`EventTurn`]: a stretch of instructions reduced
+//!   to what a backend is shown of them, written once per workload by a
+//!   digesting frontend and executed by every policy cell.
 //! * [`tape`] — the [`WarmupTape`]: the warmup's predictor-derived
 //!   decisions (mispredict bits, FDIP stop counts), recorded once per
 //!   workload and replayed for every other cache policy — the
@@ -27,6 +31,7 @@
 pub mod backend;
 pub mod branch;
 pub mod core;
+pub mod events;
 pub mod tape;
 pub mod topdown;
 pub mod trace;
@@ -36,6 +41,7 @@ pub use crate::core::{
 };
 pub use backend::{MemLatency, MemoryBackend};
 pub use branch::{BranchOutcome, BranchPredictor, PredictorConfig};
+pub use events::{EventTurn, InstrEvent};
 pub use tape::{TapeCursor, WarmupTape};
 pub use topdown::{StallClass, TopDown};
 pub use trace::{BranchInfo, BranchKind, MemOp, TraceInstr};

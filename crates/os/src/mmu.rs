@@ -50,44 +50,33 @@ struct TlbEntry {
     pbha: TemperatureBits,
 }
 
-/// Multiply-xor hasher for VPN keys: the default SipHash costs about as
-/// much as the 64-entry scan the index replaced, defeating the point on
-/// the translate hot path.
-#[derive(Debug, Clone, Default)]
-struct VpnHash(u64);
+/// Slots of the direct-mapped `vpn → TLB slot` hint table. Sixteen
+/// times the TLB's entries, so two live pages rarely share a hint.
+const HINT_SLOTS: usize = 1024;
 
-impl std::hash::Hasher for VpnHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
+// A hint is a TLB slot number in a byte.
+const _: () = assert!(Mmu::TLB_ENTRIES <= 1 << u8::BITS && HINT_SLOTS.is_power_of_two());
 
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 writes (not used by u64 keys).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
+/// Where `vpn`'s hint lives (multiply-shift; the top bits mix best).
+#[inline]
+fn hint_of(vpn: u64) -> usize {
+    (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HINT_SLOTS.trailing_zeros())) as usize
 }
-
-type VpnMap = std::collections::HashMap<u64, usize, std::hash::BuildHasherDefault<VpnHash>>;
 
 /// The MMU: page table + TLB + demand allocation.
 #[derive(Debug, Clone)]
 pub struct Mmu {
     page_table: PageTable,
     tlb: Vec<TlbEntry>,
-    /// `vpn → slot` over the valid TLB entries — pure lookup
-    /// acceleration for the translate hot path (every fetch line-change,
-    /// memory operand, and prefetch translates). The architectural state
-    /// (entries, stamps, victim choice, statistics) is byte-identical
-    /// with or without it, and snapshots rebuild it on restore.
-    tlb_index: VpnMap,
+    /// For each hashed vpn, the TLB slot that last held a page hashing
+    /// there — pure lookup acceleration for the translate hot path
+    /// (every fetch line-change, memory operand, and prefetch
+    /// translates). A hint is only ever *believed after checking* the
+    /// entry it names, and a wrong one falls back to scanning the TLB,
+    /// so it needs no invalidation and no place in snapshots: the
+    /// architectural state (entries, stamps, victim choice, statistics)
+    /// is byte-identical with or without it.
+    hints: Box<[u8; HINT_SLOTS]>,
     clock: u64,
     stats: TlbStats,
     next_anon_frame: u64,
@@ -105,7 +94,7 @@ impl Mmu {
         Mmu {
             page_table,
             tlb: vec![TlbEntry::default(); Mmu::TLB_ENTRIES],
-            tlb_index: VpnMap::default(),
+            hints: Box::new([0; HINT_SLOTS]),
             clock: 0,
             stats: TlbStats::default(),
             next_anon_frame: max_frame + 1,
@@ -135,7 +124,8 @@ impl Mmu {
     /// anonymous (non-executable, no temperature) memory.
     ///
     /// A TLB hit serves the cached PTE without touching the page table —
-    /// hit lookup plus stamp update is O(1); only misses (and demand
+    /// with a good hint, lookup plus stamp update is O(1); a stale hint
+    /// costs one scan of the entries, and only misses (and demand
     /// allocations) walk the table and run the LRU victim scan. Inlined:
     /// this sits on the L1-hit fast path, where the TLB hit is usually
     /// the only work besides the L1 probe.
@@ -146,7 +136,15 @@ impl Mmu {
         let offset = vaddr.offset_in(page_bytes);
         self.clock += 1;
 
-        if let Some(&slot) = self.tlb_index.get(&vpn) {
+        let hint = &mut self.hints[hint_of(vpn)];
+        let holds = |e: &TlbEntry| e.valid && e.vpn == vpn;
+        let hit = if holds(&self.tlb[usize::from(*hint)]) {
+            Some(usize::from(*hint))
+        } else {
+            self.tlb.iter().position(holds)
+        };
+        if let Some(slot) = hit {
+            *hint = slot as u8;
             let entry = &mut self.tlb[slot];
             entry.stamp = self.clock;
             self.stats.hits += 1;
@@ -174,12 +172,9 @@ impl Mmu {
             .enumerate()
             .min_by_key(|(_, e)| if e.valid { e.stamp } else { 0 })
             .expect("TLB is never empty");
-        if victim.valid {
-            self.tlb_index.remove(&victim.vpn);
-        }
         *victim =
             TlbEntry { vpn, stamp: self.clock, valid: true, frame: pte.frame, pbha: pte.pbha };
-        self.tlb_index.insert(vpn, slot);
+        *hint = slot as u8;
 
         (PhysAddr::new(pte.frame * page_bytes + offset), pte.pbha.decode())
     }
@@ -207,7 +202,6 @@ impl Snapshot for Mmu {
         r.expect_tag(b"MMU ")?;
         self.page_table.restore(r)?;
         r.expect_len("TLB entries", self.tlb.len())?;
-        self.tlb_index.clear();
         for slot in 0..self.tlb.len() {
             let mut e = TlbEntry { valid: r.bool()?, ..TlbEntry::default() };
             if e.valid {
@@ -220,7 +214,6 @@ impl Snapshot for Mmu {
                 })?;
                 e.frame = pte.frame;
                 e.pbha = pte.pbha;
-                self.tlb_index.insert(e.vpn, slot);
             }
             self.tlb[slot] = e;
         }
@@ -282,6 +275,152 @@ mod tests {
         let stats = mmu.tlb_stats();
         assert_eq!(stats.misses, 1);
         assert_eq!(stats.hits, 99);
+    }
+
+    /// The TLB as it would be with no hint table: every lookup scans
+    /// the entries. Independent of [`Mmu`] down to the snapshot layout.
+    struct ScanTlb {
+        page_table: PageTable,
+        entries: Vec<Option<(u64, u64)>>, // (vpn, stamp)
+        clock: u64,
+        stats: TlbStats,
+        next_anon_frame: u64,
+    }
+
+    impl ScanTlb {
+        fn new(page_table: PageTable) -> ScanTlb {
+            let max_frame = page_table.iter().map(|(_, e)| e.frame).max().unwrap_or(0x100);
+            ScanTlb {
+                page_table,
+                entries: vec![None; Mmu::TLB_ENTRIES],
+                clock: 0,
+                stats: TlbStats::default(),
+                next_anon_frame: max_frame + 1,
+            }
+        }
+
+        fn translate(&mut self, vaddr: VirtAddr) -> (PhysAddr, Option<Temperature>) {
+            let page_bytes = self.page_table.page_size().bytes();
+            let vpn = vaddr.raw() / page_bytes;
+            self.clock += 1;
+            let held = self.entries.iter_mut().flatten().find(|(held, _)| *held == vpn);
+            if let Some((_, stamp)) = held {
+                *stamp = self.clock;
+                self.stats.hits += 1;
+            } else {
+                self.stats.misses += 1;
+                if self.page_table.entry(vpn).is_none() {
+                    let pte = PageTableEntry {
+                        frame: self.next_anon_frame,
+                        executable: false,
+                        pbha: TemperatureBits::NONE,
+                    };
+                    self.next_anon_frame += 1;
+                    self.page_table.map(vpn, pte);
+                }
+                // Least recently used, an empty slot counting as never
+                // used, the first of equals.
+                let stamp_of = |e: &Option<(u64, u64)>| e.map_or(0, |(_, stamp)| stamp);
+                let mut victim = 0;
+                for slot in 1..self.entries.len() {
+                    if stamp_of(&self.entries[slot]) < stamp_of(&self.entries[victim]) {
+                        victim = slot;
+                    }
+                }
+                self.entries[victim] = Some((vpn, self.clock));
+            }
+            let pte = self.page_table.entry(vpn).expect("mapped above");
+            let pa = pte.frame * page_bytes + vaddr.raw() % page_bytes;
+            (PhysAddr::new(pa), pte.pbha.decode())
+        }
+
+        fn snapshot(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.tag(b"MMU ");
+            self.page_table.save(&mut w);
+            w.usize(self.entries.len());
+            for e in &self.entries {
+                w.bool(e.is_some());
+                if let Some((vpn, stamp)) = e {
+                    w.u64(*vpn);
+                    w.u64(*stamp);
+                }
+            }
+            w.u64(self.clock);
+            w.u64(self.stats.hits);
+            w.u64(self.stats.misses);
+            w.u64(self.next_anon_frame);
+            w.into_bytes()
+        }
+    }
+
+    fn snapshot(mmu: &Mmu) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        mmu.save(&mut w);
+        w.into_bytes()
+    }
+
+    /// Translates `stream` through both and holds them equal at every
+    /// step and in their snapshots at the end.
+    fn assert_agree(mmu: &mut Mmu, reference: &mut ScanTlb, stream: &[u64], what: &str) {
+        for (i, &addr) in stream.iter().enumerate() {
+            let (got, expected) =
+                (mmu.translate(VirtAddr::new(addr)), reference.translate(VirtAddr::new(addr)));
+            assert_eq!(got, expected, "{what}: translation {i} of {addr:#x}");
+            assert_eq!(mmu.tlb_stats(), reference.stats, "{what}: after translation {i}");
+        }
+        assert_eq!(snapshot(mmu), reference.snapshot(), "{what}: snapshot bytes");
+    }
+
+    #[test]
+    fn hinted_tlb_matches_a_linear_scan_reference() {
+        let mut pt = PageTable::new(PageSize::Size4K);
+        for (i, temp) in [Some(Temperature::Hot), Some(Temperature::Warm), None].iter().enumerate()
+        {
+            for vpn in 0..40u64 {
+                let vpn = 0x400 + i as u64 * 40 + vpn;
+                let pbha = TemperatureBits::encode(*temp);
+                pt.map(vpn, PageTableEntry { frame: 0x100 + vpn, executable: true, pbha });
+            }
+        }
+        let (mut mmu, mut reference) = (Mmu::new(pt.clone()), ScanTlb::new(pt.clone()));
+
+        // Pages that share a hint slot, live in the TLB together: every
+        // switch between them finds the hint naming the other.
+        let rivals: Vec<u64> =
+            (0x400..0x10_0000u64).filter(|&vpn| hint_of(vpn) == hint_of(0x400)).take(4).collect();
+        assert_eq!(rivals.len(), 4, "four pages hashing to one hint slot");
+        let mut stream = Vec::new();
+        for round in 0..50u64 {
+            for (i, vpn) in rivals.iter().enumerate() {
+                stream.push(vpn * 4096 + round * 8 + i as u64);
+                stream.push((0x400 + round % 7) * 4096 + 64);
+            }
+        }
+        assert_agree(&mut mmu, &mut reference, &stream, "rival pages");
+        assert!(mmu.tlb_stats().hits > 300, "the rivals stay resident: {:?}", mmu.tlb_stats());
+
+        // More live pages than entries: a cyclic sweep evicts every page
+        // before its reuse, then a seeded scatter over 200 pages (mapped
+        // and demand-allocated) mixes hits, misses and stale hints.
+        let mut stream: Vec<u64> =
+            (0..3).flat_map(|_| (0..100u64).map(|p| (0x3f0 + p) * 4096 + p)).collect();
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for _ in 0..20_000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let page = if x & 3 == 0 { x % 200 } else { x % 70 };
+            stream.push((0x3f0 + page) * 4096 + (x >> 32) % 4096);
+        }
+        assert_agree(&mut mmu, &mut reference, &stream, "more pages than entries");
+        assert!(mmu.tlb_stats().misses > 300 + 64, "capacity misses: {:?}", mmu.tlb_stats());
+
+        // A restored MMU starts with every hint cold or wrong.
+        let mut restored = Mmu::new(pt);
+        restored.restore(&mut SnapReader::new(&snapshot(&mmu))).expect("restore");
+        stream.reverse();
+        assert_agree(&mut restored, &mut reference, &stream, "after restore");
     }
 
     #[test]

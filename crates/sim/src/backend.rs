@@ -91,9 +91,10 @@ enum InflightAction {
 /// # The deferred miss-batch pipeline
 ///
 /// With batching on (the default), demand accesses still ride
-/// [`Hierarchy::access_l1`] for the ~75% of L1 hits, but the follow-on
-/// work of a bail — the FDIP/next-line prefetch train, stride-prefetch
-/// fills, and in-flight retirements — is not executed synchronously: it
+/// [`Hierarchy::access_l1`] for the 97.5% that hit the L1 (measured:
+/// `cache.l1_fastpath_hit_ratio`), but the follow-on work of a bail —
+/// the FDIP/next-line prefetch train, stride-prefetch fills, and
+/// in-flight retirements — is not executed synchronously: it
 /// is packaged as [`DeferredOp`]s and queued, while everything the
 /// current instruction needs *now* (the demand's access outcome,
 /// profiler observations, Top-Down inputs, prefetch timeliness) is

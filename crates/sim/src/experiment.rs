@@ -5,14 +5,18 @@
 //! each pays for a workload's instruction stream once, not once per
 //! policy:
 //!
-//! * [`policy_sweep`] needs no disk: per workload, one CFG walker fills
-//!   a small bounded window of shared instruction batches, and at most
-//!   `jobs` worker threads push every batch through each of their
-//!   policy cells in turn (**walk once, simulate many** — the
-//!   `walk.instrs` counter and `tests/walk_once_equivalence.rs` hold it
-//!   to that). Whole workloads go to a worker each while there are
-//!   enough of them left; then each remaining workload's cells are
-//!   split across a team of workers reading the same window;
+//! * [`policy_sweep`] needs no disk: per workload, one CFG walker and
+//!   one [`Frontend`] — branch predictor, FDIP scan, fetch-line
+//!   tracking, none of which ever sees a cache latency — fill a small
+//!   bounded window of shared event turns, and at most `jobs` worker
+//!   threads push every turn through each of their policy cells in
+//!   turn, which run only the policy-dependent half of the core
+//!   (**walk once, predict once** — the `walk.instrs` and
+//!   `front.digest.instrs` counters and
+//!   `tests/walk_once_equivalence.rs` hold it to that). Whole workloads
+//!   go to a worker each while there are enough of them left; then each
+//!   remaining workload's cells are split across a team of workers
+//!   reading the same window;
 //! * [`replay_sweep`] captures each workload's trace to a
 //!   [`TraceStore`] once, then fans each capture out **decode-once**:
 //!   a [`trrip_trace::FanoutReplay`] pipeline (parallel chunk-decode
@@ -35,7 +39,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
-use trrip_cpu::{TraceInstr, WarmupTape};
+use trrip_cpu::{EventTurn, WarmupTape};
 use trrip_policies::PolicyKind;
 use trrip_trace::{FanoutOptions, FanoutReplay, FanoutSubscriber, SourceIter, TraceSource};
 use trrip_workloads::{InputSet, TraceGenerator};
@@ -44,7 +48,7 @@ use crate::capture::TraceStore;
 use crate::checkpoint::CheckpointStore;
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::system::{simulate_source, SimResult, SimRun};
+use crate::system::{simulate_source, Frontend, SimResult, SimRun};
 use crate::warmstats;
 
 /// Worker threads used when the caller does not cap them: one per
@@ -145,10 +149,11 @@ where
 }
 
 /// Runs every workload under every policy over the CFG walker, with
-/// each workload's instruction stream **walked once** and pushed
-/// through all of its policy cells, on up to one worker thread per
-/// hardware thread. Every cell is bit-identical to a [`simulate`] of
-/// its own, whatever the worker count or scheduling.
+/// each workload's instruction stream **walked once, predicted once**
+/// and pushed as event turns through all of its policy cells, on up to
+/// one worker thread per hardware thread. Every cell is bit-identical
+/// to a [`simulate`] of its own, whatever the worker count or
+/// scheduling.
 #[must_use]
 pub fn policy_sweep(
     workloads: &[PreparedWorkload],
@@ -168,15 +173,15 @@ pub fn policy_sweep(
 /// in teams, and the members of a team split that workload's cells
 /// between them (member `m` of `n` takes policies `m`, `m + n`, …) while
 /// reading one shared stream: whichever member reaches the head of the
-/// stream first generates the next turn for all of them — in practice
-/// the member with the lighter share, which is what evens out an odd
-/// split.
+/// stream first generates and digests the next turn for all of them —
+/// in practice the member with the lighter share, which is what evens
+/// out an odd split.
 ///
 /// The shared stream is a **bounded window** of a few turns. A member
 /// that runs ahead waits for the slowest to let go of the oldest turn
-/// rather than buffering the stream, so memory stays at a few
-/// megabytes per workload in flight whatever the run length, and a turn
-/// is still warm in the host's cache when the last member reads it.
+/// rather than buffering the stream, so memory stays at a megabyte or
+/// two per workload in flight whatever the run length, and a turn is
+/// still warm in the host's cache when the last member reads it.
 #[must_use]
 pub fn policy_sweep_with(
     jobs: usize,
@@ -194,30 +199,32 @@ pub fn policy_sweep_with(
 /// its next cell, and the unit the stream window is filled, handed over
 /// and recycled in. Not a knob: measured on `benchmark/run.sh
 /// --workload sweep_walker` (9 cells of 3.3 M instructions, 2 workers on
-/// 2 cores; `wall_s`, medians of four runs, run-to-run spread 6%), 2 Ki
-/// gave 1.66 s, 16 Ki 1.59 s, 64 Ki 1.60 s and 256 Ki 1.63 s — flat,
-/// once turns are handed over uncopied and their buffers recycled. 16 Ki
-/// is kept for what it bounds at either end: two lock acquisitions per
-/// worker per turn, and a window of about 3 MB per workload in flight
-/// (at 256 Ki it would be 50 MB, and each turn would stream from DRAM
-/// rather than sit in the host's cache between one cell and the next).
+/// 2 cores; `wall_s`, medians of four runs, run-to-run spread 6%) when
+/// turns still held instructions, 2 Ki gave 1.66 s, 16 Ki 1.59 s, 64 Ki
+/// 1.60 s and 256 Ki 1.63 s — flat, once turns are handed over uncopied
+/// and their buffers recycled. 16 Ki is kept for what it bounds at
+/// either end: two lock acquisitions per worker per turn, and a window
+/// of about 1.5 MB per workload in flight (each turn should sit in the
+/// host's cache between one cell and the next, not stream from DRAM).
 const TURN_INSTRS: usize = 16 * 1024;
 
 /// Turns a stream window holds before the worker at its head has to
-/// wait for the slowest reader (about 0.8 MB each). 2 and 8 measured the
-/// same as 4 (three runs each, same workload).
+/// wait for the slowest reader (about 0.4 MB each: half the
+/// instructions have an event, at 48 bytes a record). 2 and 8 measured
+/// the same as 4 (three runs each, same workload).
 const WINDOW_TURNS: usize = 4;
 
 /// The walk-once push executor behind [`policy_sweep_with`]: per
 /// workload, `open` is called once, and the stream it returns —
-/// `fast_forward + instructions` long — is pushed turn by turn through
-/// every policy's [`SimRun`] (see [`policy_sweep_with`] for how cells
-/// are dealt to workers). Generic over the producer: nothing here knows
-/// the stream comes from a walker.
+/// `fast_forward + instructions` long — is digested by one [`Frontend`]
+/// and pushed turn by turn through every policy's [`SimRun`] (see
+/// [`policy_sweep_with`] for how cells are dealt to workers). Generic
+/// over the producer: nothing here knows the stream comes from a
+/// walker.
 fn push_sweep<'w, S, F>(
     jobs: usize,
     workloads: &'w [PreparedWorkload],
-    config: &SimConfig,
+    config: &'w SimConfig,
     policies: &[PolicyKind],
     open: F,
 ) -> SweepResult
@@ -230,9 +237,8 @@ where
     if cells > 0 {
         let workers = jobs.clamp(1, cells);
         let teams = deal_teams(workloads.len(), policies.len(), workers);
-        let needed = config.fast_forward + config.instructions;
         let windows: Vec<Window<'w, S>> = std::iter::zip(workloads, &teams)
-            .map(|(workload, team)| Window::new(workload, team.members, needed))
+            .map(|(workload, team)| Window::new(workload, config, team.members))
             .collect();
         let work = |worker: usize| {
             let _bail = Bail(&windows);
@@ -320,7 +326,7 @@ where
     F: Fn(&'w PreparedWorkload) -> S,
 {
     let workload = window.workload;
-    let mut reader = Reader { window, open, turn: 0, held: None, offset: 0 };
+    let mut reader = Reader { window, open, turn: 0, held: None };
     let mut runs: Vec<SimRun<'w>> = share
         .iter()
         .map(|&(_, policy)| {
@@ -330,15 +336,15 @@ where
         .collect();
     if config.fast_forward > 0 {
         let _span = trrip_obs::span!("fast_forward");
-        reader.feed(config.fast_forward, |slice, last| {
-            runs.iter_mut().for_each(|run| run.push_fast_forward(slice, last));
+        reader.feed(config.fast_forward, |turn, last| {
+            runs.iter_mut().for_each(|run| run.push_fast_forward(turn, last));
         });
     }
     runs.iter_mut().for_each(SimRun::begin_measure);
     {
         let _span = trrip_obs::span!("measure");
-        reader.feed(config.instructions, |slice, last| {
-            runs.iter_mut().for_each(|run| run.push_measure(slice, last));
+        reader.feed(config.instructions, |turn, last| {
+            runs.iter_mut().for_each(|run| run.push_measure(turn, last));
         });
     }
     drop(reader);
@@ -363,15 +369,14 @@ fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, cycles: Option<
 }
 
 /// One workload's instruction stream, shared by the team of workers
-/// that split its cells: a bounded queue of generated turns, each
-/// handed to every member without a copy and recycled once the last
-/// member has let go of it.
+/// that split its cells: a bounded queue of digested turns, each handed
+/// to every member without a copy and recycled once the last member has
+/// let go of it.
 struct Window<'w, S> {
     workload: &'w PreparedWorkload,
+    config: &'w SimConfig,
     /// Team size: every turn is read this many times.
     readers: usize,
-    /// Instructions the sweep needs of the stream.
-    needed: u64,
     state: std::sync::Mutex<WindowState<S>>,
     /// Signalled when a turn is published, a turn is retired, or the
     /// sweep fails.
@@ -383,16 +388,15 @@ struct WindowState<S> {
     /// Stream position (in turns) of `turns[0]`.
     first: usize,
     turns: VecDeque<Turn>,
-    /// Retired turns' buffers, for the next turns to be generated into.
-    spare: Vec<Vec<TraceInstr>>,
-    generated: u64,
+    /// Retired turns' buffers, for the next turns to be digested into.
+    spare: Vec<EventTurn>,
     /// A worker of the sweep panicked ([`Bail`]): the rest must not
     /// wait for turns it will never publish or release.
     failed: bool,
 }
 
 struct Turn {
-    batch: Arc<Vec<TraceInstr>>,
+    events: Arc<EventTurn>,
     readers_left: usize,
 }
 
@@ -400,25 +404,24 @@ enum Producer<S> {
     /// No member has asked for the stream yet.
     Unopened,
     /// Parked between turns.
-    Idle(S),
-    /// A member has the source out and is generating outside the lock.
+    Idle(Box<Frontend<S>>),
+    /// A member has the frontend out and is digesting outside the lock.
     Busy,
-    /// Everything the sweep needs was generated, or the source ran dry.
+    /// Everything the sweep needs was digested, or the source ran dry.
     Done,
 }
 
 impl<'w, S: TraceSource> Window<'w, S> {
-    fn new(workload: &'w PreparedWorkload, readers: usize, needed: u64) -> Window<'w, S> {
+    fn new(workload: &'w PreparedWorkload, config: &'w SimConfig, readers: usize) -> Self {
         Window {
             workload,
+            config,
             readers,
-            needed,
             state: std::sync::Mutex::new(WindowState {
                 producer: Producer::Unopened,
                 first: 0,
                 turns: VecDeque::with_capacity(WINDOW_TURNS),
                 spare: Vec::new(),
-                generated: 0,
                 failed: false,
             }),
             changed: Condvar::new(),
@@ -431,10 +434,11 @@ impl<'w, S: TraceSource> Window<'w, S> {
 
     /// Turn `k` of the stream, or `None` when the stream ended before
     /// it. A member asks for turns in order, so `k` is either in the
-    /// window or the next to be generated — and then the first member to
-    /// find the producer idle and the window not full generates it,
-    /// outside the lock, while the others read what is there or wait.
-    fn acquire<F>(&self, k: usize, open: &F) -> Option<Arc<Vec<TraceInstr>>>
+    /// window or the next to be digested — and then the first member to
+    /// find the producer idle and the window not full generates and
+    /// digests it, outside the lock, while the others read what is there
+    /// or wait.
+    fn acquire<F>(&self, k: usize, open: &F) -> Option<Arc<EventTurn>>
     where
         F: Fn(&'w PreparedWorkload) -> S,
     {
@@ -445,7 +449,7 @@ impl<'w, S: TraceSource> Window<'w, S> {
                 panic!("another worker of this sweep panicked");
             }
             if let Some(turn) = state.turns.get(k - state.first) {
-                return Some(Arc::clone(&turn.batch));
+                return Some(Arc::clone(&turn.events));
             }
             let room = state.turns.len() < WINDOW_TURNS;
             match std::mem::replace(&mut state.producer, Producer::Busy) {
@@ -455,33 +459,27 @@ impl<'w, S: TraceSource> Window<'w, S> {
                 }
                 Producer::Busy => {}
                 parked if room => {
-                    let mut batch = state.spare.pop().unwrap_or_default();
-                    let left = self.needed - state.generated;
+                    let mut events = state.spare.pop().unwrap_or_default();
                     drop(state);
-                    let mut source = match parked {
-                        Producer::Idle(source) => source,
-                        _ => open(self.workload),
+                    let mut frontend = match parked {
+                        Producer::Idle(frontend) => frontend,
+                        _ => Box::new(Frontend::new(self.config, open(self.workload))),
                     };
-                    let want = left.min(TURN_INSTRS as u64) as usize;
-                    let mut dry = false;
-                    while batch.len() < want && !dry {
-                        dry = source.next_batch(&mut batch) == 0;
-                    }
+                    let more = {
+                        let _span = trrip_obs::span!("digest");
+                        frontend.digest(TURN_INSTRS, &mut events)
+                    };
                     // Dropped here, not under the lock, when the stream
-                    // is over (a walker publishes its counters then).
-                    let producer = if dry || batch.len() as u64 >= left {
-                        Producer::Done
-                    } else {
-                        Producer::Idle(source)
-                    };
+                    // is over (a walker and a frontend publish their
+                    // counters then).
+                    let producer = if more { Producer::Idle(frontend) } else { Producer::Done };
                     state = self.lock();
-                    if matches!(producer, Producer::Done) {
+                    if !more {
                         state.spare.clear();
                     }
                     state.producer = producer;
-                    state.generated += batch.len() as u64;
-                    if !batch.is_empty() {
-                        let turn = Turn { batch: Arc::new(batch), readers_left: self.readers };
+                    if events.instructions() > 0 {
+                        let turn = Turn { events: Arc::new(events), readers_left: self.readers };
                         state.turns.push_back(turn);
                     }
                     self.changed.notify_all();
@@ -495,7 +493,7 @@ impl<'w, S: TraceSource> Window<'w, S> {
 
     /// One member is done with turn `k`. Members release in stream
     /// order, so turns retire from the front; a retired turn's buffer
-    /// goes back to be generated into while there is more to generate.
+    /// goes back to be digested into while there is more to digest.
     fn release(&self, k: usize) {
         let mut state = self.lock();
         let first = state.first;
@@ -504,9 +502,8 @@ impl<'w, S: TraceSource> Window<'w, S> {
             let turn = state.turns.pop_front().expect("checked above");
             state.first += 1;
             if !matches!(state.producer, Producer::Done) {
-                if let Ok(mut batch) = Arc::try_unwrap(turn.batch) {
-                    batch.clear();
-                    state.spare.push(batch);
+                if let Ok(events) = Arc::try_unwrap(turn.events) {
+                    state.spare.push(events);
                 }
             }
             self.changed.notify_all();
@@ -514,14 +511,13 @@ impl<'w, S: TraceSource> Window<'w, S> {
     }
 }
 
-/// One team member's position in a [`Window`]: hands out the stream as
-/// slices of the turn it holds, and releases each turn as it moves past.
+/// One team member's position in a [`Window`]: hands out the stream
+/// turn by turn, and releases each turn as it moves past.
 struct Reader<'a, 'w, S: TraceSource, F> {
     window: &'a Window<'w, S>,
     open: &'a F,
     turn: usize,
-    held: Option<Arc<Vec<TraceInstr>>>,
-    offset: usize,
+    held: Option<Arc<EventTurn>>,
 }
 
 impl<'w, S, F> Reader<'_, 'w, S, F>
@@ -529,36 +525,25 @@ where
     S: TraceSource,
     F: Fn(&'w PreparedWorkload) -> S,
 {
-    /// The next run of up to `limit` instructions; empty when the
-    /// stream is over (or `limit == 0`). Never crosses a turn.
-    fn next_slice(&mut self, limit: usize) -> &[TraceInstr] {
-        if self.held.as_ref().is_some_and(|batch| self.offset == batch.len()) {
+    /// Hands the turns covering the stream's next `limit` instructions
+    /// to `push`, one by one; the final call carries `last = true`,
+    /// with an empty turn if there was nothing to hand over or the
+    /// stream ended short.
+    fn feed(&mut self, limit: u64, mut push: impl FnMut(&EventTurn, bool)) {
+        let mut left = limit;
+        while left > 0 {
             self.release();
-        }
-        if self.held.is_none() && limit > 0 {
             self.held = self.window.acquire(self.turn, self.open);
-            self.offset = 0;
-        }
-        let Some(batch) = &self.held else { return &[] };
-        let start = self.offset;
-        self.offset += limit.min(batch.len() - start);
-        &batch[start..self.offset]
-    }
-
-    /// Hands the stream's next `limit` instructions to `push`, slice by
-    /// slice; the final call carries `last = true`, with an empty slice
-    /// if the stream ended short.
-    fn feed(&mut self, limit: u64, mut push: impl FnMut(&[TraceInstr], bool)) {
-        let mut left = limit as usize;
-        loop {
-            let slice = self.next_slice(left);
-            left -= slice.len();
-            let last = left == 0 || slice.is_empty();
-            push(slice, last);
-            if last {
-                break;
+            let Some(turn) = &self.held else { break };
+            left = left
+                .checked_sub(turn.instructions())
+                .expect("turns are cut at the fast-forward boundary");
+            if left == 0 {
+                return push(turn, true);
             }
+            push(turn, false);
         }
+        push(&EventTurn::new(), true);
     }
 }
 
@@ -1051,6 +1036,7 @@ mod tests {
     use super::*;
     use crate::system::simulate;
     use trrip_core::ClassifierConfig;
+    use trrip_cpu::TraceInstr;
     use trrip_workloads::WorkloadSpec;
 
     fn tiny_workload(name: &str) -> PreparedWorkload {

@@ -73,7 +73,7 @@ pub use experiment::{ensure_warm_prefixes, replay_sweep_warm_prefix};
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
 pub use shard::{replay_sweep_sharded, simulate_sharded, ShardPlan};
-pub use system::{simulate, simulate_source, SimResult, SimRun};
+pub use system::{simulate, simulate_source, Frontend, SimResult, SimRun};
 pub use warmstats::{warmup_counters, WarmupCounters};
 // The snapshot substrate, re-exported so callers can drive `SimRun`
 // save/restore without depending on `trrip-snap` directly.

@@ -14,18 +14,25 @@
 //! The two simulated phases can be driven from either side. **Pull**:
 //! the run takes what it needs from a [`SourceIter`]
 //! ([`SimRun::fast_forward`], [`SimRun::measure`],
-//! [`SimRun::measure_chunk`]) — one cell owns one stream. **Push**: the
-//! caller hands the run slices of a stream it owns
-//! ([`SimRun::push_fast_forward`], [`SimRun::push_measure`]), so one
-//! stream can be walked once and fed to many runs in turn, which is how
-//! [`crate::policy_sweep`] works. Both sit on [`Core::run_batch`], whose
-//! result does not depend on where the stream is cut, so they are
-//! bit-identical (`tests/walk_once_equivalence.rs`).
+//! [`SimRun::measure_chunk`]) — one cell owns one stream and runs the
+//! whole core over it ([`Core::run_batch`]). **Push**: a [`Frontend`]
+//! runs the policy-independent half of the core over the stream once —
+//! branch prediction, the FDIP scan, fetch-line tracking — and writes
+//! what it decided as [`EventTurn`]s; the caller hands those to as many
+//! runs as it likes ([`SimRun::push_fast_forward`],
+//! [`SimRun::push_measure`]), each of which runs only the
+//! policy-dependent half ([`Core::execute`]). That is how
+//! [`crate::policy_sweep`] walks and predicts once per workload. The two
+//! sides are bit-identical wherever the stream is cut
+//! (`tests/walk_once_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
 use trrip_cache::{AccessStats, Hierarchy};
-use trrip_cpu::{ChunkCut, Core, CoreResult, RunState, TraceInstr, WarmupMode, WarmupTape};
+use trrip_cpu::backend::FlatBackend;
+use trrip_cpu::{
+    BranchPredictor, ChunkCut, Core, CoreResult, EventTurn, RunState, WarmupMode, WarmupTape,
+};
 use trrip_os::{Loader, Mmu, PageStats, TlbStats};
 use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -203,6 +210,79 @@ pub fn simulate_source<S: TraceSource>(
     run.measure(&mut stream)
 }
 
+/// The policy-independent half of a run, for the push side: pulls a
+/// source's `fast_forward + instructions` instructions through a core
+/// whose backend always hits — so the branch predictor trains and the
+/// FDIP scan runs exactly as in any cell, neither ever seeing a cache
+/// latency — and writes each stretch down as an [`EventTurn`]
+/// ([`WarmupMode::Digest`]). The digesting core drains its lookahead
+/// window and starts a fresh run at the fast-forward boundary, as a
+/// cell's does, so a turn never spans the two phases and the turns of a
+/// phase cover exactly its instructions.
+#[derive(Debug)]
+pub struct Frontend<S> {
+    stream: SourceIter<S>,
+    core: Core<FlatBackend>,
+    state: RunState,
+    /// Instructions still to pull: of the fast-forward phase, then of
+    /// the measure phase.
+    left: [u64; 2],
+    digested: u64,
+}
+
+impl<S: TraceSource> Frontend<S> {
+    /// A frontend for runs of `config` over `source`.
+    #[must_use]
+    pub fn new(config: &SimConfig, source: S) -> Frontend<S> {
+        let core = Core::new(config.core, FlatBackend::all_hits());
+        Frontend {
+            stream: SourceIter::new(source),
+            state: core.begin_run(),
+            core,
+            left: [config.fast_forward, config.instructions],
+            digested: 0,
+        }
+    }
+
+    /// Digests up to `limit` further instructions into `turn` (cleared
+    /// first), stopping at the phase boundary. The core looks ahead of
+    /// what it processes, so a turn covers the instructions pulled less
+    /// those still in its lookahead window — possibly none — until the
+    /// turn that reaches the end of the phase or of the stream, which
+    /// covers them all. Returns whether anything is left to digest.
+    pub fn digest(&mut self, limit: usize, turn: &mut EventTurn) -> bool {
+        turn.clear();
+        let phase = usize::from(self.left[0] == 0);
+        let mut want = self.left[phase].min(limit as u64) as usize;
+        let mut mode = WarmupMode::Digest(turn);
+        let mut dry = false;
+        while want > 0 && !dry {
+            let slice = self.stream.next_slice(want);
+            dry = slice.is_empty();
+            want -= slice.len();
+            self.left[phase] -= slice.len() as u64;
+            self.core.run_batch_mode(&mut self.state, slice, false, &mut mode);
+        }
+        if dry {
+            self.left = [0, 0];
+        }
+        if self.left[phase] == 0 {
+            self.core.run_batch_mode(&mut self.state, &[], true, &mut mode);
+            self.state = self.core.begin_run();
+        }
+        self.digested += turn.instructions();
+        self.left != [0, 0]
+    }
+}
+
+impl<S> Drop for Frontend<S> {
+    /// Published once, like the walker's counters: a sweep moves
+    /// `front.digest.instrs` by one stream's length per workload.
+    fn drop(&mut self) {
+        trrip_obs::counter!("front.digest.instrs").add(self.digested);
+    }
+}
+
 /// One simulation in flight, between phases.
 ///
 /// The phases, in order:
@@ -233,6 +313,10 @@ pub struct SimRun<'w> {
     /// first [`SimRun::push_fast_forward`] and the closing one). The
     /// pull-mode warmups run in one call and never park their state.
     warming: Option<RunState>,
+    /// Set by the first pushed turn: the branch predictor of this run
+    /// is never consulted or trained (a [`Frontend`]'s was), so its
+    /// state is not the whole machine's and cannot be checkpointed.
+    pushed: bool,
     /// In-flight measure-phase state (present between `begin_measure`
     /// and `finish`).
     measuring: Option<RunState>,
@@ -279,6 +363,7 @@ impl<'w> SimRun<'w> {
             pages,
             core,
             warming: None,
+            pushed: false,
             measuring: None,
             segment_base: None,
         }
@@ -294,6 +379,14 @@ impl<'w> SimRun<'w> {
     #[must_use]
     pub fn workload(&self) -> &'w PreparedWorkload {
         self.workload
+    }
+
+    /// This run's own branch predictor: trained by the pull side, never
+    /// touched by the push side (a [`Frontend`]'s is, once for every
+    /// run it feeds).
+    #[must_use]
+    pub fn predictor(&self) -> &BranchPredictor {
+        self.core.predictor()
     }
 
     /// Whether the measure phase has started (the run carries in-flight
@@ -343,26 +436,27 @@ impl<'w> SimRun<'w> {
     }
 
     /// **Fast-forward phase, pushed**: warms the machine with the next
-    /// slice of the warmup stream. The slices of all calls together
-    /// must be the stream's first `fast_forward` instructions, cut
-    /// anywhere; pass `last = true` with the slice that completes them
-    /// (an empty one will do), which drains the core's lookahead window
-    /// and closes the phase exactly as [`SimRun::fast_forward`] does.
-    /// With `fast_forward == 0` there is nothing to push: go straight to
+    /// turn of the warmup, as a [`Frontend`] digested it. The turns of
+    /// all calls together must cover the stream's first `fast_forward`
+    /// instructions, cut anywhere; pass `last = true` with the turn that
+    /// completes them (an empty one will do), which closes the phase
+    /// exactly as [`SimRun::fast_forward`] does. With
+    /// `fast_forward == 0` there is nothing to push: go straight to
     /// [`SimRun::begin_measure`].
     ///
     /// # Panics
     ///
-    /// Panics if measurement has started or the slices overrun the
+    /// Panics if measurement has started or the turns overrun the
     /// configured warmup.
-    pub fn push_fast_forward(&mut self, instrs: &[TraceInstr], last: bool) {
+    pub fn push_fast_forward(&mut self, turn: &EventTurn, last: bool) {
         assert!(self.measuring.is_none(), "fast-forward after measurement started");
         let mut state = self.warming.take().unwrap_or_else(|| self.core.begin_run());
         assert!(
-            state.consumed() + instrs.len() as u64 <= self.config.fast_forward,
+            state.consumed() + turn.instructions() <= self.config.fast_forward,
             "pushed past the fast-forward boundary"
         );
-        self.core.run_batch(&mut state, instrs, last);
+        self.pushed = true;
+        self.core.execute(&mut state, turn);
         if last {
             self.core.backend_mut().flush_fastpath_counters();
         } else {
@@ -547,23 +641,24 @@ impl<'w> SimRun<'w> {
         cut
     }
 
-    /// **Measure phase, pushed**: runs the next slice of the measure
+    /// **Measure phase, pushed**: runs the next turn of the measure
     /// window — the push twin of [`SimRun::measure_chunk`]. Pass
-    /// `last = true` with the slice that completes the window (an empty
-    /// one will do) so the core's lookahead window drains, then collect
-    /// with [`SimRun::finish`].
+    /// `last = true` with the turn that completes the window (an empty
+    /// one will do), then collect with [`SimRun::finish`]; the result's
+    /// branch counts are the frontend's, carried by the turns.
     ///
     /// # Panics
     ///
-    /// Panics before [`SimRun::begin_measure`] or if the slices overrun
+    /// Panics before [`SimRun::begin_measure`] or if the turns overrun
     /// the configured window.
-    pub fn push_measure(&mut self, instrs: &[TraceInstr], last: bool) {
+    pub fn push_measure(&mut self, turn: &EventTurn, last: bool) {
         let state = self.measuring.as_mut().expect("begin_measure first");
         assert!(
-            state.consumed() + instrs.len() as u64 <= self.config.instructions,
+            state.consumed() + turn.instructions() <= self.config.instructions,
             "pushed past the measure window"
         );
-        self.core.run_batch(state, instrs, last);
+        self.pushed = true;
+        self.core.execute(state, turn);
         if last {
             self.core.backend_mut().flush_fastpath_counters();
         }
@@ -680,7 +775,7 @@ impl SimRun<'_> {
     /// concept (mid-measure snapshots stay whole-run).
     pub fn save_shared(&self, w: &mut SnapWriter) {
         assert!(!self.is_measuring(), "shared sections are fast-forward states");
-        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
+        assert!(!self.pushed, "a pushed run's predictor was never trained");
         w.section(b"SHRD", |w| self.core.save_predictor_state(w));
     }
 
@@ -740,7 +835,7 @@ impl SimRun<'_> {
 /// policy ([`crate::checkpoint`]).
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
-        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
+        assert!(!self.pushed, "a pushed run's predictor was never trained");
         w.tag(b"SRUN");
         self.core.save_core_state(w);
         self.core.backend().save(w);

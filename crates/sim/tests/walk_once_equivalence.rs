@@ -1,8 +1,11 @@
-//! The walk-once sweep: `policy_sweep_with` generates each workload's
-//! instruction stream once and pushes it through every policy cell on
-//! at most `jobs` threads — and every cell must still equal a
-//! [`simulate`] of its own, field by field, whatever the worker count,
-//! the workload count, or where the stream happens to be cut.
+//! The walk-once, predict-once sweep: `policy_sweep_with` generates each
+//! workload's instruction stream once, runs one frontend over it, and
+//! pushes the resulting event turns through every policy cell on at most
+//! `jobs` threads — and every cell must still equal a [`simulate`] of
+//! its own, field by field, whatever the worker count, the workload
+//! count, or where the stream happens to be cut. The seam underneath,
+//! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward`] /
+//! [`SimRun::push_measure`], is held to the pull path directly.
 //!
 //! The counter and journal checks read process-wide state, so every
 //! test in this file takes [`WALKING`] (even preparing a workload walks):
@@ -13,10 +16,11 @@ use std::collections::BTreeSet;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use trrip_core::ClassifierConfig;
+use trrip_cpu::{EventTurn, StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep_with, simulate, simulate_source, PreparedWorkload, SimConfig, SimResult, SimRun,
-    SnapWriter, Snapshot,
+    policy_sweep_with, simulate, simulate_source, Frontend, PreparedWorkload, SimConfig, SimResult,
+    SimRun, SnapWriter, Snapshot,
 };
 use trrip_trace::source::VecSource;
 use trrip_trace::TraceSource;
@@ -139,14 +143,16 @@ fn whole_workloads_per_worker_equal_per_cell_simulate() {
     assert_sweep_matches(2, &workloads, &config, &oracle);
 }
 
-/// No warmup (nothing is pushed into the fast-forward phase at all) and
-/// a one-instruction warmup (the boundary falls inside the first turn),
-/// over teams of unequal size.
+/// No warmup (nothing is pushed into the fast-forward phase at all), a
+/// one-instruction warmup, and warmups one short of, equal to and one
+/// past the core's 48-instruction lookahead (the frontend drains at the
+/// boundary before its window ever filled, just as it fills, just
+/// after), over teams of unequal size.
 #[test]
 fn degenerate_warmups_equal_per_cell_simulate() {
     let _shared = shared();
     let workloads = [workload("walk-once-e"), workload("walk-once-f")];
-    for (fast_forward, jobs) in [(0, 3), (1, ALL_POLICIES.len() + 3)] {
+    for (fast_forward, jobs) in [(0, 3), (1, ALL_POLICIES.len() + 3), (47, 2), (48, 1), (49, 3)] {
         let config = quick_config(fast_forward);
         let oracle = per_cell(&workloads, &config);
         assert_sweep_matches(jobs, &workloads, &config, &oracle);
@@ -180,7 +186,7 @@ fn empty_sweeps_return_empty_results() {
 
 // ---- the push seam on its own ----
 
-fn eval_stream(w: &PreparedWorkload, config: &SimConfig) -> Vec<trrip_cpu::TraceInstr> {
+fn eval_stream(w: &PreparedWorkload, config: &SimConfig) -> Vec<TraceInstr> {
     let mut generator =
         TraceGenerator::new(&w.program, w.object(config.layout), &w.spec, InputSet::Eval);
     let needed = (config.fast_forward + config.instructions) as usize;
@@ -192,37 +198,53 @@ fn eval_stream(w: &PreparedWorkload, config: &SimConfig) -> Vec<trrip_cpu::Trace
     stream
 }
 
-/// Pushes `stream` through a fresh run, cut at every position in `cuts`
-/// (and, as the seam requires, at the fast-forward boundary).
+/// Runs one frontend over `stream`, asking it for a turn at every
+/// position in `cuts` (it cuts at the fast-forward boundary and at the
+/// end of the stream on its own), and pushes every turn — the empty ones
+/// too — through a fresh run, whose own predictor must stay untouched.
 fn pushed(
     w: &PreparedWorkload,
     config: &SimConfig,
-    stream: &[trrip_cpu::TraceInstr],
+    stream: &[TraceInstr],
     cuts: &[usize],
 ) -> SimResult {
     let warmup = config.fast_forward as usize;
     let mut bounds: BTreeSet<usize> = cuts.iter().copied().filter(|&c| c < stream.len()).collect();
-    bounds.insert(warmup);
+    bounds.insert(warmup.min(stream.len()));
     bounds.insert(stream.len());
+    // One more request past the end, which finds the source dry.
+    bounds.insert(stream.len() + 1);
     bounds.remove(&0);
 
+    let mut frontend = Frontend::new(config, VecSource::new(stream.to_vec(), 1_024));
     let mut run = SimRun::new(w, config);
-    if warmup == 0 {
+    let mut turn = EventTurn::new();
+    let mut warming = config.fast_forward;
+    if warming == 0 {
         run.begin_measure();
     }
-    let mut start = 0;
+    let (mut at, mut covered) = (0, 0);
     for end in bounds {
-        let slice = &stream[start..end];
-        if end <= warmup {
-            run.push_fast_forward(slice, end == warmup);
-            if end == warmup {
+        let more = frontend.digest(end - at, &mut turn);
+        at = end;
+        covered += turn.instructions();
+        if warming > 0 {
+            warming -= turn.instructions();
+            let last = warming == 0 || !more;
+            run.push_fast_forward(&turn, last);
+            if last {
+                warming = 0;
                 run.begin_measure();
             }
         } else {
-            run.push_measure(slice, end == stream.len());
+            run.push_measure(&turn, !more);
         }
-        start = end;
+        if !more {
+            break;
+        }
     }
+    assert_eq!(covered, stream.len() as u64, "the turns cover the stream exactly");
+    assert_eq!(run.predictor().branches(), 0, "a pushed run consults no predictor of its own");
     run.finish()
 }
 
@@ -235,18 +257,19 @@ fn push_seam_equals_pull_wherever_the_stream_is_cut() {
     let mut scatter = Vec::new();
     let mut x = 0x9E37_79B9_u64;
     let mut at = 0usize;
-    while at < 60_000 {
+    while at < 70_000 {
         x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1_442_695_040_888_963_407);
         at += 1 + (x >> 33) as usize % if scatter.len() % 3 == 0 { 12 } else { 3_000 };
         scatter.push(at);
     }
     for policy in [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Drrip, PolicyKind::Trrip1] {
-        for fast_forward in [0u64, 1, 20_000] {
+        for fast_forward in [0u64, 1, 47, 48, 49, 30_000] {
             let mut config = quick_config(fast_forward).with_policy(policy);
             config.measure_reuse = policy == PolicyKind::Trrip1;
             config.track_costly = policy == PolicyKind::Trrip1;
             let stream = eval_stream(&w, &config);
             let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
+            assert!(pulled.core.branches > 0 && pulled.core.mispredictions > 0);
             let ff = fast_forward as usize;
             let cut_sets: [&[usize]; 5] = [
                 &[],
@@ -265,7 +288,24 @@ fn push_seam_equals_pull_wherever_the_stream_is_cut() {
     }
 }
 
-/// Empty slices are legal anywhere, and a short stream closes with one.
+/// All ten policies through the seam, turn by turn as the sweep cuts
+/// them (16 Ki), with the profilers armed.
+#[test]
+fn push_seam_equals_pull_for_every_policy() {
+    let _shared = shared();
+    let w = workload("walk-once-seam-all");
+    for policy in ALL_POLICIES {
+        let mut config = quick_config(30_000).with_policy(policy);
+        config.measure_reuse = true;
+        config.track_costly = true;
+        let stream = eval_stream(&w, &config);
+        let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
+        let cuts: Vec<usize> = (1..5).map(|k| k * 16 * 1_024).collect();
+        assert_identical(&pushed(&w, &config, &stream, &cuts), &pulled, &format!("{policy}"));
+    }
+}
+
+/// Empty turns are legal anywhere, and a short stream closes with one.
 #[test]
 fn push_seam_takes_empty_slices_and_a_short_stream() {
     let _shared = shared();
@@ -275,15 +315,96 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
     stream.truncate(30_000);
     let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
 
+    let mut frontend = Frontend::new(&config, VecSource::new(stream.clone(), 1_024));
+    let (empty, mut turn) = (EventTurn::new(), EventTurn::new());
     let mut run = SimRun::new(&w, &config);
-    run.push_fast_forward(&[], false);
-    run.push_fast_forward(&stream[..5_000], false);
-    run.push_fast_forward(&[], true);
+    run.push_fast_forward(&empty, false);
+    assert!(frontend.digest(usize::MAX, &mut turn), "the measure window is still to come");
+    assert_eq!(turn.instructions(), 5_000, "a turn stops at the fast-forward boundary");
+    run.push_fast_forward(&turn, false);
+    run.push_fast_forward(&empty, true);
     run.begin_measure();
-    run.push_measure(&[], false);
-    run.push_measure(&stream[5_000..], false);
-    run.push_measure(&[], true);
-    assert_identical(&run.finish(), &pulled, "short stream closed by an empty slice");
+    run.push_measure(&empty, false);
+    assert!(!frontend.digest(usize::MAX, &mut turn), "the source ran dry");
+    assert_eq!(turn.instructions(), 25_000);
+    run.push_measure(&turn, false);
+    assert!(!frontend.digest(usize::MAX, &mut turn));
+    assert_eq!(turn, empty, "nothing is left to digest");
+    run.push_measure(&turn, true);
+    assert_identical(&run.finish(), &pulled, "short stream closed by an empty turn");
+}
+
+/// Streams that end before the core's 48-instruction lookahead ever
+/// fills: inside the warmup, exactly at its end, and inside the window.
+#[test]
+fn push_seam_takes_streams_shorter_than_the_lookahead() {
+    let _shared = shared();
+    let w = workload("walk-once-tiny");
+    for (fast_forward, length) in [(100, 30), (30, 30), (10, 30), (0, 30), (0, 1), (5, 0)] {
+        let config = quick_config(fast_forward).with_policy(PolicyKind::Emissary);
+        let mut stream = eval_stream(&w, &config);
+        stream.truncate(length);
+        let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
+        for cuts in [&[][..], &[1, 2, 9, 10, 11, 29]] {
+            let what = format!("{length} instructions, fast_forward={fast_forward}, {cuts:?}");
+            assert_identical(&pushed(&w, &config, &stream, cuts), &pulled, &what);
+        }
+    }
+}
+
+/// One instruction that fetches a new line, mispredicts, loads and
+/// stalls — a single record carrying all four events — among plain
+/// ones, in both phases.
+#[test]
+fn push_seam_carries_an_instruction_with_all_four_events() {
+    let _shared = shared();
+    let w = workload("walk-once-four");
+    let mut config = quick_config(64).with_policy(PolicyKind::Trrip2);
+    config.instructions = 200;
+    let mut stream = Vec::new();
+    for block in 0..6u64 {
+        let base = 0x40_0000 + block * 0x1000;
+        stream.extend((0..43).map(|i| TraceInstr::simple(base + i * 4)));
+        // The first instruction of a line; a jump never seen before,
+        // so the cold predictor gets it wrong.
+        let pc = base + 3 * 64;
+        stream.push(TraceInstr {
+            mem: TraceInstr::load(pc, 0x9000_0000 + block * 512).mem,
+            exec_stall: Some((StallClass::Depend, 5)),
+            ..TraceInstr::jump(pc, base + 0x1000)
+        });
+    }
+    assert_eq!(stream.len() as u64, config.fast_forward + config.instructions);
+
+    let mut frontend = Frontend::new(&config, VecSource::new(stream.clone(), 1_024));
+    let mut turn = EventTurn::new();
+    frontend.digest(usize::MAX, &mut turn);
+    let all_four = |turn: &EventTurn| {
+        let full = |e: &&trrip_cpu::InstrEvent| {
+            e.fetch() && e.mispredicted() && e.mem().is_some() && e.stall().is_some()
+        };
+        turn.events().iter().filter(full).count()
+    };
+    assert_eq!(all_four(&turn), 1, "the warmup's one busy instruction: {:?}", turn.events());
+    frontend.digest(usize::MAX, &mut turn);
+    assert_eq!(all_four(&turn), 5);
+
+    let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
+    assert_eq!(pulled.core.mispredictions, 5);
+    for cuts in [&[][..], &[43, 44, 45, 63, 65, 87, 88]] {
+        assert_identical(&pushed(&w, &config, &stream, cuts), &pulled, &format!("{cuts:?}"));
+    }
+}
+
+/// A turn digested for a longer warmup than the run's.
+fn oversized_turn(w: &PreparedWorkload, config: &SimConfig, instructions: usize) -> EventTurn {
+    let mut roomy = config.clone();
+    roomy.fast_forward = instructions as u64;
+    let stream = eval_stream(w, &roomy);
+    let mut turn = EventTurn::new();
+    Frontend::new(&roomy, VecSource::new(stream, 1_024)).digest(instructions, &mut turn);
+    assert_eq!(turn.instructions(), instructions as u64);
+    turn
 }
 
 #[test]
@@ -292,8 +413,35 @@ fn push_seam_refuses_to_overrun_the_warmup() {
     let _shared = shared();
     let w = workload("walk-once-overrun");
     let config = quick_config(100);
-    let stream = eval_stream(&w, &config);
-    SimRun::new(&w, &config).push_fast_forward(&stream[..101], true);
+    let turn = oversized_turn(&w, &config, 101);
+    SimRun::new(&w, &config).push_fast_forward(&turn, true);
+}
+
+#[test]
+#[should_panic(expected = "pushed past the measure window")]
+fn push_seam_refuses_to_overrun_the_measure_window() {
+    let _shared = shared();
+    let w = workload("walk-once-overrun-measure");
+    let mut config = quick_config(0);
+    config.instructions = 100;
+    let turn = oversized_turn(&w, &config, 101);
+    let mut run = SimRun::new(&w, &config);
+    run.begin_measure();
+    run.push_measure(&turn, true);
+}
+
+/// A pushed run's predictor was never trained, so its state is not the
+/// machine's: saving it as a checkpoint would poison every restore.
+#[test]
+#[should_panic(expected = "a pushed run's predictor was never trained")]
+fn a_pushed_run_refuses_to_be_checkpointed() {
+    let _shared = shared();
+    let w = workload("walk-once-no-save");
+    let config = quick_config(100);
+    let turn = oversized_turn(&w, &config, 100);
+    let mut run = SimRun::new(&w, &config);
+    run.push_fast_forward(&turn, true);
+    run.save(&mut SnapWriter::new());
 }
 
 // ---- walked once, on no more threads than asked for ----
@@ -321,30 +469,37 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     trrip_obs::journal::init(&path, 10_000).expect("open a journal");
     trrip_obs::event("caller", &[("benchmark", trrip_obs::Field::Str("caller"))]);
 
-    // Ten cells of one workload: walked once, not ten times.
+    // Ten cells of one workload: walked once and predicted once, not
+    // ten times.
     let before = trrip_obs::snapshot();
     let _ = policy_sweep_with(3, &one, &config, &ALL_POLICIES);
-    let walked = trrip_obs::snapshot().since(&before).get("walk.instrs");
+    let moved = trrip_obs::snapshot().since(&before);
+    let walked = moved.get("walk.instrs");
     assert!(
         (walkers_worth..walkers_worth + source_batch).contains(&walked),
         "a 10-policy sweep of one workload walked {walked} instructions, one walker's worth is \
          {walkers_worth}"
     );
+    assert_eq!(moved.get("front.digest.instrs"), walkers_worth, "one frontend's worth");
 
-    // The oracle really does pay per cell.
+    // The oracle really does pay per cell, and runs no shared frontend.
     let before = trrip_obs::snapshot();
     let _ = per_cell(&one, &config);
-    let walked = trrip_obs::snapshot().since(&before).get("walk.instrs");
+    let moved = trrip_obs::snapshot().since(&before);
+    let walked = moved.get("walk.instrs");
     assert!(walked >= ALL_POLICIES.len() as u64 * walkers_worth, "per-cell walked only {walked}");
+    assert_eq!(moved.get("front.digest.instrs"), 0);
 
     // Two workloads, more jobs than cells: once each.
     let before = trrip_obs::snapshot();
     let _ = policy_sweep_with(64, &pair, &config, &ALL_POLICIES);
-    let walked = trrip_obs::snapshot().since(&before).get("walk.instrs");
+    let moved = trrip_obs::snapshot().since(&before);
+    let walked = moved.get("walk.instrs");
     assert!(
         (2 * walkers_worth..2 * (walkers_worth + source_batch)).contains(&walked),
         "a sweep of two workloads walked {walked} instructions"
     );
+    assert_eq!(moved.get("front.digest.instrs"), 2 * walkers_worth);
 
     // A one-cell sweep, however many jobs it is offered.
     let _ = policy_sweep_with(8, &[workload("walk-once-solo")], &config, &[PolicyKind::Clip]);

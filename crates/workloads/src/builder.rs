@@ -20,9 +20,12 @@ pub fn build_program(spec: &WorkloadSpec) -> Program {
     spec.validate().expect("invalid workload spec");
     let mut rng = SmallRng::seed_from_u64(spec.structure_seed);
 
+    // Sorted once for the whole program: `hot_set` orders all function
+    // ids, and every function's call sites draw from the same set.
+    let hot_set = spec.hot_set();
     let mut functions = Vec::with_capacity(spec.functions);
     for fi in 0..spec.functions {
-        functions.push(build_function(spec, fi, &mut rng));
+        functions.push(build_function(spec, &hot_set, fi, &mut rng));
     }
 
     let mut program = Program::new(functions, 0);
@@ -50,7 +53,12 @@ pub fn build_program(spec: &WorkloadSpec) -> Program {
 /// * Dispatch functions (interpreters): the head is an indirect-dispatch
 ///   block fanning out to every handler; each handler returns to the
 ///   head, with the same inline error blocks.
-fn build_function(spec: &WorkloadSpec, index: usize, rng: &mut SmallRng) -> Function {
+fn build_function(
+    spec: &WorkloadSpec,
+    hot_set: &[usize],
+    index: usize,
+    rng: &mut SmallRng,
+) -> Function {
     // Size spread: factor in [0.4, 2.9], quadratically biased small.
     let factor = 0.4 + rng.gen::<f64>().powi(2) * 2.5;
     let total_bytes = ((f64::from(spec.avg_function_bytes) * factor) as u32).max(256) / 4 * 4;
@@ -128,7 +136,6 @@ fn build_function(spec: &WorkloadSpec, index: usize, rng: &mut SmallRng) -> Func
     // Call sites: body blocks may call. Targets are biased toward the
     // (scattered) hot set (call_locality) so the dynamic footprint
     // concentrates the way real programs' call graphs do.
-    let hot_set = spec.hot_set();
     let pick_callee = |rng: &mut SmallRng| {
         if rng.gen_bool(spec.call_locality) {
             hot_set[rng.gen_range(0..hot_set.len())]
