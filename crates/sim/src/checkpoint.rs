@@ -561,6 +561,18 @@ impl CheckpointStore {
         self.has(workload, config) || matches!(self.load_prefix(workload, config), Ok(Some(_)))
     }
 
+    /// Whether the store holds the files a restore of `(workload,
+    /// config)` at the fast-forward boundary would read — a whole-state
+    /// checkpoint, or the shared prefix and this policy's overlay —
+    /// going by their names alone. Cheap enough to ask of every cell
+    /// before a sweep; whether they *load* is for the ladder to find out.
+    #[must_use]
+    pub fn holds_restore(&self, workload: &PreparedWorkload, config: &SimConfig) -> bool {
+        self.path_for(workload, config).exists()
+            || (self.prefix_path(workload, config).exists()
+                && self.overlay_path(workload, config).exists())
+    }
+
     /// Saves `run`'s state as the fast-forward checkpoint for its
     /// workload and configuration.
     ///

@@ -34,14 +34,16 @@
 //! the oracle for all of them.
 
 use std::collections::VecDeque;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
 use trrip_cpu::{EventTurn, WarmupTape};
 use trrip_policies::PolicyKind;
-use trrip_trace::{FanoutOptions, FanoutReplay, FanoutSubscriber, SourceIter, TraceSource};
+use trrip_trace::{
+    FanoutOptions, FanoutReplay, FanoutSubscriber, SourceIter, StreamingReplay, TraceSource,
+};
 use trrip_workloads::{InputSet, TraceGenerator};
 
 use crate::capture::TraceStore;
@@ -630,29 +632,48 @@ pub fn replay_sweep_with(
     policies: &[PolicyKind],
     store: &TraceStore,
 ) -> SweepResult {
-    fanout_sweep(jobs, workloads, config, policies, store, |workload, run_config, subscriber| {
-        simulate_source(workload, run_config, subscriber)
-    })
+    fanout_sweep(
+        jobs,
+        workloads,
+        config,
+        policies,
+        store,
+        |_| 0,
+        |cell| simulate_source(cell.workload, cell.config, cell.subscriber),
+    )
+}
+
+/// What [`fanout_sweep`] hands a cell: its workload, its configuration
+/// (the sweep's with the cell's policy), the capture and the cell's
+/// subscriber to the one decode of it.
+struct FanoutCell<'a> {
+    workload: &'a PreparedWorkload,
+    config: &'a SimConfig,
+    trace: &'a Path,
+    subscriber: FanoutSubscriber,
 }
 
 /// The shared fan-out scaffold behind [`replay_sweep_with`] and
 /// [`replay_sweep_checkpointed`]: captures each workload's trace, then
-/// per workload decodes once and broadcasts to one `run_cell` thread
-/// per policy. Each workload's fan-out runs `policies.len()` simulator
-/// threads, so when a sweep has fewer policies than worker slots (a
-/// 2-policy layout study on a 16-core box), whole workloads run
+/// per workload decodes once — from instruction `start_of(workload)`,
+/// see [`FanoutReplay::open_at`] — and broadcasts to one `run_cell`
+/// thread per policy. Each workload's fan-out runs `policies.len()`
+/// simulator threads, so when a sweep has fewer policies than worker
+/// slots (a 2-policy layout study on a 16-core box), whole workloads run
 /// concurrently in waves of `jobs / policies` until the slots are
 /// spent; the decode-worker budget is split across the wave.
-fn fanout_sweep<F>(
+fn fanout_sweep<P, F>(
     jobs: usize,
     workloads: &[PreparedWorkload],
     config: &SimConfig,
     policies: &[PolicyKind],
     store: &TraceStore,
+    start_of: P,
     run_cell: F,
 ) -> SweepResult
 where
-    F: Fn(&PreparedWorkload, &SimConfig, FanoutSubscriber) -> SimResult + Sync,
+    P: Fn(&PreparedWorkload) -> u64 + Sync,
+    F: Fn(FanoutCell<'_>) -> SimResult + Sync,
 {
     // Phase 1: one capture per workload (only the missing ones pay).
     let paths: Vec<PathBuf> = parallel_map_with(jobs, workloads.len(), |i| {
@@ -670,7 +691,7 @@ where
     let run_cell = &run_cell;
     let per_workload: Vec<Vec<SimResult>> = parallel_map_with(wave, workloads.len(), |wi| {
         let (workload, path) = (&workloads[wi], &paths[wi]);
-        let subscribers = FanoutReplay::with_options(path, policies.len(), options)
+        let subscribers = FanoutReplay::open_at(path, policies.len(), options, start_of(workload))
             .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()));
         std::thread::scope(|scope| {
             let handles: Vec<_> = subscribers
@@ -682,7 +703,12 @@ where
                         let bench = workload.spec.name.as_str();
                         journal_cell("cell_started", bench, policy, None);
                         let span = trrip_obs::span!("cell");
-                        let result = run_cell(workload, &run_config, subscriber);
+                        let result = run_cell(FanoutCell {
+                            workload,
+                            config: &run_config,
+                            trace: path,
+                            subscriber,
+                        });
                         drop(span);
                         journal_cell("cell_finished", bench, policy, Some(result.core.cycles));
                         result
@@ -726,8 +752,11 @@ where
 /// `stream_at(pos)` supplies the instruction stream positioned `pos`
 /// instructions in, and is called exactly once: with `fast_forward` on
 /// the restore rungs (1–2), with `0` when the warmup is simulated
-/// (3–4). The fan-out engine drains its broadcast subscriber to `pos`;
-/// the sharded engine opens a (seek-positioned) replay. Both engines
+/// (3–4). The fan-out engine lets its broadcast subscriber run on to
+/// `pos` (its decode begins at the boundary when every cell of the
+/// workload has a restore on file; a cell that then needs an earlier
+/// `pos` opens a replay of its own); the sharded engine opens a
+/// (seek-positioned) replay. Both engines
 /// share this one ladder, so fallback routing — including the
 /// fresh-machine rebuild after a half-written overlay restore — cannot
 /// diverge between them.
@@ -949,7 +978,9 @@ pub fn replay_sweep_warm_prefix(
 /// fig6/fig8/fig9 re-sweeping the same benchmarks — starts warm across
 /// process runs; a cold store populated through
 /// [`replay_sweep_warm_prefix`] additionally shares one warmup across
-/// all policies.
+/// all policies. A workload whose every cell has a restore on file
+/// ([`CheckpointStore::holds_restore`]) is decoded from the chunk
+/// holding the fast-forward boundary, not from its first instruction.
 ///
 /// Results are bit-identical to [`replay_sweep`] and [`policy_sweep`]
 /// on every route: a checkpoint restores the exact post-fast-forward
@@ -971,16 +1002,39 @@ pub fn replay_sweep_checkpointed(
     store: &TraceStore,
     checkpoints: &CheckpointStore,
 ) -> SweepResult {
-    fanout_sweep(jobs, workloads, config, policies, store, |workload, run_config, subscriber| {
-        let (mut run, mut stream) =
-            warm_start_ladder(workload, run_config, Some(checkpoints), |pos| {
-                // The broadcast subscriber cannot seek: draining decoded
-                // batches is how this engine "positions" the stream (the
-                // decode is shared across the workload's cells anyway).
-                let mut stream = SourceIter::new(subscriber);
-                for _ in (&mut stream).take(pos as usize) {}
+    // Where every cell is going to restore, nobody reads the warm-up:
+    // the decode begins at the boundary. What the store holds is judged
+    // by file names alone — a file that then fails to load sends that
+    // one cell down the ladder and to a decode of its own.
+    let warm_start = |workload: &PreparedWorkload| {
+        let restores = policies.iter().all(|&policy| {
+            checkpoints.holds_restore(workload, &config.clone().with_policy(policy))
+        });
+        if restores {
+            config.fast_forward
+        } else {
+            0
+        }
+    };
+    fanout_sweep(jobs, workloads, config, policies, store, warm_start, |cell| {
+        let FanoutCell { workload, config, trace, subscriber } = cell;
+        let (mut run, mut stream) = warm_start_ladder(workload, config, Some(checkpoints), |pos| {
+            let origin = subscriber.origin();
+            if pos >= origin {
+                // The broadcast subscriber cannot seek: letting decoded
+                // instructions go by is how this engine "positions" the
+                // stream — less than a chunk of them when the fan-out
+                // began at the boundary.
+                let mut stream = SourceIter::new(Box::new(subscriber) as Box<dyn TraceSource>);
+                stream.advance(pos - origin);
                 stream
-            });
+            } else {
+                drop(subscriber);
+                let own = StreamingReplay::open_at(trace, pos)
+                    .unwrap_or_else(|e| panic!("replaying {}: {e}", trace.display()));
+                SourceIter::new(Box::new(own) as Box<dyn TraceSource>)
+            }
+        });
         run.measure(&mut stream)
     })
 }

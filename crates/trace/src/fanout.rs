@@ -95,6 +95,7 @@ enum Decoded {
 #[derive(Debug)]
 struct FanoutCore {
     meta: TraceMeta,
+    origin: u64,
     threads: Mutex<Vec<JoinHandle<()>>>,
     live: AtomicUsize,
 }
@@ -145,9 +146,43 @@ impl FanoutReplay {
         consumers: usize,
         options: FanoutOptions,
     ) -> Result<Vec<FanoutSubscriber>, TraceError> {
+        FanoutReplay::open_at(path, consumers, options, 0)
+    }
+
+    /// [`FanoutReplay::with_options`] for consumers that all begin
+    /// `start` instructions in (a sweep whose every cell restores a
+    /// checkpoint taken there): on an indexed trace the pipeline seeks
+    /// to the chunk holding instruction `start`, as
+    /// [`crate::StreamingReplay::open_at`] does, and the chunks before
+    /// it are neither read nor decoded. The stream begins at a chunk
+    /// boundary — [`FanoutSubscriber::origin`] says which — so a
+    /// subscriber advances past `start - origin` instructions itself.
+    /// An index-less file is streamed from its beginning.
+    ///
+    /// # Errors
+    ///
+    /// As [`FanoutReplay::open`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `consumers` is zero.
+    pub fn open_at(
+        path: &Path,
+        consumers: usize,
+        options: FanoutOptions,
+        start: u64,
+    ) -> Result<Vec<FanoutSubscriber>, TraceError> {
         assert!(consumers > 0, "fan-out needs at least one consumer");
         let mut source = reader::open(path)?;
         let meta = source.meta().clone();
+        let mut origin = 0;
+        if start > 0 {
+            if let Some(index) = crate::index::read_index(path, &meta)? {
+                let k = ((start / u64::from(meta.chunk_capacity)) as usize).min(index.chunks());
+                source.seek_to_chunk(&index, k)?;
+                origin = k as u64 * u64::from(meta.chunk_capacity);
+            }
+        }
         let workers = options.decode_workers.max(1);
         let depth = options.channel_depth.max(1);
 
@@ -195,6 +230,7 @@ impl FanoutReplay {
 
         let core = Arc::new(FanoutCore {
             meta,
+            origin,
             threads: Mutex::new(threads),
             live: AtomicUsize::new(consumers),
         });
@@ -325,6 +361,14 @@ impl FanoutSubscriber {
     pub fn meta(&self) -> &TraceMeta {
         &self.core.as_ref().expect("core lives until drop").meta
     }
+
+    /// Where in the trace this fan-out's stream begins: the number of
+    /// the first instruction it delivers — 0 unless
+    /// [`FanoutReplay::open_at`] sought past whole chunks.
+    #[must_use]
+    pub fn origin(&self) -> u64 {
+        self.core.as_ref().expect("core lives until drop").origin
+    }
 }
 
 impl TraceSource for FanoutSubscriber {
@@ -419,6 +463,41 @@ mod tests {
         assert_eq!(SourceIter::new(quitter).take(40).count(), 40);
         // The other still gets every instruction.
         assert_eq!(SourceIter::new(survivor).count(), 2000);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn open_at_begins_at_the_chunk_holding_start() {
+        let path = write_trace(&tmp(), 1200, 64);
+        let reference: Vec<TraceInstr> =
+            SourceIter::new(reader::open(&path).expect("open")).collect();
+        for (start, origin) in [(0, 0), (63, 0), (64, 64), (500, 448), (1199, 1152), (1200, 1152)] {
+            let subs =
+                FanoutReplay::open_at(&path, 2, FanoutOptions::default(), start).expect("open");
+            let streams: Vec<Vec<TraceInstr>> = std::thread::scope(|scope| {
+                let handles: Vec<_> = subs
+                    .into_iter()
+                    .map(|sub| {
+                        scope.spawn(move || {
+                            assert_eq!(sub.origin(), origin, "start {start}");
+                            let mut stream = SourceIter::new(sub);
+                            stream.advance(start - origin);
+                            stream.collect()
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().expect("subscriber thread")).collect()
+            });
+            for stream in &streams {
+                assert_eq!(stream, &reference[start as usize..], "start {start}");
+            }
+        }
+        // Past the last chunk: an exhausted stream, not an error.
+        let sub = FanoutReplay::open_at(&path, 1, FanoutOptions::default(), 5000)
+            .expect("open")
+            .pop()
+            .expect("one subscriber");
+        assert_eq!(SourceIter::new(sub).count(), 0);
         std::fs::remove_file(&path).ok();
     }
 

@@ -31,6 +31,12 @@ impl<S: TraceSource + ?Sized> TraceSource for &mut S {
     }
 }
 
+impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
+    fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
+        (**self).next_batch(out)
+    }
+}
+
 /// Adapts any [`TraceSource`] into an `Iterator<Item = TraceInstr>`.
 #[derive(Debug)]
 pub struct SourceIter<S> {
@@ -75,6 +81,21 @@ impl<S: TraceSource> SourceIter<S> {
         let start = self.pos;
         self.pos += n;
         &self.buf[start..start + n]
+    }
+
+    /// Advances past the next `n` instructions (fewer only if the
+    /// source ends first) and returns how many were passed — what
+    /// `take(n)` run dry does, a batch at a time.
+    pub fn advance(&mut self, n: u64) -> u64 {
+        let mut left = n;
+        while left > 0 {
+            let passed = self.next_slice(usize::try_from(left).unwrap_or(usize::MAX)).len();
+            if passed == 0 {
+                break;
+            }
+            left -= passed as u64;
+        }
+        n - left
     }
 }
 
@@ -148,6 +169,17 @@ mod tests {
         assert_eq!(iter.next_slice(100), &instrs[9..]);
         assert!(iter.next_slice(100).is_empty(), "exhausted source yields an empty slice");
         assert_eq!(iter.next(), None);
+    }
+
+    #[test]
+    fn advance_lands_where_take_would() {
+        let instrs: Vec<_> = (0..10).map(|i| TraceInstr::simple(0x1000 + i * 4)).collect();
+        for n in 0..=12u64 {
+            let mut iter = SourceIter::new(VecSource::new(instrs.clone(), 4));
+            assert_eq!(iter.next(), Some(instrs[0]));
+            assert_eq!(iter.advance(n), n.min(9));
+            assert_eq!(iter.next(), instrs.get(1 + n as usize).copied(), "after advance({n})");
+        }
     }
 
     #[test]
