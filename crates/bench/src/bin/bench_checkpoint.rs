@@ -1,18 +1,18 @@
 //! Wall-clock benchmark of warm-started (checkpointed) sweeps against
 //! cold ones, on the paper's 8-policy sweep shape:
 //!
-//! * **baseline** — plain `replay_sweep`: every policy simulates the
-//!   fast-forward window itself (warmup paid `policies` times per
-//!   workload per sweep, every sweep);
-//! * **cold checkpointed** — `replay_sweep_checkpointed` over an empty
-//!   checkpoint store: same warmup work plus the one-time cost of
-//!   persisting each policy's warmed state;
-//! * **warm checkpointed** — the same sweep again: every cell restores
-//!   its checkpoint and skips warmup simulation entirely, the state
-//!   repeated sweeps (fig6/fig8/fig9 re-sweep the same workloads) run
-//!   in across process lifetimes.
+//! * **baseline** — `replay_sweep` with no checkpoint store: every
+//!   policy's cell executes the fast-forward window (warmup paid
+//!   `policies` times per workload per sweep, every sweep);
+//! * **cold checkpointed** — `replay_sweep` over an empty checkpoint
+//!   store: same warmup work plus the one-time cost of persisting the
+//!   shared prefix and each policy's overlay;
+//! * **warm checkpointed** — the same sweep again: the frontend resumes
+//!   from the prefix, every cell restores its overlay and nobody
+//!   simulates the warmup, the state repeated sweeps (fig6/fig8/fig9
+//!   re-sweep the same workloads) run in across process lifetimes.
 //!
-//! The three engines are asserted bit-identical before any number is
+//! The three passes are asserted bit-identical before any number is
 //! reported. Results append to `BENCH_checkpoint.json` under `--out`, an
 //! array of run objects — the perf trajectory future PRs extend
 //! (`scripts/bench_checkpoint.sh` points `--out` at the repo root).
@@ -23,8 +23,7 @@ use trrip_bench::{append_trajectory, HarnessOptions};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep_checkpointed, replay_sweep_with, CheckpointStore, PreparedWorkload, SimConfig,
-    SweepResult, TraceStore,
+    replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -100,12 +99,14 @@ fn main() {
         );
     }
 
-    // --- Baseline: plain fan-out replay sweep, warmup simulated. ---
+    let sweep = |ckpts: Option<&CheckpointStore>| {
+        replay_sweep(options.jobs, &workloads, &config, &POLICIES, &traces, ckpts)
+    };
+
+    // --- Baseline: replay sweep with no checkpoint store, warmup simulated. ---
     trrip_obs::progress!("baseline: 8-policy replay_sweep (no checkpoints)…");
     let mut baseline = None;
-    let baseline_s = time_best(|| {
-        baseline = Some(replay_sweep_with(options.jobs, &workloads, &config, &POLICIES, &traces));
-    });
+    let baseline_s = time_best(|| baseline = Some(sweep(None)));
 
     // --- Cold: empty store, warmup simulated + checkpoints persisted. ---
     // Hand-rolled timing loop: the store reset happens between
@@ -118,32 +119,16 @@ fn main() {
     for _ in 0..REPS {
         std::fs::remove_dir_all(&ckpt_dir).ok();
         let start = Instant::now();
-        cold = Some(replay_sweep_checkpointed(
-            options.jobs,
-            &workloads,
-            &config,
-            &POLICIES,
-            &traces,
-            &ckpts,
-        ));
+        cold = Some(sweep(Some(&ckpts)));
         cold_s = cold_s.min(start.elapsed().as_secs_f64());
     }
 
     // --- Warm: every cell restores and skips warmup simulation. ---
     trrip_obs::progress!("warm: checkpointed sweep restoring…");
     let mut warm = None;
-    let warm_s = time_best(|| {
-        warm = Some(replay_sweep_checkpointed(
-            options.jobs,
-            &workloads,
-            &config,
-            &POLICIES,
-            &traces,
-            &ckpts,
-        ));
-    });
+    let warm_s = time_best(|| warm = Some(sweep(Some(&ckpts))));
 
-    // Cross-check: all engines must agree bit-for-bit.
+    // Cross-check: all passes must agree bit-for-bit.
     let baseline = baseline.expect("ran");
     assert_identical(&baseline, &cold.expect("ran"), "cold checkpointed sweep");
     assert_identical(&baseline, &warm.expect("ran"), "warm checkpointed sweep");

@@ -39,8 +39,8 @@ use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep_with, replay_sweep_checkpointed, replay_sweep_with, CheckpointStore,
-    PreparedWorkload, SimConfig, SimResult, TraceStore,
+    policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SimResult,
+    TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -234,33 +234,22 @@ fn main() {
     let traces = TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
     let walked = policy_sweep_with(options.jobs, &workloads, &config, &ALL_POLICIES);
-    // Captures land first (their compression is the trace ratio above);
-    // the counter window around the cold sweep then isolates checkpoint
-    // compression.
-    let fanout = replay_sweep_with(options.jobs, &workloads, &config, &ALL_POLICIES, &traces);
+    // Captures land first, on the side of a sweep with no checkpoint
+    // store (their compression is the trace ratio above); the counter
+    // window around the cold sweep then isolates checkpoint compression.
+    let stored = |policies: &[PolicyKind], ckpts: Option<&CheckpointStore>| {
+        replay_sweep(options.jobs, &workloads, &config, policies, &traces, ckpts)
+    };
+    let teed = stored(&ALL_POLICIES, None);
     let before = trrip_obs::snapshot();
-    let cold = replay_sweep_checkpointed(
-        options.jobs,
-        &workloads,
-        &config,
-        &ALL_POLICIES,
-        &traces,
-        &ckpts,
-    );
+    let cold = stored(&ALL_POLICIES, Some(&ckpts));
     let delta = trrip_obs::snapshot().since(&before);
     let (ckpt_raw, ckpt_comp) = (delta.get("pack.raw_bytes"), delta.get("pack.compressed_bytes"));
     let ckpt_ratio = ckpt_comp as f64 / ckpt_raw.max(1) as f64;
     let ckpt_store_bytes = ckpts.size_bytes();
-    let warm = replay_sweep_checkpointed(
-        options.jobs,
-        &workloads,
-        &config,
-        &ALL_POLICIES,
-        &traces,
-        &ckpts,
-    );
-    for ((a, b), c) in walked.results.iter().zip(&fanout.results).zip(&cold.results) {
-        assert_identical(a, b, &format!("{}: fan-out vs walker", a.policy));
+    let warm = stored(&ALL_POLICIES, Some(&ckpts));
+    for ((a, b), c) in walked.results.iter().zip(&teed.results).zip(&cold.results) {
+        assert_identical(a, b, &format!("{}: capturing sweep vs walker", a.policy));
         assert_identical(a, c, &format!("{}: cold checkpointed vs walker", a.policy));
     }
     for (a, c) in walked.results.iter().zip(&warm.results) {
@@ -270,14 +259,7 @@ fn main() {
     // --- Warm-sweep delta: eight policies, warm engine vs walker. ---
     trrip_obs::progress!("warm sweep timing: {} policies…", WARM_POLICIES.len());
     let start = Instant::now();
-    let _ = replay_sweep_checkpointed(
-        options.jobs,
-        &workloads,
-        &config,
-        &WARM_POLICIES,
-        &traces,
-        &ckpts,
-    );
+    let _ = stored(&WARM_POLICIES, Some(&ckpts));
     let warm_sweep_s = start.elapsed().as_secs_f64();
     let start = Instant::now();
     let _ = policy_sweep_with(options.jobs, &workloads, &config, &WARM_POLICIES);

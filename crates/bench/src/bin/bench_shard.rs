@@ -1,15 +1,16 @@
 //! Wall-clock benchmark of sharded (segment-DAG) sweeps against the
 //! unsharded engines, on the paper's 8-policy sweep shape:
 //!
-//! * **baseline** — plain `replay_sweep`: warmup simulated by every
-//!   cell, each cell one atomic task;
+//! * **baseline** — `replay_sweep` with no checkpoint store: warmup
+//!   simulated by every cell, each cell one atomic task;
 //! * **cold sharded** — `replay_sweep_sharded` over an empty checkpoint
 //!   store: same simulation work plus the one-time cost of persisting
 //!   the fast-forward checkpoints and every interior chain link;
 //! * **warm sharded** — the same sweep again: every cell restores its
 //!   warmup, and every segment whose chain link is on disk dispatches
 //!   immediately, so one long cell spreads across the worker pool;
-//! * **warm unsharded** — `replay_sweep_checkpointed`, reported so the
+//! * **warm unsharded** — `replay_sweep` over the same (now populated)
+//!   checkpoint store, reported so the
 //!   trajectory separates the warm-start gain from sharding's
 //!   scheduling gain (on a single-core container the two coincide;
 //!   sharding's extra parallelism needs `--jobs > 1` and cores to use
@@ -25,8 +26,8 @@ use trrip_bench::{append_trajectory, HarnessOptions};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep_checkpointed, replay_sweep_sharded, replay_sweep_with, CheckpointStore,
-    PreparedWorkload, ShardPlan, SimConfig, SweepResult, TraceStore,
+    replay_sweep, replay_sweep_sharded, CheckpointStore, PreparedWorkload, ShardPlan, SimConfig,
+    SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -124,12 +125,14 @@ fn main() {
     }
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
-    // --- Baseline: plain fan-out replay sweep, unsharded. ---
+    let unsharded = |ckpts: Option<&CheckpointStore>| {
+        replay_sweep(options.jobs, &workloads, &config, &POLICIES, &traces, ckpts)
+    };
+
+    // --- Baseline: unsharded replay sweep, no checkpoint store. ---
     trrip_obs::progress!("baseline: 8-policy replay_sweep (unsharded, warmup simulated)…");
     let mut baseline = None;
-    let baseline_s = time_best(|| {
-        baseline = Some(replay_sweep_with(options.jobs, &workloads, &config, &POLICIES, &traces));
-    });
+    let baseline_s = time_best(|| baseline = Some(unsharded(None)));
 
     // --- Cold sharded: empty store, chain links persisted. ---
     trrip_obs::progress!(
@@ -175,16 +178,7 @@ fn main() {
     // --- Reference: warm unsharded checkpointed sweep. ---
     trrip_obs::progress!("reference: warm unsharded checkpointed sweep…");
     let mut warm_unsharded = None;
-    let warm_unsharded_s = time_best(|| {
-        warm_unsharded = Some(replay_sweep_checkpointed(
-            options.jobs,
-            &workloads,
-            &config,
-            &POLICIES,
-            &traces,
-            &ckpts,
-        ));
-    });
+    let warm_unsharded_s = time_best(|| warm_unsharded = Some(unsharded(Some(&ckpts))));
 
     // Cross-check: every engine must agree bit-for-bit.
     let baseline = baseline.expect("ran");

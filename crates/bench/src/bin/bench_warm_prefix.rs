@@ -1,20 +1,20 @@
 //! Wall-clock benchmark of the **policy-agnostic warm prefix** on the
-//! paper's 8-policy sweep shape — the cold populating pass is the
-//! headline:
+//! paper's 8-policy sweep shape:
 //!
-//! * **baseline** — plain `replay_sweep`: warmup simulated per cell,
-//!   nothing persisted;
-//! * **cold per-cell** — `replay_sweep_checkpointed` over an empty
-//!   store with no pre-pass: every cell pays its own (recorded) warmup,
-//!   the PR 4-shaped populating cost;
-//! * **cold shared** — `replay_sweep_warm_prefix` over an empty store:
-//!   ONE recorded warmup per workload, then per-policy warmup-tail
-//!   replays (no predictor, no FDIP scanning) — the pass this PR
-//!   exists to make faster;
-//! * **warm** — the same sweep again: every cell composes shared
-//!   prefix + its overlay and skips warmup simulation entirely.
+//! * **baseline** — `replay_sweep` with no checkpoint store: warmup
+//!   executed per cell, nothing persisted;
+//! * **cold** — `replay_sweep` over an empty checkpoint store: the same
+//!   warm-up turns, plus ONE recorded tape (the frontend's) and the
+//!   saves of the shared prefix and every policy's overlay — the price
+//!   of populating;
+//! * **warm** — the same sweep again: the frontend resumes from the
+//!   prefix at the boundary, every cell restores its overlay, and the
+//!   warmup is neither decoded nor simulated.
 //!
-//! All engines are asserted bit-identical before any number is
+//! (Entries of `BENCH_warm_prefix.json` older than PR 14 carry two cold
+//! legs, "per-cell" and "shared": two engines then, one now.)
+//!
+//! All passes are asserted bit-identical before any number is
 //! reported. Results append to `BENCH_warm_prefix.json` under `--out`
 //! (`scripts/bench_warm_prefix.sh` points `--out` at the repo root).
 //!
@@ -28,8 +28,8 @@ use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep_checkpointed, replay_sweep_warm_prefix, replay_sweep_with, warmup_counters,
-    CheckpointStore, PreparedWorkload, SimConfig, SweepResult, TraceStore,
+    replay_sweep, warmup_counters, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
+    TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -118,138 +118,93 @@ fn main() {
     trrip_obs::progress!("capturing trace under {}…", trace_dir.display());
     traces.ensure(&workloads[0], &config).expect("capture trace");
 
-    // Cold phases must start from EMPTY stores every repetition, so the
-    // checkpoints live in scratch directories of our own — never in a
-    // user-supplied --checkpoint-dir, which may be a persistent store.
-    let percell_dir = std::env::temp_dir().join("trrip-bench-warm-prefix-percell");
-    let shared_dir = std::env::temp_dir().join("trrip-bench-warm-prefix-shared");
+    // The cold pass must start from an EMPTY store every repetition, so
+    // the checkpoints live in a scratch directory of our own — never in
+    // a user-supplied --checkpoint-dir, which may be a persistent store.
+    let ckpt_dir = std::env::temp_dir().join("trrip-bench-warm-prefix-ckpts");
     if options.checkpoint_dir.is_some() {
         trrip_obs::progress!(
-            "note: this bench uses scratch checkpoint dirs; --checkpoint-dir is untouched"
+            "note: this bench uses a scratch checkpoint dir; --checkpoint-dir is untouched"
         );
     }
-    let percell_ckpts = CheckpointStore::new(&percell_dir);
-    let shared_ckpts = CheckpointStore::new(&shared_dir);
+    let ckpts = CheckpointStore::new(&ckpt_dir);
+    let sweep = |ckpts: Option<&CheckpointStore>| {
+        replay_sweep(options.jobs, &workloads, &config, &POLICIES, &traces, ckpts)
+    };
 
-    // --- Baseline: plain fan-out replay sweep, warmup simulated. ---
+    // --- Baseline: no checkpoint store, warmup executed per cell. ---
     trrip_obs::progress!("baseline: 8-policy replay_sweep (no checkpoints)…");
     let mut baseline = None;
-    let baseline_s = time_best(
-        reps,
-        || {},
-        || {
-            baseline =
-                Some(replay_sweep_with(options.jobs, &workloads, &config, &POLICIES, &traces))
-        },
-    );
+    let baseline_s = time_best(reps, || {}, || baseline = Some(sweep(None)));
 
-    // --- Cold per-cell: every policy pays its own warmup (PR 4 shape). ---
-    trrip_obs::progress!("cold per-cell: checkpointed sweep, one warmup per policy…");
-    let mut percell = None;
-    let percell_s = time_best(
-        reps,
-        || {
-            std::fs::remove_dir_all(&percell_dir).ok();
-        },
-        || {
-            percell = Some(replay_sweep_checkpointed(
-                options.jobs,
-                &workloads,
-                &config,
-                &POLICIES,
-                &traces,
-                &percell_ckpts,
-            ));
-        },
-    );
-
-    // --- Cold shared: one recorded warmup + per-policy tail replays. ---
-    trrip_obs::progress!("cold shared: warm-prefix sweep, one warmup per workload…");
-    let mut shared = None;
+    // --- Cold: the same turns, one recorded tape, prefix + overlays saved. ---
+    trrip_obs::progress!("cold: populating sweep, one recorded warmup per workload…");
+    let mut cold = None;
     let store_before = trrip_obs::snapshot();
     let before = warmup_counters();
-    let shared_s = time_best(
+    let cold_s = time_best(
         reps,
         || {
-            std::fs::remove_dir_all(&shared_dir).ok();
+            std::fs::remove_dir_all(&ckpt_dir).ok();
         },
-        || {
-            shared = Some(replay_sweep_warm_prefix(
-                options.jobs,
-                &workloads,
-                &config,
-                &POLICIES,
-                &traces,
-                &shared_ckpts,
-            ));
-        },
+        || cold = Some(sweep(Some(&ckpts))),
     );
     let delta = warmup_counters().since(&before);
     assert_eq!(
         delta.recorded_warmups as usize, reps,
-        "the shared cold pass must record exactly one warmup per repetition"
+        "the cold pass must record exactly one warmup per repetition"
     );
     assert_eq!(
         delta.tail_replays as usize,
-        reps * (POLICIES.len() - 1),
-        "every non-neutral policy must tail-replay"
+        reps * POLICIES.len(),
+        "every cell must execute the shared warm-up turns"
     );
 
-    // --- Warm: every cell composes prefix + overlay. ---
-    trrip_obs::progress!("warm: warm-prefix sweep restoring…");
+    // --- Warm: frontend resumed from the prefix, every cell restored. ---
+    trrip_obs::progress!("warm: sweep restoring…");
     let mut warm = None;
-    let warm_s = time_best(
-        reps,
-        || {},
-        || {
-            warm = Some(replay_sweep_warm_prefix(
-                options.jobs,
-                &workloads,
-                &config,
-                &POLICIES,
-                &traces,
-                &shared_ckpts,
-            ));
-        },
-    );
+    let before = warmup_counters();
+    let warm_s = time_best(reps, || {}, || warm = Some(sweep(Some(&ckpts))));
+    let delta = warmup_counters().since(&before);
+    assert_eq!(delta.overlay_restores as usize, reps * POLICIES.len(), "every cell restores");
+    assert_eq!(delta.recorded_warmups + delta.tail_replays + delta.cold_warmups, 0);
 
-    // Cross-check: all engines must agree bit-for-bit.
+    // Cross-check: all passes must agree bit-for-bit.
     let baseline = baseline.expect("ran");
-    assert_identical(&baseline, &percell.expect("ran"), "cold per-cell sweep");
-    assert_identical(&baseline, &shared.expect("ran"), "cold shared-prefix sweep");
+    assert_identical(&baseline, &cold.expect("ran"), "cold populating sweep");
     assert_identical(&baseline, &warm.expect("ran"), "warm overlay sweep");
 
-    let cold_speedup = percell_s / shared_s;
+    let cold_overhead = cold_s / baseline_s;
     let warm_speedup = baseline_s / warm_s;
-    // Shared-store activity across the cold-shared + warm phases, from
-    // the ckpt.* registry counters the store increments itself.
+    // Store activity across the cold + warm phases, from the ckpt.*
+    // registry counters the store increments itself.
     let store_delta = trrip_obs::snapshot().since(&store_before);
     let (ckpt_hits, ckpt_misses, ckpt_saves) =
         (store_delta.get("ckpt.hit"), store_delta.get("ckpt.miss"), store_delta.get("ckpt.save"));
-    let store_size_bytes = shared_ckpts.size_bytes();
+    let store_size_bytes = ckpts.size_bytes();
     let n = trrip_sim::capture_length(&config);
     println!(
         "8-policy sweep, {n} instructions ({} warmup / {} measured):",
         config.fast_forward, config.instructions
     );
     println!("  baseline   (warmup simulated):        {baseline_s:.3} s");
-    println!("  cold       (one warmup per policy):   {percell_s:.3} s");
-    println!("  cold       (one shared warmup):       {shared_s:.3} s  ({cold_speedup:.2}x)");
+    println!(
+        "  cold       (+ prefix, overlays saved): {cold_s:.3} s  ({cold_overhead:.2}x baseline)"
+    );
     println!(
         "  warm       (prefix + overlay):        {warm_s:.3} s  ({warm_speedup:.2}x baseline)"
     );
     println!(
-        "  shared store: {ckpt_hits} hits / {ckpt_misses} misses / {ckpt_saves} saves, \
+        "  store: {ckpt_hits} hits / {ckpt_misses} misses / {ckpt_saves} saves, \
          {:.2} MiB on disk",
         store_size_bytes as f64 / (1024.0 * 1024.0)
     );
 
     if smoke {
-        println!("smoke OK: engines bit-identical, warm-start composition verified");
+        println!("smoke OK: passes bit-identical, warm-start composition verified");
         obs.finish(&[("warm_overlay_sweep_s", warm_s)]);
         std::fs::remove_dir_all(&tmp_traces).ok();
-        std::fs::remove_dir_all(&percell_dir).ok();
-        std::fs::remove_dir_all(&shared_dir).ok();
+        std::fs::remove_dir_all(&ckpt_dir).ok();
         return;
     }
 
@@ -258,10 +213,9 @@ fn main() {
          \"jobs\": {jobs},\n    \"fast_forward\": {ff},\n    \
          \"measured_instructions\": {measured},\n    \
          \"baseline_sweep_s\": {baseline_s:.4},\n    \
-         \"cold_percell_sweep_s\": {percell_s:.4},\n    \
-         \"cold_shared_prefix_sweep_s\": {shared_s:.4},\n    \
+         \"cold_sweep_s\": {cold_s:.4},\n    \
          \"warm_overlay_sweep_s\": {warm_s:.4},\n    \
-         \"cold_shared_vs_percell_speedup\": {cold_speedup:.3},\n    \
+         \"cold_overhead_vs_baseline\": {cold_overhead:.3},\n    \
          \"warm_vs_baseline_speedup\": {warm_speedup:.3},\n    \
          \"ckpt_hits\": {ckpt_hits},\n    \
          \"ckpt_misses\": {ckpt_misses},\n    \
@@ -278,10 +232,9 @@ fn main() {
     trrip_obs::progress!("trajectory appended to {}", json_path.display());
     obs.finish(&[
         ("baseline_sweep_s", baseline_s),
-        ("cold_shared_prefix_sweep_s", shared_s),
+        ("cold_sweep_s", cold_s),
         ("warm_overlay_sweep_s", warm_s),
     ]);
     std::fs::remove_dir_all(&tmp_traces).ok();
-    std::fs::remove_dir_all(&percell_dir).ok();
-    std::fs::remove_dir_all(&shared_dir).ok();
+    std::fs::remove_dir_all(&ckpt_dir).ok();
 }

@@ -23,7 +23,10 @@ const PAPER_MPKI: [(&str, f64, f64); 10] = [
 ];
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("calibrate", run);
+}
+
+fn run(options: &HarnessOptions) {
     let specs = options.selected_proxies();
     let config = options.sim_config(PolicyKind::Srrip);
 

@@ -11,7 +11,10 @@ use trrip_policies::PolicyKind;
 use trrip_sim::simulate;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("fig1_topdown_system", run);
+}
+
+fn run(options: &HarnessOptions) {
     // Figure 1's platform runs the production policy; PGO layout.
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = trrip_workloads::mobile::all();

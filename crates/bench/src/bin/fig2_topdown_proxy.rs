@@ -12,7 +12,10 @@ use trrip_policies::PolicyKind;
 use trrip_sim::simulate;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("fig2_topdown_proxy", run);
+}
+
+fn run(options: &HarnessOptions) {
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     let workloads = options.prepare(&specs, &config, config.classifier);

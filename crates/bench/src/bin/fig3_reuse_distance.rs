@@ -12,7 +12,10 @@ use trrip_policies::PolicyKind;
 use trrip_sim::simulate;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("fig3_reuse_distance", run);
+}
+
+fn run(options: &HarnessOptions) {
     let mut config = options.sim_config(PolicyKind::Srrip);
     config.measure_reuse = true;
     let specs = options.selected_proxies();

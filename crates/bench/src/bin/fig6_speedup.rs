@@ -9,7 +9,10 @@ use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("fig6_speedup", run);
+}
+
+fn run(options: &HarnessOptions) {
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());

@@ -15,7 +15,10 @@ use trrip_sim::simulate;
 const PERCENTILES: [f64; 5] = [50.0, 60.0, 70.0, 80.0, 90.0];
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("fig7_costly_coverage", run);
+}
+
+fn run(options: &HarnessOptions) {
     let mut config = options.sim_config(PolicyKind::Trrip1);
     config.track_costly = true;
     let specs = options.selected_proxies();

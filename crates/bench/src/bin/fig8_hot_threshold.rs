@@ -18,7 +18,10 @@ const THRESHOLDS: [f64; 5] = [0.10, 0.80, 0.99, 0.9999, 1.0];
 const BENCHES: [&str; 6] = ["abseil", "deepsjeng", "gcc", "omnetpp", "rapidjson", "sqlite"];
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("fig8_hot_threshold", run);
+}
+
+fn run(options: &HarnessOptions) {
     let base_config = options.sim_config(PolicyKind::Trrip1);
     let specs: Vec<_> = options
         .selected_proxies()

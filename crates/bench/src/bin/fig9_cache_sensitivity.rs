@@ -13,7 +13,10 @@ use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("fig9_cache_sensitivity", run);
+}
+
+fn run(options: &HarnessOptions) {
     let base_config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());

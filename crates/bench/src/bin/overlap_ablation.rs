@@ -18,7 +18,10 @@ use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("overlap_ablation", run);
+}
+
+fn run(options: &HarnessOptions) {
     let base = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     let workloads = options.prepare(&specs, &base, base.classifier);

@@ -7,7 +7,10 @@ use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("table1_config", run);
+}
+
+fn run(options: &HarnessOptions) {
     let c = options.sim_config(PolicyKind::Trrip1);
 
     let mut table = TextTable::new(vec!["component", "configuration"]);

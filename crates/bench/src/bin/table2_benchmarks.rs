@@ -7,7 +7,10 @@ use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("table2_benchmarks", run);
+}
+
+fn run(options: &HarnessOptions) {
     let config = options.sim_config(PolicyKind::Srrip);
     let mut table = TextTable::new(vec![
         "benchmark",

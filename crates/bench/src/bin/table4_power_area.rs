@@ -5,7 +5,10 @@ use trrip_analysis::{PowerModel, TextTable};
 use trrip_bench::HarnessOptions;
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("table4_power_area", run);
+}
+
+fn run(options: &HarnessOptions) {
     let model = PowerModel::node_22nm();
     let baseline = model.baseline();
 

@@ -17,7 +17,10 @@ fn human(bytes: u64) -> String {
 }
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("table5_pages", run);
+}
+
+fn run(options: &HarnessOptions) {
     let config = options.sim_config(PolicyKind::Trrip1);
     let specs = options.selected_proxies();
     let workloads = options.prepare(&specs, &config, config.classifier);

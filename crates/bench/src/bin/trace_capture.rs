@@ -14,7 +14,10 @@ use trrip_policies::PolicyKind;
 use trrip_sim::{capture_length, TraceStore};
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("trace_capture", run);
+}
+
+fn run(options: &HarnessOptions) {
     let store = TraceStore::new(
         options.trace_dir.clone().unwrap_or_else(|| std::path::PathBuf::from("traces")),
     );

@@ -7,8 +7,9 @@
 //! trace_replay --trace-dir traces [--bench a,b] [--scale N]
 //! ```
 //!
-//! Missing traces are captured on the fly, so this binary is also a
-//! one-command demonstration of the capture-once/replay-many loop.
+//! Missing traces are captured on the side of the sweep that misses
+//! them, so this binary is also a one-command demonstration of the
+//! capture-once/replay-many loop.
 
 use std::time::Instant;
 
@@ -19,7 +20,10 @@ use trrip_policies::PolicyKind;
 use trrip_sim::{capture_length, policy_sweep, replay_sweep, TraceStore};
 
 fn main() {
-    let options = HarnessOptions::from_args();
+    trrip_bench::run_experiment("trace_replay", run);
+}
+
+fn run(options: &HarnessOptions) {
     let store = TraceStore::new(
         options.trace_dir.clone().unwrap_or_else(|| std::path::PathBuf::from("traces")),
     );
@@ -33,7 +37,8 @@ fn main() {
 
     eprintln!("replay sweep ({jobs} jobs)…");
     let replay_started = Instant::now();
-    let sweep = replay_sweep(&workloads, &config, &PolicyKind::PAPER_SET, &store);
+    let sweep =
+        replay_sweep(options.jobs, &workloads, &config, &PolicyKind::PAPER_SET, &store, None);
     let replay_elapsed = replay_started.elapsed();
 
     eprintln!("walker sweep (same cells, each workload walked once)…");

@@ -13,9 +13,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    ensure_warm_prefixes, policy_sweep_with, replay_sweep_checkpointed, replay_sweep_sharded,
-    replay_sweep_warm_prefix, replay_sweep_with, CheckpointStore, PreparedWorkload, SimConfig,
-    SweepResult, TraceStore,
+    ensure_warm_prefixes, policy_sweep_with, replay_sweep, replay_sweep_sharded, CheckpointStore,
+    PreparedWorkload, SimConfig, SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -27,25 +26,29 @@ options:
   --scale N        multiply the default run lengths by N (default 1)
   --bench a,b      restrict to the named benchmarks (default: all)
   --out DIR        write reports under DIR (default: reports/)
-  --trace-dir DIR  capture traces into DIR once and replay them from
-                   disk in this and every later run, instead of walking
-                   each workload once per sweep
+  --trace-dir DIR  replay each workload from its capture in DIR instead
+                   of walking it; a sweep that finds a capture missing
+                   walks once and writes it on the side for this and
+                   every later run
   --checkpoint-dir DIR
                    persist warmed (post-fast-forward) simulation state
-                   into DIR and restore it on later sweeps, skipping
-                   warmup; requires --trace-dir
-  --jobs N         cap worker threads for sweeps, preparation and trace
-                   decode (default: available parallelism); a sweep
-                   without --trace-dir runs on exactly min(N, cells)
-                   threads
+                   into DIR — one policy-agnostic shared prefix per
+                   workload, one overlay per policy — and restore it on
+                   later sweeps, skipping warmup; requires --trace-dir
+  --jobs N         cap worker threads for sweeps and preparation
+                   (default: available parallelism); an unsharded sweep,
+                   with or without stores, simulates on exactly
+                   min(N, cells) threads (a trace replay decodes on one
+                   more per workload in flight)
   --shards N       cut every (workload, policy) run into N chunk-aligned
                    segments chained through checkpoints, scheduled as a
                    DAG of segment tasks (default 1 = unsharded; N > 1
                    requires --checkpoint-dir)
-  --warm-prefix    share one recorded warmup per workload across every
-                   policy: record the policy-agnostic shared prefix
-                   once, warm-start each policy from its overlay or the
-                   warmup-tail replay (requires --checkpoint-dir)
+  --warm-prefix    accepted for compatibility: an unsharded sweep always
+                   shares one warmup per workload across every policy;
+                   with --shards N it adds the pre-pass that records the
+                   shared prefix before the segments run (requires
+                   --checkpoint-dir)
   --ckpt-budget-bytes N
                    after the sweep, shrink the checkpoint store to at
                    most N bytes, evicting cheapest-to-rebuild artifacts
@@ -86,8 +89,8 @@ pub struct HarnessOptions {
     /// Segments each `(workload, policy)` run is cut into
     /// (`--shards N`, default 1 = unsharded).
     pub shards: usize,
-    /// Share one recorded warmup per workload across every policy
-    /// (`--warm-prefix`).
+    /// `--warm-prefix`: record the shared prefix in a pre-pass before a
+    /// sharded sweep. Implied, and ignored, when unsharded.
     pub warm_prefix: bool,
     /// Post-sweep checkpoint-store byte budget
     /// (`--ckpt-budget-bytes N`); `None` = unbounded.
@@ -304,17 +307,16 @@ impl HarnessOptions {
     }
 
     /// Runs a policy sweep with the engine the command line selected:
-    /// sharded segment-DAG execution when `--shards N` (N > 1) is given
-    /// with `--checkpoint-dir`, warm-started checkpointed replay when
-    /// both `--trace-dir` and `--checkpoint-dir` are given, decode-once
-    /// fan-out replay from `--trace-dir` alone (capture-once/
-    /// replay-many, trace decoded once per workload), and the in-memory
-    /// walk-once sweep otherwise (each workload walked once, pushed
-    /// through every policy). `--warm-prefix` prepends the
-    /// shared-warmup pre-pass to either checkpointed engine, so a cold
-    /// populating sweep pays one recorded warmup per workload instead
-    /// of one per policy. Results are bit-identical across every
-    /// combination; `--jobs` caps the worker threads.
+    /// **sharded** segment-DAG execution when `--shards N` (N > 1) is
+    /// given (with `--warm-prefix`, behind the pre-pass that records
+    /// each workload's shared prefix), the **store-backed** push sweep
+    /// when `--trace-dir` is (replayed from a capture, or walked and
+    /// captured on the side; warm-started from and populating
+    /// `--checkpoint-dir` if given), and the **storeless** push sweep
+    /// over the walker otherwise. Either push sweep produces and
+    /// predicts each workload's stream once, for all policies, on at
+    /// most `--jobs` simulating threads. Results are bit-identical
+    /// across every combination.
     #[must_use]
     pub fn sweep(
         &self,
@@ -345,12 +347,12 @@ impl HarnessOptions {
         config: &SimConfig,
         policies: &[PolicyKind],
     ) -> SweepResult {
-        match (&self.trace_dir, &self.checkpoint_dir) {
+        let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
+        match (&self.trace_dir, &checkpoints) {
             (Some(traces), Some(checkpoints)) if self.shards > 1 => {
                 let traces = TraceStore::new(traces);
-                let checkpoints = CheckpointStore::new(checkpoints);
                 if self.warm_prefix {
-                    ensure_warm_prefixes(self.jobs, workloads, config, &traces, &checkpoints);
+                    ensure_warm_prefixes(self.jobs, workloads, config, &traces, checkpoints);
                 }
                 replay_sweep_sharded(
                     self.jobs,
@@ -358,29 +360,18 @@ impl HarnessOptions {
                     config,
                     policies,
                     &traces,
-                    &checkpoints,
+                    checkpoints,
                     self.shards,
                 )
             }
-            (Some(traces), Some(checkpoints)) if self.warm_prefix => replay_sweep_warm_prefix(
+            (Some(traces), checkpoints) => replay_sweep(
                 self.jobs,
                 workloads,
                 config,
                 policies,
                 &TraceStore::new(traces),
-                &CheckpointStore::new(checkpoints),
+                checkpoints.as_ref(),
             ),
-            (Some(traces), Some(checkpoints)) => replay_sweep_checkpointed(
-                self.jobs,
-                workloads,
-                config,
-                policies,
-                &TraceStore::new(traces),
-                &CheckpointStore::new(checkpoints),
-            ),
-            (Some(traces), None) => {
-                replay_sweep_with(self.jobs, workloads, config, policies, &TraceStore::new(traces))
-            }
             (None, _) => policy_sweep_with(self.jobs, workloads, config, policies),
         }
     }
@@ -524,6 +515,18 @@ impl ObsSession {
     }
 }
 
+/// The `main` of an experiment binary: parses the shared command line,
+/// runs `body` inside a telemetry session named `tool`, and closes the
+/// session — which, with `--metrics`, prints the summary and writes
+/// `obs_report.json` and the Chrome trace, as [`USAGE`] promises of
+/// every binary.
+pub fn run_experiment(tool: &'static str, body: impl FnOnce(&HarnessOptions)) {
+    let options = HarnessOptions::from_args();
+    let obs = options.obs_session(tool);
+    body(&options);
+    obs.finish(&[]);
+}
+
 /// Prepares workloads (training run + classification) for a config with
 /// one worker per hardware thread. Binaries with a parsed
 /// [`HarnessOptions`] should prefer [`HarnessOptions::prepare`], which
@@ -540,8 +543,8 @@ pub fn prepare_all(
 }
 
 /// Appends one run object to a `BENCH_*.json` trajectory file — a JSON
-/// array the perf-tracking binaries (`bench_replay_fanout`,
-/// `bench_checkpoint`) extend one entry per run. An unrecognized or
+/// array the perf-tracking binaries (`bench_checkpoint`,
+/// `bench_warm_prefix`, …) extend one entry per run. An unrecognized or
 /// missing file starts a fresh array.
 ///
 /// # Panics
@@ -670,7 +673,8 @@ mod tests {
             .expect("valid")
             .expect("not help");
         assert!(ok.warm_prefix);
-        // Composes with --shards (the sharded engine gets the pre-pass).
+        // Composes with --shards (the sharded engine gets the pre-pass;
+        // unsharded, the flag changes nothing).
         let ok =
             parse(&["--warm-prefix", "--shards", "2", "--trace-dir", "t", "--checkpoint-dir", "c"])
                 .expect("valid")

@@ -1,0 +1,73 @@
+//! `--metrics` on an experiment binary: `USAGE` promises a
+//! schema-versioned `obs_report.json` under `--out` from *every*
+//! binary, and until the session moved into the shared
+//! `run_experiment` only the `bench_*` ones wrote it. Driven through
+//! the real `fig6_speedup`, cold then warm over the same stores, so the
+//! report is also shown to carry what explains a sweep: the `warm.*`
+//! and `trace.*` deltas, and in the journal one `producer_opened` per
+//! workload and one `warm_start` per cell.
+
+use std::path::Path;
+use std::process::Command;
+
+use trrip_obs::json::{self, Json};
+use trrip_policies::PolicyKind;
+
+fn fig6(dir: &Path, pass: &str) -> (Json, trrip_obs::JournalRead) {
+    let at = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
+    let (out, obs) = (at(&format!("out-{pass}")), at(&format!("obs-{pass}")));
+    let run = Command::new(env!("CARGO_BIN_EXE_fig6_speedup"))
+        .args(["--bench", "gcc", "--jobs", "2", "--quiet", "--metrics"])
+        .args(["--trace-dir", &at("traces"), "--checkpoint-dir", &at("ckpts")])
+        .args(["--out", &out, "--obs-dir", &obs])
+        .output()
+        .expect("spawn fig6_speedup");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "{pass}: fig6_speedup exited {}: {stderr}", run.status);
+    let text =
+        std::fs::read_to_string(Path::new(&out).join("obs_report.json")).unwrap_or_else(|e| {
+            panic!("{pass}: --metrics must leave obs_report.json under --out: {e}")
+        });
+    trrip_obs::validate_report(&text).unwrap_or_else(|e| panic!("{pass}: invalid report: {e}"));
+    let journal = trrip_obs::read_journal(&Path::new(&obs).join("journal.jsonl"))
+        .unwrap_or_else(|e| panic!("{pass}: journal: {e}"));
+    (json::parse(&text).expect("validated above"), journal)
+}
+
+fn counter(report: &Json, name: &str) -> u64 {
+    report.get("counters").and_then(|c| c.get(name)).and_then(Json::as_u64).unwrap_or(0)
+}
+
+#[test]
+fn fig6_speedup_metrics_leaves_a_report_that_explains_the_sweep() {
+    let dir = std::env::temp_dir().join(format!("trrip-metrics-report-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let cells = PolicyKind::PAPER_SET.len() as u64;
+    let str_of = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_owned);
+
+    let (cold, journal) = fig6(&dir, "cold");
+    assert_eq!(cold.get("tool").and_then(Json::as_str), Some("fig6_speedup"));
+    assert!(cold.get("phases").and_then(Json::as_arr).is_some_and(|p| !p.is_empty()));
+    assert_eq!(counter(&cold, "warm.recorded_warmup"), 1, "one prefix for the one workload");
+    assert_eq!(counter(&cold, "warm.tail_replay"), cells, "every cell warmed up");
+    assert_eq!(counter(&cold, "trace.records_decoded"), 0, "a cold pass decodes nothing");
+    let opened: Vec<_> = journal.of_kind("producer_opened").collect();
+    assert_eq!(opened.len(), 1, "one producer per workload");
+    assert_eq!(str_of(opened[0], "source").as_deref(), Some("walker+tee"));
+    assert_eq!(opened[0].get("start").and_then(Json::as_u64), Some(0));
+
+    let (warm, journal) = fig6(&dir, "warm");
+    assert_eq!(counter(&warm, "warm.overlay_restore"), cells, "every cell restored");
+    assert_eq!(counter(&warm, "warm.tail_replay") + counter(&warm, "warm.recorded_warmup"), 0);
+    assert!(counter(&warm, "trace.records_decoded") > 0, "a warm pass replays the capture");
+    assert!(counter(&warm, "trace.bytes_read") > 0);
+    let opened: Vec<_> = journal.of_kind("producer_opened").collect();
+    assert_eq!(opened.len(), 1);
+    assert_eq!(str_of(opened[0], "source").as_deref(), Some("replay"));
+    assert!(opened[0].get("start").and_then(Json::as_u64) > Some(0), "opened at the boundary");
+    let routes: Vec<_> = journal.of_kind("warm_start").map(|e| str_of(e, "route")).collect();
+    assert_eq!(routes.len() as u64, cells, "one warm_start per cell");
+    assert!(routes.iter().all(|r| r.as_deref() == Some("overlay_restore")), "{routes:?}");
+
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -442,6 +442,8 @@ impl Snapshot for RunState {
 ///   instruction a backend is shown. Run over a backend that always
 ///   hits, this is the whole policy-independent half of the loop, paid
 ///   once per workload by the walk-once sweep.
+/// * [`WarmupMode::DigestRecorded`] — `Digest` and `Record` at once:
+///   the frontend of a sweep that leaves a shared prefix behind.
 ///
 /// The predictor-free counterpart of both is [`Core::execute`], which
 /// runs event turns; [`Core::run_warmup_tail`] turns a stream and a
@@ -454,6 +456,9 @@ pub enum WarmupMode<'t> {
     Record(&'t mut WarmupTape),
     /// Predict and train normally, writing every instruction's events.
     Digest(&'t mut EventTurn),
+    /// Predict and train normally, writing every instruction's events
+    /// and recording every decision.
+    DigestRecorded(&'t mut EventTurn, &'t mut WarmupTape),
 }
 
 /// What the fused loop tells a [`WarmupMode`] of each instruction. The
@@ -509,6 +514,21 @@ impl Recorder for EventTurn {
         mispredicted: Option<bool>,
     ) {
         self.record(instr, fdip_pcs, mispredicted);
+    }
+}
+
+/// Two recorders at once, each told of every instruction.
+impl<A: Recorder, B: Recorder> Recorder for (&mut A, &mut B) {
+    #[inline]
+    fn instruction(
+        &mut self,
+        instr: &TraceInstr,
+        fdip: bool,
+        fdip_pcs: Option<&[u64]>,
+        mispredicted: Option<bool>,
+    ) {
+        self.0.instruction(instr, fdip, fdip_pcs, mispredicted);
+        self.1.instruction(instr, fdip, fdip_pcs, mispredicted);
     }
 }
 
@@ -707,6 +727,9 @@ impl<B: MemoryBackend> Core<B> {
             WarmupMode::Observe => self.run_batch_recorded(state, batch, drain, &mut Unrecorded),
             WarmupMode::Record(tape) => self.run_batch_recorded(state, batch, drain, *tape),
             WarmupMode::Digest(turn) => self.run_batch_recorded(state, batch, drain, *turn),
+            WarmupMode::DigestRecorded(turn, tape) => {
+                self.run_batch_recorded(state, batch, drain, &mut (&mut **turn, &mut **tape))
+            }
         }
     }
 

@@ -5,13 +5,18 @@
 //! `trrip-trace` binary format; [`TraceStore`] manages a directory of
 //! such captures keyed by workload identity and serves them back as
 //! [`StreamingReplay`] sources, re-capturing only when the on-disk file
-//! doesn't match what the configuration needs.
+//! doesn't match what the configuration needs. A sweep that finds a
+//! capture missing does not stop to write it: it reads the walker
+//! through a [`CaptureTee`], which writes the same file on the side.
 
 use std::path::{Path, PathBuf};
+use std::sync::mpsc::SyncSender;
+use std::thread::JoinHandle;
 
 use trrip_compiler::LayoutKind;
+use trrip_cpu::TraceInstr;
 use trrip_trace::{
-    probe, FanoutReplay, FanoutSubscriber, StreamingReplay, TraceError, TraceLayout, TraceMeta,
+    probe, StreamingReplay, TraceError, TraceLayout, TraceMeta, TraceSource, TraceWriter,
 };
 use trrip_workloads::{InputSet, TraceGenerator};
 
@@ -34,6 +39,17 @@ pub fn capture_length(config: &SimConfig) -> u64 {
     config.fast_forward + config.instructions
 }
 
+/// The walker over `workload`'s eval input under `config.layout`: the
+/// stream every capture records and every storeless run pulls.
+#[must_use]
+pub(crate) fn eval_walker<'w>(
+    workload: &'w PreparedWorkload,
+    config: &SimConfig,
+) -> TraceGenerator<'w> {
+    let object = workload.object(config.layout);
+    TraceGenerator::new(&workload.program, object, &workload.spec, InputSet::Eval)
+}
+
 /// Captures the eval-input trace of `workload` under `config.layout` to
 /// `path`, exactly long enough to drive one [`crate::simulate_source`]
 /// run of `config`.
@@ -46,23 +62,166 @@ pub fn capture_trace(
     config: &SimConfig,
     path: &Path,
 ) -> Result<TraceMeta, TraceError> {
-    let object = workload.object(config.layout);
-    let generator = TraceGenerator::new(&workload.program, object, &workload.spec, InputSet::Eval);
-    // Write to a sibling temp file and rename into place: concurrent
-    // processes sharing a trace dir then never observe (or append to) a
-    // half-written capture — they either see nothing or a complete file.
-    let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-    let dict = placement_dict(workload, config);
-    let mut writer = trrip_trace::create_with_dict(
-        &tmp,
-        &workload.spec.name,
-        trace_layout(config.layout),
-        dict,
-    )?;
-    writer.write_all(generator.take(capture_length(config) as usize))?;
-    let meta = writer.finish()?;
-    std::fs::rename(&tmp, path)?;
-    Ok(meta)
+    let mut capture = CaptureFile::create(workload, config, path)?;
+    let mut walker = eval_walker(workload, config);
+    let mut batch = Vec::new();
+    loop {
+        batch.clear();
+        walker.next_batch(&mut batch);
+        if let Some(meta) = capture.write(&batch)? {
+            return Ok(meta);
+        }
+    }
+}
+
+/// One capture being written: the next [`capture_length`] instructions
+/// it is given, to a sibling temp file that is renamed into place when
+/// the last of them arrives — concurrent processes sharing a trace dir
+/// never observe (or append to) a half-written capture, they see nothing
+/// or a complete file. Dropped before that, it leaves nothing behind.
+#[derive(Debug)]
+struct CaptureFile {
+    writer: Option<TraceWriter<std::io::BufWriter<std::fs::File>>>,
+    left: u64,
+    tmp: PathBuf,
+    path: PathBuf,
+}
+
+impl CaptureFile {
+    fn create(
+        workload: &PreparedWorkload,
+        config: &SimConfig,
+        path: &Path,
+    ) -> Result<CaptureFile, TraceError> {
+        let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
+        let writer = trrip_trace::create_with_dict(
+            &tmp,
+            &workload.spec.name,
+            trace_layout(config.layout),
+            placement_dict(workload, config),
+        )?;
+        Ok(CaptureFile {
+            writer: Some(writer),
+            left: capture_length(config),
+            tmp,
+            path: path.to_owned(),
+        })
+    }
+
+    /// Appends `instrs`, less whatever of them lies past the capture's
+    /// length. Returns the finished capture's metadata with the call
+    /// that completes it (an empty capture is complete at once), `None`
+    /// before and after.
+    fn write(&mut self, instrs: &[TraceInstr]) -> Result<Option<TraceMeta>, TraceError> {
+        let Some(writer) = &mut self.writer else { return Ok(None) };
+        let take = instrs.len().min(usize::try_from(self.left).unwrap_or(usize::MAX));
+        for instr in &instrs[..take] {
+            writer.write(instr)?;
+        }
+        self.left -= take as u64;
+        if self.left > 0 {
+            return Ok(None);
+        }
+        let meta = self.writer.take().expect("checked above").finish()?;
+        std::fs::rename(&self.tmp, &self.path)?;
+        Ok(Some(meta))
+    }
+}
+
+impl Drop for CaptureFile {
+    fn drop(&mut self) {
+        if self.writer.take().is_some() {
+            let _ = std::fs::remove_file(&self.tmp);
+        }
+    }
+}
+
+/// Walker batches (1 Ki instructions each) the tee may have handed over
+/// and the encoder not yet taken: enough to ride out the encoder
+/// compressing a full chunk while the sweep's window (64 batches) is
+/// refilled, about 3 MB at most.
+const ENCODE_QUEUE: usize = 64;
+
+/// The walker, **teed** into a capture: a [`TraceSource`] that hands out
+/// the eval-input stream while its first [`capture_length`] instructions
+/// are written to `path`, byte for byte the file [`capture_trace`]
+/// writes. A sweep over a store with the capture missing walks once and
+/// simulates while it writes, instead of walk → write → decode.
+///
+/// Encoding and compression (several times the cost of the walk) run on
+/// a thread of the tee's own, as a replay's decode does: the thread that
+/// pulls from the tee only copies each batch across. Dropping the tee
+/// waits for the file to be complete and in place — or, if the stream
+/// was not read to the capture's end, removed.
+///
+/// A write error is reported once, the half-written file is removed and
+/// the stream goes on without it: the capture only costs the next sweep
+/// a walk.
+#[derive(Debug)]
+pub struct CaptureTee<'w> {
+    walker: TraceGenerator<'w>,
+    /// The way to the encoder and the encoder's thread, while it may
+    /// want more.
+    encoder: Option<(SyncSender<Vec<TraceInstr>>, JoinHandle<()>)>,
+}
+
+impl<'w> CaptureTee<'w> {
+    /// The walker over `workload` under `config`, capturing to `path`.
+    #[must_use]
+    pub fn new(workload: &'w PreparedWorkload, config: &SimConfig, path: &Path) -> CaptureTee<'w> {
+        let encoder = CaptureFile::create(workload, config, path).and_then(|mut capture| {
+            let (tx, rx) = std::sync::mpsc::sync_channel::<Vec<TraceInstr>>(ENCODE_QUEUE);
+            let encode = move || {
+                // Ends with the capture complete, abandoned, or — the
+                // tee dropped early — short, which removes the file.
+                for batch in rx {
+                    match capture.write(&batch) {
+                        Ok(None) => {}
+                        Ok(Some(_)) => return,
+                        Err(e) => return abandoned(&capture.path, &e),
+                    }
+                }
+            };
+            let name = format!("trace-encode:{}", workload.spec.name);
+            Ok((tx, std::thread::Builder::new().name(name).spawn(encode)?))
+        });
+        let encoder = encoder.map_err(|e| abandoned(path, &e)).ok();
+        CaptureTee { walker: eval_walker(workload, config), encoder }
+    }
+
+    /// Hangs up on the encoder and waits for it to finish the file (or
+    /// remove what there is of it).
+    fn hang_up(&mut self) {
+        if let Some((batches, thread)) = self.encoder.take() {
+            drop(batches);
+            let _ = thread.join();
+        }
+    }
+}
+
+fn abandoned(path: &Path, error: &TraceError) {
+    trrip_obs::progress!("capture of {} abandoned: {error}", path.display());
+}
+
+impl TraceSource for CaptureTee<'_> {
+    fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
+        let before = out.len();
+        let n = self.walker.next_batch(out);
+        // The encoder stops listening when it has all it wants (it drops
+        // what lies past the capture's length), or on an error.
+        let refused =
+            |(batches, _): &(SyncSender<_>, _)| batches.send(out[before..].to_vec()).is_err();
+        if self.encoder.as_ref().is_some_and(refused) {
+            self.hang_up();
+        }
+        n
+    }
+}
+
+impl Drop for CaptureTee<'_> {
+    fn drop(&mut self) {
+        self.hang_up();
+    }
 }
 
 /// The capture's compression dictionary: the hot-PC placement words the
@@ -198,28 +357,6 @@ impl TraceStore {
     ) -> Result<StreamingReplay, TraceError> {
         StreamingReplay::open(&self.ensure(workload, config)?)
     }
-
-    /// Opens a decode-once fan-out of the capture for
-    /// `(workload, config)` — one subscriber per consumer, all fed from
-    /// a single decoded stream — capturing the trace first if needed.
-    /// This is how a policy sweep replays one workload under many
-    /// policies without re-decoding per policy.
-    ///
-    /// # Errors
-    ///
-    /// Propagates capture and open failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `consumers` is zero.
-    pub fn open_fanout(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-        consumers: usize,
-    ) -> Result<Vec<FanoutSubscriber>, TraceError> {
-        FanoutReplay::open(&self.ensure(workload, config)?, consumers)
-    }
 }
 
 #[cfg(test)]
@@ -293,14 +430,17 @@ mod tests {
         let config = quick_config();
         let policies = [PolicyKind::Srrip, PolicyKind::Trrip1];
 
-        let replayed = crate::replay_sweep(&workloads, &config, &policies, &store);
+        // The first sweep walks and captures on the side, the second
+        // replays what the first wrote.
+        let teed = crate::replay_sweep(2, &workloads, &config, &policies, &store, None);
+        assert!(store.has(&workloads[0], &config), "the sweep left the capture behind");
+        let replayed = crate::replay_sweep(2, &workloads, &config, &policies, &store, None);
         let walked = crate::policy_sweep(&workloads, &config, &policies);
-        let isolated = crate::replay_sweep_isolated(&workloads, &config, &policies, &store);
-        for ((a, b), c) in replayed.results.iter().zip(&walked.results).zip(&isolated.results) {
+        for ((a, b), c) in teed.results.iter().zip(&walked.results).zip(&replayed.results) {
             assert_eq!(a.core, b.core);
             assert_eq!(a.l2, b.l2);
             assert_eq!(a.policy, b.policy);
-            assert_eq!(a.core, c.core, "fan-out must match decode-per-job replay");
+            assert_eq!(a.core, c.core, "a replay must match the sweep that captured it");
             assert_eq!(a.l2, c.l2);
         }
         std::fs::remove_dir_all(&dir).ok();

@@ -832,17 +832,50 @@ impl CheckpointStore {
         tape: &WarmupTape,
     ) -> Result<PathBuf, CheckpointError> {
         assert!(!run.is_measuring(), "shared prefixes are fast-forward states");
+        let mut shared = SnapWriter::new();
+        run.save_shared(&mut shared);
+        self.write_prefix(run.workload(), run.config(), shared.bytes(), tape)
+    }
+
+    /// Saves a warm prefix that is already in hand — what a sweep's
+    /// [`crate::Frontend`] leaves at the fast-forward boundary — as
+    /// [`CheckpointStore::save_prefix`] would have written it.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tape does not cover exactly `config`'s
+    /// fast-forward window.
+    pub fn save_shared_warmup(
+        &self,
+        workload: &PreparedWorkload,
+        config: &SimConfig,
+        warmup: &SharedWarmup,
+    ) -> Result<PathBuf, CheckpointError> {
+        self.write_prefix(workload, config, &warmup.shared, &warmup.tape)
+    }
+
+    fn write_prefix(
+        &self,
+        workload: &PreparedWorkload,
+        config: &SimConfig,
+        shared: &[u8],
+        tape: &WarmupTape,
+    ) -> Result<PathBuf, CheckpointError> {
         assert_eq!(
             tape.instructions(),
-            run.config().fast_forward,
+            config.fast_forward,
             "tape does not cover the fast-forward window"
         );
-        let meta = self.expected_prefix_meta(run.workload(), run.config());
-        let mut payload = SnapWriter::new();
-        run.save_shared(&mut payload);
-        tape.save(&mut payload);
-        let path = self.prefix_path(run.workload(), run.config());
-        write_checkpoint_kind(&path, CheckpointKind::SharedPrefix, &meta, payload.bytes())?;
+        let mut taped = SnapWriter::new();
+        tape.save(&mut taped);
+        let payload = [shared, taped.bytes()].concat();
+        let path = self.prefix_path(workload, config);
+        let meta = self.expected_prefix_meta(workload, config);
+        write_checkpoint_kind(&path, CheckpointKind::SharedPrefix, &meta, &payload)?;
         note_save();
         Ok(path)
     }
@@ -1232,6 +1265,17 @@ impl SharedWarmup {
         let mut w = SnapWriter::new();
         run.save_shared(&mut w);
         SharedWarmup { shared: w.into_bytes(), tape }
+    }
+
+    /// A prefix from its two parts: a `SHRD` section's bytes and the
+    /// tape recorded over the same warmup.
+    pub(crate) fn from_sections(shared: Vec<u8>, tape: WarmupTape) -> SharedWarmup {
+        SharedWarmup { shared, tape }
+    }
+
+    /// The `SHRD` section's bytes.
+    pub(crate) fn shared(&self) -> &[u8] {
+        &self.shared
     }
 
     /// The recorded warmup tape.

@@ -1,56 +1,65 @@
-//! Parallel policy sweeps — the engine behind Figure 6, Table 3 and the
+//! Policy sweeps — the engine behind Figure 6, Table 3 and the
 //! sensitivity studies.
 //!
-//! Three engines produce the same [`SweepResult`], bit-identically, and
-//! each pays for a workload's instruction stream once, not once per
-//! policy:
+//! **One executor, three producers.** Every unsharded sweep runs on the
+//! push executor (`push_sweep`): per workload, one [`Frontend`] — branch
+//! predictor, FDIP scan, fetch-line tracking, none of which ever sees a
+//! cache latency — digests the instruction stream into a small bounded
+//! window of shared event turns, and at most `jobs` worker threads push
+//! every turn through each of their policy cells, which run only the
+//! policy-dependent half of the core. Whole workloads go to a worker
+//! each while there are enough of them left; then each remaining
+//! workload's cells are split across a team of workers reading the same
+//! window. A workload's stream is produced once, predicted once and
+//! never materialised, whatever feeds the frontend:
 //!
-//! * [`policy_sweep`] needs no disk: per workload, one CFG walker and
-//!   one [`Frontend`] — branch predictor, FDIP scan, fetch-line
-//!   tracking, none of which ever sees a cache latency — fill a small
-//!   bounded window of shared event turns, and at most `jobs` worker
-//!   threads push every turn through each of their policy cells in
-//!   turn, which run only the policy-dependent half of the core
-//!   (**walk once, predict once** — the `walk.instrs` and
-//!   `front.digest.instrs` counters and
-//!   `tests/walk_once_equivalence.rs` hold it to that). Whole workloads
-//!   go to a worker each while there are enough of them left; then each
-//!   remaining workload's cells are split across a team of workers
-//!   reading the same window;
-//! * [`replay_sweep`] captures each workload's trace to a
-//!   [`TraceStore`] once, then fans each capture out **decode-once**:
-//!   a [`trrip_trace::FanoutReplay`] pipeline (parallel chunk-decode
-//!   workers + an ordered broadcaster) feeds shared
-//!   `Arc<[TraceInstr]>` batches to one simulator thread per policy,
-//!   so disk I/O + varint decode is paid once per *workload*, not once
-//!   per `(workload, policy)` job;
-//! * [`replay_sweep_isolated`] is the legacy decode-per-job engine
-//!   (each job opens its own [`trrip_trace::StreamingReplay`]), kept as
-//!   the baseline for the fan-out throughput bench and as an
-//!   independent oracle in equivalence tests.
+//! * **the walker** — [`policy_sweep`], no disk at all;
+//! * **the walker, teed into a capture** ([`CaptureTee`]) — a
+//!   [`replay_sweep`] whose [`TraceStore`] does not hold the workload
+//!   yet: it walks once and simulates while it writes, and the file is
+//!   the one [`crate::capture_trace`] writes, byte for byte;
+//! * **a replay of the capture** ([`StreamingReplay`]) — every later
+//!   [`replay_sweep`]: one decode per workload, on a thread of its own.
 //!
-//! The one-cell path, [`crate::simulate`], pulls from a walker of its
-//! own and shares none of the sweep machinery, which is what makes it
-//! the oracle for all of them.
+//! With a [`CheckpointStore`] attached a sweep also leaves the
+//! fast-forward boundary behind: the frontend writes the policy-agnostic
+//! **shared prefix** (its predictor plus the tape of its decisions, one
+//! file per workload) and every cell its **overlay**. The next sweep's
+//! cells restore their overlays instead of warming, and where every cell
+//! of a workload can, the frontend itself resumes from the prefix over a
+//! replay that starts its decode at the boundary: nothing reads the
+//! warm-up at all. The `warm.*` counters and the `producer_opened` /
+//! `warm_start` journal events say which of these a sweep did;
+//! `tests/walk_once_equivalence.rs` and `tests/push_store_equivalence.rs`
+//! hold every route to the same bits and the design to its counts (one
+//! frontend, one walk or one decode, one prefix read, `jobs` threads).
+//!
+//! Two executors remain beside this one, both on the pull loop and the
+//! per-cell `warm_start_ladder`: the segment DAG
+//! ([`crate::replay_sweep_sharded`]) and the multi-process claim
+//! protocol ([`crate::coordinate_worker`]). They read and write the
+//! same prefix and overlay files.
+//!
+//! The one-cell paths, [`crate::simulate`] and
+//! [`crate::simulate_source`], pull from a source of their own and share
+//! none of the sweep machinery, which is what makes them the oracle for
+//! all of the above.
 
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
 use trrip_cpu::{EventTurn, WarmupTape};
 use trrip_policies::PolicyKind;
-use trrip_trace::{
-    FanoutOptions, FanoutReplay, FanoutSubscriber, SourceIter, StreamingReplay, TraceSource,
-};
-use trrip_workloads::{InputSet, TraceGenerator};
+use trrip_trace::{SourceIter, StreamingReplay, TraceSource};
 
-use crate::capture::TraceStore;
-use crate::checkpoint::CheckpointStore;
+use crate::capture::{eval_walker, CaptureTee, TraceStore};
+use crate::checkpoint::{CheckpointStore, SharedWarmup};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::system::{simulate_source, Frontend, SimResult, SimRun};
+use crate::system::{Frontend, SimResult, SimRun};
 use crate::warmstats;
 
 /// Worker threads used when the caller does not cap them: one per
@@ -107,8 +116,8 @@ impl SweepResult {
 }
 
 /// Runs `f(0)..f(n-1)` across up to one scoped worker per hardware
-/// thread, returning the results in index order. The shared fan-out
-/// scaffold behind every sweep and preparation pass.
+/// thread, returning the results in index order. The scaffold behind
+/// preparation passes and per-workload set-up.
 ///
 /// # Panics
 ///
@@ -191,10 +200,138 @@ pub fn policy_sweep_with(
     config: &SimConfig,
     policies: &[PolicyKind],
 ) -> SweepResult {
-    push_sweep(jobs, workloads, config, policies, |workload| {
-        let object = workload.object(config.layout);
-        TraceGenerator::new(&workload.program, object, &workload.spec, InputSet::Eval)
+    push_sweep(jobs, workloads, config, policies, None, |workload| {
+        journal_producer(workload, "walker", 0);
+        Frontend::new(config, eval_walker(workload, config))
     })
+}
+
+/// Runs every workload under every policy over the captures in `traces`
+/// — on the same executor as [`policy_sweep_with`], dealt the same way,
+/// on at most `jobs` simulating threads (a replay decodes on one more).
+/// Per workload the stream is read once: replayed from its capture, or,
+/// where the store does not hold one yet, walked and **captured on the
+/// side** ([`CaptureTee`]) while the sweep simulates it.
+///
+/// With `checkpoints`, cells start warm where they can and leave warm
+/// starts behind where they cannot. Each cell restores at the
+/// fast-forward boundary from a whole-state checkpoint or its policy
+/// overlay if one loads; a cell without executes the warm-up turns and
+/// saves its overlay at the boundary. The frontend, from the first
+/// instruction, records the shared prefix unless a loadable one is on
+/// file. When every cell of a workload has a restore on file
+/// ([`CheckpointStore::holds_restore`]) and the prefix loads, nobody
+/// needs the warm-up: the frontend resumes from the prefix
+/// ([`Frontend::resume`]) over a replay whose decode begins at the chunk
+/// holding the boundary. A cell whose promised restore then fails to
+/// load is reported, runs alone from a replay of its own and rewrites
+/// its overlay; the others are untouched.
+///
+/// The files are the ones `warm_start_ladder` reads and writes, so a
+/// store populated here warm-starts [`crate::replay_sweep_sharded`] and
+/// [`crate::coordinate_worker`], and the reverse. Every cell is
+/// bit-identical to a [`crate::simulate_source`] over its capture on
+/// every route (`tests/push_store_equivalence.rs`). Damaged files heal by
+/// being overwritten (a damaged whole-state checkpoint, which nothing
+/// here rewrites, is deleted); a save that fails only costs the warm
+/// start next time.
+///
+/// # Panics
+///
+/// Panics if a capture that exists cannot be replayed (damaged between
+/// capture and replay).
+#[must_use]
+pub fn replay_sweep(
+    jobs: usize,
+    workloads: &[PreparedWorkload],
+    config: &SimConfig,
+    policies: &[PolicyKind],
+    traces: &TraceStore,
+    checkpoints: Option<&CheckpointStore>,
+) -> SweepResult {
+    // With nothing to fast-forward there is no boundary state to keep.
+    let checkpoints = checkpoints.filter(|_| config.fast_forward > 0);
+    let stores = Stores { traces, checkpoints };
+    push_sweep(jobs, workloads, config, policies, Some(stores), |workload| {
+        stores.open(workload, config, policies)
+    })
+}
+
+/// The stores behind a [`replay_sweep`].
+#[derive(Clone, Copy)]
+struct Stores<'a> {
+    traces: &'a TraceStore,
+    checkpoints: Option<&'a CheckpointStore>,
+}
+
+/// What a store-backed window's frontend reads: a replay or a teed
+/// walker.
+type StoredSource<'a> = Box<dyn TraceSource + Send + 'a>;
+
+impl<'a> Stores<'a> {
+    /// Opens `workload`'s producer: at the fast-forward boundary if no
+    /// cell will read the warm-up, else at the first instruction — of
+    /// the capture if there is one, of the walker if not.
+    fn open(
+        self,
+        workload: &'a PreparedWorkload,
+        config: &SimConfig,
+        policies: &[PolicyKind],
+    ) -> Frontend<StoredSource<'a>> {
+        let path = self.traces.path_for(workload, config);
+        let captured = self.traces.has(workload, config);
+        let prefix = self.checkpoints.and_then(|store| {
+            store.load_prefix(workload, config).unwrap_or_else(|e| {
+                report_damaged(workload, "*", "shared prefix", &e, "recording it again");
+                None
+            })
+        });
+        // Whether every cell can restore is judged by file names alone:
+        // a file that then fails to load costs that one cell a replay
+        // of its own.
+        let resume = prefix.as_ref().filter(|_| {
+            let holds = |store: &CheckpointStore| {
+                let held = |&p| store.holds_restore(workload, &config.clone().with_policy(p));
+                policies.iter().all(held)
+            };
+            captured && self.checkpoints.is_some_and(holds)
+        });
+        let start = if resume.is_some() { config.fast_forward } else { 0 };
+        let source: StoredSource<'a> = if captured {
+            journal_producer(workload, "replay", start);
+            Box::new(open_replay(&path, start))
+        } else {
+            journal_producer(workload, "walker+tee", start);
+            Box::new(CaptureTee::new(workload, config, &path))
+        };
+        match resume {
+            Some(prefix) => Frontend::resume(config, source, prefix)
+                .expect("keyed shared prefix matches the machine"),
+            None if self.checkpoints.is_some() && prefix.is_none() => {
+                Frontend::recording(config, source)
+            }
+            None => Frontend::new(config, source),
+        }
+    }
+
+    /// One cell by itself, on the pull path: a cold warm-up over a
+    /// replay of its own, leaving the overlay the next sweep restores.
+    fn run_alone(self, workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
+        let path = self.traces.path_for(workload, config);
+        let (mut run, mut stream) = warm_start_ladder(workload, config, None, |pos| {
+            SourceIter::new(open_replay(&path, pos))
+        });
+        if let Some(store) = self.checkpoints {
+            save_overlay(store, &run);
+        }
+        run.measure(&mut stream)
+    }
+}
+
+/// A replay of the capture at `path` from instruction `start` on.
+fn open_replay(path: &Path, start: u64) -> StreamingReplay {
+    StreamingReplay::open_at(path, start)
+        .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()))
 }
 
 /// Instructions a worker pushes through one cell before it moves on to
@@ -216,23 +353,23 @@ const TURN_INSTRS: usize = 16 * 1024;
 /// the same as 4 (three runs each, same workload).
 const WINDOW_TURNS: usize = 4;
 
-/// The walk-once push executor behind [`policy_sweep_with`]: per
-/// workload, `open` is called once, and the stream it returns —
-/// `fast_forward + instructions` long — is digested by one [`Frontend`]
-/// and pushed turn by turn through every policy's [`SimRun`] (see
-/// [`policy_sweep_with`] for how cells are dealt to workers). Generic
-/// over the producer: nothing here knows the stream comes from a
-/// walker.
+/// The push executor behind [`policy_sweep_with`] and [`replay_sweep`]:
+/// per workload, `open` is called once, and the stream under the
+/// frontend it returns is digested and pushed turn by turn through every
+/// policy's [`SimRun`] (see [`policy_sweep_with`] for how cells are
+/// dealt to workers, [`replay_sweep`] for what `stores` add). Generic
+/// over the producer: nothing here knows where the stream comes from.
 fn push_sweep<'w, S, F>(
     jobs: usize,
     workloads: &'w [PreparedWorkload],
     config: &'w SimConfig,
     policies: &[PolicyKind],
+    stores: Option<Stores<'w>>,
     open: F,
 ) -> SweepResult
 where
     S: TraceSource + Send,
-    F: Fn(&'w PreparedWorkload) -> S + Sync,
+    F: Fn(&'w PreparedWorkload) -> Frontend<S> + Sync,
 {
     let cells = workloads.len() * policies.len();
     let mut finished = Vec::new();
@@ -240,7 +377,7 @@ where
         let workers = jobs.clamp(1, cells);
         let teams = deal_teams(workloads.len(), policies.len(), workers);
         let windows: Vec<Window<'w, S>> = std::iter::zip(workloads, &teams)
-            .map(|(workload, team)| Window::new(workload, config, team.members))
+            .map(|(workload, team)| Window::new(workload, config, stores, team.members))
             .collect();
         let work = |worker: usize| {
             let _bail = Bail(&windows);
@@ -251,7 +388,7 @@ where
                         .step_by(team.members)
                         .map(|pi| (wi * policies.len() + pi, policies[pi]))
                         .collect();
-                    finished.extend(run_share(&windows[wi], &open, config, &share));
+                    finished.extend(run_share(&windows[wi], &open, &share));
                 }
             }
             finished
@@ -313,50 +450,143 @@ fn deal_teams(workloads: usize, policies: usize, workers: usize) -> Vec<Team> {
     teams
 }
 
-/// One worker's share of one workload: builds a [`SimRun`] per cell in
-/// `share` (`(index into the sweep's results, policy)`), pushes the
-/// window's stream through all of them turn by turn, and returns the
-/// results by index. Phase spans are per worker per phase, not per turn.
+/// One cell of a worker's share while the window's stream is pushed
+/// through it.
+struct Cell<'w> {
+    /// Index into the sweep's results.
+    index: usize,
+    run: SimRun<'w>,
+    /// Executes the warm-up turns (a restored cell lets them go by).
+    warms: bool,
+}
+
+/// One worker's share of one workload (`(index into the sweep's
+/// results, policy)` per cell): brings every cell to the window's first
+/// turn — restored at the fast-forward boundary, or cold at the first
+/// instruction — pushes the stream through all of them turn by turn, and
+/// returns the results by index. A cell that can do neither (the window
+/// begins at the boundary and the restore it was promised does not load)
+/// runs alone afterwards. Phase spans are per worker per phase, not per
+/// turn.
 fn run_share<'w, S, F>(
     window: &Window<'w, S>,
     open: &F,
-    config: &SimConfig,
     share: &[(usize, PolicyKind)],
 ) -> Vec<(usize, SimResult)>
 where
     S: TraceSource,
-    F: Fn(&'w PreparedWorkload) -> S,
+    F: Fn(&'w PreparedWorkload) -> Frontend<S>,
 {
-    let workload = window.workload;
-    let mut reader = Reader { window, open, turn: 0, held: None };
-    let mut runs: Vec<SimRun<'w>> = share
-        .iter()
-        .map(|&(_, policy)| {
-            journal_cell("cell_started", &workload.spec.name, policy, None);
-            SimRun::new(workload, &config.clone().with_policy(policy))
-        })
-        .collect();
-    if config.fast_forward > 0 {
+    let (workload, config) = (window.workload, window.config);
+    let checkpoints = window.stores.and_then(|stores| stores.checkpoints);
+    let bench = workload.spec.name.as_str();
+    let start = window.open(open);
+    let mut reader = Reader { window, turn: 0, held: None };
+    let mut cells = Vec::with_capacity(share.len());
+    let mut alone = Vec::new();
+    for &(index, policy) in share {
+        journal_cell("cell_started", bench, policy, None);
+        let cell_config = config.clone().with_policy(policy);
+        match checkpoints.and_then(|store| restore_at_boundary(workload, &cell_config, store)) {
+            Some(run) => cells.push(Cell { index, run, warms: false }),
+            None if start == 0 => {
+                let run = SimRun::new(workload, &cell_config);
+                cells.push(Cell { index, run, warms: config.fast_forward > 0 });
+            }
+            None => alone.push((index, cell_config)),
+        }
+    }
+    if start == 0 && config.fast_forward > 0 {
         let _span = trrip_obs::span!("fast_forward");
         reader.feed(config.fast_forward, |turn, last| {
-            runs.iter_mut().for_each(|run| run.push_fast_forward(turn, last));
+            let warming = cells.iter_mut().filter(|cell| cell.warms);
+            warming.for_each(|cell| cell.run.push_fast_forward(turn, last));
         });
+        reader.release();
+        for cell in cells.iter().filter(|cell| cell.warms) {
+            let policy = cell.run.config().hierarchy.l2_policy.name();
+            if let Some(store) = checkpoints {
+                warmstats::count_tail_replay();
+                journal_route(workload, policy, "tail_replay");
+                save_overlay(store, &cell.run);
+            } else {
+                warmstats::count_cold_warmup();
+                journal_route(workload, policy, "cold_warmup");
+            }
+        }
     }
-    runs.iter_mut().for_each(SimRun::begin_measure);
+    cells.iter_mut().for_each(|cell| cell.run.begin_measure());
     {
         let _span = trrip_obs::span!("measure");
         reader.feed(config.instructions, |turn, last| {
-            runs.iter_mut().for_each(|run| run.push_measure(turn, last));
+            cells.iter_mut().for_each(|cell| cell.run.push_measure(turn, last));
         });
     }
     drop(reader);
-    std::iter::zip(share, &mut runs)
-        .map(|(&(cell, policy), run)| {
-            let result = run.finish();
-            journal_cell("cell_finished", &workload.spec.name, policy, Some(result.core.cycles));
-            (cell, result)
-        })
-        .collect()
+    let mut finished: Vec<(usize, SimResult)> =
+        cells.into_iter().map(|mut cell| (cell.index, cell.run.finish())).collect();
+    for (index, cell_config) in alone {
+        let stores = window.stores.expect("only a store-backed window starts past the warm-up");
+        finished.push((index, stores.run_alone(workload, &cell_config)));
+    }
+    for (_, result) in &finished {
+        journal_cell("cell_finished", bench, result.policy, Some(result.core.cycles));
+    }
+    finished
+}
+
+/// A cell's run restored at the fast-forward boundary, if the store
+/// holds a state for it that loads: a whole-state checkpoint, else its
+/// policy overlay. (A pushed cell consults no predictor, so the overlay
+/// is all of the boundary state it needs; the shared prefix is the
+/// frontend's to read, once.) A file that does not load is reported; a
+/// damaged whole-state checkpoint is also deleted, since nothing would
+/// overwrite it.
+fn restore_at_boundary<'w>(
+    workload: &'w PreparedWorkload,
+    config: &SimConfig,
+    store: &CheckpointStore,
+) -> Option<SimRun<'w>> {
+    let policy = config.hierarchy.l2_policy.name();
+    // Sweeps write no whole-state checkpoints, so one is rarely there:
+    // not asking for what is not keeps `ckpt.miss` to real misses.
+    let whole = store.path_for(workload, config);
+    if whole.exists() {
+        match store.load(workload, config) {
+            Ok(Some(run)) => {
+                warmstats::count_full_restore();
+                journal_route(workload, policy, "full_restore");
+                return Some(run);
+            }
+            Ok(None) => {}
+            Err(e) => {
+                let next = "removing it and trying the policy overlay";
+                report_damaged(workload, policy, "fast-forward checkpoint", &e, next);
+                let _ = std::fs::remove_file(whole);
+            }
+        }
+    }
+    let mut run = SimRun::new(workload, config);
+    match store.load_overlay_into(&mut run) {
+        Ok(true) => {
+            warmstats::count_overlay_restore();
+            journal_route(workload, policy, "overlay_restore");
+            Some(run)
+        }
+        Ok(false) => None,
+        Err(e) => {
+            report_damaged(workload, policy, "policy overlay", &e, "warming up again");
+            None
+        }
+    }
+}
+
+/// Saves `run`'s overlay; a failure only costs the warm start next time.
+fn save_overlay(store: &CheckpointStore, run: &SimRun<'_>) {
+    if let Err(e) = store.save_overlay(run) {
+        let policy = run.config().hierarchy.l2_policy.name();
+        report_damaged(run.workload(), policy, "overlay save", &e, "continuing without it");
+    }
 }
 
 /// Journals a cell's start (`cycles: None`) or end.
@@ -370,6 +600,63 @@ fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, cycles: Option<
     trrip_obs::event(kind, &fields[..if cycles.is_some() { 3 } else { 2 }]);
 }
 
+/// Journals what a workload's one frontend reads (`walker`,
+/// `walker+tee` or `replay`) and the stream position it starts at.
+fn journal_producer(workload: &PreparedWorkload, source: &str, start: u64) {
+    use trrip_obs::Field;
+    trrip_obs::event(
+        "producer_opened",
+        &[
+            ("benchmark", Field::Str(&workload.spec.name)),
+            ("source", Field::Str(source)),
+            ("start", Field::U64(start)),
+        ],
+    );
+}
+
+/// Journals which route warmed a cell (next to the `warm.*` counters,
+/// which carry the same totals without the per-cell attribution).
+fn journal_route(workload: &PreparedWorkload, policy: &str, route: &str) {
+    use trrip_obs::Field;
+    if trrip_obs::journal_active() {
+        trrip_obs::event(
+            "warm_start",
+            &[
+                ("route", Field::Str(route)),
+                ("benchmark", Field::Str(&workload.spec.name)),
+                ("policy", Field::Str(policy)),
+            ],
+        );
+    }
+}
+
+/// Reports a store file that did not load or save — journalled, and on
+/// stderr unless quiet — with what happens instead.
+fn report_damaged(
+    workload: &PreparedWorkload,
+    policy: &str,
+    what: &str,
+    error: &dyn std::fmt::Display,
+    next: &str,
+) {
+    use trrip_obs::Field;
+    if trrip_obs::journal_active() {
+        trrip_obs::event(
+            "artifact_damaged",
+            &[
+                ("what", Field::Str(what)),
+                ("benchmark", Field::Str(&workload.spec.name)),
+                ("policy", Field::Str(policy)),
+                ("error", Field::Str(&error.to_string())),
+                ("next", Field::Str(next)),
+            ],
+        );
+    }
+    if !trrip_obs::quiet() {
+        eprintln!("[trrip] damaged {what} for {} / {policy}: {error}; {next}", workload.spec.name);
+    }
+}
+
 /// One workload's instruction stream, shared by the team of workers
 /// that split its cells: a bounded queue of digested turns, each handed
 /// to every member without a copy and recycled once the last member has
@@ -377,6 +664,7 @@ fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, cycles: Option<
 struct Window<'w, S> {
     workload: &'w PreparedWorkload,
     config: &'w SimConfig,
+    stores: Option<Stores<'w>>,
     /// Team size: every turn is read this many times.
     readers: usize,
     state: std::sync::Mutex<WindowState<S>>,
@@ -387,7 +675,9 @@ struct Window<'w, S> {
 
 struct WindowState<S> {
     producer: Producer<S>,
-    /// Stream position (in turns) of `turns[0]`.
+    /// Where in the stream the producer's first turn begins.
+    start: u64,
+    /// Position (in turns from there) of `turns[0]`.
     first: usize,
     turns: VecDeque<Turn>,
     /// Retired turns' buffers, for the next turns to be digested into.
@@ -414,13 +704,20 @@ enum Producer<S> {
 }
 
 impl<'w, S: TraceSource> Window<'w, S> {
-    fn new(workload: &'w PreparedWorkload, config: &'w SimConfig, readers: usize) -> Self {
+    fn new(
+        workload: &'w PreparedWorkload,
+        config: &'w SimConfig,
+        stores: Option<Stores<'w>>,
+        readers: usize,
+    ) -> Self {
         Window {
             workload,
             config,
+            stores,
             readers,
             state: std::sync::Mutex::new(WindowState {
                 producer: Producer::Unopened,
+                start: 0,
                 first: 0,
                 turns: VecDeque::with_capacity(WINDOW_TURNS),
                 spare: Vec::new(),
@@ -434,16 +731,29 @@ impl<'w, S: TraceSource> Window<'w, S> {
         self.state.lock().expect("a sweep worker panicked inside the stream window")
     }
 
+    /// The stream position of turn 0. The first member to ask opens the
+    /// producer — under the lock: its teammates have nothing to do
+    /// before they know where their cells start.
+    fn open<F>(&self, open: &F) -> u64
+    where
+        F: Fn(&'w PreparedWorkload) -> Frontend<S>,
+    {
+        let mut state = self.lock();
+        if matches!(state.producer, Producer::Unopened) {
+            let frontend = open(self.workload);
+            state.start = frontend.start();
+            state.producer = Producer::Idle(Box::new(frontend));
+        }
+        state.start
+    }
+
     /// Turn `k` of the stream, or `None` when the stream ended before
     /// it. A member asks for turns in order, so `k` is either in the
     /// window or the next to be digested — and then the first member to
     /// find the producer idle and the window not full generates and
     /// digests it, outside the lock, while the others read what is there
     /// or wait.
-    fn acquire<F>(&self, k: usize, open: &F) -> Option<Arc<EventTurn>>
-    where
-        F: Fn(&'w PreparedWorkload) -> S,
-    {
+    fn acquire(&self, k: usize) -> Option<Arc<EventTurn>> {
         let mut state = self.lock();
         loop {
             if state.failed {
@@ -459,18 +769,16 @@ impl<'w, S: TraceSource> Window<'w, S> {
                     state.producer = Producer::Done;
                     return None;
                 }
-                Producer::Busy => {}
-                parked if room => {
+                Producer::Idle(mut frontend) if room => {
                     let mut events = state.spare.pop().unwrap_or_default();
                     drop(state);
-                    let mut frontend = match parked {
-                        Producer::Idle(frontend) => frontend,
-                        _ => Box::new(Frontend::new(self.config, open(self.workload))),
-                    };
                     let more = {
                         let _span = trrip_obs::span!("digest");
                         frontend.digest(TURN_INSTRS, &mut events)
                     };
+                    if let Some(warmup) = frontend.take_shared_warmup() {
+                        self.save_prefix(&warmup);
+                    }
                     // Dropped here, not under the lock, when the stream
                     // is over (a walker and a frontend publish their
                     // counters then).
@@ -490,6 +798,17 @@ impl<'w, S: TraceSource> Window<'w, S> {
                 parked => state.producer = parked,
             }
             state = self.changed.wait(state).expect("a sweep worker panicked inside the window");
+        }
+    }
+
+    /// The frontend crossed the fast-forward boundary with a tape in
+    /// hand: what it knows there is the shared prefix every later sweep
+    /// (of any engine) starts from.
+    fn save_prefix(&self, warmup: &SharedWarmup) {
+        let Some(store) = self.stores.and_then(|stores| stores.checkpoints) else { return };
+        warmstats::count_recorded_warmup();
+        if let Err(e) = store.save_shared_warmup(self.workload, self.config, warmup) {
+            report_damaged(self.workload, "*", "prefix save", &e, "continuing without it");
         }
     }
 
@@ -515,18 +834,13 @@ impl<'w, S: TraceSource> Window<'w, S> {
 
 /// One team member's position in a [`Window`]: hands out the stream
 /// turn by turn, and releases each turn as it moves past.
-struct Reader<'a, 'w, S: TraceSource, F> {
+struct Reader<'a, 'w, S: TraceSource> {
     window: &'a Window<'w, S>,
-    open: &'a F,
     turn: usize,
     held: Option<Arc<EventTurn>>,
 }
 
-impl<'w, S, F> Reader<'_, 'w, S, F>
-where
-    S: TraceSource,
-    F: Fn(&'w PreparedWorkload) -> S,
-{
+impl<S: TraceSource> Reader<'_, '_, S> {
     /// Hands the turns covering the stream's next `limit` instructions
     /// to `push`, one by one; the final call carries `last = true`,
     /// with an empty turn if there was nothing to hand over or the
@@ -535,7 +849,7 @@ where
         let mut left = limit;
         while left > 0 {
             self.release();
-            self.held = self.window.acquire(self.turn, self.open);
+            self.held = self.window.acquire(self.turn);
             let Some(turn) = &self.held else { break };
             left = left
                 .checked_sub(turn.instructions())
@@ -547,9 +861,7 @@ where
         }
         push(&EventTurn::new(), true);
     }
-}
 
-impl<S: TraceSource, F> Reader<'_, '_, S, F> {
     fn release(&mut self) {
         if self.held.take().is_some() {
             self.window.release(self.turn);
@@ -558,7 +870,7 @@ impl<S: TraceSource, F> Reader<'_, '_, S, F> {
     }
 }
 
-impl<S: TraceSource, F> Drop for Reader<'_, '_, S, F> {
+impl<S: TraceSource> Drop for Reader<'_, '_, S> {
     /// Lets go of the turn still held (unless unwinding: [`Bail`] has
     /// the team covered, and the lock may be poisoned).
     fn drop(&mut self) {
@@ -586,149 +898,6 @@ impl<S> Drop for Bail<'_, '_, S> {
     }
 }
 
-/// Runs every workload under every policy by streaming captured traces
-/// from `store` — capturing any that are missing first — with the
-/// decode-once fan-out engine: per workload, one
-/// [`FanoutReplay`] pipeline decodes the capture a single time (chunks
-/// decoded on parallel workers, checksummed on read) and broadcasts the
-/// shared batches to one scoped simulator thread per policy. Decode
-/// order is the file's chunk order for every subscriber, so the result
-/// is deterministic and bit-identical to [`policy_sweep`] and
-/// [`replay_sweep_isolated`] regardless of scheduling — while the
-/// expensive disk + varint work is paid once per *workload* instead of
-/// once per job ([`trrip_trace::records_decoded`] makes that promise
-/// testable).
-///
-/// # Panics
-///
-/// Panics if a trace cannot be captured or replayed (disk full, file
-/// damaged between capture and replay).
-#[must_use]
-pub fn replay_sweep(
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-) -> SweepResult {
-    replay_sweep_with(default_jobs(), workloads, config, policies, store)
-}
-
-/// [`replay_sweep`] with an explicit worker budget: `jobs` caps the
-/// capture workers, the decode workers, and how many workloads fan out
-/// concurrently. Within one workload the simulator-thread count is
-/// always `policies.len()` — the broadcast protocol needs every
-/// policy's consumer live at once (a policy that waited would stall
-/// the bounded channels) — so the budget is spent on concurrent
-/// workloads in waves of `jobs / policies.len()`.
-///
-/// # Panics
-///
-/// As [`replay_sweep`].
-#[must_use]
-pub fn replay_sweep_with(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-) -> SweepResult {
-    fanout_sweep(
-        jobs,
-        workloads,
-        config,
-        policies,
-        store,
-        |_| 0,
-        |cell| simulate_source(cell.workload, cell.config, cell.subscriber),
-    )
-}
-
-/// What [`fanout_sweep`] hands a cell: its workload, its configuration
-/// (the sweep's with the cell's policy), the capture and the cell's
-/// subscriber to the one decode of it.
-struct FanoutCell<'a> {
-    workload: &'a PreparedWorkload,
-    config: &'a SimConfig,
-    trace: &'a Path,
-    subscriber: FanoutSubscriber,
-}
-
-/// The shared fan-out scaffold behind [`replay_sweep_with`] and
-/// [`replay_sweep_checkpointed`]: captures each workload's trace, then
-/// per workload decodes once — from instruction `start_of(workload)`,
-/// see [`FanoutReplay::open_at`] — and broadcasts to one `run_cell`
-/// thread per policy. Each workload's fan-out runs `policies.len()`
-/// simulator threads, so when a sweep has fewer policies than worker
-/// slots (a 2-policy layout study on a 16-core box), whole workloads run
-/// concurrently in waves of `jobs / policies` until the slots are
-/// spent; the decode-worker budget is split across the wave.
-fn fanout_sweep<P, F>(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-    start_of: P,
-    run_cell: F,
-) -> SweepResult
-where
-    P: Fn(&PreparedWorkload) -> u64 + Sync,
-    F: Fn(FanoutCell<'_>) -> SimResult + Sync,
-{
-    // Phase 1: one capture per workload (only the missing ones pay).
-    let paths: Vec<PathBuf> = parallel_map_with(jobs, workloads.len(), |i| {
-        store
-            .ensure(&workloads[i], config)
-            .unwrap_or_else(|e| panic!("capturing {}: {e}", workloads[i].spec.name))
-    });
-
-    // Phase 2: per workload, decode once and fan out to every policy.
-    let wave = (jobs / policies.len().max(1)).max(1);
-    let options = FanoutOptions {
-        decode_workers: (jobs / wave).clamp(1, FanoutOptions::default().decode_workers.max(1)),
-        ..FanoutOptions::default()
-    };
-    let run_cell = &run_cell;
-    let per_workload: Vec<Vec<SimResult>> = parallel_map_with(wave, workloads.len(), |wi| {
-        let (workload, path) = (&workloads[wi], &paths[wi]);
-        let subscribers = FanoutReplay::open_at(path, policies.len(), options, start_of(workload))
-            .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()));
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = subscribers
-                .into_iter()
-                .zip(policies)
-                .map(|(subscriber, &policy)| {
-                    let run_config = config.clone().with_policy(policy);
-                    scope.spawn(move || {
-                        let bench = workload.spec.name.as_str();
-                        journal_cell("cell_started", bench, policy, None);
-                        let span = trrip_obs::span!("cell");
-                        let result = run_cell(FanoutCell {
-                            workload,
-                            config: &run_config,
-                            trace: path,
-                            subscriber,
-                        });
-                        drop(span);
-                        journal_cell("cell_finished", bench, policy, Some(result.core.cycles));
-                        result
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-                .collect()
-        })
-    });
-
-    SweepResult {
-        results: per_workload.into_iter().flatten().collect(),
-        policies: policies.to_vec(),
-        benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
-    }
-}
-
 /// Produces a [`SimRun`] warmed to the fast-forward boundary for one
 /// `(workload, policy)` cell, by the cheapest valid route — every route
 /// is bit-identical to a cold per-cell warmup
@@ -752,14 +921,15 @@ where
 /// `stream_at(pos)` supplies the instruction stream positioned `pos`
 /// instructions in, and is called exactly once: with `fast_forward` on
 /// the restore rungs (1–2), with `0` when the warmup is simulated
-/// (3–4). The fan-out engine lets its broadcast subscriber run on to
-/// `pos` (its decode begins at the boundary when every cell of the
-/// workload has a restore on file; a cell that then needs an earlier
-/// `pos` opens a replay of its own); the sharded engine opens a
-/// (seek-positioned) replay. Both engines
-/// share this one ladder, so fallback routing — including the
-/// fresh-machine rebuild after a half-written overlay restore — cannot
-/// diverge between them.
+/// (3–4); the callers open a (seek-positioned) replay there.
+///
+/// This is the warm start of the **pull** executors — the segment DAG
+/// and the claim-protocol worker, whose cells each own a stream and a
+/// predictor — which share this one ladder, so fallback routing
+/// (including the fresh-machine rebuild after a half-written overlay
+/// restore) cannot diverge between them. A [`replay_sweep`] cell starts
+/// from the same files without it (`restore_at_boundary`), and comes
+/// here, store-less, only when it has to run alone.
 ///
 /// Damaged files are reported and demoted one rung; a damaged
 /// whole-state checkpoint is also deleted, so the store heals instead
@@ -776,40 +946,11 @@ where
     S: TraceSource,
     F: FnOnce(u64) -> SourceIter<S>,
 {
+    let policy = config.hierarchy.l2_policy.name();
     let cell = |e: &dyn std::fmt::Display, what: &str, next: &str| {
-        if trrip_obs::journal_active() {
-            trrip_obs::event(
-                "artifact_damaged",
-                &[
-                    ("what", trrip_obs::Field::Str(what)),
-                    ("benchmark", trrip_obs::Field::Str(&workload.spec.name)),
-                    ("policy", trrip_obs::Field::Str(config.hierarchy.l2_policy.name())),
-                    ("error", trrip_obs::Field::Str(&e.to_string())),
-                    ("next", trrip_obs::Field::Str(next)),
-                ],
-            );
-        }
-        if !trrip_obs::quiet() {
-            eprintln!(
-                "[trrip] damaged {what} for {} / {}: {e}; {next}",
-                workload.spec.name, config.hierarchy.l2_policy
-            );
-        }
+        report_damaged(workload, policy, what, e, next);
     };
-    // Journals which rung warmed this cell (next to the warm.* counters,
-    // which carry the same totals without the per-cell attribution).
-    let route = |rung: &str| {
-        if trrip_obs::journal_active() {
-            trrip_obs::event(
-                "warm_start",
-                &[
-                    ("route", trrip_obs::Field::Str(rung)),
-                    ("benchmark", trrip_obs::Field::Str(&workload.spec.name)),
-                    ("policy", trrip_obs::Field::Str(config.hierarchy.l2_policy.name())),
-                ],
-            );
-        }
-    };
+    let route = |rung: &str| journal_route(workload, policy, rung);
     let ff = config.fast_forward;
 
     let Some(checkpoints) = checkpoints else {
@@ -890,13 +1031,15 @@ where
     (run, stream)
 }
 
-/// The **shared-warmup pre-pass**: for every workload whose shared
-/// prefix is missing, runs one recorded fast-forward under the neutral
-/// warmup policy ([`PolicyKind::neutral`]) and persists the prefix plus
-/// the recorder's own overlay. After this pass, a populating sweep pays
-/// **one** full warmup per workload plus a cheap predictor-free tail
-/// replay per remaining policy — instead of `policies.len()` full
-/// warmups — which is the entire point of the policy-agnostic split.
+/// The **shared-warmup pre-pass** of the pull executors (a
+/// [`replay_sweep`] needs none: its frontend records the prefix as it
+/// goes): for every workload whose shared prefix is missing, runs one
+/// recorded fast-forward under the neutral warmup policy
+/// ([`PolicyKind::neutral`]) and persists the prefix plus the
+/// recorder's own overlay. After this pass, a populating sharded or
+/// multi-process sweep pays **one** full warmup per workload plus a
+/// cheap predictor-free tail replay per remaining policy — instead of
+/// `policies.len()` full warmups.
 ///
 /// Idempotent and parallel over workloads (`jobs` caps the workers).
 ///
@@ -945,140 +1088,6 @@ pub fn ensure_warm_prefixes(
     });
 }
 
-/// [`replay_sweep_checkpointed`] behind the shared-warmup pre-pass
-/// ([`ensure_warm_prefixes`]): the **policy-agnostic warm prefix**
-/// engine. On a cold store the populating pass costs one recorded
-/// warmup per workload plus per-policy warmup-tail replays (predictor
-/// and FDIP-scan work paid once, not `policies.len()` times); on a warm
-/// store every cell composes shared prefix + overlay and skips warmup
-/// simulation entirely. Bit-identical to every other engine either way.
-///
-/// # Panics
-///
-/// As [`replay_sweep`].
-#[must_use]
-pub fn replay_sweep_warm_prefix(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-    checkpoints: &CheckpointStore,
-) -> SweepResult {
-    ensure_warm_prefixes(jobs, workloads, config, store, checkpoints);
-    replay_sweep_checkpointed(jobs, workloads, config, policies, store, checkpoints)
-}
-
-/// [`replay_sweep`] with **warm-started measurement**: each
-/// `(workload, policy)` cell warm-starts by the cheapest valid route —
-/// whole-state checkpoint, shared prefix + policy overlay, shared
-/// prefix + warmup-tail replay, or a cold *recorded* warmup that
-/// persists the prefix and overlay for every later sweep (see
-/// [`warm_start_cell`] for the exact ladder). The common case —
-/// fig6/fig8/fig9 re-sweeping the same benchmarks — starts warm across
-/// process runs; a cold store populated through
-/// [`replay_sweep_warm_prefix`] additionally shares one warmup across
-/// all policies. A workload whose every cell has a restore on file
-/// ([`CheckpointStore::holds_restore`]) is decoded from the chunk
-/// holding the fast-forward boundary, not from its first instruction.
-///
-/// Results are bit-identical to [`replay_sweep`] and [`policy_sweep`]
-/// on every route: a checkpoint restores the exact post-fast-forward
-/// state and the tail replay re-simulates it exactly (enforced by
-/// `tests/checkpoint_roundtrip.rs` and
-/// `tests/warm_prefix_equivalence.rs`). Files that fail to load (stale
-/// key, corrupt) fall back one rung and are overwritten; files that
-/// fail to *save* only cost the warm start next time.
-///
-/// # Panics
-///
-/// As [`replay_sweep`].
-#[must_use]
-pub fn replay_sweep_checkpointed(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-    checkpoints: &CheckpointStore,
-) -> SweepResult {
-    // Where every cell is going to restore, nobody reads the warm-up:
-    // the decode begins at the boundary. What the store holds is judged
-    // by file names alone — a file that then fails to load sends that
-    // one cell down the ladder and to a decode of its own.
-    let warm_start = |workload: &PreparedWorkload| {
-        let restores = policies.iter().all(|&policy| {
-            checkpoints.holds_restore(workload, &config.clone().with_policy(policy))
-        });
-        if restores {
-            config.fast_forward
-        } else {
-            0
-        }
-    };
-    fanout_sweep(jobs, workloads, config, policies, store, warm_start, |cell| {
-        let FanoutCell { workload, config, trace, subscriber } = cell;
-        let (mut run, mut stream) = warm_start_ladder(workload, config, Some(checkpoints), |pos| {
-            let origin = subscriber.origin();
-            if pos >= origin {
-                // The broadcast subscriber cannot seek: letting decoded
-                // instructions go by is how this engine "positions" the
-                // stream — less than a chunk of them when the fan-out
-                // began at the boundary.
-                let mut stream = SourceIter::new(Box::new(subscriber) as Box<dyn TraceSource>);
-                stream.advance(pos - origin);
-                stream
-            } else {
-                drop(subscriber);
-                let own = StreamingReplay::open_at(trace, pos)
-                    .unwrap_or_else(|e| panic!("replaying {}: {e}", trace.display()));
-                SourceIter::new(Box::new(own) as Box<dyn TraceSource>)
-            }
-        });
-        run.measure(&mut stream)
-    })
-}
-
-/// The legacy decode-per-job replay engine: shards `(workload, policy)`
-/// jobs across workers, each opening its own
-/// [`trrip_trace::StreamingReplay`] — the trace is re-read and
-/// re-decoded once per job. Kept as the measured baseline for the
-/// fan-out bench and as an independent oracle in equivalence tests;
-/// sweeps should use [`replay_sweep`].
-///
-/// # Panics
-///
-/// As [`replay_sweep`].
-#[must_use]
-pub fn replay_sweep_isolated(
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-    store: &TraceStore,
-) -> SweepResult {
-    let paths: Vec<PathBuf> = parallel_map(workloads.len(), |i| {
-        store
-            .ensure(&workloads[i], config)
-            .unwrap_or_else(|e| panic!("capturing {}: {e}", workloads[i].spec.name))
-    });
-
-    let pairs: Vec<(usize, usize)> =
-        (0..workloads.len()).flat_map(|w| (0..policies.len()).map(move |p| (w, p))).collect();
-    let results = parallel_map(pairs.len(), |i| {
-        let (wi, pi) = pairs[i];
-        let run_config = config.clone().with_policy(policies[pi]);
-        let replay = trrip_trace::StreamingReplay::open(&paths[wi])
-            .unwrap_or_else(|e| panic!("replaying {}: {e}", paths[wi].display()));
-        simulate_source(&workloads[wi], &run_config, replay)
-    });
-
-    SweepResult {
-        results,
-        policies: policies.to_vec(),
-        benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
-    }
-}
-
 /// Speedup in percent of `cycles` against `baseline_cycles`.
 #[must_use]
 pub fn speedup_vs(baseline_cycles: f64, cycles: f64) -> f64 {
@@ -1088,7 +1097,7 @@ pub fn speedup_vs(baseline_cycles: f64, cycles: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::system::simulate;
+    use crate::system::{simulate, simulate_source};
     use trrip_core::ClassifierConfig;
     use trrip_cpu::TraceInstr;
     use trrip_workloads::WorkloadSpec;
@@ -1164,16 +1173,11 @@ mod tests {
         config.instructions = 60_000;
         config.fast_forward = 7_000;
         let policies = [PolicyKind::Srrip, PolicyKind::Drrip, PolicyKind::Trrip1];
-        let object = workloads[0].object(config.layout);
-        let spec = &workloads[0].spec;
-        let full: Vec<TraceInstr> =
-            TraceGenerator::new(&workloads[0].program, object, spec, InputSet::Eval)
-                .take(67_000)
-                .collect();
+        let full: Vec<TraceInstr> = eval_walker(&workloads[0], &config).take(67_000).collect();
         for length in [67_000, 41_234] {
             let stream = &full[..length];
-            let sweep = push_sweep(2, &workloads, &config, &policies, |_| {
-                VecSource::new(stream.to_vec(), 1_000)
+            let sweep = push_sweep(2, &workloads, &config, &policies, None, |_| {
+                Frontend::new(&config, VecSource::new(stream.to_vec(), 1_000))
             });
             for (cell, &policy) in sweep.results.iter().zip(&policies) {
                 let pulled = simulate_source(
@@ -1209,7 +1213,9 @@ mod tests {
         config.instructions = 200_000;
         config.fast_forward = 0;
         let policies = [PolicyKind::Srrip, PolicyKind::Lru, PolicyKind::Clip];
-        let _ = push_sweep(3, &workloads, &config, &policies, |_| Breaks(0));
+        let _ = push_sweep(3, &workloads, &config, &policies, None, |_| {
+            Frontend::new(&config, Breaks(0))
+        });
     }
 
     #[test]

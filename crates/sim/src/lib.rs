@@ -13,9 +13,10 @@
 //! * [`system`] — [`simulate`] / [`simulate_source`]: fast-forward,
 //!   measure, collect — over the in-memory walker or any
 //!   [`trrip_trace::TraceSource`].
-//! * [`capture`] — [`capture_trace`] and the [`TraceStore`]: record the
-//!   walker's output to the `trrip-trace` binary format once, replay it
-//!   from disk for every subsequent run.
+//! * [`capture`] — [`capture_trace`], the [`TraceStore`] and the
+//!   [`CaptureTee`]: record the walker's output to the `trrip-trace`
+//!   binary format once — on the side of the sweep that first needs it —
+//!   and replay it from disk for every subsequent run.
 //! * [`checkpoint`] — versioned, checksummed on-disk snapshots of a
 //!   warmed [`SimRun`], keyed by workload fingerprint + machine hash;
 //!   repeated sweeps restore instead of re-running fast-forward.
@@ -23,10 +24,10 @@
 //!   **shared prefix** (predictor + warmup tape, one per workload) and
 //!   per-policy **overlays**, so a populating sweep records one warmup
 //!   per workload and fans it out across every policy.
-//! * [`experiment`] — parallel policy sweeps (the walk-once walker
-//!   sweep, decode-once fan-out replay, the warm-started checkpointed engine,
-//!   the shared-warmup [`replay_sweep_warm_prefix`] engine, and the
-//!   legacy decode-per-job replay) and speedup computation.
+//! * [`experiment`] — policy sweeps on one push executor (a workload's
+//!   stream produced once, predicted once, pushed through every cell):
+//!   [`policy_sweep`] over the walker, [`replay_sweep`] over a trace
+//!   store and, optionally, a checkpoint store; and speedup computation.
 //! * [`warmstats`] — process-wide counters of how cells reached their
 //!   warmed state (full restore / overlay compose / warmup-tail replay
 //!   / recorded or cold warmup), the observable behind fallback tests.
@@ -55,7 +56,7 @@ pub mod system;
 pub mod warmstats;
 
 pub use backend::SystemBackend;
-pub use capture::{capture_length, capture_trace, TraceStore};
+pub use capture::{capture_length, capture_trace, CaptureTee, TraceStore};
 pub use checkpoint::{
     read_checkpoint, warmup_config_hash, warmup_prefix_hash, write_checkpoint,
     write_checkpoint_kind, CheckpointError, CheckpointKind, CheckpointMeta, CheckpointStore,
@@ -66,10 +67,9 @@ pub use coordinate::{
     collect_results, coordinate_worker, scan_claims, CoordError, WorkerOptions, WorkerReport,
 };
 pub use experiment::{
-    default_jobs, parallel_map, parallel_map_with, policy_sweep, policy_sweep_with, replay_sweep,
-    replay_sweep_checkpointed, replay_sweep_isolated, replay_sweep_with, speedup_vs, SweepResult,
+    default_jobs, ensure_warm_prefixes, parallel_map, parallel_map_with, policy_sweep,
+    policy_sweep_with, replay_sweep, speedup_vs, SweepResult,
 };
-pub use experiment::{ensure_warm_prefixes, replay_sweep_warm_prefix};
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
 pub use shard::{replay_sweep_sharded, simulate_sharded, ShardPlan};

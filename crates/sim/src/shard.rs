@@ -220,10 +220,9 @@ pub(crate) fn position_at<'w>(
 
     // Cold fallback: the fast-forward boundary by the cheapest valid
     // route (whole-state checkpoint → shared prefix + overlay → prefix
-    // + warmup-tail replay → cold recorded warmup; the same ladder the
-    // fan-out engine uses), then the measure prefix up to `start` is
-    // re-simulated. An indexed trace makes the restore rungs' stream
-    // positioning a true seek.
+    // + warmup-tail replay → cold recorded warmup), then the measure
+    // prefix up to `start` is re-simulated. An indexed trace makes the
+    // restore rungs' stream positioning a true seek.
     let ff = config.fast_forward;
     let (mut run, mut stream) =
         crate::experiment::warm_start_ladder(workload, config, checkpoints, |pos| {

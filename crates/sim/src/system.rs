@@ -22,14 +22,14 @@
 //! runs as it likes ([`SimRun::push_fast_forward`],
 //! [`SimRun::push_measure`]), each of which runs only the
 //! policy-dependent half ([`Core::execute`]). That is how
-//! [`crate::policy_sweep`] walks and predicts once per workload. The two
-//! sides are bit-identical wherever the stream is cut
-//! (`tests/walk_once_equivalence.rs`).
+//! [`crate::policy_sweep`] and [`crate::replay_sweep`] produce and
+//! predict a workload's stream once. The two sides are bit-identical
+//! wherever the stream is cut (`tests/walk_once_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
 use trrip_cache::{AccessStats, Hierarchy};
-use trrip_cpu::backend::FlatBackend;
+use trrip_cpu::backend::{FlatBackend, MemoryBackend};
 use trrip_cpu::{
     BranchPredictor, ChunkCut, Core, CoreResult, EventTurn, RunState, WarmupMode, WarmupTape,
 };
@@ -37,9 +37,9 @@ use trrip_os::{Loader, Mmu, PageStats, TlbStats};
 use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use trrip_trace::{SourceIter, TraceSource};
-use trrip_workloads::{InputSet, TraceGenerator};
 
 use crate::backend::SystemBackend;
+use crate::checkpoint::SharedWarmup;
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
 
@@ -186,10 +186,7 @@ fn merge_histograms(
 /// [`simulate_source`] over the walker).
 #[must_use]
 pub fn simulate(workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
-    let object = workload.object(config.layout);
-    let mut generator =
-        TraceGenerator::new(&workload.program, object, &workload.spec, InputSet::Eval);
-    simulate_source(workload, config, &mut generator)
+    simulate_source(workload, config, crate::capture::eval_walker(workload, config))
 }
 
 /// Runs one benchmark under one configuration over any [`TraceSource`] —
@@ -219,19 +216,32 @@ pub fn simulate_source<S: TraceSource>(
 /// window and starts a fresh run at the fast-forward boundary, as a
 /// cell's does, so a turn never spans the two phases and the turns of a
 /// phase cover exactly its instructions.
+///
+/// That boundary state is the whole policy-agnostic half of a
+/// checkpoint. A [`Frontend::recording`] one keeps a [`WarmupTape`]
+/// beside the warm-up's turns and hands both out as a [`SharedWarmup`]
+/// once it is past the boundary ([`Frontend::take_shared_warmup`]); a
+/// frontend built from one ([`Frontend::resume`]) starts *at* the
+/// boundary, over a source positioned there, with nothing of the warm-up
+/// left to pull.
 #[derive(Debug)]
 pub struct Frontend<S> {
     stream: SourceIter<S>,
     core: Core<FlatBackend>,
     state: RunState,
+    /// The stream position of the first turn.
+    start: u64,
     /// Instructions still to pull: of the fast-forward phase, then of
     /// the measure phase.
     left: [u64; 2],
     digested: u64,
+    /// The warm-up's decisions, while they are being recorded.
+    tape: Option<WarmupTape>,
 }
 
 impl<S: TraceSource> Frontend<S> {
-    /// A frontend for runs of `config` over `source`.
+    /// A frontend for runs of `config` over `source`, from the stream's
+    /// first instruction.
     #[must_use]
     pub fn new(config: &SimConfig, source: S) -> Frontend<S> {
         let core = Core::new(config.core, FlatBackend::all_hits());
@@ -239,9 +249,63 @@ impl<S: TraceSource> Frontend<S> {
             stream: SourceIter::new(source),
             state: core.begin_run(),
             core,
+            start: 0,
             left: [config.fast_forward, config.instructions],
             digested: 0,
+            tape: None,
         }
+    }
+
+    /// [`Frontend::new`], recording the warm-up's predictor-derived
+    /// decisions beside its turns for [`Frontend::take_shared_warmup`].
+    #[must_use]
+    pub fn recording(config: &SimConfig, source: S) -> Frontend<S> {
+        let mut frontend = Frontend::new(config, source);
+        frontend.tape = Some(WarmupTape::new());
+        frontend
+    }
+
+    /// A frontend that starts at the fast-forward boundary: its
+    /// predictor is `warmup`'s, and `source` must deliver the stream
+    /// from instruction `config.fast_forward` on.
+    ///
+    /// # Errors
+    ///
+    /// Snapshot shape or codec errors in the shared section.
+    pub fn resume(
+        config: &SimConfig,
+        source: S,
+        warmup: &SharedWarmup,
+    ) -> Result<Frontend<S>, SnapError> {
+        let mut frontend = Frontend::new(config, source);
+        let mut r = SnapReader::new(warmup.shared());
+        restore_shared_section(&mut frontend.core, &mut r)?;
+        r.finish()?;
+        frontend.start = config.fast_forward;
+        frontend.left[0] = 0;
+        Ok(frontend)
+    }
+
+    /// The stream position of the first turn: 0, or the fast-forward
+    /// boundary after [`Frontend::resume`].
+    #[must_use]
+    pub fn start(&self) -> u64 {
+        self.start
+    }
+
+    /// The policy-agnostic warm prefix — this frontend's predictor at
+    /// the boundary and the recorded tape — exactly as a recorded
+    /// fast-forward of any cell would leave it. `Some` once, after the
+    /// turn that completed a [`Frontend::recording`] one's warm-up;
+    /// never if the stream ended inside it.
+    pub fn take_shared_warmup(&mut self) -> Option<SharedWarmup> {
+        if self.left[0] > 0 {
+            return None;
+        }
+        let tape = self.tape.take()?;
+        let mut shared = SnapWriter::new();
+        save_shared_section(&self.core, &mut shared);
+        Some(SharedWarmup::from_sections(shared.into_bytes(), tape))
     }
 
     /// Digests up to `limit` further instructions into `turn` (cleared
@@ -254,7 +318,10 @@ impl<S: TraceSource> Frontend<S> {
         turn.clear();
         let phase = usize::from(self.left[0] == 0);
         let mut want = self.left[phase].min(limit as u64) as usize;
-        let mut mode = WarmupMode::Digest(turn);
+        let mut mode = match &mut self.tape {
+            Some(tape) if phase == 0 => WarmupMode::DigestRecorded(turn, tape),
+            _ => WarmupMode::Digest(turn),
+        };
         let mut dry = false;
         while want > 0 && !dry {
             let slice = self.stream.next_slice(want);
@@ -263,12 +330,14 @@ impl<S: TraceSource> Frontend<S> {
             self.left[phase] -= slice.len() as u64;
             self.core.run_batch_mode(&mut self.state, slice, false, &mut mode);
         }
-        if dry {
-            self.left = [0, 0];
-        }
-        if self.left[phase] == 0 {
+        if self.left[phase] == 0 || dry {
             self.core.run_batch_mode(&mut self.state, &[], true, &mut mode);
             self.state = self.core.begin_run();
+        }
+        if dry {
+            // A tape cut short is no prefix.
+            self.left = [0, 0];
+            self.tape = None;
         }
         self.digested += turn.instructions();
         self.left != [0, 0]
@@ -776,7 +845,7 @@ impl SimRun<'_> {
     pub fn save_shared(&self, w: &mut SnapWriter) {
         assert!(!self.is_measuring(), "shared sections are fast-forward states");
         assert!(!self.pushed, "a pushed run's predictor was never trained");
-        w.section(b"SHRD", |w| self.core.save_predictor_state(w));
+        save_shared_section(&self.core, w);
     }
 
     /// Restores a section written by [`SimRun::save_shared`].
@@ -785,9 +854,7 @@ impl SimRun<'_> {
     ///
     /// As [`Snapshot::restore`].
     pub fn restore_shared(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let mut s = r.section(b"SHRD")?;
-        self.core.restore_predictor_state(&mut s)?;
-        s.finish()
+        restore_shared_section(&mut self.core, r)
     }
 
     /// Saves the **policy-dependent** half of a fast-forward state: the
@@ -820,6 +887,21 @@ impl SimRun<'_> {
         self.core.backend_mut().restore(&mut s)?;
         s.finish()
     }
+}
+
+/// The `SHRD` section: a core's branch predictor, the one warmed
+/// component that evolves the same over any backend.
+fn save_shared_section<B: MemoryBackend>(core: &Core<B>, w: &mut SnapWriter) {
+    w.section(b"SHRD", |w| core.save_predictor_state(w));
+}
+
+fn restore_shared_section<B: MemoryBackend>(
+    core: &mut Core<B>,
+    r: &mut SnapReader<'_>,
+) -> Result<(), SnapError> {
+    let mut s = r.section(b"SHRD")?;
+    core.restore_predictor_state(&mut s)?;
+    s.finish()
 }
 
 /// **Checkpoint phase**: the complete architectural state — core

@@ -596,9 +596,9 @@ fn gc_budget_evicts_cheapest_to_rebuild_first_and_converges() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The checkpointed sweep engine agrees bit-for-bit with the plain
-/// fan-out engine and the walker sweep — cold (populating) and warm
-/// (restoring) alike.
+/// The store-backed sweep over a checkpoint store agrees bit-for-bit
+/// with the walker sweep — cold (populating) and warm (restoring)
+/// alike.
 #[test]
 fn checkpointed_sweep_matches_other_engines() {
     let w = quick_workload();
@@ -614,8 +614,9 @@ fn checkpointed_sweep_matches_other_engines() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     let walked = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let cold =
-        trrip_sim::replay_sweep_checkpointed(4, &workloads, &config, &policies, &traces, &ckpts);
+    let sweep =
+        || trrip_sim::replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
+    let cold = sweep();
     for policy in policies {
         let cell_config = config.clone().with_policy(policy);
         assert!(
@@ -631,8 +632,7 @@ fn checkpointed_sweep_matches_other_engines() {
         ckpts.prefix_path(&workloads[0], &config).is_file(),
         "cold sweep must persist the shared prefix"
     );
-    let warm =
-        trrip_sim::replay_sweep_checkpointed(4, &workloads, &config, &policies, &traces, &ckpts);
+    let warm = sweep();
 
     for ((a, b), c) in walked.results.iter().zip(&cold.results).zip(&warm.results) {
         assert_identical(a, b, "cold checkpointed sweep");

@@ -1,0 +1,262 @@
+//! The store-backed sweep on the push executor: `replay_sweep` over a
+//! trace store and a checkpoint store must give, cell for cell and on
+//! every route through the stores, what a `simulate_source` of that cell
+//! alone over a `StreamingReplay` gives — the pull path, which shares
+//! nothing with it — and must do so with the work the design promises,
+//! held here to counts:
+//!
+//! * per workload one frontend, and one walk **or** one decode, never
+//!   both: a cold pass walks once, capturing on the side the very bytes
+//!   `capture_trace` writes; a warm pass decodes once, from the chunk
+//!   holding the fast-forward boundary, and reads the shared prefix once
+//!   however many cells it has;
+//! * a partial store (an overlay gone, or the prefix gone) costs exactly
+//!   what is missing: the producer starts at the first instruction, the
+//!   cells that can still restore do, the one that cannot warms up;
+//! * an overlay that is there but does not load sends its cell alone to
+//!   a replay of its own, heals, and touches no other cell;
+//! * the files are the ones the pull executors' ladder reads and writes:
+//!   a store this engine populated warm-starts `replay_sweep_sharded`
+//!   (tape included), and one the ladder populated warm-starts this
+//!   engine, with the same prefix bytes either way.
+//!
+//! One `#[test]` on purpose: every count is a process-wide counter, and
+//! a sibling test in the same binary would move them.
+
+use std::path::{Path, PathBuf};
+
+use trrip_core::ClassifierConfig;
+use trrip_policies::PolicyKind;
+use trrip_sim::{
+    capture_length, capture_trace, ensure_warm_prefixes, replay_sweep, replay_sweep_sharded,
+    simulate_source, CheckpointStore, PreparedWorkload, SimConfig, SimResult, SweepResult,
+    TraceStore,
+};
+use trrip_snap::corrupt;
+use trrip_trace::{StreamingReplay, CHUNK_CAPACITY};
+use trrip_workloads::WorkloadSpec;
+
+/// Every policy the simulator can run, including the non-paper Random
+/// baseline (its RNG stream is state an overlay has to carry).
+const ALL_POLICIES: [PolicyKind; 10] = [
+    PolicyKind::Srrip,
+    PolicyKind::Lru,
+    PolicyKind::Random,
+    PolicyKind::Brrip,
+    PolicyKind::Drrip,
+    PolicyKind::Ship,
+    PolicyKind::Clip,
+    PolicyKind::Emissary,
+    PolicyKind::Trrip1,
+    PolicyKind::Trrip2,
+];
+const CELLS: u64 = ALL_POLICIES.len() as u64;
+const JOBS: usize = 3;
+
+fn quick_workload(name: &str) -> PreparedWorkload {
+    let mut spec = WorkloadSpec::named(name);
+    spec.functions = 50;
+    spec.hot_rotation = 8;
+    PreparedWorkload::prepare(&spec, 100_000, ClassifierConfig::llvm_defaults())
+}
+
+fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
+    let what = format!("{what}: {} / {}", b.benchmark, b.policy);
+    assert_eq!((&a.benchmark, a.policy), (&b.benchmark, b.policy), "{what}");
+    assert_eq!(a.core, b.core, "{what}: core results diverge");
+    assert_eq!(a.l1i, b.l1i, "{what}: L1-I stats diverge");
+    assert_eq!(a.l1d, b.l1d, "{what}: L1-D stats diverge");
+    assert_eq!(a.l2, b.l2, "{what}: L2 stats diverge");
+    assert_eq!(a.slc, b.slc, "{what}: SLC stats diverge");
+    assert_eq!(a.tlb, b.tlb, "{what}: TLB stats diverge");
+    assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
+    assert_eq!(a.reuse_base, b.reuse_base, "{what}: reuse histograms diverge");
+    assert_eq!(a.reuse_hot_only, b.reuse_hot_only, "{what}: hot-only histograms diverge");
+    let (ca, cb) = (a.costly.as_ref().expect("armed"), b.costly.as_ref().expect("armed"));
+    assert_eq!(ca.distinct_lines(), cb.distinct_lines(), "{what}: costly lines diverge");
+    assert_eq!(ca.cost_by_region(), cb.cost_by_region(), "{what}: costly regions diverge");
+}
+
+fn assert_sweep(sweep: &SweepResult, oracle: &[SimResult], what: &str) {
+    assert_eq!(sweep.results.len(), oracle.len(), "{what}");
+    for (cell, expected) in sweep.results.iter().zip(oracle) {
+        assert_identical(cell, expected, what);
+    }
+}
+
+/// What one sweep moved: the counters the design is stated in.
+struct Moved(trrip_obs::CounterSnapshot);
+
+impl Moved {
+    fn by(sweep: impl FnOnce() -> SweepResult) -> (SweepResult, Moved) {
+        let before = trrip_obs::snapshot();
+        let result = sweep();
+        (result, Moved(trrip_obs::snapshot().since(&before)))
+    }
+
+    fn get(&self, counter: &str) -> u64 {
+        self.0.get(counter)
+    }
+
+    /// `[full_restore, overlay_restore, tail_replay, recorded_warmup,
+    /// cold_warmup]`.
+    fn warm(&self) -> [u64; 5] {
+        ["full_restore", "overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
+            .map(|route| self.get(&format!("warm.{route}")))
+    }
+}
+
+fn read(path: &Path) -> Vec<u8> {
+    std::fs::read(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+fn scratch(name: &str) -> PathBuf {
+    let dir = std::env::temp_dir().join(format!("trrip-push-store-{name}-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    dir
+}
+
+#[test]
+fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost() {
+    let root = scratch("eq");
+    let traces = TraceStore::new(root.join("traces"));
+    let ckpts = CheckpointStore::new(root.join("ckpts"));
+    let workloads = [quick_workload("push-store-a"), quick_workload("push-store-b")];
+    let (a, b) = (&workloads[0], &workloads[1]);
+
+    // A fast-forward boundary two chunks and a bit into the trace, so
+    // that a decode which starts at the boundary's chunk shows.
+    let skipped = 2 * u64::from(CHUNK_CAPACITY);
+    let mut config = SimConfig::quick(PolicyKind::Srrip);
+    config.fast_forward = skipped + 5_000;
+    config.instructions = 40_000;
+    config.measure_reuse = true;
+    config.track_costly = true;
+    let stream = capture_length(&config);
+    // The walker hands out whole batches of 1 Ki.
+    let walked_once = |walked: u64, streams: u64| {
+        (streams * stream..streams * (stream + 1_024)).contains(&walked)
+    };
+    let cell = |policy| config.clone().with_policy(policy);
+    let sweep = || replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
+
+    // ---- cold: walk once, capture on the side, record one prefix ----
+    let (cold, moved) = Moved::by(sweep);
+    assert!(walked_once(moved.get("walk.instrs"), 2), "walked {}", moved.get("walk.instrs"));
+    assert_eq!(moved.get("trace.records_decoded"), 0, "a cold pass never reads what it writes");
+    assert_eq!(moved.get("front.digest.instrs"), 2 * stream, "one frontend per workload");
+    assert_eq!(moved.warm(), [0, 0, 2 * CELLS, 2, 0], "every cell warms, one prefix each");
+    for w in &workloads {
+        let reference = root.join(format!("{}.reference.trrip", w.spec.name));
+        capture_trace(w, &config, &reference).expect("reference capture");
+        assert!(
+            read(&traces.path_for(w, &config)) == read(&reference),
+            "{}: a teed capture is capture_trace's, byte for byte",
+            w.spec.name
+        );
+        assert!(ckpts.prefix_path(w, &config).is_file());
+        assert!(ALL_POLICIES.iter().all(|&p| ckpts.holds_restore(w, &cell(p))));
+    }
+
+    // The pull reference: each cell alone over a replay of its own.
+    let oracle: Vec<SimResult> = workloads
+        .iter()
+        .flat_map(|w| {
+            let path = traces.path_for(w, &config);
+            ALL_POLICIES
+                .map(|p| simulate_source(w, &cell(p), StreamingReplay::open(&path).expect("open")))
+        })
+        .collect();
+    assert_sweep(&cold, &oracle, "cold pass");
+
+    // ---- warm: resume at the boundary, restore every cell ----
+    let (warm, moved) = Moved::by(sweep);
+    let warm_decode = 2 * (stream - skipped);
+    assert_eq!(moved.get("walk.instrs"), 0, "a warm pass never walks");
+    assert_eq!(moved.get("trace.records_decoded"), warm_decode, "one decode, from the boundary");
+    assert_eq!(moved.get("front.digest.instrs"), 2 * config.instructions);
+    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 0, 0]);
+    assert_eq!(moved.get("ckpt.hit"), 2 * (CELLS + 1), "n overlays and ONE prefix per workload");
+    assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
+    assert_sweep(&warm, &oracle, "warm pass");
+
+    // ---- a partial store: one overlay gone ----
+    // b's producer starts at the first instruction; its other cells
+    // still restore and let the warm-up go by, CLIP's alone executes it.
+    // The prefix still loads, so nothing is recorded again.
+    let clip = ckpts.overlay_path(b, &cell(PolicyKind::Clip));
+    std::fs::remove_file(&clip).expect("the overlay existed");
+    let (partial, moved) = Moved::by(sweep);
+    assert_eq!(moved.get("trace.records_decoded"), (stream - skipped) + stream);
+    assert_eq!(moved.get("walk.instrs"), 0);
+    assert_eq!(moved.warm(), [0, 2 * CELLS - 1, 1, 0, 0]);
+    assert_sweep(&partial, &oracle, "one overlay missing");
+    assert!(clip.is_file(), "the cell that warmed up left its overlay");
+
+    // ---- a partial store: the prefix gone, every overlay present ----
+    // a's frontend has to train through the warm-up (and writes the
+    // prefix again, the same bytes); no cell executes a warm-up turn.
+    let prefix = ckpts.prefix_path(a, &config);
+    let prefix_bytes = read(&prefix);
+    std::fs::remove_file(&prefix).expect("the prefix existed");
+    let (headless, moved) = Moved::by(sweep);
+    assert_eq!(moved.get("trace.records_decoded"), stream + (stream - skipped));
+    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 1, 0]);
+    assert_sweep(&headless, &oracle, "prefix missing");
+    assert!(read(&prefix) == prefix_bytes, "a prefix is a function of the stream alone");
+
+    // ---- an overlay that is there but does not load ----
+    // By name the store is whole, so b's producer starts at the
+    // boundary; EMISSARY's cell finds its file damaged, runs alone over
+    // a replay of its own and rewrites the file. Nobody else notices.
+    let emissary = ckpts.overlay_path(b, &cell(PolicyKind::Emissary));
+    let overlay_bytes = read(&emissary);
+    corrupt::flip_middle_byte(&emissary);
+    let (patched, moved) = Moved::by(sweep);
+    assert_eq!(moved.get("trace.records_decoded"), warm_decode + stream, "one private replay");
+    assert_eq!(moved.warm(), [0, 2 * CELLS - 1, 0, 0, 1]);
+    assert_eq!(moved.get("ckpt.corrupt"), 1);
+    assert_sweep(&patched, &oracle, "one overlay damaged");
+    assert!(read(&emissary) == overlay_bytes, "the pull path writes the overlay the push path did");
+    let (healed, moved) = Moved::by(sweep);
+    assert_eq!(moved.get("trace.records_decoded"), warm_decode);
+    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 0, 0]);
+    assert_sweep(&healed, &oracle, "healed store");
+
+    // ---- interop: the ladder over a store this engine populated ----
+    // Segment 0 of every sharded cell warm-starts through the pull
+    // executors' ladder: prefix + overlay, or — with the overlay gone —
+    // the tail replay off the tape this engine's frontend recorded.
+    std::fs::remove_file(&clip).expect("the overlay existed");
+    let sharded =
+        || replay_sweep_sharded(JOBS, &workloads, &config, &ALL_POLICIES, &traces, &ckpts, 4);
+    let (ladder, moved) = Moved::by(sharded);
+    assert_eq!(moved.warm(), [0, 2 * CELLS - 1, 1, 0, 0]);
+    assert_sweep(&ladder, &oracle, "--shards 4 over a push-populated store");
+
+    // ---- interop: this engine over a store the ladder populated ----
+    let ladder_ckpts = CheckpointStore::new(root.join("ladder-ckpts"));
+    ensure_warm_prefixes(JOBS, &workloads, &config, &traces, &ladder_ckpts);
+    let _ =
+        replay_sweep_sharded(JOBS, &workloads, &config, &ALL_POLICIES, &traces, &ladder_ckpts, 4);
+    assert!(
+        read(&ladder_ckpts.prefix_path(a, &config)) == prefix_bytes,
+        "the frontend's prefix is the recorded fast-forward's, byte for byte"
+    );
+    let (over_ladder, moved) = Moved::by(|| {
+        replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, Some(&ladder_ckpts))
+    });
+    assert_eq!(moved.get("trace.records_decoded"), warm_decode, "resumed from the ladder's prefix");
+    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 0, 0]);
+    assert_sweep(&over_ladder, &oracle, "push over a ladder-populated store");
+
+    // ---- no checkpoint store: replay, warm every cell, keep nothing ----
+    let (plain, moved) =
+        Moved::by(|| replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, None));
+    assert_eq!(moved.get("trace.records_decoded"), 2 * stream);
+    assert_eq!(moved.warm(), [0, 0, 0, 0, 2 * CELLS]);
+    assert_eq!(moved.get("ckpt.hit") + moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
+    assert_sweep(&plain, &oracle, "no checkpoint store");
+
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -5,7 +5,9 @@
 //! its own, field by field, whatever the worker count, the workload
 //! count, or where the stream happens to be cut. The seam underneath,
 //! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward`] /
-//! [`SimRun::push_measure`], is held to the pull path directly.
+//! [`SimRun::push_measure`], is held to the pull path directly. The
+//! thread budget is held over the store-backed sweep too (`replay_sweep`,
+//! cold and warm), which runs on the same executor.
 //!
 //! The counter and journal checks read process-wide state, so every
 //! test in this file takes [`WALKING`] (even preparing a workload walks):
@@ -19,8 +21,8 @@ use trrip_core::ClassifierConfig;
 use trrip_cpu::{EventTurn, StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep_with, simulate, simulate_source, Frontend, PreparedWorkload, SimConfig, SimResult,
-    SimRun, SnapWriter, Snapshot,
+    policy_sweep_with, replay_sweep, simulate, simulate_source, CheckpointStore, Frontend,
+    PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot, TraceStore,
 };
 use trrip_trace::source::VecSource;
 use trrip_trace::TraceSource;
@@ -504,6 +506,19 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     // A one-cell sweep, however many jobs it is offered.
     let _ = policy_sweep_with(8, &[workload("walk-once-solo")], &config, &[PolicyKind::Clip]);
 
+    // The same executor over stores: a cold pass (walker, teed into the
+    // capture) and a warm one (a replay resumed at the boundary, which
+    // decodes on one more thread that simulates nothing).
+    let stores = std::env::temp_dir().join(format!("trrip-walk-once-{}", std::process::id()));
+    std::fs::remove_dir_all(&stores).ok();
+    let (traces, ckpts) =
+        (TraceStore::new(stores.join("t")), CheckpointStore::new(stores.join("c")));
+    let stored = [workload("walk-once-stored")];
+    for _ in ["cold", "warm"] {
+        let _ = replay_sweep(2, &stored, &config, &ALL_POLICIES, &traces, Some(&ckpts));
+    }
+    std::fs::remove_dir_all(&stores).ok();
+
     trrip_obs::journal::close().expect("the journal was open");
     let journal = trrip_obs::read_journal(&path).expect("read the journal back");
     std::fs::remove_file(&path).ok();
@@ -523,8 +538,36 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
         .collect();
     assert_eq!(threads.len(), 2 * ALL_POLICIES.len());
 
-    // One cell: the caller's own thread, nothing spawned.
     let caller = threads_of(&journal, "caller", "caller");
+
+    // jobs = 2 over stores: two simulating threads a pass (each pass
+    // spawns its own second one), and one producer a pass — first the
+    // teed walker from the top, then the replay from the boundary.
+    let started = threads_of(&journal, "cell_started", "walk-once-stored");
+    let finished = threads_of(&journal, "cell_finished", "walk-once-stored");
+    assert_eq!((started.len(), finished.len()), (2 * ALL_POLICIES.len(), 2 * ALL_POLICIES.len()));
+    for (pass, (started, finished)) in
+        std::iter::zip(started.chunks(ALL_POLICIES.len()), finished.chunks(ALL_POLICIES.len()))
+            .enumerate()
+    {
+        let threads: BTreeSet<u64> = started.iter().chain(finished).copied().collect();
+        assert_eq!(threads.len(), 2, "pass {pass}: jobs = 2, two simulator threads: {threads:?}");
+        assert!(threads.contains(&caller[0]), "pass {pass}: the caller always works");
+    }
+    let producers: Vec<(String, u64)> = journal
+        .of_kind("producer_opened")
+        .filter(|e| e.get("benchmark").and_then(|b| b.as_str()) == Some("walk-once-stored"))
+        .map(|e| {
+            let source = e.get("source").and_then(|s| s.as_str()).expect("a source").to_owned();
+            (source, e.get("start").and_then(|s| s.as_u64()).expect("a start"))
+        })
+        .collect();
+    assert_eq!(
+        producers,
+        [("walker+tee".to_owned(), 0), ("replay".to_owned(), config.fast_forward)]
+    );
+
+    // One cell: the caller's own thread, nothing spawned.
     assert_eq!(threads_of(&journal, "cell_started", "walk-once-solo"), caller);
     assert_eq!(threads_of(&journal, "cell_finished", "walk-once-solo"), caller);
     // …which is also one of the three above: the caller always works.

@@ -1,19 +1,21 @@
 //! The policy-agnostic warm prefix must be invisible in the results:
-//! a `(workload, policy)` cell warm-started from the shared prefix —
-//! whether by composing its overlay or by replaying the recorded
-//! warmup tail — is bit-identical to a cold per-cell warmup, for every
-//! policy (including Random, whose RNG stream is architectural state)
-//! and with the reuse/costly profilers armed. Fallback routing is
-//! pinned through the `trrip_sim::warmstats` counters: a corrupt
-//! overlay lands on the warmup-tail replay, never back on a cold
-//! warmup.
+//! a `(workload, policy)` cell that starts at the fast-forward boundary
+//! from the stores — its overlay restored under a frontend resumed from
+//! the shared prefix — is bit-identical to a cold per-cell warmup, for
+//! every policy (including Random, whose RNG stream is architectural
+//! state) and with the reuse/costly profilers armed. Fallback routing
+//! is pinned through the `trrip_sim::warmstats` counters: a corrupt
+//! overlay costs its one cell a warm-up of its own, a corrupt prefix is
+//! recorded again, and either file is healed by the sweep that found it.
+//! The tape-driven warmup tail of the pull executors is held to the
+//! same bits, timed and functional.
 
 use trrip_core::ClassifierConfig;
 use trrip_cpu::WarmupTape;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep_warm_prefix, warmup_counters, CheckpointStore, PreparedWorkload, SimConfig,
-    SimResult, SimRun, TraceStore,
+    replay_sweep, warmup_counters, CheckpointStore, PreparedWorkload, SimConfig, SimResult, SimRun,
+    TraceStore,
 };
 use trrip_snap::corrupt;
 use trrip_trace::SourceIter;
@@ -96,15 +98,15 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     // Oracle: cold per-cell warmups via the walker engine.
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &ALL_POLICIES);
 
-    // Cold populating pass: ONE recorded warmup (the ensure pre-pass),
-    // then one cell composes the recorder's overlay (the neutral
-    // policy, SRRIP, is in the sweep) and nine replay the warmup tail.
+    // Cold populating pass: ONE recorded warmup — the frontend's, which
+    // writes the shared prefix — and ten cells that execute the warm-up
+    // turns it digests, each leaving its overlay.
     let before = warmup_counters();
-    let cold = replay_sweep_warm_prefix(4, &workloads, &config, &ALL_POLICIES, &traces, &ckpts);
+    let cold = replay_sweep(4, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
     let delta = warmup_counters().since(&before);
     assert_eq!(delta.recorded_warmups, 1, "one shared warmup per workload, not per policy");
-    assert_eq!(delta.overlay_restores, 1, "the neutral policy's cell composes its overlay");
-    assert_eq!(delta.tail_replays, ALL_POLICIES.len() as u64 - 1, "everyone else replays");
+    assert_eq!(delta.overlay_restores, 0, "an empty store restores nobody");
+    assert_eq!(delta.tail_replays, ALL_POLICIES.len() as u64, "every cell runs the shared turns");
     assert_eq!(delta.cold_warmups, 0);
     assert_eq!(delta.full_restores, 0);
 
@@ -112,9 +114,10 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
         assert_identical(a, b, &format!("{policy}: cold warm-prefix pass"));
     }
 
-    // Warm pass: every cell composes shared prefix + its own overlay.
+    // Warm pass: the frontend resumes from the shared prefix, every
+    // cell restores its own overlay.
     let before = warmup_counters();
-    let warm = replay_sweep_warm_prefix(4, &workloads, &config, &ALL_POLICIES, &traces, &ckpts);
+    let warm = replay_sweep(4, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
     let delta = warmup_counters().since(&before);
     assert_eq!(delta.overlay_restores, ALL_POLICIES.len() as u64);
     assert_eq!(delta.recorded_warmups + delta.tail_replays + delta.cold_warmups, 0);
@@ -135,6 +138,10 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
+/// (The name is from when the fallback was the tape-driven tail; the
+/// cell now warms up alone, cold, off a replay of its own — what stays
+/// pinned is that only that cell pays, nothing is recorded again, and
+/// the file heals.)
 #[test]
 fn corrupt_overlay_falls_back_to_the_warmup_tail_not_cold() {
     let _serial = counter_guard();
@@ -148,7 +155,7 @@ fn corrupt_overlay_falls_back_to_the_warmup_tail_not_cold() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let _ = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
 
     // Flip a byte in the middle of Random's overlay: the container
     // checksum rejects it at load.
@@ -157,21 +164,21 @@ fn corrupt_overlay_falls_back_to_the_warmup_tail_not_cold() {
     corrupt::flip_middle_byte(&overlay);
 
     let before = warmup_counters();
-    let patched = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let patched = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
     let delta = warmup_counters().since(&before);
-    assert_eq!(delta.tail_replays, 1, "the corrupt overlay must land on the tail replay");
-    assert_eq!(delta.recorded_warmups, 0, "…not on a recorded warmup");
-    assert_eq!(delta.cold_warmups, 0, "…and never on a cold one");
+    assert_eq!(delta.cold_warmups, 1, "the corrupt overlay's cell warms up alone");
+    assert_eq!(delta.recorded_warmups, 0, "…without a recorded warmup");
+    assert_eq!(delta.tail_replays, 0, "…and without anyone else warming");
     assert_eq!(delta.overlay_restores, policies.len() as u64 - 1);
 
     for (policy, (a, b)) in policies.iter().zip(oracle.results.iter().zip(&patched.results)) {
         assert_identical(a, b, &format!("{policy}: sweep with a corrupt overlay"));
     }
 
-    // The tail replay re-persisted a good overlay: the next sweep is
-    // all composition again.
+    // The lone cell re-persisted a good overlay: the next sweep is all
+    // restores again.
     let before = warmup_counters();
-    let healed = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let healed = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
     let delta = warmup_counters().since(&before);
     assert_eq!(delta.overlay_restores, policies.len() as u64, "overlay must be healed");
     for (a, b) in oracle.results.iter().zip(&healed.results) {
@@ -195,7 +202,7 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let _ = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
 
     // Truncate the prefix container: both it AND the overlays keyed to
     // it stay on disk, but the prefix no longer loads — cells must
@@ -210,7 +217,7 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     }
 
     let before = warmup_counters();
-    let patched = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let patched = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
     let delta = warmup_counters().since(&before);
     assert!(delta.recorded_warmups >= 1, "a fresh warmup must be recorded");
     for (a, b) in oracle.results.iter().zip(&patched.results) {
@@ -219,7 +226,7 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
 
     // The damaged container was atomically replaced.
     let before = warmup_counters();
-    let _ = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
     let delta = warmup_counters().since(&before);
     assert_eq!(delta.overlay_restores, policies.len() as u64, "prefix must be rewritten");
 
@@ -306,7 +313,7 @@ fn damaged_full_checkpoint_is_removed_and_routed_around() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let _ = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
 
     // Plant a corrupt whole-state checkpoint for CLIP: it sits on the
     // highest rung of the warm-start ladder, so every sweep would
@@ -316,7 +323,7 @@ fn damaged_full_checkpoint_is_removed_and_routed_around() {
     corrupt::plant_file(&full, b"TRRIPCKPgarbage-body-not-a-checkpoint");
 
     let before = warmup_counters();
-    let patched = replay_sweep_warm_prefix(4, &workloads, &config, &policies, &traces, &ckpts);
+    let patched = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
     let delta = warmup_counters().since(&before);
     assert_eq!(delta.overlay_restores, policies.len() as u64, "both cells still warm-start");
     for (a, b) in oracle.results.iter().zip(&patched.results) {

@@ -18,18 +18,14 @@
 //!   header validation up front and checksum verification at EOF.
 //! * [`TraceSource`] — the batch-pull interface the simulator consumes;
 //!   implemented by the reader, by [`StreamingReplay`] (a bounded-channel
-//!   pipeline that overlaps disk decode with simulation), by
-//!   [`FanoutSubscriber`], and by the in-memory walker in
-//!   `trrip-workloads`.
-//! * [`fanout`] — the decode-once fan-out engine: one parallel-decoded
-//!   stream of shared `Arc<[TraceInstr]>` batches broadcast to N
-//!   consumers, so a policy sweep pays disk + decode once per workload
-//!   instead of once per policy.
+//!   pipeline that overlaps disk decode with simulation) and by the
+//!   in-memory walker in `trrip-workloads`. A policy sweep opens one per
+//!   workload and shares what it digests from it, so disk + decode is
+//!   paid once per workload, not once per policy.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod fanout;
 pub mod format;
 pub mod index;
 pub mod reader;
@@ -38,7 +34,6 @@ pub mod stats;
 pub mod stream;
 pub mod writer;
 
-pub use fanout::{FanoutOptions, FanoutReplay, FanoutSubscriber};
 pub use format::{TraceError, TraceLayout, TraceMeta, CHUNK_CAPACITY};
 pub use index::{read_index, ChunkIndex, IndexEntry};
 pub use reader::{decode_chunk, open, probe, TraceReader};

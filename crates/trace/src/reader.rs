@@ -123,12 +123,11 @@ impl<R: Read> TraceReader<R> {
     /// means the trace is complete (and the checksum verified). On a v2
     /// file the on-disk bytes are decompressed and de-columnarized here
     /// — `payload` always holds the row-encoded record bytes, so
-    /// downstream consumers
-    /// (decode, fan-out, checksum) are format-version agnostic. Framing
-    /// is validated and the payload checksum accumulated here, so a
-    /// caller draining raw chunks still detects damaged payload bytes —
-    /// the split that lets the fan-out engine decode chunks on parallel
-    /// workers while one thread owns the file.
+    /// downstream consumers (decode, checksum) are format-version
+    /// agnostic. Framing is validated and the payload checksum
+    /// accumulated here, so a caller draining raw chunks still detects
+    /// damaged payload bytes — the split that lets a positioned replay
+    /// pass over the chunks before its start without decoding them.
     ///
     /// # Errors
     ///
@@ -299,9 +298,9 @@ impl<R: Read> TraceReader<R> {
 /// Decodes one raw chunk `payload` holding `record_count` records,
 /// appending them to `out`. Chunks are self-contained (delta state resets
 /// at every chunk boundary), so this is safe to call on any chunk in any
-/// order — the primitive behind both the streaming reader and the
-/// fan-out engine's parallel decode workers. Every decoded record counts
-/// toward [`crate::stats::records_decoded`].
+/// order — the primitive behind the streaming reader and the skip phase
+/// of a positioned replay. Every decoded record counts toward
+/// [`crate::stats::records_decoded`].
 ///
 /// # Errors
 ///
@@ -354,4 +353,37 @@ pub fn open(path: &Path) -> Result<TraceReader<BufReader<File>>, TraceError> {
 /// As [`open`].
 pub fn probe(path: &Path) -> Result<TraceMeta, TraceError> {
     Ok(open(path)?.meta().clone())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::writer::TraceWriter;
+    use crate::TraceLayout;
+    use std::io::Cursor;
+
+    /// The raw-chunk split ([`TraceReader::read_chunk_raw`] +
+    /// [`decode_chunk`]) against the classic reader.
+    #[test]
+    fn raw_chunks_decode_to_what_the_classic_reader_reads() {
+        let mut writer =
+            TraceWriter::with_chunk_capacity(Cursor::new(Vec::new()), "raw", TraceLayout::Pgo, 16)
+                .expect("header");
+        for i in 0..100u64 {
+            writer.write(&TraceInstr::simple(0x4000 + i * 4)).expect("write");
+        }
+        let bytes = writer.finish_into_inner().expect("finish").into_inner();
+        let mut raw = TraceReader::new(Cursor::new(&bytes[..])).expect("reader");
+        let mut payload = Vec::new();
+        let mut decoded = Vec::new();
+        loop {
+            let count = raw.read_chunk_raw(&mut payload).expect("raw chunk");
+            if count == 0 {
+                break;
+            }
+            decode_chunk(&payload, count, &mut decoded).expect("decode");
+        }
+        let mut classic = TraceReader::new(Cursor::new(&bytes[..])).expect("reader");
+        assert_eq!(decoded, classic.read_to_end().expect("read_to_end"));
+    }
 }

@@ -239,164 +239,3 @@ fn checksum_mismatch_reports_both_values() {
     };
     assert!(matches!(err, TraceError::ChecksumMismatch { expected, found } if expected != found));
 }
-
-// ---- decode-once fan-out ----
-
-use std::panic::AssertUnwindSafe;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicU64, Ordering};
-use trrip_trace::{FanoutReplay, StreamingReplay};
-
-/// A unique on-disk path per proptest case (cases in different test
-/// functions run concurrently within this binary).
-fn unique_trace_path() -> PathBuf {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join("trrip-trace-properties");
-    std::fs::create_dir_all(&dir).expect("test dir");
-    dir.join(format!("case-{}-{}.trrip", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed)))
-}
-
-/// Serializes `instrs` to a fresh uniquely-named trace file.
-fn write_trace_file(instrs: &[TraceInstr], chunk_capacity: u32) -> PathBuf {
-    let path = unique_trace_path();
-    std::fs::write(&path, write_trace(instrs, chunk_capacity)).expect("write trace");
-    path
-}
-
-/// Collects each fan-out subscriber's stream on its own thread; the
-/// designated early dropper keeps only `keep` instructions and drops.
-fn drain_subscribers(
-    path: &std::path::Path,
-    consumers: usize,
-    early_dropper: Option<(usize, usize)>,
-) -> Vec<Vec<TraceInstr>> {
-    let subs = FanoutReplay::open(path, consumers).expect("open fanout");
-    std::thread::scope(|scope| {
-        subs.into_iter()
-            .enumerate()
-            .map(|(i, sub)| {
-                scope.spawn(move || match early_dropper {
-                    Some((dropper, keep)) if dropper == i % consumers => {
-                        SourceIter::new(sub).take(keep).collect::<Vec<_>>()
-                    }
-                    _ => SourceIter::new(sub).collect::<Vec<_>>(),
-                })
-            })
-            .collect::<Vec<_>>()
-            .into_iter()
-            .map(|h| h.join().expect("subscriber thread"))
-            .collect()
-    })
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Fan-out over K consumers is bit-identical to K sequential
-    /// [`StreamingReplay`] runs of the same file.
-    #[test]
-    fn fanout_matches_k_sequential_replays(
-        instrs in prop::collection::vec(arb_instr(), 0..400),
-        chunk_capacity in 1u32..64,
-        consumers in 1usize..5,
-    ) {
-        let path = write_trace_file(&instrs, chunk_capacity);
-        let sequential: Vec<Vec<TraceInstr>> = (0..consumers)
-            .map(|_| {
-                SourceIter::new(StreamingReplay::open(&path).expect("open")).collect()
-            })
-            .collect();
-        let fanned = drain_subscribers(&path, consumers, None);
-        for (seq, fan) in sequential.iter().zip(&fanned) {
-            prop_assert_eq!(seq, fan);
-            prop_assert_eq!(seq.as_slice(), &instrs);
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// A consumer that stops early never perturbs the others: they all
-    /// still see the exact sequential stream.
-    #[test]
-    fn early_dropper_leaves_other_consumers_bit_identical(
-        instrs in prop::collection::vec(arb_instr(), 1..400),
-        chunk_capacity in 1u32..32,
-        consumers in 2usize..5,
-        dropper in 0usize..4,
-        keep_fraction in 0u32..100,
-    ) {
-        let path = write_trace_file(&instrs, chunk_capacity);
-        let dropper = dropper % consumers;
-        let keep = instrs.len() * keep_fraction as usize / 100;
-        let fanned = drain_subscribers(&path, consumers, Some((dropper, keep)));
-        for (i, fan) in fanned.iter().enumerate() {
-            if i == dropper {
-                prop_assert_eq!(fan.as_slice(), &instrs[..keep]);
-            } else {
-                prop_assert_eq!(fan.as_slice(), &instrs);
-            }
-        }
-        std::fs::remove_file(&path).ok();
-    }
-
-    /// On a damaged payload, the fan-out panics for *every* consumer
-    /// exactly where the sequential replay panics — corruption can
-    /// never pass in one engine and fail in the other.
-    #[test]
-    fn fanout_corruption_behaves_like_sequential_replay(
-        instrs in prop::collection::vec(arb_instr(), 1..120),
-        victim in any::<u32>(),
-        flip in 1u8..=255,
-        consumers in 1usize..4,
-    ) {
-        let mut bytes = write_trace(&instrs, 16);
-        // The corruption may land anywhere after the header — chunk
-        // region or footer. Footer damage is benign by design (both
-        // engines ignore it for sequential reads), and parity must hold
-        // in every case.
-        let header_len = header_len_of(&instrs);
-        let target = header_len + (victim as usize % (bytes.len() - header_len));
-        bytes[target] ^= flip;
-        let path = unique_trace_path();
-        std::fs::write(&path, &bytes).expect("write corrupted trace");
-
-        let sequential_panics = std::panic::catch_unwind(AssertUnwindSafe(|| {
-            match StreamingReplay::open(&path) {
-                Ok(replay) => {
-                    let _ = SourceIter::new(replay).count();
-                    false
-                }
-                Err(_) => true,
-            }
-        }))
-        .map_or(true, |open_failed| open_failed);
-
-        let fanout_outcomes: Vec<bool> = match FanoutReplay::open(&path, consumers) {
-            Err(_) => vec![true; consumers],
-            Ok(subs) => std::thread::scope(|scope| {
-                subs.into_iter()
-                    .map(|sub| {
-                        scope.spawn(move || {
-                            std::panic::catch_unwind(AssertUnwindSafe(|| {
-                                let _ = SourceIter::new(sub).count();
-                            }))
-                            .is_err()
-                        })
-                    })
-                    .collect::<Vec<_>>()
-                    .into_iter()
-                    .map(|h| h.join().expect("subscriber thread"))
-                    .collect()
-            }),
-        };
-        for (i, &fanout_panics) in fanout_outcomes.iter().enumerate() {
-            prop_assert_eq!(
-                fanout_panics,
-                sequential_panics,
-                "consumer {} disagreed with sequential replay on corruption at byte {}",
-                i,
-                target
-            );
-        }
-        std::fs::remove_file(&path).ok();
-    }
-}

@@ -11,10 +11,7 @@ use std::path::PathBuf;
 
 use trrip_cpu::TraceInstr;
 use trrip_snap::corrupt;
-use trrip_trace::{
-    probe, read_index, records_decoded, FanoutOptions, FanoutReplay, SourceIter, StreamingReplay,
-    TraceWriter,
-};
+use trrip_trace::{probe, read_index, records_decoded, SourceIter, StreamingReplay, TraceWriter};
 
 fn mixed_trace(n: u64) -> Vec<TraceInstr> {
     let mut x = 0x0123_4567_89ab_cdefu64;
@@ -98,27 +95,6 @@ fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
         let n = SourceIter::new(replay).count();
         assert_eq!(n, 2 * CHUNK as usize - 1);
         assert_eq!(records_decoded() - before, 2 * u64::from(CHUNK));
-    }
-
-    // The fan-out positions the same way: on an indexed capture it
-    // begins at the chunk holding `start` and decodes nothing before
-    // it; an index-less one is streamed (and decoded) from the top, and
-    // its subscribers let the prefix go by.
-    for (path, origin, chunks_decoded) in
-        [(&indexed, 8 * u64::from(CHUNK), 2), (&old_header, 0, 10)]
-    {
-        let start = 8 * u64::from(CHUNK) + 1;
-        let before = records_decoded();
-        let sub = FanoutReplay::open_at(path, 1, FanoutOptions::default(), start)
-            .expect("open_at")
-            .pop()
-            .expect("one subscriber");
-        assert_eq!(sub.origin(), origin);
-        let mut stream = SourceIter::new(sub);
-        assert_eq!(stream.advance(start - origin), start - origin);
-        let suffix: Vec<TraceInstr> = stream.collect();
-        assert_eq!(suffix, &instrs[start as usize..]);
-        assert_eq!(records_decoded() - before, chunks_decoded * u64::from(CHUNK));
     }
 
     // True seek, pinned behaviorally: flip a byte inside the FIRST

@@ -29,7 +29,6 @@ HEADLINE = {
     "pack": ("trace_bytes_per_instr", True),
     "checkpoint_warm_start": ("warm_start_speedup", False),
     "distributed_claims": ("coordination_overhead_1_worker", True),
-    "replay_fanout": ("replay_speedup", False),
     "shard_segment_dag": ("warm_sharded_speedup_vs_baseline", False),
     "warm_prefix": ("warm_vs_baseline_speedup", False),
 }
