@@ -1,8 +1,8 @@
-//! Wall-clock benchmark of the **memory-system miss path**: the
-//! per-instruction cost of the warm measure path (SoA tag stores +
-//! batched access + L1-hit fast path + deferred miss batch + memoized
-//! walker) and of the two warmup-tail flavors (timed replay vs
-//! functional warming).
+//! Wall-clock benchmark of the **memory system under the core**: the
+//! per-instruction cost of the warm measure path (SoA tag stores, the
+//! L1-hit fast path, the memoized walker), of the push executor's cell
+//! loop at several lockstep group sizes, and of the two warmup-tail
+//! flavors (timed replay vs functional warming).
 //!
 //! Reported metrics:
 //!
@@ -10,8 +10,12 @@
 //!   stream, best of N repetitions;
 //! * **L1 fast-path hit rate** — from the `cache.l1_fastpath_{hit,bail}`
 //!   registry counters the backend flushes at phase boundaries;
-//! * **miss-batch traffic** — `cache.miss_batch.{flushes,deferred,group_len}`;
 //! * **walker memo traffic** — `walk.bb_memo.{hit,miss}`;
+//! * **lockstep cell loop** — proxy `gcc` digested into event turns
+//!   once, then pushed through 1, 2, 5 and 9 policy cells in lockstep
+//!   ([`SimRun::push_measure_group`]): ns per cell-instruction of the
+//!   measure phase (no walker, no frontend), and the ratio
+//!   `exec.cell_records / exec.turn_records`, which is the group size;
 //! * **cold capture** — wall time of a trace capture (walker-bound, no
 //!   timing model) with the memoized vs the fresh walker;
 //! * **warmup tail, timed vs functional** — identical state evolution,
@@ -21,15 +25,13 @@
 //! (`scripts/bench_memsys.sh` points `--out` at the repo root), each
 //! entry labeled with its `variant`.
 //!
-//! `--ablate` additionally measures the miss path with the deferred
-//! batch disabled (`sync`), with the walker's template cache disabled
-//! (`fresh-walker`), and with the batch's set-sorted drain forced back
-//! to strict FIFO (`fifo-drain`), appending one labeled entry per
-//! variant — the simulated cycle count is asserted identical across all
-//! four, so the ablation doubles as a live bit-identity check.
+//! `--ablate` additionally measures the measure path with the walker's
+//! template cache disabled (`fresh-walker`), appending one more labeled
+//! entry — the simulated cycle count is asserted identical across the
+//! two, so the ablation doubles as a live bit-identity check.
 //!
-//! `--smoke` (CI) shrinks the run, asserts the fast-path / miss-batch /
-//! walker-memo / functional-warming counters all moved, asserts the SoA
+//! `--smoke` (CI) shrinks the run, asserts the fast-path / walker-memo /
+//! lockstep / functional-warming counters all moved, asserts the
 //! machine state snapshot-round-trips byte-stably, gates the measure
 //! path against the committed `BENCH_memsys.json` baseline (>10%
 //! regression fails), and skips the JSON append.
@@ -39,9 +41,9 @@ use std::time::Instant;
 
 use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
 use trrip_core::ClassifierConfig;
-use trrip_cpu::WarmupTape;
+use trrip_cpu::{EventTurn, WarmupTape};
 use trrip_policies::PolicyKind;
-use trrip_sim::{PreparedWorkload, SimConfig, SimRun, SnapReader, SnapWriter, Snapshot};
+use trrip_sim::{Frontend, PreparedWorkload, SimConfig, SimRun, SnapReader, SnapWriter, Snapshot};
 use trrip_trace::SourceIter;
 use trrip_workloads::{InputSet, TraceGenerator, WorkloadSpec};
 
@@ -61,23 +63,24 @@ fn walker<'w>(workload: &'w PreparedWorkload, config: &SimConfig) -> TraceGenera
     )
 }
 
-/// One measure-path variant: the shipping configuration with either
-/// knob ablated away.
+/// One measure-path variant: the shipping configuration, or the
+/// walker's template cache ablated away.
 #[derive(Clone, Copy)]
 struct Variant {
     name: &'static str,
-    batched: bool,
     memoized: bool,
-    sorted: bool,
 }
 
-const DEFAULT_VARIANT: Variant =
-    Variant { name: "batched+memo", batched: true, memoized: true, sorted: true };
-const ABLATIONS: [Variant; 3] = [
-    Variant { name: "sync", batched: false, memoized: true, sorted: true },
-    Variant { name: "fresh-walker", batched: true, memoized: false, sorted: true },
-    Variant { name: "fifo-drain", batched: true, memoized: true, sorted: false },
-];
+const DEFAULT_VARIANT: Variant = Variant { name: "memo", memoized: true };
+const ABLATIONS: [Variant; 1] = [Variant { name: "fresh-walker", memoized: false }];
+
+/// Cells a sweep's worker drives in lockstep: alone, a two-worker team's
+/// share of a few policies, of the paper's nine (5 + 4), and all nine on
+/// one worker.
+const LOCKSTEP_GROUPS: [usize; 4] = [1, 2, 5, 9];
+
+/// Instructions per digested turn, as the sweep executor cuts them.
+const TURN_INSTRS: usize = 16 * 1024;
 
 /// Best-of-`reps` wall time of the warm measure phase under `variant`,
 /// plus the simulated cycle count (identical across variants and
@@ -92,8 +95,6 @@ fn measure_best(
     let mut cycles = None;
     for _ in 0..reps {
         let mut run = SimRun::new(workload, config);
-        run.set_miss_batching(variant.batched);
-        run.set_sorted_replay(variant.sorted);
         let mut generator = walker(workload, config);
         generator.set_memoization(variant.memoized);
         let mut stream = SourceIter::new(generator);
@@ -114,16 +115,67 @@ fn measure_best(
     (best, cycles.expect("at least one repetition"))
 }
 
-/// The most recent committed `batched+memo` measure-path cost, scanned
-/// from a `BENCH_memsys.json` trajectory (entries without a `variant`
-/// field predate the ablation mode and were all default-path runs).
+/// One phase of a stream, digested: its event turns, in order.
+fn digest_phase(frontend: &mut Frontend<TraceGenerator<'_>>, instructions: u64) -> Vec<EventTurn> {
+    let mut turns = Vec::new();
+    let mut covered = 0;
+    while covered < instructions {
+        let mut turn = EventTurn::new();
+        frontend.digest(TURN_INSTRS, &mut turn);
+        covered += turn.instructions();
+        turns.push(turn);
+    }
+    assert_eq!(covered, instructions, "turns stop at the phase boundary");
+    turns
+}
+
+/// Best-of-`reps` cost of the push executor's measure phase with the
+/// first `size` policies of the paper's set in lockstep, in ns per
+/// cell-instruction, and `exec.cell_records / exec.turn_records` over
+/// it. The turns are digested beforehand: this is the cell loop alone.
+fn lockstep_best(
+    workload: &PreparedWorkload,
+    config: &SimConfig,
+    (warmup, window): (&[EventTurn], &[EventTurn]),
+    size: usize,
+    reps: u32,
+) -> (f64, f64) {
+    let mut best = f64::INFINITY;
+    let before = trrip_obs::snapshot();
+    for _ in 0..reps {
+        let mut runs: Vec<SimRun<'_>> = PolicyKind::PAPER_SET[..size]
+            .iter()
+            .map(|&policy| SimRun::new(workload, &config.clone().with_policy(policy)))
+            .collect();
+        let mut group: Vec<&mut SimRun<'_>> = runs.iter_mut().collect();
+        for (i, turn) in warmup.iter().enumerate() {
+            SimRun::push_fast_forward_group(&mut group, turn, i + 1 == warmup.len());
+        }
+        group.iter_mut().for_each(|run| run.begin_measure());
+        let start = Instant::now();
+        for (i, turn) in window.iter().enumerate() {
+            SimRun::push_measure_group(&mut group, turn, i + 1 == window.len());
+        }
+        best = best.min(start.elapsed().as_secs_f64());
+        for run in group {
+            assert_eq!(run.finish().core.instructions, config.instructions);
+        }
+    }
+    let moved = trrip_obs::snapshot().since(&before);
+    let ratio = moved.get("exec.cell_records") as f64 / moved.get("exec.turn_records") as f64;
+    (best * 1e9 / (size as u64 * config.instructions) as f64, ratio)
+}
+
+/// The most recent committed default-variant measure-path cost, scanned
+/// from a `BENCH_memsys.json` trajectory: the last `memo` entry (entries
+/// of the variants that existed while the backend still had a deferred
+/// miss batch do not compare like with like, and are skipped).
 fn committed_baseline_ns(out_dir: &Path) -> Option<f64> {
     let candidates = [out_dir.join("BENCH_memsys.json"), PathBuf::from("BENCH_memsys.json")];
     let text = candidates.iter().find_map(|p| std::fs::read_to_string(p).ok())?;
     let mut baseline = None;
     for entry in text.split('{').skip(1) {
-        let variant = field_str(entry, "variant");
-        if variant.is_some_and(|v| v != DEFAULT_VARIANT.name) {
+        if field_str(entry, "variant") != Some(DEFAULT_VARIANT.name) {
             continue;
         }
         if let Some(ns) = field_f64(entry, "measure_ns_per_instr") {
@@ -159,8 +211,7 @@ fn main() {
         Ok(None) => {
             println!(
                 "{USAGE}\n  --smoke          quick CI correctness pass (no JSON append)\n  \
-                 --ablate         also measure sync / fresh-walker / fifo-drain ablation \
-                 variants"
+                 --ablate         also measure the fresh-walker ablation variant"
             );
             return;
         }
@@ -204,13 +255,10 @@ fn main() {
     let (fp_hits, fp_bails) =
         (counters.get("cache.l1_fastpath_hit"), counters.get("cache.l1_fastpath_bail"));
     let fp_rate = fp_hits as f64 / (fp_hits + fp_bails).max(1) as f64;
-    let mb_flushes = counters.get("cache.miss_batch.flushes");
-    let mb_deferred = counters.get("cache.miss_batch.deferred");
-    let mb_group_len = counters.get("cache.miss_batch.group_len");
     let (memo_hits, memo_misses) =
         (counters.get("walk.bb_memo.hit"), counters.get("walk.bb_memo.miss"));
 
-    // --- Ablation variants: same simulation, one knob off each. ---
+    // --- Ablation variant: same simulation, the walker's memo off. ---
     let mut ablations = Vec::new();
     if ablate || smoke {
         for variant in ABLATIONS {
@@ -225,6 +273,20 @@ fn main() {
             ablations.push((variant, best_s));
         }
     }
+
+    // --- Lockstep cell loop: gcc's turns through groups of cells. ---
+    trrip_obs::progress!("lockstep cell loop: groups of {LOCKSTEP_GROUPS:?} on gcc…");
+    let gcc = trrip_workloads::proxy::by_name("gcc").expect("the gcc proxy");
+    let gcc = PreparedWorkload::prepare(&gcc, config.train_instructions, config.classifier);
+    let mut frontend = Frontend::new(&config, walker(&gcc, &config));
+    let warmup = digest_phase(&mut frontend, config.fast_forward);
+    let window = digest_phase(&mut frontend, config.instructions);
+    drop(frontend);
+    let lockstep = LOCKSTEP_GROUPS.map(|size| {
+        let (ns, ratio) = lockstep_best(&gcc, &config, (&warmup, &window), size, reps);
+        (size, ns, ratio)
+    });
+    drop((warmup, window));
 
     // --- Cold capture: trace-capture throughput, memoized vs fresh
     // walker. This is the walker-bound path (no timing model), so it
@@ -295,11 +357,14 @@ fn main() {
         "  L1 fast path:       {fp_hits} hits / {fp_bails} bails  ({:.1}% hit)",
         fp_rate * 100.0
     );
-    println!(
-        "  miss batch:         {mb_deferred} deferred / {mb_flushes} flushes / \
-         {mb_group_len} grouped"
-    );
     println!("  walker memo:        {memo_hits} hits / {memo_misses} misses");
+    let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
+    for (size, ns, ratio) in lockstep {
+        println!(
+            "  lockstep group of {size}: {ns:.1} ns per cell-instruction on gcc  \
+             (exec.cell_records / exec.turn_records = {ratio:.2}; one thread of {host_cores})"
+        );
+    }
     for (variant, best_s) in &ablations {
         let ns = best_s * 1e9 / config.instructions as f64;
         println!("  ablation {:>13}:  {best_s:.3} s  ({ns:.1} ns/instr)", variant.name);
@@ -320,16 +385,18 @@ fn main() {
         assert!(fp_bails > 0, "no L1 fast-path bails recorded");
         assert!(fp_rate > 0.5, "warm L1 hit rate suspiciously low: {fp_rate:.3}");
 
-        // …and so must the deferred miss batch, the walker's template
-        // cache, and the widened functional-warming stat skips.
-        assert!(mb_deferred > 0, "no beyond-L1 work was ever deferred");
-        assert!(mb_flushes > 0, "the deferred miss batch never flushed");
-        assert!(mb_group_len > 0, "no conflict-class locality in the batch");
+        // …and so must the walker's template cache, the lockstep
+        // executor (a group of n reads each record once and drives n
+        // machines with it), and the widened functional-warming stat
+        // skips.
+        for (size, _, ratio) in lockstep {
+            assert_eq!(ratio, size as f64, "a group of {size} is not {size} machines a record");
+        }
         assert!(memo_hits > 0, "the walker template cache never hit");
         assert!(memo_misses > 0, "the walker template cache never filled");
         assert!(functional_skips > 0, "functional warming skipped no stat bookkeeping");
 
-        // The SoA machine state must snapshot-round-trip byte-stably.
+        // The machine state must snapshot-round-trip byte-stably.
         let mut run = SimRun::new(&workload, &config);
         let mut stream = SourceIter::new(walker(&workload, &config));
         run.fast_forward(&mut stream);
@@ -339,7 +406,7 @@ fn main() {
         restored.restore(&mut SnapReader::new(first.bytes())).expect("restore memsys state");
         let mut second = SnapWriter::new();
         restored.save(&mut second);
-        assert_eq!(first.bytes(), second.bytes(), "SoA snapshot round-trip drifted");
+        assert_eq!(first.bytes(), second.bytes(), "snapshot round-trip drifted");
 
         // Regression gate: the warm measure path must stay within 10%
         // of the committed trajectory's latest default-variant entry.
@@ -379,16 +446,21 @@ fn main() {
              \"l1_fastpath_hits\": {fp_hits},\n    \
              \"l1_fastpath_bails\": {fp_bails},\n    \
              \"l1_fastpath_hit_rate\": {fp_rate:.4},\n    \
-             \"miss_batch_deferred\": {mb_deferred},\n    \
-             \"miss_batch_flushes\": {mb_flushes},\n    \
              \"walk_memo_hits\": {memo_hits},\n    \
              \"walk_memo_misses\": {memo_misses},\n    \
+             \"host_cores\": {host_cores},\n    \
+             {lockstep_fields}\
              \"capture_memo_s\": {capture_memo_s:.4},\n    \
              \"capture_fresh_s\": {capture_fresh_s:.4},\n    \
              \"capture_walker_speedup\": {capture_speedup:.3},\n    \
              \"warmup_tail_timed_s\": {timed_s:.4},\n    \
              \"warmup_tail_functional_s\": {functional_s:.4}\n  }}",
             name = variant.name,
+            lockstep_fields = lockstep
+                .map(|(size, ns, _)| format!(
+                    "\"lockstep_gcc_ns_per_cell_instr_{size}\": {ns:.2},\n    "
+                ))
+                .concat(),
             ff = config.fast_forward,
             measured = config.instructions,
         );

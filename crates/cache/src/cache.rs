@@ -6,6 +6,12 @@
 //! single cache line of tag words instead of striding over
 //! 4-field line structs. The original array-of-structs layout is kept
 //! in [`crate::aos`] as the equivalence oracle.
+//!
+//! The store is generic over its policy. A level whose policy is fixed
+//! by the machine (Table 1: the L1s and the SLC are LRU) holds it by
+//! value, so a hit stamps the way inline; only the level under test
+//! holds the run-time-chosen `Box<dyn ReplacementPolicy>`, which is the
+//! default parameter.
 
 use trrip_mem::{LineAddr, MemoryRequest};
 use trrip_policies::{ReplacementPolicy, RequestInfo};
@@ -54,6 +60,28 @@ pub(crate) fn bitmap_words(bits: usize) -> usize {
     bits.div_ceil(64)
 }
 
+/// Ways a set may have: [`first_match`] collects one compare bit per way
+/// into a `u64`.
+pub(crate) const MAX_WAYS: usize = 64;
+
+/// The first way of `set_tags` holding `raw`. Every way is compared and
+/// the outcomes are collected into a mask whose lowest set bit is the
+/// answer: no exit from the loop depends on the data, where a search
+/// that stops at the match mispredicts on whichever way it happens to
+/// be. The ways are taken last to first, each shifting the mask up by
+/// one, so way 0 ends in bit 0 without a shift by a variable count
+/// (which measured half again as slow on a stream of misses). At most
+/// [`MAX_WAYS`] tags.
+#[inline]
+pub(crate) fn first_match(set_tags: &[u64], raw: u64) -> Option<usize> {
+    debug_assert!(set_tags.len() <= MAX_WAYS);
+    let mut mask = 0u64;
+    for &tag in set_tags.iter().rev() {
+        mask = mask << 1 | u64::from(tag == raw);
+    }
+    (mask != 0).then(|| mask.trailing_zeros() as usize)
+}
+
 /// One cache level: tag store + replacement policy + statistics.
 ///
 /// The cache is physically indexed at line granularity. It performs no
@@ -75,7 +103,7 @@ pub(crate) fn bitmap_words(bits: usize) -> usize {
 /// l2.fill(&req);
 /// assert!(l2.access(&req)); // now hits
 /// ```
-pub struct Cache {
+pub struct Cache<P = Box<dyn ReplacementPolicy>> {
     config: CacheConfig,
     /// One packed tag word per slot (`set × ways + way`); [`TAG_INVALID`]
     /// marks an empty slot.
@@ -88,7 +116,7 @@ pub struct Cache {
     dirty: Vec<u64>,
     /// Instruction-line bitmap, one bit per slot.
     instruction: Vec<u64>,
-    policy: Box<dyn ReplacementPolicy>,
+    policy: P,
     stats: AccessStats,
     /// When false, statistics accumulation is skipped while the
     /// architectural state (tags, bitmaps, policy) keeps updating.
@@ -102,7 +130,7 @@ pub struct Cache {
     all_ways: Box<[usize]>,
 }
 
-impl std::fmt::Debug for Cache {
+impl<P: ReplacementPolicy> std::fmt::Debug for Cache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cache")
             .field("config", &self.config)
@@ -112,15 +140,22 @@ impl std::fmt::Debug for Cache {
     }
 }
 
-impl Cache {
+impl<P: ReplacementPolicy> Cache<P> {
     /// Creates the cache with the given policy.
     ///
     /// # Panics
     ///
-    /// Panics if the policy was not built for this geometry (detected
-    /// lazily on out-of-range set indices).
+    /// Panics if a set has more ways than the probe's compare mask has
+    /// bits (64), or — lazily, on an out-of-range set index — if the
+    /// policy was not built for this geometry.
     #[must_use]
-    pub fn new(config: CacheConfig, policy: Box<dyn ReplacementPolicy>) -> Cache {
+    pub fn new(config: CacheConfig, policy: P) -> Cache<P> {
+        assert!(
+            config.ways <= MAX_WAYS,
+            "{}: {} ways exceed the {MAX_WAYS} a set probe can hold",
+            config.name,
+            config.ways
+        );
         let num_sets = config.num_sets();
         let slots = num_sets * config.ways;
         Cache {
@@ -180,14 +215,6 @@ impl Cache {
         self.policy.extra_storage_bits()
     }
 
-    /// Whether this cache's replacement policy is set-local (decisions
-    /// depend only on the addressed set — see
-    /// [`ReplacementPolicy::set_local`]).
-    #[must_use]
-    pub fn policy_set_local(&self) -> bool {
-        self.policy.set_local()
-    }
-
     fn set_index(&self, line: LineAddr) -> usize {
         (line.raw() as usize) & (self.num_sets - 1)
     }
@@ -212,11 +239,7 @@ impl Cache {
     fn probe(&self, line: LineAddr) -> Option<(usize, usize)> {
         let set = self.set_index(line);
         let base = set * self.config.ways;
-        let raw = line.raw();
-        self.tags[base..base + self.config.ways]
-            .iter()
-            .position(|&tag| tag == raw)
-            .map(|way| (set, way))
+        first_match(&self.tags[base..base + self.config.ways], line.raw()).map(|way| (set, way))
     }
 
     /// Demand lookup: returns `true` on hit. Updates statistics and, on a
@@ -226,7 +249,6 @@ impl Cache {
         let line = self.line_of(req);
         match self.probe(line) {
             Some((set, way)) => {
-                let info = RequestInfo::from(req);
                 if self.stats_enabled {
                     if req.attrs.prefetch {
                         self.stats.prefetch_hits += 1;
@@ -234,7 +256,9 @@ impl Cache {
                         self.stats.record_demand(req.kind.is_instruction(), true);
                     }
                 }
-                self.policy.on_hit(set, way, &info);
+                // Built in the argument: a policy that does not read it
+                // (LRU, held by value) never has it built.
+                self.policy.on_hit(set, way, &RequestInfo::from(req));
                 if req.kind.is_write() {
                     bitmap_set(&mut self.dirty, set * self.config.ways + way, true);
                 }
@@ -264,8 +288,7 @@ impl Cache {
         let base = set * self.config.ways;
         let info = RequestInfo::from(req);
 
-        let invalid_way =
-            self.tags[base..base + self.config.ways].iter().position(|&tag| tag == TAG_INVALID);
+        let invalid_way = first_match(&self.tags[base..base + self.config.ways], TAG_INVALID);
         let (way, evicted) = match invalid_way {
             Some(way) => (way, None),
             None => {
@@ -410,7 +433,7 @@ pub(crate) fn restore_bitmap(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<boo
 /// (the L2/SLC directly through victim choice, the L1s through
 /// inclusive back-invalidation), so none of it is shareable across
 /// policies.
-impl Snapshot for Cache {
+impl<P: ReplacementPolicy> Snapshot for Cache<P> {
     fn save(&self, w: &mut SnapWriter) {
         let slots = self.tags.len();
         w.tag(b"CACB");
@@ -489,8 +512,51 @@ fn read_tag(r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use trrip_mem::{PhysAddr, VirtAddr};
-    use trrip_policies::PolicyKind;
+    use trrip_policies::{Lru, PolicyKind};
+
+    proptest! {
+        /// The compare mask finds the way a search that stops at the
+        /// first match finds, for every associativity the mask holds:
+        /// sets with empty slots, sets full of them, duplicate tags (the
+        /// first wins), and a probe for the empty-slot sentinel itself,
+        /// which is how a fill finds a free way.
+        #[test]
+        fn first_match_is_the_position_of_the_first_equal_tag(
+            ways in 1usize..65,
+            picks in prop::collection::vec(0u64..8, 64..65),
+            probe in 0u64..8,
+        ) {
+            let value = |pick: u64| if pick >= 6 { TAG_INVALID } else { 0x4_0000 + pick };
+            let set_tags: Vec<u64> = picks[..ways].iter().map(|&pick| value(pick)).collect();
+            let raw = value(probe);
+            prop_assert_eq!(first_match(&set_tags, raw), set_tags.iter().position(|&t| t == raw));
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "L2: 128 ways exceed the 64 a set probe can hold")]
+    fn a_set_wider_than_the_probe_mask_is_rejected() {
+        let config = CacheConfig::new("L2", 128 * 64, 128, 1, 2);
+        let _ = Cache::new(config.clone(), Lru::new(config.num_sets(), config.ways));
+    }
+
+    #[test]
+    fn the_widest_set_the_probe_mask_holds_works() {
+        // One fully associative set of 64 ways: the last way's compare
+        // bit is the mask's top bit.
+        let config = CacheConfig::new("FA", 64 * 64, 64, 1, 2);
+        let mut c = Cache::new(config.clone(), Lru::new(config.num_sets(), config.ways));
+        for i in 0..64 {
+            assert!(c.fill(&fetch(i * 64)).is_none(), "way {i} was free");
+        }
+        for i in (0..64).rev() {
+            assert!(c.access(&fetch(i * 64)), "line {i} is resident");
+        }
+        let evicted = c.fill(&fetch(64 * 64)).expect("a full set evicts");
+        assert_eq!(evicted.line, c.line_of(&fetch(63 * 64)), "touched first, so least recent");
+    }
 
     fn small_cache(kind: PolicyKind) -> Cache {
         // 4 sets × 2 ways × 64 B = 512 B.

@@ -25,7 +25,7 @@
 
 use serde::{Deserialize, Serialize};
 use trrip_mem::{LineAddr, MemoryRequest};
-use trrip_policies::PolicyKind;
+use trrip_policies::{Lru, PolicyKind};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cache::Cache;
@@ -125,13 +125,16 @@ impl HierarchyConfig {
     }
 }
 
-/// The assembled three-level hierarchy plus DRAM.
+/// The assembled three-level hierarchy plus DRAM. Table 1 fixes the
+/// policy of the L1s and the SLC, so those levels hold their [`Lru`] by
+/// value — a hit there stamps a way inline — and only the L2 holds the
+/// boxed policy under test.
 #[derive(Debug)]
 pub struct Hierarchy {
-    l1i: Cache,
-    l1d: Cache,
+    l1i: Cache<Lru>,
+    l1d: Cache<Lru>,
     l2: Cache,
-    slc: Cache,
+    slc: Cache<Lru>,
     dram_latency: u64,
 }
 
@@ -140,27 +143,26 @@ impl Hierarchy {
     /// the configured policy.
     #[must_use]
     pub fn new(config: &HierarchyConfig) -> Hierarchy {
-        let build = |cfg: &CacheConfig, kind: PolicyKind| {
-            Cache::new(cfg.clone(), kind.build(cfg.num_sets(), cfg.ways))
-        };
+        let lru = |cfg: &CacheConfig| Cache::new(cfg.clone(), Lru::new(cfg.num_sets(), cfg.ways));
+        let l2 = &config.l2;
         Hierarchy {
-            l1i: build(&config.l1i, PolicyKind::Lru),
-            l1d: build(&config.l1d, PolicyKind::Lru),
-            l2: build(&config.l2, config.l2_policy),
-            slc: build(&config.slc, PolicyKind::Lru),
+            l1i: lru(&config.l1i),
+            l1d: lru(&config.l1d),
+            l2: Cache::new(l2.clone(), config.l2_policy.build(l2.num_sets(), l2.ways)),
+            slc: lru(&config.slc),
             dram_latency: config.dram_latency,
         }
     }
 
     /// The L1 instruction cache.
     #[must_use]
-    pub fn l1i(&self) -> &Cache {
+    pub fn l1i(&self) -> &Cache<Lru> {
         &self.l1i
     }
 
     /// The L1 data cache.
     #[must_use]
-    pub fn l1d(&self) -> &Cache {
+    pub fn l1d(&self) -> &Cache<Lru> {
         &self.l1d
     }
 
@@ -172,20 +174,8 @@ impl Hierarchy {
 
     /// The system-level cache.
     #[must_use]
-    pub fn slc(&self) -> &Cache {
+    pub fn slc(&self) -> &Cache<Lru> {
         &self.slc
-    }
-
-    /// Whether every level's replacement policy is set-local (see
-    /// [`Cache::policy_set_local`]): accesses touching different sets
-    /// then commute through the whole hierarchy, so a replay engine may
-    /// group them by set without changing any replacement decision.
-    #[must_use]
-    pub fn replacement_is_set_local(&self) -> bool {
-        self.l1i.policy_set_local()
-            && self.l1d.policy_set_local()
-            && self.l2.policy_set_local()
-            && self.slc.policy_set_local()
     }
 
     /// Resets all statistics (after warm-up / fast-forward).

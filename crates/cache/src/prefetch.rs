@@ -7,10 +7,11 @@
 //! Both prefetchers share one proposal contract: `propose_into` APIs
 //! **append** to a caller-owned buffer and never allocate, so the demand
 //! path reuses one buffer for stride and next-line proposals alike. The
-//! stride table is stored **struct-of-arrays** — the probe touches only
-//! the tag and valid arrays unless the entry matches — with the pre-SoA
-//! layout retained verbatim as [`AosStridePrefetcher`], the equivalence
-//! oracle (behaviour and snapshot bytes pinned by this module's tests).
+//! stride table holds one 32-byte entry per PC slot: a load trains
+//! exactly one entry, so everything it reads and writes sits in one host
+//! cache line (a field-per-array layout touched up to five). The
+//! snapshot encoding is pinned to a hand-written fixture by this
+//! module's tests.
 
 use serde::{Deserialize, Serialize};
 use trrip_mem::{LineAddr, PhysAddr, VirtAddr};
@@ -41,18 +42,22 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 /// ```
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct StridePrefetcher {
-    /// PC tags, one per entry — the array the probe reads first.
-    pc_tags: Vec<u64>,
-    /// Last observed address per entry.
-    last_addrs: Vec<u64>,
-    /// Learned stride per entry.
-    strides: Vec<i64>,
-    /// 2-bit confidence per entry.
-    confidences: Vec<u8>,
-    /// Valid bits, packed 64 per word.
-    valid: Vec<u64>,
+    entries: Vec<StrideEntry>,
     degree: usize,
     mask: usize,
+}
+
+/// One reference-prediction-table slot, aligned to its size so that it
+/// never straddles two host cache lines.
+#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[repr(align(32))]
+struct StrideEntry {
+    pc_tag: u64,
+    last_addr: u64,
+    stride: i64,
+    /// 2-bit confidence.
+    confidence: u8,
+    valid: bool,
 }
 
 impl StridePrefetcher {
@@ -67,24 +72,10 @@ impl StridePrefetcher {
         assert!(table_entries.is_power_of_two(), "table size must be a power of two");
         assert!(degree > 0, "degree must be positive");
         StridePrefetcher {
-            pc_tags: vec![0; table_entries],
-            last_addrs: vec![0; table_entries],
-            strides: vec![0; table_entries],
-            confidences: vec![0; table_entries],
-            valid: vec![0; table_entries.div_ceil(64)],
+            entries: vec![StrideEntry::default(); table_entries],
             degree,
             mask: table_entries - 1,
         }
-    }
-
-    #[inline]
-    fn is_valid(&self, index: usize) -> bool {
-        self.valid[index >> 6] & (1 << (index & 63)) != 0
-    }
-
-    #[inline]
-    fn set_valid(&mut self, index: usize) {
-        self.valid[index >> 6] |= 1 << (index & 63);
     }
 
     /// Observes a demand access, **appending** proposed prefetch
@@ -94,135 +85,6 @@ impl StridePrefetcher {
     /// capacity of the widest proposal burst is reused for the rest of
     /// the run. This is the same contract as
     /// [`NextLinePrefetcher::propose_into`].
-    pub fn propose_into(&mut self, pc: VirtAddr, addr: PhysAddr, proposals: &mut Vec<PhysAddr>) {
-        let index = ((pc.raw() >> 2) as usize) & self.mask;
-
-        if self.is_valid(index) && self.pc_tags[index] == pc.raw() {
-            let stride = addr.raw() as i64 - self.last_addrs[index] as i64;
-            if stride == self.strides[index] && stride != 0 {
-                self.confidences[index] = (self.confidences[index] + 1).min(3);
-            } else {
-                self.confidences[index] = self.confidences[index].saturating_sub(1);
-                if self.confidences[index] == 0 {
-                    self.strides[index] = stride;
-                }
-            }
-            self.last_addrs[index] = addr.raw();
-            if self.confidences[index] >= 1 && self.strides[index] != 0 {
-                let mut next = addr.raw() as i64;
-                for _ in 0..self.degree {
-                    next += self.strides[index];
-                    if next >= 0 {
-                        proposals.push(PhysAddr::new(next as u64));
-                    }
-                }
-            }
-        } else {
-            self.pc_tags[index] = pc.raw();
-            self.last_addrs[index] = addr.raw();
-            self.strides[index] = 0;
-            self.confidences[index] = 0;
-            self.set_valid(index);
-        }
-    }
-
-    /// Multi-probe entry point: observes a run of demand accesses in
-    /// order, appending every proposal to `proposals`. Equivalent to
-    /// calling [`StridePrefetcher::propose_into`] per access; batching
-    /// keeps the SoA tag array hot when a miss-batch flush trains on
-    /// several accesses back to back.
-    pub fn propose_batch_into(
-        &mut self,
-        accesses: &[(VirtAddr, PhysAddr)],
-        proposals: &mut Vec<PhysAddr>,
-    ) {
-        for &(pc, addr) in accesses {
-            self.propose_into(pc, addr, proposals);
-        }
-    }
-
-    /// Storage cost of the table in bits (for the power model): tag +
-    /// last address (truncated to 32 bits as in real tables) + stride +
-    /// confidence.
-    #[must_use]
-    pub fn storage_bits(&self) -> u64 {
-        self.pc_tags.len() as u64 * (16 + 32 + 16 + 2)
-    }
-}
-
-impl Snapshot for StridePrefetcher {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.pc_tags.len());
-        for i in 0..self.pc_tags.len() {
-            let valid = self.is_valid(i);
-            w.bool(valid);
-            if valid {
-                w.u64(self.pc_tags[i]);
-                w.u64(self.last_addrs[i]);
-                w.i64(self.strides[i]);
-                w.u8(self.confidences[i]);
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_len("stride prefetcher entries", self.pc_tags.len())?;
-        self.valid.fill(0);
-        for i in 0..self.pc_tags.len() {
-            self.pc_tags[i] = 0;
-            self.last_addrs[i] = 0;
-            self.strides[i] = 0;
-            self.confidences[i] = 0;
-            if r.bool()? {
-                self.set_valid(i);
-                self.pc_tags[i] = r.u64()?;
-                self.last_addrs[i] = r.u64()?;
-                self.strides[i] = r.i64()?;
-                self.confidences[i] = r.u8()?;
-            }
-        }
-        Ok(())
-    }
-}
-
-/// The pre-SoA stride table, kept verbatim as the equivalence oracle for
-/// [`StridePrefetcher`]: one struct per entry, identical training,
-/// proposal, and snapshot encoding. Test-only by convention (nothing on
-/// the simulation path constructs one).
-#[derive(Debug, Clone)]
-pub struct AosStridePrefetcher {
-    entries: Vec<AosStrideEntry>,
-    degree: usize,
-    mask: usize,
-}
-
-#[derive(Debug, Clone, Copy, Default)]
-struct AosStrideEntry {
-    pc_tag: u64,
-    last_addr: u64,
-    stride: i64,
-    confidence: u8,
-    valid: bool,
-}
-
-impl AosStridePrefetcher {
-    /// As [`StridePrefetcher::new`].
-    ///
-    /// # Panics
-    ///
-    /// As [`StridePrefetcher::new`].
-    #[must_use]
-    pub fn new(table_entries: usize, degree: usize) -> AosStridePrefetcher {
-        assert!(table_entries.is_power_of_two(), "table size must be a power of two");
-        assert!(degree > 0, "degree must be positive");
-        AosStridePrefetcher {
-            entries: vec![AosStrideEntry::default(); table_entries],
-            degree,
-            mask: table_entries - 1,
-        }
-    }
-
-    /// As [`StridePrefetcher::propose_into`].
     pub fn propose_into(&mut self, pc: VirtAddr, addr: PhysAddr, proposals: &mut Vec<PhysAddr>) {
         let index = ((pc.raw() >> 2) as usize) & self.mask;
         let entry = &mut self.entries[index];
@@ -248,7 +110,7 @@ impl AosStridePrefetcher {
                 }
             }
         } else {
-            *entry = AosStrideEntry {
+            *entry = StrideEntry {
                 pc_tag: pc.raw(),
                 last_addr: addr.raw(),
                 stride: 0,
@@ -258,18 +120,45 @@ impl AosStridePrefetcher {
         }
     }
 
-    /// Snapshot in the exact [`StridePrefetcher`] encoding.
-    pub fn save(&self, w: &mut SnapWriter) {
+    /// Storage cost of the table in bits (for the power model): tag +
+    /// last address (truncated to 32 bits as in real tables) + stride +
+    /// confidence.
+    #[must_use]
+    pub fn storage_bits(&self) -> u64 {
+        self.entries.len() as u64 * (16 + 32 + 16 + 2)
+    }
+}
+
+impl Snapshot for StridePrefetcher {
+    fn save(&self, w: &mut SnapWriter) {
         w.usize(self.entries.len());
-        for e in &self.entries {
-            w.bool(e.valid);
-            if e.valid {
-                w.u64(e.pc_tag);
-                w.u64(e.last_addr);
-                w.i64(e.stride);
-                w.u8(e.confidence);
+        for entry in &self.entries {
+            w.bool(entry.valid);
+            if entry.valid {
+                w.u64(entry.pc_tag);
+                w.u64(entry.last_addr);
+                w.i64(entry.stride);
+                w.u8(entry.confidence);
             }
         }
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        r.expect_len("stride prefetcher entries", self.entries.len())?;
+        for entry in &mut self.entries {
+            *entry = if r.bool()? {
+                StrideEntry {
+                    pc_tag: r.u64()?,
+                    last_addr: r.u64()?,
+                    stride: r.i64()?,
+                    confidence: r.u8()?,
+                    valid: true,
+                }
+            } else {
+                StrideEntry::default()
+            };
+        }
+        Ok(())
     }
 }
 
@@ -388,60 +277,60 @@ mod tests {
         assert_eq!(proposals, vec![PhysAddr::new(0x1300), PhysAddr::new(0x1400)]);
     }
 
+    /// The snapshot is the table in slot order — a presence flag, then
+    /// tag, last address, stride and confidence of a valid slot — and a
+    /// restore of those bytes is the same table. Written out by hand:
+    /// every checkpoint and overlay on disk holds this encoding,
+    /// whatever the table's layout in memory.
     #[test]
-    fn batch_entry_matches_sequential_singles() {
-        let accesses: Vec<(VirtAddr, PhysAddr)> = (0..60u64)
-            .map(|i| (VirtAddr::new(0x100 + (i % 3) * 4), PhysAddr::new(0x1000 + i * 0x40)))
-            .collect();
-        let mut single = StridePrefetcher::new(16, 2);
-        let mut singles = Vec::new();
-        for &(pc, addr) in &accesses {
-            single.propose_into(pc, addr, &mut singles);
+    fn snapshot_bytes_match_a_hand_written_fixture() {
+        let mut pf = StridePrefetcher::new(4, 2);
+        // Slot 1: a confirmed +0x40 stride. Slot 3: seen twice, a
+        // negative stride learnt but not yet confirmed. Slot 2: 0x208
+        // took the slot over from 0x108. Slot 0: never touched.
+        for addr in [0x1000, 0x1040, 0x1080, 0x10c0] {
+            observe(&mut pf, VirtAddr::new(0x104), addr);
         }
-        let mut batched = StridePrefetcher::new(16, 2);
-        let mut batch_out = Vec::new();
-        batched.propose_batch_into(&accesses, &mut batch_out);
-        assert_eq!(batch_out, singles);
-        let mut ws = SnapWriter::new();
-        single.save(&mut ws);
-        let mut wb = SnapWriter::new();
-        batched.save(&mut wb);
-        assert_eq!(ws.bytes(), wb.bytes());
+        observe(&mut pf, VirtAddr::new(0x10c), 0x9000);
+        observe(&mut pf, VirtAddr::new(0x10c), 0x8f00);
+        observe(&mut pf, VirtAddr::new(0x108), 0x5000);
+        observe(&mut pf, VirtAddr::new(0x208), 0x7000);
+
+        let mut fixture = SnapWriter::new();
+        fixture.usize(4);
+        fixture.bool(false);
+        for (pc, last, stride, confidence) in
+            [(0x104u64, 0x10c0u64, 0x40i64, 2u8), (0x208, 0x7000, 0, 0), (0x10c, 0x8f00, -0x100, 0)]
+        {
+            fixture.bool(true);
+            fixture.u64(pc);
+            fixture.u64(last);
+            fixture.i64(stride);
+            fixture.u8(confidence);
+        }
+        let mut saved = SnapWriter::new();
+        pf.save(&mut saved);
+        assert_eq!(saved.bytes(), fixture.bytes());
+
+        let mut restored = StridePrefetcher::new(4, 2);
+        observe(&mut restored, VirtAddr::new(0x100), 0x3000); // overwritten by the restore
+        let mut r = SnapReader::new(fixture.bytes());
+        restored.restore(&mut r).expect("restore the fixture");
+        r.finish().expect("no trailing bytes");
+        let mut again = SnapWriter::new();
+        restored.save(&mut again);
+        assert_eq!(again.bytes(), fixture.bytes());
+        // The restored table carries on where the saved one would.
+        let pc = VirtAddr::new(0x104);
+        assert_eq!(observe(&mut restored, pc, 0x1100), observe(&mut pf, pc, 0x1100));
+        assert_eq!(observe(&mut pf, pc, 0x1140), [PhysAddr::new(0x1180), PhysAddr::new(0x11c0)]);
     }
 
-    /// SoA and AoS stride tables agree on every proposal and on the
-    /// snapshot bytes under a mixed access pattern — the SoA layout is a
-    /// pure representation change.
+    /// A load trains one entry, which must sit in one host cache line.
     #[test]
-    fn soa_matches_aos_oracle() {
-        let mut soa = StridePrefetcher::new(32, 3);
-        let mut aos = AosStridePrefetcher::new(32, 3);
-        let mut state = 0xdead_beef_cafe_f00du64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for step in 0..5000u64 {
-            // A mix of striding PCs, colliding PCs, and noise.
-            let pc = VirtAddr::new(0x100 + (next() % 40) * 4);
-            let addr = if next() % 3 == 0 {
-                PhysAddr::new(next() % 0x10_0000)
-            } else {
-                PhysAddr::new(0x1000 + step * 0x40)
-            };
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            soa.propose_into(pc, addr, &mut a);
-            aos.propose_into(pc, addr, &mut b);
-            assert_eq!(a, b, "step {step}");
-        }
-        let mut ws = SnapWriter::new();
-        soa.save(&mut ws);
-        let mut wa = SnapWriter::new();
-        aos.save(&mut wa);
-        assert_eq!(ws.bytes(), wa.bytes(), "snapshot bytes diverge between layouts");
+    fn an_entry_is_half_a_host_cache_line() {
+        assert_eq!(std::mem::size_of::<StrideEntry>(), 32);
+        assert_eq!(std::mem::align_of::<StrideEntry>(), 32);
     }
 
     #[test]

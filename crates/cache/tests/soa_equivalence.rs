@@ -8,13 +8,18 @@
 //! the statistics, the resident-line set, and the final `"CACB"` snapshot
 //! bytes must be identical: the SoA layout is a pure representation
 //! change.
+//!
+//! So is what the store holds its policy in: the same sequences drive a
+//! `Cache<Lru>` — the policy by value, as the hierarchy's L1s and SLC
+//! hold it — beside the `Cache<Box<dyn ReplacementPolicy>>` that
+//! [`PolicyKind::build`] gives, to the same outcomes and the same bytes.
 
 use proptest::prelude::*;
-use trrip_cache::{AosCache, Cache, CacheConfig};
+use trrip_cache::{AosCache, Cache, CacheConfig, EvictedLine};
 use trrip_core::Temperature;
 use trrip_mem::{MemoryRequest, PhysAddr, VirtAddr};
-use trrip_policies::PolicyKind;
-use trrip_snap::{SnapWriter, Snapshot};
+use trrip_policies::{Lru, PolicyKind, ReplacementPolicy};
+use trrip_snap::{SnapReader, SnapWriter, Snapshot};
 
 /// All ten policies — the paper's nine plus the Random sanity baseline,
 /// whose per-victim RNG draws must stay in lockstep between the stores.
@@ -141,8 +146,77 @@ fn drive(kind: PolicyKind, ops: &[Op]) {
     prop_assert_eq!(ws.bytes(), wa.bytes(), "snapshot bytes diverge for {}", kind);
 }
 
+/// What one op reports, whatever the store holds its policy in.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Access { hit: bool, evicted: Option<EvictedLine> },
+    Evicted(Option<EvictedLine>),
+    Marked(bool),
+}
+
+fn apply<P: ReplacementPolicy>(cache: &mut Cache<P>, op: Op) -> Outcome {
+    let line_at = |cache: &Cache<P>, addr| cache.line_of(&request(addr, 0, 0));
+    match op {
+        Op::Access { addr, kind, temp } => {
+            let req = request(addr, kind, temp);
+            let hit = cache.access(&req);
+            Outcome::Access { hit, evicted: if hit { None } else { cache.fill(&req) } }
+        }
+        Op::Fill { addr, kind } => Outcome::Evicted(cache.fill(&request(addr, kind, 0))),
+        Op::Invalidate { addr } => Outcome::Evicted(cache.invalidate(line_at(cache, addr))),
+        Op::Extract { addr } => Outcome::Evicted(cache.extract(line_at(cache, addr))),
+        Op::MarkDirty { addr } => Outcome::Marked(cache.mark_dirty(line_at(cache, addr))),
+    }
+}
+
+fn snapshot_of<P: ReplacementPolicy>(cache: &Cache<P>) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    cache.save(&mut w);
+    w.into_bytes()
+}
+
+/// `ops` through an LRU held by value and a boxed one, then each store
+/// restored from the *other's* snapshot, then `ops` again.
+fn drive_by_value_beside_boxed(ops: &[Op]) {
+    let config = CacheConfig::new("EQ", 2048, 4, 1, 2);
+    let (sets, ways) = (config.num_sets(), config.ways);
+    let fresh = || {
+        let boxed: Cache = Cache::new(config.clone(), PolicyKind::Lru.build(sets, ways));
+        (Cache::new(config.clone(), Lru::new(sets, ways)), boxed)
+    };
+    let (mut by_value, mut boxed) = fresh();
+    for &op in ops {
+        prop_assert_eq!(apply(&mut by_value, op), apply(&mut boxed, op), "{:?}", op);
+    }
+    prop_assert_eq!(by_value.stats(), boxed.stats());
+    prop_assert_eq!(by_value.policy_name(), boxed.policy_name());
+    let (bytes, boxed_bytes) = (snapshot_of(&by_value), snapshot_of(&boxed));
+    prop_assert_eq!(&bytes, &boxed_bytes, "snapshot bytes depend on how the policy is held");
+
+    let (mut by_value, mut boxed) = fresh();
+    by_value.restore(&mut SnapReader::new(&boxed_bytes)).expect("by-value restore");
+    boxed.restore(&mut SnapReader::new(&bytes)).expect("boxed restore");
+    for &op in ops {
+        prop_assert_eq!(apply(&mut by_value, op), apply(&mut boxed, op), "restored, {:?}", op);
+    }
+    prop_assert_eq!(snapshot_of(&by_value), snapshot_of(&boxed));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A store that holds its LRU by value is the store that holds it
+    /// boxed: same outcomes, same snapshot bytes, each restorable from
+    /// the other's — over dense sequences (evictions dominate) and
+    /// sparse ones (free-way fills dominate).
+    #[test]
+    fn lru_by_value_matches_the_boxed_policy(
+        dense in prop::collection::vec(arb_op(40), 1..400),
+        sparse in prop::collection::vec(arb_op(4096), 1..200),
+    ) {
+        drive_by_value_beside_boxed(&dense);
+        drive_by_value_beside_boxed(&sparse);
+    }
 
     /// SoA and AoS stores agree on every operation's result, the stats,
     /// the resident set, and the snapshot bytes, for all ten policies.

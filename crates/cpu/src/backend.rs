@@ -45,12 +45,6 @@ pub trait MemoryBackend {
 
     /// FDIP/next-line instruction prefetch of the line containing `pc`.
     fn prefetch_ifetch(&mut self, pc: VirtAddr, now: u64);
-
-    /// Drains any work the backend deferred for batching (a batch
-    /// boundary is a natural seam: no instruction is mid-flight). The
-    /// default is a no-op — stateless backends have nothing pending.
-    /// `trrip-sim`'s backend flushes its beyond-L1 miss batch here.
-    fn flush_deferred(&mut self) {}
 }
 
 /// A backend with uniform latencies and no state — useful for unit tests

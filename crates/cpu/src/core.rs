@@ -24,8 +24,17 @@
 //! latency exceeds the starvation threshold are remembered in a bounded
 //! table; later requests for those lines carry `caused_starvation`, which
 //! the Emissary policy turns into per-line priority bits.
+//!
+//! Two loops run this model. The **fused** loop ([`Core::run_batch`])
+//! takes instructions and does all of the above for one machine. The
+//! **event** loop ([`Core::execute`]) takes what a frontend already
+//! decided — an [`EventTurn`] — and runs the policy-dependent rest, with
+//! no predictor and no lookahead, for a *group* of machines in lockstep:
+//! the turn is walked once, event-major, each record driving every
+//! machine before the next is read. One machine alone is a group of one
+//! in the same loop.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
 use trrip_mem::VirtAddr;
@@ -45,6 +54,11 @@ const MLP_SERIALIZATION: f64 = 4.0;
 /// Scratch capacity for FDIP-issued PCs per trigger (the paper machine
 /// prefetches at most 2; the warmup tape caps entries at 3).
 const FDIP_ISSUE_CAP: usize = 4;
+
+/// Machines whose clocks [`Core::execute`] keeps on the stack for the
+/// length of a turn; a larger group's go to the heap. A sweep's worker
+/// holds at most one workload's policies, ten at the most.
+const LOCKSTEP_STACK_CLOCKS: usize = 16;
 
 /// How many instructions [`Core::run_chunk`] pulls from a generic
 /// iterator before handing them to [`Core::run_batch`] as one slice.
@@ -191,65 +205,76 @@ impl CoreResult {
     }
 }
 
-/// Multiply-xor hasher for line-address keys: the table is consulted on
-/// every fetch line change, where the default SipHash costs more than
-/// the rest of the lookup, and its keys are the program's own line
-/// addresses, not outside input.
-#[derive(Debug, Clone, Default)]
-struct LineHash(u64);
-
-impl std::hash::Hasher for LineHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        // Fallback for non-u64 writes (not used by u64 keys).
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01B3);
-        }
-    }
-
-    fn write_u64(&mut self, v: u64) {
-        let mut h = v.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        h ^= h >> 32;
-        self.0 = h;
-    }
-}
+/// Line-number bits one chunk of the starved-line index covers: 2¹⁵
+/// lines, 2 MiB of code, a 4 KiB bitmap.
+const CHUNK_LINE_BITS: u32 = 15;
+const CHUNK_WORDS: usize = 1 << (CHUNK_LINE_BITS - 6);
 
 /// Bounded FIFO set of instruction lines that caused decode starvation
 /// (the model of Emissary's L1-side metadata).
+///
+/// The FIFO is the state; `chunks` indexes it for the membership test
+/// every fetch of a new line makes. Code is dense — a program's text is
+/// a few megabytes in one or two places — so the index is an exact
+/// bitmap over line numbers, in chunks allocated when a line first
+/// lands in one: a test is a search of a handful of chunk numbers and
+/// one bit, where a hash set of 8 Ki entries is a probe sequence into
+/// a table that does not fit the host's L1.
 #[derive(Debug, Default)]
 struct StarvedLines {
-    set: HashSet<u64, std::hash::BuildHasherDefault<LineHash>>,
     order: VecDeque<u64>,
     capacity: usize,
+    /// `(line >> CHUNK_LINE_BITS, bitmap)`: bit `line % 2¹⁵` is set iff
+    /// `line` is in `order`. At most one chunk per line in `order` was
+    /// ever added, and none is dropped.
+    chunks: Vec<(u64, Box<[u64; CHUNK_WORDS]>)>,
 }
 
 impl StarvedLines {
     fn new(capacity: usize) -> StarvedLines {
-        StarvedLines { set: HashSet::default(), order: VecDeque::new(), capacity }
+        StarvedLines { order: VecDeque::new(), capacity, chunks: Vec::new() }
     }
 
+    /// The word of `line`'s bit, if its chunk exists, and the bit.
+    #[inline]
+    fn bit(&self, line: u64) -> (Option<usize>, usize, u64) {
+        let chunk = self.chunks.iter().position(|&(number, _)| number == line >> CHUNK_LINE_BITS);
+        (chunk, (line >> 6) as usize % CHUNK_WORDS, 1 << (line & 63))
+    }
+
+    #[inline]
     fn contains(&self, line: u64) -> bool {
-        self.set.contains(&line)
+        let (chunk, word, bit) = self.bit(line);
+        chunk.is_some_and(|chunk| self.chunks[chunk].1[word] & bit != 0)
     }
 
-    fn insert(&mut self, line: u64) {
-        if self.set.insert(line) {
-            self.order.push_back(line);
-            if self.order.len() > self.capacity {
-                if let Some(old) = self.order.pop_front() {
-                    self.set.remove(&old);
-                }
+    /// Appends `line` unless it is present (returns `false`), dropping
+    /// the oldest line once over capacity.
+    fn insert(&mut self, line: u64) -> bool {
+        let (chunk, word, bit) = self.bit(line);
+        let chunk = chunk.unwrap_or_else(|| {
+            self.chunks.push((line >> CHUNK_LINE_BITS, Box::new([0; CHUNK_WORDS])));
+            self.chunks.len() - 1
+        });
+        let bits = &mut self.chunks[chunk].1[word];
+        if *bits & bit != 0 {
+            return false;
+        }
+        *bits |= bit;
+        self.order.push_back(line);
+        if self.order.len() > self.capacity {
+            if let Some(old) = self.order.pop_front() {
+                let (chunk, word, bit) = self.bit(old);
+                self.chunks[chunk.expect("a line in the FIFO has a chunk")].1[word] &= !bit;
             }
         }
+        true
     }
 }
 
 impl Snapshot for StarvedLines {
     fn save(&self, w: &mut SnapWriter) {
-        // The FIFO order is the architectural state; the hash set is an
+        // The FIFO order is the architectural state; the bitmap is an
         // index over it and is rebuilt on restore.
         w.usize(self.order.len());
         for &line in &self.order {
@@ -266,16 +291,25 @@ impl Snapshot for StarvedLines {
             )));
         }
         self.order.clear();
-        self.set.clear();
+        self.chunks.clear();
         for _ in 0..len {
             let line = r.u64()?;
-            self.order.push_back(line);
-            if !self.set.insert(line) {
+            if !self.insert(line) {
                 return Err(SnapError::Corrupt(format!("duplicate starved line {line:#x}")));
             }
         }
         Ok(())
     }
+}
+
+/// What a memory operand's stall is booked on: one machine's stall
+/// buckets, MLP bookkeeping and clock — fields of its [`RunState`] in the
+/// fused loop; in [`Core::execute`] the clock is the machine's slot of
+/// the turn's local array.
+struct Lane<'a> {
+    topdown: &'a mut TopDown,
+    last_miss_instr: &'a mut Option<u64>,
+    clock: &'a mut f64,
 }
 
 /// Where one [`Core::run_chunk`] call left the run: the **exact cut
@@ -766,9 +800,6 @@ impl<B: MemoryBackend> Core<B> {
         window.drain(..from_window);
         window.extend(batch[to_process - from_window..].iter().copied());
         state.window = window;
-        // Batch boundary: a natural seam for backends that defer
-        // beyond-L1 work — no instruction is mid-flight here.
-        self.backend.flush_deferred();
         state.cut()
     }
 
@@ -797,7 +828,8 @@ impl<B: MemoryBackend> Core<B> {
         let mut issued = [0u64; FDIP_ISSUE_CAP];
         let mut fdip_pcs = None;
         if line != state.current_line {
-            self.fetch_line(state, instr.pc);
+            state.current_line = line;
+            self.fetch_line(&mut state.topdown, &mut state.cycles, instr.pc);
             let n = if self.config.fdip {
                 self.issue_fdip(lookahead, line, state.cycles as u64, &mut issued)
             } else {
@@ -820,7 +852,13 @@ impl<B: MemoryBackend> Core<B> {
 
         // --- Memory ---
         if let Some(mem) = instr.mem {
-            self.access_data(state, instr.pc, mem, ooo_hide);
+            let retired = state.instructions;
+            let lane = Lane {
+                topdown: &mut state.topdown,
+                last_miss_instr: &mut state.last_miss_instr,
+                clock: &mut state.cycles,
+            };
+            self.access_data(lane, retired, instr.pc, mem, ooo_hide);
         }
 
         // --- Synthetic backend stalls from the workload model ---
@@ -844,15 +882,14 @@ impl<B: MemoryBackend> Core<B> {
     /// the request, and a miss stalls the frontend for what the fetch
     /// pipeline does not hide. Shared by both timing loops.
     #[inline]
-    fn fetch_line(&mut self, state: &mut RunState, pc: VirtAddr) {
+    fn fetch_line(&mut self, topdown: &mut TopDown, clock: &mut f64, pc: VirtAddr) {
         let line = pc.raw() >> 6;
-        state.current_line = line;
         let starved_flag = self.starved.contains(line);
-        let lat = self.backend.ifetch(pc, starved_flag, state.cycles as u64);
+        let lat = self.backend.ifetch(pc, starved_flag, *clock as u64);
         if !lat.l1_hit {
             let stall = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
-            state.topdown.ifetch += stall;
-            state.cycles += stall;
+            topdown.ifetch += stall;
+            *clock += stall;
             if lat.cycles >= self.config.starvation_threshold {
                 self.starved.insert(line);
             }
@@ -864,9 +901,16 @@ impl<B: MemoryBackend> Core<B> {
     /// OoO window and MLP hide: a miss landing within one ROB span of
     /// the previous one overlaps it (memory-level parallelism) and pays
     /// only a serialization share, an independent miss the full exposed
-    /// latency.
+    /// latency. `retired` counts the instruction itself.
     #[inline]
-    fn data_stall(&mut self, state: &RunState, pc: VirtAddr, mem: MemOp, ooo_hide: f64) -> f64 {
+    fn data_stall(
+        &mut self,
+        last_miss_instr: Option<u64>,
+        retired: u64,
+        pc: VirtAddr,
+        mem: MemOp,
+        ooo_hide: f64,
+    ) -> f64 {
         let lat = if mem.store {
             self.backend.dwrite(mem.addr, pc)
         } else {
@@ -877,9 +921,8 @@ impl<B: MemoryBackend> Core<B> {
         }
         let raw = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
         let exposed = (raw - ooo_hide).max(0.0);
-        let overlapped = state
-            .last_miss_instr
-            .is_some_and(|li| state.instructions - li < u64::from(self.config.rob_entries));
+        let overlapped =
+            last_miss_instr.is_some_and(|li| retired - li < u64::from(self.config.rob_entries));
         if overlapped {
             exposed / MLP_SERIALIZATION
         } else {
@@ -892,72 +935,145 @@ impl<B: MemoryBackend> Core<B> {
     /// bookkeeping on purpose: written as one body, the fused loop over
     /// an all-hits backend measured 17 ns/instr against 12 this way.)
     #[inline]
-    fn access_data(&mut self, state: &mut RunState, pc: VirtAddr, mem: MemOp, ooo_hide: f64) {
-        let stall = self.data_stall(state, pc, mem, ooo_hide);
+    fn access_data(
+        &mut self,
+        lane: Lane<'_>,
+        retired: u64,
+        pc: VirtAddr,
+        mem: MemOp,
+        ooo_hide: f64,
+    ) {
+        let stall = self.data_stall(*lane.last_miss_instr, retired, pc, mem, ooo_hide);
         if stall > 0.0 {
-            state.topdown.mem += stall;
-            state.cycles += stall;
-            state.last_miss_instr = Some(state.instructions);
+            lane.topdown.mem += stall;
+            *lane.clock += stall;
+            *lane.last_miss_instr = Some(retired);
         }
     }
 
-    /// Runs one event turn: the **predictor-free loop**. Every record's
-    /// fetch, prefetches, mispredict penalty, memory operand and stall
-    /// go through the real backend and the starvation table in the
-    /// order the fused loop takes them, and every instruction — with a
-    /// record or without — advances the clock by the dispatch cost, one
-    /// addition each, so the clock rounds exactly as the fused loop's
-    /// does. The predictor is neither consulted nor trained and no
-    /// lookahead window is kept: the frontend that digested the turn
-    /// ([`WarmupMode::Digest`]) did both.
+    /// Runs one event turn through every machine of `group` in
+    /// **lockstep**: the predictor-free loop, event-major. The turn is
+    /// read once. Each record's event-free run and its fetch,
+    /// mispredict, memory and stall flags are decoded and branched on
+    /// once for the whole group, and each arm then visits the machines
+    /// in turn — so the work of different machines on one record, which
+    /// shares nothing, is there for the host to overlap: their clock
+    /// additions are independent chains, and one machine's translate →
+    /// set → tag loads do not wait for another's.
+    ///
+    /// For each machine this is exactly the loop it would run alone.
+    /// Every record's fetch, prefetches, mispredict penalty, memory
+    /// operand and stall go through its own backend and starvation
+    /// table in the order the fused loop takes them, and every
+    /// instruction — with a record or without — advances its clock by
+    /// the dispatch cost, one addition each: a machine performs its own
+    /// sequence of `f64` additions in its own order, whatever the group,
+    /// so its clock rounds exactly as the fused loop's does. (The clocks
+    /// live in a local array for the length of the turn; a small group's
+    /// stays on the stack.) The predictor is neither consulted nor
+    /// trained and no lookahead window is kept: the frontend that
+    /// digested the turn ([`WarmupMode::Digest`]) did both.
     ///
     /// Turns of one run may be cut anywhere; a run takes either turns or
-    /// instructions, not both.
+    /// instructions, not both. A group of one is a machine run alone; an
+    /// empty group does nothing.
     ///
     /// # Panics
     ///
-    /// Panics if `state` holds instructions of a fused run in flight.
-    pub fn execute(&mut self, state: &mut RunState, turn: &EventTurn) -> ChunkCut {
-        assert!(state.window.is_empty(), "event turns cannot follow instructions in flight");
-        let dispatch_cost = 1.0 / f64::from(self.config.dispatch_width);
-        let ooo_hide = self.config.ooo_hide_cycles() as f64;
-        let mispredict_penalty = self.predictor.mispredict_penalty() as f64;
-        let idle = |state: &mut RunState, instructions: u64| {
-            for _ in 0..instructions {
-                state.cycles += dispatch_cost;
+    /// Panics if a state holds instructions of a fused run in flight, or
+    /// if the machines are not at the same retired-instruction count
+    /// under the same [`CoreConfig`] — the position and the timing
+    /// constants are read once for all of them.
+    pub fn execute(group: &mut [(&mut Core<B>, &mut RunState)], turn: &EventTurn) {
+        let Some((lead, lead_state)) = group.first() else { return };
+        for (core, state) in group.iter() {
+            assert!(state.window.is_empty(), "event turns cannot follow instructions in flight");
+            assert_eq!(
+                state.instructions, lead_state.instructions,
+                "machines in lockstep are at the same instruction"
+            );
+            assert_eq!(
+                core.config, lead.config,
+                "machines in lockstep share one core configuration"
+            );
+        }
+        let dispatch_cost = 1.0 / f64::from(lead.config.dispatch_width);
+        let ooo_hide = lead.config.ooo_hide_cycles() as f64;
+        let mispredict_penalty = lead.predictor.mispredict_penalty() as f64;
+        let mut retired = lead_state.instructions;
+        let mut fetched_line = None;
+
+        let mut on_stack = [0.0; LOCKSTEP_STACK_CLOCKS];
+        let mut on_heap = Vec::new();
+        let clocks = match on_stack.get_mut(..group.len()) {
+            Some(clocks) => clocks,
+            None => {
+                on_heap.resize(group.len(), 0.0);
+                &mut on_heap[..]
             }
-            state.instructions += instructions;
+        };
+        for (clock, (_, state)) in clocks.iter_mut().zip(group.iter()) {
+            *clock = state.cycles;
+        }
+        // One machine's chain of additions is serial; the machines'
+        // chains are independent of each other.
+        let idle = |clocks: &mut [f64], instructions: u64| {
+            for clock in clocks {
+                for _ in 0..instructions {
+                    *clock += dispatch_cost;
+                }
+            }
         };
 
         for event in turn.events() {
-            idle(state, u64::from(event.quiet));
-            state.instructions += 1;
+            idle(clocks, u64::from(event.quiet));
+            retired += u64::from(event.quiet) + 1;
+            let pc = event.pc();
             if event.fetch() {
-                self.fetch_line(state, event.pc());
-                for &pc in event.fdip_pcs() {
-                    self.backend.prefetch_ifetch(VirtAddr::new(pc), state.cycles as u64);
+                fetched_line = Some(pc.raw() >> 6);
+                for ((core, state), clock) in group.iter_mut().zip(clocks.iter_mut()) {
+                    core.fetch_line(&mut state.topdown, clock, pc);
+                    for &fdip_pc in event.fdip_pcs() {
+                        core.backend.prefetch_ifetch(VirtAddr::new(fdip_pc), *clock as u64);
+                    }
                 }
             }
             if event.mispredicted() {
-                state.topdown.mispred += mispredict_penalty;
-                state.cycles += mispredict_penalty;
+                for ((_, state), clock) in group.iter_mut().zip(clocks.iter_mut()) {
+                    state.topdown.mispred += mispredict_penalty;
+                    *clock += mispredict_penalty;
+                }
             }
             if let Some(mem) = event.mem() {
-                self.access_data(state, event.pc(), mem, ooo_hide);
+                for ((core, state), clock) in group.iter_mut().zip(clocks.iter_mut()) {
+                    let lane = Lane {
+                        topdown: &mut state.topdown,
+                        last_miss_instr: &mut state.last_miss_instr,
+                        clock,
+                    };
+                    core.access_data(lane, retired, pc, mem, ooo_hide);
+                }
             }
             if let Some((class, extra)) = event.stall() {
                 let extra = f64::from(extra);
-                state.topdown.add_stall(class, extra);
-                state.cycles += extra;
+                for ((_, state), clock) in group.iter_mut().zip(clocks.iter_mut()) {
+                    state.topdown.add_stall(class, extra);
+                    *clock += extra;
+                }
             }
-            state.cycles += dispatch_cost;
+            idle(clocks, 1);
         }
-        idle(state, turn.tail());
-        state.consumed += turn.instructions();
-        state.fed_branches += turn.branches();
-        state.fed_mispredictions += turn.mispredictions();
-        self.backend.flush_deferred();
-        state.cut()
+        idle(clocks, turn.tail());
+        retired += turn.tail();
+
+        for ((_, state), &clock) in group.iter_mut().zip(clocks.iter()) {
+            state.cycles = clock;
+            state.instructions = retired;
+            state.consumed += turn.instructions();
+            state.current_line = fetched_line.unwrap_or(state.current_line);
+            state.fed_branches += turn.branches();
+            state.fed_mispredictions += turn.mispredictions();
+        }
     }
 
     /// Reports the run's (or, after [`Core::begin_segment`], the current
@@ -1171,7 +1287,7 @@ impl<B: MemoryBackend> Core<B> {
             if turn.instructions() == 0 {
                 break;
             }
-            self.execute(&mut state, &turn);
+            Core::execute(&mut [(&mut *self, &mut state)], &turn);
         }
         WarmupTailReport {
             instructions: state.instructions,
@@ -1630,7 +1746,8 @@ mod tests {
             let mut fed = 0;
             for turn in digest(&trace, &[1234], &turns) {
                 fed += turn.instructions();
-                let cut = core.execute(&mut state, &turn);
+                Core::execute(&mut [(&mut core, &mut state)], &turn);
+                let cut = state.cut();
                 assert_eq!((cut.consumed, cut.retired), (fed, fed), "no lookahead lag");
             }
             assert_eq!(core.finish_run(state), reference, "turns cut at {turns:?}");
@@ -1646,7 +1763,288 @@ mod tests {
         let mut core = Core::new(CoreConfig::paper(), stall_backend());
         let mut state = core.begin_run();
         core.run_batch(&mut state, &trace, false);
-        core.execute(&mut state, &EventTurn::new());
+        Core::execute(&mut [(&mut core, &mut state)], &EventTurn::new());
+    }
+
+    /// A backend that misses on every `every`-th line, with its own
+    /// latencies, and writes down each call it gets: which, the address,
+    /// the starvation flag, the time.
+    #[derive(Debug)]
+    struct Scripted {
+        every: u64,
+        ifetch_miss: u64,
+        data_miss: u64,
+        calls: Vec<(char, u64, bool, u64)>,
+    }
+
+    impl Scripted {
+        /// Machine `i` of a group: each misses elsewhere and for a
+        /// different time — below, at and above the starvation
+        /// threshold, within and beyond what the window hides — so the
+        /// machines' clocks, stall buckets and starvation tables part
+        /// ways from the first line on.
+        fn machine(i: usize) -> Core<Scripted> {
+            let backend = Scripted {
+                every: i as u64 % 3 + 1,
+                ifetch_miss: [13, 30, 21, 419, 22][i % 5],
+                data_miss: [419, 40, 200, 20, 100][i % 5],
+                calls: Vec::new(),
+            };
+            Core::new(CoreConfig::paper(), backend)
+        }
+
+        fn latency(&self, addr: VirtAddr, miss: u64) -> MemLatency {
+            if (addr.raw() >> 6).is_multiple_of(self.every) {
+                MemLatency { cycles: miss, l1_hit: false, l2_miss: miss > 100 }
+            } else {
+                MemLatency::l1_hit(3)
+            }
+        }
+    }
+
+    impl MemoryBackend for Scripted {
+        fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> MemLatency {
+            self.calls.push(('i', pc.raw(), caused_starvation, now));
+            self.latency(pc, self.ifetch_miss)
+        }
+
+        fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
+            self.calls.push(('r', addr.raw(), false, pc.raw()));
+            self.latency(addr, self.data_miss)
+        }
+
+        fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
+            self.calls.push(('w', addr.raw(), false, pc.raw()));
+            self.latency(addr, self.data_miss)
+        }
+
+        fn prefetch_ifetch(&mut self, pc: VirtAddr, now: u64) {
+            self.calls.push(('p', pc.raw(), false, now));
+        }
+    }
+
+    /// Everything of a machine and its run that a turn can change.
+    fn observed(core: &Core<Scripted>, state: &RunState) -> (String, CoreResult, Vec<u8>) {
+        assert_eq!(core.predictor().branches(), 0, "execute must not train the predictor");
+        let mut starved = SnapWriter::new();
+        core.save_starved_state(&mut starved);
+        (format!("{state:?}"), core.tally_run(state), starved.into_bytes())
+    }
+
+    /// A trace that revisits its lines (so starved ones are fetched
+    /// again, flag up), with loads, stores, stalls and hard branches.
+    fn revisiting_trace(n: u64) -> Vec<TraceInstr> {
+        let mut x = 0x2545_f491_4f6c_dd1du64;
+        (0..n)
+            .map(|i| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                let pc = 0x40_0000 + (i % 1500) * 4 + (i / 1500 % 2) * 0x7000_0000;
+                let mut instr = match i % 7 {
+                    0 => TraceInstr::cond(pc, x & 1 == 0, pc + 64),
+                    2 => TraceInstr::load(pc, 0x9000_0000 + (x % 512) * 64),
+                    5 => TraceInstr::store(pc, 0xa000_0000 + (x % 64) * 64),
+                    _ => TraceInstr::simple(pc),
+                };
+                if i % 11 == 0 {
+                    instr.exec_stall = Some((StallClass::ALL[(x % 3) as usize + 2], (x % 9) as u8));
+                }
+                instr
+            })
+            .collect()
+    }
+
+    #[test]
+    fn machines_in_lockstep_match_machines_run_one_at_a_time() {
+        let trace = revisiting_trace(9000);
+        for turns in [vec![], vec![1usize, 47, 48, 49, 4500, 8999], (0..9000).step_by(97).collect()]
+        {
+            let turns = digest(&trace, &[1234], &turns);
+            for size in [1usize, 2, 5] {
+                // Alone: each machine takes every turn as a group of one.
+                let alone: Vec<_> = (0..size)
+                    .map(|i| {
+                        let mut core = Scripted::machine(i);
+                        let mut state = core.begin_run();
+                        for turn in &turns {
+                            Core::execute(&mut [(&mut core, &mut state)], turn);
+                        }
+                        (core, state)
+                    })
+                    .collect();
+
+                let mut cores: Vec<_> = (0..size).map(Scripted::machine).collect();
+                let mut states: Vec<_> = cores.iter().map(Core::begin_run).collect();
+                for turn in &turns {
+                    let mut group: Vec<_> = cores.iter_mut().zip(states.iter_mut()).collect();
+                    Core::execute(&mut group, turn);
+                }
+
+                for (i, (core, state)) in cores.iter().zip(&states).enumerate() {
+                    let (alone_core, alone_state) = &alone[i];
+                    let what = format!("machine {i} of {size}, {} turns", turns.len());
+                    assert_eq!(observed(core, state), observed(alone_core, alone_state), "{what}");
+                    assert_eq!(core.backend().calls, alone_core.backend().calls, "{what}");
+
+                    // And both are the fused loop over the same backend.
+                    let mut fused = Scripted::machine(i);
+                    assert_eq!(core.tally_run(state), fused.run(trace.clone()), "{what}, fused");
+                    assert_eq!(core.backend().calls, fused.backend().calls, "{what}, fused");
+                    let starves = core.backend().ifetch_miss >= core.config.starvation_threshold;
+                    let flagged = core.backend().calls.iter().any(|call| call.2);
+                    assert_eq!(flagged, starves, "{what}: lines fetched again with the flag up");
+                }
+                if size > 1 {
+                    assert_ne!(states[0].cycles, states[1].cycles, "the clocks must diverge");
+                    assert_ne!(
+                        observed(&cores[0], &states[0]).2,
+                        observed(&cores[1], &states[1]).2
+                    );
+                }
+            }
+        }
+    }
+
+    /// More machines than clocks kept on the stack.
+    #[test]
+    fn a_large_group_keeps_its_clocks_on_the_heap() {
+        let trace = revisiting_trace(2000);
+        let turns = digest(&trace, &[], &[700]);
+        let size = LOCKSTEP_STACK_CLOCKS + 3;
+        let mut cores: Vec<_> = (0..size).map(Scripted::machine).collect();
+        let mut states: Vec<_> = cores.iter().map(Core::begin_run).collect();
+        for turn in &turns {
+            let mut group: Vec<_> = cores.iter_mut().zip(states.iter_mut()).collect();
+            Core::execute(&mut group, turn);
+        }
+        for (i, (core, state)) in cores.iter().zip(&states).enumerate() {
+            assert_eq!(
+                core.tally_run(state),
+                Scripted::machine(i).run(trace.clone()),
+                "machine {i}"
+            );
+        }
+        Core::<Scripted>::execute(&mut [], &turns[0]);
+    }
+
+    #[test]
+    #[should_panic(expected = "event turns cannot follow instructions in flight")]
+    fn lockstep_refuses_a_group_with_a_fused_state_in_it() {
+        let trace = mixed_trace(100);
+        let (mut a, mut b) = (Scripted::machine(0), Scripted::machine(1));
+        let (mut at_rest, mut in_flight) = (a.begin_run(), b.begin_run());
+        b.run_batch(&mut in_flight, &trace, false);
+        // Drained, the fused state is at instruction 100 and the other
+        // at 0; in flight, it is refused before positions are compared.
+        Core::execute(&mut [(&mut a, &mut at_rest), (&mut b, &mut in_flight)], &EventTurn::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "machines in lockstep are at the same instruction")]
+    fn lockstep_refuses_machines_at_different_positions() {
+        let turns = digest(&mixed_trace(200), &[], &[100]);
+        let (mut a, mut b) = (Scripted::machine(0), Scripted::machine(1));
+        let (mut ahead, mut behind) = (a.begin_run(), b.begin_run());
+        Core::execute(&mut [(&mut a, &mut ahead)], &turns[0]);
+        Core::execute(&mut [(&mut a, &mut ahead), (&mut b, &mut behind)], &turns[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "machines in lockstep share one core configuration")]
+    fn lockstep_refuses_machines_with_different_timing() {
+        // Different backends are the point of a group; different cores
+        // are not.
+        let narrow = CoreConfig { dispatch_width: 4, ..CoreConfig::paper() };
+        let (mut a, mut b) = (Scripted::machine(0), Scripted::machine(1));
+        b.config = narrow;
+        let (mut sa, mut sb) = (a.begin_run(), b.begin_run());
+        Core::execute(&mut [(&mut a, &mut sa), (&mut b, &mut sb)], &EventTurn::new());
+    }
+
+    /// The bitmap-indexed table against the obvious one.
+    #[test]
+    fn starved_lines_match_a_hash_set_and_queue_reference() {
+        use std::collections::HashSet;
+        struct Reference(HashSet<u64>, VecDeque<u64>, usize);
+        impl Reference {
+            fn insert(&mut self, line: u64) {
+                if self.0.insert(line) {
+                    self.1.push_back(line);
+                    if self.1.len() > self.2 {
+                        let old = self.1.pop_front().expect("over capacity");
+                        self.0.remove(&old);
+                    }
+                }
+            }
+        }
+        let saved = |table: &StarvedLines| {
+            let mut w = SnapWriter::new();
+            table.save(&mut w);
+            w.into_bytes()
+        };
+
+        let capacity = 64;
+        let mut table = StarvedLines::new(capacity);
+        let mut reference = Reference(HashSet::new(), VecDeque::new(), capacity);
+        // Lines of a text segment, of a segment far above it, of chunks
+        // below the first one seen, and line 0 — more of them than the
+        // table holds, revisited, so the FIFO evicts and re-admits.
+        let chunk = 1u64 << CHUNK_LINE_BITS;
+        let bases = [0x5_0000, 0x1c0_0000, 0x5_0000 - chunk, 0x5_0000 - 3 * chunk, 0, chunk - 40];
+        let mut x = 0x9e37_79b9_7f4a_7c15u64;
+        for step in 0..6000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = bases[(x % 6) as usize] + (x >> 8) % 90;
+            assert_eq!(table.contains(line), reference.0.contains(&line), "step {step}: {line:#x}");
+            if x & 1 == 0 {
+                assert_eq!(table.insert(line), !reference.0.contains(&line), "duplicate {line:#x}");
+                reference.insert(line);
+            }
+            assert_eq!(table.order, reference.1, "step {step}: FIFO order");
+        }
+        assert_eq!(table.order.len(), capacity, "the table filled and evicted");
+        for base in bases {
+            for line in base..base + 90 {
+                assert_eq!(table.contains(line), reference.0.contains(&line), "{line:#x}");
+            }
+        }
+
+        // The snapshot is the FIFO; a restore rebuilds the index.
+        let bytes = saved(&table);
+        let mut fixture = SnapWriter::new();
+        fixture.usize(reference.1.len());
+        reference.1.iter().for_each(|&line| fixture.u64(line));
+        assert_eq!(bytes, fixture.bytes());
+        let mut restored = StarvedLines::new(capacity);
+        restored.insert(0x9999_9999); // forgotten by the restore
+        restored.restore(&mut SnapReader::new(&bytes)).expect("restore");
+        assert!(!restored.contains(0x9999_9999));
+        assert_eq!(saved(&restored), bytes);
+        for base in bases {
+            for line in base..base + 90 {
+                assert_eq!(restored.contains(line), reference.0.contains(&line), "{line:#x}");
+            }
+        }
+        // It evicts on as the original does.
+        table.insert(u64::MAX);
+        restored.insert(u64::MAX);
+        assert_eq!(saved(&restored), saved(&table));
+        assert!(restored.contains(u64::MAX) && !restored.contains(reference.1[0]));
+
+        // A line twice, or more lines than the table holds: refused.
+        let mut twice = SnapWriter::new();
+        twice.usize(2);
+        twice.u64(0x5_0040);
+        twice.u64(0x5_0040);
+        let err = restored.restore(&mut SnapReader::new(twice.bytes())).expect_err("duplicate");
+        assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+        let mut long = SnapWriter::new();
+        long.usize(capacity + 1);
+        let err = restored.restore(&mut SnapReader::new(long.bytes())).expect_err("too long");
+        assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
     }
 
     #[test]

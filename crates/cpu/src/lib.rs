@@ -14,7 +14,8 @@
 //! * [`core`] — the timing loops: the fused loop with pseudo-FDIP
 //!   lookahead prefetching and decode-starvation tracking for Emissary,
 //!   in three [`WarmupMode`]s (observe / record / digest), and the
-//!   predictor-free event loop [`Core::execute`].
+//!   predictor-free event loop [`Core::execute`], which drives a group
+//!   of machines through one turn in lockstep.
 //! * [`events`] — the [`EventTurn`]: a stretch of instructions reduced
 //!   to what a backend is shown of them, written once per workload by a
 //!   digesting frontend and executed by every policy cell.

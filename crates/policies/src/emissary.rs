@@ -106,12 +106,6 @@ impl ReplacementPolicy for Emissary {
         1 + self.lru.per_line_overhead_bits()
     }
 
-    fn set_local(&self) -> bool {
-        // Priority bits, the reservation check, and the epoch reset all
-        // operate within one set, over per-set LRU state.
-        true
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         self.lru.save_state(w);
         w.usize(self.priority.len());

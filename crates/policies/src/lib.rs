@@ -62,7 +62,9 @@ pub use trrip::Trrip;
 ///
 /// Implementations own all their per-set metadata (RRPV arrays, LRU
 /// stacks, priority bits, predictor tables). The trait is object-safe so a
-/// cache can hold a `Box<dyn ReplacementPolicy>` chosen at run time.
+/// cache can hold a `Box<dyn ReplacementPolicy>` chosen at run time; a
+/// cache whose policy is fixed holds the concrete type and pays no
+/// dispatch.
 pub trait ReplacementPolicy: Send {
     /// Human-readable policy name as used in the paper's figures.
     fn name(&self) -> &'static str;
@@ -101,20 +103,6 @@ pub trait ReplacementPolicy: Send {
         0
     }
 
-    /// Whether every observable decision this policy makes depends only
-    /// on the state of the set it is asked about. Set-local policies
-    /// (LRU's per-set recency stacks, SRRIP/TRRIP's per-set RRPV
-    /// arrays, Emissary's per-set priority bits) commute across sets:
-    /// a replay engine may reorder accesses that touch different sets
-    /// without changing any decision the policy will ever make. Policies
-    /// with cross-set state — a global RNG stream (Random), a global
-    /// insertion throttle (BRRIP), PSEL set-dueling counters
-    /// (DRRIP/CLIP), a shared signature table (SHiP) — must keep the
-    /// default `false`: their decisions observe the global access order.
-    fn set_local(&self) -> bool {
-        false
-    }
-
     /// Appends the policy's architectural state (RRPV arrays, LRU
     /// stacks, predictor tables, PSEL counters…) to `w`. Configuration
     /// is *not* written — restore into an instance freshly built by
@@ -132,6 +120,54 @@ pub trait ReplacementPolicy: Send {
         &mut self,
         r: &mut trrip_snap::SnapReader<'_>,
     ) -> Result<(), trrip_snap::SnapError>;
+}
+
+/// A boxed policy is a policy: what lets a cache be generic over the
+/// policy it holds, with the run-time-chosen `Box<dyn ReplacementPolicy>`
+/// as one instance beside the concrete ones.
+impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
+    fn name(&self) -> &'static str {
+        (**self).name()
+    }
+
+    fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
+        (**self).on_hit(set, way, req);
+    }
+
+    fn choose_victim(&mut self, set: usize, req: &RequestInfo, candidates: &[usize]) -> usize {
+        (**self).choose_victim(set, req, candidates)
+    }
+
+    fn on_evict(&mut self, set: usize, way: usize) {
+        (**self).on_evict(set, way);
+    }
+
+    fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo) {
+        (**self).on_fill(set, way, req);
+    }
+
+    fn on_invalidate(&mut self, set: usize, way: usize) {
+        (**self).on_invalidate(set, way);
+    }
+
+    fn per_line_overhead_bits(&self) -> u32 {
+        (**self).per_line_overhead_bits()
+    }
+
+    fn extra_storage_bits(&self) -> u64 {
+        (**self).extra_storage_bits()
+    }
+
+    fn save_state(&self, w: &mut trrip_snap::SnapWriter) {
+        (**self).save_state(w);
+    }
+
+    fn restore_state(
+        &mut self,
+        r: &mut trrip_snap::SnapReader<'_>,
+    ) -> Result<(), trrip_snap::SnapError> {
+        (**self).restore_state(r)
+    }
 }
 
 #[cfg(test)]

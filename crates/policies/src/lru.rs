@@ -12,11 +12,14 @@ use crate::{ReplacementPolicy, RequestInfo};
 ///
 /// The recency clock is **per set**: a touch in one set never changes the
 /// stamps another set will receive. Victim choices are identical to a
-/// global-clock LRU (only the relative order within a set matters), but
-/// the per-set form makes the stamp state independent of how accesses to
-/// *different* sets interleave — which is what lets the deferred
-/// miss-batch pipeline replay fills after later hits to other sets and
-/// still produce byte-identical snapshots.
+/// global-clock LRU (only the relative order within a set matters). The
+/// per-set form stays because the snapshot encoding is made of it: every
+/// checkpoint and overlay on disk holds one clock per set and the stamps
+/// drawn from it, and a global clock would change those bytes.
+///
+/// The hit and fill hooks are `#[inline]`: the L1s and the SLC hold an
+/// `Lru` by value, and a hit there should cost the two stores of a
+/// touch, not a call.
 ///
 /// # Example
 ///
@@ -51,6 +54,7 @@ impl Lru {
         Lru { ways, stamps: vec![0; sets * ways], clocks: vec![0; sets] }
     }
 
+    #[inline]
     fn touch(&mut self, set: usize, way: usize) {
         self.clocks[set] += 1;
         self.stamps[set * self.ways + way] = self.clocks[set];
@@ -72,6 +76,7 @@ impl ReplacementPolicy for Lru {
         "LRU"
     }
 
+    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
         self.touch(set, way);
     }
@@ -80,6 +85,7 @@ impl ReplacementPolicy for Lru {
         self.lru_way(set, candidates)
     }
 
+    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _req: &RequestInfo) {
         self.touch(set, way);
     }
@@ -93,12 +99,6 @@ impl ReplacementPolicy for Lru {
         // True LRU needs log2(ways!) bits; the common hardware estimate is
         // log2(ways) bits per line of rank state.
         (usize::BITS - (self.ways - 1).leading_zeros()).max(1)
-    }
-
-    fn set_local(&self) -> bool {
-        // Recency stamps and their clock are per-set (precisely so that
-        // replay engines may reorder across sets).
-        true
     }
 
     fn save_state(&self, w: &mut SnapWriter) {

@@ -83,11 +83,6 @@ impl ReplacementPolicy for Srrip {
         self.width.bits()
     }
 
-    fn set_local(&self) -> bool {
-        // RRPV arrays and the aging loop are confined to one set.
-        true
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         self.sets.save(w);
     }

@@ -94,12 +94,6 @@ impl ReplacementPolicy for Trrip {
         self.width.bits()
     }
 
-    fn set_local(&self) -> bool {
-        // Temperature arrives with each request; the only stored state
-        // is the per-set RRPV array.
-        true
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         // The TRRIP policy core is stateless (§3.4): per-set RRPVs are
         // the entire architectural state.

@@ -6,9 +6,14 @@
 //! predictor, FDIP scan, fetch-line tracking, none of which ever sees a
 //! cache latency — digests the instruction stream into a small bounded
 //! window of shared event turns, and at most `jobs` worker threads push
-//! every turn through each of their policy cells, which run only the
-//! policy-dependent half of the core. Whole workloads go to a worker
-//! each while there are enough of them left; then each remaining
+//! every turn through their policy cells, which run only the
+//! policy-dependent half of the core. A worker drives the cells it holds
+//! of a workload **in lockstep**: it reads a turn once, and each record
+//! moves every one of those machines before the next is looked at
+//! (`Core::execute` over the group) — so a turn is decoded once per
+//! worker, not once per cell, and the cells' memory systems, which share
+//! nothing, keep the host busy side by side. Whole workloads go to a
+//! worker each while there are enough of them left; then each remaining
 //! workload's cells are split across a team of workers reading the same
 //! window. A workload's stream is produced once, predicted once and
 //! never materialised, whatever feeds the frontend:
@@ -32,7 +37,8 @@
 //! `warm_start` journal events say which of these a sweep did;
 //! `tests/walk_once_equivalence.rs` and `tests/push_store_equivalence.rs`
 //! hold every route to the same bits and the design to its counts (one
-//! frontend, one walk or one decode, one prefix read, `jobs` threads).
+//! frontend, one walk or one decode, one prefix read, `jobs` threads,
+//! and `exec.cell_records / exec.turn_records` machines a record).
 //!
 //! Two executors remain beside this one, both on the pull loop and the
 //! per-cell `warm_start_ladder`: the segment DAG
@@ -52,6 +58,7 @@ use std::sync::{Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
 use trrip_cpu::{EventTurn, WarmupTape};
+use trrip_obs::Field;
 use trrip_policies::PolicyKind;
 use trrip_trace::{SourceIter, StreamingReplay, TraceSource};
 
@@ -334,17 +341,19 @@ fn open_replay(path: &Path, start: u64) -> StreamingReplay {
         .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()))
 }
 
-/// Instructions a worker pushes through one cell before it moves on to
-/// its next cell, and the unit the stream window is filled, handed over
-/// and recycled in. Not a knob: measured on `benchmark/run.sh
-/// --workload sweep_walker` (9 cells of 3.3 M instructions, 2 workers on
-/// 2 cores; `wall_s`, medians of four runs, run-to-run spread 6%) when
-/// turns still held instructions, 2 Ki gave 1.66 s, 16 Ki 1.59 s, 64 Ki
-/// 1.60 s and 256 Ki 1.63 s — flat, once turns are handed over uncopied
-/// and their buffers recycled. 16 Ki is kept for what it bounds at
-/// either end: two lock acquisitions per worker per turn, and a window
-/// of about 1.5 MB per workload in flight (each turn should sit in the
-/// host's cache between one cell and the next, not stream from DRAM).
+/// Instructions in a turn: the unit the stream window is filled, handed
+/// over and recycled in, and what a worker pushes through its group of
+/// cells at a time. A worker reads a turn once, front to back, for all
+/// of its cells, so the turn no longer has to stay in the host's cache
+/// from one cell to the next; what the size still bounds is two lock
+/// acquisitions per worker per turn at one end and a window of about
+/// 1.5 MB per workload in flight at the other. Not a knob: measured on
+/// `benchmark/run.sh --workload sweep_walker` (9 cells of 3.3 M
+/// instructions, 2 workers on 2 cores; `wall_s`, medians of four runs,
+/// run-to-run spread 6%) when a turn still held instructions and was
+/// read once per cell, 2 Ki gave 1.66 s, 16 Ki 1.59 s, 64 Ki 1.60 s and
+/// 256 Ki 1.63 s — flat, once turns are handed over uncopied and their
+/// buffers recycled.
 const TURN_INSTRS: usize = 16 * 1024;
 
 /// Turns a stream window holds before the worker at its head has to
@@ -463,11 +472,13 @@ struct Cell<'w> {
 /// One worker's share of one workload (`(index into the sweep's
 /// results, policy)` per cell): brings every cell to the window's first
 /// turn — restored at the fast-forward boundary, or cold at the first
-/// instruction — pushes the stream through all of them turn by turn, and
-/// returns the results by index. A cell that can do neither (the window
-/// begins at the boundary and the restore it was promised does not load)
-/// runs alone afterwards. Phase spans are per worker per phase, not per
-/// turn.
+/// instruction — and pushes the stream through all of them **in
+/// lockstep**: each turn is read once and drives the whole group
+/// ([`SimRun::push_measure_group`]; during a warm-up, the cells that
+/// warm). Returns the results by index. A cell that can do neither (the
+/// window begins at the boundary and the restore it was promised does
+/// not load) runs alone afterwards. Phase spans are per worker per
+/// phase, not per turn.
 fn run_share<'w, S, F>(
     window: &Window<'w, S>,
     open: &F,
@@ -485,7 +496,6 @@ where
     let mut cells = Vec::with_capacity(share.len());
     let mut alone = Vec::new();
     for &(index, policy) in share {
-        journal_cell("cell_started", bench, policy, None);
         let cell_config = config.clone().with_policy(policy);
         match checkpoints.and_then(|store| restore_at_boundary(workload, &cell_config, store)) {
             Some(run) => cells.push(Cell { index, run, warms: false }),
@@ -496,11 +506,16 @@ where
             None => alone.push((index, cell_config)),
         }
     }
+    for cell in &cells {
+        let policy = cell.run.config().hierarchy.l2_policy;
+        journal_cell("cell_started", bench, policy, ("group", Field::U64(cells.len() as u64)));
+    }
     if start == 0 && config.fast_forward > 0 {
         let _span = trrip_obs::span!("fast_forward");
+        let mut warming: Vec<_> =
+            cells.iter_mut().filter(|cell| cell.warms).map(|cell| &mut cell.run).collect();
         reader.feed(config.fast_forward, |turn, last| {
-            let warming = cells.iter_mut().filter(|cell| cell.warms);
-            warming.for_each(|cell| cell.run.push_fast_forward(turn, last));
+            SimRun::push_fast_forward_group(&mut warming, turn, last);
         });
         reader.release();
         for cell in cells.iter().filter(|cell| cell.warms) {
@@ -518,8 +533,9 @@ where
     cells.iter_mut().for_each(|cell| cell.run.begin_measure());
     {
         let _span = trrip_obs::span!("measure");
+        let mut group: Vec<_> = cells.iter_mut().map(|cell| &mut cell.run).collect();
         reader.feed(config.instructions, |turn, last| {
-            cells.iter_mut().for_each(|cell| cell.run.push_measure(turn, last));
+            SimRun::push_measure_group(&mut group, turn, last);
         });
     }
     drop(reader);
@@ -527,10 +543,13 @@ where
         cells.into_iter().map(|mut cell| (cell.index, cell.run.finish())).collect();
     for (index, cell_config) in alone {
         let stores = window.stores.expect("only a store-backed window starts past the warm-up");
+        let policy = cell_config.hierarchy.l2_policy;
+        journal_cell("cell_started", bench, policy, ("group", Field::U64(1)));
         finished.push((index, stores.run_alone(workload, &cell_config)));
     }
     for (_, result) in &finished {
-        journal_cell("cell_finished", bench, result.policy, Some(result.core.cycles));
+        let cycles = ("cycles", Field::F64(result.core.cycles));
+        journal_cell("cell_finished", bench, result.policy, cycles);
     }
     finished
 }
@@ -589,21 +608,18 @@ fn save_overlay(store: &CheckpointStore, run: &SimRun<'_>) {
     }
 }
 
-/// Journals a cell's start (`cycles: None`) or end.
-fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, cycles: Option<f64>) {
-    use trrip_obs::Field;
-    let fields = [
-        ("benchmark", Field::Str(benchmark)),
-        ("policy", Field::Str(policy.name())),
-        ("cycles", Field::F64(cycles.unwrap_or_default())),
-    ];
-    trrip_obs::event(kind, &fields[..if cycles.is_some() { 3 } else { 2 }]);
+/// Journals a cell's start — with its `group`: how many cells of the
+/// workload its worker drives in lockstep with it, itself included (1 for
+/// a cell that runs alone) — or its end, with its `cycles`.
+fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, field: (&str, Field<'_>)) {
+    let fields =
+        [("benchmark", Field::Str(benchmark)), ("policy", Field::Str(policy.name())), field];
+    trrip_obs::event(kind, &fields);
 }
 
 /// Journals what a workload's one frontend reads (`walker`,
 /// `walker+tee` or `replay`) and the stream position it starts at.
 fn journal_producer(workload: &PreparedWorkload, source: &str, start: u64) {
-    use trrip_obs::Field;
     trrip_obs::event(
         "producer_opened",
         &[
@@ -617,7 +633,6 @@ fn journal_producer(workload: &PreparedWorkload, source: &str, start: u64) {
 /// Journals which route warmed a cell (next to the `warm.*` counters,
 /// which carry the same totals without the per-cell attribution).
 fn journal_route(workload: &PreparedWorkload, policy: &str, route: &str) {
-    use trrip_obs::Field;
     if trrip_obs::journal_active() {
         trrip_obs::event(
             "warm_start",
@@ -639,7 +654,6 @@ fn report_damaged(
     error: &dyn std::fmt::Display,
     next: &str,
 ) {
-    use trrip_obs::Field;
     if trrip_obs::journal_active() {
         trrip_obs::event(
             "artifact_damaged",

@@ -110,18 +110,6 @@ impl InflightTable {
         self.find(line).map(|i| self.readys[i])
     }
 
-    /// Multi-probe entry point: looks up every line in `lines`, pushing
-    /// one result per query onto `out` in order. Equivalent to calling
-    /// [`InflightTable::get`] per line; batching keeps the key array hot
-    /// across consecutive probes when a miss-batch flush resolves many
-    /// timeliness queries back to back.
-    pub fn get_batch(&self, lines: &[u64], out: &mut Vec<Option<u64>>) {
-        out.reserve(lines.len());
-        for &line in lines {
-            out.push(self.get(line));
-        }
-    }
-
     /// Tracks `line` completing at `ready` unless it is already tracked
     /// (the earlier prefetch wins, as with `HashMap::entry().or_insert`)
     /// or the table is at capacity (the request is dropped, as real
@@ -149,9 +137,7 @@ impl InflightTable {
 
     /// Forgets `line` if tracked (backward-shift deletion, so probe
     /// chains stay intact without tombstones). A no-op when the line is
-    /// not tracked — the deferred miss-batch pipeline relies on this:
-    /// a timeliness-expired removal queued before an expiry sweep
-    /// replays harmlessly after the sweep already dropped the entry.
+    /// not tracked.
     pub fn remove(&mut self, line: u64) {
         let Some(mut hole) = self.find(line) else {
             return;
@@ -478,19 +464,6 @@ mod tests {
             assert_eq!(t.get(k), oracle.get(&k).copied(), "key {k}");
         }
         assert_eq!(t.len(), oracle.len());
-    }
-
-    #[test]
-    fn get_batch_matches_single_probes() {
-        let mut t = InflightTable::new(16);
-        for line in (0..40u64).step_by(3) {
-            t.insert_if_absent(line, line + 7);
-        }
-        let queries: Vec<u64> = (0..40).collect();
-        let mut batched = Vec::new();
-        t.get_batch(&queries, &mut batched);
-        let singles: Vec<Option<u64>> = queries.iter().map(|&q| t.get(q)).collect();
-        assert_eq!(batched, singles);
     }
 
     #[test]

@@ -19,12 +19,16 @@
 //! runs the policy-independent half of the core over the stream once —
 //! branch prediction, the FDIP scan, fetch-line tracking — and writes
 //! what it decided as [`EventTurn`]s; the caller hands those to as many
-//! runs as it likes ([`SimRun::push_fast_forward`],
-//! [`SimRun::push_measure`]), each of which runs only the
-//! policy-dependent half ([`Core::execute`]). That is how
-//! [`crate::policy_sweep`] and [`crate::replay_sweep`] produce and
-//! predict a workload's stream once. The two sides are bit-identical
-//! wherever the stream is cut (`tests/walk_once_equivalence.rs`).
+//! runs as it likes, each of which runs only the policy-dependent half
+//! ([`Core::execute`]) — to a **group** of runs at once
+//! ([`SimRun::push_fast_forward_group`], [`SimRun::push_measure_group`]),
+//! which take the turn in lockstep, one read of it driving them all, or
+//! to one run ([`SimRun::push_fast_forward`], [`SimRun::push_measure`]),
+//! which is a group of one. That is how [`crate::policy_sweep`] and
+//! [`crate::replay_sweep`] produce and predict a workload's stream once
+//! and decode it once per worker. The two sides are bit-identical
+//! wherever the stream is cut and however the runs are grouped
+//! (`tests/walk_once_equivalence.rs`).
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
@@ -518,18 +522,39 @@ impl<'w> SimRun<'w> {
     /// Panics if measurement has started or the turns overrun the
     /// configured warmup.
     pub fn push_fast_forward(&mut self, turn: &EventTurn, last: bool) {
-        assert!(self.measuring.is_none(), "fast-forward after measurement started");
-        let mut state = self.warming.take().unwrap_or_else(|| self.core.begin_run());
-        assert!(
-            state.consumed() + turn.instructions() <= self.config.fast_forward,
-            "pushed past the fast-forward boundary"
-        );
-        self.pushed = true;
-        self.core.execute(&mut state, turn);
+        SimRun::push_fast_forward_group(&mut [self], turn, last);
+    }
+
+    /// [`SimRun::push_fast_forward`] for every run of `group` at once:
+    /// the runs of one workload that a sweep's worker warms — same
+    /// stream, same core, a policy each — take the turn in lockstep
+    /// ([`Core::execute`]), which reads it once for all of them. Each
+    /// run ends up exactly where pushing the turn to it alone would
+    /// leave it.
+    ///
+    /// # Panics
+    ///
+    /// As [`SimRun::push_fast_forward`], for any run of the group; and
+    /// if the runs are not all at the same point of the warmup.
+    pub fn push_fast_forward_group(group: &mut [&mut SimRun<'_>], turn: &EventTurn, last: bool) {
+        let mut machines = Vec::with_capacity(group.len());
+        for run in group.iter_mut() {
+            let run = &mut **run;
+            assert!(run.measuring.is_none(), "fast-forward after measurement started");
+            let state = run.warming.get_or_insert_with(|| run.core.begin_run());
+            assert!(
+                state.consumed() + turn.instructions() <= run.config.fast_forward,
+                "pushed past the fast-forward boundary"
+            );
+            run.pushed = true;
+            machines.push((&mut run.core, state));
+        }
+        execute_counted(&mut machines, turn);
         if last {
-            self.core.backend_mut().flush_fastpath_counters();
-        } else {
-            self.warming = Some(state);
+            for run in group {
+                run.warming = None;
+                run.core.backend_mut().flush_fastpath_counters();
+            }
         }
     }
 
@@ -649,26 +674,6 @@ impl<'w> SimRun<'w> {
         }
     }
 
-    /// Enables or disables the backend's deferred miss batch (see
-    /// `SystemBackend::set_miss_batching`); on by default. Exposed for
-    /// equivalence oracles and ablation benchmarks.
-    pub fn set_miss_batching(&mut self, enabled: bool) {
-        self.core.backend_mut().set_miss_batching(enabled);
-    }
-
-    /// Overrides the miss batch's capacity-flush threshold (see
-    /// `SystemBackend::set_batch_capacity`).
-    pub fn set_batch_capacity(&mut self, capacity: usize) {
-        self.core.backend_mut().set_batch_capacity(capacity);
-    }
-
-    /// Enables or disables the set-sorted batch drain (see
-    /// `SystemBackend::set_sorted_replay`); on by default. Exposed for
-    /// equivalence oracles and ablation benchmarks.
-    pub fn set_sorted_replay(&mut self, enabled: bool) {
-        self.core.backend_mut().set_sorted_replay(enabled);
-    }
-
     /// **Measure phase**, uninterrupted: arms measurement, runs the
     /// configured instruction window, and collects the result.
     pub fn measure<S: TraceSource>(&mut self, stream: &mut SourceIter<S>) -> SimResult {
@@ -721,15 +726,34 @@ impl<'w> SimRun<'w> {
     /// Panics before [`SimRun::begin_measure`] or if the turns overrun
     /// the configured window.
     pub fn push_measure(&mut self, turn: &EventTurn, last: bool) {
-        let state = self.measuring.as_mut().expect("begin_measure first");
-        assert!(
-            state.consumed() + turn.instructions() <= self.config.instructions,
-            "pushed past the measure window"
-        );
-        self.pushed = true;
-        self.core.execute(state, turn);
+        SimRun::push_measure_group(&mut [self], turn, last);
+    }
+
+    /// [`SimRun::push_measure`] for every run of `group` at once, in
+    /// lockstep — the measure-phase twin of
+    /// [`SimRun::push_fast_forward_group`].
+    ///
+    /// # Panics
+    ///
+    /// As [`SimRun::push_measure`], for any run of the group; and if the
+    /// runs are not all at the same point of the window.
+    pub fn push_measure_group(group: &mut [&mut SimRun<'_>], turn: &EventTurn, last: bool) {
+        let mut machines = Vec::with_capacity(group.len());
+        for run in group.iter_mut() {
+            let run = &mut **run;
+            let state = run.measuring.as_mut().expect("begin_measure first");
+            assert!(
+                state.consumed() + turn.instructions() <= run.config.instructions,
+                "pushed past the measure window"
+            );
+            run.pushed = true;
+            machines.push((&mut run.core, state));
+        }
+        execute_counted(&mut machines, turn);
         if last {
-            self.core.backend_mut().flush_fastpath_counters();
+            for run in group {
+                run.core.backend_mut().flush_fastpath_counters();
+            }
         }
     }
 
@@ -886,6 +910,20 @@ impl SimRun<'_> {
         self.core.restore_starved_state(&mut s)?;
         self.core.backend_mut().restore(&mut s)?;
         s.finish()
+    }
+}
+
+/// [`Core::execute`], counted: `exec.turn_records` moves by the records
+/// of a turn each time a worker reads it, `exec.cell_records` by those
+/// records times the machines they drove — the design as a ratio, which
+/// is the size of the groups a sweep formed. Twice per turn, not per
+/// record.
+fn execute_counted(machines: &mut [(&mut Core<SystemBackend>, &mut RunState)], turn: &EventTurn) {
+    Core::execute(machines, turn);
+    let records = turn.events().len() as u64;
+    if !machines.is_empty() {
+        trrip_obs::counter!("exec.turn_records").add(records);
+        trrip_obs::counter!("exec.cell_records").add(records * machines.len() as u64);
     }
 }
 

@@ -7,7 +7,10 @@
 //! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward`] /
 //! [`SimRun::push_measure`], is held to the pull path directly. The
 //! thread budget is held over the store-backed sweep too (`replay_sweep`,
-//! cold and warm), which runs on the same executor.
+//! cold and warm), which runs on the same executor. So is the lockstep
+//! design, as counts: a worker reads each turn once for all the cells it
+//! holds (`exec.cell_records / exec.turn_records` is the group size, and
+//! every `cell_started` event says which group its cell was in).
 //!
 //! The counter and journal checks read process-wide state, so every
 //! test in this file takes [`WALKING`] (even preparing a workload walks):
@@ -446,15 +449,144 @@ fn a_pushed_run_refuses_to_be_checkpointed() {
     run.save(&mut SnapWriter::new());
 }
 
+// ---- the seam's guards hold for every run of a group ----
+
+/// Two runs of one workload, and the warmup of `config` as one turn.
+fn pair_and_turn<'w>(
+    w: &'w PreparedWorkload,
+    config: &SimConfig,
+) -> (SimRun<'w>, SimRun<'w>, EventTurn) {
+    let turn = oversized_turn(w, config, config.fast_forward as usize);
+    let other = config.clone().with_policy(PolicyKind::Trrip1);
+    (SimRun::new(w, config), SimRun::new(w, &other), turn)
+}
+
+/// The group's second run is saved; it was pushed just as the first.
+#[test]
+#[should_panic(expected = "a pushed run's predictor was never trained")]
+fn every_run_of_a_pushed_group_refuses_to_be_checkpointed() {
+    let _shared = shared();
+    let w = workload("walk-once-group-no-save");
+    let (mut a, mut b, turn) = pair_and_turn(&w, &quick_config(100));
+    SimRun::push_fast_forward_group(&mut [&mut a, &mut b], &turn, true);
+    b.save(&mut SnapWriter::new());
+}
+
+/// One run of the group has a shorter warmup than the turn: the whole
+/// push is refused, not timed for the one and truncated for the other.
+#[test]
+#[should_panic(expected = "pushed past the fast-forward boundary")]
+fn a_group_refuses_a_turn_that_overruns_one_of_its_runs() {
+    let _shared = shared();
+    let w = workload("walk-once-group-overrun");
+    let (mut a, _, turn) = pair_and_turn(&w, &quick_config(100));
+    let mut short = SimRun::new(&w, &quick_config(99));
+    SimRun::push_fast_forward_group(&mut [&mut a, &mut short], &turn, true);
+}
+
+/// A run that already took a turn cannot share the next with one that
+/// did not: their clocks would be advanced from one common position.
+#[test]
+#[should_panic(expected = "machines in lockstep are at the same instruction")]
+fn a_group_refuses_runs_at_different_positions() {
+    let _shared = shared();
+    let w = workload("walk-once-group-apart");
+    let mut config = quick_config(0);
+    config.instructions = 200;
+    let turn = oversized_turn(&w, &config, 100);
+    let (mut ahead, mut behind, _) = pair_and_turn(&w, &config);
+    ahead.begin_measure();
+    behind.begin_measure();
+    ahead.push_measure(&turn, false);
+    SimRun::push_measure_group(&mut [&mut ahead, &mut behind], &turn, true);
+}
+
+/// A run measuring on the pull side holds instructions in its lookahead
+/// window; pushing a turn past them would reorder the stream.
+#[test]
+#[should_panic(expected = "event turns cannot follow instructions in flight")]
+fn a_group_refuses_a_run_with_pulled_instructions_in_flight() {
+    let _shared = shared();
+    let w = workload("walk-once-group-fused");
+    let mut config = quick_config(0);
+    config.instructions = 200;
+    let (mut pushed_to, mut pulling, _) = pair_and_turn(&w, &config);
+    pushed_to.begin_measure();
+    pulling.begin_measure();
+    let mut stream = trrip_trace::SourceIter::new(VecSource::new(eval_stream(&w, &config), 64));
+    pulling.measure_chunk(&mut stream, 100, false);
+    SimRun::push_measure_group(&mut [&mut pushed_to, &mut pulling], &EventTurn::new(), false);
+}
+
 // ---- walked once, on no more threads than asked for ----
 
-/// The `thread` stamp of every `kind` event about `benchmark`.
-fn threads_of(journal: &trrip_obs::JournalRead, kind: &str, benchmark: &str) -> Vec<u64> {
+/// The `field` stamp of every `kind` event about `benchmark`.
+fn stamps_of(
+    journal: &trrip_obs::JournalRead,
+    kind: &str,
+    benchmark: &str,
+    field: &str,
+) -> Vec<u64> {
     journal
         .of_kind(kind)
         .filter(|e| e.get("benchmark").and_then(|b| b.as_str()) == Some(benchmark))
-        .map(|e| e.get("thread").and_then(|t| t.as_u64()).expect("events carry a thread"))
+        .map(|e| e.get(field).and_then(|t| t.as_u64()).expect("events carry the field"))
         .collect()
+}
+
+/// The `thread` stamp of every `kind` event about `benchmark`.
+fn threads_of(journal: &trrip_obs::JournalRead, kind: &str, benchmark: &str) -> Vec<u64> {
+    stamps_of(journal, kind, benchmark, "thread")
+}
+
+/// The sizes of the lockstep groups `benchmark`'s cells started in, one
+/// entry per cell, ascending.
+fn groups_of(journal: &trrip_obs::JournalRead, benchmark: &str) -> Vec<u64> {
+    let mut groups = stamps_of(journal, "cell_started", benchmark, "group");
+    groups.sort_unstable();
+    groups
+}
+
+/// A worker decodes each record of a turn once, whatever the number of
+/// cells it drives with it: `jobs` workers over one workload read
+/// `jobs` streams' worth of records between them, and every cell still
+/// executes one stream's worth.
+#[test]
+fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
+    let _exclusive = WALKING.write().unwrap_or_else(PoisonError::into_inner);
+    let one = [workload("walk-once-lockstep")];
+    let config = quick_config(30_000);
+    let cells = ALL_POLICIES.len() as u64;
+
+    // One stream's records, counted off a frontend of our own.
+    let stream = eval_stream(&one[0], &config);
+    let mut frontend = Frontend::new(&config, VecSource::new(stream, 1_024));
+    let (mut turn, mut records) = (EventTurn::new(), 0);
+    while frontend.digest(10_000, &mut turn) {
+        records += turn.events().len() as u64;
+    }
+    records += turn.events().len() as u64;
+    assert!(records > 10_000, "about half the instructions have an event: {records}");
+
+    for (jobs, streams_read) in [(1, 1), (2, 2), (3, 3), (64, cells)] {
+        let before = trrip_obs::snapshot();
+        let _ = policy_sweep_with(jobs, &one, &config, &ALL_POLICIES);
+        let moved = trrip_obs::snapshot().since(&before);
+        let what = format!("jobs = {jobs}");
+        assert_eq!(moved.get("exec.turn_records"), streams_read * records, "{what}: read");
+        assert_eq!(moved.get("exec.cell_records"), cells * records, "{what}: executed");
+    }
+
+    // Nothing to warm: the measure phase alone, one group of three.
+    let short = quick_config(0);
+    let stream = eval_stream(&one[0], &short);
+    let mut frontend = Frontend::new(&short, VecSource::new(stream, 1_024));
+    frontend.digest(usize::MAX, &mut turn);
+    let before = trrip_obs::snapshot();
+    let _ = policy_sweep_with(1, &one, &short, &ALL_POLICIES[..3]);
+    let moved = trrip_obs::snapshot().since(&before);
+    assert_eq!(moved.get("exec.turn_records"), turn.events().len() as u64);
+    assert_eq!(moved.get("exec.cell_records"), 3 * turn.events().len() as u64);
 }
 
 #[test]
@@ -530,6 +662,8 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     assert_eq!(finished.len(), ALL_POLICIES.len());
     let threads: BTreeSet<u64> = started.iter().chain(&finished).copied().collect();
     assert_eq!(threads.len(), 3, "jobs = 3 must mean three simulator threads: {threads:?}");
+    // …each driving its share of the ten cells in lockstep: 4 + 3 + 3.
+    assert_eq!(groups_of(&journal, "walk-once-count"), [3, 3, 3, 3, 3, 3, 4, 4, 4, 4]);
 
     // jobs = 64 over twenty cells: one thread per cell and no more.
     let threads: BTreeSet<u64> = ["walk-once-count-a", "walk-once-count-b"]
@@ -537,6 +671,9 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
         .flat_map(|name| threads_of(&journal, "cell_started", name))
         .collect();
     assert_eq!(threads.len(), 2 * ALL_POLICIES.len());
+    for name in ["walk-once-count-a", "walk-once-count-b", "walk-once-solo"] {
+        assert!(groups_of(&journal, name).iter().all(|&group| group == 1), "{name}: alone");
+    }
 
     let caller = threads_of(&journal, "caller", "caller");
 
@@ -546,6 +683,9 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     let started = threads_of(&journal, "cell_started", "walk-once-stored");
     let finished = threads_of(&journal, "cell_finished", "walk-once-stored");
     assert_eq!((started.len(), finished.len()), (2 * ALL_POLICIES.len(), 2 * ALL_POLICIES.len()));
+    // Five cells a worker, warming together in the cold pass and
+    // restored together in the warm one.
+    assert_eq!(groups_of(&journal, "walk-once-stored"), [5; 20]);
     for (pass, (started, finished)) in
         std::iter::zip(started.chunks(ALL_POLICIES.len()), finished.chunks(ALL_POLICIES.len()))
             .enumerate()

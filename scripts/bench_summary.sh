@@ -32,9 +32,10 @@ HEADLINE = {
     "shard_segment_dag": ("warm_sharded_speedup_vs_baseline", False),
     "warm_prefix": ("warm_vs_baseline_speedup", False),
 }
-# Ablation entries carry a "variant" label; the shipping path either
-# has none (older entries) or this one.
-DEFAULT_VARIANTS = (None, "batched+memo")
+# Ablation entries carry a "variant" label; the shipping path has none
+# (oldest entries), "batched+memo" (while the backend had a deferred
+# miss batch) or "memo" (since).
+DEFAULT_VARIANTS = (None, "batched+memo", "memo")
 
 verbose = os.environ.get("BENCH_VERBOSE") == "1"
 rows = []
