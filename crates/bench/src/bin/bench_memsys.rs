@@ -1,8 +1,7 @@
 //! Wall-clock benchmark of the **memory system under the core**: the
 //! per-instruction cost of the warm measure path (SoA tag stores, the
-//! L1-hit fast path, the memoized walker), of the push executor's cell
-//! loop at several lockstep group sizes, and of the two warmup-tail
-//! flavors (timed replay vs functional warming).
+//! L1-hit fast path, the memoized walker) and of the push executor's
+//! cell loop at several lockstep group sizes.
 //!
 //! Reported metrics:
 //!
@@ -17,9 +16,7 @@
 //!   measure phase (no walker, no frontend), and the ratio
 //!   `exec.cell_records / exec.turn_records`, which is the group size;
 //! * **cold capture** — wall time of a trace capture (walker-bound, no
-//!   timing model) with the memoized vs the fresh walker;
-//! * **warmup tail, timed vs functional** — identical state evolution,
-//!   attribution on vs off.
+//!   timing model) with the memoized vs the fresh walker.
 //!
 //! Results append to `BENCH_memsys.json` under `--out`
 //! (`scripts/bench_memsys.sh` points `--out` at the repo root), each
@@ -31,7 +28,7 @@
 //! two, so the ablation doubles as a live bit-identity check.
 //!
 //! `--smoke` (CI) shrinks the run, asserts the fast-path / walker-memo /
-//! lockstep / functional-warming counters all moved, asserts the
+//! lockstep counters all moved, asserts the
 //! machine state snapshot-round-trips byte-stably, gates the measure
 //! path against the committed `BENCH_memsys.json` baseline (>10%
 //! regression fails), and skips the JSON append.
@@ -41,7 +38,7 @@ use std::time::Instant;
 
 use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
 use trrip_core::ClassifierConfig;
-use trrip_cpu::{EventTurn, WarmupTape};
+use trrip_cpu::EventTurn;
 use trrip_policies::PolicyKind;
 use trrip_sim::{Frontend, PreparedWorkload, SimConfig, SimRun, SnapReader, SnapWriter, Snapshot};
 use trrip_trace::SourceIter;
@@ -319,35 +316,6 @@ fn main() {
     std::fs::remove_dir_all(&capture_dir).ok();
     let capture_speedup = capture_fresh_s / capture_memo_s.max(1e-12);
 
-    // --- Warmup tail: timed replay vs functional warming. ---
-    trrip_obs::progress!("warmup tail: timed vs functional over {} instructions…", {
-        config.fast_forward
-    });
-    let mut tape = WarmupTape::new();
-    {
-        let mut run = SimRun::new(&workload, &config);
-        let mut stream = SourceIter::new(walker(&workload, &config));
-        run.fast_forward_recorded(&mut stream, &mut tape);
-    }
-    let tail_before = trrip_obs::snapshot();
-    let mut timed_s = f64::INFINITY;
-    let mut functional_s = f64::INFINITY;
-    for _ in 0..reps {
-        let mut run = SimRun::new(&workload, &config);
-        let mut stream = SourceIter::new(walker(&workload, &config));
-        let start = Instant::now();
-        run.fast_forward_replayed(&mut stream, &tape);
-        timed_s = timed_s.min(start.elapsed().as_secs_f64());
-
-        let mut run = SimRun::new(&workload, &config);
-        let mut stream = SourceIter::new(walker(&workload, &config));
-        let start = Instant::now();
-        run.fast_forward_replayed_mode(&mut stream, &tape, true);
-        functional_s = functional_s.min(start.elapsed().as_secs_f64());
-    }
-    let functional_skips =
-        trrip_obs::snapshot().since(&tail_before).get("warm.functional_stats_skips");
-
     println!(
         "memsys, {} warmup / {} measured instructions:",
         config.fast_forward, config.instructions
@@ -373,11 +341,6 @@ fn main() {
         "  cold capture:       {capture_memo_s:.3} s memoized vs {capture_fresh_s:.3} s fresh  \
          ({capture_speedup:.2}x)"
     );
-    println!("  warmup tail timed:  {timed_s:.3} s");
-    println!(
-        "  warmup tail funcl:  {functional_s:.3} s  ({:.2}x)",
-        timed_s / functional_s.max(1e-12)
-    );
 
     if smoke {
         // The fast path must actually be exercised — both sides of it.
@@ -385,16 +348,14 @@ fn main() {
         assert!(fp_bails > 0, "no L1 fast-path bails recorded");
         assert!(fp_rate > 0.5, "warm L1 hit rate suspiciously low: {fp_rate:.3}");
 
-        // …and so must the walker's template cache, the lockstep
+        // …and so must the walker's template cache and the lockstep
         // executor (a group of n reads each record once and drives n
-        // machines with it), and the widened functional-warming stat
-        // skips.
+        // machines with it).
         for (size, _, ratio) in lockstep {
             assert_eq!(ratio, size as f64, "a group of {size} is not {size} machines a record");
         }
         assert!(memo_hits > 0, "the walker template cache never hit");
         assert!(memo_misses > 0, "the walker template cache never filled");
-        assert!(functional_skips > 0, "functional warming skipped no stat bookkeeping");
 
         // The machine state must snapshot-round-trip byte-stably.
         let mut run = SimRun::new(&workload, &config);
@@ -452,9 +413,7 @@ fn main() {
              {lockstep_fields}\
              \"capture_memo_s\": {capture_memo_s:.4},\n    \
              \"capture_fresh_s\": {capture_fresh_s:.4},\n    \
-             \"capture_walker_speedup\": {capture_speedup:.3},\n    \
-             \"warmup_tail_timed_s\": {timed_s:.4},\n    \
-             \"warmup_tail_functional_s\": {functional_s:.4}\n  }}",
+             \"capture_walker_speedup\": {capture_speedup:.3}\n  }}",
             name = variant.name,
             lockstep_fields = lockstep
                 .map(|(size, ns, _)| format!(
@@ -467,9 +426,5 @@ fn main() {
         append_trajectory(&json_path, &entry);
     }
     trrip_obs::progress!("trajectory appended to {}", json_path.display());
-    obs.finish(&[
-        ("measure_ns_per_instr", ns_per_instr),
-        ("warmup_tail_timed_s", timed_s),
-        ("warmup_tail_functional_s", functional_s),
-    ]);
+    obs.finish(&[("measure_ns_per_instr", ns_per_instr)]);
 }

@@ -1,6 +1,6 @@
 //! Wall-clock + footprint benchmark of **compression wherever bytes
-//! rest**: the `trrip-pack` codec over trace chunks (format v2),
-//! checkpoint containers (format v4), and the budget-aware store.
+//! rest**: the `trrip-pack` codec over trace chunks, checkpoint
+//! containers, and the budget-aware store.
 //!
 //! Reported metrics:
 //!
@@ -17,7 +17,7 @@
 //! * **codec throughput** — `pack_stream`/`unpack_stream` MB/s over a
 //!   mixed corpus;
 //! * **warm-sweep delta** — wall time of a warm eight-policy sweep
-//!   through compressed traces and v4 checkpoints, against the in-memory
+//!   through compressed traces and checkpoints, against the in-memory
 //!   walker sweep of the same cells (which walks each workload once
 //!   since PR 12; `BENCH_pack.json` entries older than that divide by a
 //!   walker sweep that walked once per cell).
@@ -123,10 +123,10 @@ fn noise_payload(len: usize) -> Vec<u8> {
 }
 
 /// Compression ratio (and chosen codec) of one payload through the
-/// auto-selector, dictionary-less.
+/// auto-selector.
 fn section_ratio(payload: &[u8]) -> (f64, &'static str) {
     let mut out = Vec::new();
-    let codec = trrip_pack::compress_auto(payload, &[], &mut out);
+    let codec = trrip_pack::compress_auto(payload, &mut out);
     (out.len() as f64 / payload.len().max(1) as f64, codec.name())
 }
 
@@ -195,7 +195,6 @@ fn main() {
     let trace_bytes_per_instr = trace_file_bytes as f64 / capture_instrs as f64;
     let (raw, comp) = (delta.get("pack.raw_bytes"), delta.get("pack.compressed_bytes"));
     let trace_ratio = comp as f64 / raw.max(1) as f64;
-    let dict_hits = delta.get("pack.dict_hits");
     std::fs::remove_file(&trace_path).ok();
 
     // --- Per-section-kind ratios. ---
@@ -217,10 +216,10 @@ fn main() {
     let mut decompress_s = f64::INFINITY;
     for _ in 0..reps {
         let start = Instant::now();
-        let packed = trrip_pack::pack_stream(&corpus, &[]);
+        let packed = trrip_pack::pack_stream(&corpus);
         compress_s = compress_s.min(start.elapsed().as_secs_f64());
         let start = Instant::now();
-        let unpacked = trrip_pack::unpack_stream(&packed, &[]).expect("unpack");
+        let unpacked = trrip_pack::unpack_stream(&packed).expect("unpack");
         decompress_s = decompress_s.min(start.elapsed().as_secs_f64());
         assert_eq!(unpacked, corpus, "corpus must round-trip");
     }
@@ -279,7 +278,7 @@ fn main() {
     );
     println!(
         "  trace capture:      {trace_file_bytes} B, {trace_bytes_per_instr:.2} B/instr  \
-         (payload {trace_ratio:.3}x raw, {dict_hits} dict hits)"
+         (payload {trace_ratio:.3}x raw)"
     );
     println!("  section bitmap:     {bitmap_ratio:.3}x  ({bitmap_codec})");
     println!("  section tag array:  {tags_ratio:.3}x  ({tags_codec})");
@@ -337,7 +336,6 @@ fn main() {
          \"fast_forward\": {ff},\n    \"measured_instructions\": {measured},\n    \
          \"trace_bytes_per_instr\": {trace_bytes_per_instr:.3},\n    \
          \"trace_compress_ratio\": {trace_ratio:.4},\n    \
-         \"trace_dict_hits\": {dict_hits},\n    \
          \"ckpt_compress_ratio\": {ckpt_ratio:.4},\n    \
          \"ckpt_store_bytes\": {ckpt_store_bytes},\n    \
          \"section_bitmap_ratio\": {bitmap_ratio:.4},\n    \

@@ -4,9 +4,8 @@
 //! * **baseline** — `replay_sweep` with no checkpoint store: warmup
 //!   executed per cell, nothing persisted;
 //! * **cold** — `replay_sweep` over an empty checkpoint store: the same
-//!   warm-up turns, plus ONE recorded tape (the frontend's) and the
-//!   saves of the shared prefix and every policy's overlay — the price
-//!   of populating;
+//!   warm-up turns, plus the saves of ONE shared prefix (the frontend's
+//!   predictor) and every policy's overlay — the price of populating;
 //! * **warm** — the same sweep again: the frontend resumes from the
 //!   prefix at the boundary, every cell restores its overlay, and the
 //!   warmup is neither decoded nor simulated.
@@ -28,8 +27,7 @@ use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep, warmup_counters, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
-    TraceStore,
+    replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -137,11 +135,10 @@ fn main() {
     let mut baseline = None;
     let baseline_s = time_best(reps, || {}, || baseline = Some(sweep(None)));
 
-    // --- Cold: the same turns, one recorded tape, prefix + overlays saved. ---
-    trrip_obs::progress!("cold: populating sweep, one recorded warmup per workload…");
+    // --- Cold: the same turns, one prefix + every overlay saved. ---
+    trrip_obs::progress!("cold: populating sweep, one shared prefix per workload…");
     let mut cold = None;
     let store_before = trrip_obs::snapshot();
-    let before = warmup_counters();
     let cold_s = time_best(
         reps,
         || {
@@ -149,13 +146,14 @@ fn main() {
         },
         || cold = Some(sweep(Some(&ckpts))),
     );
-    let delta = warmup_counters().since(&before);
+    let delta = trrip_obs::snapshot().since(&store_before);
     assert_eq!(
-        delta.recorded_warmups as usize, reps,
-        "the cold pass must record exactly one warmup per repetition"
+        delta.get("warm.recorded_warmup") as usize,
+        reps,
+        "the cold pass must write exactly one prefix per repetition"
     );
     assert_eq!(
-        delta.tail_replays as usize,
+        delta.get("warm.tail_replay") as usize,
         reps * POLICIES.len(),
         "every cell must execute the shared warm-up turns"
     );
@@ -163,11 +161,14 @@ fn main() {
     // --- Warm: frontend resumed from the prefix, every cell restored. ---
     trrip_obs::progress!("warm: sweep restoring…");
     let mut warm = None;
-    let before = warmup_counters();
+    let before = trrip_obs::snapshot();
     let warm_s = time_best(reps, || {}, || warm = Some(sweep(Some(&ckpts))));
-    let delta = warmup_counters().since(&before);
-    assert_eq!(delta.overlay_restores as usize, reps * POLICIES.len(), "every cell restores");
-    assert_eq!(delta.recorded_warmups + delta.tail_replays + delta.cold_warmups, 0);
+    let delta = trrip_obs::snapshot().since(&before);
+    let restored = delta.get("warm.overlay_restore") as usize;
+    assert_eq!(restored, reps * POLICIES.len(), "every cell restores");
+    let warmed = ["recorded_warmup", "tail_replay", "cold_warmup"]
+        .map(|route| delta.get(&format!("warm.{route}")));
+    assert_eq!(warmed, [0; 3], "a warm pass warms nobody and writes no prefix");
 
     // Cross-check: all passes must agree bit-for-bit.
     let baseline = baseline.expect("ran");

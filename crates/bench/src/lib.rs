@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    ensure_warm_prefixes, policy_sweep_with, replay_sweep, replay_sweep_sharded, CheckpointStore,
-    PreparedWorkload, SimConfig, SweepResult, TraceStore,
+    policy_sweep_with, replay_sweep, replay_sweep_sharded, CheckpointStore, PreparedWorkload,
+    SimConfig, SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -31,10 +31,13 @@ options:
                    walks once and writes it on the side for this and
                    every later run
   --checkpoint-dir DIR
-                   persist warmed (post-fast-forward) simulation state
-                   into DIR — one policy-agnostic shared prefix per
-                   workload, one overlay per policy — and restore it on
-                   later sweeps, skipping warmup; requires --trace-dir
+                   keep the fast-forward boundary in DIR as two kinds of
+                   file — one policy-agnostic shared prefix (the branch
+                   predictor) per workload, one overlay per (workload,
+                   policy) — and restore from them on later sweeps,
+                   skipping warmup; a cell whose files are missing,
+                   damaged or of another format version warms up and
+                   writes them again; requires --trace-dir
   --jobs N         cap worker threads for sweeps and preparation
                    (default: available parallelism); an unsharded sweep,
                    with or without stores, simulates on exactly
@@ -44,11 +47,8 @@ options:
                    segments chained through checkpoints, scheduled as a
                    DAG of segment tasks (default 1 = unsharded; N > 1
                    requires --checkpoint-dir)
-  --warm-prefix    accepted for compatibility: an unsharded sweep always
-                   shares one warmup per workload across every policy;
-                   with --shards N it adds the pre-pass that records the
-                   shared prefix before the segments run (requires
-                   --checkpoint-dir)
+  --warm-prefix    accepted and ignored: every sweep over a
+                   --checkpoint-dir shares one prefix per workload
   --ckpt-budget-bytes N
                    after the sweep, shrink the checkpoint store to at
                    most N bytes, evicting cheapest-to-rebuild artifacts
@@ -89,9 +89,6 @@ pub struct HarnessOptions {
     /// Segments each `(workload, policy)` run is cut into
     /// (`--shards N`, default 1 = unsharded).
     pub shards: usize,
-    /// `--warm-prefix`: record the shared prefix in a pre-pass before a
-    /// sharded sweep. Implied, and ignored, when unsharded.
-    pub warm_prefix: bool,
     /// Post-sweep checkpoint-store byte budget
     /// (`--ckpt-budget-bytes N`); `None` = unbounded.
     pub ckpt_budget_bytes: Option<u64>,
@@ -113,7 +110,6 @@ impl Default for HarnessOptions {
             checkpoint_dir: None,
             jobs: trrip_sim::default_jobs(),
             shards: 1,
-            warm_prefix: false,
             ckpt_budget_bytes: None,
             metrics: false,
             obs_dir: None,
@@ -255,7 +251,8 @@ impl HarnessOptions {
                         return Err("--shards must be at least 1".to_owned());
                     }
                 }
-                "--warm-prefix" => options.warm_prefix = true,
+                // Committed command lines pass it; it selects nothing.
+                "--warm-prefix" => {}
                 "--ckpt-budget-bytes" => {
                     let v = value_of("--ckpt-budget-bytes")?;
                     let budget = v.parse().map_err(|_| {
@@ -288,11 +285,6 @@ impl HarnessOptions {
                  persisted checkpoints) and therefore --trace-dir"
                 .to_owned());
         }
-        if options.warm_prefix && options.checkpoint_dir.is_none() {
-            return Err("--warm-prefix requires --checkpoint-dir (the shared prefix and \
-                 per-policy overlays are persisted containers) and therefore --trace-dir"
-                .to_owned());
-        }
         if options.ckpt_budget_bytes.is_some() && options.checkpoint_dir.is_none() {
             return Err("--ckpt-budget-bytes requires --checkpoint-dir (the budget bounds the \
                  persisted checkpoint store) and therefore --trace-dir"
@@ -308,8 +300,7 @@ impl HarnessOptions {
 
     /// Runs a policy sweep with the engine the command line selected:
     /// **sharded** segment-DAG execution when `--shards N` (N > 1) is
-    /// given (with `--warm-prefix`, behind the pre-pass that records
-    /// each workload's shared prefix), the **store-backed** push sweep
+    /// given, the **store-backed** push sweep
     /// when `--trace-dir` is (replayed from a capture, or walked and
     /// captured on the side; warm-started from and populating
     /// `--checkpoint-dir` if given), and the **storeless** push sweep
@@ -349,21 +340,15 @@ impl HarnessOptions {
     ) -> SweepResult {
         let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
         match (&self.trace_dir, &checkpoints) {
-            (Some(traces), Some(checkpoints)) if self.shards > 1 => {
-                let traces = TraceStore::new(traces);
-                if self.warm_prefix {
-                    ensure_warm_prefixes(self.jobs, workloads, config, &traces, checkpoints);
-                }
-                replay_sweep_sharded(
-                    self.jobs,
-                    workloads,
-                    config,
-                    policies,
-                    &traces,
-                    checkpoints,
-                    self.shards,
-                )
-            }
+            (Some(traces), Some(checkpoints)) if self.shards > 1 => replay_sweep_sharded(
+                self.jobs,
+                workloads,
+                config,
+                policies,
+                &TraceStore::new(traces),
+                checkpoints,
+                self.shards,
+            ),
             (Some(traces), checkpoints) => replay_sweep(
                 self.jobs,
                 workloads,
@@ -647,7 +632,6 @@ mod tests {
             (&["--trace-dir"], "--trace-dir"),
             (&["--checkpoint-dir"], "--checkpoint-dir"),
             (&["--checkpoint-dir", "c"], "--trace-dir"),
-            (&["--warm-prefix"], "--warm-prefix"),
             (&["--ckpt-budget-bytes"], "--ckpt-budget-bytes"),
             (&["--ckpt-budget-bytes", "0"], "--ckpt-budget-bytes"),
             (&["--ckpt-budget-bytes", "lots"], "--ckpt-budget-bytes"),
@@ -660,28 +644,27 @@ mod tests {
         }
     }
 
+    /// `sweep` picks its engine from the parsed options and nothing
+    /// else, so a flag that leaves them as they were selects nothing.
     #[test]
-    fn warm_prefix_requires_checkpoint_dir_and_parses_with_it() {
-        // Alone: rejected, naming both the flag and what it needs.
-        let err = parse(&["--warm-prefix"]).unwrap_err();
-        assert!(err.contains("--warm-prefix") && err.contains("--checkpoint-dir"), "{err}");
-        // With traces but no checkpoints: still rejected.
-        let err = parse(&["--warm-prefix", "--trace-dir", "t"]).unwrap_err();
-        assert!(err.contains("--warm-prefix") && err.contains("--checkpoint-dir"), "{err}");
-        // Fully specified: accepted, flag set.
-        let ok = parse(&["--warm-prefix", "--trace-dir", "t", "--checkpoint-dir", "c"])
-            .expect("valid")
-            .expect("not help");
-        assert!(ok.warm_prefix);
-        // Composes with --shards (the sharded engine gets the pre-pass;
-        // unsharded, the flag changes nothing).
-        let ok =
-            parse(&["--warm-prefix", "--shards", "2", "--trace-dir", "t", "--checkpoint-dir", "c"])
-                .expect("valid")
-                .expect("not help");
-        assert!(ok.warm_prefix && ok.shards == 2);
-        // Default: off.
-        assert!(!parse(&[]).expect("ok").expect("not help").warm_prefix);
+    fn warm_prefix_parses_anywhere_and_changes_nothing() {
+        for rest in [
+            &[][..],
+            &["--trace-dir", "t"],
+            &["--trace-dir", "t", "--checkpoint-dir", "c"],
+            &["--trace-dir", "t", "--checkpoint-dir", "c", "--shards", "4"],
+        ] {
+            let without = parse(rest).expect("valid").expect("not help");
+            for with in [[&["--warm-prefix"], rest].concat(), [rest, &["--warm-prefix"]].concat()] {
+                let with = parse(&with).expect("valid").expect("not help");
+                assert_eq!(format!("{with:?}"), format!("{without:?}"), "beside {rest:?}");
+            }
+        }
+        // It still takes no value, and what --shards needs is still
+        // needed beside it.
+        assert!(parse(&["--warm-prefix", "yes"]).is_err());
+        let err = parse(&["--warm-prefix", "--shards", "2"]).unwrap_err();
+        assert!(err.contains("--shards") && err.contains("--checkpoint-dir"), "{err}");
     }
 
     #[test]

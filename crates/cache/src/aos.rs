@@ -13,7 +13,7 @@ use trrip_mem::{LineAddr, MemoryRequest};
 use trrip_policies::{ReplacementPolicy, RequestInfo};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::cache::{restore_bitmap, save_bitmap, EvictedLine, LINE_DIRTY, LINE_INSTR, LINE_VALID};
+use crate::cache::{restore_bitmap, save_bitmap, EvictedLine};
 use crate::config::CacheConfig;
 use crate::stats::AccessStats;
 
@@ -232,48 +232,29 @@ impl Snapshot for AosCache {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        if r.try_tag(b"CACB") {
-            r.expect_len("cache line count", self.lines.len())?;
-            let valid = restore_bitmap(r, self.lines.len())?;
-            let occupancy = valid.iter().filter(|&&v| v).count();
-            let dirty = restore_bitmap(r, occupancy)?;
-            let instr = restore_bitmap(r, occupancy)?;
-            let mut vi = 0;
-            for (line, &v) in self.lines.iter_mut().zip(&valid) {
-                *line = if v {
-                    vi += 1;
-                    LineState {
-                        valid: true,
-                        dirty: dirty[vi - 1],
-                        instruction: instr[vi - 1],
-                        tag: LineAddr(0), // tags follow the bitmaps
-                    }
-                } else {
-                    LineState::default()
-                };
-            }
-            debug_assert_eq!(vi, occupancy);
-            for line in self.lines.iter_mut().filter(|l| l.valid) {
-                line.tag = LineAddr(r.u64()?);
-            }
-        } else {
-            r.expect_tag(b"CACH")?;
-            r.expect_len("cache line count", self.lines.len())?;
-            for line in &mut self.lines {
-                let flags = r.u8()?;
-                if flags & !(LINE_VALID | LINE_DIRTY | LINE_INSTR) != 0 {
-                    return Err(SnapError::Corrupt(format!("invalid line flags {flags:#x}")));
+        r.expect_tag(b"CACB")?;
+        r.expect_len("cache line count", self.lines.len())?;
+        let valid = restore_bitmap(r, self.lines.len())?;
+        let occupancy = valid.iter().filter(|&&v| v).count();
+        let dirty = restore_bitmap(r, occupancy)?;
+        let instr = restore_bitmap(r, occupancy)?;
+        let mut vi = 0;
+        for (line, &v) in self.lines.iter_mut().zip(&valid) {
+            *line = if v {
+                vi += 1;
+                LineState {
+                    valid: true,
+                    dirty: dirty[vi - 1],
+                    instruction: instr[vi - 1],
+                    tag: LineAddr(0), // tags follow the bitmaps
                 }
-                *line = LineState {
-                    valid: flags & LINE_VALID != 0,
-                    dirty: flags & LINE_DIRTY != 0,
-                    instruction: flags & LINE_INSTR != 0,
-                    tag: LineAddr(0),
-                };
-                if line.valid {
-                    line.tag = LineAddr(r.u64()?);
-                }
-            }
+            } else {
+                LineState::default()
+            };
+        }
+        debug_assert_eq!(vi, occupancy);
+        for line in self.lines.iter_mut().filter(|l| l.valid) {
+            line.tag = LineAddr(r.u64()?);
         }
         self.stats.restore(r)?;
         self.policy.restore_state(r)

@@ -118,12 +118,6 @@ pub struct Cache<P = Box<dyn ReplacementPolicy>> {
     instruction: Vec<u64>,
     policy: P,
     stats: AccessStats,
-    /// When false, statistics accumulation is skipped while the
-    /// architectural state (tags, bitmaps, policy) keeps updating.
-    /// Functional warming clears this for segments whose stats nothing
-    /// reads (they are reset when measurement arms). Not part of the
-    /// snapshot stream: it is phase state, not architectural state.
-    stats_enabled: bool,
     num_sets: usize,
     /// `[0, 1, …, ways-1]`, precomputed so victim selection on the miss
     /// path never allocates a candidate list.
@@ -165,7 +159,6 @@ impl<P: ReplacementPolicy> Cache<P> {
             instruction: vec![0; bitmap_words(slots)],
             policy,
             stats: AccessStats::default(),
-            stats_enabled: true,
             num_sets,
             all_ways: (0..config.ways).collect(),
             config,
@@ -187,14 +180,6 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// Resets statistics (e.g. after cache warm-up).
     pub fn reset_stats(&mut self) {
         self.stats = AccessStats::default();
-    }
-
-    /// Enables or disables statistics accumulation (on by default).
-    /// Replacement state always updates regardless — only the counters
-    /// are gated, which is legal exactly when nothing will read them
-    /// before the next [`Cache::reset_stats`].
-    pub fn set_stats_enabled(&mut self, enabled: bool) {
-        self.stats_enabled = enabled;
     }
 
     /// The replacement policy's display name.
@@ -249,12 +234,10 @@ impl<P: ReplacementPolicy> Cache<P> {
         let line = self.line_of(req);
         match self.probe(line) {
             Some((set, way)) => {
-                if self.stats_enabled {
-                    if req.attrs.prefetch {
-                        self.stats.prefetch_hits += 1;
-                    } else {
-                        self.stats.record_demand(req.kind.is_instruction(), true);
-                    }
+                if req.attrs.prefetch {
+                    self.stats.prefetch_hits += 1;
+                } else {
+                    self.stats.record_demand(req.kind.is_instruction(), true);
                 }
                 // Built in the argument: a policy that does not read it
                 // (LRU, held by value) never has it built.
@@ -265,7 +248,7 @@ impl<P: ReplacementPolicy> Cache<P> {
                 true
             }
             None => {
-                if self.stats_enabled && !req.attrs.prefetch {
+                if !req.attrs.prefetch {
                     self.stats.record_demand(req.kind.is_instruction(), false);
                 }
                 false
@@ -301,11 +284,9 @@ impl<P: ReplacementPolicy> Cache<P> {
                     instruction: bitmap_get(&self.instruction, slot),
                 };
                 self.policy.on_evict(set, way);
-                if self.stats_enabled {
-                    self.stats.evictions += 1;
-                    if old.dirty {
-                        self.stats.writebacks += 1;
-                    }
+                self.stats.evictions += 1;
+                if old.dirty {
+                    self.stats.writebacks += 1;
                 }
                 (way, Some(old))
             }
@@ -317,7 +298,7 @@ impl<P: ReplacementPolicy> Cache<P> {
         bitmap_set(&mut self.valid, slot, true);
         bitmap_set(&mut self.dirty, slot, req.kind.is_write());
         bitmap_set(&mut self.instruction, slot, req.kind.is_instruction());
-        if self.stats_enabled && req.attrs.prefetch {
+        if req.attrs.prefetch {
             self.stats.prefetch_fills += 1;
         }
         self.policy.on_fill(set, way, &info);
@@ -329,7 +310,7 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// the statistics.
     pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
         let removed = self.extract(line);
-        if self.stats_enabled && removed.is_some() {
+        if removed.is_some() {
             self.stats.back_invalidations += 1;
         }
         removed
@@ -379,10 +360,6 @@ impl<P: ReplacementPolicy> Cache<P> {
     }
 }
 
-pub(crate) const LINE_VALID: u8 = 1 << 0;
-pub(crate) const LINE_DIRTY: u8 = 1 << 1;
-pub(crate) const LINE_INSTR: u8 = 1 << 2;
-
 /// Appends `bits` as a packed LSB-first bitmap (`⌈len/8⌉` bytes).
 pub(crate) fn save_bitmap(w: &mut SnapWriter, bits: impl Iterator<Item = bool>) {
     let mut byte = 0u8;
@@ -416,20 +393,16 @@ pub(crate) fn restore_bitmap(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<boo
 
 /// Snapshot encoding of the tag store.
 ///
-/// The current encoding (`"CACB"`, checkpoint container v2) is
-/// bitmap-packed: one valid-slot bitmap over all slots, then dirty and
-/// instruction bitmaps over the *valid* slots only, then one varint tag
-/// per valid slot. A mostly-empty level (the SLC right after
-/// fast-forward, the dominant term in checkpoint size) costs ~1 bit per
-/// empty slot instead of the legacy byte, and a full level drops the
-/// per-line flag byte. The legacy per-line encoding (`"CACH"`, v1
-/// containers) restores transparently. The struct-of-arrays store emits
-/// and consumes exactly the bytes the array-of-structs layout did, so
-/// v1/v2/v3 containers are unaffected by the layout change.
+/// The encoding (`"CACB"`) is bitmap-packed: one valid-slot bitmap over
+/// all slots, then dirty and instruction bitmaps over the *valid* slots
+/// only, then one varint tag per valid slot. A mostly-empty level (the
+/// SLC right after fast-forward, the dominant term in checkpoint size)
+/// costs ~1 bit per empty slot, and a full level carries no per-line
+/// flag byte. The struct-of-arrays store emits and consumes exactly the
+/// bytes the array-of-structs oracle does.
 ///
-/// In the v3 split container, the whole tag store — contents *and*
-/// policy state — serializes into the **per-policy overlay**, never
-/// the shared prefix: every level's contents couple to the L2 policy
+/// The whole tag store — contents *and* policy state — serializes into
+/// the **per-policy overlay**, never the shared prefix: every level's contents couple to the L2 policy
 /// (the L2/SLC directly through victim choice, the L1s through
 /// inclusive back-invalidation), so none of it is shareable across
 /// policies.
@@ -451,46 +424,29 @@ impl<P: ReplacementPolicy> Snapshot for Cache<P> {
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let slots = self.tags.len();
-        if r.try_tag(b"CACB") {
-            r.expect_len("cache line count", slots)?;
-            let valid = restore_bitmap(r, slots)?;
-            let occupancy = valid.iter().filter(|&&v| v).count();
-            let dirty = restore_bitmap(r, occupancy)?;
-            let instr = restore_bitmap(r, occupancy)?;
-            let mut vi = 0;
-            for (slot, &v) in valid.iter().enumerate() {
-                bitmap_set(&mut self.valid, slot, v);
-                if v {
-                    bitmap_set(&mut self.dirty, slot, dirty[vi]);
-                    bitmap_set(&mut self.instruction, slot, instr[vi]);
-                    vi += 1;
-                } else {
-                    bitmap_set(&mut self.dirty, slot, false);
-                    bitmap_set(&mut self.instruction, slot, false);
-                    self.tags[slot] = TAG_INVALID;
-                }
+        r.expect_tag(b"CACB")?;
+        r.expect_len("cache line count", slots)?;
+        let valid = restore_bitmap(r, slots)?;
+        let occupancy = valid.iter().filter(|&&v| v).count();
+        let dirty = restore_bitmap(r, occupancy)?;
+        let instr = restore_bitmap(r, occupancy)?;
+        let mut vi = 0;
+        for (slot, &v) in valid.iter().enumerate() {
+            bitmap_set(&mut self.valid, slot, v);
+            if v {
+                bitmap_set(&mut self.dirty, slot, dirty[vi]);
+                bitmap_set(&mut self.instruction, slot, instr[vi]);
+                vi += 1;
+            } else {
+                bitmap_set(&mut self.dirty, slot, false);
+                bitmap_set(&mut self.instruction, slot, false);
+                self.tags[slot] = TAG_INVALID;
             }
-            debug_assert_eq!(vi, occupancy);
-            for (slot, &v) in valid.iter().enumerate() {
-                if v {
-                    self.tags[slot] = read_tag(r)?;
-                }
-            }
-        } else {
-            // Legacy v1 per-line encoding: a flag byte per slot, tag
-            // inline after each valid slot's flags.
-            r.expect_tag(b"CACH")?;
-            r.expect_len("cache line count", slots)?;
-            for slot in 0..slots {
-                let flags = r.u8()?;
-                if flags & !(LINE_VALID | LINE_DIRTY | LINE_INSTR) != 0 {
-                    return Err(SnapError::Corrupt(format!("invalid line flags {flags:#x}")));
-                }
-                let valid = flags & LINE_VALID != 0;
-                bitmap_set(&mut self.valid, slot, valid);
-                bitmap_set(&mut self.dirty, slot, flags & LINE_DIRTY != 0);
-                bitmap_set(&mut self.instruction, slot, flags & LINE_INSTR != 0);
-                self.tags[slot] = if valid { read_tag(r)? } else { TAG_INVALID };
+        }
+        debug_assert_eq!(vi, occupancy);
+        for (slot, &v) in valid.iter().enumerate() {
+            if v {
+                self.tags[slot] = read_tag(r)?;
             }
         }
         self.stats.restore(r)?;
@@ -690,74 +646,31 @@ mod tests {
         }
     }
 
-    /// Writes `c` in the v1 ("CACH") per-line encoding: a flag byte per
-    /// slot, inline tag after each valid slot — what v1 checkpoint
-    /// containers hold.
-    fn legacy_save(c: &Cache, w: &mut SnapWriter) {
-        w.tag(b"CACH");
-        w.usize(c.tags.len());
-        for slot in 0..c.tags.len() {
-            let mut flags = 0u8;
-            if bitmap_get(&c.valid, slot) {
-                flags |= LINE_VALID;
-            }
-            if bitmap_get(&c.dirty, slot) {
-                flags |= LINE_DIRTY;
-            }
-            if bitmap_get(&c.instruction, slot) {
-                flags |= LINE_INSTR;
-            }
-            w.u8(flags);
-            if bitmap_get(&c.valid, slot) {
-                w.u64(c.tags[slot]);
-            }
-        }
-        c.stats.save(w);
-        c.policy.save_state(w);
-    }
-
-    #[test]
-    fn legacy_per_line_snapshot_restores() {
-        let mut c = small_cache(PolicyKind::Lru);
-        fill_some(&mut c, 5);
-        let mut w = SnapWriter::new();
-        legacy_save(&c, &mut w);
-
-        let mut restored = small_cache(PolicyKind::Lru);
-        let mut r = SnapReader::new(w.bytes());
-        restored.restore(&mut r).expect("legacy restore");
-        r.finish().expect("no trailing bytes");
-        let mut a: Vec<_> = c.resident_lines().collect();
-        let mut b: Vec<_> = restored.resident_lines().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
-        assert_eq!(restored.stats(), c.stats());
-    }
-
     #[test]
     fn bitmap_snapshot_shrinks_sparse_stores() {
         // An SLC-shaped level (many sets, nearly empty after warmup)
-        // must cost ~1 bit per empty slot, not the legacy byte.
+        // costs ~1 bit per empty slot, not a byte: beside the policy's
+        // own state, an empty store is its valid bitmap, and 64 resident
+        // lines add a few bytes each, nothing per slot.
         let config = CacheConfig::new("SLC", 2 << 20, 16, 1, 2);
         let slots = config.num_sets() * config.ways;
-        let policy = PolicyKind::Lru.build(config.num_sets(), config.ways);
-        let mut c = Cache::new(config, policy);
-        fill_some(&mut c, 64);
-        let mut bitmap = SnapWriter::new();
-        c.save(&mut bitmap);
-        let mut legacy = SnapWriter::new();
-        legacy_save(&c, &mut legacy);
-        // The legacy floor was one flag byte per slot; bitmaps cut that
-        // to ~1 bit, so a sparse store must save most of a byte per slot
-        // (policy/stats bytes are identical in both encodings).
-        assert!(
-            bitmap.bytes().len() + slots / 2 < legacy.bytes().len(),
-            "bitmap encoding is {} bytes vs legacy {} for {} slots",
-            bitmap.bytes().len(),
-            legacy.bytes().len(),
-            slots
-        );
+        let build = || {
+            let policy = PolicyKind::Lru.build(config.num_sets(), config.ways);
+            Cache::new(config.clone(), policy)
+        };
+        let saved_len = |save: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            save(&mut w);
+            w.bytes().len()
+        };
+        let empty = build();
+        let mut sparse = build();
+        fill_some(&mut sparse, 64);
+        let empty_len = saved_len(&|w| empty.save(w));
+        let tag_store_len = empty_len - saved_len(&|w| empty.policy.save_state(w));
+        assert!(tag_store_len < slots / 8 + 64, "{tag_store_len} bytes for {slots} empty slots");
+        let sparse_len = saved_len(&|w| sparse.save(w));
+        assert!(sparse_len < empty_len + 64 * 16, "{sparse_len} bytes vs {empty_len} empty");
     }
 
     #[test]

@@ -186,16 +186,6 @@ impl Hierarchy {
         self.slc.reset_stats();
     }
 
-    /// Gates statistics accumulation on every level (see
-    /// [`Cache::set_stats_enabled`]). Used by functional warming for
-    /// segments whose stats are reset unread when measurement arms.
-    pub fn set_stats_enabled(&mut self, enabled: bool) {
-        self.l1i.set_stats_enabled(enabled);
-        self.l1d.set_stats_enabled(enabled);
-        self.l2.set_stats_enabled(enabled);
-        self.slc.set_stats_enabled(enabled);
-    }
-
     /// Performs one demand access, updating every level it touches.
     pub fn access(&mut self, req: &MemoryRequest) -> AccessOutcome {
         match self.access_l1(req) {

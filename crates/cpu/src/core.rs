@@ -42,8 +42,7 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::backend::MemoryBackend;
 use crate::branch::{BranchPredictor, PredictorConfig};
-use crate::events::{EventTurn, MAX_FDIP_PCS};
-use crate::tape::{TapeCursor, WarmupTape};
+use crate::events::EventTurn;
 use crate::topdown::{StallClass, TopDown};
 use crate::trace::{MemOp, TraceInstr};
 
@@ -52,7 +51,7 @@ use crate::trace::{MemOp, TraceInstr};
 const MLP_SERIALIZATION: f64 = 4.0;
 
 /// Scratch capacity for FDIP-issued PCs per trigger (the paper machine
-/// prefetches at most 2; the warmup tape caps entries at 3).
+/// prefetches at most 2).
 const FDIP_ISSUE_CAP: usize = 4;
 
 /// Machines whose clocks [`Core::execute`] keeps on the stack for the
@@ -65,18 +64,6 @@ const LOCKSTEP_STACK_CLOCKS: usize = 16;
 /// Large enough to amortize per-batch window bookkeeping, small enough
 /// that the staging buffer stays cache-resident (~256 kB).
 const STREAM_BATCH: usize = 4096;
-
-/// What [`Core::run_warmup_tail`] replayed: the warmup's clock and
-/// stall buckets — equal to the observed warmup's, by construction.
-#[derive(Debug, Clone, PartialEq)]
-pub struct WarmupTailReport {
-    /// Instructions consumed.
-    pub instructions: u64,
-    /// Final clock value.
-    pub cycles: f64,
-    /// Stall-bucket totals.
-    pub topdown: TopDown,
-}
 
 /// Core timing parameters (defaults = Table 1).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -422,16 +409,7 @@ impl Snapshot for RunState {
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        // "CRN2" is the current layout; "CRUN" is the v1 checkpoint
-        // layout without tally baselines (those start at zero, which is
-        // exactly what a v1 whole-run snapshot means). A v1 stream's
-        // `topdown.retire` holds the old per-instruction accumulation;
-        // it is ignored — reporting re-derives retire from the
-        // instruction count.
-        let v2 = r.try_tag(b"CRN2");
-        if !v2 {
-            r.expect_tag(b"CRUN")?;
-        }
+        r.expect_tag(b"CRN2")?;
         self.cycles = r.f64()?;
         self.topdown.restore(r)?;
         self.instructions = r.u64()?;
@@ -447,52 +425,35 @@ impl Snapshot for RunState {
         }
         self.branches_before = r.u64()?;
         self.mispred_before = r.u64()?;
-        if v2 {
-            self.base_instructions = r.u64()?;
-            self.base_consumed = r.u64()?;
-            self.base_stalls.restore(r)?;
-        } else {
-            self.base_instructions = 0;
-            self.base_consumed = 0;
-            self.base_stalls = TopDown::default();
-        }
+        self.base_instructions = r.u64()?;
+        self.base_consumed = r.u64()?;
+        self.base_stalls.restore(r)?;
         Ok(())
     }
 }
 
-/// How one timing run treats its predictor-derived decisions
+/// What the fused loop does with its predictor-derived decisions
 /// (misprediction outcomes and FDIP stop points) — the only inputs to
-/// the warmup loop that come from trained predictor state rather than
-/// straight from the instruction stream, and therefore the only inputs
-/// that are **identical under every cache policy**.
+/// the loop that come from trained predictor state rather than straight
+/// from the instruction stream, and therefore the only ones that are
+/// **identical under every cache policy**.
 ///
 /// * [`WarmupMode::Observe`] — the normal loop: the predictor predicts
-///   and trains; nothing is recorded.
-/// * [`WarmupMode::Record`] — as `Observe`, but every decision is also
-///   appended to a [`WarmupTape`]. Used once per workload by the shared
-///   warmup.
+///   and trains; nothing is written down.
 /// * [`WarmupMode::Digest`] — as `Observe`, but every instruction is
 ///   also written to an [`EventTurn`]: the decisions *and* what of the
 ///   instruction a backend is shown. Run over a backend that always
 ///   hits, this is the whole policy-independent half of the loop, paid
-///   once per workload by the walk-once sweep.
-/// * [`WarmupMode::DigestRecorded`] — `Digest` and `Record` at once:
-///   the frontend of a sweep that leaves a shared prefix behind.
+///   once per workload by a sweep's frontend.
 ///
-/// The predictor-free counterpart of both is [`Core::execute`], which
-/// runs event turns; [`Core::run_warmup_tail`] turns a stream and a
-/// tape into turns for it.
+/// The predictor-free counterpart is [`Core::execute`], which runs the
+/// event turns a digesting run wrote.
 #[derive(Debug)]
 pub enum WarmupMode<'t> {
     /// Predict and train normally.
     Observe,
-    /// Predict and train normally, recording every decision.
-    Record(&'t mut WarmupTape),
     /// Predict and train normally, writing every instruction's events.
     Digest(&'t mut EventTurn),
-    /// Predict and train normally, writing every instruction's events
-    /// and recording every decision.
-    DigestRecorded(&'t mut EventTurn, &'t mut WarmupTape),
 }
 
 /// What the fused loop tells a [`WarmupMode`] of each instruction. The
@@ -505,7 +466,6 @@ trait Recorder {
     fn instruction(
         &mut self,
         instr: &TraceInstr,
-        fdip: bool,
         fdip_pcs: Option<&[u64]>,
         mispredicted: Option<bool>,
     );
@@ -516,26 +476,7 @@ struct Unrecorded;
 
 impl Recorder for Unrecorded {
     #[inline]
-    fn instruction(&mut self, _: &TraceInstr, _: bool, _: Option<&[u64]>, _: Option<bool>) {}
-}
-
-impl Recorder for WarmupTape {
-    #[inline]
-    fn instruction(
-        &mut self,
-        instr: &TraceInstr,
-        fdip: bool,
-        fdip_pcs: Option<&[u64]>,
-        mispredicted: Option<bool>,
-    ) {
-        self.push_instruction();
-        if let (true, Some(pcs)) = (fdip, fdip_pcs) {
-            self.push_fdip(instr.pc.raw(), pcs);
-        }
-        if let Some(mispredicted) = mispredicted {
-            self.push_mispredict(mispredicted);
-        }
-    }
+    fn instruction(&mut self, _: &TraceInstr, _: Option<&[u64]>, _: Option<bool>) {}
 }
 
 impl Recorder for EventTurn {
@@ -543,26 +484,10 @@ impl Recorder for EventTurn {
     fn instruction(
         &mut self,
         instr: &TraceInstr,
-        _fdip: bool,
         fdip_pcs: Option<&[u64]>,
         mispredicted: Option<bool>,
     ) {
         self.record(instr, fdip_pcs, mispredicted);
-    }
-}
-
-/// Two recorders at once, each told of every instruction.
-impl<A: Recorder, B: Recorder> Recorder for (&mut A, &mut B) {
-    #[inline]
-    fn instruction(
-        &mut self,
-        instr: &TraceInstr,
-        fdip: bool,
-        fdip_pcs: Option<&[u64]>,
-        mispredicted: Option<bool>,
-    ) {
-        self.0.instruction(instr, fdip, fdip_pcs, mispredicted);
-        self.1.instruction(instr, fdip, fdip_pcs, mispredicted);
     }
 }
 
@@ -690,10 +615,9 @@ impl<B: MemoryBackend> Core<B> {
     }
 
     /// [`Core::run_chunk`] with an explicit [`WarmupMode`]: the same
-    /// loop, with the predictor-derived decisions observed or recorded.
-    /// `Observe` is the plain hot path; `Record` exists for the
-    /// shared-warmup machinery and is bit-identical to it by
-    /// construction (recording only appends what the loop decided
+    /// loop, with the predictor-derived decisions observed or digested.
+    /// `Observe` is the plain hot path; `Digest` is bit-identical to it
+    /// by construction (it only writes down what the loop decided
     /// anyway).
     pub fn run_chunk_mode<I>(
         &mut self,
@@ -759,11 +683,7 @@ impl<B: MemoryBackend> Core<B> {
     ) -> ChunkCut {
         match mode {
             WarmupMode::Observe => self.run_batch_recorded(state, batch, drain, &mut Unrecorded),
-            WarmupMode::Record(tape) => self.run_batch_recorded(state, batch, drain, *tape),
             WarmupMode::Digest(turn) => self.run_batch_recorded(state, batch, drain, *turn),
-            WarmupMode::DigestRecorded(turn, tape) => {
-                self.run_batch_recorded(state, batch, drain, &mut (&mut **turn, &mut **tape))
-            }
         }
     }
 
@@ -875,7 +795,7 @@ impl<B: MemoryBackend> Core<B> {
         // (`Core::tally_run`), so the bucket's value cannot depend
         // on where a sharded run was cut.
         state.cycles += dispatch_cost;
-        recorder.instruction(instr, self.config.fdip, fdip_pcs, mispredicted);
+        recorder.instruction(instr, fdip_pcs, mispredicted);
     }
 
     /// The demand fetch of a new line: the starvation flag goes out with
@@ -1173,8 +1093,8 @@ impl<B: MemoryBackend> Core<B> {
     /// path, stopping at the first branch the predictor would mispredict.
     /// Returns how many lines were prefetched, with their PCs written
     /// into `issued` — the scan's only effects, and (being a pure
-    /// function of the stream and the predictor) exactly what a warmup
-    /// tape records per trigger.
+    /// function of the stream and the predictor) exactly what a
+    /// digested turn carries per fetch.
     fn issue_fdip<'a, L>(
         &mut self,
         lookahead: L,
@@ -1208,92 +1128,6 @@ impl<B: MemoryBackend> Core<B> {
             }
         }
         seen_lines
-    }
-
-    /// The **cache-touching warmup tail**: consumes `trace` with every
-    /// predictor-derived decision taken off a recorded [`WarmupTape`]
-    /// instead of from the predictor — which is therefore neither
-    /// consulted nor trained, and the lookahead window is not even
-    /// built (the tape carries the prefetch PCs). The policy-dependent
-    /// machine — backend (caches, TLB, prefetch tables, in-flight
-    /// tracker) plus the starvation FIFO and the clock — simulates for
-    /// real, so the end state is bit-identical to an observed run of
-    /// the same stream.
-    ///
-    /// Returns the replayed clock and stall buckets (equal to the
-    /// observed run's; useful for assertions — warmup timing is
-    /// otherwise discarded).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape runs out mid-stream — a stale or mismatched
-    /// tape, which keyed and checksummed prefix containers prevent.
-    pub fn run_warmup_tail<I>(&mut self, trace: I, cursor: &mut TapeCursor<'_>) -> WarmupTailReport
-    where
-        I: IntoIterator<Item = TraceInstr>,
-    {
-        self.run_warmup_tail_mode(trace, cursor, false)
-    }
-
-    /// [`Core::run_warmup_tail`] with an optional **functional-warming**
-    /// mode (`functional = true`): microarchitectural state — caches,
-    /// TLB, prefetch tables, in-flight tracker, starvation FIFO — and
-    /// the clock are simulated exactly as in timed replay, but per-cause
-    /// stall *attribution* (the top-down buckets) is not reported.
-    ///
-    /// Why this is legal at the warmup tail: the clock itself is
-    /// architectural — the backend's prefetch timeliness compares
-    /// in-flight ready-times against `now`, ready-times persist in
-    /// snapshots, and starvation thresholds on raw latency feed
-    /// Emissary — so `cycles` must advance identically. The top-down
-    /// buckets, by contrast, are pure accounting over already-computed
-    /// stalls: nothing downstream reads them during warmup (warmup
-    /// timing is discarded), so dropping them cannot perturb any
-    /// measured result. The returned report therefore carries the exact
-    /// clock but zeroed buckets when `functional` is set.
-    ///
-    /// Either way this is [`Core::execute`] behind an adapter: the
-    /// stream and the tape are written down as event turns, and the one
-    /// predictor-free loop runs them.
-    pub fn run_warmup_tail_mode<I>(
-        &mut self,
-        trace: I,
-        cursor: &mut TapeCursor<'_>,
-        functional: bool,
-    ) -> WarmupTailReport
-    where
-        I: IntoIterator<Item = TraceInstr>,
-    {
-        let mut state = self.begin_run();
-        let mut turn = EventTurn::new();
-        let mut current_line = u64::MAX;
-        let mut stream = trace.into_iter();
-        loop {
-            turn.clear();
-            for instr in stream.by_ref().take(STREAM_BATCH) {
-                let mut pcs = [0u64; MAX_FDIP_PCS];
-                let mut fdip_pcs = None;
-                if instr.pc.raw() >> 6 != current_line {
-                    current_line = instr.pc.raw() >> 6;
-                    let n = if self.config.fdip { cursor.next_fdip() } else { 0 };
-                    for pc in &mut pcs[..n] {
-                        *pc = cursor.next_fdip_pc(instr.pc.raw());
-                    }
-                    fdip_pcs = Some(&pcs[..n]);
-                }
-                let mispredicted = instr.branch.map(|_| cursor.next_mispredict());
-                turn.record(&instr, fdip_pcs, mispredicted);
-            }
-            if turn.instructions() == 0 {
-                break;
-            }
-            Core::execute(&mut [(&mut *self, &mut state)], &turn);
-        }
-        WarmupTailReport {
-            instructions: state.instructions,
-            cycles: state.cycles,
-            topdown: if functional { TopDown::default() } else { state.topdown },
-        }
     }
 }
 
@@ -1558,93 +1392,6 @@ mod tests {
         let mut merged = full;
         merged.merge(&empty);
         assert_eq!(merged, full, "a ⊕ e must equal a");
-    }
-
-    #[test]
-    fn legacy_v1_run_state_restores() {
-        // A v1 ("CRUN") snapshot carries no tally baselines and an
-        // accumulated retire bucket; restoring must accept it, zero the
-        // baselines, and report retire derived from the count.
-        let trace = mixed_trace(500);
-        let mut core = Core::new(CoreConfig::paper(), stall_backend());
-        let mut state = core.begin_run();
-        core.run_chunk(&mut state, trace[..250].iter().copied(), false);
-
-        // Hand-written v1 layout (the pre-tally field order).
-        let mut w = SnapWriter::new();
-        w.tag(b"CRUN");
-        w.f64(state.cycles);
-        state.topdown.save(&mut w);
-        w.u64(state.instructions);
-        w.u64(state.consumed);
-        w.u64(state.current_line);
-        w.bool(state.last_miss_instr.is_some());
-        if let Some(v) = state.last_miss_instr {
-            w.u64(v);
-        }
-        w.usize(state.window.len());
-        for instr in &state.window {
-            instr.save(&mut w);
-        }
-        w.u64(state.branches_before);
-        w.u64(state.mispred_before);
-
-        // Resume in a second core whose own state (predictor +
-        // starvation table) matches at the split.
-        let mut core_bytes = SnapWriter::new();
-        core.save_core_state(&mut core_bytes);
-        let mut core2 = Core::new(CoreConfig::paper(), stall_backend());
-        core2.restore_core_state(&mut SnapReader::new(core_bytes.bytes())).expect("core state");
-
-        let mut restored = core2.begin_run();
-        restored.restore(&mut SnapReader::new(w.bytes())).expect("v1 restore");
-        core.run_chunk(&mut state, trace[250..].iter().copied(), true);
-        core2.run_chunk(&mut restored, trace[250..].iter().copied(), true);
-        assert_eq!(core.tally_run(&state), core2.tally_run(&restored));
-    }
-
-    #[test]
-    fn taped_warmup_tail_is_bit_identical_without_touching_the_predictor() {
-        // Record one run, then replay the tape into a fresh core: the
-        // clock and stall buckets must match bit-for-bit while the
-        // replaying core's predictor stays untrained — the property the
-        // shared warm prefix is built on.
-        let trace = mixed_trace(4000);
-        let mut recorder = Core::new(CoreConfig::paper(), stall_backend());
-        let mut tape = WarmupTape::new();
-        let mut state = recorder.begin_run();
-        recorder.run_chunk_mode(
-            &mut state,
-            trace.iter().copied(),
-            true,
-            &mut WarmupMode::Record(&mut tape),
-        );
-        let recorded = recorder.tally_run(&state);
-        assert_eq!(tape.instructions(), 4000);
-        assert!(tape.branches() > 0 && tape.triggers() > 0, "tape must capture events");
-
-        // Observe-mode reference: recording must not perturb the run.
-        let mut plain = Core::new(CoreConfig::paper(), stall_backend());
-        let reference = plain.run(trace.clone());
-        assert_eq!(recorded.cycles, reference.cycles);
-        assert_eq!(recorded.topdown, reference.topdown);
-
-        // Windowless tape replay: same clock and stall buckets (minus
-        // retire, which tallying derives), predictor cold.
-        let mut replayer = Core::new(CoreConfig::paper(), stall_backend());
-        let mut cursor = tape.cursor();
-        let report = replayer.run_warmup_tail(trace.iter().copied(), &mut cursor);
-        cursor.finish().expect("tape sized to the stream");
-        assert_eq!(report.instructions, 4000);
-        assert_eq!(report.cycles, state.cycles, "replayed clock diverged");
-        for class in StallClass::ALL {
-            assert_eq!(
-                report.topdown.stall(class),
-                state.topdown.stall(class),
-                "replayed {class:?} bucket diverged"
-            );
-        }
-        assert_eq!(replayer.predictor().branches(), 0, "replay must not train the predictor");
     }
 
     /// Digests `trace` over an all-hits backend, handing the core the
@@ -2095,46 +1842,6 @@ mod tests {
         core.run_batch(&mut state, &trace[1400..1401], false);
         core.run_chunk(&mut state, trace[1401..].iter().copied(), true);
         assert_eq!(core.finish_run(state), reference);
-    }
-
-    #[test]
-    fn functional_warmup_tail_keeps_the_clock_and_drops_attribution() {
-        // Functional warming must leave every architectural output —
-        // the clock, the backend, the starvation FIFO — bit-identical
-        // to timed replay; only the top-down buckets go unaccumulated.
-        let trace = mixed_trace(4000);
-        let mut recorder = Core::new(CoreConfig::paper(), stall_backend());
-        let mut tape = WarmupTape::new();
-        let mut state = recorder.begin_run();
-        recorder.run_chunk_mode(
-            &mut state,
-            trace.iter().copied(),
-            true,
-            &mut WarmupMode::Record(&mut tape),
-        );
-
-        let mut timed = Core::new(CoreConfig::paper(), stall_backend());
-        let mut cursor = tape.cursor();
-        let timed_report = timed.run_warmup_tail_mode(trace.iter().copied(), &mut cursor, false);
-        cursor.finish().expect("tape sized to the stream");
-
-        let mut functional = Core::new(CoreConfig::paper(), stall_backend());
-        let mut cursor = tape.cursor();
-        let fn_report = functional.run_warmup_tail_mode(trace.iter().copied(), &mut cursor, true);
-        cursor.finish().expect("tape sized to the stream");
-
-        assert_eq!(fn_report.instructions, timed_report.instructions);
-        assert_eq!(fn_report.cycles, timed_report.cycles, "functional clock diverged");
-        for class in StallClass::ALL {
-            assert_eq!(fn_report.topdown.stall(class), 0.0, "{class:?} bucket must stay empty");
-        }
-        assert_eq!(functional.backend().prefetches, timed.backend().prefetches);
-        let mut st = SnapWriter::new();
-        timed.save_starved_state(&mut st);
-        let mut sf = SnapWriter::new();
-        functional.save_starved_state(&mut sf);
-        assert_eq!(st.bytes(), sf.bytes(), "starvation FIFO diverged");
-        assert_eq!(functional.predictor().branches(), 0);
     }
 
     #[test]

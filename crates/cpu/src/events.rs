@@ -26,8 +26,7 @@ use crate::topdown::StallClass;
 use crate::trace::{MemOp, TraceInstr};
 
 /// FDIP prefetch PCs one record can carry (the paper core issues at
-/// most `fdip_max_lines = 2` per trigger; the warmup tape's 2-bit count
-/// allows 3).
+/// most `fdip_max_lines = 2` per trigger).
 pub const MAX_FDIP_PCS: usize = 3;
 
 const FETCH: u8 = 1 << 0;

@@ -11,18 +11,14 @@
 //! * [`backend`] — the [`MemoryBackend`](backend::MemoryBackend) trait the
 //!   core drives for fetches, loads, stores and prefetches (implemented in
 //!   `trrip-sim` over the MMU + hierarchy).
-//! * [`core`] — the timing loops: the fused loop with pseudo-FDIP
-//!   lookahead prefetching and decode-starvation tracking for Emissary,
-//!   in three [`WarmupMode`]s (observe / record / digest), and the
+//! * [`core`] — the two timing loops, and no third: the fused loop with
+//!   pseudo-FDIP lookahead prefetching and decode-starvation tracking
+//!   for Emissary, in two [`WarmupMode`]s (observe / digest), and the
 //!   predictor-free event loop [`Core::execute`], which drives a group
 //!   of machines through one turn in lockstep.
 //! * [`events`] — the [`EventTurn`]: a stretch of instructions reduced
 //!   to what a backend is shown of them, written once per workload by a
 //!   digesting frontend and executed by every policy cell.
-//! * [`tape`] — the [`WarmupTape`]: the warmup's predictor-derived
-//!   decisions (mispredict bits, FDIP stop counts), recorded once per
-//!   workload and replayed for every other cache policy — the
-//!   policy-agnostic half of a shared warm prefix.
 //! * [`topdown`] — Top-Down cycle attribution (retire / ifetch / mispred /
 //!   depend / issue / mem / other) as in Figures 1 and 2.
 
@@ -33,16 +29,12 @@ pub mod backend;
 pub mod branch;
 pub mod core;
 pub mod events;
-pub mod tape;
 pub mod topdown;
 pub mod trace;
 
-pub use crate::core::{
-    ChunkCut, Core, CoreConfig, CoreResult, RunState, WarmupMode, WarmupTailReport,
-};
+pub use crate::core::{ChunkCut, Core, CoreConfig, CoreResult, RunState, WarmupMode};
 pub use backend::{MemLatency, MemoryBackend};
 pub use branch::{BranchOutcome, BranchPredictor, PredictorConfig};
 pub use events::{EventTurn, InstrEvent};
-pub use tape::{TapeCursor, WarmupTape};
 pub use topdown::{StallClass, TopDown};
 pub use trace::{BranchInfo, BranchKind, MemOp, TraceInstr};

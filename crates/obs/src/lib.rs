@@ -5,8 +5,7 @@
 //!
 //! - **Counters** ([`registry`]) — named, process-global, lock-free
 //!   atomic counters. Always on (one relaxed `fetch_add`); tools diff
-//!   [`snapshot`]s around the work they care about. Absorbs the old
-//!   ad-hoc `records_decoded` / `WarmupCounters` globals.
+//!   [`snapshot`]s around the work they care about.
 //! - **Phase spans** ([`span`]) — RAII monotonic-clock scopes, nestable
 //!   and thread-aware, accumulating self/total time per phase. Export
 //!   as an aligned summary table or Chrome trace-event JSON

@@ -1,12 +1,10 @@
 //! Named process-global counters.
 //!
-//! Generalizes the two ad-hoc counters that grew in `trrip-trace`
-//! (`records_decoded`) and `trrip-sim` (`WarmupCounters`): any crate
-//! registers a counter by name, increments it with one relaxed atomic
-//! add, and tools diff [`snapshot`]s around the work they care about.
-//! Counters are always on — an uncontended relaxed `fetch_add` is a few
-//! nanoseconds and the existing counters were unconditional too — and
-//! monotonic for the life of the process; the snapshot-and-subtract
+//! Any crate registers a counter by name, increments it with one
+//! relaxed atomic add, and tools and tests diff [`snapshot`]s around the
+//! work they care about, reading the counters by name. Counters are
+//! always on — an uncontended relaxed `fetch_add` is a few nanoseconds —
+//! and monotonic for the life of the process; the snapshot-and-subtract
 //! discipline replaces resetting, so concurrent readers never race a
 //! zeroing writer.
 

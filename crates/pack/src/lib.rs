@@ -22,11 +22,7 @@
 //!
 //! The LZ matcher is a greedy hash-chain searcher (4-byte hashes, 64 KiB
 //! window, bounded chain walk) over caller buffers — no internal
-//! allocation survives a call. An optional **dictionary** prepends the
-//! match window: both sides pass the same bytes and matches may reach
-//! back into them (`dist` beyond the produced output), which warms the
-//! window for short blocks whose redundancy lies in a shared context
-//! (hot-PC placement data, section layouts).
+//! allocation survives a call.
 //!
 //! [`pack_stream`] / [`unpack_stream`] wrap the codecs in a checksummed
 //! block stream for container payloads: each block carries its codec
@@ -35,9 +31,9 @@
 //! any downstream decoder sees a byte.
 //!
 //! Every compression call feeds the `pack.*` registry counters
-//! (`pack.raw_bytes`, `pack.compressed_bytes`, `pack.fallback_raw`,
-//! `pack.dict_hits`) so `--metrics` runs can report footprint ratios
-//! without re-reading artifacts.
+//! (`pack.raw_bytes`, `pack.compressed_bytes`, `pack.fallback_raw`) so
+//! `--metrics` runs can report footprint ratios without re-reading
+//! artifacts.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +46,7 @@ use trrip_snap::{push_signed, push_varint, read_signed, read_varint, Checksum};
 const MIN_MATCH: usize = 4;
 /// Hash-table width for the LZ matcher (2^15 heads).
 const HASH_BITS: u32 = 15;
-/// How far back an LZ match may reach (dictionary included).
+/// How far back an LZ match may reach.
 const LZ_WINDOW: usize = 64 * 1024;
 /// Hash-chain walk bound: quality/speed knob of the greedy matcher.
 const MAX_CHAIN: usize = 32;
@@ -83,6 +79,16 @@ fn corrupt(what: impl Into<String>) -> PackError {
 
 fn rd(input: &[u8], pos: &mut usize) -> Result<u64, PackError> {
     read_varint(input, pos).map_err(|e| corrupt(e.to_string()))
+}
+
+/// Reads a varint length that may be at most `max`: a length off disk is
+/// bounded before anything is added to it or sliced by it.
+fn rd_len(input: &[u8], pos: &mut usize, max: usize, what: &str) -> Result<usize, PackError> {
+    let len = rd(input, pos)?;
+    usize::try_from(len)
+        .ok()
+        .filter(|&len| len <= max)
+        .ok_or_else(|| corrupt(format!("{what} of {len} exceeds the {max} it can span")))
 }
 
 fn rd_signed(input: &[u8], pos: &mut usize) -> Result<i64, PackError> {
@@ -226,37 +232,21 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
 }
 
-/// LZ-compresses `input` (match window warmed by `dict`) into `out`.
-/// Returns the number of matches that reached back into the dictionary,
-/// or `None` once the encoding reaches `budget`.
-fn try_lz(input: &[u8], dict: &[u8], budget: usize, out: &mut Vec<u8>) -> Option<u64> {
+/// LZ-compresses `input` into `out`. Returns false once the encoding
+/// reaches `budget`.
+fn try_lz(input: &[u8], budget: usize, out: &mut Vec<u8>) -> bool {
     out.clear();
     if input.len() < MIN_MATCH {
-        return None;
+        return false;
     }
-    // The matcher walks one conceptual buffer of dict ++ input so
-    // distances reach uniformly into either.
-    let storage;
-    let (buf, base) = if dict.is_empty() {
-        (input, 0)
-    } else {
-        storage = [dict, input].concat();
-        (storage.as_slice(), dict.len())
-    };
-    let end = buf.len();
+    let end = input.len();
     let mut head = vec![u32::MAX; 1 << HASH_BITS];
     let mut prev = vec![u32::MAX; end];
-    for i in 0..base.saturating_sub(MIN_MATCH - 1) {
-        let h = hash4(&buf[i..]);
-        prev[i] = head[h];
-        head[h] = i as u32;
-    }
 
-    let mut dict_hits = 0u64;
-    let mut i = base;
-    let mut lit_start = base;
+    let mut i = 0;
+    let mut lit_start = 0;
     while i + MIN_MATCH <= end {
-        let h = hash4(&buf[i..]);
+        let h = hash4(&input[i..]);
         let mut candidate = head[h];
         let mut best_len = 0usize;
         let mut best_pos = 0usize;
@@ -268,7 +258,7 @@ fn try_lz(input: &[u8], dict: &[u8], budget: usize, out: &mut Vec<u8>) -> Option
             }
             let limit = end - i;
             let mut len = 0;
-            while len < limit && buf[c + len] == buf[i + len] {
+            while len < limit && input[c + len] == input[i + len] {
                 len += 1;
             }
             if len > best_len {
@@ -283,16 +273,13 @@ fn try_lz(input: &[u8], dict: &[u8], budget: usize, out: &mut Vec<u8>) -> Option
         }
         if best_len >= MIN_MATCH {
             push_varint(out, (i - lit_start) as u64);
-            out.extend_from_slice(&buf[lit_start..i]);
+            out.extend_from_slice(&input[lit_start..i]);
             push_varint(out, (best_len - MIN_MATCH) as u64);
             push_varint(out, (i - best_pos) as u64);
-            if best_pos < base {
-                dict_hits += 1;
-            }
             // Index the matched region so later matches can land inside it.
             let stop = (i + best_len).min(end - MIN_MATCH + 1);
             for j in i..stop {
-                let h = hash4(&buf[j..]);
+                let h = hash4(&input[j..]);
                 prev[j] = head[h];
                 head[h] = j as u32;
             }
@@ -304,55 +291,44 @@ fn try_lz(input: &[u8], dict: &[u8], budget: usize, out: &mut Vec<u8>) -> Option
             i += 1;
         }
         if out.len() >= budget {
-            return None;
+            return false;
         }
     }
     if lit_start < end {
         push_varint(out, (end - lit_start) as u64);
-        out.extend_from_slice(&buf[lit_start..end]);
+        out.extend_from_slice(&input[lit_start..end]);
     }
-    if out.len() >= budget {
-        return None;
-    }
-    Some(dict_hits)
+    out.len() < budget
 }
 
-fn lz_decompress(
-    input: &[u8],
-    dict: &[u8],
-    raw_len: usize,
-    out: &mut Vec<u8>,
-) -> Result<(), PackError> {
+fn lz_decompress(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), PackError> {
     out.clear();
     out.reserve(raw_len.min(BLOCK_LEN));
     let mut pos = 0;
     while out.len() < raw_len {
-        let lit_len = rd(input, &mut pos)? as usize;
-        if lit_len > raw_len - out.len() {
-            return Err(corrupt("LZ literal run overflows the block"));
-        }
-        let lits = input
-            .get(pos..pos + lit_len)
+        let lit_len = rd_len(input, &mut pos, raw_len - out.len(), "LZ literal run")?;
+        let lits = input[pos..]
+            .get(..lit_len)
             .ok_or_else(|| corrupt("LZ literal run past end of input"))?;
         out.extend_from_slice(lits);
         pos += lit_len;
         if out.len() == raw_len {
             break;
         }
-        let match_len = rd(input, &mut pos)? as usize + MIN_MATCH;
-        let dist = rd(input, &mut pos)? as usize;
-        if dist == 0 || dist > out.len() + dict.len() {
-            return Err(corrupt(format!("LZ distance {dist} reaches before the window")));
+        // What is left of the block bounds the match before MIN_MATCH
+        // is added to it.
+        let match_len = rd_len(input, &mut pos, raw_len - out.len(), "LZ match")? + MIN_MATCH;
+        let dist = rd_len(input, &mut pos, out.len(), "LZ distance")?;
+        if dist == 0 {
+            return Err(corrupt("LZ distance of zero"));
         }
         if match_len > raw_len - out.len() {
             return Err(corrupt("LZ match overflows the block"));
         }
-        // Conceptual source stream is dict ++ out; overlapping copies
-        // (dist < match_len) are the RLE-ish case and must trickle.
-        let start = out.len() + dict.len() - dist;
-        for src in start..start + match_len {
-            let byte = if src < dict.len() { dict[src] } else { out[src - dict.len()] };
-            out.push(byte);
+        // Overlapping copies (dist < match_len) are the RLE-ish case
+        // and must trickle.
+        for src in out.len() - dist..out.len() - dist + match_len {
+            out.push(out[src]);
         }
     }
     if pos != input.len() {
@@ -366,9 +342,8 @@ fn lz_decompress(
 /// Compresses `input` into `out` (cleared first) with whichever codec
 /// yields the fewest bytes, falling back to a verbatim copy when none
 /// beats raw — the caller records the returned [`Codec`] next to the
-/// bytes. `dict` warms the LZ window; pass `&[]` for none. Feeds the
-/// `pack.*` counters.
-pub fn compress_auto(input: &[u8], dict: &[u8], out: &mut Vec<u8>) -> Codec {
+/// bytes. Feeds the `pack.*` counters.
+pub fn compress_auto(input: &[u8], out: &mut Vec<u8>) -> Codec {
     trrip_obs::counter!("pack.raw_bytes").add(input.len() as u64);
     out.clear();
     out.extend_from_slice(input);
@@ -382,12 +357,9 @@ pub fn compress_auto(input: &[u8], dict: &[u8], out: &mut Vec<u8>) -> Codec {
         std::mem::swap(out, &mut scratch);
         chosen = Codec::Delta;
     }
-    if let Some(dict_hits) = try_lz(input, dict, out.len(), &mut scratch) {
-        if scratch.len() < out.len() {
-            std::mem::swap(out, &mut scratch);
-            chosen = Codec::Lz;
-            trrip_obs::counter!("pack.dict_hits").add(dict_hits);
-        }
+    if try_lz(input, out.len(), &mut scratch) && scratch.len() < out.len() {
+        std::mem::swap(out, &mut scratch);
+        chosen = Codec::Lz;
     }
     if chosen == Codec::Raw && !input.is_empty() {
         trrip_obs::counter!("pack.fallback_raw").incr();
@@ -407,7 +379,6 @@ pub fn compress_auto(input: &[u8], dict: &[u8], out: &mut Vec<u8>) -> Codec {
 pub fn decompress(
     codec: Codec,
     input: &[u8],
-    dict: &[u8],
     raw_len: usize,
     out: &mut Vec<u8>,
 ) -> Result<(), PackError> {
@@ -425,7 +396,7 @@ pub fn decompress(
         }
         Codec::Rle => rle_decompress(input, raw_len, out),
         Codec::Delta => delta_decompress(input, raw_len, out),
-        Codec::Lz => lz_decompress(input, dict, raw_len, out),
+        Codec::Lz => lz_decompress(input, raw_len, out),
     }
 }
 
@@ -435,12 +406,12 @@ pub fn decompress(
 /// **uncompressed** block, and the compressed bytes. The stream is what
 /// container formats embed as their payload field.
 #[must_use]
-pub fn pack_stream(input: &[u8], dict: &[u8]) -> Vec<u8> {
+pub fn pack_stream(input: &[u8]) -> Vec<u8> {
     let mut out = Vec::new();
     push_varint(&mut out, input.len() as u64);
     let mut comp = Vec::new();
     for block in input.chunks(BLOCK_LEN) {
-        let codec = compress_auto(block, dict, &mut comp);
+        let codec = compress_auto(block, &mut comp);
         out.push(codec as u8);
         push_varint(&mut out, block.len() as u64);
         push_varint(&mut out, comp.len() as u64);
@@ -459,7 +430,7 @@ pub fn pack_stream(input: &[u8], dict: &[u8]) -> Vec<u8> {
 ///
 /// [`PackError::Corrupt`] on any structural damage, length mismatch, or
 /// checksum failure — named per block. Never panics on bad input.
-pub fn unpack_stream(input: &[u8], dict: &[u8]) -> Result<Vec<u8>, PackError> {
+pub fn unpack_stream(input: &[u8]) -> Result<Vec<u8>, PackError> {
     let mut pos = 0;
     let total = rd(input, &mut pos)?;
     if total > MAX_STREAM_LEN {
@@ -473,21 +444,25 @@ pub fn unpack_stream(input: &[u8], dict: &[u8]) -> Result<Vec<u8>, PackError> {
         let &tag = input.get(pos).ok_or_else(|| corrupt("stream ends mid-header"))?;
         pos += 1;
         let codec = Codec::from_u8(tag)?;
-        let raw_len = rd(input, &mut pos)? as usize;
-        let comp_len = rd(input, &mut pos)? as usize;
-        if raw_len == 0 || raw_len > BLOCK_LEN || raw_len > total - out.len() {
+        let raw_len = rd(input, &mut pos)?;
+        let comp_len = rd(input, &mut pos)?;
+        if raw_len == 0 || raw_len > BLOCK_LEN.min(total - out.len()) as u64 {
             return Err(corrupt(format!("block {index} claims {raw_len} raw bytes")));
         }
-        let expected = input
-            .get(pos..pos + 8)
+        let raw_len = raw_len as usize;
+        let expected = input[pos..]
+            .first_chunk::<8>()
             .ok_or_else(|| corrupt("stream ends inside a block checksum"))?;
-        let expected = u64::from_le_bytes(expected.try_into().expect("8 bytes"));
+        let expected = u64::from_le_bytes(*expected);
         pos += 8;
-        let comp = input
-            .get(pos..pos + comp_len)
+        // Compared with what is left of the input before it is added to
+        // anything.
+        let comp = usize::try_from(comp_len)
+            .ok()
+            .and_then(|comp_len| input[pos..].get(..comp_len))
             .ok_or_else(|| corrupt(format!("block {index} truncated")))?;
-        pos += comp_len;
-        decompress(codec, comp, dict, raw_len, &mut block)?;
+        pos += comp.len();
+        decompress(codec, comp, raw_len, &mut block)?;
         let mut check = Checksum::new();
         check.update(&block);
         if check.value() != expected {
@@ -502,43 +477,16 @@ pub fn unpack_stream(input: &[u8], dict: &[u8]) -> Result<Vec<u8>, PackError> {
     Ok(out)
 }
 
-/// Builds a compression dictionary from placement words (section bases,
-/// hot-block addresses, PLT/external entry points — the same values the
-/// workload fingerprint mixes). Each word is laid down in the byte
-/// shapes trace records and snapshots actually contain — absolute
-/// varints, line addresses, and zigzag deltas between neighbors — so LZ
-/// matches on fresh blocks can reach into it from the first byte.
-/// Deterministic for a given input set; capped at `cap` bytes.
-#[must_use]
-pub fn placement_dictionary(words: &[u64], cap: usize) -> Vec<u8> {
-    let mut sorted = words.to_vec();
-    sorted.sort_unstable();
-    sorted.dedup();
-    let mut out = Vec::with_capacity(cap.min(4096));
-    let mut prev = 0u64;
-    for &word in &sorted {
-        push_varint(&mut out, word);
-        push_varint(&mut out, word >> 6); // cache-line form
-        push_signed(&mut out, word.wrapping_sub(prev) as i64);
-        prev = word;
-        if out.len() >= cap {
-            break;
-        }
-    }
-    out.truncate(cap);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    fn round_trip(input: &[u8], dict: &[u8]) -> Codec {
+    fn round_trip(input: &[u8]) -> Codec {
         let mut comp = Vec::new();
-        let codec = compress_auto(input, dict, &mut comp);
+        let codec = compress_auto(input, &mut comp);
         let mut back = Vec::new();
-        decompress(codec, &comp, dict, input.len(), &mut back).expect("decompress");
+        decompress(codec, &comp, input.len(), &mut back).expect("decompress");
         assert_eq!(back, input, "{codec:?} round trip");
         codec
     }
@@ -549,10 +497,10 @@ mod tests {
         bitmap[17] = 0x7F;
         bitmap.extend(std::iter::repeat_n(0u8, 4096));
         let mut comp = Vec::new();
-        let codec = compress_auto(&bitmap, &[], &mut comp);
+        let codec = compress_auto(&bitmap, &mut comp);
         assert_eq!(codec, Codec::Rle);
         assert!(comp.len() < bitmap.len() / 50, "RLE on runs: {} bytes", comp.len());
-        round_trip(&bitmap, &[]);
+        round_trip(&bitmap);
     }
 
     #[test]
@@ -560,10 +508,10 @@ mod tests {
         let words: Vec<u8> =
             (0..2048u64).map(|i| 0x4000 + i * 64).flat_map(|w| w.to_le_bytes()).collect();
         let mut comp = Vec::new();
-        let codec = compress_auto(&words, &[], &mut comp);
+        let codec = compress_auto(&words, &mut comp);
         assert_eq!(codec, Codec::Delta);
         assert!(comp.len() < words.len() / 3, "delta on sorted words: {} bytes", comp.len());
-        round_trip(&words, &[]);
+        round_trip(&words);
     }
 
     #[test]
@@ -575,10 +523,10 @@ mod tests {
             input.push(i as u8);
         }
         let mut comp = Vec::new();
-        let codec = compress_auto(&input, &[], &mut comp);
+        let codec = compress_auto(&input, &mut comp);
         assert_eq!(codec, Codec::Lz);
         assert!(comp.len() < input.len() / 2, "LZ on repeats: {} bytes", comp.len());
-        round_trip(&input, &[]);
+        round_trip(&input);
     }
 
     #[test]
@@ -595,44 +543,17 @@ mod tests {
             })
             .collect();
         let mut comp = Vec::new();
-        let codec = compress_auto(&noise, &[], &mut comp);
+        let codec = compress_auto(&noise, &mut comp);
         assert_eq!(codec, Codec::Raw);
         assert_eq!(comp, noise);
-        round_trip(&noise, &[]);
+        round_trip(&noise);
     }
 
     #[test]
     fn empty_input_round_trips_everywhere() {
-        assert_eq!(round_trip(&[], &[]), Codec::Raw);
-        let stream = pack_stream(&[], &[]);
-        assert_eq!(unpack_stream(&stream, &[]).expect("empty stream"), Vec::<u8>::new());
-    }
-
-    #[test]
-    fn dictionary_matches_reach_back_and_count() {
-        // A short block that is pure dictionary content: without the
-        // dict it is barely compressible, with it LZ should collapse it.
-        let dict: Vec<u8> = (0..96u64).flat_map(|i| (0x7F00 + i * 997).to_le_bytes()).collect();
-        let block = dict[100..420].to_vec();
-        let mut with_dict = Vec::new();
-        let codec = compress_auto(&block, &dict, &mut with_dict);
-        assert_eq!(codec, Codec::Lz, "dictionary must make the block compressible");
-        let mut back = Vec::new();
-        decompress(codec, &with_dict, &dict, block.len(), &mut back).expect("decompress");
-        assert_eq!(back, block);
-        let mut without = Vec::new();
-        compress_auto(&block, &[], &mut without);
-        assert!(with_dict.len() < without.len(), "{} !< {}", with_dict.len(), without.len());
-    }
-
-    #[test]
-    fn wrong_dictionary_fails_the_stream_checksum_not_the_process() {
-        let dict: Vec<u8> = (0..512u64).flat_map(|i| (i * 31).to_le_bytes()).collect();
-        let payload = dict.repeat(3);
-        let stream = pack_stream(&payload, &dict);
-        assert_eq!(unpack_stream(&stream, &dict).expect("right dict"), payload);
-        let other = vec![0xABu8; dict.len()];
-        assert!(unpack_stream(&stream, &other).is_err(), "wrong dict must be detected");
+        assert_eq!(round_trip(&[]), Codec::Raw);
+        let stream = pack_stream(&[]);
+        assert_eq!(unpack_stream(&stream).expect("empty stream"), Vec::<u8>::new());
     }
 
     #[test]
@@ -642,63 +563,102 @@ mod tests {
         let mut payload = vec![0u8; BLOCK_LEN + 17];
         payload.extend((0..BLOCK_LEN as u64 / 8).flat_map(|i| (i * 64).to_le_bytes()));
         payload.extend(b"tail".repeat(1000));
-        let stream = pack_stream(&payload, &[]);
+        let stream = pack_stream(&payload);
         assert!(stream.len() < payload.len() / 2, "mixed stream must shrink");
-        assert_eq!(unpack_stream(&stream, &[]).expect("unpack"), payload);
+        assert_eq!(unpack_stream(&stream).expect("unpack"), payload);
     }
 
     #[test]
     fn damaged_streams_are_rejected_never_panic() {
         let payload: Vec<u8> = (0..40_000u64).flat_map(|i| (i % 251).to_le_bytes()).collect();
-        let stream = pack_stream(&payload, &[]);
+        let stream = pack_stream(&payload);
         // Truncation at every prefix length must error, not panic.
         for cut in 0..stream.len().min(64) {
-            assert!(unpack_stream(&stream[..cut], &[]).is_err(), "{cut}-byte prefix accepted");
+            assert!(unpack_stream(&stream[..cut]).is_err(), "{cut}-byte prefix accepted");
         }
-        assert!(unpack_stream(&stream[..stream.len() - 1], &[]).is_err());
+        assert!(unpack_stream(&stream[..stream.len() - 1]).is_err());
         // A flipped byte anywhere fails a named check (header decode or
         // block checksum), never silently succeeds with wrong bytes.
         for offset in [1, 5, stream.len() / 3, stream.len() / 2, stream.len() - 2] {
             let mut bent = stream.clone();
             bent[offset] ^= 0x10;
-            match unpack_stream(&bent, &[]) {
+            match unpack_stream(&bent) {
                 Err(_) => {}
                 Ok(back) => assert_eq!(back, payload, "flip at {offset} gave wrong bytes"),
             }
         }
     }
 
+    /// A match length straight off a varint: `u64::MAX` must be refused
+    /// by comparing it with what is left of the block, not by adding
+    /// `MIN_MATCH` to it first.
     #[test]
-    fn placement_dictionary_is_deterministic_and_capped() {
-        let words = [0x40_000, 0x41_000, 0x42_180, 0x9_0000, 0x40_000];
-        let a = placement_dictionary(&words, 4096);
-        let b = placement_dictionary(&words, 4096);
-        assert_eq!(a, b);
-        assert!(!a.is_empty());
-        assert!(placement_dictionary(&words, 8).len() <= 8);
-        assert!(placement_dictionary(&[], 4096).is_empty());
+    fn an_lz_match_length_of_u64_max_is_corrupt_not_an_overflow() {
+        let mut block = Vec::new();
+        push_varint(&mut block, 4); // literal run
+        block.extend_from_slice(b"abcd");
+        push_varint(&mut block, u64::MAX); // match_len - MIN_MATCH
+        push_varint(&mut block, 1); // dist
+        let mut out = Vec::new();
+        let err = decompress(Codec::Lz, &block, 4096, &mut out).expect_err("must be refused");
+        assert!(matches!(err, PackError::Corrupt(_)));
+        // The largest length that does not overflow still overruns.
+        for len in [u64::MAX - MIN_MATCH as u64, 4096, 4093 - MIN_MATCH as u64] {
+            let mut block = block[..5].to_vec();
+            push_varint(&mut block, len);
+            push_varint(&mut block, 1);
+            assert!(decompress(Codec::Lz, &block, 4096, &mut out).is_err(), "match of {len}");
+        }
+        // A literal run or a distance that large fares no better.
+        let mut block = Vec::new();
+        push_varint(&mut block, u64::MAX);
+        assert!(decompress(Codec::Lz, &block, 4096, &mut out).is_err());
+        let mut block = block_with_match(4, u64::MAX);
+        assert!(decompress(Codec::Lz, &block, 4096, &mut out).is_err());
+        // And the same block with a distance it can honour decodes.
+        block = block_with_match(4, 4);
+        decompress(Codec::Lz, &block, 12, &mut out).expect("a well-formed block");
+        assert_eq!(out, b"abcdabcdabcd");
+    }
+
+    /// `abcd`, then a match of `len + MIN_MATCH` bytes at `dist`.
+    fn block_with_match(len: u64, dist: u64) -> Vec<u8> {
+        let mut block = Vec::new();
+        push_varint(&mut block, 4);
+        block.extend_from_slice(b"abcd");
+        push_varint(&mut block, len);
+        push_varint(&mut block, dist);
+        block
+    }
+
+    /// A block header whose compressed length is `u64::MAX`: the slice
+    /// `pos..pos + comp_len` must never be computed.
+    #[test]
+    fn a_stream_block_length_of_u64_max_is_corrupt_not_an_overflow() {
+        for (raw_len, comp_len) in [(16, u64::MAX), (16, u64::MAX - 8), (u64::MAX, 4), (16, 17)] {
+            let mut stream = Vec::new();
+            push_varint(&mut stream, 16); // total
+            stream.push(Codec::Raw as u8);
+            push_varint(&mut stream, raw_len);
+            push_varint(&mut stream, comp_len);
+            stream.extend_from_slice(&[0; 8]); // checksum
+            stream.extend_from_slice(&[0; 16]); // the block
+            let err = unpack_stream(&stream).expect_err("must be refused");
+            assert!(matches!(err, PackError::Corrupt(_)), "{raw_len} / {comp_len}");
+        }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Arbitrary bytes round-trip through auto selection, with and
-        /// without a dictionary.
+        /// Arbitrary bytes round-trip through auto selection.
         #[test]
-        fn arbitrary_bytes_round_trip(
-            input in prop::collection::vec(any::<u8>(), 0..4096),
-            with_dict in any::<bool>(),
-        ) {
-            let dict: Vec<u8> = if with_dict {
-                input.iter().rev().copied().take(512).collect()
-            } else {
-                Vec::new()
-            };
+        fn arbitrary_bytes_round_trip(input in prop::collection::vec(any::<u8>(), 0..4096)) {
             let mut comp = Vec::new();
-            let codec = compress_auto(&input, &dict, &mut comp);
+            let codec = compress_auto(&input, &mut comp);
             prop_assert!(comp.len() <= input.len(), "auto selection may never grow a block");
             let mut back = Vec::new();
-            decompress(codec, &comp, &dict, input.len(), &mut back).expect("decompress");
+            decompress(codec, &comp, input.len(), &mut back).expect("decompress");
             prop_assert_eq!(back, input);
         }
 
@@ -710,13 +670,13 @@ mod tests {
             flip_at in any::<u16>(),
             mask in 1u8..=255,
         ) {
-            let stream = pack_stream(&input, &[]);
-            prop_assert_eq!(unpack_stream(&stream, &[]).expect("unpack"), input.clone());
+            let stream = pack_stream(&input);
+            prop_assert_eq!(unpack_stream(&stream).expect("unpack"), input.clone());
             let mut bent = stream.clone();
             let offset = flip_at as usize % bent.len().max(1);
             if !bent.is_empty() {
                 bent[offset] ^= mask;
-                match unpack_stream(&bent, &[]) {
+                match unpack_stream(&bent) {
                     Err(_) => {}
                     Ok(back) => prop_assert_eq!(back, input, "damage decoded to wrong bytes"),
                 }

@@ -54,19 +54,6 @@ impl PolicyKind {
         PolicyKind::Trrip2,
     ];
 
-    /// The **neutral warmup policy**: the policy a shared warmup runs
-    /// under when one workload's fast-forward is recorded once and
-    /// fanned out across every policy of a sweep. Everything the
-    /// recording persists into the shared prefix is policy-agnostic by
-    /// construction (predictor state + tape), so any policy would do;
-    /// pinning one — SRRIP, the paper's normalization baseline — makes
-    /// the recorder's own overlay land on a stable key that repeated
-    /// sweeps reuse regardless of which policy their base config names.
-    #[must_use]
-    pub fn neutral() -> PolicyKind {
-        PolicyKind::Srrip
-    }
-
     /// Display name as used in the figures.
     #[must_use]
     pub fn name(self) -> &'static str {

@@ -150,12 +150,6 @@ impl SystemBackend {
         &self.hierarchy
     }
 
-    /// Mutable access to the hierarchy (phase seams only — e.g. gating
-    /// stats accumulation around functional warming).
-    pub fn hierarchy_mut(&mut self) -> &mut Hierarchy {
-        &mut self.hierarchy
-    }
-
     /// The MMU (TLB statistics).
     #[must_use]
     pub fn mmu(&self) -> &Mmu {

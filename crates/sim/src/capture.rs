@@ -94,12 +94,7 @@ impl CaptureFile {
         path: &Path,
     ) -> Result<CaptureFile, TraceError> {
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        let writer = trrip_trace::create_with_dict(
-            &tmp,
-            &workload.spec.name,
-            trace_layout(config.layout),
-            placement_dict(workload, config),
-        )?;
+        let writer = trrip_trace::create(&tmp, &workload.spec.name, trace_layout(config.layout))?;
         Ok(CaptureFile {
             writer: Some(writer),
             left: capture_length(config),
@@ -222,25 +217,6 @@ impl Drop for CaptureTee<'_> {
     fn drop(&mut self) {
         self.hang_up();
     }
-}
-
-/// The capture's compression dictionary: the hot-PC placement words the
-/// [`workload_fingerprint`] already mixes (section bases, block
-/// addresses, PLT/external entry points), laid down in the byte shapes
-/// trace records contain so every chunk's LZ window starts warm.
-#[must_use]
-pub fn placement_dict(workload: &PreparedWorkload, config: &SimConfig) -> Vec<u8> {
-    let object = workload.object(config.layout);
-    let mut words: Vec<u64> = Vec::new();
-    for section in &object.sections {
-        words.push(section.base.raw());
-        words.push(section.size_bytes);
-    }
-    for addrs in &object.block_addrs {
-        words.extend(addrs.iter().map(|a| a.raw()));
-    }
-    words.extend(object.plt_addrs.iter().chain(&object.external_addrs).map(|a| a.raw()));
-    trrip_pack::placement_dictionary(&words, 4096)
 }
 
 /// Identifies everything the captured instruction stream depends on

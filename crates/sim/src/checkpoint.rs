@@ -5,43 +5,45 @@
 //!
 //! ```text
 //! file := magic:8 version:u16 body_len:u64 body checksum:u64
-//! body := kind:u8 meta payload    (one trrip-snap stream; v3+)
-//! body := meta payload            (v1/v2, implicitly kind = full)
+//! body := kind:u8 meta payload    (one trrip-snap stream)
 //! meta := benchmark:str policy:str fingerprint:u64 config_hash:u64
 //!         stream_position:u64 mid_measure:bool
 //! ```
 //!
 //! Fixed-width fields are little-endian; the body is a `trrip-snap`
-//! stream whose trailing `payload` field holds the snapshot. The
-//! checksum (the same word-folded hash `trrip-trace` uses for chunk
-//! payloads) covers every body byte, and `body_len` makes truncation
-//! detectable before the checksum is even consulted. Writes go to a
-//! sibling temp file and are renamed into place, so concurrent sweep
-//! processes sharing a checkpoint directory never observe a
-//! half-written file — the same discipline as trace capture.
+//! stream whose trailing `payload` field holds the snapshot, at rest as
+//! a [`trrip_pack::pack_stream`]. The checksum (the same word-folded
+//! hash `trrip-trace` uses for chunk payloads) covers every body byte,
+//! and `body_len` makes truncation detectable before the checksum is
+//! even consulted. Writes go to a sibling temp file and are renamed into
+//! place, so concurrent sweep processes sharing a checkpoint directory
+//! never observe a half-written file — the same discipline as trace
+//! capture.
 //!
-//! # Container v3: the split warm prefix
+//! There is one version, [`VERSION`], and the store reads no other: it
+//! is a cache that rebuilds itself, so a file of any other version is a
+//! miss, and the save that follows the miss overwrites it.
 //!
-//! v3 tags every container with a [`CheckpointKind`]:
+//! # What a store holds
 //!
-//! * **full** — a complete [`SimRun`] state (fast-forward boundary or
-//!   mid-measure segment chain link), as in v1/v2;
+//! Every container is tagged with a [`CheckpointKind`]:
+//!
 //! * **shared prefix** — the *policy-agnostic* half of one workload's
-//!   fast-forward state: the branch predictor section plus the recorded
-//!   [`WarmupTape`] (mispredict bits + FDIP stop counts). One file per
-//!   workload, keyed **without** the L2 policy
-//!   ([`warmup_prefix_hash`]);
+//!   fast-forward boundary state: the branch predictor section
+//!   ([`SimRun::save_shared`]) and nothing else. One file per workload,
+//!   keyed **without** the L2 policy ([`warmup_prefix_hash`]);
 //! * **policy overlay** — the *policy-dependent* rest (caches with
 //!   tag/RRPV/policy state, MMU/TLB, prefetch tables, in-flight
-//!   tracker, starvation FIFO). One small-ish file per `(workload,
-//!   policy)`.
+//!   tracker, starvation FIFO). One file per `(workload, policy)`;
+//! * **full** — a complete [`SimRun`] state: the mid-measure chain
+//!   links of a sharded run ([`CheckpointStore::save_segment`]), and
+//!   whatever a caller saves whole with [`CheckpointStore::save`]. No
+//!   sweep reads or writes a whole state at the fast-forward boundary.
 //!
 //! `shared prefix + overlay` composes bit-identically to the full
-//! fast-forward state; a policy with no overlay yet warm-starts by
-//! replaying the tape against its own cold machine
-//! ([`SimRun::fast_forward_replayed`]) — so the cold populating pass
-//! pays **one** full warmup per workload instead of one per policy.
-//! v1/v2 files remain readable (they restore as `full`).
+//! fast-forward state, and those two files are all a sweep keeps of the
+//! boundary: a cell that finds both restores, a cell that does not warms
+//! up the way its executor does and leaves them behind.
 //!
 //! # Keying
 //!
@@ -65,7 +67,6 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use trrip_compiler::LayoutKind;
-use trrip_cpu::WarmupTape;
 use trrip_os::OverlapPolicy;
 use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -76,28 +77,21 @@ use crate::system::SimRun;
 
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
-/// Current checkpoint format version. v4 compresses the snapshot
-/// payload as a [`trrip_pack::pack_stream`] — per 64 KiB block the best
-/// of RLE / delta-pack / LZ / raw, each block tagged with its codec and
-/// the checksum of its *uncompressed* bytes, so the kind-aware choice
-/// (RLE for valid/dirty/instr bitmaps, delta for sorted tag arrays, LZ
-/// for the rest) falls out of per-block selection. v3 containers carry
-/// a [`CheckpointKind`] tag so one store holds full states, shared
-/// prefixes, and policy overlays side by side. v2 introduced the bitmap
-/// cache-tag encoding and the segmented run-tally layout. v1–v3 files
-/// remain readable: a pre-v4 payload is stored verbatim, a pre-v3 body
-/// restores as [`CheckpointKind::Full`], and the component encodings
-/// inside payloads are tag-dispatched (see `trrip_cache::Cache` and
-/// `trrip_cpu::RunState`).
-pub const VERSION: u16 = 4;
+/// The checkpoint format version, and the only one the store reads:
+/// v5. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
+/// 64 KiB block the best of RLE / delta-pack / LZ / raw, each block
+/// tagged with its codec and the checksum of its *uncompressed* bytes,
+/// so the kind-aware choice (RLE for valid/dirty/instr bitmaps, delta
+/// for sorted tag arrays, LZ for the rest) falls out of per-block
+/// selection — and a shared prefix is the predictor section alone.
+pub const VERSION: u16 = 5;
 
-/// What a v3 container holds (see the module docs).
+/// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
     /// A complete [`SimRun`] state (fast-forward or mid-measure).
     Full,
-    /// A workload's policy-agnostic warm prefix: predictor section +
-    /// recorded warmup tape.
+    /// A workload's policy-agnostic warm prefix: the predictor section.
     SharedPrefix,
     /// One policy's policy-dependent fast-forward state.
     PolicyOverlay,
@@ -129,7 +123,7 @@ pub enum CheckpointError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's format version is newer than this reader.
+    /// The file's format version is not [`VERSION`].
     UnsupportedVersion(u16),
     /// Body bytes do not hash to the trailing checksum.
     ChecksumMismatch {
@@ -252,7 +246,7 @@ pub fn warmup_config_hash(config: &SimConfig) -> u64 {
 
 /// [`warmup_config_hash`] **without the L2 policy**: the key of a
 /// shared-prefix container. The prefix holds only policy-agnostic state
-/// (predictor + warmup tape), so every policy of a sweep must resolve
+/// (the predictor), so every policy of a sweep must resolve
 /// the same file — the one knob that must *not* move the hash is the
 /// policy itself.
 #[must_use]
@@ -330,10 +324,10 @@ pub fn write_checkpoint_kind(
     let mut body = SnapWriter::new();
     body.u8(kind.as_u8());
     meta.save(&mut body);
-    // v4: the snapshot payload rests as a checksummed pack stream —
+    // The snapshot payload rests as a checksummed pack stream —
     // per-block codec selection gives bitmaps RLE, sorted tag arrays
     // delta, and everything else LZ (or raw when incompressible).
-    body.bytes_field(&trrip_pack::pack_stream(payload, &[]));
+    body.bytes_field(&trrip_pack::pack_stream(payload));
     let body = body.into_bytes();
     let mut checksum = Checksum::new();
     checksum.update(&body);
@@ -404,8 +398,7 @@ fn retry_transient<T>(
 
 /// Reads and verifies a checkpoint file: magic, version, length and
 /// checksum. Returns the container kind, the metadata and the snapshot
-/// payload. Pre-v3 files carry no kind byte and restore as
-/// [`CheckpointKind::Full`].
+/// payload.
 ///
 /// # Errors
 ///
@@ -425,7 +418,7 @@ pub fn read_checkpoint(
     let mut version = [0u8; 2];
     file.read_exact(&mut version)?;
     let version = u16::from_le_bytes(version);
-    if version > VERSION {
+    if version != VERSION {
         return Err(CheckpointError::UnsupportedVersion(version));
     }
     let mut len = [0u8; 8];
@@ -455,35 +448,62 @@ pub fn read_checkpoint(
     }
 
     let mut r = SnapReader::new(&body);
-    let kind = if version >= 3 {
-        let raw = r.u8()?;
-        CheckpointKind::from_u8(raw)
-            .ok_or_else(|| CheckpointError::Corrupt(format!("unknown container kind {raw}")))?
-    } else {
-        CheckpointKind::Full
-    };
+    let raw = r.u8()?;
+    let kind = CheckpointKind::from_u8(raw)
+        .ok_or_else(|| CheckpointError::Corrupt(format!("unknown container kind {raw}")))?;
     let meta = CheckpointMeta::restore(&mut r)?;
-    let stored = r.bytes_field()?;
-    let payload = if version >= 4 {
-        trrip_pack::unpack_stream(stored, &[])?
-    } else {
-        stored.to_vec() // pre-v4 payloads rest uncompressed
-    };
+    let payload = trrip_pack::unpack_stream(r.bytes_field()?)?;
     r.finish()?;
     Ok((kind, meta, payload))
 }
 
-/// Counts one store load outcome into the `ckpt.*` registry family:
-/// `Ok(Some)` is a hit, `Ok(None)` a miss (absent or differently-keyed
-/// file), `Err` a damaged container. Saves count through
-/// [`note_save`].
-fn count_load<T>(result: Result<Option<T>, CheckpointError>) -> Result<Option<T>, CheckpointError> {
-    match &result {
+/// Every load of the store: the container at `path`, if the file is
+/// there, of the one version the store reads, of kind `kind` and keyed
+/// `expected`, has its payload handed to `restore`. Anything else that
+/// is not damage is a miss (`Ok(None)`): no file, a file of another
+/// version (the next save overwrites it), another kind or another key.
+/// The outcome is counted into the `ckpt.*` registry family — `Ok(Some)`
+/// a hit, `Ok(None)` a miss, `Err` a damaged container (saves count
+/// through [`note_save`]).
+///
+/// # Errors
+///
+/// Damaged files: bad magic, truncation, a checksum that does not hold,
+/// a payload that does not unpack, and whatever `restore` finds.
+fn load_keyed<T>(
+    path: &Path,
+    kind: CheckpointKind,
+    expected: &CheckpointMeta,
+    restore: impl FnOnce(Vec<u8>) -> Result<T, CheckpointError>,
+) -> Result<Option<T>, CheckpointError> {
+    let loaded = match retry_transient(|| read_checkpoint(path)) {
+        Ok((found, meta, payload)) if found == kind && meta == *expected => {
+            restore(payload).map(Some)
+        }
+        Ok(_) | Err(CheckpointError::UnsupportedVersion(_)) => Ok(None),
+        Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
+        Err(e) => Err(e),
+    };
+    match &loaded {
         Ok(Some(_)) => trrip_obs::counter!("ckpt.hit").incr(),
         Ok(None) => trrip_obs::counter!("ckpt.miss").incr(),
         Err(_) => trrip_obs::counter!("ckpt.corrupt").incr(),
     }
-    result
+    loaded
+}
+
+/// A run of `config` over `workload` restored from a whole-state
+/// `payload`.
+fn restore_whole<'w>(
+    workload: &'w PreparedWorkload,
+    config: &SimConfig,
+    payload: &[u8],
+) -> Result<SimRun<'w>, CheckpointError> {
+    let mut run = SimRun::new(workload, config);
+    let mut r = SnapReader::new(payload);
+    run.restore(&mut r)?;
+    r.finish()?;
+    Ok(run)
 }
 
 fn note_save() {
@@ -552,25 +572,14 @@ impl CheckpointStore {
         matches!(self.load(workload, config), Ok(Some(_)))
     }
 
-    /// Whether `(workload, config)` can warm-start without simulating
-    /// its own fast-forward: a loadable whole-state checkpoint, or a
-    /// loadable shared prefix (with or without this policy's overlay —
-    /// a prefix alone warm-starts through the warmup-tail replay).
-    #[must_use]
-    pub fn has_warm_start(&self, workload: &PreparedWorkload, config: &SimConfig) -> bool {
-        self.has(workload, config) || matches!(self.load_prefix(workload, config), Ok(Some(_)))
-    }
-
-    /// Whether the store holds the files a restore of `(workload,
-    /// config)` at the fast-forward boundary would read — a whole-state
-    /// checkpoint, or the shared prefix and this policy's overlay —
-    /// going by their names alone. Cheap enough to ask of every cell
-    /// before a sweep; whether they *load* is for the ladder to find out.
+    /// Whether the store holds the two files a restore of `(workload,
+    /// config)` at the fast-forward boundary reads — the shared prefix
+    /// and this policy's overlay — going by their names alone. Cheap
+    /// enough to ask of every cell before a sweep; whether they *load*
+    /// is for the restore to find out.
     #[must_use]
     pub fn holds_restore(&self, workload: &PreparedWorkload, config: &SimConfig) -> bool {
-        self.path_for(workload, config).exists()
-            || (self.prefix_path(workload, config).exists()
-                && self.overlay_path(workload, config).exists())
+        self.prefix_path(workload, config).exists() && self.overlay_path(workload, config).exists()
     }
 
     /// Saves `run`'s state as the fast-forward checkpoint for its
@@ -706,77 +715,35 @@ impl CheckpointStore {
         ordinal: usize,
         position: u64,
     ) -> Result<Option<SimRun<'w>>, CheckpointError> {
-        count_load(self.load_segment_impl(workload, config, ordinal, position))
-    }
-
-    fn load_segment_impl<'w>(
-        &self,
-        workload: &'w PreparedWorkload,
-        config: &SimConfig,
-        ordinal: usize,
-        position: u64,
-    ) -> Result<Option<SimRun<'w>>, CheckpointError> {
         let path = self.segment_path(workload, config, ordinal, position);
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        };
-        if kind != CheckpointKind::Full
-            || meta != self.expected_segment_meta(workload, config, position)
-        {
-            return Ok(None);
-        }
-        let mut run = SimRun::new(workload, config);
-        let mut r = SnapReader::new(&payload);
-        run.restore(&mut r)?;
-        r.finish()?;
-        Ok(Some(run))
+        let expected = self.expected_segment_meta(workload, config, position);
+        load_keyed(&path, CheckpointKind::Full, &expected, |payload| {
+            restore_whole(workload, config, &payload)
+        })
     }
 
     /// Loads the checkpoint for `(workload, config)` into a freshly
     /// constructed [`SimRun`], ready to [`SimRun::measure`] after the
     /// caller skips `config.fast_forward` stream instructions.
     ///
-    /// Returns `Ok(None)` when no file exists or the file belongs to a
-    /// different key (stale fingerprint, other machine configuration).
+    /// Returns `Ok(None)` when no file exists, or the file is of another
+    /// format version or belongs to a different key (stale fingerprint,
+    /// other machine configuration).
     ///
     /// # Errors
     ///
-    /// Damaged files: bad magic, bad version, truncation, checksum or
+    /// Damaged files: bad magic, truncation, checksum or
     /// snapshot-payload corruption.
     pub fn load<'w>(
         &self,
         workload: &'w PreparedWorkload,
         config: &SimConfig,
     ) -> Result<Option<SimRun<'w>>, CheckpointError> {
-        count_load(self.load_impl(workload, config))
-    }
-
-    fn load_impl<'w>(
-        &self,
-        workload: &'w PreparedWorkload,
-        config: &SimConfig,
-    ) -> Result<Option<SimRun<'w>>, CheckpointError> {
         let path = self.path_for(workload, config);
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        };
         let expected = self.expected_meta(workload, config);
-        if kind != CheckpointKind::Full || meta != expected {
-            return Ok(None);
-        }
-        let mut run = SimRun::new(workload, config);
-        let mut r = SnapReader::new(&payload);
-        run.restore(&mut r)?;
-        r.finish()?;
-        Ok(Some(run))
+        load_keyed(&path, CheckpointKind::Full, &expected, |payload| {
+            restore_whole(workload, config, &payload)
+        })
     }
 
     /// Where the **shared prefix** for `(workload, config)` lives — one
@@ -813,115 +780,49 @@ impl CheckpointStore {
         }
     }
 
-    /// Saves the policy-agnostic warm prefix: `run`'s shared section
-    /// ([`SimRun::save_shared`]) plus the warmup `tape` recorded while
-    /// `run` fast-forwarded. The recording run's own policy does not
-    /// matter — every byte written here is policy-independent.
+    /// Saves `prefix` — a workload's policy-agnostic boundary state, in
+    /// hand as a sweep's [`crate::Frontend`] or a pulled run's
+    /// [`SharedWarmup::capture`] leaves it, the same bytes either way —
+    /// as the shared prefix of `(workload, config)`.
     ///
     /// # Errors
     ///
     /// Propagates I/O failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` has started measuring, or the tape does not cover
-    /// exactly `run`'s fast-forward window.
     pub fn save_prefix(
         &self,
-        run: &SimRun<'_>,
-        tape: &WarmupTape,
-    ) -> Result<PathBuf, CheckpointError> {
-        assert!(!run.is_measuring(), "shared prefixes are fast-forward states");
-        let mut shared = SnapWriter::new();
-        run.save_shared(&mut shared);
-        self.write_prefix(run.workload(), run.config(), shared.bytes(), tape)
-    }
-
-    /// Saves a warm prefix that is already in hand — what a sweep's
-    /// [`crate::Frontend`] leaves at the fast-forward boundary — as
-    /// [`CheckpointStore::save_prefix`] would have written it.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the tape does not cover exactly `config`'s
-    /// fast-forward window.
-    pub fn save_shared_warmup(
-        &self,
         workload: &PreparedWorkload,
         config: &SimConfig,
-        warmup: &SharedWarmup,
+        prefix: &SharedWarmup,
     ) -> Result<PathBuf, CheckpointError> {
-        self.write_prefix(workload, config, &warmup.shared, &warmup.tape)
-    }
-
-    fn write_prefix(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-        shared: &[u8],
-        tape: &WarmupTape,
-    ) -> Result<PathBuf, CheckpointError> {
-        assert_eq!(
-            tape.instructions(),
-            config.fast_forward,
-            "tape does not cover the fast-forward window"
-        );
-        let mut taped = SnapWriter::new();
-        tape.save(&mut taped);
-        let payload = [shared, taped.bytes()].concat();
         let path = self.prefix_path(workload, config);
         let meta = self.expected_prefix_meta(workload, config);
-        write_checkpoint_kind(&path, CheckpointKind::SharedPrefix, &meta, &payload)?;
+        write_checkpoint_kind(&path, CheckpointKind::SharedPrefix, &meta, &prefix.shared)?;
         note_save();
         Ok(path)
     }
 
     /// Loads the shared prefix for `(workload, config)`, if a valid one
-    /// exists. `Ok(None)` for a missing or differently-keyed file; only
-    /// damaged files are errors (callers fall back to a cold recorded
-    /// warmup either way).
+    /// exists. `Ok(None)` for a missing, other-version or
+    /// differently-keyed file; only damaged files are errors (the
+    /// prefix is written again either way).
     ///
     /// # Errors
     ///
-    /// Damaged files, as [`CheckpointStore::load`].
+    /// Damaged files, as [`CheckpointStore::load`], and a payload that
+    /// is not exactly one `SHRD` section.
     pub fn load_prefix(
         &self,
         workload: &PreparedWorkload,
         config: &SimConfig,
     ) -> Result<Option<SharedWarmup>, CheckpointError> {
-        count_load(self.load_prefix_impl(workload, config))
-    }
-
-    fn load_prefix_impl(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-    ) -> Result<Option<SharedWarmup>, CheckpointError> {
         let path = self.prefix_path(workload, config);
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(None)
-            }
-            Err(e) => return Err(e),
-        };
-        if kind != CheckpointKind::SharedPrefix
-            || meta != self.expected_prefix_meta(workload, config)
-        {
-            return Ok(None);
-        }
-        let mut r = SnapReader::new(&payload);
-        let shared_start = payload.len() - r.remaining();
-        let _ = r.section(b"SHRD")?; // validated; bytes kept whole below
-        let shared_end = payload.len() - r.remaining();
-        let mut tape = WarmupTape::new();
-        tape.restore(&mut r)?;
-        r.finish()?;
-        Ok(Some(SharedWarmup { shared: payload[shared_start..shared_end].to_vec(), tape }))
+        let expected = self.expected_prefix_meta(workload, config);
+        load_keyed(&path, CheckpointKind::SharedPrefix, &expected, |shared| {
+            let mut r = SnapReader::new(&shared);
+            let _ = r.section(b"SHRD")?; // its contents are for `apply` to read
+            r.finish()?;
+            Ok(SharedWarmup { shared })
+        })
     }
 
     /// Where the **policy overlay** for `(workload, config)` lives —
@@ -978,35 +879,21 @@ impl CheckpointStore {
     /// On a mid-restore error — a damaged payload that nonetheless
     /// passed the container checksum, which keying makes essentially
     /// unreachable — `run` may be left half-written: the caller must
-    /// rebuild it before falling back (the warm-start ladder does).
+    /// build a fresh one before warming it instead.
     ///
     /// # Errors
     ///
     /// Damaged files, as [`CheckpointStore::load`], plus overlay
     /// payloads whose shape does not match the run's machine.
     pub fn load_overlay_into(&self, run: &mut SimRun<'_>) -> Result<bool, CheckpointError> {
-        let result = self.load_overlay_into_impl(run);
-        count_load(result.map(|loaded| loaded.then_some(()))).map(|opt| opt.is_some())
-    }
-
-    fn load_overlay_into_impl(&self, run: &mut SimRun<'_>) -> Result<bool, CheckpointError> {
         let path = self.overlay_path(run.workload(), run.config());
-        let (kind, meta, payload) = match retry_transient(|| read_checkpoint(&path)) {
-            Ok(parts) => parts,
-            Err(CheckpointError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                return Ok(false)
-            }
-            Err(e) => return Err(e),
-        };
-        if kind != CheckpointKind::PolicyOverlay
-            || meta != self.expected_overlay_meta(run.workload(), run.config())
-        {
-            return Ok(false);
-        }
-        let mut r = SnapReader::new(&payload);
-        run.restore_overlay(&mut r)?;
-        r.finish()?;
-        Ok(true)
+        let expected = self.expected_overlay_meta(run.workload(), run.config());
+        let loaded = load_keyed(&path, CheckpointKind::PolicyOverlay, &expected, |payload| {
+            let mut r = SnapReader::new(&payload);
+            run.restore_overlay(&mut r)?;
+            Ok(r.finish()?)
+        })?;
+        Ok(loaded.is_some())
     }
 
     /// Total bytes the store's container files occupy on disk
@@ -1245,32 +1132,30 @@ fn parse_trailing_fingerprint(key: &str) -> Option<u64> {
     u64::from_str_radix(fingerprint, 16).ok()
 }
 
-/// One workload's policy-agnostic warm prefix, loaded from a
-/// [`CheckpointKind::SharedPrefix`] container: the shared section bytes
-/// (branch predictor) plus the recorded warmup tape. Shared across every
-/// policy cell of the workload.
+/// One workload's policy-agnostic warm prefix — the `SHRD` section, the
+/// branch predictor at the fast-forward boundary — as a
+/// [`CheckpointKind::SharedPrefix`] container holds it. Shared across
+/// every policy cell of the workload.
 #[derive(Debug, Clone)]
 pub struct SharedWarmup {
     /// The `SHRD` section, kept as raw bytes so it can be applied to any
     /// number of runs.
     shared: Vec<u8>,
-    tape: WarmupTape,
 }
 
 impl SharedWarmup {
-    /// Builds a prefix in memory from a freshly recorded warmup — what
-    /// [`CheckpointStore::save_prefix`] persists.
+    /// The prefix a pulled run holds once it has fast-forwarded: its
+    /// own predictor, byte for byte what a sweep's frontend leaves.
     #[must_use]
-    pub fn capture(run: &SimRun<'_>, tape: WarmupTape) -> SharedWarmup {
+    pub fn capture(run: &SimRun<'_>) -> SharedWarmup {
         let mut w = SnapWriter::new();
         run.save_shared(&mut w);
-        SharedWarmup { shared: w.into_bytes(), tape }
+        SharedWarmup { shared: w.into_bytes() }
     }
 
-    /// A prefix from its two parts: a `SHRD` section's bytes and the
-    /// tape recorded over the same warmup.
-    pub(crate) fn from_sections(shared: Vec<u8>, tape: WarmupTape) -> SharedWarmup {
-        SharedWarmup { shared, tape }
+    /// A prefix from a `SHRD` section's bytes.
+    pub(crate) fn from_section(shared: Vec<u8>) -> SharedWarmup {
+        SharedWarmup { shared }
     }
 
     /// The `SHRD` section's bytes.
@@ -1278,15 +1163,8 @@ impl SharedWarmup {
         &self.shared
     }
 
-    /// The recorded warmup tape.
-    #[must_use]
-    pub fn tape(&self) -> &WarmupTape {
-        &self.tape
-    }
-
     /// Restores the shared section into `run` (typically a freshly
-    /// constructed one, before [`SimRun::fast_forward_replayed`] or an
-    /// overlay restore).
+    /// constructed one, before an overlay restore).
     ///
     /// # Errors
     ///

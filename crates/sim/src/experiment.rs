@@ -27,24 +27,32 @@
 //!   [`replay_sweep`]: one decode per workload, on a thread of its own.
 //!
 //! With a [`CheckpointStore`] attached a sweep also leaves the
-//! fast-forward boundary behind: the frontend writes the policy-agnostic
-//! **shared prefix** (its predictor plus the tape of its decisions, one
-//! file per workload) and every cell its **overlay**. The next sweep's
-//! cells restore their overlays instead of warming, and where every cell
-//! of a workload can, the frontend itself resumes from the prefix over a
-//! replay that starts its decode at the boundary: nothing reads the
-//! warm-up at all. The `warm.*` counters and the `producer_opened` /
-//! `warm_start` journal events say which of these a sweep did;
-//! `tests/walk_once_equivalence.rs` and `tests/push_store_equivalence.rs`
-//! hold every route to the same bits and the design to its counts (one
-//! frontend, one walk or one decode, one prefix read, `jobs` threads,
-//! and `exec.cell_records / exec.turn_records` machines a record).
+//! fast-forward boundary behind, in **two files**: per workload the
+//! policy-agnostic **shared prefix** (the frontend's predictor, and
+//! nothing else), per cell its **overlay**. There is one way back to the
+//! boundary, `restore_at_boundary`, and every cell of every executor
+//! takes it: a cell whose files load restores, a cell whose files do not
+//! warms up the one way its executor has — pushed turns through
+//! [`trrip_cpu::Core::execute`] here — and leaves its overlay; the
+//! window writes the prefix once its frontend is across the boundary, if
+//! no loadable one was on file. Where every cell of a workload can
+//! restore, the frontend itself resumes from the prefix over a replay
+//! that starts its decode at the boundary: nothing reads the warm-up at
+//! all. The `warm.*` counters ([`crate::warmstats`]) and the
+//! `producer_opened` / `warm_start` journal events say which of these a
+//! sweep did; `tests/walk_once_equivalence.rs` and
+//! `tests/push_store_equivalence.rs` hold every route to the same bits
+//! and the design to its counts (one frontend, one walk or one decode,
+//! one prefix read, `jobs` threads, and `exec.cell_records /
+//! exec.turn_records` machines a record).
 //!
-//! Two executors remain beside this one, both on the pull loop and the
-//! per-cell `warm_start_ladder`: the segment DAG
-//! ([`crate::replay_sweep_sharded`]) and the multi-process claim
-//! protocol ([`crate::coordinate_worker`]). They read and write the
-//! same prefix and overlay files.
+//! Two executors remain beside this one, both on the pull loop: the
+//! segment DAG ([`crate::replay_sweep_sharded`]) and the multi-process
+//! claim protocol ([`crate::coordinate_worker`]). Their cells own a
+//! stream and a predictor each, so they restore the prefix's predictor
+//! with their overlay — through the same `restore_at_boundary` — and a
+//! cell that cannot warms with [`SimRun::fast_forward`] (`warm_alone`),
+//! leaving the same two files, byte for byte.
 //!
 //! The one-cell paths, [`crate::simulate`] and
 //! [`crate::simulate_source`], pull from a source of their own and share
@@ -57,7 +65,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
-use trrip_cpu::{EventTurn, WarmupTape};
+use trrip_cpu::EventTurn;
 use trrip_obs::Field;
 use trrip_policies::PolicyKind;
 use trrip_trace::{SourceIter, StreamingReplay, TraceSource};
@@ -207,7 +215,7 @@ pub fn policy_sweep_with(
     config: &SimConfig,
     policies: &[PolicyKind],
 ) -> SweepResult {
-    push_sweep(jobs, workloads, config, policies, None, |workload| {
+    push_sweep(jobs, workloads, config, policies, None, |workload, _| {
         journal_producer(workload, "walker", 0);
         Frontend::new(config, eval_walker(workload, config))
     })
@@ -221,27 +229,26 @@ pub fn policy_sweep_with(
 /// side** ([`CaptureTee`]) while the sweep simulates it.
 ///
 /// With `checkpoints`, cells start warm where they can and leave warm
-/// starts behind where they cannot. Each cell restores at the
-/// fast-forward boundary from a whole-state checkpoint or its policy
-/// overlay if one loads; a cell without executes the warm-up turns and
-/// saves its overlay at the boundary. The frontend, from the first
-/// instruction, records the shared prefix unless a loadable one is on
-/// file. When every cell of a workload has a restore on file
-/// ([`CheckpointStore::holds_restore`]) and the prefix loads, nobody
-/// needs the warm-up: the frontend resumes from the prefix
+/// starts behind where they cannot. Each cell restores its overlay at
+/// the fast-forward boundary if it loads; a cell without executes the
+/// warm-up turns and saves its overlay at the boundary. The frontend's
+/// predictor there is the shared prefix, which the window saves unless a
+/// loadable one was on file. When every cell of a workload has a restore
+/// on file ([`CheckpointStore::holds_restore`]) and the prefix loads,
+/// nobody needs the warm-up: the frontend resumes from the prefix
 /// ([`Frontend::resume`]) over a replay whose decode begins at the chunk
-/// holding the boundary. A cell whose promised restore then fails to
+/// holding the boundary. A cell whose promised overlay then fails to
 /// load is reported, runs alone from a replay of its own and rewrites
 /// its overlay; the others are untouched.
 ///
-/// The files are the ones `warm_start_ladder` reads and writes, so a
+/// The two files are the ones the pull executors read and write, so a
 /// store populated here warm-starts [`crate::replay_sweep_sharded`] and
 /// [`crate::coordinate_worker`], and the reverse. Every cell is
 /// bit-identical to a [`crate::simulate_source`] over its capture on
 /// every route (`tests/push_store_equivalence.rs`). Damaged files heal by
-/// being overwritten (a damaged whole-state checkpoint, which nothing
-/// here rewrites, is deleted); a save that fails only costs the warm
-/// start next time.
+/// being overwritten, and so do files of another format version, which
+/// read as absent; a save that fails only costs the warm start next
+/// time.
 ///
 /// # Panics
 ///
@@ -259,8 +266,8 @@ pub fn replay_sweep(
     // With nothing to fast-forward there is no boundary state to keep.
     let checkpoints = checkpoints.filter(|_| config.fast_forward > 0);
     let stores = Stores { traces, checkpoints };
-    push_sweep(jobs, workloads, config, policies, Some(stores), |workload| {
-        stores.open(workload, config, policies)
+    push_sweep(jobs, workloads, config, policies, Some(stores), |workload, prefix| {
+        stores.open(workload, config, policies, prefix)
     })
 }
 
@@ -276,27 +283,23 @@ struct Stores<'a> {
 type StoredSource<'a> = Box<dyn TraceSource + Send + 'a>;
 
 impl<'a> Stores<'a> {
-    /// Opens `workload`'s producer: at the fast-forward boundary if no
-    /// cell will read the warm-up, else at the first instruction — of
-    /// the capture if there is one, of the walker if not.
+    /// Opens `workload`'s producer: at the fast-forward boundary, its
+    /// predictor `prefix`'s, if no cell will read the warm-up, else at
+    /// the first instruction — of the capture if there is one, of the
+    /// walker if not.
     fn open(
         self,
         workload: &'a PreparedWorkload,
         config: &SimConfig,
         policies: &[PolicyKind],
+        prefix: Option<&SharedWarmup>,
     ) -> Frontend<StoredSource<'a>> {
         let path = self.traces.path_for(workload, config);
         let captured = self.traces.has(workload, config);
-        let prefix = self.checkpoints.and_then(|store| {
-            store.load_prefix(workload, config).unwrap_or_else(|e| {
-                report_damaged(workload, "*", "shared prefix", &e, "recording it again");
-                None
-            })
-        });
         // Whether every cell can restore is judged by file names alone:
         // a file that then fails to load costs that one cell a replay
         // of its own.
-        let resume = prefix.as_ref().filter(|_| {
+        let resume = prefix.filter(|_| {
             let holds = |store: &CheckpointStore| {
                 let held = |&p| store.holds_restore(workload, &config.clone().with_policy(p));
                 policies.iter().all(held)
@@ -314,23 +317,17 @@ impl<'a> Stores<'a> {
         match resume {
             Some(prefix) => Frontend::resume(config, source, prefix)
                 .expect("keyed shared prefix matches the machine"),
-            None if self.checkpoints.is_some() && prefix.is_none() => {
-                Frontend::recording(config, source)
-            }
             None => Frontend::new(config, source),
         }
     }
 
-    /// One cell by itself, on the pull path: a cold warm-up over a
-    /// replay of its own, leaving the overlay the next sweep restores.
+    /// One cell by itself, on the pull path, over a replay of its own:
+    /// it warms up and leaves the overlay the next sweep restores. (The
+    /// prefix is on file: its window resumed from it.)
     fn run_alone(self, workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
         let path = self.traces.path_for(workload, config);
-        let (mut run, mut stream) = warm_start_ladder(workload, config, None, |pos| {
-            SourceIter::new(open_replay(&path, pos))
-        });
-        if let Some(store) = self.checkpoints {
-            save_overlay(store, &run);
-        }
+        let mut stream = SourceIter::new(open_replay(&path, 0));
+        let mut run = warm_alone(workload, config, self.checkpoints, &mut stream, false);
         run.measure(&mut stream)
     }
 }
@@ -363,7 +360,8 @@ const TURN_INSTRS: usize = 16 * 1024;
 const WINDOW_TURNS: usize = 4;
 
 /// The push executor behind [`policy_sweep_with`] and [`replay_sweep`]:
-/// per workload, `open` is called once, and the stream under the
+/// per workload, `open` is called once — with the workload's shared
+/// prefix, if `stores` hold a loadable one — and the stream under the
 /// frontend it returns is digested and pushed turn by turn through every
 /// policy's [`SimRun`] (see [`policy_sweep_with`] for how cells are
 /// dealt to workers, [`replay_sweep`] for what `stores` add). Generic
@@ -378,7 +376,7 @@ fn push_sweep<'w, S, F>(
 ) -> SweepResult
 where
     S: TraceSource + Send,
-    F: Fn(&'w PreparedWorkload) -> Frontend<S> + Sync,
+    F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S> + Sync,
 {
     let cells = workloads.len() * policies.len();
     let mut finished = Vec::new();
@@ -486,10 +484,10 @@ fn run_share<'w, S, F>(
 ) -> Vec<(usize, SimResult)>
 where
     S: TraceSource,
-    F: Fn(&'w PreparedWorkload) -> Frontend<S>,
+    F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S>,
 {
     let (workload, config) = (window.workload, window.config);
-    let checkpoints = window.stores.and_then(|stores| stores.checkpoints);
+    let checkpoints = window.checkpoints();
     let bench = workload.spec.name.as_str();
     let start = window.open(open);
     let mut reader = Reader { window, turn: 0, held: None };
@@ -497,7 +495,11 @@ where
     let mut alone = Vec::new();
     for &(index, policy) in share {
         let cell_config = config.clone().with_policy(policy);
-        match checkpoints.and_then(|store| restore_at_boundary(workload, &cell_config, store)) {
+        // A pushed cell consults no predictor: its overlay is all of
+        // the boundary state it needs.
+        let restored =
+            checkpoints.and_then(|store| restore_at_boundary(workload, &cell_config, store, None));
+        match restored {
             Some(run) => cells.push(Cell { index, run, warms: false }),
             None if start == 0 => {
                 let run = SimRun::new(workload, &cell_config);
@@ -518,16 +520,9 @@ where
             SimRun::push_fast_forward_group(&mut warming, turn, last);
         });
         reader.release();
+        // The prefix is the frontend's to leave, through the window.
         for cell in cells.iter().filter(|cell| cell.warms) {
-            let policy = cell.run.config().hierarchy.l2_policy.name();
-            if let Some(store) = checkpoints {
-                warmstats::count_tail_replay();
-                journal_route(workload, policy, "tail_replay");
-                save_overlay(store, &cell.run);
-            } else {
-                warmstats::count_cold_warmup();
-                journal_route(workload, policy, "cold_warmup");
-            }
+            leave_boundary(checkpoints, &cell.run, false);
         }
     }
     cells.iter_mut().for_each(|cell| cell.run.begin_measure());
@@ -554,38 +549,26 @@ where
     finished
 }
 
-/// A cell's run restored at the fast-forward boundary, if the store
-/// holds a state for it that loads: a whole-state checkpoint, else its
-/// policy overlay. (A pushed cell consults no predictor, so the overlay
-/// is all of the boundary state it needs; the shared prefix is the
-/// frontend's to read, once.) A file that does not load is reported; a
-/// damaged whole-state checkpoint is also deleted, since nothing would
-/// overwrite it.
-fn restore_at_boundary<'w>(
+/// A cell's run restored at the fast-forward boundary from the two
+/// files a store keeps of it — the one way back there, for every
+/// executor. `predictor` is the workload's shared prefix, for a cell
+/// that resolves its own branches (a pull cell); a pushed cell consults
+/// no predictor — the frontend read the prefix, once, for all of them —
+/// and passes `None`. Then the policy's overlay. `None` unless both are
+/// in: an overlay that does not load is reported, and the caller warms a
+/// fresh machine, since a failed restore may have left this one
+/// half-written.
+pub(crate) fn restore_at_boundary<'w>(
     workload: &'w PreparedWorkload,
     config: &SimConfig,
     store: &CheckpointStore,
+    predictor: Option<&SharedWarmup>,
 ) -> Option<SimRun<'w>> {
     let policy = config.hierarchy.l2_policy.name();
-    // Sweeps write no whole-state checkpoints, so one is rarely there:
-    // not asking for what is not keeps `ckpt.miss` to real misses.
-    let whole = store.path_for(workload, config);
-    if whole.exists() {
-        match store.load(workload, config) {
-            Ok(Some(run)) => {
-                warmstats::count_full_restore();
-                journal_route(workload, policy, "full_restore");
-                return Some(run);
-            }
-            Ok(None) => {}
-            Err(e) => {
-                let next = "removing it and trying the policy overlay";
-                report_damaged(workload, policy, "fast-forward checkpoint", &e, next);
-                let _ = std::fs::remove_file(whole);
-            }
-        }
-    }
     let mut run = SimRun::new(workload, config);
+    if let Some(prefix) = predictor {
+        prefix.apply(&mut run).expect("keyed shared prefix matches the machine");
+    }
     match store.load_overlay_into(&mut run) {
         Ok(true) => {
             warmstats::count_overlay_restore();
@@ -600,11 +583,71 @@ fn restore_at_boundary<'w>(
     }
 }
 
-/// Saves `run`'s overlay; a failure only costs the warm start next time.
-fn save_overlay(store: &CheckpointStore, run: &SimRun<'_>) {
+/// `workload`'s shared prefix, if the store holds one that loads; one
+/// that does not is reported, and written again by whoever crosses the
+/// boundary next.
+pub(crate) fn load_prefix(
+    store: &CheckpointStore,
+    workload: &PreparedWorkload,
+    config: &SimConfig,
+) -> Option<SharedWarmup> {
+    store.load_prefix(workload, config).unwrap_or_else(|e| {
+        report_damaged(workload, "*", "shared prefix", &e, "writing it again");
+        None
+    })
+}
+
+/// A pull cell that cannot restore warms the one way its executor has —
+/// [`SimRun::fast_forward`], the fused loop, over `stream`, its own from
+/// the first instruction — and leaves at the boundary what the next
+/// sweep restores ([`leave_boundary`]).
+pub(crate) fn warm_alone<'w, S: TraceSource>(
+    workload: &'w PreparedWorkload,
+    config: &SimConfig,
+    store: Option<&CheckpointStore>,
+    stream: &mut SourceIter<S>,
+    with_prefix: bool,
+) -> SimRun<'w> {
+    let mut run = SimRun::new(workload, config);
+    run.fast_forward(stream);
+    leave_boundary(store, &run, with_prefix);
+    run
+}
+
+/// What a cell that executed its warm-up leaves at the boundary. With a
+/// store attached, its overlay — and `with_prefix`, from a pull cell
+/// that found no loadable prefix on file, its own predictor as the
+/// shared prefix: the bytes a frontend would have left. Without one,
+/// nothing. A save that fails only costs the warm start next time.
+fn leave_boundary(store: Option<&CheckpointStore>, run: &SimRun<'_>, with_prefix: bool) {
+    let (workload, config) = (run.workload(), run.config());
+    let policy = config.hierarchy.l2_policy.name();
+    let Some(store) = store else {
+        warmstats::count_cold_warmup();
+        journal_route(workload, policy, "cold_warmup");
+        return;
+    };
+    warmstats::count_tail_replay();
+    journal_route(workload, policy, "tail_replay");
     if let Err(e) = store.save_overlay(run) {
-        let policy = run.config().hierarchy.l2_policy.name();
-        report_damaged(run.workload(), policy, "overlay save", &e, "continuing without it");
+        report_damaged(workload, policy, "overlay save", &e, "continuing without it");
+    }
+    if with_prefix {
+        save_prefix(store, workload, config, &SharedWarmup::capture(run));
+    }
+}
+
+/// Saves `workload`'s shared prefix; a failure only costs the next
+/// sweep's frontend the warm-up.
+fn save_prefix(
+    store: &CheckpointStore,
+    workload: &PreparedWorkload,
+    config: &SimConfig,
+    prefix: &SharedWarmup,
+) {
+    warmstats::count_recorded_warmup();
+    if let Err(e) = store.save_prefix(workload, config, prefix) {
+        report_damaged(workload, "*", "prefix save", &e, "continuing without it");
     }
 }
 
@@ -691,6 +734,10 @@ struct WindowState<S> {
     producer: Producer<S>,
     /// Where in the stream the producer's first turn begins.
     start: u64,
+    /// A checkpoint store is attached and held no loadable shared
+    /// prefix when the producer was opened: the frontend's boundary
+    /// state is to be saved as it.
+    prefix_wanted: bool,
     /// Position (in turns from there) of `turns[0]`.
     first: usize,
     turns: VecDeque<Turn>,
@@ -732,6 +779,7 @@ impl<'w, S: TraceSource> Window<'w, S> {
             state: std::sync::Mutex::new(WindowState {
                 producer: Producer::Unopened,
                 start: 0,
+                prefix_wanted: false,
                 first: 0,
                 turns: VecDeque::with_capacity(WINDOW_TURNS),
                 spare: Vec::new(),
@@ -745,16 +793,25 @@ impl<'w, S: TraceSource> Window<'w, S> {
         self.state.lock().expect("a sweep worker panicked inside the stream window")
     }
 
-    /// The stream position of turn 0. The first member to ask opens the
-    /// producer — under the lock: its teammates have nothing to do
-    /// before they know where their cells start.
+    /// The checkpoint store attached to the sweep, if one is.
+    fn checkpoints(&self) -> Option<&'w CheckpointStore> {
+        self.stores.and_then(|stores| stores.checkpoints)
+    }
+
+    /// The stream position of turn 0. The first member to ask reads the
+    /// shared prefix, if a store holds one, and opens the producer with
+    /// it — under the lock: its teammates have nothing to do before they
+    /// know where their cells start.
     fn open<F>(&self, open: &F) -> u64
     where
-        F: Fn(&'w PreparedWorkload) -> Frontend<S>,
+        F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S>,
     {
         let mut state = self.lock();
         if matches!(state.producer, Producer::Unopened) {
-            let frontend = open(self.workload);
+            let prefix =
+                self.checkpoints().and_then(|store| load_prefix(store, self.workload, self.config));
+            let frontend = open(self.workload, prefix.as_ref());
+            state.prefix_wanted = self.checkpoints().is_some() && prefix.is_none();
             state.start = frontend.start();
             state.producer = Producer::Idle(Box::new(frontend));
         }
@@ -785,13 +842,19 @@ impl<'w, S: TraceSource> Window<'w, S> {
                 }
                 Producer::Idle(mut frontend) if room => {
                     let mut events = state.spare.pop().unwrap_or_default();
+                    let prefix_wanted = state.prefix_wanted;
                     drop(state);
                     let more = {
                         let _span = trrip_obs::span!("digest");
                         frontend.digest(TURN_INSTRS, &mut events)
                     };
-                    if let Some(warmup) = frontend.take_shared_warmup() {
-                        self.save_prefix(&warmup);
+                    // The frontend is across the fast-forward boundary:
+                    // what it knows there is the shared prefix every
+                    // later sweep (of any engine) starts from.
+                    if let Some(store) = self.checkpoints().filter(|_| prefix_wanted) {
+                        if let Some(prefix) = frontend.take_shared_warmup() {
+                            save_prefix(store, self.workload, self.config, &prefix);
+                        }
                     }
                     // Dropped here, not under the lock, when the stream
                     // is over (a walker and a frontend publish their
@@ -812,17 +875,6 @@ impl<'w, S: TraceSource> Window<'w, S> {
                 parked => state.producer = parked,
             }
             state = self.changed.wait(state).expect("a sweep worker panicked inside the window");
-        }
-    }
-
-    /// The frontend crossed the fast-forward boundary with a tape in
-    /// hand: what it knows there is the shared prefix every later sweep
-    /// (of any engine) starts from.
-    fn save_prefix(&self, warmup: &SharedWarmup) {
-        let Some(store) = self.stores.and_then(|stores| stores.checkpoints) else { return };
-        warmstats::count_recorded_warmup();
-        if let Err(e) = store.save_shared_warmup(self.workload, self.config, warmup) {
-            report_damaged(self.workload, "*", "prefix save", &e, "continuing without it");
         }
     }
 
@@ -910,196 +962,6 @@ impl<S> Drop for Bail<'_, '_, S> {
             }
         }
     }
-}
-
-/// Produces a [`SimRun`] warmed to the fast-forward boundary for one
-/// `(workload, policy)` cell, by the cheapest valid route — every route
-/// is bit-identical to a cold per-cell warmup
-/// (`tests/warm_prefix_equivalence.rs`):
-///
-/// 1. a **whole-state** fast-forward checkpoint (v1/v2 files, or any
-///    full container) — the warmup is never simulated;
-/// 2. **shared prefix + this policy's overlay** — compose the
-///    policy-agnostic and policy-dependent sections;
-/// 3. **shared prefix + warmup-tail replay** — restore the predictor,
-///    re-simulate the warmup against this policy's own machine with
-///    every predictor decision taken off the recorded tape
-///    ([`SimRun::fast_forward_replayed`]), and persist the overlay the
-///    next sweep will compose from. This is where a *corrupt or
-///    missing* overlay lands — never back at a cold warmup;
-/// 4. **cold recorded warmup** — no prefix available: simulate the
-///    warmup normally while recording a tape, then persist both the
-///    prefix and this policy's overlay. (With no store at all, a plain
-///    cold warmup.)
-///
-/// `stream_at(pos)` supplies the instruction stream positioned `pos`
-/// instructions in, and is called exactly once: with `fast_forward` on
-/// the restore rungs (1–2), with `0` when the warmup is simulated
-/// (3–4); the callers open a (seek-positioned) replay there.
-///
-/// This is the warm start of the **pull** executors — the segment DAG
-/// and the claim-protocol worker, whose cells each own a stream and a
-/// predictor — which share this one ladder, so fallback routing
-/// (including the fresh-machine rebuild after a half-written overlay
-/// restore) cannot diverge between them. A [`replay_sweep`] cell starts
-/// from the same files without it (`restore_at_boundary`), and comes
-/// here, store-less, only when it has to run alone.
-///
-/// Damaged files are reported and demoted one rung; a damaged
-/// whole-state checkpoint is also deleted, so the store heals instead
-/// of re-reporting the same file on every later sweep (the prefix and
-/// overlay heal by being overwritten on rungs 3–4). Saves that fail
-/// only cost the warm start next time.
-pub(crate) fn warm_start_ladder<'w, S, F>(
-    workload: &'w PreparedWorkload,
-    config: &SimConfig,
-    checkpoints: Option<&CheckpointStore>,
-    stream_at: F,
-) -> (SimRun<'w>, SourceIter<S>)
-where
-    S: TraceSource,
-    F: FnOnce(u64) -> SourceIter<S>,
-{
-    let policy = config.hierarchy.l2_policy.name();
-    let cell = |e: &dyn std::fmt::Display, what: &str, next: &str| {
-        report_damaged(workload, policy, what, e, next);
-    };
-    let route = |rung: &str| journal_route(workload, policy, rung);
-    let ff = config.fast_forward;
-
-    let Some(checkpoints) = checkpoints else {
-        // No store attached: plain cold warmup, nothing persisted.
-        let mut run = SimRun::new(workload, config);
-        let mut stream = stream_at(0);
-        run.fast_forward(&mut stream);
-        warmstats::count_cold_warmup();
-        route("cold_warmup");
-        return (run, stream);
-    };
-
-    // 1. Whole-state checkpoint.
-    match checkpoints.load(workload, config) {
-        Ok(Some(run)) => {
-            warmstats::count_full_restore();
-            route("full_restore");
-            return (run, stream_at(ff));
-        }
-        Ok(None) => {}
-        Err(e) => {
-            cell(&e, "fast-forward checkpoint", "removing it and trying the shared prefix");
-            let _ = std::fs::remove_file(checkpoints.path_for(workload, config));
-        }
-    }
-
-    // 2./3. Shared prefix.
-    let prefix = match checkpoints.load_prefix(workload, config) {
-        Ok(prefix) => prefix,
-        Err(e) => {
-            cell(&e, "shared prefix", "warming cold");
-            None
-        }
-    };
-    if let Some(prefix) = prefix {
-        let mut run = SimRun::new(workload, config);
-        prefix.apply(&mut run).expect("keyed shared prefix matches the machine");
-        match checkpoints.load_overlay_into(&mut run) {
-            Ok(true) => {
-                warmstats::count_overlay_restore();
-                route("overlay_restore");
-                return (run, stream_at(ff));
-            }
-            Ok(false) => {}
-            // Fall through to the tail replay, NOT to a cold warmup —
-            // with a fresh machine, since a mid-restore error may have
-            // left this one half-written.
-            Err(e) => {
-                cell(&e, "policy overlay", "replaying the warmup tail");
-                run = SimRun::new(workload, config);
-                prefix.apply(&mut run).expect("keyed shared prefix matches the machine");
-            }
-        }
-        let mut stream = stream_at(0);
-        run.fast_forward_replayed(&mut stream, prefix.tape());
-        if let Err(e) = checkpoints.save_overlay(&run) {
-            cell(&e, "overlay save", "continuing without it");
-        }
-        warmstats::count_tail_replay();
-        route("tail_replay");
-        return (run, stream);
-    }
-
-    // 4. Cold, recorded: the warmup this cell pays becomes the shared
-    // prefix every other policy (and every later sweep) starts from.
-    let mut run = SimRun::new(workload, config);
-    let mut stream = stream_at(0);
-    let mut tape = WarmupTape::new();
-    run.fast_forward_recorded(&mut stream, &mut tape);
-    warmstats::count_recorded_warmup();
-    route("recorded_warmup");
-    if let Err(e) = checkpoints.save_prefix(&run, &tape) {
-        cell(&e, "prefix save", "continuing without it");
-    }
-    if let Err(e) = checkpoints.save_overlay(&run) {
-        cell(&e, "overlay save", "continuing without it");
-    }
-    (run, stream)
-}
-
-/// The **shared-warmup pre-pass** of the pull executors (a
-/// [`replay_sweep`] needs none: its frontend records the prefix as it
-/// goes): for every workload whose shared prefix is missing, runs one
-/// recorded fast-forward under the neutral warmup policy
-/// ([`PolicyKind::neutral`]) and persists the prefix plus the
-/// recorder's own overlay. After this pass, a populating sharded or
-/// multi-process sweep pays **one** full warmup per workload plus a
-/// cheap predictor-free tail replay per remaining policy — instead of
-/// `policies.len()` full warmups.
-///
-/// Idempotent and parallel over workloads (`jobs` caps the workers).
-///
-/// # Panics
-///
-/// Panics if a trace cannot be captured or replayed.
-pub fn ensure_warm_prefixes(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    traces: &TraceStore,
-    checkpoints: &CheckpointStore,
-) {
-    let _: Vec<()> = parallel_map_with(jobs, workloads.len(), |i| {
-        let workload = &workloads[i];
-        // The prefix key is policy-free, so probing with the base config
-        // answers for every policy of the sweep.
-        if matches!(checkpoints.load_prefix(workload, config), Ok(Some(_))) {
-            return;
-        }
-        let path = traces
-            .ensure(workload, config)
-            .unwrap_or_else(|e| panic!("capturing {}: {e}", workload.spec.name));
-        // Synchronous reader on purpose: the recorder consumes only the
-        // warmup prefix, and the background decoder would read ahead
-        // past it (bounded-channel depth) — wasted decode the sweep
-        // repeats anyway.
-        let reader = trrip_trace::open(&path)
-            .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()));
-        let mut stream = SourceIter::new(reader);
-        let neutral = config.clone().with_policy(PolicyKind::neutral());
-        let mut run = SimRun::new(workload, &neutral);
-        let mut tape = WarmupTape::new();
-        run.fast_forward_recorded(&mut stream, &mut tape);
-        warmstats::count_recorded_warmup();
-        if let Err(e) = checkpoints.save_prefix(&run, &tape) {
-            trrip_obs::progress!("prefix save failed for {}: {e}", workload.spec.name);
-        }
-        if let Err(e) = checkpoints.save_overlay(&run) {
-            trrip_obs::progress!(
-                "overlay save failed for {} / {}: {e}",
-                workload.spec.name,
-                PolicyKind::neutral()
-            );
-        }
-    });
 }
 
 /// Speedup in percent of `cycles` against `baseline_cycles`.
@@ -1190,7 +1052,7 @@ mod tests {
         let full: Vec<TraceInstr> = eval_walker(&workloads[0], &config).take(67_000).collect();
         for length in [67_000, 41_234] {
             let stream = &full[..length];
-            let sweep = push_sweep(2, &workloads, &config, &policies, None, |_| {
+            let sweep = push_sweep(2, &workloads, &config, &policies, None, |_, _| {
                 Frontend::new(&config, VecSource::new(stream.to_vec(), 1_000))
             });
             for (cell, &policy) in sweep.results.iter().zip(&policies) {
@@ -1227,7 +1089,7 @@ mod tests {
         config.instructions = 200_000;
         config.fast_forward = 0;
         let policies = [PolicyKind::Srrip, PolicyKind::Lru, PolicyKind::Clip];
-        let _ = push_sweep(3, &workloads, &config, &policies, None, |_| {
+        let _ = push_sweep(3, &workloads, &config, &policies, None, |_, _| {
             Frontend::new(&config, Breaks(0))
         });
     }

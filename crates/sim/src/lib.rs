@@ -19,18 +19,17 @@
 //!   and replay it from disk for every subsequent run.
 //! * [`checkpoint`] — versioned, checksummed on-disk snapshots of a
 //!   warmed [`SimRun`], keyed by workload fingerprint + machine hash;
-//!   repeated sweeps restore instead of re-running fast-forward.
-//!   Container v3 splits a fast-forward state into a policy-agnostic
-//!   **shared prefix** (predictor + warmup tape, one per workload) and
-//!   per-policy **overlays**, so a populating sweep records one warmup
-//!   per workload and fans it out across every policy.
+//!   repeated sweeps restore instead of re-running fast-forward. A
+//!   sweep keeps the fast-forward boundary as two files: a
+//!   policy-agnostic **shared prefix** (the predictor, one per workload)
+//!   and a per-policy **overlay**.
 //! * [`experiment`] — policy sweeps on one push executor (a workload's
 //!   stream produced once, predicted once, pushed through every cell):
 //!   [`policy_sweep`] over the walker, [`replay_sweep`] over a trace
 //!   store and, optionally, a checkpoint store; and speedup computation.
-//! * [`warmstats`] — process-wide counters of how cells reached their
-//!   warmed state (full restore / overlay compose / warmup-tail replay
-//!   / recorded or cold warmup), the observable behind fallback tests.
+//! * [`warmstats`] — what the `warm.*` registry counters mean: how
+//!   cells reached the fast-forward boundary (restored, or warmed with
+//!   or without a store), the observable behind fallback tests.
 //! * [`shard`] — chunk-range sharding of a single run:
 //!   [`ShardPlan`] cuts the measure window into chunk-aligned segments,
 //!   segment *k* simulates from chained checkpoint *k−1*, fragments
@@ -67,14 +66,13 @@ pub use coordinate::{
     collect_results, coordinate_worker, scan_claims, CoordError, WorkerOptions, WorkerReport,
 };
 pub use experiment::{
-    default_jobs, ensure_warm_prefixes, parallel_map, parallel_map_with, policy_sweep,
-    policy_sweep_with, replay_sweep, speedup_vs, SweepResult,
+    default_jobs, parallel_map, parallel_map_with, policy_sweep, policy_sweep_with, replay_sweep,
+    speedup_vs, SweepResult,
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
 pub use shard::{replay_sweep_sharded, simulate_sharded, ShardPlan};
 pub use system::{simulate, simulate_source, Frontend, SimResult, SimRun};
-pub use warmstats::{warmup_counters, WarmupCounters};
 // The snapshot substrate, re-exported so callers can drive `SimRun`
 // save/restore without depending on `trrip-snap` directly.
 pub use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};

@@ -28,8 +28,9 @@
 //! persisted chain links, every segment whose predecessor checkpoint is
 //! on disk is dispatched immediately, so one long run fans out across
 //! the pool. A missing or damaged chain link falls back cold: the
-//! executor rebuilds position from the fast-forward checkpoint (or a
-//! full cold warmup) and re-simulates the measure prefix.
+//! executor rebuilds position from the fast-forward boundary (shared
+//! prefix + overlay, or a warm-up of its own) and re-simulates the
+//! measure prefix.
 
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
@@ -41,7 +42,9 @@ use trrip_trace::{SourceIter, StreamingReplay, CHUNK_CAPACITY};
 use crate::capture::TraceStore;
 use crate::checkpoint::CheckpointStore;
 use crate::config::SimConfig;
-use crate::experiment::{parallel_map_with, SweepResult};
+use crate::experiment::{
+    load_prefix, parallel_map_with, restore_at_boundary, warm_alone, SweepResult,
+};
 use crate::prepare::PreparedWorkload;
 use crate::system::{SimResult, SimRun};
 
@@ -155,8 +158,8 @@ fn open_stream(path: &Path, skip: u64) -> SourceIter<StreamingReplay> {
 /// Produces a measuring [`SimRun`] positioned at segment `k`'s start,
 /// plus a stream positioned to continue it, **without** a live carry
 /// from segment `k−1`: the chained checkpoint if present, else the
-/// fast-forward checkpoint (persisted if it had to be built cold) plus
-/// a re-simulated measure prefix.
+/// fast-forward boundary (restored, or warmed up to and left in the
+/// store) plus a re-simulated measure prefix.
 pub(crate) fn position_at<'w>(
     workload: &'w PreparedWorkload,
     config: &SimConfig,
@@ -218,16 +221,24 @@ pub(crate) fn position_at<'w>(
         trrip_obs::counter!("shard.cold_fallback").incr();
     }
 
-    // Cold fallback: the fast-forward boundary by the cheapest valid
-    // route (whole-state checkpoint → shared prefix + overlay → prefix
-    // + warmup-tail replay → cold recorded warmup), then the measure
-    // prefix up to `start` is re-simulated. An indexed trace makes the
-    // restore rungs' stream positioning a true seek.
+    // Cold fallback: the fast-forward boundary — restored from the
+    // shared prefix and this policy's overlay (an indexed trace makes
+    // the stream's positioning a true seek), or warmed up to over the
+    // stream from its first instruction — then the measure prefix up to
+    // `start` is re-simulated.
     let ff = config.fast_forward;
-    let (mut run, mut stream) =
-        crate::experiment::warm_start_ladder(workload, config, checkpoints, |pos| {
-            open_stream(trace_path, pos)
-        });
+    let prefix = checkpoints.and_then(|store| load_prefix(store, workload, config));
+    let restored = checkpoints
+        .zip(prefix.as_ref())
+        .and_then(|(store, prefix)| restore_at_boundary(workload, config, store, Some(prefix)));
+    let (mut run, mut stream) = match restored {
+        Some(run) => (run, open_stream(trace_path, ff)),
+        None => {
+            let mut stream = open_stream(trace_path, 0);
+            let run = warm_alone(workload, config, checkpoints, &mut stream, prefix.is_none());
+            (run, stream)
+        }
+    };
     run.begin_measure();
     if start > ff {
         run.measure_chunk(&mut stream, start - ff, false);
@@ -408,8 +419,8 @@ struct Sched<'w> {
 ///   every segment immediately and a single long cell spreads across
 ///   the whole pool;
 /// * a missing or damaged chain link falls back cold (fast-forward
-///   checkpoint or full warmup + re-simulated prefix) — the sweep
-///   degrades in speed, never in results.
+///   boundary restored or warmed up to, + re-simulated prefix) — the
+///   sweep degrades in speed, never in results.
 ///
 /// Results are bit-identical to [`crate::replay_sweep`] /
 /// [`crate::policy_sweep`] regardless of scheduling: fragments are

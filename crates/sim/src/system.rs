@@ -29,14 +29,20 @@
 //! and decode it once per worker. The two sides are bit-identical
 //! wherever the stream is cut and however the runs are grouped
 //! (`tests/walk_once_equivalence.rs`).
+//!
+//! Each side has exactly one way to warm a machine up — the fused loop
+//! behind [`SimRun::fast_forward`], the event loop behind
+//! [`SimRun::push_fast_forward_group`] — and both leave the same
+//! boundary state behind, in two sections: the policy-agnostic predictor
+//! ([`SimRun::save_shared`]; on the push side the [`Frontend`]'s, handed
+//! out by [`Frontend::take_shared_warmup`]) and the policy-dependent
+//! rest ([`SimRun::save_overlay`]).
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
 use trrip_cache::{AccessStats, Hierarchy};
 use trrip_cpu::backend::{FlatBackend, MemoryBackend};
-use trrip_cpu::{
-    BranchPredictor, ChunkCut, Core, CoreResult, EventTurn, RunState, WarmupMode, WarmupTape,
-};
+use trrip_cpu::{BranchPredictor, ChunkCut, Core, CoreResult, EventTurn, RunState, WarmupMode};
 use trrip_os::{Loader, Mmu, PageStats, TlbStats};
 use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -221,13 +227,11 @@ pub fn simulate_source<S: TraceSource>(
 /// cell's does, so a turn never spans the two phases and the turns of a
 /// phase cover exactly its instructions.
 ///
-/// That boundary state is the whole policy-agnostic half of a
-/// checkpoint. A [`Frontend::recording`] one keeps a [`WarmupTape`]
-/// beside the warm-up's turns and hands both out as a [`SharedWarmup`]
-/// once it is past the boundary ([`Frontend::take_shared_warmup`]); a
-/// frontend built from one ([`Frontend::resume`]) starts *at* the
-/// boundary, over a source positioned there, with nothing of the warm-up
-/// left to pull.
+/// Its predictor at that boundary is the whole policy-agnostic half of
+/// a checkpoint. A frontend that digested the warm-up hands it out, once,
+/// as a [`SharedWarmup`] ([`Frontend::take_shared_warmup`]); a frontend
+/// built from one ([`Frontend::resume`]) starts *at* the boundary, over a
+/// source positioned there, with nothing of the warm-up left to pull.
 #[derive(Debug)]
 pub struct Frontend<S> {
     stream: SourceIter<S>,
@@ -239,8 +243,9 @@ pub struct Frontend<S> {
     /// the measure phase.
     left: [u64; 2],
     digested: u64,
-    /// The warm-up's decisions, while they are being recorded.
-    tape: Option<WarmupTape>,
+    /// A warm-up is being digested, or was and its boundary state has
+    /// not been handed out yet.
+    prefix_due: bool,
 }
 
 impl<S: TraceSource> Frontend<S> {
@@ -256,17 +261,8 @@ impl<S: TraceSource> Frontend<S> {
             start: 0,
             left: [config.fast_forward, config.instructions],
             digested: 0,
-            tape: None,
+            prefix_due: config.fast_forward > 0,
         }
-    }
-
-    /// [`Frontend::new`], recording the warm-up's predictor-derived
-    /// decisions beside its turns for [`Frontend::take_shared_warmup`].
-    #[must_use]
-    pub fn recording(config: &SimConfig, source: S) -> Frontend<S> {
-        let mut frontend = Frontend::new(config, source);
-        frontend.tape = Some(WarmupTape::new());
-        frontend
     }
 
     /// A frontend that starts at the fast-forward boundary: its
@@ -287,6 +283,7 @@ impl<S: TraceSource> Frontend<S> {
         r.finish()?;
         frontend.start = config.fast_forward;
         frontend.left[0] = 0;
+        frontend.prefix_due = false;
         Ok(frontend)
     }
 
@@ -298,18 +295,18 @@ impl<S: TraceSource> Frontend<S> {
     }
 
     /// The policy-agnostic warm prefix — this frontend's predictor at
-    /// the boundary and the recorded tape — exactly as a recorded
-    /// fast-forward of any cell would leave it. `Some` once, after the
-    /// turn that completed a [`Frontend::recording`] one's warm-up;
-    /// never if the stream ended inside it.
+    /// the boundary — exactly as a fast-forward of any pulled cell
+    /// leaves its own. `Some` once, after the turn that completed the
+    /// warm-up; never after [`Frontend::resume`], nor if the stream
+    /// ended inside the warm-up.
     pub fn take_shared_warmup(&mut self) -> Option<SharedWarmup> {
-        if self.left[0] > 0 {
+        if self.left[0] > 0 || !self.prefix_due {
             return None;
         }
-        let tape = self.tape.take()?;
+        self.prefix_due = false;
         let mut shared = SnapWriter::new();
         save_shared_section(&self.core, &mut shared);
-        Some(SharedWarmup::from_sections(shared.into_bytes(), tape))
+        Some(SharedWarmup::from_section(shared.into_bytes()))
     }
 
     /// Digests up to `limit` further instructions into `turn` (cleared
@@ -322,10 +319,7 @@ impl<S: TraceSource> Frontend<S> {
         turn.clear();
         let phase = usize::from(self.left[0] == 0);
         let mut want = self.left[phase].min(limit as u64) as usize;
-        let mut mode = match &mut self.tape {
-            Some(tape) if phase == 0 => WarmupMode::DigestRecorded(turn, tape),
-            _ => WarmupMode::Digest(turn),
-        };
+        let mut mode = WarmupMode::Digest(turn);
         let mut dry = false;
         while want > 0 && !dry {
             let slice = self.stream.next_slice(want);
@@ -339,9 +333,9 @@ impl<S: TraceSource> Frontend<S> {
             self.state = self.core.begin_run();
         }
         if dry {
-            // A tape cut short is no prefix.
+            // A warm-up cut short is no prefix.
             self.left = [0, 0];
-            self.tape = None;
+            self.prefix_due = false;
         }
         self.digested += turn.instructions();
         self.left != [0, 0]
@@ -384,7 +378,7 @@ pub struct SimRun<'w> {
     core: Core<SystemBackend>,
     /// In-flight state of a *pushed* fast-forward (present between the
     /// first [`SimRun::push_fast_forward`] and the closing one). The
-    /// pull-mode warmups run in one call and never park their state.
+    /// pull-mode warmup runs in one call and never parks its state.
     warming: Option<RunState>,
     /// Set by the first pushed turn: the branch predictor of this run
     /// is never consulted or trained (a [`Frontend`]'s was), so its
@@ -555,122 +549,6 @@ impl<'w> SimRun<'w> {
                 run.warming = None;
                 run.core.backend_mut().flush_fastpath_counters();
             }
-        }
-    }
-
-    /// [`SimRun::fast_forward`] while **recording** the warmup's
-    /// predictor-derived decisions onto `tape` — bit-identical to the
-    /// plain warmup (recording only observes). The tape plus this run's
-    /// shared section ([`SimRun::save_shared`]) form the policy-agnostic
-    /// warm prefix every other policy's cell replays from.
-    pub fn fast_forward_recorded<S: TraceSource>(
-        &mut self,
-        stream: &mut SourceIter<S>,
-        tape: &mut WarmupTape,
-    ) {
-        assert!(self.measuring.is_none(), "fast-forward after measurement started");
-        if self.config.fast_forward > 0 {
-            let _span = trrip_obs::span!("fast_forward");
-            let mut state = self.core.begin_run();
-            self.core.run_chunk_mode(
-                &mut state,
-                stream.take(self.config.fast_forward as usize),
-                true,
-                &mut WarmupMode::Record(tape),
-            );
-        }
-    }
-
-    /// The **cache-touching warmup tail**: fast-forwards by replaying a
-    /// recorded [`WarmupTape`] — no branch predictor, no FDIP lookahead
-    /// window (the tape carries the prefetch PCs), no core frontend at
-    /// all ([`Core::run_warmup_tail`]). The policy-dependent machine
-    /// (caches, TLB, prefetch tables, starvation FIFO, the clock)
-    /// simulates for real against *this* run's policy, so the resulting
-    /// state is bit-identical to a cold per-cell warmup — restore the
-    /// shared section first ([`SimRun::restore_shared`]) so the
-    /// predictor ends up warmed too.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the tape does not match this configuration's warmup
-    /// length or the stream's event counts — a stale or mismatched
-    /// prefix, which keyed and checksummed containers prevent.
-    pub fn fast_forward_replayed<S: TraceSource>(
-        &mut self,
-        stream: &mut SourceIter<S>,
-        tape: &WarmupTape,
-    ) {
-        self.fast_forward_replayed_mode(stream, tape, false);
-    }
-
-    /// [`SimRun::fast_forward_replayed`] with an optional
-    /// **functional-warming** mode: `functional = true` replays the tail
-    /// through [`Core::run_warmup_tail_mode`] with per-cause stall
-    /// attribution (the top-down buckets) skipped — the clock and every
-    /// piece of microarchitectural state still evolve exactly as in
-    /// timed replay, so the warmed machine is bit-identical and any
-    /// measurement that follows is unaffected (pinned by
-    /// `tests/warm_prefix_equivalence.rs`).
-    ///
-    /// The mode is only reachable here, at the warmup-tail seam — the
-    /// measure phase has no functional path, and this method (like every
-    /// fast-forward variant) panics once measurement has started.
-    /// Activation is journaled as a `functional_warming` event and
-    /// counted on `warm.functional_mode`.
-    ///
-    /// # Panics
-    ///
-    /// As [`SimRun::fast_forward_replayed`], and if called mid-measure.
-    pub fn fast_forward_replayed_mode<S: TraceSource>(
-        &mut self,
-        stream: &mut SourceIter<S>,
-        tape: &WarmupTape,
-        functional: bool,
-    ) {
-        assert!(self.measuring.is_none(), "fast-forward after measurement started");
-        assert_eq!(
-            tape.instructions(),
-            self.config.fast_forward,
-            "warmup tape covers a different fast-forward length"
-        );
-        if self.config.fast_forward > 0 {
-            let _span = trrip_obs::span!("warmup_tail");
-            if functional {
-                crate::warmstats::count_functional_mode();
-                // Widened seam: cache-statistics accumulation is also
-                // skipped for the functional tail. Legal because the
-                // measure phase begins with `reset_stats` (arming), so
-                // nothing reads the counters this would have grown; the
-                // architectural tag/policy state still updates exactly
-                // as in timed replay. TLB statistics are NOT gated —
-                // they are cumulative whole-run observables.
-                self.core.backend_mut().hierarchy_mut().set_stats_enabled(false);
-                trrip_obs::counter!("warm.functional_stats_skips").add(self.config.fast_forward);
-                trrip_obs::event(
-                    "functional_warming",
-                    &[
-                        ("benchmark", trrip_obs::Field::Str(&self.workload.spec.name)),
-                        ("policy", trrip_obs::Field::Str(self.config.hierarchy.l2_policy.name())),
-                        ("instructions", trrip_obs::Field::U64(self.config.fast_forward)),
-                    ],
-                );
-            }
-            let mut cursor = tape.cursor();
-            let report = self.core.run_warmup_tail_mode(
-                stream.take(self.config.fast_forward as usize),
-                &mut cursor,
-                functional,
-            );
-            assert_eq!(
-                report.instructions, self.config.fast_forward,
-                "stream ended inside the warmup window"
-            );
-            cursor.finish().expect("warmup tape consumed exactly");
-            if functional {
-                self.core.backend_mut().hierarchy_mut().set_stats_enabled(true);
-            }
-            self.core.backend_mut().flush_fastpath_counters();
         }
     }
 
@@ -950,9 +828,10 @@ fn restore_shared_section<B: MemoryBackend>(
 ///
 /// A fast-forward-boundary state is alternatively addressable as two
 /// *sections* — the policy-agnostic [`SimRun::save_shared`] and the
-/// policy-dependent [`SimRun::save_overlay`] — which the v3 checkpoint
-/// container stores in separate files so one shared prefix serves every
-/// policy ([`crate::checkpoint`]).
+/// policy-dependent [`SimRun::save_overlay`] — which the checkpoint
+/// store keeps in separate files so one shared prefix serves every
+/// policy ([`crate::checkpoint`]); that pair is what sweeps keep of the
+/// boundary.
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
         assert!(!self.pushed, "a pushed run's predictor was never trained");

@@ -1,71 +1,24 @@
-//! Process-wide counters for how `(workload, policy)` cells reached
-//! their warmed state — the observable that lets tests pin *which* path
-//! ran (a corrupt overlay must fall back to the warmup-tail replay, not
-//! to a cold warmup) and lets benchmarks report the populating pass's
-//! composition.
+//! Process-wide counters for how `(workload, policy)` cells reached the
+//! fast-forward boundary — the observable that lets tests pin *which*
+//! route ran (a damaged overlay must cost one cell its warm-up and move
+//! nobody else's counters) and lets the benchmark report a populating
+//! pass's composition.
 //!
-//! The counters now live in the `trrip-obs` registry (the `warm.*`
-//! family), so sweep reports and journals see warm-start routing next
-//! to every other counter; this module is the stable shim that keeps
-//! the original snapshot API. Same discipline as
-//! `trrip_trace::records_decoded`: monotonically increasing values,
-//! read as a snapshot and compared as deltas.
-
-/// Snapshot of the process-wide warm-start counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct WarmupCounters {
-    /// Cells restored from a whole-state fast-forward checkpoint.
-    pub full_restores: u64,
-    /// Cells composed from shared prefix + their policy overlay.
-    pub overlay_restores: u64,
-    /// Cells that replayed the recorded warmup tail against their own
-    /// policy (shared prefix present, overlay absent or damaged).
-    pub tail_replays: u64,
-    /// Full warmups that recorded a tape — counted whether or not the
-    /// prefix/overlay writes afterwards succeed (a failed save only
-    /// costs the warm start next time).
-    pub recorded_warmups: u64,
-    /// Full warmups with no recording at all (no checkpoint store
-    /// attached to the engine).
-    pub cold_warmups: u64,
-    /// Tail replays that ran in functional-warming mode (state updates
-    /// without stall attribution) — always a subset of `tail_replays`'
-    /// seam, never a measure-phase path.
-    pub functional_modes: u64,
-}
-
-impl WarmupCounters {
-    /// `self - earlier`, field-wise — the events between two snapshots.
-    #[must_use]
-    pub fn since(&self, earlier: &WarmupCounters) -> WarmupCounters {
-        WarmupCounters {
-            full_restores: self.full_restores - earlier.full_restores,
-            overlay_restores: self.overlay_restores - earlier.overlay_restores,
-            tail_replays: self.tail_replays - earlier.tail_replays,
-            recorded_warmups: self.recorded_warmups - earlier.recorded_warmups,
-            cold_warmups: self.cold_warmups - earlier.cold_warmups,
-            functional_modes: self.functional_modes - earlier.functional_modes,
-        }
-    }
-}
-
-/// Reads the current counter values. Process-wide: concurrent tests
-/// should compare deltas of their own runs, not absolutes.
-#[must_use]
-pub fn warmup_counters() -> WarmupCounters {
-    WarmupCounters {
-        full_restores: trrip_obs::counter!("warm.full_restore").value(),
-        overlay_restores: trrip_obs::counter!("warm.overlay_restore").value(),
-        tail_replays: trrip_obs::counter!("warm.tail_replay").value(),
-        recorded_warmups: trrip_obs::counter!("warm.recorded_warmup").value(),
-        cold_warmups: trrip_obs::counter!("warm.cold_warmup").value(),
-        functional_modes: trrip_obs::counter!("warm.functional_mode").value(),
-    }
-}
-
-pub(crate) fn count_full_restore() {
-    trrip_obs::counter!("warm.full_restore").incr();
-}
+//! They live in the `trrip-obs` registry, the `warm.*` family, next to
+//! every other counter: monotonically increasing, read by name as a
+//! [`trrip_obs::snapshot`] and compared as deltas. The names are older
+//! than the routes that are left; what each one means is written down
+//! here, once:
+//!
+//! * `warm.overlay_restore` — a cell restored its overlay (a pull cell,
+//!   the prefix's predictor first) and simulated none of the warm-up;
+//! * `warm.tail_replay` — a cell executed its warm-up, pushed turns or
+//!   fused loop, and left an overlay behind in the store attached;
+//! * `warm.recorded_warmup` — a shared prefix was written: by a window,
+//!   once its frontend crossed the boundary, or by a pull cell that
+//!   warmed and found no loadable prefix on file;
+//! * `warm.cold_warmup` — a cell executed its warm-up with no store
+//!   attached, and kept nothing.
 
 pub(crate) fn count_overlay_restore() {
     trrip_obs::counter!("warm.overlay_restore").incr();
@@ -81,8 +34,4 @@ pub(crate) fn count_recorded_warmup() {
 
 pub(crate) fn count_cold_warmup() {
     trrip_obs::counter!("warm.cold_warmup").incr();
-}
-
-pub(crate) fn count_functional_mode() {
-    trrip_obs::counter!("warm.functional_mode").incr();
 }

@@ -190,10 +190,19 @@ fn corrupt_and_truncated_checkpoints_are_rejected() {
     corrupt::break_magic(&path);
     assert!(matches!(read_checkpoint(&path), Err(CheckpointError::BadMagic)));
 
-    // Future version (bytes 8–9 hold the little-endian version field).
-    corrupt::plant_file(&path, &pristine);
-    corrupt::set_bytes(&path, 8, &[0xFF, 0xFF]);
-    assert!(matches!(read_checkpoint(&path), Err(CheckpointError::UnsupportedVersion(_))));
+    // Another version, newer or older (bytes 8–9 hold the little-endian
+    // version field, outside the checksummed body): the reader refuses
+    // it by name, and to the store — a cache that rebuilds itself — it
+    // is a miss, not damage.
+    for version in [u16::MAX, trrip_sim::checkpoint::VERSION - 1, 1] {
+        corrupt::plant_file(&path, &pristine);
+        corrupt::set_bytes(&path, 8, &version.to_le_bytes());
+        assert!(matches!(
+            read_checkpoint(&path),
+            Err(CheckpointError::UnsupportedVersion(v)) if v == version
+        ));
+        assert!(store.load(&w, &config).expect("a miss, not an error").is_none());
+    }
 
     // Restore the pristine bytes: loads again.
     corrupt::plant_file(&path, &pristine);
@@ -242,137 +251,6 @@ fn store_keys_by_policy_config_and_fingerprint() {
         ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 },
     );
     assert_ne!(store.path_for(&w, &config), store.path_for(&blanket, &config));
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A **v2 container** — written byte-for-byte the way PR 4's writer
-/// laid files out (version 2, no kind byte, uncompressed payload) —
-/// must restore under the current reader and measure bit-identically.
-/// The fixture is hand-rolled here so the legacy layout stays pinned
-/// even though no current code path produces it.
-#[test]
-fn v2_container_fixture_restores_under_the_current_reader() {
-    let w = quick_workload();
-    let config = quick_config(PolicyKind::Emissary);
-    let dir = std::env::temp_dir().join("trrip-ckpt-v2-compat-test");
-    std::fs::remove_dir_all(&dir).ok();
-    let store = CheckpointStore::new(&dir);
-
-    let uninterrupted = simulate(&w, &config);
-
-    // The same fast-forward state v2 would have captured…
-    let mut run = SimRun::new(&w, &config);
-    let mut stream = walker(&w, &config);
-    run.fast_forward(&mut stream);
-    let mut payload = SnapWriter::new();
-    run.save(&mut payload);
-    drop(run);
-
-    // …in the exact v2 byte layout: magic, version=2, body_len, then a
-    // body of meta + payload with NO kind byte, then the checksum.
-    let mut body = SnapWriter::new();
-    body.str(&w.spec.name);
-    body.str(config.hierarchy.l2_policy.name());
-    body.u64(trrip_sim::capture::workload_fingerprint(&w, &config));
-    body.u64(warmup_config_hash(&config));
-    body.u64(config.fast_forward);
-    body.bool(false); // mid_measure
-    body.bytes_field(payload.bytes());
-    let body = body.into_bytes();
-    let mut hash = trrip_trace::format::Checksum::new();
-    hash.update(&body);
-    let mut file = Vec::new();
-    file.extend_from_slice(b"TRRIPCKP");
-    file.extend_from_slice(&2u16.to_le_bytes());
-    file.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    file.extend_from_slice(&body);
-    file.extend_from_slice(&hash.value().to_le_bytes());
-
-    let path = store.path_for(&w, &config);
-    std::fs::create_dir_all(path.parent().expect("store dir")).expect("mkdir");
-    std::fs::write(&path, &file).expect("write v2 fixture");
-
-    // The v3 reader restores it as a full container and the measured
-    // window matches the uninterrupted run exactly.
-    let (kind, meta, _) = read_checkpoint(&path).expect("v2 file must read");
-    assert_eq!(kind, trrip_sim::CheckpointKind::Full);
-    assert!(!meta.mid_measure);
-    let mut warm = store.load(&w, &config).expect("load").expect("key match");
-    let mut stream = walker(&w, &config);
-    for _ in (&mut stream).take(config.fast_forward as usize) {}
-    let result = warm.measure(&mut stream);
-    assert_identical(&uninterrupted, &result, "v2 fixture restore");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A **v3 container** — version 3, kind byte, *uncompressed* payload,
-/// exactly as PR 8's writer laid files out before the v4 compression
-/// bump — must restore under the v4 reader and measure bit-identically.
-#[test]
-fn v3_container_fixture_restores_under_v4() {
-    let w = quick_workload();
-    let config = quick_config(PolicyKind::Trrip2);
-    let dir = std::env::temp_dir().join("trrip-ckpt-v3-compat-test");
-    std::fs::remove_dir_all(&dir).ok();
-    let store = CheckpointStore::new(&dir);
-
-    let uninterrupted = simulate(&w, &config);
-
-    // The same fast-forward state v3 would have captured…
-    let mut run = SimRun::new(&w, &config);
-    let mut stream = walker(&w, &config);
-    run.fast_forward(&mut stream);
-    let mut payload = SnapWriter::new();
-    run.save(&mut payload);
-    drop(run);
-
-    // …in the exact v3 byte layout: magic, version=3, body_len, then a
-    // body of kind + meta + the RAW (uncompressed) payload, then the
-    // checksum.
-    let mut body = SnapWriter::new();
-    body.u8(0); // CheckpointKind::Full
-    body.str(&w.spec.name);
-    body.str(config.hierarchy.l2_policy.name());
-    body.u64(trrip_sim::capture::workload_fingerprint(&w, &config));
-    body.u64(warmup_config_hash(&config));
-    body.u64(config.fast_forward);
-    body.bool(false); // mid_measure
-    body.bytes_field(payload.bytes());
-    let body = body.into_bytes();
-    let mut hash = trrip_trace::format::Checksum::new();
-    hash.update(&body);
-    let mut file = Vec::new();
-    file.extend_from_slice(b"TRRIPCKP");
-    file.extend_from_slice(&3u16.to_le_bytes());
-    file.extend_from_slice(&(body.len() as u64).to_le_bytes());
-    file.extend_from_slice(&body);
-    file.extend_from_slice(&hash.value().to_le_bytes());
-
-    let path = store.path_for(&w, &config);
-    std::fs::create_dir_all(path.parent().expect("store dir")).expect("mkdir");
-    std::fs::write(&path, &file).expect("write v3 fixture");
-
-    let (kind, meta, _) = read_checkpoint(&path).expect("v3 file must read");
-    assert_eq!(kind, trrip_sim::CheckpointKind::Full);
-    assert!(!meta.mid_measure);
-    let mut warm = store.load(&w, &config).expect("load").expect("key match");
-    let mut stream = walker(&w, &config);
-    for _ in (&mut stream).take(config.fast_forward as usize) {}
-    let result = warm.measure(&mut stream);
-    assert_identical(&uninterrupted, &result, "v3 fixture restore");
-
-    // And re-saving through the current writer shrinks the file: the v4
-    // payload rests compressed.
-    let mut run = SimRun::new(&w, &config);
-    let mut stream = walker(&w, &config);
-    run.fast_forward(&mut stream);
-    let v4_path = store.save(&run).expect("save v4");
-    let v4_len = std::fs::metadata(&v4_path).expect("meta").len();
-    assert!(
-        v4_len < file.len() as u64,
-        "v4 container ({v4_len} B) must undercut the v3 layout ({} B)",
-        file.len()
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -620,18 +498,10 @@ fn checkpointed_sweep_matches_other_engines() {
     for policy in policies {
         let cell_config = config.clone().with_policy(policy);
         assert!(
-            ckpts.has_warm_start(&workloads[0], &cell_config),
-            "{policy}: cold sweep must persist a warm-startable state"
-        );
-        assert!(
-            ckpts.overlay_path(&workloads[0], &cell_config).is_file(),
-            "{policy}: cold sweep must persist the policy overlay"
+            ckpts.holds_restore(&workloads[0], &cell_config),
+            "{policy}: cold sweep must persist the shared prefix and the policy overlay"
         );
     }
-    assert!(
-        ckpts.prefix_path(&workloads[0], &config).is_file(),
-        "cold sweep must persist the shared prefix"
-    );
     let warm = sweep();
 
     for ((a, b), c) in walked.results.iter().zip(&cold.results).zip(&warm.results) {
@@ -642,12 +512,12 @@ fn checkpointed_sweep_matches_other_engines() {
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
-// ---- v4 container robustness on arbitrary section shapes ----
+// ---- container robustness on arbitrary section shapes ----
 
 /// Payloads shaped like real snapshot sections: noise (raw / LZ),
 /// byte runs (the RLE shape of valid/dirty/instr bitmaps), and sorted
 /// stride-64 word arrays (the delta shape of tag stores) — so the
-/// proptest drives every codec the v4 pack stream can pick.
+/// proptest drives every codec the pack stream can pick.
 fn arb_section_payload() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(
         prop_oneof![
@@ -694,8 +564,8 @@ proptest! {
         };
         let path = unique_ckpt_path();
         write_checkpoint_kind(&path, trrip_sim::CheckpointKind::Full, &meta, &payload)
-            .expect("write v4");
-        let (kind, got_meta, got_payload) = read_checkpoint(&path).expect("read v4");
+            .expect("write");
+        let (kind, got_meta, got_payload) = read_checkpoint(&path).expect("read");
         prop_assert_eq!(kind, trrip_sim::CheckpointKind::Full);
         prop_assert_eq!(&got_meta, &meta);
         prop_assert_eq!(&got_payload, &payload, "compressed payload must round-trip exactly");

@@ -1,0 +1,173 @@
+//! Both stores are caches that rebuild themselves, so each reader speaks
+//! exactly one format version and a file of any other is a clean
+//! **miss**: not decoded, not damage, not reported — counted `ckpt.miss`,
+//! never `ckpt.corrupt`, with no `artifact_damaged` event — and
+//! overwritten by the save that follows the miss. Held here end to end:
+//! a checkpoint store whose every file (prefix, overlays, segment links)
+//! says version 4 and a trace that says version 2 make the next
+//! `replay_sweep` do what it does over empty stores, and the next
+//! `--shards` sweep warm every cell up once and rebuild every link — to
+//! the same bits, leaving current files behind.
+//!
+//! One `#[test]` on purpose: the counters and the journal are
+//! process-wide.
+
+use std::path::{Path, PathBuf};
+
+use trrip_core::ClassifierConfig;
+use trrip_policies::PolicyKind;
+use trrip_sim::{
+    policy_sweep, replay_sweep, replay_sweep_sharded, CheckpointStore, PreparedWorkload, SimConfig,
+    SweepResult, TraceStore,
+};
+use trrip_snap::corrupt;
+use trrip_workloads::WorkloadSpec;
+
+const POLICIES: [PolicyKind; 3] = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Trrip1];
+const CELLS: u64 = POLICIES.len() as u64;
+const SHARDS: usize = 3;
+
+/// Both containers keep their little-endian version at bytes 8–9, after
+/// an 8-byte magic and outside anything a checksum covers: the field
+/// can be rewritten with nothing else to fix up.
+const VERSION_OFFSET: usize = 8;
+
+fn version_of(path: &Path) -> u16 {
+    let bytes = std::fs::read(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()));
+    u16::from_le_bytes([bytes[VERSION_OFFSET], bytes[VERSION_OFFSET + 1]])
+}
+
+fn files_of(store: &CheckpointStore) -> Vec<PathBuf> {
+    let entries = std::fs::read_dir(store.dir()).expect("the store's directory");
+    entries.map(|entry| entry.expect("a directory entry").path()).collect()
+}
+
+/// Stamps every file of the store with `version`; how many there were.
+fn stamp_all(store: &CheckpointStore, version: u16) -> usize {
+    let files = files_of(store);
+    for file in &files {
+        corrupt::set_bytes(file, VERSION_OFFSET, &version.to_le_bytes());
+    }
+    files.len()
+}
+
+/// What `sweep` moved, by counter name.
+fn moved_by(sweep: impl FnOnce() -> SweepResult) -> (SweepResult, trrip_obs::CounterSnapshot) {
+    let before = trrip_obs::snapshot();
+    let result = sweep();
+    (result, trrip_obs::snapshot().since(&before))
+}
+
+/// `[overlay_restore, tail_replay, recorded_warmup, cold_warmup]`: cells
+/// that restored, cells that warmed and left an overlay, prefixes
+/// written, cells that warmed with no store attached.
+fn routes(moved: &trrip_obs::CounterSnapshot) -> [u64; 4] {
+    ["overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
+        .map(|route| moved.get(&format!("warm.{route}")))
+}
+
+fn assert_sweep(sweep: &SweepResult, oracle: &SweepResult, what: &str) {
+    assert_eq!(sweep.results.len(), oracle.results.len(), "{what}");
+    for (a, b) in sweep.results.iter().zip(&oracle.results) {
+        assert_eq!(a.core, b.core, "{what}: {} core results diverge", b.policy);
+        assert_eq!(
+            (a.l1i, a.l1d, a.l2, a.slc),
+            (b.l1i, b.l1d, b.l2, b.slc),
+            "{what}: {}",
+            b.policy
+        );
+        assert_eq!(a.tlb, b.tlb, "{what}: {} TLB stats diverge", b.policy);
+    }
+}
+
+#[test]
+fn files_of_another_version_are_misses_and_are_written_again() {
+    let root = std::env::temp_dir().join(format!("trrip-old-version-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    let traces = TraceStore::new(root.join("traces"));
+    let ckpts = CheckpointStore::new(root.join("ckpts"));
+    let journal = root.join("journal.jsonl");
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    trrip_obs::journal::init(&journal, 100_000).expect("open a journal");
+
+    let mut spec = WorkloadSpec::named("old-version");
+    spec.functions = 50;
+    spec.hot_rotation = 8;
+    let workloads = [PreparedWorkload::prepare(&spec, 100_000, ClassifierConfig::llvm_defaults())];
+    let mut config = SimConfig::quick(PolicyKind::Srrip);
+    config.fast_forward = 20_000;
+    config.instructions = 45_000;
+    let stream = config.fast_forward + config.instructions;
+    let trace = traces.path_for(&workloads[0], &config);
+
+    let oracle = policy_sweep(&workloads, &config, &POLICIES);
+    let pushed = || replay_sweep(2, &workloads, &config, &POLICIES, &traces, Some(&ckpts));
+    // One worker, so that which segment finds what on file is fixed.
+    let sharded =
+        || replay_sweep_sharded(1, &workloads, &config, &POLICIES, &traces, &ckpts, SHARDS);
+    let links = CELLS * (SHARDS as u64 - 1);
+
+    // Populate: prefix, overlays and the trace from the pushed sweep,
+    // the segment links from the sharded one — over empty stores first,
+    // which is what the stale stores below are held to.
+    let (_, empty_push) = moved_by(pushed);
+    assert_eq!(routes(&empty_push), [0, CELLS, 1, 0]);
+    let _ = sharded();
+    let files = files_of(&ckpts).len();
+    assert_eq!(files as u64, 1 + CELLS + links, "prefix, overlays, links");
+    let current = (version_of(&ckpts.prefix_path(&workloads[0], &config)), version_of(&trace));
+    assert_eq!(current, (trrip_sim::checkpoint::VERSION, trrip_trace::format::VERSION));
+
+    // ---- the pushed sweep over stores of the previous versions ----
+    assert_eq!(stamp_all(&ckpts, 4), files);
+    corrupt::set_bytes(&trace, VERSION_OFFSET, &2u16.to_le_bytes());
+    assert!(!traces.has(&workloads[0], &config), "a trace of another version reads as absent");
+    let (again, moved) = moved_by(pushed);
+    assert_sweep(&again, &oracle, "pushed sweep over stale stores");
+    assert_eq!(routes(&moved), routes(&empty_push), "as over an empty store");
+    assert_eq!(
+        (moved.get("ckpt.hit"), moved.get("ckpt.miss"), moved.get("ckpt.corrupt")),
+        (0, empty_push.get("ckpt.miss"), 0),
+        "every load a miss, none of them damage"
+    );
+    assert_eq!(moved.get("ckpt.save"), empty_push.get("ckpt.save"));
+    assert!(moved.get("walk.instrs") >= stream, "the capture is walked again");
+    assert_eq!(moved.get("trace.records_decoded"), 0, "…not read");
+    assert!(traces.has(&workloads[0], &config));
+    assert_eq!(version_of(&trace), current.1, "the trace is captured over");
+    let boundary: Vec<PathBuf> = POLICIES
+        .map(|p| ckpts.overlay_path(&workloads[0], &config.clone().with_policy(p)))
+        .into_iter()
+        .chain([ckpts.prefix_path(&workloads[0], &config)])
+        .collect();
+    assert!(boundary.iter().all(|file| version_of(file) == current.0), "prefix and overlays too");
+
+    // ---- the sharded sweep: boundary files and links stale alike ----
+    // Segment 0 of every cell finds nothing to restore and warms up, the
+    // first of them writing the prefix, as over an empty store. A link
+    // that is there by name was dispatched by name: its segment misses
+    // it, falls back to the boundary its cell has just left — a restore
+    // — and rebuilds it, silently, where a damaged one is reported.
+    assert_eq!(stamp_all(&ckpts, 4), files);
+    let (again, moved) = moved_by(sharded);
+    assert_sweep(&again, &oracle, "--shards over a stale store");
+    assert_eq!(routes(&moved), [links, CELLS, 1, 0], "every cell warms up once");
+    assert_eq!(moved.get("ckpt.corrupt"), 0);
+    let fell_back = ["disk_dispatch", "cold_fallback"].map(|r| moved.get(&format!("shard.{r}")));
+    assert_eq!(fell_back, [0, links], "no link of another version is restored");
+    assert_eq!(files_of(&ckpts).len(), files);
+    for file in files_of(&ckpts) {
+        assert_eq!(version_of(&file), current.0, "{} is written again", file.display());
+    }
+    // And what was written is what a warm pass restores from.
+    let (warm, moved) = moved_by(sharded);
+    assert_sweep(&warm, &oracle, "--shards over the rewritten store");
+    assert_eq!(routes(&moved), [CELLS, 0, 0, 0]);
+    assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.corrupt"), 0);
+
+    trrip_obs::journal::close().expect("the journal was open");
+    let journal = trrip_obs::read_journal(&journal).expect("read the journal back");
+    assert_eq!(journal.of_kind("artifact_damaged").count(), 0, "nothing was reported as damage");
+    assert!(journal.of_kind("warm_start").count() > 0, "…by a journal that was listening");
+    std::fs::remove_dir_all(&root).ok();
+}

@@ -15,10 +15,10 @@
 //!   cells that can still restore do, the one that cannot warms up;
 //! * an overlay that is there but does not load sends its cell alone to
 //!   a replay of its own, heals, and touches no other cell;
-//! * the files are the ones the pull executors' ladder reads and writes:
-//!   a store this engine populated warm-starts `replay_sweep_sharded`
-//!   (tape included), and one the ladder populated warm-starts this
-//!   engine, with the same prefix bytes either way.
+//! * the two files are the ones the pull executors read and write: a
+//!   store this engine populated warm-starts `replay_sweep_sharded`, and
+//!   one that populated warm-starts this engine, with the same prefix
+//!   bytes either way.
 //!
 //! One `#[test]` on purpose: every count is a process-wide counter, and
 //! a sibling test in the same binary would move them.
@@ -28,9 +28,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    capture_length, capture_trace, ensure_warm_prefixes, replay_sweep, replay_sweep_sharded,
-    simulate_source, CheckpointStore, PreparedWorkload, SimConfig, SimResult, SweepResult,
-    TraceStore,
+    capture_length, capture_trace, replay_sweep, replay_sweep_sharded, simulate_source,
+    CheckpointStore, PreparedWorkload, SimConfig, SimResult, SweepResult, TraceStore,
 };
 use trrip_snap::corrupt;
 use trrip_trace::{StreamingReplay, CHUNK_CAPACITY};
@@ -98,10 +97,11 @@ impl Moved {
         self.0.get(counter)
     }
 
-    /// `[full_restore, overlay_restore, tail_replay, recorded_warmup,
-    /// cold_warmup]`.
-    fn warm(&self) -> [u64; 5] {
-        ["full_restore", "overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
+    /// `[overlay_restore, tail_replay, recorded_warmup, cold_warmup]`:
+    /// cells that restored, cells that warmed and left an overlay,
+    /// prefixes written, cells that warmed with no store to leave one in.
+    fn warm(&self) -> [u64; 4] {
+        ["overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
             .map(|route| self.get(&format!("warm.{route}")))
     }
 }
@@ -140,12 +140,12 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     let cell = |policy| config.clone().with_policy(policy);
     let sweep = || replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
 
-    // ---- cold: walk once, capture on the side, record one prefix ----
+    // ---- cold: walk once, capture on the side, write one prefix ----
     let (cold, moved) = Moved::by(sweep);
     assert!(walked_once(moved.get("walk.instrs"), 2), "walked {}", moved.get("walk.instrs"));
     assert_eq!(moved.get("trace.records_decoded"), 0, "a cold pass never reads what it writes");
     assert_eq!(moved.get("front.digest.instrs"), 2 * stream, "one frontend per workload");
-    assert_eq!(moved.warm(), [0, 0, 2 * CELLS, 2, 0], "every cell warms, one prefix each");
+    assert_eq!(moved.warm(), [0, 2 * CELLS, 2, 0], "every cell warms, one prefix a workload");
     for w in &workloads {
         let reference = root.join(format!("{}.reference.trrip", w.spec.name));
         capture_trace(w, &config, &reference).expect("reference capture");
@@ -175,7 +175,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.get("walk.instrs"), 0, "a warm pass never walks");
     assert_eq!(moved.get("trace.records_decoded"), warm_decode, "one decode, from the boundary");
     assert_eq!(moved.get("front.digest.instrs"), 2 * config.instructions);
-    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 0, 0]);
+    assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
     assert_eq!(moved.get("ckpt.hit"), 2 * (CELLS + 1), "n overlays and ONE prefix per workload");
     assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
     assert_sweep(&warm, &oracle, "warm pass");
@@ -183,13 +183,13 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     // ---- a partial store: one overlay gone ----
     // b's producer starts at the first instruction; its other cells
     // still restore and let the warm-up go by, CLIP's alone executes it.
-    // The prefix still loads, so nothing is recorded again.
+    // The prefix still loads, so it is not written again.
     let clip = ckpts.overlay_path(b, &cell(PolicyKind::Clip));
     std::fs::remove_file(&clip).expect("the overlay existed");
     let (partial, moved) = Moved::by(sweep);
     assert_eq!(moved.get("trace.records_decoded"), (stream - skipped) + stream);
     assert_eq!(moved.get("walk.instrs"), 0);
-    assert_eq!(moved.warm(), [0, 2 * CELLS - 1, 1, 0, 0]);
+    assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
     assert_sweep(&partial, &oracle, "one overlay missing");
     assert!(clip.is_file(), "the cell that warmed up left its overlay");
 
@@ -201,60 +201,69 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     std::fs::remove_file(&prefix).expect("the prefix existed");
     let (headless, moved) = Moved::by(sweep);
     assert_eq!(moved.get("trace.records_decoded"), stream + (stream - skipped));
-    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 1, 0]);
+    assert_eq!(moved.warm(), [2 * CELLS, 0, 1, 0]);
     assert_sweep(&headless, &oracle, "prefix missing");
     assert!(read(&prefix) == prefix_bytes, "a prefix is a function of the stream alone");
 
     // ---- an overlay that is there but does not load ----
     // By name the store is whole, so b's producer starts at the
-    // boundary; EMISSARY's cell finds its file damaged, runs alone over
-    // a replay of its own and rewrites the file. Nobody else notices.
+    // boundary; EMISSARY's cell finds its file damaged, warms up alone
+    // over a replay of its own — the fused loop — and rewrites the file.
+    // Nobody else notices.
     let emissary = ckpts.overlay_path(b, &cell(PolicyKind::Emissary));
     let overlay_bytes = read(&emissary);
     corrupt::flip_middle_byte(&emissary);
     let (patched, moved) = Moved::by(sweep);
     assert_eq!(moved.get("trace.records_decoded"), warm_decode + stream, "one private replay");
-    assert_eq!(moved.warm(), [0, 2 * CELLS - 1, 0, 0, 1]);
+    assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
     assert_eq!(moved.get("ckpt.corrupt"), 1);
     assert_sweep(&patched, &oracle, "one overlay damaged");
     assert!(read(&emissary) == overlay_bytes, "the pull path writes the overlay the push path did");
     let (healed, moved) = Moved::by(sweep);
     assert_eq!(moved.get("trace.records_decoded"), warm_decode);
-    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 0, 0]);
+    assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
     assert_sweep(&healed, &oracle, "healed store");
 
-    // ---- interop: the ladder over a store this engine populated ----
-    // Segment 0 of every sharded cell warm-starts through the pull
-    // executors' ladder: prefix + overlay, or — with the overlay gone —
-    // the tail replay off the tape this engine's frontend recorded.
+    // ---- interop: the pull executors over a store this engine populated ----
+    // Segment 0 of every sharded cell restores the frontend's prefix
+    // and its overlay; with the overlay gone, CLIP's warms up with the
+    // fused loop and leaves it — the prefix is on file and stays.
     std::fs::remove_file(&clip).expect("the overlay existed");
-    let sharded =
-        || replay_sweep_sharded(JOBS, &workloads, &config, &ALL_POLICIES, &traces, &ckpts, 4);
-    let (ladder, moved) = Moved::by(sharded);
-    assert_eq!(moved.warm(), [0, 2 * CELLS - 1, 1, 0, 0]);
-    assert_sweep(&ladder, &oracle, "--shards 4 over a push-populated store");
+    let sharded = |ckpts: &CheckpointStore| {
+        replay_sweep_sharded(JOBS, &workloads, &config, &ALL_POLICIES, &traces, ckpts, 4)
+    };
+    let (pulled, moved) = Moved::by(|| sharded(&ckpts));
+    assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
+    assert_sweep(&pulled, &oracle, "--shards 4 over a push-populated store");
+    assert!(read(&prefix) == prefix_bytes);
 
-    // ---- interop: this engine over a store the ladder populated ----
-    let ladder_ckpts = CheckpointStore::new(root.join("ladder-ckpts"));
-    ensure_warm_prefixes(JOBS, &workloads, &config, &traces, &ladder_ckpts);
-    let _ =
-        replay_sweep_sharded(JOBS, &workloads, &config, &ALL_POLICIES, &traces, &ladder_ckpts, 4);
+    // ---- interop: this engine over a store the pull executors populated ----
+    // Every cell warms up by itself and leaves its overlay; those that
+    // find no prefix on file yet — the first to start, `JOBS` of them at
+    // the most per workload — write their own predictor as it, and it
+    // is the frontend's, byte for byte.
+    let pull_ckpts = CheckpointStore::new(root.join("pull-ckpts"));
+    let (populated, moved) = Moved::by(|| sharded(&pull_ckpts));
+    let [restored, warmed, prefixes, storeless] = moved.warm();
+    assert_eq!([restored, warmed, storeless], [0, 2 * CELLS, 0]);
+    assert!((2..=2 * JOBS as u64).contains(&prefixes), "{prefixes} prefixes written");
+    assert_sweep(&populated, &oracle, "--shards 4 over an empty store");
     assert!(
-        read(&ladder_ckpts.prefix_path(a, &config)) == prefix_bytes,
-        "the frontend's prefix is the recorded fast-forward's, byte for byte"
+        read(&pull_ckpts.prefix_path(a, &config)) == prefix_bytes,
+        "a pulled cell's predictor at the boundary is the frontend's, byte for byte"
     );
-    let (over_ladder, moved) = Moved::by(|| {
-        replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, Some(&ladder_ckpts))
+    let (over_pulled, moved) = Moved::by(|| {
+        replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, Some(&pull_ckpts))
     });
-    assert_eq!(moved.get("trace.records_decoded"), warm_decode, "resumed from the ladder's prefix");
-    assert_eq!(moved.warm(), [0, 2 * CELLS, 0, 0, 0]);
-    assert_sweep(&over_ladder, &oracle, "push over a ladder-populated store");
+    assert_eq!(moved.get("trace.records_decoded"), warm_decode, "resumed from a pulled prefix");
+    assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
+    assert_sweep(&over_pulled, &oracle, "push over a pull-populated store");
 
     // ---- no checkpoint store: replay, warm every cell, keep nothing ----
     let (plain, moved) =
         Moved::by(|| replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, None));
     assert_eq!(moved.get("trace.records_decoded"), 2 * stream);
-    assert_eq!(moved.warm(), [0, 0, 0, 0, 2 * CELLS]);
+    assert_eq!(moved.warm(), [0, 0, 0, 2 * CELLS]);
     assert_eq!(moved.get("ckpt.hit") + moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
     assert_sweep(&plain, &oracle, "no checkpoint store");
 

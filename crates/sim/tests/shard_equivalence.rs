@@ -148,9 +148,9 @@ fn sharded_sweep_matches_other_engines_and_survives_missing_links() {
     }
 
     // Break the chain: delete one interior link per cell, plus the
-    // fast-forward state of one policy (its v3 overlay). The sweep must
-    // fall back — cold segment rebuild, warmup-tail replay for the
-    // missing overlay — and still match.
+    // fast-forward state of one policy (its overlay). The sweep must
+    // fall back — cold segment rebuild, a warm-up of its own for the
+    // cell with the missing overlay — and still match.
     for policy in policies {
         let cell_config = config.clone().with_policy(policy);
         let link = ckpts.segment_path(&workloads[0], &cell_config, 0, plan.measure_start(1));

@@ -11,9 +11,7 @@
 
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
-use trrip_sim::capture::{
-    capture_length, capture_trace, placement_dict, trace_layout, workload_fingerprint,
-};
+use trrip_sim::capture::{capture_length, capture_trace, trace_layout, workload_fingerprint};
 use trrip_sim::{PreparedWorkload, SimConfig, TraceStore};
 use trrip_workloads::{InputSet, TraceGenerator, WorkloadSpec};
 
@@ -50,13 +48,8 @@ fn memoized_capture_is_byte_identical_to_fresh() {
     let object = w.object(config.layout);
     let mut generator = TraceGenerator::new(&w.program, object, &w.spec, InputSet::Eval);
     generator.set_memoization(false);
-    let mut writer = trrip_trace::create_with_dict(
-        &fresh_path,
-        &w.spec.name,
-        trace_layout(config.layout),
-        placement_dict(&w, &config),
-    )
-    .expect("fresh writer");
+    let mut writer = trrip_trace::create(&fresh_path, &w.spec.name, trace_layout(config.layout))
+        .expect("fresh writer");
     writer.write_all(generator.take(capture_length(&config) as usize)).expect("fresh capture");
     writer.finish().expect("fresh finish");
 

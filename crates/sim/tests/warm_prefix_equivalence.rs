@@ -4,22 +4,20 @@
 //! the shared prefix — is bit-identical to a cold per-cell warmup, for
 //! every policy (including Random, whose RNG stream is architectural
 //! state) and with the reuse/costly profilers armed. Fallback routing
-//! is pinned through the `trrip_sim::warmstats` counters: a corrupt
-//! overlay costs its one cell a warm-up of its own, a corrupt prefix is
-//! recorded again, and either file is healed by the sweep that found it.
-//! The tape-driven warmup tail of the pull executors is held to the
-//! same bits, timed and functional.
+//! is pinned through the `warm.*` counters (`trrip_sim::warmstats` says
+//! what each means): a damaged overlay costs its one cell a warm-up of
+//! its own — on the push executor and on the pull executors alike — a
+//! damaged prefix is written again, and either file is healed by the
+//! sweep that found it.
 
 use trrip_core::ClassifierConfig;
-use trrip_cpu::WarmupTape;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep, warmup_counters, CheckpointStore, PreparedWorkload, SimConfig, SimResult, SimRun,
-    TraceStore,
+    replay_sweep, replay_sweep_sharded, CheckpointStore, PreparedWorkload, SimConfig, SimResult,
+    SweepResult, TraceStore,
 };
 use trrip_snap::corrupt;
-use trrip_trace::SourceIter;
-use trrip_workloads::{InputSet, TraceGenerator, WorkloadSpec};
+use trrip_workloads::WorkloadSpec;
 
 /// Every policy the simulator can run, including the non-paper Random
 /// baseline.
@@ -75,13 +73,26 @@ fn scratch(name: &str) -> std::path::PathBuf {
     dir
 }
 
-/// The warmstats counters are process-wide; tests that assert on their
+/// The `warm.*` counters are process-wide; tests that assert on their
 /// deltas must not interleave. (Poisoning is fine — a failed sibling
 /// already failed the suite.)
 static COUNTER_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
 
 fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
     COUNTER_LOCK.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
+/// What `sweep` moved of `[warm.overlay_restore, warm.tail_replay,
+/// warm.recorded_warmup, warm.cold_warmup]` — cells that restored, cells
+/// that warmed and left an overlay, prefixes written, cells that warmed
+/// with no store attached — and of `ckpt.corrupt`.
+fn routes_of(sweep: impl FnOnce() -> SweepResult) -> (SweepResult, [u64; 4], u64) {
+    let before = trrip_obs::snapshot();
+    let result = sweep();
+    let moved = trrip_obs::snapshot().since(&before);
+    let warm = ["overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
+        .map(|route| moved.get(&format!("warm.{route}")));
+    (result, warm, moved.get("ckpt.corrupt"))
 }
 
 #[test]
@@ -98,17 +109,13 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     // Oracle: cold per-cell warmups via the walker engine.
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &ALL_POLICIES);
 
-    // Cold populating pass: ONE recorded warmup — the frontend's, which
-    // writes the shared prefix — and ten cells that execute the warm-up
-    // turns it digests, each leaving its overlay.
-    let before = warmup_counters();
-    let cold = replay_sweep(4, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
-    let delta = warmup_counters().since(&before);
-    assert_eq!(delta.recorded_warmups, 1, "one shared warmup per workload, not per policy");
-    assert_eq!(delta.overlay_restores, 0, "an empty store restores nobody");
-    assert_eq!(delta.tail_replays, ALL_POLICIES.len() as u64, "every cell runs the shared turns");
-    assert_eq!(delta.cold_warmups, 0);
-    assert_eq!(delta.full_restores, 0);
+    // Cold populating pass: ONE shared prefix — the frontend's
+    // predictor — and ten cells that execute the warm-up turns it
+    // digests, each leaving its overlay. An empty store restores nobody.
+    let cells = ALL_POLICIES.len() as u64;
+    let sweep = || replay_sweep(4, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
+    let (cold, routes, _) = routes_of(sweep);
+    assert_eq!(routes, [0, cells, 1, 0], "one prefix per workload, not per policy");
 
     for (policy, (a, b)) in ALL_POLICIES.iter().zip(oracle.results.iter().zip(&cold.results)) {
         assert_identical(a, b, &format!("{policy}: cold warm-prefix pass"));
@@ -116,11 +123,8 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
 
     // Warm pass: the frontend resumes from the shared prefix, every
     // cell restores its own overlay.
-    let before = warmup_counters();
-    let warm = replay_sweep(4, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
-    let delta = warmup_counters().since(&before);
-    assert_eq!(delta.overlay_restores, ALL_POLICIES.len() as u64);
-    assert_eq!(delta.recorded_warmups + delta.tail_replays + delta.cold_warmups, 0);
+    let (warm, routes, _) = routes_of(sweep);
+    assert_eq!(routes, [cells, 0, 0, 0]);
 
     for (policy, (a, b)) in ALL_POLICIES.iter().zip(oracle.results.iter().zip(&warm.results)) {
         assert_identical(a, b, &format!("{policy}: warm overlay pass"));
@@ -138,55 +142,54 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
-/// (The name is from when the fallback was the tape-driven tail; the
-/// cell now warms up alone, cold, off a replay of its own — what stays
-/// pinned is that only that cell pays, nothing is recorded again, and
-/// the file heals.)
+/// A damaged overlay costs that one cell its warm-up, heals, and moves
+/// no other cell's counters — for a pushed cell, which then runs alone,
+/// and for a cell of the segment DAG, on a fresh machine either way
+/// (the failed restore may have left the first one half-written).
 #[test]
-fn corrupt_overlay_falls_back_to_the_warmup_tail_not_cold() {
+fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let _serial = counter_guard();
     let workloads = [quick_workload("warm-prefix-corrupt")];
     let config = quick_config(PolicyKind::Srrip);
     let policies = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Emissary];
-
-    let trace_dir = scratch("trrip-warm-prefix-corrupt-traces");
-    let ckpt_dir = scratch("trrip-warm-prefix-corrupt-ckpts");
-    let traces = TraceStore::new(&trace_dir);
-    let ckpts = CheckpointStore::new(&ckpt_dir);
-
+    let cells = policies.len() as u64;
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
 
-    // Flip a byte in the middle of Random's overlay: the container
-    // checksum rejects it at load.
-    let victim = config.clone().with_policy(PolicyKind::Random);
-    let overlay = ckpts.overlay_path(&workloads[0], &victim);
-    corrupt::flip_middle_byte(&overlay);
+    type Engine<'a> = &'a dyn Fn(&TraceStore, &CheckpointStore) -> SweepResult;
+    let pushed: Engine<'_> =
+        &|traces, ckpts| replay_sweep(4, &workloads, &config, &policies, traces, Some(ckpts));
+    let sharded: Engine<'_> =
+        &|traces, ckpts| replay_sweep_sharded(4, &workloads, &config, &policies, traces, ckpts, 2);
+    for (engine, sweep) in [("pushed", pushed), ("--shards 2", sharded)] {
+        let trace_dir = scratch("trrip-warm-prefix-corrupt-traces");
+        let ckpt_dir = scratch("trrip-warm-prefix-corrupt-ckpts");
+        let traces = TraceStore::new(&trace_dir);
+        let ckpts = CheckpointStore::new(&ckpt_dir);
+        let _ = sweep(&traces, &ckpts);
 
-    let before = warmup_counters();
-    let patched = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
-    let delta = warmup_counters().since(&before);
-    assert_eq!(delta.cold_warmups, 1, "the corrupt overlay's cell warms up alone");
-    assert_eq!(delta.recorded_warmups, 0, "…without a recorded warmup");
-    assert_eq!(delta.tail_replays, 0, "…and without anyone else warming");
-    assert_eq!(delta.overlay_restores, policies.len() as u64 - 1);
+        // Flip a byte in the middle of Random's overlay: the container
+        // checksum rejects it at load.
+        let victim = config.clone().with_policy(PolicyKind::Random);
+        corrupt::flip_middle_byte(&ckpts.overlay_path(&workloads[0], &victim));
 
-    for (policy, (a, b)) in policies.iter().zip(oracle.results.iter().zip(&patched.results)) {
-        assert_identical(a, b, &format!("{policy}: sweep with a corrupt overlay"));
+        let (patched, routes, damaged) = routes_of(|| sweep(&traces, &ckpts));
+        assert_eq!(routes, [cells - 1, 1, 0, 0], "{engine}: one cell warms, no prefix is written");
+        assert_eq!(damaged, 1, "{engine}: one file is reported");
+        for (policy, (a, b)) in policies.iter().zip(oracle.results.iter().zip(&patched.results)) {
+            assert_identical(a, b, &format!("{engine}, {policy}: sweep with a damaged overlay"));
+        }
+
+        // The lone cell left a good overlay: the next sweep is all
+        // restores again.
+        let (healed, routes, damaged) = routes_of(|| sweep(&traces, &ckpts));
+        assert_eq!((routes, damaged), ([cells, 0, 0, 0], 0), "{engine}: overlay must be healed");
+        for (a, b) in oracle.results.iter().zip(&healed.results) {
+            assert_identical(a, b, &format!("{engine}: healed sweep"));
+        }
+
+        std::fs::remove_dir_all(&trace_dir).ok();
+        std::fs::remove_dir_all(&ckpt_dir).ok();
     }
-
-    // The lone cell re-persisted a good overlay: the next sweep is all
-    // restores again.
-    let before = warmup_counters();
-    let healed = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
-    let delta = warmup_counters().since(&before);
-    assert_eq!(delta.overlay_restores, policies.len() as u64, "overlay must be healed");
-    for (a, b) in oracle.results.iter().zip(&healed.results) {
-        assert_identical(a, b, "healed sweep");
-    }
-
-    std::fs::remove_dir_all(&trace_dir).ok();
-    std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
 #[test]
@@ -204,9 +207,9 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
     let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
 
-    // Truncate the prefix container: both it AND the overlays keyed to
-    // it stay on disk, but the prefix no longer loads — cells must
-    // re-record, then overwrite the damaged file.
+    // Truncate the prefix container: the prefix no longer loads — the
+    // frontend must train through the warm-up again, and the window
+    // overwrite the damaged file.
     let prefix = ckpts.prefix_path(&workloads[0], &config);
     corrupt::truncate_file(&prefix, corrupt::file_len(&prefix) / 2);
     // Remove the overlays so the cells cannot bypass the prefix
@@ -216,120 +219,21 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
         std::fs::remove_file(overlay).expect("overlay existed");
     }
 
-    let before = warmup_counters();
-    let patched = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
-    let delta = warmup_counters().since(&before);
-    assert!(delta.recorded_warmups >= 1, "a fresh warmup must be recorded");
+    let sweep = || replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
+    let (patched, routes, damaged) = routes_of(sweep);
+    assert_eq!(routes, [0, policies.len() as u64, 1, 0], "a fresh prefix must be written");
+    assert_eq!(damaged, 1);
     for (a, b) in oracle.results.iter().zip(&patched.results) {
         assert_identical(a, b, "sweep after prefix damage");
     }
 
     // The damaged container was atomically replaced.
-    let before = warmup_counters();
-    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
-    let delta = warmup_counters().since(&before);
-    assert_eq!(delta.overlay_restores, policies.len() as u64, "prefix must be rewritten");
-
-    std::fs::remove_dir_all(&trace_dir).ok();
-    std::fs::remove_dir_all(&ckpt_dir).ok();
-}
-
-fn walker<'w>(workload: &'w PreparedWorkload, config: &SimConfig) -> TraceGenerator<'w> {
-    TraceGenerator::new(
-        &workload.program,
-        workload.object(config.layout),
-        &workload.spec,
-        InputSet::Eval,
-    )
-}
-
-/// Functional warming (state updates without stall attribution) at the
-/// warmup-tail seam must be invisible in every measured result, for all
-/// ten policies: only warmup *accounting* is skipped, never state.
-#[test]
-fn functional_warming_is_invisible_in_measured_results() {
-    let _serial = counter_guard();
-    let workload = quick_workload("warm-functional");
-    let config = quick_config(PolicyKind::Srrip);
-
-    // One recorded warmup with the neutral policy produces the tape.
-    let mut tape = WarmupTape::new();
-    {
-        let mut run = SimRun::new(&workload, &config);
-        let mut stream = SourceIter::new(walker(&workload, &config));
-        run.fast_forward_recorded(&mut stream, &mut tape);
-    }
-
-    for policy in ALL_POLICIES {
-        let cfg = config.clone().with_policy(policy);
-
-        // Oracle: timed tail replay, then the measured window.
-        let mut timed = SimRun::new(&workload, &cfg);
-        let mut stream = SourceIter::new(walker(&workload, &cfg));
-        timed.fast_forward_replayed(&mut stream, &tape);
-        let a = timed.measure(&mut stream);
-
-        // Functional tail replay of the same stream.
-        let before = warmup_counters();
-        let mut functional = SimRun::new(&workload, &cfg);
-        let mut stream = SourceIter::new(walker(&workload, &cfg));
-        functional.fast_forward_replayed_mode(&mut stream, &tape, true);
-        let delta = warmup_counters().since(&before);
-        assert_eq!(delta.functional_modes, 1, "{policy}: activation must be counted");
-        let b = functional.measure(&mut stream);
-
-        assert_identical(&a, &b, &format!("{policy}: functional warming"));
-    }
-}
-
-/// Functional mode is a warmup-tail concept only: once the measure
-/// phase has started, the seam refuses to run — nothing functional can
-/// ever execute inside a measured window.
-#[test]
-fn functional_mode_is_rejected_inside_the_measure_window() {
-    let workload = quick_workload("warm-functional-routing");
-    let config = quick_config(PolicyKind::Srrip);
-    let mut run = SimRun::new(&workload, &config);
-    let mut stream = SourceIter::new(walker(&workload, &config));
-    run.begin_measure();
-
-    let tape = WarmupTape::new();
-    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        run.fast_forward_replayed_mode(&mut stream, &tape, true);
-    }));
-    assert!(attempt.is_err(), "functional warming inside the measure window must panic");
-}
-
-#[test]
-fn damaged_full_checkpoint_is_removed_and_routed_around() {
-    let _serial = counter_guard();
-    let workloads = [quick_workload("warm-prefix-heal")];
-    let config = quick_config(PolicyKind::Srrip);
-    let policies = [PolicyKind::Srrip, PolicyKind::Clip];
-
-    let trace_dir = scratch("trrip-warm-prefix-heal-traces");
-    let ckpt_dir = scratch("trrip-warm-prefix-heal-ckpts");
-    let traces = TraceStore::new(&trace_dir);
-    let ckpts = CheckpointStore::new(&ckpt_dir);
-
-    let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
-
-    // Plant a corrupt whole-state checkpoint for CLIP: it sits on the
-    // highest rung of the warm-start ladder, so every sweep would
-    // otherwise re-read (and re-report) it forever.
-    let victim = config.clone().with_policy(PolicyKind::Clip);
-    let full = ckpts.path_for(&workloads[0], &victim);
-    corrupt::plant_file(&full, b"TRRIPCKPgarbage-body-not-a-checkpoint");
-
-    let before = warmup_counters();
-    let patched = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
-    let delta = warmup_counters().since(&before);
-    assert_eq!(delta.overlay_restores, policies.len() as u64, "both cells still warm-start");
-    for (a, b) in oracle.results.iter().zip(&patched.results) {
-        assert_identical(a, b, "sweep with a corrupt full checkpoint");
-    }
-    assert!(!full.exists(), "the damaged whole-state checkpoint must be deleted (self-heal)");
+    let (_, routes, damaged) = routes_of(sweep);
+    assert_eq!(
+        (routes, damaged),
+        ([policies.len() as u64, 0, 0, 0], 0),
+        "prefix must be rewritten"
+    );
 
     std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::remove_dir_all(&ckpt_dir).ok();

@@ -198,19 +198,6 @@ impl<'a> SnapReader<'a> {
         }
     }
 
-    /// Consumes `tag` if the stream continues with it, returning whether
-    /// it did; on a mismatch the position is untouched. This is how a
-    /// component distinguishes encoding generations: try the current
-    /// tag, fall back to [`SnapReader::expect_tag`] on the legacy one.
-    pub fn try_tag(&mut self, tag: &[u8; 4]) -> bool {
-        if self.buf.get(self.pos..self.pos + 4) == Some(tag) {
-            self.pos += 4;
-            true
-        } else {
-            false
-        }
-    }
-
     /// Reads and verifies a component tag.
     ///
     /// # Errors
@@ -387,20 +374,6 @@ mod tests {
         assert_eq!(r.str().unwrap(), "naïve");
         assert_eq!(r.usize().unwrap(), 42);
         r.finish().unwrap();
-    }
-
-    #[test]
-    fn try_tag_consumes_only_on_match() {
-        let mut w = SnapWriter::new();
-        w.tag(b"NEWV");
-        w.u8(9);
-        let bytes = w.into_bytes();
-        let mut r = SnapReader::new(&bytes);
-        assert!(!r.try_tag(b"OLDV"), "mismatch must not match");
-        assert!(r.try_tag(b"NEWV"), "matching tag must match");
-        assert_eq!(r.u8().unwrap(), 9);
-        // At end of input a short buffer is a clean non-match.
-        assert!(!r.try_tag(b"NEWV"));
     }
 
     #[test]

@@ -6,34 +6,31 @@
 //! file   := header chunk* footer?
 //! header := magic:8 version:u16 layout:u8 flags:u8 chunk_capacity:u32
 //!           instructions:u64 checksum:u64 name_len:u16 name:name_len
-//!           dict_len:u32 dict:dict_len                      (v2+)
 //! chunk  := record_count:u32 comp_len:u32 raw_len:u32 codec:u8
-//!           payload:comp_len                                (v2+)
+//!           payload:comp_len
 //!           (raw_len is the columnar payload's length — the codec's
 //!            decompressed size, before de-columnarization)
-//!        |  record_count:u32 payload_len:u32 payload        (v1)
 //! footer := entry_count:u64 (offset:u64 raw_len:u64 state:u64)*
-//!           footer_checksum:u64 footer_len:u64 index_magic:8 (v2+)
-//!        |  ... (offset:u64 state:u64)* ...                  (v1)
+//!           footer_checksum:u64 footer_len:u64 index_magic:8
 //! ```
 //!
 //! All fixed-width fields are little-endian. `instructions` and
 //! `checksum` ([`Checksum`] over every chunk payload byte) sit at fixed
 //! offsets so the writer can patch them when the stream ends.
 //!
-//! # Compression (format v2)
+//! There is one version, [`VERSION`], and the reader accepts no other:
+//! the trace store is a cache that rebuilds itself, so a file of any
+//! other version reads as absent and the next sweep captures over it.
 //!
-//! Since v2 each chunk's record payload is first regrouped into
-//! columnar field streams ([`columnarize`] — flags, PC deltas, branch
-//! deltas, memory deltas, stall pairs each contiguous) and then
-//! compressed independently with [`trrip_pack::compress_auto`] — the
-//! frame records the codec tag and both lengths, and an incompressible
-//! chunk falls back to a raw copy, so a v2 file is never larger than
-//! its v1 encoding plus a handful of bytes per chunk. The header may
-//! carry a compression **dictionary** (hot-PC placement bytes the
-//! capture derives from the workload's code layout) that seeds the LZ
-//! window of every chunk; it travels in the
-//! file so replays are self-contained. Crucially the header checksum,
+//! # Compression
+//!
+//! Each chunk's record payload is first regrouped into columnar field
+//! streams ([`columnarize`] — flags, PC deltas, branch deltas, memory
+//! deltas, stall pairs each contiguous) and then compressed
+//! independently with [`trrip_pack::compress_auto`] — the frame records
+//! the codec tag and both lengths, and an incompressible chunk falls
+//! back to a raw copy, so a file is never larger than its row encoding
+//! plus a handful of bytes per chunk. Crucially the header checksum,
 //! the per-chunk accumulator states in the index footer, and the record
 //! codec all operate on the *uncompressed* payload bytes — compression
 //! is a pure storage transform, invisible to positioning and
@@ -52,9 +49,8 @@
 //! everything it reads — only the *skipped* prefix goes unverified,
 //! which is the entire point of seeking. The footer sits after the last
 //! chunk, where sequential readers (which stop at the instruction
-//! count) never look, so indexed files read fine under pre-index
-//! readers and index-less files fall back to raw chunk-by-chunk
-//! skipping — no version bump needed in either direction.
+//! count) never look, and a file whose header does not advertise one
+//! falls back to raw chunk-by-chunk skipping.
 //!
 //! # Records
 //!
@@ -85,19 +81,12 @@ pub const MAGIC: [u8; 8] = *b"TRRIPTRC";
 pub const INDEX_MAGIC: [u8; 8] = *b"TRRIPIDX";
 /// Header `flags` bit: the file ends with a chunk-index footer.
 pub const FLAG_CHUNK_INDEX: u8 = 1 << 0;
-/// Current format version: v2, per-chunk compressed payloads.
-pub const VERSION: u16 = 2;
-/// Oldest version this reader still speaks (v1: uncompressed chunks,
-/// no header dictionary, 16-byte index entries).
-pub const MIN_VERSION: u16 = 1;
-/// Bytes of a v2 chunk frame (`record_count:u32 comp_len:u32
-/// raw_len:u32 codec:u8`).
+/// The format version, and the only one the reader accepts: v3, v2's
+/// per-chunk compressed columnar payloads without its header dictionary.
+pub const VERSION: u16 = 3;
+/// Bytes of a chunk frame (`record_count:u32 comp_len:u32 raw_len:u32
+/// codec:u8`).
 pub const CHUNK_FRAME_LEN: usize = 13;
-/// Bytes of a v1 chunk frame (`record_count:u32 payload_len:u32`).
-pub const CHUNK_FRAME_LEN_V1: usize = 8;
-/// Longest header dictionary the format allows, enforced by writer
-/// (panic at capture time) and reader (corrupt-header error) alike.
-pub const MAX_DICT_LEN: usize = 64 * 1024;
 /// Records per full chunk (the streaming granularity). 64 Ki records
 /// decode to ~2.2 MiB in memory — large enough to amortize syscalls,
 /// small enough that replay memory stays flat.
@@ -179,14 +168,8 @@ pub struct TraceMeta {
     /// Records per full chunk.
     pub chunk_capacity: u32,
     /// Whether the file ends with a chunk-index footer
-    /// ([`FLAG_CHUNK_INDEX`]); pre-index files read as `false`.
+    /// ([`FLAG_CHUNK_INDEX`]).
     pub has_index: bool,
-    /// Format version the file was written under (controls the chunk
-    /// frame and index-entry layouts; see the module docs).
-    pub version: u16,
-    /// Compression dictionary seeding every chunk's LZ window (v2+);
-    /// empty for v1 files and dictionary-less captures.
-    pub dict: Vec<u8>,
 }
 
 /// Everything that can go wrong reading a trace.
@@ -196,7 +179,7 @@ pub enum TraceError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`].
     BadMagic,
-    /// The file's format version is newer than this reader.
+    /// The file's format version is not [`VERSION`].
     UnsupportedVersion(u16),
     /// Structurally invalid content; the message says what.
     Corrupt(String),
@@ -215,10 +198,7 @@ impl fmt::Display for TraceError {
             TraceError::Io(e) => write!(f, "trace i/o error: {e}"),
             TraceError::BadMagic => f.write_str("not a trrip trace (bad magic)"),
             TraceError::UnsupportedVersion(v) => {
-                write!(
-                    f,
-                    "unsupported trace format version {v} (this reader speaks {MIN_VERSION}..={VERSION})"
-                )
+                write!(f, "unsupported trace format version {v} (this reader speaks {VERSION})")
             }
             TraceError::Corrupt(what) => write!(f, "corrupt trace: {what}"),
             TraceError::ChecksumMismatch { expected, found } => {
@@ -433,7 +413,7 @@ pub fn decode_record(
     Ok(instr)
 }
 
-// --- Columnar chunk transform (format v2) ------------------------------
+// --- Columnar chunk transform -------------------------------------------
 
 /// Copies one varint's bytes from `src[*pos..]` to `dst` without
 /// decoding it (the continuation bit delimits it).
@@ -451,7 +431,7 @@ fn copy_varint(src: &[u8], pos: &mut usize, dst: &mut Vec<u8>) -> Result<(), Tra
 }
 
 /// Rearranges a chunk's row-encoded records into the **columnar** form
-/// v2 files store on disk: one contiguous stream per field kind —
+/// files store on disk: one contiguous stream per field kind —
 /// flags, PC deltas, branch-target deltas, memory deltas, stall pairs —
 /// prefixed by the four variable stream lengths (the flags stream is
 /// exactly `record_count` bytes, so its length is implicit):
@@ -586,15 +566,13 @@ pub fn decolumnarize(cols: &[u8], record_count: u32, out: &mut Vec<u8>) -> Resul
     Ok(())
 }
 
-/// Serializes the header for `meta` (count/checksum as currently known)
-/// under `meta.version`'s layout.
+/// Serializes the header for `meta` (count/checksum as currently known).
 ///
 /// # Panics
 ///
-/// Panics if the workload name exceeds [`MAX_NAME_LEN`], the dictionary
-/// exceeds [`MAX_DICT_LEN`], or a pre-v2 version carries a dictionary —
-/// the reader would reject such a file, so writing it would only
-/// produce a capture that can never replay.
+/// Panics if the workload name exceeds [`MAX_NAME_LEN`] — the reader
+/// would reject such a file, so writing it would only produce a capture
+/// that can never replay.
 #[must_use]
 pub fn encode_header(meta: &TraceMeta) -> Vec<u8> {
     let name = meta.name.as_bytes();
@@ -603,15 +581,9 @@ pub fn encode_header(meta: &TraceMeta) -> Vec<u8> {
         "workload name is {} bytes, format limit is {MAX_NAME_LEN}",
         name.len()
     );
-    assert!(
-        meta.dict.len() <= MAX_DICT_LEN,
-        "dictionary is {} bytes, format limit is {MAX_DICT_LEN}",
-        meta.dict.len()
-    );
-    assert!(meta.version >= 2 || meta.dict.is_empty(), "v1 headers have no dictionary field");
-    let mut buf = Vec::with_capacity(HEADER_FIXED_LEN + name.len() + 4 + meta.dict.len());
+    let mut buf = Vec::with_capacity(HEADER_FIXED_LEN + name.len());
     buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&meta.version.to_le_bytes());
+    buf.extend_from_slice(&VERSION.to_le_bytes());
     buf.push(meta.layout.as_u8());
     buf.push(if meta.has_index { FLAG_CHUNK_INDEX } else { 0 });
     buf.extend_from_slice(&meta.chunk_capacity.to_le_bytes());
@@ -619,10 +591,6 @@ pub fn encode_header(meta: &TraceMeta) -> Vec<u8> {
     buf.extend_from_slice(&meta.checksum.to_le_bytes());
     buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
     buf.extend_from_slice(name);
-    if meta.version >= 2 {
-        buf.extend_from_slice(&(meta.dict.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&meta.dict);
-    }
     buf
 }
 

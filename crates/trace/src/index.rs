@@ -7,12 +7,11 @@
 //! See `crate::format`'s module docs for the byte layout and the
 //! verification semantics (a seek-positioned reader verifies everything
 //! it reads; only the deliberately skipped prefix goes unchecked).
-//! Since format v2 chunk payloads are compressed: `offset` addresses the
-//! compressed frame, `raw_len` records the uncompressed payload length,
-//! and `state` still tracks the checksum over *uncompressed* bytes — a
-//! seek lands on a frame it can decompress and verify exactly as the
-//! sequential path would. v1 footers carry 16-byte entries without
-//! `raw_len` (read back as zero).
+//! Chunk payloads are compressed: `offset` addresses the compressed
+//! frame, `raw_len` records the uncompressed payload length, and `state`
+//! tracks the checksum over *uncompressed* bytes — a seek lands on a
+//! frame it can decompress and verify exactly as the sequential path
+//! would.
 
 use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
@@ -20,14 +19,8 @@ use std::path::Path;
 
 use crate::format::{Checksum, TraceError, TraceMeta, INDEX_MAGIC};
 
-/// Footer entry size for a given header version.
-fn entry_len(version: u16) -> u64 {
-    if version >= 2 {
-        24
-    } else {
-        16
-    }
-}
+/// Bytes of a footer entry (`offset:u64 raw_len:u64 state:u64`).
+const ENTRY_LEN: u64 = 24;
 
 /// One chunk's position in the file and in the checksum stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -35,8 +28,8 @@ pub struct IndexEntry {
     /// Absolute byte offset of the chunk's frame (its `record_count`
     /// field). The final entry points just past the last chunk.
     pub offset: u64,
-    /// Uncompressed payload length of the chunk (v2+); zero for the
-    /// end-of-chunks sentinel and for entries read from v1 footers.
+    /// Uncompressed payload length of the chunk; zero for the
+    /// end-of-chunks sentinel.
     pub raw_len: u64,
     /// The payload checksum's raw accumulator state before this chunk
     /// ([`Checksum::state`]); the final entry holds the end-of-stream
@@ -70,11 +63,10 @@ impl ChunkIndex {
 }
 
 /// Serializes the footer for `entries` (chunk entries plus the
-/// end-of-chunks sentinel, in file order) under the current (v2)
-/// 24-byte entry layout.
+/// end-of-chunks sentinel, in file order).
 #[must_use]
 pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
-    let mut body = Vec::with_capacity(8 + entries.len() * 24 + 24);
+    let mut body = Vec::with_capacity(8 + entries.len() * ENTRY_LEN as usize + 24);
     body.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
         body.extend_from_slice(&e.offset.to_le_bytes());
@@ -91,8 +83,7 @@ pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
 }
 
 /// Reads and validates the chunk-index footer of `path`, whose header
-/// `meta` was already parsed (the header version selects the entry
-/// layout). Returns `Ok(None)` when the header does not advertise an
+/// `meta` was already parsed. Returns `Ok(None)` when the header does not advertise an
 /// index, **or** when the footer fails any validation (bad magic,
 /// checksum, entry count, non-monotonic offsets) — a damaged index
 /// quietly demotes positioning to the raw chunk-skip path, which
@@ -105,7 +96,6 @@ pub fn read_index(path: &Path, meta: &TraceMeta) -> Result<Option<ChunkIndex>, T
     if !meta.has_index {
         return Ok(None);
     }
-    let entry_len = entry_len(meta.version);
     let mut file = File::open(path)?;
     let file_len = file.seek(SeekFrom::End(0))?;
     if file_len < 16 {
@@ -120,7 +110,7 @@ pub fn read_index(path: &Path, meta: &TraceMeta) -> Result<Option<ChunkIndex>, T
     // `footer_len` spans entry_count..footer_checksum inclusive; the
     // (footer_len, magic) trailer adds 16 more bytes.
     let footer_len = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
-    if footer_len < 16 + entry_len || footer_len + 16 > file_len || footer_len > (1 << 31) {
+    if footer_len < 16 + ENTRY_LEN || footer_len + 16 > file_len || footer_len > (1 << 31) {
         return Ok(None);
     }
     file.seek(SeekFrom::End(-16 - footer_len as i64))?;
@@ -135,7 +125,7 @@ pub fn read_index(path: &Path, meta: &TraceMeta) -> Result<Option<ChunkIndex>, T
     }
 
     let entry_count = u64::from_le_bytes(entries_bytes[0..8].try_into().expect("8 bytes"));
-    if entry_count == 0 || entries_bytes.len() as u64 != 8 + entry_count * entry_len {
+    if entry_count == 0 || entries_bytes.len() as u64 != 8 + entry_count * ENTRY_LEN {
         return Ok(None);
     }
     let expected_chunks = meta.instructions.div_ceil(u64::from(meta.chunk_capacity));
@@ -144,14 +134,13 @@ pub fn read_index(path: &Path, meta: &TraceMeta) -> Result<Option<ChunkIndex>, T
     }
     let mut entries = Vec::with_capacity(entry_count as usize);
     for i in 0..entry_count as usize {
-        let at = 8 + i * entry_len as usize;
+        let at = 8 + i * ENTRY_LEN as usize;
         let word = |k: usize| {
             u64::from_le_bytes(
                 entries_bytes[at + k * 8..at + k * 8 + 8].try_into().expect("8 bytes"),
             )
         };
-        let (offset, raw_len, state) =
-            if meta.version >= 2 { (word(0), word(1), word(2)) } else { (word(0), 0, word(1)) };
+        let (offset, raw_len, state) = (word(0), word(1), word(2));
         if let Some(prev) = entries.last() {
             let prev: &IndexEntry = prev;
             if offset <= prev.offset {

@@ -30,7 +30,6 @@ pub mod format;
 pub mod index;
 pub mod reader;
 pub mod source;
-pub mod stats;
 pub mod stream;
 pub mod writer;
 
@@ -38,6 +37,5 @@ pub use format::{TraceError, TraceLayout, TraceMeta, CHUNK_CAPACITY};
 pub use index::{read_index, ChunkIndex, IndexEntry};
 pub use reader::{decode_chunk, open, probe, TraceReader};
 pub use source::{SourceIter, TraceSource};
-pub use stats::records_decoded;
 pub use stream::StreamingReplay;
-pub use writer::{create, create_with_dict, TraceWriter};
+pub use writer::{create, TraceWriter};

@@ -8,8 +8,7 @@ use trrip_cpu::TraceInstr;
 
 use crate::format::{
     decode_record, decolumnarize, Checksum, DeltaState, TraceError, TraceLayout, TraceMeta,
-    CHUNK_FRAME_LEN, FLAG_CHUNK_INDEX, HEADER_FIXED_LEN, MAGIC, MAX_DICT_LEN, MAX_NAME_LEN,
-    MIN_VERSION, VERSION,
+    CHUNK_FRAME_LEN, FLAG_CHUNK_INDEX, HEADER_FIXED_LEN, MAGIC, MAX_NAME_LEN, VERSION,
 };
 use crate::index::ChunkIndex;
 use crate::source::TraceSource;
@@ -29,9 +28,9 @@ pub struct TraceReader<R: Read> {
     remaining: u64,
     checksum: Checksum,
     payload: Vec<u8>,
-    /// Compressed-chunk scratch (v2 files), reused across reads.
+    /// Compressed-chunk scratch, reused across reads.
     comp: Vec<u8>,
-    /// Columnar-payload scratch (v2 files), reused across reads.
+    /// Columnar-payload scratch, reused across reads.
     cols: Vec<u8>,
 }
 
@@ -50,7 +49,7 @@ impl<R: Read> TraceReader<R> {
             return Err(TraceError::BadMagic);
         }
         let version = u16::from_le_bytes([fixed[8], fixed[9]]);
-        if !(MIN_VERSION..=VERSION).contains(&version) {
+        if version != VERSION {
             return Err(TraceError::UnsupportedVersion(version));
         }
         let layout = TraceLayout::from_u8(fixed[10])
@@ -70,34 +69,10 @@ impl<R: Read> TraceReader<R> {
         source.read_exact(&mut name_bytes)?;
         let name = String::from_utf8(name_bytes)
             .map_err(|_| TraceError::Corrupt("workload name is not UTF-8".into()))?;
-        let dict = if version >= 2 {
-            let mut dict_len = [0u8; 4];
-            source.read_exact(&mut dict_len)?;
-            let dict_len = u32::from_le_bytes(dict_len) as usize;
-            if dict_len > MAX_DICT_LEN {
-                return Err(TraceError::Corrupt(format!(
-                    "implausible dictionary length {dict_len}"
-                )));
-            }
-            let mut dict = vec![0u8; dict_len];
-            source.read_exact(&mut dict)?;
-            dict
-        } else {
-            Vec::new()
-        };
 
         Ok(TraceReader {
             source,
-            meta: TraceMeta {
-                name,
-                layout,
-                instructions,
-                checksum,
-                chunk_capacity,
-                has_index,
-                version,
-                dict,
-            },
+            meta: TraceMeta { name, layout, instructions, checksum, chunk_capacity, has_index },
             remaining: instructions,
             checksum: Checksum::new(),
             payload: Vec::new(),
@@ -120,11 +95,10 @@ impl<R: Read> TraceReader<R> {
 
     /// Reads the next chunk's payload bytes into `payload` without
     /// decoding any records, returning the chunk's record count; `0`
-    /// means the trace is complete (and the checksum verified). On a v2
-    /// file the on-disk bytes are decompressed and de-columnarized here
-    /// — `payload` always holds the row-encoded record bytes, so
-    /// downstream consumers (decode, checksum) are format-version
-    /// agnostic. Framing is validated and the payload checksum
+    /// means the trace is complete (and the checksum verified). The
+    /// on-disk bytes are decompressed and de-columnarized here —
+    /// `payload` always holds the row-encoded record bytes, which is
+    /// what decode and checksum work on. Framing is validated and the payload checksum
     /// accumulated here, so a caller draining raw chunks still detects
     /// damaged payload bytes — the split that lets a positioned replay
     /// pass over the chunks before its start without decoding them.
@@ -143,55 +117,29 @@ impl<R: Read> TraceReader<R> {
             return Ok(0);
         }
 
-        let record_count = if self.meta.version >= 2 {
-            let mut frame = [0u8; CHUNK_FRAME_LEN];
-            self.source.read_exact(&mut frame)?;
-            let record_count = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-            let comp_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-            let raw_len = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
-            let codec = trrip_pack::Codec::from_u8(frame[12])
-                .map_err(|e| TraceError::Corrupt(e.to_string()))?;
-            self.validate_record_count(record_count)?;
-            if raw_len > MAX_CHUNK_PAYLOAD {
-                return Err(TraceError::Corrupt(format!("implausible chunk payload {raw_len}")));
-            }
-            // `compress_auto` never emits more bytes than raw (the raw
-            // fallback wins ties), so a larger comp_len is corruption.
-            if comp_len > raw_len {
-                return Err(TraceError::Corrupt(format!(
-                    "compressed chunk ({comp_len} bytes) larger than its payload ({raw_len})"
-                )));
-            }
-            self.comp.resize(comp_len as usize, 0);
-            self.source.read_exact(&mut self.comp)?;
-            // Two storage transforms to undo: the codec, then the
-            // columnar grouping — `payload` hands out row bytes, so
-            // downstream consumers stay format-version agnostic.
-            trrip_pack::decompress(
-                codec,
-                &self.comp,
-                &self.meta.dict,
-                raw_len as usize,
-                &mut self.cols,
-            )
-            .map_err(|e| TraceError::Corrupt(e.to_string()))?;
-            decolumnarize(&self.cols, record_count, payload)?;
-            record_count
-        } else {
-            let mut frame = [0u8; 8];
-            self.source.read_exact(&mut frame)?;
-            let record_count = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-            let payload_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-            self.validate_record_count(record_count)?;
-            if payload_len > MAX_CHUNK_PAYLOAD {
-                return Err(TraceError::Corrupt(format!(
-                    "implausible chunk payload {payload_len}"
-                )));
-            }
-            payload.resize(payload_len as usize, 0);
-            self.source.read_exact(payload)?;
-            record_count
-        };
+        let mut frame = [0u8; CHUNK_FRAME_LEN];
+        self.source.read_exact(&mut frame)?;
+        let record_count = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
+        let comp_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
+        let raw_len = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
+        let codec = trrip_pack::Codec::from_u8(frame[12])?;
+        self.validate_record_count(record_count)?;
+        if raw_len > MAX_CHUNK_PAYLOAD {
+            return Err(TraceError::Corrupt(format!("implausible chunk payload {raw_len}")));
+        }
+        // `compress_auto` never emits more bytes than raw (the raw
+        // fallback wins ties), so a larger comp_len is corruption.
+        if comp_len > raw_len {
+            return Err(TraceError::Corrupt(format!(
+                "compressed chunk ({comp_len} bytes) larger than its payload ({raw_len})"
+            )));
+        }
+        self.comp.resize(comp_len as usize, 0);
+        self.source.read_exact(&mut self.comp)?;
+        // Two storage transforms to undo: the codec, then the columnar
+        // grouping.
+        trrip_pack::decompress(codec, &self.comp, raw_len as usize, &mut self.cols)?;
+        decolumnarize(&self.cols, record_count, payload)?;
         self.checksum.update(payload);
         trrip_obs::counter!("trace.chunks_read").incr();
         trrip_obs::counter!("trace.bytes_read").add(payload.len() as u64);
@@ -300,7 +248,9 @@ impl<R: Read> TraceReader<R> {
 /// at every chunk boundary), so this is safe to call on any chunk in any
 /// order — the primitive behind the streaming reader and the skip phase
 /// of a positioned replay. Every decoded record counts toward
-/// [`crate::stats::records_decoded`].
+/// `trace.records_decoded`, once per chunk: a sweep that re-decodes a
+/// trace per policy still produces the right numbers, only slower, and
+/// the counter is how a test holds it to one decode per workload.
 ///
 /// # Errors
 ///
@@ -322,7 +272,7 @@ pub fn decode_chunk(
             payload.len() - pos
         )));
     }
-    crate::stats::count_decoded(u64::from(record_count));
+    trrip_obs::counter!("trace.records_decoded").add(u64::from(record_count));
     Ok(())
 }
 

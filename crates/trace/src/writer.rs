@@ -8,7 +8,7 @@ use trrip_cpu::TraceInstr;
 
 use crate::format::{
     columnarize, encode_header, encode_record, Checksum, DeltaState, TraceLayout, TraceMeta,
-    CHECKSUM_OFFSET, CHUNK_CAPACITY, CHUNK_FRAME_LEN, INSTRUCTIONS_OFFSET, VERSION,
+    CHECKSUM_OFFSET, CHUNK_CAPACITY, CHUNK_FRAME_LEN, INSTRUCTIONS_OFFSET,
 };
 use crate::index::{encode_footer, IndexEntry};
 
@@ -63,32 +63,10 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Panics if `chunk_capacity` is zero.
     pub fn with_chunk_capacity(
-        sink: W,
-        name: &str,
-        layout: TraceLayout,
-        chunk_capacity: u32,
-    ) -> io::Result<TraceWriter<W>> {
-        TraceWriter::with_dict(sink, name, layout, chunk_capacity, Vec::new())
-    }
-
-    /// [`TraceWriter::with_chunk_capacity`] plus a compression
-    /// dictionary that seeds every chunk's LZ window. The dictionary is
-    /// stored in the header, so the capture stays self-contained.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures writing the header.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `chunk_capacity` is zero or the dictionary exceeds
-    /// [`crate::format::MAX_DICT_LEN`].
-    pub fn with_dict(
         mut sink: W,
         name: &str,
         layout: TraceLayout,
         chunk_capacity: u32,
-        dict: Vec<u8>,
     ) -> io::Result<TraceWriter<W>> {
         assert!(chunk_capacity > 0, "chunk capacity must be positive");
         let meta = TraceMeta {
@@ -98,8 +76,6 @@ impl<W: Write + Seek> TraceWriter<W> {
             checksum: 0,
             chunk_capacity,
             has_index: true,
-            version: VERSION,
-            dict,
         };
         let header = encode_header(&meta);
         sink.write_all(&header)?;
@@ -160,7 +136,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         // row bytes — the transform is storage-only.
         columnarize(&self.chunk, self.chunk_records, &mut self.cols)
             .expect("writer-encoded records are well-formed");
-        let codec = trrip_pack::compress_auto(&self.cols, &self.meta.dict, &mut self.comp);
+        let codec = trrip_pack::compress_auto(&self.cols, &mut self.comp);
         self.sink.write_all(&self.chunk_records.to_le_bytes())?;
         self.sink.write_all(&(self.comp.len() as u32).to_le_bytes())?;
         self.sink.write_all(&(self.cols.len() as u32).to_le_bytes())?;
@@ -232,24 +208,13 @@ pub fn create(
     name: &str,
     layout: TraceLayout,
 ) -> io::Result<TraceWriter<BufWriter<File>>> {
-    create_with_dict(path, name, layout, Vec::new())
-}
-
-/// [`create`] with a compression dictionary (hot-PC placement bytes;
-/// see [`trrip_pack::placement_dictionary`]) seeding every chunk's LZ
-/// window.
-///
-/// # Errors
-///
-/// Propagates file-creation and header I/O failures.
-pub fn create_with_dict(
-    path: &Path,
-    name: &str,
-    layout: TraceLayout,
-    dict: Vec<u8>,
-) -> io::Result<TraceWriter<BufWriter<File>>> {
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    TraceWriter::with_dict(BufWriter::new(File::create(path)?), name, layout, CHUNK_CAPACITY, dict)
+    TraceWriter::with_chunk_capacity(
+        BufWriter::new(File::create(path)?),
+        name,
+        layout,
+        CHUNK_CAPACITY,
+    )
 }

@@ -197,12 +197,16 @@ fn rejects_wrong_magic() {
 
 #[test]
 fn rejects_future_version() {
-    let mut bytes = write_trace(&[TraceInstr::simple(0x1000)], 16);
-    bytes[8] = 0xFF;
-    assert!(matches!(
-        TraceReader::new(Cursor::new(&bytes)),
-        Err(TraceError::UnsupportedVersion(_))
-    ));
+    // …and every past one: the reader speaks exactly one version.
+    let current = trrip_trace::format::VERSION;
+    for version in [u16::MAX, current + 1, current - 1, 1, 0] {
+        let mut bytes = write_trace(&[TraceInstr::simple(0x1000)], 16);
+        bytes[8..10].copy_from_slice(&version.to_le_bytes());
+        assert!(matches!(
+            TraceReader::new(Cursor::new(&bytes)),
+            Err(TraceError::UnsupportedVersion(v)) if v == version
+        ));
+    }
 }
 
 #[test]

@@ -11,7 +11,12 @@ use std::path::PathBuf;
 
 use trrip_cpu::TraceInstr;
 use trrip_snap::corrupt;
-use trrip_trace::{probe, read_index, records_decoded, SourceIter, StreamingReplay, TraceWriter};
+use trrip_trace::{probe, read_index, SourceIter, StreamingReplay, TraceWriter};
+
+/// Records decoded since `before`, by the registry counter's name.
+fn decoded_since(before: &trrip_obs::CounterSnapshot) -> u64 {
+    trrip_obs::snapshot().since(before).get("trace.records_decoded")
+}
 
 fn mixed_trace(n: u64) -> Vec<TraceInstr> {
     let mut x = 0x0123_4567_89ab_cdefu64;
@@ -82,19 +87,19 @@ fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
     // must cost 2 chunks of decode, not 10. The counter is
     // process-wide, so measure each path's own delta.
     for path in [&indexed, &old_header] {
-        let before = records_decoded();
+        let before = trrip_obs::snapshot();
         let replay = StreamingReplay::open_at(path, 8 * u64::from(CHUNK)).expect("open_at");
         let n = SourceIter::new(replay).count();
         assert_eq!(n, 2 * CHUNK as usize);
-        let decoded = records_decoded() - before;
+        let decoded = decoded_since(&before);
         assert_eq!(decoded, 2 * u64::from(CHUNK), "aligned skip must not decode the prefix");
 
         // An unaligned skip pays exactly one boundary chunk extra.
-        let before = records_decoded();
+        let before = trrip_obs::snapshot();
         let replay = StreamingReplay::open_at(path, 8 * u64::from(CHUNK) + 1).expect("open_at");
         let n = SourceIter::new(replay).count();
         assert_eq!(n, 2 * CHUNK as usize - 1);
-        assert_eq!(records_decoded() - before, 2 * u64::from(CHUNK));
+        assert_eq!(decoded_since(&before), 2 * u64::from(CHUNK));
     }
 
     // True seek, pinned behaviorally: flip a byte inside the FIRST
@@ -153,47 +158,17 @@ fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
     // same records, no error.
     let footer_path = write_file("bad-footer", &bytes);
     corrupt::flip_byte(&footer_path, bytes.len() - 20, 0xFF); // inside the footer's checksum field
-    let before = records_decoded();
+    let before = trrip_obs::snapshot();
     let replay = StreamingReplay::open_at(&footer_path, 8 * u64::from(CHUNK)).expect("open");
     let suffix: Vec<TraceInstr> = SourceIter::new(replay).collect();
     assert_eq!(suffix, &instrs[8 * CHUNK as usize..]);
     assert_eq!(
-        records_decoded() - before,
+        decoded_since(&before),
         2 * u64::from(CHUNK),
         "the fallback is the raw skip, still decode-free for the prefix"
     );
 
-    // A dictionary-bearing capture (the dict seeds every chunk's LZ
-    // window and travels in the header) seeks exactly like a plain one.
-    let dict = trrip_pack::placement_dictionary(
-        &(0..256u64).map(|i| 0x8000 + i * 4).collect::<Vec<_>>(),
-        4096,
-    );
-    let mut writer = TraceWriter::with_dict(
-        std::io::Cursor::new(Vec::new()),
-        "skip-dict",
-        trrip_trace::TraceLayout::Foreign,
-        CHUNK,
-        dict,
-    )
-    .expect("header");
-    writer.write_all(instrs.iter().copied()).expect("records");
-    let mut cursor = writer.finish_into_inner().expect("finish");
-    let dict_path = write_file("seek-dict", &std::mem::take(cursor.get_mut()));
-    for skip in [0u64, 999, 4001, 10_000] {
-        let replay = StreamingReplay::open_at(&dict_path, skip).expect("open_at");
-        let suffix: Vec<TraceInstr> = SourceIter::new(replay).collect();
-        assert_eq!(
-            suffix,
-            &instrs[(skip as usize).min(instrs.len())..],
-            "dict capture, skip {skip}"
-        );
-    }
-
-    for path in
-        [indexed, old_header, damaged_indexed, damaged_old, tail_path, footer_path, dict_path]
-            .iter()
-    {
+    for path in [indexed, old_header, damaged_indexed, damaged_old, tail_path, footer_path].iter() {
         std::fs::remove_file(path).ok();
     }
 }

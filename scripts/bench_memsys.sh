@@ -3,19 +3,19 @@
 # (SoA tag stores + L1-hit fast path + memoized walker), the L1
 # fast-path hit rate, the walker-memo counter traffic, the sweep's cell
 # loop on gcc in lockstep groups of 1, 2, 5 and 9 (ns per
-# cell-instruction, and exec.cell_records / exec.turn_records),
-# cold-capture throughput, and the timed-vs-functional warmup tail — and
-# appends the run to BENCH_memsys.json at the repo root. Run it from
-# anywhere; pass extra harness flags through (e.g. --scale 4).
+# cell-instruction, and exec.cell_records / exec.turn_records) and
+# cold-capture throughput — and appends the run to BENCH_memsys.json at
+# the repo root. Run it from anywhere; pass extra harness flags through
+# (e.g. --scale 4).
 #
 #   scripts/bench_memsys.sh [harness flags...]
 #   scripts/bench_memsys.sh --ablate   also append a `fresh-walker`
 #                                      (template cache off) entry
 #
 # The JSON is an array of run objects, each labeled with its `variant`;
-# every PR that touches the cache stores, the backend, the event loop,
-# the walker, or the warmup tail should append a fresh entry so
-# regressions are visible in review. `scripts/bench_summary.sh` collates
+# every PR that touches the cache stores, the backend, the event loop
+# or the walker should append a fresh entry so regressions are visible
+# in review. `scripts/bench_summary.sh` collates
 # all BENCH_*.json trajectories into one table.
 set -eu
 

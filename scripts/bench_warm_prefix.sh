@@ -7,8 +7,8 @@
 #
 #   scripts/bench_warm_prefix.sh [harness flags...]
 #
-# The JSON is an array of run objects; every PR that touches the warmup,
-# tape, or container-split path should append a fresh entry so
+# The JSON is an array of run objects; every PR that touches the warmup
+# or container-split path should append a fresh entry so
 # regressions are visible in review.
 set -eu
 
