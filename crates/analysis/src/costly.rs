@@ -88,52 +88,6 @@ impl CostlyMissTracker {
         hot as f64 / top.len() as f64
     }
 
-    /// Folds another tracker's per-line costs into this one (exact,
-    /// associative — the merge step for per-segment shard tallies). A
-    /// line's region is placement-derived and therefore identical in
-    /// every segment that saw the line.
-    pub fn merge(&mut self, other: &CostlyMissTracker) {
-        for (&line, cost) in &other.lines {
-            let entry = self.lines.entry(line).or_default();
-            entry.total_latency += cost.total_latency;
-            entry.misses += cost.misses;
-            if entry.region.is_none() {
-                entry.region = cost.region;
-            }
-        }
-    }
-
-    /// The misses recorded since `baseline` was captured — how a shard
-    /// segment extracts its own tally from the cumulative tracker.
-    /// Lines whose cost did not change are dropped.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` is not an earlier state of this tracker.
-    #[must_use]
-    pub fn since(&self, baseline: &CostlyMissTracker) -> CostlyMissTracker {
-        let mut out = CostlyMissTracker::new();
-        for (&line, cost) in &self.lines {
-            let base = baseline.lines.get(&line).copied().unwrap_or_default();
-            let misses = cost
-                .misses
-                .checked_sub(base.misses)
-                .expect("baseline is not a prefix of this tracker");
-            if misses == 0 {
-                continue;
-            }
-            out.lines.insert(
-                line,
-                LineCost {
-                    total_latency: cost.total_latency - base.total_latency,
-                    misses,
-                    region: cost.region,
-                },
-            );
-        }
-        out
-    }
-
     /// Total miss cost accumulated per region (for diagnostics).
     #[must_use]
     pub fn cost_by_region(&self) -> HashMap<CodeRegion, u64> {

@@ -101,30 +101,6 @@ impl ReuseHistogram {
     pub fn counts(&self) -> [u64; 4] {
         self.counts
     }
-
-    /// Adds another histogram's counts (exact, associative — the merge
-    /// step for per-segment shard tallies).
-    pub fn merge(&mut self, other: &ReuseHistogram) {
-        for (c, o) in self.counts.iter_mut().zip(&other.counts) {
-            *c += o;
-        }
-    }
-
-    /// The counts recorded since `baseline` was captured — how a shard
-    /// segment extracts its own tally from the cumulative profiler.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `baseline` is not an earlier state of this histogram
-    /// (some bucket would go negative).
-    #[must_use]
-    pub fn since(&self, baseline: &ReuseHistogram) -> ReuseHistogram {
-        let mut out = ReuseHistogram::default();
-        for ((o, &now), &base) in out.counts.iter_mut().zip(&self.counts).zip(&baseline.counts) {
-            *o = now.checked_sub(base).expect("baseline is not a prefix of this histogram");
-        }
-        out
-    }
 }
 
 #[derive(Debug, Clone, Copy)]

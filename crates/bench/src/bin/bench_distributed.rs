@@ -1,21 +1,24 @@
 //! Wall-clock benchmark and smoke test of crash-tolerant multi-process
 //! sweeps: N worker **processes** cooperate over one shared
 //! `--trace-dir`/`--checkpoint-dir` through the claim protocol
-//! (`trrip_sim::coordinate`), and a collector merges their published
+//! (`trrip_sim::coordinate`) — each claims a workload's row and runs it
+//! through `replay_sweep` — and a collector reads their published
 //! result fragments.
 //!
 //! Modes:
 //!
-//! * **bench** (default) — times the paper's 8-policy sharded sweep at
-//!   1, 2 and 4 worker processes against the in-process
-//!   `replay_sweep_sharded` baseline, asserts every point bit-identical
-//!   to the baseline, measures the disabled fault-point probe cost, and
-//!   appends the run to `BENCH_distributed.json` under `--out`.
+//! * **bench** (default) — times a four-workload, 8-policy sweep at 1, 2
+//!   and 4 worker processes against the in-process `replay_sweep` (on
+//!   one thread, the base of the one-worker point, and on `--jobs`
+//!   threads, the base of the others), asserts every point bit-identical
+//!   to it, measures the disabled fault-point probe cost, and appends
+//!   the run — every point with its base, as it reads — to
+//!   `BENCH_distributed.json` under `--out`.
 //! * **`--smoke`** — the crash drill CI runs: one worker is SIGKILLed
 //!   by an armed fault while holding a claim, the coordinator journals
 //!   `worker_lost`, two healers reclaim the stale claim and finish the
 //!   sweep, and completion must be bit-identical to the single-process
-//!   engine with the `worker_lost`/`claim_reclaimed` event pair present
+//!   sweep with the `worker_lost`/`claim_reclaimed` event pair present
 //!   in the journals.
 //!
 //! Worker processes are this same binary re-invoked with `--worker-id N`
@@ -32,8 +35,8 @@ use trrip_bench::{append_trajectory, HarnessOptions};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    collect_results, replay_sweep_sharded, CheckpointStore, PreparedWorkload, ShardPlan, SimConfig,
-    SweepResult, TraceStore, WorkerOptions,
+    collect_results, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
+    TraceStore, WorkerOptions,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -91,18 +94,20 @@ fn split_dist_flags(args: Vec<String>) -> Result<(DistFlags, Vec<String>), Strin
     Ok((dist, rest))
 }
 
-fn workload(smoke: bool) -> PreparedWorkload {
-    if smoke {
-        let mut spec = WorkloadSpec::named("dist-smoke");
-        spec.functions = 50;
-        spec.hot_rotation = 8;
-        PreparedWorkload::prepare(&spec, 400_000, ClassifierConfig::llvm_defaults())
-    } else {
-        let mut spec = WorkloadSpec::named("dist-bench");
-        spec.functions = 120;
-        spec.hot_rotation = 30;
-        PreparedWorkload::prepare(&spec, 100_000, ClassifierConfig::llvm_defaults())
-    }
+/// The sweep's rows: two for the smoke drill (one published before the
+/// kill, one claimed when it lands), four for the bench ladder, so that
+/// two and four workers each have rows to split.
+fn workloads(smoke: bool) -> Vec<PreparedWorkload> {
+    let (rows, prefix, functions, hot_rotation, train) =
+        if smoke { (2, "dist-smoke", 50, 8, 400_000) } else { (4, "dist-bench", 120, 30, 100_000) };
+    (0..rows)
+        .map(|row| {
+            let mut spec = WorkloadSpec::named(&format!("{prefix}-{row}"));
+            spec.functions = functions;
+            spec.hot_rotation = hot_rotation;
+            PreparedWorkload::prepare(&spec, train, ClassifierConfig::llvm_defaults())
+        })
+        .collect()
 }
 
 fn base_config(options: &HarnessOptions, smoke: bool) -> SimConfig {
@@ -149,7 +154,7 @@ fn worker_main(id: u32, options: &HarnessOptions, smoke: bool) {
     std::fs::create_dir_all(journal.parent().expect("journal dir")).expect("create journal dir");
     trrip_obs::journal_init(&journal, MAX_JOURNAL_EVENTS).expect("open worker journal");
 
-    let workloads = [workload(smoke)];
+    let workloads = workloads(smoke);
     let config = base_config(options, smoke);
     let traces = TraceStore::new(trace_dir);
     let checkpoints = CheckpointStore::new(ckpt_dir);
@@ -163,7 +168,6 @@ fn worker_main(id: u32, options: &HarnessOptions, smoke: bool) {
         policies(smoke),
         &traces,
         &checkpoints,
-        options.shards.max(2),
         &opts,
     );
     trrip_obs::progress!(
@@ -183,7 +187,6 @@ fn worker_main(id: u32, options: &HarnessOptions, smoke: bool) {
 struct WorkerEnv<'a> {
     trace_dir: &'a Path,
     ckpt_dir: &'a Path,
-    shards: usize,
     scale: u64,
     smoke: bool,
     heartbeat_ms: u64,
@@ -198,8 +201,6 @@ fn spawn_worker(env: &WorkerEnv<'_>, id: u32, faults: Option<&str>) -> Child {
         .arg(env.trace_dir)
         .arg("--checkpoint-dir")
         .arg(env.ckpt_dir)
-        .arg("--shards")
-        .arg(env.shards.to_string())
         .arg("--scale")
         .arg(env.scale.to_string())
         .arg("--quiet")
@@ -296,7 +297,7 @@ fn disabled_fault_ns() -> f64 {
 
 /// One distributed point: fresh coordination state, `n` workers raced
 /// to completion, results collected and checked against `baseline`.
-/// Returns the wall-clock seconds from first spawn to merged results.
+/// Returns the wall-clock seconds from first spawn to collected results.
 fn run_point(
     env: &WorkerEnv<'_>,
     n: usize,
@@ -314,10 +315,9 @@ fn run_point(
         let lost = wait_workers(env, children);
         assert!(lost.is_empty(), "no worker may die in the bench ladder: lost {lost:?}");
         let checkpoints = CheckpointStore::new(env.ckpt_dir);
-        let sweep =
-            collect_results(workloads, config, policies(env.smoke), &checkpoints, env.shards)
-                .expect("collect results")
-                .expect("sweep must be complete once all workers exited cleanly");
+        let sweep = collect_results(workloads, config, policies(env.smoke), &checkpoints)
+            .expect("collect results")
+            .expect("sweep must be complete once all workers exited cleanly");
         best = best.min(start.elapsed().as_secs_f64());
         assert_identical(baseline, &sweep, &format!("{n}-worker distributed sweep"));
     }
@@ -336,25 +336,19 @@ fn run_smoke(
 ) {
     let baseline_ckpts = CheckpointStore::new(env.ckpt_dir.with_extension("baseline"));
     let traces = TraceStore::new(env.trace_dir);
-    let baseline = replay_sweep_sharded(
-        2,
-        workloads,
-        config,
-        policies(true),
-        &traces,
-        &baseline_ckpts,
-        env.shards,
-    );
+    let baseline =
+        replay_sweep(2, workloads, config, policies(true), &traces, Some(&baseline_ckpts));
 
     // Phase 1: worker 0 runs alone, armed to be SIGKILLed the moment it
     // acquires its second claim — it dies holding a fresh claim, with
-    // one fragment published and no heartbeat to keep the claim alive.
+    // one row's fragments published and no heartbeat to keep the claim
+    // alive.
     trrip_obs::progress!("smoke: worker w0 armed with kill fault…");
     let w0 = spawn_worker(env, 0, Some("coord.claim.acquired=kill@2"));
     let lost = wait_workers(env, vec![(0, w0)]);
     assert_eq!(lost, [0], "worker w0 must be lost to the armed kill");
 
-    // Phase 2: two healers race the remaining DAG; one must reclaim the
+    // Phase 2: two healers race for what is left; one must reclaim the
     // dead worker's stale claim for the sweep to complete.
     trrip_obs::progress!("smoke: healers w1/w2 sweeping up…");
     let children = vec![(1, spawn_worker(env, 1, None)), (2, spawn_worker(env, 2, None))];
@@ -362,7 +356,7 @@ fn run_smoke(
     assert!(lost.is_empty(), "healers must finish cleanly, lost {lost:?}");
 
     let checkpoints = CheckpointStore::new(env.ckpt_dir);
-    let sweep = collect_results(workloads, config, policies(true), &checkpoints, env.shards)
+    let sweep = collect_results(workloads, config, policies(true), &checkpoints)
         .expect("collect results")
         .expect("sweep complete after healers");
     assert_identical(&baseline, &sweep, "smoke sweep after kill + reclamation");
@@ -432,7 +426,6 @@ fn main() {
     }
 
     let obs = options.obs_session("bench_distributed");
-    let shards = options.shards.max(2);
     let smoke = dist.smoke;
 
     let tmp_traces = std::env::temp_dir().join("trrip-bench-distributed-traces");
@@ -455,16 +448,19 @@ fn main() {
         }
     };
 
-    let workloads = [workload(smoke)];
+    let workloads = workloads(smoke);
     let config = base_config(&options, smoke);
     let traces = TraceStore::new(&trace_dir);
-    trrip_obs::progress!("capturing trace under {}…", trace_dir.display());
-    traces.ensure(&workloads[0], &config).expect("capture trace");
+    // Captured up front, so that every timed sweep — in-process or of
+    // worker processes — replays.
+    trrip_obs::progress!("capturing traces under {}…", trace_dir.display());
+    for workload in &workloads {
+        traces.ensure(workload, &config).expect("capture trace");
+    }
 
     let env = WorkerEnv {
         trace_dir: &trace_dir,
         ckpt_dir: &ckpt_dir,
-        shards,
         scale: options.scale,
         smoke,
         heartbeat_ms: if smoke { 100 } else { 300 },
@@ -478,79 +474,93 @@ fn main() {
         return;
     }
 
-    // --- Baseline: the in-process sharded engine, same DAG shape. ---
-    trrip_obs::progress!("baseline: in-process sharded sweep…");
+    // --- Baselines: the in-process sweep over an empty checkpoint store,
+    // on one thread (what one worker process has) and on `--jobs`. ---
+    trrip_obs::progress!("baseline: in-process replay_sweep…");
     let baseline_dir = ckpt_dir.with_extension("baseline");
     let baseline_ckpts = CheckpointStore::new(&baseline_dir);
-    let mut baseline = None;
-    let mut baseline_s = f64::INFINITY;
-    for _ in 0..REPS {
-        std::fs::remove_dir_all(&baseline_dir).ok();
-        let start = Instant::now();
-        baseline = Some(replay_sweep_sharded(
-            options.jobs,
-            &workloads,
-            &config,
-            policies(false),
-            &traces,
-            &baseline_ckpts,
-            shards,
-        ));
-        baseline_s = baseline_s.min(start.elapsed().as_secs_f64());
-    }
-    let baseline = baseline.expect("ran");
+    let in_process = |jobs: usize| {
+        let timed = |_| {
+            std::fs::remove_dir_all(&baseline_dir).ok();
+            let start = Instant::now();
+            let sweep = replay_sweep(
+                jobs,
+                &workloads,
+                &config,
+                policies(false),
+                &traces,
+                Some(&baseline_ckpts),
+            );
+            (start.elapsed().as_secs_f64(), sweep)
+        };
+        (0..REPS).map(timed).min_by(|a, b| a.0.total_cmp(&b.0)).expect("REPS is at least 1")
+    };
+    let (baseline_1_s, _) = in_process(1);
+    let (baseline_s, baseline) = in_process(options.jobs);
 
     // --- The worker ladder: cold coordination state per point. ---
-    let plan = ShardPlan::new(&config, shards);
     let mut point_s = [0.0f64; WORKER_POINTS.len()];
     for (i, &n) in WORKER_POINTS.iter().enumerate() {
         trrip_obs::progress!("distributed point: {n} worker(s)…");
         point_s[i] = run_point(&env, n, &workloads, &config, &baseline);
     }
+    // Each point against its base: one worker is one thread.
+    let bases = [baseline_1_s, baseline_s, baseline_s];
+    let ratio: [f64; WORKER_POINTS.len()] = std::array::from_fn(|i| point_s[i] / bases[i]);
 
     let fault_ns = disabled_fault_ns();
+    let host_cores = std::thread::available_parallelism().map_or(0, usize::from);
     let n = trrip_sim::capture_length(&config);
     println!(
-        "8-policy distributed sweep, {n} instructions ({} warmup / {} measured), {} \
-         segments/cell:",
+        "{} workloads x {} policies, {n} instructions each ({} warmup / {} measured), on {host_cores} \
+         host core(s):",
+        workloads.len(),
+        POLICIES.len(),
         config.fast_forward,
         config.instructions,
-        plan.segments()
     );
-    println!("  baseline (in-process sharded, jobs {}): {baseline_s:.3} s", options.jobs);
+    println!("  in-process replay_sweep, jobs 1:        {baseline_1_s:.3} s");
+    println!("  in-process replay_sweep, jobs {}:        {baseline_s:.3} s", options.jobs);
     for (i, &workers) in WORKER_POINTS.iter().enumerate() {
         println!(
-            "  {workers} worker process(es):                  {:.3} s  ({:.2}x baseline)",
-            point_s[i],
-            point_s[i] / baseline_s
+            "  {workers} worker process(es):                  {:.3} s  ({:.2}x its base)",
+            point_s[i], ratio[i]
         );
     }
     println!("  disabled fault-point probe:             {fault_ns:.1} ns/site");
 
     let entry = format!(
-        "  {{\n    \"bench\": \"distributed_claims\",\n    \"policies\": {policies},\n    \
-         \"shards\": {shards},\n    \"segments_per_cell\": {segments},\n    \
+        "  {{\n    \"bench\": \"distributed_claims\",\n    \"workloads\": {rows},\n    \
+         \"policies\": {policies},\n    \"host_cores\": {host_cores},\n    \
+         \"jobs\": {jobs},\n    \
          \"fast_forward\": {ff},\n    \"measured_instructions\": {measured},\n    \
-         \"baseline_inprocess_sharded_s\": {baseline_s:.4},\n    \
+         \"baseline_replay_sweep_jobs1_s\": {baseline_1_s:.4},\n    \
+         \"baseline_replay_sweep_s\": {baseline_s:.4},\n    \
          \"workers_1_s\": {w1:.4},\n    \"workers_2_s\": {w2:.4},\n    \
          \"workers_4_s\": {w4:.4},\n    \
-         \"coordination_overhead_1_worker\": {ovh:.3},\n    \
+         \"coordination_overhead_1_worker\": {r1:.3},\n    \
+         \"workers_2_vs_baseline\": {r2:.3},\n    \
+         \"workers_4_vs_baseline\": {r4:.3},\n    \
          \"disabled_fault_probe_ns\": {fault_ns:.1}\n  }}",
+        rows = workloads.len(),
         policies = POLICIES.len(),
-        segments = plan.segments(),
+        jobs = options.jobs,
         ff = config.fast_forward,
         measured = config.instructions,
         w1 = point_s[0],
         w2 = point_s[1],
         w4 = point_s[2],
-        ovh = point_s[0] / baseline_s,
+        r1 = ratio[0],
+        r2 = ratio[1],
+        r4 = ratio[2],
     );
     std::fs::create_dir_all(&options.out_dir).expect("create out dir");
     let json_path = options.out_dir.join("BENCH_distributed.json");
     append_trajectory(&json_path, &entry);
     trrip_obs::progress!("trajectory appended to {}", json_path.display());
     obs.finish(&[
-        ("baseline_inprocess_sharded_s", baseline_s),
+        ("baseline_replay_sweep_jobs1_s", baseline_1_s),
+        ("baseline_replay_sweep_s", baseline_s),
         ("workers_1_s", point_s[0]),
         ("workers_2_s", point_s[1]),
         ("workers_4_s", point_s[2]),

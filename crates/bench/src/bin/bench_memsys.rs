@@ -28,12 +28,12 @@
 //! two, so the ablation doubles as a live bit-identity check.
 //!
 //! `--smoke` (CI) shrinks the run, asserts the fast-path / walker-memo /
-//! lockstep counters all moved, asserts the
-//! machine state snapshot-round-trips byte-stably, gates the measure
-//! path against the committed `BENCH_memsys.json` baseline (>10%
-//! regression fails), and skips the JSON append.
+//! lockstep counters all moved, asserts the machine state
+//! snapshot-round-trips byte-stably, prints the measure path's cost, and
+//! skips the JSON append. It asserts nothing about host time: a figure
+//! committed in another hour on another host is no baseline, and
+//! `benchmark/run.sh compare` is the paired ruler for that.
 
-use std::path::{Path, PathBuf};
 use std::time::Instant;
 
 use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
@@ -163,41 +163,6 @@ fn lockstep_best(
     (best * 1e9 / (size as u64 * config.instructions) as f64, ratio)
 }
 
-/// The most recent committed default-variant measure-path cost, scanned
-/// from a `BENCH_memsys.json` trajectory: the last `memo` entry (entries
-/// of the variants that existed while the backend still had a deferred
-/// miss batch do not compare like with like, and are skipped).
-fn committed_baseline_ns(out_dir: &Path) -> Option<f64> {
-    let candidates = [out_dir.join("BENCH_memsys.json"), PathBuf::from("BENCH_memsys.json")];
-    let text = candidates.iter().find_map(|p| std::fs::read_to_string(p).ok())?;
-    let mut baseline = None;
-    for entry in text.split('{').skip(1) {
-        if field_str(entry, "variant") != Some(DEFAULT_VARIANT.name) {
-            continue;
-        }
-        if let Some(ns) = field_f64(entry, "measure_ns_per_instr") {
-            baseline = Some(ns);
-        }
-    }
-    baseline
-}
-
-fn field_str<'a>(entry: &'a str, key: &str) -> Option<&'a str> {
-    let rest = &entry[entry.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let rest = rest.trim_start().strip_prefix('"')?;
-    rest.split('"').next()
-}
-
-fn field_f64(entry: &str, key: &str) -> Option<f64> {
-    let rest = &entry[entry.find(&format!("\"{key}\":"))? + key.len() + 3..];
-    let number: String = rest
-        .trim_start()
-        .chars()
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    number.parse().ok()
-}
-
 fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
@@ -233,9 +198,8 @@ fn main() {
     // RRPV tables) beyond what the L1 fast path skips.
     let mut config = SimConfig::quick(PolicyKind::Trrip1);
     if smoke {
-        // Large enough that ns/instr is comparable to the committed
-        // full-scale baseline (fixed overheads amortized away), small
-        // enough for CI.
+        // Large enough that fixed overheads are amortized out of the
+        // printed ns/instr, small enough for CI.
         config.fast_forward = 40_000;
         config.instructions = 200_000;
     } else {
@@ -369,22 +333,10 @@ fn main() {
         restored.save(&mut second);
         assert_eq!(first.bytes(), second.bytes(), "snapshot round-trip drifted");
 
-        // Regression gate: the warm measure path must stay within 10%
-        // of the committed trajectory's latest default-variant entry.
-        match committed_baseline_ns(&options.out_dir) {
-            Some(baseline) => {
-                assert!(
-                    ns_per_instr <= baseline * 1.10,
-                    "measure path regressed: {ns_per_instr:.1} ns/instr vs committed \
-                     baseline {baseline:.1} (>10%)"
-                );
-                println!(
-                    "smoke OK: counters moved, snapshot byte-stable, \
-                     {ns_per_instr:.1} ns/instr within 10% of baseline {baseline:.1}"
-                );
-            }
-            None => println!("smoke OK: counters moved, snapshot byte-stable (no baseline found)"),
-        }
+        println!(
+            "smoke OK: counters moved, snapshot byte-stable, {ns_per_instr:.1} ns/instr \
+             (printed, not gated)"
+        );
         obs.finish(&[("measure_ns_per_instr", ns_per_instr)]);
         return;
     }
@@ -394,7 +346,7 @@ fn main() {
     let mut points = vec![(DEFAULT_VARIANT, measure_s)];
     points.extend(ablations.iter().map(|(v, s)| (*v, *s)));
     // The default variant is appended last so the trajectory's newest
-    // default entry — the smoke gate's baseline — is the shipping path.
+    // entry is the shipping path.
     points.reverse();
     for (variant, best_s) in points {
         let ns = best_s * 1e9 / config.instructions as f64;

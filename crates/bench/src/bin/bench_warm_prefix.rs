@@ -98,9 +98,8 @@ fn main() {
     let reps = if smoke { 1 } else { 3 };
     let workloads = [workload()];
 
-    // Warmup-heavy shape, as in bench_checkpoint: the paper
-    // fast-forwards far more than it measures, and the shared prefix
-    // only pays off on the warmup share.
+    // Warmup-heavy shape: the paper fast-forwards far more than it
+    // measures, and the shared prefix only pays off on the warmup share.
     let mut config = SimConfig::quick(PolicyKind::Srrip);
     if smoke {
         config.fast_forward = 60_000;

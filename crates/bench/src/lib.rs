@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep_with, replay_sweep, replay_sweep_sharded, CheckpointStore, PreparedWorkload,
-    SimConfig, SweepResult, TraceStore,
+    policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
+    TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -39,21 +39,19 @@ options:
                    damaged or of another format version warms up and
                    writes them again; requires --trace-dir
   --jobs N         cap worker threads for sweeps and preparation
-                   (default: available parallelism); an unsharded sweep,
-                   with or without stores, simulates on exactly
-                   min(N, cells) threads (a trace replay decodes on one
-                   more per workload in flight)
-  --shards N       cut every (workload, policy) run into N chunk-aligned
-                   segments chained through checkpoints, scheduled as a
-                   DAG of segment tasks (default 1 = unsharded; N > 1
-                   requires --checkpoint-dir)
+                   (default: available parallelism); a sweep, with or
+                   without stores, simulates on exactly min(N, cells)
+                   threads (a trace replay decodes on one more per
+                   workload in flight)
+  --shards N       accepted and ignored: a sweep runs every cell of a
+                   workload over one stream
   --warm-prefix    accepted and ignored: every sweep over a
                    --checkpoint-dir shares one prefix per workload
   --ckpt-budget-bytes N
                    after the sweep, shrink the checkpoint store to at
                    most N bytes, evicting cheapest-to-rebuild artifacts
-                   first (overlays, then shared prefixes, then full/
-                   segment containers; LRU within each class); requires
+                   first (overlays, then shared prefixes, then whole-state
+                   containers; LRU within each class); requires
                    --checkpoint-dir
   --metrics        enable phase spans and, on exit, print a telemetry
                    summary (per-phase timings + counter deltas) and
@@ -86,9 +84,6 @@ pub struct HarnessOptions {
     /// Worker-thread cap for sweeps and preparation (`--jobs N`,
     /// default: the machine's available parallelism).
     pub jobs: usize,
-    /// Segments each `(workload, policy)` run is cut into
-    /// (`--shards N`, default 1 = unsharded).
-    pub shards: usize,
     /// Post-sweep checkpoint-store byte budget
     /// (`--ckpt-budget-bytes N`); `None` = unbounded.
     pub ckpt_budget_bytes: Option<u64>,
@@ -109,7 +104,6 @@ impl Default for HarnessOptions {
             trace_dir: None,
             checkpoint_dir: None,
             jobs: trrip_sim::default_jobs(),
-            shards: 1,
             ckpt_budget_bytes: None,
             metrics: false,
             obs_dir: None,
@@ -242,16 +236,13 @@ impl HarnessOptions {
                         return Err("--jobs must be at least 1".to_owned());
                     }
                 }
+                // Committed command lines pass these two; they select
+                // nothing.
                 "--shards" => {
                     let v = value_of("--shards")?;
-                    options.shards = v
-                        .parse()
+                    v.parse::<std::num::NonZeroUsize>()
                         .map_err(|_| format!("--shards must be a positive integer, got `{v}`"))?;
-                    if options.shards == 0 {
-                        return Err("--shards must be at least 1".to_owned());
-                    }
                 }
-                // Committed command lines pass it; it selects nothing.
                 "--warm-prefix" => {}
                 "--ckpt-budget-bytes" => {
                     let v = value_of("--ckpt-budget-bytes")?;
@@ -280,11 +271,6 @@ impl HarnessOptions {
                  captured-trace replay engine)"
                 .to_owned());
         }
-        if options.shards > 1 && options.checkpoint_dir.is_none() {
-            return Err("--shards above 1 requires --checkpoint-dir (segments chain through \
-                 persisted checkpoints) and therefore --trace-dir"
-                .to_owned());
-        }
         if options.ckpt_budget_bytes.is_some() && options.checkpoint_dir.is_none() {
             return Err("--ckpt-budget-bytes requires --checkpoint-dir (the budget bounds the \
                  persisted checkpoint store) and therefore --trace-dir"
@@ -298,14 +284,12 @@ impl HarnessOptions {
         Ok(Some(options))
     }
 
-    /// Runs a policy sweep with the engine the command line selected:
-    /// **sharded** segment-DAG execution when `--shards N` (N > 1) is
-    /// given, the **store-backed** push sweep
-    /// when `--trace-dir` is (replayed from a capture, or walked and
-    /// captured on the side; warm-started from and populating
-    /// `--checkpoint-dir` if given), and the **storeless** push sweep
-    /// over the walker otherwise. Either push sweep produces and
-    /// predicts each workload's stream once, for all policies, on at
+    /// Runs a policy sweep over what the command line attached: the
+    /// **store-backed** sweep when `--trace-dir` is given (replayed from
+    /// a capture, or walked and captured on the side; warm-started from
+    /// and populating `--checkpoint-dir` if given), and the
+    /// **storeless** sweep over the walker otherwise. Either produces
+    /// and predicts each workload's stream once, for all policies, on at
     /// most `--jobs` simulating threads. Results are bit-identical
     /// across every combination.
     #[must_use]
@@ -339,17 +323,8 @@ impl HarnessOptions {
         policies: &[PolicyKind],
     ) -> SweepResult {
         let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
-        match (&self.trace_dir, &checkpoints) {
-            (Some(traces), Some(checkpoints)) if self.shards > 1 => replay_sweep_sharded(
-                self.jobs,
-                workloads,
-                config,
-                policies,
-                &TraceStore::new(traces),
-                checkpoints,
-                self.shards,
-            ),
-            (Some(traces), checkpoints) => replay_sweep(
+        match &self.trace_dir {
+            Some(traces) => replay_sweep(
                 self.jobs,
                 workloads,
                 config,
@@ -357,7 +332,7 @@ impl HarnessOptions {
                 &TraceStore::new(traces),
                 checkpoints.as_ref(),
             ),
-            (None, _) => policy_sweep_with(self.jobs, workloads, config, policies),
+            None => policy_sweep_with(self.jobs, workloads, config, policies),
         }
     }
 
@@ -528,8 +503,8 @@ pub fn prepare_all(
 }
 
 /// Appends one run object to a `BENCH_*.json` trajectory file — a JSON
-/// array the perf-tracking binaries (`bench_checkpoint`,
-/// `bench_warm_prefix`, …) extend one entry per run. An unrecognized or
+/// array the perf-tracking binaries (`bench_warm_prefix`,
+/// `bench_memsys`, …) extend one entry per run. An unrecognized or
 /// missing file starts a fresh array.
 ///
 /// # Panics
@@ -598,7 +573,6 @@ mod tests {
         assert_eq!(options.trace_dir, Some(PathBuf::from("traces")));
         assert_eq!(options.checkpoint_dir, Some(PathBuf::from("ckpts")));
         assert_eq!(options.jobs, 5);
-        assert_eq!(options.shards, 4);
     }
 
     #[test]
@@ -608,15 +582,6 @@ mod tests {
             assert!(err.contains("--shards"), "error must name the flag: {err}");
         }
         assert!(parse(&["--shards"]).unwrap_err().contains("--shards"));
-        // Sharding chains through persisted checkpoints: demand the dirs.
-        let err = parse(&["--shards", "2"]).unwrap_err();
-        assert!(err.contains("--shards") && err.contains("--checkpoint-dir"), "{err}");
-        let ok = parse(&["--shards", "2", "--trace-dir", "t", "--checkpoint-dir", "c"])
-            .expect("valid")
-            .expect("not help");
-        assert_eq!(ok.shards, 2);
-        // --shards 1 is explicit "unsharded" and needs no dirs.
-        assert_eq!(parse(&["--shards", "1"]).expect("ok").expect("not help").shards, 1);
     }
 
     #[test]
@@ -644,27 +609,23 @@ mod tests {
         }
     }
 
-    /// `sweep` picks its engine from the parsed options and nothing
+    /// `sweep` picks its stores from the parsed options and nothing
     /// else, so a flag that leaves them as they were selects nothing.
     #[test]
     fn warm_prefix_parses_anywhere_and_changes_nothing() {
-        for rest in [
-            &[][..],
-            &["--trace-dir", "t"],
-            &["--trace-dir", "t", "--checkpoint-dir", "c"],
-            &["--trace-dir", "t", "--checkpoint-dir", "c", "--shards", "4"],
-        ] {
+        for rest in [&[][..], &["--trace-dir", "t"], &["--trace-dir", "t", "--checkpoint-dir", "c"]]
+        {
             let without = parse(rest).expect("valid").expect("not help");
-            for with in [[&["--warm-prefix"], rest].concat(), [rest, &["--warm-prefix"]].concat()] {
-                let with = parse(&with).expect("valid").expect("not help");
-                assert_eq!(format!("{with:?}"), format!("{without:?}"), "beside {rest:?}");
+            for ignored in [&["--warm-prefix"][..], &["--shards", "4"]] {
+                for with in [[ignored, rest].concat(), [rest, ignored].concat()] {
+                    let with = parse(&with).expect("valid").expect("not help");
+                    assert_eq!(format!("{with:?}"), format!("{without:?}"), "{ignored:?} {rest:?}");
+                }
             }
         }
-        // It still takes no value, and what --shards needs is still
-        // needed beside it.
+        // --warm-prefix still takes no value, --shards still takes one.
         assert!(parse(&["--warm-prefix", "yes"]).is_err());
-        let err = parse(&["--warm-prefix", "--shards", "2"]).unwrap_err();
-        assert!(err.contains("--shards") && err.contains("--checkpoint-dir"), "{err}");
+        assert!(parse(&["--warm-prefix", "--shards"]).is_err());
     }
 
     #[test]

@@ -1,7 +1,5 @@
 //! Per-cache access statistics.
 
-use std::ops::AddAssign;
-
 use serde::{Deserialize, Serialize};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -64,34 +62,6 @@ impl AccessStats {
         mpki(self.data_misses, instructions)
     }
 
-    /// The counts recorded since `baseline` was captured — how a shard
-    /// segment extracts its own additive tally from cumulative counters.
-    /// Exact integer arithmetic, so `Σ segment.since(..)` re-added with
-    /// `+=` reproduces the uninterrupted totals bit-for-bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics (in debug builds) if `baseline` is not an earlier state of
-    /// these counters.
-    #[must_use]
-    pub fn since(&self, baseline: &AccessStats) -> AccessStats {
-        let sub = |now: u64, base: u64| {
-            debug_assert!(base <= now, "baseline is not a prefix of these stats");
-            now.wrapping_sub(base)
-        };
-        AccessStats {
-            inst_accesses: sub(self.inst_accesses, baseline.inst_accesses),
-            inst_misses: sub(self.inst_misses, baseline.inst_misses),
-            data_accesses: sub(self.data_accesses, baseline.data_accesses),
-            data_misses: sub(self.data_misses, baseline.data_misses),
-            prefetch_hits: sub(self.prefetch_hits, baseline.prefetch_hits),
-            prefetch_fills: sub(self.prefetch_fills, baseline.prefetch_fills),
-            evictions: sub(self.evictions, baseline.evictions),
-            writebacks: sub(self.writebacks, baseline.writebacks),
-            back_invalidations: sub(self.back_invalidations, baseline.back_invalidations),
-        }
-    }
-
     /// Records one demand access.
     pub fn record_demand(&mut self, is_instruction: bool, hit: bool) {
         if is_instruction {
@@ -139,20 +109,6 @@ impl Snapshot for AccessStats {
     }
 }
 
-impl AddAssign for AccessStats {
-    fn add_assign(&mut self, rhs: AccessStats) {
-        self.inst_accesses += rhs.inst_accesses;
-        self.inst_misses += rhs.inst_misses;
-        self.data_accesses += rhs.data_accesses;
-        self.data_misses += rhs.data_misses;
-        self.prefetch_hits += rhs.prefetch_hits;
-        self.prefetch_fills += rhs.prefetch_fills;
-        self.evictions += rhs.evictions;
-        self.writebacks += rhs.writebacks;
-        self.back_invalidations += rhs.back_invalidations;
-    }
-}
-
 fn mpki(misses: u64, instructions: u64) -> f64 {
     if instructions == 0 {
         return 0.0;
@@ -191,14 +147,5 @@ mod tests {
         s.record_demand(true, true);
         s.record_demand(true, false);
         assert!((s.hit_rate() - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
-    fn add_assign_accumulates() {
-        let mut a = AccessStats { inst_accesses: 1, evictions: 2, ..Default::default() };
-        let b = AccessStats { inst_accesses: 3, evictions: 4, ..Default::default() };
-        a += b;
-        assert_eq!(a.inst_accesses, 4);
-        assert_eq!(a.evictions, 6);
     }
 }

@@ -43,7 +43,7 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use crate::backend::MemoryBackend;
 use crate::branch::{BranchPredictor, PredictorConfig};
 use crate::events::EventTurn;
-use crate::topdown::{StallClass, TopDown};
+use crate::topdown::TopDown;
 use crate::trace::{MemOp, TraceInstr};
 
 /// Share of the exposed miss latency paid by a load that overlaps an
@@ -119,18 +119,12 @@ impl Default for CoreConfig {
     }
 }
 
-/// Results of one simulation run — or of one *segment* of a sharded
-/// run, in which case the counters are the segment's own tally (delta
-/// over the segment) while `cycles` is the absolute clock at segment
-/// end, and [`CoreResult::merge`] folds consecutive segments into the
-/// whole.
+/// Results of one simulation run.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct CoreResult {
     /// Instructions executed.
     pub instructions: u64,
-    /// Total cycles (for a segment: the run's absolute clock when the
-    /// segment ended — the clock accumulates through the chain, it is
-    /// not a per-segment delta).
+    /// Total cycles.
     pub cycles: f64,
     /// Cycle attribution.
     pub topdown: TopDown,
@@ -138,8 +132,8 @@ pub struct CoreResult {
     pub branches: u64,
     /// Mispredicted branches.
     pub mispredictions: u64,
-    /// Dispatch width the run executed at — carried so `merge` can
-    /// re-derive the retire bucket from the merged instruction count.
+    /// Dispatch width the run executed at: the retire bucket is
+    /// `instructions / dispatch_width`.
     pub dispatch_width: u32,
 }
 
@@ -152,43 +146,6 @@ impl CoreResult {
         } else {
             self.instructions as f64 / self.cycles
         }
-    }
-
-    /// Folds the **next consecutive segment** of the same run into this
-    /// one, bit-identically to an unsegmented run:
-    ///
-    /// * instruction/branch counters add (exact integer arithmetic);
-    /// * stall buckets add — every stall increment is an integer number
-    ///   of quarter-cycles (see the MLP serialization share), so the
-    ///   per-segment sums and their re-sum are all exact and addition is
-    ///   associative despite being `f64`;
-    /// * **retire** is re-derived as `instructions / width` — one
-    ///   division on the exact merged count, rather than a sum of
-    ///   per-instruction `1/width` roundings, which is what makes the
-    ///   bucket independent of where the run was cut;
-    /// * **cycles** takes the later segment's value: the clock
-    ///   accumulates *through* the chain (each segment resumes the
-    ///   predecessor's clock), so the last segment already holds the
-    ///   whole run's total.
-    ///
-    /// Associativity and the empty-segment identity are pinned by tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two results ran at different dispatch widths.
-    pub fn merge(&mut self, next: &CoreResult) {
-        assert_eq!(
-            self.dispatch_width, next.dispatch_width,
-            "segments of one run must share a dispatch width"
-        );
-        self.instructions += next.instructions;
-        self.branches += next.branches;
-        self.mispredictions += next.mispredictions;
-        for class in StallClass::ALL {
-            self.topdown.add_stall(class, next.topdown.stall(class));
-        }
-        self.topdown.retire = self.instructions as f64 / f64::from(self.dispatch_width);
-        self.cycles = next.cycles;
     }
 }
 
@@ -300,11 +257,10 @@ struct Lane<'a> {
 }
 
 /// Where one [`Core::run_chunk`] call left the run: the **exact cut
-/// point** in both stream coordinates (`consumed` — where a successor
-/// segment must resume the input) and retirement coordinates (`retired`
-/// — which lags `consumed` by the in-flight lookahead window). Both are
-/// absolute counts since [`Core::begin_run`], so shard schedulers can
-/// key checkpoints by them directly.
+/// point** in both stream coordinates (`consumed` — where a resumed run
+/// must continue the input) and retirement coordinates (`retired` —
+/// which lags `consumed` by the in-flight lookahead window). Both are
+/// absolute counts since [`Core::begin_run`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkCut {
     /// Instructions pulled from the input stream so far, in total.
@@ -313,26 +269,20 @@ pub struct ChunkCut {
     pub retired: u64,
 }
 
-/// The in-flight state of one timing run, split into two explicit
-/// halves:
+/// The in-flight state of one timing run:
 ///
 /// * **machine state** — the absolute clock (`cycles`, which backend
 ///   timeliness reads as *now*), the FDIP lookahead window, the current
 ///   fetch line, the MLP bookkeeping, and the absolute
-///   instruction/stream positions. This half rides checkpoint chains
-///   unchanged: a segment resumes exactly where its predecessor
-///   stopped.
-/// * **additive tally** — what [`Core::finish_run`] reports: stall
-///   buckets, instruction/branch counts, measured since the later of
-///   [`Core::begin_run`] and the last [`Core::begin_segment`]. Segment
-///   tallies merge associatively into the uninterrupted run's numbers
-///   ([`CoreResult::merge`]).
+///   instruction/stream positions;
+/// * **tally** — what [`Core::finish_run`] reports: stall buckets and
+///   instruction/branch counts since [`Core::begin_run`].
 ///
 /// [`Core::run`] owns one internally; resumable callers create it with
-/// [`Core::begin_run`], feed instruction segments through
+/// [`Core::begin_run`], feed instruction batches through
 /// [`Core::run_chunk`] (which leaves the lookahead window intact between
-/// segments, so a segmented run is bit-identical to an uninterrupted
-/// one), and close with [`Core::finish_run`]. The state is
+/// calls, so a run cut at any batch boundary is bit-identical to an
+/// uninterrupted one), and close with [`Core::finish_run`]. The state is
 /// [`Snapshot`]-able, which is what makes *mid-measure* checkpoints
 /// exact: the window's in-flight instructions travel with it.
 #[derive(Debug)]
@@ -356,11 +306,6 @@ pub struct RunState {
     /// resumable whole (the simulator refuses to checkpoint one).
     fed_branches: u64,
     fed_mispredictions: u64,
-    /// Tally baselines (all zero until [`Core::begin_segment`]): the
-    /// cumulative counters' values when the current segment began.
-    base_instructions: u64,
-    base_consumed: u64,
-    base_stalls: TopDown,
 }
 
 impl RunState {
@@ -403,9 +348,6 @@ impl Snapshot for RunState {
         }
         w.u64(self.branches_before);
         w.u64(self.mispred_before);
-        w.u64(self.base_instructions);
-        w.u64(self.base_consumed);
-        self.base_stalls.save(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -425,9 +367,6 @@ impl Snapshot for RunState {
         }
         self.branches_before = r.u64()?;
         self.mispred_before = r.u64()?;
-        self.base_instructions = r.u64()?;
-        self.base_consumed = r.u64()?;
-        self.base_stalls.restore(r)?;
         Ok(())
     }
 }
@@ -572,41 +511,21 @@ impl<B: MemoryBackend> Core<B> {
             mispred_before: self.predictor.mispredictions(),
             fed_branches: 0,
             fed_mispredictions: 0,
-            base_instructions: 0,
-            base_consumed: 0,
-            base_stalls: TopDown::default(),
         }
     }
 
-    /// Rebases `state`'s tally so subsequent reporting covers only the
-    /// instructions executed from here on: the machine state (clock,
-    /// lookahead window, MLP bookkeeping, absolute positions) is left
-    /// untouched — the run continues bit-identically — but
-    /// [`Core::finish_run`] will report this segment's own additive
-    /// share, suitable for [`CoreResult::merge`].
-    pub fn begin_segment(&self, state: &mut RunState) {
-        state.base_instructions = state.instructions;
-        state.base_consumed = state.consumed;
-        state.base_stalls = state.topdown;
-        state.branches_before = self.predictor.branches();
-        state.mispred_before = self.predictor.mispredictions();
-        state.fed_branches = 0;
-        state.fed_mispredictions = 0;
-    }
-
-    /// Executes one segment of a run.
+    /// Executes one stretch of a run.
     ///
     /// With `drain = false` the core stops *pulling* when `trace` is
     /// exhausted and leaves the partially-consumed lookahead window in
     /// `state` — feeding the rest of the stream through another
     /// `run_chunk` call continues bit-identically to an uninterrupted
     /// run (the refill/pop interleaving is unchanged, only suspended).
-    /// The final segment must pass `drain = true` so the window empties
+    /// The final call must pass `drain = true` so the window empties
     /// exactly as a plain [`Core::run`] would at end of trace.
     ///
     /// Returns the **exact cut point** the call stopped at — absolute
-    /// stream and retirement positions — which is what shard schedulers
-    /// key chained checkpoints by.
+    /// stream and retirement positions.
     pub fn run_chunk<I>(&mut self, state: &mut RunState, trace: I, drain: bool) -> ChunkCut
     where
         I: IntoIterator<Item = TraceInstr>,
@@ -649,7 +568,7 @@ impl<B: MemoryBackend> Core<B> {
         state.cut()
     }
 
-    /// Executes one segment of a run from an in-memory slice — the batch
+    /// Executes one stretch of a run from an in-memory slice — the batch
     /// entry point the simulator feeds `Arc<[TraceInstr]>` chunks
     /// through. Semantics are identical to [`Core::run_chunk`] on the
     /// same instructions (the equivalence is property-tested over random
@@ -793,7 +712,7 @@ impl<B: MemoryBackend> Core<B> {
         // *bucket* is not accumulated per instruction: it is derived
         // from the instruction count at reporting time
         // (`Core::tally_run`), so the bucket's value cannot depend
-        // on where a sharded run was cut.
+        // on where the run's input was cut.
         state.cycles += dispatch_cost;
         recorder.instruction(instr, fdip_pcs, mispredicted);
     }
@@ -996,27 +915,17 @@ impl<B: MemoryBackend> Core<B> {
         }
     }
 
-    /// Reports the run's (or, after [`Core::begin_segment`], the current
-    /// segment's) timing results without closing the state — the shard
-    /// executor collects a segment tally and keeps measuring.
-    ///
-    /// The stall buckets are exact deltas (every accumulated increment
-    /// is an integer number of quarter-cycles, so cumulative-minus-base
-    /// is exact `f64` arithmetic); `retire` is derived as
-    /// `instructions / width` in one division; `cycles` is the absolute
-    /// clock, which accumulates through segment chains.
+    /// Reports the run's timing results so far without closing the
+    /// state. `retire` is derived as `instructions / width` in one
+    /// division, so the bucket cannot depend on where the run's input
+    /// was cut.
     #[must_use]
     pub fn tally_run(&self, state: &RunState) -> CoreResult {
-        let instructions = state.instructions - state.base_instructions;
-        let mut topdown = TopDown::default();
-        for class in StallClass::ALL {
-            topdown.add_stall(class, state.topdown.stall(class) - state.base_stalls.stall(class));
-        }
-        topdown.retire = instructions as f64 / f64::from(self.config.dispatch_width);
+        let retire = state.instructions as f64 / f64::from(self.config.dispatch_width);
         CoreResult {
-            instructions,
+            instructions: state.instructions,
             cycles: state.cycles,
-            topdown,
+            topdown: TopDown { retire, ..state.topdown },
             branches: self.predictor.branches() - state.branches_before + state.fed_branches,
             mispredictions: self.predictor.mispredictions() - state.mispred_before
                 + state.fed_mispredictions,
@@ -1136,6 +1045,7 @@ mod tests {
     use super::*;
     use crate::backend::{FlatBackend, MemLatency};
     use crate::events::InstrEvent;
+    use crate::topdown::StallClass;
     use crate::trace::TraceInstr;
 
     fn straight_line(n: u64) -> Vec<TraceInstr> {
@@ -1238,7 +1148,6 @@ mod tests {
 
     #[test]
     fn synthetic_stalls_land_in_their_bucket() {
-        use crate::topdown::StallClass;
         let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
         let mut trace = straight_line(100);
         trace[10].exec_stall = Some((StallClass::Depend, 5));
@@ -1325,73 +1234,6 @@ mod tests {
         backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
         backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
         backend
-    }
-
-    /// Cuts `trace` at `cuts` (consumed-stream positions), rebasing the
-    /// tally at each cut, and returns the per-segment results.
-    fn segment_results(trace: &[TraceInstr], cuts: &[usize]) -> Vec<CoreResult> {
-        let mut core = Core::new(CoreConfig::paper(), stall_backend());
-        let mut state = core.begin_run();
-        let mut results = Vec::new();
-        let mut prev = 0usize;
-        let ends: Vec<usize> = cuts.iter().copied().chain(std::iter::once(trace.len())).collect();
-        for (i, &end) in ends.iter().enumerate() {
-            core.begin_segment(&mut state);
-            let cut =
-                core.run_chunk(&mut state, trace[prev..end].iter().copied(), i + 1 == ends.len());
-            assert_eq!(cut.consumed as usize, end, "cut point must be exact");
-            results.push(core.tally_run(&state));
-            prev = end;
-        }
-        results
-    }
-
-    #[test]
-    fn merged_segments_equal_uninterrupted_run() {
-        let trace = mixed_trace(3000);
-        let mut reference_core = Core::new(CoreConfig::paper(), stall_backend());
-        let reference = reference_core.run(trace.clone());
-
-        for cuts in [vec![1500], vec![1, 47, 2999], vec![640, 1280, 1920, 2560]] {
-            let segments = segment_results(&trace, &cuts);
-            let mut merged = segments[0];
-            for seg in &segments[1..] {
-                merged.merge(seg);
-            }
-            assert_eq!(merged, reference, "cuts {cuts:?} diverged");
-        }
-    }
-
-    #[test]
-    fn merge_is_associative() {
-        let trace = mixed_trace(2400);
-        let [a, b, c] = segment_results(&trace, &[800, 1600])[..] else { panic!("3 segments") };
-        let mut left = a;
-        left.merge(&b);
-        left.merge(&c);
-        let mut bc = b;
-        bc.merge(&c);
-        let mut right = a;
-        right.merge(&bc);
-        assert_eq!(left, right, "(a⊕b)⊕c must equal a⊕(b⊕c)");
-    }
-
-    #[test]
-    fn empty_segment_is_merge_identity() {
-        let trace = mixed_trace(1000);
-        // An empty segment at the end: rebase, run nothing, tally.
-        let mut core = Core::new(CoreConfig::paper(), stall_backend());
-        let mut state = core.begin_run();
-        core.run_chunk(&mut state, trace.iter().copied(), true);
-        let full = core.tally_run(&state);
-        core.begin_segment(&mut state);
-        let empty = core.tally_run(&state);
-        assert_eq!(empty.instructions, 0);
-        assert_eq!(empty.cycles, full.cycles, "empty segment carries the clock");
-
-        let mut merged = full;
-        merged.merge(&empty);
-        assert_eq!(merged, full, "a ⊕ e must equal a");
     }
 
     /// Digests `trace` over an all-hits backend, handing the core the

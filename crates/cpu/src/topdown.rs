@@ -2,7 +2,6 @@
 //! Figures 1 and 2 of the paper.
 
 use std::fmt;
-use std::ops::AddAssign;
 
 use serde::{Deserialize, Serialize};
 
@@ -134,18 +133,6 @@ impl trrip_snap::Snapshot for TopDown {
     }
 }
 
-impl AddAssign for TopDown {
-    fn add_assign(&mut self, rhs: TopDown) {
-        self.retire += rhs.retire;
-        self.ifetch += rhs.ifetch;
-        self.mispred += rhs.mispred;
-        self.depend += rhs.depend;
-        self.issue += rhs.issue;
-        self.mem += rhs.mem;
-        self.other += rhs.other;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -166,14 +153,5 @@ mod tests {
         let td = TopDown::default();
         assert_eq!(td.total(), 0.0);
         assert_eq!(td.fraction(None), 0.0);
-    }
-
-    #[test]
-    fn add_assign_merges_buckets() {
-        let mut a = TopDown { retire: 1.0, ifetch: 2.0, ..Default::default() };
-        a += TopDown { retire: 3.0, mem: 4.0, ..Default::default() };
-        assert_eq!(a.retire, 4.0);
-        assert_eq!(a.ifetch, 2.0);
-        assert_eq!(a.mem, 4.0);
     }
 }

@@ -2,7 +2,7 @@
 //! environment variable.
 //!
 //! Robustness code is only trustworthy if its failure paths actually
-//! run, and "kill a worker mid-segment" is not something a unit test
+//! run, and "kill a worker mid-row" is not something a unit test
 //! can do by calling a function. This module gives the workspace named
 //! **fault points** — `fault!("ckpt.save.partial")` at the seam the
 //! fault should strike — that are inert by default (two relaxed atomic
@@ -14,7 +14,7 @@
 //!
 //! Each armed point names an action and (optionally) the **hit** it
 //! triggers on (`@n`, default 1) — every point keeps a deterministic
-//! hit counter, so "die on the third segment" reproduces exactly.
+//! hit counter, so "die on the third claim" reproduces exactly.
 //! Actions:
 //!
 //! * `kill` — terminate the process immediately with exit code 137

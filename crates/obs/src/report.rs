@@ -29,7 +29,7 @@ pub struct ObsReport {
 }
 
 impl ObsReport {
-    /// Starts a report for `tool` (e.g. `"bench_shard"`).
+    /// Starts a report for `tool` (e.g. `"bench_memsys"`).
     #[must_use]
     pub fn new(tool: &str) -> ObsReport {
         ObsReport { tool: tool.to_owned(), counters: None, phases: None, extra: Vec::new() }

@@ -1,20 +1,19 @@
 //! Phase spans: RAII monotonic-clock scopes.
 //!
 //! A span brackets one phase of work (`load`, `fast_forward`,
-//! `measure`, one scheduler idle wait…). Spans nest: each records its
+//! `measure`, one turn's `digest`…). Spans nest: each records its
 //! *total* wall time and its *self* time (total minus time spent inside
 //! child spans on the same thread), so a per-phase table attributes cost
 //! without double counting. Every finished span is also appended to a
 //! bounded in-memory buffer of Chrome trace events, exportable as JSON
 //! that loads directly in `chrome://tracing` / Perfetto — that timeline
-//! is how a `--shards`×`--jobs` run shows worker occupancy and queue
-//! waits.
+//! is how a `--jobs` run shows worker occupancy.
 //!
 //! Cost discipline: when disabled (the default), [`enter`] is one
 //! relaxed atomic load returning `None` — no clock read, no allocation,
 //! no lock. When enabled, the clock is read twice per span and the
 //! aggregate mutex is taken once per span *exit*; spans are placed at
-//! per-chunk/per-segment granularity and never per instruction, so the
+//! per-phase or per-turn granularity and never per instruction, so the
 //! replay hot loop stays allocation-free either way.
 
 use std::cell::{Cell, RefCell};
@@ -28,7 +27,7 @@ use crate::json;
 static SPANS_ENABLED: AtomicBool = AtomicBool::new(false);
 
 /// Caps the Chrome trace buffer: 256 Ki events ≈ 20 MB, hours of
-/// per-segment spans. Beyond it events still aggregate into the phase
+/// per-turn spans. Beyond it events still aggregate into the phase
 /// table but are dropped from the timeline, and the drop is counted.
 const MAX_TRACE_EVENTS: usize = 256 * 1024;
 

@@ -166,19 +166,6 @@ impl SystemBackend {
         self.costly.take()
     }
 
-    /// The armed reuse profiler, if any — read without disarming (shard
-    /// segments tally profiler deltas while measurement continues).
-    #[must_use]
-    pub fn reuse(&self) -> Option<&ReuseProfiler> {
-        self.reuse.as_ref()
-    }
-
-    /// The armed costly-miss tracker, if any — read without disarming.
-    #[must_use]
-    pub fn costly(&self) -> Option<&CostlyMissTracker> {
-        self.costly.as_ref()
-    }
-
     fn is_hot_code(&self, pc: VirtAddr) -> bool {
         self.hot_range.is_some_and(|(start, end)| pc.raw() >= start && pc.raw() < end)
     }

@@ -35,15 +35,14 @@
 //! * **policy overlay** — the *policy-dependent* rest (caches with
 //!   tag/RRPV/policy state, MMU/TLB, prefetch tables, in-flight
 //!   tracker, starvation FIFO). One file per `(workload, policy)`;
-//! * **full** — a complete [`SimRun`] state: the mid-measure chain
-//!   links of a sharded run ([`CheckpointStore::save_segment`]), and
-//!   whatever a caller saves whole with [`CheckpointStore::save`]. No
-//!   sweep reads or writes a whole state at the fast-forward boundary.
+//! * **full** — a complete [`SimRun`] state: whatever a caller saves
+//!   whole with [`CheckpointStore::save`] or [`write_checkpoint`]. No
+//!   sweep reads or writes one.
 //!
 //! `shared prefix + overlay` composes bit-identically to the full
 //! fast-forward state, and those two files are all a sweep keeps of the
-//! boundary: a cell that finds both restores, a cell that does not warms
-//! up the way its executor does and leaves them behind.
+//! boundary: a cell that finds both restores, a cell that does not
+//! executes the warm-up and leaves them behind.
 //!
 //! # Keying
 //!
@@ -78,13 +77,14 @@ use crate::system::SimRun;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v5. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
+/// v6. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
 /// 64 KiB block the best of RLE / delta-pack / LZ / raw, each block
 /// tagged with its codec and the checksum of its *uncompressed* bytes,
 /// so the kind-aware choice (RLE for valid/dirty/instr bitmaps, delta
 /// for sorted tag arrays, LZ for the rest) falls out of per-block
-/// selection — and a shared prefix is the predictor section alone.
-pub const VERSION: u16 = 5;
+/// selection — a shared prefix is the predictor section alone, and a
+/// mid-measure [`trrip_cpu::RunState`] carries no tally baselines.
+pub const VERSION: u16 = 6;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -335,9 +335,9 @@ pub fn write_checkpoint_kind(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    // Unique per process AND per call: shard workers in one process can
-    // write the same link concurrently (a producer's save racing a cold
-    // fallback's chain repair), and both must land atomically.
+    // Unique per process AND per call: two workers of one process can
+    // write the same file concurrently (a row reclaimed from a stalled
+    // worker that is still running it), and both must land atomically.
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
@@ -492,20 +492,6 @@ fn load_keyed<T>(
     loaded
 }
 
-/// A run of `config` over `workload` restored from a whole-state
-/// `payload`.
-fn restore_whole<'w>(
-    workload: &'w PreparedWorkload,
-    config: &SimConfig,
-    payload: &[u8],
-) -> Result<SimRun<'w>, CheckpointError> {
-    let mut run = SimRun::new(workload, config);
-    let mut r = SnapReader::new(payload);
-    run.restore(&mut r)?;
-    r.finish()?;
-    Ok(run)
-}
-
 fn note_save() {
     trrip_obs::counter!("ckpt.save").incr();
 }
@@ -605,123 +591,6 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Where the chained **segment** checkpoint lives: the mid-measure
-    /// state at measure-phase stream position `position` (instructions
-    /// consumed since the measure window began), produced as segment
-    /// `ordinal`'s end state by a sharded run. Keyed like the
-    /// fast-forward checkpoint — fingerprint + warmup hash — plus the
-    /// segment ordinal and exact position, plus the profiler arming
-    /// flags (armed profilers are part of mid-measure state, unlike
-    /// fast-forward-boundary state).
-    #[must_use]
-    pub fn segment_path(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-        ordinal: usize,
-        position: u64,
-    ) -> PathBuf {
-        self.dir.join(format!(
-            "{}-{}-{}-ff{}-seg{ordinal}@{position}-m{}{}-{:016x}-{:016x}.ckpt",
-            workload.spec.name,
-            trace_layout(config.layout).tag(),
-            config.hierarchy.l2_policy.name().to_ascii_lowercase(),
-            config.fast_forward,
-            u8::from(config.measure_reuse),
-            u8::from(config.track_costly),
-            workload_fingerprint(workload, config),
-            warmup_config_hash(config),
-        ))
-    }
-
-    /// The metadata a valid segment checkpoint must carry.
-    #[must_use]
-    pub fn expected_segment_meta(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-        position: u64,
-    ) -> CheckpointMeta {
-        CheckpointMeta {
-            benchmark: workload.spec.name.clone(),
-            policy: config.hierarchy.l2_policy.name().to_owned(),
-            fingerprint: workload_fingerprint(workload, config),
-            config_hash: warmup_config_hash(config),
-            stream_position: config.fast_forward + position,
-            mid_measure: true,
-        }
-    }
-
-    /// Whether a chained segment checkpoint *file* exists for this key
-    /// (a cheap existence probe; loading still validates checksum and
-    /// metadata, and a failed load falls back cold).
-    #[must_use]
-    pub fn has_segment(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-        ordinal: usize,
-        position: u64,
-    ) -> bool {
-        self.segment_path(workload, config, ordinal, position).is_file()
-    }
-
-    /// Persists `run`'s mid-measure state as segment `ordinal`'s end
-    /// checkpoint — the chain link segment `ordinal + 1` starts from.
-    ///
-    /// # Errors
-    ///
-    /// Propagates I/O failures.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `run` is not measuring, or its measure-phase position
-    /// is not the `position` being keyed.
-    pub fn save_segment(
-        &self,
-        run: &SimRun<'_>,
-        ordinal: usize,
-        position: u64,
-    ) -> Result<PathBuf, CheckpointError> {
-        assert!(run.is_measuring(), "segment checkpoints are mid-measure states");
-        assert_eq!(
-            run.measure_consumed(),
-            position,
-            "segment checkpoint keyed at the wrong stream position"
-        );
-        let meta = self.expected_segment_meta(run.workload(), run.config(), position);
-        let mut payload = SnapWriter::new();
-        run.save(&mut payload);
-        let path = self.segment_path(run.workload(), run.config(), ordinal, position);
-        write_checkpoint(&path, &meta, payload.bytes())?;
-        note_save();
-        Ok(path)
-    }
-
-    /// Loads the chained segment checkpoint for `(workload, config,
-    /// ordinal, position)` into a freshly constructed mid-measure
-    /// [`SimRun`]. The caller resumes the stream at
-    /// `config.fast_forward + position`. Returns `Ok(None)` for a
-    /// missing or differently-keyed file (the shard executor falls back
-    /// to an earlier link or a cold run).
-    ///
-    /// # Errors
-    ///
-    /// Damaged files, as [`CheckpointStore::load`].
-    pub fn load_segment<'w>(
-        &self,
-        workload: &'w PreparedWorkload,
-        config: &SimConfig,
-        ordinal: usize,
-        position: u64,
-    ) -> Result<Option<SimRun<'w>>, CheckpointError> {
-        let path = self.segment_path(workload, config, ordinal, position);
-        let expected = self.expected_segment_meta(workload, config, position);
-        load_keyed(&path, CheckpointKind::Full, &expected, |payload| {
-            restore_whole(workload, config, &payload)
-        })
-    }
-
     /// Loads the checkpoint for `(workload, config)` into a freshly
     /// constructed [`SimRun`], ready to [`SimRun::measure`] after the
     /// caller skips `config.fast_forward` stream instructions.
@@ -742,7 +611,11 @@ impl CheckpointStore {
         let path = self.path_for(workload, config);
         let expected = self.expected_meta(workload, config);
         load_keyed(&path, CheckpointKind::Full, &expected, |payload| {
-            restore_whole(workload, config, &payload)
+            let mut run = SimRun::new(workload, config);
+            let mut r = SnapReader::new(&payload);
+            run.restore(&mut r)?;
+            r.finish()?;
+            Ok(run)
         })
     }
 
@@ -781,9 +654,9 @@ impl CheckpointStore {
     }
 
     /// Saves `prefix` — a workload's policy-agnostic boundary state, in
-    /// hand as a sweep's [`crate::Frontend`] or a pulled run's
-    /// [`SharedWarmup::capture`] leaves it, the same bytes either way —
-    /// as the shared prefix of `(workload, config)`.
+    /// hand as a sweep's [`crate::Frontend`] leaves it
+    /// ([`crate::Frontend::take_shared_warmup`]) — as the shared prefix of
+    /// `(workload, config)`.
     ///
     /// # Errors
     ///
@@ -819,7 +692,7 @@ impl CheckpointStore {
         let expected = self.expected_prefix_meta(workload, config);
         load_keyed(&path, CheckpointKind::SharedPrefix, &expected, |shared| {
             let mut r = SnapReader::new(&shared);
-            let _ = r.section(b"SHRD")?; // its contents are for `apply` to read
+            let _ = r.section(b"SHRD")?; // its contents are for `Frontend::resume` to read
             r.finish()?;
             Ok(SharedWarmup { shared })
         })
@@ -1008,8 +881,8 @@ impl CheckpointStore {
     /// evicting the cheapest-to-rebuild artifacts first: policy overlays
     /// (class 0 — a single policy's state delta, seconds to regenerate),
     /// then shared warm prefixes (class 1 — one warm pass shared across
-    /// policies), then full and segment containers (class 2 — a whole
-    /// fast-forward to rebuild). Within a class, eviction is LRU by file
+    /// policies), then full containers (class 2 — a whole fast-forward
+    /// to rebuild). Within a class, eviction is LRU by file
     /// modification time. Each victim is journaled as a `ckpt_evicted`
     /// event carrying its rebuild class.
     ///
@@ -1083,7 +956,7 @@ impl CheckpointStore {
 
 /// Rebuild-cost class of a store file, from the store's own naming
 /// scheme: overlays carry an `-ovl-` tag, shared prefixes a `-shared-`
-/// tag; everything else is a full or segment container.
+/// tag; everything else is a full container.
 fn rebuild_class(stem: &str) -> u8 {
     if stem.contains("-ovl-") {
         0
@@ -1138,21 +1011,11 @@ fn parse_trailing_fingerprint(key: &str) -> Option<u64> {
 /// every policy cell of the workload.
 #[derive(Debug, Clone)]
 pub struct SharedWarmup {
-    /// The `SHRD` section, kept as raw bytes so it can be applied to any
-    /// number of runs.
+    /// The `SHRD` section, as raw bytes.
     shared: Vec<u8>,
 }
 
 impl SharedWarmup {
-    /// The prefix a pulled run holds once it has fast-forwarded: its
-    /// own predictor, byte for byte what a sweep's frontend leaves.
-    #[must_use]
-    pub fn capture(run: &SimRun<'_>) -> SharedWarmup {
-        let mut w = SnapWriter::new();
-        run.save_shared(&mut w);
-        SharedWarmup { shared: w.into_bytes() }
-    }
-
     /// A prefix from a `SHRD` section's bytes.
     pub(crate) fn from_section(shared: Vec<u8>) -> SharedWarmup {
         SharedWarmup { shared }
@@ -1161,18 +1024,6 @@ impl SharedWarmup {
     /// The `SHRD` section's bytes.
     pub(crate) fn shared(&self) -> &[u8] {
         &self.shared
-    }
-
-    /// Restores the shared section into `run` (typically a freshly
-    /// constructed one, before an overlay restore).
-    ///
-    /// # Errors
-    ///
-    /// Snapshot shape/codec errors.
-    pub fn apply(&self, run: &mut SimRun<'_>) -> Result<(), SnapError> {
-        let mut r = SnapReader::new(&self.shared);
-        run.restore_shared(&mut r)?;
-        r.finish()
     }
 }
 

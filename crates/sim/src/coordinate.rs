@@ -1,18 +1,21 @@
 //! Crash-tolerant multi-process sweeps: N independent worker
-//! *processes* share one trace dir + checkpoint dir and cooperatively
-//! execute the segment-task DAG of a sharded sweep (see
-//! [`crate::shard`]), surviving workers that are SIGKILLed mid-segment.
+//! *processes* share one trace dir + checkpoint dir and split a sweep
+//! between them **by row** — a worker claims a workload and runs every
+//! cell of it that still lacks a result through [`replay_sweep`], the
+//! one executor: the workload is walked (or decoded) once, predicted
+//! once, and its cells run in lockstep. Workers that are SIGKILLed
+//! mid-row cost the sweep that row's progress and nothing else.
 //!
 //! # The claim protocol
 //!
-//! Every `(cell, segment)` task has a **claim file** under
-//! `<checkpoint-dir>/coord/claims/`, keyed exactly like the segment's
-//! chain checkpoint (workload fingerprint + warmup hash + segment
-//! ordinal + measure position + profiler flags), so two workers with
-//! the same inputs resolve the same file and two workers with different
-//! inputs never collide. Acquisition is `O_CREAT|O_EXCL` — the
-//! filesystem picks exactly one winner — and the first line of the file
-//! stamps who holds it (worker id, pid, start time).
+//! Every row has a **claim file** under `<checkpoint-dir>/coord/claims/`,
+//! named by the whole request it stands for — benchmark, layout,
+//! fast-forward, measured instructions, profiler flags, workload
+//! fingerprint, policy-free warmup hash — so two workers with the same
+//! inputs resolve the same file and two workers with different inputs
+//! never collide. Acquisition is `O_CREAT|O_EXCL` — the filesystem picks
+//! exactly one winner — and the first line of the file stamps who holds
+//! it (worker id, pid, start time).
 //!
 //! While a worker holds claims, a **heartbeat** thread appends a line
 //! to each held claim file every period: the append advances the file's
@@ -28,25 +31,27 @@
 //!
 //! # Why a killed worker can never corrupt the sweep
 //!
-//! Completed segments persist as **fragment files** under
-//! `coord/fragments/` — the segment's additive [`SimResult`] tally in a
-//! checksummed container, written temp+rename. Segments are
-//! deterministic, so a fragment's bytes are a pure function of its key:
-//! if a stale claim is reclaimed while the original worker is actually
-//! still running (a delayed heartbeat, not a death), both workers
-//! eventually rename **identical bytes** onto the same path and neither
-//! order loses or duplicates a tally. The collector
-//! ([`collect_results`]) refuses to merge until every fragment of every
-//! cell is present and intact, then folds them in chain order through
-//! [`SimResult::merge`] — bit-identical to the single-process sharded
-//! run (`tests/distributed_equivalence.rs` pins this under worker
-//! kills, torn writes, and reclamation races).
+//! Finished cells persist as **fragment files** under
+//! `coord/fragments/` — the cell's [`SimResult`] in a checksummed
+//! container, written temp+rename, one per cell, named like the row's
+//! claim plus the policy. Cells are deterministic, so a fragment's bytes
+//! are a pure function of its name: if a stale claim is reclaimed while
+//! the original worker is actually still running (a delayed heartbeat,
+//! not a death), both workers eventually rename **identical bytes** onto
+//! the same paths and neither order loses or duplicates a result. The
+//! collector ([`collect_results`]) reports nothing until every fragment
+//! of every cell is present and intact — bit-identical to the
+//! single-process [`replay_sweep`] (`tests/distributed_equivalence.rs`
+//! pins this under worker kills, torn writes, and reclamation races).
 //!
-//! All the mid-segment state a worker might die holding is already
-//! crash-safe: chain checkpoints and trace captures are temp+rename
-//! (half-written files are invisible), damaged links heal cold (see
-//! [`crate::shard`]), and orphaned `.tmp.` litter is collected by
-//! [`CheckpointStore::gc`] after its grace window.
+//! What a worker might die holding is already crash-safe: boundary
+//! checkpoints and trace captures are temp+rename (half-written files
+//! are invisible), a damaged one is reported and written again by the
+//! next sweep that reads it, and orphaned `.tmp.` litter is collected by
+//! [`CheckpointStore::gc`] after its grace window. A reclaimed row
+//! restarts from the boundary files the dead worker left — a healer
+//! restores overlays instead of warming again — not from wherever inside
+//! the row the worker died: a row is seconds.
 
 use std::io::Write;
 use std::path::{Path, PathBuf};
@@ -58,17 +63,19 @@ use trrip_policies::PolicyKind;
 use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::capture::{trace_layout, workload_fingerprint, TraceStore};
-use crate::checkpoint::{warmup_config_hash, CheckpointStore};
+use crate::checkpoint::{warmup_config_hash, warmup_prefix_hash, CheckpointStore};
 use crate::config::SimConfig;
-use crate::experiment::SweepResult;
+use crate::experiment::{replay_sweep, SweepResult};
 use crate::prepare::PreparedWorkload;
-use crate::shard::{run_segment, Carry, ShardPlan};
 use crate::system::SimResult;
 
 /// Fragment container magic: `b"TRRIPFRG"`.
 pub const FRAGMENT_MAGIC: [u8; 8] = *b"TRRIPFRG";
-/// Fragment container format version.
-pub const FRAGMENT_VERSION: u16 = 1;
+/// Fragment container format version, and the only one read: a v2
+/// fragment is one cell's whole result under a name that carries the
+/// whole request (a v1 fragment was a segment's tally, named by where
+/// the segment started).
+pub const FRAGMENT_VERSION: u16 = 2;
 
 /// How a worker participates in a coordinated sweep.
 #[derive(Debug, Clone)]
@@ -106,21 +113,18 @@ pub struct WorkerReport {
     pub fragments: usize,
     /// Claims acquired first try.
     pub claims: usize,
-    /// Tasks skipped because another worker held the claim.
+    /// Rows skipped because another worker held the claim.
     pub conflicts: usize,
     /// Stale claims this worker reclaimed.
     pub reclaims: usize,
     /// Claims that were reclaimed out from under this worker while it
     /// was still running (benign: both sides write identical bytes).
     pub lost_claims: usize,
-    /// Segments forced through the cold-fallback path to guarantee
-    /// liveness when no chain link was available.
-    pub cold_forced: usize,
 }
 
 /// Everything that can go wrong in the coordination layer itself.
-/// Simulation failures inside a segment still panic (as the sharded
-/// executor does); these are filesystem-protocol failures.
+/// Simulation failures inside a row still panic (as [`replay_sweep`]
+/// does); these are filesystem-protocol failures.
 #[derive(Debug)]
 pub enum CoordError {
     /// Underlying I/O failure.
@@ -174,52 +178,47 @@ fn fragments_dir(checkpoints: &CheckpointStore) -> PathBuf {
     coord_dir(checkpoints).join("fragments")
 }
 
-/// The store-style stem naming task `(workload, config, segment k)`:
-/// the same key space as segment checkpoints — benchmark, layout,
-/// policy, fast-forward, segment ordinal + measure position, profiler
-/// flags, fingerprint, warmup hash.
-fn task_stem(
-    workload: &PreparedWorkload,
-    config: &SimConfig,
-    plan: &ShardPlan,
-    k: usize,
-) -> String {
+/// The store-style stem naming a request: everything its result is a
+/// function of — benchmark, layout, `who` (a cell's policy, nothing for
+/// a row), fast-forward, measured instructions, profiler flags,
+/// workload fingerprint, and `hash` of the machine.
+fn request_stem(workload: &PreparedWorkload, config: &SimConfig, who: &str, hash: u64) -> String {
     format!(
-        "{}-{}-{}-ff{}-seg{k}@{}-m{}{}-{:016x}-{:016x}",
+        "{}-{}-{who}ff{}-n{}-m{}{}-{:016x}-{hash:016x}",
         workload.spec.name,
         trace_layout(config.layout).tag(),
-        config.hierarchy.l2_policy.name().to_ascii_lowercase(),
         config.fast_forward,
-        plan.measure_start(k),
+        config.instructions,
         u8::from(config.measure_reuse),
         u8::from(config.track_costly),
         workload_fingerprint(workload, config),
-        warmup_config_hash(config),
     )
 }
 
-/// Where task `(workload, config, k)`'s claim file lives.
+/// Where the claim file of `workload`'s row lives: keyed without the
+/// policy ([`warmup_prefix_hash`]), so a sweep's every cell of the
+/// workload resolves the same claim.
 #[must_use]
 pub fn claim_path(
     checkpoints: &CheckpointStore,
     workload: &PreparedWorkload,
     config: &SimConfig,
-    plan: &ShardPlan,
-    k: usize,
 ) -> PathBuf {
-    claims_dir(checkpoints).join(format!("{}.claim", task_stem(workload, config, plan, k)))
+    let stem = request_stem(workload, config, "", warmup_prefix_hash(config));
+    claims_dir(checkpoints).join(format!("{stem}.claim"))
 }
 
-/// Where task `(workload, config, k)`'s result fragment lives.
+/// Where the result fragment of cell `(workload, config)` lives
+/// (`config` carries the cell's policy).
 #[must_use]
 pub fn fragment_path(
     checkpoints: &CheckpointStore,
     workload: &PreparedWorkload,
     config: &SimConfig,
-    plan: &ShardPlan,
-    k: usize,
 ) -> PathBuf {
-    fragments_dir(checkpoints).join(format!("{}.frag", task_stem(workload, config, plan, k)))
+    let policy = format!("{}-", config.hierarchy.l2_policy.name().to_ascii_lowercase());
+    let stem = request_stem(workload, config, &policy, warmup_config_hash(config));
+    fragments_dir(checkpoints).join(format!("{stem}.frag"))
 }
 
 // ---------------------------------------------------------------------
@@ -346,7 +345,7 @@ fn restore_result(body: &[u8]) -> Result<SimResult, CoordError> {
 /// Writes a fragment container atomically (temp + rename). Layout
 /// mirrors checkpoints: magic, version, body length, body, word-folded
 /// checksum — torn or damaged writes are detected on read, never
-/// silently merged.
+/// silently collected.
 ///
 /// # Errors
 ///
@@ -372,7 +371,7 @@ pub fn write_fragment(path: &Path, result: &SimResult) -> Result<(), CoordError>
     }
     // The torn-write seam for result fragments, mirroring
     // `ckpt.save.partial`: tear/damage the flushed temp (the damage is
-    // then caught by the container checksum and the fragment re-run) or
+    // then caught by the container checksum and the cell re-run) or
     // kill the worker here (claim reclamation takes over).
     trrip_obs::fault!("coord.fragment.save", &tmp);
     std::fs::rename(&tmp, path)?;
@@ -392,7 +391,7 @@ pub fn read_fragment(path: &Path) -> Result<SimResult, CoordError> {
         return Err(CoordError::Corrupt(format!("{}: not a fragment", path.display())));
     }
     let version = u16::from_le_bytes(bytes[8..10].try_into().expect("2 bytes"));
-    if version > FRAGMENT_VERSION {
+    if version != FRAGMENT_VERSION {
         return Err(CoordError::Corrupt(format!("{}: fragment version {version}", path.display())));
     }
     let body_len = usize::try_from(u64::from_le_bytes(bytes[10..18].try_into().expect("8 bytes")))
@@ -564,10 +563,10 @@ impl Backoff {
 // The worker
 // ---------------------------------------------------------------------
 
-/// Whether task `(workload, config, k)` is complete: a fragment file
-/// that exists **and validates**. A damaged fragment (torn write landed
-/// by a fault or a dying writer racing rename — the container checksum
-/// catches it) is deleted and journaled so the task re-runs.
+/// Whether a cell is complete: a fragment file that exists **and
+/// validates**. A damaged fragment (torn write landed by a fault or a
+/// dying writer racing rename — the container checksum catches it) or
+/// one of another version is deleted and journaled so the cell re-runs.
 fn fragment_complete(path: &Path) -> bool {
     match read_fragment(path) {
         Ok(_) => true,
@@ -585,7 +584,7 @@ fn fragment_complete(path: &Path) -> bool {
                         ),
                     ),
                     ("error", trrip_obs::Field::Str(&e.to_string())),
-                    ("next", trrip_obs::Field::Str("re-running segment")),
+                    ("next", trrip_obs::Field::Str("re-running cell")),
                 ],
             );
             let _ = std::fs::remove_file(path);
@@ -595,10 +594,11 @@ fn fragment_complete(path: &Path) -> bool {
 }
 
 /// Runs one worker of a coordinated multi-process sweep to completion:
-/// claims runnable segment tasks, executes them through the sharded
-/// executor (live carry → chained checkpoint → cold fallback), persists
-/// fragments, heartbeats its claims, and reclaims stale claims left by
-/// dead workers. Returns when every task of the sweep has a fragment.
+/// claims a workload's row, runs the cells of it that have no valid
+/// fragment yet through [`replay_sweep`] — on one thread; a worker
+/// process is the unit of parallelism — persists one fragment per cell,
+/// heartbeats its claims, and reclaims stale claims left by dead
+/// workers. Returns when every cell of the sweep has a fragment.
 ///
 /// Any number of workers — in this process, in others, on a shared
 /// filesystem — may run this concurrently with the same arguments; the
@@ -607,39 +607,23 @@ fn fragment_complete(path: &Path) -> bool {
 ///
 /// # Panics
 ///
-/// Panics if a trace cannot be captured or replayed (as the sharded
-/// executor does).
+/// Panics if a capture that exists cannot be replayed (as
+/// [`replay_sweep`] does), or a claim or fragment cannot be written.
 pub fn coordinate_worker(
     workloads: &[PreparedWorkload],
     config: &SimConfig,
     policies: &[PolicyKind],
     traces: &TraceStore,
     checkpoints: &CheckpointStore,
-    shards: usize,
     opts: &WorkerOptions,
 ) -> WorkerReport {
-    let plan = ShardPlan::new(config, shards);
-    let k = plan.segments();
-    let cells: Vec<(usize, SimConfig)> = (0..workloads.len())
-        .flat_map(|w| policies.iter().map(move |&p| (w, config.clone().with_policy(p))))
-        .collect();
-
-    // Captures are temp+rename, so racing workers are safe — they just
-    // duplicate work. Claim the capture like any other task to avoid it.
-    let paths: Vec<PathBuf> = workloads
-        .iter()
-        .map(|w| {
-            traces.ensure(w, config).unwrap_or_else(|e| panic!("capturing {}: {e}", w.spec.name))
-        })
-        .collect();
-
     trrip_obs::event(
         "worker_started",
         &[
             ("worker", trrip_obs::Field::Str(&opts.worker)),
             ("pid", trrip_obs::Field::U64(u64::from(std::process::id()))),
-            ("cells", trrip_obs::Field::U64(cells.len() as u64)),
-            ("segments", trrip_obs::Field::U64(k as u64)),
+            ("rows", trrip_obs::Field::U64(workloads.len() as u64)),
+            ("cells", trrip_obs::Field::U64((workloads.len() * policies.len()) as u64)),
         ],
     );
 
@@ -673,102 +657,74 @@ pub fn coordinate_worker(
         });
 
         let mut backoff = Backoff::new(&opts.worker, opts.poll);
-        let mut fruitless_passes = 0u32;
         loop {
             let mut progressed = false;
             let mut incomplete = 0usize;
-            // After repeated fruitless passes every task is fair game
-            // cold: liveness must not hinge on chain links that may
-            // never appear (deleted stores, damaged link + dead owner).
-            let force_cold = fruitless_passes >= 3;
 
-            for (cell, (wi, cell_config)) in cells.iter().enumerate() {
-                let workload = &workloads[*wi];
-                let mut carry: Option<Carry<'_>> = None;
-                for seg in 0..k {
-                    let frag = fragment_path(checkpoints, workload, cell_config, &plan, seg);
-                    if fragment_complete(&frag) {
-                        carry = None;
-                        continue;
-                    }
-                    incomplete += 1;
-                    // Prefer tasks that start warm: a live carry, the
-                    // chain's first segment, or a persisted chain link.
-                    let runnable = carry.is_some()
-                        || seg == 0
-                        || checkpoints.has_segment(
-                            workload,
-                            cell_config,
-                            seg - 1,
-                            plan.measure_start(seg),
-                        )
-                        || force_cold;
-                    if !runnable {
-                        break; // the rest of this chain is blocked too
-                    }
+            for workload in workloads {
+                let fragment = |policy| {
+                    fragment_path(checkpoints, workload, &config.clone().with_policy(policy))
+                };
+                let missing: Vec<PolicyKind> = policies
+                    .iter()
+                    .copied()
+                    .filter(|&policy| !fragment_complete(&fragment(policy)))
+                    .collect();
+                if missing.is_empty() {
+                    continue;
+                }
+                incomplete += missing.len();
 
-                    let claim = claim_path(checkpoints, workload, cell_config, &plan, seg);
-                    if claim.exists() {
-                        match claim_age(&claim) {
-                            Some(age) if age > opts.stale_after => {
-                                if !try_reclaim(&claim, &opts.worker, age) {
-                                    carry = None;
-                                    continue;
-                                }
-                                report.reclaims += 1;
-                                // fall through to a fresh acquire
-                            }
-                            _ => {
-                                trrip_obs::counter!("coord.claim_conflict").incr();
-                                report.conflicts += 1;
-                                carry = None;
+                let claim = claim_path(checkpoints, workload, config);
+                if claim.exists() {
+                    match claim_age(&claim) {
+                        Some(age) if age > opts.stale_after => {
+                            if !try_reclaim(&claim, &opts.worker, age) {
                                 continue;
                             }
+                            report.reclaims += 1;
+                            // fall through to a fresh acquire
                         }
-                    }
-                    match try_acquire(&claim, &opts.worker) {
-                        Ok(true) => {}
-                        Ok(false) => {
+                        _ => {
                             trrip_obs::counter!("coord.claim_conflict").incr();
                             report.conflicts += 1;
-                            carry = None;
                             continue;
                         }
-                        Err(e) => panic!("acquiring claim {}: {e}", claim.display()),
                     }
-                    report.claims += 1;
-                    trrip_obs::counter!("coord.claim").incr();
-                    trrip_obs::event(
-                        "claim_acquired",
-                        &[
-                            ("worker", trrip_obs::Field::Str(&opts.worker)),
-                            ("cell", trrip_obs::Field::U64(cell as u64)),
-                            ("segment", trrip_obs::Field::U64(seg as u64)),
-                        ],
-                    );
-                    held.lock().expect("held-claims lock").push(claim.clone());
-                    if force_cold && carry.is_none() && seg != 0 {
-                        report.cold_forced += 1;
-                        trrip_obs::counter!("coord.cold_forced").incr();
+                }
+                match try_acquire(&claim, &opts.worker) {
+                    Ok(true) => {}
+                    Ok(false) => {
+                        trrip_obs::counter!("coord.claim_conflict").incr();
+                        report.conflicts += 1;
+                        continue;
                     }
-                    // A kill here dies holding a fresh claim with no
-                    // progress: the pure stale-claim-reclamation path.
-                    trrip_obs::fault!("coord.claim.acquired");
+                    Err(e) => panic!("acquiring claim {}: {e}", claim.display()),
+                }
+                report.claims += 1;
+                trrip_obs::counter!("coord.claim").incr();
+                trrip_obs::event(
+                    "claim_acquired",
+                    &[
+                        ("worker", trrip_obs::Field::Str(&opts.worker)),
+                        ("benchmark", trrip_obs::Field::Str(&workload.spec.name)),
+                        ("cells", trrip_obs::Field::U64(missing.len() as u64)),
+                    ],
+                );
+                held.lock().expect("held-claims lock").push(claim.clone());
+                // A kill here dies holding a fresh claim with no
+                // progress: the pure stale-claim-reclamation path.
+                trrip_obs::fault!("coord.claim.acquired");
 
-                    let (fragment, next_carry) = run_segment(
-                        workload,
-                        cell_config,
-                        &plan,
-                        seg,
-                        carry.take(),
-                        &paths[*wi],
-                        Some(checkpoints),
-                    );
-                    // A kill here dies mid-measure from the sweep's
-                    // point of view: segment simulated, chain link
-                    // saved, fragment not yet published, claim held.
-                    trrip_obs::fault!("coord.segment.done");
-                    write_fragment(&frag, &fragment)
+                let row = std::slice::from_ref(workload);
+                let sweep = replay_sweep(1, row, config, &missing, traces, Some(checkpoints));
+                // A kill here dies with the row simulated, its capture
+                // and boundary files in the stores, no fragment
+                // published, claim held.
+                trrip_obs::fault!("coord.row.done");
+                for result in &sweep.results {
+                    let frag = fragment(result.policy);
+                    write_fragment(&frag, result)
                         .unwrap_or_else(|e| panic!("writing fragment {}: {e}", frag.display()));
                     report.fragments += 1;
                     trrip_obs::counter!("coord.fragment_saved").incr();
@@ -776,33 +732,30 @@ pub fn coordinate_worker(
                         "fragment_saved",
                         &[
                             ("worker", trrip_obs::Field::Str(&opts.worker)),
-                            ("cell", trrip_obs::Field::U64(cell as u64)),
-                            ("segment", trrip_obs::Field::U64(seg as u64)),
+                            ("benchmark", trrip_obs::Field::Str(&workload.spec.name)),
+                            ("policy", trrip_obs::Field::Str(result.policy.name())),
                         ],
                     );
-                    held.lock().expect("held-claims lock").retain(|p| p != &claim);
-                    release_claim(&claim, &opts.worker, &mut report);
-                    progressed = true;
-                    // Deliberately NOT decremented here: a worker never
-                    // trusts its own publish. The task stays incomplete
-                    // until a later pass *reads the fragment back* —
-                    // so a torn own-write (`coord.fragment.save`
-                    // truncating the temp before rename) is caught by
-                    // the same checksum scan as anyone else's, and a
-                    // worker only exits after one full pass observed
-                    // every fragment valid on disk.
-                    carry = Some(next_carry);
                 }
+                held.lock().expect("held-claims lock").retain(|p| p != &claim);
+                release_claim(&claim, &opts.worker, &mut report);
+                progressed = true;
+                // `incomplete` deliberately still counts these cells: a
+                // worker never trusts its own publish. A cell stays
+                // incomplete until a later pass *reads the fragment
+                // back* — so a torn own-write (`coord.fragment.save`
+                // truncating the temp before rename) is caught by the
+                // same checksum scan as anyone else's, and a worker only
+                // exits after one full pass observed every fragment
+                // valid on disk.
             }
 
             if incomplete == 0 {
                 break;
             }
             if progressed {
-                fruitless_passes = 0;
                 backoff.reset();
             } else {
-                fruitless_passes += 1;
                 trrip_obs::counter!("coord.backoff").incr();
                 std::thread::sleep(backoff.next());
             }
@@ -827,10 +780,11 @@ pub fn coordinate_worker(
 // The collector
 // ---------------------------------------------------------------------
 
-/// Merges a coordinated sweep's fragments into a [`SweepResult`],
-/// bit-identical to the single-process sharded sweep over the same
-/// inputs. Returns `Ok(None)` while any fragment is missing or damaged
-/// (damaged ones are deleted so a worker pass can heal them).
+/// Reads a coordinated sweep's fragments, one per cell, into a
+/// [`SweepResult`], bit-identical to the single-process [`replay_sweep`]
+/// over the same inputs. Returns `Ok(None)` while any fragment is
+/// missing or damaged (damaged ones are deleted so a worker pass can
+/// heal them).
 ///
 /// # Errors
 ///
@@ -840,38 +794,24 @@ pub fn collect_results(
     config: &SimConfig,
     policies: &[PolicyKind],
     checkpoints: &CheckpointStore,
-    shards: usize,
 ) -> Result<Option<SweepResult>, CoordError> {
-    let plan = ShardPlan::new(config, shards);
     let mut results = Vec::with_capacity(workloads.len() * policies.len());
     for workload in workloads {
         for &policy in policies {
-            let cell_config = config.clone().with_policy(policy);
-            let mut whole: Option<SimResult> = None;
-            for seg in 0..plan.segments() {
-                let path = fragment_path(checkpoints, workload, &cell_config, &plan, seg);
-                let fragment = match read_fragment(&path) {
-                    Ok(fragment) => fragment,
-                    Err(CoordError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
-                        return Ok(None)
-                    }
-                    Err(CoordError::Io(e)) => return Err(CoordError::Io(e)),
-                    Err(CoordError::Corrupt(_)) => {
-                        // Same healing contract as the workers: delete
-                        // so the segment re-runs, report incomplete.
-                        let _ = std::fs::remove_file(&path);
-                        return Ok(None);
-                    }
-                };
-                whole = Some(match whole.take() {
-                    None => fragment,
-                    Some(mut merged) => {
-                        merged.merge(&fragment);
-                        merged
-                    }
-                });
+            let path = fragment_path(checkpoints, workload, &config.clone().with_policy(policy));
+            match read_fragment(&path) {
+                Ok(result) => results.push(result),
+                Err(CoordError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound => {
+                    return Ok(None)
+                }
+                Err(CoordError::Io(e)) => return Err(CoordError::Io(e)),
+                Err(CoordError::Corrupt(_)) => {
+                    // Same healing contract as the workers: delete so
+                    // the cell re-runs, report incomplete.
+                    let _ = std::fs::remove_file(&path);
+                    return Ok(None);
+                }
             }
-            results.push(whole.expect("a plan always has at least one segment"));
         }
     }
     Ok(Some(SweepResult {
@@ -885,7 +825,7 @@ pub fn collect_results(
 /// the distributed bench's coordinator.
 #[derive(Debug, Clone)]
 pub struct ClaimInfo {
-    /// Claim file name (the task key).
+    /// Claim file name (the row's key).
     pub name: String,
     /// Worker id stamped on the claim.
     pub holder: String,
@@ -974,6 +914,15 @@ mod tests {
         write_fragment(&path, &result).expect("rewrite");
         trrip_snap::corrupt::truncate_file(&path, trrip_snap::corrupt::file_len(&path) - 3);
         assert!(matches!(read_fragment(&path), Err(CoordError::Corrupt(_))));
+
+        // Any version but the current is refused, older ones included.
+        write_fragment(&path, &result).expect("rewrite");
+        let mut bytes = std::fs::read(&path).expect("read back");
+        for other in [FRAGMENT_VERSION - 1, FRAGMENT_VERSION + 1] {
+            bytes[8..10].copy_from_slice(&other.to_le_bytes());
+            std::fs::write(&path, &bytes).expect("restamp");
+            assert!(matches!(read_fragment(&path), Err(CoordError::Corrupt(_))), "v{other}");
+        }
         let _ = std::fs::remove_file(&path);
     }
 

@@ -1,8 +1,8 @@
 //! Policy sweeps — the engine behind Figure 6, Table 3 and the
 //! sensitivity studies.
 //!
-//! **One executor, three producers.** Every unsharded sweep runs on the
-//! push executor (`push_sweep`): per workload, one [`Frontend`] — branch
+//! **One executor, three producers.** Every sweep runs on the push
+//! executor (`push_sweep`): per workload, one [`Frontend`] — branch
 //! predictor, FDIP scan, fetch-line tracking, none of which ever sees a
 //! cache latency — digests the instruction stream into a small bounded
 //! window of shared event turns, and at most `jobs` worker threads push
@@ -30,12 +30,11 @@
 //! fast-forward boundary behind, in **two files**: per workload the
 //! policy-agnostic **shared prefix** (the frontend's predictor, and
 //! nothing else), per cell its **overlay**. There is one way back to the
-//! boundary, `restore_at_boundary`, and every cell of every executor
-//! takes it: a cell whose files load restores, a cell whose files do not
-//! warms up the one way its executor has — pushed turns through
-//! [`trrip_cpu::Core::execute`] here — and leaves its overlay; the
-//! window writes the prefix once its frontend is across the boundary, if
-//! no loadable one was on file. Where every cell of a workload can
+//! boundary, `restore_at_boundary`, and every cell takes it: a cell whose
+//! overlay loads restores, a cell whose overlay does not executes the
+//! warm-up turns ([`trrip_cpu::Core::execute`]) and leaves its overlay;
+//! the window writes the prefix once its frontend is across the boundary,
+//! if no loadable one was on file. Where every cell of a workload can
 //! restore, the frontend itself resumes from the prefix over a replay
 //! that starts its decode at the boundary: nothing reads the warm-up at
 //! all. The `warm.*` counters ([`crate::warmstats`]) and the
@@ -46,18 +45,14 @@
 //! one prefix read, `jobs` threads, and `exec.cell_records /
 //! exec.turn_records` machines a record).
 //!
-//! Two executors remain beside this one, both on the pull loop: the
-//! segment DAG ([`crate::replay_sweep_sharded`]) and the multi-process
-//! claim protocol ([`crate::coordinate_worker`]). Their cells own a
-//! stream and a predictor each, so they restore the prefix's predictor
-//! with their overlay — through the same `restore_at_boundary` — and a
-//! cell that cannot warms with [`SimRun::fast_forward`] (`warm_alone`),
-//! leaving the same two files, byte for byte.
+//! No executor remains beside this one: a multi-process sweep
+//! ([`crate::coordinate_worker`]) is worker processes that each claim a
+//! workload's row and call [`replay_sweep`] on it.
 //!
 //! The one-cell paths, [`crate::simulate`] and
-//! [`crate::simulate_source`], pull from a source of their own and share
-//! none of the sweep machinery, which is what makes them the oracle for
-//! all of the above.
+//! [`crate::simulate_source`], pull from a source of their own through
+//! the fused loop and share none of the sweep machinery, which is what
+//! makes them the oracle for all of the above.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -241,14 +236,11 @@ pub fn policy_sweep_with(
 /// load is reported, runs alone from a replay of its own and rewrites
 /// its overlay; the others are untouched.
 ///
-/// The two files are the ones the pull executors read and write, so a
-/// store populated here warm-starts [`crate::replay_sweep_sharded`] and
-/// [`crate::coordinate_worker`], and the reverse. Every cell is
-/// bit-identical to a [`crate::simulate_source`] over its capture on
-/// every route (`tests/push_store_equivalence.rs`). Damaged files heal by
-/// being overwritten, and so do files of another format version, which
-/// read as absent; a save that fails only costs the warm start next
-/// time.
+/// Every cell is bit-identical to a [`crate::simulate_source`] over its
+/// capture on every route (`tests/push_store_equivalence.rs`). Damaged
+/// files heal by being overwritten, and so do files of another format
+/// version, which read as absent; a save that fails only costs the warm
+/// start next time.
 ///
 /// # Panics
 ///
@@ -327,7 +319,9 @@ impl<'a> Stores<'a> {
     fn run_alone(self, workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
         let path = self.traces.path_for(workload, config);
         let mut stream = SourceIter::new(open_replay(&path, 0));
-        let mut run = warm_alone(workload, config, self.checkpoints, &mut stream, false);
+        let mut run = SimRun::new(workload, config);
+        run.fast_forward(&mut stream);
+        leave_boundary(self.checkpoints, &run);
         run.measure(&mut stream)
     }
 }
@@ -495,10 +489,8 @@ where
     let mut alone = Vec::new();
     for &(index, policy) in share {
         let cell_config = config.clone().with_policy(policy);
-        // A pushed cell consults no predictor: its overlay is all of
-        // the boundary state it needs.
         let restored =
-            checkpoints.and_then(|store| restore_at_boundary(workload, &cell_config, store, None));
+            checkpoints.and_then(|store| restore_at_boundary(workload, &cell_config, store));
         match restored {
             Some(run) => cells.push(Cell { index, run, warms: false }),
             None if start == 0 => {
@@ -520,9 +512,8 @@ where
             SimRun::push_fast_forward_group(&mut warming, turn, last);
         });
         reader.release();
-        // The prefix is the frontend's to leave, through the window.
         for cell in cells.iter().filter(|cell| cell.warms) {
-            leave_boundary(checkpoints, &cell.run, false);
+            leave_boundary(checkpoints, &cell.run);
         }
     }
     cells.iter_mut().for_each(|cell| cell.run.begin_measure());
@@ -549,26 +540,19 @@ where
     finished
 }
 
-/// A cell's run restored at the fast-forward boundary from the two
-/// files a store keeps of it — the one way back there, for every
-/// executor. `predictor` is the workload's shared prefix, for a cell
-/// that resolves its own branches (a pull cell); a pushed cell consults
-/// no predictor — the frontend read the prefix, once, for all of them —
-/// and passes `None`. Then the policy's overlay. `None` unless both are
-/// in: an overlay that does not load is reported, and the caller warms a
+/// A cell's run restored at the fast-forward boundary from its policy's
+/// overlay — the one way back there. A cell consults no predictor: the
+/// frontend read the prefix, once, for all of them. `None` if the overlay
+/// is not in: one that does not load is reported, and the caller warms a
 /// fresh machine, since a failed restore may have left this one
 /// half-written.
-pub(crate) fn restore_at_boundary<'w>(
+fn restore_at_boundary<'w>(
     workload: &'w PreparedWorkload,
     config: &SimConfig,
     store: &CheckpointStore,
-    predictor: Option<&SharedWarmup>,
 ) -> Option<SimRun<'w>> {
     let policy = config.hierarchy.l2_policy.name();
     let mut run = SimRun::new(workload, config);
-    if let Some(prefix) = predictor {
-        prefix.apply(&mut run).expect("keyed shared prefix matches the machine");
-    }
     match store.load_overlay_into(&mut run) {
         Ok(true) => {
             warmstats::count_overlay_restore();
@@ -586,7 +570,7 @@ pub(crate) fn restore_at_boundary<'w>(
 /// `workload`'s shared prefix, if the store holds one that loads; one
 /// that does not is reported, and written again by whoever crosses the
 /// boundary next.
-pub(crate) fn load_prefix(
+fn load_prefix(
     store: &CheckpointStore,
     workload: &PreparedWorkload,
     config: &SimConfig,
@@ -597,29 +581,11 @@ pub(crate) fn load_prefix(
     })
 }
 
-/// A pull cell that cannot restore warms the one way its executor has —
-/// [`SimRun::fast_forward`], the fused loop, over `stream`, its own from
-/// the first instruction — and leaves at the boundary what the next
-/// sweep restores ([`leave_boundary`]).
-pub(crate) fn warm_alone<'w, S: TraceSource>(
-    workload: &'w PreparedWorkload,
-    config: &SimConfig,
-    store: Option<&CheckpointStore>,
-    stream: &mut SourceIter<S>,
-    with_prefix: bool,
-) -> SimRun<'w> {
-    let mut run = SimRun::new(workload, config);
-    run.fast_forward(stream);
-    leave_boundary(store, &run, with_prefix);
-    run
-}
-
-/// What a cell that executed its warm-up leaves at the boundary. With a
-/// store attached, its overlay — and `with_prefix`, from a pull cell
-/// that found no loadable prefix on file, its own predictor as the
-/// shared prefix: the bytes a frontend would have left. Without one,
-/// nothing. A save that fails only costs the warm start next time.
-fn leave_boundary(store: Option<&CheckpointStore>, run: &SimRun<'_>, with_prefix: bool) {
+/// What a cell that executed its warm-up leaves at the boundary: with a
+/// store attached, its overlay (the prefix is the frontend's to leave,
+/// through the window); without one, nothing. A save that fails only
+/// costs the warm start next time.
+fn leave_boundary(store: Option<&CheckpointStore>, run: &SimRun<'_>) {
     let (workload, config) = (run.workload(), run.config());
     let policy = config.hierarchy.l2_policy.name();
     let Some(store) = store else {
@@ -631,9 +597,6 @@ fn leave_boundary(store: Option<&CheckpointStore>, run: &SimRun<'_>, with_prefix
     journal_route(workload, policy, "tail_replay");
     if let Err(e) = store.save_overlay(run) {
         report_damaged(workload, policy, "overlay save", &e, "continuing without it");
-    }
-    if with_prefix {
-        save_prefix(store, workload, config, &SharedWarmup::capture(run));
     }
 }
 
@@ -850,7 +813,7 @@ impl<'w, S: TraceSource> Window<'w, S> {
                     };
                     // The frontend is across the fast-forward boundary:
                     // what it knows there is the shared prefix every
-                    // later sweep (of any engine) starts from.
+                    // later sweep starts from.
                     if let Some(store) = self.checkpoints().filter(|_| prefix_wanted) {
                         if let Some(prefix) = frontend.take_shared_warmup() {
                             save_prefix(store, self.workload, self.config, &prefix);

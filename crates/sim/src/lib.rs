@@ -12,7 +12,8 @@
 //!   timeliness, and feeds the reuse/costly-miss profilers.
 //! * [`system`] — [`simulate`] / [`simulate_source`]: fast-forward,
 //!   measure, collect — over the in-memory walker or any
-//!   [`trrip_trace::TraceSource`].
+//!   [`trrip_trace::TraceSource`]; the one-cell oracle every sweep is
+//!   held to.
 //! * [`capture`] — [`capture_trace`], the [`TraceStore`] and the
 //!   [`CaptureTee`]: record the walker's output to the `trrip-trace`
 //!   binary format once — on the side of the sweep that first needs it —
@@ -23,19 +24,19 @@
 //!   sweep keeps the fast-forward boundary as two files: a
 //!   policy-agnostic **shared prefix** (the predictor, one per workload)
 //!   and a per-policy **overlay**.
-//! * [`experiment`] — policy sweeps on one push executor (a workload's
-//!   stream produced once, predicted once, pushed through every cell):
+//! * [`experiment`] — policy sweeps on the one executor there is (a
+//!   workload's stream produced once, predicted once, pushed through
+//!   every cell):
 //!   [`policy_sweep`] over the walker, [`replay_sweep`] over a trace
 //!   store and, optionally, a checkpoint store; and speedup computation.
 //! * [`warmstats`] — what the `warm.*` registry counters mean: how
 //!   cells reached the fast-forward boundary (restored, or warmed with
 //!   or without a store), the observable behind fallback tests.
-//! * [`shard`] — chunk-range sharding of a single run:
-//!   [`ShardPlan`] cuts the measure window into chunk-aligned segments,
-//!   segment *k* simulates from chained checkpoint *k−1*, fragments
-//!   merge bit-identically ([`SimResult::merge`]), and
-//!   [`replay_sweep_sharded`] schedules whole sweeps as DAGs of segment
-//!   tasks.
+//! * [`coordinate`] — multi-process sweeps: worker processes sharing
+//!   the two stores each claim a workload's row
+//!   ([`coordinate_worker`]), run it through [`replay_sweep`] and
+//!   publish one result fragment per cell; crash-tolerant through
+//!   heartbeated, reclaimable claim files.
 //! * [`inflight`] — the fixed-size open-addressed prefetch-timeliness
 //!   table behind the backend's allocation-free hot path.
 
@@ -50,7 +51,6 @@ pub mod coordinate;
 pub mod experiment;
 pub mod inflight;
 pub mod prepare;
-pub mod shard;
 pub mod system;
 pub mod warmstats;
 
@@ -71,7 +71,6 @@ pub use experiment::{
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
-pub use shard::{replay_sweep_sharded, simulate_sharded, ShardPlan};
 pub use system::{simulate, simulate_source, Frontend, SimResult, SimRun};
 // The snapshot substrate, re-exported so callers can drive `SimRun`
 // save/restore without depending on `trrip-snap` directly.

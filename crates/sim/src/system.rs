@@ -15,7 +15,9 @@
 //! the run takes what it needs from a [`SourceIter`]
 //! ([`SimRun::fast_forward`], [`SimRun::measure`],
 //! [`SimRun::measure_chunk`]) — one cell owns one stream and runs the
-//! whole core over it ([`Core::run_batch`]). **Push**: a [`Frontend`]
+//! whole core over it ([`Core::run_batch`]); this is the one-cell oracle
+//! behind [`simulate_source`], and no sweep runs its cells on it.
+//! **Push**: a [`Frontend`]
 //! runs the policy-independent half of the core over the stream once —
 //! branch prediction, the FDIP scan, fetch-line tracking — and writes
 //! what it decided as [`EventTurn`]s; the caller hands those to as many
@@ -33,10 +35,9 @@
 //! Each side has exactly one way to warm a machine up — the fused loop
 //! behind [`SimRun::fast_forward`], the event loop behind
 //! [`SimRun::push_fast_forward_group`] — and both leave the same
-//! boundary state behind, in two sections: the policy-agnostic predictor
-//! ([`SimRun::save_shared`]; on the push side the [`Frontend`]'s, handed
-//! out by [`Frontend::take_shared_warmup`]) and the policy-dependent
-//! rest ([`SimRun::save_overlay`]).
+//! policy-dependent boundary state behind ([`SimRun::save_overlay`]);
+//! the policy-agnostic rest, the predictor, is the [`Frontend`]'s, handed
+//! out by [`Frontend::take_shared_warmup`].
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
@@ -129,65 +130,6 @@ impl SimResult {
             return 0.0;
         }
         (1.0 - self.l2_data_mpki() / base) * 100.0
-    }
-
-    /// Folds the **next consecutive segment** of the same sharded run
-    /// into this one. Merging every segment of a run in chain order
-    /// reproduces the uninterrupted run's `SimResult` bit-for-bit:
-    ///
-    /// * the core tally merges per [`CoreResult::merge`] (additive
-    ///   counters + exact stall buckets; the clock rides the chain);
-    /// * cache access statistics and profiler histograms add — all
-    ///   exact integer arithmetic, so the fold is associative;
-    /// * TLB statistics take the later segment's value: the TLB
-    ///   counters are cumulative over the whole run (they are never
-    ///   reset at the measure boundary), so the last segment already
-    ///   holds the totals the uninterrupted run reports;
-    /// * page statistics are load-time constants, identical in every
-    ///   segment.
-    ///
-    /// Associativity and the empty-segment identity are pinned by
-    /// `tests/shard_equivalence.rs`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two results are not segments of one run (different
-    /// benchmark, policy, or armed profilers).
-    pub fn merge(&mut self, next: &SimResult) {
-        assert_eq!(self.benchmark, next.benchmark, "segments must share a benchmark");
-        assert_eq!(self.policy, next.policy, "segments must share a policy");
-        self.core.merge(&next.core);
-        self.l1i += next.l1i;
-        self.l1d += next.l1d;
-        self.l2 += next.l2;
-        self.slc += next.slc;
-        self.tlb = next.tlb;
-        self.pages = next.pages;
-        self.reuse_base = merge_histograms(self.reuse_base.take(), next.reuse_base.as_ref());
-        self.reuse_hot_only =
-            merge_histograms(self.reuse_hot_only.take(), next.reuse_hot_only.as_ref());
-        self.costly = match (self.costly.take(), next.costly.as_ref()) {
-            (Some(mut mine), Some(theirs)) => {
-                mine.merge(theirs);
-                Some(mine)
-            }
-            (None, None) => None,
-            _ => panic!("segments must agree on costly-miss tracking"),
-        };
-    }
-}
-
-fn merge_histograms(
-    mine: Option<ReuseHistogram>,
-    theirs: Option<&ReuseHistogram>,
-) -> Option<ReuseHistogram> {
-    match (mine, theirs) {
-        (Some(mut a), Some(b)) => {
-            a.merge(b);
-            Some(a)
-        }
-        (None, None) => None,
-        _ => panic!("segments must agree on reuse measurement"),
     }
 }
 
@@ -295,8 +237,8 @@ impl<S: TraceSource> Frontend<S> {
     }
 
     /// The policy-agnostic warm prefix — this frontend's predictor at
-    /// the boundary — exactly as a fast-forward of any pulled cell
-    /// leaves its own. `Some` once, after the turn that completed the
+    /// the boundary, exactly as a fast-forward of any pulled cell leaves
+    /// its own. `Some` once, after the turn that completed the
     /// warm-up; never after [`Frontend::resume`], nor if the stream
     /// ended inside the warm-up.
     pub fn take_shared_warmup(&mut self) -> Option<SharedWarmup> {
@@ -387,24 +329,6 @@ pub struct SimRun<'w> {
     /// In-flight measure-phase state (present between `begin_measure`
     /// and `finish`).
     measuring: Option<RunState>,
-    /// Cumulative-counter baselines captured by the last
-    /// [`SimRun::begin_segment`] — what [`SimRun::collect_segment`]
-    /// subtracts to produce a segment's additive tally. Not part of the
-    /// snapshot stream: each segment executor rebases its own tally
-    /// after restoring.
-    segment_base: Option<SegmentBase>,
-}
-
-/// Baselines for one shard segment's tally: the cumulative measure-phase
-/// counters at the moment the segment began.
-#[derive(Debug)]
-struct SegmentBase {
-    l1i: AccessStats,
-    l1d: AccessStats,
-    l2: AccessStats,
-    slc: AccessStats,
-    reuse: Option<(ReuseHistogram, ReuseHistogram)>,
-    costly: Option<CostlyMissTracker>,
 }
 
 impl<'w> SimRun<'w> {
@@ -432,7 +356,6 @@ impl<'w> SimRun<'w> {
             warming: None,
             pushed: false,
             measuring: None,
-            segment_base: None,
         }
     }
 
@@ -577,8 +500,7 @@ impl<'w> SimRun<'w> {
     /// uninterrupted run's would.
     ///
     /// Returns the exact cut point the chunk stopped at (absolute
-    /// measure-phase stream/retirement positions) — what shard
-    /// schedulers key chained checkpoints by.
+    /// measure-phase stream/retirement positions).
     pub fn measure_chunk<S: TraceSource>(
         &mut self,
         stream: &mut SourceIter<S>,
@@ -635,67 +557,6 @@ impl<'w> SimRun<'w> {
         }
     }
 
-    /// Starts one shard segment's tally: the core tally rebases (clock
-    /// and machine state continue untouched) and the cumulative cache/
-    /// profiler counters are baselined, so [`SimRun::collect_segment`]
-    /// reports only what this segment contributes. Mergeable with
-    /// [`SimResult::merge`].
-    pub fn begin_segment(&mut self) {
-        let state = self.measuring.as_mut().expect("begin_measure first");
-        self.core.begin_segment(state);
-        let backend = self.core.backend();
-        let h = backend.hierarchy();
-        self.segment_base = Some(SegmentBase {
-            l1i: *h.l1i().stats(),
-            l1d: *h.l1d().stats(),
-            l2: *h.l2().stats(),
-            slc: *h.slc().stats(),
-            reuse: backend.reuse().map(|r| (*r.base(), *r.hot_only())),
-            costly: backend.costly().cloned(),
-        });
-    }
-
-    /// Collects the current segment's [`SimResult`] fragment — the
-    /// additive tally since [`SimRun::begin_segment`] — without ending
-    /// the measure phase: the run can continue into the next segment
-    /// (or be checkpointed for a successor to pick up).
-    ///
-    /// # Panics
-    ///
-    /// Panics if no segment was begun.
-    #[must_use]
-    pub fn collect_segment(&mut self) -> SimResult {
-        let state = self.measuring.as_ref().expect("begin_measure first");
-        let core = self.core.tally_run(state);
-        let base = self.segment_base.as_ref().expect("begin_segment first");
-        let backend = self.core.backend();
-        let h: &Hierarchy = backend.hierarchy();
-        let reuse = backend.reuse().map(|r| {
-            let (base_b, base_h) = base.reuse.as_ref().expect("profiler armed mid-segment");
-            (r.base().since(base_b), r.hot_only().since(base_h))
-        });
-        SimResult {
-            benchmark: self.workload.spec.name.clone(),
-            policy: self.config.hierarchy.l2_policy,
-            core,
-            l1i: h.l1i().stats().since(&base.l1i),
-            l1d: h.l1d().stats().since(&base.l1d),
-            l2: h.l2().stats().since(&base.l2),
-            slc: h.slc().stats().since(&base.slc),
-            // Cumulative over the whole run by design (never reset at
-            // the measure boundary): `SimResult::merge` takes the later
-            // segment's value, so the merged run reports exactly what
-            // an uninterrupted one would.
-            tlb: backend.mmu().tlb_stats(),
-            pages: self.pages,
-            reuse_base: reuse.as_ref().map(|(b, _)| *b),
-            reuse_hot_only: reuse.as_ref().map(|(_, h)| *h),
-            costly: backend
-                .costly()
-                .map(|c| c.since(base.costly.as_ref().expect("tracker armed mid-segment"))),
-        }
-    }
-
     /// Instructions consumed from the source so far by the measure
     /// phase — a resumed run must skip `fast_forward + this` stream
     /// instructions before continuing.
@@ -731,44 +592,22 @@ impl<'w> SimRun<'w> {
 }
 
 impl SimRun<'_> {
-    /// Saves the **policy-agnostic** half of a fast-forward state: the
-    /// branch predictor, the only warmed component whose evolution is a
-    /// function of the instruction stream alone (it never sees a cache
-    /// latency, and its FDIP query path is pure). Everything else —
-    /// caches, TLB and page-table demand allocation, prefetch tables,
-    /// the in-flight tracker, the starvation FIFO — couples to fetch
-    /// latencies the L2 policy shapes, and belongs to the per-policy
-    /// overlay ([`SimRun::save_overlay`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics mid-measure: sectioned state is a fast-forward-boundary
-    /// concept (mid-measure snapshots stay whole-run).
-    pub fn save_shared(&self, w: &mut SnapWriter) {
-        assert!(!self.is_measuring(), "shared sections are fast-forward states");
-        assert!(!self.pushed, "a pushed run's predictor was never trained");
-        save_shared_section(&self.core, w);
-    }
-
-    /// Restores a section written by [`SimRun::save_shared`].
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::restore`].
-    pub fn restore_shared(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        restore_shared_section(&mut self.core, r)
-    }
-
     /// Saves the **policy-dependent** half of a fast-forward state: the
     /// starvation FIFO plus the whole memory system (MMU/TLB/page
     /// tables, every cache level with its per-set policy state —
     /// tag/RRPV arrays, PSEL counters, Random's RNG —, the stride
-    /// prefetcher and the in-flight tracker). Together with the shared
-    /// section this is exactly the full fast-forward state.
+    /// prefetcher and the in-flight tracker), all of which couple to
+    /// fetch latencies the L2 policy shapes. The other half is the branch
+    /// predictor, the only warmed component whose evolution is a function
+    /// of the instruction stream alone; a sweep's [`Frontend`] holds it
+    /// ([`Frontend::take_shared_warmup`]). Together the two are exactly
+    /// the full fast-forward state.
     ///
     /// # Panics
     ///
-    /// As [`SimRun::save_shared`].
+    /// Panics mid-measure, or between the turns of a pushed fast-forward:
+    /// sectioned state is a fast-forward-boundary concept (mid-measure
+    /// snapshots stay whole-run).
     pub fn save_overlay(&self, w: &mut SnapWriter) {
         assert!(!self.is_measuring(), "overlay sections are fast-forward states");
         assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
@@ -827,11 +666,11 @@ fn restore_shared_section<B: MemoryBackend>(
 /// [`RunState`] including the FDIP lookahead window.
 ///
 /// A fast-forward-boundary state is alternatively addressable as two
-/// *sections* — the policy-agnostic [`SimRun::save_shared`] and the
-/// policy-dependent [`SimRun::save_overlay`] — which the checkpoint
-/// store keeps in separate files so one shared prefix serves every
-/// policy ([`crate::checkpoint`]); that pair is what sweeps keep of the
-/// boundary.
+/// *sections* — the policy-agnostic predictor a [`Frontend`] hands out
+/// and the policy-dependent [`SimRun::save_overlay`] — which the
+/// checkpoint store keeps in separate files so one shared prefix serves
+/// every policy ([`crate::checkpoint`]); that pair is what sweeps keep of
+/// the boundary.
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
         assert!(!self.pushed, "a pushed run's predictor was never trained");

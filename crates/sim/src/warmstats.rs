@@ -10,13 +10,13 @@
 //! than the routes that are left; what each one means is written down
 //! here, once:
 //!
-//! * `warm.overlay_restore` — a cell restored its overlay (a pull cell,
-//!   the prefix's predictor first) and simulated none of the warm-up;
-//! * `warm.tail_replay` — a cell executed its warm-up, pushed turns or
-//!   fused loop, and left an overlay behind in the store attached;
-//! * `warm.recorded_warmup` — a shared prefix was written: by a window,
-//!   once its frontend crossed the boundary, or by a pull cell that
-//!   warmed and found no loadable prefix on file;
+//! * `warm.overlay_restore` — a cell restored its overlay and simulated
+//!   none of the warm-up;
+//! * `warm.tail_replay` — a cell executed its warm-up — pushed turns, or
+//!   the fused loop in a cell demoted to run alone — and left an overlay
+//!   behind in the store attached;
+//! * `warm.recorded_warmup` — a shared prefix was written, by a window,
+//!   once its frontend crossed the boundary;
 //! * `warm.cold_warmup` — a cell executed its warm-up with no store
 //!   attached, and kept nothing.
 

@@ -3,11 +3,10 @@
 //! **miss**: not decoded, not damage, not reported — counted `ckpt.miss`,
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
-//! a checkpoint store whose every file (prefix, overlays, segment links)
-//! says version 4 and a trace that says version 2 make the next
-//! `replay_sweep` do what it does over empty stores, and the next
-//! `--shards` sweep warm every cell up once and rebuild every link — to
-//! the same bits, leaving current files behind.
+//! a checkpoint store whose every file (prefix, overlays) says version 5
+//! and a trace that says version 2 make the next `replay_sweep` do what
+//! it does over empty stores — to the same bits, leaving current files
+//! behind.
 //!
 //! One `#[test]` on purpose: the counters and the journal are
 //! process-wide.
@@ -17,15 +16,14 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep, replay_sweep, replay_sweep_sharded, CheckpointStore, PreparedWorkload, SimConfig,
-    SweepResult, TraceStore,
+    policy_sweep, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
+    TraceStore,
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
 
 const POLICIES: [PolicyKind; 3] = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Trrip1];
 const CELLS: u64 = POLICIES.len() as u64;
-const SHARDS: usize = 3;
 
 /// Both containers keep their little-endian version at bytes 8–9, after
 /// an 8-byte magic and outside anything a checksum covers: the field
@@ -102,24 +100,18 @@ fn files_of_another_version_are_misses_and_are_written_again() {
 
     let oracle = policy_sweep(&workloads, &config, &POLICIES);
     let pushed = || replay_sweep(2, &workloads, &config, &POLICIES, &traces, Some(&ckpts));
-    // One worker, so that which segment finds what on file is fixed.
-    let sharded =
-        || replay_sweep_sharded(1, &workloads, &config, &POLICIES, &traces, &ckpts, SHARDS);
-    let links = CELLS * (SHARDS as u64 - 1);
 
-    // Populate: prefix, overlays and the trace from the pushed sweep,
-    // the segment links from the sharded one — over empty stores first,
-    // which is what the stale stores below are held to.
+    // Populate: prefix, overlays and the trace — over empty stores
+    // first, which is what the stale stores below are held to.
     let (_, empty_push) = moved_by(pushed);
     assert_eq!(routes(&empty_push), [0, CELLS, 1, 0]);
-    let _ = sharded();
     let files = files_of(&ckpts).len();
-    assert_eq!(files as u64, 1 + CELLS + links, "prefix, overlays, links");
+    assert_eq!(files as u64, 1 + CELLS, "prefix, overlays");
     let current = (version_of(&ckpts.prefix_path(&workloads[0], &config)), version_of(&trace));
     assert_eq!(current, (trrip_sim::checkpoint::VERSION, trrip_trace::format::VERSION));
 
     // ---- the pushed sweep over stores of the previous versions ----
-    assert_eq!(stamp_all(&ckpts, 4), files);
+    assert_eq!(stamp_all(&ckpts, 5), files);
     corrupt::set_bytes(&trace, VERSION_OFFSET, &2u16.to_le_bytes());
     assert!(!traces.has(&workloads[0], &config), "a trace of another version reads as absent");
     let (again, moved) = moved_by(pushed);
@@ -135,33 +127,13 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(moved.get("trace.records_decoded"), 0, "…not read");
     assert!(traces.has(&workloads[0], &config));
     assert_eq!(version_of(&trace), current.1, "the trace is captured over");
-    let boundary: Vec<PathBuf> = POLICIES
-        .map(|p| ckpts.overlay_path(&workloads[0], &config.clone().with_policy(p)))
-        .into_iter()
-        .chain([ckpts.prefix_path(&workloads[0], &config)])
-        .collect();
-    assert!(boundary.iter().all(|file| version_of(file) == current.0), "prefix and overlays too");
-
-    // ---- the sharded sweep: boundary files and links stale alike ----
-    // Segment 0 of every cell finds nothing to restore and warms up, the
-    // first of them writing the prefix, as over an empty store. A link
-    // that is there by name was dispatched by name: its segment misses
-    // it, falls back to the boundary its cell has just left — a restore
-    // — and rebuilds it, silently, where a damaged one is reported.
-    assert_eq!(stamp_all(&ckpts, 4), files);
-    let (again, moved) = moved_by(sharded);
-    assert_sweep(&again, &oracle, "--shards over a stale store");
-    assert_eq!(routes(&moved), [links, CELLS, 1, 0], "every cell warms up once");
-    assert_eq!(moved.get("ckpt.corrupt"), 0);
-    let fell_back = ["disk_dispatch", "cold_fallback"].map(|r| moved.get(&format!("shard.{r}")));
-    assert_eq!(fell_back, [0, links], "no link of another version is restored");
     assert_eq!(files_of(&ckpts).len(), files);
     for file in files_of(&ckpts) {
         assert_eq!(version_of(&file), current.0, "{} is written again", file.display());
     }
     // And what was written is what a warm pass restores from.
-    let (warm, moved) = moved_by(sharded);
-    assert_sweep(&warm, &oracle, "--shards over the rewritten store");
+    let (warm, moved) = moved_by(pushed);
+    assert_sweep(&warm, &oracle, "pushed sweep over the rewritten store");
     assert_eq!(routes(&moved), [CELLS, 0, 0, 0]);
     assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.corrupt"), 0);
 

@@ -14,11 +14,7 @@
 //!   what is missing: the producer starts at the first instruction, the
 //!   cells that can still restore do, the one that cannot warms up;
 //! * an overlay that is there but does not load sends its cell alone to
-//!   a replay of its own, heals, and touches no other cell;
-//! * the two files are the ones the pull executors read and write: a
-//!   store this engine populated warm-starts `replay_sweep_sharded`, and
-//!   one that populated warm-starts this engine, with the same prefix
-//!   bytes either way.
+//!   a replay of its own, heals, and touches no other cell.
 //!
 //! One `#[test]` on purpose: every count is a process-wide counter, and
 //! a sibling test in the same binary would move them.
@@ -28,8 +24,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    capture_length, capture_trace, replay_sweep, replay_sweep_sharded, simulate_source,
-    CheckpointStore, PreparedWorkload, SimConfig, SimResult, SweepResult, TraceStore,
+    capture_length, capture_trace, replay_sweep, simulate_source, CheckpointStore,
+    PreparedWorkload, SimConfig, SimResult, SweepResult, TraceStore,
 };
 use trrip_snap::corrupt;
 use trrip_trace::{StreamingReplay, CHUNK_CAPACITY};
@@ -223,41 +219,6 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.get("trace.records_decoded"), warm_decode);
     assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
     assert_sweep(&healed, &oracle, "healed store");
-
-    // ---- interop: the pull executors over a store this engine populated ----
-    // Segment 0 of every sharded cell restores the frontend's prefix
-    // and its overlay; with the overlay gone, CLIP's warms up with the
-    // fused loop and leaves it — the prefix is on file and stays.
-    std::fs::remove_file(&clip).expect("the overlay existed");
-    let sharded = |ckpts: &CheckpointStore| {
-        replay_sweep_sharded(JOBS, &workloads, &config, &ALL_POLICIES, &traces, ckpts, 4)
-    };
-    let (pulled, moved) = Moved::by(|| sharded(&ckpts));
-    assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
-    assert_sweep(&pulled, &oracle, "--shards 4 over a push-populated store");
-    assert!(read(&prefix) == prefix_bytes);
-
-    // ---- interop: this engine over a store the pull executors populated ----
-    // Every cell warms up by itself and leaves its overlay; those that
-    // find no prefix on file yet — the first to start, `JOBS` of them at
-    // the most per workload — write their own predictor as it, and it
-    // is the frontend's, byte for byte.
-    let pull_ckpts = CheckpointStore::new(root.join("pull-ckpts"));
-    let (populated, moved) = Moved::by(|| sharded(&pull_ckpts));
-    let [restored, warmed, prefixes, storeless] = moved.warm();
-    assert_eq!([restored, warmed, storeless], [0, 2 * CELLS, 0]);
-    assert!((2..=2 * JOBS as u64).contains(&prefixes), "{prefixes} prefixes written");
-    assert_sweep(&populated, &oracle, "--shards 4 over an empty store");
-    assert!(
-        read(&pull_ckpts.prefix_path(a, &config)) == prefix_bytes,
-        "a pulled cell's predictor at the boundary is the frontend's, byte for byte"
-    );
-    let (over_pulled, moved) = Moved::by(|| {
-        replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, Some(&pull_ckpts))
-    });
-    assert_eq!(moved.get("trace.records_decoded"), warm_decode, "resumed from a pulled prefix");
-    assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
-    assert_sweep(&over_pulled, &oracle, "push over a pull-populated store");
 
     // ---- no checkpoint store: replay, warm every cell, keep nothing ----
     let (plain, moved) =

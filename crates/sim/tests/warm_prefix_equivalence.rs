@@ -6,15 +6,13 @@
 //! state) and with the reuse/costly profilers armed. Fallback routing
 //! is pinned through the `warm.*` counters (`trrip_sim::warmstats` says
 //! what each means): a damaged overlay costs its one cell a warm-up of
-//! its own — on the push executor and on the pull executors alike — a
-//! damaged prefix is written again, and either file is healed by the
-//! sweep that found it.
+//! its own, a damaged prefix is written again, and either file is healed
+//! by the sweep that found it.
 
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep, replay_sweep_sharded, CheckpointStore, PreparedWorkload, SimConfig, SimResult,
-    SweepResult, TraceStore,
+    replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SimResult, SweepResult, TraceStore,
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
@@ -143,8 +141,7 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
 }
 
 /// A damaged overlay costs that one cell its warm-up, heals, and moves
-/// no other cell's counters — for a pushed cell, which then runs alone,
-/// and for a cell of the segment DAG, on a fresh machine either way
+/// no other cell's counters: the cell runs alone, on a fresh machine
 /// (the failed restore may have left the first one half-written).
 #[test]
 fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
@@ -155,41 +152,35 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let cells = policies.len() as u64;
     let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
 
-    type Engine<'a> = &'a dyn Fn(&TraceStore, &CheckpointStore) -> SweepResult;
-    let pushed: Engine<'_> =
-        &|traces, ckpts| replay_sweep(4, &workloads, &config, &policies, traces, Some(ckpts));
-    let sharded: Engine<'_> =
-        &|traces, ckpts| replay_sweep_sharded(4, &workloads, &config, &policies, traces, ckpts, 2);
-    for (engine, sweep) in [("pushed", pushed), ("--shards 2", sharded)] {
-        let trace_dir = scratch("trrip-warm-prefix-corrupt-traces");
-        let ckpt_dir = scratch("trrip-warm-prefix-corrupt-ckpts");
-        let traces = TraceStore::new(&trace_dir);
-        let ckpts = CheckpointStore::new(&ckpt_dir);
-        let _ = sweep(&traces, &ckpts);
+    let trace_dir = scratch("trrip-warm-prefix-corrupt-traces");
+    let ckpt_dir = scratch("trrip-warm-prefix-corrupt-ckpts");
+    let traces = TraceStore::new(&trace_dir);
+    let ckpts = CheckpointStore::new(&ckpt_dir);
+    let sweep = || replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
+    let _ = sweep();
 
-        // Flip a byte in the middle of Random's overlay: the container
-        // checksum rejects it at load.
-        let victim = config.clone().with_policy(PolicyKind::Random);
-        corrupt::flip_middle_byte(&ckpts.overlay_path(&workloads[0], &victim));
+    // Flip a byte in the middle of Random's overlay: the container
+    // checksum rejects it at load.
+    let victim = config.clone().with_policy(PolicyKind::Random);
+    corrupt::flip_middle_byte(&ckpts.overlay_path(&workloads[0], &victim));
 
-        let (patched, routes, damaged) = routes_of(|| sweep(&traces, &ckpts));
-        assert_eq!(routes, [cells - 1, 1, 0, 0], "{engine}: one cell warms, no prefix is written");
-        assert_eq!(damaged, 1, "{engine}: one file is reported");
-        for (policy, (a, b)) in policies.iter().zip(oracle.results.iter().zip(&patched.results)) {
-            assert_identical(a, b, &format!("{engine}, {policy}: sweep with a damaged overlay"));
-        }
-
-        // The lone cell left a good overlay: the next sweep is all
-        // restores again.
-        let (healed, routes, damaged) = routes_of(|| sweep(&traces, &ckpts));
-        assert_eq!((routes, damaged), ([cells, 0, 0, 0], 0), "{engine}: overlay must be healed");
-        for (a, b) in oracle.results.iter().zip(&healed.results) {
-            assert_identical(a, b, &format!("{engine}: healed sweep"));
-        }
-
-        std::fs::remove_dir_all(&trace_dir).ok();
-        std::fs::remove_dir_all(&ckpt_dir).ok();
+    let (patched, routes, damaged) = routes_of(sweep);
+    assert_eq!(routes, [cells - 1, 1, 0, 0], "one cell warms, no prefix is written");
+    assert_eq!(damaged, 1, "one file is reported");
+    for (policy, (a, b)) in policies.iter().zip(oracle.results.iter().zip(&patched.results)) {
+        assert_identical(a, b, &format!("{policy}: sweep with a damaged overlay"));
     }
+
+    // The lone cell left a good overlay: the next sweep is all
+    // restores again.
+    let (healed, routes, damaged) = routes_of(sweep);
+    assert_eq!((routes, damaged), ([cells, 0, 0, 0], 0), "overlay must be healed");
+    for (a, b) in oracle.results.iter().zip(&healed.results) {
+        assert_identical(a, b, "healed sweep");
+    }
+
+    std::fs::remove_dir_all(&trace_dir).ok();
+    std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
 #[test]

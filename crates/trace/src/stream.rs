@@ -69,9 +69,9 @@ impl StreamingReplay {
     /// On an index-less file (pre-index captures, or a damaged footer)
     /// whole chunks inside the prefix are *read but never decoded* —
     /// raw bytes still feed the checksum, so prefix damage is detected
-    /// there. Either way, this is how a shard segment starts mid-trace
-    /// without paying the prefix's varint decode — and why shard plans
-    /// align their cuts to [`crate::CHUNK_CAPACITY`].
+    /// there. Either way, this is how a warm sweep's replay starts at
+    /// the fast-forward boundary without paying the warm-up's varint
+    /// decode.
     ///
     /// A `skip` at or beyond the end of the trace yields an immediately
     /// exhausted (but still checksum-verified) stream.

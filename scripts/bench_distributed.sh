@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # Measures crash-tolerant multi-process sweeps — N worker processes
 # cooperating over one shared trace/checkpoint store through the claim
-# protocol — against the in-process sharded engine, and appends the run
-# to BENCH_distributed.json at the repo root. Every point is asserted
-# bit-identical to the baseline before any number is reported; the
-# disabled fault-point probe cost rides along.
+# protocol, a workload's row to a claim — against the in-process
+# replay_sweep, and appends the run to BENCH_distributed.json at the repo
+# root. Every point is asserted bit-identical to the baseline before any
+# number is reported; the disabled fault-point probe cost rides along.
 #
 #   scripts/bench_distributed.sh [harness flags...]
 #

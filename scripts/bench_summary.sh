@@ -27,9 +27,7 @@ import sys
 HEADLINE = {
     "memsys": ("measure_ns_per_instr", True),
     "pack": ("trace_bytes_per_instr", True),
-    "checkpoint_warm_start": ("warm_start_speedup", False),
     "distributed_claims": ("coordination_overhead_1_worker", True),
-    "shard_segment_dag": ("warm_sharded_speedup_vs_baseline", False),
     "warm_prefix": ("warm_vs_baseline_speedup", False),
 }
 # Ablation entries carry a "variant" label; the shipping path has none
