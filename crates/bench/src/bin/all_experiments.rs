@@ -1,8 +1,10 @@
 //! Runs the entire experiment suite — every table and figure — by
 //! invoking each experiment binary in sequence. Reports land in the
-//! output directory (default `reports/`).
+//! output directory (`--out DIR`, default `reports/`).
 
 use std::process::Command;
+
+use trrip_bench::HarnessOptions;
 
 const EXPERIMENTS: [&str; 11] = [
     "table1_config",
@@ -36,7 +38,11 @@ fn main() {
         }
     }
     if failures.is_empty() {
-        println!("\nall experiments completed; reports in ./reports/");
+        // Every child parsed this command line; ask the same parser
+        // where they wrote.
+        let parsed = HarnessOptions::try_parse(args.iter().cloned()).ok().flatten();
+        let out_dir = parsed.unwrap_or_default().out_dir;
+        println!("\nall experiments completed; reports in {}", out_dir.display());
     } else {
         eprintln!("\nFAILED experiments: {failures:?}");
         std::process::exit(1);

@@ -17,7 +17,7 @@ use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
-use trrip_sim::{capture_length, policy_sweep, replay_sweep, TraceStore};
+use trrip_sim::{capture_length, policy_sweep_with, replay_sweep, TraceStore};
 
 fn main() {
     trrip_bench::run_experiment("trace_replay", run);
@@ -43,7 +43,7 @@ fn run(options: &HarnessOptions) {
 
     eprintln!("walker sweep (same cells, each workload walked once)…");
     let walker_started = Instant::now();
-    let walked = policy_sweep(&workloads, &config, &PolicyKind::PAPER_SET);
+    let walked = policy_sweep_with(options.jobs, &workloads, &config, &PolicyKind::PAPER_SET);
     let walker_elapsed = walker_started.elapsed();
 
     // The two engines must agree bit-for-bit.

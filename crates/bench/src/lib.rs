@@ -487,25 +487,9 @@ pub fn run_experiment(tool: &'static str, body: impl FnOnce(&HarnessOptions)) {
     obs.finish(&[]);
 }
 
-/// Prepares workloads (training run + classification) for a config with
-/// one worker per hardware thread. Binaries with a parsed
-/// [`HarnessOptions`] should prefer [`HarnessOptions::prepare`], which
-/// honors `--jobs`.
-#[must_use]
-pub fn prepare_all(
-    specs: &[WorkloadSpec],
-    config: &SimConfig,
-    classifier: ClassifierConfig,
-) -> Vec<PreparedWorkload> {
-    trrip_sim::parallel_map(specs.len(), |i| {
-        PreparedWorkload::prepare(&specs[i], config.train_instructions, classifier)
-    })
-}
-
 /// Appends one run object to a `BENCH_*.json` trajectory file — a JSON
-/// array the perf-tracking binaries (`bench_warm_prefix`,
-/// `bench_memsys`, …) extend one entry per run. An unrecognized or
-/// missing file starts a fresh array.
+/// array the perf-tracking binary (`bench_memsys`) extends one entry
+/// per run. An unrecognized or missing file starts a fresh array.
 ///
 /// # Panics
 ///
@@ -527,16 +511,11 @@ pub fn append_trajectory(path: &Path, entry: &str) {
     fs::write(path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
-/// Appends a section to EXPERIMENTS-style output and stdout at once.
+/// Appends a line to a report and to stdout at once.
 pub fn emit(report: &mut String, line: &str) {
     println!("{line}");
     report.push_str(line);
     report.push('\n');
-}
-
-/// Ensures a directory exists (no-op shortcut for binaries).
-pub fn ensure_dir(path: &Path) {
-    let _ = fs::create_dir_all(path);
 }
 
 #[cfg(test)]

@@ -1,7 +1,6 @@
 //! `--metrics` on an experiment binary: `USAGE` promises a
 //! schema-versioned `obs_report.json` under `--out` from *every*
-//! binary, and until the session moved into the shared
-//! `run_experiment` only the `bench_*` ones wrote it. Driven through
+//! binary, and a Chrome trace beside the journal. Driven through
 //! the real `fig6_speedup`, cold then warm over the same stores, so the
 //! report is also shown to carry what explains a sweep: the `warm.*`
 //! and `trace.*` deltas, and in the journal one `producer_opened` per
@@ -31,6 +30,11 @@ fn fig6(dir: &Path, pass: &str) -> (Json, trrip_obs::JournalRead) {
     trrip_obs::validate_report(&text).unwrap_or_else(|e| panic!("{pass}: invalid report: {e}"));
     let journal = trrip_obs::read_journal(&Path::new(&obs).join("journal.jsonl"))
         .unwrap_or_else(|e| panic!("{pass}: journal: {e}"));
+    let trace =
+        std::fs::read_to_string(Path::new(&obs).join("obs_trace.json")).unwrap_or_else(|e| {
+            panic!("{pass}: --metrics must leave obs_trace.json under --obs-dir: {e}")
+        });
+    json::parse(&trace).unwrap_or_else(|e| panic!("{pass}: the Chrome trace must parse: {e}"));
     (json::parse(&text).expect("validated above"), journal)
 }
 

@@ -2,32 +2,31 @@
 //! environment variable.
 //!
 //! Robustness code is only trustworthy if its failure paths actually
-//! run, and "kill a worker mid-row" is not something a unit test
-//! can do by calling a function. This module gives the workspace named
-//! **fault points** — `fault!("ckpt.save.partial")` at the seam the
-//! fault should strike — that are inert by default (two relaxed atomic
-//! loads) and armed per process through [`ENV_VAR`]:
+//! run, and "kill the sweep between a flush and its rename" is not
+//! something a unit test can do by calling a function. This module
+//! gives the workspace named **fault points** —
+//! `fault!("ckpt.save.partial")` at the seam the fault should strike —
+//! that are inert by default (two relaxed atomic loads) and armed per
+//! process through [`ENV_VAR`]:
 //!
 //! ```text
-//! TRRIP_FAULTS="ckpt.save.partial=truncate:9@2;worker.heartbeat=delay:500"
+//! TRRIP_FAULTS="ckpt.save.partial=truncate:9@2"
 //! ```
 //!
 //! Each armed point names an action and (optionally) the **hit** it
 //! triggers on (`@n`, default 1) — every point keeps a deterministic
-//! hit counter, so "die on the third claim" reproduces exactly.
+//! hit counter, so "die on the fifth save" reproduces exactly.
 //! Actions:
 //!
 //! * `kill` — terminate the process immediately with exit code 137
 //!   (the code a SIGKILLed process reports), flushing nothing: the
 //!   closest a process can come to being killed at a chosen seam;
-//! * `delay:<ms>` — sleep, for stretching a heartbeat past its
-//!   deadline or widening a race window;
 //! * `truncate:<bytes>` — chop the last `<bytes>` off the artifact the
 //!   call site passes to [`fire_path`] (a torn write);
 //! * `corrupt` — flip a byte in the middle of that artifact.
 //!
-//! Path-less call sites ([`fire`]) execute `kill`/`delay` and ignore
-//! artifact actions; call sites holding the artifact being written use
+//! Path-less call sites ([`fire`]) execute `kill` and ignore artifact
+//! actions; call sites holding the artifact being written use
 //! [`fire_path`]. Tests in the same process can [`arm`]/[`disarm`]
 //! directly instead of going through the environment.
 
@@ -48,8 +47,6 @@ pub const KILL_EXIT_CODE: i32 = 137;
 pub enum FaultAction {
     /// Terminate the process with [`KILL_EXIT_CODE`], immediately.
     Kill,
-    /// Sleep this many milliseconds.
-    DelayMs(u64),
     /// Truncate the call site's artifact by this many trailing bytes.
     TruncateTail(u64),
     /// Flip a byte in the middle of the call site's artifact.
@@ -60,7 +57,6 @@ impl FaultAction {
     fn label(self) -> &'static str {
         match self {
             FaultAction::Kill => "kill",
-            FaultAction::DelayMs(_) => "delay",
             FaultAction::TruncateTail(_) => "truncate",
             FaultAction::Corrupt => "corrupt",
         }
@@ -105,16 +101,12 @@ fn parse_clause(clause: &str) -> Result<FaultPoint, String> {
     let action = match action_text.split_once(':') {
         None if action_text == "kill" => FaultAction::Kill,
         None if action_text == "corrupt" => FaultAction::Corrupt,
-        Some(("delay", ms)) => FaultAction::DelayMs(
-            ms.parse().map_err(|_| format!("delay wants milliseconds, got `{ms}`"))?,
-        ),
         Some(("truncate", bytes)) => FaultAction::TruncateTail(
             bytes.parse().map_err(|_| format!("truncate wants a byte count, got `{bytes}`"))?,
         ),
         _ => {
             return Err(format!(
-                "unknown fault action `{action_text}` (expected kill/delay:<ms>/\
-                 truncate:<bytes>/corrupt)"
+                "unknown fault action `{action_text}` (expected kill/truncate:<bytes>/corrupt)"
             ))
         }
     };
@@ -186,41 +178,31 @@ fn note_fired(name: &str, action: FaultAction) {
     event("fault_fired", &[("point", Field::Str(name)), ("action", Field::Str(action.label()))]);
 }
 
-/// Hits the fault point `name`, executing `kill`/`delay` actions in
-/// place. Artifact actions (`truncate`/`corrupt`) are ignored here —
-/// they need [`fire_path`]. A `kill` writes the `fault_fired` journal
-/// event first (the event is one unbuffered write), then exits.
+/// A `kill`: writes the `fault_fired` journal event first (the event is
+/// one unbuffered write), then exits.
+fn kill(name: &str) -> ! {
+    note_fired(name, FaultAction::Kill);
+    std::process::exit(KILL_EXIT_CODE);
+}
+
+/// Hits the fault point `name`, executing a `kill` action in place.
+/// Artifact actions (`truncate`/`corrupt`) are ignored here — they need
+/// [`fire_path`].
 pub fn fire(name: &str) {
-    match check(name) {
-        None => {}
-        Some(FaultAction::Kill) => {
-            note_fired(name, FaultAction::Kill);
-            std::process::exit(KILL_EXIT_CODE);
-        }
-        Some(FaultAction::DelayMs(ms)) => {
-            note_fired(name, FaultAction::DelayMs(ms));
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
-        Some(FaultAction::TruncateTail(_) | FaultAction::Corrupt) => {}
+    if check(name) == Some(FaultAction::Kill) {
+        kill(name);
     }
 }
 
 /// Hits the fault point `name` at a call site holding the artifact it
 /// guards: `truncate`/`corrupt` mutate `path` in place (a torn or
-/// damaged write), `kill`/`delay` behave as in [`fire`]. Mutation
+/// damaged write), `kill` behaves as in [`fire`]. Mutation
 /// failures are swallowed — a fault point must never introduce a new
 /// failure mode of its own.
 pub fn fire_path(name: &str, path: &Path) {
     match check(name) {
         None => {}
-        Some(FaultAction::Kill) => {
-            note_fired(name, FaultAction::Kill);
-            std::process::exit(KILL_EXIT_CODE);
-        }
-        Some(FaultAction::DelayMs(ms)) => {
-            note_fired(name, FaultAction::DelayMs(ms));
-            std::thread::sleep(std::time::Duration::from_millis(ms));
-        }
+        Some(FaultAction::Kill) => kill(name),
         Some(action @ FaultAction::TruncateTail(bytes)) => {
             note_fired(name, action);
             if let Ok(data) = std::fs::read(path) {
@@ -273,7 +255,7 @@ mod tests {
             ("no-action", "missing"),
             ("=kill", "empty point name"),
             ("p=explode", "unknown fault action"),
-            ("p=delay:soon", "milliseconds"),
+            ("p=delay:5", "unknown fault action"),
             ("p=truncate:some", "byte count"),
             ("p=kill@0", "positive"),
             ("p=kill@later", "positive"),
@@ -286,24 +268,14 @@ mod tests {
     #[test]
     fn nth_hit_triggers_exactly_once_and_deterministically() {
         let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        assert_eq!(arm("unit.point=delay:0@3").expect("arm"), 1);
+        assert_eq!(arm("unit.point=corrupt@3").expect("arm"), 1);
         assert_eq!(check("unit.point"), None, "hit 1 must not trigger");
         assert_eq!(check("unit.point"), None, "hit 2 must not trigger");
-        assert_eq!(check("unit.point"), Some(FaultAction::DelayMs(0)), "hit 3 triggers");
+        assert_eq!(check("unit.point"), Some(FaultAction::Corrupt), "hit 3 triggers");
         assert_eq!(check("unit.point"), None, "hit 4 must not re-trigger");
         assert_eq!(check("unit.other"), None, "unarmed points never trigger");
         disarm();
         assert_eq!(check("unit.point"), None, "disarmed points never trigger");
-    }
-
-    #[test]
-    fn delay_actually_sleeps() {
-        let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        arm("unit.delay=delay:60").expect("arm");
-        let start = std::time::Instant::now();
-        fire("unit.delay");
-        assert!(start.elapsed() >= std::time::Duration::from_millis(60));
-        disarm();
     }
 
     #[test]
@@ -332,7 +304,7 @@ mod tests {
     #[test]
     fn multi_clause_specs_arm_every_point() {
         let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let n = arm("a=kill; b=delay:5@2 ;; c=truncate:1").expect("arm");
+        let n = arm("a=kill; b=corrupt@2 ;; c=truncate:1").expect("arm");
         assert_eq!(n, 3);
         assert_eq!(arm("").expect("empty spec disarms"), 0);
         assert!(!ARMED.load(Ordering::Relaxed));

@@ -18,7 +18,11 @@
 //!
 //! [`report`] ties a run together: a schema-versioned `obs_report.json`
 //! with counter deltas, phase totals, and tool-specific fields, written
-//! next to the BENCH_*.json trajectories and validated on write.
+//! under `--out` and validated on write. [`tail`] reads a journal back,
+//! tolerating the torn last line a killed writer leaves. [`mod@fault`] is
+//! the other direction: named fault points, armed by environment
+//! variable, that kill the process or damage the artifact being written
+//! at the seam a test wants to see fail.
 //!
 //! The crate is deliberately dependency-free (std only): it sits at the
 //! bottom of the workspace and must never pull the stack sideways. The
@@ -47,4 +51,4 @@ pub use span::{
     chrome_trace_json, enter, phase_summary, phase_table, reset_spans, set_spans_enabled,
     spans_enabled, spans_recorded, PhaseStat, SpanGuard,
 };
-pub use tail::{read_journal, JournalRead, JournalTailer};
+pub use tail::{read_journal, JournalRead};

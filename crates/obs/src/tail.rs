@@ -7,15 +7,8 @@
 //! that might still grow. [`read_journal`] surfaces such a tail as
 //! data, not as an error; garbage *before* the final line is real
 //! corruption and is reported as one.
-//!
-//! [`JournalTailer`] is the incremental flavor for a live collector: it
-//! remembers its byte offset and each [`poll`](JournalTailer::poll)
-//! returns only the newline-terminated events appended since the last
-//! one — a torn tail is simply left in the file for a later poll to
-//! pick up once the writer finishes it.
 
-use std::io::{Read, Seek, SeekFrom};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
 use crate::json::{self, Json};
 
@@ -83,92 +76,15 @@ pub fn read_journal(path: &Path) -> std::io::Result<JournalRead> {
     Ok(JournalRead { events, torn_tail })
 }
 
-/// Incremental reader over a journal another process is appending to.
-///
-/// Each [`poll`](Self::poll) returns the events whose terminating
-/// newline has landed since the previous poll. Unterminated bytes stay
-/// in the file untouched — the offset only ever advances past complete
-/// lines, so a torn write is re-examined (and eventually consumed) once
-/// its newline arrives. A journal that does not exist yet polls as
-/// empty rather than erroring: workers create their journals at
-/// startup, and the collector may look first.
-#[derive(Debug)]
-pub struct JournalTailer {
-    path: PathBuf,
-    offset: u64,
-}
-
-impl JournalTailer {
-    /// A tailer positioned at the start of `path` (which need not exist
-    /// yet).
-    #[must_use]
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        Self { path: path.into(), offset: 0 }
-    }
-
-    /// The journal this tailer reads.
-    #[must_use]
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Byte offset of the next unconsumed line.
-    #[must_use]
-    pub fn offset(&self) -> u64 {
-        self.offset
-    }
-
-    /// Returns the complete events appended since the last poll.
-    ///
-    /// # Errors
-    ///
-    /// I/O errors other than the file not existing, or a corrupt
-    /// newline-terminated line (same contract as [`read_journal`]:
-    /// only an *unterminated* tail is tolerated, and it is simply left
-    /// for the next poll).
-    pub fn poll(&mut self) -> std::io::Result<Vec<Json>> {
-        let mut file = match std::fs::File::open(&self.path) {
-            Ok(file) => file,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        file.seek(SeekFrom::Start(self.offset))?;
-        let mut fresh = String::new();
-        file.read_to_string(&mut fresh)?;
-        let mut events = Vec::new();
-        for line in fresh.split_inclusive('\n') {
-            let Some(body) = line.strip_suffix('\n') else {
-                break; // torn tail: leave it for a later poll
-            };
-            self.offset += line.len() as u64;
-            if body.is_empty() {
-                continue;
-            }
-            let event = json::parse(body).map_err(|message| {
-                std::io::Error::new(
-                    std::io::ErrorKind::InvalidData,
-                    format!("{}: corrupt journal line: {message}", self.path.display()),
-                )
-            })?;
-            events.push(event);
-        }
-        Ok(events)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Write;
+    use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("trrip-obs-tail-test");
         std::fs::create_dir_all(&dir).expect("test dir");
         dir.join(format!("{name}-{}.jsonl", std::process::id()))
-    }
-
-    fn kind_of(event: &Json) -> &str {
-        event.get("kind").and_then(Json::as_str).expect("kind field")
     }
 
     #[test]
@@ -221,29 +137,5 @@ mod tests {
         assert!(read.events.is_empty() && read.torn_tail.is_none());
         let _ = std::fs::remove_file(&path);
         assert!(read_journal(&path).is_err(), "a missing journal is an I/O error");
-    }
-
-    #[test]
-    fn tailer_consumes_only_complete_lines_across_polls() {
-        let path = scratch("tailer");
-        let _ = std::fs::remove_file(&path);
-        let mut tailer = JournalTailer::new(&path);
-        assert!(tailer.poll().expect("missing file polls empty").is_empty());
-
-        let mut file = std::fs::File::create(&path).expect("create");
-        write!(file, "{{\"seq\":0,\"kind\":\"a\"}}\n{{\"seq\":1,\"kin").expect("write");
-        file.flush().expect("flush");
-        let events = tailer.poll().expect("poll");
-        assert_eq!(events.len(), 1, "only the newline-terminated line is consumed");
-        assert_eq!(kind_of(&events[0]), "a");
-        assert!(tailer.poll().expect("poll").is_empty(), "torn tail stays pending");
-
-        // The writer finishes the line and appends another.
-        write!(file, "d\":\"b\"}}\n{{\"seq\":2,\"kind\":\"c\"}}\n").expect("write");
-        file.flush().expect("flush");
-        let events = tailer.poll().expect("poll");
-        assert_eq!(events.iter().map(kind_of).collect::<Vec<_>>(), ["b", "c"]);
-        assert_eq!(tailer.offset(), std::fs::metadata(&path).expect("meta").len());
-        let _ = std::fs::remove_file(&path);
     }
 }

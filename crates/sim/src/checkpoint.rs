@@ -335,9 +335,9 @@ pub fn write_checkpoint_kind(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    // Unique per process AND per call: two workers of one process can
-    // write the same file concurrently (a row reclaimed from a stalled
-    // worker that is still running it), and both must land atomically.
+    // Unique per process AND per call: two `--jobs` workers of one
+    // process, or two processes sharing the directory, can save the same
+    // file concurrently, and both must land atomically.
     static SEQ: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
     let seq = SEQ.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
     let tmp = path.with_extension(format!("tmp.{}.{seq}", std::process::id()));
@@ -505,7 +505,9 @@ fn note_save() {
 /// Every load and save feeds the `ckpt.*` counters in the `trrip-obs`
 /// registry (`ckpt.hit`/`miss`/`corrupt`/`save`/`gc_files`/`gc_bytes`),
 /// so `--metrics` runs report store effectiveness without the store
-/// carrying any state of its own.
+/// carrying any state of its own. `size_bytes`, `gc` and `gc_budget`
+/// read `*.ckpt` in the top directory only: a subdirectory (an earlier
+/// version's `coord/`, say) is ignored as any foreign file is.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -794,7 +796,7 @@ impl CheckpointStore {
     /// only when their own fingerprint is stale **and** they are older
     /// than [`GC_TMP_GRACE`] — a fresh `.tmp.` with a stale-looking
     /// fingerprint may belong to a writer whose keep-set differs from
-    /// ours (multi-process sweeps share one directory), and unlinking it
+    /// ours (processes may share one directory), and unlinking it
     /// mid-write would turn that writer's rename into an error. Files
     /// the store did not name (no trailing `-fingerprint-hash` pair) are
     /// left alone.

@@ -45,9 +45,10 @@
 //! one prefix read, `jobs` threads, and `exec.cell_records /
 //! exec.turn_records` machines a record).
 //!
-//! No executor remains beside this one: a multi-process sweep
-//! ([`crate::coordinate_worker`]) is worker processes that each claim a
-//! workload's row and call [`replay_sweep`] on it.
+//! No executor remains beside this one, and `jobs` threads are the only
+//! way a sweep uses more than one core. Rows are independent and every
+//! store write is temp + rename, so two processes sweeping disjoint
+//! workloads may share a trace directory and a checkpoint directory.
 //!
 //! The one-cell paths, [`crate::simulate`] and
 //! [`crate::simulate_source`], pull from a source of their own through
@@ -125,23 +126,9 @@ impl SweepResult {
     }
 }
 
-/// Runs `f(0)..f(n-1)` across up to one scoped worker per hardware
-/// thread, returning the results in index order. The scaffold behind
-/// preparation passes and per-workload set-up.
-///
-/// # Panics
-///
-/// Propagates panics from `f` (a panicking worker aborts the scope).
-pub fn parallel_map<T, F>(n: usize, f: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    parallel_map_with(default_jobs(), n, f)
-}
-
-/// [`parallel_map`] with an explicit worker cap (`--jobs` in the bench
-/// harness): at most `jobs` scoped workers, never more than `n`.
+/// Runs `f(0)..f(n-1)` across at most `jobs` scoped workers (`--jobs` in
+/// the bench harness), never more than `n`, returning the results in
+/// index order. The scaffold behind preparation passes.
 ///
 /// # Panics
 ///

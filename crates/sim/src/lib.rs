@@ -32,11 +32,6 @@
 //! * [`warmstats`] — what the `warm.*` registry counters mean: how
 //!   cells reached the fast-forward boundary (restored, or warmed with
 //!   or without a store), the observable behind fallback tests.
-//! * [`coordinate`] — multi-process sweeps: worker processes sharing
-//!   the two stores each claim a workload's row
-//!   ([`coordinate_worker`]), run it through [`replay_sweep`] and
-//!   publish one result fragment per cell; crash-tolerant through
-//!   heartbeated, reclaimable claim files.
 //! * [`inflight`] — the fixed-size open-addressed prefetch-timeliness
 //!   table behind the backend's allocation-free hot path.
 
@@ -47,7 +42,6 @@ pub mod backend;
 pub mod capture;
 pub mod checkpoint;
 pub mod config;
-pub mod coordinate;
 pub mod experiment;
 pub mod inflight;
 pub mod prepare;
@@ -62,12 +56,9 @@ pub use checkpoint::{
     GcReport, SharedWarmup,
 };
 pub use config::SimConfig;
-pub use coordinate::{
-    collect_results, coordinate_worker, scan_claims, CoordError, WorkerOptions, WorkerReport,
-};
 pub use experiment::{
-    default_jobs, parallel_map, parallel_map_with, policy_sweep, policy_sweep_with, replay_sweep,
-    speedup_vs, SweepResult,
+    default_jobs, parallel_map_with, policy_sweep, policy_sweep_with, replay_sweep, speedup_vs,
+    SweepResult,
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;

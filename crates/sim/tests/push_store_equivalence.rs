@@ -9,7 +9,8 @@
 //!   both: a cold pass walks once, capturing on the side the very bytes
 //!   `capture_trace` writes; a warm pass decodes once, from the chunk
 //!   holding the fast-forward boundary, and reads the shared prefix once
-//!   however many cells it has;
+//!   however many cells it has; what the cold pass leaves on disk is at
+//!   most 0.60× the bytes it fed the codecs;
 //! * a partial store (an overlay gone, or the prefix gone) costs exactly
 //!   what is missing: the producer starts at the first instruction, the
 //!   cells that can still restore do, the one that cannot warms up;
@@ -142,6 +143,9 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.get("trace.records_decoded"), 0, "a cold pass never reads what it writes");
     assert_eq!(moved.get("front.digest.instrs"), 2 * stream, "one frontend per workload");
     assert_eq!(moved.warm(), [0, 2 * CELLS, 2, 0], "every cell warms, one prefix a workload");
+    let (raw, packed) = (moved.get("pack.raw_bytes"), moved.get("pack.compressed_bytes"));
+    assert!(raw > 0, "captures and boundary files rest packed");
+    assert!(packed * 100 <= raw * 60, "{packed} of {raw} bytes: the footprint bar is 0.60x");
     for w in &workloads {
         let reference = root.join(format!("{}.reference.trrip", w.spec.name));
         capture_trace(w, &config, &reference).expect("reference capture");

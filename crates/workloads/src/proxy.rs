@@ -1,8 +1,8 @@
 //! The ten proxy mobile benchmarks (Table 2), as synthetic specs.
 //!
 //! Each spec is calibrated so the SRRIP-baseline L2 MPKI (instruction and
-//! data) lands near Table 3's raw values — see EXPERIMENTS.md for the
-//! measured comparison. The defining characteristics:
+//! data) lands near Table 3's raw values — the `calibrate` binary prints
+//! the measured comparison. The defining characteristics:
 //!
 //! | benchmark | role (paper) | defining parameters here |
 //! |---|---|---|

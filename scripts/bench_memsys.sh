@@ -15,8 +15,7 @@
 # The JSON is an array of run objects, each labeled with its `variant`;
 # every PR that touches the cache stores, the backend, the event loop
 # or the walker should append a fresh entry so regressions are visible
-# in review. `scripts/bench_summary.sh` collates
-# all BENCH_*.json trajectories into one table.
+# in review.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)

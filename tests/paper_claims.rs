@@ -1,6 +1,7 @@
 //! Qualitative paper-claim tests: the directional results the paper
 //! stakes its contribution on, checked at a reduced (CI-friendly) scale.
-//! EXPERIMENTS.md records the full-scale numbers.
+//! The `calibrate` binary prints the full-scale numbers beside the
+//! paper's (its `paper:` columns).
 
 use trrip::core::ClassifierConfig;
 use trrip::policies::PolicyKind;
