@@ -14,7 +14,6 @@
 
 use serde::{Deserialize, Serialize};
 use trrip_mem::LineAddr;
-use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Figure 3's histogram buckets.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -189,59 +188,6 @@ impl ReuseProfiler {
     #[must_use]
     pub fn hot_only(&self) -> &ReuseHistogram {
         &self.hot_only
-    }
-}
-
-impl Snapshot for ReuseHistogram {
-    fn save(&self, w: &mut SnapWriter) {
-        for &c in &self.counts {
-            w.u64(c);
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for c in &mut self.counts {
-            *c = r.u64()?;
-        }
-        Ok(())
-    }
-}
-
-impl Snapshot for ReuseProfiler {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"REUS");
-        w.usize(self.sets.len());
-        for set in &self.sets {
-            w.usize(set.len());
-            for e in set {
-                w.u64(e.line.raw());
-                w.bool(e.hot);
-            }
-        }
-        self.base.save(w);
-        self.hot_only.save(w);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"REUS")?;
-        r.expect_len("reuse profiler sets", self.sets.len())?;
-        for set in &mut self.sets {
-            let depth = r.usize()?;
-            if depth > self.depth_cap {
-                return Err(SnapError::Mismatch(format!(
-                    "reuse stack depth {depth} exceeds cap {}",
-                    self.depth_cap
-                )));
-            }
-            set.clear();
-            for _ in 0..depth {
-                let line = LineAddr(r.u64()?);
-                let hot = r.bool()?;
-                set.push(StackEntry { line, hot });
-            }
-        }
-        self.base.restore(r)?;
-        self.hot_only.restore(r)
     }
 }
 

@@ -9,7 +9,7 @@ use trrip_bench::HarnessOptions;
 use trrip_compiler::LayoutKind;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
-use trrip_sim::simulate;
+use trrip_sim::{parallel_map_with, simulate, SimConfig};
 
 fn main() {
     trrip_bench::run_experiment("fig2_topdown_proxy", run);
@@ -24,10 +24,15 @@ fn run(options: &HarnessOptions) {
         "bench", "retire", "other", "mem", "issue", "depend", "mispred.", "ifetch",
     ]);
     let mut pgo_retire_gains = 0usize;
-    for w in &workloads {
-        for layout in [LayoutKind::SourceOrder, LayoutKind::Pgo] {
-            let run_config = trrip_sim::SimConfig { layout, ..config.clone() };
-            let r = simulate(w, &run_config);
+    // Two layouts are two streams: two rows of one cell per workload,
+    // each run alone, `--jobs` rows at a time.
+    let layouts = [LayoutKind::SourceOrder, LayoutKind::Pgo];
+    let results = parallel_map_with(options.jobs, workloads.len() * layouts.len(), |i| {
+        let layout = layouts[i % layouts.len()];
+        simulate(&workloads[i / layouts.len()], &SimConfig { layout, ..config.clone() })
+    });
+    for (w, rows) in workloads.iter().zip(results.chunks(layouts.len())) {
+        for (layout, r) in layouts.into_iter().zip(rows) {
             let td = &r.core.topdown;
             let name = match layout {
                 LayoutKind::SourceOrder => w.spec.name.clone(),

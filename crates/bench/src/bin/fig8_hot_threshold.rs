@@ -23,11 +23,7 @@ fn main() {
 
 fn run(options: &HarnessOptions) {
     let base_config = options.sim_config(PolicyKind::Trrip1);
-    let specs: Vec<_> = options
-        .selected_proxies()
-        .into_iter()
-        .filter(|s| BENCHES.contains(&s.name.as_str()))
-        .collect();
+    let specs = options.selected_among(&BENCHES);
 
     let mut headers = vec!["bench".to_owned(), "section".to_owned()];
     headers.extend(THRESHOLDS.iter().map(|t| format!("{}%", t * 100.0)));

@@ -6,11 +6,22 @@
 //! (b) TRRIP-1 per-benchmark speedup at 4/8/16-way (128 kB) — higher
 //!     associativity captures more of the long hot reuse distances.
 
+//!
+//! One sweep: every (size, policy) and (ways, policy) point is a cell of
+//! one row per workload, over one walk and one frontend. The 128 kB 8-way
+//! SRRIP / TRRIP-1 pair is the paper machine and serves both panels.
+
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
-use trrip_sim::SimConfig;
+use trrip_sim::{policy_cells, SimConfig};
+
+const SIZES: [u64; 3] = [128 << 10, 256 << 10, 512 << 10];
+const SIZE_POLICIES: [PolicyKind; 4] =
+    [PolicyKind::Srrip, PolicyKind::Trrip1, PolicyKind::Clip, PolicyKind::Emissary];
+const WAYS: [usize; 3] = [4, 8, 16];
+const WAYS_POLICIES: [PolicyKind; 2] = [PolicyKind::Srrip, PolicyKind::Trrip1];
 
 fn main() {
     trrip_bench::run_experiment("fig9_cache_sensitivity", run);
@@ -22,49 +33,48 @@ fn run(options: &HarnessOptions) {
     eprintln!("preparing {} workloads…", specs.len());
     let workloads = options.prepare(&specs, &base_config, base_config.classifier);
 
-    // ---- (a) size sweep ----
-    let sizes = [128u64 << 10, 256 << 10, 512 << 10];
-    let policies = [PolicyKind::Srrip, PolicyKind::Trrip1, PolicyKind::Clip, PolicyKind::Emissary];
-    let mut table_a = TextTable::new(vec!["mechanism", "128kB", "256kB", "512kB"]);
-    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); 3];
-    for &size in &sizes {
-        let config = SimConfig {
-            hierarchy: base_config.hierarchy.clone().with_l2_size(size),
-            ..base_config.clone()
-        };
-        eprintln!("L2 size {} kB…", size >> 10);
-        let sweep = options.sweep(&workloads, &config, &policies);
-        for (i, &p) in
-            [PolicyKind::Trrip1, PolicyKind::Clip, PolicyKind::Emissary].iter().enumerate()
-        {
-            let speeds = sweep.speedups(p, PolicyKind::Srrip);
-            per_policy[i].push(geomean_pct(&speeds));
+    // (a)'s cells, size-major, then (b)'s off-paper associativities.
+    let mut cells = Vec::new();
+    for size in SIZES {
+        let hierarchy = base_config.hierarchy.clone().with_l2_size(size);
+        cells.extend(policy_cells(&SimConfig { hierarchy, ..base_config.clone() }, &SIZE_POLICIES));
+    }
+    // Where the cells of `ways` start: 8 ways is the paper L2, whose
+    // SRRIP / TRRIP-1 cells lead the 128 kB block above.
+    let mut ways_at = [0; WAYS.len()];
+    for (at, ways) in ways_at.iter_mut().zip(WAYS) {
+        if ways != base_config.hierarchy.l2.ways {
+            *at = cells.len();
+            let hierarchy = base_config.hierarchy.clone().with_l2_ways(ways);
+            cells.extend(policy_cells(
+                &SimConfig { hierarchy, ..base_config.clone() },
+                &WAYS_POLICIES,
+            ));
         }
     }
-    for (i, name) in ["TRRIP", "CLIP", "Emissary"].iter().enumerate() {
-        let row: Vec<String> = std::iter::once((*name).to_owned())
-            .chain(per_policy[i].iter().map(|s| format!("{s:+.2}")))
-            .collect();
-        table_a.row(row);
+    eprintln!("{} L2 configurations per workload…", cells.len());
+    let sweep = options.sweep_cells(&workloads, &cells);
+
+    // ---- (a) size sweep ----
+    let mut table_a = TextTable::new(vec!["mechanism", "128kB", "256kB", "512kB"]);
+    for (pi, name) in ["TRRIP", "CLIP", "Emissary"].iter().enumerate() {
+        let row = (0..SIZES.len()).map(|si| {
+            let srrip = si * SIZE_POLICIES.len();
+            format!("{:+.2}", geomean_pct(&sweep.cell_speedups(srrip + 1 + pi, srrip)))
+        });
+        table_a.row(std::iter::once((*name).to_owned()).chain(row).collect());
     }
     println!("Figure 9a: geomean speedup (%) vs SRRIP across L2 sizes (8-way)");
     println!("{table_a}");
 
     // ---- (b) associativity sweep ----
-    let ways = [4usize, 8, 16];
     let mut headers = vec!["bench".to_owned()];
-    headers.extend(ways.iter().map(|w| format!("{w}-way")));
+    headers.extend(WAYS.iter().map(|w| format!("{w}-way")));
     let mut table_b = TextTable::new(headers);
     let mut rows: Vec<Vec<String>> = workloads.iter().map(|w| vec![w.spec.name.clone()]).collect();
     let mut geos = Vec::new();
-    for &w in &ways {
-        let config = SimConfig {
-            hierarchy: base_config.hierarchy.clone().with_l2_ways(w),
-            ..base_config.clone()
-        };
-        eprintln!("L2 associativity {w}…");
-        let sweep = options.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-        let speeds = sweep.speedups(PolicyKind::Trrip1, PolicyKind::Srrip);
+    for srrip in ways_at {
+        let speeds = sweep.cell_speedups(srrip + 1, srrip);
         for (i, s) in speeds.iter().enumerate() {
             rows[i].push(format!("{s:+.2}"));
         }

@@ -8,6 +8,10 @@
 //! * page-aligned sections — prevention (1): padding so sections never
 //!   share a page (costs binary size, never mixes).
 
+//!
+//! One sweep: every (page size, rule, policy) point is a cell of one row
+//! per workload, over one walk and one frontend.
+
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
@@ -15,7 +19,11 @@ use trrip_compiler::Linker;
 use trrip_mem::PageSize;
 use trrip_os::{Loader, OverlapPolicy};
 use trrip_policies::PolicyKind;
-use trrip_sim::SimConfig;
+use trrip_sim::{policy_cells, SimConfig};
+
+const RULES: [OverlapPolicy; 3] =
+    [OverlapPolicy::FirstByte, OverlapPolicy::DropMixed, OverlapPolicy::Hottest];
+const POLICIES: [PolicyKind; 2] = [PolicyKind::Srrip, PolicyKind::Trrip1];
 
 fn main() {
     trrip_bench::run_experiment("overlap_ablation", run);
@@ -26,20 +34,25 @@ fn run(options: &HarnessOptions) {
     let specs = options.selected_proxies();
     let workloads = options.prepare(&specs, &base, base.classifier);
 
-    // Speedup sensitivity: TRRIP-1 geomean per (page size, policy).
+    // Speedup sensitivity: TRRIP-1 geomean per (page size, rule). Cells
+    // are page-size-major, then by rule, an SRRIP / TRRIP-1 pair each.
+    let mut cells = Vec::new();
+    for page_size in PageSize::ALL {
+        for overlap in RULES {
+            cells
+                .extend(policy_cells(&SimConfig { page_size, overlap, ..base.clone() }, &POLICIES));
+        }
+    }
+    let sweep = options.sweep_cells(&workloads, &cells);
     let mut table = TextTable::new(vec!["page size", "FirstByte", "DropMixed", "Hottest"]);
-    for size in PageSize::ALL {
+    for (si, size) in PageSize::ALL.iter().enumerate() {
         let mut row = vec![size.to_string()];
-        for overlap in [OverlapPolicy::FirstByte, OverlapPolicy::DropMixed, OverlapPolicy::Hottest]
-        {
-            let config = SimConfig { page_size: size, overlap, ..base.clone() };
-            let sweep =
-                options.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-            let g = geomean_pct(&sweep.speedups(PolicyKind::Trrip1, PolicyKind::Srrip));
+        for ri in 0..RULES.len() {
+            let srrip = (si * RULES.len() + ri) * POLICIES.len();
+            let g = geomean_pct(&sweep.cell_speedups(srrip + 1, srrip));
             row.push(format!("{g:+.2}"));
         }
         table.row(row);
-        eprintln!("page size {size} done");
     }
     println!("TRRIP-1 geomean speedup (%) vs SRRIP per page size and overlap policy");
     println!("{table}");

@@ -17,7 +17,7 @@ use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
-use trrip_sim::{capture_length, policy_sweep_with, replay_sweep, TraceStore};
+use trrip_sim::{capture_length, policy_cells, policy_sweep_with, replay_sweep, TraceStore};
 
 fn main() {
     trrip_bench::run_experiment("trace_replay", run);
@@ -32,18 +32,18 @@ fn run(options: &HarnessOptions) {
     eprintln!("preparing {} workloads…", specs.len());
     let workloads = options.prepare(&specs, &config, config.classifier);
 
-    let jobs = workloads.len() as u64 * PolicyKind::PAPER_SET.len() as u64;
+    let cells = policy_cells(&config, &PolicyKind::PAPER_SET);
+    let jobs = workloads.len() as u64 * cells.len() as u64;
     let replayed_instrs = jobs * capture_length(&config);
 
     eprintln!("replay sweep ({jobs} jobs)…");
     let replay_started = Instant::now();
-    let sweep =
-        replay_sweep(options.jobs, &workloads, &config, &PolicyKind::PAPER_SET, &store, None);
+    let sweep = replay_sweep(options.jobs, &workloads, &cells, &store, None);
     let replay_elapsed = replay_started.elapsed();
 
     eprintln!("walker sweep (same cells, each workload walked once)…");
     let walker_started = Instant::now();
-    let walked = policy_sweep_with(options.jobs, &workloads, &config, &PolicyKind::PAPER_SET);
+    let walked = policy_sweep_with(options.jobs, &workloads, &cells);
     let walker_elapsed = walker_started.elapsed();
 
     // The two engines must agree bit-for-bit.

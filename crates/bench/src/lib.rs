@@ -13,8 +13,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
-    TraceStore,
+    policy_cells, policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig,
+    SweepResult, TraceStore,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -32,27 +32,21 @@ options:
                    every later run
   --checkpoint-dir DIR
                    keep the fast-forward boundary in DIR as two kinds of
-                   file — one policy-agnostic shared prefix (the branch
-                   predictor) per workload, one overlay per (workload,
-                   policy) — and restore from them on later sweeps,
+                   file — one shared prefix (the branch predictor) per
+                   workload, one overlay per cell (workload × swept
+                   machine) — and restore from them on later sweeps,
                    skipping warmup; a cell whose files are missing,
                    damaged or of another format version warms up and
                    writes them again; requires --trace-dir
-  --jobs N         cap worker threads for sweeps and preparation
-                   (default: available parallelism); a sweep, with or
-                   without stores, simulates on exactly min(N, cells)
-                   threads (a trace replay decodes on one more per
-                   workload in flight)
+  --jobs N         cap worker threads for sweeps, one-cell rows and
+                   preparation (default: available parallelism); a sweep,
+                   with or without stores, simulates on exactly
+                   min(N, cells) threads (a trace replay decodes on one
+                   more per workload in flight)
   --shards N       accepted and ignored: a sweep runs every cell of a
                    workload over one stream
   --warm-prefix    accepted and ignored: every sweep over a
                    --checkpoint-dir shares one prefix per workload
-  --ckpt-budget-bytes N
-                   after the sweep, shrink the checkpoint store to at
-                   most N bytes, evicting cheapest-to-rebuild artifacts
-                   first (overlays, then shared prefixes, then whole-state
-                   containers; LRU within each class); requires
-                   --checkpoint-dir
   --metrics        enable phase spans and, on exit, print a telemetry
                    summary (per-phase timings + counter deltas) and
                    write a schema-versioned obs_report.json plus a
@@ -61,7 +55,12 @@ options:
                    and the Chrome trace under DIR; requires --metrics
   --quiet          suppress [trrip] progress lines on stderr (reports
                    and telemetry artifacts are still written)
-  --help           print this message and exit";
+  --help           print this message and exit
+
+fig1_topdown_system, fig2_topdown_proxy, fig3_reuse_distance and
+fig7_costly_coverage sweep nothing — each workload is a row of one cell,
+run on its own over the walker, --jobs rows at a time — so they accept
+--trace-dir and --checkpoint-dir and read no store.";
 
 /// Cap on journal events per run; past it the journal records only the
 /// dropped count (reported on close), so a runaway sweep cannot fill
@@ -84,9 +83,6 @@ pub struct HarnessOptions {
     /// Worker-thread cap for sweeps and preparation (`--jobs N`,
     /// default: the machine's available parallelism).
     pub jobs: usize,
-    /// Post-sweep checkpoint-store byte budget
-    /// (`--ckpt-budget-bytes N`); `None` = unbounded.
-    pub ckpt_budget_bytes: Option<u64>,
     /// Enable phase spans and telemetry artifacts (`--metrics`).
     pub metrics: bool,
     /// Event-journal / Chrome-trace directory (`--obs-dir DIR`).
@@ -104,7 +100,6 @@ impl Default for HarnessOptions {
             trace_dir: None,
             checkpoint_dir: None,
             jobs: trrip_sim::default_jobs(),
-            ckpt_budget_bytes: None,
             metrics: false,
             obs_dir: None,
             quiet: false,
@@ -244,16 +239,6 @@ impl HarnessOptions {
                         .map_err(|_| format!("--shards must be a positive integer, got `{v}`"))?;
                 }
                 "--warm-prefix" => {}
-                "--ckpt-budget-bytes" => {
-                    let v = value_of("--ckpt-budget-bytes")?;
-                    let budget = v.parse().map_err(|_| {
-                        format!("--ckpt-budget-bytes must be a positive integer, got `{v}`")
-                    })?;
-                    if budget == 0 {
-                        return Err("--ckpt-budget-bytes must be at least 1".to_owned());
-                    }
-                    options.ckpt_budget_bytes = Some(budget);
-                }
                 "--metrics" => options.metrics = true,
                 "--obs-dir" => options.obs_dir = Some(PathBuf::from(value_of("--obs-dir")?)),
                 "--quiet" => options.quiet = true,
@@ -261,7 +246,7 @@ impl HarnessOptions {
                     return Err(format!(
                         "unknown argument `{other}` (expected \
                          --scale/--bench/--out/--trace-dir/--checkpoint-dir/--jobs/--shards/\
-                         --warm-prefix/--ckpt-budget-bytes/--metrics/--obs-dir/--quiet)"
+                         --warm-prefix/--metrics/--obs-dir/--quiet)"
                     ))
                 }
             }
@@ -269,11 +254,6 @@ impl HarnessOptions {
         if options.checkpoint_dir.is_some() && options.trace_dir.is_none() {
             return Err("--checkpoint-dir requires --trace-dir (warm starts restore into the \
                  captured-trace replay engine)"
-                .to_owned());
-        }
-        if options.ckpt_budget_bytes.is_some() && options.checkpoint_dir.is_none() {
-            return Err("--ckpt-budget-bytes requires --checkpoint-dir (the budget bounds the \
-                 persisted checkpoint store) and therefore --trace-dir"
                 .to_owned());
         }
         if options.obs_dir.is_some() && !options.metrics {
@@ -284,14 +264,32 @@ impl HarnessOptions {
         Ok(Some(options))
     }
 
-    /// Runs a policy sweep over what the command line attached: the
-    /// **store-backed** sweep when `--trace-dir` is given (replayed from
-    /// a capture, or walked and captured on the side; warm-started from
-    /// and populating `--checkpoint-dir` if given), and the
-    /// **storeless** sweep over the walker otherwise. Either produces
-    /// and predicts each workload's stream once, for all policies, on at
-    /// most `--jobs` simulating threads. Results are bit-identical
-    /// across every combination.
+    /// Runs every workload under every cell — any configurations that
+    /// share a stream and a frontend ([`trrip_sim::experiment`]) — over
+    /// what the command line attached: the **store-backed** sweep when
+    /// `--trace-dir` is given (replayed from a capture, or walked and
+    /// captured on the side; warm-started from and populating
+    /// `--checkpoint-dir` if given), and the **storeless** sweep over the
+    /// walker otherwise. Either produces and predicts each workload's
+    /// stream once, for all cells, on at most `--jobs` simulating
+    /// threads. Results are bit-identical across every combination.
+    #[must_use]
+    pub fn sweep_cells(&self, workloads: &[PreparedWorkload], cells: &[SimConfig]) -> SweepResult {
+        let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
+        match &self.trace_dir {
+            Some(traces) => replay_sweep(
+                self.jobs,
+                workloads,
+                cells,
+                &TraceStore::new(traces),
+                checkpoints.as_ref(),
+            ),
+            None => policy_sweep_with(self.jobs, workloads, cells),
+        }
+    }
+
+    /// [`HarnessOptions::sweep_cells`] for the common case: the machine
+    /// of `config` under each of `policies`.
     #[must_use]
     pub fn sweep(
         &self,
@@ -299,41 +297,7 @@ impl HarnessOptions {
         config: &SimConfig,
         policies: &[PolicyKind],
     ) -> SweepResult {
-        let result = self.sweep_engine(workloads, config, policies);
-        if let (Some(budget), Some(dir)) = (self.ckpt_budget_bytes, &self.checkpoint_dir) {
-            let store = CheckpointStore::new(dir);
-            match store.gc_budget(budget) {
-                Ok(report) if report.removed_files > 0 => trrip_obs::progress!(
-                    "checkpoint budget: evicted {} file(s), {} B freed, store now {} B",
-                    report.removed_files,
-                    report.freed_bytes,
-                    store.size_bytes()
-                ),
-                Ok(_) => {}
-                Err(e) => eprintln!("warning: --ckpt-budget-bytes gc failed: {e}"),
-            }
-        }
-        result
-    }
-
-    fn sweep_engine(
-        &self,
-        workloads: &[PreparedWorkload],
-        config: &SimConfig,
-        policies: &[PolicyKind],
-    ) -> SweepResult {
-        let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
-        match &self.trace_dir {
-            Some(traces) => replay_sweep(
-                self.jobs,
-                workloads,
-                config,
-                policies,
-                &TraceStore::new(traces),
-                checkpoints.as_ref(),
-            ),
-            None => policy_sweep_with(self.jobs, workloads, config, policies),
-        }
+        self.sweep_cells(workloads, &policy_cells(config, policies))
     }
 
     /// Prepares workloads (training run + classification) under the
@@ -368,6 +332,18 @@ impl HarnessOptions {
             }
         }
         all.into_iter().filter(|s| self.benchmarks.contains(&s.name)).collect()
+    }
+
+    /// The selected proxies among the benchmarks a figure plots. A
+    /// `--bench` that leaves none of `plotted` is a command-line error,
+    /// like a benchmark nobody knows: the process names the plotted ones
+    /// on stderr and exits 2, rather than writing empty tables.
+    #[must_use]
+    pub fn selected_among(&self, plotted: &[&str]) -> Vec<WorkloadSpec> {
+        select_among(self.selected_proxies(), plotted).unwrap_or_else(|message| {
+            eprintln!("error: {message}");
+            std::process::exit(2);
+        })
     }
 
     /// The paper config scaled by `--scale`.
@@ -487,6 +463,22 @@ pub fn run_experiment(tool: &'static str, body: impl FnOnce(&HarnessOptions)) {
     obs.finish(&[]);
 }
 
+/// The testable core of [`HarnessOptions::selected_among`].
+fn select_among(
+    selected: Vec<WorkloadSpec>,
+    plotted: &[&str],
+) -> Result<Vec<WorkloadSpec>, String> {
+    let kept: Vec<WorkloadSpec> =
+        selected.into_iter().filter(|s| plotted.contains(&s.name.as_str())).collect();
+    if kept.is_empty() {
+        return Err(format!(
+            "--bench selects none of the benchmarks this figure plots ({})",
+            plotted.join(", ")
+        ));
+    }
+    Ok(kept)
+}
+
 /// Appends one run object to a `BENCH_*.json` trajectory file — a JSON
 /// array the perf-tracking binary (`bench_memsys`) extends one entry
 /// per run. An unrecognized or missing file starts a fresh array.
@@ -576,10 +568,6 @@ mod tests {
             (&["--trace-dir"], "--trace-dir"),
             (&["--checkpoint-dir"], "--checkpoint-dir"),
             (&["--checkpoint-dir", "c"], "--trace-dir"),
-            (&["--ckpt-budget-bytes"], "--ckpt-budget-bytes"),
-            (&["--ckpt-budget-bytes", "0"], "--ckpt-budget-bytes"),
-            (&["--ckpt-budget-bytes", "lots"], "--ckpt-budget-bytes"),
-            (&["--ckpt-budget-bytes", "4096"], "--checkpoint-dir"),
             (&["--obs-dir"], "--obs-dir"),
             (&["--obs-dir", "o"], "--metrics"),
         ] {
@@ -605,24 +593,6 @@ mod tests {
         // --warm-prefix still takes no value, --shards still takes one.
         assert!(parse(&["--warm-prefix", "yes"]).is_err());
         assert!(parse(&["--warm-prefix", "--shards"]).is_err());
-    }
-
-    #[test]
-    fn ckpt_budget_requires_checkpoint_dir_and_parses_with_it() {
-        // Alone: rejected, naming both the flag and what it needs.
-        let err = parse(&["--ckpt-budget-bytes", "1048576"]).unwrap_err();
-        assert!(err.contains("--ckpt-budget-bytes") && err.contains("--checkpoint-dir"), "{err}");
-        // With traces but no checkpoints: still rejected.
-        let err = parse(&["--ckpt-budget-bytes", "1048576", "--trace-dir", "t"]).unwrap_err();
-        assert!(err.contains("--ckpt-budget-bytes") && err.contains("--checkpoint-dir"), "{err}");
-        // Fully specified: accepted, budget recorded.
-        let ok =
-            parse(&["--ckpt-budget-bytes", "1048576", "--trace-dir", "t", "--checkpoint-dir", "c"])
-                .expect("valid")
-                .expect("not help");
-        assert_eq!(ok.ckpt_budget_bytes, Some(1_048_576));
-        // Default: unbounded.
-        assert!(parse(&[]).expect("ok").expect("not help").ckpt_budget_bytes.is_none());
     }
 
     #[test]
@@ -697,6 +667,18 @@ mod tests {
         // Defaults: everything off.
         let defaults = parse(&[]).expect("ok").expect("set");
         assert!(!defaults.metrics && !defaults.quiet && defaults.obs_dir.is_none());
+    }
+
+    #[test]
+    fn a_selection_outside_a_figures_benchmarks_is_an_error_naming_them() {
+        let plotted = ["gcc", "sqlite"];
+        let selected = |names: &[&str]| {
+            names.iter().map(|n| trrip_workloads::proxy::by_name(n).expect("a proxy")).collect()
+        };
+        let kept = select_among(selected(&["clang", "gcc"]), &plotted).expect("gcc is plotted");
+        assert_eq!(kept.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["gcc"]);
+        let err = select_among(selected(&["clang"]), &plotted).unwrap_err();
+        assert!(err.contains("--bench") && err.contains("gcc, sqlite"), "{err}");
     }
 
     #[test]

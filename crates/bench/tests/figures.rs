@@ -1,0 +1,43 @@
+//! What the figure binaries promise of themselves, checked from outside:
+//! a figure whose points are cells of one row makes **one** sweep (read
+//! off its source, in the shape of `benchmark/tests/denylist.rs`), and a
+//! `--bench` selection that leaves a figure nothing to plot is a
+//! command-line error, not a report of empty tables.
+
+use std::path::Path;
+use std::process::Command;
+
+/// The sweep calls `source` names: the harness's two entry points and
+/// the simulator's two beneath them.
+fn sweep_calls(source: &str) -> usize {
+    [".sweep(", ".sweep_cells(", "policy_sweep_with(", "replay_sweep("]
+        .iter()
+        .map(|call| source.matches(call).count())
+        .sum()
+}
+
+#[test]
+fn one_stream_figures_make_one_sweep() {
+    let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    for figure in ["fig9_cache_sensitivity.rs", "overlap_ablation.rs"] {
+        let source = std::fs::read_to_string(bins.join(figure)).expect("read the figure's source");
+        assert_eq!(sweep_calls(&source), 1, "{figure} must walk each workload once");
+    }
+    assert_eq!(sweep_calls("a.sweep(x); b.sweep_cells(y)"), 2, "the count counts");
+}
+
+#[test]
+fn fig8_refuses_a_selection_outside_its_six_benchmarks() {
+    let out = std::env::temp_dir().join(format!("trrip-fig8-selection-{}", std::process::id()));
+    let run = Command::new(env!("CARGO_BIN_EXE_fig8_hot_threshold"))
+        .args(["--bench", "clang", "--quiet", "--out"])
+        .arg(&out)
+        .output()
+        .expect("spawn fig8_hot_threshold");
+    assert_eq!(run.status.code(), Some(2), "a command-line error, as an unknown benchmark is");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    for plotted in ["abseil", "deepsjeng", "gcc", "omnetpp", "rapidjson", "sqlite"] {
+        assert!(stderr.contains(plotted), "the error names {plotted}: {stderr}");
+    }
+    assert!(!out.join("fig8_hot_threshold.txt").exists(), "no report of empty tables");
+}

@@ -59,8 +59,8 @@ const FDIP_ISSUE_CAP: usize = 4;
 /// holds at most one workload's policies, ten at the most.
 const LOCKSTEP_STACK_CLOCKS: usize = 16;
 
-/// How many instructions [`Core::run_chunk`] pulls from a generic
-/// iterator before handing them to [`Core::run_batch`] as one slice.
+/// How many instructions [`Core::run`] pulls from a generic iterator
+/// before handing them to [`Core::run_batch`] as one slice.
 /// Large enough to amortize per-batch window bookkeeping, small enough
 /// that the staging buffer stays cache-resident (~256 kB).
 const STREAM_BATCH: usize = 4096;
@@ -256,19 +256,6 @@ struct Lane<'a> {
     clock: &'a mut f64,
 }
 
-/// Where one [`Core::run_chunk`] call left the run: the **exact cut
-/// point** in both stream coordinates (`consumed` — where a resumed run
-/// must continue the input) and retirement coordinates (`retired` —
-/// which lags `consumed` by the in-flight lookahead window). Both are
-/// absolute counts since [`Core::begin_run`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ChunkCut {
-    /// Instructions pulled from the input stream so far, in total.
-    pub consumed: u64,
-    /// Instructions retired so far, in total.
-    pub retired: u64,
-}
-
 /// The in-flight state of one timing run:
 ///
 /// * **machine state** — the absolute clock (`cycles`, which backend
@@ -278,13 +265,13 @@ pub struct ChunkCut {
 /// * **tally** — what [`Core::finish_run`] reports: stall buckets and
 ///   instruction/branch counts since [`Core::begin_run`].
 ///
-/// [`Core::run`] owns one internally; resumable callers create it with
-/// [`Core::begin_run`], feed instruction batches through
-/// [`Core::run_chunk`] (which leaves the lookahead window intact between
+/// [`Core::run`] owns one internally; callers that feed a run piecewise
+/// create it with [`Core::begin_run`], feed instruction batches through
+/// [`Core::run_batch`] (which leaves the lookahead window intact between
 /// calls, so a run cut at any batch boundary is bit-identical to an
-/// uninterrupted one), and close with [`Core::finish_run`]. The state is
-/// [`Snapshot`]-able, which is what makes *mid-measure* checkpoints
-/// exact: the window's in-flight instructions travel with it.
+/// uninterrupted one) or event turns through [`Core::execute`], and close
+/// with [`Core::finish_run`]. It lives for one phase and is never
+/// checkpointed: a checkpoint is a state between phases.
 #[derive(Debug)]
 pub struct RunState {
     cycles: f64,
@@ -301,9 +288,7 @@ pub struct RunState {
     mispred_before: u64,
     /// Branches and mispredictions of the turns [`Core::execute`] ran
     /// since the tally began — resolved by the frontend that digested
-    /// them, not by this core's predictor. Not part of the snapshot: a
-    /// run driven by turns has an untrained predictor and is not a
-    /// resumable whole (the simulator refuses to checkpoint one).
+    /// them, not by this core's predictor.
     fed_branches: u64,
     fed_mispredictions: u64,
 }
@@ -316,58 +301,10 @@ impl RunState {
     }
 
     /// Instructions pulled from the input stream so far — execution lags
-    /// consumption by the lookahead window, and a resumed run must skip
-    /// exactly this many stream instructions before continuing.
+    /// consumption by the lookahead window.
     #[must_use]
     pub fn consumed(&self) -> u64 {
         self.consumed
-    }
-
-    /// The current cut point (absolute stream + retirement positions).
-    #[must_use]
-    pub fn cut(&self) -> ChunkCut {
-        ChunkCut { consumed: self.consumed, retired: self.instructions }
-    }
-}
-
-impl Snapshot for RunState {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"CRN2");
-        w.f64(self.cycles);
-        self.topdown.save(w);
-        w.u64(self.instructions);
-        w.u64(self.consumed);
-        w.u64(self.current_line);
-        w.bool(self.last_miss_instr.is_some());
-        if let Some(v) = self.last_miss_instr {
-            w.u64(v);
-        }
-        w.usize(self.window.len());
-        for instr in &self.window {
-            instr.save(w);
-        }
-        w.u64(self.branches_before);
-        w.u64(self.mispred_before);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"CRN2")?;
-        self.cycles = r.f64()?;
-        self.topdown.restore(r)?;
-        self.instructions = r.u64()?;
-        self.consumed = r.u64()?;
-        self.current_line = r.u64()?;
-        self.last_miss_instr = if r.bool()? { Some(r.u64()?) } else { None };
-        let len = r.usize()?;
-        self.window.clear();
-        for _ in 0..len {
-            let mut instr = TraceInstr::simple(0);
-            instr.restore(r)?;
-            self.window.push_back(instr);
-        }
-        self.branches_before = r.u64()?;
-        self.mispred_before = r.u64()?;
-        Ok(())
     }
 }
 
@@ -482,21 +419,32 @@ impl<B: MemoryBackend> Core<B> {
         &self.predictor
     }
 
-    /// Runs the trace to completion and returns timing results.
-    ///
-    /// Equivalent to [`Core::begin_run`] → one draining
-    /// [`Core::run_chunk`] → [`Core::finish_run`].
+    /// Runs the trace to completion and returns timing results:
+    /// [`Core::begin_run`], the stream staged into slices for
+    /// [`Core::run_batch`] — one code path owns the timing semantics, and
+    /// iterator `next()` dispatch stays out of the per-instruction loop —
+    /// the last of them draining, [`Core::finish_run`].
     pub fn run<I>(&mut self, trace: I) -> CoreResult
     where
         I: IntoIterator<Item = TraceInstr>,
     {
         let mut state = self.begin_run();
-        self.run_chunk(&mut state, trace, true);
+        let mut stream = trace.into_iter();
+        let mut buf: Vec<TraceInstr> = Vec::with_capacity(STREAM_BATCH);
+        loop {
+            buf.clear();
+            buf.extend(stream.by_ref().take(STREAM_BATCH));
+            let last = buf.len() < STREAM_BATCH;
+            self.run_batch(&mut state, &buf, last);
+            if last {
+                break;
+            }
+        }
         self.finish_run(state)
     }
 
-    /// Starts a resumable run: cycles at zero, an empty lookahead
-    /// window, and the predictor counters marked for delta reporting.
+    /// Starts a run: cycles at zero, an empty lookahead window, and the
+    /// predictor counters marked for delta reporting.
     #[must_use]
     pub fn begin_run(&self) -> RunState {
         RunState {
@@ -514,74 +462,18 @@ impl<B: MemoryBackend> Core<B> {
         }
     }
 
-    /// Executes one stretch of a run.
+    /// Executes one stretch of a run from an in-memory slice.
     ///
-    /// With `drain = false` the core stops *pulling* when `trace` is
-    /// exhausted and leaves the partially-consumed lookahead window in
-    /// `state` — feeding the rest of the stream through another
-    /// `run_chunk` call continues bit-identically to an uninterrupted
-    /// run (the refill/pop interleaving is unchanged, only suspended).
-    /// The final call must pass `drain = true` so the window empties
-    /// exactly as a plain [`Core::run`] would at end of trace.
-    ///
-    /// Returns the **exact cut point** the call stopped at — absolute
-    /// stream and retirement positions.
-    pub fn run_chunk<I>(&mut self, state: &mut RunState, trace: I, drain: bool) -> ChunkCut
-    where
-        I: IntoIterator<Item = TraceInstr>,
-    {
-        self.run_chunk_mode(state, trace, drain, &mut WarmupMode::Observe)
-    }
-
-    /// [`Core::run_chunk`] with an explicit [`WarmupMode`]: the same
-    /// loop, with the predictor-derived decisions observed or digested.
-    /// `Observe` is the plain hot path; `Digest` is bit-identical to it
-    /// by construction (it only writes down what the loop decided
-    /// anyway).
-    pub fn run_chunk_mode<I>(
-        &mut self,
-        state: &mut RunState,
-        trace: I,
-        drain: bool,
-        mode: &mut WarmupMode<'_>,
-    ) -> ChunkCut
-    where
-        I: IntoIterator<Item = TraceInstr>,
-    {
-        // Stage the generic stream into slices and run the batch loop on
-        // each: one code path owns the timing semantics, and iterator
-        // `next()` dispatch leaves the per-instruction hot loop. Each
-        // staged slice runs with `drain = false` (the window carries
-        // across), so chunking here is invisible — the same property the
-        // segmented-run tests pin for external chunk boundaries.
-        let mut stream = trace.into_iter();
-        let mut buf: Vec<TraceInstr> = Vec::with_capacity(STREAM_BATCH);
-        loop {
-            buf.clear();
-            buf.extend(stream.by_ref().take(STREAM_BATCH));
-            let last = buf.len() < STREAM_BATCH;
-            self.run_batch_mode(state, &buf, drain && last, mode);
-            if last {
-                break;
-            }
-        }
-        state.cut()
-    }
-
-    /// Executes one stretch of a run from an in-memory slice — the batch
-    /// entry point the simulator feeds `Arc<[TraceInstr]>` chunks
-    /// through. Semantics are identical to [`Core::run_chunk`] on the
-    /// same instructions (the equivalence is property-tested over random
-    /// split points); the slice form lets the lookahead be served by
-    /// pointer arithmetic instead of a `VecDeque` refill/pop cycle per
-    /// instruction.
-    pub fn run_batch(
-        &mut self,
-        state: &mut RunState,
-        batch: &[TraceInstr],
-        drain: bool,
-    ) -> ChunkCut {
-        self.run_batch_mode(state, batch, drain, &mut WarmupMode::Observe)
+    /// With `drain = false` the partially-consumed lookahead window stays
+    /// in `state`, and feeding the rest of the stream through further
+    /// calls continues bit-identically to an uninterrupted run, wherever
+    /// the batches are cut (a frontend's digest relies on it). The final
+    /// call must pass `drain = true` so the window empties exactly as it
+    /// does at the end of a trace. The slice form lets the lookahead be
+    /// served by pointer arithmetic instead of a `VecDeque` refill/pop
+    /// cycle per instruction.
+    pub fn run_batch(&mut self, state: &mut RunState, batch: &[TraceInstr], drain: bool) {
+        self.run_batch_mode(state, batch, drain, &mut WarmupMode::Observe);
     }
 
     /// [`Core::run_batch`] with an explicit [`WarmupMode`].
@@ -599,7 +491,7 @@ impl<B: MemoryBackend> Core<B> {
         batch: &[TraceInstr],
         drain: bool,
         mode: &mut WarmupMode<'_>,
-    ) -> ChunkCut {
+    ) {
         match mode {
             WarmupMode::Observe => self.run_batch_recorded(state, batch, drain, &mut Unrecorded),
             WarmupMode::Digest(turn) => self.run_batch_recorded(state, batch, drain, *turn),
@@ -612,7 +504,7 @@ impl<B: MemoryBackend> Core<B> {
         batch: &[TraceInstr],
         drain: bool,
         recorder: &mut R,
-    ) -> ChunkCut {
+    ) {
         let lookahead_cap = self.config.fdip_lookahead_instrs.max(1);
         let dispatch_cost = 1.0 / f64::from(self.config.dispatch_width);
         let ooo_hide = self.config.ooo_hide_cycles() as f64;
@@ -639,7 +531,6 @@ impl<B: MemoryBackend> Core<B> {
         window.drain(..from_window);
         window.extend(batch[to_process - from_window..].iter().copied());
         state.window = window;
-        state.cut()
     }
 
     /// One instruction through the timing model: fetch (with FDIP over
@@ -1157,63 +1048,6 @@ mod tests {
         assert_eq!(r.topdown.issue, 3.0);
     }
 
-    #[test]
-    fn segmented_run_matches_uninterrupted_run() {
-        // run_chunk(drain = false) must leave the lookahead window
-        // intact so a run split at ANY point — including inside the
-        // window's reach of the end — equals one continuous run.
-        let mut x = 0x243f6a8885a308d3u64;
-        let trace: Vec<TraceInstr> = (0..2000)
-            .map(|i| {
-                x ^= x << 13;
-                x ^= x >> 7;
-                match i % 5 {
-                    0 => TraceInstr::cond(0x100 + (i % 16) * 4, x & 1 == 0, 0x100),
-                    1 => TraceInstr::load(0x1000 + i * 4, 0x90000 + (x % 4096) * 64),
-                    _ => TraceInstr::simple(0x1000 + i * 4),
-                }
-            })
-            .collect();
-
-        let mut reference_core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
-        let reference = reference_core.run(trace.clone());
-
-        for split in [1usize, 47, 48, 49, 1000, 1951, 1999] {
-            let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
-            let mut state = core.begin_run();
-            core.run_chunk(&mut state, trace[..split].iter().copied(), false);
-            let consumed = state.consumed() as usize;
-            assert_eq!(consumed, split, "non-drain chunk must consume its whole input");
-            core.run_chunk(&mut state, trace[consumed..].iter().copied(), true);
-            let segmented = core.finish_run(state);
-            assert_eq!(segmented, reference, "split at {split} diverged");
-        }
-    }
-
-    #[test]
-    fn run_state_snapshot_round_trips() {
-        use trrip_snap::{SnapReader, SnapWriter, Snapshot};
-        let trace: Vec<TraceInstr> =
-            (0..500).map(|i| TraceInstr::load(0x1000 + i * 4, 0x80000 + i * 512)).collect();
-        let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
-        let mut state = core.begin_run();
-        core.run_chunk(&mut state, trace[..250].iter().copied(), false);
-
-        let mut bytes = SnapWriter::new();
-        state.save(&mut bytes);
-        let mut restored = core.begin_run();
-        restored.restore(&mut SnapReader::new(bytes.bytes())).expect("restore run state");
-
-        core.run_chunk(&mut state, trace[250..].iter().copied(), true);
-        let direct = core.finish_run(state);
-        let mut core2 = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
-        core2.run_chunk(&mut restored, trace[250..].iter().copied(), true);
-        let resumed = core2.finish_run(restored);
-        assert_eq!(direct.instructions, resumed.instructions);
-        assert_eq!(direct.cycles, resumed.cycles);
-        assert_eq!(direct.topdown, resumed.topdown);
-    }
-
     fn mixed_trace(n: u64) -> Vec<TraceInstr> {
         let mut x = 0x9e3779b97f4a7c15u64;
         (0..n)
@@ -1291,12 +1125,7 @@ mod tests {
         let mut digesting = Core::new(CoreConfig::paper(), stall_backend());
         let mut state = digesting.begin_run();
         let mut turn = EventTurn::new();
-        digesting.run_chunk_mode(
-            &mut state,
-            trace.iter().copied(),
-            true,
-            &mut WarmupMode::Digest(&mut turn),
-        );
+        digesting.run_batch_mode(&mut state, &trace, true, &mut WarmupMode::Digest(&mut turn));
         assert_eq!(digesting.finish_run(state), reference, "digesting only writes down");
         assert_eq!(turn.instructions(), 4000);
         assert_eq!(turn.branches(), reference.branches);
@@ -1336,8 +1165,7 @@ mod tests {
             for turn in digest(&trace, &[1234], &turns) {
                 fed += turn.instructions();
                 Core::execute(&mut [(&mut core, &mut state)], &turn);
-                let cut = state.cut();
-                assert_eq!((cut.consumed, cut.retired), (fed, fed), "no lookahead lag");
+                assert_eq!((state.consumed(), state.instructions()), (fed, fed), "no lag");
             }
             assert_eq!(core.finish_run(state), reference, "turns cut at {turns:?}");
             assert_eq!(core.backend().prefetches, fused.backend().prefetches);
@@ -1636,17 +1464,23 @@ mod tests {
         assert!(matches!(err, SnapError::Mismatch(_)), "got {err:?}");
     }
 
+    /// What a frontend's digest relies on: `run_batch(drain = false)`
+    /// leaves the lookahead window intact, so a run fed in batches cut
+    /// anywhere — empty and single-instruction batches, cuts inside the
+    /// window's reach of either end, batches longer than `run`'s staging
+    /// buffer — equals one uninterrupted run.
     #[test]
-    fn batched_run_matches_chunked_run() {
-        // run_batch over arbitrary slice boundaries — including empty
-        // and single-instruction batches, and batches longer than the
-        // staging buffer — must equal run_chunk over the same stream.
+    fn batches_cut_anywhere_match_an_uninterrupted_run() {
         let trace = mixed_trace(2 * STREAM_BATCH as u64 + 1717);
         let mut reference_core = Core::new(CoreConfig::paper(), stall_backend());
         let reference = reference_core.run(trace.clone());
 
+        let near_end = trace.len() - 49;
         for splits in [
             vec![0usize, 1, 2, 49, 1000, 1001, trace.len() - 1],
+            vec![47],
+            vec![48],
+            vec![near_end, near_end + 1, near_end + 2],
             vec![4095, STREAM_BATCH, STREAM_BATCH, 4097],
             vec![trace.len()],
             (0..trace.len()).step_by(611).collect::<Vec<_>>(),
@@ -1654,36 +1488,15 @@ mod tests {
             let mut core = Core::new(CoreConfig::paper(), stall_backend());
             let mut state = core.begin_run();
             let mut prev = 0usize;
-            for (i, &end) in splits.iter().chain(std::iter::once(&trace.len())).enumerate() {
-                if i == 0 && end == 0 {
-                    // An empty non-drain batch must be a no-op.
-                    core.run_batch(&mut state, &[], false);
-                    continue;
-                }
-                let cut = core.run_batch(&mut state, &trace[prev..end], end == trace.len());
-                assert_eq!(cut.consumed as usize, end, "batch must consume its whole input");
+            for &end in splits.iter().chain(std::iter::once(&trace.len())) {
+                // (An empty batch that does not drain is a no-op.)
+                core.run_batch(&mut state, &trace[prev..end], end == trace.len());
+                assert_eq!(state.consumed() as usize, end, "a batch is consumed whole");
                 prev = end;
             }
-            let batched = core.finish_run(state);
-            assert_eq!(batched, reference, "splits {splits:?} diverged");
+            assert!(state.window.is_empty(), "the draining batch empties the window");
+            assert_eq!(core.finish_run(state), reference, "splits {splits:?} diverged");
         }
-    }
-
-    #[test]
-    fn batches_and_chunks_interleave() {
-        // A run may mix the slice entry point with the iterator entry
-        // point segment by segment; the window hand-off is shared.
-        let trace = mixed_trace(3000);
-        let mut reference_core = Core::new(CoreConfig::paper(), stall_backend());
-        let reference = reference_core.run(trace.clone());
-
-        let mut core = Core::new(CoreConfig::paper(), stall_backend());
-        let mut state = core.begin_run();
-        core.run_batch(&mut state, &trace[..700], false);
-        core.run_chunk(&mut state, trace[700..1400].iter().copied(), false);
-        core.run_batch(&mut state, &trace[1400..1401], false);
-        core.run_chunk(&mut state, trace[1401..].iter().copied(), true);
-        assert_eq!(core.finish_run(state), reference);
     }
 
     #[test]

@@ -32,7 +32,7 @@ pub mod events;
 pub mod topdown;
 pub mod trace;
 
-pub use crate::core::{ChunkCut, Core, CoreConfig, CoreResult, RunState, WarmupMode};
+pub use crate::core::{Core, CoreConfig, CoreResult, RunState, WarmupMode};
 pub use backend::{MemLatency, MemoryBackend};
 pub use branch::{BranchOutcome, BranchPredictor, PredictorConfig};
 pub use events::{EventTurn, InstrEvent};

@@ -113,26 +113,6 @@ impl TopDown {
     }
 }
 
-impl trrip_snap::Snapshot for TopDown {
-    fn save(&self, w: &mut trrip_snap::SnapWriter) {
-        for v in [self.retire, self.ifetch, self.mispred, self.depend, self.issue, self.mem] {
-            w.f64(v);
-        }
-        w.f64(self.other);
-    }
-
-    fn restore(&mut self, r: &mut trrip_snap::SnapReader<'_>) -> Result<(), trrip_snap::SnapError> {
-        self.retire = r.f64()?;
-        self.ifetch = r.f64()?;
-        self.mispred = r.f64()?;
-        self.depend = r.f64()?;
-        self.issue = r.f64()?;
-        self.mem = r.f64()?;
-        self.other = r.f64()?;
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

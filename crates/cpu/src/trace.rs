@@ -144,117 +144,6 @@ impl TraceInstr {
     }
 }
 
-const SNAP_BRANCH: u8 = 1 << 0;
-const SNAP_TAKEN: u8 = 1 << 1;
-const SNAP_MEM: u8 = 1 << 2;
-const SNAP_STORE: u8 = 1 << 3;
-const SNAP_STALL: u8 = 1 << 4;
-const SNAP_KIND_SHIFT: u8 = 5;
-
-fn kind_to_bits(kind: BranchKind) -> u8 {
-    match kind {
-        BranchKind::Conditional => 0,
-        BranchKind::Direct => 1,
-        BranchKind::Indirect => 2,
-        BranchKind::Call => 3,
-        BranchKind::IndirectCall => 4,
-        BranchKind::Return => 5,
-    }
-}
-
-fn kind_from_bits(bits: u8) -> Result<BranchKind, trrip_snap::SnapError> {
-    match bits {
-        0 => Ok(BranchKind::Conditional),
-        1 => Ok(BranchKind::Direct),
-        2 => Ok(BranchKind::Indirect),
-        3 => Ok(BranchKind::Call),
-        4 => Ok(BranchKind::IndirectCall),
-        5 => Ok(BranchKind::Return),
-        _ => Err(trrip_snap::SnapError::Corrupt(format!("invalid branch kind {bits}"))),
-    }
-}
-
-fn stall_to_bits(class: StallClass) -> u8 {
-    match class {
-        StallClass::Ifetch => 0,
-        StallClass::Mispred => 1,
-        StallClass::Depend => 2,
-        StallClass::Issue => 3,
-        StallClass::Mem => 4,
-        StallClass::Other => 5,
-    }
-}
-
-fn stall_from_bits(bits: u8) -> Result<StallClass, trrip_snap::SnapError> {
-    match bits {
-        0 => Ok(StallClass::Ifetch),
-        1 => Ok(StallClass::Mispred),
-        2 => Ok(StallClass::Depend),
-        3 => Ok(StallClass::Issue),
-        4 => Ok(StallClass::Mem),
-        5 => Ok(StallClass::Other),
-        _ => Err(trrip_snap::SnapError::Corrupt(format!("invalid stall class {bits}"))),
-    }
-}
-
-/// Mid-run checkpoints must carry the core's FDIP lookahead window, so a
-/// handful of in-flight instructions are serialized verbatim (unlike the
-/// delta-coded on-disk trace format, which needs chunk context).
-impl trrip_snap::Snapshot for TraceInstr {
-    fn save(&self, w: &mut trrip_snap::SnapWriter) {
-        let mut flags = 0u8;
-        if let Some(b) = self.branch {
-            flags |= SNAP_BRANCH | (kind_to_bits(b.kind) << SNAP_KIND_SHIFT);
-            if b.taken {
-                flags |= SNAP_TAKEN;
-            }
-        }
-        if let Some(m) = self.mem {
-            flags |= SNAP_MEM;
-            if m.store {
-                flags |= SNAP_STORE;
-            }
-        }
-        if self.exec_stall.is_some() {
-            flags |= SNAP_STALL;
-        }
-        w.u8(flags);
-        w.u64(self.pc.raw());
-        if let Some(b) = self.branch {
-            w.u64(b.target.raw());
-        }
-        if let Some(m) = self.mem {
-            w.u64(m.addr.raw());
-        }
-        if let Some((class, cycles)) = self.exec_stall {
-            w.u8(stall_to_bits(class));
-            w.u8(cycles);
-        }
-    }
-
-    fn restore(&mut self, r: &mut trrip_snap::SnapReader<'_>) -> Result<(), trrip_snap::SnapError> {
-        let flags = r.u8()?;
-        self.pc = VirtAddr::new(r.u64()?);
-        self.branch = if flags & SNAP_BRANCH != 0 {
-            Some(BranchInfo {
-                kind: kind_from_bits(flags >> SNAP_KIND_SHIFT)?,
-                taken: flags & SNAP_TAKEN != 0,
-                target: VirtAddr::new(r.u64()?),
-            })
-        } else {
-            None
-        };
-        self.mem = if flags & SNAP_MEM != 0 {
-            Some(MemOp { addr: VirtAddr::new(r.u64()?), store: flags & SNAP_STORE != 0 })
-        } else {
-            None
-        };
-        self.exec_stall =
-            if flags & SNAP_STALL != 0 { Some((stall_from_bits(r.u8()?)?, r.u8()?)) } else { None };
-        Ok(())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

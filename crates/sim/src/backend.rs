@@ -203,33 +203,23 @@ impl SystemBackend {
     }
 }
 
-/// Full architectural state of the memory system: MMU (page table +
-/// TLB), all four cache levels with their policy state, the stride
-/// prefetcher table, the in-flight prefetch tracker, and — when armed —
-/// the measurement profilers. Code-region maps and latencies are
-/// configuration (rebuilt by [`SystemBackend::new`]) and are not part of
-/// the stream.
+/// Full architectural state of the memory system at a phase boundary:
+/// MMU (page table + TLB), all four cache levels with their policy
+/// state, the stride prefetcher table and the in-flight prefetch tracker.
+/// The profilers are armed when measurement begins, never at a boundary,
+/// and code-region maps and latencies are configuration (rebuilt by
+/// [`SystemBackend::new`]): neither is part of the stream.
 impl Snapshot for SystemBackend {
     fn save(&self, w: &mut SnapWriter) {
+        assert!(
+            self.reuse.is_none() && self.costly.is_none(),
+            "profilers are armed for a measurement, never at a boundary"
+        );
         w.tag(b"SYSB");
         self.mmu.save(w);
         self.hierarchy.save(w);
         self.data_stride.save(w);
         self.inflight.save(w);
-        match &self.reuse {
-            Some(reuse) => {
-                w.bool(true);
-                reuse.save(w);
-            }
-            None => w.bool(false),
-        }
-        match &self.costly {
-            Some(costly) => {
-                w.bool(true);
-                costly.save(w);
-            }
-            None => w.bool(false),
-        }
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -240,21 +230,6 @@ impl Snapshot for SystemBackend {
         self.inflight.restore(r)?;
         self.stride_proposals.clear();
         self.next_line_proposals.clear();
-        self.reuse = if r.bool()? {
-            let sets = self.hierarchy.l2().config().num_sets();
-            let mut reuse = ReuseProfiler::new(sets);
-            reuse.restore(r)?;
-            Some(reuse)
-        } else {
-            None
-        };
-        self.costly = if r.bool()? {
-            let mut costly = CostlyMissTracker::new();
-            costly.restore(r)?;
-            Some(costly)
-        } else {
-            None
-        };
         Ok(())
     }
 }

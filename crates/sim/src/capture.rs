@@ -404,14 +404,14 @@ mod tests {
         let store = TraceStore::new(&dir);
         let workloads = vec![quick_workload()];
         let config = quick_config();
-        let policies = [PolicyKind::Srrip, PolicyKind::Trrip1];
+        let cells = crate::policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
 
         // The first sweep walks and captures on the side, the second
         // replays what the first wrote.
-        let teed = crate::replay_sweep(2, &workloads, &config, &policies, &store, None);
+        let teed = crate::replay_sweep(2, &workloads, &cells, &store, None);
         assert!(store.has(&workloads[0], &config), "the sweep left the capture behind");
-        let replayed = crate::replay_sweep(2, &workloads, &config, &policies, &store, None);
-        let walked = crate::policy_sweep(&workloads, &config, &policies);
+        let replayed = crate::replay_sweep(2, &workloads, &cells, &store, None);
+        let walked = crate::policy_sweep_with(2, &workloads, &cells);
         for ((a, b), c) in teed.results.iter().zip(&walked.results).zip(&replayed.results) {
             assert_eq!(a.core, b.core);
             assert_eq!(a.l2, b.l2);

@@ -7,7 +7,7 @@
 //! file := magic:8 version:u16 body_len:u64 body checksum:u64
 //! body := kind:u8 meta payload    (one trrip-snap stream)
 //! meta := benchmark:str policy:str fingerprint:u64 config_hash:u64
-//!         stream_position:u64 mid_measure:bool
+//!         stream_position:u64
 //! ```
 //!
 //! Fixed-width fields are little-endian; the body is a `trrip-snap`
@@ -29,15 +29,17 @@
 //! Every container is tagged with a [`CheckpointKind`]:
 //!
 //! * **shared prefix** — the *policy-agnostic* half of one workload's
-//!   fast-forward boundary state: the branch predictor section
-//!   ([`SimRun::save_shared`]) and nothing else. One file per workload,
-//!   keyed **without** the L2 policy ([`warmup_prefix_hash`]);
+//!   fast-forward boundary state: the branch predictor section a
+//!   sweep's [`crate::Frontend`] hands out and nothing else. One file
+//!   per workload, keyed by what the frontend reads and nothing a cell
+//!   adds to it ([`warmup_prefix_hash`]);
 //! * **policy overlay** — the *policy-dependent* rest (caches with
 //!   tag/RRPV/policy state, MMU/TLB, prefetch tables, in-flight
-//!   tracker, starvation FIFO). One file per `(workload, policy)`;
-//! * **full** — a complete [`SimRun`] state: whatever a caller saves
-//!   whole with [`CheckpointStore::save`] or [`write_checkpoint`]. No
-//!   sweep reads or writes one.
+//!   tracker, starvation FIFO). One file per cell — per `(workload,
+//!   machine)`;
+//! * **full** — a complete [`SimRun`] state at the boundary: whatever a
+//!   caller saves whole with [`CheckpointStore::save`] or
+//!   [`write_checkpoint`]. No sweep reads or writes one.
 //!
 //! `shared prefix + overlay` composes bit-identically to the full
 //! fast-forward state, and those two files are all a sweep keeps of the
@@ -59,8 +61,10 @@
 //!   profiler flags are deliberately excluded — a warmed state is
 //!   reusable under any measure window, which is what lets fig6/fig8/
 //!   fig9 share warmups where their machines agree. Shared-prefix files
-//!   use the policy-free variant ([`warmup_prefix_hash`]) so every
-//!   policy's cell resolves the same prefix.
+//!   use the frontend's variant ([`warmup_prefix_hash`]: core, layout and
+//!   fast-forward length — no policy, no cache geometry, no page size),
+//!   so every cell of a workload's row resolves the same prefix, whatever
+//!   the cells differ in.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -77,19 +81,19 @@ use crate::system::SimRun;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v6. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
+/// v7. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
 /// 64 KiB block the best of RLE / delta-pack / LZ / raw, each block
 /// tagged with its codec and the checksum of its *uncompressed* bytes,
 /// so the kind-aware choice (RLE for valid/dirty/instr bitmaps, delta
 /// for sorted tag arrays, LZ for the rest) falls out of per-block
-/// selection — a shared prefix is the predictor section alone, and a
-/// mid-measure [`trrip_cpu::RunState`] carries no tally baselines.
-pub const VERSION: u16 = 6;
+/// selection. Every container is a fast-forward-boundary state, and a
+/// shared prefix is keyed by what a frontend reads alone.
+pub const VERSION: u16 = 7;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckpointKind {
-    /// A complete [`SimRun`] state (fast-forward or mid-measure).
+    /// A complete [`SimRun`] state at the fast-forward boundary.
     Full,
     /// A workload's policy-agnostic warm prefix: the predictor section.
     SharedPrefix,
@@ -199,9 +203,6 @@ pub struct CheckpointMeta {
     /// Instructions of the workload stream already consumed: resuming
     /// must skip exactly this many before feeding the run.
     pub stream_position: u64,
-    /// Whether the snapshot was taken mid-measure (carries in-flight
-    /// run state) rather than at the fast-forward boundary.
-    pub mid_measure: bool,
 }
 
 impl CheckpointMeta {
@@ -211,7 +212,6 @@ impl CheckpointMeta {
         w.u64(self.fingerprint);
         w.u64(self.config_hash);
         w.u64(self.stream_position);
-        w.bool(self.mid_measure);
     }
 
     fn restore(r: &mut SnapReader<'_>) -> Result<CheckpointMeta, SnapError> {
@@ -221,7 +221,6 @@ impl CheckpointMeta {
             fingerprint: r.u64()?,
             config_hash: r.u64()?,
             stream_position: r.u64()?,
-            mid_measure: r.bool()?,
         })
     }
 }
@@ -244,17 +243,19 @@ pub fn warmup_config_hash(config: &SimConfig) -> u64 {
     warmup_hash(config, true)
 }
 
-/// [`warmup_config_hash`] **without the L2 policy**: the key of a
-/// shared-prefix container. The prefix holds only policy-agnostic state
-/// (the predictor), so every policy of a sweep must resolve
-/// the same file — the one knob that must *not* move the hash is the
-/// policy itself.
+/// The key of a shared-prefix container: what a predictor at the
+/// boundary depends on and nothing else — the core, the layout and the
+/// fast-forward length. A sweep's frontend trains it over a backend that
+/// always hits, so the L2 policy, every cache's geometry and latencies,
+/// the DRAM latency, the page size and the overlap rule never reach it,
+/// and every cell of a workload's row — whatever the cells differ in —
+/// resolves the same file.
 #[must_use]
 pub fn warmup_prefix_hash(config: &SimConfig) -> u64 {
     warmup_hash(config, false)
 }
 
-fn warmup_hash(config: &SimConfig, include_policy: bool) -> u64 {
+fn warmup_hash(config: &SimConfig, memory_system: bool) -> u64 {
     let mut w = SnapWriter::new();
     w.u64(u64::from(config.core.dispatch_width));
     w.u64(u64::from(config.core.rob_entries));
@@ -269,20 +270,19 @@ fn warmup_hash(config: &SimConfig, include_policy: bool) -> u64 {
     w.usize(config.core.fdip_max_lines);
     w.u64(config.core.l1_hit_cycles);
     w.u64(config.core.starvation_threshold);
-    for cache in
-        [&config.hierarchy.l1i, &config.hierarchy.l1d, &config.hierarchy.l2, &config.hierarchy.slc]
-    {
-        w.u64(cache.size_bytes);
-        w.usize(cache.ways);
-        w.u64(cache.tag_latency);
-        w.u64(cache.data_latency);
+    if memory_system {
+        let hierarchy = &config.hierarchy;
+        for cache in [&hierarchy.l1i, &hierarchy.l1d, &hierarchy.l2, &hierarchy.slc] {
+            w.u64(cache.size_bytes);
+            w.usize(cache.ways);
+            w.u64(cache.tag_latency);
+            w.u64(cache.data_latency);
+        }
+        w.u64(hierarchy.dram_latency);
+        w.str(hierarchy.l2_policy.name());
+        w.u64(config.page_size.bytes());
+        w.u8(overlap_tag(config.overlap));
     }
-    w.u64(config.hierarchy.dram_latency);
-    if include_policy {
-        w.str(config.hierarchy.l2_policy.name());
-    }
-    w.u64(config.page_size.bytes());
-    w.u8(overlap_tag(config.overlap));
     w.u8(match config.layout {
         LayoutKind::SourceOrder => 0,
         LayoutKind::Pgo => 1,
@@ -505,9 +505,9 @@ fn note_save() {
 /// Every load and save feeds the `ckpt.*` counters in the `trrip-obs`
 /// registry (`ckpt.hit`/`miss`/`corrupt`/`save`/`gc_files`/`gc_bytes`),
 /// so `--metrics` runs report store effectiveness without the store
-/// carrying any state of its own. `size_bytes`, `gc` and `gc_budget`
-/// read `*.ckpt` in the top directory only: a subdirectory (an earlier
-/// version's `coord/`, say) is ignored as any foreign file is.
+/// carrying any state of its own. `size_bytes` and `gc` read `*.ckpt` in
+/// the top directory only: a subdirectory (an earlier version's
+/// `coord/`, say) is ignored as any foreign file is.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -550,7 +550,6 @@ impl CheckpointStore {
             fingerprint: workload_fingerprint(workload, config),
             config_hash: warmup_config_hash(config),
             stream_position: config.fast_forward,
-            mid_measure: false,
         }
     }
 
@@ -579,9 +578,8 @@ impl CheckpointStore {
     ///
     /// # Panics
     ///
-    /// Panics if `run` has already started measuring — the store holds
-    /// fast-forward-boundary checkpoints only (mid-measure snapshots go
-    /// through [`write_checkpoint`] directly, carrying their position).
+    /// Panics if `run` has already started measuring — a checkpoint is
+    /// a fast-forward-boundary state.
     pub fn save(&self, run: &SimRun<'_>) -> Result<PathBuf, CheckpointError> {
         assert!(!run.is_measuring(), "the checkpoint store holds fast-forward states only");
         let meta = self.expected_meta(run.workload(), run.config());
@@ -622,9 +620,9 @@ impl CheckpointStore {
     }
 
     /// Where the **shared prefix** for `(workload, config)` lives — one
-    /// file per workload, keyed *without* the L2 policy
-    /// ([`warmup_prefix_hash`]), so every policy of a sweep resolves the
-    /// same prefix.
+    /// file per workload, keyed by what a frontend reads
+    /// ([`warmup_prefix_hash`]), so every cell of a sweep's row resolves
+    /// the same prefix.
     #[must_use]
     pub fn prefix_path(&self, workload: &PreparedWorkload, config: &SimConfig) -> PathBuf {
         self.dir.join(format!(
@@ -638,7 +636,7 @@ impl CheckpointStore {
     }
 
     /// The metadata a valid shared prefix must carry. The policy field
-    /// holds `"*"` — the prefix belongs to every policy.
+    /// holds `"*"` — the prefix belongs to every cell.
     #[must_use]
     pub fn expected_prefix_meta(
         &self,
@@ -651,7 +649,6 @@ impl CheckpointStore {
             fingerprint: workload_fingerprint(workload, config),
             config_hash: warmup_prefix_hash(config),
             stream_position: config.fast_forward,
-            mid_measure: false,
         }
     }
 
@@ -877,103 +874,6 @@ impl CheckpointStore {
             ],
         );
         Ok(report)
-    }
-
-    /// Shrinks the store to at most `budget_bytes` of container files by
-    /// evicting the cheapest-to-rebuild artifacts first: policy overlays
-    /// (class 0 — a single policy's state delta, seconds to regenerate),
-    /// then shared warm prefixes (class 1 — one warm pass shared across
-    /// policies), then full containers (class 2 — a whole fast-forward
-    /// to rebuild). Within a class, eviction is LRU by file
-    /// modification time. Each victim is journaled as a `ckpt_evicted`
-    /// event carrying its rebuild class.
-    ///
-    /// Only published `.ckpt` files are candidates; in-flight `*.tmp.*`
-    /// files are never touched, so a concurrent writer's temp+rename
-    /// publish cannot be broken regardless of budget pressure (the same
-    /// grace guarantee [`CheckpointStore::gc`] gives, trivially — a
-    /// publishing artifact is a temp file until its rename). A save that
-    /// races an eviction atomically recreates its container, and a later
-    /// budget pass converges by evicting it again.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-listing failures; deletions that race
-    /// another process's deletion are not errors.
-    pub fn gc_budget(&self, budget_bytes: u64) -> Result<GcReport, std::io::Error> {
-        let mut report = GcReport::default();
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-            Err(e) => return Err(e),
-        };
-        let mut candidates: Vec<(u8, std::time::SystemTime, u64, PathBuf, String)> = Vec::new();
-        let mut total: u64 = 0;
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            let Some(stem) = name.strip_suffix(".ckpt") else { continue };
-            let Ok(metadata) = entry.metadata() else { continue };
-            let bytes = metadata.len();
-            total += bytes;
-            // Unknown mtimes sort oldest: a file the filesystem cannot
-            // date is not worth protecting over a dated one.
-            let mtime = metadata.modified().unwrap_or(std::time::SystemTime::UNIX_EPOCH);
-            let stem = stem.to_string();
-            candidates.push((rebuild_class(&stem), mtime, bytes, path, stem));
-        }
-        if total <= budget_bytes {
-            return Ok(report);
-        }
-        candidates.sort_by_key(|a| (a.0, a.1));
-        for (class, _, bytes, path, stem) in candidates {
-            if total <= budget_bytes {
-                break;
-            }
-            match std::fs::remove_file(&path) {
-                Ok(()) => {}
-                // Another process got there first; the bytes are freed
-                // either way.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-            total = total.saturating_sub(bytes);
-            report.removed_files += 1;
-            report.freed_bytes += bytes;
-            trrip_obs::event(
-                "ckpt_evicted",
-                &[
-                    ("file", trrip_obs::Field::Str(&stem)),
-                    ("bytes", trrip_obs::Field::U64(bytes)),
-                    ("class", trrip_obs::Field::U64(u64::from(class))),
-                    ("class_name", trrip_obs::Field::Str(class_name(class))),
-                ],
-            );
-        }
-        trrip_obs::counter!("ckpt.evicted_files").add(report.removed_files as u64);
-        trrip_obs::counter!("ckpt.evicted_bytes").add(report.freed_bytes);
-        Ok(report)
-    }
-}
-
-/// Rebuild-cost class of a store file, from the store's own naming
-/// scheme: overlays carry an `-ovl-` tag, shared prefixes a `-shared-`
-/// tag; everything else is a full container.
-fn rebuild_class(stem: &str) -> u8 {
-    if stem.contains("-ovl-") {
-        0
-    } else if stem.contains("-shared-") {
-        1
-    } else {
-        2
-    }
-}
-
-fn class_name(class: u8) -> &'static str {
-    match class {
-        0 => "overlay",
-        1 => "prefix",
-        _ => "full",
     }
 }
 

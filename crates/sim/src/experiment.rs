@@ -1,24 +1,35 @@
-//! Policy sweeps — the engine behind Figure 6, Table 3 and the
-//! sensitivity studies.
+//! Sweeps — the engine behind Figure 6, Table 3 and the sensitivity
+//! studies.
+//!
+//! **A cell is a configuration.** A sweep runs every workload under
+//! every one of its `cells: &[SimConfig]`, and a workload's **row** —
+//! all the cells, over that workload — shares one instruction stream and
+//! one frontend. The cells may differ in anything the stream and the
+//! frontend never read: L2 policy, cache geometry and latencies, page
+//! size, overlap rule, armed profilers. They must agree on what those do
+//! read — `core`, `layout`, `fast_forward`, `instructions` — and a sweep
+//! refuses cells that do not, naming the cell and the field.
+//! [`policy_cells`] builds the common case, one machine under several
+//! policies.
 //!
 //! **One executor, three producers.** Every sweep runs on the push
 //! executor (`push_sweep`): per workload, one [`Frontend`] — branch
 //! predictor, FDIP scan, fetch-line tracking, none of which ever sees a
 //! cache latency — digests the instruction stream into a small bounded
 //! window of shared event turns, and at most `jobs` worker threads push
-//! every turn through their policy cells, which run only the
-//! policy-dependent half of the core. A worker drives the cells it holds
-//! of a workload **in lockstep**: it reads a turn once, and each record
-//! moves every one of those machines before the next is looked at
+//! every turn through their cells, which run only the
+//! memory-system-dependent half of the core. A worker drives the cells it
+//! holds of a workload **in lockstep**: it reads a turn once, and each
+//! record moves every one of those machines before the next is looked at
 //! (`Core::execute` over the group) — so a turn is decoded once per
 //! worker, not once per cell, and the cells' memory systems, which share
 //! nothing, keep the host busy side by side. Whole workloads go to a
 //! worker each while there are enough of them left; then each remaining
 //! workload's cells are split across a team of workers reading the same
-//! window. A workload's stream is produced once, predicted once and
-//! never materialised, whatever feeds the frontend:
+//! window. A workload's stream is produced once, predicted once and never
+//! materialised, whatever feeds the frontend:
 //!
-//! * **the walker** — [`policy_sweep`], no disk at all;
+//! * **the walker** — [`policy_sweep_with`], no disk at all;
 //! * **the walker, teed into a capture** ([`CaptureTee`]) — a
 //!   [`replay_sweep`] whose [`TraceStore`] does not hold the workload
 //!   yet: it walks once and simulates while it writes, and the file is
@@ -28,18 +39,18 @@
 //!
 //! With a [`CheckpointStore`] attached a sweep also leaves the
 //! fast-forward boundary behind, in **two files**: per workload the
-//! policy-agnostic **shared prefix** (the frontend's predictor, and
-//! nothing else), per cell its **overlay**. There is one way back to the
-//! boundary, `restore_at_boundary`, and every cell takes it: a cell whose
-//! overlay loads restores, a cell whose overlay does not executes the
-//! warm-up turns ([`trrip_cpu::Core::execute`]) and leaves its overlay;
-//! the window writes the prefix once its frontend is across the boundary,
-//! if no loadable one was on file. Where every cell of a workload can
-//! restore, the frontend itself resumes from the prefix over a replay
-//! that starts its decode at the boundary: nothing reads the warm-up at
-//! all. The `warm.*` counters ([`crate::warmstats`]) and the
-//! `producer_opened` / `warm_start` journal events say which of these a
-//! sweep did; `tests/walk_once_equivalence.rs` and
+//! **shared prefix** (the frontend's predictor, and nothing else — one
+//! file however the row's cells differ), per cell its **overlay**. There
+//! is one way back to the boundary, `restore_at_boundary`, and every cell
+//! takes it: a cell whose overlay loads restores, a cell whose overlay
+//! does not executes the warm-up turns ([`trrip_cpu::Core::execute`]) and
+//! leaves its overlay; the window writes the prefix once its frontend is
+//! across the boundary, if no loadable one was on file. Where every cell
+//! of a workload can restore, the frontend itself resumes from the prefix
+//! over a replay that starts its decode at the boundary: nothing reads
+//! the warm-up at all. The `warm.*` counters ([`crate::warmstats`]) and
+//! the `producer_opened` / `warm_start` journal events say which of these
+//! a sweep did; `tests/walk_once_equivalence.rs` and
 //! `tests/push_store_equivalence.rs` hold every route to the same bits
 //! and the design to its counts (one frontend, one walk or one decode,
 //! one prefix read, `jobs` threads, and `exec.cell_records /
@@ -53,7 +64,9 @@
 //! The one-cell paths, [`crate::simulate`] and
 //! [`crate::simulate_source`], pull from a source of their own through
 //! the fused loop and share none of the sweep machinery, which is what
-//! makes them the oracle for all of the above.
+//! makes them the oracle for all of the above — and what a row of one
+//! cell runs on where nothing is swept (Figures 1, 2, 3 and 7): a cell
+//! with nobody to share a frontend with is cheaper without one.
 
 use std::collections::VecDeque;
 use std::path::Path;
@@ -80,50 +93,79 @@ pub fn default_jobs() -> usize {
     std::thread::available_parallelism().map_or(4, usize::from)
 }
 
-/// Results of a `workloads × policies` sweep.
+/// Results of a `workloads × cells` sweep.
 #[derive(Debug)]
 pub struct SweepResult {
-    /// One result per (workload, policy) pair, workload-major.
+    /// One result per (workload, cell) pair, workload-major.
     pub results: Vec<SimResult>,
-    /// The policies swept, in order.
-    pub policies: Vec<PolicyKind>,
+    /// The configurations swept, in order.
+    pub cells: Vec<SimConfig>,
     /// The benchmark names, in order.
     pub benchmarks: Vec<String>,
 }
 
 impl SweepResult {
-    /// The result for one (benchmark, policy) pair.
+    /// The result of cell `cell` (an index into [`SweepResult::cells`])
+    /// over `benchmark`.
     ///
     /// # Panics
     ///
     /// Panics if the pair was not part of the sweep.
     #[must_use]
-    pub fn get(&self, benchmark: &str, policy: PolicyKind) -> &SimResult {
+    pub fn cell(&self, benchmark: &str, cell: usize) -> &SimResult {
         let bi = self
             .benchmarks
             .iter()
             .position(|b| b == benchmark)
             .unwrap_or_else(|| panic!("unknown benchmark {benchmark}"));
-        let pi = self
-            .policies
-            .iter()
-            .position(|&p| p == policy)
-            .unwrap_or_else(|| panic!("policy {policy} not swept"));
-        &self.results[bi * self.policies.len() + pi]
+        assert!(cell < self.cells.len(), "cell {cell} of {} not swept", self.cells.len());
+        &self.results[bi * self.cells.len() + cell]
+    }
+
+    /// The result for one (benchmark, policy) pair of a sweep whose
+    /// cells differ in their policy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pair was not part of the sweep, or if more than one
+    /// cell runs `policy` (ask for the cell by index).
+    #[must_use]
+    pub fn get(&self, benchmark: &str, policy: PolicyKind) -> &SimResult {
+        self.cell(benchmark, self.cell_of(policy))
+    }
+
+    /// The one cell that runs `policy`.
+    fn cell_of(&self, policy: PolicyKind) -> usize {
+        let mut running =
+            self.cells.iter().enumerate().filter(|(_, cell)| cell.hierarchy.l2_policy == policy);
+        let (cell, _) = running.next().unwrap_or_else(|| panic!("policy {policy} not swept"));
+        assert!(running.next().is_none(), "policy {policy} names more than one cell");
+        cell
     }
 
     /// Per-benchmark speedups of `policy` against `baseline`, in percent,
     /// in benchmark order.
     #[must_use]
     pub fn speedups(&self, policy: PolicyKind, baseline: PolicyKind) -> Vec<f64> {
+        self.cell_speedups(self.cell_of(policy), self.cell_of(baseline))
+    }
+
+    /// Per-benchmark speedups of cell `cell` against cell `baseline`, in
+    /// percent, in benchmark order.
+    #[must_use]
+    pub fn cell_speedups(&self, cell: usize, baseline: usize) -> Vec<f64> {
         self.benchmarks
             .iter()
-            .map(|b| {
-                let base = self.get(b, baseline);
-                self.get(b, policy).speedup_vs(base)
-            })
+            .map(|b| self.cell(b, cell).speedup_vs(self.cell(b, baseline)))
             .collect()
     }
+}
+
+/// The cells of the common sweep: the machine of `config` under each of
+/// `policies`.
+#[must_use]
+pub fn policy_cells(config: &SimConfig, policies: &[PolicyKind]) -> Vec<SimConfig> {
+    policies.iter().map(|&policy| config.clone().with_policy(policy)).collect()
 }
 
 /// Runs `f(0)..f(n-1)` across at most `jobs` scoped workers (`--jobs` in
@@ -156,30 +198,20 @@ where
     slots.into_inner().into_iter().map(|v| v.expect("all jobs completed")).collect()
 }
 
-/// Runs every workload under every policy over the CFG walker, with
-/// each workload's instruction stream **walked once, predicted once**
-/// and pushed as event turns through all of its policy cells, on up to
-/// one worker thread per hardware thread. Every cell is bit-identical
-/// to a [`simulate`] of its own, whatever the worker count or
+/// Runs every workload under every cell over the CFG walker, with each
+/// workload's instruction stream **walked once, predicted once** and
+/// pushed as event turns through all of its cells, on at most `jobs`
+/// threads, the caller's included: a sweep of one cell, or with
+/// `jobs == 1`, spawns none. Every cell is bit-identical to a
+/// [`crate::simulate`] of its own, whatever the worker count or
 /// scheduling.
-#[must_use]
-pub fn policy_sweep(
-    workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
-) -> SweepResult {
-    policy_sweep_with(default_jobs(), workloads, config, policies)
-}
-
-/// [`policy_sweep`] on at most `jobs` threads, the caller's included:
-/// a sweep of one cell, or with `jobs == 1`, spawns none.
 ///
 /// Workers are dealt to workloads statically, in rounds. While at least
 /// as many workloads remain as there are workers, the next round gives
 /// each worker a whole workload, which it walks and simulates on its
 /// own. When fewer remain, the last round spreads the workers over them
 /// in teams, and the members of a team split that workload's cells
-/// between them (member `m` of `n` takes policies `m`, `m + n`, …) while
+/// between them (member `m` of `n` takes cells `m`, `m + n`, …) while
 /// reading one shared stream: whichever member reaches the head of the
 /// stream first generates and digests the next turn for all of them —
 /// in practice the member with the lighter share, which is what evens
@@ -190,20 +222,24 @@ pub fn policy_sweep(
 /// rather than buffering the stream, so memory stays at a megabyte or
 /// two per workload in flight whatever the run length, and a turn is
 /// still warm in the host's cache when the last member reads it.
+///
+/// # Panics
+///
+/// Panics if the cells do not share a stream and a frontend (see the
+/// module docs).
 #[must_use]
 pub fn policy_sweep_with(
     jobs: usize,
     workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
+    cells: &[SimConfig],
 ) -> SweepResult {
-    push_sweep(jobs, workloads, config, policies, None, |workload, _| {
+    push_sweep(jobs, workloads, cells, None, |workload, _| {
         journal_producer(workload, "walker", 0);
-        Frontend::new(config, eval_walker(workload, config))
+        Frontend::new(&cells[0], eval_walker(workload, &cells[0]))
     })
 }
 
-/// Runs every workload under every policy over the captures in `traces`
+/// Runs every workload under every cell over the captures in `traces`
 /// — on the same executor as [`policy_sweep_with`], dealt the same way,
 /// on at most `jobs` simulating threads (a replay decodes on one more).
 /// Per workload the stream is read once: replayed from its capture, or,
@@ -231,23 +267,43 @@ pub fn policy_sweep_with(
 ///
 /// # Panics
 ///
-/// Panics if a capture that exists cannot be replayed (damaged between
-/// capture and replay).
+/// Panics if the cells do not share a stream and a frontend, or if a
+/// capture that exists cannot be replayed (damaged between capture and
+/// replay).
 #[must_use]
 pub fn replay_sweep(
     jobs: usize,
     workloads: &[PreparedWorkload],
-    config: &SimConfig,
-    policies: &[PolicyKind],
+    cells: &[SimConfig],
     traces: &TraceStore,
     checkpoints: Option<&CheckpointStore>,
 ) -> SweepResult {
     // With nothing to fast-forward there is no boundary state to keep.
-    let checkpoints = checkpoints.filter(|_| config.fast_forward > 0);
-    let stores = Stores { traces, checkpoints };
-    push_sweep(jobs, workloads, config, policies, Some(stores), |workload, prefix| {
-        stores.open(workload, config, policies, prefix)
+    let warms = cells.first().is_some_and(|stream| stream.fast_forward > 0);
+    let stores = Stores { traces, checkpoints: checkpoints.filter(|_| warms) };
+    push_sweep(jobs, workloads, cells, Some(stores), |workload, prefix| {
+        stores.open(workload, cells, prefix)
     })
+}
+
+/// Refuses cells that could not share a stream and a frontend: every
+/// cell must agree with the first on what those read.
+fn assert_one_stream(cells: &[SimConfig]) {
+    let Some(stream) = cells.first() else { return };
+    for (index, cell) in cells.iter().enumerate() {
+        for (field, agrees) in [
+            ("core", cell.core == stream.core),
+            ("layout", cell.layout == stream.layout),
+            ("fast_forward", cell.fast_forward == stream.fast_forward),
+            ("instructions", cell.instructions == stream.instructions),
+        ] {
+            assert!(
+                agrees,
+                "cell {index} differs from cell 0 in `{field}`: the cells of a sweep share one \
+                 stream and one frontend"
+            );
+        }
+    }
 }
 
 /// The stores behind a [`replay_sweep`].
@@ -262,26 +318,29 @@ struct Stores<'a> {
 type StoredSource<'a> = Box<dyn TraceSource + Send + 'a>;
 
 impl<'a> Stores<'a> {
-    /// Opens `workload`'s producer: at the fast-forward boundary, its
-    /// predictor `prefix`'s, if no cell will read the warm-up, else at
-    /// the first instruction — of the capture if there is one, of the
-    /// walker if not.
+    /// Opens the producer of `workload`'s row of `cells`: at the
+    /// fast-forward boundary, its predictor `prefix`'s, if no cell will
+    /// read the warm-up, else at the first instruction — of the capture
+    /// if there is one, of the walker if not.
     fn open(
         self,
         workload: &'a PreparedWorkload,
-        config: &SimConfig,
-        policies: &[PolicyKind],
+        cells: &[SimConfig],
         prefix: Option<&SharedWarmup>,
     ) -> Frontend<StoredSource<'a>> {
+        let config = &cells[0];
         let path = self.traces.path_for(workload, config);
+        for (index, cell) in cells.iter().enumerate() {
+            let own = self.traces.path_for(workload, cell);
+            assert!(own == path, "cell {index} reads another capture: {}", own.display());
+        }
         let captured = self.traces.has(workload, config);
         // Whether every cell can restore is judged by file names alone:
         // a file that then fails to load costs that one cell a replay
         // of its own.
         let resume = prefix.filter(|_| {
             let holds = |store: &CheckpointStore| {
-                let held = |&p| store.holds_restore(workload, &config.clone().with_policy(p));
-                policies.iter().all(held)
+                cells.iter().all(|cell| store.holds_restore(workload, cell))
             };
             captured && self.checkpoints.is_some_and(holds)
         });
@@ -343,15 +402,15 @@ const WINDOW_TURNS: usize = 4;
 /// The push executor behind [`policy_sweep_with`] and [`replay_sweep`]:
 /// per workload, `open` is called once — with the workload's shared
 /// prefix, if `stores` hold a loadable one — and the stream under the
-/// frontend it returns is digested and pushed turn by turn through every
-/// policy's [`SimRun`] (see [`policy_sweep_with`] for how cells are
-/// dealt to workers, [`replay_sweep`] for what `stores` add). Generic
-/// over the producer: nothing here knows where the stream comes from.
+/// frontend it returns (both read from the first cell: all agree on what
+/// they read) is digested and pushed turn by turn through every cell's
+/// [`SimRun`] (see [`policy_sweep_with`] for how cells are dealt to
+/// workers, [`replay_sweep`] for what `stores` add). Generic over the
+/// producer: nothing here knows where the stream comes from.
 fn push_sweep<'w, S, F>(
     jobs: usize,
     workloads: &'w [PreparedWorkload],
-    config: &'w SimConfig,
-    policies: &[PolicyKind],
+    cells: &'w [SimConfig],
     stores: Option<Stores<'w>>,
     open: F,
 ) -> SweepResult
@@ -359,22 +418,24 @@ where
     S: TraceSource + Send,
     F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S> + Sync,
 {
-    let cells = workloads.len() * policies.len();
+    assert_one_stream(cells);
+    let runs = workloads.len() * cells.len();
     let mut finished = Vec::new();
-    if cells > 0 {
-        let workers = jobs.clamp(1, cells);
-        let teams = deal_teams(workloads.len(), policies.len(), workers);
+    if runs > 0 {
+        let stream = &cells[0];
+        let workers = jobs.clamp(1, runs);
+        let teams = deal_teams(workloads.len(), cells.len(), workers);
         let windows: Vec<Window<'w, S>> = std::iter::zip(workloads, &teams)
-            .map(|(workload, team)| Window::new(workload, config, stores, team.members))
+            .map(|(workload, team)| Window::new(workload, stream, stores, team.members))
             .collect();
         let work = |worker: usize| {
             let _bail = Bail(&windows);
             let mut finished = Vec::new();
             for (wi, team) in teams.iter().enumerate() {
                 if let Some(member) = team.member(worker) {
-                    let share: Vec<(usize, PolicyKind)> = (member..policies.len())
+                    let share: Vec<(usize, &SimConfig)> = (member..cells.len())
                         .step_by(team.members)
-                        .map(|pi| (wi * policies.len() + pi, policies[pi]))
+                        .map(|ci| (wi * cells.len() + ci, &cells[ci]))
                         .collect();
                     finished.extend(run_share(&windows[wi], &open, &share));
                 }
@@ -391,18 +452,18 @@ where
             finished
         });
     }
-    finished.sort_unstable_by_key(|&(cell, _)| cell);
-    assert_eq!(finished.len(), cells, "every cell runs exactly once");
+    finished.sort_unstable_by_key(|&(run, _)| run);
+    assert_eq!(finished.len(), runs, "every cell runs exactly once over every workload");
     SweepResult {
         results: finished.into_iter().map(|(_, result)| result).collect(),
-        policies: policies.to_vec(),
+        cells: cells.to_vec(),
         benchmarks: workloads.iter().map(|w| w.spec.name.clone()).collect(),
     }
 }
 
 /// The workers that split one workload's cells: workers `slot`,
 /// `slot + stride`, … — the first `members` of them, member `m` taking
-/// policies `m`, `m + members`, ….
+/// cells `m`, `m + members`, ….
 struct Team {
     slot: usize,
     stride: usize,
@@ -423,16 +484,16 @@ impl Team {
 /// workers spread over them as evenly as they go. Every worker has at
 /// most one workload per round and visits its workloads in index order,
 /// so a team's members arrive at their window together. A team is never
-/// larger than the number of policies; workers beyond that sit the round
+/// larger than the number of cells; workers beyond that sit the round
 /// out.
-fn deal_teams(workloads: usize, policies: usize, workers: usize) -> Vec<Team> {
+fn deal_teams(workloads: usize, cells: usize, workers: usize) -> Vec<Team> {
     let mut teams = Vec::with_capacity(workloads);
     while teams.len() < workloads {
         let round = (workloads - teams.len()).min(workers);
         teams.extend((0..round).map(|slot| Team {
             slot,
             stride: round,
-            members: (workers - slot).div_ceil(round).min(policies),
+            members: (workers - slot).div_ceil(round).min(cells),
         }));
     }
     teams
@@ -449,8 +510,8 @@ struct Cell<'w> {
 }
 
 /// One worker's share of one workload (`(index into the sweep's
-/// results, policy)` per cell): brings every cell to the window's first
-/// turn — restored at the fast-forward boundary, or cold at the first
+/// results, configuration)` per cell): brings every cell to the window's
+/// first turn — restored at the fast-forward boundary, or cold at the first
 /// instruction — and pushes the stream through all of them **in
 /// lockstep**: each turn is read once and drives the whole group
 /// ([`SimRun::push_measure_group`]; during a warm-up, the cells that
@@ -461,7 +522,7 @@ struct Cell<'w> {
 fn run_share<'w, S, F>(
     window: &Window<'w, S>,
     open: &F,
-    share: &[(usize, PolicyKind)],
+    share: &[(usize, &SimConfig)],
 ) -> Vec<(usize, SimResult)>
 where
     S: TraceSource,
@@ -474,14 +535,13 @@ where
     let mut reader = Reader { window, turn: 0, held: None };
     let mut cells = Vec::with_capacity(share.len());
     let mut alone = Vec::new();
-    for &(index, policy) in share {
-        let cell_config = config.clone().with_policy(policy);
+    for &(index, cell_config) in share {
         let restored =
-            checkpoints.and_then(|store| restore_at_boundary(workload, &cell_config, store));
+            checkpoints.and_then(|store| restore_at_boundary(workload, cell_config, store));
         match restored {
             Some(run) => cells.push(Cell { index, run, warms: false }),
             None if start == 0 => {
-                let run = SimRun::new(workload, &cell_config);
+                let run = SimRun::new(workload, cell_config);
                 cells.push(Cell { index, run, warms: config.fast_forward > 0 });
             }
             None => alone.push((index, cell_config)),
@@ -518,7 +578,7 @@ where
         let stores = window.stores.expect("only a store-backed window starts past the warm-up");
         let policy = cell_config.hierarchy.l2_policy;
         journal_cell("cell_started", bench, policy, ("group", Field::U64(1)));
-        finished.push((index, stores.run_alone(workload, &cell_config)));
+        finished.push((index, stores.run_alone(workload, cell_config)));
     }
     for (_, result) in &finished {
         let cycles = ("cycles", Field::F64(result.core.cycles));
@@ -527,8 +587,8 @@ where
     finished
 }
 
-/// A cell's run restored at the fast-forward boundary from its policy's
-/// overlay — the one way back there. A cell consults no predictor: the
+/// A cell's run restored at the fast-forward boundary from its overlay
+/// — the one way back there. A cell consults no predictor: the
 /// frontend read the prefix, once, for all of them. `None` if the overlay
 /// is not in: one that does not load is reported, and the caller warms a
 /// fresh machine, since a failed restore may have left this one
@@ -670,6 +730,8 @@ fn report_damaged(
 /// let go of it.
 struct Window<'w, S> {
     workload: &'w PreparedWorkload,
+    /// What the stream and the frontend are read from: the row's first
+    /// cell, with which every other agrees on it.
     config: &'w SimConfig,
     stores: Option<Stores<'w>>,
     /// Team size: every turn is read this many times.
@@ -941,11 +1003,27 @@ mod tests {
         let mut config = SimConfig::quick(PolicyKind::Srrip);
         config.instructions = 100_000;
         config.fast_forward = 10_000;
-        let policies = [PolicyKind::Srrip, PolicyKind::Trrip1];
-        let sweep = policy_sweep(&workloads, &config, &policies);
+        let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        let sweep = policy_sweep_with(2, &workloads, &cells);
         assert_eq!(sweep.results.len(), 4);
         assert_eq!(sweep.get("wa", PolicyKind::Srrip).policy, PolicyKind::Srrip);
         assert_eq!(sweep.get("wb", PolicyKind::Trrip1).benchmark, "wb");
+        assert_eq!(sweep.cell("wb", 1).policy, PolicyKind::Trrip1);
+    }
+
+    /// Two cells under one policy have no name but their index.
+    #[test]
+    #[should_panic(expected = "policy SRRIP names more than one cell")]
+    fn lookup_by_policy_refuses_an_ambiguous_policy() {
+        let workloads = vec![tiny_workload("wg")];
+        let mut config = SimConfig::quick(PolicyKind::Srrip);
+        config.instructions = 20_000;
+        config.fast_forward = 0;
+        let mut roomy = config.clone();
+        roomy.hierarchy = roomy.hierarchy.with_l2_size(256 << 10);
+        let sweep = policy_sweep_with(1, &workloads, &[config, roomy]);
+        assert_ne!(sweep.cell("wg", 0).l2, sweep.cell("wg", 1).l2);
+        let _ = sweep.get("wg", PolicyKind::Srrip);
     }
 
     #[test]
@@ -954,8 +1032,9 @@ mod tests {
         let mut config = SimConfig::quick(PolicyKind::Srrip);
         config.instructions = 80_000;
         config.fast_forward = 8_000;
-        let sweep = policy_sweep(&workloads, &config, &[PolicyKind::Clip]);
-        let serial = simulate(&workloads[0], &config.clone().with_policy(PolicyKind::Clip));
+        let cells = policy_cells(&config, &[PolicyKind::Clip]);
+        let sweep = policy_sweep_with(default_jobs(), &workloads, &cells);
+        let serial = simulate(&workloads[0], &cells[0]);
         let from_sweep = sweep.get("wx", PolicyKind::Clip);
         assert_eq!(from_sweep.core.cycles, serial.core.cycles);
         assert_eq!(from_sweep.l2, serial.l2);
@@ -964,23 +1043,24 @@ mod tests {
     #[test]
     fn teams_give_every_cell_to_exactly_one_worker() {
         for workloads in 1..=7 {
-            for policies in 1..=5 {
+            // Up to a policy sweep's ten, and a figure's eighteen.
+            for cells in [1, 2, 3, 4, 5, 10, 18] {
                 for jobs in 1..=12 {
-                    let workers = jobs.min(workloads * policies);
-                    let teams = deal_teams(workloads, policies, workers);
+                    let workers = jobs.min(workloads * cells);
+                    let teams = deal_teams(workloads, cells, workers);
                     assert_eq!(teams.len(), workloads);
-                    let mut owners = vec![0; workloads * policies];
+                    let mut owners = vec![0; workloads * cells];
                     for (wi, team) in teams.iter().enumerate() {
-                        assert!((1..=policies).contains(&team.members));
+                        assert!((1..=cells).contains(&team.members));
                         for member in (0..workers).filter_map(|worker| team.member(worker)) {
-                            for pi in (member..policies).step_by(team.members) {
-                                owners[wi * policies + pi] += 1;
+                            for ci in (member..cells).step_by(team.members) {
+                                owners[wi * cells + ci] += 1;
                             }
                         }
                     }
                     assert!(
                         owners.iter().all(|&n| n == 1),
-                        "{workloads} workloads x {policies} policies on {workers} workers: {owners:?}"
+                        "{workloads} workloads x {cells} cells on {workers} workers: {owners:?}"
                     );
                 }
             }
@@ -998,19 +1078,21 @@ mod tests {
         let mut config = SimConfig::quick(PolicyKind::Srrip);
         config.instructions = 60_000;
         config.fast_forward = 7_000;
-        let policies = [PolicyKind::Srrip, PolicyKind::Drrip, PolicyKind::Trrip1];
+        let cells =
+            policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Drrip, PolicyKind::Trrip1]);
         let full: Vec<TraceInstr> = eval_walker(&workloads[0], &config).take(67_000).collect();
         for length in [67_000, 41_234] {
             let stream = &full[..length];
-            let sweep = push_sweep(2, &workloads, &config, &policies, None, |_, _| {
+            let sweep = push_sweep(2, &workloads, &cells, None, |_, _| {
                 Frontend::new(&config, VecSource::new(stream.to_vec(), 1_000))
             });
-            for (cell, &policy) in sweep.results.iter().zip(&policies) {
+            for (cell, cell_config) in sweep.results.iter().zip(&cells) {
                 let pulled = simulate_source(
                     &workloads[0],
-                    &config.clone().with_policy(policy),
+                    cell_config,
                     VecSource::new(stream.to_vec(), 1_000),
                 );
+                let policy = cell.policy;
                 assert_eq!(cell.core, pulled.core, "{policy} over {length} instructions");
                 assert_eq!(cell.l2, pulled.l2, "{policy} over {length} instructions");
                 assert_eq!(cell.tlb, pulled.tlb, "{policy} over {length} instructions");
@@ -1038,10 +1120,8 @@ mod tests {
         let mut config = SimConfig::quick(PolicyKind::Srrip);
         config.instructions = 200_000;
         config.fast_forward = 0;
-        let policies = [PolicyKind::Srrip, PolicyKind::Lru, PolicyKind::Clip];
-        let _ = push_sweep(3, &workloads, &config, &policies, None, |_, _| {
-            Frontend::new(&config, Breaks(0))
-        });
+        let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Lru, PolicyKind::Clip]);
+        let _ = push_sweep(3, &workloads, &cells, None, |_, _| Frontend::new(&config, Breaks(0)));
     }
 
     #[test]

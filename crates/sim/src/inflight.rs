@@ -9,10 +9,9 @@
 //! The slot array is **struct-of-arrays**: line keys and ready cycles
 //! live in separate parallel arrays, so the probe loop — which reads
 //! only keys until it finds a match or an empty slot — touches half the
-//! bytes the interleaved `(line, ready)` layout did. [`AosInflightTable`]
-//! keeps the pre-SoA layout verbatim as the equivalence oracle: both
-//! layouts must agree on every operation, `len`, and the `"INFL"`
-//! snapshot bytes (pinned by this module's tests).
+//! bytes an interleaved `(line, ready)` layout would. This module's tests
+//! hold the table to a `HashMap` through random operations, a full table
+//! and a round trip of its `"INFL"` snapshot.
 
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -236,154 +235,6 @@ impl Snapshot for InflightTable {
     }
 }
 
-/// The pre-SoA slot layout, kept verbatim as the equivalence oracle for
-/// [`InflightTable`]: interleaved `(line, ready)` slots, identical
-/// probing, deletion, expiry, and snapshot encoding. Test-only by
-/// convention (nothing on the simulation path constructs one).
-#[derive(Debug)]
-pub struct AosInflightTable {
-    slots: Box<[(u64, u64)]>,
-    mask: usize,
-    shift: u32,
-    len: usize,
-    limit: usize,
-    scratch: Vec<(u64, u64)>,
-}
-
-impl AosInflightTable {
-    /// A table sized for `mshr_entries` simultaneously tracked lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mshr_entries` is zero.
-    #[must_use]
-    pub fn new(mshr_entries: usize) -> AosInflightTable {
-        assert!(mshr_entries > 0, "MSHR count must be positive");
-        let slots = (mshr_entries * 4).next_power_of_two();
-        AosInflightTable {
-            slots: vec![(EMPTY, 0); slots].into_boxed_slice(),
-            mask: slots - 1,
-            shift: 64 - slots.trailing_zeros(),
-            len: 0,
-            limit: slots / 2,
-            scratch: Vec::with_capacity(slots / 2),
-        }
-    }
-
-    /// Live entries.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// True when no fills are in flight.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    fn probe_start(&self, line: u64) -> usize {
-        ((line.wrapping_mul(HASH_MULT) >> self.shift) as usize) & self.mask
-    }
-
-    fn find(&self, line: u64) -> Option<usize> {
-        let mut i = self.probe_start(line);
-        loop {
-            let (occupant, _) = self.slots[i];
-            if occupant == EMPTY {
-                return None;
-            }
-            if occupant == line {
-                return Some(i);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// The tracked completion cycle for `line`, if any.
-    #[must_use]
-    pub fn get(&self, line: u64) -> Option<u64> {
-        self.find(line).map(|i| self.slots[i].1)
-    }
-
-    /// As [`InflightTable::insert_if_absent`].
-    pub fn insert_if_absent(&mut self, line: u64, ready: u64) {
-        let mut i = self.probe_start(line);
-        loop {
-            let (occupant, _) = self.slots[i];
-            if occupant == line {
-                return;
-            }
-            if occupant == EMPTY {
-                if self.len >= self.limit {
-                    return;
-                }
-                self.slots[i] = (line, ready);
-                self.len += 1;
-                return;
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// As [`InflightTable::remove`].
-    pub fn remove(&mut self, line: u64) {
-        let Some(mut hole) = self.find(line) else {
-            return;
-        };
-        self.len -= 1;
-        let mut i = hole;
-        loop {
-            i = (i + 1) & self.mask;
-            let slot = self.slots[i];
-            if slot.0 == EMPTY {
-                break;
-            }
-            let home = self.probe_start(slot.0);
-            let home_distance = i.wrapping_sub(home) & self.mask;
-            let hole_distance = i.wrapping_sub(hole) & self.mask;
-            if home_distance >= hole_distance {
-                self.slots[hole] = slot;
-                hole = i;
-            }
-        }
-        self.slots[hole] = (EMPTY, 0);
-    }
-
-    /// As [`InflightTable::prune_expired`].
-    pub fn prune_expired(&mut self, now: u64) {
-        self.scratch.clear();
-        for slot in &mut self.slots {
-            if slot.0 != EMPTY {
-                if slot.1 > now {
-                    self.scratch.push(*slot);
-                }
-                *slot = (EMPTY, 0);
-            }
-        }
-        self.len = 0;
-        let survivors = std::mem::take(&mut self.scratch);
-        for &(line, ready) in &survivors {
-            self.insert_if_absent(line, ready);
-        }
-        self.scratch = survivors;
-    }
-
-    /// Snapshot in the exact [`InflightTable`] encoding.
-    pub fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"INFL");
-        w.usize(self.slots.len());
-        w.usize(self.len);
-        for (i, slot) in self.slots.iter().enumerate() {
-            if slot.0 != EMPTY {
-                w.usize(i);
-                w.u64(slot.0);
-                w.u64(slot.1);
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -466,9 +317,13 @@ mod tests {
         assert_eq!(t.len(), oracle.len());
     }
 
+    /// Every operation against the obvious map, through a table that
+    /// fills (an insert into a full table is dropped), and the snapshot
+    /// round-tripped into a fresh table along the way.
     #[test]
     fn randomized_against_hashmap_oracle() {
-        let mut t = InflightTable::new(32); // limit 64 — never hit below
+        let mut t = InflightTable::new(8); // limit 16, hit below
+        let limit = t.limit;
         let mut oracle = std::collections::HashMap::new();
         let mut state = 0x1234_5678_9abc_def0u64;
         let mut next = move || {
@@ -477,13 +332,16 @@ mod tests {
             state ^= state << 17;
             state
         };
+        let mut dropped = 0;
         for step in 0..4000u64 {
             let line = next() % 50; // small key space forces collisions
             match next() % 4 {
                 0 | 1 => {
-                    if oracle.len() < 48 {
-                        t.insert_if_absent(line, step);
+                    t.insert_if_absent(line, step);
+                    if oracle.len() < limit || oracle.contains_key(&line) {
                         oracle.entry(line).or_insert(step);
+                    } else {
+                        dropped += 1;
                     }
                 }
                 2 => {
@@ -498,47 +356,19 @@ mod tests {
             }
             assert_eq!(t.get(line), oracle.get(&line).copied());
             assert_eq!(t.len(), oracle.len());
-        }
-    }
-
-    /// SoA and AoS layouts agree on every operation, the length, and the
-    /// snapshot bytes under a randomized op mix — the SoA probe path is
-    /// a pure representation change.
-    #[test]
-    fn soa_matches_aos_oracle() {
-        let mut soa = InflightTable::new(16);
-        let mut aos = AosInflightTable::new(16);
-        let mut state = 0x9e37_79b9_7f4a_7c15u64;
-        let mut next = move || {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            state
-        };
-        for step in 0..6000u64 {
-            let line = next() % 80;
-            match next() % 5 {
-                0..=2 => {
-                    soa.insert_if_absent(line, step);
-                    aos.insert_if_absent(line, step);
+            if step % 500 == 499 {
+                let mut w = SnapWriter::new();
+                t.save(&mut w);
+                let mut fresh = InflightTable::new(8);
+                fresh.insert_if_absent(999, 1); // forgotten by the restore
+                fresh.restore(&mut SnapReader::new(w.bytes())).expect("restore");
+                assert_eq!(fresh.len(), oracle.len(), "step {step}");
+                for key in (0..50).chain([999]) {
+                    assert_eq!(fresh.get(key), oracle.get(&key).copied(), "step {step}: {key}");
                 }
-                3 => {
-                    soa.remove(line);
-                    aos.remove(line);
-                }
-                _ => {
-                    let cutoff = step.saturating_sub(60);
-                    soa.prune_expired(cutoff);
-                    aos.prune_expired(cutoff);
-                }
+                t = fresh; // and it carries on as the original would
             }
-            assert_eq!(soa.get(line), aos.get(line), "step {step}");
-            assert_eq!(soa.len(), aos.len(), "step {step}");
         }
-        let mut ws = SnapWriter::new();
-        soa.save(&mut ws);
-        let mut wa = SnapWriter::new();
-        aos.save(&mut wa);
-        assert_eq!(ws.bytes(), wa.bytes(), "snapshot bytes diverge between layouts");
+        assert!(dropped > 0, "the table filled and dropped inserts");
     }
 }

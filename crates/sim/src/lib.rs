@@ -24,11 +24,11 @@
 //!   sweep keeps the fast-forward boundary as two files: a
 //!   policy-agnostic **shared prefix** (the predictor, one per workload)
 //!   and a per-policy **overlay**.
-//! * [`experiment`] — policy sweeps on the one executor there is (a
-//!   workload's stream produced once, predicted once, pushed through
-//!   every cell):
-//!   [`policy_sweep`] over the walker, [`replay_sweep`] over a trace
-//!   store and, optionally, a checkpoint store; and speedup computation.
+//! * [`experiment`] — sweeps on the one executor there is (a cell is a
+//!   [`SimConfig`]; a workload's stream is produced once, predicted once
+//!   and pushed through every cell): [`policy_sweep_with`] over the
+//!   walker, [`replay_sweep`] over a trace store and, optionally, a
+//!   checkpoint store; and speedup computation.
 //! * [`warmstats`] — what the `warm.*` registry counters mean: how
 //!   cells reached the fast-forward boundary (restored, or warmed with
 //!   or without a store), the observable behind fallback tests.
@@ -57,7 +57,7 @@ pub use checkpoint::{
 };
 pub use config::SimConfig;
 pub use experiment::{
-    default_jobs, parallel_map_with, policy_sweep, policy_sweep_with, replay_sweep, speedup_vs,
+    default_jobs, parallel_map_with, policy_cells, policy_sweep_with, replay_sweep, speedup_vs,
     SweepResult,
 };
 pub use inflight::InflightTable;

@@ -13,10 +13,12 @@
 //!
 //! The two simulated phases can be driven from either side. **Pull**:
 //! the run takes what it needs from a [`SourceIter`]
-//! ([`SimRun::fast_forward`], [`SimRun::measure`],
-//! [`SimRun::measure_chunk`]) — one cell owns one stream and runs the
-//! whole core over it ([`Core::run_batch`]); this is the one-cell oracle
-//! behind [`simulate_source`], and no sweep runs its cells on it.
+//! ([`SimRun::fast_forward`], [`SimRun::measure`]) — one cell owns one
+//! stream and runs the whole core over it ([`Core::run_batch`]); this is
+//! the one-cell path behind [`simulate_source`] — cheaper than the push
+//! side for a row of one cell, which has nobody to share a frontend with
+//! — and the oracle every sweep is held to; no sweep runs its cells on
+//! it.
 //! **Push**: a [`Frontend`]
 //! runs the policy-independent half of the core over the stream once —
 //! branch prediction, the FDIP scan, fetch-line tracking — and writes
@@ -26,7 +28,7 @@
 //! ([`SimRun::push_fast_forward_group`], [`SimRun::push_measure_group`]),
 //! which take the turn in lockstep, one read of it driving them all, or
 //! to one run ([`SimRun::push_fast_forward`], [`SimRun::push_measure`]),
-//! which is a group of one. That is how [`crate::policy_sweep`] and
+//! which is a group of one. That is how [`crate::policy_sweep_with`] and
 //! [`crate::replay_sweep`] produce and predict a workload's stream once
 //! and decode it once per worker. The two sides are bit-identical
 //! wherever the stream is cut and however the runs are grouped
@@ -43,7 +45,7 @@ use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
 use trrip_cache::{AccessStats, Hierarchy};
 use trrip_cpu::backend::{FlatBackend, MemoryBackend};
-use trrip_cpu::{BranchPredictor, ChunkCut, Core, CoreResult, EventTurn, RunState, WarmupMode};
+use trrip_cpu::{BranchPredictor, Core, CoreResult, EventTurn, RunState, WarmupMode};
 use trrip_os::{Loader, Mmu, PageStats, TlbStats};
 use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -303,15 +305,12 @@ impl<S> Drop for Frontend<S> {
 /// 3. **checkpoint** *(optional)* — [`SimRun::save`] captures the full
 ///    architectural state; [`SimRun::restore`] loads it into a freshly
 ///    constructed run, replacing the fast-forward phase entirely.
-/// 4. **measure** — [`SimRun::measure`] (or the resumable
-///    [`SimRun::measure_chunk`] / [`SimRun::finish`] pair): statistics
-///    reset, then the measured window executes and [`SimResult`] is
-///    collected.
+/// 4. **measure** — [`SimRun::measure`] (pushed: [`SimRun::begin_measure`],
+///    turns, [`SimRun::finish`]): statistics reset, then the measured
+///    window executes and [`SimResult`] is collected.
 ///
 /// A restored run is bit-identical to one that executed fast-forward
-/// itself, and a measure phase split by a save/restore at any chunk
-/// boundary is bit-identical to an uninterrupted one — enforced by
-/// `tests/checkpoint_roundtrip.rs`.
+/// itself — enforced by `tests/checkpoint_roundtrip.rs`.
 #[derive(Debug)]
 pub struct SimRun<'w> {
     workload: &'w PreparedWorkload,
@@ -393,24 +392,21 @@ impl<'w> SimRun<'w> {
         if self.config.fast_forward > 0 {
             let _span = trrip_obs::span!("fast_forward");
             let mut state = self.core.begin_run();
-            self.run_batches(&mut state, stream, self.config.fast_forward, true);
+            self.run_batches(&mut state, stream, self.config.fast_forward);
             self.core.backend_mut().flush_fastpath_counters();
         }
     }
 
-    /// Feeds up to `limit` instructions from `stream` to the core via
-    /// the slice entry point ([`Core::run_batch`]): each decoded source
-    /// batch flows through as one contiguous slice, with no per-
-    /// instruction iterator dispatch. Bit-identical to
-    /// `run_chunk(stream.take(limit), drain)` — pinned by the core's
-    /// batch/chunk equivalence tests.
+    /// One whole phase on the pull side: feeds up to `limit` instructions
+    /// from `stream` to the core via the slice entry point
+    /// ([`Core::run_batch`]) — each decoded source batch flows through as
+    /// one contiguous slice — and drains the lookahead window.
     fn run_batches<S: TraceSource>(
         &mut self,
         state: &mut RunState,
         stream: &mut SourceIter<S>,
         limit: u64,
-        drain: bool,
-    ) -> ChunkCut {
+    ) {
         let mut remaining = limit as usize;
         while remaining > 0 {
             let batch = stream.next_slice(remaining);
@@ -420,9 +416,8 @@ impl<'w> SimRun<'w> {
             remaining -= batch.len();
             self.core.run_batch(state, batch, false);
         }
-        // Empty final batch: a no-op without drain, the window flush
-        // with it.
-        self.core.run_batch(state, &[], drain)
+        // The empty final batch is the window flush.
+        self.core.run_batch(state, &[], true);
     }
 
     /// **Fast-forward phase, pushed**: warms the machine with the next
@@ -479,7 +474,12 @@ impl<'w> SimRun<'w> {
     /// configured instruction window, and collects the result.
     pub fn measure<S: TraceSource>(&mut self, stream: &mut SourceIter<S>) -> SimResult {
         self.begin_measure();
-        self.measure_chunk(stream, self.config.instructions, true);
+        let mut state = self.measuring.take().expect("begun above");
+        {
+            let _span = trrip_obs::span!("measure");
+            self.run_batches(&mut state, stream, self.config.instructions);
+        }
+        self.measuring = Some(state);
         self.finish()
     }
 
@@ -494,29 +494,8 @@ impl<'w> SimRun<'w> {
         self.measuring = Some(self.core.begin_run());
     }
 
-    /// Runs up to `limit` further instructions of the measure window.
-    /// Pass `drain = true` on the final chunk (as [`SimRun::measure`]
-    /// does) so the core's lookahead window empties exactly as an
-    /// uninterrupted run's would.
-    ///
-    /// Returns the exact cut point the chunk stopped at (absolute
-    /// measure-phase stream/retirement positions).
-    pub fn measure_chunk<S: TraceSource>(
-        &mut self,
-        stream: &mut SourceIter<S>,
-        limit: u64,
-        drain: bool,
-    ) -> ChunkCut {
-        let _span = trrip_obs::span!("measure");
-        let mut state = self.measuring.take().expect("begin_measure first");
-        let cut = self.run_batches(&mut state, stream, limit, drain);
-        self.measuring = Some(state);
-        self.core.backend_mut().flush_fastpath_counters();
-        cut
-    }
-
     /// **Measure phase, pushed**: runs the next turn of the measure
-    /// window — the push twin of [`SimRun::measure_chunk`]. Pass
+    /// window. Pass
     /// `last = true` with the turn that completes the window (an empty
     /// one will do), then collect with [`SimRun::finish`]; the result's
     /// branch counts are the frontend's, carried by the turns.
@@ -555,14 +534,6 @@ impl<'w> SimRun<'w> {
                 run.core.backend_mut().flush_fastpath_counters();
             }
         }
-    }
-
-    /// Instructions consumed from the source so far by the measure
-    /// phase — a resumed run must skip `fast_forward + this` stream
-    /// instructions before continuing.
-    #[must_use]
-    pub fn measure_consumed(&self) -> u64 {
-        self.measuring.as_ref().map_or(0, RunState::consumed)
     }
 
     /// Ends the measure phase and collects the [`SimResult`].
@@ -606,8 +577,7 @@ impl SimRun<'_> {
     /// # Panics
     ///
     /// Panics mid-measure, or between the turns of a pushed fast-forward:
-    /// sectioned state is a fast-forward-boundary concept (mid-measure
-    /// snapshots stay whole-run).
+    /// a checkpoint is a fast-forward-boundary state.
     pub fn save_overlay(&self, w: &mut SnapWriter) {
         assert!(!self.is_measuring(), "overlay sections are fast-forward states");
         assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
@@ -659,13 +629,14 @@ fn restore_shared_section<B: MemoryBackend>(
     s.finish()
 }
 
-/// **Checkpoint phase**: the complete architectural state — core
-/// predictor + starvation table, MMU/TLB/page tables, every cache level
-/// with per-set policy state, prefetcher tables, the in-flight prefetch
-/// tracker, armed profilers, and (mid-measure) the in-flight
-/// [`RunState`] including the FDIP lookahead window.
+/// **Checkpoint phase**: the complete architectural state at the
+/// fast-forward boundary — core predictor + starvation table,
+/// MMU/TLB/page tables, every cache level with per-set policy state,
+/// prefetcher tables and the in-flight prefetch tracker. Between phases
+/// no [`RunState`] is in flight and no profiler is armed, so neither is
+/// part of it.
 ///
-/// A fast-forward-boundary state is alternatively addressable as two
+/// The same state is alternatively addressable as two
 /// *sections* — the policy-agnostic predictor a [`Frontend`] hands out
 /// and the policy-dependent [`SimRun::save_overlay`] — which the
 /// checkpoint store keeps in separate files so one shared prefix serves
@@ -674,30 +645,17 @@ fn restore_shared_section<B: MemoryBackend>(
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
         assert!(!self.pushed, "a pushed run's predictor was never trained");
+        assert!(!self.is_measuring(), "a checkpoint is a fast-forward-boundary state");
         w.tag(b"SRUN");
         self.core.save_core_state(w);
         self.core.backend().save(w);
-        match &self.measuring {
-            Some(state) => {
-                w.bool(true);
-                state.save(w);
-            }
-            None => w.bool(false),
-        }
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        assert!(!self.is_measuring(), "a checkpoint restores into a run between phases");
         r.expect_tag(b"SRUN")?;
         self.core.restore_core_state(r)?;
-        self.core.backend_mut().restore(r)?;
-        self.measuring = if r.bool()? {
-            let mut state = self.core.begin_run();
-            state.restore(r)?;
-            Some(state)
-        } else {
-            None
-        };
-        Ok(())
+        self.core.backend_mut().restore(r)
     }
 }
 

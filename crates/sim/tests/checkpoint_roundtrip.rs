@@ -1,14 +1,14 @@
 //! Checkpoint correctness: restore-then-measure must be bit-identical
 //! to an uninterrupted run — for every policy, at the fast-forward
-//! boundary and mid-measure — and damaged files must be rejected.
+//! boundary, the one place a checkpoint is taken — and damaged files
+//! must be rejected.
 
 use proptest::prelude::*;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
     read_checkpoint, simulate, warmup_config_hash, write_checkpoint_kind, CheckpointError,
-    CheckpointStore, PreparedWorkload, SimConfig, SimResult, SimRun, SnapReader, SnapWriter,
-    Snapshot,
+    CheckpointStore, PreparedWorkload, SimConfig, SimResult, SimRun,
 };
 use trrip_snap::corrupt;
 use trrip_trace::SourceIter;
@@ -93,66 +93,6 @@ fn restore_then_measure_is_bit_identical_for_every_policy() {
         assert_identical(&uninterrupted, &warm_result, &format!("{policy} warm"));
     }
     std::fs::remove_dir_all(&dir).ok();
-}
-
-/// A snapshot taken *mid-measure* (in-flight cycles, Top-Down buckets,
-/// MLP bookkeeping, armed profilers, and the FDIP lookahead window)
-/// resumes bit-identically, at several split points including ones that
-/// land inside the lookahead window's reach of the end.
-#[test]
-fn mid_measure_snapshot_resumes_bit_identically() {
-    let w = quick_workload();
-    for (policy, split) in [
-        (PolicyKind::Srrip, 1),
-        (PolicyKind::Ship, 17_001),
-        (PolicyKind::Trrip2, 30_000),
-        (PolicyKind::Emissary, 59_990),
-        (PolicyKind::Random, 43_777),
-    ] {
-        let mut config = quick_config(policy);
-        // Exercise profiler snapshotting on one of the cases too.
-        config.measure_reuse = policy == PolicyKind::Srrip;
-        config.track_costly = policy == PolicyKind::Ship;
-        let uninterrupted = simulate(&w, &config);
-
-        // Run the measure phase up to `split`, snapshot, and resume in a
-        // freshly constructed machine fed the rest of the same stream.
-        let mut first = SimRun::new(&w, &config);
-        let mut stream = walker(&w, &config);
-        first.fast_forward(&mut stream);
-        first.begin_measure();
-        first.measure_chunk(&mut stream, split, false);
-        let consumed = first.measure_consumed();
-        let mut bytes = SnapWriter::new();
-        first.save(&mut bytes);
-        let bytes = bytes.into_bytes();
-        drop(first);
-
-        let mut resumed = SimRun::new(&w, &config);
-        resumed.restore(&mut SnapReader::new(&bytes)).expect("restore mid-measure");
-        let mut stream = walker(&w, &config);
-        for _ in (&mut stream).take((config.fast_forward + consumed) as usize) {}
-        resumed.measure_chunk(&mut stream, config.instructions - consumed, true);
-        let resumed_result = resumed.finish();
-
-        assert_identical(
-            &uninterrupted,
-            &resumed_result,
-            &format!("{policy} mid-measure split at {split}"),
-        );
-        if config.measure_reuse {
-            assert_eq!(
-                uninterrupted.reuse_base, resumed_result.reuse_base,
-                "reuse histogram diverged across the snapshot"
-            );
-        }
-        if config.track_costly {
-            let a = uninterrupted.costly.as_ref().expect("tracker armed");
-            let b = resumed_result.costly.as_ref().expect("tracker armed");
-            assert_eq!(a.distinct_lines(), b.distinct_lines());
-            assert_eq!(a.cost_by_region(), b.cost_by_region());
-        }
-    }
 }
 
 #[test]
@@ -375,102 +315,6 @@ fn gc_never_breaks_a_concurrent_writers_rename() {
     // nothing, so deleting it was legal. A fresh save must land.)
     store.save(&run).expect("save after the race");
     assert!(store.has(&w, &config), "a post-race save's container must be loadable");
-
-    // The budgeted gc under maximum pressure (1-byte budget: evict
-    // everything, always) gives the same guarantee: it only ever sees
-    // published `.ckpt` files, so a concurrent writer's temp+rename is
-    // untouchable by construction and every racing save lands.
-    stop.store(false, std::sync::atomic::Ordering::Relaxed);
-    std::thread::scope(|scope| {
-        let collector = scope.spawn(|| {
-            let mut gcs = 0u32;
-            while !stop.load(std::sync::atomic::Ordering::Relaxed) {
-                store.gc_budget(1).expect("gc_budget");
-                gcs += 1;
-            }
-            gcs
-        });
-        for _ in 0..50 {
-            store.save(&run).expect("a racing budget gc must never break a save");
-        }
-        stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let gcs = collector.join().expect("gc thread");
-        assert!(gcs > 0, "the budget-gc loop must actually have raced the saver");
-    });
-    let leftovers: Vec<_> = std::fs::read_dir(&dir)
-        .expect("dir")
-        .flatten()
-        .filter(|e| e.file_name().to_string_lossy().contains(".tmp."))
-        .collect();
-    assert!(leftovers.is_empty(), "all racing writes completed their rename: {leftovers:?}");
-    store.save(&run).expect("save after the budget race");
-    assert!(store.has(&w, &config), "a post-race save's container must be loadable");
-    std::fs::remove_dir_all(&dir).ok();
-}
-
-/// `gc_budget(n)` shrinks the store to the budget by rebuild-cost class
-/// — overlays first, then shared prefixes, then full containers, LRU
-/// within a class — journals each victim, and never touches in-flight
-/// temp files or files the store did not name.
-#[test]
-fn gc_budget_evicts_cheapest_to_rebuild_first_and_converges() {
-    let dir = std::env::temp_dir().join("trrip-ckpt-gc-budget-test");
-    std::fs::remove_dir_all(&dir).ok();
-    std::fs::create_dir_all(&dir).expect("test dir");
-    let store = CheckpointStore::new(&dir);
-
-    // The store's own naming shapes, planted directly (gc_budget
-    // classifies by name and size, not content), with distinct sizes so
-    // byte accounting identifies exactly who was evicted.
-    let overlay = dir.join("w-pgo-lru-ff100-ovl-0000000000000001-0000000000000002.ckpt");
-    let prefix = dir.join("w-pgo-shared-ff100-0000000000000001-0000000000000003.ckpt");
-    let full_old = dir.join("w-pgo-lru-ff100-0000000000000001-0000000000000002.ckpt");
-    let full_new = dir.join("w-pgo-srrip-ff100-0000000000000001-0000000000000004.ckpt");
-    let tmp = dir.join("w-pgo-lru-ff100-0000000000000001-0000000000000002.tmp.1.0");
-    let foreign = dir.join("README.txt");
-    std::fs::write(&overlay, vec![0u8; 100]).expect("overlay");
-    std::fs::write(&prefix, vec![0u8; 200]).expect("prefix");
-    std::fs::write(&full_old, vec![0u8; 300]).expect("full old");
-    std::thread::sleep(std::time::Duration::from_millis(20)); // distinct mtimes
-    std::fs::write(&full_new, vec![0u8; 400]).expect("full new");
-    std::fs::write(&tmp, vec![0u8; 50]).expect("tmp");
-    std::fs::write(&foreign, b"not a container").expect("foreign");
-    assert_eq!(store.size_bytes(), 1000, "temp and foreign files don't count");
-
-    let evicted_before = trrip_obs::counter!("ckpt.evicted_files").value();
-
-    // Under budget: nothing moves.
-    let report = store.gc_budget(2000).expect("gc_budget");
-    assert_eq!(report, trrip_sim::GcReport::default());
-    assert_eq!(store.size_bytes(), 1000);
-
-    // Tightest class goes first: the overlay (class 0) alone gets under
-    // 950, even though evicting any larger file would too.
-    let report = store.gc_budget(950).expect("gc_budget");
-    assert_eq!((report.removed_files, report.freed_bytes), (1, 100), "overlay first");
-    assert!(!overlay.exists() && prefix.exists() && full_old.exists() && full_new.exists());
-
-    // Then the shared prefix (class 1), then the OLDER full container
-    // (class 2, LRU) — and eviction stops the moment the store fits.
-    let report = store.gc_budget(600).expect("gc_budget");
-    assert_eq!((report.removed_files, report.freed_bytes), (2, 500), "prefix, then LRU full");
-    assert!(!prefix.exists() && !full_old.exists());
-    assert!(full_new.exists(), "the most recently used full container is kept");
-    assert_eq!(store.size_bytes(), 400);
-
-    // Convergence under any budget: the store ends at/under budget, and
-    // in-flight temps and unknown files are never candidates.
-    let report = store.gc_budget(100).expect("gc_budget");
-    assert_eq!((report.removed_files, report.freed_bytes), (1, 400));
-    assert_eq!(store.size_bytes(), 0);
-    assert!(tmp.exists(), "a concurrent writer's in-flight temp is never evicted");
-    assert!(foreign.exists(), "unknown files are not the store's to delete");
-
-    assert_eq!(
-        trrip_obs::counter!("ckpt.evicted_files").value() - evicted_before,
-        4,
-        "every victim is counted"
-    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -491,14 +335,13 @@ fn checkpointed_sweep_matches_other_engines() {
     let traces = trrip_sim::TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
-    let walked = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let sweep =
-        || trrip_sim::replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
+    let cells = trrip_sim::policy_cells(&config, &policies);
+    let walked = trrip_sim::policy_sweep_with(4, &workloads, &cells);
+    let sweep = || trrip_sim::replay_sweep(4, &workloads, &cells, &traces, Some(&ckpts));
     let cold = sweep();
-    for policy in policies {
-        let cell_config = config.clone().with_policy(policy);
+    for (policy, cell_config) in policies.iter().zip(&cells) {
         assert!(
-            ckpts.holds_restore(&workloads[0], &cell_config),
+            ckpts.holds_restore(&workloads[0], cell_config),
             "{policy}: cold sweep must persist the shared prefix and the policy overlay"
         );
     }
@@ -560,7 +403,6 @@ proptest! {
             fingerprint: 0x1234_5678_9abc_def0,
             config_hash: 42,
             stream_position: 7,
-            mid_measure: false,
         };
         let path = unique_ckpt_path();
         write_checkpoint_kind(&path, trrip_sim::CheckpointKind::Full, &meta, &payload)

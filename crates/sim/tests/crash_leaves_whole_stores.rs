@@ -25,8 +25,8 @@ use trrip_core::ClassifierConfig;
 use trrip_obs::json::Json;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    capture_trace, replay_sweep, simulate_source, CheckpointStore, PreparedWorkload, SimConfig,
-    SimResult, SweepResult, TraceStore,
+    capture_trace, policy_cells, replay_sweep, simulate_source, CheckpointStore, PreparedWorkload,
+    SimConfig, SimResult, SweepResult, TraceStore,
 };
 use trrip_trace::StreamingReplay;
 use trrip_workloads::WorkloadSpec;
@@ -76,6 +76,10 @@ fn config() -> SimConfig {
     c
 }
 
+fn cells() -> Vec<SimConfig> {
+    policy_cells(&config(), &ALL_POLICIES)
+}
+
 fn stores(root: &Path) -> (TraceStore, CheckpointStore) {
     (TraceStore::new(root.join("traces")), CheckpointStore::new(root.join("ckpts")))
 }
@@ -88,7 +92,7 @@ fn child_entry() {
     trrip_obs::journal_init(&root.join("child.jsonl"), 100_000).expect("journal");
     trrip_obs::set_quiet(true);
     let (traces, ckpts) = stores(&root);
-    let _ = replay_sweep(1, &workloads(), &config(), &ALL_POLICIES, &traces, Some(&ckpts));
+    let _ = replay_sweep(1, &workloads(), &cells(), &traces, Some(&ckpts));
     trrip_obs::journal_close();
 }
 
@@ -125,7 +129,7 @@ impl Seen {
         let path = root.join(format!("{pass}.jsonl"));
         trrip_obs::journal_init(&path, 100_000).expect("journal");
         let before = trrip_obs::snapshot();
-        let sweep = replay_sweep(2, workloads, &config(), &ALL_POLICIES, &traces, Some(&ckpts));
+        let sweep = replay_sweep(2, workloads, &cells(), &traces, Some(&ckpts));
         let moved = trrip_obs::snapshot().since(&before);
         trrip_obs::journal_close();
         let journal = trrip_obs::read_journal(&path).expect("read the journal back");

@@ -3,7 +3,7 @@
 //! **miss**: not decoded, not damage, not reported — counted `ckpt.miss`,
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
-//! a checkpoint store whose every file (prefix, overlays) says version 5
+//! a checkpoint store whose every file (prefix, overlays) says version 6
 //! and a trace that says version 2 make the next `replay_sweep` do what
 //! it does over empty stores — to the same bits, leaving current files
 //! behind.
@@ -16,8 +16,8 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
-    TraceStore,
+    policy_cells, policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig,
+    SweepResult, TraceStore,
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
@@ -98,8 +98,9 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     let stream = config.fast_forward + config.instructions;
     let trace = traces.path_for(&workloads[0], &config);
 
-    let oracle = policy_sweep(&workloads, &config, &POLICIES);
-    let pushed = || replay_sweep(2, &workloads, &config, &POLICIES, &traces, Some(&ckpts));
+    let cells = policy_cells(&config, &POLICIES);
+    let oracle = policy_sweep_with(2, &workloads, &cells);
+    let pushed = || replay_sweep(2, &workloads, &cells, &traces, Some(&ckpts));
 
     // Populate: prefix, overlays and the trace — over empty stores
     // first, which is what the stale stores below are held to.
@@ -111,7 +112,7 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(current, (trrip_sim::checkpoint::VERSION, trrip_trace::format::VERSION));
 
     // ---- the pushed sweep over stores of the previous versions ----
-    assert_eq!(stamp_all(&ckpts, 5), files);
+    assert_eq!(stamp_all(&ckpts, 6), files);
     corrupt::set_bytes(&trace, VERSION_OFFSET, &2u16.to_le_bytes());
     assert!(!traces.has(&workloads[0], &config), "a trace of another version reads as absent");
     let (again, moved) = moved_by(pushed);

@@ -15,17 +15,24 @@
 //!   what is missing: the producer starts at the first instruction, the
 //!   cells that can still restore do, the one that cannot warms up;
 //! * an overlay that is there but does not load sends its cell alone to
-//!   a replay of its own, heals, and touches no other cell.
+//!   a replay of its own, heals, and touches no other cell;
+//! * a cell is a configuration: a row whose cells differ in L2 size and
+//!   ways, page size, overlap rule, policy and armed profilers costs one
+//!   capture, **one** prefix and an overlay per cell, and a policy sweep
+//!   and a geometry sweep of one workload share that one prefix file.
 //!
 //! One `#[test]` on purpose: every count is a process-wide counter, and
 //! a sibling test in the same binary would move them.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
+use common::mixed_row;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    capture_length, capture_trace, replay_sweep, simulate_source, CheckpointStore,
+    capture_length, capture_trace, policy_cells, replay_sweep, simulate_source, CheckpointStore,
     PreparedWorkload, SimConfig, SimResult, SweepResult, TraceStore,
 };
 use trrip_snap::corrupt;
@@ -68,9 +75,9 @@ fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
     assert_eq!(a.reuse_base, b.reuse_base, "{what}: reuse histograms diverge");
     assert_eq!(a.reuse_hot_only, b.reuse_hot_only, "{what}: hot-only histograms diverge");
-    let (ca, cb) = (a.costly.as_ref().expect("armed"), b.costly.as_ref().expect("armed"));
-    assert_eq!(ca.distinct_lines(), cb.distinct_lines(), "{what}: costly lines diverge");
-    assert_eq!(ca.cost_by_region(), cb.cost_by_region(), "{what}: costly regions diverge");
+    let costly =
+        |r: &SimResult| r.costly.as_ref().map(|c| (c.distinct_lines(), c.cost_by_region()));
+    assert_eq!(costly(a), costly(b), "{what}: costly-miss trackers diverge");
 }
 
 fn assert_sweep(sweep: &SweepResult, oracle: &[SimResult], what: &str) {
@@ -135,7 +142,8 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
         (streams * stream..streams * (stream + 1_024)).contains(&walked)
     };
     let cell = |policy| config.clone().with_policy(policy);
-    let sweep = || replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
+    let cells = policy_cells(&config, &ALL_POLICIES);
+    let sweep = || replay_sweep(JOBS, &workloads, &cells, &traces, Some(&ckpts));
 
     // ---- cold: walk once, capture on the side, write one prefix ----
     let (cold, moved) = Moved::by(sweep);
@@ -225,12 +233,89 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_sweep(&healed, &oracle, "healed store");
 
     // ---- no checkpoint store: replay, warm every cell, keep nothing ----
-    let (plain, moved) =
-        Moved::by(|| replay_sweep(JOBS, &workloads, &config, &ALL_POLICIES, &traces, None));
+    let (plain, moved) = Moved::by(|| replay_sweep(JOBS, &workloads, &cells, &traces, None));
     assert_eq!(moved.get("trace.records_decoded"), 2 * stream);
     assert_eq!(moved.warm(), [0, 0, 0, 2 * CELLS]);
     assert_eq!(moved.get("ckpt.hit") + moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
     assert_sweep(&plain, &oracle, "no checkpoint store");
+
+    // ---- a geometry sweep of a workload a policy sweep has covered ----
+    // Its four machines are new to the store, so the producer starts at
+    // the first instruction and every cell warms and leaves an overlay —
+    // but the predictor at the boundary is the stream's, not a machine's:
+    // the frontend finds the policy sweep's prefix and writes none.
+    let resized = |kb: u64| {
+        let hierarchy = config.hierarchy.clone().with_l2_size(kb << 10);
+        policy_cells(&SimConfig { hierarchy, ..config.clone() }, &ALL_POLICIES[..2])
+    };
+    let geometry = [resized(64), resized(256)].concat();
+    let only_a = std::slice::from_ref(a);
+    let shared_files = |w: &PreparedWorkload| {
+        let named = format!("{}-pgo-shared-", w.spec.name);
+        let files = std::fs::read_dir(ckpts.dir()).expect("the store's directory");
+        files
+            .filter(|f| {
+                f.as_ref().expect("an entry").file_name().to_string_lossy().starts_with(&named)
+            })
+            .count()
+    };
+    let (resized_cold, moved) =
+        Moved::by(|| replay_sweep(JOBS, only_a, &geometry, &traces, Some(&ckpts)));
+    assert_eq!(moved.warm(), [0, 4, 0, 0], "four overlays, no prefix");
+    assert_eq!(moved.get("ckpt.hit"), 1, "the policy sweep's prefix");
+    assert_eq!(moved.get("trace.records_decoded"), stream);
+    assert!(geometry.iter().all(|g| ckpts.prefix_path(a, g) == ckpts.prefix_path(a, &config)));
+    assert_eq!(shared_files(a), 1);
+    let path = traces.path_for(a, &config);
+    let alone = |cells: &[SimConfig], w, path: &Path| -> Vec<SimResult> {
+        let replay = || StreamingReplay::open(path).expect("open");
+        cells.iter().map(|cell| simulate_source(w, cell, replay())).collect()
+    };
+    assert_sweep(&resized_cold, &alone(&geometry, a, &path), "geometry sweep");
+
+    // ---- a heterogeneous row over empty stores, then over its own ----
+    let mixed = [quick_workload("push-store-mixed")];
+    let m = &mixed[0];
+    let row = mixed_row(&config);
+    let n = row.len() as u64;
+    let journal = root.join("journal.jsonl");
+    trrip_obs::journal::init(&journal, 10_000).expect("open a journal");
+    let sweep_row = || replay_sweep(JOBS, &mixed, &row, &traces, Some(&ckpts));
+    let (row_cold, moved) = Moved::by(sweep_row);
+    assert!(walked_once(moved.get("walk.instrs"), 1), "walked {}", moved.get("walk.instrs"));
+    assert_eq!(moved.get("front.digest.instrs"), stream, "one frontend for six machines");
+    assert_eq!(moved.warm(), [0, n, 1, 0], "every cell warms; ONE prefix for the row");
+    assert_eq!(moved.get("ckpt.save"), n + 1);
+    let path = traces.path_for(m, &config);
+    assert!(row.iter().all(|cell| traces.path_for(m, cell) == path), "one capture");
+    assert_eq!(shared_files(m), 1);
+    assert!(row.iter().all(|cell| ckpts.holds_restore(m, cell)));
+    let oracle = alone(&row, m, &path);
+    assert!(oracle[1].reuse_base.is_some() && oracle[2].costly.is_some());
+    assert_sweep(&row_cold, &oracle, "heterogeneous row, cold");
+
+    let (row_warm, moved) = Moved::by(sweep_row);
+    assert_eq!(moved.get("walk.instrs"), 0);
+    assert_eq!(moved.get("trace.records_decoded"), stream - skipped, "from the boundary");
+    assert_eq!(moved.get("front.digest.instrs"), config.instructions);
+    assert_eq!(moved.warm(), [n, 0, 0, 0], "every cell restores");
+    assert_eq!(moved.get("ckpt.hit"), n + 1, "n overlays and ONE prefix");
+    assert_sweep(&row_warm, &oracle, "heterogeneous row, warm");
+
+    trrip_obs::journal::close().expect("the journal was open");
+    let journal = trrip_obs::read_journal(&journal).expect("read the journal back");
+    let producers: Vec<(String, u64)> = journal
+        .of_kind("producer_opened")
+        .map(|e| {
+            let source = e.get("source").and_then(|s| s.as_str()).expect("a source").to_owned();
+            (source, e.get("start").and_then(|s| s.as_u64()).expect("a start"))
+        })
+        .collect();
+    assert_eq!(
+        producers,
+        [("walker+tee".to_owned(), 0), ("replay".to_owned(), config.fast_forward)]
+    );
+    assert_eq!(journal.of_kind("artifact_damaged").count(), 0);
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -1,9 +1,13 @@
 //! The walk-once, predict-once sweep: `policy_sweep_with` generates each
 //! workload's instruction stream once, runs one frontend over it, and
-//! pushes the resulting event turns through every policy cell on at most
-//! `jobs` threads — and every cell must still equal a [`simulate`] of
-//! its own, field by field, whatever the worker count, the workload
-//! count, or where the stream happens to be cut. The seam underneath,
+//! pushes the resulting event turns through every cell on at most `jobs`
+//! threads — and every cell must still equal a [`simulate`] of its own,
+//! field by field, whatever the worker count, the workload count, or
+//! where the stream happens to be cut. A cell is a configuration: the
+//! rows swept here are the ten policies on one machine and a
+//! heterogeneous row whose cells share nothing but their stream (L2 size
+//! and ways, page size, overlap rule, policy, armed profilers). The seam
+//! underneath,
 //! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward`] /
 //! [`SimRun::push_measure`], is held to the pull path directly. The
 //! thread budget is held over the store-backed sweep too (`replay_sweep`,
@@ -17,15 +21,20 @@
 //! shared for the plain equivalence tests, exclusive for the one that
 //! counts.
 
+mod common;
+
 use std::collections::BTreeSet;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
+use common::mixed_row;
+
+use trrip_compiler::LayoutKind;
 use trrip_core::ClassifierConfig;
 use trrip_cpu::{EventTurn, StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_sweep_with, replay_sweep, simulate, simulate_source, CheckpointStore, Frontend,
-    PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot, TraceStore,
+    policy_cells, policy_sweep_with, replay_sweep, simulate, simulate_source, CheckpointStore,
+    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot, TraceStore,
 };
 use trrip_trace::source::VecSource;
 use trrip_trace::TraceSource;
@@ -94,47 +103,60 @@ fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(costly_bytes(a), costly_bytes(b), "{what}: costly-miss tracker diverges");
 }
 
+/// The machine of `config` under every policy.
+fn policy_row(config: &SimConfig) -> Vec<SimConfig> {
+    policy_cells(config, &ALL_POLICIES)
+}
+
 /// One `simulate` per cell: the oracle, workload-major like a sweep.
-fn per_cell(workloads: &[PreparedWorkload], config: &SimConfig) -> Vec<SimResult> {
-    workloads
-        .iter()
-        .flat_map(|w| ALL_POLICIES.map(|p| simulate(w, &config.clone().with_policy(p))))
-        .collect()
+fn per_cell(workloads: &[PreparedWorkload], cells: &[SimConfig]) -> Vec<SimResult> {
+    workloads.iter().flat_map(|w| cells.iter().map(move |cell| simulate(w, cell))).collect()
 }
 
 fn assert_sweep_matches(
     jobs: usize,
     workloads: &[PreparedWorkload],
-    config: &SimConfig,
+    cells: &[SimConfig],
     oracle: &[SimResult],
 ) {
-    let sweep = policy_sweep_with(jobs, workloads, config, &ALL_POLICIES);
-    assert_eq!(sweep.policies, ALL_POLICIES);
+    let sweep = policy_sweep_with(jobs, workloads, cells);
+    assert_eq!(sweep.cells, cells);
     assert_eq!(sweep.benchmarks.len(), workloads.len());
     assert_eq!(sweep.results.len(), oracle.len());
-    for (cell, expected) in sweep.results.iter().zip(oracle) {
+    for (i, (cell, expected)) in sweep.results.iter().zip(oracle).enumerate() {
         let what = format!(
-            "{} / {} at jobs={jobs}, {} workload(s), fast_forward={}",
+            "{} / cell {} ({}) at jobs={jobs}, {} workload(s), fast_forward={}",
             expected.benchmark,
+            i % cells.len(),
             expected.policy,
             workloads.len(),
-            config.fast_forward
+            cells[0].fast_forward
         );
         assert_identical(cell, expected, &what);
     }
 }
 
-/// One workload, so from two jobs up its ten cells are split across a
-/// team reading one window (5 + 5, 4 + 3 + 3, and one cell each).
+/// One workload, so from two jobs up its cells are split across a team
+/// reading one window: the ten policies (5 + 5, 4 + 3 + 3, and one cell
+/// each), and the heterogeneous row (3 + 3, 2 + 2 + 2, and at five jobs
+/// 2 + 1 + 1 + 1 + 1).
 #[test]
 fn one_workload_split_across_workers_equals_per_cell_simulate() {
     let _shared = shared();
     let workloads = [workload("walk-once-a")];
     let config = quick_config(30_000);
-    let oracle = per_cell(&workloads, &config);
-    for jobs in [1, 2, 3, ALL_POLICIES.len() + 3] {
-        assert_sweep_matches(jobs, &workloads, &config, &oracle);
+    for cells in [policy_row(&config), mixed_row(&config)] {
+        let oracle = per_cell(&workloads, &cells);
+        for jobs in [1, 2, 3, 5, ALL_POLICIES.len() + 3] {
+            assert_sweep_matches(jobs, &workloads, &cells, &oracle);
+        }
     }
+    // The cells of the heterogeneous row really are different machines.
+    let mixed = per_cell(&workloads, &mixed_row(&config));
+    assert!(mixed[1].reuse_base.is_some() && mixed[2].costly.is_some());
+    assert!(mixed[0].reuse_base.is_none() && mixed[0].costly.is_none());
+    assert_ne!(mixed[0].l2, mixed[5].l2, "SRRIP on two L2s");
+    assert_ne!(mixed[0].pages, mixed[3].pages, "4 kB against 2 MB pages");
 }
 
 /// More workloads than jobs: a round of whole workloads, one to a
@@ -144,8 +166,10 @@ fn whole_workloads_per_worker_equal_per_cell_simulate() {
     let _shared = shared();
     let workloads = [workload("walk-once-b"), workload("walk-once-c"), workload("walk-once-d")];
     let config = quick_config(30_000);
-    let oracle = per_cell(&workloads, &config);
-    assert_sweep_matches(2, &workloads, &config, &oracle);
+    for cells in [policy_row(&config), mixed_row(&config)] {
+        let oracle = per_cell(&workloads, &cells);
+        assert_sweep_matches(2, &workloads, &cells, &oracle);
+    }
 }
 
 /// No warmup (nothing is pushed into the fast-forward phase at all), a
@@ -158,9 +182,9 @@ fn degenerate_warmups_equal_per_cell_simulate() {
     let _shared = shared();
     let workloads = [workload("walk-once-e"), workload("walk-once-f")];
     for (fast_forward, jobs) in [(0, 3), (1, ALL_POLICIES.len() + 3), (47, 2), (48, 1), (49, 3)] {
-        let config = quick_config(fast_forward);
-        let oracle = per_cell(&workloads, &config);
-        assert_sweep_matches(jobs, &workloads, &config, &oracle);
+        let cells = policy_row(&quick_config(fast_forward));
+        let oracle = per_cell(&workloads, &cells);
+        assert_sweep_matches(jobs, &workloads, &cells, &oracle);
     }
 }
 
@@ -171,22 +195,56 @@ fn profilers_ride_the_pushed_stream_unchanged() {
     let mut config = quick_config(30_000);
     config.measure_reuse = true;
     config.track_costly = true;
-    let oracle = per_cell(&workloads, &config);
+    let cells = policy_row(&config);
+    let oracle = per_cell(&workloads, &cells);
     assert!(oracle.iter().all(|r| r.reuse_base.is_some() && r.costly.is_some()));
-    assert_sweep_matches(3, &workloads, &config, &oracle);
+    assert_sweep_matches(3, &workloads, &cells, &oracle);
 }
 
 #[test]
 fn empty_sweeps_return_empty_results() {
     let _shared = shared();
     let workloads = [workload("walk-once-h")];
-    let config = quick_config(1_000);
-    let no_policies = policy_sweep_with(4, &workloads, &config, &[]);
-    assert!(no_policies.results.is_empty() && no_policies.policies.is_empty());
-    assert_eq!(no_policies.benchmarks, ["walk-once-h"]);
-    let no_workloads = policy_sweep_with(4, &[], &config, &ALL_POLICIES);
+    let cells = policy_row(&quick_config(1_000));
+    let no_cells = policy_sweep_with(4, &workloads, &[]);
+    assert!(no_cells.results.is_empty() && no_cells.cells.is_empty());
+    assert_eq!(no_cells.benchmarks, ["walk-once-h"]);
+    let no_workloads = policy_sweep_with(4, &[], &cells);
     assert!(no_workloads.results.is_empty() && no_workloads.benchmarks.is_empty());
-    assert_eq!(no_workloads.policies, ALL_POLICIES);
+    assert_eq!(no_workloads.cells.len(), ALL_POLICIES.len());
+}
+
+// ---- a row shares one stream and one frontend, or is refused ----
+
+/// `mixed_row` with its fourth cell altered.
+fn row_with(alter: impl FnOnce(&mut SimConfig)) -> Vec<SimConfig> {
+    let mut cells = mixed_row(&quick_config(1_000));
+    alter(&mut cells[3]);
+    cells
+}
+
+#[test]
+#[should_panic(expected = "cell 3 differs from cell 0 in `fast_forward`")]
+fn a_sweep_refuses_cells_with_different_warmups() {
+    let _shared = shared();
+    let cells = row_with(|cell| cell.fast_forward += 1);
+    let _ = policy_sweep_with(2, &[workload("walk-once-row-ff")], &cells);
+}
+
+#[test]
+#[should_panic(expected = "cell 3 differs from cell 0 in `layout`")]
+fn a_sweep_refuses_cells_with_different_layouts() {
+    let _shared = shared();
+    let cells = row_with(|cell| cell.layout = LayoutKind::SourceOrder);
+    let _ = policy_sweep_with(2, &[workload("walk-once-row-layout")], &cells);
+}
+
+#[test]
+#[should_panic(expected = "cell 3 differs from cell 0 in `core`")]
+fn a_sweep_refuses_cells_with_different_cores() {
+    let _shared = shared();
+    let cells = row_with(|cell| cell.core.rob_entries = 64);
+    let _ = policy_sweep_with(2, &[workload("walk-once-row-core")], &cells);
 }
 
 // ---- the push seam on its own ----
@@ -501,23 +559,6 @@ fn a_group_refuses_runs_at_different_positions() {
     SimRun::push_measure_group(&mut [&mut ahead, &mut behind], &turn, true);
 }
 
-/// A run measuring on the pull side holds instructions in its lookahead
-/// window; pushing a turn past them would reorder the stream.
-#[test]
-#[should_panic(expected = "event turns cannot follow instructions in flight")]
-fn a_group_refuses_a_run_with_pulled_instructions_in_flight() {
-    let _shared = shared();
-    let w = workload("walk-once-group-fused");
-    let mut config = quick_config(0);
-    config.instructions = 200;
-    let (mut pushed_to, mut pulling, _) = pair_and_turn(&w, &config);
-    pushed_to.begin_measure();
-    pulling.begin_measure();
-    let mut stream = trrip_trace::SourceIter::new(VecSource::new(eval_stream(&w, &config), 64));
-    pulling.measure_chunk(&mut stream, 100, false);
-    SimRun::push_measure_group(&mut [&mut pushed_to, &mut pulling], &EventTurn::new(), false);
-}
-
 // ---- walked once, on no more threads than asked for ----
 
 /// The `field` stamp of every `kind` event about `benchmark`.
@@ -556,7 +597,6 @@ fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
     let _exclusive = WALKING.write().unwrap_or_else(PoisonError::into_inner);
     let one = [workload("walk-once-lockstep")];
     let config = quick_config(30_000);
-    let cells = ALL_POLICIES.len() as u64;
 
     // One stream's records, counted off a frontend of our own.
     let stream = eval_stream(&one[0], &config);
@@ -568,13 +608,18 @@ fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
     records += turn.events().len() as u64;
     assert!(records > 10_000, "about half the instructions have an event: {records}");
 
-    for (jobs, streams_read) in [(1, 1), (2, 2), (3, 3), (64, cells)] {
-        let before = trrip_obs::snapshot();
-        let _ = policy_sweep_with(jobs, &one, &config, &ALL_POLICIES);
-        let moved = trrip_obs::snapshot().since(&before);
-        let what = format!("jobs = {jobs}");
-        assert_eq!(moved.get("exec.turn_records"), streams_read * records, "{what}: read");
-        assert_eq!(moved.get("exec.cell_records"), cells * records, "{what}: executed");
+    // Ten policies on one machine, then six machines that share only
+    // the stream: the records are the stream's, so the same for both.
+    for row in [policy_row(&config), mixed_row(&config)] {
+        let cells = row.len() as u64;
+        for (jobs, streams_read) in [(1, 1), (2, 2), (3, 3), (5, 5), (64, cells)] {
+            let before = trrip_obs::snapshot();
+            let _ = policy_sweep_with(jobs, &one, &row);
+            let moved = trrip_obs::snapshot().since(&before);
+            let what = format!("{cells} cells, jobs = {jobs}");
+            assert_eq!(moved.get("exec.turn_records"), streams_read * records, "{what}: read");
+            assert_eq!(moved.get("exec.cell_records"), cells * records, "{what}: executed");
+        }
     }
 
     // Nothing to warm: the measure phase alone, one group of three.
@@ -583,7 +628,7 @@ fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
     let mut frontend = Frontend::new(&short, VecSource::new(stream, 1_024));
     frontend.digest(usize::MAX, &mut turn);
     let before = trrip_obs::snapshot();
-    let _ = policy_sweep_with(1, &one, &short, &ALL_POLICIES[..3]);
+    let _ = policy_sweep_with(1, &one, &policy_row(&short)[..3]);
     let moved = trrip_obs::snapshot().since(&before);
     assert_eq!(moved.get("exec.turn_records"), turn.events().len() as u64);
     assert_eq!(moved.get("exec.cell_records"), 3 * turn.events().len() as u64);
@@ -606,7 +651,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     // Ten cells of one workload: walked once and predicted once, not
     // ten times.
     let before = trrip_obs::snapshot();
-    let _ = policy_sweep_with(3, &one, &config, &ALL_POLICIES);
+    let _ = policy_sweep_with(3, &one, &policy_row(&config));
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
     assert!(
@@ -616,9 +661,22 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     );
     assert_eq!(moved.get("front.digest.instrs"), walkers_worth, "one frontend's worth");
 
+    // Six different machines over one workload: still one walk, one
+    // frontend.
+    let mixed = [workload("walk-once-count-mixed")];
+    let before = trrip_obs::snapshot();
+    let _ = policy_sweep_with(2, &mixed, &mixed_row(&config));
+    let moved = trrip_obs::snapshot().since(&before);
+    let walked = moved.get("walk.instrs");
+    assert!(
+        (walkers_worth..walkers_worth + source_batch).contains(&walked),
+        "a heterogeneous row walked {walked} instructions"
+    );
+    assert_eq!(moved.get("front.digest.instrs"), walkers_worth, "one frontend's worth");
+
     // The oracle really does pay per cell, and runs no shared frontend.
     let before = trrip_obs::snapshot();
-    let _ = per_cell(&one, &config);
+    let _ = per_cell(&one, &policy_row(&config));
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
     assert!(walked >= ALL_POLICIES.len() as u64 * walkers_worth, "per-cell walked only {walked}");
@@ -626,7 +684,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
 
     // Two workloads, more jobs than cells: once each.
     let before = trrip_obs::snapshot();
-    let _ = policy_sweep_with(64, &pair, &config, &ALL_POLICIES);
+    let _ = policy_sweep_with(64, &pair, &policy_row(&config));
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
     assert!(
@@ -636,7 +694,8 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     assert_eq!(moved.get("front.digest.instrs"), 2 * walkers_worth);
 
     // A one-cell sweep, however many jobs it is offered.
-    let _ = policy_sweep_with(8, &[workload("walk-once-solo")], &config, &[PolicyKind::Clip]);
+    let solo = policy_cells(&config, &[PolicyKind::Clip]);
+    let _ = policy_sweep_with(8, &[workload("walk-once-solo")], &solo);
 
     // The same executor over stores: a cold pass (walker, teed into the
     // capture) and a warm one (a replay resumed at the boundary, which
@@ -647,7 +706,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
         (TraceStore::new(stores.join("t")), CheckpointStore::new(stores.join("c")));
     let stored = [workload("walk-once-stored")];
     for _ in ["cold", "warm"] {
-        let _ = replay_sweep(2, &stored, &config, &ALL_POLICIES, &traces, Some(&ckpts));
+        let _ = replay_sweep(2, &stored, &policy_row(&config), &traces, Some(&ckpts));
     }
     std::fs::remove_dir_all(&stores).ok();
 
@@ -664,6 +723,8 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     assert_eq!(threads.len(), 3, "jobs = 3 must mean three simulator threads: {threads:?}");
     // …each driving its share of the ten cells in lockstep: 4 + 3 + 3.
     assert_eq!(groups_of(&journal, "walk-once-count"), [3, 3, 3, 3, 3, 3, 4, 4, 4, 4]);
+    // jobs = 2 over the six different machines: 3 + 3.
+    assert_eq!(groups_of(&journal, "walk-once-count-mixed"), [3; 6]);
 
     // jobs = 64 over twenty cells: one thread per cell and no more.
     let threads: BTreeSet<u64> = ["walk-once-count-a", "walk-once-count-b"]

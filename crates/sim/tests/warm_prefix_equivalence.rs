@@ -12,7 +12,8 @@
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    replay_sweep, CheckpointStore, PreparedWorkload, SimConfig, SimResult, SweepResult, TraceStore,
+    policy_cells, policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig,
+    SimResult, SweepResult, TraceStore,
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
@@ -105,13 +106,14 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     // Oracle: cold per-cell warmups via the walker engine.
-    let oracle = trrip_sim::policy_sweep(&workloads, &config, &ALL_POLICIES);
+    let row = policy_cells(&config, &ALL_POLICIES);
+    let oracle = policy_sweep_with(4, &workloads, &row);
 
     // Cold populating pass: ONE shared prefix — the frontend's
     // predictor — and ten cells that execute the warm-up turns it
     // digests, each leaving its overlay. An empty store restores nobody.
     let cells = ALL_POLICIES.len() as u64;
-    let sweep = || replay_sweep(4, &workloads, &config, &ALL_POLICIES, &traces, Some(&ckpts));
+    let sweep = || replay_sweep(4, &workloads, &row, &traces, Some(&ckpts));
     let (cold, routes, _) = routes_of(sweep);
     assert_eq!(routes, [0, cells, 1, 0], "one prefix per workload, not per policy");
 
@@ -150,13 +152,14 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let config = quick_config(PolicyKind::Srrip);
     let policies = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Emissary];
     let cells = policies.len() as u64;
-    let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
+    let row = policy_cells(&config, &policies);
+    let oracle = policy_sweep_with(4, &workloads, &row);
 
     let trace_dir = scratch("trrip-warm-prefix-corrupt-traces");
     let ckpt_dir = scratch("trrip-warm-prefix-corrupt-ckpts");
     let traces = TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
-    let sweep = || replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
+    let sweep = || replay_sweep(4, &workloads, &row, &traces, Some(&ckpts));
     let _ = sweep();
 
     // Flip a byte in the middle of Random's overlay: the container
@@ -195,8 +198,10 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     let traces = TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
-    let oracle = trrip_sim::policy_sweep(&workloads, &config, &policies);
-    let _ = replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
+    let row = policy_cells(&config, &policies);
+    let oracle = policy_sweep_with(4, &workloads, &row);
+    let sweep = || replay_sweep(4, &workloads, &row, &traces, Some(&ckpts));
+    let _ = sweep();
 
     // Truncate the prefix container: the prefix no longer loads — the
     // frontend must train through the warm-up again, and the window
@@ -210,7 +215,6 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
         std::fs::remove_file(overlay).expect("overlay existed");
     }
 
-    let sweep = || replay_sweep(4, &workloads, &config, &policies, &traces, Some(&ckpts));
     let (patched, routes, damaged) = routes_of(sweep);
     assert_eq!(routes, [0, policies.len() as u64, 1, 0], "a fresh prefix must be written");
     assert_eq!(damaged, 1);

@@ -5,7 +5,7 @@
 //! where `benchmark` is one of the ten proxy names (default: gcc).
 
 use trrip::policies::PolicyKind;
-use trrip::sim::{policy_sweep, PreparedWorkload, SimConfig};
+use trrip::sim::{default_jobs, policy_cells, policy_sweep_with, PreparedWorkload, SimConfig};
 
 fn main() {
     let name = std::env::args().nth(1).unwrap_or_else(|| "gcc".to_owned());
@@ -19,7 +19,8 @@ fn main() {
     let config = SimConfig::paper(PolicyKind::Srrip);
     let workload = PreparedWorkload::prepare(&spec, config.train_instructions, config.classifier);
     let workloads = [workload];
-    let sweep = policy_sweep(&workloads, &config, &PolicyKind::PAPER_SET);
+    let cells = policy_cells(&config, &PolicyKind::PAPER_SET);
+    let sweep = policy_sweep_with(default_jobs(), &workloads, &cells);
 
     let base = sweep.get(&name, PolicyKind::Srrip);
     println!(

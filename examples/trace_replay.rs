@@ -9,8 +9,8 @@
 use trrip::core::ClassifierConfig;
 use trrip::policies::PolicyKind;
 use trrip::sim::{
-    capture_length, default_jobs, replay_sweep, simulate, simulate_source, PreparedWorkload,
-    SimConfig, TraceStore,
+    capture_length, default_jobs, policy_cells, replay_sweep, simulate, simulate_source,
+    PreparedWorkload, SimConfig, TraceStore,
 };
 use trrip::workloads::WorkloadSpec;
 
@@ -56,7 +56,8 @@ fn main() {
     // 3. Sweep policies over the same capture: generation is paid once,
     //    and so is the decode — one replay feeds every policy's cell.
     let policies = [PolicyKind::Srrip, PolicyKind::Clip, PolicyKind::Trrip1, PolicyKind::Trrip2];
-    let sweep = replay_sweep(default_jobs(), &[workload], &config, &policies, &store, None);
+    let cells = policy_cells(&config, &policies);
+    let sweep = replay_sweep(default_jobs(), &[workload], &cells, &store, None);
     for policy in &policies[1..] {
         let speedup = sweep.speedups(*policy, PolicyKind::Srrip)[0];
         println!("{:>10} vs SRRIP: {speedup:+.2}%", policy.name());

@@ -4,7 +4,9 @@
 use trrip::compiler::LayoutKind;
 use trrip::core::{ClassifierConfig, Temperature};
 use trrip::policies::PolicyKind;
-use trrip::sim::{policy_sweep, simulate, PreparedWorkload, SimConfig};
+use trrip::sim::{
+    default_jobs, policy_cells, policy_sweep_with, simulate, PreparedWorkload, SimConfig,
+};
 use trrip::workloads::WorkloadSpec;
 
 fn test_spec() -> WorkloadSpec {
@@ -113,9 +115,9 @@ fn sweep_is_deterministic_across_runs() {
     let config = quick_config(PolicyKind::Srrip);
     let w = PreparedWorkload::prepare(&test_spec(), config.train_instructions, config.classifier);
     let workloads = [w];
-    let policies = [PolicyKind::Srrip, PolicyKind::Clip];
-    let s1 = policy_sweep(&workloads, &config, &policies);
-    let s2 = policy_sweep(&workloads, &config, &policies);
+    let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Clip]);
+    let s1 = policy_sweep_with(default_jobs(), &workloads, &cells);
+    let s2 = policy_sweep_with(default_jobs(), &workloads, &cells);
     for (a, b) in s1.results.iter().zip(&s2.results) {
         assert_eq!(a.core.cycles, b.core.cycles);
         assert_eq!(a.l2, b.l2);

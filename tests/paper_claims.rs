@@ -5,7 +5,9 @@
 
 use trrip::core::ClassifierConfig;
 use trrip::policies::PolicyKind;
-use trrip::sim::{policy_sweep, PreparedWorkload, SimConfig};
+use trrip::sim::{
+    default_jobs, policy_cells, policy_sweep_with, PreparedWorkload, SimConfig, SweepResult,
+};
 use trrip_analysis::report::geomean_pct;
 
 /// A reduced benchmark subset that exercises the headline behaviours
@@ -21,11 +23,19 @@ fn subset() -> Vec<PreparedWorkload> {
         .collect()
 }
 
+fn sweep_policies(
+    workloads: &[PreparedWorkload],
+    config: &SimConfig,
+    policies: &[PolicyKind],
+) -> SweepResult {
+    policy_sweep_with(default_jobs(), workloads, &policy_cells(config, policies))
+}
+
 #[test]
 fn trrip_reduces_instruction_mpki_and_speeds_up() {
     let config = SimConfig::paper(PolicyKind::Srrip);
     let workloads = subset();
-    let sweep = policy_sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+    let sweep = sweep_policies(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
 
     let mut speedups = Vec::new();
     let mut reductions = Vec::new();
@@ -48,7 +58,7 @@ fn trrip_trades_small_data_mpki_increase() {
     // increase — the profitable trade.
     let config = SimConfig::paper(PolicyKind::Srrip);
     let workloads = subset();
-    let sweep = policy_sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+    let sweep = sweep_policies(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
     for w in &workloads {
         let base = sweep.get(&w.spec.name, PolicyKind::Srrip);
         let trrip = sweep.get(&w.spec.name, PolicyKind::Trrip1);
@@ -63,7 +73,7 @@ fn brrip_and_ship_underperform_srrip() {
     // workloads.
     let config = SimConfig::paper(PolicyKind::Srrip);
     let workloads = subset();
-    let sweep = policy_sweep(
+    let sweep = sweep_policies(
         &workloads,
         &config,
         &[PolicyKind::Srrip, PolicyKind::Brrip, PolicyKind::Ship],
