@@ -159,9 +159,11 @@ impl HarnessOptions {
         Ok(())
     }
 
-    /// Validates that `--trace-dir` and `--checkpoint-dir` point at
-    /// usable directories: each must already exist as a directory or be
-    /// creatable (parents included). Split from [`HarnessOptions::try_parse`]
+    /// Validates that `--trace-dir`, `--checkpoint-dir`, `--obs-dir` and
+    /// `--out` point at usable directories: each must already exist as a
+    /// directory or be creatable (parents included), so an unusable one
+    /// is refused before the experiment runs, not when it goes to write
+    /// its report. Split from [`HarnessOptions::try_parse`]
     /// so parsing stays pure; [`HarnessOptions::from_args`] applies it
     /// and rejects the command line with a clear message.
     ///
@@ -170,9 +172,10 @@ impl HarnessOptions {
     /// A human-readable message naming the flag and the problem.
     pub fn validate_dirs(&self) -> Result<(), String> {
         for (flag, dir) in [
-            ("--trace-dir", &self.trace_dir),
-            ("--checkpoint-dir", &self.checkpoint_dir),
-            ("--obs-dir", &self.obs_dir),
+            ("--trace-dir", self.trace_dir.as_ref()),
+            ("--checkpoint-dir", self.checkpoint_dir.as_ref()),
+            ("--obs-dir", self.obs_dir.as_ref()),
+            ("--out", Some(&self.out_dir)),
         ] {
             let Some(dir) = dir else { continue };
             if dir.exists() {
@@ -612,30 +615,32 @@ mod tests {
         let existing = base.join("existing");
         std::fs::create_dir_all(&existing).expect("mkdir");
         let fresh = base.join("fresh/nested");
+        // `--out` always names a directory; keep the default's `reports/`
+        // out of the crate directory.
+        let defaults = || HarnessOptions { out_dir: base.join("out"), ..HarnessOptions::default() };
         let options = HarnessOptions {
             trace_dir: Some(existing.clone()),
             checkpoint_dir: Some(fresh.clone()),
-            ..HarnessOptions::default()
+            ..defaults()
         };
-        options.validate_dirs().expect("both directories usable");
+        options.validate_dirs().expect("all three directories usable");
         assert!(fresh.is_dir(), "validation must create missing dirs");
+        assert!(base.join("out").is_dir(), "--out is created like the others");
 
-        // A plain file in either position is rejected, naming the flag.
+        // A plain file in any position is rejected, naming the flag.
         let file = base.join("file");
         std::fs::write(&file, b"not a dir").expect("write file");
         for (flag, options) in [
-            (
-                "--trace-dir",
-                HarnessOptions { trace_dir: Some(file.clone()), ..HarnessOptions::default() },
-            ),
+            ("--trace-dir", HarnessOptions { trace_dir: Some(file.clone()), ..defaults() }),
             (
                 "--checkpoint-dir",
                 HarnessOptions {
                     trace_dir: Some(existing),
                     checkpoint_dir: Some(file.clone()),
-                    ..HarnessOptions::default()
+                    ..defaults()
                 },
             ),
+            ("--out", HarnessOptions { out_dir: file.clone(), ..defaults() }),
         ] {
             let err = options.validate_dirs().unwrap_err();
             assert!(
@@ -645,10 +650,16 @@ mod tests {
         }
 
         // An uncreatable path (parent is a file) is rejected too.
-        let uncreatable =
-            HarnessOptions { trace_dir: Some(file.join("child")), ..HarnessOptions::default() };
-        let err = uncreatable.validate_dirs().unwrap_err();
-        assert!(err.contains("cannot be created"), "unhelpful message: {err}");
+        for (flag, uncreatable) in [
+            ("--trace-dir", HarnessOptions { trace_dir: Some(file.join("child")), ..defaults() }),
+            ("--out", HarnessOptions { out_dir: file.join("sub"), ..defaults() }),
+        ] {
+            let err = uncreatable.validate_dirs().unwrap_err();
+            assert!(
+                err.contains(flag) && err.contains("cannot be created"),
+                "unhelpful message for {flag}: {err}"
+            );
+        }
         std::fs::remove_dir_all(&base).ok();
     }
 

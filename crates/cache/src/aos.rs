@@ -33,7 +33,6 @@ pub struct AosCache {
     policy: Box<dyn ReplacementPolicy>,
     stats: AccessStats,
     num_sets: usize,
-    all_ways: Box<[usize]>,
 }
 
 impl std::fmt::Debug for AosCache {
@@ -56,7 +55,6 @@ impl AosCache {
             policy,
             stats: AccessStats::default(),
             num_sets,
-            all_ways: (0..config.ways).collect(),
             config,
         }
     }
@@ -136,7 +134,7 @@ impl AosCache {
         let (way, evicted) = match invalid_way {
             Some(way) => (way, None),
             None => {
-                let way = self.policy.choose_victim(set, &info, &self.all_ways);
+                let way = self.policy.choose_victim(set, &info);
                 assert!(way < self.config.ways, "policy returned way out of range");
                 let old = self.lines[self.slot(set, way)];
                 self.policy.on_evict(set, way);

@@ -1,11 +1,11 @@
 //! The set-associative tag store with a pluggable replacement policy.
 //!
 //! The tag store is struct-of-arrays: packed `u64` tags in one flat
-//! array plus valid/dirty/instruction bitmaps, so a set probe — the
-//! operation every warm instruction pays at least once — touches a
-//! single cache line of tag words instead of striding over
-//! 4-field line structs. The original array-of-structs layout is kept
-//! in [`crate::aos`] as the equivalence oracle.
+//! array (an empty slot holds a sentinel) plus dirty and instruction
+//! bitmaps, so a set probe — the operation every warm instruction pays
+//! at least once — touches a single cache line of tag words instead of
+//! striding over 4-field line structs. The original array-of-structs
+//! layout is kept in [`crate::aos`] as the equivalence oracle.
 //!
 //! The store is generic over its policy. A level whose policy is fixed
 //! by the machine (Table 1: the L1s and the SLC are LRU) holds it by
@@ -35,8 +35,8 @@ pub struct EvictedLine {
 
 /// Sentinel stored in empty tag slots. Real line addresses are physical
 /// addresses shifted right by the line-offset bits, so they can never
-/// reach `u64::MAX`; the sentinel lets the probe loop compare tags
-/// without consulting the valid bitmap.
+/// reach `u64::MAX`; the sentinel is the slot's validity — the probe loop
+/// compares tags and nothing else.
 pub(crate) const TAG_INVALID: u64 = u64::MAX;
 
 /// One bit of a packed `u64`-word bitmap.
@@ -108,10 +108,6 @@ pub struct Cache<P = Box<dyn ReplacementPolicy>> {
     /// One packed tag word per slot (`set × ways + way`); [`TAG_INVALID`]
     /// marks an empty slot.
     tags: Vec<u64>,
-    /// Validity bitmap, one bit per slot. Redundant with the sentinel on
-    /// the probe path, but the snapshot encoding and occupancy counting
-    /// read it directly.
-    valid: Vec<u64>,
     /// Dirty bitmap, one bit per slot.
     dirty: Vec<u64>,
     /// Instruction-line bitmap, one bit per slot.
@@ -119,9 +115,6 @@ pub struct Cache<P = Box<dyn ReplacementPolicy>> {
     policy: P,
     stats: AccessStats,
     num_sets: usize,
-    /// `[0, 1, …, ways-1]`, precomputed so victim selection on the miss
-    /// path never allocates a candidate list.
-    all_ways: Box<[usize]>,
 }
 
 impl<P: ReplacementPolicy> std::fmt::Debug for Cache<P> {
@@ -154,13 +147,11 @@ impl<P: ReplacementPolicy> Cache<P> {
         let slots = num_sets * config.ways;
         Cache {
             tags: vec![TAG_INVALID; slots],
-            valid: vec![0; bitmap_words(slots)],
             dirty: vec![0; bitmap_words(slots)],
             instruction: vec![0; bitmap_words(slots)],
             policy,
             stats: AccessStats::default(),
             num_sets,
-            all_ways: (0..config.ways).collect(),
             config,
         }
     }
@@ -259,7 +250,7 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// Fills the request's line, evicting if the set is full.
     ///
     /// Invalid ways are used first (without consulting the policy for a
-    /// victim); otherwise the policy chooses among all valid ways. If the
+    /// victim); the policy is asked only about a full set. If the
     /// line is already resident this is a no-op returning `None`
     /// (prefetch/demand races).
     pub fn fill(&mut self, req: &MemoryRequest) -> Option<EvictedLine> {
@@ -275,7 +266,7 @@ impl<P: ReplacementPolicy> Cache<P> {
         let (way, evicted) = match invalid_way {
             Some(way) => (way, None),
             None => {
-                let way = self.policy.choose_victim(set, &info, &self.all_ways);
+                let way = self.policy.choose_victim(set, &info);
                 assert!(way < self.config.ways, "policy returned way out of range");
                 let slot = base + way;
                 let old = EvictedLine {
@@ -295,7 +286,6 @@ impl<P: ReplacementPolicy> Cache<P> {
         debug_assert_ne!(line.raw(), TAG_INVALID, "line address aliases the empty-slot sentinel");
         let slot = base + way;
         self.tags[slot] = line.raw();
-        bitmap_set(&mut self.valid, slot, true);
         bitmap_set(&mut self.dirty, slot, req.kind.is_write());
         bitmap_set(&mut self.instruction, slot, req.kind.is_instruction());
         if req.attrs.prefetch {
@@ -328,7 +318,6 @@ impl<P: ReplacementPolicy> Cache<P> {
             instruction: bitmap_get(&self.instruction, slot),
         };
         self.tags[slot] = TAG_INVALID;
-        bitmap_set(&mut self.valid, slot, false);
         bitmap_set(&mut self.dirty, slot, false);
         self.policy.on_invalidate(set, way);
         Some(old)
@@ -348,15 +337,13 @@ impl<P: ReplacementPolicy> Cache<P> {
 
     /// Iterates over all resident lines (for invariant checks in tests).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
-        (0..self.tags.len())
-            .filter(|&slot| bitmap_get(&self.valid, slot))
-            .map(|slot| LineAddr(self.tags[slot]))
+        self.tags.iter().filter(|&&tag| tag != TAG_INVALID).map(|&tag| LineAddr(tag))
     }
 
     /// Number of resident lines.
     #[must_use]
     pub fn occupancy(&self) -> usize {
-        self.valid.iter().map(|word| word.count_ones() as usize).sum()
+        self.resident_lines().count()
     }
 }
 
@@ -411,8 +398,8 @@ impl<P: ReplacementPolicy> Snapshot for Cache<P> {
         let slots = self.tags.len();
         w.tag(b"CACB");
         w.usize(slots);
-        save_bitmap(w, (0..slots).map(|slot| bitmap_get(&self.valid, slot)));
-        let valid_slots = || (0..slots).filter(|&slot| bitmap_get(&self.valid, slot));
+        let valid_slots = || (0..slots).filter(|&slot| self.tags[slot] != TAG_INVALID);
+        save_bitmap(w, self.tags.iter().map(|&tag| tag != TAG_INVALID));
         save_bitmap(w, valid_slots().map(|slot| bitmap_get(&self.dirty, slot)));
         save_bitmap(w, valid_slots().map(|slot| bitmap_get(&self.instruction, slot)));
         for slot in valid_slots() {
@@ -432,7 +419,6 @@ impl<P: ReplacementPolicy> Snapshot for Cache<P> {
         let instr = restore_bitmap(r, occupancy)?;
         let mut vi = 0;
         for (slot, &v) in valid.iter().enumerate() {
-            bitmap_set(&mut self.valid, slot, v);
             if v {
                 bitmap_set(&mut self.dirty, slot, dirty[vi]);
                 bitmap_set(&mut self.instruction, slot, instr[vi]);

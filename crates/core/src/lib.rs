@@ -14,8 +14,9 @@
 //! * [`Rrpv`] — n-bit saturating Re-Reference Prediction Values with the
 //!   named points used by RRIP-family policies (immediate, near,
 //!   intermediate, distant).
-//! * [`RripSet`] — the per-set RRPV array with the shared eviction mechanism
-//!   (increment all until a distant line is found).
+//! * [`RripTable`] — every set's RRPV registers, and [`TableSet`], one
+//!   set's row of it with the shared eviction mechanism (increment all
+//!   until a distant line is found).
 //! * [`TrripPolicy`] — Algorithm 1 of the paper: the insertion and update
 //!   sub-policies keyed by request temperature, in two variants.
 //! * [`classify`] — Equations 1 and 2: percentile-based hot/cold thresholds
@@ -25,15 +26,18 @@
 //! # Example
 //!
 //! ```
-//! use trrip_core::{RripSet, TrripPolicy, TrripVariant, Temperature, RrpvWidth};
+//! use trrip_core::{RripTable, TrripPolicy, TrripVariant, Temperature, RrpvWidth};
 //!
-//! let mut set = RripSet::new(8, RrpvWidth::W2);
+//! let mut table = RripTable::new(2, 8, RrpvWidth::W2);
 //! let policy = TrripPolicy::new(TrripVariant::V1, RrpvWidth::W2);
 //!
 //! // Fill a hot instruction line: TRRIP inserts it at immediate re-reference.
+//! let mut set = table.set_mut(1);
 //! let victim = set.find_victim();
 //! policy.on_fill(&mut set, victim, Some(Temperature::Hot));
 //! assert_eq!(set.rrpv(victim).raw(), 0);
+//! // The other set still holds nothing but distant lines.
+//! assert_eq!(table.rrpv(0, victim).raw(), 3);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -46,9 +50,7 @@ pub mod temperature;
 pub mod trrip;
 
 pub use classify::{ClassifierConfig, ProfileSummary, TemperatureClassifier};
-pub use rrip::{
-    restore_rrip_sets, save_rrip_sets, BrripCore, RripSet, RripTable, RrpvSet, SrripCore, TableSet,
-};
+pub use rrip::{BrripCore, RripTable, SrripCore, TableSet};
 pub use rrpv::{Rrpv, RrpvWidth};
 pub use temperature::{Temperature, TemperatureBits};
 pub use trrip::{TrripPolicy, TrripVariant};

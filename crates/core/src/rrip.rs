@@ -4,7 +4,7 @@
 //! one eviction mechanism (`GetEvictionLine` in Algorithm 1): scan for a
 //! line whose RRPV equals the *distant* value; if none exists, age every
 //! line in the set by one and rescan. The policies differ only in the
-//! insertion and hit-promotion sub-policies, which is why [`RripSet`]
+//! insertion and hit-promotion sub-policies, which is why a [`TableSet`]
 //! exposes raw RRPV manipulation and the cores/[`crate::TrripPolicy`] layer
 //! decisions on top.
 
@@ -13,218 +13,26 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::rrpv::{Rrpv, RrpvWidth};
 
-/// One cache set's worth of RRPV registers, however they are stored.
-///
-/// The insertion/promotion cores ([`SrripCore`], [`BrripCore`],
-/// [`crate::TrripPolicy`]) are generic over this trait so the same
-/// sub-policy logic drives both the boxed-per-set [`RripSet`] (the
-/// original layout, kept as the equivalence oracle) and a borrowed row
-/// of the flat [`RripTable`] (the data-oriented layout the simulator
-/// runs on).
-pub trait RrpvSet {
-    /// Number of ways in the set.
-    fn ways(&self) -> usize;
-
-    /// The configured RRPV field width.
-    fn width(&self) -> RrpvWidth;
-
-    /// The RRPV of one way.
-    fn rrpv(&self, way: usize) -> Rrpv;
-
-    /// Overwrites the RRPV of one way.
-    fn set_rrpv(&mut self, way: usize, value: Rrpv);
-
-    /// The shared RRIP eviction mechanism (`GetEvictionLine`): scan from
-    /// way 0 for a *distant* line; if none exists, age every way by one
-    /// and rescan. The aging is architectural state.
-    fn find_victim(&mut self) -> usize {
-        let width = self.width();
-        loop {
-            if let Some(way) = (0..self.ways()).find(|&w| self.rrpv(w).is_distant(width)) {
-                return way;
-            }
-            for way in 0..self.ways() {
-                let aged = self.rrpv(way).aged(width);
-                self.set_rrpv(way, aged);
-            }
-        }
-    }
-
-    /// Resets one way to *distant* (tag-store invalidation) so the way
-    /// becomes the preferred victim.
-    fn invalidate(&mut self, way: usize) {
-        let distant = Rrpv::distant(self.width());
-        self.set_rrpv(way, distant);
-    }
-}
-
-/// Per-set RRPV state and the common RRIP eviction mechanism.
-///
-/// One `RripSet` holds the RRPV registers for every way of a single cache
-/// set. It deliberately knows nothing about tags or validity — the cache's
-/// tag store owns those — so the same state machine serves every
-/// RRIP-family policy.
+/// All sets' RRPV registers in one flat array: `sets × ways` contiguous
+/// bytes, so a set probe touches a single cache line. It deliberately
+/// knows nothing about tags or validity — the cache's tag store owns
+/// those — so the same state machine serves every RRIP-family policy.
+/// Rows are borrowed as [`TableSet`] views, which is what the
+/// insertion/promotion cores operate on.
 ///
 /// # Example
 ///
 /// ```
-/// use trrip_core::{RripSet, Rrpv, RrpvWidth};
-///
-/// let w = RrpvWidth::W2;
-/// let mut set = RripSet::new(4, w);
-/// // New sets start with every way distant, so the first victim is way 0.
-/// assert_eq!(set.find_victim(), 0);
-/// set.set_rrpv(0, Rrpv::immediate());
-/// assert_eq!(set.find_victim(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct RripSet {
-    rrpv: Vec<Rrpv>,
-    width: RrpvWidth,
-}
-
-impl RripSet {
-    /// Creates a set with `ways` lines, all initialized to *distant* so that
-    /// untouched ways are preferred victims.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ways` is zero.
-    #[must_use]
-    pub fn new(ways: usize, width: RrpvWidth) -> RripSet {
-        assert!(ways > 0, "a cache set needs at least one way");
-        RripSet { rrpv: vec![Rrpv::distant(width); ways], width }
-    }
-
-    /// Number of ways in the set.
-    #[must_use]
-    pub fn ways(&self) -> usize {
-        self.rrpv.len()
-    }
-
-    /// The configured RRPV field width.
-    #[must_use]
-    pub fn width(&self) -> RrpvWidth {
-        self.width
-    }
-
-    /// The RRPV of one way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of bounds.
-    #[must_use]
-    pub fn rrpv(&self, way: usize) -> Rrpv {
-        self.rrpv[way]
-    }
-
-    /// Overwrites the RRPV of one way (insertion / promotion sub-policies).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `way` is out of bounds.
-    pub fn set_rrpv(&mut self, way: usize, value: Rrpv) {
-        self.rrpv[way] = value;
-    }
-
-    /// The shared RRIP eviction mechanism (`GetEvictionLine`).
-    ///
-    /// Scans from way 0 for a *distant* line; if none is found, increments
-    /// the RRPV of all ways and rescans. Guaranteed to terminate because
-    /// aging saturates at the distant value. Mutates the set (the aging is
-    /// architectural state), and returns the victim way. The victim's RRPV
-    /// is left distant; the caller then applies the insertion sub-policy.
-    pub fn find_victim(&mut self) -> usize {
-        loop {
-            if let Some(way) = self.rrpv.iter().position(|v| v.is_distant(self.width)) {
-                return way;
-            }
-            for v in &mut self.rrpv {
-                *v = v.aged(self.width);
-            }
-        }
-    }
-
-    /// Resets one way to *distant*, used when the tag store invalidates a
-    /// line (e.g. inclusive back-invalidation) so the way becomes the
-    /// preferred victim.
-    pub fn invalidate(&mut self, way: usize) {
-        self.rrpv[way] = Rrpv::distant(self.width);
-    }
-
-    /// Iterates over `(way, rrpv)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (usize, Rrpv)> + '_ {
-        self.rrpv.iter().copied().enumerate()
-    }
-}
-
-impl RrpvSet for RripSet {
-    fn ways(&self) -> usize {
-        RripSet::ways(self)
-    }
-
-    fn width(&self) -> RrpvWidth {
-        RripSet::width(self)
-    }
-
-    fn rrpv(&self, way: usize) -> Rrpv {
-        RripSet::rrpv(self, way)
-    }
-
-    fn set_rrpv(&mut self, way: usize, value: Rrpv) {
-        RripSet::set_rrpv(self, way, value);
-    }
-
-    fn find_victim(&mut self) -> usize {
-        RripSet::find_victim(self)
-    }
-
-    fn invalidate(&mut self, way: usize) {
-        RripSet::invalidate(self, way);
-    }
-}
-
-impl Snapshot for RripSet {
-    fn save(&self, w: &mut SnapWriter) {
-        w.usize(self.rrpv.len());
-        for v in &self.rrpv {
-            w.u8(v.raw());
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_len("RripSet ways", self.rrpv.len())?;
-        for v in &mut self.rrpv {
-            *v = Rrpv::from_raw(r.u8()?, self.width);
-        }
-        Ok(())
-    }
-}
-
-/// All sets' RRPV registers in one flat array — the data-oriented
-/// layout every RRIP-family policy runs on.
-///
-/// The boxed-per-set [`RripSet`] costs one heap allocation (and one
-/// pointer chase) per set; `RripTable` packs the same registers as
-/// `sets × ways` contiguous bytes, so a set probe touches a single
-/// cache line. Rows are borrowed as [`TableSet`] views implementing
-/// [`RrpvSet`], which is what the insertion/promotion cores operate on.
-///
-/// The [`Snapshot`] encoding is byte-identical to
-/// [`save_rrip_sets`]/[`restore_rrip_sets`] over the equivalent
-/// `Vec<RripSet>`, so checkpoints written before the layout change
-/// restore unchanged.
-///
-/// # Example
-///
-/// ```
-/// use trrip_core::{RripTable, RrpvSet, Rrpv, RrpvWidth};
+/// use trrip_core::{RripTable, Rrpv, RrpvWidth};
 ///
 /// let w = RrpvWidth::W2;
 /// let mut table = RripTable::new(2, 4, w);
+/// // New sets start with every way distant, so the first victim is way 0.
+/// assert_eq!(table.set_mut(1).find_victim(), 0);
+/// table.set_rrpv(1, 0, Rrpv::immediate());
+/// assert_eq!(table.set_mut(1).find_victim(), 1);
+/// // The other row is another set.
 /// assert_eq!(table.set_mut(0).find_victim(), 0);
-/// table.set_rrpv(0, 0, Rrpv::immediate());
-/// assert_eq!(table.set_mut(0).find_victim(), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct RripTable {
@@ -287,7 +95,7 @@ impl RripTable {
         self.rrpv[set * self.ways + way] = value;
     }
 
-    /// Borrows one set's registers as an [`RrpvSet`] view.
+    /// Borrows one set's registers.
     ///
     /// # Panics
     ///
@@ -312,7 +120,7 @@ impl Snapshot for RripTable {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_len("RRIP set count", self.sets)?;
         for set in self.rrpv.chunks_exact_mut(self.ways) {
-            r.expect_len("RripSet ways", self.ways)?;
+            r.expect_len("RRIP set ways", self.ways)?;
             for v in set {
                 *v = Rrpv::from_raw(r.u8()?, self.width);
             }
@@ -321,32 +129,48 @@ impl Snapshot for RripTable {
     }
 }
 
-/// A mutable view of one [`RripTable`] row, the flat-layout
-/// counterpart of [`RripSet`].
+/// A mutable view of one [`RripTable`] row: one cache set's worth of
+/// RRPV registers.
 #[derive(Debug)]
 pub struct TableSet<'a> {
     rrpv: &'a mut [Rrpv],
     width: RrpvWidth,
 }
 
-impl RrpvSet for TableSet<'_> {
-    fn ways(&self) -> usize {
+impl TableSet<'_> {
+    /// Number of ways in the set.
+    #[must_use]
+    pub fn ways(&self) -> usize {
         self.rrpv.len()
     }
 
-    fn width(&self) -> RrpvWidth {
-        self.width
-    }
-
-    fn rrpv(&self, way: usize) -> Rrpv {
+    /// The RRPV of one way.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of bounds.
+    #[must_use]
+    pub fn rrpv(&self, way: usize) -> Rrpv {
         self.rrpv[way]
     }
 
-    fn set_rrpv(&mut self, way: usize, value: Rrpv) {
+    /// Overwrites the RRPV of one way (insertion / promotion sub-policies).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `way` is out of bounds.
+    pub fn set_rrpv(&mut self, way: usize, value: Rrpv) {
         self.rrpv[way] = value;
     }
 
-    fn find_victim(&mut self) -> usize {
+    /// The shared RRIP eviction mechanism (`GetEvictionLine`).
+    ///
+    /// Scans from way 0 for a *distant* line; if none is found, increments
+    /// the RRPV of all ways and rescans. Guaranteed to terminate because
+    /// aging saturates at the distant value. Mutates the set (the aging is
+    /// architectural state), and returns the victim way. The victim's RRPV
+    /// is left distant; the caller then applies the insertion sub-policy.
+    pub fn find_victim(&mut self) -> usize {
         loop {
             if let Some(way) = self.rrpv.iter().position(|v| v.is_distant(self.width)) {
                 return way;
@@ -357,7 +181,10 @@ impl RrpvSet for TableSet<'_> {
         }
     }
 
-    fn invalidate(&mut self, way: usize) {
+    /// Resets one way to *distant*, used when the tag store invalidates a
+    /// line (e.g. inclusive back-invalidation) so the way becomes the
+    /// preferred victim.
+    pub fn invalidate(&mut self, way: usize) {
         self.rrpv[way] = Rrpv::distant(self.width);
     }
 }
@@ -372,16 +199,18 @@ impl RrpvSet for TableSet<'_> {
 /// # Example
 ///
 /// ```
-/// use trrip_core::{RripSet, SrripCore, RrpvWidth, Rrpv};
+/// use trrip_core::{RripTable, SrripCore, RrpvWidth, Rrpv};
 ///
 /// let w = RrpvWidth::W2;
 /// let core = SrripCore::new(w);
-/// let mut set = RripSet::new(8, w);
+/// let mut table = RripTable::new(2, 8, w);
+/// let mut set = table.set_mut(1);
 /// let victim = set.find_victim();
 /// core.on_fill(&mut set, victim);
 /// assert_eq!(set.rrpv(victim), Rrpv::intermediate(w));
 /// core.on_hit(&mut set, victim);
 /// assert_eq!(set.rrpv(victim), Rrpv::immediate());
+/// assert_eq!(table.rrpv(0, victim), Rrpv::distant(w)); // the other set is untouched
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct SrripCore {
@@ -396,12 +225,12 @@ impl SrripCore {
     }
 
     /// Hit promotion: hit-priority (HP) variant, promote to *immediate*.
-    pub fn on_hit<S: RrpvSet + ?Sized>(&self, set: &mut S, way: usize) {
+    pub fn on_hit(&self, set: &mut TableSet<'_>, way: usize) {
         set.set_rrpv(way, Rrpv::immediate());
     }
 
     /// Insertion: pessimistic *intermediate* re-reference prediction.
-    pub fn on_fill<S: RrpvSet + ?Sized>(&self, set: &mut S, way: usize) {
+    pub fn on_fill(&self, set: &mut TableSet<'_>, way: usize) {
         set.set_rrpv(way, Rrpv::intermediate(self.width));
     }
 }
@@ -445,13 +274,13 @@ impl BrripCore {
     }
 
     /// Hit promotion: same hit-priority behaviour as SRRIP.
-    pub fn on_hit<S: RrpvSet + ?Sized>(&self, set: &mut S, way: usize) {
+    pub fn on_hit(&self, set: &mut TableSet<'_>, way: usize) {
         set.set_rrpv(way, Rrpv::immediate());
     }
 
     /// Insertion: *distant* except every `throttle`-th fill which is
     /// *intermediate*.
-    pub fn on_fill<S: RrpvSet + ?Sized>(&mut self, set: &mut S, way: usize) {
+    pub fn on_fill(&mut self, set: &mut TableSet<'_>, way: usize) {
         self.counter = (self.counter + 1) % self.throttle;
         let value = if self.counter == 0 {
             Rrpv::intermediate(self.width)
@@ -480,86 +309,91 @@ impl Snapshot for BrripCore {
     }
 }
 
-/// Saves a slice of per-set RRIP state (shared by every RRIP-family
-/// policy snapshot).
-pub fn save_rrip_sets(sets: &[RripSet], w: &mut SnapWriter) {
-    w.usize(sets.len());
-    for set in sets {
-        set.save(w);
-    }
-}
-
-/// Restores per-set RRIP state written by [`save_rrip_sets`].
-///
-/// # Errors
-///
-/// Propagates codec errors; [`SnapError::Mismatch`] when the set count
-/// or geometry differs.
-pub fn restore_rrip_sets(sets: &mut [RripSet], r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-    r.expect_len("RRIP set count", sets.len())?;
-    for set in sets {
-        set.restore(r)?;
-    }
-    Ok(())
-}
-
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// The row the tests drive; row 0 is the neighbour that must not move.
+    pub(crate) const ROW: usize = 1;
+
+    /// What row 0 holds: a pattern that aging, promotion or a fill would
+    /// each disturb (alternating immediate / one step aged).
+    fn neighbour(way: usize, width: RrpvWidth) -> Rrpv {
+        Rrpv::from_raw((way % 2) as u8, width)
+    }
+
+    pub(crate) fn two_rows(ways: usize, width: RrpvWidth) -> RripTable {
+        let mut table = RripTable::new(2, ways, width);
+        for way in 0..ways {
+            table.set_rrpv(0, way, neighbour(way, width));
+        }
+        table
+    }
+
+    pub(crate) fn assert_neighbour_untouched(table: &RripTable) {
+        for way in 0..table.ways() {
+            let expected = neighbour(way, table.width());
+            assert_eq!(table.rrpv(0, way), expected, "row 0 moved at way {way}");
+        }
+    }
 
     #[test]
     fn fresh_set_prefers_way_zero() {
-        let mut set = RripSet::new(8, RrpvWidth::W2);
-        assert_eq!(set.find_victim(), 0);
+        let mut table = two_rows(8, RrpvWidth::W2);
+        assert_eq!(table.set_mut(ROW).find_victim(), 0);
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn eviction_ages_until_distant_found() {
         let w = RrpvWidth::W2;
-        let mut set = RripSet::new(4, w);
+        let mut table = two_rows(4, w);
+        let mut set = table.set_mut(ROW);
         for way in 0..4 {
             set.set_rrpv(way, Rrpv::immediate());
         }
         set.set_rrpv(2, Rrpv::intermediate(w));
         // No distant line: mechanism ages all once (2 -> 3) and picks way 2.
-        let victim = set.find_victim();
-        assert_eq!(victim, 2);
+        assert_eq!(set.find_victim(), 2);
         // Other lines aged from immediate to near in the process.
         assert_eq!(set.rrpv(0), Rrpv::near());
         assert_eq!(set.rrpv(1), Rrpv::near());
         assert_eq!(set.rrpv(3), Rrpv::near());
+        // …and the aging stopped at the row's edge.
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn eviction_picks_lowest_way_among_distant() {
-        let w = RrpvWidth::W2;
-        let mut set = RripSet::new(4, w);
-        set.set_rrpv(0, Rrpv::immediate());
+        let mut table = two_rows(4, RrpvWidth::W2);
+        table.set_rrpv(ROW, 0, Rrpv::immediate());
         // Ways 1..3 are distant; the scan returns the first.
-        assert_eq!(set.find_victim(), 1);
+        assert_eq!(table.set_mut(ROW).find_victim(), 1);
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn srrip_insert_intermediate_hit_immediate() {
         let w = RrpvWidth::W2;
         let core = SrripCore::new(w);
-        let mut set = RripSet::new(4, w);
-        core.on_fill(&mut set, 0);
-        assert_eq!(set.rrpv(0), Rrpv::intermediate(w));
-        core.on_hit(&mut set, 0);
-        assert_eq!(set.rrpv(0), Rrpv::immediate());
+        let mut table = two_rows(4, w);
+        core.on_fill(&mut table.set_mut(ROW), 0);
+        assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(w));
+        core.on_hit(&mut table.set_mut(ROW), 0);
+        assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate());
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn brrip_mostly_inserts_distant() {
         let w = RrpvWidth::W2;
         let mut core = BrripCore::new(w);
-        let mut set = RripSet::new(4, w);
+        let mut table = two_rows(4, w);
         let mut distant = 0;
         let mut intermediate = 0;
         for _ in 0..320 {
-            core.on_fill(&mut set, 0);
-            if set.rrpv(0) == Rrpv::distant(w) {
+            core.on_fill(&mut table.set_mut(ROW), 0);
+            if table.rrpv(ROW, 0) == Rrpv::distant(w) {
                 distant += 1;
             } else {
                 intermediate += 1;
@@ -567,80 +401,25 @@ mod tests {
         }
         assert_eq!(intermediate, 10); // exactly 1/32 of 320
         assert_eq!(distant, 310);
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn invalidate_makes_way_preferred_victim() {
-        let w = RrpvWidth::W2;
-        let mut set = RripSet::new(4, w);
+        let mut table = two_rows(4, RrpvWidth::W2);
+        let mut set = table.set_mut(ROW);
         for way in 0..4 {
             set.set_rrpv(way, Rrpv::immediate());
         }
         set.invalidate(3);
         assert_eq!(set.find_victim(), 3);
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     #[should_panic(expected = "at least one way")]
     fn zero_way_set_is_rejected() {
-        let _ = RripSet::new(0, RrpvWidth::W2);
-    }
-
-    #[test]
-    fn table_snapshot_bytes_match_boxed_sets() {
-        let w = RrpvWidth::W3;
-        let mut table = RripTable::new(4, 4, w);
-        let mut sets: Vec<RripSet> = (0..4).map(|_| RripSet::new(4, w)).collect();
-        for (set, boxed) in sets.iter_mut().enumerate() {
-            for way in 0..4 {
-                let v = Rrpv::from_raw(((set * 3 + way) % 8) as u8, w);
-                table.set_rrpv(set, way, v);
-                boxed.set_rrpv(way, v);
-            }
-        }
-        let mut wa = SnapWriter::new();
-        table.save(&mut wa);
-        let mut wb = SnapWriter::new();
-        save_rrip_sets(&sets, &mut wb);
-        assert_eq!(wa.into_bytes(), wb.into_bytes());
-    }
-
-    #[test]
-    fn table_restores_boxed_set_snapshot() {
-        let w = RrpvWidth::W2;
-        let mut sets: Vec<RripSet> = (0..3).map(|_| RripSet::new(2, w)).collect();
-        sets[1].set_rrpv(0, Rrpv::immediate());
-        sets[2].set_rrpv(1, Rrpv::near());
-        let mut wr = SnapWriter::new();
-        save_rrip_sets(&sets, &mut wr);
-        let bytes = wr.into_bytes();
-
-        let mut table = RripTable::new(3, 2, w);
-        let mut r = SnapReader::new(&bytes);
-        table.restore(&mut r).expect("restore");
-        r.finish().expect("fully consumed");
-        for (set, boxed) in sets.iter().enumerate() {
-            for way in 0..2 {
-                assert_eq!(table.rrpv(set, way), boxed.rrpv(way));
-            }
-        }
-    }
-
-    #[test]
-    fn table_set_view_matches_boxed_victim_mechanism() {
-        let w = RrpvWidth::W2;
-        let mut table = RripTable::new(1, 4, w);
-        let mut boxed = RripSet::new(4, w);
-        for way in 0..4 {
-            table.set_rrpv(0, way, Rrpv::immediate());
-            boxed.set_rrpv(way, Rrpv::immediate());
-        }
-        table.set_rrpv(0, 2, Rrpv::intermediate(w));
-        boxed.set_rrpv(2, Rrpv::intermediate(w));
-        assert_eq!(table.set_mut(0).find_victim(), boxed.find_victim());
-        for way in 0..4 {
-            assert_eq!(table.rrpv(0, way), boxed.rrpv(way), "aging diverged at way {way}");
-        }
+        let _ = RripTable::new(2, 0, RrpvWidth::W2);
     }
 
     #[test]
@@ -648,7 +427,8 @@ mod tests {
         // A reused line at immediate survives a burst of scanning fills.
         let w = RrpvWidth::W2;
         let core = SrripCore::new(w);
-        let mut set = RripSet::new(4, w);
+        let mut table = two_rows(4, w);
+        let mut set = table.set_mut(ROW);
         // Hot line in way 0.
         core.on_fill(&mut set, 0);
         core.on_hit(&mut set, 0);
@@ -661,5 +441,6 @@ mod tests {
             // Refresh the hot line as a real workload would.
             core.on_hit(&mut set, 0);
         }
+        assert_neighbour_untouched(&table);
     }
 }

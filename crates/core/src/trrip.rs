@@ -18,7 +18,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::rrip::RrpvSet;
+use crate::rrip::TableSet;
 use crate::rrpv::{Rrpv, RrpvWidth};
 use crate::temperature::Temperature;
 
@@ -56,11 +56,12 @@ impl TrripVariant {
 /// # Example
 ///
 /// ```
-/// use trrip_core::{RripSet, TrripPolicy, TrripVariant, Temperature, Rrpv, RrpvWidth};
+/// use trrip_core::{RripTable, TrripPolicy, TrripVariant, Temperature, Rrpv, RrpvWidth};
 ///
 /// let w = RrpvWidth::W2;
 /// let trrip = TrripPolicy::new(TrripVariant::V2, w);
-/// let mut set = RripSet::new(8, w);
+/// let mut table = RripTable::new(2, 8, w);
+/// let mut set = table.set_mut(1);
 ///
 /// let way = set.find_victim();
 /// trrip.on_fill(&mut set, way, Some(Temperature::Warm));
@@ -68,6 +69,7 @@ impl TrripVariant {
 ///
 /// trrip.on_hit(&mut set, way, Some(Temperature::Warm));
 /// assert_eq!(set.rrpv(way), Rrpv::immediate()); // single-step promotion
+/// assert_eq!(table.rrpv(0, way), Rrpv::distant(w)); // the other set is untouched
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrripPolicy {
@@ -100,12 +102,7 @@ impl TrripPolicy {
     /// `temperature` is the attribute carried by the *request*; `None`
     /// means the request had no valid temperature (data access, or code not
     /// compiled with TRRIP's PGO) and gets default RRIP behaviour.
-    pub fn on_hit<S: RrpvSet + ?Sized>(
-        &self,
-        set: &mut S,
-        way: usize,
-        temperature: Option<Temperature>,
-    ) {
+    pub fn on_hit(&self, set: &mut TableSet<'_>, way: usize, temperature: Option<Temperature>) {
         match temperature {
             // Hot: both variants promote straight to immediate (lines 3-5).
             Some(Temperature::Hot) => set.set_rrpv(way, Rrpv::immediate()),
@@ -125,12 +122,7 @@ impl TrripPolicy {
 
     /// Cache fill after eviction: set the inserted line's prediction
     /// (Algorithm 1, lines 14–25).
-    pub fn on_fill<S: RrpvSet + ?Sized>(
-        &self,
-        set: &mut S,
-        way: usize,
-        temperature: Option<Temperature>,
-    ) {
+    pub fn on_fill(&self, set: &mut TableSet<'_>, way: usize, temperature: Option<Temperature>) {
         match temperature {
             // Hot: insert at immediate to prevent premature eviction
             // (lines 16-18).
@@ -151,64 +143,72 @@ impl TrripPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RripSet;
+    use crate::rrip::tests::{assert_neighbour_untouched, two_rows, ROW};
+    use crate::RripTable;
 
-    fn setup(variant: TrripVariant) -> (TrripPolicy, RripSet) {
+    fn setup(variant: TrripVariant) -> (TrripPolicy, RripTable) {
         let w = RrpvWidth::W2;
-        (TrripPolicy::new(variant, w), RripSet::new(8, w))
+        (TrripPolicy::new(variant, w), two_rows(8, w))
     }
 
     #[test]
     fn hot_fill_inserts_immediate_both_variants() {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
-            let (p, mut set) = setup(variant);
-            p.on_fill(&mut set, 0, Some(Temperature::Hot));
-            assert_eq!(set.rrpv(0), Rrpv::immediate(), "{variant:?}");
+            let (p, mut table) = setup(variant);
+            p.on_fill(&mut table.set_mut(ROW), 0, Some(Temperature::Hot));
+            assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate(), "{variant:?}");
+            assert_neighbour_untouched(&table);
         }
     }
 
     #[test]
     fn warm_fill_near_only_in_v2() {
-        let (p2, mut set) = setup(TrripVariant::V2);
-        p2.on_fill(&mut set, 0, Some(Temperature::Warm));
-        assert_eq!(set.rrpv(0), Rrpv::near());
+        let (p2, mut table) = setup(TrripVariant::V2);
+        p2.on_fill(&mut table.set_mut(ROW), 0, Some(Temperature::Warm));
+        assert_eq!(table.rrpv(ROW, 0), Rrpv::near());
+        assert_neighbour_untouched(&table);
 
-        let (p1, mut set) = setup(TrripVariant::V1);
-        p1.on_fill(&mut set, 0, Some(Temperature::Warm));
-        assert_eq!(set.rrpv(0), Rrpv::intermediate(RrpvWidth::W2));
+        let (p1, mut table) = setup(TrripVariant::V1);
+        p1.on_fill(&mut table.set_mut(ROW), 0, Some(Temperature::Warm));
+        assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(RrpvWidth::W2));
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn cold_fill_is_default_in_both_variants() {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
-            let (p, mut set) = setup(variant);
-            p.on_fill(&mut set, 0, Some(Temperature::Cold));
-            assert_eq!(set.rrpv(0), Rrpv::intermediate(RrpvWidth::W2), "{variant:?}");
+            let (p, mut table) = setup(variant);
+            p.on_fill(&mut table.set_mut(ROW), 0, Some(Temperature::Cold));
+            assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(RrpvWidth::W2), "{variant:?}");
+            assert_neighbour_untouched(&table);
         }
     }
 
     #[test]
     fn untyped_fill_matches_srrip() {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
-            let (p, mut set) = setup(variant);
-            p.on_fill(&mut set, 0, None);
-            assert_eq!(set.rrpv(0), Rrpv::intermediate(RrpvWidth::W2), "{variant:?}");
+            let (p, mut table) = setup(variant);
+            p.on_fill(&mut table.set_mut(ROW), 0, None);
+            assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(RrpvWidth::W2), "{variant:?}");
+            assert_neighbour_untouched(&table);
         }
     }
 
     #[test]
     fn hot_hit_promotes_to_immediate() {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
-            let (p, mut set) = setup(variant);
-            set.set_rrpv(0, Rrpv::distant(RrpvWidth::W2));
-            p.on_hit(&mut set, 0, Some(Temperature::Hot));
-            assert_eq!(set.rrpv(0), Rrpv::immediate(), "{variant:?}");
+            let (p, mut table) = setup(variant);
+            table.set_rrpv(ROW, 0, Rrpv::distant(RrpvWidth::W2));
+            p.on_hit(&mut table.set_mut(ROW), 0, Some(Temperature::Hot));
+            assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate(), "{variant:?}");
+            assert_neighbour_untouched(&table);
         }
     }
 
     #[test]
     fn warm_hit_single_step_in_v2() {
-        let (p, mut set) = setup(TrripVariant::V2);
+        let (p, mut table) = setup(TrripVariant::V2);
+        let mut set = table.set_mut(ROW);
         set.set_rrpv(0, Rrpv::distant(RrpvWidth::W2)); // 3
         p.on_hit(&mut set, 0, Some(Temperature::Warm));
         assert_eq!(set.rrpv(0).raw(), 2);
@@ -219,23 +219,26 @@ mod tests {
         // Saturates at immediate.
         p.on_hit(&mut set, 0, Some(Temperature::Warm));
         assert_eq!(set.rrpv(0).raw(), 0);
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn warm_hit_jumps_to_immediate_in_v1() {
-        let (p, mut set) = setup(TrripVariant::V1);
-        set.set_rrpv(0, Rrpv::distant(RrpvWidth::W2));
-        p.on_hit(&mut set, 0, Some(Temperature::Warm));
-        assert_eq!(set.rrpv(0), Rrpv::immediate());
+        let (p, mut table) = setup(TrripVariant::V1);
+        table.set_rrpv(ROW, 0, Rrpv::distant(RrpvWidth::W2));
+        p.on_hit(&mut table.set_mut(ROW), 0, Some(Temperature::Warm));
+        assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate());
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
     fn untyped_hit_is_default_promotion() {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
-            let (p, mut set) = setup(variant);
-            set.set_rrpv(0, Rrpv::distant(RrpvWidth::W2));
-            p.on_hit(&mut set, 0, None);
-            assert_eq!(set.rrpv(0), Rrpv::immediate(), "{variant:?}");
+            let (p, mut table) = setup(variant);
+            table.set_rrpv(ROW, 0, Rrpv::distant(RrpvWidth::W2));
+            p.on_hit(&mut table.set_mut(ROW), 0, None);
+            assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate(), "{variant:?}");
+            assert_neighbour_untouched(&table);
         }
     }
 
@@ -245,7 +248,8 @@ mod tests {
         // executed (hit between misses) survives a scan of untyped fills.
         let w = RrpvWidth::W2;
         let p = TrripPolicy::new(TrripVariant::V1, w);
-        let mut set = RripSet::new(4, w);
+        let mut table = two_rows(4, w);
+        let mut set = table.set_mut(ROW);
 
         let hot_way = set.find_victim();
         p.on_fill(&mut set, hot_way, Some(Temperature::Hot));
@@ -256,6 +260,7 @@ mod tests {
             p.on_fill(&mut set, v, None);
             p.on_hit(&mut set, hot_way, Some(Temperature::Hot));
         }
+        assert_neighbour_untouched(&table);
     }
 
     #[test]
@@ -265,18 +270,21 @@ mod tests {
         let w = RrpvWidth::W2;
         let p = TrripPolicy::new(TrripVariant::V1, w);
         let survive = |temp: Option<Temperature>| {
-            let mut set = RripSet::new(4, w);
+            let mut table = two_rows(4, w);
+            let mut set = table.set_mut(ROW);
             let way = set.find_victim();
             p.on_fill(&mut set, way, temp);
             let mut fills = 0u32;
-            loop {
+            let fills = loop {
                 let v = set.find_victim();
                 if v == way {
-                    return fills;
+                    break fills;
                 }
                 p.on_fill(&mut set, v, None);
                 fills += 1;
-            }
+            };
+            assert_neighbour_untouched(&table);
+            fills
         };
         assert!(
             survive(Some(Temperature::Hot)) > survive(None),

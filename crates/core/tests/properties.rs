@@ -3,9 +3,32 @@
 use proptest::prelude::*;
 
 use trrip_core::{
-    ClassifierConfig, ProfileSummary, RripSet, Rrpv, RrpvWidth, SrripCore, Temperature,
+    ClassifierConfig, ProfileSummary, RripTable, Rrpv, RrpvWidth, SrripCore, Temperature,
     TemperatureBits, TrripPolicy, TrripVariant,
 };
+
+/// The row the properties drive; row 0 is the neighbour that must not move.
+const ROW: usize = 1;
+
+/// What row 0 holds: a pattern that aging, promotion or a fill would each
+/// disturb.
+fn neighbour(way: usize, width: RrpvWidth) -> Rrpv {
+    Rrpv::from_raw((way % 2) as u8, width)
+}
+
+/// A two-row table: the mechanisms run on row [`ROW`] and row 0 must come
+/// out as it went in.
+fn two_rows(ways: usize, width: RrpvWidth) -> RripTable {
+    let mut table = RripTable::new(2, ways, width);
+    for way in 0..ways {
+        table.set_rrpv(0, way, neighbour(way, width));
+    }
+    table
+}
+
+fn neighbour_untouched(table: &RripTable) -> bool {
+    (0..table.ways()).all(|way| table.rrpv(0, way) == neighbour(way, table.width()))
+}
 
 fn arb_width() -> impl Strategy<Value = RrpvWidth> {
     prop_oneof![Just(RrpvWidth::W1), Just(RrpvWidth::W2), Just(RrpvWidth::W3)]
@@ -49,13 +72,14 @@ proptest! {
         ways in 1usize..16,
         seeds in prop::collection::vec(0u8..8, 1..16),
     ) {
-        let mut set = RripSet::new(ways, width);
+        let mut table = two_rows(ways, width);
         for (way, seed) in seeds.iter().enumerate().take(ways) {
-            set.set_rrpv(way, Rrpv::from_raw(*seed, width));
+            table.set_rrpv(ROW, way, Rrpv::from_raw(*seed, width));
         }
-        let victim = set.find_victim();
+        let victim = table.set_mut(ROW).find_victim();
         prop_assert!(victim < ways);
-        prop_assert!(set.rrpv(victim).is_distant(width));
+        prop_assert!(table.rrpv(ROW, victim).is_distant(width));
+        prop_assert!(neighbour_untouched(&table));
     }
 
     /// Aging preserves the relative order of lines in a set: if a < b
@@ -77,14 +101,15 @@ proptest! {
         ops in prop::collection::vec((0u8..2, 0usize..4, arb_temperature()), 0..64),
     ) {
         let policy = TrripPolicy::new(variant, width);
-        let mut set = RripSet::new(4, width);
+        let mut table = two_rows(4, width);
         for (op, way, temp) in ops {
             match op {
-                0 => policy.on_fill(&mut set, way, temp),
-                _ => policy.on_hit(&mut set, way, temp),
+                0 => policy.on_fill(&mut table.set_mut(ROW), way, temp),
+                _ => policy.on_hit(&mut table.set_mut(ROW), way, temp),
             }
-            prop_assert!(set.rrpv(way).raw() <= width.max_value());
+            prop_assert!(table.rrpv(ROW, way).raw() <= width.max_value());
         }
+        prop_assert!(neighbour_untouched(&table));
     }
 
     /// TRRIP insertion priority is monotone in temperature: for any
@@ -97,9 +122,10 @@ proptest! {
     ) {
         let policy = TrripPolicy::new(variant, width);
         let rrpv_for = |t: Option<Temperature>| {
-            let mut set = RripSet::new(4, width);
-            policy.on_fill(&mut set, 0, t);
-            set.rrpv(0)
+            let mut table = two_rows(4, width);
+            policy.on_fill(&mut table.set_mut(ROW), 0, t);
+            assert!(neighbour_untouched(&table));
+            table.rrpv(ROW, 0)
         };
         let hot = rrpv_for(Some(Temperature::Hot));
         let warm = rrpv_for(Some(Temperature::Warm));
@@ -119,21 +145,23 @@ proptest! {
     ) {
         let trrip = TrripPolicy::new(TrripVariant::V2, width);
         let srrip = SrripCore::new(width);
-        let mut set_t = RripSet::new(8, width);
-        let mut set_s = RripSet::new(8, width);
+        let mut table_t = two_rows(8, width);
+        let mut table_s = two_rows(8, width);
         for (op, way) in ops {
             match op {
                 0 => {
-                    trrip.on_fill(&mut set_t, way, None);
-                    srrip.on_fill(&mut set_s, way);
+                    trrip.on_fill(&mut table_t.set_mut(ROW), way, None);
+                    srrip.on_fill(&mut table_s.set_mut(ROW), way);
                 }
                 _ => {
-                    trrip.on_hit(&mut set_t, way, None);
-                    srrip.on_hit(&mut set_s, way);
+                    trrip.on_hit(&mut table_t.set_mut(ROW), way, None);
+                    srrip.on_hit(&mut table_s.set_mut(ROW), way);
                 }
             }
-            prop_assert_eq!(&set_t, &set_s);
+            // Both rows: equal tables means equal neighbours too.
+            prop_assert_eq!(&table_t, &table_s);
         }
+        prop_assert!(neighbour_untouched(&table_t));
     }
 
     /// Classification is monotone in count: a larger count never gets a

@@ -8,16 +8,13 @@
 //! the workspace, below `trrip-trace` and `trrip-sim`, next to
 //! `trrip-snap` (whose varint and checksum machinery it reuses).
 //!
-//! Three real codecs plus a passthrough, selected **per block** by
-//! [`compress_auto`] — whichever encoding is smallest wins, and a block
-//! that no codec can shrink ships raw, so compression never grows an
-//! artifact:
+//! One real codec plus a passthrough, selected **per block** by
+//! [`compress_auto`] — a block LZ cannot shrink ships raw, so compression
+//! never grows an artifact:
 //!
 //! | codec | byte shape | wins on |
 //! |---|---|---|
 //! | [`Codec::Raw`] | the input, verbatim | incompressible blocks |
-//! | [`Codec::Rle`] | `(varint run_len, byte)*` | valid/dirty/instruction bitmaps |
-//! | [`Codec::Delta`] | zigzag varint deltas of LE `u64` words | sorted tag arrays, address tables |
 //! | [`Codec::Lz`] | LZ tokens: `varint lit_len, lits [, varint match_len-4, varint dist]` | everything repetitive |
 //!
 //! The LZ matcher is a greedy hash-chain searcher (4-byte hashes, 64 KiB
@@ -40,7 +37,7 @@
 
 use std::fmt;
 
-use trrip_snap::{push_signed, push_varint, read_signed, read_varint, Checksum};
+use trrip_snap::{push_varint, read_varint, Checksum};
 
 /// Minimum LZ match length; shorter repeats stay literal.
 const MIN_MATCH: usize = 4;
@@ -91,22 +88,14 @@ fn rd_len(input: &[u8], pos: &mut usize, max: usize, what: &str) -> Result<usize
         .ok_or_else(|| corrupt(format!("{what} of {len} exceeds the {max} it can span")))
 }
 
-fn rd_signed(input: &[u8], pos: &mut usize) -> Result<i64, PackError> {
-    read_signed(input, pos).map_err(|e| corrupt(e.to_string()))
-}
-
 /// How a block's bytes are encoded. The numeric values are the on-disk
-/// tags — append-only; never renumber.
+/// tags — never renumber; 1 and 2 belonged to codecs that are gone and
+/// are not to be reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(u8)]
 pub enum Codec {
     /// Verbatim passthrough for incompressible blocks.
     Raw = 0,
-    /// Run-length: `(varint run_len, byte)*`.
-    Rle = 1,
-    /// Zigzag varint deltas over little-endian `u64` words (input length
-    /// must be a multiple of 8).
-    Delta = 2,
     /// Greedy hash-chain LZ with varint-coded literal runs and matches.
     Lz = 3,
 }
@@ -120,8 +109,6 @@ impl Codec {
     pub fn from_u8(tag: u8) -> Result<Codec, PackError> {
         match tag {
             0 => Ok(Codec::Raw),
-            1 => Ok(Codec::Rle),
-            2 => Ok(Codec::Delta),
             3 => Ok(Codec::Lz),
             other => Err(corrupt(format!("unknown codec tag {other}"))),
         }
@@ -132,96 +119,9 @@ impl Codec {
     pub fn name(self) -> &'static str {
         match self {
             Codec::Raw => "raw",
-            Codec::Rle => "rle",
-            Codec::Delta => "delta",
             Codec::Lz => "lz",
         }
     }
-}
-
-// --- RLE ---------------------------------------------------------------
-
-/// Run-length encodes `input` into `out` (cleared first). Returns false
-/// (with `out` in an unspecified state) once the encoding reaches
-/// `budget` bytes — RLE on non-run data doubles the input, so the early
-/// exit matters.
-fn try_rle(input: &[u8], budget: usize, out: &mut Vec<u8>) -> bool {
-    out.clear();
-    let mut i = 0;
-    while i < input.len() {
-        let byte = input[i];
-        let mut j = i + 1;
-        while j < input.len() && input[j] == byte {
-            j += 1;
-        }
-        push_varint(out, (j - i) as u64);
-        out.push(byte);
-        if out.len() >= budget {
-            return false;
-        }
-        i = j;
-    }
-    true
-}
-
-fn rle_decompress(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), PackError> {
-    out.clear();
-    out.reserve(raw_len.min(BLOCK_LEN));
-    let mut pos = 0;
-    while out.len() < raw_len {
-        let run = rd(input, &mut pos)? as usize;
-        if run == 0 || run > raw_len - out.len() {
-            return Err(corrupt(format!("RLE run of {run} overflows the block")));
-        }
-        let &byte = input.get(pos).ok_or_else(|| corrupt("RLE run missing its byte"))?;
-        pos += 1;
-        out.resize(out.len() + run, byte);
-    }
-    if pos != input.len() {
-        return Err(corrupt("trailing bytes after RLE stream"));
-    }
-    Ok(())
-}
-
-// --- Delta -------------------------------------------------------------
-
-/// Delta-encodes `input` as LE `u64` words (zigzag varint per delta).
-/// Returns false when the input is not word-shaped or the encoding
-/// reaches `budget`.
-fn try_delta(input: &[u8], budget: usize, out: &mut Vec<u8>) -> bool {
-    if input.is_empty() || !input.len().is_multiple_of(8) {
-        return false;
-    }
-    out.clear();
-    let mut prev = 0u64;
-    for chunk in input.chunks_exact(8) {
-        let word = u64::from_le_bytes(chunk.try_into().expect("8 bytes"));
-        push_signed(out, word.wrapping_sub(prev) as i64);
-        if out.len() >= budget {
-            return false;
-        }
-        prev = word;
-    }
-    true
-}
-
-fn delta_decompress(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), PackError> {
-    if !raw_len.is_multiple_of(8) {
-        return Err(corrupt("delta block length is not a multiple of 8"));
-    }
-    out.clear();
-    out.reserve(raw_len.min(BLOCK_LEN));
-    let mut pos = 0;
-    let mut prev = 0u64;
-    while out.len() < raw_len {
-        let delta = rd_signed(input, &mut pos)?;
-        prev = prev.wrapping_add(delta as u64);
-        out.extend_from_slice(&prev.to_le_bytes());
-    }
-    if pos != input.len() {
-        return Err(corrupt("trailing bytes after delta stream"));
-    }
-    Ok(())
 }
 
 // --- LZ ----------------------------------------------------------------
@@ -339,31 +239,21 @@ fn lz_decompress(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), 
 
 // --- Selection and framing --------------------------------------------
 
-/// Compresses `input` into `out` (cleared first) with whichever codec
-/// yields the fewest bytes, falling back to a verbatim copy when none
-/// beats raw — the caller records the returned [`Codec`] next to the
-/// bytes. Feeds the `pack.*` counters.
+/// Compresses `input` into `out` (cleared first) with LZ, falling back
+/// to a verbatim copy when that does not beat raw — the caller records
+/// the returned [`Codec`] next to the bytes. Feeds the `pack.*` counters.
 pub fn compress_auto(input: &[u8], out: &mut Vec<u8>) -> Codec {
     trrip_obs::counter!("pack.raw_bytes").add(input.len() as u64);
-    out.clear();
-    out.extend_from_slice(input);
-    let mut chosen = Codec::Raw;
-    let mut scratch = Vec::new();
-    if try_rle(input, out.len(), &mut scratch) && scratch.len() < out.len() {
-        std::mem::swap(out, &mut scratch);
-        chosen = Codec::Rle;
-    }
-    if try_delta(input, out.len(), &mut scratch) && scratch.len() < out.len() {
-        std::mem::swap(out, &mut scratch);
-        chosen = Codec::Delta;
-    }
-    if try_lz(input, out.len(), &mut scratch) && scratch.len() < out.len() {
-        std::mem::swap(out, &mut scratch);
-        chosen = Codec::Lz;
-    }
-    if chosen == Codec::Raw && !input.is_empty() {
-        trrip_obs::counter!("pack.fallback_raw").incr();
-    }
+    let chosen = if try_lz(input, input.len(), out) {
+        Codec::Lz
+    } else {
+        out.clear();
+        out.extend_from_slice(input);
+        if !input.is_empty() {
+            trrip_obs::counter!("pack.fallback_raw").incr();
+        }
+        Codec::Raw
+    };
     trrip_obs::counter!("pack.compressed_bytes").add(out.len() as u64);
     chosen
 }
@@ -394,8 +284,6 @@ pub fn decompress(
             out.extend_from_slice(input);
             Ok(())
         }
-        Codec::Rle => rle_decompress(input, raw_len, out),
-        Codec::Delta => delta_decompress(input, raw_len, out),
         Codec::Lz => lz_decompress(input, raw_len, out),
     }
 }
@@ -492,29 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn bitmap_blocks_pick_rle_and_shrink_hard() {
-        let mut bitmap = vec![0xFFu8; 4096];
-        bitmap[17] = 0x7F;
-        bitmap.extend(std::iter::repeat_n(0u8, 4096));
-        let mut comp = Vec::new();
-        let codec = compress_auto(&bitmap, &mut comp);
-        assert_eq!(codec, Codec::Rle);
-        assert!(comp.len() < bitmap.len() / 50, "RLE on runs: {} bytes", comp.len());
-        round_trip(&bitmap);
-    }
-
-    #[test]
-    fn sorted_words_pick_delta() {
-        let words: Vec<u8> =
-            (0..2048u64).map(|i| 0x4000 + i * 64).flat_map(|w| w.to_le_bytes()).collect();
-        let mut comp = Vec::new();
-        let codec = compress_auto(&words, &mut comp);
-        assert_eq!(codec, Codec::Delta);
-        assert!(comp.len() < words.len() / 3, "delta on sorted words: {} bytes", comp.len());
-        round_trip(&words);
-    }
-
-    #[test]
     fn repetitive_bytes_pick_lz() {
         let phrase = b"the quick brown fox jumps over the lazy dog; ";
         let mut input = Vec::new();
@@ -527,6 +392,19 @@ mod tests {
         assert_eq!(codec, Codec::Lz);
         assert!(comp.len() < input.len() / 2, "LZ on repeats: {} bytes", comp.len());
         round_trip(&input);
+
+        // A bitmap's worth of one byte: a single long match.
+        let run = vec![0xFFu8; BLOCK_LEN];
+        assert_eq!(compress_auto(&run, &mut comp), Codec::Lz);
+        assert!(comp.len() <= run.len() / 100, "LZ on a run: {} bytes", comp.len());
+        round_trip(&run);
+
+        // Sorted words (a tag array): whatever is picked, it never grows.
+        let words: Vec<u8> =
+            (0..2048u64).map(|i| 0x4000 + i * 64).flat_map(|w| w.to_le_bytes()).collect();
+        compress_auto(&words, &mut comp);
+        assert!(comp.len() <= words.len(), "sorted words grew to {} bytes", comp.len());
+        round_trip(&words);
     }
 
     #[test]
@@ -558,8 +436,7 @@ mod tests {
 
     #[test]
     fn stream_round_trips_across_block_boundaries() {
-        // > 2 blocks, mixed content so different blocks pick different
-        // codecs.
+        // > 2 blocks of mixed content.
         let mut payload = vec![0u8; BLOCK_LEN + 17];
         payload.extend((0..BLOCK_LEN as u64 / 8).flat_map(|i| (i * 64).to_le_bytes()));
         payload.extend(b"tail".repeat(1000));
@@ -577,6 +454,16 @@ mod tests {
             assert!(unpack_stream(&stream[..cut]).is_err(), "{cut}-byte prefix accepted");
         }
         assert!(unpack_stream(&stream[..stream.len() - 1]).is_err());
+        // A tag no codec owns — 1 and 2 had owners once — is corrupt.
+        let mut pos = 0;
+        read_varint(&stream, &mut pos).expect("total length");
+        assert_eq!(stream[pos], Codec::Lz as u8, "the first block's tag follows the total");
+        for tag in [1, 2, 4, 0xFF] {
+            let mut bent = stream.clone();
+            bent[pos] = tag;
+            let err = unpack_stream(&bent).expect_err("unknown tag accepted");
+            assert!(err.to_string().contains("unknown codec tag"), "tag {tag}: {err}");
+        }
         // A flipped byte anywhere fails a named check (header decode or
         // block checksum), never silently succeeds with wrong bytes.
         for offset in [1, 5, stream.len() / 3, stream.len() / 2, stream.len() - 2] {

@@ -1,9 +1,8 @@
 //! BRRIP — Bimodal Re-Reference Interval Prediction.
 
-use trrip_core::{BrripCore, RripTable, RrpvSet, RrpvWidth};
+use trrip_core::{BrripCore, RripTable, RrpvWidth};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::srrip::Srrip;
 use crate::{ReplacementPolicy, RequestInfo};
 
 /// BRRIP: inserts at *distant* except for 1-in-32 fills, which insert at
@@ -42,8 +41,8 @@ impl ReplacementPolicy for Brrip {
         self.core.on_hit(&mut self.sets.set_mut(set), way);
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
-        Srrip::rrip_victim(&mut self.sets.set_mut(set), self.width, candidates)
+    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
+        self.sets.set_mut(set).find_victim()
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _req: &RequestInfo) {
@@ -101,6 +100,6 @@ mod tests {
         for way in 0..3 {
             p.on_hit(0, way, &req);
         }
-        assert_eq!(p.choose_victim(0, &req, &[0, 1, 2, 3]), 3);
+        assert_eq!(p.choose_victim(0, &req), 3);
     }
 }

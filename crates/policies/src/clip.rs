@@ -11,11 +11,10 @@
 //! that treating every instruction line as hot (`percentile_hot = 100%`)
 //! behaves like CLIP and gives up most of the selective-priority benefit.
 
-use trrip_core::{RripTable, Rrpv, RrpvSet, RrpvWidth, SrripCore};
+use trrip_core::{RripTable, Rrpv, RrpvWidth, SrripCore};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::dueling::{DuelChoice, SetDueling};
-use crate::srrip::Srrip;
 use crate::{ReplacementPolicy, RequestInfo};
 
 /// CLIP with SRRIP fallback for data lines and set-dueling between the
@@ -75,9 +74,9 @@ impl ReplacementPolicy for Clip {
         }
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
         self.dueling.record_miss(set);
-        Srrip::rrip_victim(&mut self.sets.set_mut(set), self.width, candidates)
+        self.sets.set_mut(set).find_victim()
     }
 
     fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo) {

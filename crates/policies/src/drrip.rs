@@ -1,10 +1,9 @@
 //! DRRIP — Dynamic RRIP via SRRIP/BRRIP set-dueling.
 
-use trrip_core::{BrripCore, RripTable, RrpvSet, RrpvWidth, SrripCore};
+use trrip_core::{BrripCore, RripTable, RrpvWidth, SrripCore};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::dueling::{DuelChoice, SetDueling};
-use crate::srrip::Srrip;
 use crate::{ReplacementPolicy, RequestInfo};
 
 /// DRRIP: set-dueling between scan-resistant SRRIP and thrash-resistant
@@ -56,9 +55,9 @@ impl ReplacementPolicy for Drrip {
         self.srrip.on_hit(&mut self.sets.set_mut(set), way);
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
         self.dueling.record_miss(set);
-        Srrip::rrip_victim(&mut self.sets.set_mut(set), self.width, candidates)
+        self.sets.set_mut(set).find_victim()
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _req: &RequestInfo) {
@@ -127,7 +126,7 @@ mod tests {
         assert_eq!(p.policy_for_set(1), DuelChoice::A);
         // Hammer misses into A-leader sets only.
         for _ in 0..600 {
-            let _ = p.choose_victim(0, &req, &[0]);
+            let _ = p.choose_victim(0, &req);
         }
         assert_eq!(p.policy_for_set(1), DuelChoice::B);
     }

@@ -72,21 +72,18 @@ impl ReplacementPolicy for Emissary {
         }
     }
 
-    fn choose_victim(&mut self, set: usize, req: &RequestInfo, candidates: &[usize]) -> usize {
-        let non_priority: Vec<usize> = candidates
-            .iter()
-            .copied()
-            .filter(|&way| !self.priority[set * self.ways + way])
-            .collect();
-        if self.priority_count(set) <= self.reserved_ways && !non_priority.is_empty() {
-            self.lru.lru_way(set, &non_priority)
-        } else {
+    fn choose_victim(&mut self, set: usize, req: &RequestInfo) -> usize {
+        let row = set * self.ways..(set + 1) * self.ways;
+        let priority = &self.priority[row.clone()];
+        let unprotected = self.lru.lru_way(set, |way| !priority[way]);
+        match unprotected {
+            Some(way) if self.priority_count(set) <= self.reserved_ways => way,
             // Reservation exceeded (or everything is priority): fall back
             // to plain LRU and start a fresh priority epoch for the set.
-            for way in 0..self.ways {
-                self.priority[set * self.ways + way] = false;
+            _ => {
+                self.priority[row].fill(false);
+                self.lru.choose_victim(set, req)
             }
-            self.lru.choose_victim(set, req, candidates)
         }
     }
 
@@ -135,13 +132,12 @@ mod tests {
     #[test]
     fn priority_lines_are_shielded_from_eviction() {
         let mut p = Emissary::new(1, 4, 2);
-        let all = [0usize, 1, 2, 3];
         // Way 0 priority, ways 1..3 plain; way 1 is LRU among plain lines.
         p.on_fill(0, 0, &starved_fetch(0x100));
         for way in 1..4 {
             p.on_fill(0, way, &RequestInfo::ifetch(0x200 + way as u64));
         }
-        let victim = p.choose_victim(0, &RequestInfo::ifetch(0x900), &all);
+        let victim = p.choose_victim(0, &RequestInfo::ifetch(0x900));
         assert_eq!(victim, 1);
         assert!(p.is_priority(0, 0));
     }
@@ -149,7 +145,6 @@ mod tests {
     #[test]
     fn reservation_overflow_falls_back_to_lru_and_resets_epoch() {
         let mut p = Emissary::new(1, 4, 2);
-        let all = [0usize, 1, 2, 3];
         // Three priority lines with a reservation of two: protection
         // collapses, plain LRU picks the oldest line (way 0), and the
         // epoch bits clear.
@@ -157,7 +152,7 @@ mod tests {
             p.on_fill(0, way, &starved_fetch(0x100 + way as u64 * 64));
         }
         p.on_fill(0, 3, &RequestInfo::ifetch(0x900));
-        let victim = p.choose_victim(0, &RequestInfo::ifetch(0xa00), &all);
+        let victim = p.choose_victim(0, &RequestInfo::ifetch(0xa00));
         assert_eq!(victim, 0);
         assert!((0..4).all(|w| !p.is_priority(0, w)));
     }

@@ -79,7 +79,7 @@ impl PolicyKind {
         let width = RrpvWidth::W2;
         match self {
             PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyKind::Random => Box::new(RandomPolicy::default()),
+            PolicyKind::Random => Box::new(RandomPolicy::new(ways, RandomPolicy::DEFAULT_SEED)),
             PolicyKind::Srrip => Box::new(Srrip::new(sets, ways, width)),
             PolicyKind::Brrip => Box::new(Brrip::new(sets, ways, width)),
             PolicyKind::Drrip => Box::new(Drrip::new(sets, ways, width)),
@@ -141,8 +141,7 @@ mod tests {
         for kind in PolicyKind::PAPER_SET {
             let mut p = kind.build(64, 8);
             assert_eq!(p.name(), kind.name());
-            let candidates: Vec<usize> = (0..8).collect();
-            let v = p.choose_victim(3, &req, &candidates);
+            let v = p.choose_victim(3, &req);
             assert!(v < 8, "{kind}: victim out of range");
             p.on_fill(3, v, &req);
             p.on_hit(3, v, &req);

@@ -18,8 +18,8 @@
 //! The cache model drives a policy through a fixed protocol:
 //!
 //! 1. hit  → [`ReplacementPolicy::on_hit`]
-//! 2. miss → [`ReplacementPolicy::choose_victim`] (only over valid ways;
-//!    the cache prefers invalid ways itself), then
+//! 2. miss → [`ReplacementPolicy::choose_victim`] (only when the set is
+//!    full; the cache takes an invalid way itself), then
 //!    [`ReplacementPolicy::on_evict`] for the displaced line, then
 //!    [`ReplacementPolicy::on_fill`] for the incoming one.
 //!
@@ -72,11 +72,10 @@ pub trait ReplacementPolicy: Send {
     /// A line at `(set, way)` was hit by `req`: update its priority.
     fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo);
 
-    /// A miss in `set` needs a victim among the *valid* ways listed in
-    /// `candidates`. May mutate state (RRIP aging, Emissary epoch resets).
-    ///
-    /// `candidates` is never empty; the returned way must be one of them.
-    fn choose_victim(&mut self, set: usize, req: &RequestInfo, candidates: &[usize]) -> usize;
+    /// A miss in `set`, every way of which is valid, needs a victim: the
+    /// way returned is `< ways`. May mutate state (RRIP aging, Emissary
+    /// epoch resets).
+    fn choose_victim(&mut self, set: usize, req: &RequestInfo) -> usize;
 
     /// The line previously at `(set, way)` is being evicted (not merely
     /// invalidated): predictors observe the outcome here.
@@ -134,8 +133,8 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
         (**self).on_hit(set, way, req);
     }
 
-    fn choose_victim(&mut self, set: usize, req: &RequestInfo, candidates: &[usize]) -> usize {
-        (**self).choose_victim(set, req, candidates)
+    fn choose_victim(&mut self, set: usize, req: &RequestInfo) -> usize {
+        (**self).choose_victim(set, req)
     }
 
     fn on_evict(&mut self, set: usize, way: usize) {

@@ -32,7 +32,7 @@ use crate::{ReplacementPolicy, RequestInfo};
 ///     lru.on_fill(0, way, &req);
 /// }
 /// lru.on_hit(0, 0, &req); // way 0 becomes MRU
-/// let victim = lru.choose_victim(0, &req, &[0, 1, 2, 3]);
+/// let victim = lru.choose_victim(0, &req);
 /// assert_eq!(victim, 1); // oldest untouched way
 /// ```
 #[derive(Debug, Clone)]
@@ -60,14 +60,13 @@ impl Lru {
         self.stamps[set * self.ways + way] = self.clocks[set];
     }
 
-    /// The least-recently-used way among `candidates` (read-only helper
-    /// shared with Emissary).
+    /// The least-recently-used of the set's ways that `eligible` admits,
+    /// the lowest such way among equals; `None` if it admits none
+    /// (read-only helper shared with Emissary).
     #[must_use]
-    pub fn lru_way(&self, set: usize, candidates: &[usize]) -> usize {
-        *candidates
-            .iter()
-            .min_by_key(|&&way| self.stamps[set * self.ways + way])
-            .expect("candidates must be non-empty")
+    pub fn lru_way(&self, set: usize, eligible: impl Fn(usize) -> bool) -> Option<usize> {
+        let base = set * self.ways;
+        (0..self.ways).filter(|&way| eligible(way)).min_by_key(|&way| self.stamps[base + way])
     }
 }
 
@@ -81,8 +80,8 @@ impl ReplacementPolicy for Lru {
         self.touch(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
-        self.lru_way(set, candidates)
+    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
+        self.lru_way(set, |_| true).expect("a set has at least one way")
     }
 
     #[inline]
@@ -138,7 +137,7 @@ mod tests {
         }
         lru.on_hit(0, 0, &req);
         lru.on_hit(0, 2, &req);
-        assert_eq!(lru.choose_victim(0, &req, &[0, 1, 2, 3]), 1);
+        assert_eq!(lru.choose_victim(0, &req), 1);
     }
 
     #[test]
@@ -151,8 +150,8 @@ mod tests {
         lru.on_fill(1, 1, &req);
         lru.on_hit(0, 0, &req);
         // Set 1 untouched by the hit: way 0 is still its LRU.
-        assert_eq!(lru.choose_victim(1, &req, &[0, 1]), 0);
-        assert_eq!(lru.choose_victim(0, &req, &[0, 1]), 1);
+        assert_eq!(lru.choose_victim(1, &req), 0);
+        assert_eq!(lru.choose_victim(0, &req), 1);
     }
 
     #[test]
@@ -163,18 +162,7 @@ mod tests {
             lru.on_fill(0, way, &req);
         }
         lru.on_invalidate(0, 3);
-        assert_eq!(lru.choose_victim(0, &req, &[0, 1, 2, 3]), 3);
-    }
-
-    #[test]
-    fn respects_candidate_restriction() {
-        let mut lru = Lru::new(1, 4);
-        let req = RequestInfo::ifetch(0);
-        for way in 0..4 {
-            lru.on_fill(0, way, &req);
-        }
-        // Way 0 is globally LRU but not a candidate.
-        assert_eq!(lru.choose_victim(0, &req, &[2, 3]), 2);
+        assert_eq!(lru.choose_victim(0, &req), 3);
     }
 
     #[test]

@@ -13,20 +13,23 @@ use crate::{ReplacementPolicy, RequestInfo};
 #[derive(Debug)]
 pub struct RandomPolicy {
     rng: StdRng,
+    ways: usize,
 }
 
 impl RandomPolicy {
-    /// Creates the policy with a fixed seed so simulations stay
-    /// reproducible.
-    #[must_use]
-    pub fn new(seed: u64) -> RandomPolicy {
-        RandomPolicy { rng: StdRng::seed_from_u64(seed) }
-    }
-}
+    /// The seed [`crate::PolicyKind::build`] uses: "rrip".
+    pub const DEFAULT_SEED: u64 = 0x7272_6970;
 
-impl Default for RandomPolicy {
-    fn default() -> Self {
-        RandomPolicy::new(0x7272_6970) // "rrip"
+    /// Creates the policy for `ways`-way sets with a fixed seed so
+    /// simulations stay reproducible.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ways` is zero.
+    #[must_use]
+    pub fn new(ways: usize, seed: u64) -> RandomPolicy {
+        assert!(ways > 0, "cache must have at least one way");
+        RandomPolicy { rng: StdRng::seed_from_u64(seed), ways }
     }
 }
 
@@ -37,8 +40,8 @@ impl ReplacementPolicy for RandomPolicy {
 
     fn on_hit(&mut self, _set: usize, _way: usize, _req: &RequestInfo) {}
 
-    fn choose_victim(&mut self, _set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
-        candidates[self.rng.gen_range(0..candidates.len())]
+    fn choose_victim(&mut self, _set: usize, _req: &RequestInfo) -> usize {
+        self.rng.gen_range(0..self.ways)
     }
 
     fn on_fill(&mut self, _set: usize, _way: usize, _req: &RequestInfo) {}
@@ -71,20 +74,22 @@ mod tests {
 
     #[test]
     fn victim_is_always_a_candidate() {
-        let mut p = RandomPolicy::new(42);
+        // Every way of a full set is a candidate, and only those.
+        let mut p = RandomPolicy::new(3, 42);
         let req = RequestInfo::ifetch(0);
+        let mut seen = [false; 3];
         for _ in 0..100 {
-            let v = p.choose_victim(0, &req, &[3, 5, 7]);
-            assert!([3, 5, 7].contains(&v));
+            seen[p.choose_victim(0, &req)] = true;
         }
+        assert_eq!(seen, [true; 3]);
     }
 
     #[test]
     fn seeded_runs_are_deterministic() {
         let req = RequestInfo::ifetch(0);
         let picks = |seed| {
-            let mut p = RandomPolicy::new(seed);
-            (0..32).map(|_| p.choose_victim(0, &req, &[0, 1, 2, 3])).collect::<Vec<_>>()
+            let mut p = RandomPolicy::new(4, seed);
+            (0..32).map(|_| p.choose_victim(0, &req)).collect::<Vec<_>>()
         };
         assert_eq!(picks(1), picks(1));
         assert_ne!(picks(1), picks(2));

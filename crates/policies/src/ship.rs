@@ -10,11 +10,10 @@
 //! predicted dead-on-arrival and inserted at *distant*.
 
 use serde::{Deserialize, Serialize};
-use trrip_core::{RripTable, Rrpv, RrpvSet, RrpvWidth, SrripCore};
+use trrip_core::{RripTable, Rrpv, RrpvWidth, SrripCore};
 use trrip_mem::VirtAddr;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::srrip::Srrip;
 use crate::{ReplacementPolicy, RequestInfo};
 
 /// SHiP sizing knobs.
@@ -139,8 +138,8 @@ impl ReplacementPolicy for Ship {
         self.core.on_hit(&mut self.sets.set_mut(set), way);
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
-        Srrip::rrip_victim(&mut self.sets.set_mut(set), self.width, candidates)
+    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
+        self.sets.set_mut(set).find_victim()
     }
 
     fn on_evict(&mut self, set: usize, way: usize) {

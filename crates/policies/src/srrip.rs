@@ -1,6 +1,6 @@
 //! SRRIP — Static Re-Reference Interval Prediction (the paper's baseline).
 
-use trrip_core::{RripTable, RrpvSet, RrpvWidth, SrripCore};
+use trrip_core::{RripTable, RrpvWidth, SrripCore};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::{ReplacementPolicy, RequestInfo};
@@ -18,7 +18,7 @@ use crate::{ReplacementPolicy, RequestInfo};
 ///
 /// let mut srrip = Srrip::new(16, 8, RrpvWidth::W2);
 /// let req = RequestInfo::ifetch(0x40);
-/// let victim = srrip.choose_victim(0, &req, &[0, 1, 2, 3, 4, 5, 6, 7]);
+/// let victim = srrip.choose_victim(0, &req);
 /// srrip.on_fill(0, victim, &req);
 /// ```
 #[derive(Debug, Clone)]
@@ -38,24 +38,6 @@ impl Srrip {
     pub fn new(sets: usize, ways: usize, width: RrpvWidth) -> Srrip {
         Srrip { sets: RripTable::new(sets, ways, width), core: SrripCore::new(width), width }
     }
-
-    /// Chooses a victim restricted to `candidates` using the common RRIP
-    /// mechanism: repeatedly age until a candidate is distant.
-    pub(crate) fn rrip_victim<S: RrpvSet + ?Sized>(
-        set: &mut S,
-        width: RrpvWidth,
-        candidates: &[usize],
-    ) -> usize {
-        loop {
-            if let Some(&way) = candidates.iter().find(|&&way| set.rrpv(way).is_distant(width)) {
-                return way;
-            }
-            for way in 0..set.ways() {
-                let aged = set.rrpv(way).aged(width);
-                set.set_rrpv(way, aged);
-            }
-        }
-    }
 }
 
 impl ReplacementPolicy for Srrip {
@@ -67,8 +49,8 @@ impl ReplacementPolicy for Srrip {
         self.core.on_hit(&mut self.sets.set_mut(set), way);
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
-        Srrip::rrip_victim(&mut self.sets.set_mut(set), self.width, candidates)
+    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
+        self.sets.set_mut(set).find_victim()
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _req: &RequestInfo) {
@@ -105,21 +87,8 @@ mod tests {
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req);
         // Way 0 is immediate: a victim scan must not pick it before others.
-        let v = p.choose_victim(0, &req, &[0, 1, 2, 3]);
+        let v = p.choose_victim(0, &req);
         assert_ne!(v, 0);
-    }
-
-    #[test]
-    fn victim_restricted_to_candidates_even_after_aging() {
-        let w = RrpvWidth::W2;
-        let mut p = Srrip::new(1, 4, w);
-        let req = RequestInfo::ifetch(0);
-        for way in 0..4 {
-            p.on_fill(0, way, &req);
-            p.on_hit(0, way, &req); // all immediate
-        }
-        let v = p.choose_victim(0, &req, &[2]);
-        assert_eq!(v, 2);
     }
 
     #[test]
@@ -130,8 +99,8 @@ mod tests {
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req); // way0 immediate
         p.on_fill(0, 1, &req); // way1 intermediate
-                               // Choosing among way1 only: ages set until way1 distant (1 step).
-        let v = p.choose_victim(0, &req, &[1]);
+                               // Nothing distant: ages set until way1 is (1 step).
+        let v = p.choose_victim(0, &req);
         assert_eq!(v, 1);
         // Way 0 aged from immediate to near as a side effect.
         assert_eq!(p.sets.rrpv(0, 0), Rrpv::near());

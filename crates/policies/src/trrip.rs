@@ -6,10 +6,9 @@
 //! arrives with each access and influences only the RRPV written at that
 //! moment, so the per-line overhead is exactly the baseline RRPV bits.
 
-use trrip_core::{RripTable, RrpvSet, RrpvWidth, TrripPolicy, TrripVariant};
+use trrip_core::{RripTable, RrpvWidth, TrripPolicy, TrripVariant};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::srrip::Srrip;
 use crate::{ReplacementPolicy, RequestInfo};
 
 /// TRRIP replacement over per-set RRPV arrays.
@@ -22,7 +21,7 @@ use crate::{ReplacementPolicy, RequestInfo};
 ///
 /// let mut trrip = Trrip::new(64, 8, TrripVariant::V1, RrpvWidth::W2);
 /// let hot = RequestInfo::ifetch(0x40).with_temperature(Some(Temperature::Hot));
-/// let victim = trrip.choose_victim(0, &hot, &[0, 1, 2, 3, 4, 5, 6, 7]);
+/// let victim = trrip.choose_victim(0, &hot);
 /// trrip.on_fill(0, victim, &hot); // inserted at immediate re-reference
 /// ```
 #[derive(Debug, Clone)]
@@ -76,9 +75,9 @@ impl ReplacementPolicy for Trrip {
         self.policy.on_hit(&mut self.sets.set_mut(set), way, Trrip::effective_temperature(req));
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo, candidates: &[usize]) -> usize {
+    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
         // Eviction is untouched RRIP (Algorithm 1 line 14).
-        Srrip::rrip_victim(&mut self.sets.set_mut(set), self.width, candidates)
+        self.sets.set_mut(set).find_victim()
     }
 
     fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo) {
@@ -108,6 +107,7 @@ impl ReplacementPolicy for Trrip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::srrip::Srrip;
     use trrip_core::{Rrpv, Temperature};
 
     fn hot_fetch(pc: u64) -> RequestInfo {
@@ -120,14 +120,13 @@ mod tests {
         // regularly survives a stream of data fills through its set,
         // where SRRIP would age it out.
         let mut trrip = Trrip::new(1, 4, TrripVariant::V1, RrpvWidth::W2);
-        let all = [0usize, 1, 2, 3];
         let hot = hot_fetch(0x100);
-        let v = trrip.choose_victim(0, &hot, &all);
+        let v = trrip.choose_victim(0, &hot);
         trrip.on_fill(0, v, &hot);
         let hot_way = v;
         for i in 0..32 {
             let data = RequestInfo::data_load(0x9000 + i * 64);
-            let victim = trrip.choose_victim(0, &data, &all);
+            let victim = trrip.choose_victim(0, &data);
             assert_ne!(victim, hot_way, "hot line evicted at iteration {i}");
             trrip.on_fill(0, victim, &data);
             trrip.on_hit(0, hot_way, &hot);
@@ -147,11 +146,10 @@ mod tests {
         let mut trrip = Trrip::new(1, 4, TrripVariant::V2, RrpvWidth::W2);
         let mut srrip = Srrip::new(1, 4, RrpvWidth::W2);
         let req = RequestInfo::ifetch(0x40);
-        let all = [0usize, 1, 2, 3];
         for i in 0..64 {
             let r = RequestInfo::ifetch(0x40 + (i % 8) * 64);
-            let vt = trrip.choose_victim(0, &r, &all);
-            let vs = srrip.choose_victim(0, &r, &all);
+            let vt = trrip.choose_victim(0, &r);
+            let vs = srrip.choose_victim(0, &r);
             assert_eq!(vt, vs);
             trrip.on_fill(0, vt, &r);
             srrip.on_fill(0, vs, &r);

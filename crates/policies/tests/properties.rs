@@ -3,7 +3,7 @@
 
 use proptest::prelude::*;
 use trrip_core::Temperature;
-use trrip_policies::{PolicyKind, RequestInfo};
+use trrip_policies::{Emissary, PolicyKind, ReplacementPolicy, RequestInfo};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -55,27 +55,20 @@ fn arb_request() -> impl Strategy<Value = RequestInfo> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// The victim returned by any policy is always one of the candidates,
-    /// for arbitrary candidate subsets and interleaved operations.
+    /// The victim returned by any policy is always a way of the set, for
+    /// arbitrary interleaved operations.
     #[test]
-    fn victim_is_always_a_candidate(
+    fn victim_is_always_a_way_of_the_set(
         kind in arb_policy(),
         ops in prop::collection::vec((arb_op(8, 4), arb_request()), 1..200),
-        candidate_mask in 1u8..16,
     ) {
         let mut policy = kind.build(8, 4);
-        let candidates: Vec<usize> =
-            (0..4).filter(|i| candidate_mask & (1 << i) != 0).collect();
         for (op, req) in ops {
             match op {
                 Op::Hit { set, way } => policy.on_hit(set, way, &req),
                 Op::MissFill { set } => {
-                    let victim = policy.choose_victim(set, &req, &candidates);
-                    prop_assert!(
-                        candidates.contains(&victim),
-                        "{}: victim {victim} not in {candidates:?}",
-                        kind.name()
-                    );
+                    let victim = policy.choose_victim(set, &req);
+                    prop_assert!(victim < 4, "{}: victim {victim} of 4 ways", kind.name());
                     policy.on_evict(set, victim);
                     policy.on_fill(set, victim, &req);
                 }
@@ -93,13 +86,12 @@ proptest! {
     ) {
         let run = |ops: &[(Op, RequestInfo)]| -> Vec<usize> {
             let mut policy = kind.build(4, 4);
-            let candidates: Vec<usize> = (0..4).collect();
             let mut victims = Vec::new();
             for (op, req) in ops {
                 match *op {
                     Op::Hit { set, way } => policy.on_hit(set, way, req),
                     Op::MissFill { set } => {
-                        let v = policy.choose_victim(set, req, &candidates);
+                        let v = policy.choose_victim(set, req);
                         victims.push(v);
                         policy.on_evict(set, v);
                         policy.on_fill(set, v, req);
@@ -122,15 +114,13 @@ proptest! {
         warmup in prop::collection::vec((arb_op(8, 4), arb_request()), 0..150),
         probe in prop::collection::vec((arb_op(8, 4), arb_request()), 1..150),
     ) {
-        let drive = |policy: &mut dyn trrip_policies::ReplacementPolicy,
-                     ops: &[(Op, RequestInfo)]| {
-            let candidates: Vec<usize> = (0..4).collect();
+        let drive = |policy: &mut dyn ReplacementPolicy, ops: &[(Op, RequestInfo)]| {
             let mut victims = Vec::new();
             for (op, req) in ops {
                 match op {
                     Op::Hit { set, way } => policy.on_hit(*set, *way, req),
                     Op::MissFill { set } => {
-                        let v = policy.choose_victim(*set, req, &candidates);
+                        let v = policy.choose_victim(*set, req);
                         victims.push(v);
                         policy.on_evict(*set, v);
                         policy.on_fill(*set, v, req);
@@ -185,14 +175,13 @@ proptest! {
         fills in 1usize..32,
     ) {
         let mut policy = kind.build(1, 4);
-        let candidates: Vec<usize> = (0..4).collect();
         let hot = RequestInfo::ifetch(0x40).with_temperature(Some(Temperature::Hot));
-        let protected = policy.choose_victim(0, &hot, &candidates);
+        let protected = policy.choose_victim(0, &hot);
         policy.on_fill(0, protected, &hot);
         policy.on_hit(0, protected, &hot);
         for i in 0..fills {
             let req = RequestInfo::data_load(0x4000 + i as u64 * 64);
-            let v = policy.choose_victim(0, &req, &candidates);
+            let v = policy.choose_victim(0, &req);
             prop_assert_ne!(
                 v, protected,
                 "{}: evicted the continuously-hit line at fill {}", kind.name(), i
@@ -202,4 +191,54 @@ proptest! {
             policy.on_hit(0, protected, &hot);
         }
     }
+}
+
+/// EMISSARY's two arms, ties included. While at most `reserved` lines
+/// of a set hold priority and some line does not, the victim is the
+/// least recently touched line *without* priority; otherwise protection
+/// collapses — plain LRU over the whole set, and the set's priority bits
+/// clear. Among equally old lines the lowest way goes, in both arms.
+#[test]
+fn emissary_arms_and_their_ties() {
+    let plain = RequestInfo::ifetch(0x40);
+    let starved = RequestInfo::ifetch(0x80).with_starvation();
+    let priority_of = |p: &Emissary, set| [0, 1, 2, 3].map(|way| p.is_priority(set, way));
+
+    // Arm one: way 0 is the oldest line but holds priority; of the
+    // others, way 2 was touched longest ago.
+    let mut p = Emissary::new(2, 4, 2);
+    p.on_fill(0, 0, &starved);
+    for way in [2, 3, 1] {
+        p.on_fill(0, way, &plain);
+    }
+    assert_eq!(p.choose_victim(0, &plain), 2);
+    assert_eq!(priority_of(&p, 0), [true, false, false, false], "arm one clears nothing");
+    // Arm one, tied: ways 1 and 3 invalidated, both as old as can be.
+    p.on_invalidate(0, 3);
+    p.on_invalidate(0, 1);
+    assert_eq!(p.choose_victim(0, &plain), 1);
+
+    // Arm two, reservation exceeded: three priority lines against two
+    // reserved. The oldest line goes though it holds priority.
+    for way in [1, 0, 2] {
+        p.on_fill(1, way, &starved);
+    }
+    p.on_fill(1, 3, &plain);
+    assert_eq!(p.choose_victim(1, &plain), 1);
+    assert_eq!(priority_of(&p, 1), [false; 4], "the epoch starts over");
+    assert_eq!(priority_of(&p, 0), [true, false, false, false], "…in that set alone");
+    // Arm two, tied: ways 0 and 1 never touched, ways 2 and 3 priority
+    // against one reserved.
+    let mut p = Emissary::new(1, 4, 1);
+    p.on_fill(0, 3, &starved);
+    p.on_fill(0, 2, &starved);
+    assert_eq!(p.choose_victim(0, &plain), 0);
+    assert_eq!(priority_of(&p, 0), [false; 4]);
+    // Arm two with the reservation honoured but nothing unprotected.
+    let mut p = Emissary::new(1, 4, 4);
+    for way in [3, 0, 1, 2] {
+        p.on_fill(0, way, &starved);
+    }
+    assert_eq!(p.choose_victim(0, &plain), 3);
+    assert_eq!(priority_of(&p, 0), [false; 4]);
 }

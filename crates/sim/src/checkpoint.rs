@@ -81,14 +81,12 @@ use crate::system::SimRun;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v7. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
-/// 64 KiB block the best of RLE / delta-pack / LZ / raw, each block
-/// tagged with its codec and the checksum of its *uncompressed* bytes,
-/// so the kind-aware choice (RLE for valid/dirty/instr bitmaps, delta
-/// for sorted tag arrays, LZ for the rest) falls out of per-block
-/// selection. Every container is a fast-forward-boundary state, and a
-/// shared prefix is keyed by what a frontend reads alone.
-pub const VERSION: u16 = 7;
+/// v8. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
+/// 64 KiB block LZ, or raw where LZ does not shrink it, each block
+/// tagged with its codec and the checksum of its *uncompressed* bytes.
+/// Every container is a fast-forward-boundary state, and a shared prefix
+/// is keyed by what a frontend reads alone.
+pub const VERSION: u16 = 8;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -324,9 +322,8 @@ pub fn write_checkpoint_kind(
     let mut body = SnapWriter::new();
     body.u8(kind.as_u8());
     meta.save(&mut body);
-    // The snapshot payload rests as a checksummed pack stream —
-    // per-block codec selection gives bitmaps RLE, sorted tag arrays
-    // delta, and everything else LZ (or raw when incompressible).
+    // The snapshot payload rests as a checksummed pack stream: LZ per
+    // block, raw when incompressible.
     body.bytes_field(&trrip_pack::pack_stream(payload));
     let body = body.into_bytes();
     let mut checksum = Checksum::new();

@@ -676,11 +676,19 @@ mod tests {
     fn simulation_runs_and_counts_instructions() {
         let w = quick_workload();
         let config = SimConfig::quick(PolicyKind::Srrip);
+        let before = trrip_obs::snapshot();
         let r = simulate(&w, &config);
+        let moved = trrip_obs::snapshot().since(&before);
         assert_eq!(r.core.instructions, config.instructions);
         assert!(r.core.cycles > 0.0);
         assert!(r.core.ipc() > 0.1 && r.core.ipc() < 6.0, "ipc {}", r.core.ipc());
         assert!(r.l2.demand_accesses() > 0);
+        // The L1 fast path is exercised — both sides of it — and takes
+        // most accesses.
+        let (hits, bails) =
+            (moved.get("cache.l1_fastpath_hit"), moved.get("cache.l1_fastpath_bail"));
+        assert!(bails > 0, "no L1 fast-path bails recorded");
+        assert!(hits > bails, "L1 fast path took {hits} of {} accesses", hits + bails);
     }
 
     #[test]

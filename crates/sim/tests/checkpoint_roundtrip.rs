@@ -8,7 +8,8 @@ use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
     read_checkpoint, simulate, warmup_config_hash, write_checkpoint_kind, CheckpointError,
-    CheckpointStore, PreparedWorkload, SimConfig, SimResult, SimRun,
+    CheckpointStore, PreparedWorkload, SimConfig, SimResult, SimRun, SnapReader, SnapWriter,
+    Snapshot,
 };
 use trrip_snap::corrupt;
 use trrip_trace::SourceIter;
@@ -79,6 +80,16 @@ fn restore_then_measure_is_bit_identical_for_every_policy() {
         let mut stream = walker(&w, &config);
         cold.fast_forward(&mut stream);
         store.save(&cold).expect("save checkpoint");
+
+        // The machine state is a fixed point of save → restore → save.
+        let mut first = SnapWriter::new();
+        cold.save(&mut first);
+        let mut restored = SimRun::new(&w, &config);
+        restored.restore(&mut SnapReader::new(first.bytes())).expect("restore machine state");
+        let mut second = SnapWriter::new();
+        restored.save(&mut second);
+        assert_eq!(first.bytes(), second.bytes(), "{policy}: snapshot round-trip drifted");
+
         let cold_result = cold.measure(&mut stream);
         assert_identical(&uninterrupted, &cold_result, &format!("{policy} cold"));
 
@@ -357,10 +368,9 @@ fn checkpointed_sweep_matches_other_engines() {
 
 // ---- container robustness on arbitrary section shapes ----
 
-/// Payloads shaped like real snapshot sections: noise (raw / LZ),
-/// byte runs (the RLE shape of valid/dirty/instr bitmaps), and sorted
-/// stride-64 word arrays (the delta shape of tag stores) — so the
-/// proptest drives every codec the pack stream can pick.
+/// Payloads shaped like real snapshot sections: noise (raw), byte runs
+/// (bitmaps) and sorted stride-64 word arrays (tag stores) — so the
+/// proptest drives both codecs the pack stream can pick.
 fn arb_section_payload() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(
         prop_oneof![

@@ -3,8 +3,8 @@
 //! **miss**: not decoded, not damage, not reported — counted `ckpt.miss`,
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
-//! a checkpoint store whose every file (prefix, overlays) says version 6
-//! and a trace that says version 2 make the next `replay_sweep` do what
+//! a checkpoint store whose every file (prefix, overlays) says version 7
+//! and a trace that says version 3 make the next `replay_sweep` do what
 //! it does over empty stores — to the same bits, leaving current files
 //! behind.
 //!
@@ -112,8 +112,8 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(current, (trrip_sim::checkpoint::VERSION, trrip_trace::format::VERSION));
 
     // ---- the pushed sweep over stores of the previous versions ----
-    assert_eq!(stamp_all(&ckpts, 6), files);
-    corrupt::set_bytes(&trace, VERSION_OFFSET, &2u16.to_le_bytes());
+    assert_eq!(stamp_all(&ckpts, 7), files);
+    corrupt::set_bytes(&trace, VERSION_OFFSET, &3u16.to_le_bytes());
     assert!(!traces.has(&workloads[0], &config), "a trace of another version reads as absent");
     let (again, moved) = moved_by(pushed);
     assert_sweep(&again, &oracle, "pushed sweep over stale stores");

@@ -81,9 +81,9 @@ pub const MAGIC: [u8; 8] = *b"TRRIPTRC";
 pub const INDEX_MAGIC: [u8; 8] = *b"TRRIPIDX";
 /// Header `flags` bit: the file ends with a chunk-index footer.
 pub const FLAG_CHUNK_INDEX: u8 = 1 << 0;
-/// The format version, and the only one the reader accepts: v3, v2's
-/// per-chunk compressed columnar payloads without its header dictionary.
-pub const VERSION: u16 = 3;
+/// The format version, and the only one the reader accepts: v4,
+/// per-chunk columnar payloads, each LZ-compressed or raw.
+pub const VERSION: u16 = 4;
 /// Bytes of a chunk frame (`record_count:u32 comp_len:u32 raw_len:u32
 /// codec:u8`).
 pub const CHUNK_FRAME_LEN: usize = 13;

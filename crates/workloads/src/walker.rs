@@ -61,35 +61,7 @@ struct Frame {
     return_pc: Option<VirtAddr>,
 }
 
-/// Memoized expansion state of one basic block under one placement: the
-/// per-visit invariants of the `step` body — decoded block properties,
-/// the block's placed base address and layout successor, and the
-/// (shifted, clamped) successor weights whose derivation is the
-/// expensive part of `choose_successor`.
-///
-/// The key is `(function, block)` **plus placement**: a generator is
-/// constructed for one `(program, object)` pair, so the placement
-/// component is fixed for its lifetime and the cache never needs
-/// invalidation. Per-visit randomness (successor draw, memory/stall
-/// samples, scan cursors, stack depth) is *not* cached — the memoized
-/// path performs exactly the same RNG draws in exactly the same order
-/// as fresh expansion, which is what keeps traces byte-identical
-/// (pinned by `tests/walker_memoization.rs`).
-#[derive(Debug, Clone)]
-struct BlockTemplate {
-    info: BlockInfo,
-    /// Successor block ids, in CFG order.
-    successors: Vec<usize>,
-    /// Input-shifted, clamped edge weights, aligned with `successors`.
-    weights: Vec<f64>,
-    weights_total: f64,
-    has_exit_successor: bool,
-    exit_block: usize,
-}
-
-/// The per-visit scalar facts the emission body needs about a block —
-/// computed fresh from `program`/`object` or copied out of a
-/// [`BlockTemplate`].
+/// The per-visit scalar facts the emission body needs about a block.
 #[derive(Debug, Clone, Copy)]
 struct BlockInfo {
     addr: VirtAddr,
@@ -139,19 +111,9 @@ pub struct TraceGenerator<'a> {
     cold_ring: Vec<u64>,
     cold_ring_pos: usize,
     blocks_in_invocation: u32,
-    /// Basic-block expansion memo, `[fid][block]`, filled on first
-    /// visit. Skipped entirely (left empty) when `memoize` is off, so
-    /// the fresh path stays the unchanged oracle.
-    templates: Vec<Vec<Option<BlockTemplate>>>,
-    memoize: bool,
-    /// Memo hit/miss tallies, published as `walk.bb_memo.{hit,miss}`
-    /// when the generator drops (plain fields on the hot path, same
-    /// discipline as the simulator's fast-path counters).
-    memo_hits: u64,
-    memo_misses: u64,
     /// Instructions generated so far, tallied per block; what was handed
     /// out (this less what is still `pending`) is published as
-    /// `walk.instrs` with the memo tallies — the count that says how
+    /// `walk.instrs` when the generator drops — the count that says how
     /// often a sweep walked.
     emitted: u64,
 }
@@ -190,27 +152,8 @@ impl<'a> TraceGenerator<'a> {
             cold_ring: Vec::with_capacity(COLD_RING_ENTRIES),
             cold_ring_pos: 0,
             blocks_in_invocation: 0,
-            templates: program.functions.iter().map(|f| vec![None; f.blocks.len()]).collect(),
-            memoize: true,
-            memo_hits: 0,
-            memo_misses: 0,
             emitted: 0,
         }
-    }
-
-    /// Enables or disables basic-block memoization (on by default). The
-    /// fresh-expansion path is retained verbatim as the equivalence
-    /// oracle; both paths draw from the RNG identically, so traces are
-    /// byte-identical either way.
-    pub fn set_memoization(&mut self, enabled: bool) {
-        self.memoize = enabled;
-    }
-
-    /// Memo `(hits, misses)` so far — misses count first visits that
-    /// built a template.
-    #[must_use]
-    pub fn memo_counts(&self) -> (u64, u64) {
-        (self.memo_hits, self.memo_misses)
     }
 
     /// Consumes the generator and returns the collected basic-block
@@ -262,20 +205,19 @@ impl<'a> TraceGenerator<'a> {
             return Some(exit_block);
         }
         let shift = if self.input == InputSet::Eval { self.spec.input_shift } else { 0.0 };
-        let weights: Vec<f64> = blk
-            .successors
-            .iter()
-            .map(|&(s, p)| {
-                let h = hash01(fid as u64, (block * 131 + s) as u64, self.spec.eval_seed);
-                (p + shift * (h - 0.5) * 2.0).clamp(0.02, 0.98)
-            })
-            .collect();
-        let total: f64 = weights.iter().sum();
+        let eval_seed = self.spec.eval_seed;
+        let weight = |&(s, p): &(usize, f64)| {
+            let h = hash01(fid as u64, (block * 131 + s) as u64, eval_seed);
+            (p + shift * (h - 0.5) * 2.0).clamp(0.02, 0.98)
+        };
+        // Two passes over the edges, no vector: sum the weights, draw
+        // once, then subtract the same weights in the same order.
+        let total: f64 = blk.successors.iter().map(weight).sum();
         let mut draw = self.rng.gen::<f64>() * total;
-        for (i, w) in weights.iter().enumerate() {
-            draw -= w;
+        for edge in &blk.successors {
+            draw -= weight(edge);
             if draw <= 0.0 {
-                return Some(blk.successors[i].0);
+                return Some(edge.0);
             }
         }
         Some(blk.successors[blk.successors.len() - 1].0)
@@ -484,13 +426,7 @@ impl<'a> TraceGenerator<'a> {
                 self.profile.record(fid, block);
                 self.blocks_in_invocation += 1;
 
-                let (info, successor) = if self.memoize {
-                    self.ensure_template(fid, block);
-                    let info = self.templates[fid][block].as_ref().expect("template built").info;
-                    (info, self.choose_successor_memo(fid, block))
-                } else {
-                    (self.block_info_fresh(fid, block), self.choose_successor(fid, block))
-                };
+                let successor = self.choose_successor(fid, block);
                 let BlockInfo {
                     addr,
                     n,
@@ -503,7 +439,7 @@ impl<'a> TraceGenerator<'a> {
                     call: block_call,
                     successor_count,
                     fallthrough,
-                } = info;
+                } = self.block_info(fid, block);
 
                 let need_term = is_ret_block
                     || dispatch
@@ -620,9 +556,9 @@ impl<'a> TraceGenerator<'a> {
         }
     }
 
-    /// Reads the block's per-visit scalar facts directly from the
-    /// program/object — the unmemoized oracle path.
-    fn block_info_fresh(&self, fid: usize, block: usize) -> BlockInfo {
+    /// Reads the block's per-visit scalar facts from the program and the
+    /// object.
+    fn block_info(&self, fid: usize, block: usize) -> BlockInfo {
         let blk = &self.program.functions[fid].blocks[block];
         BlockInfo {
             addr: self.object.block_addrs[fid][block],
@@ -637,58 +573,6 @@ impl<'a> TraceGenerator<'a> {
             successor_count: blk.successors.len(),
             fallthrough: self.object.layout_next[fid][block],
         }
-    }
-
-    /// Builds the block's [`BlockTemplate`] on first visit (a memo
-    /// miss); later visits are hits.
-    fn ensure_template(&mut self, fid: usize, block: usize) {
-        if self.templates[fid][block].is_some() {
-            self.memo_hits += 1;
-            return;
-        }
-        self.memo_misses += 1;
-        let info = self.block_info_fresh(fid, block);
-        let blk = &self.program.functions[fid].blocks[block];
-        let exit_block = self.program.functions[fid].blocks.len() - 1;
-        let shift = if self.input == InputSet::Eval { self.spec.input_shift } else { 0.0 };
-        let weights: Vec<f64> = blk
-            .successors
-            .iter()
-            .map(|&(s, p)| {
-                let h = hash01(fid as u64, (block * 131 + s) as u64, self.spec.eval_seed);
-                (p + shift * (h - 0.5) * 2.0).clamp(0.02, 0.98)
-            })
-            .collect();
-        self.templates[fid][block] = Some(BlockTemplate {
-            info,
-            successors: blk.successors.iter().map(|&(s, _)| s).collect(),
-            weights_total: weights.iter().sum(),
-            weights,
-            has_exit_successor: blk.successors.iter().any(|&(s, _)| s == exit_block),
-            exit_block,
-        });
-    }
-
-    /// The memoized twin of [`TraceGenerator::choose_successor`]: the
-    /// same decision procedure and the same single RNG draw per choice,
-    /// with the weight derivation (per-edge hash, shift, clamp, vector
-    /// build) served from the template instead of recomputed per visit.
-    fn choose_successor_memo(&mut self, fid: usize, block: usize) -> Option<usize> {
-        let tmpl = self.templates[fid][block].as_ref().expect("template built");
-        if tmpl.successors.is_empty() {
-            return None;
-        }
-        if self.blocks_in_invocation > INVOCATION_BLOCK_CAP && tmpl.has_exit_successor {
-            return Some(tmpl.exit_block);
-        }
-        let mut draw = self.rng.gen::<f64>() * tmpl.weights_total;
-        for (i, w) in tmpl.weights.iter().enumerate() {
-            draw -= w;
-            if draw <= 0.0 {
-                return Some(tmpl.successors[i]);
-            }
-        }
-        Some(tmpl.successors[tmpl.successors.len() - 1])
     }
 
     fn resolve_callee(&mut self, fid: usize, target: CallTarget) -> Option<usize> {
@@ -722,12 +606,6 @@ impl<'a> TraceGenerator<'a> {
 
 impl Drop for TraceGenerator<'_> {
     fn drop(&mut self) {
-        if self.memo_hits > 0 {
-            trrip_obs::counter!("walk.bb_memo.hit").add(self.memo_hits);
-        }
-        if self.memo_misses > 0 {
-            trrip_obs::counter!("walk.bb_memo.miss").add(self.memo_misses);
-        }
         let handed_out = self.emitted - self.pending.len() as u64;
         if handed_out > 0 {
             trrip_obs::counter!("walk.instrs").add(handed_out);

@@ -3,8 +3,75 @@
 //! spec parameters.
 
 use proptest::prelude::*;
-use trrip_compiler::Linker;
-use trrip_workloads::{build_program, InputSet, TraceGenerator, WorkloadSpec};
+use trrip_compiler::{classify_functions, Linker};
+use trrip_core::ClassifierConfig;
+use trrip_cpu::{BranchKind, StallClass, TraceInstr};
+use trrip_workloads::{build_program, proxy, InputSet, TraceGenerator, WorkloadSpec};
+
+fn fnv1a(hash: u64, word: u64) -> u64 {
+    word.to_le_bytes().iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
+}
+
+/// FNV-1a over `(pc, branch, mem, exec_stall)`, every field spelled out
+/// so the digest depends on no derive and no in-memory layout.
+fn fnv1a_instr(hash: u64, instr: &TraceInstr) -> u64 {
+    let kind = |k| match k {
+        BranchKind::Conditional => 1,
+        BranchKind::Direct => 2,
+        BranchKind::Indirect => 3,
+        BranchKind::Call => 4,
+        BranchKind::IndirectCall => 5,
+        BranchKind::Return => 6,
+    };
+    let class = |c| match c {
+        StallClass::Ifetch => 1,
+        StallClass::Mispred => 2,
+        StallClass::Depend => 3,
+        StallClass::Issue => 4,
+        StallClass::Mem => 5,
+        StallClass::Other => 6,
+    };
+    let words = [
+        instr.pc.raw(),
+        instr.branch.map_or(0, |b| kind(b.kind) | u64::from(b.taken) << 8),
+        instr.branch.map_or(0, |b| b.target.raw()),
+        instr.mem.map_or(0, |m| 1 | u64::from(m.store) << 8),
+        instr.mem.map_or(0, |m| m.addr.raw()),
+        instr.exec_stall.map_or(0, |(c, cycles)| class(c) | u64::from(cycles) << 8),
+    ];
+    words.iter().fold(hash, |h, &w| fnv1a(h, w))
+}
+
+/// The walk did not move. Train, classify and relink as `prepare` does,
+/// then hash the first 50 000 eval instructions under the PGO placement.
+/// The constants were recorded from the commit before the basic-block
+/// memo was deleted, with the memo on: this test took over from the
+/// memo-vs-fresh twin suites as the guard on the stream.
+#[test]
+fn eval_stream_under_pgo_placement_is_pinned() {
+    const TRAIN: usize = 200_000;
+    const EVAL: usize = 50_000;
+    for (name, stream, train_blocks, eval_blocks) in
+        [("gcc", 0xb3da_efd9_6bd0_6291, 5213, 913), ("sqlite", 0xca0d_9d3b_33b8_37d9, 4717, 904)]
+    {
+        let spec = proxy::by_name(name).expect("calibrated spec");
+        let program = build_program(&spec);
+        let linker = Linker::new();
+        let plain = linker.link_source_order(&program);
+        let mut trainer = TraceGenerator::new(&program, &plain, &spec, InputSet::Train);
+        assert_eq!(trainer.by_ref().take(TRAIN).count(), TRAIN);
+        let profile = trainer.into_profile();
+        assert_eq!(profile.total(), train_blocks, "{name}: training profile moved");
+        let temps = classify_functions(&program, &profile, ClassifierConfig::llvm_defaults());
+        let pgo = linker.link_pgo(&program, &profile, &temps);
+
+        let mut walker = TraceGenerator::new(&program, &pgo, &spec, InputSet::Eval);
+        let hash =
+            walker.by_ref().take(EVAL).fold(0xcbf2_9ce4_8422_2325, |h, i| fnv1a_instr(h, &i));
+        assert_eq!(hash, stream, "{name}: eval stream moved ({hash:#018x})");
+        assert_eq!(walker.into_profile().total(), eval_blocks, "{name}: eval profile moved");
+    }
+}
 
 fn arb_spec() -> impl Strategy<Value = WorkloadSpec> {
     (

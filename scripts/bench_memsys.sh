@@ -1,21 +1,17 @@
 #!/usr/bin/env sh
-# Measures the memory system under the core: warm measure-path ns/instr
-# (SoA tag stores + L1-hit fast path + memoized walker), the L1
-# fast-path hit rate, the walker-memo counter traffic, the sweep's cell
-# loop on gcc in lockstep groups of 1, 2, 5 and 9 (ns per
-# cell-instruction, and exec.cell_records / exec.turn_records) and
-# cold-capture throughput — and appends the run to BENCH_memsys.json at
-# the repo root. Run it from anywhere; pass extra harness flags through
+# Measures the sweep's cell loop: proxy gcc digested into event turns
+# once, then pushed through lockstep groups of 1, 2, 5 and 9 policy
+# cells (ns per cell-instruction, and exec.cell_records /
+# exec.turn_records) — and appends the run to BENCH_memsys.json at the
+# repo root. Run it from anywhere; pass extra harness flags through
 # (e.g. --scale 4).
 #
 #   scripts/bench_memsys.sh [harness flags...]
-#   scripts/bench_memsys.sh --ablate   also append a `fresh-walker`
-#                                      (template cache off) entry
 #
-# The JSON is an array of run objects, each labeled with its `variant`;
-# every PR that touches the cache stores, the backend, the event loop
-# or the walker should append a fresh entry so regressions are visible
-# in review.
+# The JSON is an array of run objects of one shape; every PR that
+# touches the cache stores, the backend or the event loop should append
+# a fresh entry so regressions are visible in review. Every other
+# per-layer figure is benchmark/run.sh's.
 set -eu
 
 repo_root=$(CDPATH= cd -- "$(dirname -- "$0")/.." && pwd)
