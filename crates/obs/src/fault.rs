@@ -244,10 +244,7 @@ macro_rules! fault {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    // The fault table is process-global; tests that arm it must not
-    // interleave.
-    static SERIAL: Mutex<()> = Mutex::new(());
+    use crate::journal::test_serial;
 
     #[test]
     fn parse_rejects_malformed_clauses_with_named_errors() {
@@ -267,7 +264,7 @@ mod tests {
 
     #[test]
     fn nth_hit_triggers_exactly_once_and_deterministically() {
-        let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _serial = test_serial();
         assert_eq!(arm("unit.point=corrupt@3").expect("arm"), 1);
         assert_eq!(check("unit.point"), None, "hit 1 must not trigger");
         assert_eq!(check("unit.point"), None, "hit 2 must not trigger");
@@ -280,7 +277,7 @@ mod tests {
 
     #[test]
     fn truncate_and_corrupt_mutate_the_artifact() {
-        let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _serial = test_serial();
         let path =
             std::env::temp_dir().join(format!("trrip-obs-fault-artifact-{}", std::process::id()));
         std::fs::write(&path, b"0123456789").expect("fixture");
@@ -303,7 +300,7 @@ mod tests {
 
     #[test]
     fn multi_clause_specs_arm_every_point() {
-        let _serial = SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner);
+        let _serial = test_serial();
         let n = arm("a=kill; b=corrupt@2 ;; c=truncate:1").expect("arm");
         assert_eq!(n, 3);
         assert_eq!(arm("").expect("empty spec disarms"), 0);

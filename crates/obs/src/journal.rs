@@ -214,6 +214,18 @@ macro_rules! progress {
     };
 }
 
+/// Held by every in-crate test that opens the journal or emits an
+/// event (`fault.rs`'s tests, which fire `fault_fired`, included — they
+/// also share the process-global fault table): the journal is
+/// process-global and `cargo test` runs tests on parallel threads, so an
+/// event one test emits between another's `init` and `close` lands in
+/// that test's journal and moves its counts.
+#[cfg(test)]
+pub(crate) fn test_serial() -> std::sync::MutexGuard<'static, ()> {
+    static SERIAL: Mutex<()> = Mutex::new(());
+    SERIAL.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -224,6 +236,7 @@ mod tests {
 
     #[test]
     fn events_are_valid_json_in_seq_order_and_bounded() {
+        let _serial = test_serial();
         let path = tmp("order");
         init(&path, 5).expect("init journal");
         for i in 0..8u64 {
@@ -251,8 +264,7 @@ mod tests {
 
     #[test]
     fn event_without_journal_is_a_noop() {
-        // No init() in this test; if another test's journal is open the
-        // event is harmless there too.
+        let _serial = test_serial();
         event("ignored", &[("x", Field::Bool(true))]);
     }
 }

@@ -17,9 +17,18 @@
 //! | [`Codec::Raw`] | the input, verbatim | incompressible blocks |
 //! | [`Codec::Lz`] | LZ tokens: `varint lit_len, lits [, varint match_len-4, varint dist]` | everything repetitive |
 //!
-//! The LZ matcher is a greedy hash-chain searcher (4-byte hashes, 64 KiB
-//! window, bounded chain walk) over caller buffers — no internal
-//! allocation survives a call.
+//! The LZ matcher is a greedy hash-chain searcher over caller buffers —
+//! no internal allocation survives a call: 4-byte hashes, a 64 KiB
+//! window, at most 16 candidates per position, each compared eight
+//! bytes at a time (`u64` XOR, the first difference from its trailing
+//! zeros), and LZ4's skip — a literal run of 128 bytes or more advances
+//! `1 + run / 128` positions per probe, so incompressible stretches cost
+//! little. The decoder copies a match as a slice, in rounds when it
+//! overlaps itself. On the `gcc` capture's columnar trace payloads
+//! (3.3 M instructions, 10.8 MB) it packs at about 150 MB/s to 0.542 of
+//! raw and unpacks at about 700 MB/s; the byte-by-byte, 32-deep matcher
+//! before it took 38–47 MB/s for 0.537. The token grammar is the same,
+//! so blocks either one wrote decode with this decoder.
 //!
 //! [`pack_stream`] / [`unpack_stream`] wrap the codecs in a checksummed
 //! block stream for container payloads: each block carries its codec
@@ -45,8 +54,11 @@ const MIN_MATCH: usize = 4;
 const HASH_BITS: u32 = 15;
 /// How far back an LZ match may reach.
 const LZ_WINDOW: usize = 64 * 1024;
-/// Hash-chain walk bound: quality/speed knob of the greedy matcher.
-const MAX_CHAIN: usize = 32;
+/// Hash-chain walk bound of the greedy matcher.
+const MAX_CHAIN: usize = 16;
+/// A literal run this long makes the matcher probe every second
+/// position, twice this long every third, and so on.
+const LITERAL_SKIP: usize = 128;
 /// Block granularity of [`pack_stream`].
 pub const BLOCK_LEN: usize = 64 * 1024;
 /// Upper bound a stream header may claim, so a corrupt length cannot
@@ -81,7 +93,15 @@ fn rd(input: &[u8], pos: &mut usize) -> Result<u64, PackError> {
 /// Reads a varint length that may be at most `max`: a length off disk is
 /// bounded before anything is added to it or sliced by it.
 fn rd_len(input: &[u8], pos: &mut usize, max: usize, what: &str) -> Result<usize, PackError> {
-    let len = rd(input, pos)?;
+    // Most LZ lengths fit one byte: read those without the general
+    // decoder.
+    let len = match input.get(*pos) {
+        Some(&byte) if byte < 0x80 => {
+            *pos += 1;
+            u64::from(byte)
+        }
+        _ => rd(input, pos)?,
+    };
     usize::try_from(len)
         .ok()
         .filter(|&len| len <= max)
@@ -132,6 +152,27 @@ fn hash4(bytes: &[u8]) -> usize {
     (v.wrapping_mul(2_654_435_761) >> (32 - HASH_BITS)) as usize
 }
 
+/// Length of the common prefix of `input[a..]` and `input[b..]`, at
+/// most `limit` (which must keep both inside `input`): eight bytes per
+/// compare, the first differing byte found from the XOR's trailing
+/// zeros (little-endian loads put the lower address in the low byte).
+#[inline]
+fn common_len(input: &[u8], a: usize, b: usize, limit: usize) -> usize {
+    let word = |at: usize| u64::from_le_bytes(*input[at..].first_chunk::<8>().expect("8 bytes"));
+    let mut len = 0;
+    while len + 8 <= limit {
+        let diff = word(a + len) ^ word(b + len);
+        if diff != 0 {
+            return len + (diff.trailing_zeros() / 8) as usize;
+        }
+        len += 8;
+    }
+    while len < limit && input[a + len] == input[b + len] {
+        len += 1;
+    }
+    len
+}
+
 /// LZ-compresses `input` into `out`. Returns false once the encoding
 /// reaches `budget`.
 fn try_lz(input: &[u8], budget: usize, out: &mut Vec<u8>) -> bool {
@@ -156,11 +197,7 @@ fn try_lz(input: &[u8], budget: usize, out: &mut Vec<u8>) -> bool {
             if i - c > LZ_WINDOW {
                 break; // chains are newest-first; the rest is older still
             }
-            let limit = end - i;
-            let mut len = 0;
-            while len < limit && input[c + len] == input[i + len] {
-                len += 1;
-            }
+            let len = common_len(input, c, i, end - i);
             if len > best_len {
                 best_len = len;
                 best_pos = c;
@@ -188,7 +225,10 @@ fn try_lz(input: &[u8], budget: usize, out: &mut Vec<u8>) -> bool {
         } else {
             prev[i] = head[h];
             head[h] = i as u32;
-            i += 1;
+            // LZ4's skip: the longer the run without a match, the
+            // farther the next probe; positions stepped over are not
+            // indexed.
+            i += 1 + (i - lit_start) / LITERAL_SKIP;
         }
         if out.len() >= budget {
             return false;
@@ -225,10 +265,16 @@ fn lz_decompress(input: &[u8], raw_len: usize, out: &mut Vec<u8>) -> Result<(), 
         if match_len > raw_len - out.len() {
             return Err(corrupt("LZ match overflows the block"));
         }
-        // Overlapping copies (dist < match_len) are the RLE-ish case
-        // and must trickle.
-        for src in out.len() - dist..out.len() - dist + match_len {
-            out.push(out[src]);
+        // A match that overlaps itself (dist < match_len) repeats its
+        // first `dist` bytes: copy in rounds, each as long as what the
+        // match has produced so far, so every round reads bytes that
+        // already exist.
+        let start = out.len() - dist;
+        let mut left = match_len;
+        while left > 0 {
+            let n = left.min(out.len() - start);
+            out.extend_from_within(start..start + n);
+            left -= n;
         }
     }
     if pos != input.len() {
@@ -502,10 +548,48 @@ mod tests {
         assert!(decompress(Codec::Lz, &block, 4096, &mut out).is_err());
         let mut block = block_with_match(4, u64::MAX);
         assert!(decompress(Codec::Lz, &block, 4096, &mut out).is_err());
-        // And the same block with a distance it can honour decodes.
+        // And the same block with a distance it can honour decodes —
+        // also when the match overlaps itself, at distances 1 and 3 over
+        // 64 bytes.
         block = block_with_match(4, 4);
         decompress(Codec::Lz, &block, 12, &mut out).expect("a well-formed block");
         assert_eq!(out, b"abcdabcdabcd");
+        for dist in [1, 3] {
+            block = block_with_match(64 - 4 - MIN_MATCH as u64, dist);
+            decompress(Codec::Lz, &block, 64, &mut out).expect("an overlapping match");
+            let mut expected = b"abcd".to_vec();
+            while expected.len() < 64 {
+                expected.push(expected[expected.len() - dist as usize]);
+            }
+            assert_eq!(out, expected, "distance {dist}");
+        }
+    }
+
+    /// The token grammar did not change: a block the previous matcher
+    /// (32-deep chains, byte-by-byte compare, no literal skip) wrote —
+    /// literal runs, a distance-1 run, an overlapping distance-3 match
+    /// and two-byte lengths and distances — still decodes to its input,
+    /// which is what lets checkpoints written before it restore.
+    #[test]
+    fn a_block_the_previous_matcher_wrote_decodes_to_its_input() {
+        let mut input = b"the columnar payload of a trace chunk; ".repeat(3);
+        input.extend([0u8; 300]);
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let noise: Vec<u8> = (0..160)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 7;
+                x ^= x << 17;
+                x as u8
+            })
+            .collect();
+        input.extend_from_slice(&noise);
+        input.extend_from_slice(b"abcabcabcabcabcabcabc");
+        input.extend_from_slice(&noise);
+        let block = include_bytes!("../testdata/lz_v8_block.bin");
+        let mut out = Vec::new();
+        decompress(Codec::Lz, block, input.len(), &mut out).expect("the previous encoder's block");
+        assert_eq!(out, input);
     }
 
     /// `abcd`, then a match of `len + MIN_MATCH` bytes at `dist`.

@@ -294,6 +294,9 @@ impl TraceStore {
         self.matching_meta(&path, &workload.spec.name, config).is_some()
     }
 
+    /// The capture at `path`, if it is one for `config`: `probe` also
+    /// validates the chunk-index footer every replay seeks through, so a
+    /// file of another version or with a damaged footer is absent too.
     fn matching_meta(&self, path: &Path, name: &str, config: &SimConfig) -> Option<TraceMeta> {
         let meta = probe(path).ok()?;
         (meta.name == name
@@ -440,6 +443,14 @@ mod tests {
         assert_eq!(again, path);
         let modified_after = std::fs::metadata(&path).and_then(|m| m.modified()).expect("mtime");
         assert_eq!(modified_before, modified_after);
+
+        // A capture whose chunk-index footer does not validate is
+        // absent, and the next ensure captures over it in place.
+        let len = std::fs::metadata(&path).expect("stat").len() as usize;
+        trrip_snap::corrupt::flip_byte(&path, len - 20, 0xFF);
+        assert!(!store.has(&w, &config), "a damaged footer is a miss");
+        assert_eq!(store.ensure(&w, &config).expect("recapture"), path);
+        assert!(store.has(&w, &config), "…captured over in place");
 
         // A different run length is a different capture.
         let mut longer = config.clone();

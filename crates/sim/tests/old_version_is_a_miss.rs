@@ -4,7 +4,7 @@
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
 //! a checkpoint store whose every file (prefix, overlays) says version 7
-//! and a trace that says version 3 make the next `replay_sweep` do what
+//! and a trace that says version 4 make the next `replay_sweep` do what
 //! it does over empty stores — to the same bits, leaving current files
 //! behind.
 //!
@@ -113,7 +113,7 @@ fn files_of_another_version_are_misses_and_are_written_again() {
 
     // ---- the pushed sweep over stores of the previous versions ----
     assert_eq!(stamp_all(&ckpts, 7), files);
-    corrupt::set_bytes(&trace, VERSION_OFFSET, &3u16.to_le_bytes());
+    corrupt::set_bytes(&trace, VERSION_OFFSET, &4u16.to_le_bytes());
     assert!(!traces.has(&workloads[0], &config), "a trace of another version reads as absent");
     let (again, moved) = moved_by(pushed);
     assert_sweep(&again, &oracle, "pushed sweep over stale stores");

@@ -1,26 +1,20 @@
-//! The chunk-index footer: per-chunk byte offsets, uncompressed payload
-//! lengths and checksum accumulator states, written by
-//! [`crate::TraceWriter`] at finish and consumed by
-//! [`crate::StreamingReplay::open_at`] to turn skip-positioning into a
-//! true `seek`.
+//! The chunk-index footer every trace ends with: per-chunk byte offsets
+//! and checksum accumulator states, written by [`crate::TraceWriter`] at
+//! finish and read by [`crate::StreamingReplay::open_at`] to seek.
 //!
 //! See `crate::format`'s module docs for the byte layout and the
 //! verification semantics (a seek-positioned reader verifies everything
 //! it reads; only the deliberately skipped prefix goes unchecked).
-//! Chunk payloads are compressed: `offset` addresses the compressed
-//! frame, `raw_len` records the uncompressed payload length, and `state`
-//! tracks the checksum over *uncompressed* bytes — a seek lands on a
-//! frame it can decompress and verify exactly as the sequential path
-//! would.
+//! `offset` addresses the compressed frame and `state` the checksum over
+//! columnar payloads — a seek lands on a frame it can decompress and
+//! verify exactly as the sequential path would.
 
-use std::fs::File;
 use std::io::{Read, Seek, SeekFrom};
-use std::path::Path;
 
 use crate::format::{Checksum, TraceError, TraceMeta, INDEX_MAGIC};
 
-/// Bytes of a footer entry (`offset:u64 raw_len:u64 state:u64`).
-const ENTRY_LEN: u64 = 24;
+/// Bytes of a footer entry (`offset:u64 state:u64`).
+const ENTRY_LEN: u64 = 16;
 
 /// One chunk's position in the file and in the checksum stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,9 +22,6 @@ pub struct IndexEntry {
     /// Absolute byte offset of the chunk's frame (its `record_count`
     /// field). The final entry points just past the last chunk.
     pub offset: u64,
-    /// Uncompressed payload length of the chunk; zero for the
-    /// end-of-chunks sentinel.
-    pub raw_len: u64,
     /// The payload checksum's raw accumulator state before this chunk
     /// ([`Checksum::state`]); the final entry holds the end-of-stream
     /// state, whose finalized value is the header checksum.
@@ -70,7 +61,6 @@ pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
     body.extend_from_slice(&(entries.len() as u64).to_le_bytes());
     for e in entries {
         body.extend_from_slice(&e.offset.to_le_bytes());
-        body.extend_from_slice(&e.raw_len.to_le_bytes());
         body.extend_from_slice(&e.state.to_le_bytes());
     }
     let mut checksum = Checksum::new();
@@ -82,74 +72,70 @@ pub fn encode_footer(entries: &[IndexEntry]) -> Vec<u8> {
     body
 }
 
-/// Reads and validates the chunk-index footer of `path`, whose header
-/// `meta` was already parsed. Returns `Ok(None)` when the header does not advertise an
-/// index, **or** when the footer fails any validation (bad magic,
-/// checksum, entry count, non-monotonic offsets) — a damaged index
-/// quietly demotes positioning to the raw chunk-skip path, which
-/// detects payload damage on its own; only I/O failures are errors.
+fn bad_index(what: &str) -> TraceError {
+    TraceError::Corrupt(format!("chunk index: {what}"))
+}
+
+/// Reads and validates the chunk-index footer at the end of `source`, a
+/// trace whose header `meta` was already parsed. Leaves `source`
+/// positioned somewhere inside the footer.
 ///
 /// # Errors
 ///
-/// Underlying I/O failures.
-pub fn read_index(path: &Path, meta: &TraceMeta) -> Result<Option<ChunkIndex>, TraceError> {
-    if !meta.has_index {
-        return Ok(None);
-    }
-    let mut file = File::open(path)?;
-    let file_len = file.seek(SeekFrom::End(0))?;
+/// [`TraceError::Corrupt`] when the footer fails any validation (magic,
+/// length, checksum, entry count against the header, offsets not
+/// strictly increasing); [`TraceError::Io`] for I/O failures.
+pub fn read_index<R: Read + Seek>(
+    source: &mut R,
+    meta: &TraceMeta,
+) -> Result<ChunkIndex, TraceError> {
+    let file_len = source.seek(SeekFrom::End(0))?;
     if file_len < 16 {
-        return Ok(None);
+        return Err(bad_index("file too short for a footer"));
     }
-    file.seek(SeekFrom::End(-16))?;
+    source.seek(SeekFrom::End(-16))?;
     let mut tail = [0u8; 16];
-    file.read_exact(&mut tail)?;
+    source.read_exact(&mut tail)?;
     if tail[8..16] != INDEX_MAGIC {
-        return Ok(None);
+        return Err(bad_index("bad magic"));
     }
     // `footer_len` spans entry_count..footer_checksum inclusive; the
     // (footer_len, magic) trailer adds 16 more bytes.
     let footer_len = u64::from_le_bytes(tail[0..8].try_into().expect("8 bytes"));
-    if footer_len < 16 + ENTRY_LEN || footer_len + 16 > file_len || footer_len > (1 << 31) {
-        return Ok(None);
+    if !(16 + ENTRY_LEN..=1 << 31).contains(&footer_len) || footer_len + 16 > file_len {
+        return Err(bad_index(&format!("implausible length {footer_len}")));
     }
-    file.seek(SeekFrom::End(-16 - footer_len as i64))?;
+    source.seek(SeekFrom::End(-16 - footer_len as i64))?;
     let mut body = vec![0u8; footer_len as usize];
-    file.read_exact(&mut body)?;
+    source.read_exact(&mut body)?;
 
     let (entries_bytes, promised) = body.split_at(body.len() - 8);
     let mut checksum = Checksum::new();
     checksum.update(entries_bytes);
     if checksum.value() != u64::from_le_bytes(promised.try_into().expect("8 bytes")) {
-        return Ok(None);
+        return Err(bad_index("checksum mismatch"));
     }
 
-    let entry_count = u64::from_le_bytes(entries_bytes[0..8].try_into().expect("8 bytes"));
-    if entry_count == 0 || entries_bytes.len() as u64 != 8 + entry_count * ENTRY_LEN {
-        return Ok(None);
-    }
+    let (count, records) = entries_bytes.split_at(8);
+    let entry_count = u64::from_le_bytes(count.try_into().expect("8 bytes"));
     let expected_chunks = meta.instructions.div_ceil(u64::from(meta.chunk_capacity));
-    if entry_count != expected_chunks + 1 {
-        return Ok(None);
+    // Both counts come off disk: compared without an addition or a
+    // product that could overflow.
+    if records.len() as u64 != entry_count.saturating_mul(ENTRY_LEN)
+        || entry_count.checked_sub(1) != Some(expected_chunks)
+    {
+        return Err(bad_index(&format!("{entry_count} entries for {expected_chunks} chunks")));
     }
-    let mut entries = Vec::with_capacity(entry_count as usize);
-    for i in 0..entry_count as usize {
-        let at = 8 + i * ENTRY_LEN as usize;
-        let word = |k: usize| {
-            u64::from_le_bytes(
-                entries_bytes[at + k * 8..at + k * 8 + 8].try_into().expect("8 bytes"),
-            )
-        };
-        let (offset, raw_len, state) = (word(0), word(1), word(2));
-        if let Some(prev) = entries.last() {
-            let prev: &IndexEntry = prev;
-            if offset <= prev.offset {
-                return Ok(None); // offsets must strictly increase
-            }
+    let mut entries: Vec<IndexEntry> = Vec::with_capacity(entry_count as usize);
+    for entry in records.chunks_exact(ENTRY_LEN as usize) {
+        let word = |k: usize| u64::from_le_bytes(entry[k * 8..k * 8 + 8].try_into().expect("8"));
+        let (offset, state) = (word(0), word(1));
+        if entries.last().is_some_and(|prev| offset <= prev.offset) {
+            return Err(bad_index("offsets do not increase"));
         }
-        entries.push(IndexEntry { offset, raw_len, state });
+        entries.push(IndexEntry { offset, state });
     }
-    Ok(Some(ChunkIndex { entries }))
+    Ok(ChunkIndex { entries })
 }
 
 #[cfg(test)]
@@ -158,14 +144,13 @@ mod tests {
 
     #[test]
     fn footer_round_trips() {
-        let entries: Vec<IndexEntry> = (0..5)
-            .map(|i| IndexEntry { offset: 42 + i * 1000, raw_len: 900 + i, state: 7 + i })
-            .collect();
+        let entries: Vec<IndexEntry> =
+            (0..5).map(|i| IndexEntry { offset: 42 + i * 1000, state: 7 + i }).collect();
         let bytes = encode_footer(&entries);
         assert_eq!(&bytes[bytes.len() - 8..], &INDEX_MAGIC);
         let footer_len =
             u64::from_le_bytes(bytes[bytes.len() - 16..bytes.len() - 8].try_into().unwrap());
         assert_eq!(footer_len as usize + 16, bytes.len());
-        assert_eq!(footer_len as usize, 8 + entries.len() * 24 + 8);
+        assert_eq!(footer_len as usize, 8 + entries.len() * 16 + 8);
     }
 }

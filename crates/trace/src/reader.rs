@@ -4,13 +4,15 @@ use std::fs::File;
 use std::io::{BufReader, Read, Seek, SeekFrom};
 use std::path::Path;
 
-use trrip_cpu::TraceInstr;
+use trrip_cpu::{BranchInfo, MemOp, TraceInstr};
+use trrip_mem::VirtAddr;
 
 use crate::format::{
-    decode_record, decolumnarize, Checksum, DeltaState, TraceError, TraceLayout, TraceMeta,
-    CHUNK_FRAME_LEN, FLAG_CHUNK_INDEX, HEADER_FIXED_LEN, MAGIC, MAX_NAME_LEN, VERSION,
+    kind_from_bits, read_varint, stall_from_bits, unzigzag, Checksum, TraceError, TraceLayout,
+    TraceMeta, CHUNK_FRAME_LEN, FLAG_BRANCH, FLAG_MEM, FLAG_STALL, FLAG_STORE, FLAG_TAKEN,
+    HEADER_FIXED_LEN, KIND_SHIFT, MAGIC, MAX_NAME_LEN, VERSION,
 };
-use crate::index::ChunkIndex;
+use crate::index::read_index;
 use crate::source::TraceSource;
 
 /// Largest chunk payload the reader will buffer (defense against a
@@ -27,11 +29,10 @@ pub struct TraceReader<R: Read> {
     /// Instructions not yet handed out.
     remaining: u64,
     checksum: Checksum,
+    /// Columnar-payload scratch, reused across reads.
     payload: Vec<u8>,
     /// Compressed-chunk scratch, reused across reads.
     comp: Vec<u8>,
-    /// Columnar-payload scratch, reused across reads.
-    cols: Vec<u8>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -54,7 +55,6 @@ impl<R: Read> TraceReader<R> {
         }
         let layout = TraceLayout::from_u8(fixed[10])
             .ok_or_else(|| TraceError::Corrupt(format!("invalid layout byte {}", fixed[10])))?;
-        let has_index = fixed[11] & FLAG_CHUNK_INDEX != 0;
         let chunk_capacity = u32::from_le_bytes(fixed[12..16].try_into().expect("4 bytes"));
         if chunk_capacity == 0 {
             return Err(TraceError::Corrupt("zero chunk capacity".into()));
@@ -72,12 +72,11 @@ impl<R: Read> TraceReader<R> {
 
         Ok(TraceReader {
             source,
-            meta: TraceMeta { name, layout, instructions, checksum, chunk_capacity, has_index },
+            meta: TraceMeta { name, layout, instructions, checksum, chunk_capacity },
             remaining: instructions,
             checksum: Checksum::new(),
             payload: Vec::new(),
             comp: Vec::new(),
-            cols: Vec::new(),
         })
     }
 
@@ -93,23 +92,19 @@ impl<R: Read> TraceReader<R> {
         self.remaining
     }
 
-    /// Reads the next chunk's payload bytes into `payload` without
-    /// decoding any records, returning the chunk's record count; `0`
-    /// means the trace is complete (and the checksum verified). The
-    /// on-disk bytes are decompressed and de-columnarized here —
-    /// `payload` always holds the row-encoded record bytes, which is
-    /// what decode and checksum work on. Framing is validated and the payload checksum
-    /// accumulated here, so a caller draining raw chunks still detects
-    /// damaged payload bytes — the split that lets a positioned replay
-    /// pass over the chunks before its start without decoding them.
+    /// Decodes the next chunk, appending its records to `out`. Returns
+    /// the number of records appended; `0` means the trace is complete
+    /// (and the checksum verified). Framing is validated, the payload
+    /// decompressed and checksummed, then decoded straight from its
+    /// columns.
     ///
     /// # Errors
     ///
-    /// [`TraceError::Corrupt`] for malformed framing,
-    /// [`TraceError::ChecksumMismatch`] at EOF when payload bytes were
-    /// damaged in place, [`TraceError::Io`] for truncation and other
-    /// underlying failures.
-    pub fn read_chunk_raw(&mut self, payload: &mut Vec<u8>) -> Result<u32, TraceError> {
+    /// [`TraceError::Corrupt`] for malformed framing or payload,
+    /// [`TraceError::ChecksumMismatch`] when payload bytes were damaged
+    /// in place, [`TraceError::Io`] for truncation and other underlying
+    /// failures.
+    pub fn read_chunk(&mut self, out: &mut Vec<TraceInstr>) -> Result<usize, TraceError> {
         if self.remaining == 0 {
             // Covers the empty-trace case; non-empty traces were already
             // verified when their final chunk was produced.
@@ -136,13 +131,10 @@ impl<R: Read> TraceReader<R> {
         }
         self.comp.resize(comp_len as usize, 0);
         self.source.read_exact(&mut self.comp)?;
-        // Two storage transforms to undo: the codec, then the columnar
-        // grouping.
-        trrip_pack::decompress(codec, &self.comp, raw_len as usize, &mut self.cols)?;
-        decolumnarize(&self.cols, record_count, payload)?;
-        self.checksum.update(payload);
+        trrip_pack::decompress(codec, &self.comp, raw_len as usize, &mut self.payload)?;
+        self.checksum.update(&self.payload);
         trrip_obs::counter!("trace.chunks_read").incr();
-        trrip_obs::counter!("trace.bytes_read").add(payload.len() as u64);
+        trrip_obs::counter!("trace.bytes_read").add(self.payload.len() as u64);
 
         self.remaining -= u64::from(record_count);
         if self.remaining == 0 {
@@ -152,27 +144,7 @@ impl<R: Read> TraceReader<R> {
             // call that returns 0, and damage would pass silently.
             self.verify_checksum()?;
         }
-        Ok(record_count)
-    }
-
-    /// Decodes the next chunk, appending its records to `out`. Returns
-    /// the number of records appended; `0` means the trace is complete
-    /// (and the checksum verified).
-    ///
-    /// # Errors
-    ///
-    /// [`TraceError::Corrupt`] for malformed framing or payload,
-    /// [`TraceError::ChecksumMismatch`] at EOF when payload bytes were
-    /// damaged in place, [`TraceError::Io`] for truncation and other
-    /// underlying failures.
-    pub fn read_chunk(&mut self, out: &mut Vec<TraceInstr>) -> Result<usize, TraceError> {
-        let mut payload = std::mem::take(&mut self.payload);
-        let result = self.read_chunk_raw(&mut payload);
-        self.payload = payload;
-        let record_count = result?;
-        if record_count > 0 {
-            decode_chunk(&self.payload, record_count, out)?;
-        }
+        decode_chunk(&self.payload, record_count, out)?;
         Ok(record_count as usize)
     }
 
@@ -204,32 +176,6 @@ impl<R: Read> TraceReader<R> {
         Ok(())
     }
 
-    /// Seeks directly to chunk `k` using a validated [`ChunkIndex`]:
-    /// positions the source at the chunk's byte offset, seeds the
-    /// running checksum with the accumulator state the capture recorded
-    /// there, and rewinds the remaining-record count. The next
-    /// [`TraceReader::read_chunk`] (or raw read) yields chunk `k`, and
-    /// end-of-trace checksum verification covers every byte read from
-    /// here on. `k` at or beyond the chunk count positions at the
-    /// end-of-chunks sentinel: an immediately exhausted, still-verified
-    /// stream.
-    ///
-    /// # Errors
-    ///
-    /// Underlying seek failures.
-    pub fn seek_to_chunk(&mut self, index: &ChunkIndex, k: usize) -> Result<(), TraceError>
-    where
-        R: Seek,
-    {
-        let k = k.min(index.chunks());
-        let entry = index.entry(k);
-        self.source.seek(SeekFrom::Start(entry.offset))?;
-        self.checksum = Checksum::from_state(entry.state);
-        self.remaining =
-            self.meta.instructions.saturating_sub(k as u64 * u64::from(self.meta.chunk_capacity));
-        Ok(())
-    }
-
     /// Reads the whole remaining trace into memory. Intended for tests
     /// and small traces; replay paths should stream chunks instead.
     ///
@@ -243,36 +189,170 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-/// Decodes one raw chunk `payload` holding `record_count` records,
-/// appending them to `out`. Chunks are self-contained (delta state resets
-/// at every chunk boundary), so this is safe to call on any chunk in any
-/// order — the primitive behind the streaming reader and the skip phase
-/// of a positioned replay. Every decoded record counts toward
-/// `trace.records_decoded`, once per chunk: a sweep that re-decodes a
-/// trace per policy still produces the right numbers, only slower, and
-/// the counter is how a test holds it to one decode per workload.
+impl<R: Read + Seek> TraceReader<R> {
+    /// Positions the reader `skip` instructions in, through the chunk
+    /// index: seeks to the frame of the chunk holding instruction
+    /// `skip`, seeds the running checksum with the accumulator state the
+    /// capture recorded there, and rewinds the remaining-record count.
+    /// Returns how many of that chunk's leading records lie before
+    /// `skip`: the caller decodes the chunk and drops them. End-of-trace
+    /// verification covers every byte read from here on; a `skip` at or
+    /// beyond the end positions at the end-of-chunks sentinel — an
+    /// immediately exhausted, still-verified stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`read_index`] — a footer that does not validate — and
+    /// underlying seek failures.
+    pub fn seek(&mut self, skip: u64) -> Result<u64, TraceError> {
+        let index = read_index(&mut self.source, &self.meta)?;
+        let capacity = u64::from(self.meta.chunk_capacity);
+        let k = (skip / capacity).min(index.chunks() as u64);
+        let entry = index.entry(k as usize);
+        self.source.seek(SeekFrom::Start(entry.offset))?;
+        self.checksum = Checksum::from_state(entry.state);
+        self.remaining = self.meta.instructions.saturating_sub(k * capacity);
+        Ok(skip - k * capacity)
+    }
+}
+
+/// A cursor over one varint column of a chunk payload.
+struct Column<'a> {
+    bytes: &'a [u8],
+    pos: usize,
+}
+
+impl Column<'_> {
+    /// The next zigzag varint, a byte at a time: the fast way through a
+    /// column of mostly one-byte values (PC deltas of sequential flow),
+    /// which leave the loop at once.
+    #[inline]
+    fn signed(&mut self) -> Result<i64, &'static str> {
+        let mut value = 0u64;
+        // A u64 takes at most ten 7-bit groups.
+        for (i, &byte) in self.bytes[self.pos..].iter().take(10).enumerate() {
+            value |= u64::from(byte & 0x7F) << (7 * i);
+            if byte < 0x80 {
+                self.pos += i + 1;
+                return Ok(unzigzag(value));
+            }
+        }
+        Err("a column ends inside a varint, or one runs past 64 bits")
+    }
+
+    /// The next zigzag varint, eight bytes at once: the fast way through
+    /// a column of mostly multi-byte values (memory and branch-target
+    /// deltas), where a byte loop's exit is guessed wrong a third of the
+    /// time. The length
+    /// is the first clear continuation bit; three shift-and-mask steps
+    /// pack the 7-bit groups. A varint that does not end within eight
+    /// readable bytes (at the column's end, or past 56 bits) takes
+    /// [`Column::signed`].
+    #[inline]
+    fn signed_wide(&mut self) -> Result<i64, &'static str> {
+        if let Some(&word) = self.bytes[self.pos..].first_chunk::<8>() {
+            let word = u64::from_le_bytes(word);
+            let stop = (!word & 0x8080_8080_8080_8080).trailing_zeros();
+            if stop < 64 {
+                self.pos += (stop as usize + 1) / 8;
+                let x = word & (u64::MAX >> (63 - stop)) & 0x7F7F_7F7F_7F7F_7F7F;
+                let x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
+                let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
+                let x = (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4);
+                return Ok(unzigzag(x));
+            }
+        }
+        self.signed()
+    }
+
+    fn is_spent(&self) -> bool {
+        self.pos == self.bytes.len()
+    }
+}
+
+/// Decodes one chunk's columnar `payload` (decompressed) holding
+/// `record_count` records, appending them to `out`. Chunks are
+/// self-contained (delta state resets at every chunk boundary), so this
+/// is safe to call on any chunk in any order. Bounds-checked throughout:
+/// arbitrary bytes under any record count produce
+/// [`TraceError::Corrupt`] or instructions, never a panic. Every decoded
+/// record counts toward `trace.records_decoded`, once per chunk: a sweep
+/// that re-decodes a trace per policy still produces the right numbers,
+/// only slower, and the counter is how a test holds it to one decode
+/// per workload.
 ///
 /// # Errors
 ///
-/// [`TraceError::Corrupt`] for malformed payload bytes.
+/// [`TraceError::Corrupt`] when the stream lengths disagree with the
+/// payload, a stream ends before its last record's field, a field is
+/// out of range, or a stream is longer than its records use.
 pub fn decode_chunk(
     payload: &[u8],
     record_count: u32,
     out: &mut Vec<TraceInstr>,
 ) -> Result<(), TraceError> {
-    out.reserve(record_count as usize);
-    let mut pos = 0;
-    let mut state = DeltaState::new();
-    for _ in 0..record_count {
-        out.push(decode_record(payload, &mut pos, &mut state)?);
-    }
-    if pos != payload.len() {
-        return Err(TraceError::Corrupt(format!(
-            "{} trailing bytes after last record of chunk",
-            payload.len() - pos
-        )));
-    }
+    decode_columns(payload, record_count as usize, out)
+        .map_err(|what| TraceError::Corrupt(what.into()))?;
     trrip_obs::counter!("trace.records_decoded").add(u64::from(record_count));
+    Ok(())
+}
+
+/// [`decode_chunk`]'s loop, with an error small enough to keep off the
+/// hot path: it names what is wrong.
+fn decode_columns(payload: &[u8], n: usize, out: &mut Vec<TraceInstr>) -> Result<(), &'static str> {
+    let mut pos = 0;
+    let mut lens = [0usize; 4];
+    for len in &mut lens {
+        let raw = read_varint(payload, &mut pos).map_err(|_| "a stream length is cut short")?;
+        *len = usize::try_from(raw).unwrap_or(usize::MAX);
+    }
+    if lens.iter().try_fold(n, |acc, &len| acc.checked_add(len)) != Some(payload.len() - pos) {
+        return Err("columnar stream lengths disagree with the payload");
+    }
+    let [pc_len, branch_len, mem_len, _] = lens;
+    let (flags, rest) = payload[pos..].split_at(n);
+    let (pcs, rest) = rest.split_at(pc_len);
+    let (branches, rest) = rest.split_at(branch_len);
+    let (mems, stalls) = rest.split_at(mem_len);
+    let mut pcs = Column { bytes: pcs, pos: 0 };
+    let mut branches = Column { bytes: branches, pos: 0 };
+    let mut mems = Column { bytes: mems, pos: 0 };
+    let mut stalls = stalls.chunks_exact(2);
+
+    out.reserve(n);
+    let (mut expected_pc, mut prev_mem) = (0u64, 0u64);
+    for &flags in flags {
+        let pc = expected_pc.wrapping_add(pcs.signed()? as u64);
+        expected_pc = pc.wrapping_add(4);
+        let branch = if flags & FLAG_BRANCH != 0 {
+            let kind = kind_from_bits(flags >> KIND_SHIFT).ok_or("invalid branch kind")?;
+            let target = expected_pc.wrapping_add(branches.signed_wide()? as u64);
+            let taken = flags & FLAG_TAKEN != 0;
+            if taken {
+                expected_pc = target;
+            }
+            Some(BranchInfo { kind, taken, target: VirtAddr::new(target) })
+        } else {
+            None
+        };
+        let mem = if flags & FLAG_MEM != 0 {
+            prev_mem = prev_mem.wrapping_add(mems.signed_wide()? as u64);
+            Some(MemOp { addr: VirtAddr::new(prev_mem), store: flags & FLAG_STORE != 0 })
+        } else {
+            None
+        };
+        let exec_stall = if flags & FLAG_STALL != 0 {
+            let pair = stalls.next().ok_or("stall stream ends mid-pair")?;
+            Some((stall_from_bits(pair[0]).ok_or("invalid stall class")?, pair[1]))
+        } else {
+            None
+        };
+        out.push(TraceInstr { pc: VirtAddr::new(pc), branch, mem, exec_stall });
+    }
+    let stalls_spent = stalls.len() == 0 && stalls.remainder().is_empty();
+    if !(pcs.is_spent() && branches.is_spent() && mems.is_spent() && stalls_spent) {
+        return Err("columnar streams longer than their records use");
+    }
     Ok(())
 }
 
@@ -296,44 +376,16 @@ pub fn open(path: &Path) -> Result<TraceReader<BufReader<File>>, TraceError> {
     TraceReader::new(BufReader::new(File::open(path)?))
 }
 
-/// Reads just the metadata of a trace file (cheap: header only).
+/// Reads the metadata of a whole trace file: its header, once the
+/// chunk-index footer has validated against it (one seek and a read of
+/// about a kilobyte). A file whose footer does not validate — truncated,
+/// damaged, or never finished — is not a capture to replay.
 ///
 /// # Errors
 ///
-/// As [`open`].
+/// As [`open`] and [`read_index`].
 pub fn probe(path: &Path) -> Result<TraceMeta, TraceError> {
-    Ok(open(path)?.meta().clone())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::writer::TraceWriter;
-    use crate::TraceLayout;
-    use std::io::Cursor;
-
-    /// The raw-chunk split ([`TraceReader::read_chunk_raw`] +
-    /// [`decode_chunk`]) against the classic reader.
-    #[test]
-    fn raw_chunks_decode_to_what_the_classic_reader_reads() {
-        let mut writer =
-            TraceWriter::with_chunk_capacity(Cursor::new(Vec::new()), "raw", TraceLayout::Pgo, 16)
-                .expect("header");
-        for i in 0..100u64 {
-            writer.write(&TraceInstr::simple(0x4000 + i * 4)).expect("write");
-        }
-        let bytes = writer.finish_into_inner().expect("finish").into_inner();
-        let mut raw = TraceReader::new(Cursor::new(&bytes[..])).expect("reader");
-        let mut payload = Vec::new();
-        let mut decoded = Vec::new();
-        loop {
-            let count = raw.read_chunk_raw(&mut payload).expect("raw chunk");
-            if count == 0 {
-                break;
-            }
-            decode_chunk(&payload, count, &mut decoded).expect("decode");
-        }
-        let mut classic = TraceReader::new(Cursor::new(&bytes[..])).expect("reader");
-        assert_eq!(decoded, classic.read_to_end().expect("read_to_end"));
-    }
+    let mut reader = open(path)?;
+    read_index(&mut reader.source, &reader.meta)?;
+    Ok(reader.meta)
 }

@@ -18,10 +18,10 @@ const CHANNEL_DEPTH: usize = 4;
 
 /// A [`TraceSource`] that streams a trace file on a background thread.
 ///
-/// The header is validated on the calling thread (so open errors are
-/// synchronous); payload decoding happens on the worker, which stops at
-/// the first error and forwards it. Dropping the replay mid-trace shuts
-/// the worker down cleanly.
+/// The header and the chunk index are validated on the calling thread
+/// (so open errors are synchronous); payload decoding happens on the
+/// worker, which stops at the first error and forwards it. Dropping the
+/// replay mid-trace shuts the worker down cleanly.
 ///
 /// # Buffer reuse contract
 ///
@@ -48,7 +48,7 @@ impl StreamingReplay {
     ///
     /// # Errors
     ///
-    /// Any header-validation or open failure, synchronously.
+    /// As [`StreamingReplay::open_at`].
     pub fn open(path: &Path) -> Result<StreamingReplay, TraceError> {
         StreamingReplay::open_at(path, 0)
     }
@@ -56,44 +56,33 @@ impl StreamingReplay {
     /// Opens `path` positioned `skip` instructions in: the stream's
     /// first delivered instruction is number `skip` of the trace.
     ///
-    /// On an **indexed** trace (every capture since the chunk-index
-    /// footer landed) this is a true seek: the reader jumps straight to
-    /// the chunk containing instruction `skip`, seeds its checksum with
-    /// the accumulator state the capture recorded there, and never
-    /// reads a skipped byte — positioning cost is O(1) in the prefix
-    /// length. Everything *read* is still verified against the header
-    /// checksum; damage confined to the skipped prefix is, by design,
-    /// not observed. Only the boundary chunk of a non-chunk-aligned
-    /// `skip` pays decode.
-    ///
-    /// On an index-less file (pre-index captures, or a damaged footer)
-    /// whole chunks inside the prefix are *read but never decoded* —
-    /// raw bytes still feed the checksum, so prefix damage is detected
-    /// there. Either way, this is how a warm sweep's replay starts at
-    /// the fast-forward boundary without paying the warm-up's varint
-    /// decode.
+    /// A seek through the chunk index every capture ends with
+    /// ([`reader::TraceReader::seek`]): the reader jumps straight to the
+    /// chunk containing instruction `skip`, seeds its checksum with the
+    /// accumulator state the capture recorded there, decodes that chunk
+    /// and drops its records before `skip` — positioning cost is O(1) in
+    /// the prefix length, and no skipped byte is read. Everything *read*
+    /// is still verified against the header checksum; damage confined to
+    /// the skipped prefix is, by design, not observed. This is how a warm
+    /// sweep's replay starts at the fast-forward boundary without paying
+    /// the warm-up's decode.
     ///
     /// A `skip` at or beyond the end of the trace yields an immediately
     /// exhausted (but still checksum-verified) stream.
     ///
     /// # Errors
     ///
-    /// Any header-validation or open failure, synchronously.
-    pub fn open_at(path: &Path, mut skip: u64) -> Result<StreamingReplay, TraceError> {
+    /// Any header-validation, index-validation or open failure,
+    /// synchronously.
+    pub fn open_at(path: &Path, skip: u64) -> Result<StreamingReplay, TraceError> {
         let mut source = reader::open(path)?;
         let meta = source.meta().clone();
-        if skip > 0 {
-            if let Some(index) = crate::index::read_index(path, &meta)? {
-                let k = ((skip / u64::from(meta.chunk_capacity)) as usize).min(index.chunks());
-                source.seek_to_chunk(&index, k)?;
-                skip -= k as u64 * u64::from(meta.chunk_capacity);
-            }
-        }
+        let before_skip = source.seek(skip)?;
         let (tx, rx) = mpsc::sync_channel(CHANNEL_DEPTH);
         let (recycle_tx, recycle_rx) = mpsc::channel();
         let worker = std::thread::Builder::new()
             .name(format!("trace-decode:{}", meta.name))
-            .spawn(move || decode_loop(&mut source, skip, &tx, &recycle_rx))
+            .spawn(move || decode_loop(&mut source, before_skip, &tx, &recycle_rx))
             .map_err(TraceError::Io)?;
         Ok(StreamingReplay { meta, batches: Some(rx), recycle: recycle_tx, worker: Some(worker) })
     }
@@ -105,42 +94,15 @@ impl StreamingReplay {
     }
 }
 
+/// Decodes chunks into batches until the trace ends, the consumer hangs
+/// up or an error is forwarded; the first chunk's leading `before_skip`
+/// records are dropped.
 fn decode_loop<R: std::io::Read>(
     source: &mut reader::TraceReader<R>,
-    mut skip: u64,
+    mut before_skip: u64,
     tx: &SyncSender<Result<Vec<TraceInstr>, TraceError>>,
     recycle: &Receiver<Vec<TraceInstr>>,
 ) {
-    // Skip phase: discard whole chunks raw (checksummed, not decoded);
-    // decode only the boundary chunk the skip position lands inside,
-    // dropping its leading records.
-    let mut payload = Vec::new();
-    while skip > 0 {
-        match source.read_chunk_raw(&mut payload) {
-            Ok(0) => return, // trace no longer than the skip
-            Ok(count) => {
-                if u64::from(count) <= skip {
-                    skip -= u64::from(count);
-                    continue;
-                }
-                let mut batch = recycle.try_recv().unwrap_or_default();
-                batch.clear();
-                if let Err(e) = reader::decode_chunk(&payload, count, &mut batch) {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-                batch.drain(..skip as usize);
-                skip = 0;
-                if tx.send(Ok(batch)).is_err() {
-                    return;
-                }
-            }
-            Err(e) => {
-                let _ = tx.send(Err(e));
-                return;
-            }
-        }
-    }
     loop {
         // Reuse a buffer the consumer returned; allocate only while the
         // pipeline is still filling.
@@ -148,8 +110,10 @@ fn decode_loop<R: std::io::Read>(
         batch.clear();
         match source.read_chunk(&mut batch) {
             Ok(0) => return,
-            Ok(_) => {
-                if tx.send(Ok(batch)).is_err() {
+            Ok(count) => {
+                batch.drain(..count.min(usize::try_from(before_skip).unwrap_or(usize::MAX)));
+                before_skip = 0;
+                if !batch.is_empty() && tx.send(Ok(batch)).is_err() {
                     return; // consumer dropped mid-trace
                 }
             }

@@ -7,32 +7,41 @@ use std::path::Path;
 use trrip_cpu::TraceInstr;
 
 use crate::format::{
-    columnarize, encode_header, encode_record, Checksum, DeltaState, TraceLayout, TraceMeta,
-    CHECKSUM_OFFSET, CHUNK_CAPACITY, CHUNK_FRAME_LEN, INSTRUCTIONS_OFFSET,
+    encode_header, kind_to_bits, push_signed, push_varint, stall_to_bits, Checksum, TraceLayout,
+    TraceMeta, CHECKSUM_OFFSET, CHUNK_CAPACITY, CHUNK_FRAME_LEN, FLAG_BRANCH, FLAG_MEM, FLAG_STALL,
+    FLAG_STORE, FLAG_TAKEN, INSTRUCTIONS_OFFSET, KIND_SHIFT,
 };
 use crate::index::{encode_footer, IndexEntry};
 
-/// Writes a trace file incrementally: records accumulate into fixed-size
-/// chunks that are compressed ([`trrip_pack::compress_auto`], raw
-/// fallback when incompressible) and flushed as they fill, so capture
-/// memory stays O(chunk) regardless of trace length.
-/// [`TraceWriter::finish`] appends the chunk-index footer (byte offsets,
-/// uncompressed lengths and checksum accumulator states, so positioned
-/// replays seek instead of skipping), then seeks back and patches the
+/// Writes a trace file incrementally: each record's fields are appended
+/// straight to the chunk's columns (see `crate::format`), and a chunk
+/// that fills is compressed ([`trrip_pack::compress_auto`], raw fallback
+/// when incompressible) and flushed, so capture memory stays O(chunk)
+/// regardless of trace length. [`TraceWriter::finish`] appends the
+/// chunk-index footer (byte offsets and checksum accumulator states, so
+/// positioned replays seek), then seeks back and patches the
 /// instruction count and checksum into the header. The checksum and the
-/// index states cover the *uncompressed* payload bytes — compression is
-/// a storage transform only.
+/// index states cover the columnar payload, before compression.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     sink: W,
     meta: TraceMeta,
-    chunk: Vec<u8>,
-    /// Columnar-transform scratch, reused across flushes.
-    cols: Vec<u8>,
+    /// The chunk's flags column: one byte per record.
+    flags: Vec<u8>,
+    /// The chunk's varint columns: PC, branch-target and memory deltas.
+    pcs: Vec<u8>,
+    branches: Vec<u8>,
+    mems: Vec<u8>,
+    /// The chunk's stall column: class and cycle bytes.
+    stalls: Vec<u8>,
+    /// The PC the next instruction lands on if flow is sequential.
+    expected_pc: u64,
+    /// The chunk's previous memory operand address.
+    prev_mem: u64,
+    /// The assembled columnar payload, reused across flushes.
+    payload: Vec<u8>,
     /// Compressed-chunk scratch, reused across flushes.
     comp: Vec<u8>,
-    chunk_records: u32,
-    state: DeltaState,
     checksum: Checksum,
     /// Byte offset the next chunk frame lands at (tracked arithmetically
     /// — a `stream_position` per chunk would flush buffered writers).
@@ -75,18 +84,21 @@ impl<W: Write + Seek> TraceWriter<W> {
             instructions: 0,
             checksum: 0,
             chunk_capacity,
-            has_index: true,
         };
         let header = encode_header(&meta);
         sink.write_all(&header)?;
         Ok(TraceWriter {
             sink,
             meta,
-            chunk: Vec::with_capacity(chunk_capacity as usize * 4),
-            cols: Vec::new(),
+            flags: Vec::with_capacity(chunk_capacity as usize),
+            pcs: Vec::new(),
+            branches: Vec::new(),
+            mems: Vec::new(),
+            stalls: Vec::new(),
+            expected_pc: 0,
+            prev_mem: 0,
+            payload: Vec::new(),
             comp: Vec::new(),
-            chunk_records: 0,
-            state: DeltaState::new(),
             checksum: Checksum::new(),
             next_offset: header.len() as u64,
             index: Vec::new(),
@@ -99,10 +111,37 @@ impl<W: Write + Seek> TraceWriter<W> {
     ///
     /// Propagates I/O failures flushing a full chunk.
     pub fn write(&mut self, instr: &TraceInstr) -> io::Result<()> {
-        encode_record(&mut self.chunk, &mut self.state, instr);
-        self.chunk_records += 1;
+        let pc = instr.pc.raw();
+        push_signed(&mut self.pcs, pc.wrapping_sub(self.expected_pc) as i64);
+        let mut flags = 0u8;
+        if let Some(b) = instr.branch {
+            flags |= FLAG_BRANCH | (kind_to_bits(b.kind) << KIND_SHIFT);
+            if b.taken {
+                flags |= FLAG_TAKEN;
+            }
+            push_signed(&mut self.branches, b.target.raw().wrapping_sub(pc.wrapping_add(4)) as i64);
+        }
+        if let Some(m) = instr.mem {
+            flags |= FLAG_MEM;
+            if m.store {
+                flags |= FLAG_STORE;
+            }
+            push_signed(&mut self.mems, m.addr.raw().wrapping_sub(self.prev_mem) as i64);
+            self.prev_mem = m.addr.raw();
+        }
+        if let Some((class, cycles)) = instr.exec_stall {
+            flags |= FLAG_STALL;
+            self.stalls.extend_from_slice(&[stall_to_bits(class), cycles]);
+        }
+        self.flags.push(flags);
+        // Wrapping, like every delta here: no PC (a foreign trace's) can
+        // overflow the fall-through.
+        self.expected_pc = match instr.branch {
+            Some(b) if b.taken => b.target.raw(),
+            _ => pc.wrapping_add(4),
+        };
         self.meta.instructions += 1;
-        if self.chunk_records == self.meta.chunk_capacity {
+        if self.flags.len() == self.meta.chunk_capacity as usize {
             self.flush_chunk()?;
         }
         Ok(())
@@ -121,31 +160,33 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     fn flush_chunk(&mut self) -> io::Result<()> {
-        if self.chunk_records == 0 {
+        if self.flags.is_empty() {
             return Ok(());
         }
-        self.index.push(IndexEntry {
-            offset: self.next_offset,
-            raw_len: self.chunk.len() as u64,
-            state: self.checksum.state(),
-        });
-        self.checksum.update(&self.chunk);
-        // Group the row bytes by field kind before compression: each
-        // columnar stream is self-similar, which is where the codec's
-        // ratio comes from. Checksums and index states stay over the
-        // row bytes — the transform is storage-only.
-        columnarize(&self.chunk, self.chunk_records, &mut self.cols)
-            .expect("writer-encoded records are well-formed");
-        let codec = trrip_pack::compress_auto(&self.cols, &mut self.comp);
-        self.sink.write_all(&self.chunk_records.to_le_bytes())?;
+        // The flags column's length is the record count; the other four
+        // lead the payload with theirs.
+        let sized = [&mut self.pcs, &mut self.branches, &mut self.mems, &mut self.stalls];
+        self.payload.clear();
+        for column in &sized {
+            push_varint(&mut self.payload, column.len() as u64);
+        }
+        self.payload.extend_from_slice(&self.flags);
+        for column in sized {
+            self.payload.extend_from_slice(column);
+            column.clear();
+        }
+        self.index.push(IndexEntry { offset: self.next_offset, state: self.checksum.state() });
+        self.checksum.update(&self.payload);
+        let codec = trrip_pack::compress_auto(&self.payload, &mut self.comp);
+        self.sink.write_all(&(self.flags.len() as u32).to_le_bytes())?;
         self.sink.write_all(&(self.comp.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&(self.cols.len() as u32).to_le_bytes())?;
+        self.sink.write_all(&(self.payload.len() as u32).to_le_bytes())?;
         self.sink.write_all(&[codec as u8])?;
         self.sink.write_all(&self.comp)?;
         self.next_offset += CHUNK_FRAME_LEN as u64 + self.comp.len() as u64;
-        self.chunk.clear();
-        self.chunk_records = 0;
-        self.state = DeltaState::new();
+        self.flags.clear();
+        self.expected_pc = 0;
+        self.prev_mem = 0;
         Ok(())
     }
 
@@ -174,11 +215,7 @@ impl<W: Write + Seek> TraceWriter<W> {
         // End-of-chunks sentinel: beyond-the-end seeks land here with
         // the final accumulator state, so even a fully skipped replay
         // verifies the header checksum.
-        self.index.push(IndexEntry {
-            offset: self.next_offset,
-            raw_len: 0,
-            state: self.checksum.state(),
-        });
+        self.index.push(IndexEntry { offset: self.next_offset, state: self.checksum.state() });
         self.sink.write_all(&encode_footer(&self.index))?;
         self.meta.checksum = self.checksum.value();
         let end = self.sink.stream_position()?;

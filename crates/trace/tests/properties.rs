@@ -1,13 +1,14 @@
 //! Property tests of the binary trace format: write → read is the
-//! identity on arbitrary instruction sequences, and damaged files are
-//! rejected rather than misread.
+//! identity on arbitrary instruction sequences, damaged files are
+//! rejected rather than misread, and no payload makes the decoder panic.
 
 use std::io::Cursor;
 
 use proptest::prelude::*;
 use trrip_cpu::{BranchInfo, BranchKind, MemOp, StallClass, TraceInstr};
 use trrip_mem::VirtAddr;
-use trrip_trace::{SourceIter, TraceError, TraceLayout, TraceReader, TraceWriter};
+use trrip_trace::format::push_varint;
+use trrip_trace::{decode_chunk, SourceIter, TraceError, TraceLayout, TraceReader, TraceWriter};
 
 fn arb_branch() -> impl Strategy<Value = Option<BranchInfo>> {
     prop_oneof![
@@ -168,6 +169,42 @@ proptest! {
             };
         }
         prop_assert!(failed, "corrupted byte at {target} went unnoticed");
+    }
+
+    /// Arbitrary bytes as a chunk's columnar payload, under arbitrary
+    /// record counts, decode to an error or to exactly that many
+    /// instructions — never a panic. Half the cases frame five arbitrary
+    /// streams with their true lengths (the flags stream's length is the
+    /// record count), so the record loop meets garbage too, not only the
+    /// length check in front of it.
+    #[test]
+    fn arbitrary_payloads_decode_or_error_never_panic(
+        streams in (
+            prop::collection::vec(any::<u8>(), 0..48),
+            prop::collection::vec(any::<u8>(), 0..48),
+            prop::collection::vec(any::<u8>(), 0..48),
+            prop::collection::vec(any::<u8>(), 0..48),
+            prop::collection::vec(any::<u8>(), 0..48),
+        ),
+        framed in any::<bool>(),
+        record_count in prop_oneof![0u32..48, any::<u32>()],
+    ) {
+        let (flags, pcs, branches, mems, stalls) = streams;
+        let mut payload = Vec::new();
+        let mut count = record_count;
+        if framed {
+            for stream in [&pcs, &branches, &mems, &stalls] {
+                push_varint(&mut payload, stream.len() as u64);
+            }
+            count = flags.len() as u32;
+        }
+        for stream in [&flags, &pcs, &branches, &mems, &stalls] {
+            payload.extend_from_slice(stream);
+        }
+        let mut out = Vec::new();
+        if decode_chunk(&payload, count, &mut out).is_ok() {
+            prop_assert_eq!(out.len(), count as usize);
+        }
     }
 }
 

@@ -1,8 +1,10 @@
 //! Skip-positioned replay: `StreamingReplay::open_at(path, skip)` must
-//! deliver exactly the trace's suffix; on an indexed capture it must do
-//! so by a true **seek** (never touching the skipped bytes), and on an
-//! index-less (old-header) file by the raw chunk-by-chunk skip — the
-//! two paths are equivalent record-for-record.
+//! deliver exactly the trace's suffix, by a true **seek** through the
+//! chunk index every capture ends with — never touching the skipped
+//! bytes, decoding only the chunk the position lands in. The footer is
+//! part of the format: one that does not validate makes the file no
+//! capture at all (`probe` and `open_at` refuse it), while a sequential
+//! read of its records is unaffected.
 //!
 //! One test function on purpose: the decode counter is process-wide,
 //! and a single test keeps the measurement unpolluted.
@@ -54,14 +56,11 @@ fn write_file(name: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// The header's flags byte sits at offset 11; clearing the index bit
-/// turns a fresh capture into an "old header" file — the footer bytes
-/// still trail the chunks, but no reader will look for them.
-fn clear_index_flag(bytes: &[u8]) -> Vec<u8> {
-    let mut old = bytes.to_vec();
-    assert_eq!(old[11], 1, "fresh captures advertise the index");
-    old[11] = 0;
-    old
+/// The `raw_len` of the chunk frame at `offset`: its columnar payload's
+/// length before compression.
+fn frame_raw_len(bytes: &[u8], offset: u64) -> u64 {
+    let at = offset as usize + 8;
+    u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")))
 }
 
 #[test]
@@ -69,58 +68,45 @@ fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
     const CHUNK: u32 = 1000;
     let instrs = mixed_trace(10 * u64::from(CHUNK));
     let bytes = trace_bytes(&instrs, CHUNK);
-    let indexed = write_file("seek", &bytes);
-    let old_header = write_file("skip", &clear_index_flag(&bytes));
+    let path = write_file("seek", &bytes);
 
-    // Seek ≡ skip: both paths yield the exact suffix for aligned,
-    // unaligned, zero, chunk-minus-one and beyond-the-end positions.
+    // The exact suffix for aligned, unaligned, zero, chunk-minus-one and
+    // beyond-the-end positions.
     for skip in [0u64, 1, 999, 1000, 4000, 4001, 9999, 10_000, 25_000] {
-        for path in [&indexed, &old_header] {
-            let replay = StreamingReplay::open_at(path, skip).expect("open_at");
-            let suffix: Vec<TraceInstr> = SourceIter::new(replay).collect();
-            let expected = &instrs[(skip as usize).min(instrs.len())..];
-            assert_eq!(suffix, expected, "skip {skip} must yield the exact suffix");
-        }
+        let replay = StreamingReplay::open_at(&path, skip).expect("open_at");
+        let suffix: Vec<TraceInstr> = SourceIter::new(replay).collect();
+        let expected = &instrs[(skip as usize).min(instrs.len())..];
+        assert_eq!(suffix, expected, "skip {skip} must yield the exact suffix");
     }
 
-    // Neither path decodes the skipped prefix: skipping 8 of 10 chunks
-    // must cost 2 chunks of decode, not 10. The counter is
-    // process-wide, so measure each path's own delta.
-    for path in [&indexed, &old_header] {
-        let before = trrip_obs::snapshot();
-        let replay = StreamingReplay::open_at(path, 8 * u64::from(CHUNK)).expect("open_at");
-        let n = SourceIter::new(replay).count();
-        assert_eq!(n, 2 * CHUNK as usize);
-        let decoded = decoded_since(&before);
-        assert_eq!(decoded, 2 * u64::from(CHUNK), "aligned skip must not decode the prefix");
+    // The skipped prefix is not decoded: skipping 8 of 10 chunks must
+    // cost 2 chunks of decode, not 10. The counter is process-wide, so
+    // measure each open's own delta.
+    let before = trrip_obs::snapshot();
+    let replay = StreamingReplay::open_at(&path, 8 * u64::from(CHUNK)).expect("open_at");
+    assert_eq!(SourceIter::new(replay).count(), 2 * CHUNK as usize);
+    assert_eq!(decoded_since(&before), 2 * u64::from(CHUNK), "aligned skip decodes no prefix");
 
-        // An unaligned skip pays exactly one boundary chunk extra.
-        let before = trrip_obs::snapshot();
-        let replay = StreamingReplay::open_at(path, 8 * u64::from(CHUNK) + 1).expect("open_at");
-        let n = SourceIter::new(replay).count();
-        assert_eq!(n, 2 * CHUNK as usize - 1);
-        assert_eq!(decoded_since(&before), 2 * u64::from(CHUNK));
-    }
+    // An unaligned skip decodes the chunk it lands in and drops the
+    // records before the position.
+    let before = trrip_obs::snapshot();
+    let replay = StreamingReplay::open_at(&path, 8 * u64::from(CHUNK) + 1).expect("open_at");
+    assert_eq!(SourceIter::new(replay).count(), 2 * CHUNK as usize - 1);
+    assert_eq!(decoded_since(&before), 2 * u64::from(CHUNK));
 
     // True seek, pinned behaviorally: flip a byte inside the FIRST
-    // chunk's payload (well past the header). The indexed path must
-    // replay the suffix successfully — it literally never reads the
-    // damaged byte — while the index-less skip path reads (and
-    // checksums) the prefix raw and must fail. That difference IS the
-    // proof the indexed path seeks instead of skipping.
-    let damaged_indexed = write_file("seek-damaged", &bytes);
-    corrupt::flip_byte(&damaged_indexed, 120, 0x20);
-    let damaged_old = write_file("skip-damaged", &clear_index_flag(&bytes));
-    corrupt::flip_byte(&damaged_old, 120, 0x20);
-
-    let replay = StreamingReplay::open_at(&damaged_indexed, 8 * u64::from(CHUNK)).expect("open");
+    // chunk's payload (well past the header). The positioned replay
+    // must deliver the suffix — it never reads the damaged byte — while
+    // a replay from the start reads (and checksums) it and must fail.
+    let damaged = write_file("seek-damaged", &bytes);
+    corrupt::flip_byte(&damaged, 120, 0x20);
+    let replay = StreamingReplay::open_at(&damaged, 8 * u64::from(CHUNK)).expect("open");
     let suffix: Vec<TraceInstr> = SourceIter::new(replay).collect();
     assert_eq!(suffix, &instrs[8 * CHUNK as usize..], "seek must never touch the prefix");
-
-    let replay = StreamingReplay::open_at(&damaged_old, 8 * u64::from(CHUNK)).expect("open");
+    let replay = StreamingReplay::open(&damaged).expect("open");
     let result =
         std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| SourceIter::new(replay).count()));
-    assert!(result.is_err(), "the skip path reads the prefix and must detect its damage");
+    assert!(result.is_err(), "a replay from the start reads the prefix and detects its damage");
 
     // Damage inside the bytes a seek actually READS is still caught:
     // the seeded accumulator state continues into the suffix and the
@@ -129,9 +115,9 @@ fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
     // LAST chunk's compressed payload, which the seek-to-chunk-8 path
     // must read.
     let tail_path = write_file("seek-tail-damaged", &bytes);
-    let index = read_index(&tail_path, &probe(&tail_path).expect("probe"))
-        .expect("read index")
-        .expect("fresh captures carry an index");
+    let meta = probe(&tail_path).expect("probe");
+    let index = read_index(&mut std::fs::File::open(&tail_path).expect("open"), &meta)
+        .expect("every capture carries an index");
     let last = index.entry(9);
     let comp_len = index.entry(10).offset - last.offset - 13; // minus the frame
     assert!(
@@ -146,29 +132,27 @@ fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
     assert!(failed, "damage in the read suffix must not pass the seek path");
 
     // The capture really is compressed: the on-disk chunk region is
-    // smaller than the uncompressed payload the index accounts for.
+    // smaller than the columnar payloads its frames account for.
     let (mut disk, mut raw) = (0u64, 0u64);
     for k in 0..index.chunks() {
         disk += index.entry(k + 1).offset - index.entry(k).offset - 13;
-        raw += index.entry(k).raw_len;
+        raw += frame_raw_len(&bytes, index.entry(k).offset);
     }
     assert!(disk < raw, "compressed chunks ({disk} B) must undercut raw payload ({raw} B)");
 
-    // A damaged FOOTER quietly demotes positioning to the skip path —
-    // same records, no error.
+    // A damaged footer is a miss: `probe` (the trace store's match
+    // check) refuses the file and no replay opens on it, from any
+    // position — while the records themselves still read sequentially.
     let footer_path = write_file("bad-footer", &bytes);
     corrupt::flip_byte(&footer_path, bytes.len() - 20, 0xFF); // inside the footer's checksum field
-    let before = trrip_obs::snapshot();
-    let replay = StreamingReplay::open_at(&footer_path, 8 * u64::from(CHUNK)).expect("open");
-    let suffix: Vec<TraceInstr> = SourceIter::new(replay).collect();
-    assert_eq!(suffix, &instrs[8 * CHUNK as usize..]);
-    assert_eq!(
-        decoded_since(&before),
-        2 * u64::from(CHUNK),
-        "the fallback is the raw skip, still decode-free for the prefix"
-    );
+    assert!(probe(&footer_path).is_err(), "a damaged footer is not a capture");
+    for skip in [0, 8 * u64::from(CHUNK)] {
+        assert!(StreamingReplay::open_at(&footer_path, skip).is_err(), "open_at({skip})");
+    }
+    let mut reader = trrip_trace::open(&footer_path).expect("the header is whole");
+    assert_eq!(reader.read_to_end().expect("records"), instrs);
 
-    for path in [indexed, old_header, damaged_indexed, damaged_old, tail_path, footer_path].iter() {
+    for path in [path, damaged, tail_path, footer_path].iter() {
         std::fs::remove_file(path).ok();
     }
 }
