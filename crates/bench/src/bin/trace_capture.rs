@@ -1,9 +1,10 @@
-//! Captures the selected benchmarks' eval-input traces to disk, so
-//! subsequent sweeps (any binary run with `--trace-dir`) replay them
-//! instead of re-generating — the capture-once/replay-many workflow.
+//! Captures the selected benchmarks' eval-input traces to disk under
+//! `--out` (`{bench}.trrip`), one file per workload, long enough for one
+//! run at the paper configuration: what `simulate_source` replays, or a
+//! foreign tool reads. No sweep reads them; every sweep walks.
 //!
 //! ```text
-//! trace_capture --trace-dir traces [--bench a,b] [--scale N]
+//! trace_capture --out traces [--bench a,b] [--scale N]
 //! ```
 
 use std::time::Instant;
@@ -11,16 +12,13 @@ use std::time::Instant;
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
-use trrip_sim::{capture_length, TraceStore};
+use trrip_sim::{capture_length, capture_trace};
 
 fn main() {
     trrip_bench::run_experiment("trace_capture", run);
 }
 
 fn run(options: &HarnessOptions) {
-    let store = TraceStore::new(
-        options.trace_dir.clone().unwrap_or_else(|| std::path::PathBuf::from("traces")),
-    );
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
@@ -29,7 +27,8 @@ fn run(options: &HarnessOptions) {
     let mut table = TextTable::new(vec!["bench", "instrs", "bytes", "B/instr", "Minstr/s"]);
     for workload in &workloads {
         let started = Instant::now();
-        let path = store.ensure(workload, &config).unwrap_or_else(|e| {
+        let path = options.out_dir.join(format!("{}.trrip", workload.spec.name));
+        capture_trace(workload, &config, &path).unwrap_or_else(|e| {
             eprintln!("error: capturing {}: {e}", workload.spec.name);
             std::process::exit(1);
         });
@@ -44,7 +43,7 @@ fn run(options: &HarnessOptions) {
             format!("{:.1}", instrs as f64 / elapsed.as_secs_f64().max(1e-9) / 1e6),
         ]);
     }
-    println!("captured traces in {}", store.dir().display());
+    println!("captured traces in {}", options.out_dir.display());
     println!("{table}");
     options.write_report("trace_capture.txt", &table.to_string());
 }

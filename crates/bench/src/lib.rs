@@ -13,8 +13,7 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_cells, policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig,
-    SweepResult, TraceStore,
+    policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -26,23 +25,19 @@ options:
   --scale N        multiply the default run lengths by N (default 1)
   --bench a,b      restrict to the named benchmarks (default: all)
   --out DIR        write reports under DIR (default: reports/)
-  --trace-dir DIR  replay each workload from its capture in DIR instead
-                   of walking it; a sweep that finds a capture missing
-                   walks once and writes it on the side for this and
-                   every later run
   --checkpoint-dir DIR
                    keep the fast-forward boundary in DIR as two kinds of
-                   file — one shared prefix (the branch predictor) per
-                   workload, one overlay per cell (workload × swept
-                   machine) — and restore from them on later sweeps,
-                   skipping warmup; a cell whose files are missing,
-                   damaged or of another format version warms up and
-                   writes them again; requires --trace-dir
+                   file — one shared prefix (the branch predictor and the
+                   walker's position) per workload, one overlay per cell
+                   (workload × swept machine) — and restore from them on
+                   later sweeps, skipping warmup; a cell whose files are
+                   missing, damaged or of another format version warms
+                   up and writes them again
   --jobs N         cap worker threads for sweeps, one-cell rows and
                    preparation (default: available parallelism); a sweep,
-                   with or without stores, simulates on exactly
-                   min(N, cells) threads (a trace replay decodes on one
-                   more per workload in flight)
+                   with or without a store, simulates on exactly
+                   min(N, cells) threads
+  --trace-dir DIR  accepted and ignored: every sweep walks its stream
   --shards N       accepted and ignored: a sweep runs every cell of a
                    workload over one stream
   --warm-prefix    accepted and ignored: every sweep over a
@@ -60,7 +55,7 @@ options:
 fig1_topdown_system, fig2_topdown_proxy, fig3_reuse_distance and
 fig7_costly_coverage sweep nothing — each workload is a row of one cell,
 run on its own over the walker, --jobs rows at a time — so they accept
---trace-dir and --checkpoint-dir and read no store.";
+--checkpoint-dir and read no store.";
 
 /// Cap on journal events per run; past it the journal records only the
 /// dropped count (reported on close), so a runaway sweep cannot fill
@@ -76,8 +71,6 @@ pub struct HarnessOptions {
     pub benchmarks: Vec<String>,
     /// Where reports are written (`--out DIR`, default `reports/`).
     pub out_dir: PathBuf,
-    /// Capture-once/replay-many trace directory (`--trace-dir DIR`).
-    pub trace_dir: Option<PathBuf>,
     /// Warmed-state checkpoint directory (`--checkpoint-dir DIR`).
     pub checkpoint_dir: Option<PathBuf>,
     /// Worker-thread cap for sweeps and preparation (`--jobs N`,
@@ -97,7 +90,6 @@ impl Default for HarnessOptions {
             scale: 1,
             benchmarks: Vec::new(),
             out_dir: PathBuf::from("reports"),
-            trace_dir: None,
             checkpoint_dir: None,
             jobs: trrip_sim::default_jobs(),
             metrics: false,
@@ -159,8 +151,8 @@ impl HarnessOptions {
         Ok(())
     }
 
-    /// Validates that `--trace-dir`, `--checkpoint-dir`, `--obs-dir` and
-    /// `--out` point at usable directories: each must already exist as a
+    /// Validates that `--checkpoint-dir`, `--obs-dir` and `--out` point
+    /// at usable directories: each must already exist as a
     /// directory or be creatable (parents included), so an unusable one
     /// is refused before the experiment runs, not when it goes to write
     /// its report. Split from [`HarnessOptions::try_parse`]
@@ -172,7 +164,6 @@ impl HarnessOptions {
     /// A human-readable message naming the flag and the problem.
     pub fn validate_dirs(&self) -> Result<(), String> {
         for (flag, dir) in [
-            ("--trace-dir", self.trace_dir.as_ref()),
             ("--checkpoint-dir", self.checkpoint_dir.as_ref()),
             ("--obs-dir", self.obs_dir.as_ref()),
             ("--out", Some(&self.out_dir)),
@@ -221,7 +212,6 @@ impl HarnessOptions {
                         value_of("--bench")?.split(',').map(str::to_owned).collect();
                 }
                 "--out" => options.out_dir = PathBuf::from(value_of("--out")?),
-                "--trace-dir" => options.trace_dir = Some(PathBuf::from(value_of("--trace-dir")?)),
                 "--checkpoint-dir" => {
                     options.checkpoint_dir = Some(PathBuf::from(value_of("--checkpoint-dir")?));
                 }
@@ -234,8 +224,11 @@ impl HarnessOptions {
                         return Err("--jobs must be at least 1".to_owned());
                     }
                 }
-                // Committed command lines pass these two; they select
+                // Committed command lines pass these three; they select
                 // nothing.
+                "--trace-dir" => {
+                    value_of("--trace-dir")?;
+                }
                 "--shards" => {
                     let v = value_of("--shards")?;
                     v.parse::<std::num::NonZeroUsize>()
@@ -254,11 +247,6 @@ impl HarnessOptions {
                 }
             }
         }
-        if options.checkpoint_dir.is_some() && options.trace_dir.is_none() {
-            return Err("--checkpoint-dir requires --trace-dir (warm starts restore into the \
-                 captured-trace replay engine)"
-                .to_owned());
-        }
         if options.obs_dir.is_some() && !options.metrics {
             return Err("--obs-dir requires --metrics (the journal and Chrome trace are part \
                  of the telemetry layer the flag enables)"
@@ -269,26 +257,14 @@ impl HarnessOptions {
 
     /// Runs every workload under every cell — any configurations that
     /// share a stream and a frontend ([`trrip_sim::experiment`]) — over
-    /// what the command line attached: the **store-backed** sweep when
-    /// `--trace-dir` is given (replayed from a capture, or walked and
-    /// captured on the side; warm-started from and populating
-    /// `--checkpoint-dir` if given), and the **storeless** sweep over the
-    /// walker otherwise. Either produces and predicts each workload's
-    /// stream once, for all cells, on at most `--jobs` simulating
-    /// threads. Results are bit-identical across every combination.
+    /// the walker, warm-started from and populating `--checkpoint-dir` if
+    /// one is given. Each workload's stream is walked and predicted once,
+    /// for all cells, on at most `--jobs` simulating threads. Results are
+    /// bit-identical with or without the store.
     #[must_use]
     pub fn sweep_cells(&self, workloads: &[PreparedWorkload], cells: &[SimConfig]) -> SweepResult {
         let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
-        match &self.trace_dir {
-            Some(traces) => replay_sweep(
-                self.jobs,
-                workloads,
-                cells,
-                &TraceStore::new(traces),
-                checkpoints.as_ref(),
-            ),
-            None => policy_sweep_with(self.jobs, workloads, cells),
-        }
+        policy_sweep_with(self.jobs, workloads, cells, checkpoints.as_ref())
     }
 
     /// [`HarnessOptions::sweep_cells`] for the common case: the machine
@@ -544,7 +520,6 @@ mod tests {
         assert_eq!(options.scale, 3);
         assert_eq!(options.benchmarks, ["gcc", "sqlite"]);
         assert_eq!(options.out_dir, PathBuf::from("r"));
-        assert_eq!(options.trace_dir, Some(PathBuf::from("traces")));
         assert_eq!(options.checkpoint_dir, Some(PathBuf::from("ckpts")));
         assert_eq!(options.jobs, 5);
     }
@@ -570,7 +545,6 @@ mod tests {
             (&["--out"], "--out"),
             (&["--trace-dir"], "--trace-dir"),
             (&["--checkpoint-dir"], "--checkpoint-dir"),
-            (&["--checkpoint-dir", "c"], "--trace-dir"),
             (&["--obs-dir"], "--obs-dir"),
             (&["--obs-dir", "o"], "--metrics"),
         ] {
@@ -583,26 +557,21 @@ mod tests {
     /// else, so a flag that leaves them as they were selects nothing.
     #[test]
     fn warm_prefix_parses_anywhere_and_changes_nothing() {
-        for rest in [&[][..], &["--trace-dir", "t"], &["--trace-dir", "t", "--checkpoint-dir", "c"]]
+        for rest in [&[][..], &["--checkpoint-dir", "c"], &["--jobs", "3", "--checkpoint-dir", "c"]]
         {
             let without = parse(rest).expect("valid").expect("not help");
-            for ignored in [&["--warm-prefix"][..], &["--shards", "4"]] {
+            for ignored in [&["--warm-prefix"][..], &["--shards", "4"], &["--trace-dir", "t"]] {
                 for with in [[ignored, rest].concat(), [rest, ignored].concat()] {
                     let with = parse(&with).expect("valid").expect("not help");
                     assert_eq!(format!("{with:?}"), format!("{without:?}"), "{ignored:?} {rest:?}");
                 }
             }
         }
-        // --warm-prefix still takes no value, --shards still takes one.
+        // --warm-prefix still takes no value, --shards and --trace-dir
+        // still take one.
         assert!(parse(&["--warm-prefix", "yes"]).is_err());
         assert!(parse(&["--warm-prefix", "--shards"]).is_err());
-    }
-
-    #[test]
-    fn checkpoint_dir_requires_trace_dir() {
-        let err = parse(&["--checkpoint-dir", "ckpts"]).unwrap_err();
-        assert!(err.contains("--trace-dir"), "unhelpful message: {err}");
-        assert!(parse(&["--checkpoint-dir"]).is_err(), "missing value must error");
+        assert!(parse(&["--trace-dir"]).is_err());
     }
 
     #[test]
@@ -619,8 +588,8 @@ mod tests {
         // out of the crate directory.
         let defaults = || HarnessOptions { out_dir: base.join("out"), ..HarnessOptions::default() };
         let options = HarnessOptions {
-            trace_dir: Some(existing.clone()),
             checkpoint_dir: Some(fresh.clone()),
+            obs_dir: Some(existing),
             ..defaults()
         };
         options.validate_dirs().expect("all three directories usable");
@@ -631,14 +600,10 @@ mod tests {
         let file = base.join("file");
         std::fs::write(&file, b"not a dir").expect("write file");
         for (flag, options) in [
-            ("--trace-dir", HarnessOptions { trace_dir: Some(file.clone()), ..defaults() }),
+            ("--obs-dir", HarnessOptions { obs_dir: Some(file.clone()), ..defaults() }),
             (
                 "--checkpoint-dir",
-                HarnessOptions {
-                    trace_dir: Some(existing),
-                    checkpoint_dir: Some(file.clone()),
-                    ..defaults()
-                },
+                HarnessOptions { checkpoint_dir: Some(file.clone()), ..defaults() },
             ),
             ("--out", HarnessOptions { out_dir: file.clone(), ..defaults() }),
         ] {
@@ -651,7 +616,10 @@ mod tests {
 
         // An uncreatable path (parent is a file) is rejected too.
         for (flag, uncreatable) in [
-            ("--trace-dir", HarnessOptions { trace_dir: Some(file.join("child")), ..defaults() }),
+            (
+                "--checkpoint-dir",
+                HarnessOptions { checkpoint_dir: Some(file.join("child")), ..defaults() },
+            ),
             ("--out", HarnessOptions { out_dir: file.join("sub"), ..defaults() }),
         ] {
             let err = uncreatable.validate_dirs().unwrap_err();
@@ -716,7 +684,7 @@ mod tests {
         let options = parse(&[]).expect("ok").expect("not help");
         assert_eq!(options.scale, 1);
         assert!(options.benchmarks.is_empty());
-        assert!(options.trace_dir.is_none());
+        assert!(options.checkpoint_dir.is_none());
         assert!(options.jobs >= 1, "default jobs must be usable");
     }
 }

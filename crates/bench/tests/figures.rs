@@ -8,9 +8,9 @@ use std::path::Path;
 use std::process::Command;
 
 /// The sweep calls `source` names: the harness's two entry points and
-/// the simulator's two beneath them.
+/// the simulator's one beneath them.
 fn sweep_calls(source: &str) -> usize {
-    [".sweep(", ".sweep_cells(", "policy_sweep_with(", "replay_sweep("]
+    [".sweep(", ".sweep_cells(", "policy_sweep_with("]
         .iter()
         .map(|call| source.matches(call).count())
         .sum()

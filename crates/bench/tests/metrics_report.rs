@@ -1,10 +1,10 @@
 //! `--metrics` on an experiment binary: `USAGE` promises a
 //! schema-versioned `obs_report.json` under `--out` from *every*
 //! binary, and a Chrome trace beside the journal. Driven through
-//! the real `fig6_speedup`, cold then warm over the same stores, so the
-//! report is also shown to carry what explains a sweep: the `warm.*`
-//! and `trace.*` deltas, and in the journal one `producer_opened` per
-//! workload and one `warm_start` per cell.
+//! the real `fig6_speedup`, cold then warm over the same checkpoint
+//! store, so the report is also shown to carry what explains a sweep: the
+//! `warm.*` and `walk.*` deltas, and in the journal one `producer_opened`
+//! per workload and one `warm_start` per cell.
 
 use std::path::Path;
 use std::process::Command;
@@ -17,7 +17,7 @@ fn fig6(dir: &Path, pass: &str) -> (Json, trrip_obs::JournalRead) {
     let (out, obs) = (at(&format!("out-{pass}")), at(&format!("obs-{pass}")));
     let run = Command::new(env!("CARGO_BIN_EXE_fig6_speedup"))
         .args(["--bench", "gcc", "--jobs", "2", "--quiet", "--metrics"])
-        .args(["--trace-dir", &at("traces"), "--checkpoint-dir", &at("ckpts")])
+        .args(["--checkpoint-dir", &at("ckpts")])
         .args(["--out", &out, "--obs-dir", &obs])
         .output()
         .expect("spawn fig6_speedup");
@@ -57,17 +57,18 @@ fn fig6_speedup_metrics_leaves_a_report_that_explains_the_sweep() {
     assert_eq!(counter(&cold, "trace.records_decoded"), 0, "a cold pass decodes nothing");
     let opened: Vec<_> = journal.of_kind("producer_opened").collect();
     assert_eq!(opened.len(), 1, "one producer per workload");
-    assert_eq!(str_of(opened[0], "source").as_deref(), Some("walker+tee"));
+    assert_eq!(str_of(opened[0], "source").as_deref(), Some("walker"));
     assert_eq!(opened[0].get("start").and_then(Json::as_u64), Some(0));
 
     let (warm, journal) = fig6(&dir, "warm");
     assert_eq!(counter(&warm, "warm.overlay_restore"), cells, "every cell restored");
     assert_eq!(counter(&warm, "warm.tail_replay") + counter(&warm, "warm.recorded_warmup"), 0);
-    assert!(counter(&warm, "trace.records_decoded") > 0, "a warm pass replays the capture");
-    assert!(counter(&warm, "trace.bytes_read") > 0);
+    assert_eq!(counter(&warm, "trace.records_decoded") + counter(&warm, "trace.bytes_read"), 0);
+    let (walked_warm, walked_cold) = (counter(&warm, "walk.instrs"), counter(&cold, "walk.instrs"));
+    assert!(walked_warm > 0 && walked_warm < walked_cold, "the warm pass walks the window alone");
     let opened: Vec<_> = journal.of_kind("producer_opened").collect();
     assert_eq!(opened.len(), 1);
-    assert_eq!(str_of(opened[0], "source").as_deref(), Some("replay"));
+    assert_eq!(str_of(opened[0], "source").as_deref(), Some("walker"));
     assert!(opened[0].get("start").and_then(Json::as_u64) > Some(0), "opened at the boundary");
     let routes: Vec<_> = journal.of_kind("warm_start").map(|e| str_of(e, "route")).collect();
     assert_eq!(routes.len() as u64, cells, "one warm_start per cell");

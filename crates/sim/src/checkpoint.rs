@@ -17,8 +17,7 @@
 //! and `body_len` makes truncation detectable before the checksum is
 //! even consulted. Writes go to a sibling temp file and are renamed into
 //! place, so concurrent sweep processes sharing a checkpoint directory
-//! never observe a half-written file — the same discipline as trace
-//! capture.
+//! never observe a half-written file.
 //!
 //! There is one version, [`VERSION`], and the store reads no other: it
 //! is a cache that rebuilds itself, so a file of any other version is a
@@ -29,10 +28,16 @@
 //! Every container is tagged with a [`CheckpointKind`]:
 //!
 //! * **shared prefix** — the *policy-agnostic* half of one workload's
-//!   fast-forward boundary state: the branch predictor section a
-//!   sweep's [`crate::Frontend`] hands out and nothing else. One file
-//!   per workload, keyed by what the frontend reads and nothing a cell
-//!   adds to it ([`warmup_prefix_hash`]);
+//!   fast-forward boundary state, as a sweep's [`crate::Frontend`] hands
+//!   it out ([`SharedWarmup`]), in two sections: `SHRD`, the branch
+//!   predictor, and `WALK`, the walker's position
+//!   ([`trrip_workloads::WalkerState`]) at exactly instruction
+//!   `fast_forward` — so a frontend resumed from it starts the stream
+//!   there without walking the warm-up. One file per workload, keyed by
+//!   what the frontend reads and nothing a cell adds to it
+//!   ([`warmup_prefix_hash`]). The walker section is checked against the
+//!   workload's program when it loads: an index out of range or a length
+//!   past what a walker holds is damage, named by field;
 //! * **policy overlay** — the *policy-dependent* rest (caches with
 //!   tag/RRPV/policy state, MMU/TLB, prefetch tables, in-flight
 //!   tracker, starvation FIFO). One file per cell — per `(workload,
@@ -52,8 +57,8 @@
 //! [`CheckpointStore`] keys files by:
 //!
 //! * the **workload fingerprint** ([`crate::capture::workload_fingerprint`]):
-//!   exact code placement + walk inputs, shared with the trace store, so
-//!   classifier sweeps (fig8) never reuse a stale warmed state;
+//!   exact code placement + the whole workload spec, so classifier sweeps
+//!   (fig8) never reuse a stale warmed state, nor two specs a stream;
 //! * a **warmup configuration hash** ([`warmup_config_hash`]): every
 //!   machine parameter that shapes architectural state (core, predictor,
 //!   hierarchy geometry + policy, page size, overlap policy, layout, and
@@ -70,8 +75,12 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
 use trrip_compiler::LayoutKind;
+use trrip_cpu::{BranchInfo, BranchKind, MemOp, StallClass, TraceInstr};
+use trrip_mem::VirtAddr;
 use trrip_os::OverlapPolicy;
 use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
+use trrip_workloads::walker::{Frame, Phase};
+use trrip_workloads::WalkerState;
 
 use crate::capture::{trace_layout, workload_fingerprint};
 use crate::config::SimConfig;
@@ -81,12 +90,13 @@ use crate::system::SimRun;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v8. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
+/// v9. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
 /// 64 KiB block LZ, or raw where LZ does not shrink it, each block
 /// tagged with its codec and the checksum of its *uncompressed* bytes.
-/// Every container is a fast-forward-boundary state, and a shared prefix
-/// is keyed by what a frontend reads alone.
-pub const VERSION: u16 = 8;
+/// Every container is a fast-forward-boundary state, a shared prefix is
+/// keyed by what a frontend reads alone, and it holds the walker's
+/// position beside the predictor.
+pub const VERSION: u16 = 9;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -665,7 +675,11 @@ impl CheckpointStore {
     ) -> Result<PathBuf, CheckpointError> {
         let path = self.prefix_path(workload, config);
         let meta = self.expected_prefix_meta(workload, config);
-        write_checkpoint_kind(&path, CheckpointKind::SharedPrefix, &meta, &prefix.shared)?;
+        let mut payload = prefix.shared.clone();
+        let mut walker = SnapWriter::new();
+        save_walker(&mut walker, &prefix.walker);
+        payload.extend_from_slice(walker.bytes());
+        write_checkpoint_kind(&path, CheckpointKind::SharedPrefix, &meta, &payload)?;
         note_save();
         Ok(path)
     }
@@ -677,8 +691,10 @@ impl CheckpointStore {
     ///
     /// # Errors
     ///
-    /// Damaged files, as [`CheckpointStore::load`], and a payload that
-    /// is not exactly one `SHRD` section.
+    /// Damaged files, as [`CheckpointStore::load`]; a payload that is not
+    /// exactly a `SHRD` and a `WALK` section; and a walker section no
+    /// walker over `workload`'s program could be in
+    /// ([`WalkerState::check`]), naming the field.
     pub fn load_prefix(
         &self,
         workload: &PreparedWorkload,
@@ -686,11 +702,8 @@ impl CheckpointStore {
     ) -> Result<Option<SharedWarmup>, CheckpointError> {
         let path = self.prefix_path(workload, config);
         let expected = self.expected_prefix_meta(workload, config);
-        load_keyed(&path, CheckpointKind::SharedPrefix, &expected, |shared| {
-            let mut r = SnapReader::new(&shared);
-            let _ = r.section(b"SHRD")?; // its contents are for `Frontend::resume` to read
-            r.finish()?;
-            Ok(SharedWarmup { shared })
+        load_keyed(&path, CheckpointKind::SharedPrefix, &expected, |payload| {
+            SharedWarmup::load(&payload, workload)
         })
     }
 
@@ -904,26 +917,206 @@ fn parse_trailing_fingerprint(key: &str) -> Option<u64> {
     u64::from_str_radix(fingerprint, 16).ok()
 }
 
-/// One workload's policy-agnostic warm prefix — the `SHRD` section, the
-/// branch predictor at the fast-forward boundary — as a
-/// [`CheckpointKind::SharedPrefix`] container holds it. Shared across
-/// every policy cell of the workload.
+/// One workload's policy-agnostic warm prefix, as a
+/// [`CheckpointKind::SharedPrefix`] container holds it: the `SHRD`
+/// section — the branch predictor at the fast-forward boundary — and the
+/// walker's position there. Shared across every cell of the workload.
 #[derive(Debug, Clone)]
 pub struct SharedWarmup {
     /// The `SHRD` section, as raw bytes.
     shared: Vec<u8>,
+    /// Where the walker stands at the boundary: what it would hand out
+    /// next is instruction `fast_forward`.
+    pub walker: WalkerState,
 }
 
 impl SharedWarmup {
-    /// A prefix from a `SHRD` section's bytes.
-    pub(crate) fn from_section(shared: Vec<u8>) -> SharedWarmup {
-        SharedWarmup { shared }
+    /// A prefix from a `SHRD` section's bytes and the walker's position.
+    pub(crate) fn new(shared: Vec<u8>, walker: WalkerState) -> SharedWarmup {
+        SharedWarmup { shared, walker }
     }
 
     /// The `SHRD` section's bytes.
     pub(crate) fn shared(&self) -> &[u8] {
         &self.shared
     }
+
+    /// A prefix container's payload, its walker section checked against
+    /// `workload`'s program.
+    fn load(payload: &[u8], workload: &PreparedWorkload) -> Result<SharedWarmup, CheckpointError> {
+        let mut r = SnapReader::new(payload);
+        let _ = r.section(b"SHRD")?; // its contents are for `Frontend::resume` to read
+        let shared = payload[..payload.len() - r.remaining()].to_vec();
+        let walker = restore_walker(&mut r)?;
+        r.finish()?;
+        walker
+            .check(&workload.program, &workload.spec)
+            .map_err(|e| CheckpointError::Corrupt(format!("walker section: {e}")))?;
+        Ok(SharedWarmup { shared, walker })
+    }
+}
+
+// ---- the `WALK` section ----
+//
+// walk  := rng:u64×4 n:usize instr×n n:usize frame×n n:usize fid:usize×n
+//          rotation_pos:usize next_top:opt n:usize (fid:usize block:usize
+//          cursor:u64)×n n:usize addr:u64×n cold_ring_pos:usize
+//          blocks_in_invocation:u64
+// instr := pc:u64 branch:(0 | 1+kind taken:bool target:u64)
+//          mem:(0 | 1+store addr:u64) stall:(0 | 1+class cycles:u8)
+// frame := fid:usize block:usize (0 | 1 successor:opt term_slot:opt)
+//          return_pc:opt
+// opt   := absent:false | present:true value:u64
+
+/// Branch kinds by their code in a walker section, less one.
+const BRANCH_KINDS: [BranchKind; 6] = [
+    BranchKind::Conditional,
+    BranchKind::Direct,
+    BranchKind::Indirect,
+    BranchKind::Call,
+    BranchKind::IndirectCall,
+    BranchKind::Return,
+];
+
+fn save_walker(w: &mut SnapWriter, state: &WalkerState) {
+    let opt = |w: &mut SnapWriter, value: Option<u64>| {
+        w.bool(value.is_some());
+        value.into_iter().for_each(|v| w.u64(v));
+    };
+    // Every code is the variant's position in its list, plus one.
+    let code = |position: Option<usize>| 1 + position.expect("a listed variant") as u8;
+    w.section(b"WALK", |w| {
+        state.rng.iter().for_each(|&word| w.u64(word));
+        w.usize(state.pending.len());
+        for instr in &state.pending {
+            w.u64(instr.pc.raw());
+            let kind = instr.branch.map(|b| BRANCH_KINDS.iter().position(|&k| k == b.kind));
+            w.u8(kind.map_or(0, code));
+            if let Some(b) = instr.branch {
+                w.bool(b.taken);
+                w.u64(b.target.raw());
+            }
+            w.u8(instr.mem.map_or(0, |m| 1 + u8::from(m.store)));
+            instr.mem.into_iter().for_each(|m| w.u64(m.addr.raw()));
+            let class = instr.exec_stall.map(|(c, _)| StallClass::ALL.iter().position(|&k| k == c));
+            w.u8(class.map_or(0, code));
+            instr.exec_stall.into_iter().for_each(|(_, cycles)| w.u8(cycles));
+        }
+        w.usize(state.frames.len());
+        for frame in &state.frames {
+            w.usize(frame.fid);
+            w.usize(frame.block);
+            match frame.phase {
+                Phase::Body => w.u8(0),
+                Phase::AfterCall { successor, term_slot } => {
+                    w.u8(1);
+                    opt(w, successor.map(|block| block as u64));
+                    opt(w, term_slot.map(u64::from));
+                }
+            }
+            opt(w, frame.return_pc.map(VirtAddr::raw));
+        }
+        w.usize(state.rotation.len());
+        state.rotation.iter().for_each(|&fid| w.usize(fid));
+        w.usize(state.rotation_pos);
+        opt(w, state.next_top.map(|fid| fid as u64));
+        w.usize(state.scan_cursors.len());
+        for &((fid, block), cursor) in &state.scan_cursors {
+            w.usize(fid);
+            w.usize(block);
+            w.u64(cursor);
+        }
+        w.usize(state.cold_ring.len());
+        state.cold_ring.iter().for_each(|&addr| w.u64(addr));
+        w.usize(state.cold_ring_pos);
+        w.u64(u64::from(state.blocks_in_invocation));
+    });
+}
+
+/// Reads a `WALK` section. Its shape only: whether a walker over some
+/// program could be in the state is [`WalkerState::check`]'s to say. No
+/// length is believed beyond the bytes left to hold it, so nothing is
+/// allocated past the section's size.
+fn restore_walker(r: &mut SnapReader<'_>) -> Result<WalkerState, SnapError> {
+    let corrupt = |field: &str, value: u64| SnapError::Corrupt(format!("{field}: {value}"));
+    let count = |r: &mut SnapReader<'_>, field: &str| {
+        let n = r.usize()?;
+        if n > r.remaining() {
+            return Err(corrupt(field, n as u64));
+        }
+        Ok(n)
+    };
+    let opt = |r: &mut SnapReader<'_>| r.bool()?.then(|| r.u64()).transpose();
+    fn listed<T: Copy>(list: &[T], code: u8, field: &str) -> Result<T, SnapError> {
+        let listed = list.get(usize::from(code) - 1).copied();
+        listed.ok_or_else(|| SnapError::Corrupt(format!("{field}: {code}")))
+    }
+    let u32_of = |v: u64, field| u32::try_from(v).map_err(|_| corrupt(field, v));
+    let instr = |r: &mut SnapReader<'_>| -> Result<TraceInstr, SnapError> {
+        let pc = VirtAddr::new(r.u64()?);
+        let branch = match r.u8()? {
+            0 => None,
+            code => Some(BranchInfo {
+                kind: listed(&BRANCH_KINDS, code, "pending branch kind")?,
+                taken: r.bool()?,
+                target: VirtAddr::new(r.u64()?),
+            }),
+        };
+        let mem = match r.u8()? {
+            0 => None,
+            code @ 1..=2 => Some(MemOp { store: code == 2, addr: VirtAddr::new(r.u64()?) }),
+            code => return Err(corrupt("pending memory operand", code.into())),
+        };
+        let exec_stall = match r.u8()? {
+            0 => None,
+            code => Some((listed(&StallClass::ALL, code, "pending stall class")?, r.u8()?)),
+        };
+        Ok(TraceInstr { pc, branch, mem, exec_stall })
+    };
+    let frame = |r: &mut SnapReader<'_>| -> Result<Frame, SnapError> {
+        let (fid, block) = (r.usize()?, r.usize()?);
+        let phase = match r.u8()? {
+            0 => Phase::Body,
+            1 => Phase::AfterCall {
+                successor: opt(r)?.map(|block| block as usize),
+                term_slot: opt(r)?.map(|slot| u32_of(slot, "frame term_slot")).transpose()?,
+            },
+            code => return Err(corrupt("frame phase", code.into())),
+        };
+        Ok(Frame { fid, block, phase, return_pc: opt(r)?.map(VirtAddr::new) })
+    };
+
+    let mut s = r.section(b"WALK")?;
+    let rng = [s.u64()?, s.u64()?, s.u64()?, s.u64()?];
+    let n = count(&mut s, "pending")?;
+    let pending = (0..n).map(|_| instr(&mut s)).collect::<Result<_, _>>()?;
+    let n = count(&mut s, "frames")?;
+    let frames = (0..n).map(|_| frame(&mut s)).collect::<Result<_, _>>()?;
+    let n = count(&mut s, "rotation")?;
+    let rotation = (0..n).map(|_| s.usize()).collect::<Result<_, _>>()?;
+    let rotation_pos = s.usize()?;
+    let next_top = opt(&mut s)?.map(|fid| fid as usize);
+    let n = count(&mut s, "scan_cursors")?;
+    let scan_cursors = (0..n)
+        .map(|_| -> Result<_, SnapError> { Ok(((s.usize()?, s.usize()?), s.u64()?)) })
+        .collect::<Result<_, _>>()?;
+    let n = count(&mut s, "cold_ring")?;
+    let cold_ring = (0..n).map(|_| s.u64()).collect::<Result<_, _>>()?;
+    let cold_ring_pos = s.usize()?;
+    let blocks_in_invocation = u32_of(s.u64()?, "blocks_in_invocation")?;
+    s.finish()?;
+    Ok(WalkerState {
+        rng,
+        pending,
+        frames,
+        rotation,
+        rotation_pos,
+        next_top,
+        scan_cursors,
+        cold_ring,
+        cold_ring_pos,
+        blocks_in_invocation,
+    })
 }
 
 #[cfg(test)]
@@ -979,5 +1172,87 @@ mod tests {
         });
         assert!(matches!(result.expect_err("surfaces"), CheckpointError::BadMagic));
         assert_eq!(calls, 1, "non-transient errors surface on the first attempt");
+    }
+
+    // ---- the walker section is on-disk input ----
+
+    fn tiny_workload() -> PreparedWorkload {
+        let mut spec = trrip_workloads::WorkloadSpec::named("walk-section");
+        spec.functions = 50;
+        spec.hot_rotation = 8;
+        PreparedWorkload::prepare(&spec, 100_000, trrip_core::ClassifierConfig::llvm_defaults())
+    }
+
+    /// A walker's state a few batches in, some of the last batch unread.
+    fn some_state(workload: &PreparedWorkload) -> WalkerState {
+        use trrip_trace::TraceSource;
+        let config = SimConfig::quick(trrip_policies::PolicyKind::Srrip);
+        let mut walker = crate::capture::eval_walker(workload, &config);
+        let mut pulled = Vec::new();
+        for _ in 0..3 {
+            walker.next_batch(&mut pulled);
+        }
+        walker.state(&pulled[2_500..])
+    }
+
+    /// A prefix payload: an empty predictor section and `walker`'s.
+    fn payload_of(walker: &WalkerState) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.section(b"SHRD", |_| {});
+        save_walker(&mut w, walker);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn a_walker_section_out_of_range_is_damage_naming_the_field() {
+        let workload = tiny_workload();
+        let functions = workload.program.functions.len();
+        let good = some_state(&workload);
+        let loaded = SharedWarmup::load(&payload_of(&good), &workload).expect("a valid section");
+        assert_eq!(loaded.walker, good, "the section round-trips");
+
+        // Each case damages one field; `n` is the program's function count.
+        fn frame(fid: usize, block: usize, phase: Phase) -> Vec<Frame> {
+            vec![Frame { fid, block, phase, return_pc: None }]
+        }
+        const FAR: Phase = Phase::AfterCall { successor: Some(1 << 20), term_slot: None };
+        type Damage = fn(&mut WalkerState, usize);
+        let cases: [(&str, Damage); 9] = [
+            ("frames: frame 0", |s, n| s.frames = frame(n, 0, Phase::Body)),
+            ("frames: frame 0", |s, _| s.frames = frame(0, 1 << 20, Phase::Body)),
+            ("frames: frame 0", |s, _| s.frames = frame(0, 0, FAR)),
+            ("rotation: ", |s, n| s.rotation[0] = n),
+            ("rotation_pos", |s, _| s.rotation_pos = s.rotation.len()),
+            ("cold_ring: 4097", |s, _| s.cold_ring = vec![0; 4_097]),
+            ("cold_ring_pos", |s, _| s.cold_ring_pos = s.cold_ring.len() + 1),
+            ("pending", |s, _| s.pending = vec![s.pending[0]; 1 << 16]),
+            ("next_top", |s, n| s.next_top = Some(n)),
+        ];
+        for (field, damage) in cases {
+            let mut bad = good.clone();
+            damage(&mut bad, functions);
+            let error = SharedWarmup::load(&payload_of(&bad), &workload)
+                .expect_err("a state no walker of the program is in");
+            assert!(error.to_string().contains(field), "{field}: {error}");
+        }
+    }
+
+    /// Every byte of a valid walker section flipped in turn: the section
+    /// loads, or is an error — it never panics.
+    #[test]
+    fn a_flipped_walker_section_is_an_error_never_a_panic() {
+        let workload = tiny_workload();
+        let pristine = payload_of(&some_state(&workload));
+        let path =
+            std::env::temp_dir().join(format!("trrip-walker-section-{}.bin", std::process::id()));
+        let mut errors = 0;
+        for offset in 0..pristine.len() {
+            trrip_snap::corrupt::plant_file(&path, &pristine);
+            trrip_snap::corrupt::flip_byte(&path, offset, 0xFF);
+            let damaged = std::fs::read(&path).expect("read back");
+            errors += usize::from(SharedWarmup::load(&damaged, &workload).is_err());
+        }
+        assert!(errors > pristine.len() / 2, "{errors} of {} flips caught", pristine.len());
+        std::fs::remove_file(&path).ok();
     }
 }

@@ -12,54 +12,47 @@
 //! [`policy_cells`] builds the common case, one machine under several
 //! policies.
 //!
-//! **One executor, three producers.** Every sweep runs on the push
-//! executor (`push_sweep`): per workload, one [`Frontend`] — branch
-//! predictor, FDIP scan, fetch-line tracking, none of which ever sees a
-//! cache latency — digests the instruction stream into a small bounded
-//! window of shared event turns, and at most `jobs` worker threads push
-//! every turn through their cells, which run only the
-//! memory-system-dependent half of the core. A worker drives the cells it
-//! holds of a workload **in lockstep**: it reads a turn once, and each
-//! record moves every one of those machines before the next is looked at
-//! (`Core::execute` over the group) — so a turn is decoded once per
-//! worker, not once per cell, and the cells' memory systems, which share
-//! nothing, keep the host busy side by side. Whole workloads go to a
-//! worker each while there are enough of them left; then each remaining
-//! workload's cells are split across a team of workers reading the same
-//! window. A workload's stream is produced once, predicted once and never
-//! materialised, whatever feeds the frontend:
-//!
-//! * **the walker** — [`policy_sweep_with`], no disk at all;
-//! * **the walker, teed into a capture** ([`CaptureTee`]) — a
-//!   [`replay_sweep`] whose [`TraceStore`] does not hold the workload
-//!   yet: it walks once and simulates while it writes, and the file is
-//!   the one [`crate::capture_trace`] writes, byte for byte;
-//! * **a replay of the capture** ([`StreamingReplay`]) — every later
-//!   [`replay_sweep`]: one decode per workload, on a thread of its own.
+//! **One entry point, one executor, one producer.** Every sweep is a
+//! [`policy_sweep_with`] and runs on the push executor (`push_sweep`):
+//! per workload, one [`Frontend`] — branch predictor, FDIP scan,
+//! fetch-line tracking, none of which ever sees a cache latency — digests
+//! the CFG walker's stream into a small bounded window of shared event
+//! turns, and at most `jobs` worker threads push every turn through their
+//! cells, which run only the memory-system-dependent half of the core. A
+//! worker drives the cells it holds of a workload **in lockstep**: it
+//! reads a turn once, and each record moves every one of those machines
+//! before the next is looked at (`Core::execute` over the group) — so a
+//! turn is decoded once per worker, not once per cell, and the cells'
+//! memory systems, which share nothing, keep the host busy side by side.
+//! Whole workloads go to a worker each while there are enough of them
+//! left; then each remaining workload's cells are split across a team of
+//! workers reading the same window. A workload's stream is walked once,
+//! predicted once and never materialised, and never read from disk: a
+//! capture decodes no faster than the walker walks.
 //!
 //! With a [`CheckpointStore`] attached a sweep also leaves the
 //! fast-forward boundary behind, in **two files**: per workload the
-//! **shared prefix** (the frontend's predictor, and nothing else — one
-//! file however the row's cells differ), per cell its **overlay**. There
-//! is one way back to the boundary, `restore_at_boundary`, and every cell
-//! takes it: a cell whose overlay loads restores, a cell whose overlay
-//! does not executes the warm-up turns ([`trrip_cpu::Core::execute`]) and
-//! leaves its overlay; the window writes the prefix once its frontend is
-//! across the boundary, if no loadable one was on file. Where every cell
-//! of a workload can restore, the frontend itself resumes from the prefix
-//! over a replay that starts its decode at the boundary: nothing reads
+//! **shared prefix** (the frontend's predictor and the walker's position
+//! — one file however the row's cells differ), per cell its **overlay**.
+//! There is one way back to the boundary, `restore_at_boundary`, and
+//! every cell takes it: a cell whose overlay loads restores, a cell whose
+//! overlay does not executes the warm-up turns
+//! ([`trrip_cpu::Core::execute`]) and leaves its overlay; the window
+//! writes the prefix once its frontend is across the boundary, if no
+//! loadable one was on file. Where every cell of a workload can restore,
+//! the frontend and the walker both resume from the prefix: nothing walks
 //! the warm-up at all. The `warm.*` counters ([`crate::warmstats`]) and
 //! the `producer_opened` / `warm_start` journal events say which of these
 //! a sweep did; `tests/walk_once_equivalence.rs` and
 //! `tests/push_store_equivalence.rs` hold every route to the same bits
-//! and the design to its counts (one frontend, one walk or one decode,
-//! one prefix read, `jobs` threads, and `exec.cell_records /
-//! exec.turn_records` machines a record).
+//! and the design to its counts (one frontend, one walk from the first
+//! instruction or from the boundary, one prefix read, `jobs` threads, and
+//! `exec.cell_records / exec.turn_records` machines a record).
 //!
 //! No executor remains beside this one, and `jobs` threads are the only
 //! way a sweep uses more than one core. Rows are independent and every
 //! store write is temp + rename, so two processes sweeping disjoint
-//! workloads may share a trace directory and a checkpoint directory.
+//! workloads may share a checkpoint directory.
 //!
 //! The one-cell paths, [`crate::simulate`] and
 //! [`crate::simulate_source`], pull from a source of their own through
@@ -69,7 +62,6 @@
 //! with nobody to share a frontend with is cheaper without one.
 
 use std::collections::VecDeque;
-use std::path::Path;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, MutexGuard};
 
@@ -77,13 +69,14 @@ use parking_lot::Mutex;
 use trrip_cpu::EventTurn;
 use trrip_obs::Field;
 use trrip_policies::PolicyKind;
-use trrip_trace::{SourceIter, StreamingReplay, TraceSource};
+use trrip_trace::SourceIter;
+use trrip_workloads::{InputSet, TraceGenerator};
 
-use crate::capture::{eval_walker, CaptureTee, TraceStore};
+use crate::capture::eval_walker;
 use crate::checkpoint::{CheckpointStore, SharedWarmup};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::system::{Frontend, SimResult, SimRun};
+use crate::system::{Frontend, Resumable, SimResult, SimRun};
 use crate::warmstats;
 
 /// Worker threads used when the caller does not cap them: one per
@@ -203,8 +196,9 @@ where
 /// pushed as event turns through all of its cells, on at most `jobs`
 /// threads, the caller's included: a sweep of one cell, or with
 /// `jobs == 1`, spawns none. Every cell is bit-identical to a
-/// [`crate::simulate`] of its own, whatever the worker count or
-/// scheduling.
+/// [`crate::simulate`] of its own, whatever the worker count, the
+/// scheduling or the route through `checkpoints`
+/// (`tests/push_store_equivalence.rs`).
 ///
 /// Workers are dealt to workloads statically, in rounds. While at least
 /// as many workloads remain as there are workers, the next round gives
@@ -223,6 +217,22 @@ where
 /// two per workload in flight whatever the run length, and a turn is
 /// still warm in the host's cache when the last member reads it.
 ///
+/// With `checkpoints`, cells start warm where they can and leave warm
+/// starts behind where they cannot. Each cell restores its overlay at
+/// the fast-forward boundary if it loads; a cell without executes the
+/// warm-up turns and saves its overlay at the boundary. The frontend's
+/// predictor and the walker's position there are the shared prefix,
+/// which the window saves unless a loadable one was on file. When every
+/// cell of a workload has a restore on file
+/// ([`CheckpointStore::holds_restore`]) and the prefix loads, nobody
+/// needs the warm-up: the frontend resumes from the prefix
+/// ([`Frontend::resume`]) over a walker resumed there. A cell whose
+/// promised overlay then fails to load is reported, runs alone over a
+/// walker of its own and rewrites its overlay; the others are untouched.
+/// Damaged files heal by being overwritten, and so do files of another
+/// format version, which read as absent; a save that fails only costs the
+/// warm start next time.
+///
 /// # Panics
 ///
 /// Panics if the cells do not share a stream and a frontend (see the
@@ -232,57 +242,13 @@ pub fn policy_sweep_with(
     jobs: usize,
     workloads: &[PreparedWorkload],
     cells: &[SimConfig],
-) -> SweepResult {
-    push_sweep(jobs, workloads, cells, None, |workload, _| {
-        journal_producer(workload, "walker", 0);
-        Frontend::new(&cells[0], eval_walker(workload, &cells[0]))
-    })
-}
-
-/// Runs every workload under every cell over the captures in `traces`
-/// — on the same executor as [`policy_sweep_with`], dealt the same way,
-/// on at most `jobs` simulating threads (a replay decodes on one more).
-/// Per workload the stream is read once: replayed from its capture, or,
-/// where the store does not hold one yet, walked and **captured on the
-/// side** ([`CaptureTee`]) while the sweep simulates it.
-///
-/// With `checkpoints`, cells start warm where they can and leave warm
-/// starts behind where they cannot. Each cell restores its overlay at
-/// the fast-forward boundary if it loads; a cell without executes the
-/// warm-up turns and saves its overlay at the boundary. The frontend's
-/// predictor there is the shared prefix, which the window saves unless a
-/// loadable one was on file. When every cell of a workload has a restore
-/// on file ([`CheckpointStore::holds_restore`]) and the prefix loads,
-/// nobody needs the warm-up: the frontend resumes from the prefix
-/// ([`Frontend::resume`]) over a replay whose decode begins at the chunk
-/// holding the boundary. A cell whose promised overlay then fails to
-/// load is reported, runs alone from a replay of its own and rewrites
-/// its overlay; the others are untouched.
-///
-/// Every cell is bit-identical to a [`crate::simulate_source`] over its
-/// capture on every route (`tests/push_store_equivalence.rs`). Damaged
-/// files heal by being overwritten, and so do files of another format
-/// version, which read as absent; a save that fails only costs the warm
-/// start next time.
-///
-/// # Panics
-///
-/// Panics if the cells do not share a stream and a frontend, or if a
-/// capture that exists cannot be replayed (damaged between capture and
-/// replay).
-#[must_use]
-pub fn replay_sweep(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    cells: &[SimConfig],
-    traces: &TraceStore,
     checkpoints: Option<&CheckpointStore>,
 ) -> SweepResult {
     // With nothing to fast-forward there is no boundary state to keep.
     let warms = cells.first().is_some_and(|stream| stream.fast_forward > 0);
-    let stores = Stores { traces, checkpoints: checkpoints.filter(|_| warms) };
-    push_sweep(jobs, workloads, cells, Some(stores), |workload, prefix| {
-        stores.open(workload, cells, prefix)
+    let checkpoints = checkpoints.filter(|_| warms);
+    push_sweep(jobs, workloads, cells, checkpoints, |workload, prefix| {
+        open_walker(workload, cells, checkpoints, prefix)
     })
 }
 
@@ -306,76 +272,56 @@ fn assert_one_stream(cells: &[SimConfig]) {
     }
 }
 
-/// The stores behind a [`replay_sweep`].
-#[derive(Clone, Copy)]
-struct Stores<'a> {
-    traces: &'a TraceStore,
-    checkpoints: Option<&'a CheckpointStore>,
-}
-
-/// What a store-backed window's frontend reads: a replay or a teed
-/// walker.
-type StoredSource<'a> = Box<dyn TraceSource + Send + 'a>;
-
-impl<'a> Stores<'a> {
-    /// Opens the producer of `workload`'s row of `cells`: at the
-    /// fast-forward boundary, its predictor `prefix`'s, if no cell will
-    /// read the warm-up, else at the first instruction — of the capture
-    /// if there is one, of the walker if not.
-    fn open(
-        self,
-        workload: &'a PreparedWorkload,
-        cells: &[SimConfig],
-        prefix: Option<&SharedWarmup>,
-    ) -> Frontend<StoredSource<'a>> {
-        let config = &cells[0];
-        let path = self.traces.path_for(workload, config);
-        for (index, cell) in cells.iter().enumerate() {
-            let own = self.traces.path_for(workload, cell);
-            assert!(own == path, "cell {index} reads another capture: {}", own.display());
+/// Opens the frontend of `workload`'s row of `cells` over the walker: at
+/// the fast-forward boundary, both resumed from the shared `prefix`, if
+/// no cell will read the warm-up; else at the first instruction. Whether
+/// every cell can restore is judged by file names alone: a file that
+/// then fails to load costs that one cell a walk of its own.
+fn open_walker<'w>(
+    workload: &'w PreparedWorkload,
+    cells: &[SimConfig],
+    checkpoints: Option<&CheckpointStore>,
+    prefix: Option<&SharedWarmup>,
+) -> Frontend<TraceGenerator<'w>> {
+    let config = &cells[0];
+    let holds =
+        |store: &CheckpointStore| cells.iter().all(|cell| store.holds_restore(workload, cell));
+    match prefix.filter(|_| checkpoints.is_some_and(holds)) {
+        Some(prefix) => {
+            journal_producer(workload, config.fast_forward);
+            let object = workload.object(config.layout);
+            let (program, spec) = (&workload.program, &workload.spec);
+            let walker = TraceGenerator::resume(
+                program,
+                object,
+                spec,
+                InputSet::Eval,
+                prefix.walker.clone(),
+            )
+            .expect("the walker section was checked when the prefix loaded");
+            Frontend::resume(config, walker, prefix)
+                .expect("keyed shared prefix matches the machine")
         }
-        let captured = self.traces.has(workload, config);
-        // Whether every cell can restore is judged by file names alone:
-        // a file that then fails to load costs that one cell a replay
-        // of its own.
-        let resume = prefix.filter(|_| {
-            let holds = |store: &CheckpointStore| {
-                cells.iter().all(|cell| store.holds_restore(workload, cell))
-            };
-            captured && self.checkpoints.is_some_and(holds)
-        });
-        let start = if resume.is_some() { config.fast_forward } else { 0 };
-        let source: StoredSource<'a> = if captured {
-            journal_producer(workload, "replay", start);
-            Box::new(open_replay(&path, start))
-        } else {
-            journal_producer(workload, "walker+tee", start);
-            Box::new(CaptureTee::new(workload, config, &path))
-        };
-        match resume {
-            Some(prefix) => Frontend::resume(config, source, prefix)
-                .expect("keyed shared prefix matches the machine"),
-            None => Frontend::new(config, source),
+        None => {
+            journal_producer(workload, 0);
+            Frontend::new(config, eval_walker(workload, config))
         }
-    }
-
-    /// One cell by itself, on the pull path, over a replay of its own:
-    /// it warms up and leaves the overlay the next sweep restores. (The
-    /// prefix is on file: its window resumed from it.)
-    fn run_alone(self, workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
-        let path = self.traces.path_for(workload, config);
-        let mut stream = SourceIter::new(open_replay(&path, 0));
-        let mut run = SimRun::new(workload, config);
-        run.fast_forward(&mut stream);
-        leave_boundary(self.checkpoints, &run);
-        run.measure(&mut stream)
     }
 }
 
-/// A replay of the capture at `path` from instruction `start` on.
-fn open_replay(path: &Path, start: u64) -> StreamingReplay {
-    StreamingReplay::open_at(path, start)
-        .unwrap_or_else(|e| panic!("replaying {}: {e}", path.display()))
+/// One cell by itself, on the pull path, over a walker of its own: it
+/// warms up and leaves the overlay the next sweep restores. (The prefix
+/// is on file: its window resumed from it.)
+fn run_alone(
+    workload: &PreparedWorkload,
+    config: &SimConfig,
+    checkpoints: &CheckpointStore,
+) -> SimResult {
+    let mut stream = SourceIter::new(eval_walker(workload, config));
+    let mut run = SimRun::new(workload, config);
+    run.fast_forward(&mut stream);
+    leave_boundary(Some(checkpoints), &run);
+    run.measure(&mut stream)
 }
 
 /// Instructions in a turn: the unit the stream window is filled, handed
@@ -399,23 +345,23 @@ const TURN_INSTRS: usize = 16 * 1024;
 /// the same as 4 (three runs each, same workload).
 const WINDOW_TURNS: usize = 4;
 
-/// The push executor behind [`policy_sweep_with`] and [`replay_sweep`]:
-/// per workload, `open` is called once — with the workload's shared
-/// prefix, if `stores` hold a loadable one — and the stream under the
-/// frontend it returns (both read from the first cell: all agree on what
-/// they read) is digested and pushed turn by turn through every cell's
-/// [`SimRun`] (see [`policy_sweep_with`] for how cells are dealt to
-/// workers, [`replay_sweep`] for what `stores` add). Generic over the
-/// producer: nothing here knows where the stream comes from.
+/// The push executor behind [`policy_sweep_with`]: per workload, `open`
+/// is called once — with the workload's shared prefix, if `checkpoints`
+/// hold a loadable one — and the stream under the frontend it returns
+/// (both read from the first cell: all agree on what they read) is
+/// digested and pushed turn by turn through every cell's [`SimRun`] (see
+/// [`policy_sweep_with`] for how cells are dealt to workers and what
+/// `checkpoints` add). Generic over the producer: nothing here knows
+/// where the stream comes from.
 fn push_sweep<'w, S, F>(
     jobs: usize,
     workloads: &'w [PreparedWorkload],
     cells: &'w [SimConfig],
-    stores: Option<Stores<'w>>,
+    checkpoints: Option<&'w CheckpointStore>,
     open: F,
 ) -> SweepResult
 where
-    S: TraceSource + Send,
+    S: Resumable + Send,
     F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S> + Sync,
 {
     assert_one_stream(cells);
@@ -426,7 +372,7 @@ where
         let workers = jobs.clamp(1, runs);
         let teams = deal_teams(workloads.len(), cells.len(), workers);
         let windows: Vec<Window<'w, S>> = std::iter::zip(workloads, &teams)
-            .map(|(workload, team)| Window::new(workload, stream, stores, team.members))
+            .map(|(workload, team)| Window::new(workload, stream, checkpoints, team.members))
             .collect();
         let work = |worker: usize| {
             let _bail = Bail(&windows);
@@ -525,11 +471,10 @@ fn run_share<'w, S, F>(
     share: &[(usize, &SimConfig)],
 ) -> Vec<(usize, SimResult)>
 where
-    S: TraceSource,
+    S: Resumable,
     F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S>,
 {
-    let (workload, config) = (window.workload, window.config);
-    let checkpoints = window.checkpoints();
+    let (workload, config, checkpoints) = (window.workload, window.config, window.checkpoints);
     let bench = workload.spec.name.as_str();
     let start = window.open(open);
     let mut reader = Reader { window, turn: 0, held: None };
@@ -575,10 +520,10 @@ where
     let mut finished: Vec<(usize, SimResult)> =
         cells.into_iter().map(|mut cell| (cell.index, cell.run.finish())).collect();
     for (index, cell_config) in alone {
-        let stores = window.stores.expect("only a store-backed window starts past the warm-up");
+        let store = checkpoints.expect("only a store-backed window starts past the warm-up");
         let policy = cell_config.hierarchy.l2_policy;
         journal_cell("cell_started", bench, policy, ("group", Field::U64(1)));
-        finished.push((index, stores.run_alone(workload, cell_config)));
+        finished.push((index, run_alone(workload, cell_config, store)));
     }
     for (_, result) in &finished {
         let cycles = ("cycles", Field::F64(result.core.cycles));
@@ -670,14 +615,14 @@ fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, field: (&str, F
     trrip_obs::event(kind, &fields);
 }
 
-/// Journals what a workload's one frontend reads (`walker`,
-/// `walker+tee` or `replay`) and the stream position it starts at.
-fn journal_producer(workload: &PreparedWorkload, source: &str, start: u64) {
+/// Journals a workload's one producer, the walker, and the stream
+/// position it starts at.
+fn journal_producer(workload: &PreparedWorkload, start: u64) {
     trrip_obs::event(
         "producer_opened",
         &[
             ("benchmark", Field::Str(&workload.spec.name)),
-            ("source", Field::Str(source)),
+            ("source", Field::Str("walker")),
             ("start", Field::U64(start)),
         ],
     );
@@ -733,7 +678,7 @@ struct Window<'w, S> {
     /// What the stream and the frontend are read from: the row's first
     /// cell, with which every other agrees on it.
     config: &'w SimConfig,
-    stores: Option<Stores<'w>>,
+    checkpoints: Option<&'w CheckpointStore>,
     /// Team size: every turn is read this many times.
     readers: usize,
     state: std::sync::Mutex<WindowState<S>>,
@@ -776,17 +721,17 @@ enum Producer<S> {
     Done,
 }
 
-impl<'w, S: TraceSource> Window<'w, S> {
+impl<'w, S: Resumable> Window<'w, S> {
     fn new(
         workload: &'w PreparedWorkload,
         config: &'w SimConfig,
-        stores: Option<Stores<'w>>,
+        checkpoints: Option<&'w CheckpointStore>,
         readers: usize,
     ) -> Self {
         Window {
             workload,
             config,
-            stores,
+            checkpoints,
             readers,
             state: std::sync::Mutex::new(WindowState {
                 producer: Producer::Unopened,
@@ -805,11 +750,6 @@ impl<'w, S: TraceSource> Window<'w, S> {
         self.state.lock().expect("a sweep worker panicked inside the stream window")
     }
 
-    /// The checkpoint store attached to the sweep, if one is.
-    fn checkpoints(&self) -> Option<&'w CheckpointStore> {
-        self.stores.and_then(|stores| stores.checkpoints)
-    }
-
     /// The stream position of turn 0. The first member to ask reads the
     /// shared prefix, if a store holds one, and opens the producer with
     /// it — under the lock: its teammates have nothing to do before they
@@ -821,9 +761,9 @@ impl<'w, S: TraceSource> Window<'w, S> {
         let mut state = self.lock();
         if matches!(state.producer, Producer::Unopened) {
             let prefix =
-                self.checkpoints().and_then(|store| load_prefix(store, self.workload, self.config));
+                self.checkpoints.and_then(|store| load_prefix(store, self.workload, self.config));
             let frontend = open(self.workload, prefix.as_ref());
-            state.prefix_wanted = self.checkpoints().is_some() && prefix.is_none();
+            state.prefix_wanted = self.checkpoints.is_some() && prefix.is_none();
             state.start = frontend.start();
             state.producer = Producer::Idle(Box::new(frontend));
         }
@@ -863,7 +803,7 @@ impl<'w, S: TraceSource> Window<'w, S> {
                     // The frontend is across the fast-forward boundary:
                     // what it knows there is the shared prefix every
                     // later sweep starts from.
-                    if let Some(store) = self.checkpoints().filter(|_| prefix_wanted) {
+                    if let Some(store) = self.checkpoints.filter(|_| prefix_wanted) {
                         if let Some(prefix) = frontend.take_shared_warmup() {
                             save_prefix(store, self.workload, self.config, &prefix);
                         }
@@ -912,13 +852,13 @@ impl<'w, S: TraceSource> Window<'w, S> {
 
 /// One team member's position in a [`Window`]: hands out the stream
 /// turn by turn, and releases each turn as it moves past.
-struct Reader<'a, 'w, S: TraceSource> {
+struct Reader<'a, 'w, S: Resumable> {
     window: &'a Window<'w, S>,
     turn: usize,
     held: Option<Arc<EventTurn>>,
 }
 
-impl<S: TraceSource> Reader<'_, '_, S> {
+impl<S: Resumable> Reader<'_, '_, S> {
     /// Hands the turns covering the stream's next `limit` instructions
     /// to `push`, one by one; the final call carries `last = true`,
     /// with an empty turn if there was nothing to hand over or the
@@ -948,7 +888,7 @@ impl<S: TraceSource> Reader<'_, '_, S> {
     }
 }
 
-impl<S: TraceSource> Drop for Reader<'_, '_, S> {
+impl<S: Resumable> Drop for Reader<'_, '_, S> {
     /// Lets go of the turn still held (unless unwinding: [`Bail`] has
     /// the team covered, and the lock may be poisoned).
     fn drop(&mut self) {
@@ -988,7 +928,17 @@ mod tests {
     use crate::system::{simulate, simulate_source};
     use trrip_core::ClassifierConfig;
     use trrip_cpu::TraceInstr;
-    use trrip_workloads::WorkloadSpec;
+    use trrip_trace::source::VecSource;
+    use trrip_trace::TraceSource;
+    use trrip_workloads::{WalkerState, WorkloadSpec};
+
+    /// The sweeps over sources of their own attach no store, so nobody
+    /// asks them for a position to keep.
+    impl Resumable for VecSource {
+        fn position(&self, _: &[TraceInstr]) -> WalkerState {
+            unreachable!("no checkpoint store is attached")
+        }
+    }
 
     fn tiny_workload(name: &str) -> PreparedWorkload {
         let mut spec = WorkloadSpec::named(name);
@@ -1004,7 +954,7 @@ mod tests {
         config.instructions = 100_000;
         config.fast_forward = 10_000;
         let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-        let sweep = policy_sweep_with(2, &workloads, &cells);
+        let sweep = policy_sweep_with(2, &workloads, &cells, None);
         assert_eq!(sweep.results.len(), 4);
         assert_eq!(sweep.get("wa", PolicyKind::Srrip).policy, PolicyKind::Srrip);
         assert_eq!(sweep.get("wb", PolicyKind::Trrip1).benchmark, "wb");
@@ -1021,7 +971,7 @@ mod tests {
         config.fast_forward = 0;
         let mut roomy = config.clone();
         roomy.hierarchy = roomy.hierarchy.with_l2_size(256 << 10);
-        let sweep = policy_sweep_with(1, &workloads, &[config, roomy]);
+        let sweep = policy_sweep_with(1, &workloads, &[config, roomy], None);
         assert_ne!(sweep.cell("wg", 0).l2, sweep.cell("wg", 1).l2);
         let _ = sweep.get("wg", PolicyKind::Srrip);
     }
@@ -1033,7 +983,7 @@ mod tests {
         config.instructions = 80_000;
         config.fast_forward = 8_000;
         let cells = policy_cells(&config, &[PolicyKind::Clip]);
-        let sweep = policy_sweep_with(default_jobs(), &workloads, &cells);
+        let sweep = policy_sweep_with(default_jobs(), &workloads, &cells, None);
         let serial = simulate(&workloads[0], &cells[0]);
         let from_sweep = sweep.get("wx", PolicyKind::Clip);
         assert_eq!(from_sweep.core.cycles, serial.core.cycles);
@@ -1073,7 +1023,6 @@ mod tests {
     /// stream.
     #[test]
     fn push_sweep_over_any_source_matches_simulate_source() {
-        use trrip_trace::source::VecSource;
         let workloads = vec![tiny_workload("wv")];
         let mut config = SimConfig::quick(PolicyKind::Srrip);
         config.instructions = 60_000;
@@ -1114,6 +1063,11 @@ mod tests {
                 assert!(self.0 < 40, "source broke");
                 out.extend(std::iter::repeat_n(TraceInstr::simple(0x40_0000), 1_024));
                 1_024
+            }
+        }
+        impl Resumable for Breaks {
+            fn position(&self, _: &[TraceInstr]) -> WalkerState {
+                unreachable!("no checkpoint store is attached")
             }
         }
         let workloads = vec![tiny_workload("wp")];

@@ -14,21 +14,20 @@
 //!   measure, collect — over the in-memory walker or any
 //!   [`trrip_trace::TraceSource`]; the one-cell oracle every sweep is
 //!   held to.
-//! * [`capture`] — [`capture_trace`], the [`TraceStore`] and the
-//!   [`CaptureTee`]: record the walker's output to the `trrip-trace`
-//!   binary format once — on the side of the sweep that first needs it —
-//!   and replay it from disk for every subsequent run.
+//! * [`capture`] — [`capture_trace`]: record the walker's output to the
+//!   `trrip-trace` binary format, for [`simulate_source`] to replay; no
+//!   sweep reads one. And the workload fingerprint every store key
+//!   carries.
 //! * [`checkpoint`] — versioned, checksummed on-disk snapshots of a
 //!   warmed [`SimRun`], keyed by workload fingerprint + machine hash;
 //!   repeated sweeps restore instead of re-running fast-forward. A
 //!   sweep keeps the fast-forward boundary as two files: a
-//!   policy-agnostic **shared prefix** (the predictor, one per workload)
-//!   and a per-policy **overlay**.
+//!   policy-agnostic **shared prefix** (the predictor and the walker's
+//!   position, one per workload) and a per-cell **overlay**.
 //! * [`experiment`] — sweeps on the one executor there is (a cell is a
 //!   [`SimConfig`]; a workload's stream is produced once, predicted once
 //!   and pushed through every cell): [`policy_sweep_with`] over the
-//!   walker, [`replay_sweep`] over a trace store and, optionally, a
-//!   checkpoint store; and speedup computation.
+//!   walker and, optionally, a checkpoint store; and speedup computation.
 //! * [`warmstats`] — what the `warm.*` registry counters mean: how
 //!   cells reached the fast-forward boundary (restored, or warmed with
 //!   or without a store), the observable behind fallback tests.
@@ -49,7 +48,7 @@ pub mod system;
 pub mod warmstats;
 
 pub use backend::SystemBackend;
-pub use capture::{capture_length, capture_trace, CaptureTee, TraceStore};
+pub use capture::{capture_length, capture_trace};
 pub use checkpoint::{
     read_checkpoint, warmup_config_hash, warmup_prefix_hash, write_checkpoint,
     write_checkpoint_kind, CheckpointError, CheckpointKind, CheckpointMeta, CheckpointStore,
@@ -57,8 +56,7 @@ pub use checkpoint::{
 };
 pub use config::SimConfig;
 pub use experiment::{
-    default_jobs, parallel_map_with, policy_cells, policy_sweep_with, replay_sweep, speedup_vs,
-    SweepResult,
+    default_jobs, parallel_map_with, policy_cells, policy_sweep_with, speedup_vs, SweepResult,
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;

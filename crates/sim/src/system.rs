@@ -28,9 +28,9 @@
 //! ([`SimRun::push_fast_forward_group`], [`SimRun::push_measure_group`]),
 //! which take the turn in lockstep, one read of it driving them all, or
 //! to one run ([`SimRun::push_fast_forward`], [`SimRun::push_measure`]),
-//! which is a group of one. That is how [`crate::policy_sweep_with`] and
-//! [`crate::replay_sweep`] produce and predict a workload's stream once
-//! and decode it once per worker. The two sides are bit-identical
+//! which is a group of one. That is how [`crate::policy_sweep_with`]
+//! walks and predicts a workload's stream once and decodes each turn
+//! once per worker. The two sides are bit-identical
 //! wherever the stream is cut and however the runs are grouped
 //! (`tests/walk_once_equivalence.rs`).
 //!
@@ -38,18 +38,19 @@
 //! behind [`SimRun::fast_forward`], the event loop behind
 //! [`SimRun::push_fast_forward_group`] — and both leave the same
 //! policy-dependent boundary state behind ([`SimRun::save_overlay`]);
-//! the policy-agnostic rest, the predictor, is the [`Frontend`]'s, handed
-//! out by [`Frontend::take_shared_warmup`].
+//! the policy-agnostic rest — the predictor, and where the walker stands —
+//! is the [`Frontend`]'s, handed out by [`Frontend::take_shared_warmup`].
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
 use trrip_cache::{AccessStats, Hierarchy};
 use trrip_cpu::backend::{FlatBackend, MemoryBackend};
-use trrip_cpu::{BranchPredictor, Core, CoreResult, EventTurn, RunState, WarmupMode};
+use trrip_cpu::{BranchPredictor, Core, CoreResult, EventTurn, RunState, TraceInstr, WarmupMode};
 use trrip_os::{Loader, Mmu, PageStats, TlbStats};
 use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use trrip_trace::{SourceIter, TraceSource};
+use trrip_workloads::{TraceGenerator, WalkerState};
 
 use crate::backend::SystemBackend;
 use crate::checkpoint::SharedWarmup;
@@ -172,10 +173,11 @@ pub fn simulate_source<S: TraceSource>(
 /// phase cover exactly its instructions.
 ///
 /// Its predictor at that boundary is the whole policy-agnostic half of
-/// a checkpoint. A frontend that digested the warm-up hands it out, once,
-/// as a [`SharedWarmup`] ([`Frontend::take_shared_warmup`]); a frontend
-/// built from one ([`Frontend::resume`]) starts *at* the boundary, over a
-/// source positioned there, with nothing of the warm-up left to pull.
+/// a checkpoint. A frontend that digested the warm-up over the walker
+/// hands it out, once, as a [`SharedWarmup`] beside the walker's position
+/// there ([`Frontend::take_shared_warmup`]); a frontend built from one
+/// ([`Frontend::resume`]) starts *at* the boundary, over a source
+/// positioned there, with nothing of the warm-up left to pull.
 #[derive(Debug)]
 pub struct Frontend<S> {
     stream: SourceIter<S>,
@@ -238,21 +240,6 @@ impl<S: TraceSource> Frontend<S> {
         self.start
     }
 
-    /// The policy-agnostic warm prefix — this frontend's predictor at
-    /// the boundary, exactly as a fast-forward of any pulled cell leaves
-    /// its own. `Some` once, after the turn that completed the
-    /// warm-up; never after [`Frontend::resume`], nor if the stream
-    /// ended inside the warm-up.
-    pub fn take_shared_warmup(&mut self) -> Option<SharedWarmup> {
-        if self.left[0] > 0 || !self.prefix_due {
-            return None;
-        }
-        self.prefix_due = false;
-        let mut shared = SnapWriter::new();
-        save_shared_section(&self.core, &mut shared);
-        Some(SharedWarmup::from_section(shared.into_bytes()))
-    }
-
     /// Digests up to `limit` further instructions into `turn` (cleared
     /// first), stopping at the phase boundary. The core looks ahead of
     /// what it processes, so a turn covers the instructions pulled less
@@ -283,6 +270,40 @@ impl<S: TraceSource> Frontend<S> {
         }
         self.digested += turn.instructions();
         self.left != [0, 0]
+    }
+}
+
+impl<S: Resumable> Frontend<S> {
+    /// The policy-agnostic warm prefix — this frontend's predictor at
+    /// the boundary, exactly as a fast-forward of any pulled cell leaves
+    /// its own, and its source's position there: what it would hand out
+    /// next, counting what this frontend pulled and has not digested, is
+    /// instruction `fast_forward`. `Some` once, after the turn that
+    /// completed the warm-up; never after [`Frontend::resume`], nor if
+    /// the stream ended inside the warm-up.
+    pub fn take_shared_warmup(&mut self) -> Option<SharedWarmup> {
+        if self.left[0] > 0 || !self.prefix_due {
+            return None;
+        }
+        self.prefix_due = false;
+        let mut shared = SnapWriter::new();
+        save_shared_section(&self.core, &mut shared);
+        let walker = self.stream.source().position(self.stream.unread());
+        Some(SharedWarmup::new(shared.into_bytes(), walker))
+    }
+}
+
+/// A source whose position a shared prefix keeps beside the predictor:
+/// the walker, which carries on from it ([`TraceGenerator::resume`]).
+pub trait Resumable: TraceSource {
+    /// Where the source stands, as if `unread` — the last instructions it
+    /// handed out, which nobody has consumed — had not been handed out.
+    fn position(&self, unread: &[TraceInstr]) -> WalkerState;
+}
+
+impl Resumable for TraceGenerator<'_> {
+    fn position(&self, unread: &[TraceInstr]) -> WalkerState {
+        self.state(unread)
     }
 }
 

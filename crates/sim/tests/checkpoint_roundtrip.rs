@@ -7,9 +7,9 @@ use proptest::prelude::*;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    read_checkpoint, simulate, warmup_config_hash, write_checkpoint_kind, CheckpointError,
-    CheckpointStore, PreparedWorkload, SimConfig, SimResult, SimRun, SnapReader, SnapWriter,
-    Snapshot,
+    policy_cells, policy_sweep_with, read_checkpoint, simulate, warmup_config_hash,
+    write_checkpoint_kind, CheckpointError, CheckpointStore, PreparedWorkload, SimConfig,
+    SimResult, SimRun, SnapReader, SnapWriter, Snapshot,
 };
 use trrip_snap::corrupt;
 use trrip_trace::SourceIter;
@@ -329,9 +329,8 @@ fn gc_never_breaks_a_concurrent_writers_rename() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// The store-backed sweep over a checkpoint store agrees bit-for-bit
-/// with the walker sweep — cold (populating) and warm (restoring)
-/// alike.
+/// The sweep over a checkpoint store agrees bit-for-bit with the
+/// storeless sweep — cold (populating) and warm (restoring) alike.
 #[test]
 fn checkpointed_sweep_matches_other_engines() {
     let w = quick_workload();
@@ -339,16 +338,13 @@ fn checkpointed_sweep_matches_other_engines() {
     let config = quick_config(PolicyKind::Srrip);
     let policies = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Trrip2];
 
-    let trace_dir = std::env::temp_dir().join("trrip-ckpt-sweep-traces");
     let ckpt_dir = std::env::temp_dir().join("trrip-ckpt-sweep-ckpts");
-    std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::remove_dir_all(&ckpt_dir).ok();
-    let traces = trrip_sim::TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
-    let cells = trrip_sim::policy_cells(&config, &policies);
-    let walked = trrip_sim::policy_sweep_with(4, &workloads, &cells);
-    let sweep = || trrip_sim::replay_sweep(4, &workloads, &cells, &traces, Some(&ckpts));
+    let cells = policy_cells(&config, &policies);
+    let walked = policy_sweep_with(4, &workloads, &cells, None);
+    let sweep = || policy_sweep_with(4, &workloads, &cells, Some(&ckpts));
     let cold = sweep();
     for (policy, cell_config) in policies.iter().zip(&cells) {
         assert!(
@@ -362,8 +358,47 @@ fn checkpointed_sweep_matches_other_engines() {
         assert_identical(a, b, "cold checkpointed sweep");
         assert_identical(a, c, "warm checkpointed sweep");
     }
-    std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::remove_dir_all(&ckpt_dir).ok();
+}
+
+/// Two specs that differ only in `depend_stall_cycles` draw the same
+/// random numbers, so they train the same profile and get the same
+/// placement — but not the same stream: every stall they emit lasts
+/// differently. Their keys must differ, and sweeping both over one store
+/// must give each what its own storeless sweep gives, cold and warm.
+#[test]
+fn store_keys_cover_every_spec_field_the_stream_reads() {
+    let mut spec = WorkloadSpec::named("ckpt-stall-cycles");
+    spec.functions = 50;
+    spec.hot_rotation = 8;
+    let mut slower = spec.clone();
+    slower.depend_stall_cycles += 3;
+    let prepare = |spec: &WorkloadSpec| {
+        PreparedWorkload::prepare(spec, 100_000, ClassifierConfig::llvm_defaults())
+    };
+    let twins = [[prepare(&spec)], [prepare(&slower)]];
+    let config = quick_config(PolicyKind::Srrip);
+    let [a, b] = [&twins[0][0], &twins[1][0]];
+    assert_eq!(a.pgo_object.block_addrs, b.pgo_object.block_addrs, "one placement");
+
+    let dir = std::env::temp_dir().join("trrip-ckpt-spec-keys-test");
+    std::fs::remove_dir_all(&dir).ok();
+    let store = CheckpointStore::new(&dir);
+    assert_ne!(store.prefix_path(a, &config), store.prefix_path(b, &config));
+    assert_ne!(store.overlay_path(a, &config), store.overlay_path(b, &config));
+
+    let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+    let own: Vec<_> = twins.iter().map(|w| policy_sweep_with(2, w, &cells, None)).collect();
+    assert_ne!(own[0].results[0].core, own[1].results[0].core, "the stalls take time");
+    for pass in ["cold", "warm"] {
+        for (w, own) in twins.iter().zip(&own) {
+            let stored = policy_sweep_with(2, w, &cells, Some(&store));
+            for (x, y) in stored.results.iter().zip(&own.results) {
+                assert_identical(x, y, &format!("{pass}: {} / {}", w[0].spec.name, x.policy));
+            }
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 // ---- container robustness on arbitrary section shapes ----

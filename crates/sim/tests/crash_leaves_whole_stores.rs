@@ -1,10 +1,9 @@
-//! What a crash leaves: both stores publish by temp + rename, so a sweep
-//! killed between a flush and its rename leaves whole files or none, a
-//! container torn before its rename is rejected by its checksum, and the
-//! next `replay_sweep` over the same directories restores exactly what
-//! was published, reports exactly what was damaged, heals it, and is
-//! bit-identical — all 10 policies — to `simulate_source` of each cell
-//! alone. The torn-write seam itself (`ckpt.save.partial`, between flush
+//! What a crash leaves: the checkpoint store publishes by temp + rename,
+//! so a sweep killed between a flush and its rename leaves whole files or
+//! none, a container torn before its rename is rejected by its checksum,
+//! and the next sweep over the same directory restores exactly what was
+//! published, reports exactly what was damaged, heals it, and is
+//! bit-identical — all 10 policies — to `simulate` of each cell alone. The torn-write seam itself (`ckpt.save.partial`, between flush
 //! and rename), which the other suites only imitate by damaging files
 //! after they were published.
 //!
@@ -25,10 +24,9 @@ use trrip_core::ClassifierConfig;
 use trrip_obs::json::Json;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    capture_trace, policy_cells, replay_sweep, simulate_source, CheckpointStore, PreparedWorkload,
-    SimConfig, SimResult, SweepResult, TraceStore,
+    policy_cells, policy_sweep_with, simulate, CheckpointStore, PreparedWorkload, SimConfig,
+    SimResult, SweepResult,
 };
-use trrip_trace::StreamingReplay;
 use trrip_workloads::WorkloadSpec;
 
 /// Every policy the simulator can run, including the non-paper Random
@@ -80,23 +78,22 @@ fn cells() -> Vec<SimConfig> {
     policy_cells(&config(), &ALL_POLICIES)
 }
 
-fn stores(root: &Path) -> (TraceStore, CheckpointStore) {
-    (TraceStore::new(root.join("traces")), CheckpointStore::new(root.join("ckpts")))
+fn store(root: &Path) -> CheckpointStore {
+    CheckpointStore::new(root.join("ckpts"))
 }
 
-/// The child: a cold sweep over `$TRRIP_CRASH_CHILD`'s stores on one
+/// The child: a cold sweep over `$TRRIP_CRASH_CHILD`'s store on one
 /// thread, so that the order of its saves is fixed.
 #[test]
 fn child_entry() {
     let Some(root) = std::env::var_os(CHILD_VAR).map(PathBuf::from) else { return };
     trrip_obs::journal_init(&root.join("child.jsonl"), 100_000).expect("journal");
     trrip_obs::set_quiet(true);
-    let (traces, ckpts) = stores(&root);
-    let _ = replay_sweep(1, &workloads(), &cells(), &traces, Some(&ckpts));
+    let _ = policy_sweep_with(1, &workloads(), &cells(), Some(&store(&root)));
     trrip_obs::journal_close();
 }
 
-/// Spawns a child over fresh stores under `root`, `faults` armed. The
+/// Spawns a child over a fresh store under `root`, `faults` armed. The
 /// checkpoint directory carries a stray `coord/` of an earlier version.
 fn spawn_child(root: &Path, faults: &str) -> Child {
     let stray = root.join("ckpts/coord/claims");
@@ -123,13 +120,12 @@ struct Seen {
 }
 
 impl Seen {
-    /// Runs a sweep over `root`'s stores under a journal of its own.
+    /// Runs a sweep over `root`'s store under a journal of its own.
     fn sweep(root: &Path, pass: &str, workloads: &[PreparedWorkload]) -> (SweepResult, Seen) {
-        let (traces, ckpts) = stores(root);
         let path = root.join(format!("{pass}.jsonl"));
         trrip_obs::journal_init(&path, 100_000).expect("journal");
         let before = trrip_obs::snapshot();
-        let sweep = replay_sweep(2, workloads, &cells(), &traces, Some(&ckpts));
+        let sweep = policy_sweep_with(2, workloads, &cells(), Some(&store(root)));
         let moved = trrip_obs::snapshot().since(&before);
         trrip_obs::journal_close();
         let journal = trrip_obs::read_journal(&path).expect("read the journal back");
@@ -212,15 +208,15 @@ fn files_with(dir: &Path, needle: &str) -> Vec<String> {
     names.filter(|name| name.contains(needle)).collect()
 }
 
-/// A sweep over whole stores: every cell restores, nothing warms,
-/// nothing is damaged, each producer a replay opened at the boundary.
+/// A sweep over a whole store: every cell restores, nothing warms,
+/// nothing is damaged, each producer a walker resumed at the boundary.
 fn assert_restores_everything(root: &Path, workloads: &[PreparedWorkload], oracle: &[SimResult]) {
     let (sweep, seen) = Seen::sweep(root, "healed", workloads);
     assert_sweep(&sweep, oracle, "over the healed stores");
     assert_eq!(seen.warm(), [SWEEP, 0, 0]);
     assert!(seen.damaged().is_empty(), "healed: {:?}", seen.damaged());
     let boundary = config().fast_forward;
-    assert_eq!(seen.producers(), ROWS.map(|row| (row, "replay", boundary)));
+    assert_eq!(seen.producers(), ROWS.map(|row| (row, "walker", boundary)));
 }
 
 #[test]
@@ -236,30 +232,23 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
         spawn_child(&bad_overlay, "ckpt.save.partial=truncate:9@2"),
     ];
 
-    // Meanwhile, the reference: each cell alone over a fresh capture.
+    // Meanwhile, the reference: each cell alone over a walker of its own.
     let (workloads, config) = (workloads(), config());
     let cell = |policy| config.clone().with_policy(policy);
-    let oracle: Vec<SimResult> = workloads
-        .iter()
-        .flat_map(|w| {
-            let path = root.join(format!("{}.reference.trrip", w.spec.name));
-            capture_trace(w, &config, &path).expect("reference capture");
-            ALL_POLICIES
-                .map(|p| simulate_source(w, &cell(p), StreamingReplay::open(&path).expect("open")))
-        })
-        .collect();
+    let oracle: Vec<SimResult> =
+        workloads.iter().flat_map(|w| ALL_POLICIES.map(|p| simulate(w, &cell(p)))).collect();
     let codes = children.each_mut().map(|child| child.wait().expect("wait").code());
     assert_eq!(codes, [Some(trrip_obs::fault::KILL_EXIT_CODE), Some(0), Some(0)]);
     for dir in [&killed, &bad_prefix, &bad_overlay] {
         let fired = trrip_obs::read_journal(&dir.join("child.jsonl")).expect("child's journal");
         assert_eq!(fired.of_kind("fault_fired").count(), 1, "{}", dir.display());
     }
-    let (a, b) = (&workloads[0], &workloads[1]);
+    let a = &workloads[0];
 
     // ---- (a) killed between a flush and its rename ----
     // Whole files or none: the prefix and the overlays saved before the
-    // fatal one, its temp file beside them, no capture.
-    let (traces, ckpts) = stores(&killed);
+    // fatal one, its temp file beside them, and nothing else.
+    let ckpts = store(&killed);
     let published = &ALL_POLICIES[..KILL_AT - 2];
     assert_eq!(files_with(ckpts.dir(), ".ckpt").len(), KILL_AT - 1);
     assert_eq!(files_with(ckpts.dir(), ".tmp.").len(), 1);
@@ -267,9 +256,10 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     let held: Vec<_> =
         ALL_POLICIES.into_iter().filter(|&p| ckpts.overlay_path(a, &cell(p)).is_file()).collect();
     assert_eq!(held, published);
-    assert!(!traces.has(a, &config) && !traces.has(b, &config), "no capture was finished");
+    assert!(!killed.join("traces").exists(), "a sweep writes no capture");
     // The next sweep restores what was published, warms the rest, walks
-    // both rows again, and never reads the temp file.
+    // both rows from the first instruction, and never reads the temp
+    // file.
     let (sweep, seen) = Seen::sweep(&killed, "next", &workloads);
     assert_sweep(&sweep, &oracle, "after the kill");
     assert_eq!(seen.took("overlay_restore"), cells_of(&ROWS[..1], published));
@@ -277,7 +267,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     warmed.extend(cells_of(&ROWS[1..], &ALL_POLICIES));
     assert_eq!(seen.took("tail_replay"), warmed);
     assert_eq!(seen.warm()[2], 1, "row 0's prefix loads; row 1's is written");
-    assert_eq!(seen.producers(), ROWS.map(|row| (row, "walker+tee", 0)));
+    assert_eq!(seen.producers(), ROWS.map(|row| (row, "walker", 0)));
     assert!(seen.damaged().is_empty(), "a temp file is never read: {:?}", seen.damaged());
     assert_restores_everything(&killed, &workloads, &oracle);
     // The litter goes with a gc; the foreign subdirectory is nobody's.
@@ -291,7 +281,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     // ---- (b) a prefix published torn ----
     // Row 0's prefix is reported and written again under a frontend that
     // starts at the first instruction; every overlay still restores.
-    let (_, ckpts) = stores(&bad_prefix);
+    let ckpts = store(&bad_prefix);
     let prefix = ckpts.prefix_path(a, &config);
     let torn = std::fs::read(&prefix).expect("the prefix was published");
     let (sweep, seen) = Seen::sweep(&bad_prefix, "next", &workloads);
@@ -299,7 +289,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     assert_eq!(seen.damaged(), [("shared prefix", ROWS[0], "*")]);
     assert_eq!(
         seen.producers(),
-        [(ROWS[0], "replay", 0), (ROWS[1], "replay", config.fast_forward)]
+        [(ROWS[0], "walker", 0), (ROWS[1], "walker", config.fast_forward)]
     );
     assert_eq!(seen.warm(), [SWEEP, 0, 1]);
     assert!(std::fs::read(&prefix).expect("the prefix") != torn, "written again");
@@ -307,15 +297,15 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
 
     // ---- (b) an overlay published torn ----
     // By name the store is whole, so row 0's producer starts at the
-    // boundary; the one cell runs alone from a replay of its own and
+    // boundary; the one cell runs alone over a walker of its own and
     // rewrites its file, the other nine restore in lockstep.
-    let (_, ckpts) = stores(&bad_overlay);
+    let ckpts = store(&bad_overlay);
     let overlay = ckpts.overlay_path(a, &cell(ALL_POLICIES[0]));
     let torn = std::fs::read(&overlay).expect("the overlay was published");
     let (sweep, seen) = Seen::sweep(&bad_overlay, "next", &workloads);
     assert_sweep(&sweep, &oracle, "over a torn overlay");
     assert_eq!(seen.damaged(), [("policy overlay", ROWS[0], ALL_POLICIES[0].name())]);
-    assert_eq!(seen.producers(), ROWS.map(|row| (row, "replay", config.fast_forward)));
+    assert_eq!(seen.producers(), ROWS.map(|row| (row, "walker", config.fast_forward)));
     assert_eq!(seen.took("tail_replay"), cells_of(&ROWS[..1], &ALL_POLICIES[..1]));
     assert_eq!(seen.warm(), [SWEEP - 1, 1, 0]);
     // Two workers: row 0 to the one (nine in lockstep, then the one

@@ -1,12 +1,13 @@
-//! Both stores are caches that rebuild themselves, so each reader speaks
-//! exactly one format version and a file of any other is a clean
+//! The checkpoint store is a cache that rebuilds itself, so its reader
+//! speaks exactly one format version and a file of any other is a clean
 //! **miss**: not decoded, not damage, not reported — counted `ckpt.miss`,
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
-//! a checkpoint store whose every file (prefix, overlays) says version 7
-//! and a trace that says version 4 make the next `replay_sweep` do what
-//! it does over empty stores — to the same bits, leaving current files
-//! behind.
+//! a store whose every file (prefix, overlays) says version 8 — the one
+//! whose prefix held no walker — makes the next sweep do what it does
+//! over an empty store, to the same bits, leaving current files behind.
+//! (A capture of another version is `probe`'s to refuse:
+//! `trace/tests/properties.rs`.)
 //!
 //! One `#[test]` on purpose: the counters and the journal are
 //! process-wide.
@@ -16,8 +17,7 @@ use std::path::{Path, PathBuf};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_cells, policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig,
-    SweepResult, TraceStore,
+    policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
@@ -25,9 +25,9 @@ use trrip_workloads::WorkloadSpec;
 const POLICIES: [PolicyKind; 3] = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Trrip1];
 const CELLS: u64 = POLICIES.len() as u64;
 
-/// Both containers keep their little-endian version at bytes 8–9, after
-/// an 8-byte magic and outside anything a checksum covers: the field
-/// can be rewritten with nothing else to fix up.
+/// A container keeps its little-endian version at bytes 8–9, after an
+/// 8-byte magic and outside anything a checksum covers: the field can be
+/// rewritten with nothing else to fix up.
 const VERSION_OFFSET: usize = 8;
 
 fn version_of(path: &Path) -> u16 {
@@ -82,7 +82,6 @@ fn assert_sweep(sweep: &SweepResult, oracle: &SweepResult, what: &str) {
 fn files_of_another_version_are_misses_and_are_written_again() {
     let root = std::env::temp_dir().join(format!("trrip-old-version-{}", std::process::id()));
     std::fs::remove_dir_all(&root).ok();
-    let traces = TraceStore::new(root.join("traces"));
     let ckpts = CheckpointStore::new(root.join("ckpts"));
     let journal = root.join("journal.jsonl");
     std::fs::create_dir_all(&root).expect("scratch dir");
@@ -96,27 +95,24 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     config.fast_forward = 20_000;
     config.instructions = 45_000;
     let stream = config.fast_forward + config.instructions;
-    let trace = traces.path_for(&workloads[0], &config);
 
     let cells = policy_cells(&config, &POLICIES);
-    let oracle = policy_sweep_with(2, &workloads, &cells);
-    let pushed = || replay_sweep(2, &workloads, &cells, &traces, Some(&ckpts));
+    let oracle = policy_sweep_with(2, &workloads, &cells, None);
+    let pushed = || policy_sweep_with(2, &workloads, &cells, Some(&ckpts));
 
-    // Populate: prefix, overlays and the trace — over empty stores
-    // first, which is what the stale stores below are held to.
+    // Populate: prefix and overlays — over an empty store first, which
+    // is what the stale store below is held to.
     let (_, empty_push) = moved_by(pushed);
     assert_eq!(routes(&empty_push), [0, CELLS, 1, 0]);
     let files = files_of(&ckpts).len();
     assert_eq!(files as u64, 1 + CELLS, "prefix, overlays");
-    let current = (version_of(&ckpts.prefix_path(&workloads[0], &config)), version_of(&trace));
-    assert_eq!(current, (trrip_sim::checkpoint::VERSION, trrip_trace::format::VERSION));
+    let current = version_of(&ckpts.prefix_path(&workloads[0], &config));
+    assert_eq!(current, trrip_sim::checkpoint::VERSION);
 
-    // ---- the pushed sweep over stores of the previous versions ----
-    assert_eq!(stamp_all(&ckpts, 7), files);
-    corrupt::set_bytes(&trace, VERSION_OFFSET, &4u16.to_le_bytes());
-    assert!(!traces.has(&workloads[0], &config), "a trace of another version reads as absent");
+    // ---- the sweep over a store of the previous version ----
+    assert_eq!(stamp_all(&ckpts, 8), files);
     let (again, moved) = moved_by(pushed);
-    assert_sweep(&again, &oracle, "pushed sweep over stale stores");
+    assert_sweep(&again, &oracle, "sweep over a stale store");
     assert_eq!(routes(&moved), routes(&empty_push), "as over an empty store");
     assert_eq!(
         (moved.get("ckpt.hit"), moved.get("ckpt.miss"), moved.get("ckpt.corrupt")),
@@ -124,17 +120,14 @@ fn files_of_another_version_are_misses_and_are_written_again() {
         "every load a miss, none of them damage"
     );
     assert_eq!(moved.get("ckpt.save"), empty_push.get("ckpt.save"));
-    assert!(moved.get("walk.instrs") >= stream, "the capture is walked again");
-    assert_eq!(moved.get("trace.records_decoded"), 0, "…not read");
-    assert!(traces.has(&workloads[0], &config));
-    assert_eq!(version_of(&trace), current.1, "the trace is captured over");
+    assert!(moved.get("walk.instrs") >= stream, "the warm-up is walked again");
     assert_eq!(files_of(&ckpts).len(), files);
     for file in files_of(&ckpts) {
-        assert_eq!(version_of(&file), current.0, "{} is written again", file.display());
+        assert_eq!(version_of(&file), current, "{} is written again", file.display());
     }
     // And what was written is what a warm pass restores from.
     let (warm, moved) = moved_by(pushed);
-    assert_sweep(&warm, &oracle, "pushed sweep over the rewritten store");
+    assert_sweep(&warm, &oracle, "sweep over the rewritten store");
     assert_eq!(routes(&moved), [CELLS, 0, 0, 0]);
     assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.corrupt"), 0);
 

@@ -1,25 +1,24 @@
-//! The store-backed sweep on the push executor: `replay_sweep` over a
-//! trace store and a checkpoint store must give, cell for cell and on
-//! every route through the stores, what a `simulate_source` of that cell
-//! alone over a `StreamingReplay` gives — the pull path, which shares
-//! nothing with it — and must do so with the work the design promises,
-//! held here to counts:
+//! The sweep over a checkpoint store: `policy_sweep_with` with a
+//! `CheckpointStore` attached must give, cell for cell and on every route
+//! through the store, what a `simulate` of that cell alone gives — the
+//! pull path, which shares nothing with it — and must do so with the work
+//! the design promises, held here to counts:
 //!
-//! * per workload one frontend, and one walk **or** one decode, never
-//!   both: a cold pass walks once, capturing on the side the very bytes
-//!   `capture_trace` writes; a warm pass decodes once, from the chunk
-//!   holding the fast-forward boundary, and reads the shared prefix once
-//!   however many cells it has; what the cold pass leaves on disk is at
-//!   most 0.60× the bytes it fed the codecs;
+//! * per workload one frontend over one walker, and nothing read from or
+//!   written to a capture: a cold pass walks the whole stream once and
+//!   leaves no `.trrip` file anywhere; a warm pass resumes the frontend
+//!   and the walker from the shared prefix and walks the measured window
+//!   alone (plus what is left of the walker's last 1 Ki batch), reading
+//!   the prefix once however many cells it has;
 //! * a partial store (an overlay gone, or the prefix gone) costs exactly
 //!   what is missing: the producer starts at the first instruction, the
 //!   cells that can still restore do, the one that cannot warms up;
 //! * an overlay that is there but does not load sends its cell alone to
-//!   a replay of its own, heals, and touches no other cell;
+//!   a walker of its own, heals, and touches no other cell;
 //! * a cell is a configuration: a row whose cells differ in L2 size and
-//!   ways, page size, overlap rule, policy and armed profilers costs one
-//!   capture, **one** prefix and an overlay per cell, and a policy sweep
-//!   and a geometry sweep of one workload share that one prefix file.
+//!   ways, page size, overlap rule, policy and armed profilers costs
+//!   **one** prefix and an overlay per cell, and a policy sweep and a
+//!   geometry sweep of one workload share that one prefix file.
 //!
 //! One `#[test]` on purpose: every count is a process-wide counter, and
 //! a sibling test in the same binary would move them.
@@ -32,11 +31,10 @@ use common::mixed_row;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    capture_length, capture_trace, policy_cells, replay_sweep, simulate_source, CheckpointStore,
-    PreparedWorkload, SimConfig, SimResult, SweepResult, TraceStore,
+    capture_length, policy_cells, policy_sweep_with, simulate, CheckpointStore, PreparedWorkload,
+    SimConfig, SimResult, SweepResult,
 };
 use trrip_snap::corrupt;
-use trrip_trace::{StreamingReplay, CHUNK_CAPACITY};
 use trrip_workloads::WorkloadSpec;
 
 /// Every policy the simulator can run, including the non-paper Random
@@ -55,6 +53,9 @@ const ALL_POLICIES: [PolicyKind; 10] = [
 ];
 const CELLS: u64 = ALL_POLICIES.len() as u64;
 const JOBS: usize = 3;
+/// The walker hands out whole batches of 1 Ki: a frontend's source may
+/// walk up to one batch less one past what it digests.
+const BATCH: u64 = 1_024;
 
 fn quick_workload(name: &str) -> PreparedWorkload {
     let mut spec = WorkloadSpec::named(name);
@@ -108,10 +109,37 @@ impl Moved {
         ["overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
             .map(|route| self.get(&format!("warm.{route}")))
     }
+
+    /// Asserts that the walkers of the sweep handed out `walks` — one
+    /// stretch per walker, each with up to a batch less one on top — and
+    /// that nothing was decoded from a capture.
+    fn walked(&self, walks: &[u64], what: &str) {
+        let (least, walkers) = (walks.iter().sum::<u64>(), walks.len() as u64);
+        let walked = self.get("walk.instrs");
+        assert!(
+            (least..least + walkers * BATCH).contains(&walked),
+            "{what}: walked {walked}, expected {walks:?} and under a batch more a walker"
+        );
+        assert_eq!(self.get("trace.records_decoded"), 0, "{what}: nothing is decoded");
+    }
 }
 
 fn read(path: &Path) -> Vec<u8> {
     std::fs::read(path).unwrap_or_else(|e| panic!("reading {}: {e}", path.display()))
+}
+
+/// Every file under `dir`, recursively.
+fn files_under(dir: &Path) -> Vec<PathBuf> {
+    let mut files = Vec::new();
+    for entry in std::fs::read_dir(dir).expect("a directory").map(|e| e.expect("an entry")) {
+        let path = entry.path();
+        if path.is_dir() {
+            files.extend(files_under(&path));
+        } else {
+            files.push(path);
+        }
+    }
+    files
 }
 
 fn scratch(name: &str) -> PathBuf {
@@ -123,66 +151,46 @@ fn scratch(name: &str) -> PathBuf {
 #[test]
 fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost() {
     let root = scratch("eq");
-    let traces = TraceStore::new(root.join("traces"));
     let ckpts = CheckpointStore::new(root.join("ckpts"));
     let workloads = [quick_workload("push-store-a"), quick_workload("push-store-b")];
     let (a, b) = (&workloads[0], &workloads[1]);
 
-    // A fast-forward boundary two chunks and a bit into the trace, so
-    // that a decode which starts at the boundary's chunk shows.
-    let skipped = 2 * u64::from(CHUNK_CAPACITY);
+    // A fast-forward boundary that is no multiple of the walker's batch,
+    // so that the frontend holds back part of one when it crosses it.
     let mut config = SimConfig::quick(PolicyKind::Srrip);
-    config.fast_forward = skipped + 5_000;
+    config.fast_forward = 37_000;
     config.instructions = 40_000;
     config.measure_reuse = true;
     config.track_costly = true;
-    let stream = capture_length(&config);
-    // The walker hands out whole batches of 1 Ki.
-    let walked_once = |walked: u64, streams: u64| {
-        (streams * stream..streams * (stream + 1_024)).contains(&walked)
-    };
+    let (stream, window) = (capture_length(&config), config.instructions);
     let cell = |policy| config.clone().with_policy(policy);
     let cells = policy_cells(&config, &ALL_POLICIES);
-    let sweep = || replay_sweep(JOBS, &workloads, &cells, &traces, Some(&ckpts));
+    let sweep = || policy_sweep_with(JOBS, &workloads, &cells, Some(&ckpts));
 
-    // ---- cold: walk once, capture on the side, write one prefix ----
+    // ---- cold: walk once, write one prefix, capture nothing ----
     let (cold, moved) = Moved::by(sweep);
-    assert!(walked_once(moved.get("walk.instrs"), 2), "walked {}", moved.get("walk.instrs"));
-    assert_eq!(moved.get("trace.records_decoded"), 0, "a cold pass never reads what it writes");
+    moved.walked(&[stream, stream], "cold pass");
     assert_eq!(moved.get("front.digest.instrs"), 2 * stream, "one frontend per workload");
     assert_eq!(moved.warm(), [0, 2 * CELLS, 2, 0], "every cell warms, one prefix a workload");
     let (raw, packed) = (moved.get("pack.raw_bytes"), moved.get("pack.compressed_bytes"));
-    assert!(raw > 0, "captures and boundary files rest packed");
-    assert!(packed * 100 <= raw * 60, "{packed} of {raw} bytes: the footprint bar is 0.60x");
+    assert!(packed > 0 && packed < raw, "boundary files rest packed: {packed} of {raw} bytes");
+    let files = files_under(&root);
+    assert!(files.iter().all(|f| f.extension().is_some_and(|x| x == "ckpt")), "{files:?}");
+    assert_eq!(files.len() as u64, 2 * (1 + CELLS), "a prefix and the overlays, no capture");
     for w in &workloads {
-        let reference = root.join(format!("{}.reference.trrip", w.spec.name));
-        capture_trace(w, &config, &reference).expect("reference capture");
-        assert!(
-            read(&traces.path_for(w, &config)) == read(&reference),
-            "{}: a teed capture is capture_trace's, byte for byte",
-            w.spec.name
-        );
         assert!(ckpts.prefix_path(w, &config).is_file());
         assert!(ALL_POLICIES.iter().all(|&p| ckpts.holds_restore(w, &cell(p))));
     }
 
-    // The pull reference: each cell alone over a replay of its own.
-    let oracle: Vec<SimResult> = workloads
-        .iter()
-        .flat_map(|w| {
-            let path = traces.path_for(w, &config);
-            ALL_POLICIES
-                .map(|p| simulate_source(w, &cell(p), StreamingReplay::open(&path).expect("open")))
-        })
-        .collect();
+    // The pull reference: each cell alone over a walker of its own.
+    let oracle: Vec<SimResult> =
+        workloads.iter().flat_map(|w| ALL_POLICIES.map(|p| simulate(w, &cell(p)))).collect();
     assert_sweep(&cold, &oracle, "cold pass");
 
     // ---- warm: resume at the boundary, restore every cell ----
     let (warm, moved) = Moved::by(sweep);
-    let warm_decode = 2 * (stream - skipped);
-    assert_eq!(moved.get("walk.instrs"), 0, "a warm pass never walks");
-    assert_eq!(moved.get("trace.records_decoded"), warm_decode, "one decode, from the boundary");
-    assert_eq!(moved.get("front.digest.instrs"), 2 * config.instructions);
+    moved.walked(&[window, window], "warm pass");
+    assert_eq!(moved.get("front.digest.instrs"), 2 * window);
     assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
     assert_eq!(moved.get("ckpt.hit"), 2 * (CELLS + 1), "n overlays and ONE prefix per workload");
     assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
@@ -195,8 +203,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     let clip = ckpts.overlay_path(b, &cell(PolicyKind::Clip));
     std::fs::remove_file(&clip).expect("the overlay existed");
     let (partial, moved) = Moved::by(sweep);
-    assert_eq!(moved.get("trace.records_decoded"), (stream - skipped) + stream);
-    assert_eq!(moved.get("walk.instrs"), 0);
+    moved.walked(&[window, stream], "one overlay missing");
     assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
     assert_sweep(&partial, &oracle, "one overlay missing");
     assert!(clip.is_file(), "the cell that warmed up left its overlay");
@@ -208,7 +215,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     let prefix_bytes = read(&prefix);
     std::fs::remove_file(&prefix).expect("the prefix existed");
     let (headless, moved) = Moved::by(sweep);
-    assert_eq!(moved.get("trace.records_decoded"), stream + (stream - skipped));
+    moved.walked(&[stream, window], "prefix missing");
     assert_eq!(moved.warm(), [2 * CELLS, 0, 1, 0]);
     assert_sweep(&headless, &oracle, "prefix missing");
     assert!(read(&prefix) == prefix_bytes, "a prefix is a function of the stream alone");
@@ -216,25 +223,25 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     // ---- an overlay that is there but does not load ----
     // By name the store is whole, so b's producer starts at the
     // boundary; EMISSARY's cell finds its file damaged, warms up alone
-    // over a replay of its own — the fused loop — and rewrites the file.
+    // over a walker of its own — the fused loop — and rewrites the file.
     // Nobody else notices.
     let emissary = ckpts.overlay_path(b, &cell(PolicyKind::Emissary));
     let overlay_bytes = read(&emissary);
     corrupt::flip_middle_byte(&emissary);
     let (patched, moved) = Moved::by(sweep);
-    assert_eq!(moved.get("trace.records_decoded"), warm_decode + stream, "one private replay");
+    moved.walked(&[window, window, stream], "one overlay damaged: one private walk");
     assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
     assert_eq!(moved.get("ckpt.corrupt"), 1);
     assert_sweep(&patched, &oracle, "one overlay damaged");
     assert!(read(&emissary) == overlay_bytes, "the pull path writes the overlay the push path did");
     let (healed, moved) = Moved::by(sweep);
-    assert_eq!(moved.get("trace.records_decoded"), warm_decode);
+    moved.walked(&[window, window], "healed store");
     assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
     assert_sweep(&healed, &oracle, "healed store");
 
-    // ---- no checkpoint store: replay, warm every cell, keep nothing ----
-    let (plain, moved) = Moved::by(|| replay_sweep(JOBS, &workloads, &cells, &traces, None));
-    assert_eq!(moved.get("trace.records_decoded"), 2 * stream);
+    // ---- no checkpoint store: walk, warm every cell, keep nothing ----
+    let (plain, moved) = Moved::by(|| policy_sweep_with(JOBS, &workloads, &cells, None));
+    moved.walked(&[stream, stream], "no checkpoint store");
     assert_eq!(moved.warm(), [0, 0, 0, 2 * CELLS]);
     assert_eq!(moved.get("ckpt.hit") + moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
     assert_sweep(&plain, &oracle, "no checkpoint store");
@@ -242,8 +249,9 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     // ---- a geometry sweep of a workload a policy sweep has covered ----
     // Its four machines are new to the store, so the producer starts at
     // the first instruction and every cell warms and leaves an overlay —
-    // but the predictor at the boundary is the stream's, not a machine's:
-    // the frontend finds the policy sweep's prefix and writes none.
+    // but the predictor and the walker at the boundary are the stream's,
+    // not a machine's: the frontend finds the policy sweep's prefix and
+    // writes none.
     let resized = |kb: u64| {
         let hierarchy = config.hierarchy.clone().with_l2_size(kb << 10);
         policy_cells(&SimConfig { hierarchy, ..config.clone() }, &ALL_POLICIES[..2])
@@ -260,44 +268,39 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
             .count()
     };
     let (resized_cold, moved) =
-        Moved::by(|| replay_sweep(JOBS, only_a, &geometry, &traces, Some(&ckpts)));
+        Moved::by(|| policy_sweep_with(JOBS, only_a, &geometry, Some(&ckpts)));
     assert_eq!(moved.warm(), [0, 4, 0, 0], "four overlays, no prefix");
     assert_eq!(moved.get("ckpt.hit"), 1, "the policy sweep's prefix");
-    assert_eq!(moved.get("trace.records_decoded"), stream);
+    moved.walked(&[stream], "geometry sweep");
     assert!(geometry.iter().all(|g| ckpts.prefix_path(a, g) == ckpts.prefix_path(a, &config)));
     assert_eq!(shared_files(a), 1);
-    let path = traces.path_for(a, &config);
-    let alone = |cells: &[SimConfig], w, path: &Path| -> Vec<SimResult> {
-        let replay = || StreamingReplay::open(path).expect("open");
-        cells.iter().map(|cell| simulate_source(w, cell, replay())).collect()
+    let alone = |cells: &[SimConfig], w| -> Vec<SimResult> {
+        cells.iter().map(|cell| simulate(w, cell)).collect()
     };
-    assert_sweep(&resized_cold, &alone(&geometry, a, &path), "geometry sweep");
+    assert_sweep(&resized_cold, &alone(&geometry, a), "geometry sweep");
 
-    // ---- a heterogeneous row over empty stores, then over its own ----
+    // ---- a heterogeneous row over an empty store, then over its own ----
     let mixed = [quick_workload("push-store-mixed")];
     let m = &mixed[0];
     let row = mixed_row(&config);
     let n = row.len() as u64;
     let journal = root.join("journal.jsonl");
     trrip_obs::journal::init(&journal, 10_000).expect("open a journal");
-    let sweep_row = || replay_sweep(JOBS, &mixed, &row, &traces, Some(&ckpts));
+    let sweep_row = || policy_sweep_with(JOBS, &mixed, &row, Some(&ckpts));
     let (row_cold, moved) = Moved::by(sweep_row);
-    assert!(walked_once(moved.get("walk.instrs"), 1), "walked {}", moved.get("walk.instrs"));
+    moved.walked(&[stream], "heterogeneous row, cold");
     assert_eq!(moved.get("front.digest.instrs"), stream, "one frontend for six machines");
     assert_eq!(moved.warm(), [0, n, 1, 0], "every cell warms; ONE prefix for the row");
     assert_eq!(moved.get("ckpt.save"), n + 1);
-    let path = traces.path_for(m, &config);
-    assert!(row.iter().all(|cell| traces.path_for(m, cell) == path), "one capture");
     assert_eq!(shared_files(m), 1);
     assert!(row.iter().all(|cell| ckpts.holds_restore(m, cell)));
-    let oracle = alone(&row, m, &path);
+    let oracle = alone(&row, m);
     assert!(oracle[1].reuse_base.is_some() && oracle[2].costly.is_some());
     assert_sweep(&row_cold, &oracle, "heterogeneous row, cold");
 
     let (row_warm, moved) = Moved::by(sweep_row);
-    assert_eq!(moved.get("walk.instrs"), 0);
-    assert_eq!(moved.get("trace.records_decoded"), stream - skipped, "from the boundary");
-    assert_eq!(moved.get("front.digest.instrs"), config.instructions);
+    moved.walked(&[window], "heterogeneous row, warm: from the boundary");
+    assert_eq!(moved.get("front.digest.instrs"), window);
     assert_eq!(moved.warm(), [n, 0, 0, 0], "every cell restores");
     assert_eq!(moved.get("ckpt.hit"), n + 1, "n overlays and ONE prefix");
     assert_sweep(&row_warm, &oracle, "heterogeneous row, warm");
@@ -311,11 +314,9 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
             (source, e.get("start").and_then(|s| s.as_u64()).expect("a start"))
         })
         .collect();
-    assert_eq!(
-        producers,
-        [("walker+tee".to_owned(), 0), ("replay".to_owned(), config.fast_forward)]
-    );
+    assert_eq!(producers, [("walker".to_owned(), 0), ("walker".to_owned(), config.fast_forward)]);
     assert_eq!(journal.of_kind("artifact_damaged").count(), 0);
+    assert!(files_under(&root).iter().all(|f| f.extension().is_none_or(|x| x != "trrip")));
 
     std::fs::remove_dir_all(&root).ok();
 }

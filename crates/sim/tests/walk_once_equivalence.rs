@@ -10,8 +10,9 @@
 //! underneath,
 //! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward`] /
 //! [`SimRun::push_measure`], is held to the pull path directly. The
-//! thread budget is held over the store-backed sweep too (`replay_sweep`,
-//! cold and warm), which runs on the same executor. So is the lockstep
+//! thread budget is held over a checkpoint store too, cold and warm: the
+//! same executor, over a walker from the first instruction and over one
+//! resumed at the boundary. So is the lockstep
 //! design, as counts: a worker reads each turn once for all the cells it
 //! holds (`exec.cell_records / exec.turn_records` is the group size, and
 //! every `cell_started` event says which group its cell was in).
@@ -33,8 +34,8 @@ use trrip_core::ClassifierConfig;
 use trrip_cpu::{EventTurn, StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_cells, policy_sweep_with, replay_sweep, simulate, simulate_source, CheckpointStore,
-    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot, TraceStore,
+    policy_cells, policy_sweep_with, simulate, simulate_source, CheckpointStore, Frontend,
+    PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot,
 };
 use trrip_trace::source::VecSource;
 use trrip_trace::TraceSource;
@@ -119,7 +120,7 @@ fn assert_sweep_matches(
     cells: &[SimConfig],
     oracle: &[SimResult],
 ) {
-    let sweep = policy_sweep_with(jobs, workloads, cells);
+    let sweep = policy_sweep_with(jobs, workloads, cells, None);
     assert_eq!(sweep.cells, cells);
     assert_eq!(sweep.benchmarks.len(), workloads.len());
     assert_eq!(sweep.results.len(), oracle.len());
@@ -206,10 +207,10 @@ fn empty_sweeps_return_empty_results() {
     let _shared = shared();
     let workloads = [workload("walk-once-h")];
     let cells = policy_row(&quick_config(1_000));
-    let no_cells = policy_sweep_with(4, &workloads, &[]);
+    let no_cells = policy_sweep_with(4, &workloads, &[], None);
     assert!(no_cells.results.is_empty() && no_cells.cells.is_empty());
     assert_eq!(no_cells.benchmarks, ["walk-once-h"]);
-    let no_workloads = policy_sweep_with(4, &[], &cells);
+    let no_workloads = policy_sweep_with(4, &[], &cells, None);
     assert!(no_workloads.results.is_empty() && no_workloads.benchmarks.is_empty());
     assert_eq!(no_workloads.cells.len(), ALL_POLICIES.len());
 }
@@ -228,7 +229,7 @@ fn row_with(alter: impl FnOnce(&mut SimConfig)) -> Vec<SimConfig> {
 fn a_sweep_refuses_cells_with_different_warmups() {
     let _shared = shared();
     let cells = row_with(|cell| cell.fast_forward += 1);
-    let _ = policy_sweep_with(2, &[workload("walk-once-row-ff")], &cells);
+    let _ = policy_sweep_with(2, &[workload("walk-once-row-ff")], &cells, None);
 }
 
 #[test]
@@ -236,7 +237,7 @@ fn a_sweep_refuses_cells_with_different_warmups() {
 fn a_sweep_refuses_cells_with_different_layouts() {
     let _shared = shared();
     let cells = row_with(|cell| cell.layout = LayoutKind::SourceOrder);
-    let _ = policy_sweep_with(2, &[workload("walk-once-row-layout")], &cells);
+    let _ = policy_sweep_with(2, &[workload("walk-once-row-layout")], &cells, None);
 }
 
 #[test]
@@ -244,7 +245,7 @@ fn a_sweep_refuses_cells_with_different_layouts() {
 fn a_sweep_refuses_cells_with_different_cores() {
     let _shared = shared();
     let cells = row_with(|cell| cell.core.rob_entries = 64);
-    let _ = policy_sweep_with(2, &[workload("walk-once-row-core")], &cells);
+    let _ = policy_sweep_with(2, &[workload("walk-once-row-core")], &cells, None);
 }
 
 // ---- the push seam on its own ----
@@ -614,7 +615,7 @@ fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
         let cells = row.len() as u64;
         for (jobs, streams_read) in [(1, 1), (2, 2), (3, 3), (5, 5), (64, cells)] {
             let before = trrip_obs::snapshot();
-            let _ = policy_sweep_with(jobs, &one, &row);
+            let _ = policy_sweep_with(jobs, &one, &row, None);
             let moved = trrip_obs::snapshot().since(&before);
             let what = format!("{cells} cells, jobs = {jobs}");
             assert_eq!(moved.get("exec.turn_records"), streams_read * records, "{what}: read");
@@ -628,7 +629,7 @@ fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
     let mut frontend = Frontend::new(&short, VecSource::new(stream, 1_024));
     frontend.digest(usize::MAX, &mut turn);
     let before = trrip_obs::snapshot();
-    let _ = policy_sweep_with(1, &one, &policy_row(&short)[..3]);
+    let _ = policy_sweep_with(1, &one, &policy_row(&short)[..3], None);
     let moved = trrip_obs::snapshot().since(&before);
     assert_eq!(moved.get("exec.turn_records"), turn.events().len() as u64);
     assert_eq!(moved.get("exec.cell_records"), 3 * turn.events().len() as u64);
@@ -651,7 +652,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     // Ten cells of one workload: walked once and predicted once, not
     // ten times.
     let before = trrip_obs::snapshot();
-    let _ = policy_sweep_with(3, &one, &policy_row(&config));
+    let _ = policy_sweep_with(3, &one, &policy_row(&config), None);
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
     assert!(
@@ -665,7 +666,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     // frontend.
     let mixed = [workload("walk-once-count-mixed")];
     let before = trrip_obs::snapshot();
-    let _ = policy_sweep_with(2, &mixed, &mixed_row(&config));
+    let _ = policy_sweep_with(2, &mixed, &mixed_row(&config), None);
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
     assert!(
@@ -684,7 +685,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
 
     // Two workloads, more jobs than cells: once each.
     let before = trrip_obs::snapshot();
-    let _ = policy_sweep_with(64, &pair, &policy_row(&config));
+    let _ = policy_sweep_with(64, &pair, &policy_row(&config), None);
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
     assert!(
@@ -695,18 +696,20 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
 
     // A one-cell sweep, however many jobs it is offered.
     let solo = policy_cells(&config, &[PolicyKind::Clip]);
-    let _ = policy_sweep_with(8, &[workload("walk-once-solo")], &solo);
+    let _ = policy_sweep_with(8, &[workload("walk-once-solo")], &solo, None);
 
-    // The same executor over stores: a cold pass (walker, teed into the
-    // capture) and a warm one (a replay resumed at the boundary, which
-    // decodes on one more thread that simulates nothing).
+    // The same executor over a checkpoint store: a cold pass (the walker
+    // from the first instruction) and a warm one (the walker resumed at
+    // the boundary, which walks the measured window alone).
     let stores = std::env::temp_dir().join(format!("trrip-walk-once-{}", std::process::id()));
     std::fs::remove_dir_all(&stores).ok();
-    let (traces, ckpts) =
-        (TraceStore::new(stores.join("t")), CheckpointStore::new(stores.join("c")));
+    let ckpts = CheckpointStore::new(stores.join("c"));
     let stored = [workload("walk-once-stored")];
-    for _ in ["cold", "warm"] {
-        let _ = replay_sweep(2, &stored, &policy_row(&config), &traces, Some(&ckpts));
+    for walks in [walkers_worth, config.instructions] {
+        let before = trrip_obs::snapshot();
+        let _ = policy_sweep_with(2, &stored, &policy_row(&config), Some(&ckpts));
+        let walked = trrip_obs::snapshot().since(&before).get("walk.instrs");
+        assert!((walks..walks + source_batch).contains(&walked), "walked {walked} of {walks}");
     }
     std::fs::remove_dir_all(&stores).ok();
 
@@ -738,9 +741,9 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
 
     let caller = threads_of(&journal, "caller", "caller");
 
-    // jobs = 2 over stores: two simulating threads a pass (each pass
+    // jobs = 2 over a store: two simulating threads a pass (each pass
     // spawns its own second one), and one producer a pass — first the
-    // teed walker from the top, then the replay from the boundary.
+    // walker from the top, then the walker resumed at the boundary.
     let started = threads_of(&journal, "cell_started", "walk-once-stored");
     let finished = threads_of(&journal, "cell_finished", "walk-once-stored");
     assert_eq!((started.len(), finished.len()), (2 * ALL_POLICIES.len(), 2 * ALL_POLICIES.len()));
@@ -763,10 +766,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
             (source, e.get("start").and_then(|s| s.as_u64()).expect("a start"))
         })
         .collect();
-    assert_eq!(
-        producers,
-        [("walker+tee".to_owned(), 0), ("replay".to_owned(), config.fast_forward)]
-    );
+    assert_eq!(producers, [("walker".to_owned(), 0), ("walker".to_owned(), config.fast_forward)]);
 
     // One cell: the caller's own thread, nothing spawned.
     assert_eq!(threads_of(&journal, "cell_started", "walk-once-solo"), caller);

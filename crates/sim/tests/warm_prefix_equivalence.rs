@@ -1,19 +1,20 @@
 //! The policy-agnostic warm prefix must be invisible in the results:
 //! a `(workload, policy)` cell that starts at the fast-forward boundary
-//! from the stores — its overlay restored under a frontend resumed from
-//! the shared prefix — is bit-identical to a cold per-cell warmup, for
-//! every policy (including Random, whose RNG stream is architectural
-//! state) and with the reuse/costly profilers armed. Fallback routing
-//! is pinned through the `warm.*` counters (`trrip_sim::warmstats` says
-//! what each means): a damaged overlay costs its one cell a warm-up of
-//! its own, a damaged prefix is written again, and either file is healed
-//! by the sweep that found it.
+//! from the store — its overlay restored under a frontend and a walker
+//! resumed from the shared prefix — is bit-identical to a cold per-cell
+//! warmup, for every policy (including Random, whose RNG stream is
+//! architectural state) and with the reuse/costly profilers armed.
+//! Fallback routing is pinned through the `warm.*` counters
+//! (`trrip_sim::warmstats` says what each means): a damaged overlay costs
+//! its one cell a warm-up of its own, a damaged prefix — its walker
+//! section out of range included — is written again, and either file is
+//! healed by the sweep that found it.
 
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_cells, policy_sweep_with, replay_sweep, CheckpointStore, PreparedWorkload, SimConfig,
-    SimResult, SweepResult, TraceStore,
+    policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SimResult,
+    SweepResult,
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
@@ -100,20 +101,18 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     let workloads = [quick_workload("warm-prefix-eq")];
     let config = quick_config(PolicyKind::Srrip);
 
-    let trace_dir = scratch("trrip-warm-prefix-traces");
     let ckpt_dir = scratch("trrip-warm-prefix-ckpts");
-    let traces = TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     // Oracle: cold per-cell warmups via the walker engine.
     let row = policy_cells(&config, &ALL_POLICIES);
-    let oracle = policy_sweep_with(4, &workloads, &row);
+    let oracle = policy_sweep_with(4, &workloads, &row, None);
 
     // Cold populating pass: ONE shared prefix — the frontend's
     // predictor — and ten cells that execute the warm-up turns it
     // digests, each leaving its overlay. An empty store restores nobody.
     let cells = ALL_POLICIES.len() as u64;
-    let sweep = || replay_sweep(4, &workloads, &row, &traces, Some(&ckpts));
+    let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
     let (cold, routes, _) = routes_of(sweep);
     assert_eq!(routes, [0, cells, 1, 0], "one prefix per workload, not per policy");
 
@@ -138,7 +137,6 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     }
     assert!(prefix.is_file());
 
-    std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
@@ -153,13 +151,11 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let policies = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Emissary];
     let cells = policies.len() as u64;
     let row = policy_cells(&config, &policies);
-    let oracle = policy_sweep_with(4, &workloads, &row);
+    let oracle = policy_sweep_with(4, &workloads, &row, None);
 
-    let trace_dir = scratch("trrip-warm-prefix-corrupt-traces");
     let ckpt_dir = scratch("trrip-warm-prefix-corrupt-ckpts");
-    let traces = TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
-    let sweep = || replay_sweep(4, &workloads, &row, &traces, Some(&ckpts));
+    let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
     let _ = sweep();
 
     // Flip a byte in the middle of Random's overlay: the container
@@ -182,7 +178,6 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
         assert_identical(a, b, "healed sweep");
     }
 
-    std::fs::remove_dir_all(&trace_dir).ok();
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
@@ -193,14 +188,12 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     let config = quick_config(PolicyKind::Srrip);
     let policies = [PolicyKind::Lru, PolicyKind::Trrip1];
 
-    let trace_dir = scratch("trrip-warm-prefix-cfb-traces");
     let ckpt_dir = scratch("trrip-warm-prefix-cfb-ckpts");
-    let traces = TraceStore::new(&trace_dir);
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     let row = policy_cells(&config, &policies);
-    let oracle = policy_sweep_with(4, &workloads, &row);
-    let sweep = || replay_sweep(4, &workloads, &row, &traces, Some(&ckpts));
+    let oracle = policy_sweep_with(4, &workloads, &row, None);
+    let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
     let _ = sweep();
 
     // Truncate the prefix container: the prefix no longer loads — the
@@ -230,6 +223,43 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
         "prefix must be rewritten"
     );
 
-    std::fs::remove_dir_all(&trace_dir).ok();
+    std::fs::remove_dir_all(&ckpt_dir).ok();
+}
+
+/// A prefix whose walker section no walker of the program could be in —
+/// written whole, so its container checks out — is damage: the load names
+/// the field, the sweep reports it, its frontend warms up again from the
+/// first instruction, every cell still restores, and the prefix is
+/// written again.
+#[test]
+fn a_walker_section_out_of_range_is_reported_and_rewritten() {
+    let _serial = counter_guard();
+    let workloads = [quick_workload("warm-prefix-walker")];
+    let w = &workloads[0];
+    let config = quick_config(PolicyKind::Srrip);
+    let policies = [PolicyKind::Srrip, PolicyKind::Emissary];
+    let cells = policies.len() as u64;
+    let row = policy_cells(&config, &policies);
+    let oracle = policy_sweep_with(4, &workloads, &row, None);
+
+    let ckpt_dir = scratch("trrip-warm-prefix-walker-ckpts");
+    let ckpts = CheckpointStore::new(&ckpt_dir);
+    let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
+    let _ = sweep();
+
+    let mut prefix = ckpts.load_prefix(w, &config).expect("loads").expect("on file");
+    prefix.walker.rotation_pos = prefix.walker.rotation.len();
+    ckpts.save_prefix(w, &config, &prefix).expect("save");
+    let error = ckpts.load_prefix(w, &config).expect_err("out of range");
+    assert!(error.to_string().contains("rotation_pos"), "{error}");
+
+    let (patched, routes, damaged) = routes_of(sweep);
+    assert_eq!((routes, damaged), ([cells, 0, 1, 0], 1), "reported, warmed, written again");
+    for (a, b) in oracle.results.iter().zip(&patched.results) {
+        assert_identical(a, b, "sweep over a damaged walker section");
+    }
+    let (_, routes, damaged) = routes_of(sweep);
+    assert_eq!((routes, damaged), ([cells, 0, 0, 0], 0), "the prefix loads again");
+
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }

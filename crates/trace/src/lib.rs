@@ -2,11 +2,11 @@
 //!
 //! The paper's experiments run on Pin-captured instruction traces; this
 //! reproduction synthesizes equivalent traces with the CFG walker in
-//! `trrip-workloads`. Re-generating a trace costs more than simulating
-//! it, and every policy in a sweep re-pays that cost. This crate makes
-//! traces *persistent*: capture the walker's output once, then replay it
-//! from disk for every policy, machine configuration, or future session
-//! — and import foreign traces that were never synthesized here at all.
+//! `trrip-workloads`. This crate makes traces *persistent*: capture the
+//! walker's output once and replay it from disk into the one-cell
+//! `simulate_source` — or import foreign traces that were never
+//! synthesized here at all. No sweep reads one: decoding a capture costs
+//! what walking the stream again does, so sweeps run over the walker.
 //!
 //! * [`format`] — the on-disk encoding: varint deltas in per-field
 //!   columns, LZ-packed per chunk (1.78 bytes per instruction on the
@@ -20,9 +20,7 @@
 //! * [`TraceSource`] — the batch-pull interface the simulator consumes;
 //!   implemented by the reader, by [`StreamingReplay`] (a bounded-channel
 //!   pipeline that overlaps disk decode with simulation) and by the
-//!   in-memory walker in `trrip-workloads`. A policy sweep opens one per
-//!   workload and shares what it digests from it, so disk + decode is
-//!   paid once per workload, not once per policy.
+//!   in-memory walker in `trrip-workloads`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,18 +25,6 @@ pub trait TraceSource {
     fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize;
 }
 
-impl<S: TraceSource + ?Sized> TraceSource for &mut S {
-    fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
-        (**self).next_batch(out)
-    }
-}
-
-impl<S: TraceSource + ?Sized> TraceSource for Box<S> {
-    fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
-        (**self).next_batch(out)
-    }
-}
-
 /// Adapts any [`TraceSource`] into an `Iterator<Item = TraceInstr>`.
 #[derive(Debug)]
 pub struct SourceIter<S> {
@@ -53,8 +41,15 @@ impl<S: TraceSource> SourceIter<S> {
     }
 
     /// The wrapped source.
-    pub fn source_mut(&mut self) -> &mut S {
-        &mut self.source
+    pub fn source(&self) -> &S {
+        &self.source
+    }
+
+    /// What the source handed over and the iterator has not passed on
+    /// yet, in order: the rest of the current batch.
+    #[must_use]
+    pub fn unread(&self) -> &[TraceInstr] {
+        &self.buf[self.pos..]
     }
 
     /// Returns the next run of up to `limit` instructions as a

@@ -13,7 +13,9 @@
 //! * [`walker`] — the CFG walker: generates the instruction/memory trace
 //!   the core consumes and simultaneously collects the instrumentation-PGO
 //!   profile. Train and eval runs use different seeds and a deterministic
-//!   branch-probability shift (different input sets, Table 2).
+//!   branch-probability shift (different input sets, Table 2). Its
+//!   position is plain data ([`WalkerState`]) it can hand out and resume
+//!   from.
 //! * [`proxy`] — the ten calibrated benchmark specs.
 //! * [`mobile`] — the five system-software components of Figure 1
 //!   (`interp`, `ui`, `graphics`, `render`, `js_runtime`).
@@ -29,4 +31,4 @@ pub mod walker;
 
 pub use builder::build_program;
 pub use spec::{InputSet, WorkloadSpec};
-pub use walker::TraceGenerator;
+pub use walker::{TraceGenerator, WalkerState};

@@ -18,8 +18,13 @@
 //! the same trace. Train and eval inputs differ by seed *and* by a
 //! deterministic per-edge probability shift (`input_shift`), modelling
 //! Table 2's differing input sets.
+//!
+//! A walker's position is plain data ([`WalkerState`]): a walker
+//! resumed from the state another handed out at instruction *n* hands out
+//! what the other does from *n* on, so a stream can start anywhere the
+//! state was kept, without walking what came before.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -47,18 +52,160 @@ const COLD_RING_ENTRIES: usize = 4096;
 const INVOCATION_BLOCK_CAP: u32 = 4096;
 const MAX_EXTERNAL_INSTRS: u64 = 64;
 
-#[derive(Debug, Clone, Copy)]
-enum Phase {
+/// Where a frame of the walker's call stack stands in its block.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Phase {
+    /// The block's body is next.
     Body,
-    AfterCall { successor: Option<usize>, term_slot: Option<u32> },
+    /// Back from a call the block made: its terminator, if it has one,
+    /// and the move to its successor are still to come.
+    AfterCall {
+        /// The block to move to, `None` for a return.
+        successor: Option<usize>,
+        /// The terminator's instruction slot in the block, if it has one.
+        term_slot: Option<u32>,
+    },
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Frame {
-    fid: usize,
-    block: usize,
-    phase: Phase,
-    return_pc: Option<VirtAddr>,
+/// One frame of the walker's call stack.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Frame {
+    /// The function.
+    pub fid: usize,
+    /// Its block the frame is in.
+    pub block: usize,
+    /// Where in the block.
+    pub phase: Phase,
+    /// Where its return goes; `None` for the top-level frame.
+    pub return_pc: Option<VirtAddr>,
+}
+
+/// A [`TraceGenerator`]'s position in its stream, as plain data:
+/// everything it carries from one instruction to the next except the
+/// profile it collects. [`TraceGenerator::state`] hands it out and
+/// [`TraceGenerator::resume`] carries on from it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct WalkerState {
+    /// The RNG's words.
+    pub rng: [u64; 4],
+    /// Instructions generated and not handed out yet, in stream order.
+    pub pending: Vec<TraceInstr>,
+    /// The call stack, outermost first.
+    pub frames: Vec<Frame>,
+    /// The hot rotation, in its current shuffle.
+    pub rotation: Vec<usize>,
+    /// The next rotation slot to dispatch.
+    pub rotation_pos: usize,
+    /// The function dispatched next at the top level, once picked.
+    pub next_top: Option<usize>,
+    /// Each scan block's stream cursor, by `(function, block)`, sorted.
+    pub scan_cursors: Vec<((usize, usize), u64)>,
+    /// Recently touched cold addresses.
+    pub cold_ring: Vec<u64>,
+    /// The ring slot the next cold address replaces, once it is full.
+    pub cold_ring_pos: usize,
+    /// Blocks the current top-level invocation has run.
+    pub blocks_in_invocation: u32,
+}
+
+impl WalkerState {
+    /// Whether a walker over `program` and `spec` could be in this
+    /// state: every index in range, every length within what the walker
+    /// ever holds — so that resuming from it can neither panic nor grow
+    /// without bound.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first field that is out of range.
+    pub fn check(&self, program: &Program, spec: &WorkloadSpec) -> Result<(), String> {
+        let functions = program.functions.len();
+        // A function out of range has no blocks.
+        let blocks = |fid: usize| program.functions.get(fid).map_or(0, |f| f.blocks.len());
+        let largest_block = program.functions.iter().flat_map(|f| &f.blocks);
+        let largest_block = largest_block.map(|b| b.instructions().max(1)).max().unwrap_or(1);
+        // What the puller may hold back, plus one step: the walker only
+        // steps with nothing pending, and a step emits a block and at most
+        // an external call beside it.
+        let pending_cap = SOURCE_BATCH + largest_block as usize + MAX_EXTERNAL_INSTRS as usize + 3;
+        let bad_frame = self.frames.iter().position(|frame| {
+            let successor = match frame.phase {
+                Phase::AfterCall { successor, .. } => successor,
+                Phase::Body => None,
+            };
+            std::iter::once(frame.block).chain(successor).any(|block| block >= blocks(frame.fid))
+        });
+        let span = scan_span(spec);
+        let bad_cursor = self
+            .scan_cursors
+            .iter()
+            .find(|&&((fid, block), cursor)| block >= blocks(fid) || cursor >= span);
+        let (rotation, ring, ring_pos) = (&self.rotation, self.cold_ring.len(), self.cold_ring_pos);
+        let bad_rotation = rotation.iter().find(|&&fid| fid >= functions);
+        let checks = [
+            (
+                self.pending.len() <= pending_cap,
+                "pending",
+                format!(
+                    "{} instructions, more than the {pending_cap} a walker of this program holds",
+                    self.pending.len()
+                ),
+            ),
+            (
+                self.frames.len() <= MAX_CALL_DEPTH + 1,
+                "frames",
+                format!("{} deep, past the call depth limit", self.frames.len()),
+            ),
+            (
+                bad_frame.is_none(),
+                "frames",
+                format!(
+                    "frame {} is {:?}, outside the program",
+                    bad_frame.unwrap_or(0),
+                    bad_frame.map(|i| self.frames[i])
+                ),
+            ),
+            (
+                !rotation.is_empty() && bad_rotation.is_none(),
+                "rotation",
+                format!("{} entries, function {bad_rotation:?} of {functions}", rotation.len()),
+            ),
+            (
+                self.rotation_pos < rotation.len(),
+                "rotation_pos",
+                format!("{} past a rotation of {}", self.rotation_pos, rotation.len()),
+            ),
+            (
+                self.next_top.is_none_or(|fid| fid < functions),
+                "next_top",
+                format!("{:?} of {functions} functions", self.next_top),
+            ),
+            (
+                bad_cursor.is_none(),
+                "scan_cursors",
+                format!("{bad_cursor:?} outside the program or a {span}-byte region"),
+            ),
+            (
+                ring <= COLD_RING_ENTRIES,
+                "cold_ring",
+                format!("{ring} entries, more than {COLD_RING_ENTRIES}"),
+            ),
+            (
+                ring_pos == 0 || ring_pos < ring,
+                "cold_ring_pos",
+                format!("{ring_pos} past a ring of {ring}"),
+            ),
+        ];
+        match checks.into_iter().find(|(holds, ..)| !holds) {
+            Some((_, field, detail)) => Err(format!("{field}: {detail}")),
+            None => Ok(()),
+        }
+    }
+}
+
+/// The region a scan block streams through (the cold data region, at
+/// least 64 kB).
+fn scan_span(spec: &WorkloadSpec) -> u64 {
+    spec.cold_data_bytes.max(64 << 10)
 }
 
 /// The per-visit scalar facts the emission body needs about a block.
@@ -107,7 +254,7 @@ pub struct TraceGenerator<'a> {
     rotation: Vec<usize>,
     rotation_pos: usize,
     next_top: Option<usize>,
-    scan_cursors: std::collections::HashMap<(usize, usize), u64>,
+    scan_cursors: HashMap<(usize, usize), u64>,
     cold_ring: Vec<u64>,
     cold_ring_pos: usize,
     blocks_in_invocation: u32,
@@ -148,12 +295,69 @@ impl<'a> TraceGenerator<'a> {
             rotation: spec.hot_set(),
             rotation_pos: 0,
             next_top: None,
-            scan_cursors: std::collections::HashMap::new(),
+            scan_cursors: HashMap::new(),
             cold_ring: Vec::with_capacity(COLD_RING_ENTRIES),
             cold_ring_pos: 0,
             blocks_in_invocation: 0,
             emitted: 0,
         }
+    }
+
+    /// This walker's position, as if `unread` — the last instructions
+    /// it handed out, which whoever pulled them has not consumed — had
+    /// not been handed out yet: they go back to the front of the pending
+    /// queue.
+    #[must_use]
+    pub fn state(&self, unread: &[TraceInstr]) -> WalkerState {
+        let mut scan_cursors: Vec<_> = self.scan_cursors.iter().map(|(&k, &v)| (k, v)).collect();
+        scan_cursors.sort_unstable();
+        WalkerState {
+            rng: self.rng.state(),
+            pending: unread.iter().chain(&self.pending).copied().collect(),
+            frames: self.frames.clone(),
+            rotation: self.rotation.clone(),
+            rotation_pos: self.rotation_pos,
+            next_top: self.next_top,
+            scan_cursors,
+            cold_ring: self.cold_ring.clone(),
+            cold_ring_pos: self.cold_ring_pos,
+            blocks_in_invocation: self.blocks_in_invocation,
+        }
+    }
+
+    /// A walker that carries on from `state`: it hands out what the
+    /// walker that handed `state` out would have from there on. Its
+    /// profile starts empty.
+    ///
+    /// # Errors
+    ///
+    /// A state no walker over this program could be in
+    /// ([`WalkerState::check`]).
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceGenerator::new`].
+    pub fn resume(
+        program: &'a Program,
+        object: &'a ObjectFile,
+        spec: &'a WorkloadSpec,
+        input: InputSet,
+        state: WalkerState,
+    ) -> Result<TraceGenerator<'a>, String> {
+        state.check(program, spec)?;
+        let mut walker = TraceGenerator::new(program, object, spec, input);
+        walker.rng = SmallRng::from_state(state.rng);
+        walker.emitted = state.pending.len() as u64;
+        walker.pending = state.pending.into();
+        walker.frames = state.frames;
+        walker.rotation = state.rotation;
+        walker.rotation_pos = state.rotation_pos;
+        walker.next_top = state.next_top;
+        walker.scan_cursors = state.scan_cursors.into_iter().collect();
+        walker.cold_ring = state.cold_ring;
+        walker.cold_ring_pos = state.cold_ring_pos;
+        walker.blocks_in_invocation = state.blocks_in_invocation;
+        Ok(walker)
     }
 
     /// Consumes the generator and returns the collected basic-block
@@ -271,7 +475,7 @@ impl<'a> TraceGenerator<'a> {
     /// in the cold data area. The per-PC stride is constant across
     /// executions, so the Table 1 stride prefetchers can train on it.
     fn scan_addr(&mut self, fid: usize, block: usize, slot: u32, body: u32, n: u32) -> u64 {
-        let span = self.spec.cold_data_bytes.max(64 << 10);
+        let span = scan_span(self.spec);
         let cursor = self.scan_cursors.entry((fid, block)).or_insert_with(|| {
             // Spread block streams through the region.
             (fid as u64).wrapping_mul(0x9E37_79B9).wrapping_add(block as u64 * 8192) % span
@@ -424,7 +628,7 @@ impl<'a> TraceGenerator<'a> {
             }
             Phase::Body => {
                 self.profile.record(fid, block);
-                self.blocks_in_invocation += 1;
+                self.blocks_in_invocation = self.blocks_in_invocation.saturating_add(1);
 
                 let successor = self.choose_successor(fid, block);
                 let BlockInfo {

@@ -1,11 +1,13 @@
 //! Property-based tests of the workload synthesis and trace generation:
 //! structural well-formedness and control-flow consistency for arbitrary
-//! spec parameters.
+//! spec parameters; and, pinned, the eval stream and where a resumed
+//! walker picks it up.
 
 use proptest::prelude::*;
-use trrip_compiler::{classify_functions, Linker};
+use trrip_compiler::{classify_functions, Linker, ObjectFile, Program};
 use trrip_core::ClassifierConfig;
 use trrip_cpu::{BranchKind, StallClass, TraceInstr};
+use trrip_trace::SourceIter;
 use trrip_workloads::{build_program, proxy, InputSet, TraceGenerator, WorkloadSpec};
 
 fn fnv1a(hash: u64, word: u64) -> u64 {
@@ -42,6 +44,25 @@ fn fnv1a_instr(hash: u64, instr: &TraceInstr) -> u64 {
     words.iter().fold(hash, |h, &w| fnv1a(h, w))
 }
 
+/// `name`'s program, trained, classified and relinked as `prepare` does:
+/// the spec, the program, the PGO placement and the training profile's
+/// block count.
+fn pgo_placement(name: &str) -> (WorkloadSpec, Program, ObjectFile, u64) {
+    const TRAIN: usize = 200_000;
+    let spec = proxy::by_name(name).expect("calibrated spec");
+    let program = build_program(&spec);
+    let linker = Linker::new();
+    let plain = linker.link_source_order(&program);
+    let mut trainer = TraceGenerator::new(&program, &plain, &spec, InputSet::Train);
+    assert_eq!(trainer.by_ref().take(TRAIN).count(), TRAIN);
+    let profile = trainer.into_profile();
+    let temps = classify_functions(&program, &profile, ClassifierConfig::llvm_defaults());
+    let pgo = linker.link_pgo(&program, &profile, &temps);
+    (spec, program, pgo, profile.total())
+}
+
+const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
+
 /// The walk did not move. Train, classify and relink as `prepare` does,
 /// then hash the first 50 000 eval instructions under the PGO placement.
 /// The constants were recorded from the commit before the basic-block
@@ -49,27 +70,42 @@ fn fnv1a_instr(hash: u64, instr: &TraceInstr) -> u64 {
 /// memo-vs-fresh twin suites as the guard on the stream.
 #[test]
 fn eval_stream_under_pgo_placement_is_pinned() {
-    const TRAIN: usize = 200_000;
     const EVAL: usize = 50_000;
     for (name, stream, train_blocks, eval_blocks) in
         [("gcc", 0xb3da_efd9_6bd0_6291, 5213, 913), ("sqlite", 0xca0d_9d3b_33b8_37d9, 4717, 904)]
     {
-        let spec = proxy::by_name(name).expect("calibrated spec");
-        let program = build_program(&spec);
-        let linker = Linker::new();
-        let plain = linker.link_source_order(&program);
-        let mut trainer = TraceGenerator::new(&program, &plain, &spec, InputSet::Train);
-        assert_eq!(trainer.by_ref().take(TRAIN).count(), TRAIN);
-        let profile = trainer.into_profile();
-        assert_eq!(profile.total(), train_blocks, "{name}: training profile moved");
-        let temps = classify_functions(&program, &profile, ClassifierConfig::llvm_defaults());
-        let pgo = linker.link_pgo(&program, &profile, &temps);
-
+        let (spec, program, pgo, trained) = pgo_placement(name);
+        assert_eq!(trained, train_blocks, "{name}: training profile moved");
         let mut walker = TraceGenerator::new(&program, &pgo, &spec, InputSet::Eval);
-        let hash =
-            walker.by_ref().take(EVAL).fold(0xcbf2_9ce4_8422_2325, |h, i| fnv1a_instr(h, &i));
+        let hash = walker.by_ref().take(EVAL).fold(FNV_SEED, |h, i| fnv1a_instr(h, &i));
         assert_eq!(hash, stream, "{name}: eval stream moved ({hash:#018x})");
         assert_eq!(walker.into_profile().total(), eval_blocks, "{name}: eval profile moved");
+    }
+}
+
+/// A walker resumed from the state another handed out at the boundary —
+/// with what its puller held back of the last 1 Ki batch put back —
+/// hands out what the first goes on to hand out: a digest of the next
+/// 50 000 eval instructions of `gcc` and `sqlite` under PGO placement, at
+/// a boundary on a batch edge and at one inside a batch.
+#[test]
+fn a_restored_walker_equals_one_walked_through_the_boundary() {
+    const AFTER: usize = 50_000;
+    for name in ["gcc", "sqlite"] {
+        let (spec, program, pgo, _) = pgo_placement(name);
+        for boundary in [30 * 1_024, 30_001] {
+            let walker = TraceGenerator::new(&program, &pgo, &spec, InputSet::Eval);
+            let mut pulled = SourceIter::new(walker);
+            assert_eq!(pulled.advance(boundary), boundary);
+            let state = pulled.source().state(pulled.unread());
+            let held_back = boundary.next_multiple_of(1_024) - boundary;
+            assert!(state.pending.len() as u64 >= held_back, "{name} at {boundary}");
+            let resumed = TraceGenerator::resume(&program, &pgo, &spec, InputSet::Eval, state)
+                .expect("a state the walker handed out");
+            let restored = resumed.take(AFTER).fold(FNV_SEED, |h, i| fnv1a_instr(h, &i));
+            let walked = pulled.take(AFTER).fold(FNV_SEED, |h, i| fnv1a_instr(h, &i));
+            assert_eq!(restored, walked, "{name} at {boundary}: {restored:#018x}");
+        }
     }
 }
 

@@ -20,7 +20,7 @@ fn main() {
     let workload = PreparedWorkload::prepare(&spec, config.train_instructions, config.classifier);
     let workloads = [workload];
     let cells = policy_cells(&config, &PolicyKind::PAPER_SET);
-    let sweep = policy_sweep_with(default_jobs(), &workloads, &cells);
+    let sweep = policy_sweep_with(default_jobs(), &workloads, &cells, None);
 
     let base = sweep.get(&name, PolicyKind::Srrip);
     println!(

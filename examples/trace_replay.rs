@@ -1,6 +1,6 @@
-//! Capture once, replay many: record a workload's instruction trace to
-//! disk, then drive the simulator from the file instead of the walker —
-//! with bit-identical results — and sweep policies over the capture.
+//! Capture, then replay: record a workload's instruction trace to disk,
+//! then drive the simulator from the file instead of the walker — with
+//! bit-identical results.
 //!
 //! ```text
 //! cargo run --release --example trace_replay
@@ -9,10 +9,10 @@
 use trrip::core::ClassifierConfig;
 use trrip::policies::PolicyKind;
 use trrip::sim::{
-    capture_length, default_jobs, policy_cells, replay_sweep, simulate, simulate_source,
-    PreparedWorkload, SimConfig, TraceStore,
+    capture_length, capture_trace, simulate, simulate_source, PreparedWorkload, SimConfig,
 };
 use trrip::workloads::WorkloadSpec;
+use trrip_trace::StreamingReplay;
 
 fn main() {
     let mut spec = WorkloadSpec::named("replay-demo");
@@ -31,8 +31,8 @@ fn main() {
 
     // 1. Capture the eval trace (fast-forward + measured window).
     let dir = std::env::temp_dir().join("trrip-replay-example");
-    let store = TraceStore::new(&dir);
-    let path = store.ensure(&workload, &config).expect("capture");
+    let path = dir.join("replay-demo.trrip");
+    capture_trace(&workload, &config, &path).expect("capture");
     let bytes = std::fs::metadata(&path).map(|m| m.len()).unwrap_or(0);
     println!(
         "captured {} instructions to {} ({bytes} bytes, {:.2} B/instr)",
@@ -43,7 +43,7 @@ fn main() {
 
     // 2. Replay from disk; results are bit-identical to the walker.
     let from_walker = simulate(&workload, &config);
-    let replay = store.open(&workload, &config).expect("open capture");
+    let replay = StreamingReplay::open(&path).expect("open capture");
     let from_disk = simulate_source(&workload, &config, replay);
     assert_eq!(from_walker.core, from_disk.core);
     assert_eq!(from_walker.l2, from_disk.l2);
@@ -52,16 +52,6 @@ fn main() {
         from_disk.core.ipc(),
         from_disk.l2_inst_mpki(),
     );
-
-    // 3. Sweep policies over the same capture: generation is paid once,
-    //    and so is the decode — one replay feeds every policy's cell.
-    let policies = [PolicyKind::Srrip, PolicyKind::Clip, PolicyKind::Trrip1, PolicyKind::Trrip2];
-    let cells = policy_cells(&config, &policies);
-    let sweep = replay_sweep(default_jobs(), &[workload], &cells, &store, None);
-    for policy in &policies[1..] {
-        let speedup = sweep.speedups(*policy, PolicyKind::Srrip)[0];
-        println!("{:>10} vs SRRIP: {speedup:+.2}%", policy.name());
-    }
 
     std::fs::remove_dir_all(&dir).ok();
 }

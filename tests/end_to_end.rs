@@ -116,8 +116,8 @@ fn sweep_is_deterministic_across_runs() {
     let w = PreparedWorkload::prepare(&test_spec(), config.train_instructions, config.classifier);
     let workloads = [w];
     let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Clip]);
-    let s1 = policy_sweep_with(default_jobs(), &workloads, &cells);
-    let s2 = policy_sweep_with(default_jobs(), &workloads, &cells);
+    let s1 = policy_sweep_with(default_jobs(), &workloads, &cells, None);
+    let s2 = policy_sweep_with(default_jobs(), &workloads, &cells, None);
     for (a, b) in s1.results.iter().zip(&s2.results) {
         assert_eq!(a.core.cycles, b.core.cycles);
         assert_eq!(a.l2, b.l2);

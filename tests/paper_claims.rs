@@ -28,7 +28,7 @@ fn sweep_policies(
     config: &SimConfig,
     policies: &[PolicyKind],
 ) -> SweepResult {
-    policy_sweep_with(default_jobs(), workloads, &policy_cells(config, policies))
+    policy_sweep_with(default_jobs(), workloads, &policy_cells(config, policies), None)
 }
 
 #[test]
