@@ -8,7 +8,7 @@ use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
-use trrip_sim::{parallel_map_with, simulate};
+use trrip_sim::simulate_rows;
 
 fn main() {
     trrip_bench::run_experiment("fig1_topdown_system", run);
@@ -21,9 +21,8 @@ fn run(options: &HarnessOptions) {
     let workloads = options.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec!["component", "retire", "backend", "mispred.", "frontend"]);
-    // A row of one cell each: run alone, `--jobs` rows at a time.
-    let results =
-        parallel_map_with(options.jobs, workloads.len(), |i| simulate(&workloads[i], &config));
+    // A row of one cell each, `--jobs` rows at a time.
+    let results = simulate_rows(options.jobs, workloads.len(), |i| (&workloads[i], config.clone()));
     for (w, r) in workloads.iter().zip(&results) {
         let td = &r.core.topdown;
         // Figure 1 groups Top-Down into four buckets: frontend = ifetch,

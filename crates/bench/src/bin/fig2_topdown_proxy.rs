@@ -9,7 +9,7 @@ use trrip_bench::HarnessOptions;
 use trrip_compiler::LayoutKind;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
-use trrip_sim::{parallel_map_with, simulate, SimConfig};
+use trrip_sim::{simulate_rows, SimConfig};
 
 fn main() {
     trrip_bench::run_experiment("fig2_topdown_proxy", run);
@@ -25,11 +25,11 @@ fn run(options: &HarnessOptions) {
     ]);
     let mut pgo_retire_gains = 0usize;
     // Two layouts are two streams: two rows of one cell per workload,
-    // each run alone, `--jobs` rows at a time.
+    // `--jobs` rows at a time.
     let layouts = [LayoutKind::SourceOrder, LayoutKind::Pgo];
-    let results = parallel_map_with(options.jobs, workloads.len() * layouts.len(), |i| {
+    let results = simulate_rows(options.jobs, workloads.len() * layouts.len(), |i| {
         let layout = layouts[i % layouts.len()];
-        simulate(&workloads[i / layouts.len()], &SimConfig { layout, ..config.clone() })
+        (&workloads[i / layouts.len()], SimConfig { layout, ..config.clone() })
     });
     for (w, rows) in workloads.iter().zip(results.chunks(layouts.len())) {
         for (layout, r) in layouts.into_iter().zip(rows) {

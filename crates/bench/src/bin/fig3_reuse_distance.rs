@@ -9,7 +9,7 @@ use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
-use trrip_sim::{parallel_map_with, simulate};
+use trrip_sim::simulate_rows;
 
 fn main() {
     trrip_bench::run_experiment("fig3_reuse_distance", run);
@@ -22,9 +22,8 @@ fn run(options: &HarnessOptions) {
     let workloads = options.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec!["bench", "0-4", "5-8", "9-16", "16+"]);
-    // A row of one cell each: run alone, `--jobs` rows at a time.
-    let results =
-        parallel_map_with(options.jobs, workloads.len(), |i| simulate(&workloads[i], &config));
+    // A row of one cell each, `--jobs` rows at a time.
+    let results = simulate_rows(options.jobs, workloads.len(), |i| (&workloads[i], config.clone()));
     for (w, r) in workloads.iter().zip(&results) {
         let base = r.reuse_base.expect("reuse measured");
         let hot = r.reuse_hot_only.expect("reuse measured");

@@ -10,7 +10,7 @@
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
-use trrip_sim::{parallel_map_with, simulate};
+use trrip_sim::simulate_rows;
 
 const PERCENTILES: [f64; 5] = [50.0, 60.0, 70.0, 80.0, 90.0];
 
@@ -30,9 +30,8 @@ fn run(options: &HarnessOptions) {
     let mut table_a = TextTable::new(headers.clone());
     let mut table_b = TextTable::new(headers);
 
-    // A row of one cell each: run alone, `--jobs` rows at a time.
-    let results =
-        parallel_map_with(options.jobs, workloads.len(), |i| simulate(&workloads[i], &config));
+    // A row of one cell each, `--jobs` rows at a time.
+    let results = simulate_rows(options.jobs, workloads.len(), |i| (&workloads[i], config.clone()));
     for (w, r) in workloads.iter().zip(&results) {
         let costly = r.costly.as_ref().expect("costly tracking armed");
         let mut row_a = vec![w.spec.name.clone()];

@@ -36,7 +36,9 @@ options:
   --jobs N         cap worker threads for sweeps, one-cell rows and
                    preparation (default: available parallelism); a sweep,
                    with or without a store, simulates on exactly
-                   min(N, cells) threads
+                   min(N, cells) threads; one-cell rows run min(N, rows)
+                   at a time, and where N >= 2 x rows each row's walker
+                   runs ahead on a thread of its own
   --trace-dir DIR  accepted and ignored: every sweep walks its stream
   --shards N       accepted and ignored: a sweep runs every cell of a
                    workload over one stream
@@ -53,8 +55,9 @@ options:
   --help           print this message and exit
 
 fig1_topdown_system, fig2_topdown_proxy, fig3_reuse_distance and
-fig7_costly_coverage sweep nothing — each workload is a row of one cell,
-run on its own over the walker, --jobs rows at a time — so they accept
+fig7_costly_coverage sweep nothing — each workload is a row of one cell
+on the fused loop, --jobs rows at a time, its walker running ahead on a
+spare core where --jobs leaves every row one — so they accept
 --checkpoint-dir and read no store.";
 
 /// Cap on journal events per run; past it the journal records only the

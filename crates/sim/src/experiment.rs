@@ -57,19 +57,22 @@
 //! The one-cell paths, [`crate::simulate`] and
 //! [`crate::simulate_source`], pull from a source of their own through
 //! the fused loop and share none of the sweep machinery, which is what
-//! makes them the oracle for all of the above — and what a row of one
-//! cell runs on where nothing is swept (Figures 1, 2, 3 and 7): a cell
-//! with nobody to share a frontend with is cheaper without one.
+//! makes them the oracle for all of the above. Where nothing is swept
+//! (Figures 1, 2, 3 and 7) each row is one cell, and [`simulate_rows`]
+//! runs them on the fused loop, `jobs` at a time: a cell with nobody to
+//! share a frontend with needs no window, but where `jobs` leaves every
+//! row a core to spare, its walker runs ahead on that core and hands the
+//! fused loop whole batches.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
-use trrip_cpu::EventTurn;
+use trrip_cpu::{EventTurn, TraceInstr};
 use trrip_obs::Field;
 use trrip_policies::PolicyKind;
-use trrip_trace::SourceIter;
+use trrip_trace::{SourceIter, TraceSource};
 use trrip_workloads::{InputSet, TraceGenerator};
 
 use crate::capture::eval_walker;
@@ -163,7 +166,8 @@ pub fn policy_cells(config: &SimConfig, policies: &[PolicyKind]) -> Vec<SimConfi
 
 /// Runs `f(0)..f(n-1)` across at most `jobs` scoped workers (`--jobs` in
 /// the bench harness), never more than `n`, returning the results in
-/// index order. The scaffold behind preparation passes.
+/// index order. The scaffold behind preparation passes and
+/// [`simulate_rows`].
 ///
 /// # Panics
 ///
@@ -189,6 +193,90 @@ where
         }
     });
     slots.into_inner().into_iter().map(|v| v.expect("all jobs completed")).collect()
+}
+
+/// Runs `rows` rows of one cell each — `row(i)` is row `i`'s workload
+/// and machine — `jobs` at a time, never more than `rows`, and returns
+/// one result per row in order, each bit-identical to a
+/// [`crate::simulate`] of its own. When `jobs` leaves every row a core
+/// to spare (`jobs >= 2 × rows`), each row's walker runs ahead on a
+/// thread of its own and hands batches to the row's fused loop
+/// ([`crate::simulate_source`]); otherwise every row runs
+/// [`crate::simulate`] inline. Figures 1, 2, 3 and 7 run on this.
+///
+/// # Panics
+///
+/// Propagates panics from `row` and from the runs.
+#[must_use]
+pub fn simulate_rows<'w, F>(jobs: usize, rows: usize, row: F) -> Vec<SimResult>
+where
+    F: Fn(usize) -> (&'w PreparedWorkload, SimConfig) + Sync,
+{
+    let walk_ahead = jobs >= 2 * rows;
+    parallel_map_with(jobs, rows, |i| {
+        let (workload, config) = row(i);
+        if walk_ahead {
+            simulate_walking_ahead(workload, &config)
+        } else {
+            crate::simulate(workload, &config)
+        }
+    })
+}
+
+/// Instructions a walker running ahead hands over at a time.
+const AHEAD_BATCH: usize = 16 * 1024;
+
+/// Batches a walker running ahead may have in flight before it waits
+/// for the fused loop.
+const AHEAD_BATCHES: usize = 3;
+
+/// [`crate::simulate`] with the walker on a scoped thread of its own,
+/// walking exactly the run's `fast_forward + instructions` into a bounded
+/// channel. A fused loop that unwinds drops the channel's receiving end,
+/// which fails the walker's next send, so the scope never waits on it.
+fn simulate_walking_ahead(workload: &PreparedWorkload, config: &SimConfig) -> SimResult {
+    let (full_tx, full) = mpsc::sync_channel::<Vec<TraceInstr>>(AHEAD_BATCHES);
+    let (spent, spent_rx) = mpsc::channel::<Vec<TraceInstr>>();
+    std::thread::scope(|scope| {
+        scope.spawn(move || {
+            let mut walker = eval_walker(workload, config);
+            let mut left = config.fast_forward + config.instructions;
+            while left > 0 {
+                let mut batch =
+                    spent_rx.try_recv().unwrap_or_else(|_| Vec::with_capacity(AHEAD_BATCH));
+                let n = left.min(AHEAD_BATCH as u64);
+                batch.extend(walker.by_ref().take(n as usize));
+                left -= n;
+                if full_tx.send(batch).is_err() {
+                    return;
+                }
+            }
+        });
+        crate::simulate_source(workload, config, AheadSource { full, spent })
+    })
+}
+
+/// The fused loop's end of a walker running ahead: a batch received is
+/// swapped into the caller's buffer, and the spent buffer goes back.
+struct AheadSource {
+    full: mpsc::Receiver<Vec<TraceInstr>>,
+    spent: mpsc::Sender<Vec<TraceInstr>>,
+}
+
+impl TraceSource for AheadSource {
+    fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
+        let Ok(mut batch) = self.full.recv() else { return 0 };
+        let n = batch.len();
+        if out.is_empty() {
+            std::mem::swap(out, &mut batch);
+        } else {
+            out.append(&mut batch);
+        }
+        // The walker is done with the channel once it has sent its last
+        // batch: a buffer it will not reuse is simply dropped.
+        let _ = self.spent.send(batch);
+        n
+    }
 }
 
 /// Runs every workload under every cell over the CFG walker, with each
@@ -927,9 +1015,7 @@ mod tests {
     use super::*;
     use crate::system::{simulate, simulate_source};
     use trrip_core::ClassifierConfig;
-    use trrip_cpu::TraceInstr;
     use trrip_trace::source::VecSource;
-    use trrip_trace::TraceSource;
     use trrip_workloads::{WalkerState, WorkloadSpec};
 
     /// The sweeps over sources of their own attach no store, so nobody

@@ -27,7 +27,8 @@
 //! * [`experiment`] — sweeps on the one executor there is (a cell is a
 //!   [`SimConfig`]; a workload's stream is produced once, predicted once
 //!   and pushed through every cell): [`policy_sweep_with`] over the
-//!   walker and, optionally, a checkpoint store; and speedup computation.
+//!   walker and, optionally, a checkpoint store; [`simulate_rows`] for
+//!   rows of one cell, which nothing sweeps; and speedup computation.
 //! * [`warmstats`] — what the `warm.*` registry counters mean: how
 //!   cells reached the fast-forward boundary (restored, or warmed with
 //!   or without a store), the observable behind fallback tests.
@@ -56,7 +57,8 @@ pub use checkpoint::{
 };
 pub use config::SimConfig;
 pub use experiment::{
-    default_jobs, parallel_map_with, policy_cells, policy_sweep_with, speedup_vs, SweepResult,
+    default_jobs, parallel_map_with, policy_cells, policy_sweep_with, simulate_rows, speedup_vs,
+    SweepResult,
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;

@@ -34,8 +34,8 @@ use trrip_core::ClassifierConfig;
 use trrip_cpu::{EventTurn, StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_cells, policy_sweep_with, simulate, simulate_source, CheckpointStore, Frontend,
-    PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot,
+    policy_cells, policy_sweep_with, simulate, simulate_rows, simulate_source, CheckpointStore,
+    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot,
 };
 use trrip_trace::source::VecSource;
 use trrip_trace::TraceSource;
@@ -558,6 +558,86 @@ fn a_group_refuses_runs_at_different_positions() {
     behind.begin_measure();
     ahead.push_measure(&turn, false);
     SimRun::push_measure_group(&mut [&mut ahead, &mut behind], &turn, true);
+}
+
+// ---- rows of one cell: inline, or with the walker running ahead ----
+
+/// Rows as the row figures build them: one workload with the reuse
+/// profiler armed (Figure 3), another under TRRIP-1 with the costly-miss
+/// tracker (Figure 7), and that one again under both layouts, one row
+/// each (Figure 2).
+fn one_cell_rows(workloads: &[PreparedWorkload; 2]) -> Vec<(&PreparedWorkload, SimConfig)> {
+    let config = quick_config(30_000);
+    let costly = config.clone().with_policy(PolicyKind::Trrip1);
+    vec![
+        (&workloads[0], SimConfig { measure_reuse: true, ..config.clone() }),
+        (&workloads[1], SimConfig { track_costly: true, ..costly }),
+        (&workloads[1], SimConfig { layout: LayoutKind::SourceOrder, ..config.clone() }),
+        (&workloads[1], SimConfig { layout: LayoutKind::Pgo, ..config }),
+    ]
+}
+
+/// One row walks ahead from two jobs up and three rows never do at these
+/// job counts; Figure 2's two layouts walk ahead at four. Every row
+/// equals a `simulate` of its own either way.
+#[test]
+fn rows_of_one_cell_equal_simulate_inline_or_walking_ahead() {
+    let _shared = shared();
+    let workloads = [workload("rows-of-one-a"), workload("rows-of-one-b")];
+    let rows = one_cell_rows(&workloads);
+    let oracle: Vec<SimResult> = rows.iter().map(|(w, config)| simulate(w, config)).collect();
+    for picked in [&[0][..], &[1], &[0, 1, 2], &[1, 2, 3], &[2, 3]] {
+        for jobs in [1, 2, 4] {
+            let results = simulate_rows(jobs, picked.len(), |i| rows[picked[i]].clone());
+            assert_eq!(results.len(), picked.len());
+            for (result, &row) in results.iter().zip(picked) {
+                let what = format!("row {row} of {picked:?} at jobs={jobs}");
+                assert_identical(result, &oracle[row], &what);
+            }
+        }
+    }
+    assert!(simulate_rows(4, 0, |i| rows[i].clone()).is_empty());
+}
+
+/// The walker that runs ahead stops at the row's last instruction; the
+/// inline walker hands out whole batches of 1 Ki and may pass it.
+#[test]
+fn a_walker_running_ahead_never_walks_past_its_row() {
+    let _exclusive = WALKING.write().unwrap_or_else(PoisonError::into_inner);
+    let one = workload("rows-of-one-walked");
+    let config = quick_config(30_000);
+    let walked = |jobs| {
+        let before = trrip_obs::snapshot();
+        let _ = simulate_rows(jobs, 1, |_| (&one, config.clone()));
+        trrip_obs::snapshot().since(&before).get("walk.instrs")
+    };
+    let inline = walked(1);
+    let ahead = walked(2);
+    assert_eq!(ahead, config.fast_forward + config.instructions, "exactly the row");
+    assert!(ahead <= inline, "walking ahead walked {ahead}, inline {inline}");
+}
+
+/// A fused loop that panics drops its end of the channel, so a walker
+/// blocked on a full one gives up and the panic reaches the caller.
+#[test]
+fn a_row_that_panics_does_not_hang_its_walker() {
+    let _shared = shared();
+    let one = workload("rows-of-one-panics");
+    let mut config = quick_config(5_000_000);
+    // More ways than a set probe holds: the machine refuses to be built.
+    config.hierarchy.l2.ways = 65;
+    // A thread of its own, not a scoped one: were the row to hang, the
+    // test must still fail rather than wait with it.
+    let (done, finished) = std::sync::mpsc::channel();
+    let row = std::thread::spawn(move || {
+        let outcome = std::panic::catch_unwind(|| simulate_rows(2, 1, |_| (&one, config.clone())));
+        done.send(outcome.is_err()).expect("the test is waiting");
+    });
+    let panicked = finished
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the row's scope must end, not wait on its walker");
+    assert!(panicked, "the row's panic reaches the caller");
+    row.join().expect("the row's panic was caught");
 }
 
 // ---- walked once, on no more threads than asked for ----
