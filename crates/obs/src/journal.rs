@@ -3,7 +3,7 @@
 //! Where counters answer "how many" and spans answer "how long", the
 //! journal answers "what happened, in what order": cell started, warm
 //! start took the overlay rung, a checkpoint artifact was damaged and
-//! the cell fell back cold, the store was gc'd. One JSON object per
+//! the cell fell back cold. One JSON object per
 //! line, written under `--obs-dir`, so a failed sweep can be replayed
 //! from its journal without re-running anything.
 //!

@@ -13,7 +13,7 @@
 //!   is a single relaxed atomic load.
 //! - **Event journal** ([`journal`]) — bounded append-only JSONL of
 //!   structured events (cell started, warm-start rung taken, artifact
-//!   damaged, store gc'd), written under `--obs-dir`, plus the one
+//!   damaged, fault fired), written under `--obs-dir`, plus the one
 //!   consistent `[trrip] …` stderr progress format gated by `--quiet`.
 //!
 //! [`report`] ties a run together: a schema-versioned `obs_report.json`

@@ -191,7 +191,7 @@ mod tests {
     use super::*;
     use trrip_core::ClassifierConfig;
     use trrip_policies::PolicyKind;
-    use trrip_trace::{probe, StreamingReplay};
+    use trrip_trace::StreamingReplay;
 
     fn quick_spec() -> WorkloadSpec {
         let mut spec = WorkloadSpec::named("capture-test");
@@ -220,8 +220,8 @@ mod tests {
         let meta = capture_trace(&w, &config, &path).expect("capture");
         assert_eq!(meta.instructions, capture_length(&config));
         assert_eq!(meta.name, "capture-test");
-        let probed = probe(&path).expect("probe");
-        assert_eq!(probed, meta);
+        let header = trrip_trace::open(&path).expect("open").meta().clone();
+        assert_eq!(header, meta);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -43,8 +43,8 @@
 //!   tracker, starvation FIFO). One file per cell — per `(workload,
 //!   machine)`;
 //! * **full** — a complete [`SimRun`] state at the boundary: whatever a
-//!   caller saves whole with [`CheckpointStore::save`] or
-//!   [`write_checkpoint`]. No sweep reads or writes one.
+//!   caller saves whole with [`CheckpointStore::save`]. No sweep reads
+//!   or writes one.
 //!
 //! `shared prefix + overlay` composes bit-identically to the full
 //! fast-forward state, and those two files are all a sweep keeps of the
@@ -302,21 +302,6 @@ fn warmup_hash(config: &SimConfig, memory_system: bool) -> u64 {
     checksum.value()
 }
 
-/// Writes a [`CheckpointKind::Full`] checkpoint file atomically
-/// (sibling temp file + rename). Prefix/overlay containers go through
-/// [`write_checkpoint_kind`].
-///
-/// # Errors
-///
-/// Propagates I/O failures.
-pub fn write_checkpoint(
-    path: &Path,
-    meta: &CheckpointMeta,
-    payload: &[u8],
-) -> Result<(), CheckpointError> {
-    write_checkpoint_kind(path, CheckpointKind::Full, meta, payload)
-}
-
 /// Writes a checkpoint container of any [`CheckpointKind`] atomically
 /// (sibling temp file + rename).
 ///
@@ -503,18 +488,19 @@ fn note_save() {
     trrip_obs::counter!("ckpt.save").incr();
 }
 
-/// A directory of warmed-state checkpoints, keyed exactly like the
-/// trace store plus the warmup configuration hash. `save` is atomic;
+/// A directory of warmed-state checkpoints, keyed by workload name,
+/// layout, policy, fast-forward length, workload fingerprint and the
+/// warmup configuration hash (see the module docs). `save` is atomic;
 /// `load` verifies checksum and key and returns `Ok(None)` for a
 /// missing or differently-keyed file (the caller warms up cold and
-/// overwrites), surfacing only damaged files as errors.
+/// overwrites), surfacing only damaged files as errors. Files the store
+/// did not name — an earlier version's `coord/` subdirectory, say — are
+/// never read.
 ///
 /// Every load and save feeds the `ckpt.*` counters in the `trrip-obs`
-/// registry (`ckpt.hit`/`miss`/`corrupt`/`save`/`gc_files`/`gc_bytes`),
-/// so `--metrics` runs report store effectiveness without the store
-/// carrying any state of its own. `size_bytes` and `gc` read `*.ckpt` in
-/// the top directory only: a subdirectory (an earlier version's
-/// `coord/`, say) is ignored as any foreign file is.
+/// registry (`ckpt.hit`/`miss`/`corrupt`/`save`), so `--metrics` runs
+/// report store effectiveness without the store carrying any state of
+/// its own.
 #[derive(Debug, Clone)]
 pub struct CheckpointStore {
     dir: PathBuf,
@@ -560,12 +546,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Whether a loadable checkpoint for `(workload, config)` exists.
-    #[must_use]
-    pub fn has(&self, workload: &PreparedWorkload, config: &SimConfig) -> bool {
-        matches!(self.load(workload, config), Ok(Some(_)))
-    }
-
     /// Whether the store holds the two files a restore of `(workload,
     /// config)` at the fast-forward boundary reads — the shared prefix
     /// and this policy's overlay — going by their names alone. Cheap
@@ -593,7 +573,7 @@ impl CheckpointStore {
         let mut payload = SnapWriter::new();
         run.save(&mut payload);
         let path = self.path_for(run.workload(), run.config());
-        write_checkpoint(&path, &meta, payload.bytes())?;
+        write_checkpoint_kind(&path, CheckpointKind::Full, &meta, payload.bytes())?;
         note_save();
         Ok(path)
     }
@@ -722,16 +702,6 @@ impl CheckpointStore {
         ))
     }
 
-    /// The metadata a valid policy overlay must carry.
-    #[must_use]
-    pub fn expected_overlay_meta(
-        &self,
-        workload: &PreparedWorkload,
-        config: &SimConfig,
-    ) -> CheckpointMeta {
-        self.expected_meta(workload, config)
-    }
-
     /// Saves `run`'s policy-dependent fast-forward state as its policy's
     /// overlay ([`SimRun::save_overlay`]).
     ///
@@ -744,7 +714,7 @@ impl CheckpointStore {
     /// Panics if `run` has started measuring.
     pub fn save_overlay(&self, run: &SimRun<'_>) -> Result<PathBuf, CheckpointError> {
         assert!(!run.is_measuring(), "overlays are fast-forward states");
-        let meta = self.expected_overlay_meta(run.workload(), run.config());
+        let meta = self.expected_meta(run.workload(), run.config());
         let mut payload = SnapWriter::new();
         run.save_overlay(&mut payload);
         let path = self.overlay_path(run.workload(), run.config());
@@ -769,7 +739,7 @@ impl CheckpointStore {
     /// payloads whose shape does not match the run's machine.
     pub fn load_overlay_into(&self, run: &mut SimRun<'_>) -> Result<bool, CheckpointError> {
         let path = self.overlay_path(run.workload(), run.config());
-        let expected = self.expected_overlay_meta(run.workload(), run.config());
+        let expected = self.expected_meta(run.workload(), run.config());
         let loaded = load_keyed(&path, CheckpointKind::PolicyOverlay, &expected, |payload| {
             let mut r = SnapReader::new(&payload);
             run.restore_overlay(&mut r)?;
@@ -777,144 +747,6 @@ impl CheckpointStore {
         })?;
         Ok(loaded.is_some())
     }
-
-    /// Total bytes the store's container files occupy on disk
-    /// (in-flight `*.tmp.*` files excluded).
-    #[must_use]
-    pub fn size_bytes(&self) -> u64 {
-        let Ok(entries) = std::fs::read_dir(&self.dir) else { return 0 };
-        entries
-            .flatten()
-            .filter(|e| e.path().extension().is_some_and(|x| x == "ckpt"))
-            .filter_map(|e| e.metadata().ok())
-            .map(|m| m.len())
-            .sum()
-    }
-
-    /// Removes every container file (and leftover temp file) whose
-    /// workload fingerprint is **not** in `keep_fingerprints` — the
-    /// disk-hygiene pass a long-lived store runs after workload
-    /// definitions change and their fingerprints rotate.
-    ///
-    /// Safe against concurrent sweeps sharing the directory: writes are
-    /// temp+rename, so gc never observes a half-written container, and a
-    /// save racing the deletion atomically recreates its file (a later
-    /// gc removes it again if still unwanted). Temp files are removed
-    /// only when their own fingerprint is stale **and** they are older
-    /// than [`GC_TMP_GRACE`] — a fresh `.tmp.` with a stale-looking
-    /// fingerprint may belong to a writer whose keep-set differs from
-    /// ours (processes may share one directory), and unlinking it
-    /// mid-write would turn that writer's rename into an error. Files
-    /// the store did not name (no trailing `-fingerprint-hash` pair) are
-    /// left alone.
-    ///
-    /// # Errors
-    ///
-    /// Propagates directory-listing failures; individual deletions that
-    /// race another process's deletion are not errors.
-    pub fn gc(&self, keep_fingerprints: &[u64]) -> Result<GcReport, std::io::Error> {
-        self.gc_with_grace(keep_fingerprints, GC_TMP_GRACE)
-    }
-
-    /// [`CheckpointStore::gc`] with an explicit temp-file grace window
-    /// (tests use `Duration::ZERO` to exercise the removal path without
-    /// fabricating old mtimes).
-    ///
-    /// # Errors
-    ///
-    /// As [`CheckpointStore::gc`].
-    pub fn gc_with_grace(
-        &self,
-        keep_fingerprints: &[u64],
-        tmp_grace: std::time::Duration,
-    ) -> Result<GcReport, std::io::Error> {
-        let mut report = GcReport::default();
-        let entries = match std::fs::read_dir(&self.dir) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(report),
-            Err(e) => return Err(e),
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            let Some(name) = path.file_name().and_then(|n| n.to_str()) else { continue };
-            let (key, is_tmp) = if let Some(stem) = name.strip_suffix(".ckpt") {
-                (stem, false)
-            } else if let Some((stem, _)) = name.split_once(".tmp.") {
-                (stem, true)
-            } else {
-                continue;
-            };
-            let Some(fingerprint) = parse_trailing_fingerprint(key) else { continue };
-            if keep_fingerprints.contains(&fingerprint) {
-                continue;
-            }
-            let metadata = entry.metadata().ok();
-            if is_tmp {
-                // A temp file inside the grace window may be an
-                // in-flight write by a concurrent process; leave it.
-                // (Unknown age counts as young — never break a writer.)
-                let age = metadata
-                    .as_ref()
-                    .and_then(|m| m.modified().ok())
-                    .and_then(|t| t.elapsed().ok());
-                match age {
-                    Some(age) if age >= tmp_grace => {}
-                    _ => continue,
-                }
-            }
-            let bytes = metadata.map(|m| m.len()).unwrap_or(0);
-            match std::fs::remove_file(&path) {
-                Ok(()) => {
-                    report.removed_files += 1;
-                    report.freed_bytes += bytes;
-                }
-                // Racing deletion/rename is fine — the file is gone or
-                // was just atomically replaced.
-                Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
-        }
-        trrip_obs::counter!("ckpt.gc_files").add(report.removed_files as u64);
-        trrip_obs::counter!("ckpt.gc_bytes").add(report.freed_bytes);
-        trrip_obs::event(
-            "ckpt_gc",
-            &[
-                ("removed_files", trrip_obs::Field::U64(report.removed_files as u64)),
-                ("freed_bytes", trrip_obs::Field::U64(report.freed_bytes)),
-            ],
-        );
-        Ok(report)
-    }
-}
-
-/// How young a `.tmp.` file may be before [`CheckpointStore::gc`]
-/// treats it as a possible in-flight write and leaves it alone. Far
-/// longer than any single container write takes; stale-fingerprint
-/// temps older than this are dead writers' litter and are collected.
-pub const GC_TMP_GRACE: std::time::Duration = std::time::Duration::from_secs(60);
-
-/// What [`CheckpointStore::gc`] removed.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct GcReport {
-    /// Container and temp files deleted.
-    pub removed_files: usize,
-    /// Their summed size in bytes.
-    pub freed_bytes: u64,
-}
-
-/// Extracts the workload fingerprint from a store file key of the form
-/// `…-{fingerprint:016x}-{confighash:016x}`. `None` when the name does
-/// not follow the store's scheme.
-fn parse_trailing_fingerprint(key: &str) -> Option<u64> {
-    let mut parts = key.rsplit('-');
-    let hash = parts.next()?;
-    let fingerprint = parts.next()?;
-    if hash.len() != 16 || fingerprint.len() != 16 {
-        return None;
-    }
-    // Both fields must be hex for this to be a store-named file.
-    u64::from_str_radix(hash, 16).ok()?;
-    u64::from_str_radix(fingerprint, 16).ok()
 }
 
 /// One workload's policy-agnostic warm prefix, as a

@@ -51,9 +51,8 @@ pub mod warmstats;
 pub use backend::SystemBackend;
 pub use capture::{capture_length, capture_trace};
 pub use checkpoint::{
-    read_checkpoint, warmup_config_hash, warmup_prefix_hash, write_checkpoint,
-    write_checkpoint_kind, CheckpointError, CheckpointKind, CheckpointMeta, CheckpointStore,
-    GcReport, SharedWarmup,
+    read_checkpoint, warmup_config_hash, warmup_prefix_hash, write_checkpoint_kind,
+    CheckpointError, CheckpointKind, CheckpointMeta, CheckpointStore, SharedWarmup,
 };
 pub use config::SimConfig;
 pub use experiment::{

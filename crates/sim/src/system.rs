@@ -26,9 +26,10 @@
 //! runs as it likes, each of which runs only the policy-dependent half
 //! ([`Core::execute`]) — to a **group** of runs at once
 //! ([`SimRun::push_fast_forward_group`], [`SimRun::push_measure_group`]),
-//! which take the turn in lockstep, one read of it driving them all, or
-//! to one run ([`SimRun::push_fast_forward`], [`SimRun::push_measure`]),
-//! which is a group of one. That is how [`crate::policy_sweep_with`]
+//! which take the turn in lockstep, one read of it driving them all; one
+//! run alone is a group of one. Turns may be cut anywhere, an empty one
+//! included, and `last = true` with the turn that completes a phase
+//! closes it as the pull side does. That is how [`crate::policy_sweep_with`]
 //! walks and predicts a workload's stream once and decodes each turn
 //! once per worker. The two sides are bit-identical
 //! wherever the stream is cut and however the runs are grouped
@@ -339,7 +340,7 @@ pub struct SimRun<'w> {
     pages: PageStats,
     core: Core<SystemBackend>,
     /// In-flight state of a *pushed* fast-forward (present between the
-    /// first [`SimRun::push_fast_forward`] and the closing one). The
+    /// first [`SimRun::push_fast_forward_group`] and the closing one). The
     /// pull-mode warmup runs in one call and never parks its state.
     warming: Option<RunState>,
     /// Set by the first pushed turn: the branch predictor of this run
@@ -441,34 +442,26 @@ impl<'w> SimRun<'w> {
         self.core.run_batch(state, &[], true);
     }
 
-    /// **Fast-forward phase, pushed**: warms the machine with the next
-    /// turn of the warmup, as a [`Frontend`] digested it. The turns of
-    /// all calls together must cover the stream's first `fast_forward`
-    /// instructions, cut anywhere; pass `last = true` with the turn that
-    /// completes them (an empty one will do), which closes the phase
-    /// exactly as [`SimRun::fast_forward`] does. With
+    /// **Fast-forward phase, pushed**: warms every run of `group` with
+    /// the next turn of the warmup, as a [`Frontend`] digested it. The
+    /// turns of all calls together must cover the stream's first
+    /// `fast_forward` instructions, cut anywhere; pass `last = true` with
+    /// the turn that completes them (an empty one will do), which closes
+    /// the phase exactly as [`SimRun::fast_forward`] does. With
     /// `fast_forward == 0` there is nothing to push: go straight to
     /// [`SimRun::begin_measure`].
+    ///
+    /// The runs of one workload that a sweep's worker warms — same
+    /// stream, same core, a policy each — take the turn in lockstep
+    /// ([`Core::execute`]), which reads it once for all of them. Each
+    /// run ends up exactly where pushing the turn to it in a group of
+    /// one would leave it.
     ///
     /// # Panics
     ///
     /// Panics if measurement has started or the turns overrun the
-    /// configured warmup.
-    pub fn push_fast_forward(&mut self, turn: &EventTurn, last: bool) {
-        SimRun::push_fast_forward_group(&mut [self], turn, last);
-    }
-
-    /// [`SimRun::push_fast_forward`] for every run of `group` at once:
-    /// the runs of one workload that a sweep's worker warms — same
-    /// stream, same core, a policy each — take the turn in lockstep
-    /// ([`Core::execute`]), which reads it once for all of them. Each
-    /// run ends up exactly where pushing the turn to it alone would
-    /// leave it.
-    ///
-    /// # Panics
-    ///
-    /// As [`SimRun::push_fast_forward`], for any run of the group; and
-    /// if the runs are not all at the same point of the warmup.
+    /// configured warmup, for any run of the group; and if the runs are
+    /// not all at the same point of the warmup.
     pub fn push_fast_forward_group(group: &mut [&mut SimRun<'_>], turn: &EventTurn, last: bool) {
         let mut machines = Vec::with_capacity(group.len());
         for run in group.iter_mut() {
@@ -516,27 +509,17 @@ impl<'w> SimRun<'w> {
     }
 
     /// **Measure phase, pushed**: runs the next turn of the measure
-    /// window. Pass
-    /// `last = true` with the turn that completes the window (an empty
-    /// one will do), then collect with [`SimRun::finish`]; the result's
-    /// branch counts are the frontend's, carried by the turns.
+    /// window on every run of `group`, in lockstep — the measure-phase
+    /// twin of [`SimRun::push_fast_forward_group`]. Pass `last = true`
+    /// with the turn that completes the window (an empty one will do),
+    /// then collect each run with [`SimRun::finish`]; the result's branch
+    /// counts are the frontend's, carried by the turns.
     ///
     /// # Panics
     ///
     /// Panics before [`SimRun::begin_measure`] or if the turns overrun
-    /// the configured window.
-    pub fn push_measure(&mut self, turn: &EventTurn, last: bool) {
-        SimRun::push_measure_group(&mut [self], turn, last);
-    }
-
-    /// [`SimRun::push_measure`] for every run of `group` at once, in
-    /// lockstep — the measure-phase twin of
-    /// [`SimRun::push_fast_forward_group`].
-    ///
-    /// # Panics
-    ///
-    /// As [`SimRun::push_measure`], for any run of the group; and if the
-    /// runs are not all at the same point of the window.
+    /// the configured window, for any run of the group; and if the runs
+    /// are not all at the same point of the window.
     pub fn push_measure_group(group: &mut [&mut SimRun<'_>], turn: &EventTurn, last: bool) {
         let mut machines = Vec::with_capacity(group.len());
         for run in group.iter_mut() {

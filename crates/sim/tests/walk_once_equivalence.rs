@@ -8,8 +8,9 @@
 //! heterogeneous row whose cells share nothing but their stream (L2 size
 //! and ways, page size, overlap rule, policy, armed profilers). The seam
 //! underneath,
-//! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward`] /
-//! [`SimRun::push_measure`], is held to the pull path directly. The
+//! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward_group`] /
+//! [`SimRun::push_measure_group`] with a group of one, is held to the
+//! pull path directly. The
 //! thread budget is held over a checkpoint store too, cold and warm: the
 //! same executor, over a walker from the first instruction and over one
 //! resumed at the boundary. So is the lockstep
@@ -295,13 +296,13 @@ fn pushed(
         if warming > 0 {
             warming -= turn.instructions();
             let last = warming == 0 || !more;
-            run.push_fast_forward(&turn, last);
+            SimRun::push_fast_forward_group(&mut [&mut run], &turn, last);
             if last {
                 warming = 0;
                 run.begin_measure();
             }
         } else {
-            run.push_measure(&turn, !more);
+            SimRun::push_measure_group(&mut [&mut run], &turn, !more);
         }
         if !more {
             break;
@@ -382,19 +383,19 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
     let mut frontend = Frontend::new(&config, VecSource::new(stream.clone(), 1_024));
     let (empty, mut turn) = (EventTurn::new(), EventTurn::new());
     let mut run = SimRun::new(&w, &config);
-    run.push_fast_forward(&empty, false);
+    SimRun::push_fast_forward_group(&mut [&mut run], &empty, false);
     assert!(frontend.digest(usize::MAX, &mut turn), "the measure window is still to come");
     assert_eq!(turn.instructions(), 5_000, "a turn stops at the fast-forward boundary");
-    run.push_fast_forward(&turn, false);
-    run.push_fast_forward(&empty, true);
+    SimRun::push_fast_forward_group(&mut [&mut run], &turn, false);
+    SimRun::push_fast_forward_group(&mut [&mut run], &empty, true);
     run.begin_measure();
-    run.push_measure(&empty, false);
+    SimRun::push_measure_group(&mut [&mut run], &empty, false);
     assert!(!frontend.digest(usize::MAX, &mut turn), "the source ran dry");
     assert_eq!(turn.instructions(), 25_000);
-    run.push_measure(&turn, false);
+    SimRun::push_measure_group(&mut [&mut run], &turn, false);
     assert!(!frontend.digest(usize::MAX, &mut turn));
     assert_eq!(turn, empty, "nothing is left to digest");
-    run.push_measure(&turn, true);
+    SimRun::push_measure_group(&mut [&mut run], &turn, true);
     assert_identical(&run.finish(), &pulled, "short stream closed by an empty turn");
 }
 
@@ -478,7 +479,7 @@ fn push_seam_refuses_to_overrun_the_warmup() {
     let w = workload("walk-once-overrun");
     let config = quick_config(100);
     let turn = oversized_turn(&w, &config, 101);
-    SimRun::new(&w, &config).push_fast_forward(&turn, true);
+    SimRun::push_fast_forward_group(&mut [&mut SimRun::new(&w, &config)], &turn, true);
 }
 
 #[test]
@@ -491,7 +492,7 @@ fn push_seam_refuses_to_overrun_the_measure_window() {
     let turn = oversized_turn(&w, &config, 101);
     let mut run = SimRun::new(&w, &config);
     run.begin_measure();
-    run.push_measure(&turn, true);
+    SimRun::push_measure_group(&mut [&mut run], &turn, true);
 }
 
 /// A pushed run's predictor was never trained, so its state is not the
@@ -504,7 +505,7 @@ fn a_pushed_run_refuses_to_be_checkpointed() {
     let config = quick_config(100);
     let turn = oversized_turn(&w, &config, 100);
     let mut run = SimRun::new(&w, &config);
-    run.push_fast_forward(&turn, true);
+    SimRun::push_fast_forward_group(&mut [&mut run], &turn, true);
     run.save(&mut SnapWriter::new());
 }
 
@@ -556,7 +557,7 @@ fn a_group_refuses_runs_at_different_positions() {
     let (mut ahead, mut behind, _) = pair_and_turn(&w, &config);
     ahead.begin_measure();
     behind.begin_measure();
-    ahead.push_measure(&turn, false);
+    SimRun::push_measure_group(&mut [&mut ahead], &turn, false);
     SimRun::push_measure_group(&mut [&mut ahead, &mut behind], &turn, true);
 }
 

@@ -52,24 +52,6 @@ impl Checksum {
         self.0 = h;
     }
 
-    /// The raw accumulator state — **not** the finalized hash. Together
-    /// with [`Checksum::from_state`] this lets a reader resume a
-    /// checksum mid-stream (e.g. a seek-positioned trace replay seeded
-    /// with the accumulator state recorded at capture time): folding the
-    /// remaining bytes into the resumed accumulator yields the same
-    /// [`Checksum::value`] the full stream would.
-    #[must_use]
-    pub fn state(self) -> u64 {
-        self.0
-    }
-
-    /// A checksum resumed from a [`Checksum::state`] captured earlier in
-    /// the same stream, at the same `update` boundary.
-    #[must_use]
-    pub fn from_state(state: u64) -> Checksum {
-        Checksum(state)
-    }
-
     /// The current hash value.
     #[must_use]
     pub fn value(self) -> u64 {
@@ -182,23 +164,6 @@ mod tests {
             let mut pos = 0;
             assert!(read_varint(&buf[..cut], &mut pos).is_err());
         }
-    }
-
-    #[test]
-    fn checksum_resumes_from_saved_state() {
-        // Folding [a, b] in one accumulator must equal folding b into an
-        // accumulator resumed from the state captured after a — the
-        // property seek-positioned trace replay relies on.
-        let a = b"first chunk payload.....";
-        let b = b"second chunk, different length...";
-        let mut whole = Checksum::new();
-        whole.update(a);
-        let mid = whole.state();
-        whole.update(b);
-
-        let mut resumed = Checksum::from_state(mid);
-        resumed.update(b);
-        assert_eq!(resumed.value(), whole.value());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! # Layout
 //!
 //! ```text
-//! file    := header chunk* footer
+//! file    := header chunk*
 //! header  := magic:8 version:u16 layout:u8 reserved:u8 chunk_capacity:u32
 //!            instructions:u64 checksum:u64 name_len:u16 name:name_len
 //! chunk   := record_count:u32 comp_len:u32 raw_len:u32 codec:u8
@@ -12,18 +12,19 @@
 //!            flags:record_count pc:pc_len branch:branch_len
 //!            mem:mem_len stall:stall_len
 //!            (after the codec is undone; raw_len is its length)
-//! footer  := entry_count:u64 (offset:u64 state:u64)*
-//!            footer_checksum:u64 footer_len:u64 index_magic:8
 //! ```
 //!
 //! All fixed-width fields are little-endian. `instructions` and
-//! `checksum` ([`Checksum`] over every chunk's payload) sit at fixed
-//! offsets so the writer can patch them when the stream ends; the
-//! `reserved` byte is written zero.
+//! `checksum` ([`Checksum`] over every chunk's payload) are fixed-width,
+//! so the writer rewrites the header in place with both when the stream
+//! ends; the `reserved` byte is written zero. The file ends with its
+//! last chunk: a reader goes front to back, stops at the instruction
+//! count and verifies the checksum there, so a cut anywhere fails the
+//! read.
 //!
 //! There is one version, [`VERSION`], and the reader accepts no other:
-//! the trace store is a cache that rebuilds itself, so a file of any
-//! other version reads as absent and the next sweep captures over it.
+//! a file of any other version is [`TraceError::UnsupportedVersion`] —
+//! capture it again.
 //!
 //! # The payload is the record codec
 //!
@@ -39,9 +40,8 @@
 //! Each payload is then compressed with [`trrip_pack::compress_auto`]:
 //! the frame records the codec tag and both lengths, and an
 //! incompressible payload falls back to a raw copy. The header checksum
-//! and the index's accumulator states cover the **columnar payload**,
-//! before compression — compression is a storage transform, invisible
-//! to positioning and verification.
+//! covers the **columnar payload**, before compression — compression is
+//! a storage transform, invisible to verification.
 //!
 //! # Records
 //!
@@ -58,20 +58,6 @@
 //!
 //! Delta state resets at every chunk boundary, so any chunk can be
 //! decoded knowing only the header.
-//!
-//! # The chunk index footer
-//!
-//! Every file ends with a per-chunk index: entry *k* holds chunk *k*'s
-//! absolute byte offset **and** the payload checksum's raw accumulator
-//! state just before that chunk ([`Checksum::state`]); one final entry
-//! holds the end-of-chunks offset and the final accumulator state. A
-//! positioned replay seeks straight to chunk *k*, seeds its checksum
-//! from the stored state, and still verifies the header checksum over
-//! everything it reads — only the *skipped* prefix goes unverified,
-//! which is the entire point of seeking. Sequential readers stop at the
-//! instruction count and never look at the footer; a file whose footer
-//! does not validate is not a whole capture ([`crate::probe`] refuses
-//! it), and the trace store captures over it.
 
 use std::fmt;
 
@@ -79,12 +65,10 @@ use trrip_cpu::{BranchKind, StallClass};
 
 /// File magic: `b"TRRIPTRC"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPTRC";
-/// Chunk-index footer magic (the last 8 bytes of every file):
-/// `b"TRRIPIDX"`.
-pub const INDEX_MAGIC: [u8; 8] = *b"TRRIPIDX";
-/// The format version, and the only one the reader accepts: v5, the
-/// columnar payload as the record codec, checksummed as written.
-pub const VERSION: u16 = 5;
+/// The format version, and the only one the reader accepts: v6, the
+/// columnar payload as the record codec, checksummed as written, and no
+/// footer after the last chunk.
+pub const VERSION: u16 = 6;
 /// Bytes of a chunk frame (`record_count:u32 comp_len:u32 raw_len:u32
 /// codec:u8`).
 pub const CHUNK_FRAME_LEN: usize = 13;
@@ -92,10 +76,6 @@ pub const CHUNK_FRAME_LEN: usize = 13;
 /// decode to ~2.2 MiB in memory — large enough to amortize syscalls,
 /// small enough that replay memory stays flat.
 pub const CHUNK_CAPACITY: u32 = 64 * 1024;
-/// Byte offset of the `instructions` header field (for patching).
-pub const INSTRUCTIONS_OFFSET: u64 = 16;
-/// Byte offset of the `checksum` header field (for patching).
-pub const CHECKSUM_OFFSET: u64 = 24;
 /// Fixed header size before the workload name.
 pub const HEADER_FIXED_LEN: usize = 34;
 /// Longest workload name the format allows, enforced identically by the

@@ -18,23 +18,21 @@
 //!   matter how many billions of instructions the file holds, with
 //!   header validation up front and checksum verification at EOF.
 //! * [`TraceSource`] — the batch-pull interface the simulator consumes;
-//!   implemented by the reader, by [`StreamingReplay`] (a bounded-channel
-//!   pipeline that overlaps disk decode with simulation) and by the
-//!   in-memory walker in `trrip-workloads`.
+//!   implemented by the reader, by [`StreamingReplay`] (a file read front
+//!   to back on the caller's thread, optionally from an instruction
+//!   `skip` in) and by the in-memory walker in `trrip-workloads`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod format;
-pub mod index;
 pub mod reader;
 pub mod source;
 pub mod stream;
 pub mod writer;
 
 pub use format::{TraceError, TraceLayout, TraceMeta, CHUNK_CAPACITY};
-pub use index::{read_index, ChunkIndex};
-pub use reader::{decode_chunk, open, probe, TraceReader};
+pub use reader::{decode_chunk, open, TraceReader};
 pub use source::{SourceIter, TraceSource};
 pub use stream::StreamingReplay;
 pub use writer::{create, TraceWriter};

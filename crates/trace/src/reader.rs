@@ -1,7 +1,7 @@
 //! Streaming chunked trace reader.
 
 use std::fs::File;
-use std::io::{BufReader, Read, Seek, SeekFrom};
+use std::io::{BufReader, Read};
 use std::path::Path;
 
 use trrip_cpu::{BranchInfo, MemOp, TraceInstr};
@@ -12,7 +12,6 @@ use crate::format::{
     TraceMeta, CHUNK_FRAME_LEN, FLAG_BRANCH, FLAG_MEM, FLAG_STALL, FLAG_STORE, FLAG_TAKEN,
     HEADER_FIXED_LEN, KIND_SHIFT, MAGIC, MAX_NAME_LEN, VERSION,
 };
-use crate::index::read_index;
 use crate::source::TraceSource;
 
 /// Largest chunk payload the reader will buffer (defense against a
@@ -84,12 +83,6 @@ impl<R: Read> TraceReader<R> {
     #[must_use]
     pub fn meta(&self) -> &TraceMeta {
         &self.meta
-    }
-
-    /// Instructions not yet read.
-    #[must_use]
-    pub fn remaining(&self) -> u64 {
-        self.remaining
     }
 
     /// Decodes the next chunk, appending its records to `out`. Returns
@@ -189,33 +182,6 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-impl<R: Read + Seek> TraceReader<R> {
-    /// Positions the reader `skip` instructions in, through the chunk
-    /// index: seeks to the frame of the chunk holding instruction
-    /// `skip`, seeds the running checksum with the accumulator state the
-    /// capture recorded there, and rewinds the remaining-record count.
-    /// Returns how many of that chunk's leading records lie before
-    /// `skip`: the caller decodes the chunk and drops them. End-of-trace
-    /// verification covers every byte read from here on; a `skip` at or
-    /// beyond the end positions at the end-of-chunks sentinel — an
-    /// immediately exhausted, still-verified stream.
-    ///
-    /// # Errors
-    ///
-    /// As [`read_index`] — a footer that does not validate — and
-    /// underlying seek failures.
-    pub fn seek(&mut self, skip: u64) -> Result<u64, TraceError> {
-        let index = read_index(&mut self.source, &self.meta)?;
-        let capacity = u64::from(self.meta.chunk_capacity);
-        let k = (skip / capacity).min(index.chunks() as u64);
-        let entry = index.entry(k as usize);
-        self.source.seek(SeekFrom::Start(entry.offset))?;
-        self.checksum = Checksum::from_state(entry.state);
-        self.remaining = self.meta.instructions.saturating_sub(k * capacity);
-        Ok(skip - k * capacity)
-    }
-}
-
 /// A cursor over one varint column of a chunk payload.
 struct Column<'a> {
     bytes: &'a [u8],
@@ -276,10 +242,9 @@ impl Column<'_> {
 /// is safe to call on any chunk in any order. Bounds-checked throughout:
 /// arbitrary bytes under any record count produce
 /// [`TraceError::Corrupt`] or instructions, never a panic. Every decoded
-/// record counts toward `trace.records_decoded`, once per chunk: a sweep
-/// that re-decodes a trace per policy still produces the right numbers,
-/// only slower, and the counter is how a test holds it to one decode
-/// per workload.
+/// record counts toward `trace.records_decoded`, once per chunk: the
+/// counter is how a test sees that a positioned replay decodes its
+/// skipped prefix too.
 ///
 /// # Errors
 ///
@@ -374,18 +339,4 @@ impl<R: Read> TraceSource for TraceReader<R> {
 /// As [`TraceReader::new`], plus file-open failures.
 pub fn open(path: &Path) -> Result<TraceReader<BufReader<File>>, TraceError> {
     TraceReader::new(BufReader::new(File::open(path)?))
-}
-
-/// Reads the metadata of a whole trace file: its header, once the
-/// chunk-index footer has validated against it (one seek and a read of
-/// about a kilobyte). A file whose footer does not validate — truncated,
-/// damaged, or never finished — is not a capture to replay.
-///
-/// # Errors
-///
-/// As [`open`] and [`read_index`].
-pub fn probe(path: &Path) -> Result<TraceMeta, TraceError> {
-    let mut reader = open(path)?;
-    read_index(&mut reader.source, &reader.meta)?;
-    Ok(reader.meta)
 }

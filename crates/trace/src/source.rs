@@ -12,16 +12,10 @@ pub trait TraceSource {
     /// Appends the next batch of instructions to `out`, returning how
     /// many were appended. `0` means the source is exhausted (infinite
     /// sources, like the CFG walker, never return `0` — callers bound
-    /// them with [`Iterator::take`] on the [`SourceIter`]).
-    ///
-    /// # Buffer reuse contract
-    ///
-    /// Callers that loop over one buffer should `clear()` it between
-    /// calls (as [`SourceIter`] does): sources that own their batches —
-    /// [`crate::StreamingReplay`] — then *swap* the decoded batch into
-    /// `out` and recycle the spent allocation, making the steady-state
-    /// replay loop allocation-free. A non-empty `out` is always handled
-    /// correctly (the batch is appended), but disables that hand-over.
+    /// them with [`Iterator::take`] on the [`SourceIter`]). What `out`
+    /// already holds is kept: callers that loop over one buffer `clear()`
+    /// it between calls (as [`SourceIter`] does), and its allocation is
+    /// reused from batch to batch.
     fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize;
 }
 

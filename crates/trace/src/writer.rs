@@ -1,27 +1,25 @@
 //! Streaming trace writer.
 
 use std::fs::File;
-use std::io::{self, BufWriter, Seek, SeekFrom, Write};
+use std::io::{self, BufWriter, Seek, Write};
 use std::path::Path;
 
 use trrip_cpu::TraceInstr;
 
 use crate::format::{
     encode_header, kind_to_bits, push_signed, push_varint, stall_to_bits, Checksum, TraceLayout,
-    TraceMeta, CHECKSUM_OFFSET, CHUNK_CAPACITY, CHUNK_FRAME_LEN, FLAG_BRANCH, FLAG_MEM, FLAG_STALL,
-    FLAG_STORE, FLAG_TAKEN, INSTRUCTIONS_OFFSET, KIND_SHIFT,
+    TraceMeta, CHUNK_CAPACITY, FLAG_BRANCH, FLAG_MEM, FLAG_STALL, FLAG_STORE, FLAG_TAKEN,
+    KIND_SHIFT,
 };
-use crate::index::{encode_footer, IndexEntry};
 
 /// Writes a trace file incrementally: each record's fields are appended
 /// straight to the chunk's columns (see `crate::format`), and a chunk
 /// that fills is compressed ([`trrip_pack::compress_auto`], raw fallback
 /// when incompressible) and flushed, so capture memory stays O(chunk)
-/// regardless of trace length. [`TraceWriter::finish`] appends the
-/// chunk-index footer (byte offsets and checksum accumulator states, so
-/// positioned replays seek), then seeks back and patches the
-/// instruction count and checksum into the header. The checksum and the
-/// index states cover the columnar payload, before compression.
+/// regardless of trace length. [`TraceWriter::finish`] flushes the tail
+/// chunk, then rewinds and rewrites the header with the instruction
+/// count and checksum filled in. The checksum covers the columnar
+/// payload, before compression.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     sink: W,
@@ -43,12 +41,6 @@ pub struct TraceWriter<W: Write + Seek> {
     /// Compressed-chunk scratch, reused across flushes.
     comp: Vec<u8>,
     checksum: Checksum,
-    /// Byte offset the next chunk frame lands at (tracked arithmetically
-    /// — a `stream_position` per chunk would flush buffered writers).
-    next_offset: u64,
-    /// One entry per flushed chunk; the end-of-chunks sentinel is
-    /// appended at finish.
-    index: Vec<IndexEntry>,
 }
 
 impl<W: Write + Seek> TraceWriter<W> {
@@ -85,8 +77,7 @@ impl<W: Write + Seek> TraceWriter<W> {
             checksum: 0,
             chunk_capacity,
         };
-        let header = encode_header(&meta);
-        sink.write_all(&header)?;
+        sink.write_all(&encode_header(&meta))?;
         Ok(TraceWriter {
             sink,
             meta,
@@ -100,8 +91,6 @@ impl<W: Write + Seek> TraceWriter<W> {
             payload: Vec::new(),
             comp: Vec::new(),
             checksum: Checksum::new(),
-            next_offset: header.len() as u64,
-            index: Vec::new(),
         })
     }
 
@@ -175,7 +164,6 @@ impl<W: Write + Seek> TraceWriter<W> {
             self.payload.extend_from_slice(column);
             column.clear();
         }
-        self.index.push(IndexEntry { offset: self.next_offset, state: self.checksum.state() });
         self.checksum.update(&self.payload);
         let codec = trrip_pack::compress_auto(&self.payload, &mut self.comp);
         self.sink.write_all(&(self.flags.len() as u32).to_le_bytes())?;
@@ -183,14 +171,13 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.sink.write_all(&(self.payload.len() as u32).to_le_bytes())?;
         self.sink.write_all(&[codec as u8])?;
         self.sink.write_all(&self.comp)?;
-        self.next_offset += CHUNK_FRAME_LEN as u64 + self.comp.len() as u64;
         self.flags.clear();
         self.expected_pc = 0;
         self.prev_mem = 0;
         Ok(())
     }
 
-    /// Flushes the tail chunk, patches count + checksum into the header,
+    /// Flushes the tail chunk, fills count + checksum into the header,
     /// and returns the final metadata.
     ///
     /// # Errors
@@ -200,8 +187,9 @@ impl<W: Write + Seek> TraceWriter<W> {
         self.finish_parts().map(|(meta, _)| meta)
     }
 
-    /// As [`TraceWriter::finish`], but hands back the underlying sink
-    /// (in-memory writers use this to recover the bytes).
+    /// As [`TraceWriter::finish`], but hands back the underlying sink,
+    /// positioned just past the rewritten header (in-memory writers use
+    /// this to recover the bytes).
     ///
     /// # Errors
     ///
@@ -212,18 +200,11 @@ impl<W: Write + Seek> TraceWriter<W> {
 
     fn finish_parts(mut self) -> io::Result<(TraceMeta, W)> {
         self.flush_chunk()?;
-        // End-of-chunks sentinel: beyond-the-end seeks land here with
-        // the final accumulator state, so even a fully skipped replay
-        // verifies the header checksum.
-        self.index.push(IndexEntry { offset: self.next_offset, state: self.checksum.state() });
-        self.sink.write_all(&encode_footer(&self.index))?;
         self.meta.checksum = self.checksum.value();
-        let end = self.sink.stream_position()?;
-        self.sink.seek(SeekFrom::Start(INSTRUCTIONS_OFFSET))?;
-        self.sink.write_all(&self.meta.instructions.to_le_bytes())?;
-        debug_assert_eq!(CHECKSUM_OFFSET, INSTRUCTIONS_OFFSET + 8);
-        self.sink.write_all(&self.meta.checksum.to_le_bytes())?;
-        self.sink.seek(SeekFrom::Start(end))?;
+        // Count and checksum are fixed-width, so the finished header is
+        // as long as the one written first: it overwrites it in place.
+        self.sink.rewind()?;
+        self.sink.write_all(&encode_header(&self.meta))?;
         self.sink.flush()?;
         Ok((self.meta, self.sink))
     }

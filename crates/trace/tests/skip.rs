@@ -1,10 +1,7 @@
 //! Skip-positioned replay: `StreamingReplay::open_at(path, skip)` must
-//! deliver exactly the trace's suffix, by a true **seek** through the
-//! chunk index every capture ends with — never touching the skipped
-//! bytes, decoding only the chunk the position lands in. The footer is
-//! part of the format: one that does not validate makes the file no
-//! capture at all (`probe` and `open_at` refuse it), while a sequential
-//! read of its records is unaffected.
+//! deliver exactly the trace's suffix, by decoding the `skip` records in
+//! front of it and dropping them — so every byte of the file, skipped
+//! prefix included, is read and checksum-verified.
 //!
 //! One test function on purpose: the decode counter is process-wide,
 //! and a single test keeps the measurement unpolluted.
@@ -13,7 +10,8 @@ use std::path::PathBuf;
 
 use trrip_cpu::TraceInstr;
 use trrip_snap::corrupt;
-use trrip_trace::{probe, read_index, SourceIter, StreamingReplay, TraceWriter};
+use trrip_trace::format::{CHUNK_FRAME_LEN, HEADER_FIXED_LEN};
+use trrip_trace::{SourceIter, StreamingReplay, TraceWriter};
 
 /// Records decoded since `before`, by the registry counter's name.
 fn decoded_since(before: &trrip_obs::CounterSnapshot) -> u64 {
@@ -56,19 +54,28 @@ fn write_file(name: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// The `raw_len` of the chunk frame at `offset`: its columnar payload's
-/// length before compression.
-fn frame_raw_len(bytes: &[u8], offset: u64) -> u64 {
-    let at = offset as usize + 8;
-    u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4 bytes")))
+/// Every chunk frame's `(comp_len, raw_len)`, walked front to back from
+/// the end of the header: the compressed and the columnar size of its
+/// payload.
+fn frame_lens(bytes: &[u8]) -> Vec<(u64, u64)> {
+    let word = |at: usize| u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4")));
+    let mut at = HEADER_FIXED_LEN + "skip".len();
+    let mut frames = Vec::new();
+    while at < bytes.len() {
+        let (comp_len, raw_len) = (word(at + 4), word(at + 8));
+        frames.push((comp_len, raw_len));
+        at += CHUNK_FRAME_LEN + comp_len as usize;
+    }
+    assert_eq!(at, bytes.len(), "the last frame ends the file");
+    frames
 }
 
 #[test]
-fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
+fn open_at_yields_the_exact_suffix_and_verifies_the_skipped_prefix() {
     const CHUNK: u32 = 1000;
     let instrs = mixed_trace(10 * u64::from(CHUNK));
     let bytes = trace_bytes(&instrs, CHUNK);
-    let path = write_file("seek", &bytes);
+    let path = write_file("skip", &bytes);
 
     // The exact suffix for aligned, unaligned, zero, chunk-minus-one and
     // beyond-the-end positions.
@@ -79,80 +86,37 @@ fn open_at_yields_the_exact_suffix_and_seeks_or_skips_decode() {
         assert_eq!(suffix, expected, "skip {skip} must yield the exact suffix");
     }
 
-    // The skipped prefix is not decoded: skipping 8 of 10 chunks must
-    // cost 2 chunks of decode, not 10. The counter is process-wide, so
-    // measure each open's own delta.
+    // The skipped prefix is decoded: skipping 8 of 10 chunks decodes all
+    // 10. The counter is process-wide, so measure the open's own delta.
     let before = trrip_obs::snapshot();
     let replay = StreamingReplay::open_at(&path, 8 * u64::from(CHUNK)).expect("open_at");
     assert_eq!(SourceIter::new(replay).count(), 2 * CHUNK as usize);
-    assert_eq!(decoded_since(&before), 2 * u64::from(CHUNK), "aligned skip decodes no prefix");
+    assert_eq!(decoded_since(&before), 10 * u64::from(CHUNK), "the prefix is decoded too");
 
-    // An unaligned skip decodes the chunk it lands in and drops the
-    // records before the position.
-    let before = trrip_obs::snapshot();
-    let replay = StreamingReplay::open_at(&path, 8 * u64::from(CHUNK) + 1).expect("open_at");
-    assert_eq!(SourceIter::new(replay).count(), 2 * CHUNK as usize - 1);
-    assert_eq!(decoded_since(&before), 2 * u64::from(CHUNK));
-
-    // True seek, pinned behaviorally: flip a byte inside the FIRST
-    // chunk's payload (well past the header). The positioned replay
-    // must deliver the suffix — it never reads the damaged byte — while
-    // a replay from the start reads (and checksums) it and must fail.
-    let damaged = write_file("seek-damaged", &bytes);
+    // A byte flipped inside the FIRST chunk's payload, well before the
+    // position: the positioned replay reads it, the checksum fails, and
+    // the replay panics naming the trace — as a replay from the start
+    // does.
+    let damaged = write_file("skip-damaged", &bytes);
     corrupt::flip_byte(&damaged, 120, 0x20);
-    let replay = StreamingReplay::open_at(&damaged, 8 * u64::from(CHUNK)).expect("open");
-    let suffix: Vec<TraceInstr> = SourceIter::new(replay).collect();
-    assert_eq!(suffix, &instrs[8 * CHUNK as usize..], "seek must never touch the prefix");
-    let replay = StreamingReplay::open(&damaged).expect("open");
-    let result =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| SourceIter::new(replay).count()));
-    assert!(result.is_err(), "a replay from the start reads the prefix and detects its damage");
-
-    // Damage inside the bytes a seek actually READS is still caught:
-    // the seeded accumulator state continues into the suffix and the
-    // end-of-trace checksum fails. Chunk payloads are compressed, so
-    // the victim byte is computed from the index — squarely inside the
-    // LAST chunk's compressed payload, which the seek-to-chunk-8 path
-    // must read.
-    let tail_path = write_file("seek-tail-damaged", &bytes);
-    let meta = probe(&tail_path).expect("probe");
-    let index = read_index(&mut std::fs::File::open(&tail_path).expect("open"), &meta)
-        .expect("every capture carries an index");
-    let last = index.entry(9);
-    let comp_len = index.entry(10).offset - last.offset - 13; // minus the frame
-    assert!(
-        index.entry(10).offset < bytes.len() as u64 && comp_len > 2,
-        "index must describe the chunk region"
-    );
-    corrupt::flip_byte(&tail_path, last.offset as usize + 13 + comp_len as usize / 2, 0x10);
-    let replay = StreamingReplay::open_at(&tail_path, 8 * u64::from(CHUNK)).expect("open");
-    let failed =
-        std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| SourceIter::new(replay).count()))
-            .is_err();
-    assert!(failed, "damage in the read suffix must not pass the seek path");
+    for skip in [0, 8 * u64::from(CHUNK)] {
+        let replay = StreamingReplay::open_at(&damaged, skip).expect("the header is whole");
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            SourceIter::new(replay).count()
+        }))
+        .expect_err("damage in the skipped prefix must fail the replay");
+        let message = panic.downcast_ref::<String>().expect("a formatted panic message");
+        assert!(message.contains("replaying trace skip"), "skip {skip}: {message}");
+    }
 
     // The capture really is compressed: the on-disk chunk region is
     // smaller than the columnar payloads its frames account for.
-    let (mut disk, mut raw) = (0u64, 0u64);
-    for k in 0..index.chunks() {
-        disk += index.entry(k + 1).offset - index.entry(k).offset - 13;
-        raw += frame_raw_len(&bytes, index.entry(k).offset);
-    }
+    let frames = frame_lens(&bytes);
+    assert_eq!(frames.len(), 10);
+    let (disk, raw) = frames.iter().fold((0, 0), |(d, r), &(c, w)| (d + c, r + w));
     assert!(disk < raw, "compressed chunks ({disk} B) must undercut raw payload ({raw} B)");
 
-    // A damaged footer is a miss: `probe` (the trace store's match
-    // check) refuses the file and no replay opens on it, from any
-    // position — while the records themselves still read sequentially.
-    let footer_path = write_file("bad-footer", &bytes);
-    corrupt::flip_byte(&footer_path, bytes.len() - 20, 0xFF); // inside the footer's checksum field
-    assert!(probe(&footer_path).is_err(), "a damaged footer is not a capture");
-    for skip in [0, 8 * u64::from(CHUNK)] {
-        assert!(StreamingReplay::open_at(&footer_path, skip).is_err(), "open_at({skip})");
-    }
-    let mut reader = trrip_trace::open(&footer_path).expect("the header is whole");
-    assert_eq!(reader.read_to_end().expect("records"), instrs);
-
-    for path in [path, damaged, tail_path, footer_path].iter() {
+    for path in [path, damaged].iter() {
         std::fs::remove_file(path).ok();
     }
 }
