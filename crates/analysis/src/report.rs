@@ -111,13 +111,6 @@ pub fn pct(x: f64) -> String {
     format!("{:.1}%", x * 100.0)
 }
 
-/// Formats a signed percentage (already in percent units) with two
-/// decimals, as in Table 3.
-#[must_use]
-pub fn signed_pct(x: f64) -> String {
-    format!("{x:.2}")
-}
-
 /// Geometric mean of strictly positive values; 0 for an empty slice.
 #[must_use]
 pub fn geomean(values: &[f64]) -> f64 {
@@ -195,6 +188,5 @@ mod tests {
     #[test]
     fn pct_formatting() {
         assert_eq!(pct(0.265), "26.5%");
-        assert_eq!(signed_pct(-4.89), "-4.89");
     }
 }

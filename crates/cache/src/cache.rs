@@ -179,18 +179,6 @@ impl<P: ReplacementPolicy> Cache<P> {
         self.policy.name()
     }
 
-    /// Per-line policy metadata bits (for the power model).
-    #[must_use]
-    pub fn policy_line_bits(&self) -> u32 {
-        self.policy.per_line_overhead_bits()
-    }
-
-    /// Policy table storage outside line metadata, in bits.
-    #[must_use]
-    pub fn policy_extra_bits(&self) -> u64 {
-        self.policy.extra_storage_bits()
-    }
-
     fn set_index(&self, line: LineAddr) -> usize {
         (line.raw() as usize) & (self.num_sets - 1)
     }

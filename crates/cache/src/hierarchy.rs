@@ -54,12 +54,6 @@ pub struct AccessOutcome {
 }
 
 impl AccessOutcome {
-    /// Whether the access missed the L1.
-    #[must_use]
-    pub fn l1_miss(&self) -> bool {
-        self.served_by != ServedBy::L1
-    }
-
     /// Whether the access missed the L2 (i.e. went to SLC or DRAM).
     #[must_use]
     pub fn l2_miss(&self) -> bool {
@@ -307,15 +301,6 @@ impl Hierarchy {
                 + self.slc.config().tag_latency
                 + self.dram_latency,
         )
-    }
-
-    /// Whether `line` is resident anywhere on chip.
-    #[must_use]
-    pub fn contains_anywhere(&self, line: LineAddr) -> bool {
-        self.l1i.contains(line)
-            || self.l1d.contains(line)
-            || self.l2.contains(line)
-            || self.slc.contains(line)
     }
 
     fn fill_l1(&mut self, req: &MemoryRequest) {

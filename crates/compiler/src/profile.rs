@@ -57,22 +57,6 @@ impl Profile {
     pub fn total(&self) -> u64 {
         self.counts.iter().flatten().sum()
     }
-
-    /// Merges another profile into this one (shared libraries accumulate
-    /// profiles across the applications that exercise them, §3.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two profiles have different shapes.
-    pub fn merge(&mut self, other: &Profile) {
-        assert_eq!(self.counts.len(), other.counts.len(), "profiles come from different programs");
-        for (a, b) in self.counts.iter_mut().zip(&other.counts) {
-            assert_eq!(a.len(), b.len(), "profiles come from different programs");
-            for (x, y) in a.iter_mut().zip(b) {
-                *x += *y;
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -108,19 +92,6 @@ mod tests {
         prof.record(0, 1);
         prof.record(0, 1);
         assert_eq!(prof.function_max_counts(), vec![2, 0]);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let p = program();
-        let mut a = Profile::zeroed(&p);
-        let mut b = Profile::zeroed(&p);
-        a.record(0, 0);
-        b.record(0, 0);
-        b.record(1, 0);
-        a.merge(&b);
-        assert_eq!(a.count(0, 0), 2);
-        assert_eq!(a.count(1, 0), 1);
     }
 
     #[test]

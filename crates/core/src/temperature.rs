@@ -49,12 +49,6 @@ impl Temperature {
             Temperature::Cold => ".text.cold",
         }
     }
-
-    /// Returns `true` for [`Temperature::Hot`].
-    #[must_use]
-    pub fn is_hot(self) -> bool {
-        matches!(self, Temperature::Hot)
-    }
 }
 
 impl PartialOrd for Temperature {

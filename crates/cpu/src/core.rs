@@ -830,36 +830,9 @@ impl<B: MemoryBackend> Core<B> {
         self.tally_run(&state)
     }
 
-    /// Snapshot of the core's own architectural state (predictor +
-    /// starvation table), *excluding* the backend — the simulator layer
-    /// composes the full machine snapshot so it can order sections.
-    ///
-    /// For the split-container (shared prefix / policy overlay) paths,
-    /// the two halves are separately addressable: the predictor is
-    /// **policy-agnostic** ([`Core::save_predictor_state`] — it trains
-    /// on the branch stream alone and never sees a cache latency), while
-    /// the starvation FIFO is **policy-dependent**
-    /// ([`Core::save_starved_state`] — it thresholds on fetch latencies,
-    /// which the L2 policy shapes).
-    pub fn save_core_state(&self, w: &mut SnapWriter) {
-        w.tag(b"CORE");
-        self.predictor.save(w);
-        self.starved.save(w);
-    }
-
-    /// Restores state written by [`Core::save_core_state`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates snapshot codec and shape errors.
-    pub fn restore_core_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"CORE")?;
-        self.predictor.restore(r)?;
-        self.starved.restore(r)
-    }
-
     /// Snapshot of the branch predictor alone — the policy-agnostic half
-    /// of the core state, serialized into shared-prefix containers.
+    /// of the core state (it trains on the branch stream alone and never
+    /// sees a cache latency), serialized into shared-prefix containers.
     pub fn save_predictor_state(&self, w: &mut SnapWriter) {
         self.predictor.save(w);
     }

@@ -49,27 +49,11 @@ impl ObsReport {
         self
     }
 
-    /// Adds a tool-specific top-level integer field.
-    #[must_use]
-    pub fn field_u64(mut self, name: &str, value: u64) -> ObsReport {
-        self.extra.push((name.to_owned(), value.to_string()));
-        self
-    }
-
     /// Adds a tool-specific top-level float field.
     #[must_use]
     pub fn field_f64(mut self, name: &str, value: f64) -> ObsReport {
         let mut out = String::new();
         json::write_f64(&mut out, value);
-        self.extra.push((name.to_owned(), out));
-        self
-    }
-
-    /// Adds a tool-specific top-level string field.
-    #[must_use]
-    pub fn field_str(mut self, name: &str, value: &str) -> ObsReport {
-        let mut out = String::new();
-        json::write_str(&mut out, value);
         self.extra.push((name.to_owned(), out));
         self
     }
@@ -175,16 +159,12 @@ mod tests {
     #[test]
     fn report_serializes_and_validates() {
         counter("test.report.widgets").add(4);
-        let report = ObsReport::new("unit-test")
-            .counters(&snapshot())
-            .field_u64("store_size_bytes", 1234)
-            .field_f64("warm_s", 0.25)
-            .field_str("note", "hello \"world\"");
+        let report = ObsReport::new("unit-test").counters(&snapshot()).field_f64("warm_s", 0.25);
         let text = report.to_json();
         validate(&text).expect("report validates");
         let doc = json::parse(&text).expect("parses");
         assert_eq!(doc.get("tool").and_then(Json::as_str), Some("unit-test"));
-        assert_eq!(doc.get("store_size_bytes").and_then(Json::as_u64), Some(1234));
+        assert_eq!(doc.get("warm_s").and_then(Json::as_f64), Some(0.25));
         assert!(
             doc.get("counters")
                 .and_then(|c| c.get("test.report.widgets"))

@@ -11,11 +11,12 @@
 //! ```
 //!
 //! Fixed-width fields are little-endian; the body is a `trrip-snap`
-//! stream whose trailing `payload` field holds the snapshot, at rest as
-//! a [`trrip_pack::pack_stream`]. The checksum (the same word-folded
-//! hash `trrip-trace` uses for chunk payloads) covers every body byte,
-//! and `body_len` makes truncation detectable before the checksum is
-//! even consulted. Writes go to a sibling temp file and are renamed into
+//! stream whose trailing `payload` field holds the snapshot bytes as
+//! written. The checksum (the same word-folded hash `trrip-trace` uses
+//! for chunk payloads) covers every body byte, and `body_len` must equal
+//! what the file holds after the header, so truncation is detected
+//! before the checksum is even consulted and no length is believed past
+//! the file's end. Writes go to a sibling temp file and are renamed into
 //! place, so concurrent sweep processes sharing a checkpoint directory
 //! never observe a half-written file.
 //!
@@ -90,13 +91,12 @@ use crate::system::SimRun;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v9. The snapshot payload rests as a [`trrip_pack::pack_stream`] — per
-/// 64 KiB block LZ, or raw where LZ does not shrink it, each block
-/// tagged with its codec and the checksum of its *uncompressed* bytes.
-/// Every container is a fast-forward-boundary state, a shared prefix is
-/// keyed by what a frontend reads alone, and it holds the walker's
-/// position beside the predictor.
-pub const VERSION: u16 = 9;
+/// v10. The snapshot payload rests as written, and a full state is the
+/// two sections a shared prefix and an overlay hold (`SHRD`, then
+/// `OVLY`). Every container is a fast-forward-boundary state, a shared
+/// prefix is keyed by what a frontend reads alone, and it holds the
+/// walker's position beside the predictor.
+pub const VERSION: u16 = 10;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -185,12 +185,6 @@ impl From<std::io::Error> for CheckpointError {
 
 impl From<SnapError> for CheckpointError {
     fn from(e: SnapError) -> CheckpointError {
-        CheckpointError::Corrupt(e.to_string())
-    }
-}
-
-impl From<trrip_pack::PackError> for CheckpointError {
-    fn from(e: trrip_pack::PackError) -> CheckpointError {
         CheckpointError::Corrupt(e.to_string())
     }
 }
@@ -317,9 +311,7 @@ pub fn write_checkpoint_kind(
     let mut body = SnapWriter::new();
     body.u8(kind.as_u8());
     meta.save(&mut body);
-    // The snapshot payload rests as a checksummed pack stream: LZ per
-    // block, raw when incompressible.
-    body.bytes_field(&trrip_pack::pack_stream(payload));
+    body.bytes_field(payload);
     let body = body.into_bytes();
     let mut checksum = Checksum::new();
     checksum.update(&body);
@@ -444,7 +436,7 @@ pub fn read_checkpoint(
     let kind = CheckpointKind::from_u8(raw)
         .ok_or_else(|| CheckpointError::Corrupt(format!("unknown container kind {raw}")))?;
     let meta = CheckpointMeta::restore(&mut r)?;
-    let payload = trrip_pack::unpack_stream(r.bytes_field()?)?;
+    let payload = r.bytes_field()?.to_vec();
     r.finish()?;
     Ok((kind, meta, payload))
 }
@@ -461,7 +453,7 @@ pub fn read_checkpoint(
 /// # Errors
 ///
 /// Damaged files: bad magic, truncation, a checksum that does not hold,
-/// a payload that does not unpack, and whatever `restore` finds.
+/// a malformed container body, and whatever `restore` finds.
 fn load_keyed<T>(
     path: &Path,
     kind: CheckpointKind,
@@ -723,10 +715,11 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Loads the overlay for `(workload, config)` into `run`, whose
-    /// shared section should be restored first (order does not matter
-    /// bit-wise, but a composed run needs both). Returns `Ok(false)` for
-    /// a missing or differently-keyed file.
+    /// Loads the overlay for `(workload, config)` into `run`. The
+    /// overlay is the policy-dependent half of the boundary state; a
+    /// sweep's cell gets the other half, the predictor, from its
+    /// frontend. Returns `Ok(false)` for a missing or differently-keyed
+    /// file.
     ///
     /// On a mid-restore error — a damaged payload that nonetheless
     /// passed the container checksum, which keying makes essentially

@@ -634,32 +634,26 @@ fn restore_shared_section<B: MemoryBackend>(
 }
 
 /// **Checkpoint phase**: the complete architectural state at the
-/// fast-forward boundary — core predictor + starvation table,
+/// fast-forward boundary, as its two halves — the `SHRD` section (the
+/// policy-agnostic predictor a [`Frontend`] hands out) followed by the
+/// `OVLY` section ([`SimRun::save_overlay`]: starvation table,
 /// MMU/TLB/page tables, every cache level with per-set policy state,
-/// prefetcher tables and the in-flight prefetch tracker. Between phases
-/// no [`RunState`] is in flight and no profiler is armed, so neither is
-/// part of it.
-///
-/// The same state is alternatively addressable as two
-/// *sections* — the policy-agnostic predictor a [`Frontend`] hands out
-/// and the policy-dependent [`SimRun::save_overlay`] — which the
-/// checkpoint store keeps in separate files so one shared prefix serves
+/// prefetcher tables and the in-flight prefetch tracker). The checkpoint
+/// store keeps the halves in separate files so one shared prefix serves
 /// every policy ([`crate::checkpoint`]); that pair is what sweeps keep of
-/// the boundary.
+/// the boundary. Between phases no [`RunState`] is in flight and no
+/// profiler is armed, so neither is part of it.
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
         assert!(!self.pushed, "a pushed run's predictor was never trained");
-        assert!(!self.is_measuring(), "a checkpoint is a fast-forward-boundary state");
-        w.tag(b"SRUN");
-        self.core.save_core_state(w);
-        self.core.backend().save(w);
+        save_shared_section(&self.core, w);
+        self.save_overlay(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         assert!(!self.is_measuring(), "a checkpoint restores into a run between phases");
-        r.expect_tag(b"SRUN")?;
-        self.core.restore_core_state(r)?;
-        self.core.backend_mut().restore(r)
+        restore_shared_section(&mut self.core, r)?;
+        self.restore_overlay(r)
     }
 }
 

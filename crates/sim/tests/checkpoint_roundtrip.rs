@@ -90,6 +90,15 @@ fn restore_then_measure_is_bit_identical_for_every_policy() {
         restored.save(&mut second);
         assert_eq!(first.bytes(), second.bytes(), "{policy}: snapshot round-trip drifted");
 
+        // A full state is its two halves: the `SHRD` section, then the
+        // overlay byte for byte as `save_overlay` writes it.
+        let mut overlay = SnapWriter::new();
+        cold.save_overlay(&mut overlay);
+        let mut halves = SnapReader::new(first.bytes());
+        halves.section(b"SHRD").expect("the predictor section leads");
+        let rest = &first.bytes()[first.bytes().len() - halves.remaining()..];
+        assert_eq!(rest, overlay.bytes(), "{policy}: a full state's OVLY is the overlay");
+
         let cold_result = cold.measure(&mut stream);
         assert_identical(&uninterrupted, &cold_result, &format!("{policy} cold"));
 
@@ -281,9 +290,8 @@ fn store_keys_cover_every_spec_field_the_stream_reads() {
 
 // ---- container robustness on arbitrary section shapes ----
 
-/// Payloads shaped like real snapshot sections: noise (raw), byte runs
-/// (bitmaps) and sorted stride-64 word arrays (tag stores) — so the
-/// proptest drives both codecs the pack stream can pick.
+/// Payloads shaped like real snapshot sections: noise, byte runs
+/// (bitmaps) and sorted stride-64 word arrays (tag stores).
 fn arb_section_payload() -> impl Strategy<Value = Vec<u8>> {
     prop::collection::vec(
         prop_oneof![
@@ -302,7 +310,7 @@ fn arb_section_payload() -> impl Strategy<Value = Vec<u8>> {
 fn unique_ckpt_path() -> std::path::PathBuf {
     use std::sync::atomic::{AtomicU64, Ordering};
     static NEXT: AtomicU64 = AtomicU64::new(0);
-    let dir = std::env::temp_dir().join("trrip-ckpt-v4-prop-test");
+    let dir = std::env::temp_dir().join("trrip-ckpt-container-prop-test");
     std::fs::create_dir_all(&dir).expect("test dir");
     dir.join(format!("case-{}-{}.ckpt", std::process::id(), NEXT.fetch_add(1, Ordering::Relaxed)))
 }
@@ -311,11 +319,11 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// write → read is the identity on arbitrary section shapes (the
-    /// compressed payload round-trips exactly), any flipped byte at or
+    /// payload round-trips exactly), any flipped byte at or
     /// after the checksummed body is rejected, and any truncation is
     /// rejected — damage never yields a silently different payload.
     #[test]
-    fn v4_container_round_trips_and_rejects_damage(
+    fn container_round_trips_and_rejects_damage(
         payload in arb_section_payload(),
         victim in any::<u32>(),
         flip in 1u8..=255,
@@ -333,7 +341,7 @@ proptest! {
         let (kind, got_meta, got_payload) = read_checkpoint(&path).expect("read");
         prop_assert_eq!(kind, trrip_sim::CheckpointKind::Full);
         prop_assert_eq!(&got_meta, &meta);
-        prop_assert_eq!(&got_payload, &payload, "compressed payload must round-trip exactly");
+        prop_assert_eq!(&got_payload, &payload, "the payload must round-trip exactly");
 
         let pristine = std::fs::read(&path).expect("read back");
         // Flip one byte anywhere in the checksummed region (body +

@@ -3,11 +3,11 @@
 //! **miss**: not decoded, not damage, not reported — counted `ckpt.miss`,
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
-//! a store whose every file (prefix, overlays) says version 8 — the one
-//! whose prefix held no walker — makes the next sweep do what it does
-//! over an empty store, to the same bits, leaving current files behind.
-//! (A capture of another version is `probe`'s to refuse:
-//! `trace/tests/properties.rs`.)
+//! a store whose every file (prefix, overlays) says version 9 — the one
+//! whose payloads rested LZ-packed — makes the next sweep do what it
+//! does over an empty store, to the same bits, leaving current files
+//! behind. (A capture of another version is the trace reader's to
+//! refuse: `trace/tests/properties.rs`.)
 //!
 //! One `#[test]` on purpose: the counters and the journal are
 //! process-wide.
@@ -110,7 +110,7 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(current, trrip_sim::checkpoint::VERSION);
 
     // ---- the sweep over a store of the previous version ----
-    assert_eq!(stamp_all(&ckpts, 8), files);
+    assert_eq!(stamp_all(&ckpts, 9), files);
     let (again, moved) = moved_by(pushed);
     assert_sweep(&again, &oracle, "sweep over a stale store");
     assert_eq!(routes(&moved), routes(&empty_push), "as over an empty store");

@@ -172,8 +172,9 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     moved.walked(&[stream, stream], "cold pass");
     assert_eq!(moved.get("front.digest.instrs"), 2 * stream, "one frontend per workload");
     assert_eq!(moved.warm(), [0, 2 * CELLS, 2, 0], "every cell warms, one prefix a workload");
-    let (raw, packed) = (moved.get("pack.raw_bytes"), moved.get("pack.compressed_bytes"));
-    assert!(packed > 0 && packed < raw, "boundary files rest packed: {packed} of {raw} bytes");
+    let packed: Vec<_> =
+        moved.0.iter().filter(|&(name, v)| name.starts_with("pack.") && v > 0).collect();
+    assert!(packed.is_empty(), "boundary files rest as written, nothing packs them: {packed:?}");
     let files = files_under(&root);
     assert!(files.iter().all(|f| f.extension().is_some_and(|x| x == "ckpt")), "{files:?}");
     assert_eq!(files.len() as u64, 2 * (1 + CELLS), "a prefix and the overlays, no capture");

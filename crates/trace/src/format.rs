@@ -6,12 +6,10 @@
 //! file    := header chunk*
 //! header  := magic:8 version:u16 layout:u8 reserved:u8 chunk_capacity:u32
 //!            instructions:u64 checksum:u64 name_len:u16 name:name_len
-//! chunk   := record_count:u32 comp_len:u32 raw_len:u32 codec:u8
-//!            payload:comp_len
+//! chunk   := record_count:u32 payload_len:u32 payload:payload_len
 //! payload := pc_len:varint branch_len:varint mem_len:varint stall_len:varint
 //!            flags:record_count pc:pc_len branch:branch_len
 //!            mem:mem_len stall:stall_len
-//!            (after the codec is undone; raw_len is its length)
 //! ```
 //!
 //! All fixed-width fields are little-endian. `instructions` and
@@ -20,7 +18,10 @@
 //! ends; the `reserved` byte is written zero. The file ends with its
 //! last chunk: a reader goes front to back, stops at the instruction
 //! count and verifies the checksum there, so a cut anywhere fails the
-//! read.
+//! read. A payload rests as it was written, so the bytes a reader
+//! buffers for a chunk are bytes the file holds: a frame that claims
+//! more than the file has left is truncation, found before anything that
+//! large is allocated.
 //!
 //! There is one version, [`VERSION`], and the reader accepts no other:
 //! a file of any other version is [`TraceError::UnsupportedVersion`] —
@@ -33,15 +34,8 @@
 //! each contiguous, prefixed by the four variable stream lengths (the
 //! flags stream is exactly `record_count` bytes). The writer appends
 //! each field straight to its stream; the reader decodes instructions
-//! straight from the streams. Grouped by kind each stream is
-//! self-similar (sequential flow is a run of `0x00` PC deltas, loop
-//! flags repeat verbatim), which is where the codec's ratio comes from.
-//!
-//! Each payload is then compressed with [`trrip_pack::compress_auto`]:
-//! the frame records the codec tag and both lengths, and an
-//! incompressible payload falls back to a raw copy. The header checksum
-//! covers the **columnar payload**, before compression — compression is
-//! a storage transform, invisible to verification.
+//! straight from the streams. The header checksum covers every payload
+//! byte.
 //!
 //! # Records
 //!
@@ -65,13 +59,12 @@ use trrip_cpu::{BranchKind, StallClass};
 
 /// File magic: `b"TRRIPTRC"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPTRC";
-/// The format version, and the only one the reader accepts: v6, the
-/// columnar payload as the record codec, checksummed as written, and no
-/// footer after the last chunk.
-pub const VERSION: u16 = 6;
-/// Bytes of a chunk frame (`record_count:u32 comp_len:u32 raw_len:u32
-/// codec:u8`).
-pub const CHUNK_FRAME_LEN: usize = 13;
+/// The format version, and the only one the reader accepts: v7, the
+/// columnar payload as the record codec, at rest as written and
+/// checksummed as written, and no footer after the last chunk.
+pub const VERSION: u16 = 7;
+/// Bytes of a chunk frame (`record_count:u32 payload_len:u32`).
+pub const CHUNK_FRAME_LEN: usize = 8;
 /// Records per full chunk (the streaming granularity). 64 Ki records
 /// decode to ~2.2 MiB in memory — large enough to amortize syscalls,
 /// small enough that replay memory stays flat.
@@ -212,12 +205,6 @@ pub use trrip_snap::{push_signed, push_varint, unzigzag, zigzag, Checksum};
 
 impl From<trrip_snap::SnapError> for TraceError {
     fn from(e: trrip_snap::SnapError) -> TraceError {
-        TraceError::Corrupt(e.to_string())
-    }
-}
-
-impl From<trrip_pack::PackError> for TraceError {
-    fn from(e: trrip_pack::PackError) -> TraceError {
         TraceError::Corrupt(e.to_string())
     }
 }

@@ -9,7 +9,7 @@
 //! what walking the stream again does, so sweeps run over the walker.
 //!
 //! * [`format`] — the on-disk encoding: varint deltas in per-field
-//!   columns, LZ-packed per chunk (1.78 bytes per instruction on the
+//!   columns, at rest as written (about 3.3 bytes per instruction on the
 //!   `gcc` capture, against 34 in memory).
 //! * [`TraceWriter`] — streaming writer; fixed-size chunks, a versioned
 //!   header with workload metadata, instruction count and checksum

@@ -1,7 +1,7 @@
 //! Streaming chunked trace reader.
 
 use std::fs::File;
-use std::io::{BufReader, Read};
+use std::io::{self, BufReader, Read};
 use std::path::Path;
 
 use trrip_cpu::{BranchInfo, MemOp, TraceInstr};
@@ -30,8 +30,6 @@ pub struct TraceReader<R: Read> {
     checksum: Checksum,
     /// Columnar-payload scratch, reused across reads.
     payload: Vec<u8>,
-    /// Compressed-chunk scratch, reused across reads.
-    comp: Vec<u8>,
 }
 
 impl<R: Read> TraceReader<R> {
@@ -75,7 +73,6 @@ impl<R: Read> TraceReader<R> {
             remaining: instructions,
             checksum: Checksum::new(),
             payload: Vec::new(),
-            comp: Vec::new(),
         })
     }
 
@@ -88,8 +85,7 @@ impl<R: Read> TraceReader<R> {
     /// Decodes the next chunk, appending its records to `out`. Returns
     /// the number of records appended; `0` means the trace is complete
     /// (and the checksum verified). Framing is validated, the payload
-    /// decompressed and checksummed, then decoded straight from its
-    /// columns.
+    /// read and checksummed, then decoded straight from its columns.
     ///
     /// # Errors
     ///
@@ -108,23 +104,22 @@ impl<R: Read> TraceReader<R> {
         let mut frame = [0u8; CHUNK_FRAME_LEN];
         self.source.read_exact(&mut frame)?;
         let record_count = u32::from_le_bytes(frame[0..4].try_into().expect("4 bytes"));
-        let comp_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
-        let raw_len = u32::from_le_bytes(frame[8..12].try_into().expect("4 bytes"));
-        let codec = trrip_pack::Codec::from_u8(frame[12])?;
+        let payload_len = u32::from_le_bytes(frame[4..8].try_into().expect("4 bytes"));
         self.validate_record_count(record_count)?;
-        if raw_len > MAX_CHUNK_PAYLOAD {
-            return Err(TraceError::Corrupt(format!("implausible chunk payload {raw_len}")));
+        if payload_len > MAX_CHUNK_PAYLOAD {
+            return Err(TraceError::Corrupt(format!("implausible chunk payload {payload_len}")));
         }
-        // `compress_auto` never emits more bytes than raw (the raw
-        // fallback wins ties), so a larger comp_len is corruption.
-        if comp_len > raw_len {
-            return Err(TraceError::Corrupt(format!(
-                "compressed chunk ({comp_len} bytes) larger than its payload ({raw_len})"
+        // The length is believed only as far as the file holds bytes:
+        // the buffer grows with what is read, never ahead of it.
+        self.payload.clear();
+        let read =
+            (&mut self.source).take(u64::from(payload_len)).read_to_end(&mut self.payload)?;
+        if read != payload_len as usize {
+            return Err(TraceError::Io(io::Error::new(
+                io::ErrorKind::UnexpectedEof,
+                format!("chunk payload cut short: {read} of {payload_len} bytes"),
             )));
         }
-        self.comp.resize(comp_len as usize, 0);
-        self.source.read_exact(&mut self.comp)?;
-        trrip_pack::decompress(codec, &self.comp, raw_len as usize, &mut self.payload)?;
         self.checksum.update(&self.payload);
         trrip_obs::counter!("trace.chunks_read").incr();
         trrip_obs::counter!("trace.bytes_read").add(self.payload.len() as u64);
@@ -236,7 +231,7 @@ impl Column<'_> {
     }
 }
 
-/// Decodes one chunk's columnar `payload` (decompressed) holding
+/// Decodes one chunk's columnar `payload` holding
 /// `record_count` records, appending them to `out`. Chunks are
 /// self-contained (delta state resets at every chunk boundary), so this
 /// is safe to call on any chunk in any order. Bounds-checked throughout:
@@ -339,4 +334,42 @@ impl<R: Read> TraceSource for TraceReader<R> {
 /// As [`TraceReader::new`], plus file-open failures.
 pub fn open(path: &Path) -> Result<TraceReader<BufReader<File>>, TraceError> {
     TraceReader::new(BufReader::new(File::open(path)?))
+}
+
+#[cfg(test)]
+mod tests {
+    use std::io::Cursor;
+
+    use super::*;
+    use crate::writer::TraceWriter;
+
+    /// A capture whose first frame claims [`MAX_CHUNK_PAYLOAD`] bytes is
+    /// an error, and reading it allocates no more than the file holds.
+    #[test]
+    fn a_frame_is_believed_only_as_far_as_the_file_holds_bytes() {
+        let mut writer = TraceWriter::with_chunk_capacity(
+            Cursor::new(Vec::new()),
+            "big",
+            TraceLayout::Foreign,
+            64,
+        )
+        .expect("header");
+        writer.write_all((0..200).map(|i| TraceInstr::simple(0x1000 + i * 4))).expect("records");
+        let mut bytes = writer.finish_into_inner().expect("finish").into_inner();
+        let payload_len_at = HEADER_FIXED_LEN + "big".len() + 4;
+        bytes[payload_len_at..payload_len_at + 4].copy_from_slice(&MAX_CHUNK_PAYLOAD.to_le_bytes());
+
+        let mut reader = TraceReader::new(Cursor::new(&bytes)).expect("the header is whole");
+        let error = reader.read_chunk(&mut Vec::new()).expect_err("a frame past the file's end");
+        assert!(
+            matches!(&error, TraceError::Io(e) if e.kind() == io::ErrorKind::UnexpectedEof),
+            "{error}"
+        );
+        let capacity = reader.payload.capacity();
+        assert!(
+            capacity < 2 * bytes.len(),
+            "{capacity} bytes buffered from a {}-byte file",
+            bytes.len()
+        );
+    }
 }

@@ -71,21 +71,6 @@ impl<S: TraceSource> SourceIter<S> {
         self.pos += n;
         &self.buf[start..start + n]
     }
-
-    /// Advances past the next `n` instructions (fewer only if the
-    /// source ends first) and returns how many were passed — what
-    /// `take(n)` run dry does, a batch at a time.
-    pub fn advance(&mut self, n: u64) -> u64 {
-        let mut left = n;
-        while left > 0 {
-            let passed = self.next_slice(usize::try_from(left).unwrap_or(usize::MAX)).len();
-            if passed == 0 {
-                break;
-            }
-            left -= passed as u64;
-        }
-        n - left
-    }
 }
 
 impl<S: TraceSource> Iterator for SourceIter<S> {
@@ -158,17 +143,6 @@ mod tests {
         assert_eq!(iter.next_slice(100), &instrs[9..]);
         assert!(iter.next_slice(100).is_empty(), "exhausted source yields an empty slice");
         assert_eq!(iter.next(), None);
-    }
-
-    #[test]
-    fn advance_lands_where_take_would() {
-        let instrs: Vec<_> = (0..10).map(|i| TraceInstr::simple(0x1000 + i * 4)).collect();
-        for n in 0..=12u64 {
-            let mut iter = SourceIter::new(VecSource::new(instrs.clone(), 4));
-            assert_eq!(iter.next(), Some(instrs[0]));
-            assert_eq!(iter.advance(n), n.min(9));
-            assert_eq!(iter.next(), instrs.get(1 + n as usize).copied(), "after advance({n})");
-        }
     }
 
     #[test]

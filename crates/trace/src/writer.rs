@@ -14,12 +14,11 @@ use crate::format::{
 
 /// Writes a trace file incrementally: each record's fields are appended
 /// straight to the chunk's columns (see `crate::format`), and a chunk
-/// that fills is compressed ([`trrip_pack::compress_auto`], raw fallback
-/// when incompressible) and flushed, so capture memory stays O(chunk)
-/// regardless of trace length. [`TraceWriter::finish`] flushes the tail
-/// chunk, then rewinds and rewrites the header with the instruction
-/// count and checksum filled in. The checksum covers the columnar
-/// payload, before compression.
+/// that fills is assembled into its payload and flushed, so capture
+/// memory stays O(chunk) regardless of trace length.
+/// [`TraceWriter::finish`] flushes the tail chunk, then rewinds and
+/// rewrites the header with the instruction count and checksum filled
+/// in.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     sink: W,
@@ -38,8 +37,6 @@ pub struct TraceWriter<W: Write + Seek> {
     prev_mem: u64,
     /// The assembled columnar payload, reused across flushes.
     payload: Vec<u8>,
-    /// Compressed-chunk scratch, reused across flushes.
-    comp: Vec<u8>,
     checksum: Checksum,
 }
 
@@ -89,7 +86,6 @@ impl<W: Write + Seek> TraceWriter<W> {
             expected_pc: 0,
             prev_mem: 0,
             payload: Vec::new(),
-            comp: Vec::new(),
             checksum: Checksum::new(),
         })
     }
@@ -165,12 +161,9 @@ impl<W: Write + Seek> TraceWriter<W> {
             column.clear();
         }
         self.checksum.update(&self.payload);
-        let codec = trrip_pack::compress_auto(&self.payload, &mut self.comp);
         self.sink.write_all(&(self.flags.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&(self.comp.len() as u32).to_le_bytes())?;
         self.sink.write_all(&(self.payload.len() as u32).to_le_bytes())?;
-        self.sink.write_all(&[codec as u8])?;
-        self.sink.write_all(&self.comp)?;
+        self.sink.write_all(&self.payload)?;
         self.flags.clear();
         self.expected_pc = 0;
         self.prev_mem = 0;

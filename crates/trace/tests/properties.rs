@@ -210,7 +210,7 @@ fn rejects_wrong_magic() {
 fn rejects_future_version() {
     // …and every past one: the reader speaks exactly one version.
     let current = trrip_trace::format::VERSION;
-    assert_eq!(current, 6, "so `current - 1` below is v5, the version with a footer");
+    assert_eq!(current, 7, "so `current - 1` below is v6, the version with LZ-packed chunks");
     for version in [u16::MAX, current + 1, current - 1, 1, 0] {
         let mut bytes = write_trace(&[TraceInstr::simple(0x1000)], 16);
         bytes[8..10].copy_from_slice(&version.to_le_bytes());

@@ -54,17 +54,15 @@ fn write_file(name: &str, bytes: &[u8]) -> PathBuf {
     path
 }
 
-/// Every chunk frame's `(comp_len, raw_len)`, walked front to back from
-/// the end of the header: the compressed and the columnar size of its
-/// payload.
-fn frame_lens(bytes: &[u8]) -> Vec<(u64, u64)> {
-    let word = |at: usize| u64::from(u32::from_le_bytes(bytes[at..at + 4].try_into().expect("4")));
+/// Every chunk frame's `payload_len`, walked front to back from the end
+/// of the header.
+fn frame_lens(bytes: &[u8]) -> Vec<usize> {
     let mut at = HEADER_FIXED_LEN + "skip".len();
     let mut frames = Vec::new();
     while at < bytes.len() {
-        let (comp_len, raw_len) = (word(at + 4), word(at + 8));
-        frames.push((comp_len, raw_len));
-        at += CHUNK_FRAME_LEN + comp_len as usize;
+        let payload_len = u32::from_le_bytes(bytes[at + 4..at + 8].try_into().expect("4 bytes"));
+        frames.push(payload_len as usize);
+        at += CHUNK_FRAME_LEN + payload_len as usize;
     }
     assert_eq!(at, bytes.len(), "the last frame ends the file");
     frames
@@ -109,12 +107,13 @@ fn open_at_yields_the_exact_suffix_and_verifies_the_skipped_prefix() {
         assert!(message.contains("replaying trace skip"), "skip {skip}: {message}");
     }
 
-    // The capture really is compressed: the on-disk chunk region is
-    // smaller than the columnar payloads its frames account for.
+    // The payloads rest as written: the frames' payloads, the frames and
+    // the header are the whole file.
     let frames = frame_lens(&bytes);
     assert_eq!(frames.len(), 10);
-    let (disk, raw) = frames.iter().fold((0, 0), |(d, r), &(c, w)| (d + c, r + w));
-    assert!(disk < raw, "compressed chunks ({disk} B) must undercut raw payload ({raw} B)");
+    let header = HEADER_FIXED_LEN + "skip".len();
+    let payloads: usize = frames.iter().sum();
+    assert_eq!(payloads + frames.len() * CHUNK_FRAME_LEN + header, bytes.len());
 
     for path in [path, damaged].iter() {
         std::fs::remove_file(path).ok();
