@@ -5,6 +5,9 @@
 //!     section barely grows until the threshold passes 99%;
 //! (b) TRRIP-1 speedup per threshold, rebuilt per point as in the paper —
 //!     selectivity matters: 100% (≈ CLIP) underperforms 99%.
+//!
+//! Each workload trains once; every threshold recompiles from that one
+//! profile.
 
 use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
@@ -34,10 +37,11 @@ fn run(options: &HarnessOptions) {
     let mut table_b = TextTable::new(headers_b);
 
     // Rows keyed per benchmark: collect text fractions and speedups per
-    // threshold. The application is re-"compiled" for every threshold,
-    // as in the paper.
+    // threshold. The application is re-"compiled" for every threshold
+    // from its one training profile, as in the paper.
     let mut fractions: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); specs.len()];
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
+    let trained = options.prepare(&specs, &base_config, base_config.classifier);
 
     for &threshold in &THRESHOLDS {
         let classifier = ClassifierConfig {
@@ -45,8 +49,8 @@ fn run(options: &HarnessOptions) {
             percentile_cold: ClassifierConfig::llvm_defaults().percentile_cold.max(threshold),
         };
         let config = SimConfig { classifier, ..base_config.clone() };
-        eprintln!("threshold {threshold}: preparing + sweeping…");
-        let workloads = options.prepare(&specs, &config, classifier);
+        eprintln!("threshold {threshold}: recompiling + sweeping…");
+        let workloads: Vec<_> = trained.iter().map(|w| w.recompile(classifier)).collect();
         let sweep = options.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
         for (i, w) in workloads.iter().enumerate() {
             fractions[i].push(w.text_fractions());

@@ -26,13 +26,15 @@ options:
   --bench a,b      restrict to the named benchmarks (default: all)
   --out DIR        write reports under DIR (default: reports/)
   --checkpoint-dir DIR
-                   keep the fast-forward boundary in DIR as two kinds of
-                   file — one shared prefix (the branch predictor and the
+                   keep each workload's training profile in DIR, so that
+                   later runs compile from it instead of training again,
+                   and the fast-forward boundary as two kinds of file —
+                   one shared prefix (the branch predictor and the
                    walker's position) per workload, one overlay per cell
                    (workload × swept machine) — and restore from them on
-                   later sweeps, skipping warmup; a cell whose files are
-                   missing, damaged or of another format version warms
-                   up and writes them again
+                   later sweeps, skipping warmup; a file that is missing,
+                   damaged or of another format version is trained or
+                   warmed up again and written again
   --jobs N         cap worker threads for sweeps, one-cell rows and
                    preparation (default: available parallelism); a sweep,
                    with or without a store, simulates on exactly
@@ -57,8 +59,8 @@ options:
 fig1_topdown_system, fig2_topdown_proxy, fig3_reuse_distance and
 fig7_costly_coverage sweep nothing — each workload is a row of one cell
 on the fused loop, --jobs rows at a time, its walker running ahead on a
-spare core where --jobs leaves every row one — so they accept
---checkpoint-dir and read no store.";
+spare core where --jobs leaves every row one — so of --checkpoint-dir
+they read only the training profile.";
 
 /// Cap on journal events per run; past it the journal records only the
 /// dropped count (reported on close), so a runaway sweep cannot fill
@@ -283,7 +285,10 @@ impl HarnessOptions {
     }
 
     /// Prepares workloads (training run + classification) under the
-    /// `--jobs` worker cap.
+    /// `--jobs` worker cap. With `--checkpoint-dir`, each workload's
+    /// training profile is loaded from there, or trained and saved there,
+    /// and the workload is compiled from it
+    /// ([`PreparedWorkload::prepare_with`]): the same workloads either way.
     #[must_use]
     pub fn prepare(
         &self,
@@ -291,8 +296,10 @@ impl HarnessOptions {
         config: &SimConfig,
         classifier: ClassifierConfig,
     ) -> Vec<PreparedWorkload> {
+        let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
         trrip_sim::parallel_map_with(self.jobs, specs.len(), |i| {
-            PreparedWorkload::prepare(&specs[i], config.train_instructions, classifier)
+            let train = config.train_instructions;
+            PreparedWorkload::prepare_with(&specs[i], train, classifier, checkpoints.as_ref())
         })
     }
 

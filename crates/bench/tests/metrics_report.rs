@@ -1,28 +1,32 @@
 //! `--metrics` on an experiment binary: `USAGE` promises a
 //! schema-versioned `obs_report.json` under `--out` from *every*
 //! binary, and a Chrome trace beside the journal. Driven through
-//! the real `fig6_speedup`, cold then warm over the same checkpoint
-//! store, so the report is also shown to carry what explains a sweep: the
-//! `warm.*` and `walk.*` deltas, and in the journal one `producer_opened`
-//! per workload and one `warm_start` per cell.
+//! the real `fig3_reuse_distance`, then `fig6_speedup` cold and warm, over
+//! the same checkpoint store, so the report is also shown to carry what
+//! explains a run: the `ckpt.*`, `warm.*` and `walk.*` deltas, and in the
+//! journal one `producer_opened` per workload and one `warm_start` per
+//! cell. The training profile fig3 keeps is fig6's: only the first binary
+//! over a store walks the train input.
 
 use std::path::Path;
 use std::process::Command;
 
 use trrip_obs::json::{self, Json};
 use trrip_policies::PolicyKind;
+use trrip_sim::SimConfig;
 
-fn fig6(dir: &Path, pass: &str) -> (Json, trrip_obs::JournalRead) {
+/// Runs `bin` over `dir`'s store at `--bench gcc`, as `pass`.
+fn run(bin: &str, dir: &Path, pass: &str) -> (Json, trrip_obs::JournalRead) {
     let at = |name: &str| dir.join(name).to_str().expect("utf-8 temp path").to_owned();
     let (out, obs) = (at(&format!("out-{pass}")), at(&format!("obs-{pass}")));
-    let run = Command::new(env!("CARGO_BIN_EXE_fig6_speedup"))
+    let run = Command::new(bin)
         .args(["--bench", "gcc", "--jobs", "2", "--quiet", "--metrics"])
         .args(["--checkpoint-dir", &at("ckpts")])
         .args(["--out", &out, "--obs-dir", &obs])
         .output()
-        .expect("spawn fig6_speedup");
+        .unwrap_or_else(|e| panic!("spawn {bin}: {e}"));
     let stderr = String::from_utf8_lossy(&run.stderr);
-    assert!(run.status.success(), "{pass}: fig6_speedup exited {}: {stderr}", run.status);
+    assert!(run.status.success(), "{pass}: {bin} exited {}: {stderr}", run.status);
     let text =
         std::fs::read_to_string(Path::new(&out).join("obs_report.json")).unwrap_or_else(|e| {
             panic!("{pass}: --metrics must leave obs_report.json under --out: {e}")
@@ -48,24 +52,46 @@ fn fig6_speedup_metrics_leaves_a_report_that_explains_the_sweep() {
     std::fs::remove_dir_all(&dir).ok();
     let cells = PolicyKind::PAPER_SET.len() as u64;
     let str_of = |e: &Json, key: &str| e.get(key).and_then(Json::as_str).map(str::to_owned);
+    let paper = SimConfig::paper(PolicyKind::Srrip);
+    // The walker hands out batches of 1 Ki: a pass walks what it reads,
+    // and at most what is left of the last batch beyond it.
+    let walks = |report: &Json, instrs: u64| {
+        (instrs..instrs + 1024).contains(&counter(report, "walk.instrs"))
+    };
 
-    let (cold, journal) = fig6(&dir, "cold");
+    // fig3 reads no boundary from the store, but trains gcc's profile
+    // there: one miss, one save.
+    let (populate, _) = run(env!("CARGO_BIN_EXE_fig3_reuse_distance"), &dir, "fig3");
+    assert_eq!(counter(&populate, "ckpt.miss"), 1, "the store held no profile");
+    assert_eq!(counter(&populate, "ckpt.save"), 1, "the training profile is kept");
+
+    let fig6 = env!("CARGO_BIN_EXE_fig6_speedup");
+    let (cold, journal) = run(fig6, &dir, "cold");
     assert_eq!(cold.get("tool").and_then(Json::as_str), Some("fig6_speedup"));
     assert!(cold.get("phases").and_then(Json::as_arr).is_some_and(|p| !p.is_empty()));
     assert_eq!(counter(&cold, "warm.recorded_warmup"), 1, "one prefix for the one workload");
     assert_eq!(counter(&cold, "warm.tail_replay"), cells, "every cell warmed up");
     assert_eq!(counter(&cold, "trace.records_decoded"), 0, "a cold pass decodes nothing");
+    assert!(counter(&cold, "ckpt.hit") >= 1, "fig3's profile is read");
+    assert!(
+        walks(&cold, paper.fast_forward + paper.instructions),
+        "a cold pass over a kept profile walks its stream and no training run: {}",
+        counter(&cold, "walk.instrs")
+    );
     let opened: Vec<_> = journal.of_kind("producer_opened").collect();
     assert_eq!(opened.len(), 1, "one producer per workload");
     assert_eq!(str_of(opened[0], "source").as_deref(), Some("walker"));
     assert_eq!(opened[0].get("start").and_then(Json::as_u64), Some(0));
 
-    let (warm, journal) = fig6(&dir, "warm");
+    let (warm, journal) = run(fig6, &dir, "warm");
     assert_eq!(counter(&warm, "warm.overlay_restore"), cells, "every cell restored");
     assert_eq!(counter(&warm, "warm.tail_replay") + counter(&warm, "warm.recorded_warmup"), 0);
     assert_eq!(counter(&warm, "trace.records_decoded") + counter(&warm, "trace.bytes_read"), 0);
-    let (walked_warm, walked_cold) = (counter(&warm, "walk.instrs"), counter(&cold, "walk.instrs"));
-    assert!(walked_warm > 0 && walked_warm < walked_cold, "the warm pass walks the window alone");
+    assert!(
+        walks(&warm, paper.instructions),
+        "the warm pass walks the measured window alone: {}",
+        counter(&warm, "walk.instrs")
+    );
     let opened: Vec<_> = journal.of_kind("producer_opened").collect();
     assert_eq!(opened.len(), 1);
     assert_eq!(str_of(opened[0], "source").as_deref(), Some("walker"));

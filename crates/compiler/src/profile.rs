@@ -37,6 +37,23 @@ impl Profile {
         self.counts[function][block]
     }
 
+    /// Every counter: one slice per function, in program order, one
+    /// counter per block.
+    #[must_use]
+    pub fn counts(&self) -> &[Vec<u64>] {
+        &self.counts
+    }
+
+    /// Sets the counter for one block — how a profile kept from an
+    /// earlier training run is read back.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the indices are out of range for the profiled program.
+    pub fn set(&mut self, function: usize, block: usize, count: u64) {
+        self.counts[function][block] = count;
+    }
+
     /// Per-function profile: the hottest block counter of each function.
     /// LLVM's section placement keys on function entry counts; with
     /// hot/cold splitting disabled (as in the paper) the max block count

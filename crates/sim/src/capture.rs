@@ -7,7 +7,9 @@
 //! walks, and keeps the walker's position at the fast-forward boundary in
 //! the shared prefix instead ([`crate::checkpoint`]).
 //! [`workload_fingerprint`] names what a stream is a function of, so
-//! that no two streams share a prefix or an overlay.
+//! that no two streams share a prefix or an overlay, and
+//! [`spec_fingerprint`] what a training profile is, so that no two specs
+//! share one.
 
 use std::path::Path;
 
@@ -87,103 +89,129 @@ pub fn capture_trace(
 /// with different fingerprints never share a file.
 #[must_use]
 pub fn workload_fingerprint(workload: &PreparedWorkload, config: &SimConfig) -> u64 {
-    let mut h = 0xCBF2_9CE4_8422_2325u64;
-    let mut mix = |v: u64| {
-        h = (h ^ v).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        h ^= h >> 31;
-    };
+    let mut fold = Fold::new();
     let object = workload.object(config.layout);
     for section in &object.sections {
-        mix(section.base.raw());
-        mix(section.size_bytes);
+        fold.mix(section.base.raw());
+        fold.mix(section.size_bytes);
     }
     for addrs in &object.block_addrs {
-        mix(addrs.len() as u64);
+        fold.mix(addrs.len() as u64);
         for addr in addrs {
-            mix(addr.raw());
+            fold.mix(addr.raw());
         }
     }
     for addr in object.plt_addrs.iter().chain(&object.external_addrs) {
-        mix(addr.raw());
+        fold.mix(addr.raw());
     }
-    // No `..`: a field added to the spec does not compile until it is
-    // keyed here.
-    let WorkloadSpec {
-        name,
-        train_input,
-        eval_input,
-        paper_fast_forward,
-        functions,
-        avg_function_bytes,
-        hot_rotation,
-        cold_visit_prob,
-        external_functions,
-        avg_external_bytes,
-        external_call_prob,
-        call_prob,
-        call_locality,
-        indirect_call_prob,
-        dispatch_prob,
-        loop_iterations,
-        static_data_bytes,
-        load_density,
-        store_density,
-        hot_data_bytes,
-        warm_data_bytes,
-        cold_data_bytes,
-        data_hot_frac,
-        data_warm_frac,
-        scan_block_frac,
-        cold_reuse_frac,
-        depend_stall_prob,
-        depend_stall_cycles,
-        issue_stall_prob,
-        issue_stall_cycles,
-        train_seed,
-        eval_seed,
-        input_shift,
-        structure_seed,
-    } = &workload.spec;
-    for text in [name, train_input, eval_input] {
-        mix(text.len() as u64);
-        text.bytes().for_each(|b| mix(u64::from(b)));
+    fold.spec(&workload.spec);
+    fold.0
+}
+
+/// Identifies the whole spec a program and its walks are built from:
+/// what a training profile is a function of, beside the length of the
+/// training run. [`workload_fingerprint`] folds the same words in after
+/// the code placement.
+#[must_use]
+pub fn spec_fingerprint(spec: &WorkloadSpec) -> u64 {
+    let mut fold = Fold::new();
+    fold.spec(spec);
+    fold.0
+}
+
+/// The fingerprints' running hash.
+struct Fold(u64);
+
+impl Fold {
+    fn new() -> Fold {
+        Fold(0xCBF2_9CE4_8422_2325)
     }
-    for word in [
-        paper_fast_forward.to_bits(),
-        *functions as u64,
-        u64::from(*avg_function_bytes),
-        *hot_rotation as u64,
-        cold_visit_prob.to_bits(),
-        *external_functions as u64,
-        *avg_external_bytes,
-        external_call_prob.to_bits(),
-        call_prob.to_bits(),
-        call_locality.to_bits(),
-        indirect_call_prob.to_bits(),
-        dispatch_prob.to_bits(),
-        loop_iterations.to_bits(),
-        *static_data_bytes,
-        u64::from(load_density.to_bits()),
-        u64::from(store_density.to_bits()),
-        *hot_data_bytes,
-        *warm_data_bytes,
-        *cold_data_bytes,
-        u64::from(data_hot_frac.to_bits()),
-        u64::from(data_warm_frac.to_bits()),
-        scan_block_frac.to_bits(),
-        u64::from(cold_reuse_frac.to_bits()),
-        u64::from(depend_stall_prob.to_bits()),
-        u64::from(*depend_stall_cycles),
-        u64::from(issue_stall_prob.to_bits()),
-        u64::from(*issue_stall_cycles),
-        *train_seed,
-        *eval_seed,
-        input_shift.to_bits(),
-        *structure_seed,
-    ] {
-        mix(word);
+
+    fn mix(&mut self, v: u64) {
+        self.0 = (self.0 ^ v).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        self.0 ^= self.0 >> 31;
     }
-    h
+
+    fn spec(&mut self, spec: &WorkloadSpec) {
+        let mut mix = |v: u64| self.mix(v);
+        // No `..`: a field added to the spec does not compile until it
+        // is keyed here.
+        let WorkloadSpec {
+            name,
+            train_input,
+            eval_input,
+            paper_fast_forward,
+            functions,
+            avg_function_bytes,
+            hot_rotation,
+            cold_visit_prob,
+            external_functions,
+            avg_external_bytes,
+            external_call_prob,
+            call_prob,
+            call_locality,
+            indirect_call_prob,
+            dispatch_prob,
+            loop_iterations,
+            static_data_bytes,
+            load_density,
+            store_density,
+            hot_data_bytes,
+            warm_data_bytes,
+            cold_data_bytes,
+            data_hot_frac,
+            data_warm_frac,
+            scan_block_frac,
+            cold_reuse_frac,
+            depend_stall_prob,
+            depend_stall_cycles,
+            issue_stall_prob,
+            issue_stall_cycles,
+            train_seed,
+            eval_seed,
+            input_shift,
+            structure_seed,
+        } = spec;
+        for text in [name, train_input, eval_input] {
+            mix(text.len() as u64);
+            text.bytes().for_each(|b| mix(u64::from(b)));
+        }
+        for word in [
+            paper_fast_forward.to_bits(),
+            *functions as u64,
+            u64::from(*avg_function_bytes),
+            *hot_rotation as u64,
+            cold_visit_prob.to_bits(),
+            *external_functions as u64,
+            *avg_external_bytes,
+            external_call_prob.to_bits(),
+            call_prob.to_bits(),
+            call_locality.to_bits(),
+            indirect_call_prob.to_bits(),
+            dispatch_prob.to_bits(),
+            loop_iterations.to_bits(),
+            *static_data_bytes,
+            u64::from(load_density.to_bits()),
+            u64::from(store_density.to_bits()),
+            *hot_data_bytes,
+            *warm_data_bytes,
+            *cold_data_bytes,
+            u64::from(data_hot_frac.to_bits()),
+            u64::from(data_warm_frac.to_bits()),
+            scan_block_frac.to_bits(),
+            u64::from(cold_reuse_frac.to_bits()),
+            u64::from(depend_stall_prob.to_bits()),
+            u64::from(*depend_stall_cycles),
+            u64::from(issue_stall_prob.to_bits()),
+            u64::from(*issue_stall_cycles),
+            *train_seed,
+            *eval_seed,
+            input_shift.to_bits(),
+            *structure_seed,
+        ] {
+            mix(word);
+        }
+    }
 }
 
 #[cfg(test)]

@@ -1,5 +1,7 @@
 //! Checkpointing: persist a warmed [`SimRun`] and restore it later —
-//! in the same process or a different one — skipping fast-forward.
+//! in the same process or a different one — skipping fast-forward; and
+//! keep a workload's training profile, so that its training run happens
+//! once per store.
 //!
 //! # File format
 //!
@@ -45,7 +47,15 @@
 //!   machine)`;
 //! * **full** — a complete [`SimRun`] state at the boundary: whatever a
 //!   caller saves whole with [`CheckpointStore::save`]. No sweep reads
-//!   or writes one.
+//!   or writes one;
+//! * **training profile** — the basic-block counters of a workload's
+//!   instrumented training run (Figure 4 ②–③), in one `PROF` section.
+//!   One file per workload and training length, written and read by
+//!   [`crate::PreparedWorkload::prepare_with`]: every preparation after
+//!   the first compiles from it instead of walking the train input again.
+//!   It is read into the shape of the workload's program, so a profile of
+//!   another program — or one whose lengths were damaged — is a mismatch
+//!   naming the function, reported and trained again.
 //!
 //! `shared prefix + overlay` composes bit-identically to the full
 //! fast-forward state, and those two files are all a sweep keeps of the
@@ -71,19 +81,29 @@
 //!   fast-forward length — no policy, no cache geometry, no page size),
 //!   so every cell of a workload's row resolves the same prefix, whatever
 //!   the cells differ in.
+//!
+//! A training profile precedes code placement, so it is keyed by the
+//! **spec fingerprint** ([`crate::capture::spec_fingerprint`]: the whole
+//! workload spec, the words the workload fingerprint folds in after the
+//! placement) and the training length (`--scale` changes it), and by no
+//! machine: every binary that prepares the workload, whatever it sweeps
+//! and under whichever classifier, resolves the same file. The walker's
+//! code is in no key: a change that moves the training walk moves kept
+//! profiles and `WALK` sections alike, and must step [`VERSION`] to
+//! retire them.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use trrip_compiler::LayoutKind;
+use trrip_compiler::{LayoutKind, Profile, Program};
 use trrip_cpu::{BranchInfo, BranchKind, MemOp, StallClass, TraceInstr};
 use trrip_mem::VirtAddr;
 use trrip_os::OverlapPolicy;
 use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
 use trrip_workloads::walker::{Frame, Phase};
-use trrip_workloads::WalkerState;
+use trrip_workloads::{WalkerState, WorkloadSpec};
 
-use crate::capture::{trace_layout, workload_fingerprint};
+use crate::capture::{spec_fingerprint, trace_layout, workload_fingerprint};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
 use crate::system::SimRun;
@@ -107,6 +127,9 @@ pub enum CheckpointKind {
     SharedPrefix,
     /// One policy's policy-dependent fast-forward state.
     PolicyOverlay,
+    /// A workload's training profile: the basic-block counters of its
+    /// instrumented training run.
+    Profile,
 }
 
 impl CheckpointKind {
@@ -115,6 +138,7 @@ impl CheckpointKind {
             CheckpointKind::Full => 0,
             CheckpointKind::SharedPrefix => 1,
             CheckpointKind::PolicyOverlay => 2,
+            CheckpointKind::Profile => 3,
         }
     }
 
@@ -123,6 +147,7 @@ impl CheckpointKind {
             0 => Some(CheckpointKind::Full),
             1 => Some(CheckpointKind::SharedPrefix),
             2 => Some(CheckpointKind::PolicyOverlay),
+            3 => Some(CheckpointKind::Profile),
             _ => None,
         }
     }
@@ -740,6 +765,75 @@ impl CheckpointStore {
         })?;
         Ok(loaded.is_some())
     }
+
+    /// Where the **training profile** of `spec`, trained for
+    /// `train_instructions`, lives — one file per workload and training
+    /// length, keyed by the whole spec ([`spec_fingerprint`]): the
+    /// program and the training walk are functions of nothing else.
+    #[must_use]
+    pub fn profile_path(&self, spec: &WorkloadSpec, train_instructions: u64) -> PathBuf {
+        self.dir.join(format!(
+            "{}-profile-train{train_instructions}-{:016x}.ckpt",
+            spec.name,
+            spec_fingerprint(spec),
+        ))
+    }
+
+    /// The metadata a valid training profile must carry. The policy
+    /// field holds `"*"` and the configuration hash 0 — no machine shapes
+    /// a profile — and the stream position is the training length.
+    fn expected_profile_meta(spec: &WorkloadSpec, train_instructions: u64) -> CheckpointMeta {
+        CheckpointMeta {
+            benchmark: spec.name.clone(),
+            policy: "*".to_owned(),
+            fingerprint: spec_fingerprint(spec),
+            config_hash: 0,
+            stream_position: train_instructions,
+        }
+    }
+
+    /// Saves `profile` as the training profile of `(spec,
+    /// train_instructions)`.
+    ///
+    /// # Errors
+    ///
+    /// Propagates I/O failures.
+    pub fn save_profile(
+        &self,
+        spec: &WorkloadSpec,
+        train_instructions: u64,
+        profile: &Profile,
+    ) -> Result<PathBuf, CheckpointError> {
+        let path = self.profile_path(spec, train_instructions);
+        let meta = CheckpointStore::expected_profile_meta(spec, train_instructions);
+        let mut payload = SnapWriter::new();
+        save_profile_section(&mut payload, profile);
+        write_checkpoint_kind(&path, CheckpointKind::Profile, &meta, payload.bytes())?;
+        note_save();
+        Ok(path)
+    }
+
+    /// Loads the training profile of `(spec, train_instructions)`, read
+    /// into the shape of `program` — `spec`'s program. `Ok(None)` for a
+    /// missing, other-version or differently-keyed file.
+    ///
+    /// # Errors
+    ///
+    /// Damaged files, as [`CheckpointStore::load`], and a payload that is
+    /// not exactly one `PROF` section shaped like `program`, naming the
+    /// function that differs.
+    pub fn load_profile(
+        &self,
+        spec: &WorkloadSpec,
+        program: &Program,
+        train_instructions: u64,
+    ) -> Result<Option<Profile>, CheckpointError> {
+        let path = self.profile_path(spec, train_instructions);
+        let expected = CheckpointStore::expected_profile_meta(spec, train_instructions);
+        load_keyed(&path, CheckpointKind::Profile, &expected, |payload| {
+            Ok(restore_profile(&payload, program)?)
+        })
+    }
 }
 
 /// One workload's policy-agnostic warm prefix, as a
@@ -779,6 +873,40 @@ impl SharedWarmup {
             .map_err(|e| CheckpointError::Corrupt(format!("walker section: {e}")))?;
         Ok(SharedWarmup { shared, walker })
     }
+}
+
+// ---- the `PROF` section ----
+//
+// prof := n:usize (blocks:usize count:u64×blocks)×n
+
+fn save_profile_section(w: &mut SnapWriter, profile: &Profile) {
+    w.section(b"PROF", |w| {
+        w.usize(profile.counts().len());
+        for counts in profile.counts() {
+            w.usize(counts.len());
+            counts.iter().for_each(|&count| w.u64(count));
+        }
+    });
+}
+
+/// Reads a profile payload into the shape of `program`: every length in
+/// it is checked against the program's before anything is read under
+/// it, so nothing is allocated from what the file claims, and a profile
+/// of another program is a mismatch naming the function.
+fn restore_profile(payload: &[u8], program: &Program) -> Result<Profile, SnapError> {
+    let mut r = SnapReader::new(payload);
+    let mut s = r.section(b"PROF")?;
+    let mut profile = Profile::zeroed(program);
+    s.expect_len("profile functions", program.functions.len())?;
+    for (fid, function) in program.functions.iter().enumerate() {
+        s.expect_len(&format!("profile function {fid} blocks"), function.blocks.len())?;
+        for block in 0..function.blocks.len() {
+            profile.set(fid, block, s.u64()?);
+        }
+    }
+    s.finish()?;
+    r.finish()?;
+    Ok(profile)
 }
 
 // ---- the `WALK` section ----
@@ -1079,5 +1207,84 @@ mod tests {
         }
         assert!(errors > pristine.len() / 2, "{errors} of {} flips caught", pristine.len());
         std::fs::remove_file(&path).ok();
+    }
+
+    // ---- so is a training profile ----
+
+    /// A saved profile's file, flipped at every byte and cut at every
+    /// length in turn: the store loads it, misses, or reports damage — it
+    /// never panics, and never hands back a profile that is not the one
+    /// saved. Its payload, read against the program alone with the
+    /// container's checksum out of the way, fails on every flip and every
+    /// cut.
+    #[test]
+    fn a_damaged_profile_is_an_error_never_a_panic() {
+        let workload = tiny_workload();
+        let (spec, program) = (&workload.spec, &workload.program);
+        let dir = std::env::temp_dir().join(format!("trrip-profile-damage-{}", std::process::id()));
+        std::fs::remove_dir_all(&dir).ok();
+        let store = CheckpointStore::new(&dir);
+        let path = store.save_profile(spec, 100_000, &workload.profile).expect("save");
+        let pristine = std::fs::read(&path).expect("read back");
+        let loaded = store.load_profile(spec, program, 100_000).expect("loads").expect("on file");
+        assert_eq!(loaded, workload.profile, "the profile round-trips");
+
+        for offset in 0..pristine.len() {
+            trrip_snap::corrupt::plant_file(&path, &pristine);
+            trrip_snap::corrupt::flip_byte(&path, offset, 0xFF);
+            let loaded = store.load_profile(spec, program, 100_000);
+            assert!(!matches!(loaded, Ok(Some(_))), "a flip at {offset} loaded a profile");
+        }
+        for cut in 0..pristine.len() {
+            trrip_snap::corrupt::plant_file(&path, &pristine);
+            trrip_snap::corrupt::truncate_file(&path, cut);
+            assert!(store.load_profile(spec, program, 100_000).is_err(), "a {cut}-byte cut");
+        }
+
+        let mut w = SnapWriter::new();
+        save_profile_section(&mut w, &workload.profile);
+        let payload = w.into_bytes();
+        let mut errors = 0;
+        for offset in 0..payload.len() {
+            let mut damaged = payload.clone();
+            damaged[offset] ^= 0xFF;
+            errors += usize::from(restore_profile(&damaged, program).is_err());
+        }
+        assert_eq!(errors, payload.len(), "flips of the payload caught");
+        for cut in 0..payload.len() {
+            assert!(restore_profile(&payload[..cut], program).is_err(), "a {cut}-byte cut");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A profile shaped for another program — or one whose counts claim
+    /// what no program has — is a mismatch naming what differs, refused
+    /// before anything is allocated from it.
+    #[test]
+    fn a_profile_of_another_shape_is_refused_by_name() {
+        let workload = tiny_workload();
+        let program = &workload.program;
+        let section = |body: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            w.section(b"PROF", body);
+            w.into_bytes()
+        };
+        let error = |payload: Vec<u8>| restore_profile(&payload, program).unwrap_err().to_string();
+
+        let all = error(section(&|w| w.u64(u64::MAX)));
+        assert!(all.contains("profile functions") && all.contains(&u64::MAX.to_string()), "{all}");
+        let first = error(section(&|w| {
+            w.usize(program.functions.len());
+            w.u64(u64::MAX);
+        }));
+        assert!(first.contains("profile function 0 blocks"), "{first}");
+
+        // Another program's profile: one block more in function 3.
+        let mut other = program.clone();
+        other.functions[3].blocks.push(trrip_compiler::BasicBlock::ret(32));
+        let mut w = SnapWriter::new();
+        save_profile_section(&mut w, &Profile::zeroed(&other));
+        let third = error(w.into_bytes());
+        assert!(third.contains("profile function 3 blocks"), "{third}");
     }
 }

@@ -641,7 +641,7 @@ fn restore_at_boundary<'w>(
         }
         Ok(false) => None,
         Err(e) => {
-            report_damaged(workload, policy, "policy overlay", &e, "warming up again");
+            report_damaged(&workload.spec.name, policy, "policy overlay", &e, "warming up again");
             None
         }
     }
@@ -656,7 +656,7 @@ fn load_prefix(
     config: &SimConfig,
 ) -> Option<SharedWarmup> {
     store.load_prefix(workload, config).unwrap_or_else(|e| {
-        report_damaged(workload, "*", "shared prefix", &e, "writing it again");
+        report_damaged(&workload.spec.name, "*", "shared prefix", &e, "writing it again");
         None
     })
 }
@@ -676,7 +676,7 @@ fn leave_boundary(store: Option<&CheckpointStore>, run: &SimRun<'_>) {
     warmstats::count_tail_replay();
     journal_route(workload, policy, "tail_replay");
     if let Err(e) = store.save_overlay(run) {
-        report_damaged(workload, policy, "overlay save", &e, "continuing without it");
+        report_damaged(&workload.spec.name, policy, "overlay save", &e, "continuing without it");
     }
 }
 
@@ -690,7 +690,7 @@ fn save_prefix(
 ) {
     warmstats::count_recorded_warmup();
     if let Err(e) = store.save_prefix(workload, config, prefix) {
-        report_damaged(workload, "*", "prefix save", &e, "continuing without it");
+        report_damaged(&workload.spec.name, "*", "prefix save", &e, "continuing without it");
     }
 }
 
@@ -731,10 +731,10 @@ fn journal_route(workload: &PreparedWorkload, policy: &str, route: &str) {
     }
 }
 
-/// Reports a store file that did not load or save — journalled, and on
-/// stderr unless quiet — with what happens instead.
-fn report_damaged(
-    workload: &PreparedWorkload,
+/// Reports a store file of `benchmark` that did not load or save —
+/// journalled, and on stderr unless quiet — with what happens instead.
+pub(crate) fn report_damaged(
+    benchmark: &str,
     policy: &str,
     what: &str,
     error: &dyn std::fmt::Display,
@@ -745,7 +745,7 @@ fn report_damaged(
             "artifact_damaged",
             &[
                 ("what", Field::Str(what)),
-                ("benchmark", Field::Str(&workload.spec.name)),
+                ("benchmark", Field::Str(benchmark)),
                 ("policy", Field::Str(policy)),
                 ("error", Field::Str(&error.to_string())),
                 ("next", Field::Str(next)),
@@ -753,7 +753,7 @@ fn report_damaged(
         );
     }
     if !trrip_obs::quiet() {
-        eprintln!("[trrip] damaged {what} for {} / {policy}: {error}; {next}", workload.spec.name);
+        eprintln!("[trrip] damaged {what} for {benchmark} / {policy}: {error}; {next}");
     }
 }
 

@@ -1,11 +1,24 @@
 //! Workload preparation: the Figure 4 ①–⑤ pipeline, run once per
 //! benchmark and shared across every policy in a sweep.
+//!
+//! It is two steps. *Training* (②–③) walks the train input over the
+//! source-order binary and keeps its basic-block profile; it is nearly
+//! all of a preparation's cost. *Compiling* (④–⑤) classifies functions
+//! from a profile and links the PGO binary. As in the paper, the profile
+//! outlives the training binary: over a checkpoint store it is kept as a
+//! file of its own ([`crate::checkpoint`]), so a workload trains once per
+//! store and every later preparation compiles from the kept profile, and
+//! [`PreparedWorkload::recompile`] gives another classifier the same
+//! profile without training again.
 
 use trrip_compiler::{
     classify_functions, FunctionTemperatures, Linker, ObjectFile, Profile, Program,
 };
 use trrip_core::ClassifierConfig;
 use trrip_workloads::{build_program, InputSet, TraceGenerator, WorkloadSpec};
+
+use crate::checkpoint::CheckpointStore;
+use crate::experiment::report_damaged;
 
 /// A benchmark after compilation: program, training profile, temperature
 /// classification, and both linked binaries.
@@ -36,22 +49,57 @@ impl PreparedWorkload {
         train_instructions: u64,
         classifier: ClassifierConfig,
     ) -> PreparedWorkload {
+        PreparedWorkload::prepare_with(spec, train_instructions, classifier, None)
+    }
+
+    /// [`PreparedWorkload::prepare`] over a checkpoint store: the
+    /// training profile is loaded from `store` when it holds one for
+    /// `(spec, train_instructions)`, and trained and saved there when it
+    /// does not. A kept profile that does not load — damaged, cut, or
+    /// shaped for another program — is reported (`artifact_damaged`),
+    /// trained again and overwritten. The result is the same either way.
+    #[must_use]
+    pub fn prepare_with(
+        spec: &WorkloadSpec,
+        train_instructions: u64,
+        classifier: ClassifierConfig,
+        store: Option<&CheckpointStore>,
+    ) -> PreparedWorkload {
         let program = build_program(spec);
-        let linker = Linker::new();
-        let plain_object = linker.link_source_order(&program);
+        let plain_object = Linker::new().link_source_order(&program);
+        let train = || train(spec, &program, &plain_object, train_instructions);
+        let profile = match store {
+            None => train(),
+            Some(store) => kept_profile(store, spec, &program, train_instructions, train),
+        };
+        PreparedWorkload::compile(spec.clone(), program, plain_object, profile, classifier)
+    }
 
-        // ②–③ Instrumented training run.
-        let mut generator = TraceGenerator::new(&program, &plain_object, spec, InputSet::Train);
-        for _ in 0..train_instructions {
-            let _ = generator.next();
-        }
-        let profile = generator.into_profile();
+    /// The same program and training profile, classified under
+    /// `classifier` and linked again: what [`PreparedWorkload::prepare`]
+    /// with `classifier` gives, without the training run.
+    #[must_use]
+    pub fn recompile(&self, classifier: ClassifierConfig) -> PreparedWorkload {
+        PreparedWorkload::compile(
+            self.spec.clone(),
+            self.program.clone(),
+            self.plain_object.clone(),
+            self.profile.clone(),
+            classifier,
+        )
+    }
 
-        // ④ Classification and ⑤ re-optimized binary.
+    /// ④ Classification and ⑤ the re-optimized binary, from `profile`.
+    fn compile(
+        spec: WorkloadSpec,
+        program: Program,
+        plain_object: ObjectFile,
+        profile: Profile,
+        classifier: ClassifierConfig,
+    ) -> PreparedWorkload {
         let temps = classify_functions(&program, &profile, classifier);
-        let pgo_object = linker.link_pgo(&program, &profile, &temps);
-
-        PreparedWorkload { spec: spec.clone(), program, profile, temps, plain_object, pgo_object }
+        let pgo_object = Linker::new().link_pgo(&program, &profile, &temps);
+        PreparedWorkload { spec, program, profile, temps, plain_object, pgo_object }
     }
 
     /// The object file for a layout choice.
@@ -74,6 +122,44 @@ impl PreparedWorkload {
         let total = (hot + warm + cold).max(1.0);
         (hot / total, warm / total, cold / total)
     }
+}
+
+/// ②–③ The instrumented training run: `train_instructions` of the train
+/// input over the source-order binary, counted per basic block.
+fn train(
+    spec: &WorkloadSpec,
+    program: &Program,
+    plain_object: &ObjectFile,
+    train_instructions: u64,
+) -> Profile {
+    let mut generator = TraceGenerator::new(program, plain_object, spec, InputSet::Train);
+    for _ in 0..train_instructions {
+        let _ = generator.next();
+    }
+    generator.into_profile()
+}
+
+/// The training profile `store` keeps for `(spec, train_instructions)`,
+/// or `train`'s, saved there for the next preparation. A file that does
+/// not load is reported and overwritten; a save that fails only costs the
+/// next preparation its training run.
+fn kept_profile(
+    store: &CheckpointStore,
+    spec: &WorkloadSpec,
+    program: &Program,
+    train_instructions: u64,
+    train: impl FnOnce() -> Profile,
+) -> Profile {
+    match store.load_profile(spec, program, train_instructions) {
+        Ok(Some(profile)) => return profile,
+        Ok(None) => {}
+        Err(e) => report_damaged(&spec.name, "*", "training profile", &e, "training again"),
+    }
+    let profile = train();
+    if let Err(e) = store.save_profile(spec, train_instructions, &profile) {
+        report_damaged(&spec.name, "*", "profile save", &e, "continuing without it");
+    }
+    profile
 }
 
 #[cfg(test)]

@@ -4,8 +4,10 @@
 //! must be rejected.
 
 use proptest::prelude::*;
+use trrip_compiler::LayoutKind;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
+use trrip_sim::capture::workload_fingerprint;
 use trrip_sim::{
     policy_cells, policy_sweep_with, read_checkpoint, simulate, warmup_config_hash,
     write_checkpoint_kind, CheckpointError, CheckpointStore, PreparedWorkload, SimConfig,
@@ -286,6 +288,133 @@ fn store_keys_cover_every_spec_field_the_stream_reads() {
         }
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Field by field, what a checkpoint store's preparation must agree with
+/// a fresh one on: the profile, the temperatures, both binaries, and the
+/// workload fingerprint under either layout.
+fn assert_same_preparation(a: &PreparedWorkload, b: &PreparedWorkload, what: &str) {
+    assert_eq!(a.spec, b.spec, "{what}: spec");
+    assert_eq!(a.profile, b.profile, "{what}: training profile");
+    assert_eq!(a.temps.as_slice(), b.temps.as_slice(), "{what}: temperatures");
+    assert_eq!(a.plain_object, b.plain_object, "{what}: source-order binary");
+    assert_eq!(a.pgo_object, b.pgo_object, "{what}: PGO binary");
+    for layout in [LayoutKind::SourceOrder, LayoutKind::Pgo] {
+        let config = SimConfig { layout, ..quick_config(PolicyKind::Srrip) };
+        assert_eq!(
+            workload_fingerprint(a, &config),
+            workload_fingerprint(b, &config),
+            "{what}: {layout:?} fingerprint"
+        );
+    }
+}
+
+/// A preparation over a store trains and saves the profile once (cold),
+/// then loads it (warm); either way it is the storeless preparation,
+/// field by field — and recompiling under another classifier is
+/// preparing under it.
+#[test]
+fn a_kept_profile_prepares_what_training_does() {
+    let dir = std::env::temp_dir().join(format!("trrip-ckpt-profile-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let store = CheckpointStore::new(&dir);
+    let classifier = ClassifierConfig::llvm_defaults();
+    let blanket = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
+    let mut small = WorkloadSpec::named("ckpt-profile-small");
+    small.functions = 50;
+    small.hot_rotation = 8;
+    let mut wide = WorkloadSpec::named("ckpt-profile-wide");
+    wide.functions = 120;
+    wide.hot_rotation = 20;
+    wide.external_functions = 12;
+
+    for (spec, train) in [(small, 150_000), (wide, 250_000)] {
+        let fresh = PreparedWorkload::prepare(&spec, train, classifier);
+        let path = store.profile_path(&spec, train);
+        assert!(!path.exists(), "{}: an empty store", spec.name);
+        for pass in ["cold", "warm"] {
+            let kept = PreparedWorkload::prepare_with(&spec, train, classifier, Some(&store));
+            assert_same_preparation(&kept, &fresh, &format!("{} {pass}", spec.name));
+            let on_file = store.load_profile(&spec, &fresh.program, train).expect("loads");
+            assert_eq!(on_file.as_ref(), Some(&fresh.profile), "{pass}: the profile is on file");
+        }
+        let recompiled = fresh.recompile(blanket);
+        assert_same_preparation(
+            &recompiled,
+            &PreparedWorkload::prepare(&spec, train, blanket),
+            &format!("{} recompiled", spec.name),
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A kept profile that does not load — flipped, cut, or well formed but
+/// shaped for another program — is reported as damage, trained again and
+/// overwritten; the preparation is the storeless one all the same.
+#[test]
+fn a_damaged_profile_is_reported_trained_again_and_overwritten() {
+    let root = std::env::temp_dir().join(format!("trrip-ckpt-profile-heal-{}", std::process::id()));
+    std::fs::remove_dir_all(&root).ok();
+    std::fs::create_dir_all(&root).expect("scratch dir");
+    let journal = root.join("journal.jsonl");
+    trrip_obs::journal::init(&journal, 100_000).expect("open a journal");
+    let store = CheckpointStore::new(root.join("ckpts"));
+    let classifier = ClassifierConfig::llvm_defaults();
+    let train = 120_000;
+    let mut spec = WorkloadSpec::named("ckpt-profile-heal");
+    spec.functions = 50;
+    spec.hot_rotation = 8;
+    let mut bigger = spec.clone();
+    bigger.functions = 60;
+    let fresh = PreparedWorkload::prepare(&spec, train, classifier);
+    let other = PreparedWorkload::prepare(&bigger, train, classifier);
+    let path = store.profile_path(&spec, train);
+
+    let _ = PreparedWorkload::prepare_with(&spec, train, classifier, Some(&store));
+    let pristine = std::fs::read(&path).expect("saved by the cold preparation");
+    let damages = ["flipped", "cut", "another program's"];
+    for what in damages {
+        match what {
+            "flipped" => {
+                corrupt::flip_middle_byte(&path);
+            }
+            "cut" => corrupt::truncate_file(&path, pristine.len() / 2),
+            _ => {
+                store.save_profile(&spec, train, &other.profile).expect("save");
+            }
+        }
+        assert!(store.load_profile(&spec, &fresh.program, train).is_err(), "{what}: damage");
+        let healed = PreparedWorkload::prepare_with(&spec, train, classifier, Some(&store));
+        assert_eq!(healed.profile, fresh.profile, "{what}: trained again");
+        assert_eq!(healed.pgo_object, fresh.pgo_object, "{what}: compiled as without a store");
+        let on_file = store.load_profile(&spec, &fresh.program, train).expect("overwritten");
+        assert_eq!(on_file.as_ref(), Some(&fresh.profile), "{what}: written again");
+    }
+
+    trrip_obs::journal::close().expect("the journal was open");
+    let journal = trrip_obs::read_journal(&journal).expect("read the journal back");
+    let reported: Vec<_> = journal
+        .of_kind("artifact_damaged")
+        .filter(|e| e.get("benchmark").and_then(|b| b.as_str()) == Some(spec.name.as_str()))
+        .map(|e| e.get("what").and_then(|w| w.as_str()).map(str::to_owned))
+        .collect();
+    assert_eq!(reported, vec![Some("training profile".to_owned()); damages.len()]);
+    std::fs::remove_dir_all(&root).ok();
+}
+
+/// A profile is a function of the whole spec and the training length:
+/// specs that differ only in `train_seed`, and runs that differ only in
+/// `train_instructions`, name different files. No classifier or machine
+/// is in the name: every binary that prepares the spec reads one file.
+#[test]
+fn profile_keys_cover_the_spec_and_the_training_length() {
+    let store = CheckpointStore::new(std::env::temp_dir().join("trrip-ckpt-profile-keys"));
+    let spec = WorkloadSpec::named("ckpt-profile-keys");
+    let mut reseeded = spec.clone();
+    reseeded.train_seed ^= 1;
+    assert_ne!(store.profile_path(&spec, 100_000), store.profile_path(&reseeded, 100_000));
+    assert_ne!(store.profile_path(&spec, 100_000), store.profile_path(&spec, 200_000));
+    assert_eq!(store.profile_path(&spec, 100_000), store.profile_path(&spec.clone(), 100_000));
 }
 
 // ---- container robustness on arbitrary section shapes ----

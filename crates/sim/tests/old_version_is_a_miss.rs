@@ -3,11 +3,12 @@
 //! **miss**: not decoded, not damage, not reported — counted `ckpt.miss`,
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
-//! a store whose every file (prefix, overlays) says version 9 — the one
-//! whose payloads rested LZ-packed — makes the next sweep do what it
-//! does over an empty store, to the same bits, leaving current files
-//! behind. (A capture of another version is the trace reader's to
-//! refuse: `trace/tests/properties.rs`.)
+//! a store whose every file (training profile, prefix, overlays) says
+//! version 9 — the one whose payloads rested LZ-packed — makes the next
+//! preparation train again and the next sweep do what it does over an
+//! empty store, to the same bits, leaving current files behind. (A
+//! capture of another version is the trace reader's to refuse:
+//! `trace/tests/properties.rs`.)
 //!
 //! One `#[test]` on purpose: the counters and the journal are
 //! process-wide.
@@ -49,11 +50,16 @@ fn stamp_all(store: &CheckpointStore, version: u16) -> usize {
     files.len()
 }
 
-/// What `sweep` moved, by counter name.
-fn moved_by(sweep: impl FnOnce() -> SweepResult) -> (SweepResult, trrip_obs::CounterSnapshot) {
+/// What `work` moved, by counter name.
+fn moved_by<T>(work: impl FnOnce() -> T) -> (T, trrip_obs::CounterSnapshot) {
     let before = trrip_obs::snapshot();
-    let result = sweep();
+    let result = work();
     (result, trrip_obs::snapshot().since(&before))
+}
+
+/// `[ckpt.hit, ckpt.miss, ckpt.corrupt, ckpt.save]`.
+fn store_counts(moved: &trrip_obs::CounterSnapshot) -> [u64; 4] {
+    ["hit", "miss", "corrupt", "save"].map(|what| moved.get(&format!("ckpt.{what}")))
 }
 
 /// `[overlay_restore, tail_replay, recorded_warmup, cold_warmup]`: cells
@@ -90,7 +96,16 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     let mut spec = WorkloadSpec::named("old-version");
     spec.functions = 50;
     spec.hot_rotation = 8;
-    let workloads = [PreparedWorkload::prepare(&spec, 100_000, ClassifierConfig::llvm_defaults())];
+    const TRAIN: u64 = 100_000;
+    let prepare = || {
+        let classifier = ClassifierConfig::llvm_defaults();
+        PreparedWorkload::prepare_with(&spec, TRAIN, classifier, Some(&ckpts))
+    };
+    // Over an empty store the preparation trains and keeps its profile.
+    let (prepared, trained) = moved_by(prepare);
+    assert_eq!(store_counts(&trained), [0, 1, 0, 1], "a miss, then the profile saved");
+    assert!(trained.get("walk.instrs") >= TRAIN, "trained");
+    let workloads = [prepared];
     let mut config = SimConfig::quick(PolicyKind::Srrip);
     config.fast_forward = 20_000;
     config.instructions = 45_000;
@@ -105,12 +120,17 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     let (_, empty_push) = moved_by(pushed);
     assert_eq!(routes(&empty_push), [0, CELLS, 1, 0]);
     let files = files_of(&ckpts).len();
-    assert_eq!(files as u64, 1 + CELLS, "prefix, overlays");
+    assert_eq!(files as u64, 2 + CELLS, "profile, prefix, overlays");
     let current = version_of(&ckpts.prefix_path(&workloads[0], &config));
     assert_eq!(current, trrip_sim::checkpoint::VERSION);
+    assert_eq!(version_of(&ckpts.profile_path(&spec, TRAIN)), current);
 
-    // ---- the sweep over a store of the previous version ----
+    // ---- a preparation and a sweep over a store of the previous version ----
     assert_eq!(stamp_all(&ckpts, 9), files);
+    let (retrained, moved) = moved_by(prepare);
+    assert_eq!(retrained.profile, workloads[0].profile, "the same profile, trained again");
+    assert_eq!(store_counts(&moved), store_counts(&trained), "a clean miss, then a save");
+    assert!(moved.get("walk.instrs") >= TRAIN, "the profile is trained again");
     let (again, moved) = moved_by(pushed);
     assert_sweep(&again, &oracle, "sweep over a stale store");
     assert_eq!(routes(&moved), routes(&empty_push), "as over an empty store");
@@ -130,6 +150,9 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_sweep(&warm, &oracle, "sweep over the rewritten store");
     assert_eq!(routes(&moved), [CELLS, 0, 0, 0]);
     assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.corrupt"), 0);
+    let (_, moved) = moved_by(prepare);
+    assert_eq!(store_counts(&moved), [1, 0, 0, 0], "the rewritten profile loads");
+    assert_eq!(moved.get("walk.instrs"), 0, "and nothing is trained");
 
     trrip_obs::journal::close().expect("the journal was open");
     let journal = trrip_obs::read_journal(&journal).expect("read the journal back");

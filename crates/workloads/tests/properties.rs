@@ -67,7 +67,9 @@ const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 /// then hash the first 50 000 eval instructions under the PGO placement.
 /// The constants were recorded from the commit before the basic-block
 /// memo was deleted, with the memo on: this test took over from the
-/// memo-vs-fresh twin suites as the guard on the stream.
+/// memo-vs-fresh twin suites as the guard on the stream. It is also the
+/// tripwire for stale checkpoint stores: no store key names the walker's
+/// code, so a walk that moves must step the checkpoint format version.
 #[test]
 fn eval_stream_under_pgo_placement_is_pinned() {
     const EVAL: usize = 50_000;
@@ -75,7 +77,12 @@ fn eval_stream_under_pgo_placement_is_pinned() {
         [("gcc", 0xb3da_efd9_6bd0_6291, 5213, 913), ("sqlite", 0xca0d_9d3b_33b8_37d9, 4717, 904)]
     {
         let (spec, program, pgo, trained) = pgo_placement(name);
-        assert_eq!(trained, train_blocks, "{name}: training profile moved");
+        assert_eq!(
+            trained, train_blocks,
+            "{name}: training profile moved — step the checkpoint VERSION: a store keeps \
+             training profiles and WALK sections the old walk made, and the version is the \
+             only thing that retires them"
+        );
         let mut walker = TraceGenerator::new(&program, &pgo, &spec, InputSet::Eval);
         let hash = walker.by_ref().take(EVAL).fold(FNV_SEED, |h, i| fnv1a_instr(h, &i));
         assert_eq!(hash, stream, "{name}: eval stream moved ({hash:#018x})");

@@ -94,7 +94,7 @@ fn selectivity_beats_prioritizing_everything() {
     let selective =
         PreparedWorkload::prepare(&spec, base_config.train_instructions, base_config.classifier);
     let everything_hot = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
-    let blanket = PreparedWorkload::prepare(&spec, base_config.train_instructions, everything_hot);
+    let blanket = selective.recompile(everything_hot);
 
     let trrip_config = base_config.clone().with_policy(PolicyKind::Trrip1);
     let sel_base = trrip::sim::simulate(&selective, &base_config);
