@@ -11,7 +11,7 @@
 use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
-use trrip_mem::VirtAddr;
+use trrip_mem::{VirtAddr, LINE_BYTES};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Classification of the code a miss landed in.
@@ -50,7 +50,7 @@ impl CostlyMissTracker {
     /// Records one demand instruction miss of `latency` cycles for the
     /// line containing `pc`, tagged with the region the PC belongs to.
     pub fn record(&mut self, pc: VirtAddr, latency: u64, region: CodeRegion) {
-        let entry = self.lines.entry(pc.raw() >> 6).or_default();
+        let entry = self.lines.entry(pc.raw() / LINE_BYTES).or_default();
         entry.total_latency += latency;
         entry.misses += 1;
         entry.region = Some(region);

@@ -1,7 +1,7 @@
 //! Captures the selected benchmarks' eval-input traces to disk under
 //! `--out` (`{bench}.trrip`), one file per workload, long enough for one
-//! run at the paper configuration: what `simulate_source` replays, or a
-//! foreign tool reads. No sweep reads them; every sweep walks.
+//! run at the paper configuration: what `simulate_source` replays. No
+//! sweep reads them; every sweep walks.
 //!
 //! ```text
 //! trace_capture --out traces [--bench a,b] [--scale N]

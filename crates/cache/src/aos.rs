@@ -73,10 +73,10 @@ impl AosCache {
         set * self.config.ways + way
     }
 
-    /// Line address for the request under this cache's geometry.
+    /// The line `req` touches (every cache cuts at [`trrip_mem::LINE_BYTES`]).
     #[must_use]
     pub fn line_of(&self, req: &MemoryRequest) -> LineAddr {
-        self.config.line.line_of(req.paddr)
+        LineAddr::of(req.paddr)
     }
 
     /// Whether `line` is currently resident.

@@ -183,10 +183,10 @@ impl<P: ReplacementPolicy> Cache<P> {
         (line.raw() as usize) & (self.num_sets - 1)
     }
 
-    /// Line address for the request under this cache's geometry.
+    /// The line `req` touches (every cache cuts at [`trrip_mem::LINE_BYTES`]).
     #[must_use]
     pub fn line_of(&self, req: &MemoryRequest) -> LineAddr {
-        self.config.line.line_of(req.paddr)
+        LineAddr::of(req.paddr)
     }
 
     /// Whether `line` is currently resident.

@@ -1,7 +1,7 @@
 //! Cache geometry and latency configuration.
 
 use serde::{Deserialize, Serialize};
-use trrip_mem::CacheLineGeometry;
+use trrip_mem::LINE_BYTES;
 
 /// Static configuration of one cache level.
 ///
@@ -16,8 +16,6 @@ pub struct CacheConfig {
     pub size_bytes: u64,
     /// Associativity.
     pub ways: usize,
-    /// Line geometry (64 B throughout the paper).
-    pub line: CacheLineGeometry,
     /// Cycles to determine hit/miss.
     pub tag_latency: u64,
     /// Cycles to return data on a hit.
@@ -39,14 +37,8 @@ impl CacheConfig {
         tag_latency: u64,
         data_latency: u64,
     ) -> CacheConfig {
-        let config = CacheConfig {
-            name: name.to_owned(),
-            size_bytes,
-            ways,
-            line: CacheLineGeometry::default(),
-            tag_latency,
-            data_latency,
-        };
+        let config =
+            CacheConfig { name: name.to_owned(), size_bytes, ways, tag_latency, data_latency };
         assert!(config.num_sets() > 0, "cache too small for its associativity");
         assert!(
             config.num_sets().is_power_of_two(),
@@ -55,10 +47,10 @@ impl CacheConfig {
         config
     }
 
-    /// Number of sets implied by size, associativity and line size.
+    /// Number of sets implied by size, associativity and [`LINE_BYTES`].
     #[must_use]
     pub fn num_sets(&self) -> usize {
-        (self.size_bytes / u64::from(self.line.line_bytes()) / self.ways as u64) as usize
+        (self.size_bytes / LINE_BYTES / self.ways as u64) as usize
     }
 
     /// Total number of lines.

@@ -325,7 +325,7 @@ impl Hierarchy {
             self.l1i.invalidate(ev.line);
             self.l1d.invalidate(ev.line);
             // Exclusive SLC: the victim moves down.
-            let base = self.slc.config().line.base_of(ev.line);
+            let base = ev.line.base();
             let slc_req = if ev.instruction {
                 MemoryRequest::fetch(base, trrip_mem::VirtAddr::new(base.raw()))
             } else if ev.dirty {

@@ -40,16 +40,6 @@ impl AccessStats {
         self.inst_misses + self.data_misses
     }
 
-    /// Demand hit rate in `[0, 1]`; 0 when there were no accesses.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let accesses = self.demand_accesses();
-        if accesses == 0 {
-            return 0.0;
-        }
-        1.0 - self.demand_misses() as f64 / accesses as f64
-    }
-
     /// Instruction misses per kilo-instruction.
     #[must_use]
     pub fn inst_mpki(&self, instructions: u64) -> f64 {
@@ -138,14 +128,5 @@ mod tests {
         assert!((s.inst_mpki(1_000_000) - 0.5).abs() < 1e-12);
         assert!((s.data_mpki(1_000_000) - 0.25).abs() < 1e-12);
         assert_eq!(s.inst_mpki(0), 0.0);
-    }
-
-    #[test]
-    fn hit_rate_handles_empty() {
-        assert_eq!(AccessStats::default().hit_rate(), 0.0);
-        let mut s = AccessStats::default();
-        s.record_demand(true, true);
-        s.record_demand(true, false);
-        assert!((s.hit_rate() - 0.5).abs() < 1e-12);
     }
 }

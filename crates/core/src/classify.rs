@@ -255,63 +255,17 @@ fn min_count_for_percentile(sorted_desc: &[u64], total: u64, percentile: f64) ->
     sorted_desc.iter().copied().filter(|&c| c > 0).min().unwrap_or(u64::MAX)
 }
 
-/// Convenience wrapper that owns a config and classifies whole profiles.
-///
-/// # Example
-///
-/// ```
-/// use trrip_core::{TemperatureClassifier, ClassifierConfig, Temperature};
-///
-/// let classifier = TemperatureClassifier::new(ClassifierConfig::llvm_defaults());
-/// let temps = classifier.classify_all(&[900_000, 10, 0]);
-/// assert_eq!(temps[0], Temperature::Hot);
-/// assert_eq!(temps[2], Temperature::Cold);
-/// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct TemperatureClassifier {
-    config: ClassifierConfig,
-}
-
-impl TemperatureClassifier {
-    /// Creates a classifier with the given percentile configuration.
-    #[must_use]
-    pub fn new(config: ClassifierConfig) -> TemperatureClassifier {
-        TemperatureClassifier { config }
-    }
-
-    /// The configured percentiles.
-    #[must_use]
-    pub fn config(&self) -> ClassifierConfig {
-        self.config
-    }
-
-    /// Builds a [`ProfileSummary`] for a set of counts.
-    #[must_use]
-    pub fn summarize(&self, counts: &[u64]) -> ProfileSummary {
-        ProfileSummary::from_counts(counts.iter().copied(), self.config)
-    }
-
-    /// Classifies every count in the profile, preserving order.
-    #[must_use]
-    pub fn classify_all(&self, counts: &[u64]) -> Vec<Temperature> {
-        let summary = self.summarize(counts);
-        counts.iter().map(|&c| summary.classify(c)).collect()
-    }
-}
-
-impl Default for TemperatureClassifier {
-    fn default() -> Self {
-        TemperatureClassifier::new(ClassifierConfig::default())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    fn classify_with(counts: &[u64], config: ClassifierConfig) -> Vec<Temperature> {
+        let summary = ProfileSummary::from_counts(counts.iter().copied(), config);
+        counts.iter().map(|&c| summary.classify(c)).collect()
+    }
+
     fn classify(counts: &[u64], percentile_hot: f64) -> Vec<Temperature> {
-        let config = ClassifierConfig::with_percentile_hot(percentile_hot);
-        TemperatureClassifier::new(config).classify_all(counts)
+        classify_with(counts, ClassifierConfig::with_percentile_hot(percentile_hot))
     }
 
     #[test]
@@ -333,7 +287,7 @@ mod tests {
         let mut counts = vec![1_000_000u64, 2_000];
         counts.extend(std::iter::repeat_n(1, 50));
         let config = ClassifierConfig { percentile_hot: 0.99, percentile_cold: 0.9999 };
-        let temps = TemperatureClassifier::new(config).classify_all(&counts);
+        let temps = classify_with(&counts, config);
         assert_eq!(temps[0], Temperature::Hot);
         assert_eq!(temps[1], Temperature::Warm);
         assert!(temps[2..].iter().all(|&t| t == Temperature::Cold), "{temps:?}");
@@ -351,7 +305,7 @@ mod tests {
         // block becomes hot.
         let counts = [1_000_000u64, 1_000, 10, 1, 0];
         let config = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
-        let temps = TemperatureClassifier::new(config).classify_all(&counts);
+        let temps = classify_with(&counts, config);
         assert_eq!(
             temps,
             vec![

@@ -49,7 +49,7 @@ pub mod rrpv;
 pub mod temperature;
 pub mod trrip;
 
-pub use classify::{ClassifierConfig, ProfileSummary, TemperatureClassifier};
+pub use classify::{ClassifierConfig, ProfileSummary};
 pub use rrip::{BrripCore, RripTable, SrripCore, TableSet};
 pub use rrpv::{Rrpv, RrpvWidth};
 pub use temperature::{Temperature, TemperatureBits};

@@ -2,7 +2,7 @@
 //!
 //! The core is decoupled from address translation and the cache hierarchy
 //! through [`MemoryBackend`]: `trrip-sim` implements it over the MMU (so
-//! requests pick up PTE temperature bits) and the [`trrip_cache::Hierarchy`].
+//! requests pick up PTE temperature bits) and the `trrip_cache::Hierarchy`.
 
 use trrip_mem::VirtAddr;
 

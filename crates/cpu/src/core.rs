@@ -37,7 +37,7 @@
 use std::collections::VecDeque;
 
 use serde::{Deserialize, Serialize};
-use trrip_mem::VirtAddr;
+use trrip_mem::{VirtAddr, LINE_BYTES};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::backend::MemoryBackend;
@@ -554,7 +554,7 @@ impl<B: MemoryBackend> Core<B> {
         state.instructions += 1;
 
         // --- Fetch ---
-        let line = instr.pc.raw() >> 6;
+        let line = instr.pc.raw() / LINE_BYTES;
         let mut issued = [0u64; FDIP_ISSUE_CAP];
         let mut fdip_pcs = None;
         if line != state.current_line {
@@ -613,7 +613,7 @@ impl<B: MemoryBackend> Core<B> {
     /// pipeline does not hide. Shared by both timing loops.
     #[inline]
     fn fetch_line(&mut self, topdown: &mut TopDown, clock: &mut f64, pc: VirtAddr) {
-        let line = pc.raw() >> 6;
+        let line = pc.raw() / LINE_BYTES;
         let starved_flag = self.starved.contains(line);
         let lat = self.backend.ifetch(pc, starved_flag, *clock as u64);
         if !lat.l1_hit {
@@ -760,7 +760,7 @@ impl<B: MemoryBackend> Core<B> {
             retired += u64::from(event.quiet) + 1;
             let pc = event.pc();
             if event.fetch() {
-                fetched_line = Some(pc.raw() >> 6);
+                fetched_line = Some(pc.raw() / LINE_BYTES);
                 for ((core, state), clock) in group.iter_mut().zip(clocks.iter_mut()) {
                     core.fetch_line(&mut state.topdown, clock, pc);
                     for &fdip_pc in event.fdip_pcs() {
@@ -881,7 +881,7 @@ impl<B: MemoryBackend> Core<B> {
         let mut seen_lines = 0usize;
         let mut last_line = current_line;
         for instr in lookahead.take(self.config.fdip_lookahead_instrs) {
-            let line = instr.pc.raw() >> 6;
+            let line = instr.pc.raw() / LINE_BYTES;
             if line != last_line {
                 last_line = line;
                 self.backend.prefetch_ifetch(instr.pc, now);
@@ -1184,7 +1184,7 @@ mod tests {
         }
 
         fn latency(&self, addr: VirtAddr, miss: u64) -> MemLatency {
-            if (addr.raw() >> 6).is_multiple_of(self.every) {
+            if (addr.raw() / LINE_BYTES).is_multiple_of(self.every) {
                 MemLatency { cycles: miss, l1_hit: false, l2_miss: miss > 100 }
             } else {
                 MemLatency::l1_hit(3)

@@ -8,7 +8,7 @@
 //! * [`trace`] — the instruction trace format consumed by the core.
 //! * [`branch`] — BTB (1k), indirect BTB (512), loop predictor (256),
 //!   gshare global predictor (1k) and a return-address stack.
-//! * [`backend`] — the [`MemoryBackend`](backend::MemoryBackend) trait the
+//! * [`backend`] — the [`MemoryBackend`] trait the
 //!   core drives for fetches, loads, stores and prefetches (implemented in
 //!   `trrip-sim` over the MMU + hierarchy).
 //! * [`core`] — the two timing loops, and no third: the fused loop with

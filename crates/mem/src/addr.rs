@@ -31,17 +31,6 @@ macro_rules! define_addr {
                 self.0
             }
 
-            /// Rounds down to a multiple of `alignment`.
-            ///
-            /// # Panics
-            ///
-            /// Panics if `alignment` is not a power of two.
-            #[must_use]
-            pub fn align_down(self, alignment: u64) -> $name {
-                assert!(alignment.is_power_of_two(), "alignment must be a power of two");
-                $name(self.0 & !(alignment - 1))
-            }
-
             /// Rounds up to a multiple of `alignment`.
             ///
             /// # Panics
@@ -146,7 +135,7 @@ define_addr! {
     /// use trrip_mem::VirtAddr;
     ///
     /// let va = VirtAddr::new(0x1234);
-    /// assert_eq!(va.align_down(0x1000).raw(), 0x1000);
+    /// assert_eq!(va.align_up(0x1000).raw(), 0x2000);
     /// assert_eq!(va.offset_in(0x1000), 0x234);
     /// ```
     VirtAddr
@@ -171,9 +160,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn align_down_and_up() {
+    fn align_up_rounds_to_the_next_multiple() {
         let a = VirtAddr::new(0x1fff);
-        assert_eq!(a.align_down(0x1000).raw(), 0x1000);
         assert_eq!(a.align_up(0x1000).raw(), 0x2000);
         let b = VirtAddr::new(0x2000);
         assert_eq!(b.align_up(0x1000).raw(), 0x2000);
@@ -198,7 +186,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_alignment_panics() {
-        let _ = VirtAddr::new(0).align_down(3);
+        let _ = VirtAddr::new(0).align_up(3);
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Memory primitives shared across the TRRIP simulator stack.
 //!
 //! Everything the cache hierarchy, MMU and trace generators agree on lives
-//! here: typed virtual/physical addresses, cache-line geometry, page sizes,
+//! here: typed virtual/physical addresses, the cache-line size, page sizes,
 //! and the [`MemoryRequest`] that carries the PBHA-style temperature
 //! attribute from the page tables down to the replacement policy.
 
@@ -14,6 +14,6 @@ pub mod page;
 pub mod request;
 
 pub use addr::{PhysAddr, VirtAddr};
-pub use line::{CacheLineGeometry, LineAddr};
+pub use line::{LineAddr, LINE_BYTES};
 pub use page::{PageNumber, PageSize};
 pub use request::{AccessKind, MemoryRequest, RequestAttrs};

@@ -1,4 +1,4 @@
-//! Cache-line geometry and line-granular addresses.
+//! Cache-line granularity.
 
 use std::fmt;
 
@@ -6,104 +6,46 @@ use serde::{Deserialize, Serialize};
 
 use crate::addr::PhysAddr;
 
-/// Size and derived masks of a cache line.
-///
-/// All caches in the paper's hierarchy use 64-byte lines; the geometry is a
-/// value type so alternative configurations can be explored.
+/// Bytes per cache line, at every level of the paper's hierarchy. The
+/// caches, the core's fetch lines, the next-line prefetcher, the
+/// in-flight table and the reuse profiler all cut addresses at this one
+/// size.
+pub const LINE_BYTES: u64 = 64;
+
+/// A line-granular physical address (the physical address divided by
+/// [`LINE_BYTES`]). Cache tag stores and reuse-distance profilers work
+/// at this granularity.
 ///
 /// # Example
 ///
 /// ```
-/// use trrip_mem::{CacheLineGeometry, PhysAddr};
+/// use trrip_mem::{LineAddr, PhysAddr};
 ///
-/// let geom = CacheLineGeometry::default(); // 64-byte lines
-/// let line = geom.line_of(PhysAddr::new(0x12_345));
+/// let line = LineAddr::of(PhysAddr::new(0x12_345));
 /// assert_eq!(line.base().raw(), 0x12_340);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct CacheLineGeometry {
-    line_bytes: u32,
-}
-
-impl CacheLineGeometry {
-    /// Standard 64-byte line size.
-    pub const LINE_64B: CacheLineGeometry = CacheLineGeometry { line_bytes: 64 };
-
-    /// Creates a geometry with the given line size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_bytes` is not a power of two of at least 8 bytes.
-    #[must_use]
-    pub fn new(line_bytes: u32) -> CacheLineGeometry {
-        assert!(
-            line_bytes.is_power_of_two() && line_bytes >= 8,
-            "line size must be a power of two of at least 8 bytes"
-        );
-        CacheLineGeometry { line_bytes }
-    }
-
-    /// Bytes per line.
-    #[must_use]
-    pub fn line_bytes(self) -> u32 {
-        self.line_bytes
-    }
-
-    /// log2 of the line size (the number of offset bits).
-    #[must_use]
-    pub fn offset_bits(self) -> u32 {
-        self.line_bytes.trailing_zeros()
-    }
-
-    /// The line containing `addr`.
-    #[must_use]
-    pub fn line_of(self, addr: PhysAddr) -> LineAddr {
-        LineAddr(addr.raw() >> self.offset_bits())
-    }
-
-    /// The base physical address of a line.
-    #[must_use]
-    pub fn base_of(self, line: LineAddr) -> PhysAddr {
-        PhysAddr::new(line.0 << self.offset_bits())
-    }
-
-    /// Number of lines spanned by the byte range `[start, start + len)`.
-    #[must_use]
-    pub fn lines_spanned(self, start: PhysAddr, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let first = start.raw() >> self.offset_bits();
-        let last = (start.raw() + len - 1) >> self.offset_bits();
-        last - first + 1
-    }
-}
-
-impl Default for CacheLineGeometry {
-    fn default() -> Self {
-        CacheLineGeometry::LINE_64B
-    }
-}
-
-/// A line-granular physical address (the physical address shifted right by
-/// the offset bits). Cache tag stores and reuse-distance profilers work at
-/// this granularity.
 #[derive(
     Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
 )]
 pub struct LineAddr(pub u64);
 
 impl LineAddr {
+    /// The line containing `addr`.
+    #[must_use]
+    pub fn of(addr: PhysAddr) -> LineAddr {
+        LineAddr(addr.raw() / LINE_BYTES)
+    }
+
     /// The raw line number.
     #[must_use]
     pub fn raw(self) -> u64 {
         self.0
     }
 
-    /// The base physical address under the default 64-byte geometry.
+    /// The line's first byte.
     #[must_use]
     pub fn base(self) -> PhysAddr {
-        CacheLineGeometry::default().base_of(self)
+        PhysAddr::new(self.0 * LINE_BYTES)
     }
 }
 
@@ -119,39 +61,22 @@ mod tests {
 
     #[test]
     fn default_geometry_is_64_bytes() {
-        let g = CacheLineGeometry::default();
-        assert_eq!(g.line_bytes(), 64);
-        assert_eq!(g.offset_bits(), 6);
+        assert_eq!(LINE_BYTES, 64);
+        assert_eq!(LineAddr::of(PhysAddr::new(63)).raw(), 0);
+        assert_eq!(LineAddr::of(PhysAddr::new(64)).raw(), 1);
     }
 
     #[test]
     fn line_of_strips_offset() {
-        let g = CacheLineGeometry::default();
-        assert_eq!(g.line_of(PhysAddr::new(0x100)), g.line_of(PhysAddr::new(0x13f)));
-        assert_ne!(g.line_of(PhysAddr::new(0x100)), g.line_of(PhysAddr::new(0x140)));
+        let of = |addr| LineAddr::of(PhysAddr::new(addr));
+        assert_eq!(of(0x100), of(0x13f));
+        assert_ne!(of(0x100), of(0x140));
     }
 
     #[test]
     fn base_of_round_trips() {
-        let g = CacheLineGeometry::new(128);
-        let line = g.line_of(PhysAddr::new(0x1234));
-        assert_eq!(g.base_of(line).raw(), 0x1200);
-        assert_eq!(g.line_of(g.base_of(line)), line);
-    }
-
-    #[test]
-    fn lines_spanned_counts_partial_lines() {
-        let g = CacheLineGeometry::default();
-        assert_eq!(g.lines_spanned(PhysAddr::new(0), 0), 0);
-        assert_eq!(g.lines_spanned(PhysAddr::new(0), 1), 1);
-        assert_eq!(g.lines_spanned(PhysAddr::new(0), 64), 1);
-        assert_eq!(g.lines_spanned(PhysAddr::new(0), 65), 2);
-        assert_eq!(g.lines_spanned(PhysAddr::new(63), 2), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "power of two")]
-    fn bad_line_size_rejected() {
-        let _ = CacheLineGeometry::new(48);
+        let line = LineAddr::of(PhysAddr::new(0x1234));
+        assert_eq!(line.base().raw(), 0x1200);
+        assert_eq!(LineAddr::of(line.base()), line);
     }
 }

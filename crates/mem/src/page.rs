@@ -52,18 +52,6 @@ impl PageSize {
     pub fn base_of(self, page: PageNumber) -> VirtAddr {
         VirtAddr::new(page.0 << self.offset_bits())
     }
-
-    /// Number of pages needed to hold `len` bytes starting at `start`
-    /// (rounded up to full pages, as in Table 5).
-    #[must_use]
-    pub fn pages_spanned(self, start: VirtAddr, len: u64) -> u64 {
-        if len == 0 {
-            return 0;
-        }
-        let first = start.raw() >> self.offset_bits();
-        let last = (start.raw() + len - 1) >> self.offset_bits();
-        last - first + 1
-    }
 }
 
 impl fmt::Display for PageSize {
@@ -119,25 +107,12 @@ mod tests {
     }
 
     #[test]
-    fn pages_spanned_rounds_up() {
-        let p = PageSize::Size4K;
-        assert_eq!(p.pages_spanned(VirtAddr::new(0), 0), 0);
-        assert_eq!(p.pages_spanned(VirtAddr::new(0), 1), 1);
-        assert_eq!(p.pages_spanned(VirtAddr::new(0), 4096), 1);
-        assert_eq!(p.pages_spanned(VirtAddr::new(0), 4097), 2);
-        // A 2-byte object straddling a page boundary takes two pages.
-        assert_eq!(p.pages_spanned(VirtAddr::new(4095), 2), 2);
-    }
-
-    #[test]
     fn bigger_pages_span_fewer() {
-        let len = 100 << 10; // 100 kB
-        let start = VirtAddr::new(0);
-        let p4 = PageSize::Size4K.pages_spanned(start, len);
-        let p16 = PageSize::Size16K.pages_spanned(start, len);
-        let p2m = PageSize::Size2M.pages_spanned(start, len);
-        assert!(p4 > p16);
-        assert!(p16 > p2m);
-        assert_eq!(p2m, 1);
+        // The last byte of 100 kB from address 0.
+        let last = VirtAddr::new((100 << 10) - 1);
+        let pages = |size: PageSize| size.page_of(last).raw() + 1;
+        assert_eq!(pages(PageSize::Size4K), 25);
+        assert_eq!(pages(PageSize::Size16K), 7);
+        assert_eq!(pages(PageSize::Size2M), 1);
     }
 }

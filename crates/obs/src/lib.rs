@@ -6,7 +6,7 @@
 //! - **Counters** ([`registry`]) — named, process-global, lock-free
 //!   atomic counters. Always on (one relaxed `fetch_add`); tools diff
 //!   [`snapshot`]s around the work they care about.
-//! - **Phase spans** ([`span`]) — RAII monotonic-clock scopes, nestable
+//! - **Phase spans** ([`mod@span`]) — RAII monotonic-clock scopes, nestable
 //!   and thread-aware, accumulating self/total time per phase. Export
 //!   as an aligned summary table or Chrome trace-event JSON
 //!   (`chrome://tracing`-loadable). Disabled by default: the off path

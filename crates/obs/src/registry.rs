@@ -42,7 +42,7 @@ impl Counter {
 
 /// Finds or registers the counter named `name`. Idempotent: every call
 /// with the same name returns a handle to the same atomic. Prefer the
-/// [`counter!`](crate::counter) macro at call sites — it caches the
+/// [`counter!`](crate::counter!) macro at call sites — it caches the
 /// handle in a `OnceLock` so the registry lock is taken once, not per
 /// call.
 #[must_use]

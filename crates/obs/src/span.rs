@@ -119,7 +119,7 @@ pub struct PhaseStat {
 }
 
 /// A live span; records itself when dropped. Create via [`enter`] or
-/// the [`span!`](crate::span) macro, and drop it on the thread that
+/// the [`span!`](crate::span!) macro, and drop it on the thread that
 /// created it — the self-time bookkeeping is per-thread.
 #[derive(Debug)]
 pub struct SpanGuard {

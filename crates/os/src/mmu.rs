@@ -23,19 +23,6 @@ pub struct TlbStats {
     pub misses: u64,
 }
 
-impl TlbStats {
-    /// Hit rate in `[0, 1]`.
-    #[must_use]
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 #[derive(Debug, Clone, Copy, Default)]
 struct TlbEntry {
     vpn: u64,

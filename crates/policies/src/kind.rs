@@ -1,7 +1,6 @@
 //! Run-time policy selection for experiment sweeps.
 
 use std::fmt;
-use std::str::FromStr;
 
 use serde::{Deserialize, Serialize};
 use trrip_core::{RrpvWidth, TrripVariant};
@@ -98,38 +97,6 @@ impl fmt::Display for PolicyKind {
     }
 }
 
-/// Error returned when parsing a [`PolicyKind`] fails.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsePolicyError(String);
-
-impl fmt::Display for ParsePolicyError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "unknown policy `{}`", self.0)
-    }
-}
-
-impl std::error::Error for ParsePolicyError {}
-
-impl FromStr for PolicyKind {
-    type Err = ParsePolicyError;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s.to_ascii_lowercase().as_str() {
-            "lru" => Ok(PolicyKind::Lru),
-            "random" => Ok(PolicyKind::Random),
-            "srrip" => Ok(PolicyKind::Srrip),
-            "brrip" => Ok(PolicyKind::Brrip),
-            "drrip" => Ok(PolicyKind::Drrip),
-            "ship" => Ok(PolicyKind::Ship),
-            "clip" => Ok(PolicyKind::Clip),
-            "emissary" => Ok(PolicyKind::Emissary),
-            "trrip-1" | "trrip1" => Ok(PolicyKind::Trrip1),
-            "trrip-2" | "trrip2" => Ok(PolicyKind::Trrip2),
-            other => Err(ParsePolicyError(other.to_owned())),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -148,15 +115,6 @@ mod tests {
             p.on_evict(3, v);
             p.on_invalidate(3, v);
         }
-    }
-
-    #[test]
-    fn parse_round_trips() {
-        for kind in PolicyKind::PAPER_SET {
-            let parsed: PolicyKind = kind.name().parse().unwrap();
-            assert_eq!(parsed, kind);
-        }
-        assert!("belady2000".parse::<PolicyKind>().is_err());
     }
 
     #[test]

@@ -5,7 +5,7 @@ use trrip_analysis::{CostlyMissTracker, ReuseProfiler};
 use trrip_cache::{Hierarchy, NextLinePrefetcher, ServedBy, StridePrefetcher};
 use trrip_compiler::ObjectFile;
 use trrip_cpu::{MemLatency, MemoryBackend};
-use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr};
+use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr, LINE_BYTES};
 use trrip_os::Mmu;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -178,20 +178,16 @@ impl SystemBackend {
             .map_or(CodeRegion::External, |&(_, _, r)| r)
     }
 
-    fn line_of(pa: PhysAddr) -> LineAddr {
-        LineAddr(pa.raw() >> 6)
-    }
-
     fn observe_l2(&mut self, pa: PhysAddr, hot: bool) {
         if let Some(reuse) = &mut self.reuse {
-            reuse.observe(SystemBackend::line_of(pa), hot);
+            reuse.observe(LineAddr::of(pa), hot);
         }
     }
 
     /// Applies prefetch timeliness: if the line is still in flight, the
     /// demand access waits for the remaining cycles.
     fn timeliness(&mut self, pa: PhysAddr, raw_latency: u64, now: u64) -> u64 {
-        let line = SystemBackend::line_of(pa).raw();
+        let line = LineAddr::of(pa).raw();
         match self.inflight.get(line) {
             Some(ready) if ready > now => raw_latency.max(ready - now),
             Some(_) => {
@@ -256,12 +252,12 @@ impl MemoryBackend for SystemBackend {
                 self.observe_l2(pa, self.is_hot_code(pc));
                 // Next-line instruction prefetch (Table 1's stride/next-line
                 // prefetcher on the instruction side).
-                let vline = pc.raw() >> 6;
+                let vline = pc.raw() / LINE_BYTES;
                 self.next_line_proposals.clear();
                 let next_line = self.next_line;
                 next_line.propose_into(LineAddr(vline), &mut self.next_line_proposals);
                 for i in 0..self.next_line_proposals.len() {
-                    let next_pc = VirtAddr::new(self.next_line_proposals[i].raw() << 6);
+                    let next_pc = VirtAddr::new(self.next_line_proposals[i].raw() * LINE_BYTES);
                     self.prefetch_ifetch(next_pc, now);
                 }
                 if out.l2_miss() {
@@ -339,7 +335,7 @@ impl MemoryBackend for SystemBackend {
 
     fn prefetch_ifetch(&mut self, pc: VirtAddr, now: u64) {
         let (pa, temperature) = self.mmu.translate(pc);
-        let line = SystemBackend::line_of(pa);
+        let line = LineAddr::of(pa);
         let req = MemoryRequest::fetch(pa, pc).with_temperature(temperature);
         let (level, latency) = self.hierarchy.probe(line, true);
         if level == ServedBy::L1 {

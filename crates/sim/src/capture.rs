@@ -248,7 +248,7 @@ mod tests {
         let meta = capture_trace(&w, &config, &path).expect("capture");
         assert_eq!(meta.instructions, capture_length(&config));
         assert_eq!(meta.name, "capture-test");
-        let header = trrip_trace::open(&path).expect("open").meta().clone();
+        let header = StreamingReplay::open(&path).expect("open").meta().clone();
         assert_eq!(header, meta);
         std::fs::remove_dir_all(&dir).ok();
     }

@@ -95,8 +95,11 @@
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
+use trrip_cache::{CacheConfig, HierarchyConfig};
 use trrip_compiler::{LayoutKind, Profile, Program};
-use trrip_cpu::{BranchInfo, BranchKind, MemOp, StallClass, TraceInstr};
+use trrip_cpu::{
+    BranchInfo, BranchKind, CoreConfig, MemOp, PredictorConfig, StallClass, TraceInstr,
+};
 use trrip_mem::VirtAddr;
 use trrip_os::OverlapPolicy;
 use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
@@ -283,30 +286,54 @@ pub fn warmup_prefix_hash(config: &SimConfig) -> u64 {
 }
 
 fn warmup_hash(config: &SimConfig, memory_system: bool) -> u64 {
+    // No `..` in these patterns: a field added to one of these structs
+    // does not compile until it is hashed here or named as left out.
+    let CoreConfig {
+        dispatch_width,
+        rob_entries,
+        predictor,
+        fdip,
+        fdip_lookahead_instrs,
+        fdip_max_lines,
+        l1_hit_cycles,
+        starvation_threshold,
+        // Used only for reporting.
+        frequency_ghz: _,
+    } = config.core;
+    let PredictorConfig {
+        btb_entries,
+        indirect_btb_entries,
+        loop_entries,
+        global_entries,
+        ras_depth,
+        mispredict_penalty,
+    } = predictor;
     let mut w = SnapWriter::new();
-    w.u64(u64::from(config.core.dispatch_width));
-    w.u64(u64::from(config.core.rob_entries));
-    w.usize(config.core.predictor.btb_entries);
-    w.usize(config.core.predictor.indirect_btb_entries);
-    w.usize(config.core.predictor.loop_entries);
-    w.usize(config.core.predictor.global_entries);
-    w.usize(config.core.predictor.ras_depth);
-    w.u64(config.core.predictor.mispredict_penalty);
-    w.bool(config.core.fdip);
-    w.usize(config.core.fdip_lookahead_instrs);
-    w.usize(config.core.fdip_max_lines);
-    w.u64(config.core.l1_hit_cycles);
-    w.u64(config.core.starvation_threshold);
+    w.u64(u64::from(dispatch_width));
+    w.u64(u64::from(rob_entries));
+    w.usize(btb_entries);
+    w.usize(indirect_btb_entries);
+    w.usize(loop_entries);
+    w.usize(global_entries);
+    w.usize(ras_depth);
+    w.u64(mispredict_penalty);
+    w.bool(fdip);
+    w.usize(fdip_lookahead_instrs);
+    w.usize(fdip_max_lines);
+    w.u64(l1_hit_cycles);
+    w.u64(starvation_threshold);
     if memory_system {
-        let hierarchy = &config.hierarchy;
-        for cache in [&hierarchy.l1i, &hierarchy.l1d, &hierarchy.l2, &hierarchy.slc] {
-            w.u64(cache.size_bytes);
-            w.usize(cache.ways);
-            w.u64(cache.tag_latency);
-            w.u64(cache.data_latency);
+        let HierarchyConfig { l1i, l1d, l2, slc, dram_latency, l2_policy } = &config.hierarchy;
+        for cache in [l1i, l1d, l2, slc] {
+            // The name is a label.
+            let CacheConfig { name: _, size_bytes, ways, tag_latency, data_latency } = cache;
+            w.u64(*size_bytes);
+            w.usize(*ways);
+            w.u64(*tag_latency);
+            w.u64(*data_latency);
         }
-        w.u64(hierarchy.dram_latency);
-        w.str(hierarchy.l2_policy.name());
+        w.u64(*dram_latency);
+        w.str(l2_policy.name());
         w.u64(config.page_size.bytes());
         w.u8(overlap_tag(config.overlap));
     }
@@ -1075,6 +1102,90 @@ fn restore_walker(r: &mut SnapReader<'_>) -> Result<WalkerState, SnapError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trrip_policies::PolicyKind;
+
+    type Flip = fn(&mut SimConfig);
+    type CacheFlip = fn(&mut CacheConfig);
+
+    /// Every field the keys read moves the machine key when flipped
+    /// alone; only the core's fields, the layout and the fast-forward
+    /// length move the prefix key; the fields they leave out move
+    /// neither. Both keys of the paper machine are pinned, so a write
+    /// reordered (and with it every store file name) fails too.
+    #[test]
+    fn every_hashed_field_moves_its_key_and_no_other_does() {
+        let base = SimConfig::paper(PolicyKind::Srrip);
+        assert_eq!(warmup_config_hash(&base), 0x37b2_b070_bc02_4236);
+        assert_eq!(warmup_prefix_hash(&base), 0x6ec3_58d4_5586_acce);
+
+        let frontend: [(&str, Flip); 15] = [
+            ("dispatch_width", |c| c.core.dispatch_width += 1),
+            ("rob_entries", |c| c.core.rob_entries += 1),
+            ("btb_entries", |c| c.core.predictor.btb_entries += 1),
+            ("indirect_btb_entries", |c| c.core.predictor.indirect_btb_entries += 1),
+            ("loop_entries", |c| c.core.predictor.loop_entries += 1),
+            ("global_entries", |c| c.core.predictor.global_entries += 1),
+            ("ras_depth", |c| c.core.predictor.ras_depth += 1),
+            ("mispredict_penalty", |c| c.core.predictor.mispredict_penalty += 1),
+            ("fdip", |c| c.core.fdip = !c.core.fdip),
+            ("fdip_lookahead_instrs", |c| c.core.fdip_lookahead_instrs += 1),
+            ("fdip_max_lines", |c| c.core.fdip_max_lines += 1),
+            ("l1_hit_cycles", |c| c.core.l1_hit_cycles += 1),
+            ("starvation_threshold", |c| c.core.starvation_threshold += 1),
+            ("layout", |c| c.layout = LayoutKind::SourceOrder),
+            ("fast_forward", |c| c.fast_forward += 1),
+        ];
+        let caches: [fn(&mut SimConfig) -> &mut CacheConfig; 4] = [
+            |c| &mut c.hierarchy.l1i,
+            |c| &mut c.hierarchy.l1d,
+            |c| &mut c.hierarchy.l2,
+            |c| &mut c.hierarchy.slc,
+        ];
+        let cache_fields: [(&str, CacheFlip); 4] = [
+            ("size_bytes", |c| c.size_bytes *= 2),
+            ("ways", |c| c.ways *= 2),
+            ("tag_latency", |c| c.tag_latency += 1),
+            ("data_latency", |c| c.data_latency += 1),
+        ];
+        let memory_system: [(&str, Flip); 4] = [
+            ("dram_latency", |c| c.hierarchy.dram_latency += 1),
+            ("l2_policy", |c| c.hierarchy.l2_policy = PolicyKind::Lru),
+            ("page_size", |c| c.page_size = trrip_mem::PageSize::Size16K),
+            ("overlap", |c| c.overlap = OverlapPolicy::Hottest),
+        ];
+        let neither: [(&str, Flip); 7] = [
+            ("frequency_ghz", |c| c.core.frequency_ghz *= 2.0),
+            ("cache name", |c| c.hierarchy.l2.name.push('!')),
+            ("classifier", |c| c.classifier.percentile_hot = 0.5),
+            ("instructions", |c| c.instructions += 1),
+            ("train_instructions", |c| c.train_instructions += 1),
+            ("measure_reuse", |c| c.measure_reuse = !c.measure_reuse),
+            ("track_costly", |c| c.track_costly = !c.track_costly),
+        ];
+
+        let moved = |flip: &dyn Fn(&mut SimConfig)| {
+            let mut config = base.clone();
+            flip(&mut config);
+            (
+                warmup_config_hash(&config) != warmup_config_hash(&base),
+                warmup_prefix_hash(&config) != warmup_prefix_hash(&base),
+            )
+        };
+        for (field, flip) in frontend {
+            assert_eq!(moved(&flip), (true, true), "{field}");
+        }
+        for (level, cache) in caches.into_iter().enumerate() {
+            for (field, flip) in cache_fields {
+                assert_eq!(moved(&|c| flip(cache(c))), (true, false), "cache {level} {field}");
+            }
+        }
+        for (field, flip) in memory_system {
+            assert_eq!(moved(&flip), (true, false), "{field}");
+        }
+        for (field, flip) in neither {
+            assert_eq!(moved(&flip), (false, false), "{field}");
+        }
+    }
 
     fn transient(kind: std::io::ErrorKind) -> CheckpointError {
         CheckpointError::Io(std::io::Error::from(kind))

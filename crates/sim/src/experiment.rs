@@ -1004,12 +1004,6 @@ impl<S> Drop for Bail<'_, '_, S> {
     }
 }
 
-/// Speedup in percent of `cycles` against `baseline_cycles`.
-#[must_use]
-pub fn speedup_vs(baseline_cycles: f64, cycles: f64) -> f64 {
-    (baseline_cycles / cycles - 1.0) * 100.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1166,7 +1160,28 @@ mod tests {
 
     #[test]
     fn speedup_sign_convention() {
-        assert!((speedup_vs(110.0, 100.0) - 10.0).abs() < 1e-9);
-        assert!(speedup_vs(100.0, 110.0) < 0.0);
+        let run = |cycles: f64| SimResult {
+            benchmark: "sign".into(),
+            policy: PolicyKind::Srrip,
+            core: trrip_cpu::CoreResult {
+                instructions: 100,
+                cycles,
+                topdown: Default::default(),
+                branches: 0,
+                mispredictions: 0,
+                dispatch_width: 6,
+            },
+            l1i: Default::default(),
+            l1d: Default::default(),
+            l2: Default::default(),
+            slc: Default::default(),
+            tlb: Default::default(),
+            pages: Default::default(),
+            reuse_base: None,
+            reuse_hot_only: None,
+            costly: None,
+        };
+        assert!((run(100.0).speedup_vs(&run(110.0)) - 10.0).abs() < 1e-9);
+        assert!(run(110.0).speedup_vs(&run(100.0)) < 0.0);
     }
 }

@@ -56,8 +56,7 @@ pub use checkpoint::{
 };
 pub use config::SimConfig;
 pub use experiment::{
-    default_jobs, parallel_map_with, policy_cells, policy_sweep_with, simulate_rows, speedup_vs,
-    SweepResult,
+    default_jobs, parallel_map_with, policy_cells, policy_sweep_with, simulate_rows, SweepResult,
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;

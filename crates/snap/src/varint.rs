@@ -2,9 +2,8 @@
 //!
 //! This machinery started life in `trrip-trace`'s on-disk format and
 //! moved down here so the checkpoint subsystem (and every crate that
-//! implements [`crate::Snapshot`]) can share one encoding. `trrip-trace`
-//! re-exports these items from its `format` module, so existing callers
-//! keep working.
+//! implements [`crate::Snapshot`]) can share one encoding; `trrip-trace`
+//! calls it from here.
 
 use crate::SnapError;
 

@@ -7,51 +7,48 @@
 //! header  := magic:8 version:u16 layout:u8 reserved:u8 chunk_capacity:u32
 //!            instructions:u64 checksum:u64 name_len:u16 name:name_len
 //! chunk   := record_count:u32 payload_len:u32 payload:payload_len
-//! payload := pc_len:varint branch_len:varint mem_len:varint stall_len:varint
-//!            flags:record_count pc:pc_len branch:branch_len
-//!            mem:mem_len stall:stall_len
+//! payload := record{record_count}
+//! record  := flags:u8 pc:varint [target:varint] [addr:varint] [class:u8 cycles:u8]
 //! ```
 //!
 //! All fixed-width fields are little-endian. `instructions` and
-//! `checksum` ([`Checksum`] over every chunk's payload) are fixed-width,
-//! so the writer rewrites the header in place with both when the stream
-//! ends; the `reserved` byte is written zero. The file ends with its
-//! last chunk: a reader goes front to back, stops at the instruction
-//! count and verifies the checksum there, so a cut anywhere fails the
-//! read. A payload rests as it was written, so the bytes a reader
-//! buffers for a chunk are bytes the file holds: a frame that claims
-//! more than the file has left is truncation, found before anything that
-//! large is allocated.
+//! `checksum` ([`trrip_snap::Checksum`] over every chunk's payload) are
+//! fixed-width, so the writer rewrites the header in place with both
+//! when the stream ends; the `reserved` byte is written zero. The file
+//! ends with its last chunk: a reader goes front to back, stops at the
+//! instruction count and verifies the checksum there, so a cut anywhere
+//! fails the read. A payload rests as it was written, so the bytes a
+//! reader buffers for a chunk are bytes the file holds: a frame that
+//! claims more than the file has left is truncation, found before
+//! anything that large is allocated.
 //!
 //! There is one version, [`VERSION`], and the reader accepts no other:
 //! a file of any other version is [`TraceError::UnsupportedVersion`] —
 //! capture it again.
 //!
-//! # The payload is the record codec
-//!
-//! A chunk's records are stored **columnar**: one stream per field —
-//! flags, PC deltas, branch-target deltas, memory deltas, stall pairs —
-//! each contiguous, prefixed by the four variable stream lengths (the
-//! flags stream is exactly `record_count` bytes). The writer appends
-//! each field straight to its stream; the reader decodes instructions
-//! straight from the streams. The header checksum covers every payload
-//! byte.
-//!
 //! # Records
 //!
-//! Each record's flags byte packs the branch kind into the top three
-//! bits; the varint fields the flags call for go to their streams:
+//! A payload is its records in stream order, read with one cursor. Each
+//! record's flags byte says which fields follow and packs the branch
+//! kind into its top three bits; the fields are zigzag varint deltas:
 //!
-//! * `pc` — zigzag delta against the *expected* next PC (the previous
-//!   instruction's fall-through or taken target), so sequential flow
-//!   costs one `0x00` byte;
-//! * branch `target` — zigzag delta against `pc + 4`;
-//! * memory `addr` — zigzag delta against the previous memory operand in
-//!   the chunk (data streams revisit the same regions);
+//! * `pc` — against the *expected* next PC (the previous instruction's
+//!   fall-through or taken target), so sequential flow costs one `0x00`
+//!   byte;
+//! * branch `target` — against `pc + 4`;
+//! * memory `addr` — against the previous memory operand in the chunk
+//!   (data streams revisit the same regions);
 //! * stall — class byte + cycle count byte.
 //!
 //! Delta state resets at every chunk boundary, so any chunk can be
-//! decoded knowing only the header.
+//! decoded knowing only the header. A record is at least two bytes, a
+//! flags byte and a PC varint, which bounds how many records a payload
+//! can claim before anything is reserved for them.
+//!
+//! Versions 2 to 7 stored each field in a column of its own. The columns
+//! were there for LZ, which interleaved rows capped at a 0.75× ratio;
+//! with LZ gone (v7), rows rest in as few bytes and decode with one
+//! cursor.
 
 use std::fmt;
 
@@ -59,10 +56,10 @@ use trrip_cpu::{BranchKind, StallClass};
 
 /// File magic: `b"TRRIPTRC"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPTRC";
-/// The format version, and the only one the reader accepts: v7, the
-/// columnar payload as the record codec, at rest as written and
-/// checksummed as written, and no footer after the last chunk.
-pub const VERSION: u16 = 7;
+/// The format version, and the only one the reader accepts: v8, records
+/// in stream order, at rest as written and checksummed as written, and
+/// no footer after the last chunk.
+pub const VERSION: u16 = 8;
 /// Bytes of a chunk frame (`record_count:u32 payload_len:u32`).
 pub const CHUNK_FRAME_LEN: usize = 8;
 /// Records per full chunk (the streaming granularity). 64 Ki records
@@ -84,8 +81,6 @@ pub enum TraceLayout {
     SourceOrder,
     /// PGO binary with temperature sections.
     Pgo,
-    /// Imported/foreign trace with no layout provenance.
-    Foreign,
 }
 
 impl TraceLayout {
@@ -95,7 +90,6 @@ impl TraceLayout {
         match self {
             TraceLayout::SourceOrder => 0,
             TraceLayout::Pgo => 1,
-            TraceLayout::Foreign => 2,
         }
     }
 
@@ -105,7 +99,6 @@ impl TraceLayout {
         match raw {
             0 => Some(TraceLayout::SourceOrder),
             1 => Some(TraceLayout::Pgo),
-            2 => Some(TraceLayout::Foreign),
             _ => None,
         }
     }
@@ -116,7 +109,6 @@ impl TraceLayout {
         match self {
             TraceLayout::SourceOrder => "plain",
             TraceLayout::Pgo => "pgo",
-            TraceLayout::Foreign => "foreign",
         }
     }
 }
@@ -130,14 +122,15 @@ impl fmt::Display for TraceLayout {
 /// Workload metadata carried by the header.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceMeta {
-    /// Workload name (UTF-8, at most 64 KiB).
+    /// Workload name (UTF-8, at most [`MAX_NAME_LEN`] bytes).
     pub name: String,
     /// Code layout the trace was captured under.
     pub layout: TraceLayout,
     /// Dynamic instructions in the trace.
     pub instructions: u64,
-    /// [`Checksum`] (word-folded 64-bit hash — *not* FNV-1a; see that
-    /// type for the exact algorithm) over every chunk payload byte.
+    /// [`trrip_snap::Checksum`] (word-folded 64-bit hash — *not* FNV-1a;
+    /// see that type for the exact algorithm) over every chunk payload
+    /// byte.
     pub checksum: u64,
     /// Records per full chunk.
     pub chunk_capacity: u32,
@@ -192,31 +185,6 @@ impl From<std::io::Error> for TraceError {
     fn from(e: std::io::Error) -> TraceError {
         TraceError::Io(e)
     }
-}
-
-// ---- checksum + varints ----
-//
-// The byte-level machinery (LEB128 varints, zigzag mapping, and the
-// word-folded payload checksum) moved to `trrip-snap` so the checkpoint
-// subsystem shares the exact same codec; it is re-exported here so
-// existing `trrip_trace::format` callers keep working.
-
-pub use trrip_snap::{push_signed, push_varint, unzigzag, zigzag, Checksum};
-
-impl From<trrip_snap::SnapError> for TraceError {
-    fn from(e: trrip_snap::SnapError) -> TraceError {
-        TraceError::Corrupt(e.to_string())
-    }
-}
-
-/// Reads a LEB128 varint from `buf[*pos..]`, advancing `pos`.
-pub fn read_varint(buf: &[u8], pos: &mut usize) -> Result<u64, TraceError> {
-    Ok(trrip_snap::read_varint(buf, pos)?)
-}
-
-/// Reads a zigzag-encoded signed varint.
-pub fn read_signed(buf: &[u8], pos: &mut usize) -> Result<i64, TraceError> {
-    Ok(trrip_snap::read_signed(buf, pos)?)
 }
 
 // ---- record fields ----
@@ -302,23 +270,4 @@ pub fn encode_header(meta: &TraceMeta) -> Vec<u8> {
     buf.extend_from_slice(&(name.len() as u16).to_le_bytes());
     buf.extend_from_slice(name);
     buf
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn varint_round_trips_through_shared_codec() {
-        // The codec itself is tested in `trrip-snap`; this pins the
-        // re-export plumbing (and the SnapError → TraceError mapping).
-        let mut buf = Vec::new();
-        push_varint(&mut buf, 300);
-        push_signed(&mut buf, -7);
-        let mut pos = 0;
-        assert_eq!(read_varint(&buf, &mut pos).unwrap(), 300);
-        assert_eq!(read_signed(&buf, &mut pos).unwrap(), -7);
-        let mut short = 0;
-        assert!(matches!(read_varint(&[0x80], &mut short), Err(TraceError::Corrupt(_))));
-    }
 }

@@ -6,11 +6,12 @@ use std::path::Path;
 
 use trrip_cpu::{BranchInfo, MemOp, TraceInstr};
 use trrip_mem::VirtAddr;
+use trrip_snap::{unzigzag, Checksum};
 
 use crate::format::{
-    kind_from_bits, read_varint, stall_from_bits, unzigzag, Checksum, TraceError, TraceLayout,
-    TraceMeta, CHUNK_FRAME_LEN, FLAG_BRANCH, FLAG_MEM, FLAG_STALL, FLAG_STORE, FLAG_TAKEN,
-    HEADER_FIXED_LEN, KIND_SHIFT, MAGIC, MAX_NAME_LEN, VERSION,
+    kind_from_bits, stall_from_bits, TraceError, TraceLayout, TraceMeta, CHUNK_FRAME_LEN,
+    FLAG_BRANCH, FLAG_MEM, FLAG_STALL, FLAG_STORE, FLAG_TAKEN, HEADER_FIXED_LEN, KIND_SHIFT, MAGIC,
+    MAX_NAME_LEN, VERSION,
 };
 use crate::source::TraceSource;
 
@@ -25,11 +26,47 @@ const MAX_CHUNK_PAYLOAD: u32 = 64 << 20;
 pub struct TraceReader<R: Read> {
     source: R,
     meta: TraceMeta,
-    /// Instructions not yet handed out.
+    /// Instructions not yet read.
     remaining: u64,
+    /// Leading records still to decode and drop.
+    skip: u64,
     checksum: Checksum,
-    /// Columnar-payload scratch, reused across reads.
+    /// Payload scratch, reused across reads.
     payload: Vec<u8>,
+}
+
+/// A [`TraceSource`] over a trace file, read front to back on the
+/// caller's thread and verified against the header checksum as it goes.
+/// The header is validated at open (so open errors are synchronous); a
+/// corrupt payload panics mid-replay, naming the trace.
+pub type StreamingReplay = TraceReader<BufReader<File>>;
+
+impl TraceReader<BufReader<File>> {
+    /// Opens `path` at its first instruction.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceReader::open_at`].
+    pub fn open(path: &Path) -> Result<StreamingReplay, TraceError> {
+        TraceReader::open_at(path, 0)
+    }
+
+    /// Opens `path` positioned `skip` instructions in: the first record
+    /// handed out is number `skip` of the trace.
+    ///
+    /// The reader decodes the first `skip` records and drops them, so the
+    /// skipped prefix is read and checksum-verified like the rest: damage
+    /// anywhere in the file fails the read. A `skip` at or beyond the end
+    /// of the trace yields an exhausted (and still verified) stream.
+    ///
+    /// # Errors
+    ///
+    /// As [`TraceReader::new`], plus file-open failures.
+    pub fn open_at(path: &Path, skip: u64) -> Result<StreamingReplay, TraceError> {
+        let mut reader = TraceReader::new(BufReader::new(File::open(path)?))?;
+        reader.skip = skip;
+        Ok(reader)
+    }
 }
 
 impl<R: Read> TraceReader<R> {
@@ -71,6 +108,7 @@ impl<R: Read> TraceReader<R> {
             source,
             meta: TraceMeta { name, layout, instructions, checksum, chunk_capacity },
             remaining: instructions,
+            skip: 0,
             checksum: Checksum::new(),
             payload: Vec::new(),
         })
@@ -82,10 +120,10 @@ impl<R: Read> TraceReader<R> {
         &self.meta
     }
 
-    /// Decodes the next chunk, appending its records to `out`. Returns
-    /// the number of records appended; `0` means the trace is complete
-    /// (and the checksum verified). Framing is validated, the payload
-    /// read and checksummed, then decoded straight from its columns.
+    /// Appends the next chunk's records to `out`, less any still to skip,
+    /// and returns how many it appended; `0` means the trace is complete
+    /// (and the checksum verified). A chunk the skip swallows whole is
+    /// read, checksummed and decoded, then the next one is.
     ///
     /// # Errors
     ///
@@ -94,6 +132,23 @@ impl<R: Read> TraceReader<R> {
     /// in place, [`TraceError::Io`] for truncation and other underlying
     /// failures.
     pub fn read_chunk(&mut self, out: &mut Vec<TraceInstr>) -> Result<usize, TraceError> {
+        loop {
+            let start = out.len();
+            let decoded = self.decode_next_chunk(out)?;
+            let dropped = decoded.min(usize::try_from(self.skip).unwrap_or(usize::MAX));
+            if dropped > 0 {
+                out.drain(start..start + dropped);
+                self.skip -= dropped as u64;
+            }
+            if decoded == 0 || decoded > dropped {
+                return Ok(decoded - dropped);
+            }
+        }
+    }
+
+    /// Validates the next frame, reads and checksums its payload, then
+    /// decodes every record of it into `out`.
+    fn decode_next_chunk(&mut self, out: &mut Vec<TraceInstr>) -> Result<usize, TraceError> {
         if self.remaining == 0 {
             // Covers the empty-trace case; non-empty traces were already
             // verified when their final chunk was produced.
@@ -177,16 +232,20 @@ impl<R: Read> TraceReader<R> {
     }
 }
 
-/// A cursor over one varint column of a chunk payload.
-struct Column<'a> {
+/// The one cursor a payload is read with, front to back.
+struct Rows<'a> {
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Column<'_> {
-    /// The next zigzag varint, a byte at a time: the fast way through a
-    /// column of mostly one-byte values (PC deltas of sequential flow),
-    /// which leave the loop at once.
+impl Rows<'_> {
+    fn byte(&mut self) -> Result<u8, &'static str> {
+        let &byte = self.bytes.get(self.pos).ok_or("the payload ends before its last record")?;
+        self.pos += 1;
+        Ok(byte)
+    }
+
+    /// The next zigzag varint, a byte at a time.
     #[inline]
     fn signed(&mut self) -> Result<i64, &'static str> {
         let mut value = 0u64;
@@ -198,60 +257,49 @@ impl Column<'_> {
                 return Ok(unzigzag(value));
             }
         }
-        Err("a column ends inside a varint, or one runs past 64 bits")
+        Err(if self.bytes.len() - self.pos < 10 {
+            "a record ends inside a varint"
+        } else {
+            "a varint runs past 64 bits"
+        })
     }
 
-    /// The next zigzag varint, eight bytes at once: the fast way through
-    /// a column of mostly multi-byte values (memory and branch-target
-    /// deltas), where a byte loop's exit is guessed wrong a third of the
-    /// time. The length
-    /// is the first clear continuation bit; three shift-and-mask steps
-    /// pack the 7-bit groups. A varint that does not end within eight
-    /// readable bytes (at the column's end, or past 56 bits) takes
-    /// [`Column::signed`].
-    #[inline]
-    fn signed_wide(&mut self) -> Result<i64, &'static str> {
-        if let Some(&word) = self.bytes[self.pos..].first_chunk::<8>() {
-            let word = u64::from_le_bytes(word);
-            let stop = (!word & 0x8080_8080_8080_8080).trailing_zeros();
-            if stop < 64 {
-                self.pos += (stop as usize + 1) / 8;
-                let x = word & (u64::MAX >> (63 - stop)) & 0x7F7F_7F7F_7F7F_7F7F;
-                let x = (x & 0x007F_007F_007F_007F) | ((x & 0x7F00_7F00_7F00_7F00) >> 1);
-                let x = (x & 0x0000_3FFF_0000_3FFF) | ((x & 0x3FFF_0000_3FFF_0000) >> 2);
-                let x = (x & 0x0000_0000_0FFF_FFFF) | ((x & 0x0FFF_FFFF_0000_0000) >> 4);
-                return Ok(unzigzag(x));
-            }
-        }
-        self.signed()
-    }
-
-    fn is_spent(&self) -> bool {
-        self.pos == self.bytes.len()
+    fn stall_pair(&mut self) -> Result<[u8; 2], &'static str> {
+        let pair = self.bytes[self.pos..].first_chunk::<2>().ok_or("a stall pair is cut short")?;
+        self.pos += 2;
+        Ok(*pair)
     }
 }
 
-/// Decodes one chunk's columnar `payload` holding
-/// `record_count` records, appending them to `out`. Chunks are
-/// self-contained (delta state resets at every chunk boundary), so this
-/// is safe to call on any chunk in any order. Bounds-checked throughout:
-/// arbitrary bytes under any record count produce
-/// [`TraceError::Corrupt`] or instructions, never a panic. Every decoded
-/// record counts toward `trace.records_decoded`, once per chunk: the
-/// counter is how a test sees that a positioned replay decodes its
-/// skipped prefix too.
+/// Decodes one chunk's `payload` holding `record_count` records,
+/// appending them to `out`. Chunks are self-contained (delta state
+/// resets at every chunk boundary), so this is safe to call on any chunk
+/// in any order. Bounds-checked throughout: arbitrary bytes under any
+/// record count produce [`TraceError::Corrupt`] or instructions, never a
+/// panic, and nothing is reserved for more records than the payload can
+/// hold. Every decoded record counts toward `trace.records_decoded`,
+/// once per chunk: the counter is how a test sees that a positioned
+/// replay decodes its skipped prefix too.
 ///
 /// # Errors
 ///
-/// [`TraceError::Corrupt`] when the stream lengths disagree with the
-/// payload, a stream ends before its last record's field, a field is
-/// out of range, or a stream is longer than its records use.
+/// [`TraceError::Corrupt`], naming what is wrong, when the record count
+/// is more than the payload can hold, a record is cut short, a field is
+/// out of range, or bytes follow the last record.
 pub fn decode_chunk(
     payload: &[u8],
     record_count: u32,
     out: &mut Vec<TraceInstr>,
 ) -> Result<(), TraceError> {
-    decode_columns(payload, record_count as usize, out)
+    // A record is at least a flags byte and a one-byte PC delta.
+    if record_count as usize > payload.len() / 2 {
+        return Err(TraceError::Corrupt(format!(
+            "{record_count} records claimed, a {}-byte payload holds at most {}",
+            payload.len(),
+            payload.len() / 2
+        )));
+    }
+    decode_rows(payload, record_count as usize, out)
         .map_err(|what| TraceError::Corrupt(what.into()))?;
     trrip_obs::counter!("trace.records_decoded").add(u64::from(record_count));
     Ok(())
@@ -259,34 +307,17 @@ pub fn decode_chunk(
 
 /// [`decode_chunk`]'s loop, with an error small enough to keep off the
 /// hot path: it names what is wrong.
-fn decode_columns(payload: &[u8], n: usize, out: &mut Vec<TraceInstr>) -> Result<(), &'static str> {
-    let mut pos = 0;
-    let mut lens = [0usize; 4];
-    for len in &mut lens {
-        let raw = read_varint(payload, &mut pos).map_err(|_| "a stream length is cut short")?;
-        *len = usize::try_from(raw).unwrap_or(usize::MAX);
-    }
-    if lens.iter().try_fold(n, |acc, &len| acc.checked_add(len)) != Some(payload.len() - pos) {
-        return Err("columnar stream lengths disagree with the payload");
-    }
-    let [pc_len, branch_len, mem_len, _] = lens;
-    let (flags, rest) = payload[pos..].split_at(n);
-    let (pcs, rest) = rest.split_at(pc_len);
-    let (branches, rest) = rest.split_at(branch_len);
-    let (mems, stalls) = rest.split_at(mem_len);
-    let mut pcs = Column { bytes: pcs, pos: 0 };
-    let mut branches = Column { bytes: branches, pos: 0 };
-    let mut mems = Column { bytes: mems, pos: 0 };
-    let mut stalls = stalls.chunks_exact(2);
-
+fn decode_rows(payload: &[u8], n: usize, out: &mut Vec<TraceInstr>) -> Result<(), &'static str> {
+    let mut rows = Rows { bytes: payload, pos: 0 };
     out.reserve(n);
     let (mut expected_pc, mut prev_mem) = (0u64, 0u64);
-    for &flags in flags {
-        let pc = expected_pc.wrapping_add(pcs.signed()? as u64);
+    for _ in 0..n {
+        let flags = rows.byte()?;
+        let pc = expected_pc.wrapping_add(rows.signed()? as u64);
         expected_pc = pc.wrapping_add(4);
         let branch = if flags & FLAG_BRANCH != 0 {
             let kind = kind_from_bits(flags >> KIND_SHIFT).ok_or("invalid branch kind")?;
-            let target = expected_pc.wrapping_add(branches.signed_wide()? as u64);
+            let target = expected_pc.wrapping_add(rows.signed()? as u64);
             let taken = flags & FLAG_TAKEN != 0;
             if taken {
                 expected_pc = target;
@@ -296,22 +327,21 @@ fn decode_columns(payload: &[u8], n: usize, out: &mut Vec<TraceInstr>) -> Result
             None
         };
         let mem = if flags & FLAG_MEM != 0 {
-            prev_mem = prev_mem.wrapping_add(mems.signed_wide()? as u64);
+            prev_mem = prev_mem.wrapping_add(rows.signed()? as u64);
             Some(MemOp { addr: VirtAddr::new(prev_mem), store: flags & FLAG_STORE != 0 })
         } else {
             None
         };
         let exec_stall = if flags & FLAG_STALL != 0 {
-            let pair = stalls.next().ok_or("stall stream ends mid-pair")?;
-            Some((stall_from_bits(pair[0]).ok_or("invalid stall class")?, pair[1]))
+            let [class, cycles] = rows.stall_pair()?;
+            Some((stall_from_bits(class).ok_or("invalid stall class")?, cycles))
         } else {
             None
         };
         out.push(TraceInstr { pc: VirtAddr::new(pc), branch, mem, exec_stall });
     }
-    let stalls_spent = stalls.len() == 0 && stalls.remainder().is_empty();
-    if !(pcs.is_spent() && branches.is_spent() && mems.is_spent() && stalls_spent) {
-        return Err("columnar streams longer than their records use");
+    if rows.pos != payload.len() {
+        return Err("bytes after the last record");
     }
     Ok(())
 }
@@ -319,41 +349,33 @@ fn decode_columns(payload: &[u8], n: usize, out: &mut Vec<TraceInstr>) -> Result
 impl<R: Read> TraceSource for TraceReader<R> {
     /// # Panics
     ///
-    /// Panics if the trace turns out to be corrupt mid-stream; header
-    /// problems are caught earlier, at [`TraceReader::new`]. Callers who
-    /// need recoverable errors use [`TraceReader::read_chunk`] directly.
+    /// Panics if the trace turns out to be corrupt mid-stream, skipped
+    /// prefix included; header problems are caught earlier, at
+    /// [`TraceReader::new`]. Callers who need recoverable errors use
+    /// [`TraceReader::read_chunk`] directly.
     fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
         self.read_chunk(out).unwrap_or_else(|e| panic!("replaying trace {}: {e}", self.meta.name))
     }
-}
-
-/// Opens a trace file for streaming.
-///
-/// # Errors
-///
-/// As [`TraceReader::new`], plus file-open failures.
-pub fn open(path: &Path) -> Result<TraceReader<BufReader<File>>, TraceError> {
-    TraceReader::new(BufReader::new(File::open(path)?))
 }
 
 #[cfg(test)]
 mod tests {
     use std::io::Cursor;
 
+    use trrip_cpu::{BranchKind, StallClass};
+    use trrip_snap::{push_signed, push_varint};
+
     use super::*;
+    use crate::format::{kind_to_bits, stall_to_bits};
     use crate::writer::TraceWriter;
 
     /// A capture whose first frame claims [`MAX_CHUNK_PAYLOAD`] bytes is
     /// an error, and reading it allocates no more than the file holds.
     #[test]
     fn a_frame_is_believed_only_as_far_as_the_file_holds_bytes() {
-        let mut writer = TraceWriter::with_chunk_capacity(
-            Cursor::new(Vec::new()),
-            "big",
-            TraceLayout::Foreign,
-            64,
-        )
-        .expect("header");
+        let mut writer =
+            TraceWriter::with_chunk_capacity(Cursor::new(Vec::new()), "big", TraceLayout::Pgo, 64)
+                .expect("header");
         writer.write_all((0..200).map(|i| TraceInstr::simple(0x1000 + i * 4))).expect("records");
         let mut bytes = writer.finish_into_inner().expect("finish").into_inner();
         let payload_len_at = HEADER_FIXED_LEN + "big".len() + 4;
@@ -371,5 +393,95 @@ mod tests {
             "{capacity} bytes buffered from a {}-byte file",
             bytes.len()
         );
+    }
+
+    /// `decode_chunk`'s error message for `payload` under `record_count`.
+    fn damage(payload: &[u8], record_count: u32) -> String {
+        let mut out = Vec::new();
+        match decode_chunk(payload, record_count, &mut out) {
+            Err(TraceError::Corrupt(what)) => what,
+            other => panic!("{payload:?} × {record_count}: {other:?}"),
+        }
+    }
+
+    /// One record: a taken call with a load and a stall pair, every
+    /// optional field present.
+    fn full_record() -> Vec<u8> {
+        let flags = FLAG_BRANCH
+            | FLAG_TAKEN
+            | FLAG_MEM
+            | FLAG_STALL
+            | (kind_to_bits(BranchKind::Call) << KIND_SHIFT);
+        let mut record = vec![flags];
+        push_signed(&mut record, 0x1000);
+        push_signed(&mut record, -0x40_0000);
+        push_signed(&mut record, 0x7fff_0000);
+        record.extend_from_slice(&[stall_to_bits(StallClass::Mem), 9]);
+        record
+    }
+
+    #[test]
+    fn the_full_record_decodes() {
+        let mut out = Vec::new();
+        decode_chunk(&full_record(), 1, &mut out).expect("a whole record");
+        let [instr] = out[..] else { panic!("{out:?}") };
+        assert_eq!(instr.pc.raw(), 0x1000);
+        let branch = instr.branch.expect("a branch");
+        assert_eq!((branch.kind, branch.taken), (BranchKind::Call, true));
+        assert_eq!(branch.target.raw(), 0x1004_u64.wrapping_sub(0x40_0000));
+        assert_eq!(instr.mem.map(|m| (m.addr.raw(), m.store)), Some((0x7fff_0000, false)));
+        assert_eq!(instr.exec_stall, Some((StallClass::Mem, 9)));
+    }
+
+    #[test]
+    fn a_record_cut_inside_a_varint_is_named() {
+        let record = full_record();
+        // Byte 1 starts the PC varint (two bytes), byte 3 the target's.
+        for cut in [2, 4] {
+            assert!(damage(&record[..cut], 1).contains("ends inside a varint"), "cut at {cut}");
+        }
+        let mut runaway = vec![0u8];
+        runaway.extend_from_slice(&[0xFF; 11]);
+        assert!(damage(&runaway, 1).contains("runs past 64 bits"));
+    }
+
+    #[test]
+    fn a_stall_pair_cut_short_is_named() {
+        let record = full_record();
+        assert!(damage(&record[..record.len() - 1], 1).contains("stall pair is cut short"));
+    }
+
+    #[test]
+    fn bytes_after_the_last_record_are_named() {
+        let mut payload = full_record();
+        payload.push(0);
+        assert!(damage(&payload, 1).contains("bytes after the last record"));
+        assert!(damage(&[0, 0], 0).contains("bytes after the last record"));
+    }
+
+    #[test]
+    fn out_of_range_kinds_and_classes_are_named() {
+        let mut bad_kind = vec![FLAG_BRANCH | (6 << KIND_SHIFT)];
+        push_signed(&mut bad_kind, 0);
+        push_signed(&mut bad_kind, 0);
+        assert!(damage(&bad_kind, 1).contains("invalid branch kind"));
+
+        let mut bad_class = vec![FLAG_STALL];
+        push_signed(&mut bad_class, 0);
+        bad_class.extend_from_slice(&[6, 1]);
+        assert!(damage(&bad_class, 1).contains("invalid stall class"));
+    }
+
+    #[test]
+    fn a_record_count_the_payload_cannot_hold_is_refused_before_reserving() {
+        let mut payload = Vec::new();
+        push_varint(&mut payload, 0);
+        push_varint(&mut payload, 0);
+        assert!(damage(&payload, 2).contains("2 records claimed, a 2-byte payload holds at most 1"));
+        // A claim the size of the address space is refused, not reserved:
+        // nothing was pushed and nothing was allocated for it.
+        let mut out = Vec::new();
+        assert!(decode_chunk(&payload, u32::MAX, &mut out).is_err());
+        assert_eq!(out.capacity(), 0);
     }
 }

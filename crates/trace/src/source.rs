@@ -90,8 +90,8 @@ impl<S: TraceSource> Iterator for SourceIter<S> {
     }
 }
 
-/// A [`TraceSource`] over an in-memory instruction sequence (foreign
-/// trace imports and tests).
+/// A [`TraceSource`] over an in-memory instruction sequence (tests and
+/// the ruler's layer probes).
 #[derive(Debug)]
 pub struct VecSource {
     instrs: std::vec::IntoIter<TraceInstr>,

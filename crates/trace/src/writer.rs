@@ -5,38 +5,31 @@ use std::io::{self, BufWriter, Seek, Write};
 use std::path::Path;
 
 use trrip_cpu::TraceInstr;
+use trrip_snap::{push_signed, Checksum};
 
 use crate::format::{
-    encode_header, kind_to_bits, push_signed, push_varint, stall_to_bits, Checksum, TraceLayout,
-    TraceMeta, CHUNK_CAPACITY, FLAG_BRANCH, FLAG_MEM, FLAG_STALL, FLAG_STORE, FLAG_TAKEN,
-    KIND_SHIFT,
+    encode_header, kind_to_bits, stall_to_bits, TraceLayout, TraceMeta, CHUNK_CAPACITY,
+    FLAG_BRANCH, FLAG_MEM, FLAG_STALL, FLAG_STORE, FLAG_TAKEN, KIND_SHIFT,
 };
 
-/// Writes a trace file incrementally: each record's fields are appended
-/// straight to the chunk's columns (see `crate::format`), and a chunk
-/// that fills is assembled into its payload and flushed, so capture
-/// memory stays O(chunk) regardless of trace length.
-/// [`TraceWriter::finish`] flushes the tail chunk, then rewinds and
-/// rewrites the header with the instruction count and checksum filled
-/// in.
+/// Writes a trace file incrementally: each record is appended to the
+/// chunk's payload as it comes (see `crate::format`), and a chunk that
+/// fills is framed and flushed, so capture memory stays O(chunk)
+/// regardless of trace length. [`TraceWriter::finish`] flushes the tail
+/// chunk, then rewinds and rewrites the header with the instruction
+/// count and checksum filled in.
 #[derive(Debug)]
 pub struct TraceWriter<W: Write + Seek> {
     sink: W,
     meta: TraceMeta,
-    /// The chunk's flags column: one byte per record.
-    flags: Vec<u8>,
-    /// The chunk's varint columns: PC, branch-target and memory deltas.
-    pcs: Vec<u8>,
-    branches: Vec<u8>,
-    mems: Vec<u8>,
-    /// The chunk's stall column: class and cycle bytes.
-    stalls: Vec<u8>,
+    /// The chunk's records so far, reused across flushes.
+    payload: Vec<u8>,
+    /// Records in `payload`.
+    records: u32,
     /// The PC the next instruction lands on if flow is sequential.
     expected_pc: u64,
     /// The chunk's previous memory operand address.
     prev_mem: u64,
-    /// The assembled columnar payload, reused across flushes.
-    payload: Vec<u8>,
     checksum: Checksum,
 }
 
@@ -78,14 +71,10 @@ impl<W: Write + Seek> TraceWriter<W> {
         Ok(TraceWriter {
             sink,
             meta,
-            flags: Vec::with_capacity(chunk_capacity as usize),
-            pcs: Vec::new(),
-            branches: Vec::new(),
-            mems: Vec::new(),
-            stalls: Vec::new(),
+            payload: Vec::new(),
+            records: 0,
             expected_pc: 0,
             prev_mem: 0,
-            payload: Vec::new(),
             checksum: Checksum::new(),
         })
     }
@@ -97,36 +86,43 @@ impl<W: Write + Seek> TraceWriter<W> {
     /// Propagates I/O failures flushing a full chunk.
     pub fn write(&mut self, instr: &TraceInstr) -> io::Result<()> {
         let pc = instr.pc.raw();
-        push_signed(&mut self.pcs, pc.wrapping_sub(self.expected_pc) as i64);
         let mut flags = 0u8;
         if let Some(b) = instr.branch {
             flags |= FLAG_BRANCH | (kind_to_bits(b.kind) << KIND_SHIFT);
             if b.taken {
                 flags |= FLAG_TAKEN;
             }
-            push_signed(&mut self.branches, b.target.raw().wrapping_sub(pc.wrapping_add(4)) as i64);
         }
         if let Some(m) = instr.mem {
             flags |= FLAG_MEM;
             if m.store {
                 flags |= FLAG_STORE;
             }
-            push_signed(&mut self.mems, m.addr.raw().wrapping_sub(self.prev_mem) as i64);
+        }
+        if instr.exec_stall.is_some() {
+            flags |= FLAG_STALL;
+        }
+        self.payload.push(flags);
+        push_signed(&mut self.payload, pc.wrapping_sub(self.expected_pc) as i64);
+        if let Some(b) = instr.branch {
+            push_signed(&mut self.payload, b.target.raw().wrapping_sub(pc.wrapping_add(4)) as i64);
+        }
+        if let Some(m) = instr.mem {
+            push_signed(&mut self.payload, m.addr.raw().wrapping_sub(self.prev_mem) as i64);
             self.prev_mem = m.addr.raw();
         }
         if let Some((class, cycles)) = instr.exec_stall {
-            flags |= FLAG_STALL;
-            self.stalls.extend_from_slice(&[stall_to_bits(class), cycles]);
+            self.payload.extend_from_slice(&[stall_to_bits(class), cycles]);
         }
-        self.flags.push(flags);
-        // Wrapping, like every delta here: no PC (a foreign trace's) can
-        // overflow the fall-through.
+        // Wrapping, like every delta here: no PC can overflow the
+        // fall-through.
         self.expected_pc = match instr.branch {
             Some(b) if b.taken => b.target.raw(),
             _ => pc.wrapping_add(4),
         };
+        self.records += 1;
         self.meta.instructions += 1;
-        if self.flags.len() == self.meta.chunk_capacity as usize {
+        if self.records == self.meta.chunk_capacity {
             self.flush_chunk()?;
         }
         Ok(())
@@ -145,26 +141,15 @@ impl<W: Write + Seek> TraceWriter<W> {
     }
 
     fn flush_chunk(&mut self) -> io::Result<()> {
-        if self.flags.is_empty() {
+        if self.records == 0 {
             return Ok(());
         }
-        // The flags column's length is the record count; the other four
-        // lead the payload with theirs.
-        let sized = [&mut self.pcs, &mut self.branches, &mut self.mems, &mut self.stalls];
-        self.payload.clear();
-        for column in &sized {
-            push_varint(&mut self.payload, column.len() as u64);
-        }
-        self.payload.extend_from_slice(&self.flags);
-        for column in sized {
-            self.payload.extend_from_slice(column);
-            column.clear();
-        }
         self.checksum.update(&self.payload);
-        self.sink.write_all(&(self.flags.len() as u32).to_le_bytes())?;
+        self.sink.write_all(&self.records.to_le_bytes())?;
         self.sink.write_all(&(self.payload.len() as u32).to_le_bytes())?;
         self.sink.write_all(&self.payload)?;
-        self.flags.clear();
+        self.payload.clear();
+        self.records = 0;
         self.expected_pc = 0;
         self.prev_mem = 0;
         Ok(())
@@ -222,10 +207,5 @@ pub fn create(
     if let Some(parent) = path.parent() {
         std::fs::create_dir_all(parent)?;
     }
-    TraceWriter::with_chunk_capacity(
-        BufWriter::new(File::create(path)?),
-        name,
-        layout,
-        CHUNK_CAPACITY,
-    )
+    TraceWriter::new(BufWriter::new(File::create(path)?), name, layout)
 }

@@ -7,7 +7,6 @@ use std::io::Cursor;
 use proptest::prelude::*;
 use trrip_cpu::{BranchInfo, BranchKind, MemOp, StallClass, TraceInstr};
 use trrip_mem::VirtAddr;
-use trrip_trace::format::push_varint;
 use trrip_trace::{decode_chunk, SourceIter, TraceError, TraceLayout, TraceReader, TraceWriter};
 
 fn arb_branch() -> impl Strategy<Value = Option<BranchInfo>> {
@@ -67,7 +66,7 @@ fn write_trace(instrs: &[TraceInstr], chunk_capacity: u32) -> Vec<u8> {
     let mut writer = TraceWriter::with_chunk_capacity(
         Cursor::new(Vec::new()),
         "prop",
-        TraceLayout::Foreign,
+        TraceLayout::Pgo,
         chunk_capacity,
     )
     .expect("header");
@@ -90,7 +89,7 @@ proptest! {
         let mut reader = TraceReader::new(Cursor::new(&bytes)).expect("header");
         prop_assert_eq!(reader.meta().instructions, instrs.len() as u64);
         prop_assert_eq!(reader.meta().name.as_str(), "prop");
-        prop_assert_eq!(reader.meta().layout, TraceLayout::Foreign);
+        prop_assert_eq!(reader.meta().layout, TraceLayout::Pgo);
         let decoded = reader.read_to_end().expect("decode");
         prop_assert_eq!(decoded, instrs);
     }
@@ -162,36 +161,23 @@ proptest! {
         prop_assert!(failed, "corrupted byte at {target} went unnoticed");
     }
 
-    /// Arbitrary bytes as a chunk's columnar payload, under arbitrary
-    /// record counts, decode to an error or to exactly that many
-    /// instructions — never a panic. Half the cases frame five arbitrary
-    /// streams with their true lengths (the flags stream's length is the
-    /// record count), so the record loop meets garbage too, not only the
-    /// length check in front of it.
+    /// Arbitrary bytes as a chunk's payload, under arbitrary record
+    /// counts, decode to an error or to exactly that many instructions —
+    /// never a panic, and never a reserve for more records than the
+    /// payload can hold. Half the cases claim as many records as the
+    /// payload's length allows, so the record loop meets garbage too, not
+    /// only the count check in front of it.
     #[test]
     fn arbitrary_payloads_decode_or_error_never_panic(
-        streams in (
-            prop::collection::vec(any::<u8>(), 0..48),
-            prop::collection::vec(any::<u8>(), 0..48),
-            prop::collection::vec(any::<u8>(), 0..48),
-            prop::collection::vec(any::<u8>(), 0..48),
-            prop::collection::vec(any::<u8>(), 0..48),
-        ),
-        framed in any::<bool>(),
+        payload in prop::collection::vec(any::<u8>(), 0..240),
+        fitted in any::<bool>(),
         record_count in prop_oneof![0u32..48, any::<u32>()],
     ) {
-        let (flags, pcs, branches, mems, stalls) = streams;
-        let mut payload = Vec::new();
-        let mut count = record_count;
-        if framed {
-            for stream in [&pcs, &branches, &mems, &stalls] {
-                push_varint(&mut payload, stream.len() as u64);
-            }
-            count = flags.len() as u32;
-        }
-        for stream in [&flags, &pcs, &branches, &mems, &stalls] {
-            payload.extend_from_slice(stream);
-        }
+        let count = if fitted {
+            record_count % (payload.len() as u32 / 2 + 1)
+        } else {
+            record_count
+        };
         let mut out = Vec::new();
         if decode_chunk(&payload, count, &mut out).is_ok() {
             prop_assert_eq!(out.len(), count as usize);
@@ -210,7 +196,7 @@ fn rejects_wrong_magic() {
 fn rejects_future_version() {
     // …and every past one: the reader speaks exactly one version.
     let current = trrip_trace::format::VERSION;
-    assert_eq!(current, 7, "so `current - 1` below is v6, the version with LZ-packed chunks");
+    assert_eq!(current, 8, "so `current - 1` below is v7, the version with columnar chunks");
     for version in [u16::MAX, current + 1, current - 1, 1, 0] {
         let mut bytes = write_trace(&[TraceInstr::simple(0x1000)], 16);
         bytes[8..10].copy_from_slice(&version.to_le_bytes());
@@ -254,4 +240,80 @@ fn checksum_mismatch_reports_both_values() {
         }
     };
     assert!(matches!(err, TraceError::ChecksumMismatch { expected, found } if expected != found));
+}
+
+/// Forty records in three chunks, every field kind among them: branches
+/// of each kind, taken and not, loads and stores, stalls of each class.
+fn three_chunks() -> (Vec<TraceInstr>, Vec<u8>) {
+    let kinds = [
+        BranchKind::Conditional,
+        BranchKind::Direct,
+        BranchKind::Indirect,
+        BranchKind::Call,
+        BranchKind::IndirectCall,
+        BranchKind::Return,
+    ];
+    let classes = [
+        StallClass::Ifetch,
+        StallClass::Mispred,
+        StallClass::Depend,
+        StallClass::Issue,
+        StallClass::Mem,
+        StallClass::Other,
+    ];
+    let instrs: Vec<TraceInstr> = (0..40u64)
+        .map(|i| TraceInstr {
+            pc: VirtAddr::new(0x40_0000 + i * 4),
+            branch: (i % 3 == 0).then(|| BranchInfo {
+                kind: kinds[i as usize % 6],
+                taken: i % 2 == 0,
+                target: VirtAddr::new(0x40_0000 + (i * 97) % 4096),
+            }),
+            mem: (i % 4 != 1)
+                .then(|| MemOp { addr: VirtAddr::new(0x7fff_0000 - i * 4160), store: i % 5 == 0 }),
+            exec_stall: (i % 7 == 3).then(|| (classes[i as usize % 6], (i * 11) as u8)),
+        })
+        .collect();
+    let bytes = write_trace(&instrs, 16);
+    (instrs, bytes)
+}
+
+/// What `read_to_end` makes of `bytes`: an error, or the records.
+fn read_all(bytes: &[u8]) -> Result<Vec<TraceInstr>, TraceError> {
+    TraceReader::new(Cursor::new(bytes))?.read_to_end()
+}
+
+/// Every byte of a three-chunk capture flipped, one at a time and three
+/// ways, and the capture cut at every length: `read_to_end` returns an
+/// error or exactly the records written, and never panics. The proptests
+/// above sample flips and cuts; this pass covers all of them.
+#[test]
+fn every_flip_and_every_cut_of_a_small_capture_errs_or_reads_the_records() {
+    let (instrs, bytes) = three_chunks();
+    assert_eq!(read_all(&bytes).expect("the capture reads back"), instrs);
+    let header_len = write_trace(&[], 16).len();
+
+    for at in 0..bytes.len() {
+        for mask in [0x01, 0x80, 0xFF] {
+            let mut damaged = bytes.clone();
+            damaged[at] ^= mask;
+            match read_all(&damaged) {
+                Err(_) => {}
+                // The checksum covers payloads only. Past the header every
+                // byte is a frame's (counted and bounded) or a payload's
+                // (checksummed), so any flip there fails the read. Header
+                // bytes the reader never checks against anything — the
+                // name, the layout (when it flips to the other one), the
+                // reserved byte, a chunk capacity raised — read the same
+                // records under a different header.
+                Ok(read) => {
+                    assert!(at < header_len, "a flip at {at} ^ {mask:#04x} read back");
+                    assert_eq!(read, instrs, "a flip at {at} ^ {mask:#04x} read other records");
+                }
+            }
+        }
+    }
+    for cut in 0..bytes.len() {
+        assert!(read_all(&bytes[..cut]).is_err(), "a cut at {cut} of {} read back", bytes.len());
+    }
 }

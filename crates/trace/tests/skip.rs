@@ -37,7 +37,7 @@ fn trace_bytes(instrs: &[TraceInstr], chunk_capacity: u32) -> Vec<u8> {
     let mut writer = TraceWriter::with_chunk_capacity(
         std::io::Cursor::new(Vec::new()),
         "skip",
-        trrip_trace::TraceLayout::Foreign,
+        trrip_trace::TraceLayout::Pgo,
         chunk_capacity,
     )
     .expect("header");
