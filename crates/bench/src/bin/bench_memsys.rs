@@ -1,6 +1,7 @@
 //! Wall-clock benchmark of the push executor's **cell loop**: proxy
-//! `gcc` digested into event turns once, then pushed through 1, 2, 5 and
-//! 9 policy cells in lockstep ([`SimRun::push_measure_group`]).
+//! `gcc` digested into event turns once, its data frames and stride
+//! proposals resolved beside them, then pushed through 1, 2, 5 and 9
+//! policy cells in lockstep ([`SimRun::push_measure_group`]).
 //!
 //! Reported per group size: ns per cell-instruction of the measure phase
 //! (no walker, no frontend), best of N repetitions, and the ratio
@@ -21,9 +22,8 @@
 use std::time::Instant;
 
 use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
-use trrip_cpu::EventTurn;
 use trrip_policies::PolicyKind;
-use trrip_sim::{Frontend, PreparedWorkload, SimConfig, SimRun};
+use trrip_sim::{Frontend, PreparedWorkload, SimConfig, SimRun, StreamTurn};
 use trrip_workloads::{InputSet, TraceGenerator};
 
 /// Cells a sweep's worker drives in lockstep — alone, a two-worker team's
@@ -41,11 +41,11 @@ const LOCKSTEP_GROUPS: [(usize, &str); 4] = [
 const TURN_INSTRS: usize = 16 * 1024;
 
 /// One phase of a stream, digested: its event turns, in order.
-fn digest_phase(frontend: &mut Frontend<TraceGenerator<'_>>, instructions: u64) -> Vec<EventTurn> {
+fn digest_phase(frontend: &mut Frontend<TraceGenerator<'_>>, instructions: u64) -> Vec<StreamTurn> {
     let mut turns = Vec::new();
     let mut covered = 0;
     while covered < instructions {
-        let mut turn = EventTurn::new();
+        let mut turn = StreamTurn::new();
         frontend.digest(TURN_INSTRS, &mut turn);
         covered += turn.instructions();
         turns.push(turn);
@@ -61,7 +61,7 @@ fn digest_phase(frontend: &mut Frontend<TraceGenerator<'_>>, instructions: u64) 
 fn lockstep_best(
     workload: &PreparedWorkload,
     config: &SimConfig,
-    (warmup, window): (&[EventTurn], &[EventTurn]),
+    (warmup, window): (&[StreamTurn], &[StreamTurn]),
     size: usize,
     reps: u32,
 ) -> (f64, f64) {
@@ -131,7 +131,7 @@ fn main() {
     let gcc = PreparedWorkload::prepare(&gcc, config.train_instructions, config.classifier);
     let walker =
         TraceGenerator::new(&gcc.program, gcc.object(config.layout), &gcc.spec, InputSet::Eval);
-    let mut frontend = Frontend::new(&config, walker);
+    let mut frontend = Frontend::new(&gcc, std::slice::from_ref(&config), walker);
     let warmup = digest_phase(&mut frontend, config.fast_forward);
     let window = digest_phase(&mut frontend, config.instructions);
     drop(frontend);

@@ -19,6 +19,15 @@
 //! the event-free instructions before it. [`crate::Core::execute`] runs
 //! a turn against a real backend with no predictor and no lookahead
 //! window, bit-identically to the fused loop.
+//!
+//! A record carries addresses as the program issues them: virtual. What
+//! else the stream alone decides of them depends on the machine's page
+//! size — which frame backs an anonymous page, what the stride
+//! prefetcher proposes — so a record does not carry it: the simulator
+//! resolves it once per page size and hands it to each machine as a
+//! column beside the records, which stay as they are, one 48-byte
+//! [`InstrEvent`] each. The backend asks for it access by access, in the
+//! order [`crate::Core::execute`] issues them.
 
 use trrip_mem::VirtAddr;
 

@@ -7,10 +7,10 @@
 //!   allocates pages, and populates PTEs — including the temperature bits
 //!   — with configurable handling of pages that straddle sections of
 //!   different temperature (§4.9).
-//! * [`mmu`] — address translation with a TLB; attaches the PTE
-//!   temperature to outgoing memory requests. Unmapped pages are
-//!   demand-allocated without temperature (anonymous memory: heap,
-//!   stack).
+//! * [`mmu`] — translation of loaded pages behind a statistics-only
+//!   TLB; attaches the PTE temperature to outgoing memory requests.
+//!   Anonymous memory (heap, stack) is no loaded page: the simulator
+//!   demand-allocates it once per instruction stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

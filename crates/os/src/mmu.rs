@@ -1,18 +1,22 @@
-//! The MMU: translation plus temperature-attribute forwarding
-//! (Figure 4 ⑩–⑪).
+//! The MMU: translation of loaded pages plus temperature-attribute
+//! forwarding (Figure 4 ⑩–⑪), behind a TLB that keeps statistics.
 //!
-//! Instruction fetches translate through the page table; the PTE's
+//! Instruction fetches translate through the loaded image; the PTE's
 //! PBHA-style bits come back with the translation and are attached to the
 //! outgoing memory request by the simulator. A small fully-associative
-//! TLB tracks locality statistics. Unmapped pages are demand-allocated
-//! (anonymous memory — heap and stack — has no temperature).
+//! TLB tracks locality: it is looked up, kept in LRU order and counted,
+//! and holds no translation of its own. A page the loader did not map is
+//! no translation here: anonymous memory — heap and stack — is
+//! demand-allocated in the order the instruction stream first touches
+//! it, which every machine running that stream shares, so the simulator
+//! resolves it once per stream, not once per machine.
 
 use serde::{Deserialize, Serialize};
 use trrip_core::{Temperature, TemperatureBits};
 use trrip_mem::{PageSize, PhysAddr, VirtAddr};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::page_table::{PageTable, PageTableEntry};
+use crate::page_table::PageTable;
 
 /// TLB hit/miss counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -28,13 +32,6 @@ struct TlbEntry {
     vpn: u64,
     stamp: u64,
     valid: bool,
-    /// Cached translation — a real TLB holds the PTE, so a hit skips the
-    /// page walk entirely. Safe to cache because a mapped PTE is never
-    /// remapped during a run (the loader maps before the Mmu exists and
-    /// demand allocation only inserts absent pages). Not serialized:
-    /// snapshots rebuild it from the page table.
-    frame: u64,
-    pbha: TemperatureBits,
 }
 
 /// Slots of the direct-mapped `vpn → TLB slot` hint table. Sixteen
@@ -50,48 +47,62 @@ fn hint_of(vpn: u64) -> usize {
     (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - HINT_SLOTS.trailing_zeros())) as usize
 }
 
-/// The MMU: page table + TLB + demand allocation.
+/// A run of consecutive loaded pages, one `(frame, PBHA bits)` each.
+#[derive(Debug, Clone)]
+struct Extent {
+    first_vpn: u64,
+    pages: Vec<(u64, TemperatureBits)>,
+}
+
+/// The MMU: the loaded image and a statistics-only TLB.
 #[derive(Debug, Clone)]
 pub struct Mmu {
-    page_table: PageTable,
+    page_size: PageSize,
+    /// The loader's pages in a few dense extents (text, PLT and data sit
+    /// together; external text sits apart), so a lookup is a range check
+    /// and an index, not a hash.
+    image: Vec<Extent>,
     tlb: Vec<TlbEntry>,
     /// For each hashed vpn, the TLB slot that last held a page hashing
-    /// there — pure lookup acceleration for the translate hot path
-    /// (every fetch line-change, memory operand, and prefetch
-    /// translates). A hint is only ever *believed after checking* the
-    /// entry it names, and a wrong one falls back to scanning the TLB,
-    /// so it needs no invalidation and no place in snapshots: the
-    /// architectural state (entries, stamps, victim choice, statistics)
-    /// is byte-identical with or without it.
+    /// there — pure lookup acceleration for the hot path (every fetch
+    /// line-change, memory operand, and prefetch looks up). A hint is
+    /// only ever *believed after checking* the entry it names, and a
+    /// wrong one falls back to scanning the TLB, so it needs no
+    /// invalidation and no place in snapshots: the architectural state
+    /// (entries, stamps, victim choice, statistics) is byte-identical
+    /// with or without it.
     hints: Box<[u8; HINT_SLOTS]>,
     clock: u64,
     stats: TlbStats,
-    next_anon_frame: u64,
 }
 
 impl Mmu {
     /// Default TLB entries (unified, fully associative).
     pub const TLB_ENTRIES: usize = 64;
 
-    /// Wraps a loaded page table. Demand allocation hands out frames
-    /// above any frame the loader used.
+    /// An MMU over a loaded image, with an empty TLB.
     #[must_use]
-    pub fn new(page_table: PageTable) -> Mmu {
-        let max_frame = page_table.iter().map(|(_, e)| e.frame).max().unwrap_or(0x100);
+    pub fn new(page_table: &PageTable) -> Mmu {
+        let mut pages: Vec<(u64, (u64, TemperatureBits))> =
+            page_table.iter().map(|(vpn, e)| (vpn, (e.frame, e.pbha))).collect();
+        pages.sort_unstable_by_key(|&(vpn, _)| vpn);
+        let mut image: Vec<Extent> = Vec::new();
+        for (vpn, page) in pages {
+            match image.last_mut() {
+                Some(extent) if extent.first_vpn + extent.pages.len() as u64 == vpn => {
+                    extent.pages.push(page);
+                }
+                _ => image.push(Extent { first_vpn: vpn, pages: vec![page] }),
+            }
+        }
         Mmu {
-            page_table,
+            page_size: page_table.page_size(),
+            image,
             tlb: vec![TlbEntry::default(); Mmu::TLB_ENTRIES],
             hints: Box::new([0; HINT_SLOTS]),
             clock: 0,
             stats: TlbStats::default(),
-            next_anon_frame: max_frame + 1,
         }
-    }
-
-    /// The page size in force.
-    #[must_use]
-    pub fn page_size(&self) -> PageSize {
-        self.page_table.page_size()
     }
 
     /// TLB statistics.
@@ -100,27 +111,32 @@ impl Mmu {
         self.stats
     }
 
-    /// The underlying page table.
+    /// `vaddr` through the loaded image alone — the physical address and
+    /// the decoded temperature attribute — or `None` if the loader did
+    /// not map its page. The TLB is not consulted.
+    #[inline]
     #[must_use]
-    pub fn page_table(&self) -> &PageTable {
-        &self.page_table
+    pub fn loaded(&self, vaddr: VirtAddr) -> Option<(PhysAddr, Option<Temperature>)> {
+        let page_bytes = self.page_size.bytes();
+        let vpn = self.page_size.page_of(vaddr).raw();
+        self.image.iter().find_map(|extent| {
+            let &(frame, pbha) =
+                extent.pages.get(usize::try_from(vpn.wrapping_sub(extent.first_vpn)).ok()?)?;
+            Some((PhysAddr::new(frame * page_bytes + vaddr.offset_in(page_bytes)), pbha.decode()))
+        })
     }
 
-    /// Translates `vaddr`, returning the physical address and the decoded
-    /// temperature attribute. Unmapped pages are demand-allocated as
-    /// anonymous (non-executable, no temperature) memory.
+    /// Looks `vaddr`'s page up in the TLB: counts the hit or the miss and
+    /// keeps the entries in LRU order, filling the least recently used
+    /// on a miss.
     ///
-    /// A TLB hit serves the cached PTE without touching the page table —
-    /// with a good hint, lookup plus stamp update is O(1); a stale hint
-    /// costs one scan of the entries, and only misses (and demand
-    /// allocations) walk the table and run the LRU victim scan. Inlined:
-    /// this sits on the L1-hit fast path, where the TLB hit is usually
-    /// the only work besides the L1 probe.
+    /// With a good hint, lookup plus stamp update is O(1); a stale hint
+    /// costs one scan of the entries, and only misses run the LRU victim
+    /// scan. Inlined: this sits on the L1-hit fast path, where it is
+    /// usually the only work besides the L1 probe.
     #[inline]
-    pub fn translate(&mut self, vaddr: VirtAddr) -> (PhysAddr, Option<Temperature>) {
-        let page_bytes = self.page_size().bytes();
-        let vpn = self.page_size().page_of(vaddr).raw();
-        let offset = vaddr.offset_in(page_bytes);
+    pub fn touch(&mut self, vaddr: VirtAddr) {
+        let vpn = self.page_size.page_of(vaddr).raw();
         self.clock += 1;
 
         let hint = &mut self.hints[hint_of(vpn)];
@@ -132,24 +148,11 @@ impl Mmu {
         };
         if let Some(slot) = hit {
             *hint = slot as u8;
-            let entry = &mut self.tlb[slot];
-            entry.stamp = self.clock;
+            self.tlb[slot].stamp = self.clock;
             self.stats.hits += 1;
-            return (PhysAddr::new(entry.frame * page_bytes + offset), entry.pbha.decode());
+            return;
         }
         self.stats.misses += 1;
-
-        // Page walk; unmapped pages demand-allocate (anonymous memory).
-        let pte = match self.page_table.entry(vpn) {
-            Some(&pte) => pte,
-            None => {
-                let frame = self.next_anon_frame;
-                self.next_anon_frame += 1;
-                let pte = PageTableEntry { frame, executable: false, pbha: TemperatureBits::NONE };
-                self.page_table.map(vpn, pte);
-                pte
-            }
-        };
 
         // TLB fill: victim scan only on the miss path; the first-minimum
         // choice matches the original linear scan exactly.
@@ -159,18 +162,24 @@ impl Mmu {
             .enumerate()
             .min_by_key(|(_, e)| if e.valid { e.stamp } else { 0 })
             .expect("TLB is never empty");
-        *victim =
-            TlbEntry { vpn, stamp: self.clock, valid: true, frame: pte.frame, pbha: pte.pbha };
+        *victim = TlbEntry { vpn, stamp: self.clock, valid: true };
         *hint = slot as u8;
+    }
 
-        (PhysAddr::new(pte.frame * page_bytes + offset), pte.pbha.decode())
+    /// [`Mmu::touch`], then [`Mmu::loaded`]: one translation through the
+    /// TLB.
+    #[inline]
+    pub fn translate(&mut self, vaddr: VirtAddr) -> Option<(PhysAddr, Option<Temperature>)> {
+        self.touch(vaddr);
+        self.loaded(vaddr)
     }
 }
 
+/// The TLB alone: the loaded image is configuration, rebuilt by
+/// [`Mmu::new`].
 impl Snapshot for Mmu {
     fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"MMU ");
-        self.page_table.save(w);
+        w.tag(b"TLB ");
         w.usize(self.tlb.len());
         for e in &self.tlb {
             w.bool(e.valid);
@@ -182,31 +191,21 @@ impl Snapshot for Mmu {
         w.u64(self.clock);
         w.u64(self.stats.hits);
         w.u64(self.stats.misses);
-        w.u64(self.next_anon_frame);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"MMU ")?;
-        self.page_table.restore(r)?;
+        r.expect_tag(b"TLB ")?;
         r.expect_len("TLB entries", self.tlb.len())?;
         for slot in 0..self.tlb.len() {
             let mut e = TlbEntry { valid: r.bool()?, ..TlbEntry::default() };
             if e.valid {
                 e.vpn = r.u64()?;
                 e.stamp = r.u64()?;
-                // The cached PTE is not serialized: rebuild it from the
-                // (just-restored) page table.
-                let pte = self.page_table.entry(e.vpn).copied().ok_or_else(|| {
-                    SnapError::Corrupt(format!("TLB entry for unmapped page {:#x}", e.vpn))
-                })?;
-                e.frame = pte.frame;
-                e.pbha = pte.pbha;
             }
             self.tlb[slot] = e;
         }
         self.clock = r.u64()?;
         self.stats = TlbStats { hits: r.u64()?, misses: r.u64()? };
-        self.next_anon_frame = r.u64()?;
         Ok(())
     }
 }
@@ -214,8 +213,9 @@ impl Snapshot for Mmu {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::page_table::PageTableEntry;
 
-    fn mmu_with_hot_page() -> Mmu {
+    fn hot_page() -> PageTable {
         let mut pt = PageTable::new(PageSize::Size4K);
         pt.map(
             0x400,
@@ -225,37 +225,23 @@ mod tests {
                 pbha: TemperatureBits::encode(Some(Temperature::Hot)),
             },
         );
-        Mmu::new(pt)
+        pt
     }
 
     #[test]
     fn translation_returns_temperature() {
-        let mut mmu = mmu_with_hot_page();
-        let (pa, temp) = mmu.translate(VirtAddr::new(0x40_0040));
+        let mut mmu = Mmu::new(&hot_page());
+        let (pa, temp) = mmu.translate(VirtAddr::new(0x40_0040)).expect("a loaded page");
         assert_eq!(pa.raw(), 0x100 * 4096 + 0x40);
         assert_eq!(temp, Some(Temperature::Hot));
-    }
-
-    #[test]
-    fn demand_allocation_is_untagged_and_stable() {
-        let mut mmu = mmu_with_hot_page();
-        let (pa1, temp) = mmu.translate(VirtAddr::new(0x9000_0000));
-        assert_eq!(temp, None);
-        // Same page translates to the same frame afterwards.
-        let (pa2, _) = mmu.translate(VirtAddr::new(0x9000_0008));
-        assert_eq!(pa2.raw(), pa1.raw() + 8);
-    }
-
-    #[test]
-    fn anonymous_frames_do_not_collide_with_loaded() {
-        let mut mmu = mmu_with_hot_page();
-        let (pa, _) = mmu.translate(VirtAddr::new(0x8000_0000));
-        assert!(pa.raw() / 4096 > 0x100, "anon frame overlaps loader frame");
+        // A page the loader did not map is no translation, but a lookup.
+        assert_eq!(mmu.translate(VirtAddr::new(0x9000_0000)), None);
+        assert_eq!(mmu.tlb_stats(), TlbStats { hits: 0, misses: 2 });
     }
 
     #[test]
     fn tlb_hits_on_locality() {
-        let mut mmu = mmu_with_hot_page();
+        let mut mmu = Mmu::new(&hot_page());
         for i in 0..100 {
             mmu.translate(VirtAddr::new(0x40_0000 + i * 8));
         }
@@ -271,24 +257,20 @@ mod tests {
         entries: Vec<Option<(u64, u64)>>, // (vpn, stamp)
         clock: u64,
         stats: TlbStats,
-        next_anon_frame: u64,
     }
 
     impl ScanTlb {
         fn new(page_table: PageTable) -> ScanTlb {
-            let max_frame = page_table.iter().map(|(_, e)| e.frame).max().unwrap_or(0x100);
             ScanTlb {
                 page_table,
                 entries: vec![None; Mmu::TLB_ENTRIES],
                 clock: 0,
                 stats: TlbStats::default(),
-                next_anon_frame: max_frame + 1,
             }
         }
 
-        fn translate(&mut self, vaddr: VirtAddr) -> (PhysAddr, Option<Temperature>) {
-            let page_bytes = self.page_table.page_size().bytes();
-            let vpn = vaddr.raw() / page_bytes;
+        fn translate(&mut self, vaddr: VirtAddr) -> Option<(PhysAddr, Option<Temperature>)> {
+            let vpn = vaddr.raw() / self.page_table.page_size().bytes();
             self.clock += 1;
             let held = self.entries.iter_mut().flatten().find(|(held, _)| *held == vpn);
             if let Some((_, stamp)) = held {
@@ -296,15 +278,6 @@ mod tests {
                 self.stats.hits += 1;
             } else {
                 self.stats.misses += 1;
-                if self.page_table.entry(vpn).is_none() {
-                    let pte = PageTableEntry {
-                        frame: self.next_anon_frame,
-                        executable: false,
-                        pbha: TemperatureBits::NONE,
-                    };
-                    self.next_anon_frame += 1;
-                    self.page_table.map(vpn, pte);
-                }
                 // Least recently used, an empty slot counting as never
                 // used, the first of equals.
                 let stamp_of = |e: &Option<(u64, u64)>| e.map_or(0, |(_, stamp)| stamp);
@@ -316,15 +289,12 @@ mod tests {
                 }
                 self.entries[victim] = Some((vpn, self.clock));
             }
-            let pte = self.page_table.entry(vpn).expect("mapped above");
-            let pa = pte.frame * page_bytes + vaddr.raw() % page_bytes;
-            (PhysAddr::new(pa), pte.pbha.decode())
+            self.page_table.lookup(vaddr).map(|(pa, bits)| (pa, bits.decode()))
         }
 
         fn snapshot(&self) -> Vec<u8> {
             let mut w = SnapWriter::new();
-            w.tag(b"MMU ");
-            self.page_table.save(&mut w);
+            w.tag(b"TLB ");
             w.usize(self.entries.len());
             for e in &self.entries {
                 w.bool(e.is_some());
@@ -336,7 +306,6 @@ mod tests {
             w.u64(self.clock);
             w.u64(self.stats.hits);
             w.u64(self.stats.misses);
-            w.u64(self.next_anon_frame);
             w.into_bytes()
         }
     }
@@ -370,7 +339,14 @@ mod tests {
                 pt.map(vpn, PageTableEntry { frame: 0x100 + vpn, executable: true, pbha });
             }
         }
-        let (mut mmu, mut reference) = (Mmu::new(pt.clone()), ScanTlb::new(pt.clone()));
+        // A second extent, apart from the first.
+        for vpn in 0x800..0x810u64 {
+            pt.map(
+                vpn,
+                PageTableEntry { frame: vpn, executable: true, pbha: TemperatureBits::NONE },
+            );
+        }
+        let (mut mmu, mut reference) = (Mmu::new(&pt), ScanTlb::new(pt.clone()));
 
         // Pages that share a hint slot, live in the TLB together: every
         // switch between them finds the hint naming the other.
@@ -388,8 +364,8 @@ mod tests {
         assert!(mmu.tlb_stats().hits > 300, "the rivals stay resident: {:?}", mmu.tlb_stats());
 
         // More live pages than entries: a cyclic sweep evicts every page
-        // before its reuse, then a seeded scatter over 200 pages (mapped
-        // and demand-allocated) mixes hits, misses and stale hints.
+        // before its reuse, then a seeded scatter over 200 pages (loaded
+        // and not) mixes hits, misses and stale hints.
         let mut stream: Vec<u64> =
             (0..3).flat_map(|_| (0..100u64).map(|p| (0x3f0 + p) * 4096 + p)).collect();
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -398,13 +374,14 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let page = if x & 3 == 0 { x % 200 } else { x % 70 };
-            stream.push((0x3f0 + page) * 4096 + (x >> 32) % 4096);
+            let page = if x & 0x30 == 0 { 0x800 + page % 24 } else { 0x3f0 + page };
+            stream.push(page * 4096 + (x >> 32) % 4096);
         }
         assert_agree(&mut mmu, &mut reference, &stream, "more pages than entries");
         assert!(mmu.tlb_stats().misses > 300 + 64, "capacity misses: {:?}", mmu.tlb_stats());
 
         // A restored MMU starts with every hint cold or wrong.
-        let mut restored = Mmu::new(pt);
+        let mut restored = Mmu::new(&pt);
         restored.restore(&mut SnapReader::new(&snapshot(&mmu))).expect("restore");
         stream.reverse();
         assert_agree(&mut restored, &mut reference, &stream, "after restore");
@@ -412,13 +389,13 @@ mod tests {
 
     #[test]
     fn tlb_capacity_evicts_lru() {
-        let mut mmu = mmu_with_hot_page();
+        let mut mmu = Mmu::new(&hot_page());
         // Touch 65 distinct pages: first page gets evicted.
         for vpn in 0..65u64 {
-            mmu.translate(VirtAddr::new(vpn * 4096));
+            mmu.touch(VirtAddr::new(vpn * 4096));
         }
         let misses_before = mmu.tlb_stats().misses;
-        mmu.translate(VirtAddr::new(0)); // evicted → miss again
+        mmu.touch(VirtAddr::new(0)); // evicted → miss again
         assert_eq!(mmu.tlb_stats().misses, misses_before + 1);
     }
 }

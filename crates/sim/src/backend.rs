@@ -1,8 +1,19 @@
-//! The memory backend: MMU + hierarchy + prefetchers + profiling hooks.
+//! The memory backend: the cell's TLB and loaded image, the hierarchy,
+//! the instruction prefetchers and profiling hooks.
+//!
+//! What the instruction stream alone decides — the frame behind an
+//! anonymous page, the stride prefetcher's proposals — is not worked out
+//! here: a [`StreamView`] resolves it once per stream. A sweep's cell
+//! reads it from its view's column of each turn ([`SystemBackend::feed`]);
+//! a run that pulls its own stream owns the view and resolves through it
+//! inline ([`SystemBackend::own_view`]). Either way the backend asks in
+//! the same order, access by access.
+
+use std::sync::Arc;
 
 use trrip_analysis::costly::CodeRegion;
 use trrip_analysis::{CostlyMissTracker, ReuseProfiler};
-use trrip_cache::{Hierarchy, NextLinePrefetcher, ServedBy, StridePrefetcher};
+use trrip_cache::{Hierarchy, NextLinePrefetcher, ServedBy};
 use trrip_compiler::ObjectFile;
 use trrip_cpu::{MemLatency, MemoryBackend};
 use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr, LINE_BYTES};
@@ -11,6 +22,7 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::config::SimConfig;
 use crate::inflight::InflightTable;
+use crate::view::{Feed, StreamView, ViewColumn};
 
 /// Modelled FDIP/prefetch request-file depth: crossing it triggers the
 /// expiry sweep, as the old 512-entry `HashMap` cap did. The
@@ -20,17 +32,68 @@ use crate::inflight::InflightTable;
 /// any realistic burst instead of dropping requests at exactly 512.
 const MSHR_ENTRIES: usize = 512;
 
+/// Where the backend learns what the stream alone decides of an access.
+#[derive(Debug)]
+enum Resolution {
+    /// Nothing yet: the machine is at the stream's first instruction.
+    Start,
+    /// The machine pulls its own stream and resolves through its view.
+    Own(Box<StreamView>),
+    /// The machine is pushed turns: it reads its view's column of each.
+    Fed(Feed),
+}
+
+impl Resolution {
+    /// The physical address of a demand fetch into a page the loader did
+    /// not map.
+    #[inline]
+    fn fetch(&mut self, pc: VirtAddr) -> PhysAddr {
+        match self {
+            Resolution::Own(view) => view.fetch(pc).expect("the loader did not map the page"),
+            Resolution::Fed(feed) => feed.next(),
+            Resolution::Start => panic!("{NO_STREAM}"),
+        }
+    }
+
+    /// The physical address of a demand data access.
+    #[inline]
+    fn data(&mut self, addr: VirtAddr, pc: VirtAddr, store: bool) -> PhysAddr {
+        match self {
+            Resolution::Own(view) => view.data(addr, pc, store),
+            Resolution::Fed(feed) => feed.next(),
+            Resolution::Start => panic!("{NO_STREAM}"),
+        }
+    }
+
+    /// The stride proposals of the load just resolved.
+    #[inline]
+    fn proposals(&self) -> &[PhysAddr] {
+        match self {
+            Resolution::Own(view) => view.proposals(),
+            Resolution::Fed(feed) => feed.proposals(),
+            Resolution::Start => &[],
+        }
+    }
+}
+
+const NO_STREAM: &str = "a backend resolves no access before it owns a view or is fed a turn";
+
 /// Implements [`MemoryBackend`] over the full memory system.
 ///
 /// Responsibilities beyond forwarding accesses:
 ///
-/// * **Temperature attribution**: every request translates through the
-///   MMU and picks up the PTE's PBHA bits (Figure 4 ⑩–⑪).
+/// * **Temperature attribution**: every request looks its page up in the
+///   TLB, and an instruction fetch picks up the PTE's PBHA bits from the
+///   machine's loaded image (Figure 4 ⑩–⑪).
 /// * **Prefetching**: next-line instruction prefetch on L1-I demand
-///   misses, per-PC stride prefetch on data accesses, and FDIP prefetch
-///   requests from the core. Prefetches fill caches immediately but
-///   their *timeliness* is modelled: a demand fetch arriving before the
-///   prefetch would physically complete pays the remaining latency.
+///   misses, per-PC stride prefetch on data loads (proposed by the
+///   stream view, filled here), and FDIP prefetch requests from the
+///   core. Prefetches fill caches immediately but their *timeliness* is
+///   modelled: a demand fetch arriving before the prefetch would
+///   physically complete pays the remaining latency. An instruction
+///   prefetch into a page the loader did not map is dropped before it
+///   touches the TLB or a cache (`cache.prefetch_unmapped_drop`): only
+///   demand accesses allocate frames.
 /// * **Profiling hooks**: the Figure 3 reuse profiler observes the L2
 ///   access stream; the Figure 7 tracker records costly instruction
 ///   misses with the code region they landed in.
@@ -38,11 +101,8 @@ const MSHR_ENTRIES: usize = 512;
 /// Every access is applied in full at the point the core issues it.
 pub struct SystemBackend {
     mmu: Mmu,
+    resolution: Resolution,
     hierarchy: Hierarchy,
-    data_stride: StridePrefetcher,
-    /// Reused proposal buffer for [`StridePrefetcher::propose_into`]
-    /// (append contract: cleared here, filled there).
-    stride_proposals: Vec<PhysAddr>,
     next_line: NextLinePrefetcher,
     /// Reused proposal buffer for [`NextLinePrefetcher::propose_into`].
     next_line_proposals: Vec<LineAddr>,
@@ -71,7 +131,10 @@ impl std::fmt::Debug for SystemBackend {
 }
 
 impl SystemBackend {
-    /// Builds the backend for a loaded object.
+    /// Builds the backend for a loaded object, at the stream's first
+    /// instruction: before its first access it either owns a view
+    /// ([`SystemBackend::own_view`]) or is fed a turn
+    /// ([`SystemBackend::feed`]).
     #[must_use]
     pub fn new(
         mmu: Mmu,
@@ -101,9 +164,8 @@ impl SystemBackend {
 
         SystemBackend {
             mmu,
+            resolution: Resolution::Start,
             hierarchy,
-            data_stride: StridePrefetcher::new(4096, 4),
-            stride_proposals: Vec::new(),
             next_line: NextLinePrefetcher::new(1),
             next_line_proposals: Vec::new(),
             inflight: InflightTable::new(MSHR_ENTRIES),
@@ -115,6 +177,58 @@ impl SystemBackend {
             fastpath_hits: 0,
             fastpath_bails: 0,
         }
+    }
+
+    /// Resolves every access from here on through `view`, which must
+    /// stand where this machine stands in the stream.
+    pub fn own_view(&mut self, view: StreamView) {
+        self.resolution = Resolution::Own(Box::new(view));
+    }
+
+    /// The view this machine resolves through, if it owns one.
+    #[must_use]
+    pub fn view(&self) -> Option<&StreamView> {
+        match &self.resolution {
+            Resolution::Own(view) => Some(view),
+            _ => None,
+        }
+    }
+
+    /// Whether the machine is past the stream's first instruction
+    /// without a view of its own: it has been fed turns, or restored from
+    /// an overlay, which holds no view.
+    #[must_use]
+    pub fn is_fed(&self) -> bool {
+        matches!(self.resolution, Resolution::Fed(_))
+    }
+
+    /// Reads what the stream decides from `column` — the column of this
+    /// machine's page size of the turn it is about to execute — until
+    /// [`SystemBackend::unfeed`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the machine owns a view.
+    pub fn feed(&mut self, column: Arc<ViewColumn>) {
+        assert!(
+            !matches!(self.resolution, Resolution::Own(_)),
+            "a machine that pulls its own stream takes no pushed turns"
+        );
+        self.resolution = Resolution::Fed(Feed::new(column));
+    }
+
+    /// Lets go of the column of the turn just executed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the turn left part of its column unread: the records and
+    /// the column disagree.
+    pub fn unfeed(&mut self) {
+        let Resolution::Fed(feed) = &mut self.resolution else {
+            panic!("unfed a machine that was not fed");
+        };
+        assert!(feed.is_spent(), "a turn's column holds entries its records never asked for");
+        *feed = Feed::default();
     }
 
     /// Publishes the tallies accumulated since the last flush to the
@@ -197,14 +311,40 @@ impl SystemBackend {
             None => raw_latency,
         }
     }
+
+    /// One demand data access, resolved: the TLB lookup, then the
+    /// hierarchy.
+    #[inline]
+    fn data_access(&mut self, addr: VirtAddr, req: &MemoryRequest) -> MemLatency {
+        self.mmu.touch(addr);
+        let out = match self.hierarchy.access_l1(req) {
+            Some(out) => {
+                self.fastpath_hits += 1;
+                out
+            }
+            None => {
+                self.fastpath_bails += 1;
+                let out = self.hierarchy.access_beyond_l1(req);
+                self.observe_l2(req.paddr, false);
+                out
+            }
+        };
+        MemLatency {
+            cycles: out.latency,
+            l1_hit: out.served_by == ServedBy::L1,
+            l2_miss: out.l2_miss(),
+        }
+    }
 }
 
-/// Full architectural state of the memory system at a phase boundary:
-/// MMU (page table + TLB), all four cache levels with their policy
-/// state, the stride prefetcher table and the in-flight prefetch tracker.
-/// The profilers are armed when measurement begins, never at a boundary,
-/// and code-region maps and latencies are configuration (rebuilt by
-/// [`SystemBackend::new`]): neither is part of the stream.
+/// The policy-dependent state of the memory system at a phase boundary:
+/// the TLB, all four cache levels with their policy state and the
+/// in-flight prefetch tracker. What the stream alone decides — frames
+/// and the stride table — is the view's, kept beside the predictor. The
+/// profilers are armed when measurement begins, never at a boundary,
+/// and code-region maps, the loaded image and latencies are
+/// configuration (rebuilt by [`SystemBackend::new`]): neither is part of
+/// the stream.
 impl Snapshot for SystemBackend {
     fn save(&self, w: &mut SnapWriter) {
         assert!(
@@ -214,7 +354,6 @@ impl Snapshot for SystemBackend {
         w.tag(b"SYSB");
         self.mmu.save(w);
         self.hierarchy.save(w);
-        self.data_stride.save(w);
         self.inflight.save(w);
     }
 
@@ -222,20 +361,26 @@ impl Snapshot for SystemBackend {
         r.expect_tag(b"SYSB")?;
         self.mmu.restore(r)?;
         self.hierarchy.restore(r)?;
-        self.data_stride.restore(r)?;
         self.inflight.restore(r)?;
-        self.stride_proposals.clear();
         self.next_line_proposals.clear();
+        // Past the stream's first instruction now: a machine with no view
+        // of its own can only be fed.
+        if matches!(self.resolution, Resolution::Start) {
+            self.resolution = Resolution::Fed(Feed::default());
+        }
         Ok(())
     }
 }
 
 impl MemoryBackend for SystemBackend {
     fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> MemLatency {
-        // The MMU translation stays on the fast path: TLB hit/miss
-        // statistics and page-walk state are architectural, and the
-        // temperature attribute feeds the L1's (policy-visible) hit hook.
-        let (pa, temperature) = self.mmu.translate(pc);
+        // The TLB lookup stays on the fast path: its statistics are
+        // architectural, and the temperature attribute feeds the L1's
+        // (policy-visible) hit hook.
+        let (pa, temperature) = match self.mmu.translate(pc) {
+            Some(translated) => translated,
+            None => (self.resolution.fetch(pc), None),
+        };
         let req = MemoryRequest::fetch(pa, pc)
             .with_temperature(temperature)
             .with_starvation(caused_starvation);
@@ -281,60 +426,27 @@ impl MemoryBackend for SystemBackend {
     }
 
     fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
-        let (pa, _) = self.mmu.translate(addr);
-        let req = MemoryRequest::load(pa, pc);
-        let out = match self.hierarchy.access_l1(&req) {
-            Some(out) => {
-                self.fastpath_hits += 1;
-                out
-            }
-            None => {
-                self.fastpath_bails += 1;
-                let out = self.hierarchy.access_beyond_l1(&req);
-                self.observe_l2(pa, false);
-                out
-            }
-        };
-        // Stride prefetcher trains on the demand stream — on hits too,
-        // so it runs after the fast path as well. The proposal buffer is
-        // owned by the backend and reused every access (append contract:
-        // cleared here, filled by `propose_into`).
-        self.stride_proposals.clear();
-        self.data_stride.propose_into(pc, pa, &mut self.stride_proposals);
-        for i in 0..self.stride_proposals.len() {
-            self.hierarchy.prefetch(&MemoryRequest::load(self.stride_proposals[i], pc));
+        let pa = self.resolution.data(addr, pc, false);
+        let latency = self.data_access(addr, &MemoryRequest::load(pa, pc));
+        // The stride prefetcher trained on the demand stream — hits too —
+        // in the view; its proposals fill this machine's caches.
+        for &proposal in self.resolution.proposals() {
+            self.hierarchy.prefetch(&MemoryRequest::load(proposal, pc));
         }
-        MemLatency {
-            cycles: out.latency,
-            l1_hit: out.served_by == ServedBy::L1,
-            l2_miss: out.l2_miss(),
-        }
+        latency
     }
 
     fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
-        let (pa, _) = self.mmu.translate(addr);
-        let req = MemoryRequest::store(pa, pc);
-        let out = match self.hierarchy.access_l1(&req) {
-            Some(out) => {
-                self.fastpath_hits += 1;
-                out
-            }
-            None => {
-                self.fastpath_bails += 1;
-                let out = self.hierarchy.access_beyond_l1(&req);
-                self.observe_l2(pa, false);
-                out
-            }
-        };
-        MemLatency {
-            cycles: out.latency,
-            l1_hit: out.served_by == ServedBy::L1,
-            l2_miss: out.l2_miss(),
-        }
+        let pa = self.resolution.data(addr, pc, true);
+        self.data_access(addr, &MemoryRequest::store(pa, pc))
     }
 
     fn prefetch_ifetch(&mut self, pc: VirtAddr, now: u64) {
-        let (pa, temperature) = self.mmu.translate(pc);
+        let Some((pa, temperature)) = self.mmu.loaded(pc) else {
+            trrip_obs::counter!("cache.prefetch_unmapped_drop").incr();
+            return;
+        };
+        self.mmu.touch(pc);
         let line = LineAddr::of(pa);
         let req = MemoryRequest::fetch(pa, pc).with_temperature(temperature);
         let (level, latency) = self.hierarchy.probe(line, true);
@@ -356,7 +468,7 @@ mod tests {
     use crate::config::SimConfig;
     use trrip_cache::HierarchyConfig;
     use trrip_compiler::{Linker, Program};
-    use trrip_os::Loader;
+    use trrip_os::{Loader, TlbStats};
     use trrip_policies::PolicyKind;
     use trrip_workloads::{build_program, WorkloadSpec};
 
@@ -368,10 +480,40 @@ mod tests {
         let object = Linker::new().link_source_order(&program);
         let config = SimConfig::quick(PolicyKind::Srrip);
         let image = Loader::new(config.page_size).load(&object);
-        let mmu = Mmu::new(image.page_table);
+        let mmu = Mmu::new(&image.page_table);
         let hierarchy = Hierarchy::new(&HierarchyConfig::paper(PolicyKind::Srrip));
-        let backend = SystemBackend::new(mmu, hierarchy, &object, &config);
+        let mut backend = SystemBackend::new(mmu, hierarchy, &object, &config);
+        backend.own_view(StreamView::new(&object, config.page_size));
         (program, object, backend)
+    }
+
+    /// An instruction prefetch into a page the loader did not map is
+    /// dropped before the TLB or a cache sees it, and counted; one into
+    /// a loaded page is not.
+    #[test]
+    fn a_prefetch_off_the_loaded_image_is_dropped_and_counted() {
+        let (_p, object, mut b) = setup();
+        let before = trrip_obs::snapshot();
+        b.prefetch_ifetch(VirtAddr::new(0x9000_0000), 0);
+        let moved = trrip_obs::snapshot().since(&before);
+        assert_eq!(moved.get("cache.prefetch_unmapped_drop"), 1);
+        assert_eq!(b.mmu().tlb_stats(), TlbStats::default(), "no TLB lookup");
+        let untouched = |b: &SystemBackend| {
+            let h = b.hierarchy();
+            [*h.l1i().stats(), *h.l2().stats(), *h.slc().stats()]
+        };
+        assert_eq!(untouched(&b), untouched(&setup().2), "no cache saw it");
+        // The page stays unmapped for prefetches even once a demand
+        // access has allocated it.
+        b.dread(VirtAddr::new(0x9000_0000), object.function_addrs[0]);
+        let tlb = b.mmu().tlb_stats();
+        b.prefetch_ifetch(VirtAddr::new(0x9000_0040), 0);
+        assert_eq!(b.mmu().tlb_stats(), tlb);
+
+        let before = trrip_obs::snapshot();
+        b.prefetch_ifetch(object.function_addrs[1], 0);
+        assert_eq!(trrip_obs::snapshot().since(&before).get("cache.prefetch_unmapped_drop"), 0);
+        assert_eq!(b.mmu().tlb_stats().misses, tlb.misses + 1, "a loaded page is looked up");
     }
 
     #[test]

@@ -33,20 +33,25 @@
 //! * **shared prefix** — the *policy-agnostic* half of one workload's
 //!   fast-forward boundary state, as a sweep's [`crate::Frontend`] hands
 //!   it out ([`SharedWarmup`]), in two sections: `SHRD`, the branch
-//!   predictor, and `WALK`, the walker's position
-//!   ([`trrip_workloads::WalkerState`]) at exactly instruction
-//!   `fast_forward` — so a frontend resumed from it starts the stream
-//!   there without walking the warm-up. One file per workload, keyed by
-//!   what the frontend reads and nothing a cell adds to it
-//!   ([`warmup_prefix_hash`]). The walker section is checked against the
-//!   workload's program when it loads: an index out of range or a length
-//!   past what a walker holds is damage, named by field;
-//! * **policy overlay** — the *policy-dependent* rest (caches with
-//!   tag/RRPV/policy state, MMU/TLB, prefetch tables, in-flight
-//!   tracker, starvation FIFO). One file per cell — per `(workload,
-//!   machine)`;
+//!   predictor followed by the row's stream views ([`crate::StreamView`],
+//!   one per page size among its cells, smallest first: the
+//!   demand-allocated frames and the stride table), and `WALK`, the
+//!   walker's position ([`trrip_workloads::WalkerState`]) at exactly
+//!   instruction `fast_forward` — so a frontend resumed from it starts
+//!   the stream there without walking the warm-up. One file per workload
+//!   and set of page sizes, keyed by what the frontend reads and holds and
+//!   nothing a cell adds to it ([`warmup_prefix_hash`]). The walker
+//!   section is checked against the workload's program when it loads: an
+//!   index out of range or a length past what a walker holds is damage,
+//!   named by field;
+//! * **policy overlay** — the *policy-dependent* rest, one `OVLY`
+//!   section: the starvation FIFO, the TLB, the caches with
+//!   tag/RRPV/policy state and the in-flight prefetch tracker. No frame
+//!   and no stride table: those are the stream's, in the prefix. One file
+//!   per cell — per `(workload, machine)`;
 //! * **full** — a complete [`SimRun`] state at the boundary: whatever a
-//!   caller saves whole with [`CheckpointStore::save`]. No sweep reads
+//!   caller saves whole with [`CheckpointStore::save`], `SHRD` (the
+//!   predictor and the run's one stream view) then `OVLY`. No sweep reads
 //!   or writes one;
 //! * **training profile** — the basic-block counters of a workload's
 //!   instrumented training run (Figure 4 ②–③), in one `PROF` section.
@@ -77,10 +82,12 @@
 //!   profiler flags are deliberately excluded — a warmed state is
 //!   reusable under any measure window, which is what lets fig6/fig8/
 //!   fig9 share warmups where their machines agree. Shared-prefix files
-//!   use the frontend's variant ([`warmup_prefix_hash`]: core, layout and
-//!   fast-forward length — no policy, no cache geometry, no page size),
-//!   so every cell of a workload's row resolves the same prefix, whatever
-//!   the cells differ in.
+//!   use the frontend's variant ([`warmup_prefix_hash`]: core, layout,
+//!   fast-forward length and the page size of each view — no policy, no
+//!   cache geometry, no overlap rule, which moves temperatures, never
+//!   frames), so every cell of a workload's row resolves the row's
+//!   prefix, and rows over the same page sizes — fig6's, table3's,
+//!   fig9's — share it; overlap_ablation's, over three, has its own.
 //!
 //! A training profile precedes code placement, so it is keyed by the
 //! **spec fingerprint** ([`crate::capture::spec_fingerprint`]: the whole
@@ -100,7 +107,7 @@ use trrip_compiler::{LayoutKind, Profile, Program};
 use trrip_cpu::{
     BranchInfo, BranchKind, CoreConfig, MemOp, PredictorConfig, StallClass, TraceInstr,
 };
-use trrip_mem::VirtAddr;
+use trrip_mem::{PageSize, VirtAddr};
 use trrip_os::OverlapPolicy;
 use trrip_snap::{Checksum, SnapError, SnapReader, SnapWriter, Snapshot};
 use trrip_workloads::walker::{Frame, Phase};
@@ -110,16 +117,18 @@ use crate::capture::{spec_fingerprint, trace_layout, workload_fingerprint};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
 use crate::system::SimRun;
+use crate::view::view_page_sizes;
 
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v10. The snapshot payload rests as written, and a full state is the
+/// v11. The snapshot payload rests as written, and a full state is the
 /// two sections a shared prefix and an overlay hold (`SHRD`, then
 /// `OVLY`). Every container is a fast-forward-boundary state, a shared
 /// prefix is keyed by what a frontend reads alone, and it holds the
-/// walker's position beside the predictor.
-pub const VERSION: u16 = 10;
+/// walker's position beside the predictor and the stream views; an
+/// overlay holds neither frames nor a stride table.
+pub const VERSION: u16 = 11;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -270,22 +279,32 @@ fn overlap_tag(overlap: OverlapPolicy) -> u8 {
 /// predictor sizing, page size, fast-forward length…) moves the hash.
 #[must_use]
 pub fn warmup_config_hash(config: &SimConfig) -> u64 {
-    warmup_hash(config, true)
+    warmup_hash(config, None)
 }
 
-/// The key of a shared-prefix container: what a predictor at the
+/// The key of a row's shared-prefix container: what a frontend at the
 /// boundary depends on and nothing else — the core, the layout and the
-/// fast-forward length. A sweep's frontend trains it over a backend that
-/// always hits, so the L2 policy, every cache's geometry and latencies,
-/// the DRAM latency, the page size and the overlap rule never reach it,
-/// and every cell of a workload's row — whatever the cells differ in —
-/// resolves the same file.
+/// fast-forward length (the predictor), and the page size of each
+/// stream view it holds, one per page size among the row's cells
+/// ([`view_page_sizes`]). A sweep's frontend trains over a backend that
+/// always hits and a view resolves frames and strides, so the L2 policy,
+/// every cache's geometry and latencies, the DRAM latency and the
+/// overlap rule — which moves temperatures, read by each cell from its
+/// own loaded image, never frames — do not reach it: cells that differ
+/// only in those resolve the same file.
+///
+/// # Panics
+///
+/// Panics if `row` is empty.
 #[must_use]
-pub fn warmup_prefix_hash(config: &SimConfig) -> u64 {
-    warmup_hash(config, false)
+pub fn warmup_prefix_hash(row: &[SimConfig]) -> u64 {
+    let config = row.first().expect("a shared prefix serves at least one cell");
+    warmup_hash(config, Some(&view_page_sizes(row)))
 }
 
-fn warmup_hash(config: &SimConfig, memory_system: bool) -> u64 {
+/// The machine's whole warm-up key, or with `views`, the key of a
+/// frontend holding views of those page sizes.
+fn warmup_hash(config: &SimConfig, views: Option<&[PageSize]>) -> u64 {
     // No `..` in these patterns: a field added to one of these structs
     // does not compile until it is hashed here or named as left out.
     let CoreConfig {
@@ -322,7 +341,12 @@ fn warmup_hash(config: &SimConfig, memory_system: bool) -> u64 {
     w.usize(fdip_max_lines);
     w.u64(l1_hit_cycles);
     w.u64(starvation_threshold);
-    if memory_system {
+    if let Some(views) = views {
+        w.usize(views.len());
+        for page_size in views {
+            w.u64(page_size.bytes());
+        }
+    } else {
         let HierarchyConfig { l1i, l1d, l2, slc, dram_latency, l2_policy } = &config.hierarchy;
         for cache in [l1i, l1d, l2, slc] {
             // The name is a label.
@@ -590,14 +614,16 @@ impl CheckpointStore {
         }
     }
 
-    /// Whether the store holds the two files a restore of `(workload,
-    /// config)` at the fast-forward boundary reads — the shared prefix
-    /// and this policy's overlay — going by their names alone. Cheap
-    /// enough to ask of every cell before a sweep; whether they *load*
-    /// is for the restore to find out.
+    /// Whether the store holds every file a restore of `workload`'s row
+    /// of `cells` at the fast-forward boundary reads — the row's shared
+    /// prefix and each cell's overlay — going by their names alone. Cheap
+    /// enough to ask before a sweep; whether they *load* is for the
+    /// restores to find out.
     #[must_use]
-    pub fn holds_restore(&self, workload: &PreparedWorkload, config: &SimConfig) -> bool {
-        self.prefix_path(workload, config).exists() && self.overlay_path(workload, config).exists()
+    pub fn holds_restore(&self, workload: &PreparedWorkload, cells: &[SimConfig]) -> bool {
+        !cells.is_empty()
+            && self.prefix_path(workload, cells).exists()
+            && cells.iter().all(|cell| self.overlay_path(workload, cell).exists())
     }
 
     /// Saves `run`'s state as the fast-forward checkpoint for its
@@ -650,43 +676,54 @@ impl CheckpointStore {
         })
     }
 
-    /// Where the **shared prefix** for `(workload, config)` lives — one
-    /// file per workload, keyed by what a frontend reads
-    /// ([`warmup_prefix_hash`]), so every cell of a sweep's row resolves
-    /// the same prefix.
+    /// Where the **shared prefix** of `workload`'s row of `cells` lives —
+    /// one file per workload and set of page sizes, keyed by what a
+    /// frontend reads and holds ([`warmup_prefix_hash`]), so every cell of
+    /// the row, and of any row with the same page sizes, resolves the same
+    /// prefix.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` is empty.
     #[must_use]
-    pub fn prefix_path(&self, workload: &PreparedWorkload, config: &SimConfig) -> PathBuf {
+    pub fn prefix_path(&self, workload: &PreparedWorkload, cells: &[SimConfig]) -> PathBuf {
+        let config = &cells[0];
         self.dir.join(format!(
             "{}-{}-shared-ff{}-{:016x}-{:016x}.ckpt",
             workload.spec.name,
             trace_layout(config.layout).tag(),
             config.fast_forward,
             workload_fingerprint(workload, config),
-            warmup_prefix_hash(config),
+            warmup_prefix_hash(cells),
         ))
     }
 
     /// The metadata a valid shared prefix must carry. The policy field
     /// holds `"*"` — the prefix belongs to every cell.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` is empty.
     #[must_use]
     pub fn expected_prefix_meta(
         &self,
         workload: &PreparedWorkload,
-        config: &SimConfig,
+        cells: &[SimConfig],
     ) -> CheckpointMeta {
+        let config = &cells[0];
         CheckpointMeta {
             benchmark: workload.spec.name.clone(),
             policy: "*".to_owned(),
             fingerprint: workload_fingerprint(workload, config),
-            config_hash: warmup_prefix_hash(config),
+            config_hash: warmup_prefix_hash(cells),
             stream_position: config.fast_forward,
         }
     }
 
     /// Saves `prefix` — a workload's policy-agnostic boundary state, in
-    /// hand as a sweep's [`crate::Frontend`] leaves it
-    /// ([`crate::Frontend::take_shared_warmup`]) — as the shared prefix of
-    /// `(workload, config)`.
+    /// hand as a sweep's [`crate::Frontend`] for the row of `cells`
+    /// leaves it ([`crate::Frontend::take_shared_warmup`]) — as that
+    /// row's shared prefix.
     ///
     /// # Errors
     ///
@@ -694,11 +731,11 @@ impl CheckpointStore {
     pub fn save_prefix(
         &self,
         workload: &PreparedWorkload,
-        config: &SimConfig,
+        cells: &[SimConfig],
         prefix: &SharedWarmup,
     ) -> Result<PathBuf, CheckpointError> {
-        let path = self.prefix_path(workload, config);
-        let meta = self.expected_prefix_meta(workload, config);
+        let path = self.prefix_path(workload, cells);
+        let meta = self.expected_prefix_meta(workload, cells);
         let mut payload = prefix.shared.clone();
         let mut walker = SnapWriter::new();
         save_walker(&mut walker, &prefix.walker);
@@ -708,8 +745,8 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Loads the shared prefix for `(workload, config)`, if a valid one
-    /// exists. `Ok(None)` for a missing, other-version or
+    /// Loads the shared prefix of `workload`'s row of `cells`, if a valid
+    /// one exists. `Ok(None)` for a missing, other-version or
     /// differently-keyed file; only damaged files are errors (the
     /// prefix is written again either way).
     ///
@@ -722,10 +759,10 @@ impl CheckpointStore {
     pub fn load_prefix(
         &self,
         workload: &PreparedWorkload,
-        config: &SimConfig,
+        cells: &[SimConfig],
     ) -> Result<Option<SharedWarmup>, CheckpointError> {
-        let path = self.prefix_path(workload, config);
-        let expected = self.expected_prefix_meta(workload, config);
+        let path = self.prefix_path(workload, cells);
+        let expected = self.expected_prefix_meta(workload, cells);
         load_keyed(&path, CheckpointKind::SharedPrefix, &expected, |payload| {
             SharedWarmup::load(&payload, workload)
         })
@@ -865,8 +902,9 @@ impl CheckpointStore {
 
 /// One workload's policy-agnostic warm prefix, as a
 /// [`CheckpointKind::SharedPrefix`] container holds it: the `SHRD`
-/// section — the branch predictor at the fast-forward boundary — and the
-/// walker's position there. Shared across every cell of the workload.
+/// section — the branch predictor and the stream views at the
+/// fast-forward boundary — and the walker's position there. Shared
+/// across every cell of the workload's row.
 #[derive(Debug, Clone)]
 pub struct SharedWarmup {
     /// The `SHRD` section, as raw bytes.
@@ -1108,15 +1146,17 @@ mod tests {
     type CacheFlip = fn(&mut CacheConfig);
 
     /// Every field the keys read moves the machine key when flipped
-    /// alone; only the core's fields, the layout and the fast-forward
-    /// length move the prefix key; the fields they leave out move
-    /// neither. Both keys of the paper machine are pinned, so a write
-    /// reordered (and with it every store file name) fails too.
+    /// alone; only the core's fields, the layout, the fast-forward length
+    /// and — through the stream view it picks — the page size move the
+    /// prefix key; the fields they leave out move neither. Both keys of
+    /// the paper machine are pinned, so a write reordered (and with it
+    /// every store file name) fails too.
     #[test]
     fn every_hashed_field_moves_its_key_and_no_other_does() {
         let base = SimConfig::paper(PolicyKind::Srrip);
+        let row = |config: &SimConfig| warmup_prefix_hash(std::slice::from_ref(config));
         assert_eq!(warmup_config_hash(&base), 0x37b2_b070_bc02_4236);
-        assert_eq!(warmup_prefix_hash(&base), 0x6ec3_58d4_5586_acce);
+        assert_eq!(row(&base), PREFIX_KEY);
 
         let frontend: [(&str, Flip); 15] = [
             ("dispatch_width", |c| c.core.dispatch_width += 1),
@@ -1147,10 +1187,10 @@ mod tests {
             ("tag_latency", |c| c.tag_latency += 1),
             ("data_latency", |c| c.data_latency += 1),
         ];
-        let memory_system: [(&str, Flip); 4] = [
+        let memory_system: [(&str, Flip); 3] = [
             ("dram_latency", |c| c.hierarchy.dram_latency += 1),
             ("l2_policy", |c| c.hierarchy.l2_policy = PolicyKind::Lru),
-            ("page_size", |c| c.page_size = trrip_mem::PageSize::Size16K),
+            // Temperatures, which each cell reads from its own image.
             ("overlap", |c| c.overlap = OverlapPolicy::Hottest),
         ];
         let neither: [(&str, Flip); 7] = [
@@ -1166,14 +1206,12 @@ mod tests {
         let moved = |flip: &dyn Fn(&mut SimConfig)| {
             let mut config = base.clone();
             flip(&mut config);
-            (
-                warmup_config_hash(&config) != warmup_config_hash(&base),
-                warmup_prefix_hash(&config) != warmup_prefix_hash(&base),
-            )
+            (warmup_config_hash(&config) != warmup_config_hash(&base), row(&config) != row(&base))
         };
         for (field, flip) in frontend {
             assert_eq!(moved(&flip), (true, true), "{field}");
         }
+        assert_eq!(moved(&|c| c.page_size = PageSize::Size16K), (true, true), "page_size");
         for (level, cache) in caches.into_iter().enumerate() {
             for (field, flip) in cache_fields {
                 assert_eq!(moved(&|c| flip(cache(c))), (true, false), "cache {level} {field}");
@@ -1185,6 +1223,39 @@ mod tests {
         for (field, flip) in neither {
             assert_eq!(moved(&flip), (false, false), "{field}");
         }
+    }
+
+    /// The paper machine's prefix key: one stream view, of 4 kB pages.
+    const PREFIX_KEY: u64 = 0x77fa_6d7b_e05c_1c61;
+
+    /// A row's prefix key is its page sizes as a set: however many cells
+    /// share one and in whatever order, and whatever else they differ in.
+    #[test]
+    fn a_prefix_key_is_its_rows_page_sizes() {
+        let base = SimConfig::paper(PolicyKind::Srrip);
+        let sized = |page_size, overlap, policy| SimConfig {
+            page_size,
+            overlap,
+            ..base.clone().with_policy(policy)
+        };
+        let (small, large) = (PageSize::Size4K, PageSize::Size16K);
+        let one = [base.clone()];
+        let ablation = [
+            sized(small, OverlapPolicy::DropMixed, PolicyKind::Srrip),
+            sized(large, OverlapPolicy::FirstByte, PolicyKind::Trrip1),
+            sized(small, OverlapPolicy::FirstByte, PolicyKind::Trrip1),
+            sized(large, OverlapPolicy::DropMixed, PolicyKind::Srrip),
+        ];
+        let reversed: Vec<SimConfig> = ablation.iter().rev().cloned().collect();
+        let policies = [
+            sized(small, OverlapPolicy::Hottest, PolicyKind::Lru),
+            sized(small, OverlapPolicy::FirstByte, PolicyKind::Clip),
+        ];
+        assert_eq!(warmup_prefix_hash(&policies), warmup_prefix_hash(&one));
+        assert_eq!(warmup_prefix_hash(&reversed), warmup_prefix_hash(&ablation));
+        assert_ne!(warmup_prefix_hash(&ablation), warmup_prefix_hash(&one));
+        assert_ne!(warmup_prefix_hash(&ablation[1..2]), warmup_prefix_hash(&one));
+        assert_eq!(view_page_sizes(&ablation), [small, large]);
     }
 
     fn transient(kind: std::io::ErrorKind) -> CheckpointError {

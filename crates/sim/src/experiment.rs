@@ -15,10 +15,13 @@
 //! **One entry point, one executor, one producer.** Every sweep is a
 //! [`policy_sweep_with`] and runs on the push executor (`push_sweep`):
 //! per workload, one [`Frontend`] — branch predictor, FDIP scan,
-//! fetch-line tracking, none of which ever sees a cache latency — digests
-//! the CFG walker's stream into a small bounded window of shared event
-//! turns, and at most `jobs` worker threads push every turn through their
-//! cells, which run only the memory-system-dependent half of the core. A
+//! fetch-line tracking, none of which ever sees a cache latency, and a
+//! stream view per page size among the cells, which allocates anonymous
+//! frames and trains the stride prefetcher — digests the CFG walker's
+//! stream into a small bounded window of shared event turns, each with a
+//! column per view beside its records, and at most `jobs` worker threads
+//! push every turn through their cells, which run only the
+//! memory-system-dependent half of the machine. A
 //! worker drives the cells it holds of a workload **in lockstep**: it
 //! reads a turn once, and each record moves every one of those machines
 //! before the next is looked at (`Core::execute` over the group) — so a
@@ -32,8 +35,9 @@
 //!
 //! With a [`CheckpointStore`] attached a sweep also leaves the
 //! fast-forward boundary behind, in **two files**: per workload the
-//! **shared prefix** (the frontend's predictor and the walker's position
-//! — one file however the row's cells differ), per cell its **overlay**.
+//! **shared prefix** (the frontend's predictor and stream views and the
+//! walker's position — one file however the row's cells differ in
+//! anything but their page sizes), per cell its **overlay**.
 //! There is one way back to the boundary, `restore_at_boundary`, and
 //! every cell takes it: a cell whose overlay loads restores, a cell whose
 //! overlay does not executes the warm-up turns
@@ -69,7 +73,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Condvar, MutexGuard};
 
 use parking_lot::Mutex;
-use trrip_cpu::{EventTurn, TraceInstr};
+use trrip_cpu::TraceInstr;
 use trrip_obs::Field;
 use trrip_policies::PolicyKind;
 use trrip_trace::{SourceIter, TraceSource};
@@ -80,6 +84,7 @@ use crate::checkpoint::{CheckpointStore, SharedWarmup};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
 use crate::system::{Frontend, Resumable, SimResult, SimRun};
+use crate::view::StreamTurn;
 use crate::warmstats;
 
 /// Worker threads used when the caller does not cap them: one per
@@ -294,10 +299,10 @@ impl TraceSource for AheadSource {
 /// own. When fewer remain, the last round spreads the workers over them
 /// in teams, and the members of a team split that workload's cells
 /// between them (member `m` of `n` takes cells `m`, `m + n`, …) while
-/// reading one shared stream: whichever member reaches the head of the
-/// stream first generates and digests the next turn for all of them —
-/// in practice the member with the lighter share, which is what evens
-/// out an odd split.
+/// reading one shared stream: a member that reaches the head of the
+/// stream with the producer free generates and digests the next turn
+/// for all of them before it takes its own, so the digests fall to
+/// whichever member has slack — which is what evens out an odd split.
 ///
 /// The shared stream is a **bounded window** of a few turns. A member
 /// that runs ahead waits for the slowest to let go of the oldest turn
@@ -372,8 +377,7 @@ fn open_walker<'w>(
     prefix: Option<&SharedWarmup>,
 ) -> Frontend<TraceGenerator<'w>> {
     let config = &cells[0];
-    let holds =
-        |store: &CheckpointStore| cells.iter().all(|cell| store.holds_restore(workload, cell));
+    let holds = |store: &CheckpointStore| store.holds_restore(workload, cells);
     match prefix.filter(|_| checkpoints.is_some_and(holds)) {
         Some(prefix) => {
             journal_producer(workload, config.fast_forward);
@@ -387,12 +391,12 @@ fn open_walker<'w>(
                 prefix.walker.clone(),
             )
             .expect("the walker section was checked when the prefix loaded");
-            Frontend::resume(config, walker, prefix)
+            Frontend::resume(workload, cells, walker, prefix)
                 .expect("keyed shared prefix matches the machine")
         }
         None => {
             journal_producer(workload, 0);
-            Frontend::new(config, eval_walker(workload, config))
+            Frontend::new(workload, cells, eval_walker(workload, config))
         }
     }
 }
@@ -456,11 +460,10 @@ where
     let runs = workloads.len() * cells.len();
     let mut finished = Vec::new();
     if runs > 0 {
-        let stream = &cells[0];
         let workers = jobs.clamp(1, runs);
         let teams = deal_teams(workloads.len(), cells.len(), workers);
         let windows: Vec<Window<'w, S>> = std::iter::zip(workloads, &teams)
-            .map(|(workload, team)| Window::new(workload, stream, checkpoints, team.members))
+            .map(|(workload, team)| Window::new(workload, cells, checkpoints, team.members))
             .collect();
         let work = |worker: usize| {
             let _bail = Bail(&windows);
@@ -562,7 +565,7 @@ where
     S: Resumable,
     F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S>,
 {
-    let (workload, config, checkpoints) = (window.workload, window.config, window.checkpoints);
+    let (workload, config, checkpoints) = (window.workload, &window.cells[0], window.checkpoints);
     let bench = workload.spec.name.as_str();
     let start = window.open(open);
     let mut reader = Reader { window, turn: 0, held: None };
@@ -647,15 +650,15 @@ fn restore_at_boundary<'w>(
     }
 }
 
-/// `workload`'s shared prefix, if the store holds one that loads; one
-/// that does not is reported, and written again by whoever crosses the
-/// boundary next.
+/// The shared prefix of `workload`'s row of `cells`, if the store holds
+/// one that loads; one that does not is reported, and written again by
+/// whoever crosses the boundary next.
 fn load_prefix(
     store: &CheckpointStore,
     workload: &PreparedWorkload,
-    config: &SimConfig,
+    cells: &[SimConfig],
 ) -> Option<SharedWarmup> {
-    store.load_prefix(workload, config).unwrap_or_else(|e| {
+    store.load_prefix(workload, cells).unwrap_or_else(|e| {
         report_damaged(&workload.spec.name, "*", "shared prefix", &e, "writing it again");
         None
     })
@@ -680,16 +683,16 @@ fn leave_boundary(store: Option<&CheckpointStore>, run: &SimRun<'_>) {
     }
 }
 
-/// Saves `workload`'s shared prefix; a failure only costs the next
-/// sweep's frontend the warm-up.
+/// Saves the shared prefix of `workload`'s row of `cells`; a failure
+/// only costs the next sweep's frontend the warm-up.
 fn save_prefix(
     store: &CheckpointStore,
     workload: &PreparedWorkload,
-    config: &SimConfig,
+    cells: &[SimConfig],
     prefix: &SharedWarmup,
 ) {
     warmstats::count_recorded_warmup();
-    if let Err(e) = store.save_prefix(workload, config, prefix) {
+    if let Err(e) = store.save_prefix(workload, cells, prefix) {
         report_damaged(&workload.spec.name, "*", "prefix save", &e, "continuing without it");
     }
 }
@@ -763,9 +766,10 @@ pub(crate) fn report_damaged(
 /// let go of it.
 struct Window<'w, S> {
     workload: &'w PreparedWorkload,
-    /// What the stream and the frontend are read from: the row's first
-    /// cell, with which every other agrees on it.
-    config: &'w SimConfig,
+    /// The row: the stream and the frontend's predictor are read from
+    /// its first cell, with which every other agrees on them, and the
+    /// frontend's views from the page sizes of all of them.
+    cells: &'w [SimConfig],
     checkpoints: Option<&'w CheckpointStore>,
     /// Team size: every turn is read this many times.
     readers: usize,
@@ -787,14 +791,14 @@ struct WindowState<S> {
     first: usize,
     turns: VecDeque<Turn>,
     /// Retired turns' buffers, for the next turns to be digested into.
-    spare: Vec<EventTurn>,
+    spare: Vec<StreamTurn>,
     /// A worker of the sweep panicked ([`Bail`]): the rest must not
     /// wait for turns it will never publish or release.
     failed: bool,
 }
 
 struct Turn {
-    events: Arc<EventTurn>,
+    events: Arc<StreamTurn>,
     readers_left: usize,
 }
 
@@ -812,13 +816,13 @@ enum Producer<S> {
 impl<'w, S: Resumable> Window<'w, S> {
     fn new(
         workload: &'w PreparedWorkload,
-        config: &'w SimConfig,
+        cells: &'w [SimConfig],
         checkpoints: Option<&'w CheckpointStore>,
         readers: usize,
     ) -> Self {
         Window {
             workload,
-            config,
+            cells,
             checkpoints,
             readers,
             state: std::sync::Mutex::new(WindowState {
@@ -849,7 +853,7 @@ impl<'w, S: Resumable> Window<'w, S> {
         let mut state = self.lock();
         if matches!(state.producer, Producer::Unopened) {
             let prefix =
-                self.checkpoints.and_then(|store| load_prefix(store, self.workload, self.config));
+                self.checkpoints.and_then(|store| load_prefix(store, self.workload, self.cells));
             let frontend = open(self.workload, prefix.as_ref());
             state.prefix_wanted = self.checkpoints.is_some() && prefix.is_none();
             state.start = frontend.start();
@@ -860,62 +864,87 @@ impl<'w, S: Resumable> Window<'w, S> {
 
     /// Turn `k` of the stream, or `None` when the stream ended before
     /// it. A member asks for turns in order, so `k` is either in the
-    /// window or the next to be digested — and then the first member to
-    /// find the producer idle and the window not full generates and
-    /// digests it, outside the lock, while the others read what is there
-    /// or wait.
-    fn acquire(&self, k: usize) -> Option<Arc<EventTurn>> {
+    /// window or the next to be digested. The member that finds the
+    /// producer idle and the window not full when it reaches the head of
+    /// the stream — `k` is the newest turn, or not digested yet — digests
+    /// the next one, outside the lock, while the others read what is
+    /// there or wait; and it does so before it takes a `k` that is
+    /// already there. A team's slack is at the head: a member that only
+    /// digested when it found the window empty would make its teammates
+    /// wait on every digest it does, and once the cells are cheap the
+    /// digest is worth two of them (a two-member team over nine cells
+    /// waited ≈ 15 % of its time on `gcc`).
+    fn acquire(&self, k: usize) -> Option<Arc<StreamTurn>> {
         let mut state = self.lock();
         loop {
             if state.failed {
                 drop(state);
                 panic!("another worker of this sweep panicked");
             }
-            if let Some(turn) = state.turns.get(k - state.first) {
-                return Some(Arc::clone(&turn.events));
-            }
-            let room = state.turns.len() < WINDOW_TURNS;
-            match std::mem::replace(&mut state.producer, Producer::Busy) {
-                Producer::Done => {
-                    state.producer = Producer::Done;
-                    return None;
-                }
-                Producer::Idle(mut frontend) if room => {
-                    let mut events = state.spare.pop().unwrap_or_default();
-                    let prefix_wanted = state.prefix_wanted;
-                    drop(state);
-                    let more = {
-                        let _span = trrip_obs::span!("digest");
-                        frontend.digest(TURN_INSTRS, &mut events)
-                    };
-                    // The frontend is across the fast-forward boundary:
-                    // what it knows there is the shared prefix every
-                    // later sweep starts from.
-                    if let Some(store) = self.checkpoints.filter(|_| prefix_wanted) {
-                        if let Some(prefix) = frontend.take_shared_warmup() {
-                            save_prefix(store, self.workload, self.config, &prefix);
+            let held = state.turns.get(k - state.first).map(|turn| Arc::clone(&turn.events));
+            let at_head = k + 1 >= state.first + state.turns.len();
+            if at_head && state.turns.len() < WINDOW_TURNS {
+                match std::mem::replace(&mut state.producer, Producer::Busy) {
+                    Producer::Idle(frontend) => {
+                        state = self.produce(state, frontend);
+                        if held.is_some() {
+                            return held;
                         }
+                        continue;
                     }
-                    // Dropped here, not under the lock, when the stream
-                    // is over (a walker and a frontend publish their
-                    // counters then).
-                    let producer = if more { Producer::Idle(frontend) } else { Producer::Done };
-                    state = self.lock();
-                    if !more {
-                        state.spare.clear();
-                    }
-                    state.producer = producer;
-                    if events.instructions() > 0 {
-                        let turn = Turn { events: Arc::new(events), readers_left: self.readers };
-                        state.turns.push_back(turn);
-                    }
-                    self.changed.notify_all();
-                    continue;
+                    parked => state.producer = parked,
                 }
-                parked => state.producer = parked,
+            }
+            if held.is_some() {
+                return held;
+            }
+            if matches!(state.producer, Producer::Done) {
+                return None;
             }
             state = self.changed.wait(state).expect("a sweep worker panicked inside the window");
         }
+    }
+
+    /// Digests the next turn with `frontend`, taken out of `state` (left
+    /// `Busy`), outside the lock, and publishes it; returns the lock.
+    fn produce<'s>(
+        &'s self,
+        mut state: MutexGuard<'s, WindowState<S>>,
+        mut frontend: Box<Frontend<S>>,
+    ) -> MutexGuard<'s, WindowState<S>> {
+        let mut events = state.spare.pop().unwrap_or_default();
+        let prefix_wanted = state.prefix_wanted;
+        drop(state);
+        let more = {
+            let _span = trrip_obs::span!("digest");
+            frontend.digest(TURN_INSTRS, &mut events)
+        };
+        // The frontend is across the fast-forward boundary: what it knows
+        // there is the shared prefix every later sweep starts from.
+        if let Some(store) = self.checkpoints.filter(|_| prefix_wanted) {
+            if let Some(prefix) = frontend.take_shared_warmup() {
+                save_prefix(store, self.workload, self.cells, &prefix);
+            }
+        }
+        // Dropped here, not under the lock, when the stream is over (a
+        // walker and a frontend publish their counters then).
+        let producer = if more {
+            Producer::Idle(frontend)
+        } else {
+            drop(frontend);
+            Producer::Done
+        };
+        let mut state = self.lock();
+        if !more {
+            state.spare.clear();
+        }
+        state.producer = producer;
+        if events.instructions() > 0 {
+            let turn = Turn { events: Arc::new(events), readers_left: self.readers };
+            state.turns.push_back(turn);
+        }
+        self.changed.notify_all();
+        state
     }
 
     /// One member is done with turn `k`. Members release in stream
@@ -943,7 +972,7 @@ impl<'w, S: Resumable> Window<'w, S> {
 struct Reader<'a, 'w, S: Resumable> {
     window: &'a Window<'w, S>,
     turn: usize,
-    held: Option<Arc<EventTurn>>,
+    held: Option<Arc<StreamTurn>>,
 }
 
 impl<S: Resumable> Reader<'_, '_, S> {
@@ -951,7 +980,7 @@ impl<S: Resumable> Reader<'_, '_, S> {
     /// to `push`, one by one; the final call carries `last = true`,
     /// with an empty turn if there was nothing to hand over or the
     /// stream ended short.
-    fn feed(&mut self, limit: u64, mut push: impl FnMut(&EventTurn, bool)) {
+    fn feed(&mut self, limit: u64, mut push: impl FnMut(&StreamTurn, bool)) {
         let mut left = limit;
         while left > 0 {
             self.release();
@@ -965,7 +994,7 @@ impl<S: Resumable> Reader<'_, '_, S> {
             }
             push(turn, false);
         }
-        push(&EventTurn::new(), true);
+        push(&StreamTurn::new(), true);
     }
 
     fn release(&mut self) {
@@ -1112,8 +1141,8 @@ mod tests {
         let full: Vec<TraceInstr> = eval_walker(&workloads[0], &config).take(67_000).collect();
         for length in [67_000, 41_234] {
             let stream = &full[..length];
-            let sweep = push_sweep(2, &workloads, &cells, None, |_, _| {
-                Frontend::new(&config, VecSource::new(stream.to_vec(), 1_000))
+            let sweep = push_sweep(2, &workloads, &cells, None, |workload, _| {
+                Frontend::new(workload, &cells, VecSource::new(stream.to_vec(), 1_000))
             });
             for (cell, cell_config) in sweep.results.iter().zip(&cells) {
                 let pulled = simulate_source(
@@ -1155,7 +1184,9 @@ mod tests {
         config.instructions = 200_000;
         config.fast_forward = 0;
         let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Lru, PolicyKind::Clip]);
-        let _ = push_sweep(3, &workloads, &cells, None, |_, _| Frontend::new(&config, Breaks(0)));
+        let _ = push_sweep(3, &workloads, &cells, None, |workload, _| {
+            Frontend::new(workload, &cells, Breaks(0))
+        });
     }
 
     #[test]

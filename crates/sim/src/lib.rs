@@ -7,9 +7,14 @@
 //!   instrumentation-PGO training run, Eq. 1–2 classification and both
 //!   (non-PGO / PGO) linked objects, shared across policy sweeps.
 //! * [`backend`] — [`SystemBackend`]: implements the core's memory
-//!   interface over the MMU (temperature attribution) and the cache
-//!   hierarchy, adds next-line + stride prefetching and prefetch
-//!   timeliness, and feeds the reuse/costly-miss profilers.
+//!   interface over the cell's TLB and loaded image (temperature
+//!   attribution) and the cache hierarchy, adds next-line prefetching,
+//!   stride-prefetch fills and prefetch timeliness, and feeds the
+//!   reuse/costly-miss profilers.
+//! * [`view`] — [`StreamView`]: what the stream alone decides of the
+//!   memory system — anonymous frames and stride proposals — resolved
+//!   once per stream and page size, and handed to a sweep's cells as
+//!   columns beside each turn's records ([`StreamTurn`]).
 //! * [`system`] — [`simulate`] / [`simulate_source`]: fast-forward,
 //!   measure, collect — over the in-memory walker or any
 //!   [`trrip_trace::TraceSource`]; the one-cell oracle every sweep is
@@ -22,8 +27,9 @@
 //!   warmed [`SimRun`], keyed by workload fingerprint + machine hash;
 //!   repeated sweeps restore instead of re-running fast-forward. A
 //!   sweep keeps the fast-forward boundary as two files: a
-//!   policy-agnostic **shared prefix** (the predictor and the walker's
-//!   position, one per workload) and a per-cell **overlay**.
+//!   policy-agnostic **shared prefix** (the predictor, the stream views
+//!   and the walker's position, one per workload and set of page sizes)
+//!   and a per-cell **overlay**.
 //! * [`experiment`] — sweeps on the one executor there is (a cell is a
 //!   [`SimConfig`]; a workload's stream is produced once, predicted once
 //!   and pushed through every cell): [`policy_sweep_with`] over the
@@ -46,6 +52,7 @@ pub mod experiment;
 pub mod inflight;
 pub mod prepare;
 pub mod system;
+pub mod view;
 pub mod warmstats;
 
 pub use backend::SystemBackend;
@@ -61,6 +68,7 @@ pub use experiment::{
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
 pub use system::{simulate, simulate_source, Frontend, SimResult, SimRun};
+pub use view::{StreamTurn, StreamView};
 // The snapshot substrate, re-exported so callers can drive `SimRun`
 // save/restore without depending on `trrip-snap` directly.
 pub use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};

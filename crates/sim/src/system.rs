@@ -20,11 +20,15 @@
 //! — and the oracle every sweep is held to; no sweep runs its cells on
 //! it.
 //! **Push**: a [`Frontend`]
-//! runs the policy-independent half of the core over the stream once —
-//! branch prediction, the FDIP scan, fetch-line tracking — and writes
-//! what it decided as [`EventTurn`]s; the caller hands those to as many
-//! runs as it likes, each of which runs only the policy-dependent half
-//! ([`Core::execute`]) — to a **group** of runs at once
+//! runs the policy-independent half of the machine over the stream once —
+//! branch prediction, the FDIP scan, fetch-line tracking, and, through a
+//! [`StreamView`] per page size, demand page allocation and stride
+//! prefetcher training — and writes what it decided as [`StreamTurn`]s:
+//! event records ([`EventTurn`]) with a column per view beside them. The
+//! caller hands those to as many runs as it likes, each of which runs
+//! only the policy-dependent half ([`Core::execute`]) over its own TLB,
+//! loaded image and hierarchy, reading its page size's column — to a
+//! **group** of runs at once
 //! ([`SimRun::push_fast_forward_group`], [`SimRun::push_measure_group`]),
 //! which take the turn in lockstep, one read of it driving them all; one
 //! run alone is a group of one. Turns may be cut anywhere, an empty one
@@ -39,8 +43,12 @@
 //! behind [`SimRun::fast_forward`], the event loop behind
 //! [`SimRun::push_fast_forward_group`] — and both leave the same
 //! policy-dependent boundary state behind ([`SimRun::save_overlay`]);
-//! the policy-agnostic rest — the predictor, and where the walker stands —
-//! is the [`Frontend`]'s, handed out by [`Frontend::take_shared_warmup`].
+//! the policy-agnostic rest — the predictor, the stream views, and where
+//! the walker stands — is the [`Frontend`]'s, handed out by
+//! [`Frontend::take_shared_warmup`]. A pulled run owns one stream view
+//! and resolves through it inline, through the same code a frontend's
+//! views resolve a turn with; there is no other way to resolve, and no
+//! switch between the two.
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
@@ -57,6 +65,7 @@ use crate::backend::SystemBackend;
 use crate::checkpoint::SharedWarmup;
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
+use crate::view::{view_page_sizes, StreamTurn, StreamView};
 
 /// Results of one run (one benchmark × one configuration).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -168,21 +177,29 @@ pub fn simulate_source<S: TraceSource>(
 /// whose backend always hits — so the branch predictor trains and the
 /// FDIP scan runs exactly as in any cell, neither ever seeing a cache
 /// latency — and writes each stretch down as an [`EventTurn`]
-/// ([`WarmupMode::Digest`]). The digesting core drains its lookahead
-/// window and starts a fresh run at the fast-forward boundary, as a
-/// cell's does, so a turn never spans the two phases and the turns of a
-/// phase cover exactly its instructions.
+/// ([`WarmupMode::Digest`]), which its stream views — one per page size
+/// among the row's cells — resolve into a column each beside it
+/// ([`StreamTurn`]): the physical address of every memory operand (and
+/// of every demand fetch off the loaded image), and the stride proposals
+/// of every load. The digesting core drains its lookahead window and
+/// starts a fresh run at the fast-forward boundary, as a cell's does, so
+/// a turn never spans the two phases and the turns of a phase cover
+/// exactly its instructions.
 ///
-/// Its predictor at that boundary is the whole policy-agnostic half of
-/// a checkpoint. A frontend that digested the warm-up over the walker
-/// hands it out, once, as a [`SharedWarmup`] beside the walker's position
-/// there ([`Frontend::take_shared_warmup`]); a frontend built from one
+/// Its predictor and views at that boundary are the whole
+/// policy-agnostic half of a checkpoint. A frontend that digested the
+/// warm-up over the walker hands them out, once, as a [`SharedWarmup`]
+/// beside the walker's position there
+/// ([`Frontend::take_shared_warmup`]); a frontend built from one
 /// ([`Frontend::resume`]) starts *at* the boundary, over a source
 /// positioned there, with nothing of the warm-up left to pull.
 #[derive(Debug)]
 pub struct Frontend<S> {
     stream: SourceIter<S>,
     core: Core<FlatBackend>,
+    /// One per page size among the row's cells, smallest first
+    /// ([`view_page_sizes`]).
+    views: Vec<StreamView>,
     state: RunState,
     /// The stream position of the first turn.
     start: u64,
@@ -196,15 +213,26 @@ pub struct Frontend<S> {
 }
 
 impl<S: TraceSource> Frontend<S> {
-    /// A frontend for runs of `config` over `source`, from the stream's
-    /// first instruction.
+    /// A frontend for a row of `cells` — runs of `workload` that share a
+    /// stream, so agree on what a frontend reads — over `source`, from
+    /// the stream's first instruction, with a stream view per page size
+    /// among the cells.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `cells` is empty.
     #[must_use]
-    pub fn new(config: &SimConfig, source: S) -> Frontend<S> {
+    pub fn new(workload: &PreparedWorkload, cells: &[SimConfig], source: S) -> Frontend<S> {
+        let config = cells.first().expect("a frontend serves at least one cell");
         let core = Core::new(config.core, FlatBackend::all_hits());
+        let object = workload.object(config.layout);
+        let views =
+            view_page_sizes(cells).into_iter().map(|size| StreamView::new(object, size)).collect();
         Frontend {
             stream: SourceIter::new(source),
             state: core.begin_run(),
             core,
+            views,
             start: 0,
             left: [config.fast_forward, config.instructions],
             digested: 0,
@@ -212,23 +240,26 @@ impl<S: TraceSource> Frontend<S> {
         }
     }
 
-    /// A frontend that starts at the fast-forward boundary: its
-    /// predictor is `warmup`'s, and `source` must deliver the stream
-    /// from instruction `config.fast_forward` on.
+    /// A frontend for the row of `cells` that starts at the
+    /// fast-forward boundary: its predictor and its stream views are
+    /// `warmup`'s, and `source` must deliver the stream from instruction
+    /// `fast_forward` on.
     ///
     /// # Errors
     ///
-    /// Snapshot shape or codec errors in the shared section.
+    /// Snapshot shape or codec errors in the shared section, and views
+    /// of other page sizes than the row's.
     pub fn resume(
-        config: &SimConfig,
+        workload: &PreparedWorkload,
+        cells: &[SimConfig],
         source: S,
         warmup: &SharedWarmup,
     ) -> Result<Frontend<S>, SnapError> {
-        let mut frontend = Frontend::new(config, source);
+        let mut frontend = Frontend::new(workload, cells, source);
         let mut r = SnapReader::new(warmup.shared());
-        restore_shared_section(&mut frontend.core, &mut r)?;
+        restore_shared_section(&mut frontend.core, &mut frontend.views, &mut r)?;
         r.finish()?;
-        frontend.start = config.fast_forward;
+        frontend.start = cells[0].fast_forward;
         frontend.left[0] = 0;
         frontend.prefix_due = false;
         Ok(frontend)
@@ -242,16 +273,18 @@ impl<S: TraceSource> Frontend<S> {
     }
 
     /// Digests up to `limit` further instructions into `turn` (cleared
-    /// first), stopping at the phase boundary. The core looks ahead of
-    /// what it processes, so a turn covers the instructions pulled less
-    /// those still in its lookahead window — possibly none — until the
-    /// turn that reaches the end of the phase or of the stream, which
-    /// covers them all. Returns whether anything is left to digest.
-    pub fn digest(&mut self, limit: usize, turn: &mut EventTurn) -> bool {
-        turn.clear();
+    /// first), stopping at the phase boundary, and resolves its records
+    /// through every stream view. The core looks ahead of what it
+    /// processes, so a turn covers the instructions pulled less those
+    /// still in its lookahead window — possibly none — until the turn
+    /// that reaches the end of the phase or of the stream, which covers
+    /// them all. Returns whether anything is left to digest.
+    pub fn digest(&mut self, limit: usize, turn: &mut StreamTurn) -> bool {
+        let events = turn.events_mut();
+        events.clear();
         let phase = usize::from(self.left[0] == 0);
         let mut want = self.left[phase].min(limit as u64) as usize;
-        let mut mode = WarmupMode::Digest(turn);
+        let mut mode = WarmupMode::Digest(events);
         let mut dry = false;
         while want > 0 && !dry {
             let slice = self.stream.next_slice(want);
@@ -269,26 +302,27 @@ impl<S: TraceSource> Frontend<S> {
             self.left = [0, 0];
             self.prefix_due = false;
         }
+        turn.resolve(&mut self.views);
         self.digested += turn.instructions();
         self.left != [0, 0]
     }
 }
 
 impl<S: Resumable> Frontend<S> {
-    /// The policy-agnostic warm prefix — this frontend's predictor at
-    /// the boundary, exactly as a fast-forward of any pulled cell leaves
-    /// its own, and its source's position there: what it would hand out
-    /// next, counting what this frontend pulled and has not digested, is
-    /// instruction `fast_forward`. `Some` once, after the turn that
-    /// completed the warm-up; never after [`Frontend::resume`], nor if
-    /// the stream ended inside the warm-up.
+    /// The policy-agnostic warm prefix — this frontend's predictor and
+    /// stream views at the boundary, exactly as a fast-forward of any
+    /// pulled cell leaves its own, and its source's position there: what
+    /// it would hand out next, counting what this frontend pulled and has
+    /// not digested, is instruction `fast_forward`. `Some` once, after
+    /// the turn that completed the warm-up; never after
+    /// [`Frontend::resume`], nor if the stream ended inside the warm-up.
     pub fn take_shared_warmup(&mut self) -> Option<SharedWarmup> {
         if self.left[0] > 0 || !self.prefix_due {
             return None;
         }
         self.prefix_due = false;
         let mut shared = SnapWriter::new();
-        save_shared_section(&self.core, &mut shared);
+        save_shared_section(&self.core, &self.views.iter().collect::<Vec<_>>(), &mut shared);
         let walker = self.stream.source().position(self.stream.unread());
         Some(SharedWarmup::new(shared.into_bytes(), walker))
     }
@@ -321,7 +355,11 @@ impl<S> Drop for Frontend<S> {
 /// The phases, in order:
 ///
 /// 1. **load** — [`SimRun::new`]: loader maps the object (pages + PTEs
-///    with temperature bits), the hierarchy and core are built cold.
+///    with temperature bits), the hierarchy and core are built cold. A
+///    run that pulls its stream resolves what the stream alone decides
+///    through a [`StreamView`] of its own, made at its first
+///    instruction; a run that is pushed turns reads it from their
+///    columns.
 /// 2. **fast-forward** — [`SimRun::fast_forward`]: warms caches and
 ///    predictors; no statistics are reported from this phase.
 /// 3. **checkpoint** *(optional)* — [`SimRun::save`] captures the full
@@ -363,7 +401,7 @@ impl<'w> SimRun<'w> {
         let loader = Loader::new(config.page_size).with_overlap_policy(config.overlap);
         let image = loader.load(object);
         let pages = image.stats;
-        let mmu = Mmu::new(image.page_table);
+        let mmu = Mmu::new(&image.page_table);
 
         // ⑨–⑪ the machine itself.
         let hierarchy = Hierarchy::new(&config.hierarchy);
@@ -419,16 +457,38 @@ impl<'w> SimRun<'w> {
         }
     }
 
+    /// A fresh stream view for this run's machine, at the stream's first
+    /// instruction.
+    fn fresh_view(&self) -> StreamView {
+        StreamView::new(self.workload.object(self.config.layout), self.config.page_size)
+    }
+
     /// One whole phase on the pull side: feeds up to `limit` instructions
     /// from `stream` to the core via the slice entry point
     /// ([`Core::run_batch`]) — each decoded source batch flows through as
-    /// one contiguous slice — and drains the lookahead window.
+    /// one contiguous slice — and drains the lookahead window. The run
+    /// resolves what the stream decides through a view of its own, made
+    /// fresh at the stream's first instruction.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run was pushed turns or restored from its overlay
+    /// alone: it has no view standing where it stands.
     fn run_batches<S: TraceSource>(
         &mut self,
         state: &mut RunState,
         stream: &mut SourceIter<S>,
         limit: u64,
     ) {
+        if self.core.backend().view().is_none() {
+            assert!(
+                !self.core.backend().is_fed(),
+                "a run that was pushed turns, or restored from its overlay alone, has no stream \
+                 view to pull through"
+            );
+            let view = self.fresh_view();
+            self.core.backend_mut().own_view(view);
+        }
         let mut remaining = limit as usize;
         while remaining > 0 {
             let batch = stream.next_slice(remaining);
@@ -462,26 +522,43 @@ impl<'w> SimRun<'w> {
     /// Panics if measurement has started or the turns overrun the
     /// configured warmup, for any run of the group; and if the runs are
     /// not all at the same point of the warmup.
-    pub fn push_fast_forward_group(group: &mut [&mut SimRun<'_>], turn: &EventTurn, last: bool) {
+    pub fn push_fast_forward_group(group: &mut [&mut SimRun<'_>], turn: &StreamTurn, last: bool) {
         let mut machines = Vec::with_capacity(group.len());
         for run in group.iter_mut() {
             let run = &mut **run;
             assert!(run.measuring.is_none(), "fast-forward after measurement started");
-            let state = run.warming.get_or_insert_with(|| run.core.begin_run());
+            let consumed = run.warming.as_ref().map_or(0, RunState::consumed);
             assert!(
-                state.consumed() + turn.instructions() <= run.config.fast_forward,
+                consumed + turn.instructions() <= run.config.fast_forward,
                 "pushed past the fast-forward boundary"
             );
-            run.pushed = true;
+            run.feed(turn);
+            let state = run.warming.get_or_insert_with(|| run.core.begin_run());
             machines.push((&mut run.core, state));
         }
-        execute_counted(&mut machines, turn);
-        if last {
-            for run in group {
+        execute_counted(&mut machines, turn.events());
+        for run in group {
+            run.core.backend_mut().unfeed();
+            if last {
                 run.warming = None;
                 run.core.backend_mut().flush_fastpath_counters();
             }
         }
+    }
+
+    /// Hands the machine the column of its page size of `turn`, for the
+    /// turn's execution.
+    fn feed(&mut self, turn: &StreamTurn) {
+        self.pushed = true;
+        let page_size = self.config.page_size;
+        let column = turn.column(page_size).cloned().unwrap_or_else(|| {
+            assert!(
+                turn.events().events().is_empty(),
+                "the turn holds no column for {page_size} pages"
+            );
+            Default::default()
+        });
+        self.core.backend_mut().feed(column);
     }
 
     /// **Measure phase**, uninterrupted: arms measurement, runs the
@@ -520,21 +597,22 @@ impl<'w> SimRun<'w> {
     /// Panics before [`SimRun::begin_measure`] or if the turns overrun
     /// the configured window, for any run of the group; and if the runs
     /// are not all at the same point of the window.
-    pub fn push_measure_group(group: &mut [&mut SimRun<'_>], turn: &EventTurn, last: bool) {
+    pub fn push_measure_group(group: &mut [&mut SimRun<'_>], turn: &StreamTurn, last: bool) {
         let mut machines = Vec::with_capacity(group.len());
         for run in group.iter_mut() {
             let run = &mut **run;
-            let state = run.measuring.as_mut().expect("begin_measure first");
+            let state = run.measuring.as_ref().expect("begin_measure first");
             assert!(
                 state.consumed() + turn.instructions() <= run.config.instructions,
                 "pushed past the measure window"
             );
-            run.pushed = true;
-            machines.push((&mut run.core, state));
+            run.feed(turn);
+            machines.push((&mut run.core, run.measuring.as_mut().expect("checked above")));
         }
-        execute_counted(&mut machines, turn);
-        if last {
-            for run in group {
+        execute_counted(&mut machines, turn.events());
+        for run in group {
+            run.core.backend_mut().unfeed();
+            if last {
                 run.core.backend_mut().flush_fastpath_counters();
             }
         }
@@ -568,13 +646,13 @@ impl<'w> SimRun<'w> {
 
 impl SimRun<'_> {
     /// Saves the **policy-dependent** half of a fast-forward state: the
-    /// starvation FIFO plus the whole memory system (MMU/TLB/page
-    /// tables, every cache level with its per-set policy state —
-    /// tag/RRPV arrays, PSEL counters, Random's RNG —, the stride
-    /// prefetcher and the in-flight tracker), all of which couple to
-    /// fetch latencies the L2 policy shapes. The other half is the branch
-    /// predictor, the only warmed component whose evolution is a function
-    /// of the instruction stream alone; a sweep's [`Frontend`] holds it
+    /// starvation FIFO plus the memory system the policy shapes (the TLB,
+    /// every cache level with its per-set policy state — tag/RRPV arrays,
+    /// PSEL counters, Random's RNG — and the in-flight tracker), all of
+    /// which couple to fetch latencies the L2 policy shapes. The other
+    /// half is what evolves as a function of the instruction stream
+    /// alone: the branch predictor and the stream view (frames and the
+    /// stride table); a sweep's [`Frontend`] holds both
     /// ([`Frontend::take_shared_warmup`]). Together the two are exactly
     /// the full fast-forward state.
     ///
@@ -596,6 +674,10 @@ impl SimRun<'_> {
     /// # Errors
     ///
     /// As [`Snapshot::restore`].
+    ///
+    /// An overlay holds no stream view: a run restored from one alone
+    /// stands at the boundary with nothing to resolve its own stream
+    /// through, and can only be pushed turns.
     pub fn restore_overlay(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let mut s = r.section(b"OVLY")?;
         self.core.restore_starved_state(&mut s)?;
@@ -618,27 +700,43 @@ fn execute_counted(machines: &mut [(&mut Core<SystemBackend>, &mut RunState)], t
     }
 }
 
-/// The `SHRD` section: a core's branch predictor, the one warmed
-/// component that evolves the same over any backend.
-fn save_shared_section<B: MemoryBackend>(core: &Core<B>, w: &mut SnapWriter) {
-    w.section(b"SHRD", |w| core.save_predictor_state(w));
+/// The `SHRD` section: what evolves the same whatever the policy — a
+/// core's branch predictor, which never sees a cache latency, and the
+/// stream views, one per page size, smallest first.
+fn save_shared_section<B: MemoryBackend>(
+    core: &Core<B>,
+    views: &[&StreamView],
+    w: &mut SnapWriter,
+) {
+    w.section(b"SHRD", |w| {
+        core.save_predictor_state(w);
+        w.usize(views.len());
+        for view in views {
+            view.save(w);
+        }
+    });
 }
 
 fn restore_shared_section<B: MemoryBackend>(
     core: &mut Core<B>,
+    views: &mut [StreamView],
     r: &mut SnapReader<'_>,
 ) -> Result<(), SnapError> {
     let mut s = r.section(b"SHRD")?;
     core.restore_predictor_state(&mut s)?;
+    s.expect_len("stream views", views.len())?;
+    for view in views {
+        view.restore(&mut s)?;
+    }
     s.finish()
 }
 
 /// **Checkpoint phase**: the complete architectural state at the
 /// fast-forward boundary, as its two halves — the `SHRD` section (the
-/// policy-agnostic predictor a [`Frontend`] hands out) followed by the
-/// `OVLY` section ([`SimRun::save_overlay`]: starvation table,
-/// MMU/TLB/page tables, every cache level with per-set policy state,
-/// prefetcher tables and the in-flight prefetch tracker). The checkpoint
+/// policy-agnostic predictor and the run's stream view, as a
+/// [`Frontend`] hands them out) followed by the `OVLY` section
+/// ([`SimRun::save_overlay`]: starvation table, TLB, every cache level
+/// with per-set policy state and the in-flight prefetch tracker). The checkpoint
 /// store keeps the halves in separate files so one shared prefix serves
 /// every policy ([`crate::checkpoint`]); that pair is what sweeps keep of
 /// the boundary. Between phases no [`RunState`] is in flight and no
@@ -646,13 +744,25 @@ fn restore_shared_section<B: MemoryBackend>(
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
         assert!(!self.pushed, "a pushed run's predictor was never trained");
-        save_shared_section(&self.core, w);
+        let backend = self.core.backend();
+        assert!(!backend.is_fed(), "a run restored from its overlay alone has no stream view");
+        let fresh;
+        let view = match backend.view() {
+            Some(view) => view,
+            None => {
+                fresh = self.fresh_view();
+                &fresh
+            }
+        };
+        save_shared_section(&self.core, &[view], w);
         self.save_overlay(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         assert!(!self.is_measuring(), "a checkpoint restores into a run between phases");
-        restore_shared_section(&mut self.core, r)?;
+        let mut view = self.fresh_view();
+        restore_shared_section(&mut self.core, std::slice::from_mut(&mut view), r)?;
+        self.core.backend_mut().own_view(view);
         self.restore_overlay(r)
     }
 }

@@ -235,12 +235,10 @@ fn checkpointed_sweep_matches_other_engines() {
     let walked = policy_sweep_with(4, &workloads, &cells, None);
     let sweep = || policy_sweep_with(4, &workloads, &cells, Some(&ckpts));
     let cold = sweep();
-    for (policy, cell_config) in policies.iter().zip(&cells) {
-        assert!(
-            ckpts.holds_restore(&workloads[0], cell_config),
-            "{policy}: cold sweep must persist the shared prefix and the policy overlay"
-        );
-    }
+    assert!(
+        ckpts.holds_restore(&workloads[0], &cells),
+        "the cold sweep must persist the shared prefix and every policy overlay"
+    );
     let warm = sweep();
 
     for ((a, b), c) in walked.results.iter().zip(&cold.results).zip(&warm.results) {
@@ -273,7 +271,8 @@ fn store_keys_cover_every_spec_field_the_stream_reads() {
     let dir = std::env::temp_dir().join("trrip-ckpt-spec-keys-test");
     std::fs::remove_dir_all(&dir).ok();
     let store = CheckpointStore::new(&dir);
-    assert_ne!(store.prefix_path(a, &config), store.prefix_path(b, &config));
+    let row = std::slice::from_ref(&config);
+    assert_ne!(store.prefix_path(a, row), store.prefix_path(b, row));
     assert_ne!(store.overlay_path(a, &config), store.overlay_path(b, &config));
 
     let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);

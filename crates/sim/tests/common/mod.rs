@@ -1,4 +1,5 @@
-//! What the equivalence suites share: the heterogeneous row.
+//! What the equivalence suites share: the heterogeneous row, and a row
+//! shaped like `overlap_ablation`'s.
 
 use trrip_mem::PageSize;
 use trrip_os::OverlapPolicy;
@@ -32,4 +33,19 @@ pub fn mixed_row(config: &SimConfig) -> Vec<SimConfig> {
         cell(PolicyKind::Random, 128, 8, PageSize::Size2M, first),
         cell(PolicyKind::Srrip, 64, 16, PageSize::Size16K, drop),
     ]
+}
+
+/// A row shaped like `overlap_ablation`'s: SRRIP and TRRIP-1 under every
+/// pairing of two page sizes and two overlap rules — eight cells over
+/// two stream views.
+pub fn ablation_row(config: &SimConfig) -> Vec<SimConfig> {
+    let mut cells = Vec::new();
+    for page_size in [PageSize::Size4K, PageSize::Size16K] {
+        for overlap in [OverlapPolicy::FirstByte, OverlapPolicy::DropMixed] {
+            for policy in [PolicyKind::Srrip, PolicyKind::Trrip1] {
+                cells.push(SimConfig { page_size, overlap, ..config.clone() }.with_policy(policy));
+            }
+        }
+    }
+    cells
 }

@@ -251,7 +251,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     let published = &ALL_POLICIES[..KILL_AT - 2];
     assert_eq!(files_with(ckpts.dir(), ".ckpt").len(), KILL_AT - 1);
     assert_eq!(files_with(ckpts.dir(), ".tmp.").len(), 1);
-    assert!(ckpts.prefix_path(a, &config).is_file());
+    assert!(ckpts.prefix_path(a, std::slice::from_ref(&config)).is_file());
     let held: Vec<_> =
         ALL_POLICIES.into_iter().filter(|&p| ckpts.overlay_path(a, &cell(p)).is_file()).collect();
     assert_eq!(held, published);
@@ -274,7 +274,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     // Row 0's prefix is reported and written again under a frontend that
     // starts at the first instruction; every overlay still restores.
     let ckpts = store(&bad_prefix);
-    let prefix = ckpts.prefix_path(a, &config);
+    let prefix = ckpts.prefix_path(a, std::slice::from_ref(&config));
     let torn = std::fs::read(&prefix).expect("the prefix was published");
     let (sweep, seen) = Seen::sweep(&bad_prefix, "next", &workloads);
     assert_sweep(&sweep, &oracle, "over a torn prefix");

@@ -4,9 +4,10 @@
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
 //! a store whose every file (training profile, prefix, overlays) says
-//! version 9 — the one whose payloads rested LZ-packed — makes the next
-//! preparation train again and the next sweep do what it does over an
-//! empty store, to the same bits, leaving current files behind. (A
+//! version 10 — the one whose overlays held frames and the stride table
+//! — or version 9 — the one whose payloads rested LZ-packed — makes the
+//! next preparation train again and the next sweep do what it does over
+//! an empty store, to the same bits, leaving current files behind. (A
 //! capture of another version is the trace reader's to refuse:
 //! `trace/tests/properties.rs`.)
 //!
@@ -121,29 +122,33 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(routes(&empty_push), [0, CELLS, 1, 0]);
     let files = files_of(&ckpts).len();
     assert_eq!(files as u64, 2 + CELLS, "profile, prefix, overlays");
-    let current = version_of(&ckpts.prefix_path(&workloads[0], &config));
+    let current = version_of(&ckpts.prefix_path(&workloads[0], &cells));
     assert_eq!(current, trrip_sim::checkpoint::VERSION);
     assert_eq!(version_of(&ckpts.profile_path(&spec, TRAIN)), current);
 
-    // ---- a preparation and a sweep over a store of the previous version ----
-    assert_eq!(stamp_all(&ckpts, 9), files);
-    let (retrained, moved) = moved_by(prepare);
-    assert_eq!(retrained.profile, workloads[0].profile, "the same profile, trained again");
-    assert_eq!(store_counts(&moved), store_counts(&trained), "a clean miss, then a save");
-    assert!(moved.get("walk.instrs") >= TRAIN, "the profile is trained again");
-    let (again, moved) = moved_by(pushed);
-    assert_sweep(&again, &oracle, "sweep over a stale store");
-    assert_eq!(routes(&moved), routes(&empty_push), "as over an empty store");
-    assert_eq!(
-        (moved.get("ckpt.hit"), moved.get("ckpt.miss"), moved.get("ckpt.corrupt")),
-        (0, empty_push.get("ckpt.miss"), 0),
-        "every load a miss, none of them damage"
-    );
-    assert_eq!(moved.get("ckpt.save"), empty_push.get("ckpt.save"));
-    assert!(moved.get("walk.instrs") >= stream, "the warm-up is walked again");
-    assert_eq!(files_of(&ckpts).len(), files);
-    for file in files_of(&ckpts) {
-        assert_eq!(version_of(&file), current, "{} is written again", file.display());
+    // ---- a preparation and a sweep over a store of an earlier version ----
+    // 10: the store whose overlays held the page table and the stride
+    // table; 9: the one whose payloads rested LZ-packed.
+    for stale in [10, 9] {
+        assert_eq!(stamp_all(&ckpts, stale), files);
+        let (retrained, moved) = moved_by(prepare);
+        assert_eq!(retrained.profile, workloads[0].profile, "the same profile, trained again");
+        assert_eq!(store_counts(&moved), store_counts(&trained), "a clean miss, then a save");
+        assert!(moved.get("walk.instrs") >= TRAIN, "the profile is trained again");
+        let (again, moved) = moved_by(pushed);
+        assert_sweep(&again, &oracle, &format!("sweep over a version {stale} store"));
+        assert_eq!(routes(&moved), routes(&empty_push), "as over an empty store");
+        assert_eq!(
+            (moved.get("ckpt.hit"), moved.get("ckpt.miss"), moved.get("ckpt.corrupt")),
+            (0, empty_push.get("ckpt.miss"), 0),
+            "every load a miss, none of them damage"
+        );
+        assert_eq!(moved.get("ckpt.save"), empty_push.get("ckpt.save"));
+        assert!(moved.get("walk.instrs") >= stream, "the warm-up is walked again");
+        assert_eq!(files_of(&ckpts).len(), files);
+        for file in files_of(&ckpts) {
+            assert_eq!(version_of(&file), current, "{} is written again", file.display());
+        }
     }
     // And what was written is what a warm pass restores from.
     let (warm, moved) = moved_by(pushed);

@@ -18,7 +18,11 @@
 //! * a cell is a configuration: a row whose cells differ in L2 size and
 //!   ways, page size, overlap rule, policy and armed profilers costs
 //!   **one** prefix and an overlay per cell, and a policy sweep and a
-//!   geometry sweep of one workload share that one prefix file.
+//!   geometry sweep of one workload share that one prefix file;
+//! * the prefix holds a stream view per page size among the row's cells:
+//!   a row shaped like `overlap_ablation` — two page sizes, two overlap
+//!   rules — keeps one prefix of its own, apart from a row of one page
+//!   size, and each cell, cold and warm, still equals its own `simulate`.
 //!
 //! One `#[test]` on purpose: every count is a process-wide counter, and
 //! a sibling test in the same binary would move them.
@@ -27,7 +31,7 @@ mod common;
 
 use std::path::{Path, PathBuf};
 
-use common::mixed_row;
+use common::{ablation_row, mixed_row};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
@@ -179,8 +183,8 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert!(files.iter().all(|f| f.extension().is_some_and(|x| x == "ckpt")), "{files:?}");
     assert_eq!(files.len() as u64, 2 * (1 + CELLS), "a prefix and the overlays, no capture");
     for w in &workloads {
-        assert!(ckpts.prefix_path(w, &config).is_file());
-        assert!(ALL_POLICIES.iter().all(|&p| ckpts.holds_restore(w, &cell(p))));
+        assert!(ckpts.prefix_path(w, &cells).is_file());
+        assert!(ckpts.holds_restore(w, &cells));
     }
 
     // The pull reference: each cell alone over a walker of its own.
@@ -212,7 +216,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     // ---- a partial store: the prefix gone, every overlay present ----
     // a's frontend has to train through the warm-up (and writes the
     // prefix again, the same bytes); no cell executes a warm-up turn.
-    let prefix = ckpts.prefix_path(a, &config);
+    let prefix = ckpts.prefix_path(a, &cells);
     let prefix_bytes = read(&prefix);
     std::fs::remove_file(&prefix).expect("the prefix existed");
     let (headless, moved) = Moved::by(sweep);
@@ -273,7 +277,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.warm(), [0, 4, 0, 0], "four overlays, no prefix");
     assert_eq!(moved.get("ckpt.hit"), 1, "the policy sweep's prefix");
     moved.walked(&[stream], "geometry sweep");
-    assert!(geometry.iter().all(|g| ckpts.prefix_path(a, g) == ckpts.prefix_path(a, &config)));
+    assert_eq!(ckpts.prefix_path(a, &geometry), ckpts.prefix_path(a, &cells));
     assert_eq!(shared_files(a), 1);
     let alone = |cells: &[SimConfig], w| -> Vec<SimResult> {
         cells.iter().map(|cell| simulate(w, cell)).collect()
@@ -294,7 +298,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.warm(), [0, n, 1, 0], "every cell warms; ONE prefix for the row");
     assert_eq!(moved.get("ckpt.save"), n + 1);
     assert_eq!(shared_files(m), 1);
-    assert!(row.iter().all(|cell| ckpts.holds_restore(m, cell)));
+    assert!(ckpts.holds_restore(m, &row));
     let oracle = alone(&row, m);
     assert!(oracle[1].reuse_base.is_some() && oracle[2].costly.is_some());
     assert_sweep(&row_cold, &oracle, "heterogeneous row, cold");
@@ -318,6 +322,28 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(producers, [("walker".to_owned(), 0), ("walker".to_owned(), config.fast_forward)]);
     assert_eq!(journal.of_kind("artifact_damaged").count(), 0);
     assert!(files_under(&root).iter().all(|f| f.extension().is_none_or(|x| x != "trrip")));
+
+    // ---- views multiply: two page sizes and two overlap rules ----
+    // One frontend resolves frames and strides for both page sizes; the
+    // prefix holds both views, keyed apart from a one-page-size row's.
+    let ablated = [quick_workload("push-store-ablation")];
+    let v = &ablated[0];
+    let row = ablation_row(&config);
+    let n = row.len() as u64;
+    let oracle = alone(&row, v);
+    let sweep_row = || policy_sweep_with(JOBS, &ablated, &row, Some(&ckpts));
+    let (row_cold, moved) = Moved::by(sweep_row);
+    moved.walked(&[stream], "two page sizes, cold");
+    assert_eq!(moved.warm(), [0, n, 1, 0], "every cell warms; ONE prefix for both views");
+    assert_sweep(&row_cold, &oracle, "two page sizes, cold");
+    assert_eq!(shared_files(v), 1);
+    assert!(ckpts.holds_restore(v, &row));
+    assert_ne!(ckpts.prefix_path(v, &row), ckpts.prefix_path(v, &row[..1]));
+    let (row_warm, moved) = Moved::by(sweep_row);
+    moved.walked(&[window], "two page sizes, warm: from the boundary");
+    assert_eq!(moved.warm(), [n, 0, 0, 0], "every cell restores");
+    assert_eq!(moved.get("ckpt.hit"), n + 1, "n overlays and ONE prefix");
+    assert_sweep(&row_warm, &oracle, "two page sizes, warm");
 
     std::fs::remove_dir_all(&root).ok();
 }

@@ -28,15 +28,15 @@ mod common;
 use std::collections::BTreeSet;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-use common::mixed_row;
+use common::{ablation_row, mixed_row};
 
 use trrip_compiler::LayoutKind;
 use trrip_core::ClassifierConfig;
-use trrip_cpu::{EventTurn, StallClass, TraceInstr};
+use trrip_cpu::{StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
     policy_cells, policy_sweep_with, simulate, simulate_rows, simulate_source, CheckpointStore,
-    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot,
+    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot, StreamTurn,
 };
 use trrip_trace::source::VecSource;
 use trrip_trace::TraceSource;
@@ -140,14 +140,15 @@ fn assert_sweep_matches(
 
 /// One workload, so from two jobs up its cells are split across a team
 /// reading one window: the ten policies (5 + 5, 4 + 3 + 3, and one cell
-/// each), and the heterogeneous row (3 + 3, 2 + 2 + 2, and at five jobs
-/// 2 + 1 + 1 + 1 + 1).
+/// each), the heterogeneous row (3 + 3, 2 + 2 + 2, and at five jobs
+/// 2 + 1 + 1 + 1 + 1), and the ablation-shaped row, whose cells read two
+/// stream views' columns of every turn.
 #[test]
 fn one_workload_split_across_workers_equals_per_cell_simulate() {
     let _shared = shared();
     let workloads = [workload("walk-once-a")];
     let config = quick_config(30_000);
-    for cells in [policy_row(&config), mixed_row(&config)] {
+    for cells in [policy_row(&config), mixed_row(&config), ablation_row(&config)] {
         let oracle = per_cell(&workloads, &cells);
         for jobs in [1, 2, 3, 5, ALL_POLICIES.len() + 3] {
             assert_sweep_matches(jobs, &workloads, &cells, &oracle);
@@ -216,6 +217,29 @@ fn empty_sweeps_return_empty_results() {
     assert_eq!(no_workloads.cells.len(), ALL_POLICIES.len());
 }
 
+/// The ablation-shaped row over a checkpoint store: cold, the frontend
+/// resolves both page sizes from the first instruction and its prefix
+/// keeps both views; warm, it resumes them at the boundary. Every cell
+/// equals its own `simulate` either way.
+#[test]
+fn two_page_sizes_over_a_store_equal_per_cell_simulate_cold_and_warm() {
+    let _shared = shared();
+    let workloads = [workload("walk-once-ablation")];
+    let cells = ablation_row(&quick_config(30_000));
+    let oracle = per_cell(&workloads, &cells);
+    let dir = std::env::temp_dir().join(format!("trrip-walk-once-views-{}", std::process::id()));
+    std::fs::remove_dir_all(&dir).ok();
+    let ckpts = CheckpointStore::new(&dir);
+    for pass in ["cold", "warm"] {
+        let sweep = policy_sweep_with(3, &workloads, &cells, Some(&ckpts));
+        for (i, (cell, expected)) in sweep.results.iter().zip(&oracle).enumerate() {
+            assert_identical(cell, expected, &format!("{pass} pass, cell {i}"));
+        }
+        assert!(ckpts.holds_restore(&workloads[0], &cells), "{pass}: the row is on file");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 // ---- a row shares one stream and one frontend, or is refused ----
 
 /// `mixed_row` with its fourth cell altered.
@@ -281,9 +305,10 @@ fn pushed(
     bounds.insert(stream.len() + 1);
     bounds.remove(&0);
 
-    let mut frontend = Frontend::new(config, VecSource::new(stream.to_vec(), 1_024));
+    let mut frontend =
+        Frontend::new(w, std::slice::from_ref(config), VecSource::new(stream.to_vec(), 1_024));
     let mut run = SimRun::new(w, config);
-    let mut turn = EventTurn::new();
+    let mut turn = StreamTurn::new();
     let mut warming = config.fast_forward;
     if warming == 0 {
         run.begin_measure();
@@ -380,8 +405,9 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
     stream.truncate(30_000);
     let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
 
-    let mut frontend = Frontend::new(&config, VecSource::new(stream.clone(), 1_024));
-    let (empty, mut turn) = (EventTurn::new(), EventTurn::new());
+    let mut frontend =
+        Frontend::new(&w, std::slice::from_ref(&config), VecSource::new(stream.clone(), 1_024));
+    let (empty, mut turn) = (StreamTurn::new(), StreamTurn::new());
     let mut run = SimRun::new(&w, &config);
     SimRun::push_fast_forward_group(&mut [&mut run], &empty, false);
     assert!(frontend.digest(usize::MAX, &mut turn), "the measure window is still to come");
@@ -394,7 +420,7 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
     assert_eq!(turn.instructions(), 25_000);
     SimRun::push_measure_group(&mut [&mut run], &turn, false);
     assert!(!frontend.digest(usize::MAX, &mut turn));
-    assert_eq!(turn, empty, "nothing is left to digest");
+    assert_eq!(turn.events(), empty.events(), "nothing is left to digest");
     SimRun::push_measure_group(&mut [&mut run], &turn, true);
     assert_identical(&run.finish(), &pulled, "short stream closed by an empty turn");
 }
@@ -441,14 +467,15 @@ fn push_seam_carries_an_instruction_with_all_four_events() {
     }
     assert_eq!(stream.len() as u64, config.fast_forward + config.instructions);
 
-    let mut frontend = Frontend::new(&config, VecSource::new(stream.clone(), 1_024));
-    let mut turn = EventTurn::new();
+    let mut frontend =
+        Frontend::new(&w, std::slice::from_ref(&config), VecSource::new(stream.clone(), 1_024));
+    let mut turn = StreamTurn::new();
     frontend.digest(usize::MAX, &mut turn);
-    let all_four = |turn: &EventTurn| {
+    let all_four = |turn: &StreamTurn| {
         let full = |e: &&trrip_cpu::InstrEvent| {
             e.fetch() && e.mispredicted() && e.mem().is_some() && e.stall().is_some()
         };
-        turn.events().iter().filter(full).count()
+        turn.events().events().iter().filter(full).count()
     };
     assert_eq!(all_four(&turn), 1, "the warmup's one busy instruction: {:?}", turn.events());
     frontend.digest(usize::MAX, &mut turn);
@@ -462,12 +489,13 @@ fn push_seam_carries_an_instruction_with_all_four_events() {
 }
 
 /// A turn digested for a longer warmup than the run's.
-fn oversized_turn(w: &PreparedWorkload, config: &SimConfig, instructions: usize) -> EventTurn {
+fn oversized_turn(w: &PreparedWorkload, config: &SimConfig, instructions: usize) -> StreamTurn {
     let mut roomy = config.clone();
     roomy.fast_forward = instructions as u64;
     let stream = eval_stream(w, &roomy);
-    let mut turn = EventTurn::new();
-    Frontend::new(&roomy, VecSource::new(stream, 1_024)).digest(instructions, &mut turn);
+    let mut turn = StreamTurn::new();
+    Frontend::new(w, std::slice::from_ref(&roomy), VecSource::new(stream, 1_024))
+        .digest(instructions, &mut turn);
     assert_eq!(turn.instructions(), instructions as u64);
     turn
 }
@@ -515,7 +543,7 @@ fn a_pushed_run_refuses_to_be_checkpointed() {
 fn pair_and_turn<'w>(
     w: &'w PreparedWorkload,
     config: &SimConfig,
-) -> (SimRun<'w>, SimRun<'w>, EventTurn) {
+) -> (SimRun<'w>, SimRun<'w>, StreamTurn) {
     let turn = oversized_turn(w, config, config.fast_forward as usize);
     let other = config.clone().with_policy(PolicyKind::Trrip1);
     (SimRun::new(w, config), SimRun::new(w, &other), turn)
@@ -682,12 +710,13 @@ fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
 
     // One stream's records, counted off a frontend of our own.
     let stream = eval_stream(&one[0], &config);
-    let mut frontend = Frontend::new(&config, VecSource::new(stream, 1_024));
-    let (mut turn, mut records) = (EventTurn::new(), 0);
+    let mut frontend =
+        Frontend::new(&one[0], std::slice::from_ref(&config), VecSource::new(stream, 1_024));
+    let (mut turn, mut records) = (StreamTurn::new(), 0);
     while frontend.digest(10_000, &mut turn) {
-        records += turn.events().len() as u64;
+        records += turn.events().events().len() as u64;
     }
-    records += turn.events().len() as u64;
+    records += turn.events().events().len() as u64;
     assert!(records > 10_000, "about half the instructions have an event: {records}");
 
     // Ten policies on one machine, then six machines that share only
@@ -707,13 +736,14 @@ fn a_worker_reads_each_turn_once_for_all_of_its_cells() {
     // Nothing to warm: the measure phase alone, one group of three.
     let short = quick_config(0);
     let stream = eval_stream(&one[0], &short);
-    let mut frontend = Frontend::new(&short, VecSource::new(stream, 1_024));
+    let mut frontend =
+        Frontend::new(&one[0], std::slice::from_ref(&short), VecSource::new(stream, 1_024));
     frontend.digest(usize::MAX, &mut turn);
     let before = trrip_obs::snapshot();
     let _ = policy_sweep_with(1, &one, &policy_row(&short)[..3], None);
     let moved = trrip_obs::snapshot().since(&before);
-    assert_eq!(moved.get("exec.turn_records"), turn.events().len() as u64);
-    assert_eq!(moved.get("exec.cell_records"), 3 * turn.events().len() as u64);
+    assert_eq!(moved.get("exec.turn_records"), turn.events().events().len() as u64);
+    assert_eq!(moved.get("exec.cell_records"), 3 * turn.events().events().len() as u64);
 }
 
 #[test]

@@ -130,10 +130,10 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     }
 
     // The prefix file is one per workload, policy-free: every policy's
-    // cell resolves the same path.
-    let prefix = ckpts.prefix_path(&workloads[0], &config);
-    for policy in ALL_POLICIES {
-        assert_eq!(prefix, ckpts.prefix_path(&workloads[0], &config.clone().with_policy(policy)));
+    // cell alone resolves the row's path.
+    let prefix = ckpts.prefix_path(&workloads[0], &row);
+    for cell in &row {
+        assert_eq!(prefix, ckpts.prefix_path(&workloads[0], std::slice::from_ref(cell)));
     }
     assert!(prefix.is_file());
 
@@ -199,7 +199,7 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     // Truncate the prefix container: the prefix no longer loads — the
     // frontend must train through the warm-up again, and the window
     // overwrite the damaged file.
-    let prefix = ckpts.prefix_path(&workloads[0], &config);
+    let prefix = ckpts.prefix_path(&workloads[0], &row);
     corrupt::truncate_file(&prefix, corrupt::file_len(&prefix) / 2);
     // Remove the overlays so the cells cannot bypass the prefix
     // entirely (overlays alone would still warm-start them).
@@ -247,10 +247,10 @@ fn a_walker_section_out_of_range_is_reported_and_rewritten() {
     let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
     let _ = sweep();
 
-    let mut prefix = ckpts.load_prefix(w, &config).expect("loads").expect("on file");
+    let mut prefix = ckpts.load_prefix(w, &row).expect("loads").expect("on file");
     prefix.walker.rotation_pos = prefix.walker.rotation.len();
-    ckpts.save_prefix(w, &config, &prefix).expect("save");
-    let error = ckpts.load_prefix(w, &config).expect_err("out of range");
+    ckpts.save_prefix(w, &row, &prefix).expect("save");
+    let error = ckpts.load_prefix(w, &row).expect_err("out of range");
     assert!(error.to_string().contains("rotation_pos"), "{error}");
 
     let (patched, routes, damaged) = routes_of(sweep);
