@@ -1,7 +1,7 @@
 //! Wall-clock benchmark of the push executor's **cell loop**: proxy
 //! `gcc` digested into event turns once, its data frames and stride
 //! proposals resolved beside them, then pushed through 1, 2, 5 and 9
-//! policy cells in lockstep ([`SimRun::push_measure_group`]).
+//! policy cells in lockstep ([`SimRun::push_group`]).
 //!
 //! Reported per group size: ns per cell-instruction of the measure phase
 //! (no walker, no frontend), best of N repetitions, and the ratio
@@ -74,12 +74,12 @@ fn lockstep_best(
             .collect();
         let mut group: Vec<&mut SimRun<'_>> = runs.iter_mut().collect();
         for (i, turn) in warmup.iter().enumerate() {
-            SimRun::push_fast_forward_group(&mut group, turn, i + 1 == warmup.len());
+            SimRun::push_group(&mut group, turn, i + 1 == warmup.len());
         }
         group.iter_mut().for_each(|run| run.begin_measure());
         let start = Instant::now();
         for (i, turn) in window.iter().enumerate() {
-            SimRun::push_measure_group(&mut group, turn, i + 1 == window.len());
+            SimRun::push_group(&mut group, turn, i + 1 == window.len());
         }
         best = best.min(start.elapsed().as_secs_f64());
         for run in group {

@@ -2,7 +2,7 @@
 //!
 //! * [`Cache`] — a tag store with pluggable [`trrip_policies::ReplacementPolicy`],
 //!   dirty bits, and per-kind hit/miss statistics.
-//! * [`prefetch`] — stride and next-line hardware prefetchers.
+//! * [`prefetch`] — the stride hardware prefetcher.
 //! * [`Hierarchy`] — the paper's memory system: private L1-I/L1-D (LRU),
 //!   a shared unified *inclusive* L2 with the policy under evaluation, an
 //!   *exclusive* SLC victim cache, and a flat-latency DRAM.
@@ -21,5 +21,5 @@ pub use aos::AosCache;
 pub use cache::{Cache, EvictedLine};
 pub use config::CacheConfig;
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, ServedBy};
-pub use prefetch::{NextLinePrefetcher, StridePrefetcher};
+pub use prefetch::StridePrefetcher;
 pub use stats::AccessStats;

@@ -1,12 +1,13 @@
-//! Hardware prefetchers: per-PC stride detection and next-line.
+//! The per-PC stride prefetcher.
 //!
 //! Table 1 attaches a stride prefetcher (including next-line behaviour)
-//! to every cache. The prefetchers only *propose* line addresses; the
-//! hierarchy decides which level to fill.
+//! to every cache. The prefetcher only *proposes* addresses; the
+//! hierarchy decides which level to fill. (The next-line half is one
+//! line on the instruction side's demand-miss path, in the simulator's
+//! memory backend.)
 //!
-//! Both prefetchers share one proposal contract: `propose_into` APIs
-//! **append** to a caller-owned buffer and never allocate, so the demand
-//! path reuses one buffer for stride and next-line proposals alike. The
+//! `propose_into` **appends** to a caller-owned buffer and never
+//! allocates, so the demand path reuses one buffer throughout. The
 //! stride table holds one 32-byte entry per PC slot: a load trains
 //! exactly one entry, so everything it reads and writes sits in one host
 //! cache line (a field-per-array layout touched up to five). The
@@ -14,7 +15,7 @@
 //! module's tests.
 
 use serde::{Deserialize, Serialize};
-use trrip_mem::{LineAddr, PhysAddr, VirtAddr};
+use trrip_mem::{PhysAddr, VirtAddr};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Per-PC stride prefetcher.
@@ -83,8 +84,7 @@ impl StridePrefetcher {
     /// cleared here — the caller owns its lifecycle — and never
     /// allocated for: hand the same buffer back every access and the
     /// capacity of the widest proposal burst is reused for the rest of
-    /// the run. This is the same contract as
-    /// [`NextLinePrefetcher::propose_into`].
+    /// the run.
     pub fn propose_into(&mut self, pc: VirtAddr, addr: PhysAddr, proposals: &mut Vec<PhysAddr>) {
         let index = ((pc.raw() >> 2) as usize) & self.mask;
         let entry = &mut self.entries[index];
@@ -159,42 +159,6 @@ impl Snapshot for StridePrefetcher {
             };
         }
         Ok(())
-    }
-}
-
-/// Next-line prefetcher for instruction streams: on every demand miss it
-/// proposes the following `degree` sequential lines.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
-pub struct NextLinePrefetcher {
-    degree: usize,
-}
-
-impl NextLinePrefetcher {
-    /// Creates a next-line prefetcher proposing `degree` lines.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `degree` is zero.
-    #[must_use]
-    pub fn new(degree: usize) -> NextLinePrefetcher {
-        assert!(degree > 0, "degree must be positive");
-        NextLinePrefetcher { degree }
-    }
-
-    /// **Appends** the `degree` sequential lines following `line` to the
-    /// caller-provided buffer — the same contract as
-    /// [`StridePrefetcher::propose_into`], so one reused buffer serves
-    /// both prefetchers on the demand path.
-    pub fn propose_into(&self, line: LineAddr, proposals: &mut Vec<LineAddr>) {
-        for i in 1..=self.degree as u64 {
-            proposals.push(LineAddr(line.raw() + i));
-        }
-    }
-}
-
-impl Default for NextLinePrefetcher {
-    fn default() -> Self {
-        NextLinePrefetcher::new(1)
     }
 }
 
@@ -331,13 +295,5 @@ mod tests {
     fn an_entry_is_half_a_host_cache_line() {
         assert_eq!(std::mem::size_of::<StrideEntry>(), 32);
         assert_eq!(std::mem::align_of::<StrideEntry>(), 32);
-    }
-
-    #[test]
-    fn next_line_proposes_sequential_lines() {
-        let pf = NextLinePrefetcher::new(2);
-        let mut proposals = Vec::new();
-        pf.propose_into(LineAddr(10), &mut proposals);
-        assert_eq!(proposals, vec![LineAddr(11), LineAddr(12)]);
     }
 }

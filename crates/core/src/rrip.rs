@@ -258,19 +258,7 @@ impl BrripCore {
     /// Creates the core with the default 1/32 throttle.
     #[must_use]
     pub fn new(width: RrpvWidth) -> BrripCore {
-        BrripCore::with_throttle(width, BrripCore::DEFAULT_THROTTLE)
-    }
-
-    /// Creates the core with a custom throttle (`1/throttle` fills are
-    /// intermediate).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `throttle` is zero.
-    #[must_use]
-    pub fn with_throttle(width: RrpvWidth, throttle: u32) -> BrripCore {
-        assert!(throttle > 0, "throttle must be at least 1");
-        BrripCore { width, throttle, counter: 0 }
+        BrripCore { width, throttle: BrripCore::DEFAULT_THROTTLE, counter: 0 }
     }
 
     /// Hit promotion: same hit-priority behaviour as SRRIP.

@@ -46,12 +46,6 @@ impl PageSize {
     pub fn page_of(self, addr: VirtAddr) -> PageNumber {
         PageNumber(addr.raw() >> self.offset_bits())
     }
-
-    /// The base virtual address of a page.
-    #[must_use]
-    pub fn base_of(self, page: PageNumber) -> VirtAddr {
-        VirtAddr::new(page.0 << self.offset_bits())
-    }
 }
 
 impl fmt::Display for PageSize {
@@ -102,7 +96,7 @@ mod tests {
             let addr = VirtAddr::new(size.bytes() * 3 + 123);
             let page = size.page_of(addr);
             assert_eq!(page.raw(), 3);
-            assert_eq!(size.base_of(page).raw(), size.bytes() * 3);
+            assert_eq!(page.raw() << size.offset_bits(), size.bytes() * 3);
         }
     }
 

@@ -49,6 +49,6 @@ pub use registry::{counter, snapshot, Counter, CounterSnapshot};
 pub use report::{validate as validate_report, ObsReport, OBS_SCHEMA_VERSION};
 pub use span::{
     chrome_trace_json, enter, phase_summary, phase_table, reset_spans, set_spans_enabled,
-    spans_enabled, spans_recorded, PhaseStat, SpanGuard,
+    spans_recorded, PhaseStat, SpanGuard,
 };
 pub use tail::{read_journal, JournalRead};

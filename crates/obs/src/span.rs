@@ -37,12 +37,6 @@ pub fn set_spans_enabled(on: bool) {
     SPANS_ENABLED.store(on, Ordering::Relaxed);
 }
 
-/// Whether spans are currently recorded.
-#[must_use]
-pub fn spans_enabled() -> bool {
-    SPANS_ENABLED.load(Ordering::Relaxed)
-}
-
 /// The process epoch all span timestamps are relative to: pinned on
 /// first use so timestamps from every thread share one origin.
 fn epoch() -> Instant {

@@ -13,7 +13,7 @@ use std::sync::Arc;
 
 use trrip_analysis::costly::CodeRegion;
 use trrip_analysis::{CostlyMissTracker, ReuseProfiler};
-use trrip_cache::{Hierarchy, NextLinePrefetcher, ServedBy};
+use trrip_cache::{Hierarchy, ServedBy};
 use trrip_compiler::ObjectFile;
 use trrip_cpu::{MemLatency, MemoryBackend};
 use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr, LINE_BYTES};
@@ -103,9 +103,6 @@ pub struct SystemBackend {
     mmu: Mmu,
     resolution: Resolution,
     hierarchy: Hierarchy,
-    next_line: NextLinePrefetcher,
-    /// Reused proposal buffer for [`NextLinePrefetcher::propose_into`].
-    next_line_proposals: Vec<LineAddr>,
     inflight: InflightTable,
     l1_latency: u64,
     reuse: Option<ReuseProfiler>,
@@ -166,8 +163,6 @@ impl SystemBackend {
             mmu,
             resolution: Resolution::Start,
             hierarchy,
-            next_line: NextLinePrefetcher::new(1),
-            next_line_proposals: Vec::new(),
             inflight: InflightTable::new(MSHR_ENTRIES),
             l1_latency: config.hierarchy.l1i.data_latency,
             reuse: None,
@@ -362,7 +357,6 @@ impl Snapshot for SystemBackend {
         self.mmu.restore(r)?;
         self.hierarchy.restore(r)?;
         self.inflight.restore(r)?;
-        self.next_line_proposals.clear();
         // Past the stream's first instruction now: a machine with no view
         // of its own can only be fed.
         if matches!(self.resolution, Resolution::Start) {
@@ -396,15 +390,9 @@ impl MemoryBackend for SystemBackend {
                 let out = self.hierarchy.access_beyond_l1(&req);
                 self.observe_l2(pa, self.is_hot_code(pc));
                 // Next-line instruction prefetch (Table 1's stride/next-line
-                // prefetcher on the instruction side).
-                let vline = pc.raw() / LINE_BYTES;
-                self.next_line_proposals.clear();
-                let next_line = self.next_line;
-                next_line.propose_into(LineAddr(vline), &mut self.next_line_proposals);
-                for i in 0..self.next_line_proposals.len() {
-                    let next_pc = VirtAddr::new(self.next_line_proposals[i].raw() * LINE_BYTES);
-                    self.prefetch_ifetch(next_pc, now);
-                }
+                // prefetcher on the instruction side): the line after this.
+                let next_pc = VirtAddr::new((pc.raw() / LINE_BYTES + 1) * LINE_BYTES);
+                self.prefetch_ifetch(next_pc, now);
                 if out.l2_miss() {
                     let region = self.region_of(pc);
                     if let Some(costly) = &mut self.costly {
@@ -525,6 +513,24 @@ mod tests {
         assert!(first.cycles > 100, "cold miss should reach DRAM");
         let second = b.ifetch(pc, false, 1000);
         assert!(second.l1_hit);
+    }
+
+    /// An L1-I demand miss prefetches the line after it into the L1-I,
+    /// and no further.
+    #[test]
+    fn an_instruction_miss_prefetches_the_next_line_only() {
+        let (_p, object, mut b) = setup();
+        let pc = VirtAddr::new(object.function_addrs[0].raw() / LINE_BYTES * LINE_BYTES);
+        let line = |b: &SystemBackend, k: u64| {
+            let va = VirtAddr::new(pc.raw() + k * LINE_BYTES);
+            LineAddr::of(b.mmu().loaded(va).expect("a line of the loaded image").0)
+        };
+        let (next, after) = (line(&b, 1), line(&b, 2));
+        let in_l1i = |b: &SystemBackend, line| b.hierarchy().probe(line, true).0 == ServedBy::L1;
+        assert!(!in_l1i(&b, next) && !in_l1i(&b, after), "a cold L1-I");
+        assert!(!b.ifetch(pc, false, 0).l1_hit, "a demand miss");
+        assert!(in_l1i(&b, next), "the next line was prefetched into the L1-I");
+        assert!(!in_l1i(&b, after), "the line after it was not");
     }
 
     #[test]

@@ -614,18 +614,6 @@ impl CheckpointStore {
         }
     }
 
-    /// Whether the store holds every file a restore of `workload`'s row
-    /// of `cells` at the fast-forward boundary reads — the row's shared
-    /// prefix and each cell's overlay — going by their names alone. Cheap
-    /// enough to ask before a sweep; whether they *load* is for the
-    /// restores to find out.
-    #[must_use]
-    pub fn holds_restore(&self, workload: &PreparedWorkload, cells: &[SimConfig]) -> bool {
-        !cells.is_empty()
-            && self.prefix_path(workload, cells).exists()
-            && cells.iter().all(|cell| self.overlay_path(workload, cell).exists())
-    }
-
     /// Saves `run`'s state as the fast-forward checkpoint for its
     /// workload and configuration.
     ///

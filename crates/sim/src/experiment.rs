@@ -39,15 +39,18 @@
 //! walker's position — one file however the row's cells differ in
 //! anything but their page sizes), per cell its **overlay**.
 //! There is one way back to the boundary, `restore_at_boundary`, and
-//! every cell takes it: a cell whose overlay loads restores, a cell whose
-//! overlay does not executes the warm-up turns
-//! ([`trrip_cpu::Core::execute`]) and leaves its overlay; the window
-//! writes the prefix once its frontend is across the boundary, if no
-//! loadable one was on file. Where every cell of a workload can restore,
-//! the frontend and the walker both resume from the prefix: nothing walks
-//! the warm-up at all. The `warm.*` counters ([`crate::warmstats`]) and
-//! the `producer_opened` / `warm_start` journal events say which of these
-//! a sweep did; `tests/walk_once_equivalence.rs` and
+//! every cell takes it first: a cell whose overlay loads restores, a cell
+//! whose overlay does not — missing, or there and damaged, alike —
+//! executes the warm-up turns ([`trrip_cpu::Core::execute`]) and leaves
+//! its overlay; the window writes the prefix once its frontend is across
+//! the boundary, if no loadable one was on file. Where every cell of a
+//! workload restored and the prefix loads, the frontend and the walker
+//! both resume from the prefix: nothing walks the warm-up at all. That
+//! start is decided on what loaded, never on what is on file by name, so
+//! a sweep cell only ever takes pushed turns and never runs the fused
+//! loop. The `warm.*` counters ([`crate::warmstats`]) and the
+//! `producer_opened` / `warm_start` journal events say which of these a
+//! sweep did; `tests/walk_once_equivalence.rs` and
 //! `tests/push_store_equivalence.rs` hold every route to the same bits
 //! and the design to its counts (one frontend, one walk from the first
 //! instruction or from the boundary, one prefix read, `jobs` threads, and
@@ -70,13 +73,12 @@
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, MutexGuard};
+use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard};
 
-use parking_lot::Mutex;
 use trrip_cpu::TraceInstr;
 use trrip_obs::Field;
 use trrip_policies::PolicyKind;
-use trrip_trace::{SourceIter, TraceSource};
+use trrip_trace::TraceSource;
 use trrip_workloads::{InputSet, TraceGenerator};
 
 use crate::capture::eval_walker;
@@ -193,11 +195,12 @@ where
                     break;
                 }
                 let value = f(i);
-                slots.lock()[i] = Some(value);
+                slots.lock().expect("no worker panics holding the slots")[i] = Some(value);
             });
         }
     });
-    slots.into_inner().into_iter().map(|v| v.expect("all jobs completed")).collect()
+    let slots = slots.into_inner().expect("no worker panics holding the slots");
+    slots.into_iter().map(|v| v.expect("all jobs completed")).collect()
 }
 
 /// Runs `rows` rows of one cell each — `row(i)` is row `i`'s workload
@@ -315,16 +318,17 @@ impl TraceSource for AheadSource {
 /// the fast-forward boundary if it loads; a cell without executes the
 /// warm-up turns and saves its overlay at the boundary. The frontend's
 /// predictor and the walker's position there are the shared prefix,
-/// which the window saves unless a loadable one was on file. When every
-/// cell of a workload has a restore on file
-/// ([`CheckpointStore::holds_restore`]) and the prefix loads, nobody
-/// needs the warm-up: the frontend resumes from the prefix
-/// ([`Frontend::resume`]) over a walker resumed there. A cell whose
-/// promised overlay then fails to load is reported, runs alone over a
-/// walker of its own and rewrites its overlay; the others are untouched.
-/// Damaged files heal by being overwritten, and so do files of another
-/// format version, which read as absent; a save that fails only costs the
-/// warm start next time.
+/// which the window saves unless a loadable one was on file. Every
+/// member of a team restores its share before the window opens, so where
+/// it opens is decided on what loaded: when every cell of a workload
+/// restored and the prefix loads, nobody needs the warm-up, and the
+/// frontend resumes from the prefix ([`Frontend::resume`]) over a walker
+/// resumed there; otherwise the stream starts at its first instruction.
+/// An overlay that is on file but does not load is reported and is a
+/// missing one: its cell warms up in the row's one walk of the stream and
+/// rewrites the file. Damaged files heal by being overwritten, and so do
+/// files of another format version, which read as absent; a save that
+/// fails only costs the warm start next time.
 ///
 /// # Panics
 ///
@@ -341,7 +345,7 @@ pub fn policy_sweep_with(
     let warms = cells.first().is_some_and(|stream| stream.fast_forward > 0);
     let checkpoints = checkpoints.filter(|_| warms);
     push_sweep(jobs, workloads, cells, checkpoints, |workload, prefix| {
-        open_walker(workload, cells, checkpoints, prefix)
+        open_walker(workload, cells, prefix)
     })
 }
 
@@ -367,18 +371,15 @@ fn assert_one_stream(cells: &[SimConfig]) {
 
 /// Opens the frontend of `workload`'s row of `cells` over the walker: at
 /// the fast-forward boundary, both resumed from the shared `prefix`, if
-/// no cell will read the warm-up; else at the first instruction. Whether
-/// every cell can restore is judged by file names alone: a file that
-/// then fails to load costs that one cell a walk of its own.
+/// the window hands one over (it does when no cell will read the
+/// warm-up); else at the first instruction.
 fn open_walker<'w>(
     workload: &'w PreparedWorkload,
     cells: &[SimConfig],
-    checkpoints: Option<&CheckpointStore>,
     prefix: Option<&SharedWarmup>,
 ) -> Frontend<TraceGenerator<'w>> {
     let config = &cells[0];
-    let holds = |store: &CheckpointStore| store.holds_restore(workload, cells);
-    match prefix.filter(|_| checkpoints.is_some_and(holds)) {
+    match prefix {
         Some(prefix) => {
             journal_producer(workload, config.fast_forward);
             let object = workload.object(config.layout);
@@ -399,21 +400,6 @@ fn open_walker<'w>(
             Frontend::new(workload, cells, eval_walker(workload, config))
         }
     }
-}
-
-/// One cell by itself, on the pull path, over a walker of its own: it
-/// warms up and leaves the overlay the next sweep restores. (The prefix
-/// is on file: its window resumed from it.)
-fn run_alone(
-    workload: &PreparedWorkload,
-    config: &SimConfig,
-    checkpoints: &CheckpointStore,
-) -> SimResult {
-    let mut stream = SourceIter::new(eval_walker(workload, config));
-    let mut run = SimRun::new(workload, config);
-    run.fast_forward(&mut stream);
-    leave_boundary(Some(checkpoints), &run);
-    run.measure(&mut stream)
 }
 
 /// Instructions in a turn: the unit the stream window is filled, handed
@@ -439,9 +425,10 @@ const WINDOW_TURNS: usize = 4;
 
 /// The push executor behind [`policy_sweep_with`]: per workload, `open`
 /// is called once — with the workload's shared prefix, if `checkpoints`
-/// hold a loadable one — and the stream under the frontend it returns
-/// (both read from the first cell: all agree on what they read) is
-/// digested and pushed turn by turn through every cell's [`SimRun`] (see
+/// hold a loadable one and every cell restored its overlay — and the
+/// stream under the frontend it returns (both read from the first cell:
+/// all agree on what they read) is digested and pushed turn by turn
+/// through every cell's [`SimRun`] (see
 /// [`policy_sweep_with`] for how cells are dealt to workers and what
 /// `checkpoints` add). Generic over the producer: nothing here knows
 /// where the stream comes from.
@@ -520,7 +507,7 @@ impl Team {
 /// one to a worker, or — when fewer remain — all that remain, with the
 /// workers spread over them as evenly as they go. Every worker has at
 /// most one workload per round and visits its workloads in index order,
-/// so a team's members arrive at their window together. A team is never
+/// so a team's members meet at their window's opening. A team is never
 /// larger than the number of cells; workers beyond that sit the round
 /// out.
 fn deal_teams(workloads: usize, cells: usize, workers: usize) -> Vec<Team> {
@@ -542,20 +529,20 @@ struct Cell<'w> {
     /// Index into the sweep's results.
     index: usize,
     run: SimRun<'w>,
-    /// Executes the warm-up turns (a restored cell lets them go by).
+    /// Not restored from its overlay: it executes the warm-up turns (a
+    /// restored cell lets them go by).
     warms: bool,
 }
 
 /// One worker's share of one workload (`(index into the sweep's
-/// results, configuration)` per cell): brings every cell to the window's
-/// first turn — restored at the fast-forward boundary, or cold at the first
-/// instruction — and pushes the stream through all of them **in
-/// lockstep**: each turn is read once and drives the whole group
-/// ([`SimRun::push_measure_group`]; during a warm-up, the cells that
-/// warm). Returns the results by index. A cell that can do neither (the
-/// window begins at the boundary and the restore it was promised does
-/// not load) runs alone afterwards. Phase spans are per worker per
-/// phase, not per turn.
+/// results, configuration)` per cell): restores every cell it can at the
+/// fast-forward boundary and builds the rest cold, arrives at the window
+/// — which starts at the boundary only if every cell of every member
+/// restored — and pushes the stream through all of them **in lockstep**:
+/// each turn is read once and drives the whole group
+/// ([`SimRun::push_group`]; during a warm-up, the cells that warm).
+/// Returns the results by index. Phase spans are per worker per phase,
+/// not per turn.
 fn run_share<'w, S, F>(
     window: &Window<'w, S>,
     open: &F,
@@ -567,22 +554,16 @@ where
 {
     let (workload, config, checkpoints) = (window.workload, &window.cells[0], window.checkpoints);
     let bench = workload.spec.name.as_str();
-    let start = window.open(open);
-    let mut reader = Reader { window, turn: 0, held: None };
     let mut cells = Vec::with_capacity(share.len());
-    let mut alone = Vec::new();
     for &(index, cell_config) in share {
         let restored =
             checkpoints.and_then(|store| restore_at_boundary(workload, cell_config, store));
-        match restored {
-            Some(run) => cells.push(Cell { index, run, warms: false }),
-            None if start == 0 => {
-                let run = SimRun::new(workload, cell_config);
-                cells.push(Cell { index, run, warms: config.fast_forward > 0 });
-            }
-            None => alone.push((index, cell_config)),
-        }
+        let warms = restored.is_none();
+        let run = restored.unwrap_or_else(|| SimRun::new(workload, cell_config));
+        cells.push(Cell { index, run, warms });
     }
+    let start = window.open(open, cells.iter().all(|cell| !cell.warms));
+    let mut reader = Reader { window, turn: 0, held: None };
     for cell in &cells {
         let policy = cell.run.config().hierarchy.l2_policy;
         journal_cell("cell_started", bench, policy, ("group", Field::U64(cells.len() as u64)));
@@ -591,9 +572,7 @@ where
         let _span = trrip_obs::span!("fast_forward");
         let mut warming: Vec<_> =
             cells.iter_mut().filter(|cell| cell.warms).map(|cell| &mut cell.run).collect();
-        reader.feed(config.fast_forward, |turn, last| {
-            SimRun::push_fast_forward_group(&mut warming, turn, last);
-        });
+        reader.feed(config.fast_forward, |turn, last| SimRun::push_group(&mut warming, turn, last));
         reader.release();
         for cell in cells.iter().filter(|cell| cell.warms) {
             leave_boundary(checkpoints, &cell.run);
@@ -603,19 +582,11 @@ where
     {
         let _span = trrip_obs::span!("measure");
         let mut group: Vec<_> = cells.iter_mut().map(|cell| &mut cell.run).collect();
-        reader.feed(config.instructions, |turn, last| {
-            SimRun::push_measure_group(&mut group, turn, last);
-        });
+        reader.feed(config.instructions, |turn, last| SimRun::push_group(&mut group, turn, last));
     }
     drop(reader);
-    let mut finished: Vec<(usize, SimResult)> =
+    let finished: Vec<(usize, SimResult)> =
         cells.into_iter().map(|mut cell| (cell.index, cell.run.finish())).collect();
-    for (index, cell_config) in alone {
-        let store = checkpoints.expect("only a store-backed window starts past the warm-up");
-        let policy = cell_config.hierarchy.l2_policy;
-        journal_cell("cell_started", bench, policy, ("group", Field::U64(1)));
-        finished.push((index, run_alone(workload, cell_config, store)));
-    }
     for (_, result) in &finished {
         let cycles = ("cycles", Field::F64(result.core.cycles));
         journal_cell("cell_finished", bench, result.policy, cycles);
@@ -625,10 +596,10 @@ where
 
 /// A cell's run restored at the fast-forward boundary from its overlay
 /// — the one way back there. A cell consults no predictor: the
-/// frontend read the prefix, once, for all of them. `None` if the overlay
-/// is not in: one that does not load is reported, and the caller warms a
-/// fresh machine, since a failed restore may have left this one
-/// half-written.
+/// frontend reads the prefix, once, for all of them. `None` if the overlay
+/// is not in: one that does not load is reported and is a missing one, and
+/// the caller warms a fresh machine, since a failed restore may have left
+/// this one half-written.
 fn restore_at_boundary<'w>(
     workload: &'w PreparedWorkload,
     config: &SimConfig,
@@ -698,8 +669,8 @@ fn save_prefix(
 }
 
 /// Journals a cell's start — with its `group`: how many cells of the
-/// workload its worker drives in lockstep with it, itself included (1 for
-/// a cell that runs alone) — or its end, with its `cycles`.
+/// workload its worker drives in lockstep with it, itself included — or
+/// its end, with its `cycles`.
 fn journal_cell(kind: &str, benchmark: &str, policy: PolicyKind, field: (&str, Field<'_>)) {
     let fields =
         [("benchmark", Field::Str(benchmark)), ("policy", Field::Str(policy.name())), field];
@@ -773,7 +744,7 @@ struct Window<'w, S> {
     checkpoints: Option<&'w CheckpointStore>,
     /// Team size: every turn is read this many times.
     readers: usize,
-    state: std::sync::Mutex<WindowState<S>>,
+    state: Mutex<WindowState<S>>,
     /// Signalled when a turn is published, a turn is retired, or the
     /// sweep fails.
     changed: Condvar,
@@ -781,6 +752,10 @@ struct Window<'w, S> {
 
 struct WindowState<S> {
     producer: Producer<S>,
+    /// Members that have arrived at [`Window::open`].
+    arrived: usize,
+    /// Every member that arrived restored its whole share.
+    restored: bool,
     /// Where in the stream the producer's first turn begins.
     start: u64,
     /// A checkpoint store is attached and held no loadable shared
@@ -793,7 +768,8 @@ struct WindowState<S> {
     /// Retired turns' buffers, for the next turns to be digested into.
     spare: Vec<StreamTurn>,
     /// A worker of the sweep panicked ([`Bail`]): the rest must not
-    /// wait for turns it will never publish or release.
+    /// wait for it to arrive, nor for turns it will never publish or
+    /// release.
     failed: bool,
 }
 
@@ -803,7 +779,7 @@ struct Turn {
 }
 
 enum Producer<S> {
-    /// No member has asked for the stream yet.
+    /// Not every member has arrived yet.
     Unopened,
     /// Parked between turns.
     Idle(Box<Frontend<S>>),
@@ -825,8 +801,10 @@ impl<'w, S: Resumable> Window<'w, S> {
             cells,
             checkpoints,
             readers,
-            state: std::sync::Mutex::new(WindowState {
+            state: Mutex::new(WindowState {
                 producer: Producer::Unopened,
+                arrived: 0,
+                restored: true,
                 start: 0,
                 prefix_wanted: false,
                 first: 0,
@@ -842,24 +820,43 @@ impl<'w, S: Resumable> Window<'w, S> {
         self.state.lock().expect("a sweep worker panicked inside the stream window")
     }
 
-    /// The stream position of turn 0. The first member to ask reads the
-    /// shared prefix, if a store holds one, and opens the producer with
-    /// it — under the lock: its teammates have nothing to do before they
-    /// know where their cells start.
-    fn open<F>(&self, open: &F) -> u64
+    /// The stream position of turn 0, once every member has arrived,
+    /// each saying whether it `restored` its whole share. The last to
+    /// arrive reads the shared prefix, if a store holds one, and opens the
+    /// producer — with the prefix if it loaded and every member restored,
+    /// else at the first instruction — under the lock: its teammates have
+    /// nothing to do before they know where their cells start.
+    fn open<F>(&self, open: &F, restored: bool) -> u64
     where
         F: Fn(&'w PreparedWorkload, Option<&SharedWarmup>) -> Frontend<S>,
     {
         let mut state = self.lock();
-        if matches!(state.producer, Producer::Unopened) {
+        state.arrived += 1;
+        state.restored &= restored;
+        if state.arrived == self.readers {
             let prefix =
                 self.checkpoints.and_then(|store| load_prefix(store, self.workload, self.cells));
-            let frontend = open(self.workload, prefix.as_ref());
+            let frontend = open(self.workload, prefix.as_ref().filter(|_| state.restored));
             state.prefix_wanted = self.checkpoints.is_some() && prefix.is_none();
             state.start = frontend.start();
             state.producer = Producer::Idle(Box::new(frontend));
+            self.changed.notify_all();
+        }
+        while matches!(state.producer, Producer::Unopened) {
+            state = self.wait(state);
         }
         state.start
+    }
+
+    /// Waits for the window to change — unless the sweep failed
+    /// ([`Bail`]): then what the caller waits for may never come, and it
+    /// panics instead.
+    fn wait<'s>(&'s self, state: MutexGuard<'s, WindowState<S>>) -> MutexGuard<'s, WindowState<S>> {
+        if state.failed {
+            drop(state);
+            panic!("another worker of this sweep panicked");
+        }
+        self.changed.wait(state).expect("a sweep worker panicked inside the window")
     }
 
     /// Turn `k` of the stream, or `None` when the stream ended before
@@ -877,10 +874,6 @@ impl<'w, S: Resumable> Window<'w, S> {
     fn acquire(&self, k: usize) -> Option<Arc<StreamTurn>> {
         let mut state = self.lock();
         loop {
-            if state.failed {
-                drop(state);
-                panic!("another worker of this sweep panicked");
-            }
             let held = state.turns.get(k - state.first).map(|turn| Arc::clone(&turn.events));
             let at_head = k + 1 >= state.first + state.turns.len();
             if at_head && state.turns.len() < WINDOW_TURNS {
@@ -901,7 +894,7 @@ impl<'w, S: Resumable> Window<'w, S> {
             if matches!(state.producer, Producer::Done) {
                 return None;
             }
-            state = self.changed.wait(state).expect("a sweep worker panicked inside the window");
+            state = self.wait(state);
         }
     }
 
@@ -1016,8 +1009,9 @@ impl<S: Resumable> Drop for Reader<'_, '_, S> {
 }
 
 /// Held by every worker of a sweep. A worker that unwinds fails every
-/// window on its way out, so that teammates waiting for a turn it will
-/// never generate or release panic too instead of waiting for ever.
+/// window on its way out, so that teammates waiting for it to arrive, or
+/// for a turn it will never generate or release, panic too instead of
+/// waiting for ever.
 struct Bail<'a, 'w, S>(&'a [Window<'w, S>]);
 
 impl<S> Drop for Bail<'_, '_, S> {
@@ -1187,6 +1181,24 @@ mod tests {
         let _ = push_sweep(3, &workloads, &cells, None, |workload, _| {
             Frontend::new(workload, &cells, Breaks(0))
         });
+    }
+
+    /// A member that dies before it reaches the window — here in
+    /// building its cell's machine, whose L2 has no ways — must take its
+    /// teammate down with it: the teammate would otherwise wait for ever
+    /// for the last member to arrive and open the stream.
+    #[test]
+    #[should_panic(expected = "another worker of this sweep panicked")]
+    fn a_member_that_dies_before_the_window_opens_fails_its_teammate() {
+        let workloads = vec![tiny_workload("wd")];
+        let mut config = SimConfig::quick(PolicyKind::Srrip);
+        config.instructions = 20_000;
+        config.fast_forward = 0;
+        let mut broken = config.clone();
+        broken.hierarchy.l2.ways = 0;
+        // Worker 0, the caller's thread, holds cell 0 and waits at the
+        // window; worker 1 unwinds building cell 1.
+        let _ = policy_sweep_with(2, &workloads, &[config, broken], None);
     }
 
     #[test]

@@ -28,9 +28,9 @@
 //! caller hands those to as many runs as it likes, each of which runs
 //! only the policy-dependent half ([`Core::execute`]) over its own TLB,
 //! loaded image and hierarchy, reading its page size's column — to a
-//! **group** of runs at once
-//! ([`SimRun::push_fast_forward_group`], [`SimRun::push_measure_group`]),
-//! which take the turn in lockstep, one read of it driving them all; one
+//! **group** of runs at once ([`SimRun::push_group`]), which take the
+//! turn in lockstep, one read of it driving them all, each in its own
+//! phase: warming until [`SimRun::begin_measure`], measuring after. One
 //! run alone is a group of one. Turns may be cut anywhere, an empty one
 //! included, and `last = true` with the turn that completes a phase
 //! closes it as the pull side does. That is how [`crate::policy_sweep_with`]
@@ -41,7 +41,7 @@
 //!
 //! Each side has exactly one way to warm a machine up — the fused loop
 //! behind [`SimRun::fast_forward`], the event loop behind
-//! [`SimRun::push_fast_forward_group`] — and both leave the same
+//! [`SimRun::push_group`] — and both leave the same
 //! policy-dependent boundary state behind ([`SimRun::save_overlay`]);
 //! the policy-agnostic rest — the predictor, the stream views, and where
 //! the walker stands — is the [`Frontend`]'s, handed out by
@@ -366,8 +366,8 @@ impl<S> Drop for Frontend<S> {
 ///    architectural state; [`SimRun::restore`] loads it into a freshly
 ///    constructed run, replacing the fast-forward phase entirely.
 /// 4. **measure** — [`SimRun::measure`] (pushed: [`SimRun::begin_measure`],
-///    turns, [`SimRun::finish`]): statistics reset, then the measured
-///    window executes and [`SimResult`] is collected.
+///    [`SimRun::push_group`], [`SimRun::finish`]): statistics reset, then
+///    the measured window executes and [`SimResult`] is collected.
 ///
 /// A restored run is bit-identical to one that executed fast-forward
 /// itself — enforced by `tests/checkpoint_roundtrip.rs`.
@@ -378,8 +378,8 @@ pub struct SimRun<'w> {
     pages: PageStats,
     core: Core<SystemBackend>,
     /// In-flight state of a *pushed* fast-forward (present between the
-    /// first [`SimRun::push_fast_forward_group`] and the closing one). The
-    /// pull-mode warmup runs in one call and never parks its state.
+    /// first [`SimRun::push_group`] of the warm-up and the closing one).
+    /// The pull-mode warmup runs in one call and never parks its state.
     warming: Option<RunState>,
     /// Set by the first pushed turn: the branch predictor of this run
     /// is never consulted or trained (a [`Frontend`]'s was), so its
@@ -502,38 +502,48 @@ impl<'w> SimRun<'w> {
         self.core.run_batch(state, &[], true);
     }
 
-    /// **Fast-forward phase, pushed**: warms every run of `group` with
-    /// the next turn of the warmup, as a [`Frontend`] digested it. The
-    /// turns of all calls together must cover the stream's first
-    /// `fast_forward` instructions, cut anywhere; pass `last = true` with
-    /// the turn that completes them (an empty one will do), which closes
-    /// the phase exactly as [`SimRun::fast_forward`] does. With
-    /// `fast_forward == 0` there is nothing to push: go straight to
-    /// [`SimRun::begin_measure`].
+    /// **Pushed**: runs the next turn on every run of `group`, in
+    /// lockstep, in the run's own phase — the warm-up until
+    /// [`SimRun::begin_measure`], the measure window after — as a
+    /// [`Frontend`] digested it. The turns of all calls of a phase
+    /// together must cover its instructions, cut anywhere; pass
+    /// `last = true` with the turn that completes them (an empty one will
+    /// do), which closes the phase exactly as the pull side does. With
+    /// `fast_forward == 0` there is no warm-up to push: go straight to
+    /// [`SimRun::begin_measure`]. After the measure window, collect each
+    /// run with [`SimRun::finish`]; the result's branch counts are the
+    /// frontend's, carried by the turns.
     ///
-    /// The runs of one workload that a sweep's worker warms — same
-    /// stream, same core, a policy each — take the turn in lockstep
+    /// The runs of one workload that a sweep's worker holds — same
+    /// stream, same core, a machine each — take the turn in lockstep
     /// ([`Core::execute`]), which reads it once for all of them. Each
     /// run ends up exactly where pushing the turn to it in a group of
     /// one would leave it.
     ///
     /// # Panics
     ///
-    /// Panics if measurement has started or the turns overrun the
-    /// configured warmup, for any run of the group; and if the runs are
-    /// not all at the same point of the warmup.
-    pub fn push_fast_forward_group(group: &mut [&mut SimRun<'_>], turn: &StreamTurn, last: bool) {
+    /// Panics if the turns overrun the phase of any run of the group; if
+    /// its runs are not all in the same phase, or not all at the same
+    /// point of it.
+    pub fn push_group(group: &mut [&mut SimRun<'_>], turn: &StreamTurn, last: bool) {
+        let measuring = group.first().is_some_and(|run| run.is_measuring());
         let mut machines = Vec::with_capacity(group.len());
         for run in group.iter_mut() {
             let run = &mut **run;
-            assert!(run.measuring.is_none(), "fast-forward after measurement started");
-            let consumed = run.warming.as_ref().map_or(0, RunState::consumed);
-            assert!(
-                consumed + turn.instructions() <= run.config.fast_forward,
-                "pushed past the fast-forward boundary"
-            );
+            assert_eq!(run.is_measuring(), measuring, "the runs of a group are in one phase");
+            let (state, bound, overrun) = if measuring {
+                (&run.measuring, run.config.instructions, "pushed past the measure window")
+            } else {
+                (&run.warming, run.config.fast_forward, "pushed past the fast-forward boundary")
+            };
+            let consumed = state.as_ref().map_or(0, RunState::consumed);
+            assert!(consumed + turn.instructions() <= bound, "{overrun}");
             run.feed(turn);
-            let state = run.warming.get_or_insert_with(|| run.core.begin_run());
+            let state = if measuring {
+                run.measuring.as_mut().expect("checked above")
+            } else {
+                run.warming.get_or_insert_with(|| run.core.begin_run())
+            };
             machines.push((&mut run.core, state));
         }
         execute_counted(&mut machines, turn.events());
@@ -583,39 +593,6 @@ impl<'w> SimRun<'w> {
             .backend_mut()
             .arm_measurement(self.config.measure_reuse, self.config.track_costly);
         self.measuring = Some(self.core.begin_run());
-    }
-
-    /// **Measure phase, pushed**: runs the next turn of the measure
-    /// window on every run of `group`, in lockstep — the measure-phase
-    /// twin of [`SimRun::push_fast_forward_group`]. Pass `last = true`
-    /// with the turn that completes the window (an empty one will do),
-    /// then collect each run with [`SimRun::finish`]; the result's branch
-    /// counts are the frontend's, carried by the turns.
-    ///
-    /// # Panics
-    ///
-    /// Panics before [`SimRun::begin_measure`] or if the turns overrun
-    /// the configured window, for any run of the group; and if the runs
-    /// are not all at the same point of the window.
-    pub fn push_measure_group(group: &mut [&mut SimRun<'_>], turn: &StreamTurn, last: bool) {
-        let mut machines = Vec::with_capacity(group.len());
-        for run in group.iter_mut() {
-            let run = &mut **run;
-            let state = run.measuring.as_ref().expect("begin_measure first");
-            assert!(
-                state.consumed() + turn.instructions() <= run.config.instructions,
-                "pushed past the measure window"
-            );
-            run.feed(turn);
-            machines.push((&mut run.core, run.measuring.as_mut().expect("checked above")));
-        }
-        execute_counted(&mut machines, turn.events());
-        for run in group {
-            run.core.backend_mut().unfeed();
-            if last {
-                run.core.backend_mut().flush_fastpath_counters();
-            }
-        }
     }
 
     /// Ends the measure phase and collects the [`SimResult`].

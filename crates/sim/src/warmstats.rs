@@ -12,9 +12,9 @@
 //!
 //! * `warm.overlay_restore` — a cell restored its overlay and simulated
 //!   none of the warm-up;
-//! * `warm.tail_replay` — a cell executed its warm-up — pushed turns, or
-//!   the fused loop in a cell demoted to run alone — and left an overlay
-//!   behind in the store attached;
+//! * `warm.tail_replay` — a cell executed its warm-up turns — its
+//!   overlay missing, or there and damaged — and left an overlay behind
+//!   in the store attached;
 //! * `warm.recorded_warmup` — a shared prefix was written, by a window,
 //!   once its frontend crossed the boundary;
 //! * `warm.cold_warmup` — a cell executed its warm-up with no store

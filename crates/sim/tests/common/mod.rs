@@ -1,10 +1,22 @@
-//! What the equivalence suites share: the heterogeneous row, and a row
-//! shaped like `overlap_ablation`'s.
+//! What the equivalence suites share: the heterogeneous row, a row
+//! shaped like `overlap_ablation`'s, and what a store holds of a row.
 
 use trrip_mem::PageSize;
 use trrip_os::OverlapPolicy;
 use trrip_policies::PolicyKind;
-use trrip_sim::SimConfig;
+use trrip_sim::{CheckpointStore, PreparedWorkload, SimConfig};
+
+/// Whether `store` holds a file under every name a warm start of
+/// `workload`'s row of `cells` reads: the row's shared prefix and each
+/// cell's overlay. (Whether they load is for a sweep to find out.)
+pub fn row_on_file(
+    store: &CheckpointStore,
+    workload: &PreparedWorkload,
+    cells: &[SimConfig],
+) -> bool {
+    store.prefix_path(workload, cells).is_file()
+        && cells.iter().all(|cell| store.overlay_path(workload, cell).is_file())
+}
 
 /// Six cells with nothing in common but the stream and the frontend of
 /// `config`: L2 size (64–512 kB) and ways (2–16), page size, overlap

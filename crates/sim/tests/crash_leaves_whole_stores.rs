@@ -288,24 +288,24 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     assert_restores_everything(&bad_prefix, &workloads, &oracle);
 
     // ---- (b) an overlay published torn ----
-    // By name the store is whole, so row 0's producer starts at the
-    // boundary; the one cell runs alone over a walker of its own and
-    // rewrites its file, the other nine restore in lockstep.
+    // By name the store is whole, but the torn overlay does not load, so
+    // it is a missing one: row 0's producer starts at the first
+    // instruction, its cell warms up in lockstep with the nine that
+    // restore and let the warm-up go by, and rewrites its file.
     let ckpts = store(&bad_overlay);
     let overlay = ckpts.overlay_path(a, &cell(ALL_POLICIES[0]));
     let torn = std::fs::read(&overlay).expect("the overlay was published");
     let (sweep, seen) = Seen::sweep(&bad_overlay, "next", &workloads);
     assert_sweep(&sweep, &oracle, "over a torn overlay");
     assert_eq!(seen.damaged(), [("policy overlay", ROWS[0], ALL_POLICIES[0].name())]);
-    assert_eq!(seen.producers(), ROWS.map(|row| (row, "walker", config.fast_forward)));
+    assert_eq!(
+        seen.producers(),
+        [(ROWS[0], "walker", 0), (ROWS[1], "walker", config.fast_forward)]
+    );
     assert_eq!(seen.took("tail_replay"), cells_of(&ROWS[..1], &ALL_POLICIES[..1]));
     assert_eq!(seen.warm(), [SWEEP - 1, 1, 0]);
-    // Two workers: row 0 to the one (nine in lockstep, then the one
-    // alone), row 1 to the other.
-    let mut groups = vec![1];
-    groups.extend([(CELLS - 1) as u64; CELLS - 1]);
-    groups.extend([CELLS as u64; CELLS]);
-    assert_eq!(seen.groups(), groups);
+    // Two workers, a row each, every cell of it in one lockstep group.
+    assert_eq!(seen.groups(), [CELLS as u64; 2 * CELLS]);
     assert_eq!(std::fs::read(&overlay).expect("the overlay").len(), torn.len() + 9);
     assert_restores_everything(&bad_overlay, &workloads, &oracle);
 

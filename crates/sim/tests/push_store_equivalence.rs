@@ -13,8 +13,10 @@
 //! * a partial store (an overlay gone, or the prefix gone) costs exactly
 //!   what is missing: the producer starts at the first instruction, the
 //!   cells that can still restore do, the one that cannot warms up;
-//! * an overlay that is there but does not load sends its cell alone to
-//!   a walker of its own, heals, and touches no other cell;
+//! * an overlay that is there but does not load is a missing one: the
+//!   stream is walked once, from the first instruction, with no walker
+//!   beside it; its cell warms up, rewrites the file byte for byte, and
+//!   no other cell notices;
 //! * a cell is a configuration: a row whose cells differ in L2 size and
 //!   ways, page size, overlap rule, policy and armed profilers costs
 //!   **one** prefix and an overlay per cell, and a policy sweep and a
@@ -31,7 +33,7 @@ mod common;
 
 use std::path::{Path, PathBuf};
 
-use common::{ablation_row, mixed_row};
+use common::{ablation_row, mixed_row, row_on_file};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
@@ -184,7 +186,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(files.len() as u64, 2 * (1 + CELLS), "a prefix and the overlays, no capture");
     for w in &workloads {
         assert!(ckpts.prefix_path(w, &cells).is_file());
-        assert!(ckpts.holds_restore(w, &cells));
+        assert!(row_on_file(&ckpts, w, &cells));
     }
 
     // The pull reference: each cell alone over a walker of its own.
@@ -226,19 +228,21 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert!(read(&prefix) == prefix_bytes, "a prefix is a function of the stream alone");
 
     // ---- an overlay that is there but does not load ----
-    // By name the store is whole, so b's producer starts at the
-    // boundary; EMISSARY's cell finds its file damaged, warms up alone
-    // over a walker of its own — the fused loop — and rewrites the file.
-    // Nobody else notices.
+    // By name the store is whole, but EMISSARY's file does not load, so
+    // it is a missing one: b's producer starts at the first instruction,
+    // one walk of the stream and no walker beside it; the other cells
+    // restore and let the warm-up go by, EMISSARY's warms up and
+    // rewrites the file. Nobody else notices.
     let emissary = ckpts.overlay_path(b, &cell(PolicyKind::Emissary));
     let overlay_bytes = read(&emissary);
     corrupt::flip_middle_byte(&emissary);
     let (patched, moved) = Moved::by(sweep);
-    moved.walked(&[window, window, stream], "one overlay damaged: one private walk");
+    moved.walked(&[window, stream], "one overlay damaged: b walked once, from the start");
+    assert_eq!(moved.get("front.digest.instrs"), window + stream, "two frontends, no other");
     assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
     assert_eq!(moved.get("ckpt.corrupt"), 1);
     assert_sweep(&patched, &oracle, "one overlay damaged");
-    assert!(read(&emissary) == overlay_bytes, "the pull path writes the overlay the push path did");
+    assert!(read(&emissary) == overlay_bytes, "the rewritten overlay is the cold pass's");
     let (healed, moved) = Moved::by(sweep);
     moved.walked(&[window, window], "healed store");
     assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
@@ -298,7 +302,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.warm(), [0, n, 1, 0], "every cell warms; ONE prefix for the row");
     assert_eq!(moved.get("ckpt.save"), n + 1);
     assert_eq!(shared_files(m), 1);
-    assert!(ckpts.holds_restore(m, &row));
+    assert!(row_on_file(&ckpts, m, &row));
     let oracle = alone(&row, m);
     assert!(oracle[1].reuse_base.is_some() && oracle[2].costly.is_some());
     assert_sweep(&row_cold, &oracle, "heterogeneous row, cold");
@@ -337,7 +341,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.warm(), [0, n, 1, 0], "every cell warms; ONE prefix for both views");
     assert_sweep(&row_cold, &oracle, "two page sizes, cold");
     assert_eq!(shared_files(v), 1);
-    assert!(ckpts.holds_restore(v, &row));
+    assert!(row_on_file(&ckpts, v, &row));
     assert_ne!(ckpts.prefix_path(v, &row), ckpts.prefix_path(v, &row[..1]));
     let (row_warm, moved) = Moved::by(sweep_row);
     moved.walked(&[window], "two page sizes, warm: from the boundary");

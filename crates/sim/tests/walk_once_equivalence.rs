@@ -8,9 +8,8 @@
 //! heterogeneous row whose cells share nothing but their stream (L2 size
 //! and ways, page size, overlap rule, policy, armed profilers). The seam
 //! underneath,
-//! [`Frontend::digest`] ∘ [`SimRun::push_fast_forward_group`] /
-//! [`SimRun::push_measure_group`] with a group of one, is held to the
-//! pull path directly. The
+//! [`Frontend::digest`] ∘ [`SimRun::push_group`] with a group of one,
+//! in either phase, is held to the pull path directly. The
 //! thread budget is held over a checkpoint store too, cold and warm: the
 //! same executor, over a walker from the first instruction and over one
 //! resumed at the boundary. So is the lockstep
@@ -28,7 +27,7 @@ mod common;
 use std::collections::BTreeSet;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-use common::{ablation_row, mixed_row};
+use common::{ablation_row, mixed_row, row_on_file};
 
 use trrip_compiler::LayoutKind;
 use trrip_core::ClassifierConfig;
@@ -235,7 +234,7 @@ fn two_page_sizes_over_a_store_equal_per_cell_simulate_cold_and_warm() {
         for (i, (cell, expected)) in sweep.results.iter().zip(&oracle).enumerate() {
             assert_identical(cell, expected, &format!("{pass} pass, cell {i}"));
         }
-        assert!(ckpts.holds_restore(&workloads[0], &cells), "{pass}: the row is on file");
+        assert!(row_on_file(&ckpts, &workloads[0], &cells), "{pass}: the row is on file");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -321,13 +320,13 @@ fn pushed(
         if warming > 0 {
             warming -= turn.instructions();
             let last = warming == 0 || !more;
-            SimRun::push_fast_forward_group(&mut [&mut run], &turn, last);
+            SimRun::push_group(&mut [&mut run], &turn, last);
             if last {
                 warming = 0;
                 run.begin_measure();
             }
         } else {
-            SimRun::push_measure_group(&mut [&mut run], &turn, !more);
+            SimRun::push_group(&mut [&mut run], &turn, !more);
         }
         if !more {
             break;
@@ -409,19 +408,19 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
         Frontend::new(&w, std::slice::from_ref(&config), VecSource::new(stream.clone(), 1_024));
     let (empty, mut turn) = (StreamTurn::new(), StreamTurn::new());
     let mut run = SimRun::new(&w, &config);
-    SimRun::push_fast_forward_group(&mut [&mut run], &empty, false);
+    SimRun::push_group(&mut [&mut run], &empty, false);
     assert!(frontend.digest(usize::MAX, &mut turn), "the measure window is still to come");
     assert_eq!(turn.instructions(), 5_000, "a turn stops at the fast-forward boundary");
-    SimRun::push_fast_forward_group(&mut [&mut run], &turn, false);
-    SimRun::push_fast_forward_group(&mut [&mut run], &empty, true);
+    SimRun::push_group(&mut [&mut run], &turn, false);
+    SimRun::push_group(&mut [&mut run], &empty, true);
     run.begin_measure();
-    SimRun::push_measure_group(&mut [&mut run], &empty, false);
+    SimRun::push_group(&mut [&mut run], &empty, false);
     assert!(!frontend.digest(usize::MAX, &mut turn), "the source ran dry");
     assert_eq!(turn.instructions(), 25_000);
-    SimRun::push_measure_group(&mut [&mut run], &turn, false);
+    SimRun::push_group(&mut [&mut run], &turn, false);
     assert!(!frontend.digest(usize::MAX, &mut turn));
     assert_eq!(turn.events(), empty.events(), "nothing is left to digest");
-    SimRun::push_measure_group(&mut [&mut run], &turn, true);
+    SimRun::push_group(&mut [&mut run], &turn, true);
     assert_identical(&run.finish(), &pulled, "short stream closed by an empty turn");
 }
 
@@ -507,7 +506,7 @@ fn push_seam_refuses_to_overrun_the_warmup() {
     let w = workload("walk-once-overrun");
     let config = quick_config(100);
     let turn = oversized_turn(&w, &config, 101);
-    SimRun::push_fast_forward_group(&mut [&mut SimRun::new(&w, &config)], &turn, true);
+    SimRun::push_group(&mut [&mut SimRun::new(&w, &config)], &turn, true);
 }
 
 #[test]
@@ -520,7 +519,7 @@ fn push_seam_refuses_to_overrun_the_measure_window() {
     let turn = oversized_turn(&w, &config, 101);
     let mut run = SimRun::new(&w, &config);
     run.begin_measure();
-    SimRun::push_measure_group(&mut [&mut run], &turn, true);
+    SimRun::push_group(&mut [&mut run], &turn, true);
 }
 
 /// A pushed run's predictor was never trained, so its state is not the
@@ -533,7 +532,7 @@ fn a_pushed_run_refuses_to_be_checkpointed() {
     let config = quick_config(100);
     let turn = oversized_turn(&w, &config, 100);
     let mut run = SimRun::new(&w, &config);
-    SimRun::push_fast_forward_group(&mut [&mut run], &turn, true);
+    SimRun::push_group(&mut [&mut run], &turn, true);
     run.save(&mut SnapWriter::new());
 }
 
@@ -556,7 +555,7 @@ fn every_run_of_a_pushed_group_refuses_to_be_checkpointed() {
     let _shared = shared();
     let w = workload("walk-once-group-no-save");
     let (mut a, mut b, turn) = pair_and_turn(&w, &quick_config(100));
-    SimRun::push_fast_forward_group(&mut [&mut a, &mut b], &turn, true);
+    SimRun::push_group(&mut [&mut a, &mut b], &turn, true);
     b.save(&mut SnapWriter::new());
 }
 
@@ -569,7 +568,19 @@ fn a_group_refuses_a_turn_that_overruns_one_of_its_runs() {
     let w = workload("walk-once-group-overrun");
     let (mut a, _, turn) = pair_and_turn(&w, &quick_config(100));
     let mut short = SimRun::new(&w, &quick_config(99));
-    SimRun::push_fast_forward_group(&mut [&mut a, &mut short], &turn, true);
+    SimRun::push_group(&mut [&mut a, &mut short], &turn, true);
+}
+
+/// A run that has begun measuring cannot share a turn with one still
+/// warming up: the turn belongs to one phase of the stream.
+#[test]
+#[should_panic(expected = "the runs of a group are in one phase")]
+fn a_group_refuses_runs_in_different_phases() {
+    let _shared = shared();
+    let w = workload("walk-once-group-phases");
+    let (mut measuring, mut warming, turn) = pair_and_turn(&w, &quick_config(100));
+    measuring.begin_measure();
+    SimRun::push_group(&mut [&mut measuring, &mut warming], &turn, true);
 }
 
 /// A run that already took a turn cannot share the next with one that
@@ -585,8 +596,8 @@ fn a_group_refuses_runs_at_different_positions() {
     let (mut ahead, mut behind, _) = pair_and_turn(&w, &config);
     ahead.begin_measure();
     behind.begin_measure();
-    SimRun::push_measure_group(&mut [&mut ahead], &turn, false);
-    SimRun::push_measure_group(&mut [&mut ahead, &mut behind], &turn, true);
+    SimRun::push_group(&mut [&mut ahead], &turn, false);
+    SimRun::push_group(&mut [&mut ahead, &mut behind], &turn, true);
 }
 
 // ---- rows of one cell: inline, or with the walker running ahead ----

@@ -5,12 +5,14 @@
 //! warmup, for every policy (including Random, whose RNG stream is
 //! architectural state) and with the reuse/costly profilers armed.
 //! Fallback routing is pinned through the `warm.*` counters
-//! (`trrip_sim::warmstats` says what each means): a damaged overlay costs
-//! its one cell a warm-up of its own, a damaged prefix — its walker
+//! (`trrip_sim::warmstats` says what each means): a damaged overlay is a
+//! missing one and costs its one cell its warm-up, in the row's one walk
+//! of the stream, a damaged prefix — its walker
 //! section out of range included — is written again, and either file is
 //! healed by the sweep that found it.
 
 use trrip_core::ClassifierConfig;
+use trrip_obs::CounterSnapshot;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
     policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SimResult,
@@ -87,12 +89,21 @@ fn counter_guard() -> std::sync::MutexGuard<'static, ()> {
 /// that warmed and left an overlay, prefixes written, cells that warmed
 /// with no store attached — and of `ckpt.corrupt`.
 fn routes_of(sweep: impl FnOnce() -> SweepResult) -> (SweepResult, [u64; 4], u64) {
+    let (result, moved) = moved_by(sweep);
+    (result, routes(&moved), moved.get("ckpt.corrupt"))
+}
+
+/// Every counter `sweep` moved.
+fn moved_by(sweep: impl FnOnce() -> SweepResult) -> (SweepResult, CounterSnapshot) {
     let before = trrip_obs::snapshot();
     let result = sweep();
-    let moved = trrip_obs::snapshot().since(&before);
-    let warm = ["overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
-        .map(|route| moved.get(&format!("warm.{route}")));
-    (result, warm, moved.get("ckpt.corrupt"))
+    (result, trrip_obs::snapshot().since(&before))
+}
+
+/// The `warm.*` part of `moved`, in [`routes_of`]'s order.
+fn routes(moved: &CounterSnapshot) -> [u64; 4] {
+    ["overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
+        .map(|route| moved.get(&format!("warm.{route}")))
 }
 
 #[test]
@@ -141,8 +152,10 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
 }
 
 /// A damaged overlay costs that one cell its warm-up, heals, and moves
-/// no other cell's counters: the cell runs alone, on a fresh machine
-/// (the failed restore may have left the first one half-written).
+/// no other cell's counters. It is a missing one: the stream is walked
+/// once, from the first instruction, with no walker beside it; the cell
+/// warms up on a fresh machine (the failed restore may have left the
+/// first one half-written) and writes the overlay the cold pass wrote.
 #[test]
 fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let _serial = counter_guard();
@@ -160,12 +173,19 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
 
     // Flip a byte in the middle of Random's overlay: the container
     // checksum rejects it at load.
-    let victim = config.clone().with_policy(PolicyKind::Random);
-    corrupt::flip_middle_byte(&ckpts.overlay_path(&workloads[0], &victim));
+    let victim = ckpts.overlay_path(&workloads[0], &config.clone().with_policy(PolicyKind::Random));
+    let cold_bytes = std::fs::read(&victim).expect("the cold pass wrote it");
+    corrupt::flip_middle_byte(&victim);
 
-    let (patched, routes, damaged) = routes_of(sweep);
-    assert_eq!(routes, [cells - 1, 1, 0, 0], "one cell warms, no prefix is written");
-    assert_eq!(damaged, 1, "one file is reported");
+    let (patched, moved) = moved_by(sweep);
+    assert_eq!(routes(&moved), [cells - 1, 1, 0, 0], "one cell warms, no prefix is written");
+    assert_eq!(moved.get("ckpt.corrupt"), 1, "one file is reported");
+    // One walk of the whole stream, in the walker's batches of 1 Ki.
+    let stream = config.fast_forward + config.instructions;
+    let walked = moved.get("walk.instrs");
+    assert!((stream..stream + 1_024).contains(&walked), "walked {walked} of a {stream} stream");
+    assert_eq!(moved.get("front.digest.instrs"), stream, "one frontend, from the start");
+    assert!(std::fs::read(&victim).expect("rewritten") == cold_bytes, "the cold pass's overlay");
     for (policy, (a, b)) in policies.iter().zip(oracle.results.iter().zip(&patched.results)) {
         assert_identical(a, b, &format!("{policy}: sweep with a damaged overlay"));
     }
