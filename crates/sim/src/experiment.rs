@@ -253,7 +253,7 @@ fn simulate_walking_ahead(workload: &PreparedWorkload, config: &SimConfig) -> Si
                 let mut batch =
                     spent_rx.try_recv().unwrap_or_else(|_| Vec::with_capacity(AHEAD_BATCH));
                 let n = left.min(AHEAD_BATCH as u64);
-                batch.extend(walker.by_ref().take(n as usize));
+                walker.fill(&mut batch, n as usize);
                 left -= n;
                 if full_tx.send(batch).is_err() {
                     return;

@@ -15,7 +15,7 @@ use trrip_compiler::{
     classify_functions, FunctionTemperatures, Linker, ObjectFile, Profile, Program,
 };
 use trrip_core::ClassifierConfig;
-use trrip_workloads::{build_program, InputSet, TraceGenerator, WorkloadSpec};
+use trrip_workloads::{build_program, TraceGenerator, WorkloadSpec};
 
 use crate::checkpoint::CheckpointStore;
 use crate::experiment::report_damaged;
@@ -67,7 +67,7 @@ impl PreparedWorkload {
     ) -> PreparedWorkload {
         let program = build_program(spec);
         let plain_object = Linker::new().link_source_order(&program);
-        let train = || train(spec, &program, &plain_object, train_instructions);
+        let train = || TraceGenerator::train(&program, &plain_object, spec, train_instructions);
         let profile = match store {
             None => train(),
             Some(store) => kept_profile(store, spec, &program, train_instructions, train),
@@ -122,21 +122,6 @@ impl PreparedWorkload {
         let total = (hot + warm + cold).max(1.0);
         (hot / total, warm / total, cold / total)
     }
-}
-
-/// ②–③ The instrumented training run: `train_instructions` of the train
-/// input over the source-order binary, counted per basic block.
-fn train(
-    spec: &WorkloadSpec,
-    program: &Program,
-    plain_object: &ObjectFile,
-    train_instructions: u64,
-) -> Profile {
-    let mut generator = TraceGenerator::new(program, plain_object, spec, InputSet::Train);
-    for _ in 0..train_instructions {
-        let _ = generator.next();
-    }
-    generator.into_profile()
 }
 
 /// The training profile `store` keeps for `(spec, train_instructions)`,

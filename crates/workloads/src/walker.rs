@@ -19,12 +19,22 @@
 //! deterministic per-edge probability shift (`input_shift`), modelling
 //! Table 2's differing input sets.
 //!
+//! Hand-over: a walker steps one block at a time (a block's body and
+//! terminator, or the move back from a call), and only when nothing it
+//! stepped is still pending. A pull of `n` instructions —
+//! [`TraceGenerator::fill`], behind [`trrip_trace::TraceSource::next_batch`]
+//! and the walk-ahead thread — copies whole blocks out and keeps the rest
+//! of the last one pending; [`Iterator::next`] reads the pending block
+//! through a cursor. The training run ([`TraceGenerator::train`]) takes
+//! the same steps into a sink that only counts, so it collects the profile
+//! `n` pulls would without handing an instruction over.
+//!
 //! A walker's position is plain data ([`WalkerState`]): a walker
 //! resumed from the state another handed out at instruction *n* hands out
 //! what the other does from *n* on, so a stream can start anywhere the
 //! state was kept, without walking what came before.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -208,6 +218,62 @@ fn scan_span(spec: &WorkloadSpec) -> u64 {
     spec.cold_data_bytes.max(64 << 10)
 }
 
+/// What every data and stall draw compares against, derived from the
+/// spec once per generator rather than once per draw.
+#[derive(Debug, Clone, Copy)]
+struct Draws {
+    hot_span: u64,
+    warm_span: u64,
+    cold_span: u64,
+    scan_span: u64,
+    /// Below it a data draw is hot.
+    hot_frac: f32,
+    /// Below it a data draw is hot or warm.
+    hot_warm_frac: f32,
+    /// Below it a stall draw is a dependency stall.
+    depend_prob: f32,
+    /// Below it a stall draw stalls at all.
+    stall_prob: f32,
+}
+
+impl Draws {
+    fn new(spec: &WorkloadSpec) -> Draws {
+        Draws {
+            hot_span: spec.hot_data_bytes.max(64),
+            warm_span: spec.warm_data_bytes.max(64),
+            cold_span: spec.cold_data_bytes.max(64),
+            scan_span: scan_span(spec),
+            hot_frac: spec.data_hot_frac,
+            hot_warm_frac: spec.data_hot_frac + spec.data_warm_frac,
+            depend_prob: spec.depend_stall_prob,
+            stall_prob: spec.depend_stall_prob + spec.issue_stall_prob,
+        }
+    }
+}
+
+/// Where [`TraceGenerator::step`] puts what it emits: a buffer, or — on
+/// the training run — nowhere, only counted.
+trait Sink {
+    fn emit(&mut self, instr: TraceInstr);
+}
+
+impl Sink for Vec<TraceInstr> {
+    #[inline]
+    fn emit(&mut self, instr: TraceInstr) {
+        self.push(instr);
+    }
+}
+
+/// The training run's sink: the instructions a step emitted, counted.
+struct Count(u64);
+
+impl Sink for Count {
+    #[inline]
+    fn emit(&mut self, _: TraceInstr) {
+        self.0 += 1;
+    }
+}
+
 /// The per-visit scalar facts the emission body needs about a block.
 #[derive(Debug, Clone, Copy)]
 struct BlockInfo {
@@ -246,10 +312,13 @@ pub struct TraceGenerator<'a> {
     program: &'a Program,
     object: &'a ObjectFile,
     spec: &'a WorkloadSpec,
+    draws: Draws,
     rng: SmallRng,
     input: InputSet,
     profile: Profile,
-    pending: VecDeque<TraceInstr>,
+    /// The last block stepped; `pending[cursor..]` is not handed out yet.
+    pending: Vec<TraceInstr>,
+    cursor: usize,
     frames: Vec<Frame>,
     rotation: Vec<usize>,
     rotation_pos: usize,
@@ -258,10 +327,10 @@ pub struct TraceGenerator<'a> {
     cold_ring: Vec<u64>,
     cold_ring_pos: usize,
     blocks_in_invocation: u32,
-    /// Instructions generated so far, tallied per block; what was handed
-    /// out (this less what is still `pending`) is published as
-    /// `walk.instrs` when the generator drops — the count that says how
-    /// often a sweep walked.
+    /// Instructions generated so far, tallied per block (a training run
+    /// sets it to the count it was asked for); what was handed out (this
+    /// less what is still `pending`) is published as `walk.instrs` when
+    /// the generator drops — the count that says how often a sweep walked.
     emitted: u64,
 }
 
@@ -287,10 +356,12 @@ impl<'a> TraceGenerator<'a> {
             program,
             object,
             spec,
+            draws: Draws::new(spec),
             rng: SmallRng::seed_from_u64(spec.seed_for(input)),
             input,
             profile: Profile::zeroed(program),
-            pending: VecDeque::with_capacity(256),
+            pending: Vec::with_capacity(256),
+            cursor: 0,
             frames: Vec::with_capacity(MAX_CALL_DEPTH + 1),
             rotation: spec.hot_set(),
             rotation_pos: 0,
@@ -313,7 +384,7 @@ impl<'a> TraceGenerator<'a> {
         scan_cursors.sort_unstable();
         WalkerState {
             rng: self.rng.state(),
-            pending: unread.iter().chain(&self.pending).copied().collect(),
+            pending: [unread, &self.pending[self.cursor..]].concat(),
             frames: self.frames.clone(),
             rotation: self.rotation.clone(),
             rotation_pos: self.rotation_pos,
@@ -348,7 +419,7 @@ impl<'a> TraceGenerator<'a> {
         let mut walker = TraceGenerator::new(program, object, spec, input);
         walker.rng = SmallRng::from_state(state.rng);
         walker.emitted = state.pending.len() as u64;
-        walker.pending = state.pending.into();
+        walker.pending = state.pending;
         walker.frames = state.frames;
         walker.rotation = state.rotation;
         walker.rotation_pos = state.rotation_pos;
@@ -365,6 +436,65 @@ impl<'a> TraceGenerator<'a> {
     #[must_use]
     pub fn into_profile(mut self) -> Profile {
         std::mem::replace(&mut self.profile, Profile::zeroed(self.program))
+    }
+
+    /// ②–③ The instrumented training run: the basic-block profile of the
+    /// first `instructions` of the train input over `object` — what
+    /// `instructions` calls of [`Iterator::next`] on a new train-input
+    /// walker and then [`TraceGenerator::into_profile`] give, `walk.instrs`
+    /// included, with the instructions counted instead of handed over.
+    ///
+    /// # Panics
+    ///
+    /// As [`TraceGenerator::new`].
+    #[must_use]
+    pub fn train(
+        program: &Program,
+        object: &ObjectFile,
+        spec: &WorkloadSpec,
+        instructions: u64,
+    ) -> Profile {
+        let mut walker = TraceGenerator::new(program, object, spec, InputSet::Train);
+        // `next` steps only while nothing is pending, so `instructions`
+        // calls stop at the first step that reaches the count.
+        let mut count = Count(0);
+        while count.0 < instructions {
+            walker.step(&mut count);
+        }
+        walker.emitted = instructions;
+        walker.into_profile()
+    }
+
+    /// Appends exactly the next `n` instructions to `out`: what is still
+    /// pending, then whole blocks stepped as they are needed. What the
+    /// last block steps past the `n`th instruction stays pending for the
+    /// next pull.
+    pub fn fill(&mut self, out: &mut Vec<TraceInstr>, n: usize) {
+        out.reserve(n);
+        let mut left = n;
+        loop {
+            let held = (self.pending.len() - self.cursor).min(left);
+            out.extend_from_slice(&self.pending[self.cursor..self.cursor + held]);
+            self.cursor += held;
+            left -= held;
+            if left == 0 {
+                return;
+            }
+            self.refill();
+        }
+    }
+
+    /// Steps the next block into `pending`, which is all handed out:
+    /// as many steps as it takes to emit an instruction.
+    fn refill(&mut self) {
+        let mut block = std::mem::take(&mut self.pending);
+        block.clear();
+        while block.is_empty() {
+            self.step(&mut block);
+        }
+        self.emitted += block.len() as u64;
+        self.pending = block;
+        self.cursor = 0;
     }
 
     // ---- driver ----
@@ -431,14 +561,14 @@ impl<'a> TraceGenerator<'a> {
 
     fn data_address(&mut self) -> u64 {
         let r = self.rng.gen::<f32>();
-        let (base, span) = if r < self.spec.data_hot_frac {
-            (HOT_DATA_BASE, self.spec.hot_data_bytes)
-        } else if r < self.spec.data_hot_frac + self.spec.data_warm_frac {
-            (WARM_DATA_BASE, self.spec.warm_data_bytes)
+        let (base, span) = if r < self.draws.hot_frac {
+            (HOT_DATA_BASE, self.draws.hot_span)
+        } else if r < self.draws.hot_warm_frac {
+            (WARM_DATA_BASE, self.draws.warm_span)
         } else {
             return self.cold_address();
         };
-        base + (self.rng.gen::<u64>() % span.max(64)) / 8 * 8
+        base + (self.rng.gen::<u64>() % span) / 8 * 8
     }
 
     /// Cold-region access with long-tail reuse through a bounded ring of
@@ -448,8 +578,7 @@ impl<'a> TraceGenerator<'a> {
             let i = self.rng.gen_range(0..self.cold_ring.len());
             return self.cold_ring[i];
         }
-        let span = self.spec.cold_data_bytes.max(64);
-        let addr = COLD_DATA_BASE + (self.rng.gen::<u64>() % span) / 8 * 8;
+        let addr = COLD_DATA_BASE + (self.rng.gen::<u64>() % self.draws.cold_span) / 8 * 8;
         if self.cold_ring.len() < COLD_RING_ENTRIES {
             self.cold_ring.push(addr);
         } else {
@@ -475,7 +604,7 @@ impl<'a> TraceGenerator<'a> {
     /// in the cold data area. The per-PC stride is constant across
     /// executions, so the Table 1 stride prefetchers can train on it.
     fn scan_addr(&mut self, fid: usize, block: usize, slot: u32, body: u32, n: u32) -> u64 {
-        let span = scan_span(self.spec);
+        let span = self.draws.scan_span;
         let cursor = self.scan_cursors.entry((fid, block)).or_insert_with(|| {
             // Spread block streams through the region.
             (fid as u64).wrapping_mul(0x9E37_79B9).wrapping_add(block as u64 * 8192) % span
@@ -491,9 +620,9 @@ impl<'a> TraceGenerator<'a> {
 
     fn sample_stall(&mut self) -> Option<(StallClass, u8)> {
         let r = self.rng.gen::<f32>();
-        if r < self.spec.depend_stall_prob {
+        if r < self.draws.depend_prob {
             Some((StallClass::Depend, self.spec.depend_stall_cycles))
-        } else if r < self.spec.depend_stall_prob + self.spec.issue_stall_prob {
+        } else if r < self.draws.stall_prob {
             Some((StallClass::Issue, self.spec.issue_stall_cycles))
         } else {
             None
@@ -510,6 +639,7 @@ impl<'a> TraceGenerator<'a> {
     /// the caller applies the transition.
     fn emit_terminator(
         &mut self,
+        out: &mut impl Sink,
         pc: VirtAddr,
         fid: usize,
         block: usize,
@@ -557,20 +687,15 @@ impl<'a> TraceGenerator<'a> {
                 }
             }
         };
-        self.pending.push_back(TraceInstr {
-            pc,
-            branch: Some(branch),
-            mem: None,
-            exec_stall: None,
-        });
+        out.emit(TraceInstr { pc, branch: Some(branch), mem: None, exec_stall: None });
     }
 
     /// Runs an external call inline: PLT stub, external body, return.
-    fn emit_external_call(&mut self, ext: usize, return_pc: VirtAddr) {
+    fn emit_external_call(&mut self, out: &mut impl Sink, ext: usize, return_pc: VirtAddr) {
         let plt = self.object.plt_addrs[ext];
         let ext_addr = self.object.external_addrs[ext];
         // Stub: one setup instruction + indirect jump through the GOT.
-        self.pending.push_back(TraceInstr {
+        out.emit(TraceInstr {
             pc: plt,
             branch: None,
             mem: Some(MemOp {
@@ -579,7 +704,7 @@ impl<'a> TraceGenerator<'a> {
             }),
             exec_stall: None,
         });
-        self.pending.push_back(TraceInstr {
+        out.emit(TraceInstr {
             pc: plt + 4,
             branch: Some(BranchInfo { kind: BranchKind::Indirect, taken: true, target: ext_addr }),
             mem: None,
@@ -594,14 +719,9 @@ impl<'a> TraceGenerator<'a> {
                 m.addr = VirtAddr::new(EXTERNAL_DATA_BASE + 4096 + (m.addr.raw() % (48 << 10)));
                 m
             });
-            self.pending.push_back(TraceInstr {
-                pc: ext_addr + i * 4,
-                branch: None,
-                mem,
-                exec_stall: None,
-            });
+            out.emit(TraceInstr { pc: ext_addr + i * 4, branch: None, mem, exec_stall: None });
         }
-        self.pending.push_back(TraceInstr {
+        out.emit(TraceInstr {
             pc: ext_addr + (instrs - 1) * 4,
             branch: Some(BranchInfo { kind: BranchKind::Return, taken: true, target: return_pc }),
             mem: None,
@@ -609,8 +729,9 @@ impl<'a> TraceGenerator<'a> {
         });
     }
 
-    /// Emits one block (or resumes after a call) and updates frames.
-    fn step(&mut self) {
+    /// Emits one block (or resumes after a call) into `out` and updates
+    /// frames.
+    fn step(&mut self, out: &mut impl Sink) {
         if self.frames.is_empty() {
             self.start_invocation();
         }
@@ -622,7 +743,7 @@ impl<'a> TraceGenerator<'a> {
             Phase::AfterCall { successor, term_slot } => {
                 if let Some(slot) = term_slot {
                     let addr = self.object.block_addrs[fid][block] + u64::from(slot) * 4;
-                    self.emit_terminator(addr, fid, block, successor, frame.return_pc);
+                    self.emit_terminator(out, addr, fid, block, successor, frame.return_pc);
                 }
                 self.transition(successor);
             }
@@ -679,7 +800,7 @@ impl<'a> TraceGenerator<'a> {
                         self.sample_mem(load_d, store_d)
                     };
                     let exec_stall = self.sample_stall();
-                    self.pending.push_back(TraceInstr { pc, branch: None, mem, exec_stall });
+                    out.emit(TraceInstr { pc, branch: None, mem, exec_stall });
                 }
 
                 if let Some(call_target) = call {
@@ -688,7 +809,7 @@ impl<'a> TraceGenerator<'a> {
                     let term_slot = need_term.then_some(body + 1);
                     match call_target {
                         CallTarget::External(e) => {
-                            self.pending.push_back(TraceInstr {
+                            out.emit(TraceInstr {
                                 pc: call_pc,
                                 branch: Some(BranchInfo {
                                     kind: BranchKind::Call,
@@ -698,7 +819,7 @@ impl<'a> TraceGenerator<'a> {
                                 mem: None,
                                 exec_stall: None,
                             });
-                            self.emit_external_call(e, return_pc);
+                            self.emit_external_call(out, e, return_pc);
                             self.frames.last_mut().expect("frame").phase =
                                 Phase::AfterCall { successor, term_slot };
                         }
@@ -709,7 +830,7 @@ impl<'a> TraceGenerator<'a> {
                                 } else {
                                     BranchKind::Call
                                 };
-                                self.pending.push_back(TraceInstr {
+                                out.emit(TraceInstr {
                                     pc: call_pc,
                                     branch: Some(BranchInfo {
                                         kind,
@@ -730,7 +851,7 @@ impl<'a> TraceGenerator<'a> {
                             }
                             None => {
                                 // Unresolvable call: execute as a plain instr.
-                                self.pending.push_back(TraceInstr {
+                                out.emit(TraceInstr {
                                     pc: call_pc,
                                     branch: None,
                                     mem: None,
@@ -738,6 +859,7 @@ impl<'a> TraceGenerator<'a> {
                                 });
                                 if need_term {
                                     self.emit_terminator(
+                                        out,
                                         call_pc + 4,
                                         fid,
                                         block,
@@ -752,7 +874,7 @@ impl<'a> TraceGenerator<'a> {
                 } else {
                     if need_term {
                         let term_pc = addr + u64::from(body) * 4;
-                        self.emit_terminator(term_pc, fid, block, successor, frame.return_pc);
+                        self.emit_terminator(out, term_pc, fid, block, successor, frame.return_pc);
                     }
                     self.transition(successor);
                 }
@@ -810,7 +932,7 @@ impl<'a> TraceGenerator<'a> {
 
 impl Drop for TraceGenerator<'_> {
     fn drop(&mut self) {
-        let handed_out = self.emitted - self.pending.len() as u64;
+        let handed_out = self.emitted - (self.pending.len() - self.cursor) as u64;
         if handed_out > 0 {
             trrip_obs::counter!("walk.instrs").add(handed_out);
         }
@@ -821,15 +943,20 @@ impl Iterator for TraceGenerator<'_> {
     type Item = TraceInstr;
 
     fn next(&mut self) -> Option<TraceInstr> {
-        while self.pending.is_empty() {
-            self.step();
-            self.emitted += self.pending.len() as u64;
+        if self.cursor == self.pending.len() {
+            self.refill();
         }
-        self.pending.pop_front()
+        let instr = self.pending[self.cursor];
+        self.cursor += 1;
+        Some(instr)
     }
 }
 
-/// Instructions handed over per [`TraceSource::next_batch`] call.
+/// Instructions handed over per [`TraceSource::next_batch`] call: exactly
+/// this many, a [`TraceGenerator::fill`] of them, whatever the blocks —
+/// so what a puller holds back of its last batch, and with it the
+/// pending part of a [`WalkerState`] handed out at a boundary, is the
+/// same whichever way the walker steps.
 const SOURCE_BATCH: usize = 1024;
 
 impl trrip_trace::TraceSource for TraceGenerator<'_> {
@@ -837,11 +964,7 @@ impl trrip_trace::TraceSource for TraceGenerator<'_> {
     /// replay, behind the same interface the simulator consumes. Never
     /// exhausts — callers bound it by instruction count.
     fn next_batch(&mut self, out: &mut Vec<TraceInstr>) -> usize {
-        out.reserve(SOURCE_BATCH);
-        for _ in 0..SOURCE_BATCH {
-            let instr = self.next().expect("walker is infinite");
-            out.push(instr);
-        }
+        self.fill(out, SOURCE_BATCH);
         SOURCE_BATCH
     }
 }

@@ -1,14 +1,27 @@
 //! Property-based tests of the workload synthesis and trace generation:
 //! structural well-formedness and control-flow consistency for arbitrary
-//! spec parameters; and, pinned, the eval stream and where a resumed
-//! walker picks it up.
+//! spec parameters; any pull pattern, and the training walk, against
+//! `next()` one instruction at a time; and, pinned, the eval stream and
+//! where a resumed walker picks it up.
+//!
+//! `walk.instrs` is one process-wide counter every walker adds to when it
+//! drops, so every test here that walks takes [`WALKING`]: shared, except
+//! for the one that reads the counter.
+
+use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
 use proptest::prelude::*;
 use trrip_compiler::{classify_functions, Linker, ObjectFile, Program};
 use trrip_core::ClassifierConfig;
 use trrip_cpu::{BranchKind, StallClass, TraceInstr};
-use trrip_trace::SourceIter;
+use trrip_trace::{SourceIter, TraceSource};
 use trrip_workloads::{build_program, proxy, InputSet, TraceGenerator, WorkloadSpec};
+
+static WALKING: RwLock<()> = RwLock::new(());
+
+fn shared() -> RwLockReadGuard<'static, ()> {
+    WALKING.read().unwrap_or_else(PoisonError::into_inner)
+}
 
 fn fnv1a(hash: u64, word: u64) -> u64 {
     word.to_le_bytes().iter().fold(hash, |h, &b| (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3))
@@ -48,14 +61,12 @@ fn fnv1a_instr(hash: u64, instr: &TraceInstr) -> u64 {
 /// the spec, the program, the PGO placement and the training profile's
 /// block count.
 fn pgo_placement(name: &str) -> (WorkloadSpec, Program, ObjectFile, u64) {
-    const TRAIN: usize = 200_000;
+    const TRAIN: u64 = 200_000;
     let spec = proxy::by_name(name).expect("calibrated spec");
     let program = build_program(&spec);
     let linker = Linker::new();
     let plain = linker.link_source_order(&program);
-    let mut trainer = TraceGenerator::new(&program, &plain, &spec, InputSet::Train);
-    assert_eq!(trainer.by_ref().take(TRAIN).count(), TRAIN);
-    let profile = trainer.into_profile();
+    let profile = TraceGenerator::train(&program, &plain, &spec, TRAIN);
     let temps = classify_functions(&program, &profile, ClassifierConfig::llvm_defaults());
     let pgo = linker.link_pgo(&program, &profile, &temps);
     (spec, program, pgo, profile.total())
@@ -73,6 +84,7 @@ const FNV_SEED: u64 = 0xcbf2_9ce4_8422_2325;
 #[test]
 fn eval_stream_under_pgo_placement_is_pinned() {
     const EVAL: usize = 50_000;
+    let _shared = shared();
     for (name, stream, train_blocks, eval_blocks) in
         [("gcc", 0xb3da_efd9_6bd0_6291, 5213, 913), ("sqlite", 0xca0d_9d3b_33b8_37d9, 4717, 904)]
     {
@@ -98,6 +110,7 @@ fn eval_stream_under_pgo_placement_is_pinned() {
 #[test]
 fn a_restored_walker_equals_one_walked_through_the_boundary() {
     const AFTER: usize = 50_000;
+    let _shared = shared();
     for name in ["gcc", "sqlite"] {
         let (spec, program, pgo, _) = pgo_placement(name);
         for boundary in [30 * 1_024, 30_001] {
@@ -165,6 +178,7 @@ proptest! {
     /// branch. This is the contract the timing core relies on.
     #[test]
     fn traces_have_consistent_control_flow(spec in arb_spec()) {
+        let _shared = shared();
         let program = build_program(&spec);
         let object = Linker::new().link_source_order(&program);
         let trace: Vec<_> =
@@ -174,24 +188,117 @@ proptest! {
         }
     }
 
-    /// The generator never stalls: it always produces the requested
+    /// The generator never stalls: a training walk reaches the requested
     /// number of instructions (no CFG dead ends), and blocks keep being
     /// recorded (blocks can be >1000 instructions for large functions,
     /// so the bound is structural, not proportional).
     #[test]
     fn generator_always_makes_progress(spec in arb_spec()) {
+        let _shared = shared();
         let program = build_program(&spec);
         let object = Linker::new().link_source_order(&program);
-        let mut generator = TraceGenerator::new(&program, &object, &spec, InputSet::Train);
-        let produced = (&mut generator).take(4_096).count();
-        prop_assert_eq!(produced, 4_096);
-        let profile = generator.into_profile();
+        let profile = TraceGenerator::train(&program, &object, &spec, 4_096);
         prop_assert!(profile.total() >= 2, "only {} blocks recorded", profile.total());
+    }
+
+    /// Any pull pattern is the same stream: `next()` one instruction at a
+    /// time, 1 Ki `next_batch` calls and `fill`s of arbitrary exact sizes
+    /// hand out the same instructions, each pull exactly as many as asked
+    /// for; and the state taken after any `fill` is one a walker of the
+    /// program can be in, is the state after as many `next()` calls (the
+    /// walker steps no further ahead), and, resumed, carries on the
+    /// stream.
+    #[test]
+    fn any_pull_pattern_is_the_same_stream(
+        spec in arb_spec(),
+        sizes in prop::collection::vec(0usize..2_500, 1..16),
+        resume_after in any::<usize>(),
+    ) {
+        const LEN: usize = 8 * 1_024;
+        let _shared = shared();
+        let program = build_program(&spec);
+        let object = Linker::new().link_source_order(&program);
+        let walker = || TraceGenerator::new(&program, &object, &spec, InputSet::Eval);
+        let digest = |stream: &[TraceInstr]| stream.iter().fold(FNV_SEED, fnv1a_instr);
+        let pulled: Vec<_> = walker().take(LEN).collect();
+
+        let mut batched = walker();
+        let mut stream = Vec::new();
+        while stream.len() < LEN {
+            prop_assert_eq!(batched.next_batch(&mut stream), 1_024);
+        }
+        prop_assert_eq!(digest(&stream), digest(&pulled), "next_batch");
+
+        // The sizes over and over, then whatever is left.
+        let fills: Vec<_> = sizes.iter().copied().cycle().take(4 * sizes.len()).chain([LEN]).collect();
+        let resume_after = resume_after % fills.len();
+        let (mut filled, mut stepped) = (walker(), walker());
+        let mut stream = Vec::new();
+        let mut kept = None;
+        for (i, n) in fills.into_iter().enumerate() {
+            let n = n.min(LEN - stream.len());
+            let before = stream.len();
+            filled.fill(&mut stream, n);
+            prop_assert_eq!(stream.len(), before + n, "fill {} of {}", i, n);
+            let state = filled.state(&[]);
+            prop_assert_eq!(state.check(&program, &spec), Ok(()), "after fill {}", i);
+            stepped.by_ref().take(n).for_each(drop);
+            prop_assert_eq!(&state, &stepped.state(&[]), "after fill {}, pulled one at a time", i);
+            if i == resume_after {
+                kept = Some((stream.len(), state));
+            }
+        }
+        prop_assert_eq!(digest(&stream), digest(&pulled), "fill");
+
+        let (at, state) = kept.expect("one fill is picked");
+        let resumed = TraceGenerator::resume(&program, &object, &spec, InputSet::Eval, state)
+            .expect("a state the walker handed out");
+        let rest: Vec<_> = resumed.take(LEN - at).collect();
+        prop_assert_eq!(digest(&rest), digest(&pulled[at..]), "resumed after {} instructions", at);
+    }
+
+    /// The training walk is `n` calls of `next()`: the same profile, and
+    /// `walk.instrs` moved by the same `n`, at `n` = 0, inside a block and
+    /// on a block edge (no instruction of the walk left pending).
+    #[test]
+    fn the_training_walk_is_n_pulls(spec in arb_spec()) {
+        let _exclusive = WALKING.write().unwrap_or_else(PoisonError::into_inner);
+        let program = build_program(&spec);
+        let object = Linker::new().link_source_order(&program);
+        let walker = || TraceGenerator::new(&program, &object, &spec, InputSet::Train);
+        let (mut inside, mut edge) = (None, None);
+        let mut probe = walker();
+        for n in 1..=20_000u64 {
+            probe.next();
+            let slot = if probe.state(&[]).pending.is_empty() { &mut edge } else { &mut inside };
+            slot.get_or_insert(n);
+            if inside.is_some() && edge.is_some() {
+                break;
+            }
+        }
+        drop(probe);
+        let (inside, edge) = (inside.expect("a block of two"), edge.expect("a block's end"));
+        for n in [0, inside, edge] {
+            let before = trrip_obs::snapshot();
+            let mut pulled = walker();
+            for _ in 0..n {
+                pulled.next();
+            }
+            let expected = pulled.into_profile();
+            let pulled_walked = trrip_obs::snapshot().since(&before).get("walk.instrs");
+            let before = trrip_obs::snapshot();
+            let profile = TraceGenerator::train(&program, &object, &spec, n);
+            let walked = trrip_obs::snapshot().since(&before).get("walk.instrs");
+            prop_assert_eq!(&profile, &expected, "profile after {}", n);
+            prop_assert_eq!(walked, pulled_walked, "walk.instrs after {}", n);
+            prop_assert_eq!(walked, n);
+        }
     }
 
     /// Fetch PCs stay inside executable sections of the object.
     #[test]
     fn all_pcs_inside_executable_sections(spec in arb_spec()) {
+        let _shared = shared();
         let program = build_program(&spec);
         let object = Linker::new().link_source_order(&program);
         let trace: Vec<_> =

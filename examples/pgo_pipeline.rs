@@ -11,7 +11,7 @@ use trrip::compiler::{classify_functions, Linker};
 use trrip::core::ClassifierConfig;
 use trrip::mem::PageSize;
 use trrip::os::{Loader, OverlapPolicy};
-use trrip::workloads::{build_program, InputSet, TraceGenerator, WorkloadSpec};
+use trrip::workloads::{build_program, TraceGenerator, WorkloadSpec};
 
 fn main() {
     let mut spec = WorkloadSpec::named("pipeline-demo");
@@ -28,11 +28,7 @@ fn main() {
     // ① Compile without PGO and run the instrumented binary (training).
     let linker = Linker::new();
     let plain = linker.link_source_order(&program);
-    let mut training = TraceGenerator::new(&program, &plain, &spec, InputSet::Train);
-    for _ in 0..400_000 {
-        training.next();
-    }
-    let profile = training.into_profile();
+    let profile = TraceGenerator::train(&program, &plain, &spec, 400_000);
     println!("training run: {} basic-block executions profiled", profile.total());
 
     // ② Classify with Equations 1–2 and re-link with PGO.
