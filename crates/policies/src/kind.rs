@@ -5,10 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use trrip_core::{RrpvWidth, TrripVariant};
 
-use crate::{
-    Brrip, Clip, Drrip, Emissary, Lru, RandomPolicy, ReplacementPolicy, Ship, ShipConfig, Srrip,
-    Trrip,
-};
+use crate::{Brrip, Clip, Drrip, Emissary, Lru, ReplacementPolicy, Ship, ShipConfig, Srrip, Trrip};
 
 /// Identifier for every policy the experiments sweep over.
 ///
@@ -18,8 +15,6 @@ use crate::{
 pub enum PolicyKind {
     /// True LRU.
     Lru,
-    /// Random victim (sanity baseline; not in the paper).
-    Random,
     /// Static RRIP — the normalization baseline.
     Srrip,
     /// Bimodal RRIP.
@@ -58,7 +53,6 @@ impl PolicyKind {
     pub fn name(self) -> &'static str {
         match self {
             PolicyKind::Lru => "LRU",
-            PolicyKind::Random => "Random",
             PolicyKind::Srrip => "SRRIP",
             PolicyKind::Brrip => "BRRIP",
             PolicyKind::Drrip => "DRRIP",
@@ -78,7 +72,6 @@ impl PolicyKind {
         let width = RrpvWidth::W2;
         match self {
             PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyKind::Random => Box::new(RandomPolicy::new(ways, RandomPolicy::DEFAULT_SEED)),
             PolicyKind::Srrip => Box::new(Srrip::new(sets, ways, width)),
             PolicyKind::Brrip => Box::new(Brrip::new(sets, ways, width)),
             PolicyKind::Drrip => Box::new(Drrip::new(sets, ways, width)),

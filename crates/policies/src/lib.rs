@@ -6,7 +6,6 @@
 //! | policy | module | notes |
 //! |---|---|---|
 //! | LRU | [`lru`] | true-LRU stacks |
-//! | Random | [`random`] | sanity baseline (not in the paper) |
 //! | SRRIP | [`srrip`] | the paper's normalization baseline |
 //! | BRRIP | [`brrip`] | bimodal thrash-resistant insertion |
 //! | DRRIP | [`drrip`] | SRRIP/BRRIP set-dueling, 10-bit PSEL |
@@ -40,7 +39,6 @@ pub mod emissary;
 pub mod info;
 pub mod kind;
 pub mod lru;
-pub mod random;
 pub mod ship;
 pub mod srrip;
 pub mod trrip;
@@ -53,7 +51,6 @@ pub use emissary::Emissary;
 pub use info::RequestInfo;
 pub use kind::PolicyKind;
 pub use lru::Lru;
-pub use random::RandomPolicy;
 pub use ship::{Ship, ShipConfig};
 pub use srrip::Srrip;
 pub use trrip::Trrip;

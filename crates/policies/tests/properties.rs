@@ -15,7 +15,6 @@ enum Op {
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![
         Just(PolicyKind::Lru),
-        Just(PolicyKind::Random),
         Just(PolicyKind::Srrip),
         Just(PolicyKind::Brrip),
         Just(PolicyKind::Drrip),
@@ -78,7 +77,7 @@ proptest! {
     }
 
     /// Policies are deterministic: the same operation sequence produces
-    /// the same victim sequence (Random included — it is seeded).
+    /// the same victim sequence.
     #[test]
     fn policies_are_deterministic(
         kind in arb_policy(),
@@ -157,21 +156,17 @@ proptest! {
         original.save_state(&mut bytes);
         let mut smaller = kind.build(4, 4);
         let outcome = smaller.restore_state(&mut trrip_snap::SnapReader::new(bytes.bytes()));
-        if kind != PolicyKind::Random {
-            // Random's state is geometry-free (just the RNG stream).
-            prop_assert!(outcome.is_err(), "{}: geometry mismatch accepted", kind.name());
-        }
+        prop_assert!(outcome.is_err(), "{}: geometry mismatch accepted", kind.name());
     }
 
     /// A continuously-hit instruction line is never evicted in favour of
-    /// a stream of *data* fills — for every policy that tracks recency
-    /// (all but Random). Data competitors are the fair test: code-first
+    /// a stream of *data* fills — for every policy. Data competitors are the fair test: code-first
     /// policies (CLIP, TRRIP) insert all/hot instruction fills at the
     /// same top priority, where a hit line is legitimately
     /// indistinguishable from fresh code.
     #[test]
     fn continuously_hit_line_survives_data_stream(
-        kind in arb_policy().prop_filter("random has no recency", |k| *k != PolicyKind::Random),
+        kind in arb_policy(),
         fills in 1usize..32,
     ) {
         let mut policy = kind.build(1, 4);

@@ -3,11 +3,12 @@
 //!
 //! What the instruction stream alone decides — the frame behind an
 //! anonymous page, the stride prefetcher's proposals — is not worked out
-//! here: a [`StreamView`] resolves it once per stream. A sweep's cell
-//! reads it from its view's column of each turn ([`SystemBackend::feed`]);
-//! a run that pulls its own stream owns the view and resolves through it
-//! inline ([`SystemBackend::own_view`]). Either way the backend asks in
-//! the same order, access by access.
+//! here: a [`StreamView`] resolves it once per stream. Which side a
+//! backend is on is fixed when it is built ([`SystemBackend::new`]): a
+//! run that pulls its own stream owns the view and resolves through it
+//! inline; a sweep's cell owns none and reads its view's column of each
+//! turn ([`SystemBackend::feed`]). Either way the backend asks in the
+//! same order, access by access.
 
 use std::sync::Arc;
 
@@ -35,8 +36,6 @@ const MSHR_ENTRIES: usize = 512;
 /// Where the backend learns what the stream alone decides of an access.
 #[derive(Debug)]
 enum Resolution {
-    /// Nothing yet: the machine is at the stream's first instruction.
-    Start,
     /// The machine pulls its own stream and resolves through its view.
     Own(Box<StreamView>),
     /// The machine is pushed turns: it reads its view's column of each.
@@ -51,7 +50,6 @@ impl Resolution {
         match self {
             Resolution::Own(view) => view.fetch(pc).expect("the loader did not map the page"),
             Resolution::Fed(feed) => feed.next(),
-            Resolution::Start => panic!("{NO_STREAM}"),
         }
     }
 
@@ -61,7 +59,6 @@ impl Resolution {
         match self {
             Resolution::Own(view) => view.data(addr, pc, store),
             Resolution::Fed(feed) => feed.next(),
-            Resolution::Start => panic!("{NO_STREAM}"),
         }
     }
 
@@ -71,12 +68,9 @@ impl Resolution {
         match self {
             Resolution::Own(view) => view.proposals(),
             Resolution::Fed(feed) => feed.proposals(),
-            Resolution::Start => &[],
         }
     }
 }
-
-const NO_STREAM: &str = "a backend resolves no access before it owns a view or is fed a turn";
 
 /// Implements [`MemoryBackend`] over the full memory system.
 ///
@@ -129,8 +123,9 @@ impl std::fmt::Debug for SystemBackend {
 
 impl SystemBackend {
     /// Builds the backend for a loaded object, at the stream's first
-    /// instruction: before its first access it either owns a view
-    /// ([`SystemBackend::own_view`]) or is fed a turn
+    /// instruction. With a `view`, which must stand there too, the
+    /// machine pulls its own stream and resolves every access through
+    /// it; without one, it is fed each turn's column
     /// ([`SystemBackend::feed`]).
     #[must_use]
     pub fn new(
@@ -138,6 +133,7 @@ impl SystemBackend {
         hierarchy: Hierarchy,
         object: &ObjectFile,
         config: &SimConfig,
+        view: Option<StreamView>,
     ) -> SystemBackend {
         let mut code_regions = Vec::new();
         let mut hot_range = None;
@@ -161,7 +157,10 @@ impl SystemBackend {
 
         SystemBackend {
             mmu,
-            resolution: Resolution::Start,
+            resolution: match view {
+                Some(view) => Resolution::Own(Box::new(view)),
+                None => Resolution::Fed(Feed::default()),
+            },
             hierarchy,
             inflight: InflightTable::new(MSHR_ENTRIES),
             l1_latency: config.hierarchy.l1i.data_latency,
@@ -174,27 +173,23 @@ impl SystemBackend {
         }
     }
 
-    /// Resolves every access from here on through `view`, which must
-    /// stand where this machine stands in the stream.
-    pub fn own_view(&mut self, view: StreamView) {
-        self.resolution = Resolution::Own(Box::new(view));
-    }
-
-    /// The view this machine resolves through, if it owns one.
+    /// The view this machine resolves through, if it pulls its own
+    /// stream.
     #[must_use]
     pub fn view(&self) -> Option<&StreamView> {
         match &self.resolution {
             Resolution::Own(view) => Some(view),
-            _ => None,
+            Resolution::Fed(_) => None,
         }
     }
 
-    /// Whether the machine is past the stream's first instruction
-    /// without a view of its own: it has been fed turns, or restored from
-    /// an overlay, which holds no view.
-    #[must_use]
-    pub fn is_fed(&self) -> bool {
-        matches!(self.resolution, Resolution::Fed(_))
+    /// [`SystemBackend::view`], mutably: a whole-state restore replaces
+    /// it.
+    pub(crate) fn view_mut(&mut self) -> Option<&mut StreamView> {
+        match &mut self.resolution {
+            Resolution::Own(view) => Some(view),
+            Resolution::Fed(_) => None,
+        }
     }
 
     /// Reads what the stream decides from `column` — the column of this
@@ -356,13 +351,7 @@ impl Snapshot for SystemBackend {
         r.expect_tag(b"SYSB")?;
         self.mmu.restore(r)?;
         self.hierarchy.restore(r)?;
-        self.inflight.restore(r)?;
-        // Past the stream's first instruction now: a machine with no view
-        // of its own can only be fed.
-        if matches!(self.resolution, Resolution::Start) {
-            self.resolution = Resolution::Fed(Feed::default());
-        }
-        Ok(())
+        self.inflight.restore(r)
     }
 }
 
@@ -470,8 +459,8 @@ mod tests {
         let image = Loader::new(config.page_size).load(&object);
         let mmu = Mmu::new(&image.page_table);
         let hierarchy = Hierarchy::new(&HierarchyConfig::paper(PolicyKind::Srrip));
-        let mut backend = SystemBackend::new(mmu, hierarchy, &object, &config);
-        backend.own_view(StreamView::new(&object, config.page_size));
+        let view = StreamView::new(&object, config.page_size);
+        let backend = SystemBackend::new(mmu, hierarchy, &object, &config, Some(view));
         (program, object, backend)
     }
 

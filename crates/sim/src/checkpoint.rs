@@ -792,11 +792,11 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Loads the overlay for `(workload, config)` into `run`. The
-    /// overlay is the policy-dependent half of the boundary state; a
-    /// sweep's cell gets the other half, the predictor, from its
-    /// frontend. Returns `Ok(false)` for a missing or differently-keyed
-    /// file.
+    /// Loads the overlay for `(workload, config)` into `run`, a cell
+    /// ([`SimRun::cell`]). The overlay is the policy-dependent half of
+    /// the boundary state; a sweep's cell gets the other half, the
+    /// predictor, from its frontend. Returns `Ok(false)` for a missing or
+    /// differently-keyed file.
     ///
     /// On a mid-restore error — a damaged payload that nonetheless
     /// passed the container checksum, which keying makes essentially
@@ -807,6 +807,11 @@ impl CheckpointStore {
     ///
     /// Damaged files, as [`CheckpointStore::load`], plus overlay
     /// payloads whose shape does not match the run's machine.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an overlay loads into a run that pulls its own stream
+    /// ([`SimRun::restore_overlay`]).
     pub fn load_overlay_into(&self, run: &mut SimRun<'_>) -> Result<bool, CheckpointError> {
         let path = self.overlay_path(run.workload(), run.config());
         let expected = self.expected_meta(run.workload(), run.config());

@@ -559,7 +559,7 @@ where
         let restored =
             checkpoints.and_then(|store| restore_at_boundary(workload, cell_config, store));
         let warms = restored.is_none();
-        let run = restored.unwrap_or_else(|| SimRun::new(workload, cell_config));
+        let run = restored.unwrap_or_else(|| SimRun::cell(workload, cell_config));
         cells.push(Cell { index, run, warms });
     }
     let start = window.open(open, cells.iter().all(|cell| !cell.warms));
@@ -606,7 +606,7 @@ fn restore_at_boundary<'w>(
     store: &CheckpointStore,
 ) -> Option<SimRun<'w>> {
     let policy = config.hierarchy.l2_policy.name();
-    let mut run = SimRun::new(workload, config);
+    let mut run = SimRun::cell(workload, config);
     match store.load_overlay_into(&mut run) {
         Ok(true) => {
             warmstats::count_overlay_restore();

@@ -11,15 +11,16 @@
 //! composition and is bit-identical to what it computed before the
 //! phase split.
 //!
-//! The two simulated phases can be driven from either side. **Pull**:
-//! the run takes what it needs from a [`SourceIter`]
-//! ([`SimRun::fast_forward`], [`SimRun::measure`]) — one cell owns one
-//! stream and runs the whole core over it ([`Core::run_batch`]); this is
+//! The two simulated phases can be driven from either side, fixed when
+//! the run is loaded. **Pull** ([`SimRun::new`]): the run takes what it
+//! needs from a [`SourceIter`] ([`SimRun::fast_forward`],
+//! [`SimRun::measure`]) — one cell owns one stream and runs the whole
+//! core over it ([`Core::run_batch`]); this is
 //! the one-cell path behind [`simulate_source`] — cheaper than the push
 //! side for a row of one cell, which has nobody to share a frontend with
 //! — and the oracle every sweep is held to; no sweep runs its cells on
 //! it.
-//! **Push**: a [`Frontend`]
+//! **Push** ([`SimRun::cell`]): a [`Frontend`]
 //! runs the policy-independent half of the machine over the stream once —
 //! branch prediction, the FDIP scan, fetch-line tracking, and, through a
 //! [`StreamView`] per page size, demand page allocation and stride
@@ -46,9 +47,9 @@
 //! the policy-agnostic rest — the predictor, the stream views, and where
 //! the walker stands — is the [`Frontend`]'s, handed out by
 //! [`Frontend::take_shared_warmup`]. A pulled run owns one stream view
-//! and resolves through it inline, through the same code a frontend's
-//! views resolve a turn with; there is no other way to resolve, and no
-//! switch between the two.
+//! from load and resolves through it inline, through the same code a
+//! frontend's views resolve a turn with; a cell owns none. There is no
+//! other way to resolve, and no switch between the two.
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
@@ -354,11 +355,11 @@ impl<S> Drop for Frontend<S> {
 ///
 /// The phases, in order:
 ///
-/// 1. **load** — [`SimRun::new`]: loader maps the object (pages + PTEs
-///    with temperature bits), the hierarchy and core are built cold. A
-///    run that pulls its stream resolves what the stream alone decides
-///    through a [`StreamView`] of its own, made at its first
-///    instruction; a run that is pushed turns reads it from their
+/// 1. **load** — [`SimRun::new`] or [`SimRun::cell`]: loader maps the
+///    object (pages + PTEs with temperature bits), the hierarchy and
+///    core are built cold. A run that pulls its stream ([`SimRun::new`])
+///    resolves what the stream alone decides through a [`StreamView`]
+///    of its own; a cell, which is pushed turns, reads it from their
 ///    columns.
 /// 2. **fast-forward** — [`SimRun::fast_forward`]: warms caches and
 ///    predictors; no statistics are reported from this phase.
@@ -381,19 +382,31 @@ pub struct SimRun<'w> {
     /// first [`SimRun::push_group`] of the warm-up and the closing one).
     /// The pull-mode warmup runs in one call and never parks its state.
     warming: Option<RunState>,
-    /// Set by the first pushed turn: the branch predictor of this run
-    /// is never consulted or trained (a [`Frontend`]'s was), so its
-    /// state is not the whole machine's and cannot be checkpointed.
-    pushed: bool,
     /// In-flight measure-phase state (present between `begin_measure`
     /// and `finish`).
     measuring: Option<RunState>,
 }
 
 impl<'w> SimRun<'w> {
-    /// **Load phase**: maps the object and builds the cold machine.
+    /// **Load phase** of a run that pulls its own stream: maps the
+    /// object and builds the cold machine, with a stream view at the
+    /// stream's first instruction.
     #[must_use]
     pub fn new(workload: &'w PreparedWorkload, config: &SimConfig) -> SimRun<'w> {
+        SimRun::load(workload, config, true)
+    }
+
+    /// **Load phase** of a sweep's cell: the cold machine, with no
+    /// stream view. It is pushed turns ([`SimRun::push_group`]) or
+    /// restored from its overlay, and never pulls; its branch predictor
+    /// is never consulted or trained (a [`Frontend`]'s is), so its state
+    /// is not the whole machine's and cannot be checkpointed whole.
+    #[must_use]
+    pub fn cell(workload: &'w PreparedWorkload, config: &SimConfig) -> SimRun<'w> {
+        SimRun::load(workload, config, false)
+    }
+
+    fn load(workload: &'w PreparedWorkload, config: &SimConfig, pulls: bool) -> SimRun<'w> {
         let _span = trrip_obs::span!("load");
         let object = workload.object(config.layout);
 
@@ -405,17 +418,10 @@ impl<'w> SimRun<'w> {
 
         // ⑨–⑪ the machine itself.
         let hierarchy = Hierarchy::new(&config.hierarchy);
-        let backend = SystemBackend::new(mmu, hierarchy, object, config);
+        let view = pulls.then(|| StreamView::new(object, config.page_size));
+        let backend = SystemBackend::new(mmu, hierarchy, object, config, view);
         let core = Core::new(config.core, backend);
-        SimRun {
-            workload,
-            config: config.clone(),
-            pages,
-            core,
-            warming: None,
-            pushed: false,
-            measuring: None,
-        }
+        SimRun { workload, config: config.clone(), pages, core, warming: None, measuring: None }
     }
 
     /// The configuration this run executes.
@@ -457,38 +463,22 @@ impl<'w> SimRun<'w> {
         }
     }
 
-    /// A fresh stream view for this run's machine, at the stream's first
-    /// instruction.
-    fn fresh_view(&self) -> StreamView {
-        StreamView::new(self.workload.object(self.config.layout), self.config.page_size)
-    }
-
     /// One whole phase on the pull side: feeds up to `limit` instructions
     /// from `stream` to the core via the slice entry point
     /// ([`Core::run_batch`]) — each decoded source batch flows through as
     /// one contiguous slice — and drains the lookahead window. The run
-    /// resolves what the stream decides through a view of its own, made
-    /// fresh at the stream's first instruction.
+    /// resolves what the stream decides through its own view.
     ///
     /// # Panics
     ///
-    /// Panics if the run was pushed turns or restored from its overlay
-    /// alone: it has no view standing where it stands.
+    /// Panics if the run is a cell ([`SimRun::cell`]).
     fn run_batches<S: TraceSource>(
         &mut self,
         state: &mut RunState,
         stream: &mut SourceIter<S>,
         limit: u64,
     ) {
-        if self.core.backend().view().is_none() {
-            assert!(
-                !self.core.backend().is_fed(),
-                "a run that was pushed turns, or restored from its overlay alone, has no stream \
-                 view to pull through"
-            );
-            let view = self.fresh_view();
-            self.core.backend_mut().own_view(view);
-        }
+        assert!(self.core.backend().view().is_some(), "a cell has no stream view to pull through");
         let mut remaining = limit as usize;
         while remaining > 0 {
             let batch = stream.next_slice(remaining);
@@ -524,7 +514,7 @@ impl<'w> SimRun<'w> {
     ///
     /// Panics if the turns overrun the phase of any run of the group; if
     /// its runs are not all in the same phase, or not all at the same
-    /// point of it.
+    /// point of it; if one of them pulls its own stream ([`SimRun::new`]).
     pub fn push_group(group: &mut [&mut SimRun<'_>], turn: &StreamTurn, last: bool) {
         let measuring = group.first().is_some_and(|run| run.is_measuring());
         let mut machines = Vec::with_capacity(group.len());
@@ -559,7 +549,6 @@ impl<'w> SimRun<'w> {
     /// Hands the machine the column of its page size of `turn`, for the
     /// turn's execution.
     fn feed(&mut self, turn: &StreamTurn) {
-        self.pushed = true;
         let page_size = self.config.page_size;
         let column = turn.column(page_size).cloned().unwrap_or_else(|| {
             assert!(
@@ -625,7 +614,7 @@ impl SimRun<'_> {
     /// Saves the **policy-dependent** half of a fast-forward state: the
     /// starvation FIFO plus the memory system the policy shapes (the TLB,
     /// every cache level with its per-set policy state — tag/RRPV arrays,
-    /// PSEL counters, Random's RNG — and the in-flight tracker), all of
+    /// PSEL counters, SHiP's table — and the in-flight tracker), all of
     /// which couple to fetch latencies the L2 policy shapes. The other
     /// half is what evolves as a function of the instruction stream
     /// alone: the branch predictor and the stream view (frames and the
@@ -646,16 +635,23 @@ impl SimRun<'_> {
         });
     }
 
-    /// Restores a section written by [`SimRun::save_overlay`].
+    /// Restores a section written by [`SimRun::save_overlay`] into a
+    /// cell ([`SimRun::cell`]), which then stands at the boundary.
     ///
     /// # Errors
     ///
     /// As [`Snapshot::restore`].
     ///
-    /// An overlay holds no stream view: a run restored from one alone
-    /// stands at the boundary with nothing to resolve its own stream
-    /// through, and can only be pushed turns.
+    /// # Panics
+    ///
+    /// Panics if the run pulls its own stream: an overlay holds no
+    /// stream view to carry on from.
     pub fn restore_overlay(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        assert!(self.core.backend().view().is_none(), "an overlay alone restores into a cell");
+        self.restore_overlay_section(r)
+    }
+
+    fn restore_overlay_section(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let mut s = r.section(b"OVLY")?;
         self.core.restore_starved_state(&mut s)?;
         self.core.backend_mut().restore(&mut s)?;
@@ -720,27 +716,22 @@ fn restore_shared_section<B: MemoryBackend>(
 /// profiler is armed, so neither is part of it.
 impl Snapshot for SimRun<'_> {
     fn save(&self, w: &mut SnapWriter) {
-        assert!(!self.pushed, "a pushed run's predictor was never trained");
-        let backend = self.core.backend();
-        assert!(!backend.is_fed(), "a run restored from its overlay alone has no stream view");
-        let fresh;
-        let view = match backend.view() {
-            Some(view) => view,
-            None => {
-                fresh = self.fresh_view();
-                &fresh
-            }
-        };
+        let view = self.core.backend().view().expect("a pushed run's predictor was never trained");
         save_shared_section(&self.core, &[view], w);
         self.save_overlay(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         assert!(!self.is_measuring(), "a checkpoint restores into a run between phases");
-        let mut view = self.fresh_view();
+        assert!(
+            self.core.backend().view().is_some(),
+            "a whole state restores into a run that pulls its own stream, not into a cell"
+        );
+        let mut view =
+            StreamView::new(self.workload.object(self.config.layout), self.config.page_size);
         restore_shared_section(&mut self.core, std::slice::from_mut(&mut view), r)?;
-        self.core.backend_mut().own_view(view);
-        self.restore_overlay(r)
+        *self.core.backend_mut().view_mut().expect("checked above") = view;
+        self.restore_overlay_section(r)
     }
 }
 

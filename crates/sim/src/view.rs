@@ -21,12 +21,13 @@
 //! into a [`ViewColumn`] beside the turn's records ([`StreamTurn`]): the
 //! physical address of every memory operand and of every demand fetch
 //! into a page the loader did not map, and the stride proposals of every
-//! load. A run that pulls its own stream ([`crate::simulate`]) owns one
-//! view and resolves through it inline, access by access, through the
-//! same code. At the fast-forward boundary the views are the
+//! load. A run that pulls its own stream ([`crate::SimRun::new`]) owns
+//! one view from load and resolves through it inline, access by access,
+//! through the same code. At the fast-forward boundary the views are the
 //! frontend's, so they sit in the shared prefix, beside the predictor.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use trrip_cache::StridePrefetcher;
@@ -38,19 +39,30 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::config::SimConfig;
 
-/// Slots of the direct-mapped cache of recent translations in front of
-/// the frame map.
-const RECENT_SLOTS: usize = 1024;
+/// A page number's hash: one multiply, as the TLB's hint table and the
+/// in-flight table hash, rotated so that the product's well-mixed high
+/// half picks the frame map's bucket.
+#[derive(Debug, Default, Clone, Copy)]
+struct PageHasher(u64);
 
-/// An empty slot of the recent-translation cache: no page number is
-/// this large.
-const NO_PAGE: u64 = u64::MAX;
+impl Hasher for PageHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the frame map is keyed by page number alone");
+    }
 
-/// Where `vpn`'s recent translation lives (multiply-shift).
-#[inline]
-fn recent_of(vpn: u64) -> usize {
-    (vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - RECENT_SLOTS.trailing_zeros())) as usize
+    #[inline]
+    fn write_u64(&mut self, vpn: u64) {
+        self.0 = vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    #[inline]
+    fn finish(&self) -> u64 {
+        self.0.rotate_left(32)
+    }
 }
+
+/// Page number → frame.
+type FrameMap = HashMap<u64, u64, BuildHasherDefault<PageHasher>>;
 
 /// The distinct page sizes of a row's cells, smallest first: the views
 /// a frontend for that row owns, in the order its shared prefix holds
@@ -69,14 +81,11 @@ pub struct StreamView {
     page_size: PageSize,
     /// Every mapped page's frame: the loader's, then the
     /// demand-allocated ones.
-    frames: HashMap<u64, u64>,
+    frames: FrameMap,
     /// The first demand-allocated frame, above every loaded one: a page
     /// whose frame is below it was mapped by the loader.
     first_anon_frame: u64,
     next_frame: u64,
-    /// `(vpn, frame)` of recent translations, direct-mapped. A mapping
-    /// never changes once made, so the cache needs no invalidation.
-    recent: Box<[(u64, u64)]>,
     stride: StridePrefetcher,
     /// What the last load proposed.
     proposals: Vec<PhysAddr>,
@@ -87,7 +96,7 @@ impl StreamView {
     #[must_use]
     pub fn new(object: &ObjectFile, page_size: PageSize) -> StreamView {
         let image = Loader::new(page_size).load(object);
-        let frames: HashMap<u64, u64> =
+        let frames: FrameMap =
             image.page_table.iter().map(|(vpn, entry)| (vpn, entry.frame)).collect();
         let first_anon_frame = frames.values().max().map_or(0x101, |&frame| frame + 1);
         StreamView {
@@ -95,7 +104,6 @@ impl StreamView {
             frames,
             first_anon_frame,
             next_frame: first_anon_frame,
-            recent: vec![(NO_PAGE, 0); RECENT_SLOTS].into_boxed_slice(),
             stride: StridePrefetcher::new(4096, 4),
             proposals: Vec::new(),
         }
@@ -111,17 +119,10 @@ impl StreamView {
     /// yet; and whether the loader mapped it.
     #[inline]
     fn frame_of(&mut self, vpn: u64) -> (u64, bool) {
-        let slot = &mut self.recent[recent_of(vpn)];
-        let frame = if slot.0 == vpn {
-            slot.1
-        } else {
-            let frame = *self.frames.entry(vpn).or_insert_with(|| {
-                self.next_frame += 1;
-                self.next_frame - 1
-            });
-            *slot = (vpn, frame);
-            frame
-        };
+        let frame = *self.frames.entry(vpn).or_insert_with(|| {
+            self.next_frame += 1;
+            self.next_frame - 1
+        });
         (frame, frame < self.first_anon_frame)
     }
 
@@ -231,7 +232,6 @@ impl Snapshot for StreamView {
         if self.frames.values().any(|&frame| frame >= self.next_frame) {
             return Err(SnapError::Corrupt("stream view frame past its next frame".to_owned()));
         }
-        self.recent.fill((NO_PAGE, 0));
         self.stride.restore(r)?;
         self.proposals.clear();
         Ok(())

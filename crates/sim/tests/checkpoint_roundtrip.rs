@@ -17,21 +17,6 @@ use trrip_snap::corrupt;
 use trrip_trace::SourceIter;
 use trrip_workloads::{InputSet, TraceGenerator, WorkloadSpec};
 
-/// Every policy the simulator can run, including the non-paper Random
-/// baseline (whose RNG stream is part of the architectural state).
-const ALL_POLICIES: [PolicyKind; 10] = [
-    PolicyKind::Srrip,
-    PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Brrip,
-    PolicyKind::Drrip,
-    PolicyKind::Ship,
-    PolicyKind::Clip,
-    PolicyKind::Emissary,
-    PolicyKind::Trrip1,
-    PolicyKind::Trrip2,
-];
-
 fn quick_workload() -> PreparedWorkload {
     let mut spec = WorkloadSpec::named("ckpt-test");
     spec.functions = 50;
@@ -70,7 +55,7 @@ fn restore_then_measure_is_bit_identical_for_every_policy() {
     std::fs::remove_dir_all(&dir).ok();
     let store = CheckpointStore::new(&dir);
 
-    for policy in ALL_POLICIES {
+    for policy in PolicyKind::PAPER_SET {
         let config = quick_config(policy);
 
         // Oracle: the uninterrupted walker run.
@@ -225,7 +210,7 @@ fn checkpointed_sweep_matches_other_engines() {
     let w = quick_workload();
     let workloads = [w];
     let config = quick_config(PolicyKind::Srrip);
-    let policies = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Trrip2];
+    let policies = [PolicyKind::Srrip, PolicyKind::Brrip, PolicyKind::Trrip2];
 
     let ckpt_dir = std::env::temp_dir().join("trrip-ckpt-sweep-ckpts");
     std::fs::remove_dir_all(&ckpt_dir).ok();

@@ -42,7 +42,7 @@ pub fn mixed_row(config: &SimConfig) -> Vec<SimConfig> {
             ..cell(PolicyKind::Clip, 256, 16, PageSize::Size16K, drop)
         },
         cell(PolicyKind::Emissary, 512, 4, PageSize::Size2M, hottest),
-        cell(PolicyKind::Random, 128, 8, PageSize::Size2M, first),
+        cell(PolicyKind::Brrip, 128, 8, PageSize::Size2M, first),
         cell(PolicyKind::Srrip, 64, 16, PageSize::Size16K, drop),
     ]
 }

@@ -3,7 +3,7 @@
 //! none, a container torn before its rename is rejected by its checksum,
 //! and the next sweep over the same directory restores exactly what was
 //! published, reports exactly what was damaged, heals it, and is
-//! bit-identical — all 10 policies — to `simulate` of each cell alone. The torn-write seam itself (`ckpt.save.partial`, between flush
+//! bit-identical — all nine policies — to `simulate` of each cell alone. The torn-write seam itself (`ckpt.save.partial`, between flush
 //! and rename), which the other suites only imitate by damaging files
 //! after they were published.
 //!
@@ -28,21 +28,7 @@ use trrip_sim::{
 };
 use trrip_workloads::WorkloadSpec;
 
-/// Every policy the simulator can run, including the non-paper Random
-/// baseline (its RNG stream is state an overlay has to carry).
-const ALL_POLICIES: [PolicyKind; 10] = [
-    PolicyKind::Srrip,
-    PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Brrip,
-    PolicyKind::Drrip,
-    PolicyKind::Ship,
-    PolicyKind::Clip,
-    PolicyKind::Emissary,
-    PolicyKind::Trrip1,
-    PolicyKind::Trrip2,
-];
-const CELLS: usize = ALL_POLICIES.len();
+const CELLS: usize = PolicyKind::PAPER_SET.len();
 const ROWS: [&str; 2] = ["crash-test-a", "crash-test-b"];
 /// Cells of the whole sweep.
 const SWEEP: u64 = (ROWS.len() * CELLS) as u64;
@@ -51,7 +37,7 @@ const SWEEP: u64 = (ROWS.len() * CELLS) as u64;
 const CHILD_VAR: &str = "TRRIP_CRASH_CHILD";
 
 /// The save the killed child dies in. On one thread a cold sweep saves a
-/// row's prefix, then its ten overlays: the child publishes row 0's
+/// row's prefix, then its nine overlays: the child publishes row 0's
 /// prefix and its first `KILL_AT - 2` overlays.
 const KILL_AT: usize = 5;
 
@@ -74,7 +60,7 @@ fn config() -> SimConfig {
 }
 
 fn cells() -> Vec<SimConfig> {
-    policy_cells(&config(), &ALL_POLICIES)
+    policy_cells(&config(), &PolicyKind::PAPER_SET)
 }
 
 fn store(root: &Path) -> CheckpointStore {
@@ -234,8 +220,10 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     // Meanwhile, the reference: each cell alone over a walker of its own.
     let (workloads, config) = (workloads(), config());
     let cell = |policy| config.clone().with_policy(policy);
-    let oracle: Vec<SimResult> =
-        workloads.iter().flat_map(|w| ALL_POLICIES.map(|p| simulate(w, &cell(p)))).collect();
+    let oracle: Vec<SimResult> = workloads
+        .iter()
+        .flat_map(|w| PolicyKind::PAPER_SET.map(|p| simulate(w, &cell(p))))
+        .collect();
     let codes = children.each_mut().map(|child| child.wait().expect("wait").code());
     assert_eq!(codes, [Some(trrip_obs::fault::KILL_EXIT_CODE), Some(0), Some(0)]);
     for dir in [&killed, &bad_prefix, &bad_overlay] {
@@ -248,12 +236,14 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     // Whole files or none: the prefix and the overlays saved before the
     // fatal one, its temp file beside them, and nothing else.
     let ckpts = store(&killed);
-    let published = &ALL_POLICIES[..KILL_AT - 2];
+    let published = &PolicyKind::PAPER_SET[..KILL_AT - 2];
     assert_eq!(files_with(ckpts.dir(), ".ckpt").len(), KILL_AT - 1);
     assert_eq!(files_with(ckpts.dir(), ".tmp.").len(), 1);
     assert!(ckpts.prefix_path(a, std::slice::from_ref(&config)).is_file());
-    let held: Vec<_> =
-        ALL_POLICIES.into_iter().filter(|&p| ckpts.overlay_path(a, &cell(p)).is_file()).collect();
+    let held: Vec<_> = PolicyKind::PAPER_SET
+        .into_iter()
+        .filter(|&p| ckpts.overlay_path(a, &cell(p)).is_file())
+        .collect();
     assert_eq!(held, published);
     assert!(!killed.join("traces").exists(), "a sweep writes no capture");
     // The next sweep restores what was published, warms the rest, walks
@@ -262,8 +252,8 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     let (sweep, seen) = Seen::sweep(&killed, "next", &workloads);
     assert_sweep(&sweep, &oracle, "after the kill");
     assert_eq!(seen.took("overlay_restore"), cells_of(&ROWS[..1], published));
-    let mut warmed = cells_of(&ROWS[..1], &ALL_POLICIES[KILL_AT - 2..]);
-    warmed.extend(cells_of(&ROWS[1..], &ALL_POLICIES));
+    let mut warmed = cells_of(&ROWS[..1], &PolicyKind::PAPER_SET[KILL_AT - 2..]);
+    warmed.extend(cells_of(&ROWS[1..], &PolicyKind::PAPER_SET));
     assert_eq!(seen.took("tail_replay"), warmed);
     assert_eq!(seen.warm()[2], 1, "row 0's prefix loads; row 1's is written");
     assert_eq!(seen.producers(), ROWS.map(|row| (row, "walker", 0)));
@@ -290,19 +280,19 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     // ---- (b) an overlay published torn ----
     // By name the store is whole, but the torn overlay does not load, so
     // it is a missing one: row 0's producer starts at the first
-    // instruction, its cell warms up in lockstep with the nine that
+    // instruction, its cell warms up in lockstep with the eight that
     // restore and let the warm-up go by, and rewrites its file.
     let ckpts = store(&bad_overlay);
-    let overlay = ckpts.overlay_path(a, &cell(ALL_POLICIES[0]));
+    let overlay = ckpts.overlay_path(a, &cell(PolicyKind::PAPER_SET[0]));
     let torn = std::fs::read(&overlay).expect("the overlay was published");
     let (sweep, seen) = Seen::sweep(&bad_overlay, "next", &workloads);
     assert_sweep(&sweep, &oracle, "over a torn overlay");
-    assert_eq!(seen.damaged(), [("policy overlay", ROWS[0], ALL_POLICIES[0].name())]);
+    assert_eq!(seen.damaged(), [("policy overlay", ROWS[0], PolicyKind::PAPER_SET[0].name())]);
     assert_eq!(
         seen.producers(),
         [(ROWS[0], "walker", 0), (ROWS[1], "walker", config.fast_forward)]
     );
-    assert_eq!(seen.took("tail_replay"), cells_of(&ROWS[..1], &ALL_POLICIES[..1]));
+    assert_eq!(seen.took("tail_replay"), cells_of(&ROWS[..1], &PolicyKind::PAPER_SET[..1]));
     assert_eq!(seen.warm(), [SWEEP - 1, 1, 0]);
     // Two workers, a row each, every cell of it in one lockstep group.
     assert_eq!(seen.groups(), [CELLS as u64; 2 * CELLS]);

@@ -24,7 +24,7 @@ use trrip_sim::{
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
 
-const POLICIES: [PolicyKind; 3] = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Trrip1];
+const POLICIES: [PolicyKind; 3] = [PolicyKind::Srrip, PolicyKind::Ship, PolicyKind::Trrip1];
 const CELLS: u64 = POLICIES.len() as u64;
 
 /// A container keeps its little-endian version at bytes 8–9, after an

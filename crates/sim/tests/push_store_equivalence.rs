@@ -43,21 +43,7 @@ use trrip_sim::{
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
 
-/// Every policy the simulator can run, including the non-paper Random
-/// baseline (its RNG stream is state an overlay has to carry).
-const ALL_POLICIES: [PolicyKind; 10] = [
-    PolicyKind::Srrip,
-    PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Brrip,
-    PolicyKind::Drrip,
-    PolicyKind::Ship,
-    PolicyKind::Clip,
-    PolicyKind::Emissary,
-    PolicyKind::Trrip1,
-    PolicyKind::Trrip2,
-];
-const CELLS: u64 = ALL_POLICIES.len() as u64;
+const CELLS: u64 = PolicyKind::PAPER_SET.len() as u64;
 const JOBS: usize = 3;
 /// The walker hands out whole batches of 1 Ki: a frontend's source may
 /// walk up to one batch less one past what it digests.
@@ -170,7 +156,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     config.track_costly = true;
     let (stream, window) = (capture_length(&config), config.instructions);
     let cell = |policy| config.clone().with_policy(policy);
-    let cells = policy_cells(&config, &ALL_POLICIES);
+    let cells = policy_cells(&config, &PolicyKind::PAPER_SET);
     let sweep = || policy_sweep_with(JOBS, &workloads, &cells, Some(&ckpts));
 
     // ---- cold: walk once, write one prefix, capture nothing ----
@@ -190,8 +176,10 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     }
 
     // The pull reference: each cell alone over a walker of its own.
-    let oracle: Vec<SimResult> =
-        workloads.iter().flat_map(|w| ALL_POLICIES.map(|p| simulate(w, &cell(p)))).collect();
+    let oracle: Vec<SimResult> = workloads
+        .iter()
+        .flat_map(|w| PolicyKind::PAPER_SET.map(|p| simulate(w, &cell(p))))
+        .collect();
     assert_sweep(&cold, &oracle, "cold pass");
 
     // ---- warm: resume at the boundary, restore every cell ----
@@ -263,7 +251,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     // writes none.
     let resized = |kb: u64| {
         let hierarchy = config.hierarchy.clone().with_l2_size(kb << 10);
-        policy_cells(&SimConfig { hierarchy, ..config.clone() }, &ALL_POLICIES[..2])
+        policy_cells(&SimConfig { hierarchy, ..config.clone() }, &PolicyKind::PAPER_SET[..2])
     };
     let geometry = [resized(64), resized(256)].concat();
     let only_a = std::slice::from_ref(a);

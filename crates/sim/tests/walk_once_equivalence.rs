@@ -4,7 +4,8 @@
 //! threads — and every cell must still equal a [`simulate`] of its own,
 //! field by field, whatever the worker count, the workload count, or
 //! where the stream happens to be cut. A cell is a configuration: the
-//! rows swept here are the ten policies on one machine and a
+//! rows swept here are the nine policies on one machine with SRRIP again
+//! on a larger L2, and a
 //! heterogeneous row whose cells share nothing but their stream (L2 size
 //! and ways, page size, overlap rule, policy, armed profilers). The seam
 //! underneath,
@@ -35,10 +36,11 @@ use trrip_cpu::{StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
     policy_cells, policy_sweep_with, simulate, simulate_rows, simulate_source, CheckpointStore,
-    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapWriter, Snapshot, StreamTurn,
+    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapReader, SnapWriter, Snapshot,
+    StreamTurn,
 };
 use trrip_trace::source::VecSource;
-use trrip_trace::TraceSource;
+use trrip_trace::{SourceIter, TraceSource};
 use trrip_workloads::{InputSet, TraceGenerator, WorkloadSpec};
 
 static WALKING: RwLock<()> = RwLock::new(());
@@ -46,21 +48,6 @@ static WALKING: RwLock<()> = RwLock::new(());
 fn shared() -> RwLockReadGuard<'static, ()> {
     WALKING.read().unwrap_or_else(PoisonError::into_inner)
 }
-
-/// Every policy the simulator can run, including the non-paper Random
-/// baseline (its RNG stream is state a wrongly cut stream would skew).
-const ALL_POLICIES: [PolicyKind; 10] = [
-    PolicyKind::Srrip,
-    PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Brrip,
-    PolicyKind::Drrip,
-    PolicyKind::Ship,
-    PolicyKind::Clip,
-    PolicyKind::Emissary,
-    PolicyKind::Trrip1,
-    PolicyKind::Trrip2,
-];
 
 /// Not a multiple of the executor's 16 Ki-instruction turn, nor of the
 /// walker's 1 Ki batch; with the 30 000 warmup below the stream is five
@@ -104,9 +91,13 @@ fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
     assert_eq!(costly_bytes(a), costly_bytes(b), "{what}: costly-miss tracker diverges");
 }
 
-/// The machine of `config` under every policy.
+/// The machine of `config` under each of the paper's policies, then
+/// SRRIP once more on a 256 KiB L2: ten cells, so teams split unevenly.
 fn policy_row(config: &SimConfig) -> Vec<SimConfig> {
-    policy_cells(config, &ALL_POLICIES)
+    let mut row = policy_cells(config, &PolicyKind::PAPER_SET);
+    let hierarchy = config.hierarchy.clone().with_l2_size(256 << 10);
+    row.push(SimConfig { hierarchy, ..config.clone() }.with_policy(PolicyKind::Srrip));
+    row
 }
 
 /// One `simulate` per cell: the oracle, workload-major like a sweep.
@@ -138,7 +129,7 @@ fn assert_sweep_matches(
 }
 
 /// One workload, so from two jobs up its cells are split across a team
-/// reading one window: the ten policies (5 + 5, 4 + 3 + 3, and one cell
+/// reading one window: the policy row (5 + 5, 4 + 3 + 3, and one cell
 /// each), the heterogeneous row (3 + 3, 2 + 2 + 2, and at five jobs
 /// 2 + 1 + 1 + 1 + 1), and the ablation-shaped row, whose cells read two
 /// stream views' columns of every turn.
@@ -149,7 +140,7 @@ fn one_workload_split_across_workers_equals_per_cell_simulate() {
     let config = quick_config(30_000);
     for cells in [policy_row(&config), mixed_row(&config), ablation_row(&config)] {
         let oracle = per_cell(&workloads, &cells);
-        for jobs in [1, 2, 3, 5, ALL_POLICIES.len() + 3] {
+        for jobs in [1, 2, 3, 5, cells.len() + 3] {
             assert_sweep_matches(jobs, &workloads, &cells, &oracle);
         }
     }
@@ -183,7 +174,8 @@ fn whole_workloads_per_worker_equal_per_cell_simulate() {
 fn degenerate_warmups_equal_per_cell_simulate() {
     let _shared = shared();
     let workloads = [workload("walk-once-e"), workload("walk-once-f")];
-    for (fast_forward, jobs) in [(0, 3), (1, ALL_POLICIES.len() + 3), (47, 2), (48, 1), (49, 3)] {
+    // Thirteen jobs: more than the row's ten cells.
+    for (fast_forward, jobs) in [(0, 3), (1, 13), (47, 2), (48, 1), (49, 3)] {
         let cells = policy_row(&quick_config(fast_forward));
         let oracle = per_cell(&workloads, &cells);
         assert_sweep_matches(jobs, &workloads, &cells, &oracle);
@@ -213,7 +205,7 @@ fn empty_sweeps_return_empty_results() {
     assert_eq!(no_cells.benchmarks, ["walk-once-h"]);
     let no_workloads = policy_sweep_with(4, &[], &cells, None);
     assert!(no_workloads.results.is_empty() && no_workloads.benchmarks.is_empty());
-    assert_eq!(no_workloads.cells.len(), ALL_POLICIES.len());
+    assert_eq!(no_workloads.cells, cells);
 }
 
 /// The ablation-shaped row over a checkpoint store: cold, the frontend
@@ -306,7 +298,7 @@ fn pushed(
 
     let mut frontend =
         Frontend::new(w, std::slice::from_ref(config), VecSource::new(stream.to_vec(), 1_024));
-    let mut run = SimRun::new(w, config);
+    let mut run = SimRun::cell(w, config);
     let mut turn = StreamTurn::new();
     let mut warming = config.fast_forward;
     if warming == 0 {
@@ -351,7 +343,7 @@ fn push_seam_equals_pull_wherever_the_stream_is_cut() {
         at += 1 + (x >> 33) as usize % if scatter.len() % 3 == 0 { 12 } else { 3_000 };
         scatter.push(at);
     }
-    for policy in [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Drrip, PolicyKind::Trrip1] {
+    for policy in [PolicyKind::Srrip, PolicyKind::Brrip, PolicyKind::Drrip, PolicyKind::Trrip1] {
         for fast_forward in [0u64, 1, 47, 48, 49, 30_000] {
             let mut config = quick_config(fast_forward).with_policy(policy);
             config.measure_reuse = policy == PolicyKind::Trrip1;
@@ -377,13 +369,13 @@ fn push_seam_equals_pull_wherever_the_stream_is_cut() {
     }
 }
 
-/// All ten policies through the seam, turn by turn as the sweep cuts
-/// them (16 Ki), with the profilers armed.
+/// Every policy through the seam, turn by turn as the sweep cuts them
+/// (16 Ki), with the profilers armed.
 #[test]
 fn push_seam_equals_pull_for_every_policy() {
     let _shared = shared();
     let w = workload("walk-once-seam-all");
-    for policy in ALL_POLICIES {
+    for policy in PolicyKind::PAPER_SET {
         let mut config = quick_config(30_000).with_policy(policy);
         config.measure_reuse = true;
         config.track_costly = true;
@@ -407,7 +399,7 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
     let mut frontend =
         Frontend::new(&w, std::slice::from_ref(&config), VecSource::new(stream.clone(), 1_024));
     let (empty, mut turn) = (StreamTurn::new(), StreamTurn::new());
-    let mut run = SimRun::new(&w, &config);
+    let mut run = SimRun::cell(&w, &config);
     SimRun::push_group(&mut [&mut run], &empty, false);
     assert!(frontend.digest(usize::MAX, &mut turn), "the measure window is still to come");
     assert_eq!(turn.instructions(), 5_000, "a turn stops at the fast-forward boundary");
@@ -506,7 +498,7 @@ fn push_seam_refuses_to_overrun_the_warmup() {
     let w = workload("walk-once-overrun");
     let config = quick_config(100);
     let turn = oversized_turn(&w, &config, 101);
-    SimRun::push_group(&mut [&mut SimRun::new(&w, &config)], &turn, true);
+    SimRun::push_group(&mut [&mut SimRun::cell(&w, &config)], &turn, true);
 }
 
 #[test]
@@ -517,7 +509,7 @@ fn push_seam_refuses_to_overrun_the_measure_window() {
     let mut config = quick_config(0);
     config.instructions = 100;
     let turn = oversized_turn(&w, &config, 101);
-    let mut run = SimRun::new(&w, &config);
+    let mut run = SimRun::cell(&w, &config);
     run.begin_measure();
     SimRun::push_group(&mut [&mut run], &turn, true);
 }
@@ -531,9 +523,51 @@ fn a_pushed_run_refuses_to_be_checkpointed() {
     let w = workload("walk-once-no-save");
     let config = quick_config(100);
     let turn = oversized_turn(&w, &config, 100);
-    let mut run = SimRun::new(&w, &config);
+    let mut run = SimRun::cell(&w, &config);
     SimRun::push_group(&mut [&mut run], &turn, true);
     run.save(&mut SnapWriter::new());
+}
+
+/// A run's side is fixed at load: a cell has no stream view to pull
+/// through, a run that pulls its own stream takes no pushed turns, and a
+/// whole state — its predictor and its view included — does not restore
+/// into a cell.
+#[test]
+fn each_side_refuses_what_belongs_to_the_other() {
+    let _shared = shared();
+    let w = workload("walk-once-sides");
+    let config = quick_config(100);
+    let stream = || SourceIter::new(VecSource::new(eval_stream(&w, &config), 1_024));
+    let refused = |attempt: &mut dyn FnMut()| {
+        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt))
+            .expect_err("the attempt is refused");
+        payload.downcast_ref::<&str>().map_or_else(
+            || payload.downcast_ref::<String>().cloned().unwrap_or_default(),
+            |message| (*message).to_owned(),
+        )
+    };
+
+    let mut cell = SimRun::cell(&w, &config);
+    let message = refused(&mut || cell.fast_forward(&mut stream()));
+    assert!(message.contains("has no stream view to pull through"), "{message}");
+
+    let turn = oversized_turn(&w, &config, 100);
+    let mut pulling = SimRun::new(&w, &config);
+    let message = refused(&mut || SimRun::push_group(&mut [&mut pulling], &turn, true));
+    assert!(
+        message.contains("a machine that pulls its own stream takes no pushed turns"),
+        "{message}"
+    );
+
+    let mut warmed = SimRun::new(&w, &config);
+    warmed.fast_forward(&mut stream());
+    let mut state = SnapWriter::new();
+    warmed.save(&mut state);
+    let mut cell = SimRun::cell(&w, &config);
+    let message = refused(&mut || {
+        let _ = cell.restore(&mut SnapReader::new(state.bytes()));
+    });
+    assert!(message.contains("not into a cell"), "{message}");
 }
 
 // ---- the seam's guards hold for every run of a group ----
@@ -545,7 +579,7 @@ fn pair_and_turn<'w>(
 ) -> (SimRun<'w>, SimRun<'w>, StreamTurn) {
     let turn = oversized_turn(w, config, config.fast_forward as usize);
     let other = config.clone().with_policy(PolicyKind::Trrip1);
-    (SimRun::new(w, config), SimRun::new(w, &other), turn)
+    (SimRun::cell(w, config), SimRun::cell(w, &other), turn)
 }
 
 /// The group's second run is saved; it was pushed just as the first.
@@ -567,7 +601,7 @@ fn a_group_refuses_a_turn_that_overruns_one_of_its_runs() {
     let _shared = shared();
     let w = workload("walk-once-group-overrun");
     let (mut a, _, turn) = pair_and_turn(&w, &quick_config(100));
-    let mut short = SimRun::new(&w, &quick_config(99));
+    let mut short = SimRun::cell(&w, &quick_config(99));
     SimRun::push_group(&mut [&mut a, &mut short], &turn, true);
 }
 
@@ -763,6 +797,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     let one = [workload("walk-once-count")];
     let pair = [workload("walk-once-count-a"), workload("walk-once-count-b")];
     let config = quick_config(30_000);
+    let cells = policy_row(&config).len();
     let walkers_worth = config.fast_forward + config.instructions;
     // The walker hands out whole batches of 1 Ki.
     let source_batch = 1_024;
@@ -802,7 +837,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     let _ = per_cell(&one, &policy_row(&config));
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
-    assert!(walked >= ALL_POLICIES.len() as u64 * walkers_worth, "per-cell walked only {walked}");
+    assert!(walked >= cells as u64 * walkers_worth, "per-cell walked only {walked}");
     assert_eq!(moved.get("front.digest.instrs"), 0);
 
     // Two workloads, more jobs than cells: once each.
@@ -842,8 +877,8 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     // jobs = 3 over one workload: every cell journalled, three threads.
     let started = threads_of(&journal, "cell_started", "walk-once-count");
     let finished = threads_of(&journal, "cell_finished", "walk-once-count");
-    assert_eq!(started.len(), ALL_POLICIES.len());
-    assert_eq!(finished.len(), ALL_POLICIES.len());
+    assert_eq!(started.len(), cells);
+    assert_eq!(finished.len(), cells);
     let threads: BTreeSet<u64> = started.iter().chain(&finished).copied().collect();
     assert_eq!(threads.len(), 3, "jobs = 3 must mean three simulator threads: {threads:?}");
     // …each driving its share of the ten cells in lockstep: 4 + 3 + 3.
@@ -856,7 +891,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
         .iter()
         .flat_map(|name| threads_of(&journal, "cell_started", name))
         .collect();
-    assert_eq!(threads.len(), 2 * ALL_POLICIES.len());
+    assert_eq!(threads.len(), 2 * cells);
     for name in ["walk-once-count-a", "walk-once-count-b", "walk-once-solo"] {
         assert!(groups_of(&journal, name).iter().all(|&group| group == 1), "{name}: alone");
     }
@@ -868,13 +903,12 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
     // walker from the top, then the walker resumed at the boundary.
     let started = threads_of(&journal, "cell_started", "walk-once-stored");
     let finished = threads_of(&journal, "cell_finished", "walk-once-stored");
-    assert_eq!((started.len(), finished.len()), (2 * ALL_POLICIES.len(), 2 * ALL_POLICIES.len()));
+    assert_eq!((started.len(), finished.len()), (2 * cells, 2 * cells));
     // Five cells a worker, warming together in the cold pass and
     // restored together in the warm one.
     assert_eq!(groups_of(&journal, "walk-once-stored"), [5; 20]);
     for (pass, (started, finished)) in
-        std::iter::zip(started.chunks(ALL_POLICIES.len()), finished.chunks(ALL_POLICIES.len()))
-            .enumerate()
+        std::iter::zip(started.chunks(cells), finished.chunks(cells)).enumerate()
     {
         let threads: BTreeSet<u64> = started.iter().chain(finished).copied().collect();
         assert_eq!(threads.len(), 2, "pass {pass}: jobs = 2, two simulator threads: {threads:?}");

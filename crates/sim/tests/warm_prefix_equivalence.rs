@@ -2,8 +2,8 @@
 //! a `(workload, policy)` cell that starts at the fast-forward boundary
 //! from the store — its overlay restored under a frontend and a walker
 //! resumed from the shared prefix — is bit-identical to a cold per-cell
-//! warmup, for every policy (including Random, whose RNG stream is
-//! architectural state) and with the reuse/costly profilers armed.
+//! warmup, for each of the paper's nine policies and with the
+//! reuse/costly profilers armed.
 //! Fallback routing is pinned through the `warm.*` counters
 //! (`trrip_sim::warmstats` says what each means): a damaged overlay is a
 //! missing one and costs its one cell its warm-up, in the row's one walk
@@ -20,21 +20,6 @@ use trrip_sim::{
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
-
-/// Every policy the simulator can run, including the non-paper Random
-/// baseline.
-const ALL_POLICIES: [PolicyKind; 10] = [
-    PolicyKind::Srrip,
-    PolicyKind::Lru,
-    PolicyKind::Random,
-    PolicyKind::Brrip,
-    PolicyKind::Drrip,
-    PolicyKind::Ship,
-    PolicyKind::Clip,
-    PolicyKind::Emissary,
-    PolicyKind::Trrip1,
-    PolicyKind::Trrip2,
-];
 
 fn quick_workload(name: &str) -> PreparedWorkload {
     let mut spec = WorkloadSpec::named(name);
@@ -107,7 +92,7 @@ fn routes(moved: &CounterSnapshot) -> [u64; 4] {
 }
 
 #[test]
-fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
+fn warm_prefix_sweep_is_bit_identical_for_every_policy() {
     let _serial = counter_guard();
     let workloads = [quick_workload("warm-prefix-eq")];
     let config = quick_config(PolicyKind::Srrip);
@@ -116,18 +101,20 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     // Oracle: cold per-cell warmups via the walker engine.
-    let row = policy_cells(&config, &ALL_POLICIES);
+    let row = policy_cells(&config, &PolicyKind::PAPER_SET);
     let oracle = policy_sweep_with(4, &workloads, &row, None);
 
     // Cold populating pass: ONE shared prefix — the frontend's
-    // predictor — and ten cells that execute the warm-up turns it
+    // predictor — and nine cells that execute the warm-up turns it
     // digests, each leaving its overlay. An empty store restores nobody.
-    let cells = ALL_POLICIES.len() as u64;
+    let cells = PolicyKind::PAPER_SET.len() as u64;
     let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
     let (cold, routes, _) = routes_of(sweep);
     assert_eq!(routes, [0, cells, 1, 0], "one prefix per workload, not per policy");
 
-    for (policy, (a, b)) in ALL_POLICIES.iter().zip(oracle.results.iter().zip(&cold.results)) {
+    for (policy, (a, b)) in
+        PolicyKind::PAPER_SET.iter().zip(oracle.results.iter().zip(&cold.results))
+    {
         assert_identical(a, b, &format!("{policy}: cold warm-prefix pass"));
     }
 
@@ -136,7 +123,9 @@ fn warm_prefix_sweep_is_bit_identical_for_all_ten_policies() {
     let (warm, routes, _) = routes_of(sweep);
     assert_eq!(routes, [cells, 0, 0, 0]);
 
-    for (policy, (a, b)) in ALL_POLICIES.iter().zip(oracle.results.iter().zip(&warm.results)) {
+    for (policy, (a, b)) in
+        PolicyKind::PAPER_SET.iter().zip(oracle.results.iter().zip(&warm.results))
+    {
         assert_identical(a, b, &format!("{policy}: warm overlay pass"));
     }
 
@@ -161,7 +150,7 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let _serial = counter_guard();
     let workloads = [quick_workload("warm-prefix-corrupt")];
     let config = quick_config(PolicyKind::Srrip);
-    let policies = [PolicyKind::Srrip, PolicyKind::Random, PolicyKind::Emissary];
+    let policies = [PolicyKind::Srrip, PolicyKind::Ship, PolicyKind::Emissary];
     let cells = policies.len() as u64;
     let row = policy_cells(&config, &policies);
     let oracle = policy_sweep_with(4, &workloads, &row, None);
@@ -171,9 +160,9 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
     let _ = sweep();
 
-    // Flip a byte in the middle of Random's overlay: the container
+    // Flip a byte in the middle of SHiP's overlay: the container
     // checksum rejects it at load.
-    let victim = ckpts.overlay_path(&workloads[0], &config.clone().with_policy(PolicyKind::Random));
+    let victim = ckpts.overlay_path(&workloads[0], &config.clone().with_policy(PolicyKind::Ship));
     let cold_bytes = std::fs::read(&victim).expect("the cold pass wrote it");
     corrupt::flip_middle_byte(&victim);
 
