@@ -11,6 +11,10 @@
 //! reporting) is *not* charged, making those results optimistic; and
 //! TRRIP's PTE bits are free because PBHA-style bits already exist in
 //! commercial cores.
+//!
+//! Table 4's overheads are this model's own: [`PowerModel::table4_mechanisms`]
+//! states each mechanism's bits and logic here, and no replacement policy
+//! reports its storage.
 
 use serde::{Deserialize, Serialize};
 

@@ -121,8 +121,10 @@ pub fn geomean(values: &[f64]) -> f64 {
     (log_sum / values.len() as f64).exp()
 }
 
-/// Geometric mean of `1 + x/100` minus one, in percent — the way the
-/// paper averages speedups and MPKI reductions that can be negative.
+/// Geometric mean of `1 + x/100` minus one, in percent: the mean of
+/// speedups, each a ratio `new / old` of performance, and negative ones
+/// included. A reduction is a ratio `1 − x/100` of what remains; average
+/// it with [`geomean_reduction_pct`].
 #[must_use]
 pub fn geomean_pct(percents: &[f64]) -> f64 {
     if percents.is_empty() {
@@ -130,6 +132,19 @@ pub fn geomean_pct(percents: &[f64]) -> f64 {
     }
     let log_sum: f64 = percents.iter().map(|p| (1.0 + p / 100.0).max(1e-9).ln()).sum();
     ((log_sum / percents.len() as f64).exp() - 1.0) * 100.0
+}
+
+/// One minus the geometric mean of `1 − p/100`, in percent: the mean
+/// of reductions (an MPKI reduction keeps `1 − p/100` of the misses),
+/// negative ones included. A 100 % reduction counts as keeping 10⁻⁹ of
+/// them, so the mean stays finite.
+#[must_use]
+pub fn geomean_reduction_pct(percents: &[f64]) -> f64 {
+    if percents.is_empty() {
+        return 0.0;
+    }
+    let log_sum: f64 = percents.iter().map(|p| (1.0 - p / 100.0).max(1e-9).ln()).sum();
+    (1.0 - (log_sum / percents.len() as f64).exp()) * 100.0
 }
 
 #[cfg(test)]
@@ -183,6 +198,18 @@ mod tests {
         let g = geomean_pct(&[10.0, -10.0]);
         assert!(g < 0.0 && g > -1.0, "{g}");
         assert_eq!(geomean_pct(&[]), 0.0);
+    }
+
+    #[test]
+    fn geomean_reduction_pct_averages_what_remains() {
+        // Half the misses, then all of them: sqrt(0.5) of them remain.
+        assert!((geomean_reduction_pct(&[50.0, 0.0]) - 29.289_321_881).abs() < 1e-6);
+        // 0.9 × 1.1 = 0.99 remains: a small reduction, where geomean_pct
+        // sees a small increase.
+        assert!((geomean_reduction_pct(&[10.0, -10.0]) - 0.501_256_289).abs() < 1e-6);
+        assert_eq!(geomean_reduction_pct(&[]), 0.0);
+        let all = geomean_reduction_pct(&[100.0, 20.0]);
+        assert!(all.is_finite() && all > 20.0 && all < 100.0, "{all}");
     }
 
     #[test]

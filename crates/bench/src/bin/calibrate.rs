@@ -3,7 +3,7 @@
 //! Figure 6). Not one of the paper's artifacts — a development aid for
 //! tuning `trrip-workloads::proxy` parameters.
 
-use trrip_analysis::report::geomean_pct;
+use trrip_analysis::report::{geomean_pct, geomean_reduction_pct};
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
@@ -77,6 +77,6 @@ fn run(options: &HarnessOptions) {
     println!(
         "geomean TRRIP-1 speedup: {:+.2}% (paper: +3.9)   geomean I-MPKI reduction: {:.1}% (paper: 26.5)",
         geomean_pct(&tr1_speedups),
-        geomean_pct(&tr1_reductions),
+        geomean_reduction_pct(&tr1_reductions),
     );
 }

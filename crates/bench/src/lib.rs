@@ -29,12 +29,14 @@ options:
                    keep each workload's training profile in DIR, so that
                    later runs compile from it instead of training again,
                    and the fast-forward boundary as two kinds of file —
-                   one shared prefix (the branch predictor and the
-                   walker's position) per workload, one overlay per cell
-                   (workload × swept machine) — and restore from them on
-                   later sweeps, skipping warmup; a file that is missing,
-                   damaged or of another format version is trained or
-                   warmed up again and written again
+                   one shared prefix per workload (the branch predictor,
+                   one stream view per page size — its anonymous frames
+                   and stride table — and the walker's position), one
+                   overlay per cell (workload × swept machine) — and
+                   restore from them on later sweeps, skipping warmup; a
+                   file that is missing, damaged or of another format
+                   version is trained or warmed up again and written
+                   again
   --jobs N         cap worker threads for sweeps, one-cell rows and
                    preparation (default: available parallelism); a sweep,
                    with or without a store, simulates on exactly

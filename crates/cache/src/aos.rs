@@ -39,7 +39,6 @@ impl std::fmt::Debug for AosCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("AosCache")
             .field("config", &self.config)
-            .field("policy", &self.policy.name())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }

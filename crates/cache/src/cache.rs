@@ -117,11 +117,10 @@ pub struct Cache<P = Box<dyn ReplacementPolicy>> {
     num_sets: usize,
 }
 
-impl<P: ReplacementPolicy> std::fmt::Debug for Cache<P> {
+impl<P> std::fmt::Debug for Cache<P> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cache")
             .field("config", &self.config)
-            .field("policy", &self.policy.name())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
@@ -171,12 +170,6 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// Resets statistics (e.g. after cache warm-up).
     pub fn reset_stats(&mut self) {
         self.stats = AccessStats::default();
-    }
-
-    /// The replacement policy's display name.
-    #[must_use]
-    pub fn policy_name(&self) -> &'static str {
-        self.policy.name()
     }
 
     fn set_index(&self, line: LineAddr) -> usize {

@@ -119,14 +119,6 @@ impl StridePrefetcher {
             };
         }
     }
-
-    /// Storage cost of the table in bits (for the power model): tag +
-    /// last address (truncated to 32 bits as in real tables) + stride +
-    /// confidence.
-    #[must_use]
-    pub fn storage_bits(&self) -> u64 {
-        self.entries.len() as u64 * (16 + 32 + 16 + 2)
-    }
 }
 
 impl Snapshot for StridePrefetcher {

@@ -174,7 +174,6 @@ fn drive_by_value_beside_boxed(ops: &[Op]) {
         prop_assert_eq!(apply(&mut by_value, op), apply(&mut boxed, op), "{:?}", op);
     }
     prop_assert_eq!(by_value.stats(), boxed.stats());
-    prop_assert_eq!(by_value.policy_name(), boxed.policy_name());
     let (bytes, boxed_bytes) = (snapshot_of(&by_value), snapshot_of(&boxed));
     prop_assert_eq!(&bytes, &boxed_bytes, "snapshot bytes depend on how the policy is held");
 

@@ -11,12 +11,14 @@
 //! * [`Temperature`] — the hot/warm/cold classification PGO assigns to code,
 //!   and [`TemperatureBits`] — its 2-bit encoding in implementation-defined
 //!   PTE bits (ARM PBHA-style) that travel with memory requests.
-//! * [`Rrpv`] — n-bit saturating Re-Reference Prediction Values with the
-//!   named points used by RRIP-family policies (immediate, near,
-//!   intermediate, distant).
+//! * [`Rrpv`] — 2-bit saturating Re-Reference Prediction Values, the
+//!   width the paper gives every RRIP-based policy (§4.3), with the named
+//!   points used by RRIP-family policies (immediate, near, intermediate,
+//!   distant).
 //! * [`RripTable`] — every set's RRPV registers, and [`TableSet`], one
 //!   set's row of it with the shared eviction mechanism (increment all
-//!   until a distant line is found).
+//!   until a distant line is found), and [`BrripCore`] — BRRIP's
+//!   bimodal insertion throttle.
 //! * [`TrripPolicy`] — Algorithm 1 of the paper: the insertion and update
 //!   sub-policies keyed by request temperature, in two variants.
 //! * [`classify`] — Equations 1 and 2: percentile-based hot/cold thresholds
@@ -26,10 +28,10 @@
 //! # Example
 //!
 //! ```
-//! use trrip_core::{RripTable, TrripPolicy, TrripVariant, Temperature, RrpvWidth};
+//! use trrip_core::{RripTable, TrripPolicy, TrripVariant, Temperature};
 //!
-//! let mut table = RripTable::new(2, 8, RrpvWidth::W2);
-//! let policy = TrripPolicy::new(TrripVariant::V1, RrpvWidth::W2);
+//! let mut table = RripTable::new(2, 8);
+//! let policy = TrripPolicy::new(TrripVariant::V1);
 //!
 //! // Fill a hot instruction line: TRRIP inserts it at immediate re-reference.
 //! let mut set = table.set_mut(1);
@@ -50,7 +52,7 @@ pub mod temperature;
 pub mod trrip;
 
 pub use classify::{ClassifierConfig, ProfileSummary};
-pub use rrip::{BrripCore, RripTable, SrripCore, TableSet};
-pub use rrpv::{Rrpv, RrpvWidth};
+pub use rrip::{BrripCore, RripTable, TableSet};
+pub use rrpv::Rrpv;
 pub use temperature::{Temperature, TemperatureBits};
 pub use trrip::{TrripPolicy, TrripVariant};

@@ -1,9 +1,10 @@
 //! Re-Reference Prediction Values.
 //!
-//! RRIP-family policies (Jaleel et al., ISCA 2010) attach an n-bit
+//! RRIP-family policies (Jaleel et al., ISCA 2010) attach a
 //! *Re-Reference Prediction Value* to every cache line. Lower values predict
 //! a more immediate re-reference and therefore a higher priority to stay in
-//! the cache. With the paper's 2-bit configuration the named points are:
+//! the cache. The field is 2 bits wide, the paper's configuration for every
+//! RRIP-based policy (§4.3), so the named points are:
 //!
 //! | prediction   | RRPV |
 //! |--------------|------|
@@ -16,44 +17,7 @@ use std::fmt;
 
 use serde::{Deserialize, Serialize};
 
-/// Bit-width of the RRPV field.
-///
-/// The paper models all RRIP-based policies with 2-bit RRPVs (§4.3); wider
-/// fields are provided for sensitivity studies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
-pub enum RrpvWidth {
-    /// 1-bit RRPV (NRU-equivalent: immediate / distant only).
-    W1,
-    /// 2-bit RRPV, the paper's configuration.
-    #[default]
-    W2,
-    /// 3-bit RRPV.
-    W3,
-}
-
-impl RrpvWidth {
-    /// The maximum raw value (the *distant* re-reference prediction).
-    #[must_use]
-    pub fn max_value(self) -> u8 {
-        match self {
-            RrpvWidth::W1 => 1,
-            RrpvWidth::W2 => 3,
-            RrpvWidth::W3 => 7,
-        }
-    }
-
-    /// Number of bits of per-line storage.
-    #[must_use]
-    pub fn bits(self) -> u32 {
-        match self {
-            RrpvWidth::W1 => 1,
-            RrpvWidth::W2 => 2,
-            RrpvWidth::W3 => 3,
-        }
-    }
-}
-
-/// An n-bit saturating re-reference prediction value.
+/// A 2-bit saturating re-reference prediction value.
 ///
 /// Arithmetic saturates at both ends: promoting an already-immediate line or
 /// aging an already-distant line is a no-op, exactly as in the hardware
@@ -62,21 +26,26 @@ impl RrpvWidth {
 /// # Example
 ///
 /// ```
-/// use trrip_core::{Rrpv, RrpvWidth};
+/// use trrip_core::Rrpv;
 ///
-/// let w = RrpvWidth::W2;
-/// let mut v = Rrpv::intermediate(w);
+/// let mut v = Rrpv::intermediate();
 /// assert_eq!(v.raw(), 2);
-/// v = v.aged(w);
-/// assert_eq!(v, Rrpv::distant(w));
-/// v = v.aged(w); // saturates
-/// assert_eq!(v, Rrpv::distant(w));
-/// assert_eq!(v.promoted(), Rrpv::distant(w).promoted());
+/// v = v.aged();
+/// assert_eq!(v, Rrpv::distant());
+/// v = v.aged(); // saturates
+/// assert_eq!(v, Rrpv::distant());
+/// assert_eq!(v.promoted(), Rrpv::intermediate());
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub struct Rrpv(u8);
 
 impl Rrpv {
+    /// Width of the field in bits (§4.3).
+    pub const BITS: u32 = 2;
+
+    /// The largest raw value: the *distant* prediction.
+    const MAX: u8 = (1 << Rrpv::BITS) - 1;
+
     /// The *immediate* re-reference prediction (highest keep priority).
     #[must_use]
     pub fn immediate() -> Rrpv {
@@ -92,22 +61,22 @@ impl Rrpv {
     /// The *intermediate* (a.k.a. "long") re-reference prediction:
     /// `max - 1`. SRRIP's insertion point.
     #[must_use]
-    pub fn intermediate(width: RrpvWidth) -> Rrpv {
-        Rrpv(width.max_value() - 1)
+    pub fn intermediate() -> Rrpv {
+        Rrpv(Rrpv::MAX - 1)
     }
 
     /// The *distant* re-reference prediction: the maximum value, the
     /// eviction candidate state. BRRIP's dominant insertion point.
     #[must_use]
-    pub fn distant(width: RrpvWidth) -> Rrpv {
-        Rrpv(width.max_value())
+    pub fn distant() -> Rrpv {
+        Rrpv(Rrpv::MAX)
     }
 
     /// Builds an RRPV from a raw counter value, saturating to the field
-    /// maximum for the given width.
+    /// maximum.
     #[must_use]
-    pub fn from_raw(value: u8, width: RrpvWidth) -> Rrpv {
-        Rrpv(value.min(width.max_value()))
+    pub fn from_raw(value: u8) -> Rrpv {
+        Rrpv(value.min(Rrpv::MAX))
     }
 
     /// The raw counter value.
@@ -118,8 +87,8 @@ impl Rrpv {
 
     /// Ages the line one step toward *distant*, saturating at the maximum.
     #[must_use]
-    pub fn aged(self, width: RrpvWidth) -> Rrpv {
-        Rrpv((self.0 + 1).min(width.max_value()))
+    pub fn aged(self) -> Rrpv {
+        Rrpv((self.0 + 1).min(Rrpv::MAX))
     }
 
     /// Promotes the line one step toward *immediate*, saturating at zero.
@@ -133,8 +102,8 @@ impl Rrpv {
 
     /// Whether the line is in the eviction-candidate (*distant*) state.
     #[must_use]
-    pub fn is_distant(self, width: RrpvWidth) -> bool {
-        self.0 >= width.max_value()
+    pub fn is_distant(self) -> bool {
+        self.0 >= Rrpv::MAX
     }
 
     /// Whether the line is in the *immediate* state.
@@ -156,31 +125,28 @@ mod tests {
 
     #[test]
     fn named_points_match_paper_table() {
-        let w = RrpvWidth::W2;
         assert_eq!(Rrpv::immediate().raw(), 0);
         assert_eq!(Rrpv::near().raw(), 1);
-        assert_eq!(Rrpv::intermediate(w).raw(), 2);
-        assert_eq!(Rrpv::distant(w).raw(), 3);
+        assert_eq!(Rrpv::intermediate().raw(), 2);
+        assert_eq!(Rrpv::distant().raw(), 3);
     }
 
     #[test]
     fn priority_order_immediate_over_distant() {
-        let w = RrpvWidth::W2;
         // Immediate > Near > Intermediate > Distant in keep priority,
         // i.e. ascending raw value.
         assert!(Rrpv::immediate() < Rrpv::near());
-        assert!(Rrpv::near() < Rrpv::intermediate(w));
-        assert!(Rrpv::intermediate(w) < Rrpv::distant(w));
+        assert!(Rrpv::near() < Rrpv::intermediate());
+        assert!(Rrpv::intermediate() < Rrpv::distant());
     }
 
     #[test]
     fn aging_saturates_at_distant() {
-        let w = RrpvWidth::W2;
         let mut v = Rrpv::immediate();
         for _ in 0..10 {
-            v = v.aged(w);
+            v = v.aged();
         }
-        assert_eq!(v, Rrpv::distant(w));
+        assert_eq!(v, Rrpv::distant());
     }
 
     #[test]
@@ -194,20 +160,19 @@ mod tests {
 
     #[test]
     fn from_raw_saturates_per_width() {
-        assert_eq!(Rrpv::from_raw(200, RrpvWidth::W2).raw(), 3);
-        assert_eq!(Rrpv::from_raw(200, RrpvWidth::W3).raw(), 7);
-        assert_eq!(Rrpv::from_raw(2, RrpvWidth::W1).raw(), 1);
+        assert_eq!(Rrpv::from_raw(200).raw(), 3);
+        assert_eq!(Rrpv::from_raw(2).raw(), 2);
     }
 
     #[test]
     fn widths_expose_storage_cost() {
-        assert_eq!(RrpvWidth::W2.bits(), 2);
-        assert_eq!(RrpvWidth::default(), RrpvWidth::W2);
+        assert_eq!(Rrpv::BITS, 2);
+        assert_eq!(u32::from(Rrpv::distant().raw()), (1 << Rrpv::BITS) - 1);
     }
 
     #[test]
     fn distant_checks_respect_width() {
-        assert!(Rrpv::from_raw(1, RrpvWidth::W1).is_distant(RrpvWidth::W1));
-        assert!(!Rrpv::from_raw(1, RrpvWidth::W2).is_distant(RrpvWidth::W2));
+        assert!(Rrpv::from_raw(3).is_distant());
+        assert!(!Rrpv::from_raw(2).is_distant());
     }
 }

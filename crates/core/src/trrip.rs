@@ -19,7 +19,7 @@
 use serde::{Deserialize, Serialize};
 
 use crate::rrip::TableSet;
-use crate::rrpv::{Rrpv, RrpvWidth};
+use crate::rrpv::Rrpv;
 use crate::temperature::Temperature;
 
 /// Which TRRIP variant to run (§3.4).
@@ -36,17 +36,6 @@ pub enum TrripVariant {
     V2,
 }
 
-impl TrripVariant {
-    /// Short display name matching the paper ("TRRIP-1" / "TRRIP-2").
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            TrripVariant::V1 => "TRRIP-1",
-            TrripVariant::V2 => "TRRIP-2",
-        }
-    }
-}
-
 /// The TRRIP replacement policy state machine (Algorithm 1).
 ///
 /// The policy itself is stateless beyond its configuration: temperature
@@ -56,11 +45,10 @@ impl TrripVariant {
 /// # Example
 ///
 /// ```
-/// use trrip_core::{RripTable, TrripPolicy, TrripVariant, Temperature, Rrpv, RrpvWidth};
+/// use trrip_core::{RripTable, TrripPolicy, TrripVariant, Temperature, Rrpv};
 ///
-/// let w = RrpvWidth::W2;
-/// let trrip = TrripPolicy::new(TrripVariant::V2, w);
-/// let mut table = RripTable::new(2, 8, w);
+/// let trrip = TrripPolicy::new(TrripVariant::V2);
+/// let mut table = RripTable::new(2, 8);
 /// let mut set = table.set_mut(1);
 ///
 /// let way = set.find_victim();
@@ -69,31 +57,18 @@ impl TrripVariant {
 ///
 /// trrip.on_hit(&mut set, way, Some(Temperature::Warm));
 /// assert_eq!(set.rrpv(way), Rrpv::immediate()); // single-step promotion
-/// assert_eq!(table.rrpv(0, way), Rrpv::distant(w)); // the other set is untouched
+/// assert_eq!(table.rrpv(0, way), Rrpv::distant()); // the other set is untouched
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TrripPolicy {
     variant: TrripVariant,
-    width: RrpvWidth,
 }
 
 impl TrripPolicy {
-    /// Creates a TRRIP policy of the given variant and RRPV width.
+    /// Creates a TRRIP policy of the given variant.
     #[must_use]
-    pub fn new(variant: TrripVariant, width: RrpvWidth) -> TrripPolicy {
-        TrripPolicy { variant, width }
-    }
-
-    /// The configured variant.
-    #[must_use]
-    pub fn variant(self) -> TrripVariant {
-        self.variant
-    }
-
-    /// The configured RRPV width.
-    #[must_use]
-    pub fn width(self) -> RrpvWidth {
-        self.width
+    pub fn new(variant: TrripVariant) -> TrripPolicy {
+        TrripPolicy { variant }
     }
 
     /// Cache hit: update the line's re-reference prediction
@@ -127,15 +102,13 @@ impl TrripPolicy {
             // Hot: insert at immediate to prevent premature eviction
             // (lines 16-18).
             Some(Temperature::Hot) => set.set_rrpv(way, Rrpv::immediate()),
-            // Warm: variant 2 inserts at near (lines 19-21). With a 1-bit
-            // RRPV the named points collapse (near == distant), so clamp to
-            // the intermediate insertion to keep warm above untyped lines.
+            // Warm: variant 2 inserts at near (lines 19-21).
             Some(Temperature::Warm) if self.variant == TrripVariant::V2 => {
-                set.set_rrpv(way, Rrpv::near().min(Rrpv::intermediate(self.width)));
+                set.set_rrpv(way, Rrpv::near());
             }
             // Cold, warm under variant 1, and no-temperature requests all
             // take the default SRRIP insertion (lines 22-24).
-            _ => set.set_rrpv(way, Rrpv::intermediate(self.width)),
+            _ => set.set_rrpv(way, Rrpv::intermediate()),
         }
     }
 }
@@ -147,8 +120,7 @@ mod tests {
     use crate::RripTable;
 
     fn setup(variant: TrripVariant) -> (TrripPolicy, RripTable) {
-        let w = RrpvWidth::W2;
-        (TrripPolicy::new(variant, w), two_rows(8, w))
+        (TrripPolicy::new(variant), two_rows(8))
     }
 
     #[test]
@@ -170,7 +142,7 @@ mod tests {
 
         let (p1, mut table) = setup(TrripVariant::V1);
         p1.on_fill(&mut table.set_mut(ROW), 0, Some(Temperature::Warm));
-        assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(RrpvWidth::W2));
+        assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate());
         assert_neighbour_untouched(&table);
     }
 
@@ -179,7 +151,7 @@ mod tests {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
             let (p, mut table) = setup(variant);
             p.on_fill(&mut table.set_mut(ROW), 0, Some(Temperature::Cold));
-            assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(RrpvWidth::W2), "{variant:?}");
+            assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(), "{variant:?}");
             assert_neighbour_untouched(&table);
         }
     }
@@ -189,7 +161,7 @@ mod tests {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
             let (p, mut table) = setup(variant);
             p.on_fill(&mut table.set_mut(ROW), 0, None);
-            assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(RrpvWidth::W2), "{variant:?}");
+            assert_eq!(table.rrpv(ROW, 0), Rrpv::intermediate(), "{variant:?}");
             assert_neighbour_untouched(&table);
         }
     }
@@ -198,7 +170,7 @@ mod tests {
     fn hot_hit_promotes_to_immediate() {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
             let (p, mut table) = setup(variant);
-            table.set_rrpv(ROW, 0, Rrpv::distant(RrpvWidth::W2));
+            table.set_rrpv(ROW, 0, Rrpv::distant());
             p.on_hit(&mut table.set_mut(ROW), 0, Some(Temperature::Hot));
             assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate(), "{variant:?}");
             assert_neighbour_untouched(&table);
@@ -209,7 +181,7 @@ mod tests {
     fn warm_hit_single_step_in_v2() {
         let (p, mut table) = setup(TrripVariant::V2);
         let mut set = table.set_mut(ROW);
-        set.set_rrpv(0, Rrpv::distant(RrpvWidth::W2)); // 3
+        set.set_rrpv(0, Rrpv::distant()); // 3
         p.on_hit(&mut set, 0, Some(Temperature::Warm));
         assert_eq!(set.rrpv(0).raw(), 2);
         p.on_hit(&mut set, 0, Some(Temperature::Warm));
@@ -225,7 +197,7 @@ mod tests {
     #[test]
     fn warm_hit_jumps_to_immediate_in_v1() {
         let (p, mut table) = setup(TrripVariant::V1);
-        table.set_rrpv(ROW, 0, Rrpv::distant(RrpvWidth::W2));
+        table.set_rrpv(ROW, 0, Rrpv::distant());
         p.on_hit(&mut table.set_mut(ROW), 0, Some(Temperature::Warm));
         assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate());
         assert_neighbour_untouched(&table);
@@ -235,7 +207,7 @@ mod tests {
     fn untyped_hit_is_default_promotion() {
         for variant in [TrripVariant::V1, TrripVariant::V2] {
             let (p, mut table) = setup(variant);
-            table.set_rrpv(ROW, 0, Rrpv::distant(RrpvWidth::W2));
+            table.set_rrpv(ROW, 0, Rrpv::distant());
             p.on_hit(&mut table.set_mut(ROW), 0, None);
             assert_eq!(table.rrpv(ROW, 0), Rrpv::immediate(), "{variant:?}");
             assert_neighbour_untouched(&table);
@@ -246,9 +218,8 @@ mod tests {
     fn executing_hot_line_outlives_untyped_scan() {
         // End-to-end property of Algorithm 1: a hot line that keeps being
         // executed (hit between misses) survives a scan of untyped fills.
-        let w = RrpvWidth::W2;
-        let p = TrripPolicy::new(TrripVariant::V1, w);
-        let mut table = two_rows(4, w);
+        let p = TrripPolicy::new(TrripVariant::V1);
+        let mut table = two_rows(4);
         let mut set = table.set_mut(ROW);
 
         let hot_way = set.find_victim();
@@ -267,10 +238,9 @@ mod tests {
     fn idle_hot_line_survives_longer_than_untyped() {
         // Without any hits, a hot insertion (immediate) still survives
         // strictly more scan fills than an untyped insertion (intermediate).
-        let w = RrpvWidth::W2;
-        let p = TrripPolicy::new(TrripVariant::V1, w);
+        let p = TrripPolicy::new(TrripVariant::V1);
         let survive = |temp: Option<Temperature>| {
-            let mut table = two_rows(4, w);
+            let mut table = two_rows(4);
             let mut set = table.set_mut(ROW);
             let way = set.find_victim();
             p.on_fill(&mut set, way, temp);
@@ -290,11 +260,5 @@ mod tests {
             survive(Some(Temperature::Hot)) > survive(None),
             "hot insertion should outlast untyped insertion under a scan"
         );
-    }
-
-    #[test]
-    fn variant_names_match_paper() {
-        assert_eq!(TrripVariant::V1.name(), "TRRIP-1");
-        assert_eq!(TrripVariant::V2.name(), "TRRIP-2");
     }
 }

@@ -3,8 +3,8 @@
 use proptest::prelude::*;
 
 use trrip_core::{
-    ClassifierConfig, ProfileSummary, RripTable, Rrpv, RrpvWidth, SrripCore, Temperature,
-    TemperatureBits, TrripPolicy, TrripVariant,
+    ClassifierConfig, ProfileSummary, RripTable, Rrpv, Temperature, TemperatureBits, TrripPolicy,
+    TrripVariant,
 };
 
 /// The row the properties drive; row 0 is the neighbour that must not move.
@@ -12,26 +12,22 @@ const ROW: usize = 1;
 
 /// What row 0 holds: a pattern that aging, promotion or a fill would each
 /// disturb.
-fn neighbour(way: usize, width: RrpvWidth) -> Rrpv {
-    Rrpv::from_raw((way % 2) as u8, width)
+fn neighbour(way: usize) -> Rrpv {
+    Rrpv::from_raw((way % 2) as u8)
 }
 
 /// A two-row table: the mechanisms run on row [`ROW`] and row 0 must come
 /// out as it went in.
-fn two_rows(ways: usize, width: RrpvWidth) -> RripTable {
-    let mut table = RripTable::new(2, ways, width);
+fn two_rows(ways: usize) -> RripTable {
+    let mut table = RripTable::new(2, ways);
     for way in 0..ways {
-        table.set_rrpv(0, way, neighbour(way, width));
+        table.set_rrpv(0, way, neighbour(way));
     }
     table
 }
 
 fn neighbour_untouched(table: &RripTable) -> bool {
-    (0..table.ways()).all(|way| table.rrpv(0, way) == neighbour(way, table.width()))
-}
-
-fn arb_width() -> impl Strategy<Value = RrpvWidth> {
-    prop_oneof![Just(RrpvWidth::W1), Just(RrpvWidth::W2), Just(RrpvWidth::W3)]
+    (0..table.ways()).all(|way| table.rrpv(0, way) == neighbour(way))
 }
 
 fn arb_temperature() -> impl Strategy<Value = Option<Temperature>> {
@@ -44,17 +40,17 @@ fn arb_temperature() -> impl Strategy<Value = Option<Temperature>> {
 }
 
 proptest! {
-    /// RRPVs never escape the configured field width under any op sequence.
+    /// RRPVs never escape the 2-bit field under any op sequence.
     #[test]
-    fn rrpv_stays_in_field(width in arb_width(), ops in prop::collection::vec(0u8..3, 0..64)) {
+    fn rrpv_stays_in_field(ops in prop::collection::vec(0u8..3, 0..64)) {
         let mut v = Rrpv::immediate();
         for op in ops {
             v = match op {
-                0 => v.aged(width),
+                0 => v.aged(),
                 1 => v.promoted(),
-                _ => Rrpv::intermediate(width),
+                _ => Rrpv::intermediate(),
             };
-            prop_assert!(v.raw() <= width.max_value());
+            prop_assert!(v <= Rrpv::distant());
         }
     }
 
@@ -68,46 +64,44 @@ proptest! {
     /// find_victim always returns a distant line and terminates.
     #[test]
     fn victim_is_always_distant(
-        width in arb_width(),
         ways in 1usize..16,
         seeds in prop::collection::vec(0u8..8, 1..16),
     ) {
-        let mut table = two_rows(ways, width);
+        let mut table = two_rows(ways);
         for (way, seed) in seeds.iter().enumerate().take(ways) {
-            table.set_rrpv(ROW, way, Rrpv::from_raw(*seed, width));
+            table.set_rrpv(ROW, way, Rrpv::from_raw(*seed));
         }
         let victim = table.set_mut(ROW).find_victim();
         prop_assert!(victim < ways);
-        prop_assert!(table.rrpv(ROW, victim).is_distant(width));
+        prop_assert!(table.rrpv(ROW, victim).is_distant());
         prop_assert!(neighbour_untouched(&table));
     }
 
     /// Aging preserves the relative order of lines in a set: if a < b
     /// before a global age step, then a <= b after.
     #[test]
-    fn aging_preserves_order(width in arb_width(), a in 0u8..8, b in 0u8..8) {
-        let ra = Rrpv::from_raw(a, width);
-        let rb = Rrpv::from_raw(b, width);
+    fn aging_preserves_order(a in 0u8..8, b in 0u8..8) {
+        let ra = Rrpv::from_raw(a);
+        let rb = Rrpv::from_raw(b);
         prop_assume!(ra < rb);
-        prop_assert!(ra.aged(width) <= rb.aged(width));
+        prop_assert!(ra.aged() <= rb.aged());
     }
 
-    /// Fills and hits with any temperature keep RRPVs inside the
-    /// configured field width, for both TRRIP variants.
+    /// Fills and hits with any temperature keep RRPVs inside the 2-bit
+    /// field, for both TRRIP variants.
     #[test]
     fn trrip_ops_stay_in_field(
         variant in prop_oneof![Just(TrripVariant::V1), Just(TrripVariant::V2)],
-        width in arb_width(),
         ops in prop::collection::vec((0u8..2, 0usize..4, arb_temperature()), 0..64),
     ) {
-        let policy = TrripPolicy::new(variant, width);
-        let mut table = two_rows(4, width);
+        let policy = TrripPolicy::new(variant);
+        let mut table = two_rows(4);
         for (op, way, temp) in ops {
             match op {
                 0 => policy.on_fill(&mut table.set_mut(ROW), way, temp),
                 _ => policy.on_hit(&mut table.set_mut(ROW), way, temp),
             }
-            prop_assert!(table.rrpv(ROW, way).raw() <= width.max_value());
+            prop_assert!(table.rrpv(ROW, way) <= Rrpv::distant());
         }
         prop_assert!(neighbour_untouched(&table));
     }
@@ -118,11 +112,10 @@ proptest! {
     #[test]
     fn trrip_insertion_monotone_in_temperature(
         variant in prop_oneof![Just(TrripVariant::V1), Just(TrripVariant::V2)],
-        width in arb_width(),
     ) {
-        let policy = TrripPolicy::new(variant, width);
+        let policy = TrripPolicy::new(variant);
         let rrpv_for = |t: Option<Temperature>| {
-            let mut table = two_rows(4, width);
+            let mut table = two_rows(4);
             policy.on_fill(&mut table.set_mut(ROW), 0, t);
             assert!(neighbour_untouched(&table));
             table.rrpv(ROW, 0)
@@ -136,26 +129,23 @@ proptest! {
         prop_assert_eq!(cold, none);
     }
 
-    /// TRRIP with no temperature information is exactly SRRIP for any
-    /// interleaving of fills and hits.
+    /// TRRIP with no temperature information is exactly SRRIP (fill at
+    /// intermediate, hit to immediate) for any interleaving of fills and
+    /// hits.
     #[test]
-    fn untyped_trrip_equals_srrip(
-        width in arb_width(),
-        ops in prop::collection::vec((0u8..2, 0usize..8), 0..64),
-    ) {
-        let trrip = TrripPolicy::new(TrripVariant::V2, width);
-        let srrip = SrripCore::new(width);
-        let mut table_t = two_rows(8, width);
-        let mut table_s = two_rows(8, width);
+    fn untyped_trrip_equals_srrip(ops in prop::collection::vec((0u8..2, 0usize..8), 0..64)) {
+        let trrip = TrripPolicy::new(TrripVariant::V2);
+        let mut table_t = two_rows(8);
+        let mut table_s = two_rows(8);
         for (op, way) in ops {
             match op {
                 0 => {
                     trrip.on_fill(&mut table_t.set_mut(ROW), way, None);
-                    srrip.on_fill(&mut table_s.set_mut(ROW), way);
+                    table_s.set_rrpv(ROW, way, Rrpv::intermediate());
                 }
                 _ => {
                     trrip.on_hit(&mut table_t.set_mut(ROW), way, None);
-                    srrip.on_hit(&mut table_s.set_mut(ROW), way);
+                    table_s.set_rrpv(ROW, way, Rrpv::immediate());
                 }
             }
             // Both rows: equal tables means equal neighbours too.

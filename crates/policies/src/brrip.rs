@@ -1,6 +1,6 @@
 //! BRRIP — Bimodal Re-Reference Interval Prediction.
 
-use trrip_core::{BrripCore, RripTable, RrpvWidth};
+use trrip_core::{BrripCore, RripTable, Rrpv};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::{ReplacementPolicy, RequestInfo};
@@ -16,29 +16,24 @@ use crate::{ReplacementPolicy, RequestInfo};
 pub struct Brrip {
     sets: RripTable,
     core: BrripCore,
-    width: RrpvWidth,
 }
 
 impl Brrip {
-    /// Creates BRRIP state for a `sets × ways` cache with the default
-    /// 1/32 insertion throttle.
+    /// Creates BRRIP state for a `sets × ways` cache with the 1/32
+    /// insertion throttle.
     ///
     /// # Panics
     ///
     /// Panics if `sets` or `ways` is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, width: RrpvWidth) -> Brrip {
-        Brrip { sets: RripTable::new(sets, ways, width), core: BrripCore::new(width), width }
+    pub fn new(sets: usize, ways: usize) -> Brrip {
+        Brrip { sets: RripTable::new(sets, ways), core: BrripCore::default() }
     }
 }
 
 impl ReplacementPolicy for Brrip {
-    fn name(&self) -> &'static str {
-        "BRRIP"
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
-        self.core.on_hit(&mut self.sets.set_mut(set), way);
+        self.sets.set_rrpv(set, way, Rrpv::immediate());
     }
 
     fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
@@ -51,10 +46,6 @@ impl ReplacementPolicy for Brrip {
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.sets.set_mut(set).invalidate(way);
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        self.width.bits()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -71,17 +62,15 @@ impl ReplacementPolicy for Brrip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trrip_core::Rrpv;
 
     #[test]
     fn most_fills_are_distant() {
-        let w = RrpvWidth::W2;
-        let mut p = Brrip::new(1, 1, w);
+        let mut p = Brrip::new(1, 1);
         let req = RequestInfo::ifetch(0);
         let mut distant = 0;
         for _ in 0..64 {
             p.on_fill(0, 0, &req);
-            if p.sets.rrpv(0, 0) == Rrpv::distant(w) {
+            if p.sets.rrpv(0, 0) == Rrpv::distant() {
                 distant += 1;
             }
         }
@@ -90,8 +79,7 @@ mod tests {
 
     #[test]
     fn freshly_inserted_distant_line_is_first_victim() {
-        let w = RrpvWidth::W2;
-        let mut p = Brrip::new(1, 4, w);
+        let mut p = Brrip::new(1, 4);
         let req = RequestInfo::ifetch(0);
         // Fill ways 0..3, hit 0..2 so they're immediate; way 3 stays distant.
         for way in 0..4 {

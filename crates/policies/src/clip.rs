@@ -11,7 +11,7 @@
 //! that treating every instruction line as hot (`percentile_hot = 100%`)
 //! behaves like CLIP and gives up most of the selective-priority benefit.
 
-use trrip_core::{RripTable, Rrpv, RrpvWidth, SrripCore};
+use trrip_core::{RripTable, Rrpv};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::dueling::{DuelChoice, SetDueling};
@@ -22,9 +22,7 @@ use crate::{ReplacementPolicy, RequestInfo};
 #[derive(Debug, Clone)]
 pub struct Clip {
     sets: RripTable,
-    core: SrripCore,
     dueling: SetDueling,
-    width: RrpvWidth,
 }
 
 impl Clip {
@@ -35,13 +33,8 @@ impl Clip {
     ///
     /// Panics if `sets` or `ways` is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, width: RrpvWidth) -> Clip {
-        Clip {
-            sets: RripTable::new(sets, ways, width),
-            core: SrripCore::new(width),
-            dueling: SetDueling::paper_defaults(sets),
-            width,
-        }
+    pub fn new(sets: usize, ways: usize) -> Clip {
+        Clip { sets: RripTable::new(sets, ways), dueling: SetDueling::paper_defaults(sets) }
     }
 
     /// Which CLIP variant currently governs a set (A = promote data on
@@ -53,18 +46,14 @@ impl Clip {
 }
 
 impl ReplacementPolicy for Clip {
-    fn name(&self) -> &'static str {
-        "CLIP"
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
         if req.kind.is_instruction() {
-            self.core.on_hit(&mut self.sets.set_mut(set), way);
+            self.sets.set_rrpv(set, way, Rrpv::immediate());
             return;
         }
         match self.dueling.choice_for_set(set) {
             // Variant A: default promotion for data lines.
-            DuelChoice::A => self.core.on_hit(&mut self.sets.set_mut(set), way),
+            DuelChoice::A => self.sets.set_rrpv(set, way, Rrpv::immediate()),
             // Variant B: data lines never reach immediate; step up by one.
             DuelChoice::B => {
                 let stepped = self.sets.rrpv(set, way).promoted();
@@ -84,20 +73,12 @@ impl ReplacementPolicy for Clip {
             // Code Line Preservation: instructions insert at immediate.
             self.sets.set_rrpv(set, way, Rrpv::immediate());
         } else {
-            self.core.on_fill(&mut self.sets.set_mut(set), way);
+            self.sets.set_rrpv(set, way, Rrpv::intermediate());
         }
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.sets.set_mut(set).invalidate(way);
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        self.width.bits()
-    }
-
-    fn extra_storage_bits(&self) -> u64 {
-        self.dueling.storage_bits()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -117,7 +98,7 @@ mod tests {
 
     #[test]
     fn instruction_fills_insert_immediate() {
-        let mut p = Clip::new(64, 8, RrpvWidth::W2);
+        let mut p = Clip::new(64, 8);
         let req = RequestInfo::ifetch(0x40);
         p.on_fill(1, 0, &req);
         assert_eq!(p.sets.rrpv(1, 0), Rrpv::immediate());
@@ -125,15 +106,15 @@ mod tests {
 
     #[test]
     fn data_fills_insert_intermediate() {
-        let mut p = Clip::new(64, 8, RrpvWidth::W2);
+        let mut p = Clip::new(64, 8);
         let req = RequestInfo::data_load(0x40);
         p.on_fill(1, 0, &req);
-        assert_eq!(p.sets.rrpv(1, 0), Rrpv::intermediate(RrpvWidth::W2));
+        assert_eq!(p.sets.rrpv(1, 0), Rrpv::intermediate());
     }
 
     #[test]
     fn variant_b_caps_data_promotion_at_near() {
-        let mut p = Clip::new(64, 8, RrpvWidth::W2);
+        let mut p = Clip::new(64, 8);
         let req = RequestInfo::data_load(0x40);
         // Find a B-leader set (stride = 64/32 = 2, half = 1 → odd sets).
         let b_set = (0..64)
@@ -148,7 +129,7 @@ mod tests {
 
     #[test]
     fn variant_a_promotes_data_to_immediate() {
-        let mut p = Clip::new(64, 8, RrpvWidth::W2);
+        let mut p = Clip::new(64, 8);
         let req = RequestInfo::data_load(0x40);
         let a_set = 0; // set 0 is always an A leader
         p.on_fill(a_set, 0, &req);
@@ -158,11 +139,11 @@ mod tests {
 
     #[test]
     fn instruction_hits_promote_to_immediate_in_both_variants() {
-        let mut p = Clip::new(64, 8, RrpvWidth::W2);
+        let mut p = Clip::new(64, 8);
         let req = RequestInfo::ifetch(0x40);
         for set in [0usize, 1] {
             p.on_fill(set, 0, &req);
-            p.sets.set_rrpv(set, 0, Rrpv::distant(RrpvWidth::W2));
+            p.sets.set_rrpv(set, 0, Rrpv::distant());
             p.on_hit(set, 0, &req);
             assert_eq!(p.sets.rrpv(set, 0), Rrpv::immediate());
         }

@@ -1,6 +1,6 @@
 //! DRRIP — Dynamic RRIP via SRRIP/BRRIP set-dueling.
 
-use trrip_core::{BrripCore, RripTable, RrpvWidth, SrripCore};
+use trrip_core::{BrripCore, RripTable, Rrpv};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::dueling::{DuelChoice, SetDueling};
@@ -15,10 +15,8 @@ use crate::{ReplacementPolicy, RequestInfo};
 #[derive(Debug, Clone)]
 pub struct Drrip {
     sets: RripTable,
-    srrip: SrripCore,
     brrip: BrripCore,
     dueling: SetDueling,
-    width: RrpvWidth,
 }
 
 impl Drrip {
@@ -28,13 +26,11 @@ impl Drrip {
     ///
     /// Panics if `sets` or `ways` is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, width: RrpvWidth) -> Drrip {
+    pub fn new(sets: usize, ways: usize) -> Drrip {
         Drrip {
-            sets: RripTable::new(sets, ways, width),
-            srrip: SrripCore::new(width),
-            brrip: BrripCore::new(width),
+            sets: RripTable::new(sets, ways),
+            brrip: BrripCore::default(),
             dueling: SetDueling::paper_defaults(sets),
-            width,
         }
     }
 
@@ -46,13 +42,9 @@ impl Drrip {
 }
 
 impl ReplacementPolicy for Drrip {
-    fn name(&self) -> &'static str {
-        "DRRIP"
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
         // Both policies promote identically on hit.
-        self.srrip.on_hit(&mut self.sets.set_mut(set), way);
+        self.sets.set_rrpv(set, way, Rrpv::immediate());
     }
 
     fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
@@ -62,21 +54,13 @@ impl ReplacementPolicy for Drrip {
 
     fn on_fill(&mut self, set: usize, way: usize, _req: &RequestInfo) {
         match self.dueling.choice_for_set(set) {
-            DuelChoice::A => self.srrip.on_fill(&mut self.sets.set_mut(set), way),
+            DuelChoice::A => self.sets.set_rrpv(set, way, Rrpv::intermediate()),
             DuelChoice::B => self.brrip.on_fill(&mut self.sets.set_mut(set), way),
         }
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.sets.set_mut(set).invalidate(way);
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        self.width.bits()
-    }
-
-    fn extra_storage_bits(&self) -> u64 {
-        self.dueling.storage_bits()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -95,23 +79,21 @@ impl ReplacementPolicy for Drrip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trrip_core::Rrpv;
 
     #[test]
     fn leader_sets_use_their_policy() {
-        let w = RrpvWidth::W2;
-        let mut p = Drrip::new(256, 8, w);
+        let mut p = Drrip::new(256, 8);
         let req = RequestInfo::ifetch(0);
         // Set 0 is an A (SRRIP) leader with stride 8.
         assert_eq!(p.policy_for_set(0), DuelChoice::A);
         p.on_fill(0, 0, &req);
-        assert_eq!(p.sets.rrpv(0, 0), Rrpv::intermediate(w));
+        assert_eq!(p.sets.rrpv(0, 0), Rrpv::intermediate());
         // Set 4 is a B (BRRIP) leader: most fills distant.
         assert_eq!(p.policy_for_set(4), DuelChoice::B);
         let mut distant = 0;
         for _ in 0..31 {
             p.on_fill(4, 1, &req);
-            if p.sets.rrpv(4, 1) == Rrpv::distant(w) {
+            if p.sets.rrpv(4, 1) == Rrpv::distant() {
                 distant += 1;
             }
         }
@@ -120,8 +102,7 @@ mod tests {
 
     #[test]
     fn follower_switches_with_psel() {
-        let w = RrpvWidth::W2;
-        let mut p = Drrip::new(256, 8, w);
+        let mut p = Drrip::new(256, 8);
         let req = RequestInfo::ifetch(0);
         assert_eq!(p.policy_for_set(1), DuelChoice::A);
         // Hammer misses into A-leader sets only.
@@ -133,7 +114,12 @@ mod tests {
 
     #[test]
     fn psel_storage_reported() {
-        let p = Drrip::new(256, 8, RrpvWidth::W2);
-        assert_eq!(p.extra_storage_bits(), 10);
+        // The paper's 10-bit PSEL: it saturates at 2^10 - 1.
+        let mut p = Drrip::new(256, 8);
+        let req = RequestInfo::ifetch(0);
+        for _ in 0..2000 {
+            let _ = p.choose_victim(0, &req);
+        }
+        assert_eq!(p.dueling.psel(), (1 << 10) - 1);
     }
 }

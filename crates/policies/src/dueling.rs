@@ -131,12 +131,6 @@ impl SetDueling {
     pub fn psel(&self) -> u32 {
         self.psel
     }
-
-    /// Storage cost of the PSEL counter in bits.
-    #[must_use]
-    pub fn storage_bits(&self) -> u64 {
-        u64::from(32 - self.psel_max.leading_zeros())
-    }
 }
 
 impl Snapshot for SetDueling {

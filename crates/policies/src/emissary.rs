@@ -61,10 +61,6 @@ impl Emissary {
 }
 
 impl ReplacementPolicy for Emissary {
-    fn name(&self) -> &'static str {
-        "EMISSARY"
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
         self.lru.on_hit(set, way, req);
         if req.kind.is_instruction() && req.caused_starvation {
@@ -95,12 +91,6 @@ impl ReplacementPolicy for Emissary {
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.lru.on_invalidate(set, way);
         self.priority[set * self.ways + way] = false;
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        // The priority bit, plus the underlying LRU rank state. The
-        // Emissary paper counts 2 bits per line across L1/L2.
-        1 + self.lru.per_line_overhead_bits()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {

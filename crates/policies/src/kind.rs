@@ -3,7 +3,7 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use trrip_core::{RrpvWidth, TrripVariant};
+use trrip_core::TrripVariant;
 
 use crate::{Brrip, Clip, Drrip, Emissary, Lru, ReplacementPolicy, Ship, ShipConfig, Srrip, Trrip};
 
@@ -69,17 +69,16 @@ impl PolicyKind {
     /// table, 4-of-8 Emissary reservation).
     #[must_use]
     pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
-        let width = RrpvWidth::W2;
         match self {
             PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways, width)),
-            PolicyKind::Brrip => Box::new(Brrip::new(sets, ways, width)),
-            PolicyKind::Drrip => Box::new(Drrip::new(sets, ways, width)),
-            PolicyKind::Ship => Box::new(Ship::new(sets, ways, width, ShipConfig::paper_64kb())),
-            PolicyKind::Clip => Box::new(Clip::new(sets, ways, width)),
+            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
+            PolicyKind::Brrip => Box::new(Brrip::new(sets, ways)),
+            PolicyKind::Drrip => Box::new(Drrip::new(sets, ways)),
+            PolicyKind::Ship => Box::new(Ship::new(sets, ways, ShipConfig::paper_64kb())),
+            PolicyKind::Clip => Box::new(Clip::new(sets, ways)),
             PolicyKind::Emissary => Box::new(Emissary::paper_defaults(sets, ways)),
-            PolicyKind::Trrip1 => Box::new(Trrip::new(sets, ways, TrripVariant::V1, width)),
-            PolicyKind::Trrip2 => Box::new(Trrip::new(sets, ways, TrripVariant::V2, width)),
+            PolicyKind::Trrip1 => Box::new(Trrip::new(sets, ways, TrripVariant::V1)),
+            PolicyKind::Trrip2 => Box::new(Trrip::new(sets, ways, TrripVariant::V2)),
         }
     }
 }
@@ -100,7 +99,6 @@ mod tests {
         let req = RequestInfo::ifetch(0x1000);
         for kind in PolicyKind::PAPER_SET {
             let mut p = kind.build(64, 8);
-            assert_eq!(p.name(), kind.name());
             let v = p.choose_victim(3, &req);
             assert!(v < 8, "{kind}: victim out of range");
             p.on_fill(3, v, &req);
@@ -108,17 +106,5 @@ mod tests {
             p.on_evict(3, v);
             p.on_invalidate(3, v);
         }
-    }
-
-    #[test]
-    fn only_trrip_and_clip_add_no_storage() {
-        // Table 4's qualitative claim: TRRIP/CLIP ≈ baseline, SHiP adds a
-        // large table.
-        let srrip = PolicyKind::Srrip.build(256, 8);
-        let trrip = PolicyKind::Trrip1.build(256, 8);
-        let ship = PolicyKind::Ship.build(256, 8);
-        assert_eq!(trrip.per_line_overhead_bits(), srrip.per_line_overhead_bits());
-        assert_eq!(trrip.extra_storage_bits(), 0);
-        assert!(ship.extra_storage_bits() >= 64 * 1024 * 8);
     }
 }

@@ -63,9 +63,6 @@ pub use trrip::Trrip;
 /// cache whose policy is fixed holds the concrete type and pays no
 /// dispatch.
 pub trait ReplacementPolicy: Send {
-    /// Human-readable policy name as used in the paper's figures.
-    fn name(&self) -> &'static str;
-
     /// A line at `(set, way)` was hit by `req`: update its priority.
     fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo);
 
@@ -87,16 +84,6 @@ pub trait ReplacementPolicy: Send {
     /// back-invalidation): forget its metadata.
     fn on_invalidate(&mut self, set: usize, way: usize) {
         let _ = (set, way);
-    }
-
-    /// Metadata bits the policy stores **per cache line** (RRPV bits, LRU
-    /// rank, priority bits…). Feeds the Table 4 power/area model.
-    fn per_line_overhead_bits(&self) -> u32;
-
-    /// Dedicated storage outside the line metadata, in bits (e.g. SHiP's
-    /// signature counter table, PSEL counters).
-    fn extra_storage_bits(&self) -> u64 {
-        0
     }
 
     /// Appends the policy's architectural state (RRPV arrays, LRU
@@ -122,10 +109,6 @@ pub trait ReplacementPolicy: Send {
 /// policy it holds, with the run-time-chosen `Box<dyn ReplacementPolicy>`
 /// as one instance beside the concrete ones.
 impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
-    fn name(&self) -> &'static str {
-        (**self).name()
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
         (**self).on_hit(set, way, req);
     }
@@ -144,14 +127,6 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         (**self).on_invalidate(set, way);
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        (**self).per_line_overhead_bits()
-    }
-
-    fn extra_storage_bits(&self) -> u64 {
-        (**self).extra_storage_bits()
     }
 
     fn save_state(&self, w: &mut trrip_snap::SnapWriter) {

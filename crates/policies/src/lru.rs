@@ -71,10 +71,6 @@ impl Lru {
 }
 
 impl ReplacementPolicy for Lru {
-    fn name(&self) -> &'static str {
-        "LRU"
-    }
-
     #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
         self.touch(set, way);
@@ -92,12 +88,6 @@ impl ReplacementPolicy for Lru {
     fn on_invalidate(&mut self, set: usize, way: usize) {
         // Oldest possible stamp: the way becomes the preferred victim.
         self.stamps[set * self.ways + way] = 0;
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        // True LRU needs log2(ways!) bits; the common hardware estimate is
-        // log2(ways) bits per line of rank state.
-        (usize::BITS - (self.ways - 1).leading_zeros()).max(1)
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -163,12 +153,5 @@ mod tests {
         }
         lru.on_invalidate(0, 3);
         assert_eq!(lru.choose_victim(0, &req), 3);
-    }
-
-    #[test]
-    fn overhead_grows_with_associativity() {
-        assert_eq!(Lru::new(1, 4).per_line_overhead_bits(), 2);
-        assert_eq!(Lru::new(1, 8).per_line_overhead_bits(), 3);
-        assert_eq!(Lru::new(1, 16).per_line_overhead_bits(), 4);
     }
 }

@@ -10,7 +10,7 @@
 //! predicted dead-on-arrival and inserted at *distant*.
 
 use serde::{Deserialize, Serialize};
-use trrip_core::{RripTable, Rrpv, RrpvWidth, SrripCore};
+use trrip_core::{RripTable, Rrpv};
 use trrip_mem::VirtAddr;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
@@ -66,9 +66,7 @@ pub struct Ship {
     sets: RripTable,
     meta: Vec<LineMeta>,
     shct: Vec<u8>,
-    core: SrripCore,
     config: ShipConfig,
-    width: RrpvWidth,
     ways: usize,
     escape_counter: u32,
 }
@@ -81,19 +79,17 @@ impl Ship {
     /// Panics if `sets`/`ways` is zero or `shct_entries` is not a power
     /// of two.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, width: RrpvWidth, config: ShipConfig) -> Ship {
+    pub fn new(sets: usize, ways: usize, config: ShipConfig) -> Ship {
         assert!(sets > 0, "cache must have at least one set");
         assert!(config.shct_entries.is_power_of_two(), "SHCT entry count must be a power of two");
         let counter_max = (1u8 << config.counter_bits) - 1;
         Ship {
-            sets: RripTable::new(sets, ways, width),
+            sets: RripTable::new(sets, ways),
             meta: vec![LineMeta::default(); sets * ways],
             // Counters start weakly re-referenced so cold-start fills are
             // not all predicted dead.
             shct: vec![counter_max / 2 + 1; config.shct_entries],
-            core: SrripCore::new(width),
             config,
-            width,
             ways,
             escape_counter: 0,
         }
@@ -123,10 +119,6 @@ impl Ship {
 }
 
 impl ReplacementPolicy for Ship {
-    fn name(&self) -> &'static str {
-        "SHiP"
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
         let idx = set * self.ways + way;
         let meta = self.meta[idx];
@@ -135,7 +127,7 @@ impl ReplacementPolicy for Ship {
             self.shct[e] = (self.shct[e] + 1).min(self.counter_max());
             self.meta[idx].outcome = true;
         }
-        self.core.on_hit(&mut self.sets.set_mut(set), way);
+        self.sets.set_rrpv(set, way, Rrpv::immediate());
     }
 
     fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
@@ -164,33 +156,22 @@ impl ReplacementPolicy for Ship {
                 // re-prove itself (otherwise a dead prediction is sticky:
                 // distant lines evict unreferenced and re-train to dead).
                 self.escape_counter = (self.escape_counter + 1) % 32;
-                if self.escape_counter == 0 {
-                    self.core.on_fill(&mut self.sets.set_mut(set), way);
-                } else {
-                    self.sets.set_rrpv(set, way, Rrpv::distant(self.width));
-                }
+                let rrpv =
+                    if self.escape_counter == 0 { Rrpv::intermediate() } else { Rrpv::distant() };
+                self.sets.set_rrpv(set, way, rrpv);
             } else {
-                self.core.on_fill(&mut self.sets.set_mut(set), way);
+                self.sets.set_rrpv(set, way, Rrpv::intermediate());
             }
         } else {
             // Data lines: plain SRRIP, no tracking.
             self.meta[idx] = LineMeta::default();
-            self.core.on_fill(&mut self.sets.set_mut(set), way);
+            self.sets.set_rrpv(set, way, Rrpv::intermediate());
         }
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.meta[set * self.ways + way] = LineMeta::default();
         self.sets.set_mut(set).invalidate(way);
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        // RRPV + stored signature + outcome bit.
-        self.width.bits() + self.config.signature_bits + 1
-    }
-
-    fn extra_storage_bits(&self) -> u64 {
-        self.config.table_bits()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -238,7 +219,7 @@ mod tests {
     use super::*;
 
     fn ship() -> Ship {
-        Ship::new(4, 4, RrpvWidth::W2, ShipConfig::tiny())
+        Ship::new(4, 4, ShipConfig::tiny())
     }
 
     #[test]
@@ -253,7 +234,7 @@ mod tests {
         }
         assert_eq!(p.counter_for_pc(req.pc), 0);
         p.on_fill(0, 0, &req);
-        assert_eq!(p.sets.rrpv(0, 0), Rrpv::distant(RrpvWidth::W2));
+        assert_eq!(p.sets.rrpv(0, 0), Rrpv::distant());
     }
 
     #[test]
@@ -271,7 +252,7 @@ mod tests {
         assert_eq!(p.counter_for_pc(req.pc), 1);
         p.on_evict(0, 0);
         p.on_fill(0, 0, &req);
-        assert_eq!(p.sets.rrpv(0, 0), Rrpv::intermediate(RrpvWidth::W2));
+        assert_eq!(p.sets.rrpv(0, 0), Rrpv::intermediate());
     }
 
     #[test]
@@ -292,7 +273,7 @@ mod tests {
         let req = RequestInfo::data_load(0x9000);
         let before = p.counter_for_pc(req.pc);
         p.on_fill(0, 1, &req);
-        assert_eq!(p.sets.rrpv(0, 1), Rrpv::intermediate(RrpvWidth::W2));
+        assert_eq!(p.sets.rrpv(0, 1), Rrpv::intermediate());
         p.on_evict(0, 1);
         // Dead data eviction must not train the SHCT.
         assert_eq!(p.counter_for_pc(req.pc), before);

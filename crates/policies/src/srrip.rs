@@ -1,22 +1,23 @@
 //! SRRIP — Static Re-Reference Interval Prediction (the paper's baseline).
 
-use trrip_core::{RripTable, RrpvWidth, SrripCore};
+use trrip_core::{RripTable, Rrpv};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::{ReplacementPolicy, RequestInfo};
 
 /// SRRIP with hit-priority promotion over per-set RRPV arrays.
 ///
-/// All speedups in the paper (Figure 6, Table 3) are normalized to this
+/// *Scan-resistant*: new lines are pessimistically inserted at
+/// *intermediate* re-reference; only an actual hit promotes a line to
+/// *immediate*. All speedups in the paper (Figure 6, Table 3) are normalized to this
 /// policy running on the L2.
 ///
 /// # Example
 ///
 /// ```
 /// use trrip_policies::{Srrip, ReplacementPolicy, RequestInfo};
-/// use trrip_core::RrpvWidth;
 ///
-/// let mut srrip = Srrip::new(16, 8, RrpvWidth::W2);
+/// let mut srrip = Srrip::new(16, 8);
 /// let req = RequestInfo::ifetch(0x40);
 /// let victim = srrip.choose_victim(0, &req);
 /// srrip.on_fill(0, victim, &req);
@@ -24,8 +25,6 @@ use crate::{ReplacementPolicy, RequestInfo};
 #[derive(Debug, Clone)]
 pub struct Srrip {
     sets: RripTable,
-    core: SrripCore,
-    width: RrpvWidth,
 }
 
 impl Srrip {
@@ -35,18 +34,14 @@ impl Srrip {
     ///
     /// Panics if `sets` or `ways` is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, width: RrpvWidth) -> Srrip {
-        Srrip { sets: RripTable::new(sets, ways, width), core: SrripCore::new(width), width }
+    pub fn new(sets: usize, ways: usize) -> Srrip {
+        Srrip { sets: RripTable::new(sets, ways) }
     }
 }
 
 impl ReplacementPolicy for Srrip {
-    fn name(&self) -> &'static str {
-        "SRRIP"
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
-        self.core.on_hit(&mut self.sets.set_mut(set), way);
+        self.sets.set_rrpv(set, way, Rrpv::immediate());
     }
 
     fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
@@ -54,15 +49,11 @@ impl ReplacementPolicy for Srrip {
     }
 
     fn on_fill(&mut self, set: usize, way: usize, _req: &RequestInfo) {
-        self.core.on_fill(&mut self.sets.set_mut(set), way);
+        self.sets.set_rrpv(set, way, Rrpv::intermediate());
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.sets.set_mut(set).invalidate(way);
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        self.width.bits()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -77,12 +68,10 @@ impl ReplacementPolicy for Srrip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trrip_core::Rrpv;
 
     #[test]
     fn fill_then_hit_promotes() {
-        let w = RrpvWidth::W2;
-        let mut p = Srrip::new(4, 4, w);
+        let mut p = Srrip::new(4, 4);
         let req = RequestInfo::ifetch(0);
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req);
@@ -93,8 +82,7 @@ mod tests {
 
     #[test]
     fn aging_applies_to_whole_set() {
-        let w = RrpvWidth::W2;
-        let mut p = Srrip::new(1, 2, w);
+        let mut p = Srrip::new(1, 2);
         let req = RequestInfo::ifetch(0);
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req); // way0 immediate
@@ -104,11 +92,5 @@ mod tests {
         assert_eq!(v, 1);
         // Way 0 aged from immediate to near as a side effect.
         assert_eq!(p.sets.rrpv(0, 0), Rrpv::near());
-    }
-
-    #[test]
-    fn overhead_is_rrpv_width() {
-        assert_eq!(Srrip::new(1, 8, RrpvWidth::W2).per_line_overhead_bits(), 2);
-        assert_eq!(Srrip::new(1, 8, RrpvWidth::W3).per_line_overhead_bits(), 3);
     }
 }

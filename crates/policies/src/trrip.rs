@@ -4,9 +4,9 @@
 //! binds it to per-set RRPV state and the common eviction mechanism. True
 //! to §3.4, *nothing* about the request is stored per line — temperature
 //! arrives with each access and influences only the RRPV written at that
-//! moment, so the per-line overhead is exactly the baseline RRPV bits.
+//! moment, so the per-set state is exactly the baseline RRPV array.
 
-use trrip_core::{RripTable, RrpvWidth, TrripPolicy, TrripVariant};
+use trrip_core::{RripTable, TrripPolicy, TrripVariant};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::{ReplacementPolicy, RequestInfo};
@@ -17,9 +17,9 @@ use crate::{ReplacementPolicy, RequestInfo};
 ///
 /// ```
 /// use trrip_policies::{Trrip, ReplacementPolicy, RequestInfo};
-/// use trrip_core::{TrripVariant, RrpvWidth, Temperature};
+/// use trrip_core::{TrripVariant, Temperature};
 ///
-/// let mut trrip = Trrip::new(64, 8, TrripVariant::V1, RrpvWidth::W2);
+/// let mut trrip = Trrip::new(64, 8, TrripVariant::V1);
 /// let hot = RequestInfo::ifetch(0x40).with_temperature(Some(Temperature::Hot));
 /// let victim = trrip.choose_victim(0, &hot);
 /// trrip.on_fill(0, victim, &hot); // inserted at immediate re-reference
@@ -28,7 +28,6 @@ use crate::{ReplacementPolicy, RequestInfo};
 pub struct Trrip {
     sets: RripTable,
     policy: TrripPolicy,
-    width: RrpvWidth,
 }
 
 impl Trrip {
@@ -38,18 +37,8 @@ impl Trrip {
     ///
     /// Panics if `sets` or `ways` is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, variant: TrripVariant, width: RrpvWidth) -> Trrip {
-        Trrip {
-            sets: RripTable::new(sets, ways, width),
-            policy: TrripPolicy::new(variant, width),
-            width,
-        }
-    }
-
-    /// The configured variant.
-    #[must_use]
-    pub fn variant(&self) -> TrripVariant {
-        self.policy.variant()
+    pub fn new(sets: usize, ways: usize, variant: TrripVariant) -> Trrip {
+        Trrip { sets: RripTable::new(sets, ways), policy: TrripPolicy::new(variant) }
     }
 
     /// Temperature only applies to instruction requests; data requests
@@ -67,10 +56,6 @@ impl Trrip {
 }
 
 impl ReplacementPolicy for Trrip {
-    fn name(&self) -> &'static str {
-        self.policy.variant().name()
-    }
-
     fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
         self.policy.on_hit(&mut self.sets.set_mut(set), way, Trrip::effective_temperature(req));
     }
@@ -86,11 +71,6 @@ impl ReplacementPolicy for Trrip {
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.sets.set_mut(set).invalidate(way);
-    }
-
-    fn per_line_overhead_bits(&self) -> u32 {
-        // Identical to baseline RRIP: no temperature is stored in the set.
-        self.width.bits()
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -119,7 +99,7 @@ mod tests {
         // The headline behaviour: a hot instruction line being executed
         // regularly survives a stream of data fills through its set,
         // where SRRIP would age it out.
-        let mut trrip = Trrip::new(1, 4, TrripVariant::V1, RrpvWidth::W2);
+        let mut trrip = Trrip::new(1, 4, TrripVariant::V1);
         let hot = hot_fetch(0x100);
         let v = trrip.choose_victim(0, &hot);
         trrip.on_fill(0, v, &hot);
@@ -135,16 +115,16 @@ mod tests {
 
     #[test]
     fn temperature_on_data_requests_is_ignored() {
-        let mut trrip = Trrip::new(1, 4, TrripVariant::V1, RrpvWidth::W2);
+        let mut trrip = Trrip::new(1, 4, TrripVariant::V1);
         let tagged_data = RequestInfo::data_load(0x100).with_temperature(Some(Temperature::Hot));
         trrip.on_fill(0, 0, &tagged_data);
-        assert_eq!(trrip.sets.rrpv(0, 0), Rrpv::intermediate(RrpvWidth::W2));
+        assert_eq!(trrip.sets.rrpv(0, 0), Rrpv::intermediate());
     }
 
     #[test]
     fn untyped_behaviour_matches_srrip() {
-        let mut trrip = Trrip::new(1, 4, TrripVariant::V2, RrpvWidth::W2);
-        let mut srrip = Srrip::new(1, 4, RrpvWidth::W2);
+        let mut trrip = Trrip::new(1, 4, TrripVariant::V2);
+        let mut srrip = Srrip::new(1, 4);
         let req = RequestInfo::ifetch(0x40);
         for i in 0..64 {
             let r = RequestInfo::ifetch(0x40 + (i % 8) * 64);
@@ -158,16 +138,15 @@ mod tests {
     }
 
     #[test]
-    fn name_reflects_variant() {
-        assert_eq!(Trrip::new(1, 1, TrripVariant::V1, RrpvWidth::W2).name(), "TRRIP-1");
-        assert_eq!(Trrip::new(1, 1, TrripVariant::V2, RrpvWidth::W2).name(), "TRRIP-2");
-    }
-
-    #[test]
     fn per_line_overhead_equals_baseline_rrip() {
-        let trrip = Trrip::new(1, 8, TrripVariant::V2, RrpvWidth::W2);
-        let srrip = Srrip::new(1, 8, RrpvWidth::W2);
-        assert_eq!(trrip.per_line_overhead_bits(), srrip.per_line_overhead_bits());
-        assert_eq!(trrip.extra_storage_bits(), 0);
+        // Nothing about a request is stored with the line (§3.4): TRRIP's
+        // whole state is SRRIP's RRPV array, byte for byte in size.
+        let state = |p: &dyn ReplacementPolicy| {
+            let mut w = SnapWriter::new();
+            p.save_state(&mut w);
+            w.into_bytes().len()
+        };
+        let trrip = Trrip::new(64, 8, TrripVariant::V2);
+        assert_eq!(state(&trrip), state(&Srrip::new(64, 8)));
     }
 }

@@ -317,8 +317,9 @@ impl TraceSource for AheadSource {
 /// starts behind where they cannot. Each cell restores its overlay at
 /// the fast-forward boundary if it loads; a cell without executes the
 /// warm-up turns and saves its overlay at the boundary. The frontend's
-/// predictor and the walker's position there are the shared prefix,
-/// which the window saves unless a loadable one was on file. Every
+/// predictor, the stream views and the walker's position there are the
+/// shared prefix, which the window saves unless a loadable one was on
+/// file. Every
 /// member of a team restores its share before the window opens, so where
 /// it opens is decided on what loaded: when every cell of a workload
 /// restored and the prefix loads, nobody needs the warm-up, and the
