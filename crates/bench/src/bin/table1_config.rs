@@ -1,9 +1,11 @@
 //! Table 1: the simulator configuration actually in force, printed from
-//! the live `SimConfig` so drift between code and documentation is
-//! impossible.
+//! the core's, the predictor's and DRAM's constants and the live
+//! `SimConfig`, so drift between code and documentation is impossible.
 
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
+use trrip_cache::Hierarchy;
+use trrip_cpu::{BranchPredictor, CoreConfig};
 use trrip_policies::PolicyKind;
 
 fn main() {
@@ -18,18 +20,21 @@ fn run(options: &HarnessOptions) {
         "Core".into(),
         format!(
             "{}-wide dispatch, pseudo-FDIP prefetching ({} lines ahead), {}-entry ROB, {} GHz",
-            c.core.dispatch_width, c.core.fdip_max_lines, c.core.rob_entries, c.core.frequency_ghz
+            CoreConfig::DISPATCH_WIDTH,
+            CoreConfig::FDIP_MAX_LINES,
+            CoreConfig::ROB_ENTRIES,
+            CoreConfig::FREQUENCY_GHZ
         ),
     ]);
     table.row(vec![
         "Branch".into(),
         format!(
             "{}-entry BTB, {}-entry indirect-BTB, {}-entry loop predictor, {}-entry global predictor, {}-cycle mispredict penalty",
-            c.core.predictor.btb_entries,
-            c.core.predictor.indirect_btb_entries,
-            c.core.predictor.loop_entries,
-            c.core.predictor.global_entries,
-            c.core.predictor.mispredict_penalty
+            BranchPredictor::BTB_ENTRIES,
+            BranchPredictor::INDIRECT_BTB_ENTRIES,
+            BranchPredictor::LOOP_ENTRIES,
+            BranchPredictor::GLOBAL_ENTRIES,
+            BranchPredictor::MISPREDICT_PENALTY
         ),
     ]);
     let cache_row = |cfg: &trrip_cache::CacheConfig, policy: &str, extra: &str| {
@@ -48,7 +53,7 @@ fn run(options: &HarnessOptions) {
         cache_row(&c.hierarchy.l2, c.hierarchy.l2_policy.name(), ", inclusive, stride prefetcher"),
     ]);
     table.row(vec!["Unified Shared SLC".into(), cache_row(&c.hierarchy.slc, "LRU", ", exclusive")]);
-    table.row(vec!["DRAM".into(), format!("{}-cycle latency (flat)", c.hierarchy.dram_latency)]);
+    table.row(vec!["DRAM".into(), format!("{}-cycle latency (flat)", Hierarchy::DRAM_LATENCY)]);
     table.row(vec![
         "Run control".into(),
         format!(

@@ -72,8 +72,6 @@ pub struct HierarchyConfig {
     pub l2: CacheConfig,
     /// System-level cache geometry.
     pub slc: CacheConfig,
-    /// Flat DRAM access latency in cycles (Table 1: 400).
-    pub dram_latency: u64,
     /// Replacement policy evaluated at the L2.
     pub l2_policy: PolicyKind,
 }
@@ -87,7 +85,6 @@ impl HierarchyConfig {
             l1d: CacheConfig::paper_l1d(),
             l2: CacheConfig::paper_l2(),
             slc: CacheConfig::paper_slc(),
-            dram_latency: 400,
             l2_policy,
         }
     }
@@ -133,10 +130,12 @@ pub struct Hierarchy {
     l1d: Cache<Lru>,
     l2: Cache,
     slc: Cache<Lru>,
-    dram_latency: u64,
 }
 
 impl Hierarchy {
+    /// Flat DRAM access latency in cycles (Table 1).
+    pub const DRAM_LATENCY: u64 = 400;
+
     /// Builds the hierarchy: L1s and SLC run LRU (Table 1); the L2 runs
     /// the configured policy.
     #[must_use]
@@ -148,7 +147,6 @@ impl Hierarchy {
             l1d: lru(&config.l1d),
             l2: Cache::new(l2.clone(), config.l2_policy.build(l2.num_sets(), l2.ways)),
             slc: lru(&config.slc),
-            dram_latency: config.dram_latency,
         }
     }
 
@@ -252,7 +250,7 @@ impl Hierarchy {
         let latency = l1_tag
             + self.l2.config().tag_latency
             + self.slc.config().tag_latency
-            + self.dram_latency;
+            + Hierarchy::DRAM_LATENCY;
         self.fill_l2(req);
         self.fill_l1(req);
         AccessOutcome { served_by: ServedBy::Dram, latency }
@@ -303,7 +301,7 @@ impl Hierarchy {
             l1_tag
                 + self.l2.config().tag_latency
                 + self.slc.config().tag_latency
-                + self.dram_latency,
+                + Hierarchy::DRAM_LATENCY,
         )
     }
 

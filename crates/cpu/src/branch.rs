@@ -11,41 +11,10 @@
 //! [`BranchPredictor::observe`], which predicts *and* trains, returning
 //! whether the real outcome was mispredicted.
 
-use serde::{Deserialize, Serialize};
 use trrip_mem::VirtAddr;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::trace::{BranchInfo, BranchKind, INSTR_BYTES};
-
-/// Sizing of the predictor structures (defaults = Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct PredictorConfig {
-    /// Direct-branch target buffer entries.
-    pub btb_entries: usize,
-    /// Indirect-branch target buffer entries.
-    pub indirect_btb_entries: usize,
-    /// Loop predictor entries.
-    pub loop_entries: usize,
-    /// Global (gshare) predictor entries.
-    pub global_entries: usize,
-    /// Return-address stack depth.
-    pub ras_depth: usize,
-    /// Cycles lost on a misprediction (Table 1: 8).
-    pub mispredict_penalty: u64,
-}
-
-impl Default for PredictorConfig {
-    fn default() -> Self {
-        PredictorConfig {
-            btb_entries: 1024,
-            indirect_btb_entries: 512,
-            loop_entries: 256,
-            global_entries: 1024,
-            ras_depth: 32,
-            mispredict_penalty: 8,
-        }
-    }
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct BtbEntry {
@@ -75,7 +44,6 @@ pub struct BranchOutcome {
 /// The assembled predictor suite.
 #[derive(Debug, Clone)]
 pub struct BranchPredictor {
-    config: PredictorConfig,
     btb: Vec<BtbEntry>,
     indirect_btb: Vec<BtbEntry>,
     loops: Vec<LoopEntry>,
@@ -86,32 +54,40 @@ pub struct BranchPredictor {
     branches: u64,
 }
 
+// The tables are indexed by masking.
+const _: () = assert!(
+    BranchPredictor::BTB_ENTRIES.is_power_of_two()
+        && BranchPredictor::INDIRECT_BTB_ENTRIES.is_power_of_two()
+        && BranchPredictor::LOOP_ENTRIES.is_power_of_two()
+        && BranchPredictor::GLOBAL_ENTRIES.is_power_of_two()
+);
+
 impl BranchPredictor {
-    /// Creates the suite.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any table size is not a power of two.
+    /// Direct-branch target buffer entries.
+    pub const BTB_ENTRIES: usize = 1024;
+    /// Indirect-branch target buffer entries.
+    pub const INDIRECT_BTB_ENTRIES: usize = 512;
+    /// Loop predictor entries.
+    pub const LOOP_ENTRIES: usize = 256;
+    /// Global (gshare) predictor entries.
+    pub const GLOBAL_ENTRIES: usize = 1024;
+    /// Return-address stack depth.
+    pub const RAS_DEPTH: usize = 32;
+    /// Cycles lost on a misprediction.
+    pub const MISPREDICT_PENALTY: u64 = 8;
+
+    /// Creates the suite, its tables empty.
     #[must_use]
-    pub fn new(config: PredictorConfig) -> BranchPredictor {
-        for (name, n) in [
-            ("btb_entries", config.btb_entries),
-            ("indirect_btb_entries", config.indirect_btb_entries),
-            ("loop_entries", config.loop_entries),
-            ("global_entries", config.global_entries),
-        ] {
-            assert!(n.is_power_of_two(), "{name} must be a power of two");
-        }
+    pub fn new() -> BranchPredictor {
         BranchPredictor {
-            btb: vec![BtbEntry::default(); config.btb_entries],
-            indirect_btb: vec![BtbEntry::default(); config.indirect_btb_entries],
-            loops: vec![LoopEntry::default(); config.loop_entries],
-            gshare: vec![2; config.global_entries], // weakly taken
+            btb: vec![BtbEntry::default(); Self::BTB_ENTRIES],
+            indirect_btb: vec![BtbEntry::default(); Self::INDIRECT_BTB_ENTRIES],
+            loops: vec![LoopEntry::default(); Self::LOOP_ENTRIES],
+            gshare: vec![2; Self::GLOBAL_ENTRIES], // weakly taken
             history: 0,
-            ras: Vec::with_capacity(config.ras_depth),
+            ras: Vec::with_capacity(Self::RAS_DEPTH),
             mispredictions: 0,
             branches: 0,
-            config,
         }
     }
 
@@ -137,15 +113,9 @@ impl BranchPredictor {
         }
     }
 
-    /// Configured penalty in cycles.
-    #[must_use]
-    pub fn mispredict_penalty(&self) -> u64 {
-        self.config.mispredict_penalty
-    }
-
     fn gshare_index(&self, pc: VirtAddr) -> usize {
         let pc_bits = (pc.raw() >> 2) as usize;
-        (pc_bits ^ self.history as usize) & (self.config.global_entries - 1)
+        (pc_bits ^ self.history as usize) & (Self::GLOBAL_ENTRIES - 1)
     }
 
     fn loop_index(pc: VirtAddr, entries: usize) -> usize {
@@ -159,7 +129,7 @@ impl BranchPredictor {
         let predicted_taken = match kind {
             BranchKind::Conditional => {
                 // Loop predictor overrides gshare when confident.
-                let li = BranchPredictor::loop_index(pc, self.config.loop_entries);
+                let li = BranchPredictor::loop_index(pc, Self::LOOP_ENTRIES);
                 let le = &self.loops[li];
                 if le.valid && le.tag == pc.raw() && le.confidence >= 2 && le.trip_count > 0 {
                     le.current < le.trip_count
@@ -176,12 +146,12 @@ impl BranchPredictor {
             match kind {
                 BranchKind::Return => self.ras.last().map(|&t| VirtAddr::new(t)),
                 k if k.is_indirect() => {
-                    let i = BranchPredictor::loop_index(pc, self.config.indirect_btb_entries);
+                    let i = BranchPredictor::loop_index(pc, Self::INDIRECT_BTB_ENTRIES);
                     let e = &self.indirect_btb[i];
                     (e.valid && e.tag == pc.raw()).then(|| VirtAddr::new(e.target))
                 }
                 _ => {
-                    let i = BranchPredictor::loop_index(pc, self.config.btb_entries);
+                    let i = BranchPredictor::loop_index(pc, Self::BTB_ENTRIES);
                     let e = &self.btb[i];
                     (e.valid && e.tag == pc.raw()).then(|| VirtAddr::new(e.target))
                 }
@@ -221,7 +191,7 @@ impl BranchPredictor {
                 self.ras.pop();
             }
             k if k.is_call() => {
-                if self.ras.len() == self.config.ras_depth {
+                if self.ras.len() == Self::RAS_DEPTH {
                     self.ras.remove(0);
                 }
                 self.ras.push((pc + INSTR_BYTES).raw());
@@ -231,11 +201,11 @@ impl BranchPredictor {
 
         if info.taken {
             if info.kind.is_indirect() && info.kind != BranchKind::Return {
-                let i = BranchPredictor::loop_index(pc, self.config.indirect_btb_entries);
+                let i = BranchPredictor::loop_index(pc, Self::INDIRECT_BTB_ENTRIES);
                 self.indirect_btb[i] =
                     BtbEntry { tag: pc.raw(), target: info.target.raw(), valid: true };
             } else if !info.kind.is_indirect() {
-                let i = BranchPredictor::loop_index(pc, self.config.btb_entries);
+                let i = BranchPredictor::loop_index(pc, Self::BTB_ENTRIES);
                 self.btb[i] = BtbEntry { tag: pc.raw(), target: info.target.raw(), valid: true };
             }
         }
@@ -244,7 +214,7 @@ impl BranchPredictor {
     }
 
     fn train_loop(&mut self, pc: VirtAddr, taken: bool) {
-        let li = BranchPredictor::loop_index(pc, self.config.loop_entries);
+        let li = BranchPredictor::loop_index(pc, Self::LOOP_ENTRIES);
         let entry = &mut self.loops[li];
         if !entry.valid || entry.tag != pc.raw() {
             *entry =
@@ -267,7 +237,7 @@ impl BranchPredictor {
 
 impl Default for BranchPredictor {
     fn default() -> Self {
-        BranchPredictor::new(PredictorConfig::default())
+        BranchPredictor::new()
     }
 }
 
@@ -354,10 +324,10 @@ impl Snapshot for BranchPredictor {
         self.gshare.copy_from_slice(gshare);
         self.history = r.u64()?;
         let ras_len = r.usize()?;
-        if ras_len > self.config.ras_depth {
+        if ras_len > Self::RAS_DEPTH {
             return Err(SnapError::Mismatch(format!(
                 "RAS depth: snapshot has {ras_len}, instance caps at {}",
-                self.config.ras_depth
+                Self::RAS_DEPTH
             )));
         }
         self.ras.clear();

@@ -41,7 +41,7 @@ use trrip_mem::{VirtAddr, LINE_BYTES};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::backend::MemoryBackend;
-use crate::branch::{BranchPredictor, PredictorConfig};
+use crate::branch::BranchPredictor;
 use crate::events::EventTurn;
 use crate::topdown::TopDown;
 use crate::trace::{MemOp, TraceInstr};
@@ -49,10 +49,6 @@ use crate::trace::{MemOp, TraceInstr};
 /// Share of the exposed miss latency paid by a load that overlaps an
 /// earlier outstanding miss (queueing/bandwidth serialization).
 const MLP_SERIALIZATION: f64 = 4.0;
-
-/// Scratch capacity for FDIP-issued PCs per trigger (the paper machine
-/// prefetches at most 2).
-const FDIP_ISSUE_CAP: usize = 4;
 
 /// Machines whose clocks [`Core::execute`] keeps on the stack for the
 /// length of a turn; a larger group's go to the heap. A sweep's worker
@@ -65,58 +61,30 @@ const LOCKSTEP_STACK_CLOCKS: usize = 16;
 /// that the staging buffer stays cache-resident (~256 kB).
 const STREAM_BATCH: usize = 4096;
 
-/// Core timing parameters (defaults = Table 1).
+/// The Table 1 core, the only one there is: every timing parameter is
+/// one of its associated constants, and a value of it only names the
+/// machine.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct CoreConfig {
-    /// Dispatch width (instructions per cycle).
-    pub dispatch_width: u32,
-    /// Reorder-buffer capacity.
-    pub rob_entries: u32,
-    /// Branch predictor sizing.
-    pub predictor: PredictorConfig,
-    /// Enable the pseudo-FDIP prefetcher.
-    pub fdip: bool,
-    /// How many future instructions FDIP may inspect.
-    pub fdip_lookahead_instrs: usize,
-    /// Maximum distinct lines prefetched per trigger.
-    pub fdip_max_lines: usize,
-    /// L1 hit latency hidden by the fetch pipeline.
-    pub l1_hit_cycles: u64,
-    /// Fetch latency at or above which decode is considered starved
-    /// (Emissary's signal); defaults to anything beyond an L2 hit.
-    pub starvation_threshold: u64,
-    /// Core clock in GHz (Table 1: 2 GHz) — used only for reporting.
-    pub frequency_ghz: f64,
-}
+pub struct CoreConfig;
 
 impl CoreConfig {
-    /// The paper's configuration.
-    #[must_use]
-    pub fn paper() -> CoreConfig {
-        CoreConfig {
-            dispatch_width: 6,
-            rob_entries: 128,
-            predictor: PredictorConfig::default(),
-            fdip: true,
-            fdip_lookahead_instrs: 48,
-            fdip_max_lines: 2,
-            l1_hit_cycles: 3,
-            starvation_threshold: 21, // > L1 tag + L2 data (1 + 12)
-            frequency_ghz: 2.0,
-        }
-    }
-
+    /// Dispatch width (instructions per cycle).
+    pub const DISPATCH_WIDTH: u32 = 6;
+    /// Reorder-buffer capacity.
+    pub const ROB_ENTRIES: u32 = 128;
+    /// How many future instructions the pseudo-FDIP scan may inspect.
+    pub const FDIP_LOOKAHEAD_INSTRS: usize = 48;
+    /// Most distinct lines the scan prefetches per trigger.
+    pub const FDIP_MAX_LINES: usize = 2;
+    /// L1 hit latency hidden by the fetch pipeline.
+    pub const L1_HIT_CYCLES: u64 = 3;
+    /// Fetch latency at or above which decode is considered starved
+    /// (Emissary's signal): anything beyond an L2 hit (1 + 12).
+    pub const STARVATION_THRESHOLD: u64 = 21;
+    /// Core clock in GHz — used only for reporting.
+    pub const FREQUENCY_GHZ: f64 = 2.0;
     /// Cycles of load latency the OoO window can hide for one miss.
-    #[must_use]
-    pub fn ooo_hide_cycles(&self) -> u64 {
-        u64::from(self.rob_entries / self.dispatch_width)
-    }
-}
-
-impl Default for CoreConfig {
-    fn default() -> Self {
-        CoreConfig::paper()
-    }
+    pub const OOO_HIDE_CYCLES: u64 = (Self::ROB_ENTRIES / Self::DISPATCH_WIDTH) as u64;
 }
 
 /// Results of one simulation run.
@@ -132,9 +100,6 @@ pub struct CoreResult {
     pub branches: u64,
     /// Mispredicted branches.
     pub mispredictions: u64,
-    /// Dispatch width the run executed at: the retire bucket is
-    /// `instructions / dispatch_width`.
-    pub dispatch_width: u32,
 }
 
 impl CoreResult {
@@ -312,37 +277,14 @@ impl RunState {
     }
 }
 
-/// What the fused loop does with its predictor-derived decisions
-/// (misprediction outcomes and FDIP stop points) — the only inputs to
-/// the loop that come from trained predictor state rather than straight
-/// from the instruction stream, and therefore the only ones that are
-/// **identical under every cache policy**.
-///
-/// * [`WarmupMode::Observe`] — the normal loop: the predictor predicts
-///   and trains; nothing is written down.
-/// * [`WarmupMode::Digest`] — as `Observe`, but every instruction is
-///   also written to an [`EventTurn`]: the decisions *and* what of the
-///   instruction a backend is shown. Run over a backend that always
-///   hits, this is the whole policy-independent half of the loop, paid
-///   once per workload by a sweep's frontend.
-///
-/// The predictor-free counterpart is [`Core::execute`], which runs the
-/// event turns a digesting run wrote.
-#[derive(Debug)]
-pub enum WarmupMode<'t> {
-    /// Predict and train normally.
-    Observe,
-    /// Predict and train normally, writing every instruction's events.
-    Digest(&'t mut EventTurn),
-}
-
-/// What the fused loop tells a [`WarmupMode`] of each instruction. The
-/// loop is compiled once per implementor ([`Core::run_batch_mode`]
-/// picks), so `Observe` pays for no recording at all.
+/// What the fused loop tells its caller of each instruction: nothing
+/// ([`Core::run_batch`]), or an [`EventTurn`] record
+/// ([`Core::digest_batch`]). The loop is compiled once per implementor,
+/// so a plain run pays for no recording at all.
 trait Recorder {
     /// `instr` was processed. `fdip_pcs` is `Some` if the fetch moved
-    /// to its line, with what the FDIP scan from there issued (nothing,
-    /// with FDIP off); `mispredicted` is `Some` if it is a branch.
+    /// to its line, with what the FDIP scan from there issued;
+    /// `mispredicted` is `Some` if it is a branch.
     fn instruction(
         &mut self,
         instr: &TraceInstr,
@@ -351,7 +293,7 @@ trait Recorder {
     );
 }
 
-/// [`WarmupMode::Observe`].
+/// [`Core::run_batch`]'s recorder.
 struct Unrecorded;
 
 impl Recorder for Unrecorded {
@@ -380,29 +322,23 @@ impl Recorder for EventTurn {
 /// use trrip_cpu::backend::FlatBackend;
 ///
 /// let trace = (0..600u64).map(|i| TraceInstr::simple(0x1000 + i * 4));
-/// let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
+/// let mut core = Core::new(CoreConfig, FlatBackend::all_hits());
 /// let result = core.run(trace);
 /// assert_eq!(result.instructions, 600);
 /// assert!((result.ipc() - 6.0).abs() < 0.1); // no stalls: full width
 /// ```
 #[derive(Debug)]
 pub struct Core<B> {
-    config: CoreConfig,
     backend: B,
     predictor: BranchPredictor,
     starved: StarvedLines,
 }
 
 impl<B: MemoryBackend> Core<B> {
-    /// Creates a core over a memory backend.
+    /// Creates the Table 1 core over a memory backend.
     #[must_use]
-    pub fn new(config: CoreConfig, backend: B) -> Core<B> {
-        Core {
-            predictor: BranchPredictor::new(config.predictor),
-            starved: StarvedLines::new(8192),
-            config,
-            backend,
-        }
+    pub fn new(_: CoreConfig, backend: B) -> Core<B> {
+        Core { predictor: BranchPredictor::new(), starved: StarvedLines::new(8192), backend }
     }
 
     /// Access to the backend (e.g. to read cache statistics afterwards).
@@ -458,7 +394,7 @@ impl<B: MemoryBackend> Core<B> {
             consumed: 0,
             current_line: u64::MAX,
             last_miss_instr: None,
-            window: VecDeque::with_capacity(self.config.fdip_lookahead_instrs.max(1) + 1),
+            window: VecDeque::with_capacity(CoreConfig::FDIP_LOOKAHEAD_INSTRS + 1),
             branches_before: self.predictor.branches(),
             mispred_before: self.predictor.mispredictions(),
             fed_branches: 0,
@@ -476,30 +412,34 @@ impl<B: MemoryBackend> Core<B> {
     /// does at the end of a trace. The slice form lets the lookahead be
     /// served by pointer arithmetic instead of a `VecDeque` refill/pop
     /// cycle per instruction.
-    pub fn run_batch(&mut self, state: &mut RunState, batch: &[TraceInstr], drain: bool) {
-        self.run_batch_mode(state, batch, drain, &mut WarmupMode::Observe);
-    }
-
-    /// [`Core::run_batch`] with an explicit [`WarmupMode`].
     ///
     /// The steady-state shape: with `drain = false` the last
     /// `min(lookahead, window + batch)` instructions stay unprocessed in
-    /// the window (exactly what the incremental refill loop used to
-    /// leave), every processed instruction sees the full lookahead, and
-    /// carried-over window instructions look ahead *through* the new
+    /// the window, every processed instruction sees the full lookahead,
+    /// and carried-over window instructions look ahead *through* the new
     /// batch. With `drain = true` everything is processed with the
     /// naturally shrinking end-of-trace lookahead.
-    pub fn run_batch_mode(
+    pub fn run_batch(&mut self, state: &mut RunState, batch: &[TraceInstr], drain: bool) {
+        self.run_batch_recorded(state, batch, drain, &mut Unrecorded);
+    }
+
+    /// [`Core::run_batch`], also writing every processed instruction to
+    /// `turn`: the predictor's decisions — misprediction outcomes and
+    /// FDIP stop points, the only inputs to the loop that come from
+    /// trained state rather than straight from the stream, and so the
+    /// same under every cache policy — and what of the instruction a
+    /// backend is shown. Run over a backend that always hits, this is
+    /// the whole policy-independent half of the loop, paid once per
+    /// workload by a sweep's frontend; [`Core::execute`] runs the turns
+    /// it writes.
+    pub fn digest_batch(
         &mut self,
         state: &mut RunState,
         batch: &[TraceInstr],
         drain: bool,
-        mode: &mut WarmupMode<'_>,
+        turn: &mut EventTurn,
     ) {
-        match mode {
-            WarmupMode::Observe => self.run_batch_recorded(state, batch, drain, &mut Unrecorded),
-            WarmupMode::Digest(turn) => self.run_batch_recorded(state, batch, drain, *turn),
-        }
+        self.run_batch_recorded(state, batch, drain, turn);
     }
 
     fn run_batch_recorded<R: Recorder>(
@@ -509,9 +449,9 @@ impl<B: MemoryBackend> Core<B> {
         drain: bool,
         recorder: &mut R,
     ) {
-        let lookahead_cap = self.config.fdip_lookahead_instrs.max(1);
-        let dispatch_cost = 1.0 / f64::from(self.config.dispatch_width);
-        let ooo_hide = self.config.ooo_hide_cycles() as f64;
+        let lookahead_cap = CoreConfig::FDIP_LOOKAHEAD_INSTRS;
+        let dispatch_cost = 1.0 / f64::from(CoreConfig::DISPATCH_WIDTH);
+        let ooo_hide = CoreConfig::OOO_HIDE_CYCLES as f64;
 
         state.consumed += batch.len() as u64;
         let total = state.window.len() + batch.len();
@@ -540,8 +480,8 @@ impl<B: MemoryBackend> Core<B> {
     /// One instruction through the timing model: fetch (with FDIP over
     /// `lookahead`), branch resolution, memory, synthetic stalls, retire.
     /// The single step shared by the window and batch halves of
-    /// [`Core::run_batch_mode`]; `lookahead` must already be capped to
-    /// the FDIP window.
+    /// [`Core::run_batch`]; `lookahead` must already be capped to the
+    /// FDIP window.
     #[inline]
     fn process_one<'a, L, R>(
         &mut self,
@@ -559,16 +499,12 @@ impl<B: MemoryBackend> Core<B> {
 
         // --- Fetch ---
         let line = instr.pc.raw() / LINE_BYTES;
-        let mut issued = [0u64; FDIP_ISSUE_CAP];
+        let mut issued = [0u64; CoreConfig::FDIP_MAX_LINES];
         let mut fdip_pcs = None;
         if line != state.current_line {
             state.current_line = line;
             self.fetch_line(&mut state.topdown, &mut state.cycles, instr.pc);
-            let n = if self.config.fdip {
-                self.issue_fdip(lookahead, line, state.cycles as u64, &mut issued)
-            } else {
-                0
-            };
+            let n = self.issue_fdip(lookahead, line, state.cycles as u64, &mut issued);
             fdip_pcs = Some(&issued[..n]);
         }
 
@@ -578,7 +514,7 @@ impl<B: MemoryBackend> Core<B> {
             let wrong = self.predictor.observe(instr.pc, &branch);
             mispredicted = Some(wrong);
             if wrong {
-                let penalty = self.predictor.mispredict_penalty() as f64;
+                let penalty = BranchPredictor::MISPREDICT_PENALTY as f64;
                 state.topdown.mispred += penalty;
                 state.cycles += penalty;
             }
@@ -606,7 +542,7 @@ impl<B: MemoryBackend> Core<B> {
         // The clock advances by the dispatch cost, but the retire
         // *bucket* is not accumulated per instruction: it is derived
         // from the instruction count at reporting time
-        // (`Core::tally_run`), so the bucket's value cannot depend
+        // (`Core::finish_run`), so the bucket's value cannot depend
         // on where the run's input was cut.
         state.cycles += dispatch_cost;
         recorder.instruction(instr, fdip_pcs, mispredicted);
@@ -621,10 +557,10 @@ impl<B: MemoryBackend> Core<B> {
         let starved_flag = self.starved.contains(line);
         let lat = self.backend.ifetch(pc, starved_flag, *clock as u64);
         if !lat.l1_hit {
-            let stall = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
+            let stall = lat.cycles.saturating_sub(CoreConfig::L1_HIT_CYCLES) as f64;
             topdown.ifetch += stall;
             *clock += stall;
-            if lat.cycles >= self.config.starvation_threshold {
+            if lat.cycles >= CoreConfig::STARVATION_THRESHOLD {
                 self.starved.insert(line);
             }
         }
@@ -653,10 +589,10 @@ impl<B: MemoryBackend> Core<B> {
         if mem.store || lat.l1_hit {
             return 0.0;
         }
-        let raw = lat.cycles.saturating_sub(self.config.l1_hit_cycles) as f64;
+        let raw = lat.cycles.saturating_sub(CoreConfig::L1_HIT_CYCLES) as f64;
         let exposed = (raw - ooo_hide).max(0.0);
         let overlapped =
-            last_miss_instr.is_some_and(|li| retired - li < u64::from(self.config.rob_entries));
+            last_miss_instr.is_some_and(|li| retired - li < u64::from(CoreConfig::ROB_ENTRIES));
         if overlapped {
             exposed / MLP_SERIALIZATION
         } else {
@@ -706,7 +642,7 @@ impl<B: MemoryBackend> Core<B> {
     /// live in a local array for the length of the turn; a small group's
     /// stays on the stack.) The predictor is neither consulted nor
     /// trained and no lookahead window is kept: the frontend that
-    /// digested the turn ([`WarmupMode::Digest`]) did both.
+    /// digested the turn ([`Core::digest_batch`]) did both.
     ///
     /// Turns of one run may be cut anywhere; a run takes either turns or
     /// instructions, not both. A group of one is a machine run alone; an
@@ -715,25 +651,20 @@ impl<B: MemoryBackend> Core<B> {
     /// # Panics
     ///
     /// Panics if a state holds instructions of a fused run in flight, or
-    /// if the machines are not at the same retired-instruction count
-    /// under the same [`CoreConfig`] — the position and the timing
-    /// constants are read once for all of them.
+    /// if the machines are not at the same retired-instruction count —
+    /// the position is read once for all of them.
     pub fn execute(group: &mut [(&mut Core<B>, &mut RunState)], turn: &EventTurn) {
-        let Some((lead, lead_state)) = group.first() else { return };
-        for (core, state) in group.iter() {
+        let Some((_, lead_state)) = group.first() else { return };
+        for (_, state) in group.iter() {
             assert!(state.window.is_empty(), "event turns cannot follow instructions in flight");
             assert_eq!(
                 state.instructions, lead_state.instructions,
                 "machines in lockstep are at the same instruction"
             );
-            assert_eq!(
-                core.config, lead.config,
-                "machines in lockstep share one core configuration"
-            );
         }
-        let dispatch_cost = 1.0 / f64::from(lead.config.dispatch_width);
-        let ooo_hide = lead.config.ooo_hide_cycles() as f64;
-        let mispredict_penalty = lead.predictor.mispredict_penalty() as f64;
+        let dispatch_cost = 1.0 / f64::from(CoreConfig::DISPATCH_WIDTH);
+        let ooo_hide = CoreConfig::OOO_HIDE_CYCLES as f64;
+        let mispredict_penalty = BranchPredictor::MISPREDICT_PENALTY as f64;
         let mut retired = lead_state.instructions;
         let mut fetched_line = None;
 
@@ -810,13 +741,12 @@ impl<B: MemoryBackend> Core<B> {
         }
     }
 
-    /// Reports the run's timing results so far without closing the
-    /// state. `retire` is derived as `instructions / width` in one
-    /// division, so the bucket cannot depend on where the run's input
-    /// was cut.
+    /// Closes a resumable run and reports its timing results. `retire`
+    /// is derived as `instructions / width` in one division, so the
+    /// bucket cannot depend on where the run's input was cut.
     #[must_use]
-    pub fn tally_run(&self, state: &RunState) -> CoreResult {
-        let retire = state.instructions as f64 / f64::from(self.config.dispatch_width);
+    pub fn finish_run(&self, state: RunState) -> CoreResult {
+        let retire = state.instructions as f64 / f64::from(CoreConfig::DISPATCH_WIDTH);
         CoreResult {
             instructions: state.instructions,
             cycles: state.cycles,
@@ -824,14 +754,7 @@ impl<B: MemoryBackend> Core<B> {
             branches: self.predictor.branches() - state.branches_before + state.fed_branches,
             mispredictions: self.predictor.mispredictions() - state.mispred_before
                 + state.fed_mispredictions,
-            dispatch_width: self.config.dispatch_width,
         }
-    }
-
-    /// Closes a resumable run and reports its timing results.
-    #[must_use]
-    pub fn finish_run(&self, state: RunState) -> CoreResult {
-        self.tally_run(&state)
     }
 
     /// Snapshot of the branch predictor alone — the policy-agnostic half
@@ -877,21 +800,21 @@ impl<B: MemoryBackend> Core<B> {
         lookahead: L,
         current_line: u64,
         now: u64,
-        issued: &mut [u64; FDIP_ISSUE_CAP],
+        issued: &mut [u64; CoreConfig::FDIP_MAX_LINES],
     ) -> usize
     where
         L: Iterator<Item = &'a TraceInstr>,
     {
         let mut seen_lines = 0usize;
         let mut last_line = current_line;
-        for instr in lookahead.take(self.config.fdip_lookahead_instrs) {
+        for instr in lookahead.take(CoreConfig::FDIP_LOOKAHEAD_INSTRS) {
             let line = instr.pc.raw() / LINE_BYTES;
             if line != last_line {
                 last_line = line;
                 self.backend.prefetch_ifetch(instr.pc, now);
-                issued[seen_lines.min(FDIP_ISSUE_CAP - 1)] = instr.pc.raw();
+                issued[seen_lines] = instr.pc.raw();
                 seen_lines += 1;
-                if seen_lines >= self.config.fdip_max_lines {
+                if seen_lines == CoreConfig::FDIP_MAX_LINES {
                     break;
                 }
             }
@@ -922,7 +845,7 @@ mod tests {
 
     #[test]
     fn ideal_core_reaches_full_width() {
-        let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
+        let mut core = Core::new(CoreConfig, FlatBackend::all_hits());
         let r = core.run(straight_line(6000));
         assert_eq!(r.instructions, 6000);
         assert!((r.ipc() - 6.0).abs() < 0.05, "ipc = {}", r.ipc());
@@ -933,17 +856,18 @@ mod tests {
     fn fetch_misses_charge_ifetch_bucket() {
         let mut backend = FlatBackend::all_hits();
         backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
-        let mut core = Core::new(CoreConfig { fdip: false, ..CoreConfig::paper() }, backend);
+        let mut core = Core::new(CoreConfig, backend);
         let r = core.run(straight_line(160));
         // 160 instructions, 4 bytes each = 10 lines fetched, each
-        // stalling 13 - 3 = 10 cycles.
+        // stalling 13 - 3 = 10 cycles. FDIP prefetches the lines ahead,
+        // but a flat backend's fetch latency ignores prefetches.
         assert!((r.topdown.ifetch - 100.0).abs() < 1e-9, "{}", r.topdown.ifetch);
         assert!(r.topdown.mispred == 0.0);
     }
 
     #[test]
     fn mispredicts_charge_penalty() {
-        let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
+        let mut core = Core::new(CoreConfig, FlatBackend::all_hits());
         // Alternating taken/not-taken conditional at one PC is
         // near-unpredictable for gshare warm-up; use a random pattern.
         let mut x = 0x243f6a8885a308d3u64;
@@ -965,7 +889,7 @@ mod tests {
         // 128/6 = 21-cycle window.
         let mut backend = FlatBackend::all_hits();
         backend.data_latency = MemLatency { cycles: 20, l1_hit: false, l2_miss: false };
-        let mut core = Core::new(CoreConfig::paper(), backend);
+        let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..100).map(|i| TraceInstr::load(0x1000 + i * 4, 0x80000 + i * 64)).collect();
         let r = core.run(trace);
@@ -976,7 +900,7 @@ mod tests {
     fn dram_loads_stall_the_backend() {
         let mut backend = FlatBackend::all_hits();
         backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
-        let mut core = Core::new(CoreConfig::paper(), backend);
+        let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..10).map(|i| TraceInstr::load(0x1000 + i * 4, 0x80000 + i * 4096)).collect();
         let r = core.run(trace);
@@ -991,7 +915,7 @@ mod tests {
     fn stores_never_stall() {
         let mut backend = FlatBackend::all_hits();
         backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
-        let mut core = Core::new(CoreConfig::paper(), backend);
+        let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..10).map(|i| TraceInstr::store(0x1000 + i * 4, 0x80000 + i * 4096)).collect();
         let r = core.run(trace);
@@ -1000,23 +924,15 @@ mod tests {
 
     #[test]
     fn fdip_prefetches_future_lines() {
-        let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
+        let mut core = Core::new(CoreConfig, FlatBackend::all_hits());
         let r = core.run(straight_line(1000));
         assert_eq!(r.instructions, 1000);
         assert!(core.backend().prefetches > 0, "FDIP should have issued prefetches");
     }
 
     #[test]
-    fn fdip_can_be_disabled() {
-        let mut core =
-            Core::new(CoreConfig { fdip: false, ..CoreConfig::paper() }, FlatBackend::all_hits());
-        core.run(straight_line(1000));
-        assert_eq!(core.backend().prefetches, 0);
-    }
-
-    #[test]
     fn synthetic_stalls_land_in_their_bucket() {
-        let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
+        let mut core = Core::new(CoreConfig, FlatBackend::all_hits());
         let mut trace = straight_line(100);
         trace[10].exec_stall = Some((StallClass::Depend, 5));
         trace[20].exec_stall = Some((StallClass::Issue, 3));
@@ -1051,7 +967,7 @@ mod tests {
     /// batches `batches` cuts (stream positions) and starting a new turn
     /// at every position in `turns`.
     fn digest(trace: &[TraceInstr], batches: &[usize], turns: &[usize]) -> Vec<EventTurn> {
-        let mut core = Core::new(CoreConfig::paper(), FlatBackend::all_hits());
+        let mut core = Core::new(CoreConfig, FlatBackend::all_hits());
         let mut state = core.begin_run();
         let mut out = vec![EventTurn::new()];
         let mut prev = 0;
@@ -1061,12 +977,7 @@ mod tests {
         for end in ends {
             let turn = out.last_mut().expect("never empty");
             let drain = end == trace.len();
-            core.run_batch_mode(
-                &mut state,
-                &trace[prev..end],
-                drain,
-                &mut WarmupMode::Digest(turn),
-            );
+            core.digest_batch(&mut state, &trace[prev..end], drain, turn);
             prev = end;
             if turns.contains(&end) {
                 out.push(EventTurn::new());
@@ -1096,13 +1007,13 @@ mod tests {
     #[test]
     fn a_digesting_run_leaves_timing_unchanged() {
         let trace = mixed_trace(4000);
-        let mut plain = Core::new(CoreConfig::paper(), stall_backend());
+        let mut plain = Core::new(CoreConfig, stall_backend());
         let reference = plain.run(trace.clone());
 
-        let mut digesting = Core::new(CoreConfig::paper(), stall_backend());
+        let mut digesting = Core::new(CoreConfig, stall_backend());
         let mut state = digesting.begin_run();
         let mut turn = EventTurn::new();
-        digesting.run_batch_mode(&mut state, &trace, true, &mut WarmupMode::Digest(&mut turn));
+        digesting.digest_batch(&mut state, &trace, true, &mut turn);
         assert_eq!(digesting.finish_run(state), reference, "digesting only writes down");
         assert_eq!(turn.instructions(), 4000);
         assert_eq!(turn.branches(), reference.branches);
@@ -1130,13 +1041,13 @@ mod tests {
     #[test]
     fn executed_turns_match_the_fused_run_without_touching_the_predictor() {
         let trace = mixed_trace(4000);
-        let mut fused = Core::new(CoreConfig::paper(), stall_backend());
+        let mut fused = Core::new(CoreConfig, stall_backend());
         let reference = fused.run(trace.clone());
         assert!(reference.mispredictions > 0 && reference.topdown.mem > 0.0);
 
         for turns in [vec![], vec![1usize, 47, 48, 49, 2000, 3999], (0..4000).step_by(97).collect()]
         {
-            let mut core = Core::new(CoreConfig::paper(), stall_backend());
+            let mut core = Core::new(CoreConfig, stall_backend());
             let mut state = core.begin_run();
             let mut fed = 0;
             for turn in digest(&trace, &[1234], &turns) {
@@ -1154,7 +1065,7 @@ mod tests {
     #[should_panic(expected = "event turns cannot follow instructions in flight")]
     fn execute_refuses_a_state_with_instructions_in_flight() {
         let trace = mixed_trace(100);
-        let mut core = Core::new(CoreConfig::paper(), stall_backend());
+        let mut core = Core::new(CoreConfig, stall_backend());
         let mut state = core.begin_run();
         core.run_batch(&mut state, &trace, false);
         Core::execute(&mut [(&mut core, &mut state)], &EventTurn::new());
@@ -1184,7 +1095,7 @@ mod tests {
                 data_miss: [419, 40, 200, 20, 100][i % 5],
                 calls: Vec::new(),
             };
-            Core::new(CoreConfig::paper(), backend)
+            Core::new(CoreConfig, backend)
         }
 
         fn latency(&self, addr: VirtAddr, miss: u64) -> MemLatency {
@@ -1217,12 +1128,17 @@ mod tests {
         }
     }
 
+    /// A machine's starvation table, as saved.
+    fn starved(core: &Core<Scripted>) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        core.save_starved_state(&mut w);
+        w.into_bytes()
+    }
+
     /// Everything of a machine and its run that a turn can change.
-    fn observed(core: &Core<Scripted>, state: &RunState) -> (String, CoreResult, Vec<u8>) {
+    fn observed(core: &Core<Scripted>, state: RunState) -> (String, CoreResult, Vec<u8>) {
         assert_eq!(core.predictor().branches(), 0, "execute must not train the predictor");
-        let mut starved = SnapWriter::new();
-        core.save_starved_state(&mut starved);
-        (format!("{state:?}"), core.tally_run(state), starved.into_bytes())
+        (format!("{state:?}"), core.finish_run(state), starved(core))
     }
 
     /// A trace that revisits its lines (so starved ones are fetched
@@ -1275,26 +1191,24 @@ mod tests {
                     Core::execute(&mut group, turn);
                 }
 
-                for (i, (core, state)) in cores.iter().zip(&states).enumerate() {
-                    let (alone_core, alone_state) = &alone[i];
+                if size > 1 {
+                    assert_ne!(states[0].cycles, states[1].cycles, "the clocks must diverge");
+                    assert_ne!(starved(&cores[0]), starved(&cores[1]));
+                }
+                let machines = cores.iter().zip(states).zip(alone);
+                for (i, ((core, state), (alone_core, alone_state))) in machines.enumerate() {
                     let what = format!("machine {i} of {size}, {} turns", turns.len());
-                    assert_eq!(observed(core, state), observed(alone_core, alone_state), "{what}");
+                    let seen = observed(core, state);
+                    assert_eq!(seen, observed(&alone_core, alone_state), "{what}");
                     assert_eq!(core.backend().calls, alone_core.backend().calls, "{what}");
 
                     // And both are the fused loop over the same backend.
                     let mut fused = Scripted::machine(i);
-                    assert_eq!(core.tally_run(state), fused.run(trace.clone()), "{what}, fused");
+                    assert_eq!(seen.1, fused.run(trace.clone()), "{what}, fused");
                     assert_eq!(core.backend().calls, fused.backend().calls, "{what}, fused");
-                    let starves = core.backend().ifetch_miss >= core.config.starvation_threshold;
+                    let starves = core.backend().ifetch_miss >= CoreConfig::STARVATION_THRESHOLD;
                     let flagged = core.backend().calls.iter().any(|call| call.2);
                     assert_eq!(flagged, starves, "{what}: lines fetched again with the flag up");
-                }
-                if size > 1 {
-                    assert_ne!(states[0].cycles, states[1].cycles, "the clocks must diverge");
-                    assert_ne!(
-                        observed(&cores[0], &states[0]).2,
-                        observed(&cores[1], &states[1]).2
-                    );
                 }
             }
         }
@@ -1312,9 +1226,9 @@ mod tests {
             let mut group: Vec<_> = cores.iter_mut().zip(states.iter_mut()).collect();
             Core::execute(&mut group, turn);
         }
-        for (i, (core, state)) in cores.iter().zip(&states).enumerate() {
+        for (i, (core, state)) in cores.iter().zip(states).enumerate() {
             assert_eq!(
-                core.tally_run(state),
+                core.finish_run(state),
                 Scripted::machine(i).run(trace.clone()),
                 "machine {i}"
             );
@@ -1342,18 +1256,6 @@ mod tests {
         let (mut ahead, mut behind) = (a.begin_run(), b.begin_run());
         Core::execute(&mut [(&mut a, &mut ahead)], &turns[0]);
         Core::execute(&mut [(&mut a, &mut ahead), (&mut b, &mut behind)], &turns[1]);
-    }
-
-    #[test]
-    #[should_panic(expected = "machines in lockstep share one core configuration")]
-    fn lockstep_refuses_machines_with_different_timing() {
-        // Different backends are the point of a group; different cores
-        // are not.
-        let narrow = CoreConfig { dispatch_width: 4, ..CoreConfig::paper() };
-        let (mut a, mut b) = (Scripted::machine(0), Scripted::machine(1));
-        b.config = narrow;
-        let (mut sa, mut sb) = (a.begin_run(), b.begin_run());
-        Core::execute(&mut [(&mut a, &mut sa), (&mut b, &mut sb)], &EventTurn::new());
     }
 
     /// The bitmap-indexed table against the obvious one.
@@ -1449,7 +1351,7 @@ mod tests {
     #[test]
     fn batches_cut_anywhere_match_an_uninterrupted_run() {
         let trace = mixed_trace(2 * STREAM_BATCH as u64 + 1717);
-        let mut reference_core = Core::new(CoreConfig::paper(), stall_backend());
+        let mut reference_core = Core::new(CoreConfig, stall_backend());
         let reference = reference_core.run(trace.clone());
 
         let near_end = trace.len() - 49;
@@ -1462,7 +1364,7 @@ mod tests {
             vec![trace.len()],
             (0..trace.len()).step_by(611).collect::<Vec<_>>(),
         ] {
-            let mut core = Core::new(CoreConfig::paper(), stall_backend());
+            let mut core = Core::new(CoreConfig, stall_backend());
             let mut state = core.begin_run();
             let mut prev = 0usize;
             for &end in splits.iter().chain(std::iter::once(&trace.len())) {
@@ -1481,7 +1383,7 @@ mod tests {
         let mut backend = FlatBackend::all_hits();
         backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
         backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
-        let mut core = Core::new(CoreConfig::paper(), backend);
+        let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> = (0..500)
             .map(|i| {
                 if i % 7 == 0 {

@@ -5,7 +5,7 @@
 //! branch predictor, the pseudo-FDIP scan over the lookahead window,
 //! fetch-line tracking — is a function of the instruction stream alone,
 //! so it is the same under every cache policy. A frontend that runs
-//! once per workload ([`crate::WarmupMode::Digest`]) writes down what
+//! once per workload ([`crate::Core::digest_batch`]) writes down what
 //! it decided, one [`InstrEvent`] per instruction that *has* an event:
 //!
 //! * the fetch moved to a new line, with the PCs the FDIP scan would
@@ -25,18 +25,15 @@
 //! size — which frame backs an anonymous page, what the stride
 //! prefetcher proposes — so a record does not carry it: the simulator
 //! resolves it once per page size and hands it to each machine as a
-//! column beside the records, which stay as they are, one 48-byte
+//! column beside the records, which stay as they are, one 40-byte
 //! [`InstrEvent`] each. The backend asks for it access by access, in the
 //! order [`crate::Core::execute`] issues them.
 
 use trrip_mem::VirtAddr;
 
+use crate::core::CoreConfig;
 use crate::topdown::StallClass;
 use crate::trace::{MemOp, TraceInstr};
-
-/// FDIP prefetch PCs one record can carry (the paper core issues at
-/// most `fdip_max_lines = 2` per trigger).
-pub const MAX_FDIP_PCS: usize = 3;
 
 const FETCH: u8 = 1 << 0;
 const MISPREDICT: u8 = 1 << 1;
@@ -55,7 +52,9 @@ pub struct InstrEvent {
     stall_cycles: u8,
     pc: VirtAddr,
     mem_addr: VirtAddr,
-    fdip: [u64; MAX_FDIP_PCS],
+    /// The FDIP scan's PCs: as many as it may issue,
+    /// [`CoreConfig::FDIP_MAX_LINES`].
+    fdip: [u64; CoreConfig::FDIP_MAX_LINES],
 }
 
 impl InstrEvent {
@@ -67,7 +66,7 @@ impl InstrEvent {
         stall_cycles: 0,
         pc: VirtAddr::new(0),
         mem_addr: VirtAddr::new(0),
-        fdip: [0; MAX_FDIP_PCS],
+        fdip: [0; CoreConfig::FDIP_MAX_LINES],
     };
 
     /// Event-free instructions between the previous record (or the
@@ -185,8 +184,9 @@ impl EventTurn {
     ///
     /// # Panics
     ///
-    /// Panics if the scan issued more than [`MAX_FDIP_PCS`] prefetches,
-    /// or if 2³² event-free instructions precede a record.
+    /// Panics if `fdip_pcs` holds more than
+    /// [`CoreConfig::FDIP_MAX_LINES`] PCs, or if 2³² event-free
+    /// instructions precede a record.
     #[inline]
     pub fn record(
         &mut self,
@@ -197,16 +197,9 @@ impl EventTurn {
         self.instructions += 1;
         let mut event = InstrEvent { pc: instr.pc, ..InstrEvent::NONE };
         if let Some(pcs) = fdip_pcs {
-            assert!(
-                pcs.len() <= MAX_FDIP_PCS,
-                "{} FDIP prefetches exceed an event record's {MAX_FDIP_PCS}",
-                pcs.len()
-            );
             event.flags |= FETCH;
             event.fdip_len = pcs.len() as u8;
-            for (slot, &pc) in event.fdip.iter_mut().zip(pcs) {
-                *slot = pc;
-            }
+            event.fdip[..pcs.len()].copy_from_slice(pcs);
         }
         if let Some(mispredicted) = mispredicted {
             self.branches += 1;
@@ -243,7 +236,7 @@ mod tests {
     /// only about half the instructions of a proxy have one.
     #[test]
     fn a_record_is_no_bigger_than_an_instruction() {
-        assert_eq!(std::mem::size_of::<InstrEvent>(), 48);
+        assert_eq!(std::mem::size_of::<InstrEvent>(), 40);
         assert!(std::mem::size_of::<InstrEvent>() <= std::mem::size_of::<crate::TraceInstr>());
     }
 
@@ -284,7 +277,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "FDIP prefetches exceed")]
+    #[should_panic(expected = "out of range for slice of length 2")]
     fn a_fourth_fdip_prefetch_does_not_fit_a_record() {
         EventTurn::new().record(&TraceInstr::simple(0x1000), Some(&[1, 2, 3, 4]), None);
     }

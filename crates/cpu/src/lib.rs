@@ -11,11 +11,13 @@
 //! * [`backend`] — the [`MemoryBackend`] trait the
 //!   core drives for fetches, loads, stores and prefetches (implemented in
 //!   `trrip-sim` over the MMU + hierarchy).
-//! * [`core`] — the two timing loops, and no third: the fused loop with
-//!   pseudo-FDIP lookahead prefetching and decode-starvation tracking
-//!   for Emissary, in two [`WarmupMode`]s (observe / digest), and the
-//!   predictor-free event loop [`Core::execute`], which drives a group
-//!   of machines through one turn in lockstep.
+//! * [`core`] — the Table 1 core as constants ([`CoreConfig`]) and the
+//!   two timing loops, and no third: the fused loop with pseudo-FDIP
+//!   lookahead prefetching and decode-starvation tracking for Emissary,
+//!   which runs ([`Core::run_batch`]) or also digests
+//!   ([`Core::digest_batch`]), and the predictor-free event loop
+//!   [`Core::execute`], which drives a group of machines through one
+//!   turn in lockstep.
 //! * [`events`] — the [`EventTurn`]: a stretch of instructions reduced
 //!   to what a backend is shown of them, written once per workload by a
 //!   digesting frontend and executed by every policy cell.
@@ -32,9 +34,9 @@ pub mod events;
 pub mod topdown;
 pub mod trace;
 
-pub use crate::core::{Core, CoreConfig, CoreResult, RunState, WarmupMode};
+pub use crate::core::{Core, CoreConfig, CoreResult, RunState};
 pub use backend::{MemLatency, MemoryBackend};
-pub use branch::{BranchOutcome, BranchPredictor, PredictorConfig};
+pub use branch::{BranchOutcome, BranchPredictor};
 pub use events::{EventTurn, InstrEvent};
 pub use topdown::{StallClass, TopDown};
 pub use trace::{BranchInfo, BranchKind, MemOp, TraceInstr};

@@ -102,10 +102,10 @@
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 
-use trrip_cache::{CacheConfig, HierarchyConfig};
+use trrip_cache::{CacheConfig, Hierarchy, HierarchyConfig};
 use trrip_compiler::{LayoutKind, Profile, Program};
 use trrip_cpu::{
-    BranchInfo, BranchKind, CoreConfig, MemOp, PredictorConfig, StallClass, TraceInstr,
+    BranchInfo, BranchKind, BranchPredictor, CoreConfig, MemOp, StallClass, TraceInstr,
 };
 use trrip_mem::{PageSize, VirtAddr};
 use trrip_os::OverlapPolicy;
@@ -275,23 +275,24 @@ fn overlap_tag(overlap: OverlapPolicy) -> u8 {
 /// Hashes every configuration knob that shapes warmed architectural
 /// state. Two configs with equal hashes produce interchangeable
 /// fast-forward states for the same workload fingerprint; anything that
-/// moves a single bit of warmup state (cache geometry, policy,
-/// predictor sizing, page size, fast-forward length…) moves the hash.
+/// moves a single bit of warmup state (cache geometry, policy, page
+/// size, fast-forward length…) moves the hash; the core's and the
+/// predictor's constants are hashed too.
 #[must_use]
 pub fn warmup_config_hash(config: &SimConfig) -> u64 {
     warmup_hash(config, None)
 }
 
 /// The key of a row's shared-prefix container: what a frontend at the
-/// boundary depends on and nothing else — the core, the layout and the
-/// fast-forward length (the predictor), and the page size of each
-/// stream view it holds, one per page size among the row's cells
-/// ([`view_page_sizes`]). A sweep's frontend trains over a backend that
-/// always hits and a view resolves frames and strides, so the L2 policy,
-/// every cache's geometry and latencies, the DRAM latency and the
-/// overlap rule — which moves temperatures, read by each cell from its
-/// own loaded image, never frames — do not reach it: cells that differ
-/// only in those resolve the same file.
+/// boundary depends on and nothing else — the core's constants, the
+/// layout and the fast-forward length (the predictor), and the page
+/// size of each stream view it holds, one per page size among the row's
+/// cells ([`view_page_sizes`]). A sweep's frontend trains over a backend
+/// that always hits and a view resolves frames and strides, so the L2
+/// policy, every cache's geometry and latencies and the overlap rule —
+/// which moves temperatures, read by each cell from its own loaded
+/// image, never frames — do not reach it: cells that differ only in
+/// those resolve the same file.
 ///
 /// # Panics
 ///
@@ -305,49 +306,33 @@ pub fn warmup_prefix_hash(row: &[SimConfig]) -> u64 {
 /// The machine's whole warm-up key, or with `views`, the key of a
 /// frontend holding views of those page sizes.
 fn warmup_hash(config: &SimConfig, views: Option<&[PageSize]>) -> u64 {
-    // No `..` in these patterns: a field added to one of these structs
-    // does not compile until it is hashed here or named as left out.
-    let CoreConfig {
-        dispatch_width,
-        rob_entries,
-        predictor,
-        fdip,
-        fdip_lookahead_instrs,
-        fdip_max_lines,
-        l1_hit_cycles,
-        starvation_threshold,
-        // Used only for reporting.
-        frequency_ghz: _,
-    } = config.core;
-    let PredictorConfig {
-        btb_entries,
-        indirect_btb_entries,
-        loop_entries,
-        global_entries,
-        ras_depth,
-        mispredict_penalty,
-    } = predictor;
     let mut w = SnapWriter::new();
-    w.u64(u64::from(dispatch_width));
-    w.u64(u64::from(rob_entries));
-    w.usize(btb_entries);
-    w.usize(indirect_btb_entries);
-    w.usize(loop_entries);
-    w.usize(global_entries);
-    w.usize(ras_depth);
-    w.u64(mispredict_penalty);
-    w.bool(fdip);
-    w.usize(fdip_lookahead_instrs);
-    w.usize(fdip_max_lines);
-    w.u64(l1_hit_cycles);
-    w.u64(starvation_threshold);
+    // The Table 1 core's constants. Every store file name is keyed by
+    // these bytes (both keys are pinned in the tests), so they keep
+    // their order, FDIP's flag included.
+    w.u64(u64::from(CoreConfig::DISPATCH_WIDTH));
+    w.u64(u64::from(CoreConfig::ROB_ENTRIES));
+    w.usize(BranchPredictor::BTB_ENTRIES);
+    w.usize(BranchPredictor::INDIRECT_BTB_ENTRIES);
+    w.usize(BranchPredictor::LOOP_ENTRIES);
+    w.usize(BranchPredictor::GLOBAL_ENTRIES);
+    w.usize(BranchPredictor::RAS_DEPTH);
+    w.u64(BranchPredictor::MISPREDICT_PENALTY);
+    w.bool(true);
+    w.usize(CoreConfig::FDIP_LOOKAHEAD_INSTRS);
+    w.usize(CoreConfig::FDIP_MAX_LINES);
+    w.u64(CoreConfig::L1_HIT_CYCLES);
+    w.u64(CoreConfig::STARVATION_THRESHOLD);
     if let Some(views) = views {
         w.usize(views.len());
         for page_size in views {
             w.u64(page_size.bytes());
         }
     } else {
-        let HierarchyConfig { l1i, l1d, l2, slc, dram_latency, l2_policy } = &config.hierarchy;
+        // No `..` in these patterns: a field added to one of these
+        // structs does not compile until it is hashed here or named as
+        // left out.
+        let HierarchyConfig { l1i, l1d, l2, slc, l2_policy } = &config.hierarchy;
         for cache in [l1i, l1d, l2, slc] {
             // The name is a label.
             let CacheConfig { name: _, size_bytes, ways, tag_latency, data_latency } = cache;
@@ -356,7 +341,7 @@ fn warmup_hash(config: &SimConfig, views: Option<&[PageSize]>) -> u64 {
             w.u64(*tag_latency);
             w.u64(*data_latency);
         }
-        w.u64(*dram_latency);
+        w.u64(Hierarchy::DRAM_LATENCY);
         w.str(l2_policy.name());
         w.u64(config.page_size.bytes());
         w.u8(overlap_tag(config.overlap));
@@ -1139,9 +1124,9 @@ mod tests {
     type CacheFlip = fn(&mut CacheConfig);
 
     /// Every field the keys read moves the machine key when flipped
-    /// alone; only the core's fields, the layout, the fast-forward length
-    /// and — through the stream view it picks — the page size move the
-    /// prefix key; the fields they leave out move neither. Both keys of
+    /// alone; only the layout, the fast-forward length and — through
+    /// the stream view it picks — the page size move the prefix key;
+    /// the fields they leave out move neither. Both keys of
     /// the paper machine are pinned, so a write reordered (and with it
     /// every store file name) fails too.
     #[test]
@@ -1151,20 +1136,7 @@ mod tests {
         assert_eq!(warmup_config_hash(&base), 0x37b2_b070_bc02_4236);
         assert_eq!(row(&base), PREFIX_KEY);
 
-        let frontend: [(&str, Flip); 15] = [
-            ("dispatch_width", |c| c.core.dispatch_width += 1),
-            ("rob_entries", |c| c.core.rob_entries += 1),
-            ("btb_entries", |c| c.core.predictor.btb_entries += 1),
-            ("indirect_btb_entries", |c| c.core.predictor.indirect_btb_entries += 1),
-            ("loop_entries", |c| c.core.predictor.loop_entries += 1),
-            ("global_entries", |c| c.core.predictor.global_entries += 1),
-            ("ras_depth", |c| c.core.predictor.ras_depth += 1),
-            ("mispredict_penalty", |c| c.core.predictor.mispredict_penalty += 1),
-            ("fdip", |c| c.core.fdip = !c.core.fdip),
-            ("fdip_lookahead_instrs", |c| c.core.fdip_lookahead_instrs += 1),
-            ("fdip_max_lines", |c| c.core.fdip_max_lines += 1),
-            ("l1_hit_cycles", |c| c.core.l1_hit_cycles += 1),
-            ("starvation_threshold", |c| c.core.starvation_threshold += 1),
+        let frontend: [(&str, Flip); 2] = [
             ("layout", |c| c.layout = LayoutKind::SourceOrder),
             ("fast_forward", |c| c.fast_forward += 1),
         ];
@@ -1180,14 +1152,12 @@ mod tests {
             ("tag_latency", |c| c.tag_latency += 1),
             ("data_latency", |c| c.data_latency += 1),
         ];
-        let memory_system: [(&str, Flip); 3] = [
-            ("dram_latency", |c| c.hierarchy.dram_latency += 1),
+        let memory_system: [(&str, Flip); 2] = [
             ("l2_policy", |c| c.hierarchy.l2_policy = PolicyKind::Lru),
             // Temperatures, which each cell reads from its own image.
             ("overlap", |c| c.overlap = OverlapPolicy::Hottest),
         ];
-        let neither: [(&str, Flip); 7] = [
-            ("frequency_ghz", |c| c.core.frequency_ghz *= 2.0),
+        let neither: [(&str, Flip); 6] = [
             ("cache name", |c| c.hierarchy.l2.name.push('!')),
             ("classifier", |c| c.classifier.percentile_hot = 0.5),
             ("instructions", |c| c.instructions += 1),

@@ -12,7 +12,7 @@ use trrip_policies::PolicyKind;
 /// Everything one simulation run needs beyond the workload itself.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SimConfig {
-    /// Core timing parameters.
+    /// The Table 1 core, whose timing parameters are all constants.
     pub core: CoreConfig,
     /// Cache hierarchy (includes the L2 policy under test).
     pub hierarchy: HierarchyConfig,
@@ -44,7 +44,7 @@ impl SimConfig {
     #[must_use]
     pub fn paper(policy: PolicyKind) -> SimConfig {
         SimConfig {
-            core: CoreConfig::paper(),
+            core: CoreConfig,
             hierarchy: HierarchyConfig::paper(policy),
             page_size: PageSize::Size4K,
             overlap: OverlapPolicy::default(),
@@ -90,15 +90,29 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use trrip_cache::Hierarchy;
+    use trrip_cpu::BranchPredictor;
 
     #[test]
     fn paper_config_matches_table1() {
+        assert_eq!(CoreConfig::DISPATCH_WIDTH, 6);
+        assert_eq!(CoreConfig::ROB_ENTRIES, 128);
+        assert_eq!(CoreConfig::OOO_HIDE_CYCLES, 21);
+        assert_eq!((CoreConfig::FDIP_MAX_LINES, CoreConfig::FDIP_LOOKAHEAD_INSTRS), (2, 48));
+        assert_eq!(CoreConfig::L1_HIT_CYCLES, 3);
+        assert_eq!(CoreConfig::STARVATION_THRESHOLD, 21);
+        assert_eq!(CoreConfig::FREQUENCY_GHZ, 2.0);
+        assert_eq!(BranchPredictor::BTB_ENTRIES, 1024);
+        assert_eq!(BranchPredictor::INDIRECT_BTB_ENTRIES, 512);
+        assert_eq!(BranchPredictor::LOOP_ENTRIES, 256);
+        assert_eq!(BranchPredictor::GLOBAL_ENTRIES, 1024);
+        assert_eq!(BranchPredictor::RAS_DEPTH, 32);
+        assert_eq!(BranchPredictor::MISPREDICT_PENALTY, 8);
+        assert_eq!(Hierarchy::DRAM_LATENCY, 400);
+
         let c = SimConfig::paper(PolicyKind::Trrip1);
-        assert_eq!(c.core.dispatch_width, 6);
-        assert_eq!(c.core.rob_entries, 128);
         assert_eq!(c.hierarchy.l2.size_bytes, 128 << 10);
         assert_eq!(c.hierarchy.l2.ways, 8);
-        assert_eq!(c.hierarchy.dram_latency, 400);
         assert_eq!(c.hierarchy.l2_policy, PolicyKind::Trrip1);
     }
 

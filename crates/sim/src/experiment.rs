@@ -7,8 +7,9 @@
 //! one frontend. The cells may differ in anything the stream and the
 //! frontend never read: L2 policy, cache geometry and latencies, page
 //! size, overlap rule, armed profilers. They must agree on what those do
-//! read — `core`, `layout`, `fast_forward`, `instructions` — and a sweep
-//! refuses cells that do not, naming the cell and the field.
+//! read — `layout`, `fast_forward`, `instructions`; the core is Table 1's
+//! in every cell — and a sweep refuses cells that do not, naming the
+//! cell and the field.
 //! [`policy_cells`] builds the common case, one machine under several
 //! policies.
 //!
@@ -356,7 +357,6 @@ fn assert_one_stream(cells: &[SimConfig]) {
     let Some(stream) = cells.first() else { return };
     for (index, cell) in cells.iter().enumerate() {
         for (field, agrees) in [
-            ("core", cell.core == stream.core),
             ("layout", cell.layout == stream.layout),
             ("fast_forward", cell.fast_forward == stream.fast_forward),
             ("instructions", cell.instructions == stream.instructions),
@@ -419,8 +419,8 @@ fn open_walker<'w>(
 const TURN_INSTRS: usize = 16 * 1024;
 
 /// Turns a stream window holds before the worker at its head has to
-/// wait for the slowest reader (about 0.4 MB each: half the
-/// instructions have an event, at 48 bytes a record). 2 and 8 measured
+/// wait for the slowest reader (about 0.3 MB each: half the
+/// instructions have an event, at 40 bytes a record). 2 and 8 measured
 /// the same as 4 (three runs each, same workload).
 const WINDOW_TURNS: usize = 4;
 
@@ -1213,7 +1213,6 @@ mod tests {
                 topdown: Default::default(),
                 branches: 0,
                 mispredictions: 0,
-                dispatch_width: 6,
             },
             l1i: Default::default(),
             l1d: Default::default(),

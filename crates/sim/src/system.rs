@@ -55,7 +55,7 @@ use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
 use trrip_cache::{AccessStats, Hierarchy};
 use trrip_cpu::backend::{FlatBackend, MemoryBackend};
-use trrip_cpu::{BranchPredictor, Core, CoreResult, EventTurn, RunState, TraceInstr, WarmupMode};
+use trrip_cpu::{BranchPredictor, Core, CoreResult, EventTurn, RunState, TraceInstr};
 use trrip_os::{Loader, Mmu, PageStats, TlbStats};
 use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -178,7 +178,7 @@ pub fn simulate_source<S: TraceSource>(
 /// whose backend always hits — so the branch predictor trains and the
 /// FDIP scan runs exactly as in any cell, neither ever seeing a cache
 /// latency — and writes each stretch down as an [`EventTurn`]
-/// ([`WarmupMode::Digest`]), which its stream views — one per page size
+/// ([`Core::digest_batch`]), which its stream views — one per page size
 /// among the row's cells — resolve into a column each beside it
 /// ([`StreamTurn`]): the physical address of every memory operand (and
 /// of every demand fetch off the loaded image), and the stride proposals
@@ -285,17 +285,16 @@ impl<S: TraceSource> Frontend<S> {
         events.clear();
         let phase = usize::from(self.left[0] == 0);
         let mut want = self.left[phase].min(limit as u64) as usize;
-        let mut mode = WarmupMode::Digest(events);
         let mut dry = false;
         while want > 0 && !dry {
             let slice = self.stream.next_slice(want);
             dry = slice.is_empty();
             want -= slice.len();
             self.left[phase] -= slice.len() as u64;
-            self.core.run_batch_mode(&mut self.state, slice, false, &mut mode);
+            self.core.digest_batch(&mut self.state, slice, false, events);
         }
         if self.left[phase] == 0 || dry {
-            self.core.run_batch_mode(&mut self.state, &[], true, &mut mode);
+            self.core.digest_batch(&mut self.state, &[], true, events);
             self.state = self.core.begin_run();
         }
         if dry {

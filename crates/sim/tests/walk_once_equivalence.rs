@@ -256,14 +256,6 @@ fn a_sweep_refuses_cells_with_different_layouts() {
     let _ = policy_sweep_with(2, &[workload("walk-once-row-layout")], &cells, None);
 }
 
-#[test]
-#[should_panic(expected = "cell 3 differs from cell 0 in `core`")]
-fn a_sweep_refuses_cells_with_different_cores() {
-    let _shared = shared();
-    let cells = row_with(|cell| cell.core.rob_entries = 64);
-    let _ = policy_sweep_with(2, &[workload("walk-once-row-core")], &cells, None);
-}
-
 // ---- the push seam on its own ----
 
 fn eval_stream(w: &PreparedWorkload, config: &SimConfig) -> Vec<TraceInstr> {
