@@ -1,10 +1,11 @@
 //! Table 1: the simulator configuration actually in force, printed from
-//! the core's, the predictor's and DRAM's constants and the live
-//! `SimConfig`, so drift between code and documentation is impossible.
+//! the core's, the predictor's and the memory side's constants and the
+//! live `SimConfig`, so drift between code and documentation is
+//! impossible.
 
 use trrip_analysis::TextTable;
 use trrip_bench::HarnessOptions;
-use trrip_cache::Hierarchy;
+use trrip_cache::{CacheConfig, Hierarchy};
 use trrip_cpu::{BranchPredictor, CoreConfig};
 use trrip_policies::PolicyKind;
 
@@ -37,22 +38,34 @@ fn run(options: &HarnessOptions) {
             BranchPredictor::MISPREDICT_PENALTY
         ),
     ]);
-    let cache_row = |cfg: &trrip_cache::CacheConfig, policy: &str, extra: &str| {
+    let cache_row = |cfg: CacheConfig, (tag, data): (u64, u64), policy: &str, extra: &str| {
         format!(
-            "{} kB, {}-way, {policy} replacement{extra}, {}/{} (tag/data)-cycle latency",
+            "{} kB, {}-way, {policy} replacement{extra}, {tag}/{data} (tag/data)-cycle latency",
             cfg.size_bytes >> 10,
             cfg.ways,
-            cfg.tag_latency,
-            cfg.data_latency
         )
     };
-    table.row(vec!["L1-I".into(), cache_row(&c.hierarchy.l1i, "LRU", ", next-line prefetcher")]);
-    table.row(vec!["L1-D".into(), cache_row(&c.hierarchy.l1d, "LRU", ", stride prefetcher")]);
+    let l1 = (Hierarchy::L1_TAG_CYCLES, Hierarchy::L1_DATA_CYCLES);
+    table.row(vec!["L1-I".into(), cache_row(Hierarchy::L1I, l1, "LRU", ", next-line prefetcher")]);
+    table.row(vec!["L1-D".into(), cache_row(Hierarchy::L1D, l1, "LRU", ", stride prefetcher")]);
     table.row(vec![
         "Unified Shared L2".into(),
-        cache_row(&c.hierarchy.l2, c.hierarchy.l2_policy.name(), ", inclusive, stride prefetcher"),
+        cache_row(
+            c.hierarchy.l2,
+            (Hierarchy::L2_TAG_CYCLES, Hierarchy::L2_DATA_CYCLES),
+            c.hierarchy.l2_policy.name(),
+            ", inclusive, stride prefetcher",
+        ),
     ]);
-    table.row(vec!["Unified Shared SLC".into(), cache_row(&c.hierarchy.slc, "LRU", ", exclusive")]);
+    table.row(vec![
+        "Unified Shared SLC".into(),
+        cache_row(
+            Hierarchy::SLC,
+            (Hierarchy::SLC_TAG_CYCLES, Hierarchy::SLC_DATA_CYCLES),
+            "LRU",
+            ", exclusive",
+        ),
+    ]);
     table.row(vec!["DRAM".into(), format!("{}-cycle latency (flat)", Hierarchy::DRAM_LATENCY)]);
     table.row(vec![
         "Run control".into(),

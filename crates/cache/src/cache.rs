@@ -85,8 +85,8 @@ pub(crate) fn first_match(set_tags: &[u64], raw: u64) -> Option<usize> {
 /// One cache level: tag store + replacement policy + statistics.
 ///
 /// The cache is physically indexed at line granularity. It performs no
-/// timing; the [`crate::Hierarchy`] accumulates latencies from the
-/// [`CacheConfig`].
+/// timing; the [`crate::Hierarchy`] accumulates latencies from its
+/// Table 1 constants.
 ///
 /// # Example
 ///
@@ -138,8 +138,7 @@ impl<P: ReplacementPolicy> Cache<P> {
     pub fn new(config: CacheConfig, policy: P) -> Cache<P> {
         assert!(
             config.ways <= MAX_WAYS,
-            "{}: {} ways exceed the {MAX_WAYS} a set probe can hold",
-            config.name,
+            "{} ways exceed the {MAX_WAYS} a set probe can hold",
             config.ways
         );
         let num_sets = config.num_sets();
@@ -459,18 +458,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "L2: 128 ways exceed the 64 a set probe can hold")]
+    #[should_panic(expected = "128 ways exceed the 64 a set probe can hold")]
     fn a_set_wider_than_the_probe_mask_is_rejected() {
-        let config = CacheConfig::new("L2", 128 * 64, 128, 1, 2);
-        let _ = Cache::new(config.clone(), Lru::new(config.num_sets(), config.ways));
+        let config = CacheConfig::new(128 * 64, 128);
+        let _ = Cache::new(config, Lru::new(config.num_sets(), config.ways));
     }
 
     #[test]
     fn the_widest_set_the_probe_mask_holds_works() {
         // One fully associative set of 64 ways: the last way's compare
         // bit is the mask's top bit.
-        let config = CacheConfig::new("FA", 64 * 64, 64, 1, 2);
-        let mut c = Cache::new(config.clone(), Lru::new(config.num_sets(), config.ways));
+        let config = CacheConfig::new(64 * 64, 64);
+        let mut c = Cache::new(config, Lru::new(config.num_sets(), config.ways));
         for i in 0..64 {
             assert!(c.fill(&fetch(i * 64)).is_none(), "way {i} was free");
         }
@@ -483,7 +482,7 @@ mod tests {
 
     fn small_cache(kind: PolicyKind) -> Cache {
         // 4 sets × 2 ways × 64 B = 512 B.
-        let config = CacheConfig::new("T", 512, 2, 1, 2);
+        let config = CacheConfig::new(512, 2);
         let policy = kind.build(config.num_sets(), config.ways);
         Cache::new(config, policy)
     }
@@ -619,11 +618,11 @@ mod tests {
         // costs ~1 bit per empty slot, not a byte: beside the policy's
         // own state, an empty store is its valid bitmap, and 64 resident
         // lines add a few bytes each, nothing per slot.
-        let config = CacheConfig::new("SLC", 2 << 20, 16, 1, 2);
+        let config = CacheConfig::new(2 << 20, 16);
         let slots = config.num_sets() * config.ways;
         let build = || {
             let policy = PolicyKind::Lru.build(config.num_sets(), config.ways);
-            Cache::new(config.clone(), policy)
+            Cache::new(config, policy)
         };
         let saved_len = |save: &dyn Fn(&mut SnapWriter)| {
             let mut w = SnapWriter::new();

@@ -1,44 +1,30 @@
-//! Cache geometry and latency configuration.
+//! Cache geometry.
 
 use serde::{Deserialize, Serialize};
 use trrip_mem::LINE_BYTES;
 
-/// Static configuration of one cache level.
+/// The geometry of one cache level: capacity and associativity.
 ///
-/// Latencies follow Table 1's `tag/data` notation: a lookup that misses
-/// pays the tag latency at this level before probing the next one; a hit
-/// pays the data latency.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+/// A level's latencies are Table 1's and live beside the levels they
+/// time, as [`crate::Hierarchy`]'s constants.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheConfig {
-    /// Display name ("L1-I", "L2", …).
-    pub name: String,
     /// Total capacity in bytes.
     pub size_bytes: u64,
     /// Associativity.
     pub ways: usize,
-    /// Cycles to determine hit/miss.
-    pub tag_latency: u64,
-    /// Cycles to return data on a hit.
-    pub data_latency: u64,
 }
 
 impl CacheConfig {
-    /// Creates a configuration.
+    /// Creates a geometry.
     ///
     /// # Panics
     ///
     /// Panics if the geometry does not divide into a power-of-two number
     /// of sets of at least one.
     #[must_use]
-    pub fn new(
-        name: &str,
-        size_bytes: u64,
-        ways: usize,
-        tag_latency: u64,
-        data_latency: u64,
-    ) -> CacheConfig {
-        let config =
-            CacheConfig { name: name.to_owned(), size_bytes, ways, tag_latency, data_latency };
+    pub fn new(size_bytes: u64, ways: usize) -> CacheConfig {
+        let config = CacheConfig { size_bytes, ways };
         assert!(config.num_sets() > 0, "cache too small for its associativity");
         assert!(
             config.num_sets().is_power_of_two(),
@@ -59,29 +45,11 @@ impl CacheConfig {
         self.num_sets() * self.ways
     }
 
-    /// Table 1 L1 instruction cache: 64 kB, 4-way, 1/3-cycle tag/data.
-    #[must_use]
-    pub fn paper_l1i() -> CacheConfig {
-        CacheConfig::new("L1-I", 64 << 10, 4, 1, 3)
-    }
-
-    /// Table 1 L1 data cache: 64 kB, 4-way, 1/3-cycle tag/data.
-    #[must_use]
-    pub fn paper_l1d() -> CacheConfig {
-        CacheConfig::new("L1-D", 64 << 10, 4, 1, 3)
-    }
-
     /// Table 1 unified L2 as seen by one core of the 4-core cluster:
-    /// 128 kB, 8-way, 8/12-cycle tag/data.
+    /// 128 kB, 8-way.
     #[must_use]
     pub fn paper_l2() -> CacheConfig {
-        CacheConfig::new("L2", 128 << 10, 8, 8, 12)
-    }
-
-    /// Table 1 system-level cache: 1 MB, 16-way, 10/30-cycle tag/data.
-    #[must_use]
-    pub fn paper_slc() -> CacheConfig {
-        CacheConfig::new("SLC", 1 << 20, 16, 10, 30)
+        CacheConfig::new(128 << 10, 8)
     }
 }
 
@@ -98,14 +66,15 @@ mod tests {
 
     #[test]
     fn paper_l1_geometry() {
-        let c = CacheConfig::paper_l1i();
-        assert_eq!(c.num_sets(), 256);
-        assert_eq!(c.ways, 4);
+        for c in [crate::Hierarchy::L1I, crate::Hierarchy::L1D] {
+            assert_eq!(c.num_sets(), 256);
+            assert_eq!(c.ways, 4);
+        }
     }
 
     #[test]
-    fn paper_slc_geometry() {
-        let c = CacheConfig::paper_slc();
+    fn table1_slc_geometry() {
+        let c = crate::Hierarchy::SLC;
         assert_eq!(c.num_sets(), 1024);
         assert_eq!(c.ways, 16);
     }
@@ -113,6 +82,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "power of two")]
     fn non_power_of_two_sets_rejected() {
-        let _ = CacheConfig::new("bad", 96 << 10, 8, 1, 1);
+        let _ = CacheConfig::new(96 << 10, 8);
     }
 }

@@ -11,6 +11,10 @@
 //!                          DRAM (flat 400-cycle latency)
 //! ```
 //!
+//! Only the L2's geometry and policy vary ([`HierarchyConfig`]); the L1s,
+//! the SLC and every level's latency are Table 1's, fixed as
+//! [`Hierarchy`]'s constants.
+//!
 //! Invariants maintained:
 //!
 //! * **L1 ⊆ L2** (inclusive): every L1 fill is preceded by an L2 fill, and
@@ -61,17 +65,13 @@ impl AccessOutcome {
     }
 }
 
-/// Configuration of the full hierarchy.
+/// What varies between hierarchies: the L2's geometry (Figure 9 sweeps
+/// its size and associativity) and its replacement policy. Everything
+/// else is Table 1's, fixed as [`Hierarchy`]'s constants.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct HierarchyConfig {
-    /// L1 instruction cache geometry.
-    pub l1i: CacheConfig,
-    /// L1 data cache geometry.
-    pub l1d: CacheConfig,
     /// Unified L2 geometry.
     pub l2: CacheConfig,
-    /// System-level cache geometry.
-    pub slc: CacheConfig,
     /// Replacement policy evaluated at the L2.
     pub l2_policy: PolicyKind,
 }
@@ -80,38 +80,20 @@ impl HierarchyConfig {
     /// The paper's configuration with a chosen L2 policy.
     #[must_use]
     pub fn paper(l2_policy: PolicyKind) -> HierarchyConfig {
-        HierarchyConfig {
-            l1i: CacheConfig::paper_l1i(),
-            l1d: CacheConfig::paper_l1d(),
-            l2: CacheConfig::paper_l2(),
-            slc: CacheConfig::paper_slc(),
-            l2_policy,
-        }
+        HierarchyConfig { l2: CacheConfig::paper_l2(), l2_policy }
     }
 
     /// Same configuration with a different L2 capacity (Figure 9a sweep).
     #[must_use]
     pub fn with_l2_size(mut self, size_bytes: u64) -> HierarchyConfig {
-        self.l2 = CacheConfig::new(
-            "L2",
-            size_bytes,
-            self.l2.ways,
-            self.l2.tag_latency,
-            self.l2.data_latency,
-        );
+        self.l2 = CacheConfig::new(size_bytes, self.l2.ways);
         self
     }
 
     /// Same configuration with a different L2 associativity (Figure 9b).
     #[must_use]
     pub fn with_l2_ways(mut self, ways: usize) -> HierarchyConfig {
-        self.l2 = CacheConfig::new(
-            "L2",
-            self.l2.size_bytes,
-            ways,
-            self.l2.tag_latency,
-            self.l2.data_latency,
-        );
+        self.l2 = CacheConfig::new(self.l2.size_bytes, ways);
         self
     }
 }
@@ -133,20 +115,52 @@ pub struct Hierarchy {
 }
 
 impl Hierarchy {
+    /// Table 1's L1 instruction cache: 64 kB, 4-way.
+    pub const L1I: CacheConfig = CacheConfig { size_bytes: 64 << 10, ways: 4 };
+    /// Table 1's L1 data cache: 64 kB, 4-way.
+    pub const L1D: CacheConfig = CacheConfig { size_bytes: 64 << 10, ways: 4 };
+    /// Table 1's system-level cache: 1 MB, 16-way.
+    pub const SLC: CacheConfig = CacheConfig { size_bytes: 1 << 20, ways: 16 };
+
+    /// Cycles either L1 takes to tell a hit from a miss (Table 1's 1/3).
+    /// A lookup that misses a level pays that level's tag cycles before
+    /// probing the next one; a hit pays the level's data cycles.
+    pub const L1_TAG_CYCLES: u64 = 1;
+    /// Cycles either L1 takes to return data on a hit.
+    pub const L1_DATA_CYCLES: u64 = 3;
+    /// Cycles the L2 takes to tell a hit from a miss (Table 1's 8/12).
+    pub const L2_TAG_CYCLES: u64 = 8;
+    /// Cycles the L2 takes to return data on a hit.
+    pub const L2_DATA_CYCLES: u64 = 12;
+    /// Cycles the SLC takes to tell a hit from a miss (Table 1's 10/30).
+    pub const SLC_TAG_CYCLES: u64 = 10;
+    /// Cycles the SLC takes to return data on a hit.
+    pub const SLC_DATA_CYCLES: u64 = 30;
     /// Flat DRAM access latency in cycles (Table 1).
     pub const DRAM_LATENCY: u64 = 400;
 
-    /// Builds the hierarchy: L1s and SLC run LRU (Table 1); the L2 runs
-    /// the configured policy.
+    /// Load-to-use cycles of an access the L2 serves.
+    const FROM_L2: u64 = Hierarchy::L1_TAG_CYCLES + Hierarchy::L2_DATA_CYCLES;
+    /// Load-to-use cycles of an access the SLC serves.
+    const FROM_SLC: u64 =
+        Hierarchy::L1_TAG_CYCLES + Hierarchy::L2_TAG_CYCLES + Hierarchy::SLC_DATA_CYCLES;
+    /// Load-to-use cycles of an access DRAM serves.
+    const FROM_DRAM: u64 = Hierarchy::L1_TAG_CYCLES
+        + Hierarchy::L2_TAG_CYCLES
+        + Hierarchy::SLC_TAG_CYCLES
+        + Hierarchy::DRAM_LATENCY;
+
+    /// Builds the hierarchy: the L1s and the SLC are Table 1's and run
+    /// LRU; the L2 has the configured geometry and policy.
     #[must_use]
     pub fn new(config: &HierarchyConfig) -> Hierarchy {
-        let lru = |cfg: &CacheConfig| Cache::new(cfg.clone(), Lru::new(cfg.num_sets(), cfg.ways));
-        let l2 = &config.l2;
+        let lru = |cfg: CacheConfig| Cache::new(cfg, Lru::new(cfg.num_sets(), cfg.ways));
+        let l2 = config.l2;
         Hierarchy {
-            l1i: lru(&config.l1i),
-            l1d: lru(&config.l1d),
-            l2: Cache::new(l2.clone(), config.l2_policy.build(l2.num_sets(), l2.ways)),
-            slc: lru(&config.slc),
+            l1i: lru(Hierarchy::L1I),
+            l1d: lru(Hierarchy::L1D),
+            l2: Cache::new(l2, config.l2_policy.build(l2.num_sets(), l2.ways)),
+            slc: lru(Hierarchy::SLC),
         }
     }
 
@@ -208,7 +222,7 @@ impl Hierarchy {
         debug_assert!(!req.attrs.prefetch, "use prefetch() for prefetch traffic");
         let l1 = if req.kind.is_instruction() { &mut self.l1i } else { &mut self.l1d };
         if l1.access(req) {
-            Some(AccessOutcome { served_by: ServedBy::L1, latency: l1.config().data_latency })
+            Some(AccessOutcome { served_by: ServedBy::L1, latency: Hierarchy::L1_DATA_CYCLES })
         } else {
             None
         }
@@ -219,22 +233,15 @@ impl Hierarchy {
     /// L2 → SLC → DRAM and maintains inclusion/exclusion.
     pub fn access_beyond_l1(&mut self, req: &MemoryRequest) -> AccessOutcome {
         let line = self.l2.line_of(req);
-        let is_instr = req.kind.is_instruction();
-        let l1_tag =
-            if is_instr { self.l1i.config().tag_latency } else { self.l1d.config().tag_latency };
 
         // L2 probe.
         if self.l2.access(req) {
             self.fill_l1(req);
-            return AccessOutcome {
-                served_by: ServedBy::L2,
-                latency: l1_tag + self.l2.config().data_latency,
-            };
+            return AccessOutcome { served_by: ServedBy::L2, latency: Hierarchy::FROM_L2 };
         }
 
         // SLC probe (exclusive: a hit promotes the line to L2).
         if self.slc.access(req) {
-            let latency = l1_tag + self.l2.config().tag_latency + self.slc.config().data_latency;
             let extracted = self.slc.extract(line);
             self.fill_l2(req);
             if let Some(ev) = extracted {
@@ -243,17 +250,13 @@ impl Hierarchy {
                 }
             }
             self.fill_l1(req);
-            return AccessOutcome { served_by: ServedBy::Slc, latency };
+            return AccessOutcome { served_by: ServedBy::Slc, latency: Hierarchy::FROM_SLC };
         }
 
         // DRAM.
-        let latency = l1_tag
-            + self.l2.config().tag_latency
-            + self.slc.config().tag_latency
-            + Hierarchy::DRAM_LATENCY;
         self.fill_l2(req);
         self.fill_l1(req);
-        AccessOutcome { served_by: ServedBy::Dram, latency }
+        AccessOutcome { served_by: ServedBy::Dram, latency: Hierarchy::FROM_DRAM }
     }
 
     /// Installs a prefetched line into the L1 of its kind plus the L2,
@@ -284,25 +287,14 @@ impl Hierarchy {
     pub fn probe(&self, line: LineAddr, instruction: bool) -> (ServedBy, u64) {
         let l1 = if instruction { &self.l1i } else { &self.l1d };
         if l1.contains(line) {
-            return (ServedBy::L1, l1.config().data_latency);
+            (ServedBy::L1, Hierarchy::L1_DATA_CYCLES)
+        } else if self.l2.contains(line) {
+            (ServedBy::L2, Hierarchy::FROM_L2)
+        } else if self.slc.contains(line) {
+            (ServedBy::Slc, Hierarchy::FROM_SLC)
+        } else {
+            (ServedBy::Dram, Hierarchy::FROM_DRAM)
         }
-        let l1_tag = l1.config().tag_latency;
-        if self.l2.contains(line) {
-            return (ServedBy::L2, l1_tag + self.l2.config().data_latency);
-        }
-        if self.slc.contains(line) {
-            return (
-                ServedBy::Slc,
-                l1_tag + self.l2.config().tag_latency + self.slc.config().data_latency,
-            );
-        }
-        (
-            ServedBy::Dram,
-            l1_tag
-                + self.l2.config().tag_latency
-                + self.slc.config().tag_latency
-                + Hierarchy::DRAM_LATENCY,
-        )
     }
 
     fn fill_l1(&mut self, req: &MemoryRequest) {

@@ -22,8 +22,8 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 ///
 /// Classic reference-prediction-table design: each entry tracks the last
 /// address and stride for one instruction PC with a 2-bit confidence
-/// counter; once the same stride repeats, the prefetcher proposes
-/// `degree` upcoming addresses.
+/// counter; once the same stride repeats, the prefetcher proposes the
+/// next [`StridePrefetcher::DEGREE`] addresses along it.
 ///
 /// # Example
 ///
@@ -31,7 +31,7 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 /// use trrip_cache::StridePrefetcher;
 /// use trrip_mem::{PhysAddr, VirtAddr};
 ///
-/// let mut pf = StridePrefetcher::new(64, 2);
+/// let mut pf = StridePrefetcher::new();
 /// let pc = VirtAddr::new(0x400);
 /// let mut proposals = Vec::new(); // reused across the demand stream
 /// pf.propose_into(pc, PhysAddr::new(0x1000), &mut proposals);
@@ -61,17 +61,30 @@ struct StrideEntry {
     valid: bool,
 }
 
+// The table is indexed by masking.
+const _: () = assert!(StridePrefetcher::TABLE_ENTRIES.is_power_of_two());
+
 impl StridePrefetcher {
-    /// Creates a prefetcher with a power-of-two `table_entries` table
-    /// proposing `degree` addresses per confirmed stride.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `table_entries` is not a power of two or `degree` is 0.
+    /// Reference-prediction-table entries.
+    pub const TABLE_ENTRIES: usize = 4096;
+    /// Addresses proposed per confirmed stride.
+    pub const DEGREE: usize = 4;
+
+    /// Creates the prefetcher, its table empty.
     #[must_use]
-    pub fn new(table_entries: usize, degree: usize) -> StridePrefetcher {
+    pub fn new() -> StridePrefetcher {
+        StridePrefetcher {
+            entries: vec![StrideEntry::default(); Self::TABLE_ENTRIES],
+            degree: Self::DEGREE,
+            mask: Self::TABLE_ENTRIES - 1,
+        }
+    }
+
+    /// A prefetcher with a smaller table or another degree, for tests
+    /// whose patterns are easier to read on one.
+    #[cfg(test)]
+    fn sized(table_entries: usize, degree: usize) -> StridePrefetcher {
         assert!(table_entries.is_power_of_two(), "table size must be a power of two");
-        assert!(degree > 0, "degree must be positive");
         StridePrefetcher {
             entries: vec![StrideEntry::default(); table_entries],
             degree,
@@ -121,6 +134,12 @@ impl StridePrefetcher {
     }
 }
 
+impl Default for StridePrefetcher {
+    fn default() -> Self {
+        StridePrefetcher::new()
+    }
+}
+
 impl Snapshot for StridePrefetcher {
     fn save(&self, w: &mut SnapWriter) {
         w.usize(self.entries.len());
@@ -166,7 +185,7 @@ mod tests {
 
     #[test]
     fn stride_detected_after_two_repeats() {
-        let mut pf = StridePrefetcher::new(16, 1);
+        let mut pf = StridePrefetcher::sized(16, 1);
         let pc = VirtAddr::new(0x100);
         assert!(observe(&mut pf, pc, 0x1000).is_empty());
         assert!(observe(&mut pf, pc, 0x1100).is_empty());
@@ -175,7 +194,7 @@ mod tests {
 
     #[test]
     fn degree_controls_proposal_count() {
-        let mut pf = StridePrefetcher::new(16, 4);
+        let mut pf = StridePrefetcher::sized(16, 4);
         let pc = VirtAddr::new(0x100);
         observe(&mut pf, pc, 0x1000);
         observe(&mut pf, pc, 0x1040);
@@ -186,7 +205,7 @@ mod tests {
 
     #[test]
     fn irregular_pattern_stays_quiet() {
-        let mut pf = StridePrefetcher::new(16, 2);
+        let mut pf = StridePrefetcher::sized(16, 2);
         let pc = VirtAddr::new(0x100);
         let addrs = [0x1000u64, 0x5000, 0x2000, 0x9000, 0x1234];
         let mut total = 0;
@@ -198,7 +217,7 @@ mod tests {
 
     #[test]
     fn negative_stride_supported() {
-        let mut pf = StridePrefetcher::new(16, 1);
+        let mut pf = StridePrefetcher::sized(16, 1);
         let pc = VirtAddr::new(0x100);
         observe(&mut pf, pc, 0x3000);
         observe(&mut pf, pc, 0x2f00);
@@ -207,7 +226,7 @@ mod tests {
 
     #[test]
     fn distinct_pcs_use_distinct_entries() {
-        let mut pf = StridePrefetcher::new(16, 1);
+        let mut pf = StridePrefetcher::sized(16, 1);
         let pc1 = VirtAddr::new(0x100);
         let pc2 = VirtAddr::new(0x104);
         observe(&mut pf, pc1, 0x1000);
@@ -220,7 +239,7 @@ mod tests {
 
     #[test]
     fn propose_into_appends_to_the_reused_buffer() {
-        let mut pf = StridePrefetcher::new(16, 1);
+        let mut pf = StridePrefetcher::sized(16, 1);
         let pc = VirtAddr::new(0x100);
         let mut proposals = Vec::new();
         pf.propose_into(pc, PhysAddr::new(0x1000), &mut proposals);
@@ -240,7 +259,7 @@ mod tests {
     /// whatever the table's layout in memory.
     #[test]
     fn snapshot_bytes_match_a_hand_written_fixture() {
-        let mut pf = StridePrefetcher::new(4, 2);
+        let mut pf = StridePrefetcher::sized(4, 2);
         // Slot 1: a confirmed +0x40 stride. Slot 3: seen twice, a
         // negative stride learnt but not yet confirmed. Slot 2: 0x208
         // took the slot over from 0x108. Slot 0: never touched.
@@ -268,7 +287,7 @@ mod tests {
         pf.save(&mut saved);
         assert_eq!(saved.bytes(), fixture.bytes());
 
-        let mut restored = StridePrefetcher::new(4, 2);
+        let mut restored = StridePrefetcher::sized(4, 2);
         observe(&mut restored, VirtAddr::new(0x100), 0x3000); // overwritten by the restore
         let mut r = SnapReader::new(fixture.bytes());
         restored.restore(&mut r).expect("restore the fixture");

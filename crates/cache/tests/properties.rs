@@ -48,9 +48,9 @@ proptest! {
         ],
         accesses in prop::collection::vec(arb_access(64), 1..300),
     ) {
-        let config = CacheConfig::new("prop", 4096, 4, 1, 2); // 16 sets × 4 ways
+        let config = CacheConfig::new(4096, 4); // 16 sets × 4 ways
         let policy = kind.build(config.num_sets(), config.ways);
-        let mut cache = Cache::new(config.clone(), policy);
+        let mut cache = Cache::new(config, policy);
         for a in accesses {
             let (req, _) = request(a);
             if !cache.access(&req) {
@@ -64,7 +64,7 @@ proptest! {
     /// Hit/miss accounting is exact: accesses = hits + misses per side.
     #[test]
     fn stats_balance(accesses in prop::collection::vec(arb_access(128), 1..400)) {
-        let config = CacheConfig::new("prop", 8192, 8, 1, 2);
+        let config = CacheConfig::new(8192, 8);
         let policy = PolicyKind::Srrip.build(config.num_sets(), config.ways);
         let mut cache = Cache::new(config, policy);
         let mut demand = 0u64;

@@ -78,10 +78,10 @@ fn request(addr: u64, kind: u8, temp: u8) -> MemoryRequest {
 
 fn drive(kind: PolicyKind, ops: &[Op]) {
     // 8 sets × 4 ways: small enough that evictions dominate.
-    let config = CacheConfig::new("EQ", 2048, 4, 1, 2);
+    let config = CacheConfig::new(2048, 4);
     let soa_policy = kind.build(config.num_sets(), config.ways);
     let aos_policy = kind.build(config.num_sets(), config.ways);
-    let mut soa = Cache::new(config.clone(), soa_policy);
+    let mut soa = Cache::new(config, soa_policy);
     let mut aos = AosCache::new(config, aos_policy);
 
     for &op in ops {
@@ -163,11 +163,11 @@ fn snapshot_of<P: ReplacementPolicy>(cache: &Cache<P>) -> Vec<u8> {
 /// `ops` through an LRU held by value and a boxed one, then each store
 /// restored from the *other's* snapshot, then `ops` again.
 fn drive_by_value_beside_boxed(ops: &[Op]) {
-    let config = CacheConfig::new("EQ", 2048, 4, 1, 2);
+    let config = CacheConfig::new(2048, 4);
     let (sets, ways) = (config.num_sets(), config.ways);
     let fresh = || {
-        let boxed: Cache = Cache::new(config.clone(), PolicyKind::Lru.build(sets, ways));
-        (Cache::new(config.clone(), Lru::new(sets, ways)), boxed)
+        let boxed: Cache = Cache::new(config, PolicyKind::Lru.build(sets, ways));
+        (Cache::new(config, Lru::new(sets, ways)), boxed)
     };
     let (mut by_value, mut boxed) = fresh();
     for &op in ops {
@@ -229,10 +229,10 @@ proptest! {
 /// snapshot → restore into fresh stores of both layouts → more ops.
 #[test]
 fn restored_stores_stay_equivalent() {
-    let config = CacheConfig::new("EQ", 2048, 4, 1, 2);
+    let config = CacheConfig::new(2048, 4);
     for kind in PolicyKind::PAPER_SET {
-        let mut soa = Cache::new(config.clone(), kind.build(config.num_sets(), config.ways));
-        let mut aos = AosCache::new(config.clone(), kind.build(config.num_sets(), config.ways));
+        let mut soa = Cache::new(config, kind.build(config.num_sets(), config.ways));
+        let mut aos = AosCache::new(config, kind.build(config.num_sets(), config.ways));
         for i in 0..96u64 {
             let req = request(i % 37 * 64, (i % 3) as u8, (i % 4) as u8);
             if !soa.access(&req) {
@@ -246,8 +246,8 @@ fn restored_stores_stay_equivalent() {
         soa.save(&mut w);
         let bytes = w.into_bytes();
 
-        let mut soa2 = Cache::new(config.clone(), kind.build(config.num_sets(), config.ways));
-        let mut aos2 = AosCache::new(config.clone(), kind.build(config.num_sets(), config.ways));
+        let mut soa2 = Cache::new(config, kind.build(config.num_sets(), config.ways));
+        let mut aos2 = AosCache::new(config, kind.build(config.num_sets(), config.ways));
         let mut r = trrip_snap::SnapReader::new(&bytes);
         soa2.restore(&mut r).expect("SoA restore");
         r.finish().expect("no trailing bytes");

@@ -54,7 +54,7 @@ pub struct FlatBackend {
     /// Latency returned for every instruction fetch.
     pub ifetch_latency: MemLatency,
     /// Latency returned for every data access.
-    pub data_latency: MemLatency,
+    pub data_access_latency: MemLatency,
     /// Number of prefetches received.
     pub prefetches: u64,
 }
@@ -65,7 +65,7 @@ impl FlatBackend {
     pub fn all_hits() -> FlatBackend {
         FlatBackend {
             ifetch_latency: MemLatency::l1_hit(3),
-            data_latency: MemLatency::l1_hit(3),
+            data_access_latency: MemLatency::l1_hit(3),
             prefetches: 0,
         }
     }
@@ -77,11 +77,11 @@ impl MemoryBackend for FlatBackend {
     }
 
     fn dread(&mut self, _addr: VirtAddr, _pc: VirtAddr) -> MemLatency {
-        self.data_latency
+        self.data_access_latency
     }
 
     fn dwrite(&mut self, _addr: VirtAddr, _pc: VirtAddr) -> MemLatency {
-        self.data_latency
+        self.data_access_latency
     }
 
     fn prefetch_ifetch(&mut self, _pc: VirtAddr, _now: u64) {

@@ -81,6 +81,8 @@ impl CoreConfig {
     /// Fetch latency at or above which decode is considered starved
     /// (Emissary's signal): anything beyond an L2 hit (1 + 12).
     pub const STARVATION_THRESHOLD: u64 = 21;
+    /// Lines the starved-line FIFO (Emissary's L1-side metadata) holds.
+    pub const STARVED_LINES: usize = 8192;
     /// Core clock in GHz — used only for reporting.
     pub const FREQUENCY_GHZ: f64 = 2.0;
     /// Cycles of load latency the OoO window can hide for one miss.
@@ -338,7 +340,11 @@ impl<B: MemoryBackend> Core<B> {
     /// Creates the Table 1 core over a memory backend.
     #[must_use]
     pub fn new(_: CoreConfig, backend: B) -> Core<B> {
-        Core { predictor: BranchPredictor::new(), starved: StarvedLines::new(8192), backend }
+        Core {
+            predictor: BranchPredictor::new(),
+            starved: StarvedLines::new(CoreConfig::STARVED_LINES),
+            backend,
+        }
     }
 
     /// Access to the backend (e.g. to read cache statistics afterwards).
@@ -888,7 +894,7 @@ mod tests {
         // A 20-cycle L2 load (17 beyond L1) is fully hidden by the
         // 128/6 = 21-cycle window.
         let mut backend = FlatBackend::all_hits();
-        backend.data_latency = MemLatency { cycles: 20, l1_hit: false, l2_miss: false };
+        backend.data_access_latency = MemLatency { cycles: 20, l1_hit: false, l2_miss: false };
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..100).map(|i| TraceInstr::load(0x1000 + i * 4, 0x80000 + i * 64)).collect();
@@ -899,7 +905,7 @@ mod tests {
     #[test]
     fn dram_loads_stall_the_backend() {
         let mut backend = FlatBackend::all_hits();
-        backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..10).map(|i| TraceInstr::load(0x1000 + i * 4, 0x80000 + i * 4096)).collect();
@@ -914,7 +920,7 @@ mod tests {
     #[test]
     fn stores_never_stall() {
         let mut backend = FlatBackend::all_hits();
-        backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..10).map(|i| TraceInstr::store(0x1000 + i * 4, 0x80000 + i * 4096)).collect();
@@ -959,7 +965,7 @@ mod tests {
     fn stall_backend() -> FlatBackend {
         let mut backend = FlatBackend::all_hits();
         backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
-        backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
         backend
     }
 
@@ -1382,7 +1388,7 @@ mod tests {
     fn topdown_total_matches_cycles() {
         let mut backend = FlatBackend::all_hits();
         backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
-        backend.data_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> = (0..500)
             .map(|i| {

@@ -34,7 +34,7 @@ impl Clip {
     /// Panics if `sets` or `ways` is zero.
     #[must_use]
     pub fn new(sets: usize, ways: usize) -> Clip {
-        Clip { sets: RripTable::new(sets, ways), dueling: SetDueling::paper_defaults(sets) }
+        Clip { sets: RripTable::new(sets, ways), dueling: SetDueling::new(sets) }
     }
 
     /// Which CLIP variant currently governs a set (A = promote data on

@@ -30,7 +30,7 @@ impl Drrip {
         Drrip {
             sets: RripTable::new(sets, ways),
             brrip: BrripCore::default(),
-            dueling: SetDueling::paper_defaults(sets),
+            dueling: SetDueling::new(sets),
         }
     }
 

@@ -28,7 +28,7 @@ pub enum DuelChoice {
 /// ```
 /// use trrip_policies::dueling::{SetDueling, DuelChoice};
 ///
-/// let mut duel = SetDueling::new(256, 32, 10);
+/// let mut duel = SetDueling::new(256);
 /// // Follower sets use the PSEL winner; initially the counter is neutral
 /// // and policy A wins ties.
 /// assert_eq!(duel.choice_for_set(1), DuelChoice::A);
@@ -42,12 +42,17 @@ pub struct SetDueling {
     half: usize,
     psel: u32,
     psel_max: u32,
-    psel_mid: u32,
 }
 
 impl SetDueling {
-    /// Creates dueling state for `num_sets`, with `leaders_per_policy`
-    /// leader sets each and a `psel_bits`-wide saturating counter.
+    /// Leader sets dedicated to each of the two policies (§4.3).
+    pub const LEADERS_PER_POLICY: usize = 32;
+    /// Width of the saturating PSEL counter (§4.3).
+    pub const PSEL_BITS: u32 = 10;
+
+    /// Creates dueling state for `num_sets`, with
+    /// [`SetDueling::LEADERS_PER_POLICY`] leader sets each and a
+    /// [`SetDueling::PSEL_BITS`]-wide counter.
     ///
     /// Degenerate geometries degrade gracefully: when the cache is too
     /// small to host both leader groups (fewer than two sets per leader
@@ -56,29 +61,24 @@ impl SetDueling {
     ///
     /// # Panics
     ///
-    /// Panics if either argument is zero or `psel_bits` exceeds 31.
+    /// Panics if `num_sets` is zero.
     #[must_use]
-    pub fn new(num_sets: usize, leaders_per_policy: usize, psel_bits: u32) -> SetDueling {
-        assert!(leaders_per_policy > 0, "need at least one leader set per policy");
+    pub fn new(num_sets: usize) -> SetDueling {
         assert!(num_sets > 0, "need at least one set");
-        assert!(psel_bits > 0 && psel_bits < 32, "psel_bits must be in 1..=31");
-        let leaders_per_policy = leaders_per_policy.min((num_sets / 2).max(1));
+        let leaders_per_policy = Self::LEADERS_PER_POLICY.min((num_sets / 2).max(1));
         let stride = (num_sets / leaders_per_policy).max(1);
-        let psel_max = (1u32 << psel_bits) - 1;
-        SetDueling {
-            stride,
-            half: stride / 2,
-            psel: psel_max / 2,
-            psel_max,
-            psel_mid: psel_max / 2,
-        }
+        let psel_max = (1 << Self::PSEL_BITS) - 1;
+        SetDueling { stride, half: stride / 2, psel: psel_max / 2, psel_max }
     }
 
-    /// Paper configuration: 32 leader sets per policy, 10-bit PSEL
-    /// (clamped for the small caches in sensitivity sweeps).
-    #[must_use]
-    pub fn paper_defaults(num_sets: usize) -> SetDueling {
-        SetDueling::new(num_sets, 32, 10)
+    /// Dueling state with `leaders_per_policy` leader sets each and a
+    /// `psel_bits`-wide counter, for tests that read better on a small
+    /// counter.
+    #[cfg(test)]
+    fn sized(num_sets: usize, leaders_per_policy: usize, psel_bits: u32) -> SetDueling {
+        let stride = num_sets / leaders_per_policy;
+        let psel_max = (1 << psel_bits) - 1;
+        SetDueling { stride, half: stride / 2, psel: psel_max / 2, psel_max }
     }
 
     /// Which policy a set is a dedicated leader for, if any. In the
@@ -108,7 +108,7 @@ impl SetDueling {
     /// The currently winning policy for follower sets.
     #[must_use]
     pub fn winner(&self) -> DuelChoice {
-        if self.psel > self.psel_mid {
+        if self.psel > self.psel_max / 2 {
             DuelChoice::B
         } else {
             DuelChoice::A
@@ -159,7 +159,7 @@ mod tests {
 
     #[test]
     fn leader_layout_is_even_and_disjoint() {
-        let duel = SetDueling::new(256, 32, 10);
+        let duel = SetDueling::new(256);
         let mut a = 0;
         let mut b = 0;
         for set in 0..256 {
@@ -175,7 +175,7 @@ mod tests {
 
     #[test]
     fn follower_sets_follow_psel() {
-        let mut duel = SetDueling::new(64, 8, 4);
+        let mut duel = SetDueling::sized(64, 8, 4);
         let follower = 1;
         assert_eq!(duel.leader_of(follower), None);
         assert_eq!(duel.choice_for_set(follower), DuelChoice::A);
@@ -191,7 +191,7 @@ mod tests {
 
     #[test]
     fn leaders_never_follow() {
-        let mut duel = SetDueling::new(64, 8, 4);
+        let mut duel = SetDueling::sized(64, 8, 4);
         for _ in 0..16 {
             duel.record_miss(0);
         }
@@ -201,7 +201,7 @@ mod tests {
 
     #[test]
     fn psel_saturates() {
-        let mut duel = SetDueling::new(64, 8, 4);
+        let mut duel = SetDueling::sized(64, 8, 4);
         for _ in 0..1000 {
             duel.record_miss(0);
         }
@@ -214,7 +214,7 @@ mod tests {
 
     #[test]
     fn follower_misses_do_not_move_psel() {
-        let mut duel = SetDueling::new(64, 8, 4);
+        let mut duel = SetDueling::sized(64, 8, 4);
         let before = duel.psel();
         duel.record_miss(1);
         duel.record_miss(2);
@@ -222,11 +222,11 @@ mod tests {
     }
 
     #[test]
-    fn paper_defaults_fit_small_caches() {
+    fn leaders_fit_small_caches() {
         // 128 kB / 64 B / 8 ways = 256 sets — the headline config.
-        let d = SetDueling::paper_defaults(256);
+        let d = SetDueling::new(256);
         assert_eq!(d.stride, 8);
         // Must not panic even for tiny set counts.
-        let _ = SetDueling::paper_defaults(4);
+        let _ = SetDueling::new(4);
     }
 }

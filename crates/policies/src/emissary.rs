@@ -5,8 +5,8 @@
 //! others: those that starve the decode stage. Lines whose miss caused
 //! decode starvation get a per-line priority bit, and replacement
 //! *way-locks* them: victims are drawn from non-priority lines (LRU among
-//! them) as long as at most `reserved_ways` priority lines live in the
-//! set (the paper uses 4 of 8). When priority lines exceed the
+//! them) as long as priority lines hold at most half the set's ways (at
+//! least one; the paper's 4 of 8). When priority lines exceed the
 //! reservation, the protection collapses for that set and plain LRU takes
 //! over, with the priority bits cleared to start a fresh epoch — the
 //! original proposal's recycling behaviour.
@@ -26,27 +26,27 @@ pub struct Emissary {
 }
 
 impl Emissary {
-    /// Creates Emissary state reserving `reserved_ways` ways per set for
-    /// priority (starvation-causing) lines.
+    /// Creates Emissary state reserving [`Emissary::reservation`] of the
+    /// `ways` of each set for priority (starvation-causing) lines.
     ///
     /// # Panics
     ///
-    /// Panics if `sets`/`ways` is zero or `reserved_ways > ways`.
+    /// Panics if `sets`/`ways` is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, reserved_ways: usize) -> Emissary {
-        assert!(reserved_ways <= ways, "cannot reserve more ways than exist");
+    pub fn new(sets: usize, ways: usize) -> Emissary {
         Emissary {
             lru: Lru::new(sets, ways),
             priority: vec![false; sets * ways],
             ways,
-            reserved_ways,
+            reserved_ways: Emissary::reservation(ways),
         }
     }
 
-    /// Paper configuration: 4 priority ways in an 8-way set.
+    /// Ways of a `ways`-way set reserved for priority lines: half of
+    /// them, as the paper's 4 of 8, and at least one.
     #[must_use]
-    pub fn paper_defaults(sets: usize, ways: usize) -> Emissary {
-        Emissary::new(sets, ways, (ways / 2).max(1))
+    pub fn reservation(ways: usize) -> usize {
+        (ways / 2).max(1)
     }
 
     fn priority_count(&self, set: usize) -> usize {
@@ -121,7 +121,7 @@ mod tests {
 
     #[test]
     fn priority_lines_are_shielded_from_eviction() {
-        let mut p = Emissary::new(1, 4, 2);
+        let mut p = Emissary::new(1, 4);
         // Way 0 priority, ways 1..3 plain; way 1 is LRU among plain lines.
         p.on_fill(0, 0, &starved_fetch(0x100));
         for way in 1..4 {
@@ -134,7 +134,7 @@ mod tests {
 
     #[test]
     fn reservation_overflow_falls_back_to_lru_and_resets_epoch() {
-        let mut p = Emissary::new(1, 4, 2);
+        let mut p = Emissary::new(1, 4);
         // Three priority lines with a reservation of two: protection
         // collapses, plain LRU picks the oldest line (way 0), and the
         // epoch bits clear.
@@ -149,7 +149,7 @@ mod tests {
 
     #[test]
     fn starvation_hit_promotes_to_priority() {
-        let mut p = Emissary::new(1, 4, 2);
+        let mut p = Emissary::new(1, 4);
         p.on_fill(0, 0, &RequestInfo::ifetch(0x100));
         assert!(!p.is_priority(0, 0));
         p.on_hit(0, 0, &starved_fetch(0x100));
@@ -158,7 +158,7 @@ mod tests {
 
     #[test]
     fn data_lines_never_gain_priority() {
-        let mut p = Emissary::new(1, 4, 2);
+        let mut p = Emissary::new(1, 4);
         let data = RequestInfo { caused_starvation: true, ..RequestInfo::data_load(0x500) };
         p.on_fill(0, 2, &data);
         assert!(!p.is_priority(0, 2));
@@ -166,15 +166,15 @@ mod tests {
 
     #[test]
     fn invalidate_clears_priority() {
-        let mut p = Emissary::new(1, 4, 2);
+        let mut p = Emissary::new(1, 4);
         p.on_fill(0, 0, &starved_fetch(0x100));
         p.on_invalidate(0, 0);
         assert!(!p.is_priority(0, 0));
     }
 
     #[test]
-    fn paper_defaults_reserve_half_the_ways() {
-        let p = Emissary::paper_defaults(64, 8);
+    fn half_the_ways_are_reserved() {
+        let p = Emissary::new(64, 8);
         assert_eq!(p.reserved_ways, 4);
     }
 }

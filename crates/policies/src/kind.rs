@@ -5,7 +5,7 @@ use std::fmt;
 use serde::{Deserialize, Serialize};
 use trrip_core::TrripVariant;
 
-use crate::{Brrip, Clip, Drrip, Emissary, Lru, ReplacementPolicy, Ship, ShipConfig, Srrip, Trrip};
+use crate::{Brrip, Clip, Drrip, Emissary, Lru, ReplacementPolicy, Ship, Srrip, Trrip};
 
 /// Identifier for every policy the experiments sweep over.
 ///
@@ -64,9 +64,10 @@ impl PolicyKind {
         }
     }
 
-    /// Instantiates the policy for a `sets × ways` cache with the paper's
-    /// parameters (2-bit RRPV, 32+32 leader sets, 10-bit PSEL, 64 kB SHiP
-    /// table, 4-of-8 Emissary reservation).
+    /// Instantiates the policy for a `sets × ways` cache. Each mechanism
+    /// is sized once, as §4.3 sizes it, by its own constants: a 2-bit
+    /// RRPV, 32+32 leader sets and a 10-bit PSEL, a 64 kB SHiP table;
+    /// EMISSARY reserves half of the `ways`.
     #[must_use]
     pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
         match self {
@@ -74,9 +75,9 @@ impl PolicyKind {
             PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
             PolicyKind::Brrip => Box::new(Brrip::new(sets, ways)),
             PolicyKind::Drrip => Box::new(Drrip::new(sets, ways)),
-            PolicyKind::Ship => Box::new(Ship::new(sets, ways, ShipConfig::paper_64kb())),
+            PolicyKind::Ship => Box::new(Ship::new(sets, ways)),
             PolicyKind::Clip => Box::new(Clip::new(sets, ways)),
-            PolicyKind::Emissary => Box::new(Emissary::paper_defaults(sets, ways)),
+            PolicyKind::Emissary => Box::new(Emissary::new(sets, ways)),
             PolicyKind::Trrip1 => Box::new(Trrip::new(sets, ways, TrripVariant::V1)),
             PolicyKind::Trrip2 => Box::new(Trrip::new(sets, ways, TrripVariant::V2)),
         }

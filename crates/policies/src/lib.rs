@@ -51,7 +51,7 @@ pub use emissary::Emissary;
 pub use info::RequestInfo;
 pub use kind::PolicyKind;
 pub use lru::Lru;
-pub use ship::{Ship, ShipConfig};
+pub use ship::Ship;
 pub use srrip::Srrip;
 pub use trrip::Trrip;
 

@@ -9,49 +9,11 @@
 //! learns the opposite. Fills whose signature has a zero counter are
 //! predicted dead-on-arrival and inserted at *distant*.
 
-use serde::{Deserialize, Serialize};
 use trrip_core::{RripTable, Rrpv};
 use trrip_mem::VirtAddr;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::{ReplacementPolicy, RequestInfo};
-
-/// SHiP sizing knobs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ShipConfig {
-    /// Number of SHCT entries (power of two).
-    pub shct_entries: usize,
-    /// Width of each saturating counter in bits.
-    pub counter_bits: u32,
-    /// Bits of the per-line stored signature.
-    pub signature_bits: u32,
-}
-
-impl ShipConfig {
-    /// The paper's 64 kB predictor: 256 Ki × 2-bit counters.
-    #[must_use]
-    pub fn paper_64kb() -> ShipConfig {
-        ShipConfig { shct_entries: 1 << 18, counter_bits: 2, signature_bits: 14 }
-    }
-
-    /// A small configuration for unit tests.
-    #[must_use]
-    pub fn tiny() -> ShipConfig {
-        ShipConfig { shct_entries: 1 << 8, counter_bits: 2, signature_bits: 8 }
-    }
-
-    /// Total SHCT storage in bits.
-    #[must_use]
-    pub fn table_bits(self) -> u64 {
-        self.shct_entries as u64 * u64::from(self.counter_bits)
-    }
-}
-
-impl Default for ShipConfig {
-    fn default() -> Self {
-        ShipConfig::paper_64kb()
-    }
-}
 
 #[derive(Debug, Clone, Copy, Default)]
 struct LineMeta {
@@ -66,32 +28,55 @@ pub struct Ship {
     sets: RripTable,
     meta: Vec<LineMeta>,
     shct: Vec<u8>,
-    config: ShipConfig,
+    shct_mask: usize,
+    signature_mask: u32,
     ways: usize,
     escape_counter: u32,
 }
 
+// The SHCT is indexed by masking.
+const _: () = assert!(Ship::SHCT_ENTRIES.is_power_of_two());
+
 impl Ship {
+    /// SHCT entries: the paper's 64 kB predictor of 2-bit counters.
+    pub const SHCT_ENTRIES: usize = 1 << 18;
+    /// Width of each SHCT saturating counter.
+    pub const COUNTER_BITS: u32 = 2;
+    /// Bits of the signature each line stores.
+    pub const SIGNATURE_BITS: u32 = 14;
+    const COUNTER_MAX: u8 = (1 << Ship::COUNTER_BITS) - 1;
+    /// Counters start weakly re-referenced so cold-start fills are not
+    /// all predicted dead.
+    const COUNTER_START: u8 = Ship::COUNTER_MAX / 2 + 1;
+
     /// Creates SHiP state for a `sets × ways` cache.
     ///
     /// # Panics
     ///
-    /// Panics if `sets`/`ways` is zero or `shct_entries` is not a power
-    /// of two.
+    /// Panics if `sets`/`ways` is zero.
     #[must_use]
-    pub fn new(sets: usize, ways: usize, config: ShipConfig) -> Ship {
+    pub fn new(sets: usize, ways: usize) -> Ship {
         assert!(sets > 0, "cache must have at least one set");
-        assert!(config.shct_entries.is_power_of_two(), "SHCT entry count must be a power of two");
-        let counter_max = (1u8 << config.counter_bits) - 1;
         Ship {
             sets: RripTable::new(sets, ways),
             meta: vec![LineMeta::default(); sets * ways],
-            // Counters start weakly re-referenced so cold-start fills are
-            // not all predicted dead.
-            shct: vec![counter_max / 2 + 1; config.shct_entries],
-            config,
+            shct: vec![Ship::COUNTER_START; Ship::SHCT_ENTRIES],
+            shct_mask: Ship::SHCT_ENTRIES - 1,
+            signature_mask: (1 << Ship::SIGNATURE_BITS) - 1,
             ways,
             escape_counter: 0,
+        }
+    }
+
+    /// A 256-entry SHCT over 8-bit signatures, for tests.
+    #[cfg(test)]
+    fn tiny(sets: usize, ways: usize) -> Ship {
+        let entries = 1 << 8;
+        Ship {
+            shct: vec![Ship::COUNTER_START; entries],
+            shct_mask: entries - 1,
+            signature_mask: (1 << 8) - 1,
+            ..Ship::new(sets, ways)
         }
     }
 
@@ -99,15 +84,11 @@ impl Ship {
         // Fold the PC down to the signature width; instruction PCs are
         // line-aligned-ish so drop the low bits first.
         let folded = (pc.raw() >> 2) ^ (pc.raw() >> 17) ^ (pc.raw() >> 33);
-        (folded as u32) & ((1 << self.config.signature_bits) - 1)
+        (folded as u32) & self.signature_mask
     }
 
     fn shct_index(&self, signature: u32) -> usize {
-        (signature as usize) & (self.config.shct_entries - 1)
-    }
-
-    fn counter_max(&self) -> u8 {
-        (1u8 << self.config.counter_bits) - 1
+        (signature as usize) & self.shct_mask
     }
 
     /// Current SHCT counter for a PC (exposed for tests/analysis).
@@ -124,7 +105,7 @@ impl ReplacementPolicy for Ship {
         let meta = self.meta[idx];
         if meta.tracked && !meta.outcome {
             let e = self.shct_index(meta.signature);
-            self.shct[e] = (self.shct[e] + 1).min(self.counter_max());
+            self.shct[e] = (self.shct[e] + 1).min(Ship::COUNTER_MAX);
             self.meta[idx].outcome = true;
         }
         self.sets.set_rrpv(set, way, Rrpv::immediate());
@@ -219,7 +200,7 @@ mod tests {
     use super::*;
 
     fn ship() -> Ship {
-        Ship::new(4, 4, ShipConfig::tiny())
+        Ship::tiny(4, 4)
     }
 
     #[test]
@@ -281,7 +262,7 @@ mod tests {
 
     #[test]
     fn paper_config_is_64kb() {
-        let c = ShipConfig::paper_64kb();
-        assert_eq!(c.table_bits() / 8, 64 * 1024);
+        let bits = Ship::SHCT_ENTRIES * Ship::COUNTER_BITS as usize;
+        assert_eq!(bits / 8, 64 * 1024);
     }
 }

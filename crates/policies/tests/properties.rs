@@ -192,22 +192,24 @@ proptest! {
 /// of a set hold priority and some line does not, the victim is the
 /// least recently touched line *without* priority; otherwise protection
 /// collapses — plain LRU over the whole set, and the set's priority bits
-/// clear. Among equally old lines the lowest way goes, in both arms.
+/// clear. Among equally old lines the lowest way goes, in both arms. A
+/// set of `ways` reserves `ways / 2` of them, and at least one.
 #[test]
 fn emissary_arms_and_their_ties() {
     let plain = RequestInfo::ifetch(0x40);
     let starved = RequestInfo::ifetch(0x80).with_starvation();
-    let priority_of = |p: &Emissary, set| [0, 1, 2, 3].map(|way| p.is_priority(set, way));
+    let priority_of =
+        |p: &Emissary, set, ways| (0..ways).map(|way| p.is_priority(set, way)).collect::<Vec<_>>();
 
     // Arm one: way 0 is the oldest line but holds priority; of the
     // others, way 2 was touched longest ago.
-    let mut p = Emissary::new(2, 4, 2);
+    let mut p = Emissary::new(2, 4);
     p.on_fill(0, 0, &starved);
     for way in [2, 3, 1] {
         p.on_fill(0, way, &plain);
     }
     assert_eq!(p.choose_victim(0, &plain), 2);
-    assert_eq!(priority_of(&p, 0), [true, false, false, false], "arm one clears nothing");
+    assert_eq!(priority_of(&p, 0, 4), [true, false, false, false], "arm one clears nothing");
     // Arm one, tied: ways 1 and 3 invalidated, both as old as can be.
     p.on_invalidate(0, 3);
     p.on_invalidate(0, 1);
@@ -220,20 +222,20 @@ fn emissary_arms_and_their_ties() {
     }
     p.on_fill(1, 3, &plain);
     assert_eq!(p.choose_victim(1, &plain), 1);
-    assert_eq!(priority_of(&p, 1), [false; 4], "the epoch starts over");
-    assert_eq!(priority_of(&p, 0), [true, false, false, false], "…in that set alone");
-    // Arm two, tied: ways 0 and 1 never touched, ways 2 and 3 priority
-    // against one reserved.
-    let mut p = Emissary::new(1, 4, 1);
-    p.on_fill(0, 3, &starved);
-    p.on_fill(0, 2, &starved);
-    assert_eq!(p.choose_victim(0, &plain), 0);
-    assert_eq!(priority_of(&p, 0), [false; 4]);
-    // Arm two with the reservation honoured but nothing unprotected.
-    let mut p = Emissary::new(1, 4, 4);
-    for way in [3, 0, 1, 2] {
+    assert_eq!(priority_of(&p, 1, 4), [false; 4], "the epoch starts over");
+    assert_eq!(priority_of(&p, 0, 4), [true, false, false, false], "…in that set alone");
+    // Arm two, tied: ways 0 to 2 never touched, ways 3 to 7 priority
+    // against four reserved.
+    let mut p = Emissary::new(1, 8);
+    for way in [7, 6, 5, 4, 3] {
         p.on_fill(0, way, &starved);
     }
-    assert_eq!(p.choose_victim(0, &plain), 3);
-    assert_eq!(priority_of(&p, 0), [false; 4]);
+    assert_eq!(p.choose_victim(0, &plain), 0);
+    assert_eq!(priority_of(&p, 0, 8), [false; 8]);
+    // Arm two with the reservation honoured but nothing unprotected: a
+    // one-way set reserves its only way.
+    let mut p = Emissary::new(1, 1);
+    p.on_fill(0, 0, &starved);
+    assert_eq!(p.choose_victim(0, &plain), 0);
+    assert_eq!(priority_of(&p, 0, 1), [false]);
 }

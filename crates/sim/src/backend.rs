@@ -21,7 +21,6 @@ use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr, LINE_BYTES};
 use trrip_os::Mmu;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::config::SimConfig;
 use crate::inflight::InflightTable;
 use crate::view::{Feed, StreamView, ViewColumn};
 
@@ -98,7 +97,6 @@ pub struct SystemBackend {
     resolution: Resolution,
     hierarchy: Hierarchy,
     inflight: InflightTable,
-    l1_latency: u64,
     reuse: Option<ReuseProfiler>,
     costly: Option<CostlyMissTracker>,
     code_regions: Vec<(u64, u64, CodeRegion)>,
@@ -132,7 +130,6 @@ impl SystemBackend {
         mmu: Mmu,
         hierarchy: Hierarchy,
         object: &ObjectFile,
-        config: &SimConfig,
         view: Option<StreamView>,
     ) -> SystemBackend {
         let mut code_regions = Vec::new();
@@ -163,7 +160,6 @@ impl SystemBackend {
             },
             hierarchy,
             inflight: InflightTable::new(MSHR_ENTRIES),
-            l1_latency: config.hierarchy.l1i.data_latency,
             reuse: None,
             costly: None,
             code_regions,
@@ -397,7 +393,7 @@ impl MemoryBackend for SystemBackend {
         let cycles = self.timeliness(pa, out.latency, now);
         MemLatency {
             cycles,
-            l1_hit: out.served_by == ServedBy::L1 && cycles <= self.l1_latency,
+            l1_hit: out.served_by == ServedBy::L1 && cycles <= Hierarchy::L1_DATA_CYCLES,
             l2_miss: out.l2_miss(),
         }
     }
@@ -460,7 +456,7 @@ mod tests {
         let mmu = Mmu::new(&image.page_table);
         let hierarchy = Hierarchy::new(&HierarchyConfig::paper(PolicyKind::Srrip));
         let view = StreamView::new(&object, config.page_size);
-        let backend = SystemBackend::new(mmu, hierarchy, &object, &config, Some(view));
+        let backend = SystemBackend::new(mmu, hierarchy, &object, Some(view));
         (program, object, backend)
     }
 

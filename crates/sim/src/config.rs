@@ -90,8 +90,9 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trrip_cache::Hierarchy;
+    use trrip_cache::{CacheConfig, Hierarchy, StridePrefetcher};
     use trrip_cpu::BranchPredictor;
+    use trrip_policies::{Emissary, SetDueling, Ship};
 
     #[test]
     fn paper_config_matches_table1() {
@@ -101,6 +102,7 @@ mod tests {
         assert_eq!((CoreConfig::FDIP_MAX_LINES, CoreConfig::FDIP_LOOKAHEAD_INSTRS), (2, 48));
         assert_eq!(CoreConfig::L1_HIT_CYCLES, 3);
         assert_eq!(CoreConfig::STARVATION_THRESHOLD, 21);
+        assert_eq!(CoreConfig::STARVED_LINES, 8192);
         assert_eq!(CoreConfig::FREQUENCY_GHZ, 2.0);
         assert_eq!(BranchPredictor::BTB_ENTRIES, 1024);
         assert_eq!(BranchPredictor::INDIRECT_BTB_ENTRIES, 512);
@@ -108,12 +110,36 @@ mod tests {
         assert_eq!(BranchPredictor::GLOBAL_ENTRIES, 1024);
         assert_eq!(BranchPredictor::RAS_DEPTH, 32);
         assert_eq!(BranchPredictor::MISPREDICT_PENALTY, 8);
+
+        // The memory side: three fixed geometries, six latencies and DRAM.
+        let geometry = |c: CacheConfig| (c.size_bytes, c.ways);
+        assert_eq!(geometry(Hierarchy::L1I), (64 << 10, 4));
+        assert_eq!(geometry(Hierarchy::L1D), (64 << 10, 4));
+        assert_eq!(geometry(Hierarchy::SLC), (1 << 20, 16));
+        assert_eq!((Hierarchy::L1_TAG_CYCLES, Hierarchy::L1_DATA_CYCLES), (1, 3));
+        assert_eq!((Hierarchy::L2_TAG_CYCLES, Hierarchy::L2_DATA_CYCLES), (8, 12));
+        assert_eq!((Hierarchy::SLC_TAG_CYCLES, Hierarchy::SLC_DATA_CYCLES), (10, 30));
         assert_eq!(Hierarchy::DRAM_LATENCY, 400);
+        // §4.3's mechanism sizes.
+        assert_eq!(
+            (Ship::SHCT_ENTRIES, Ship::COUNTER_BITS, Ship::SIGNATURE_BITS),
+            (1 << 18, 2, 14)
+        );
+        assert_eq!((SetDueling::LEADERS_PER_POLICY, SetDueling::PSEL_BITS), (32, 10));
+        assert_eq!([4, 8, 16].map(Emissary::reservation), [2, 4, 8]);
+        assert_eq!((StridePrefetcher::TABLE_ENTRIES, StridePrefetcher::DEGREE), (4096, 4));
 
         let c = SimConfig::paper(PolicyKind::Trrip1);
-        assert_eq!(c.hierarchy.l2.size_bytes, 128 << 10);
-        assert_eq!(c.hierarchy.l2.ways, 8);
+        assert_eq!(geometry(c.hierarchy.l2), (128 << 10, 8));
         assert_eq!(c.hierarchy.l2_policy, PolicyKind::Trrip1);
+    }
+
+    /// The core hides an L1 hit's latency and the hierarchy charges it.
+    /// `trrip-cpu` does not depend on `trrip-cache`, so this test is what
+    /// ties the two values.
+    #[test]
+    fn the_core_hides_exactly_an_l1_hit() {
+        assert_eq!(CoreConfig::L1_HIT_CYCLES, Hierarchy::L1_DATA_CYCLES);
     }
 
     #[test]

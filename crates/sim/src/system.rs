@@ -418,7 +418,7 @@ impl<'w> SimRun<'w> {
         // ⑨–⑪ the machine itself.
         let hierarchy = Hierarchy::new(&config.hierarchy);
         let view = pulls.then(|| StreamView::new(object, config.page_size));
-        let backend = SystemBackend::new(mmu, hierarchy, object, config, view);
+        let backend = SystemBackend::new(mmu, hierarchy, object, view);
         let core = Core::new(config.core, backend);
         SimRun { workload, config: config.clone(), pages, core, warming: None, measuring: None }
     }

@@ -104,7 +104,7 @@ impl StreamView {
             frames,
             first_anon_frame,
             next_frame: first_anon_frame,
-            stride: StridePrefetcher::new(4096, 4),
+            stride: StridePrefetcher::new(),
             proposals: Vec::new(),
         }
     }
