@@ -12,7 +12,6 @@ use std::collections::HashMap;
 
 use serde::{Deserialize, Serialize};
 use trrip_mem::{VirtAddr, LINE_BYTES};
-use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 /// Classification of the code a miss landed in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -27,15 +26,17 @@ pub enum CodeRegion {
     External,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct LineCost {
     total_latency: u64,
     misses: u64,
     region: Option<CodeRegion>,
 }
 
-/// Accumulates per-line miss costs.
-#[derive(Debug, Clone, Default)]
+/// Accumulates per-line miss costs. Two trackers are equal when they
+/// hold the same lines with the same costs and regions, whatever order
+/// the misses came in.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostlyMissTracker {
     lines: HashMap<u64, LineCost>,
 }
@@ -98,65 +99,6 @@ impl CostlyMissTracker {
             }
         }
         out
-    }
-}
-
-fn region_to_bits(region: CodeRegion) -> u8 {
-    match region {
-        CodeRegion::Hot => 0,
-        CodeRegion::Warm => 1,
-        CodeRegion::Cold => 2,
-        CodeRegion::External => 3,
-    }
-}
-
-fn region_from_bits(bits: u8) -> Result<CodeRegion, SnapError> {
-    match bits {
-        0 => Ok(CodeRegion::Hot),
-        1 => Ok(CodeRegion::Warm),
-        2 => Ok(CodeRegion::Cold),
-        3 => Ok(CodeRegion::External),
-        _ => Err(SnapError::Corrupt(format!("invalid code region {bits}"))),
-    }
-}
-
-impl Snapshot for CostlyMissTracker {
-    fn save(&self, w: &mut SnapWriter) {
-        w.tag(b"CSTL");
-        let mut lines: Vec<(u64, LineCost)> = self.lines.iter().map(|(&l, &c)| (l, c)).collect();
-        lines.sort_unstable_by_key(|&(l, _)| l);
-        w.usize(lines.len());
-        for (line, cost) in lines {
-            w.u64(line);
-            w.u64(cost.total_latency);
-            w.u64(cost.misses);
-            match cost.region {
-                Some(region) => {
-                    w.bool(true);
-                    w.u8(region_to_bits(region));
-                }
-                None => w.bool(false),
-            }
-        }
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.expect_tag(b"CSTL")?;
-        let len = r.usize()?;
-        self.lines.clear();
-        for _ in 0..len {
-            let line = r.u64()?;
-            let cost = LineCost {
-                total_latency: r.u64()?,
-                misses: r.u64()?,
-                region: if r.bool()? { Some(region_from_bits(r.u8()?)) } else { None }
-                    .transpose()?,
-            };
-            if self.lines.insert(line, cost).is_some() {
-                return Err(SnapError::Corrupt(format!("duplicate costly line {line:#x}")));
-            }
-        }
-        Ok(())
     }
 }
 
@@ -238,6 +180,30 @@ mod tests {
         // 7, … 39), the cut at 87.5% keeps the five highest addresses
         // (i = 23 … 39), of which i = 27 and 35 are hot.
         assert_eq!(forward.hot_coverage(87.5, false), 2.0 / 5.0);
+    }
+
+    #[test]
+    fn equal_trackers_hold_the_same_costs_whatever_the_order() {
+        let fed = |misses: &[(u64, u64, CodeRegion)]| {
+            let mut t = CostlyMissTracker::new();
+            for &(line, latency, region) in misses {
+                t.record(pc(line), latency, region);
+            }
+            t
+        };
+        let misses =
+            [(1, 400, CodeRegion::Hot), (9, 30, CodeRegion::Cold), (1, 25, CodeRegion::Hot)];
+        let tracker = fed(&misses);
+        let mut reversed = misses;
+        reversed.reverse();
+        assert_eq!(tracker, fed(&reversed), "the order of the misses does not count");
+
+        let mut costlier = misses;
+        costlier[1].1 += 1;
+        assert_ne!(tracker, fed(&costlier), "one line's accumulated latency counts");
+        let mut moved = misses;
+        moved[1].2 = CodeRegion::Warm;
+        assert_ne!(tracker, fed(&moved), "one line's region counts");
     }
 
     #[test]

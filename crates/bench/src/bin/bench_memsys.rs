@@ -10,35 +10,28 @@
 //! phase over the walker, the L1 fast-path hit ratio — is a per-layer
 //! metric of `benchmark/run.sh`.
 //!
-//! Results append to `BENCH_memsys.json` under `--out`
-//! (`scripts/bench_memsys.sh` points `--out` at the repo root).
-//!
-//! `--smoke` (CI) shrinks the run, asserts that a group of *n* reads each
-//! record once and drives *n* machines with it, prints the table and
-//! skips the JSON append. It asserts nothing about host time: a figure
-//! committed in another hour on another host is no baseline, and
-//! `benchmark/run.sh compare` is the paired ruler for that.
+//! The table is printed, not kept: single runs of one build spread too
+//! widely for one run to show a regression, and `benchmark/run.sh
+//! compare` is the paired ruler for that. `--smoke` (CI) shrinks the run
+//! and asserts that a group of *n* reads each record once and drives *n*
+//! machines with it; it asserts nothing about host time.
 
 use std::time::Instant;
 
-use trrip_bench::{append_trajectory, HarnessOptions, USAGE};
+use trrip_bench::{HarnessOptions, USAGE};
 use trrip_policies::PolicyKind;
-use trrip_sim::{Frontend, PreparedWorkload, SimConfig, SimRun, StreamTurn};
+use trrip_sim::{Frontend, PreparedWorkload, SimConfig, SimRun, StreamTurn, TURN_INSTRS};
 use trrip_workloads::{InputSet, TraceGenerator};
 
 /// Cells a sweep's worker drives in lockstep — alone, a two-worker team's
 /// share of a few policies, of the paper's nine (5 + 4), and all nine on
-/// one worker — each with its field in the trajectory (also its key in
-/// the telemetry summary).
+/// one worker — each with its key in the telemetry summary.
 const LOCKSTEP_GROUPS: [(usize, &str); 4] = [
     (1, "lockstep_gcc_ns_per_cell_instr_1"),
     (2, "lockstep_gcc_ns_per_cell_instr_2"),
     (5, "lockstep_gcc_ns_per_cell_instr_5"),
     (9, "lockstep_gcc_ns_per_cell_instr_9"),
 ];
-
-/// Instructions per digested turn, as the sweep executor cuts them.
-const TURN_INSTRS: usize = 16 * 1024;
 
 /// One phase of a stream, digested: its event turns, in order.
 fn digest_phase(frontend: &mut Frontend<TraceGenerator<'_>>, instructions: u64) -> Vec<StreamTurn> {
@@ -98,7 +91,7 @@ fn main() {
     let options = match HarnessOptions::try_parse(args) {
         Ok(Some(options)) => options,
         Ok(None) => {
-            println!("{USAGE}\n  --smoke          quick CI correctness pass (no JSON append)");
+            println!("{USAGE}\n  --smoke          quick CI correctness pass");
             return;
         }
         Err(message) => {
@@ -158,21 +151,6 @@ fn main() {
             assert_eq!(ratio, size as f64, "a group of {size} is not {size} machines a record");
         }
         println!("smoke OK: every group drove its machines off one read of each record");
-        obs.finish(&summary);
-        return;
     }
-
-    let json_path = options.out_dir.join("BENCH_memsys.json");
-    let entry = format!(
-        "  {{\n    \"bench\": \"memsys\",\n    \
-         \"fast_forward\": {ff},\n    \"measured_instructions\": {measured},\n    \
-         \"host_cores\": {host_cores},\n    {lockstep_fields}\n  }}",
-        lockstep_fields =
-            summary.map(|(field, ns)| format!("\"{field}\": {ns:.2}")).join(",\n    "),
-        ff = config.fast_forward,
-        measured = config.instructions,
-    );
-    append_trajectory(&json_path, &entry);
-    trrip_obs::progress!("trajectory appended to {}", json_path.display());
     obs.finish(&summary);
 }

@@ -8,7 +8,7 @@
 #![warn(missing_docs)]
 
 use std::fs;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
@@ -468,30 +468,6 @@ fn select_among(
         ));
     }
     Ok(kept)
-}
-
-/// Appends one run object to a `BENCH_*.json` trajectory file — a JSON
-/// array the perf-tracking binary (`bench_memsys`) extends one entry
-/// per run. An unrecognized or missing file starts a fresh array.
-///
-/// # Panics
-///
-/// Panics if the file cannot be written.
-pub fn append_trajectory(path: &Path, entry: &str) {
-    let content = match fs::read_to_string(path) {
-        Ok(existing) => {
-            let head = existing.trim_end();
-            match head.strip_suffix(']') {
-                Some(body) if body.trim_end().ends_with('[') => {
-                    format!("{}\n{entry}\n]\n", body.trim_end())
-                }
-                Some(body) => format!("{},\n{entry}\n]\n", body.trim_end()),
-                None => format!("[\n{entry}\n]\n"), // unrecognized: start fresh
-            }
-        }
-        Err(_) => format!("[\n{entry}\n]\n"),
-    };
-    fs::write(path, content).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
 }
 
 /// Appends a line to a report and to stdout at once.

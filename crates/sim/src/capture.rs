@@ -267,16 +267,9 @@ mod tests {
             let replay = StreamingReplay::open(&path).expect("open");
             let from_disk = crate::simulate_source(&w, &config, replay);
 
-            // The acceptance bar: IPC, MPKI and the stall breakdown all
-            // fall out of these fields, so field equality ⇒ bit-identical
-            // metrics.
-            assert_eq!(from_walker.core, from_disk.core);
-            assert_eq!(from_walker.l1i, from_disk.l1i);
-            assert_eq!(from_walker.l1d, from_disk.l1d);
-            assert_eq!(from_walker.l2, from_disk.l2);
-            assert_eq!(from_walker.slc, from_disk.slc);
-            assert_eq!(from_walker.tlb, from_disk.tlb);
-            assert_eq!(from_walker.pages, from_disk.pages);
+            // The acceptance bar: every metric falls out of the result,
+            // so equal results ⇒ bit-identical metrics.
+            assert!(from_walker == from_disk, "{policy}: the replay differs from the walker");
         }
         std::fs::remove_dir_all(&dir).ok();
     }

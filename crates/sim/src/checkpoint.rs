@@ -288,11 +288,11 @@ pub fn warmup_config_hash(config: &SimConfig) -> u64 {
 /// layout and the fast-forward length (the predictor), and the page
 /// size of each stream view it holds, one per page size among the row's
 /// cells ([`view_page_sizes`]). A sweep's frontend trains over a backend
-/// that always hits and a view resolves frames and strides, so the L2
-/// policy, every cache's geometry and latencies and the overlap rule —
-/// which moves temperatures, read by each cell from its own loaded
-/// image, never frames — do not reach it: cells that differ only in
-/// those resolve the same file.
+/// that always hits and a view resolves frames and strides, so the L2's
+/// policy, size and ways and the overlap rule — which moves
+/// temperatures, read by each cell from its own loaded image, never
+/// frames — do not reach it: cells that differ only in those resolve the
+/// same file.
 ///
 /// # Panics
 ///

@@ -64,6 +64,7 @@ pub use checkpoint::{
 pub use config::SimConfig;
 pub use experiment::{
     default_jobs, parallel_map_with, policy_cells, policy_sweep_with, simulate_rows, SweepResult,
+    TURN_INSTRS,
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;

@@ -22,7 +22,7 @@ use crate::experiment::report_damaged;
 
 /// A benchmark after compilation: program, training profile, temperature
 /// classification, and both linked binaries.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PreparedWorkload {
     /// The workload description.
     pub spec: WorkloadSpec,

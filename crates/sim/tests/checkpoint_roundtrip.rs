@@ -3,6 +3,9 @@
 //! boundary, the one place a checkpoint is taken — and damaged files
 //! must be rejected.
 
+mod common;
+
+use common::assert_same_sweep;
 use proptest::prelude::*;
 use trrip_compiler::LayoutKind;
 use trrip_core::ClassifierConfig;
@@ -10,8 +13,8 @@ use trrip_policies::PolicyKind;
 use trrip_sim::capture::workload_fingerprint;
 use trrip_sim::{
     policy_cells, policy_sweep_with, read_checkpoint, simulate, warmup_config_hash,
-    write_checkpoint_kind, CheckpointError, CheckpointStore, PreparedWorkload, SimConfig,
-    SimResult, SimRun, SnapReader, SnapWriter, Snapshot,
+    write_checkpoint_kind, CheckpointError, CheckpointStore, PreparedWorkload, SimConfig, SimRun,
+    SnapReader, SnapWriter, Snapshot,
 };
 use trrip_snap::corrupt;
 use trrip_trace::SourceIter;
@@ -36,16 +39,6 @@ fn quick_config(policy: PolicyKind) -> SimConfig {
 fn walker<'a>(w: &'a PreparedWorkload, config: &'a SimConfig) -> SourceIter<TraceGenerator<'a>> {
     let object = w.object(config.layout);
     SourceIter::new(TraceGenerator::new(&w.program, object, &w.spec, InputSet::Eval))
-}
-
-fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
-    assert_eq!(a.core, b.core, "{what}: core results diverge");
-    assert_eq!(a.l1i, b.l1i, "{what}: L1-I stats diverge");
-    assert_eq!(a.l1d, b.l1d, "{what}: L1-D stats diverge");
-    assert_eq!(a.l2, b.l2, "{what}: L2 stats diverge");
-    assert_eq!(a.slc, b.slc, "{what}: SLC stats diverge");
-    assert_eq!(a.tlb, b.tlb, "{what}: TLB stats diverge");
-    assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
 }
 
 #[test]
@@ -87,7 +80,7 @@ fn restore_then_measure_is_bit_identical_for_every_policy() {
         assert_eq!(rest, overlay.bytes(), "{policy}: a full state's OVLY is the overlay");
 
         let cold_result = cold.measure(&mut stream);
-        assert_identical(&uninterrupted, &cold_result, &format!("{policy} cold"));
+        assert!(cold_result == uninterrupted, "{policy}: the cold run differs");
 
         // Warm run: restore from disk, skip the warmup prefix, measure.
         let mut warm = store
@@ -97,7 +90,7 @@ fn restore_then_measure_is_bit_identical_for_every_policy() {
         let mut stream = walker(&w, &config);
         for _ in (&mut stream).take(config.fast_forward as usize) {}
         let warm_result = warm.measure(&mut stream);
-        assert_identical(&uninterrupted, &warm_result, &format!("{policy} warm"));
+        assert!(warm_result == uninterrupted, "{policy}: the restored run differs");
     }
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -228,10 +221,8 @@ fn checkpointed_sweep_matches_other_engines() {
     );
     let warm = sweep();
 
-    for ((a, b), c) in walked.results.iter().zip(&cold.results).zip(&warm.results) {
-        assert_identical(a, b, "cold checkpointed sweep");
-        assert_identical(a, c, "warm checkpointed sweep");
-    }
+    assert_same_sweep(&cold, &walked, "cold checkpointed sweep");
+    assert_same_sweep(&warm, &walked, "warm checkpointed sweep");
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
 
@@ -268,23 +259,17 @@ fn store_keys_cover_every_spec_field_the_stream_reads() {
     for pass in ["cold", "warm"] {
         for (w, own) in twins.iter().zip(&own) {
             let stored = policy_sweep_with(2, w, &cells, Some(&store));
-            for (x, y) in stored.results.iter().zip(&own.results) {
-                assert_identical(x, y, &format!("{pass}: {} / {}", w[0].spec.name, x.policy));
-            }
+            assert_same_sweep(&stored, own, &format!("{pass} stored sweep"));
         }
     }
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Field by field, what a checkpoint store's preparation must agree with
-/// a fresh one on: the profile, the temperatures, both binaries, and the
-/// workload fingerprint under either layout.
+/// What a checkpoint store's preparation must agree with a fresh one on:
+/// the whole preparation, and the workload fingerprint under either
+/// layout.
 fn assert_same_preparation(a: &PreparedWorkload, b: &PreparedWorkload, what: &str) {
-    assert_eq!(a.spec, b.spec, "{what}: spec");
-    assert_eq!(a.profile, b.profile, "{what}: training profile");
-    assert_eq!(a.temps.as_slice(), b.temps.as_slice(), "{what}: temperatures");
-    assert_eq!(a.plain_object, b.plain_object, "{what}: source-order binary");
-    assert_eq!(a.pgo_object, b.pgo_object, "{what}: PGO binary");
+    assert!(a == b, "{what}: the preparations differ");
     for layout in [LayoutKind::SourceOrder, LayoutKind::Pgo] {
         let config = SimConfig { layout, ..quick_config(PolicyKind::Srrip) };
         assert_eq!(
@@ -297,7 +282,7 @@ fn assert_same_preparation(a: &PreparedWorkload, b: &PreparedWorkload, what: &st
 
 /// A preparation over a store trains and saves the profile once (cold),
 /// then loads it (warm); either way it is the storeless preparation,
-/// field by field — and recompiling under another classifier is
+/// whole — and recompiling under another classifier is
 /// preparing under it.
 #[test]
 fn a_kept_profile_prepares_what_training_does() {

@@ -16,15 +16,18 @@
 //! One real `#[test]` on purpose: the parent's counters and journal are
 //! process-wide.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 
+use common::assert_same_sweep;
 use trrip_core::ClassifierConfig;
 use trrip_obs::json::Json;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
     policy_cells, policy_sweep_with, simulate, CheckpointStore, PreparedWorkload, SimConfig,
-    SimResult, SweepResult,
+    SweepResult,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -173,18 +176,6 @@ fn cells_of(rows: &[&str], policies: &[PolicyKind]) -> Vec<(String, String)> {
     cells
 }
 
-fn assert_sweep(sweep: &SweepResult, oracle: &[SimResult], what: &str) {
-    assert_eq!(sweep.results.len(), oracle.len(), "{what}");
-    for (a, b) in sweep.results.iter().zip(oracle) {
-        let what = format!("{what}: {} / {}", b.benchmark, b.policy);
-        assert_eq!((&a.benchmark, a.policy), (&b.benchmark, b.policy), "{what}");
-        assert_eq!(a.core, b.core, "{what}: core results diverge");
-        assert_eq!((a.l1i, a.l1d, a.l2, a.slc), (b.l1i, b.l1d, b.l2, b.slc), "{what}: caches");
-        assert_eq!(a.tlb, b.tlb, "{what}: TLB stats diverge");
-        assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
-    }
-}
-
 /// File names in `dir` (subdirectories left out) that contain `needle`.
 fn files_with(dir: &Path, needle: &str) -> Vec<String> {
     let entries = std::fs::read_dir(dir).expect("a store's directory");
@@ -195,9 +186,9 @@ fn files_with(dir: &Path, needle: &str) -> Vec<String> {
 
 /// A sweep over a whole store: every cell restores, nothing warms,
 /// nothing is damaged, each producer a walker resumed at the boundary.
-fn assert_restores_everything(root: &Path, workloads: &[PreparedWorkload], oracle: &[SimResult]) {
+fn assert_restores_everything(root: &Path, workloads: &[PreparedWorkload], oracle: &SweepResult) {
     let (sweep, seen) = Seen::sweep(root, "healed", workloads);
-    assert_sweep(&sweep, oracle, "over the healed stores");
+    assert_same_sweep(&sweep, oracle, "over the healed stores");
     assert_eq!(seen.warm(), [SWEEP, 0, 0]);
     assert!(seen.damaged().is_empty(), "healed: {:?}", seen.damaged());
     let boundary = config().fast_forward;
@@ -220,10 +211,14 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     // Meanwhile, the reference: each cell alone over a walker of its own.
     let (workloads, config) = (workloads(), config());
     let cell = |policy| config.clone().with_policy(policy);
-    let oracle: Vec<SimResult> = workloads
-        .iter()
-        .flat_map(|w| PolicyKind::PAPER_SET.map(|p| simulate(w, &cell(p))))
-        .collect();
+    let oracle = SweepResult {
+        results: workloads
+            .iter()
+            .flat_map(|w| cells().into_iter().map(move |c| simulate(w, &c)))
+            .collect(),
+        cells: cells(),
+        benchmarks: ROWS.map(str::to_owned).to_vec(),
+    };
     let codes = children.each_mut().map(|child| child.wait().expect("wait").code());
     assert_eq!(codes, [Some(trrip_obs::fault::KILL_EXIT_CODE), Some(0), Some(0)]);
     for dir in [&killed, &bad_prefix, &bad_overlay] {
@@ -250,7 +245,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     // both rows from the first instruction, and never reads the temp
     // file.
     let (sweep, seen) = Seen::sweep(&killed, "next", &workloads);
-    assert_sweep(&sweep, &oracle, "after the kill");
+    assert_same_sweep(&sweep, &oracle, "after the kill");
     assert_eq!(seen.took("overlay_restore"), cells_of(&ROWS[..1], published));
     let mut warmed = cells_of(&ROWS[..1], &PolicyKind::PAPER_SET[KILL_AT - 2..]);
     warmed.extend(cells_of(&ROWS[1..], &PolicyKind::PAPER_SET));
@@ -267,7 +262,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     let prefix = ckpts.prefix_path(a, std::slice::from_ref(&config));
     let torn = std::fs::read(&prefix).expect("the prefix was published");
     let (sweep, seen) = Seen::sweep(&bad_prefix, "next", &workloads);
-    assert_sweep(&sweep, &oracle, "over a torn prefix");
+    assert_same_sweep(&sweep, &oracle, "over a torn prefix");
     assert_eq!(seen.damaged(), [("shared prefix", ROWS[0], "*")]);
     assert_eq!(
         seen.producers(),
@@ -286,7 +281,7 @@ fn a_killed_or_torn_sweep_leaves_stores_the_next_sweep_restores_from_and_heals()
     let overlay = ckpts.overlay_path(a, &cell(PolicyKind::PAPER_SET[0]));
     let torn = std::fs::read(&overlay).expect("the overlay was published");
     let (sweep, seen) = Seen::sweep(&bad_overlay, "next", &workloads);
-    assert_sweep(&sweep, &oracle, "over a torn overlay");
+    assert_same_sweep(&sweep, &oracle, "over a torn overlay");
     assert_eq!(seen.damaged(), [("policy overlay", ROWS[0], PolicyKind::PAPER_SET[0].name())]);
     assert_eq!(
         seen.producers(),

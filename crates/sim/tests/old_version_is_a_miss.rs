@@ -14,13 +14,14 @@
 //! One `#[test]` on purpose: the counters and the journal are
 //! process-wide.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 
+use common::assert_same_sweep;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
-use trrip_sim::{
-    policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
-};
+use trrip_sim::{policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig};
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
 
@@ -69,20 +70,6 @@ fn store_counts(moved: &trrip_obs::CounterSnapshot) -> [u64; 4] {
 fn routes(moved: &trrip_obs::CounterSnapshot) -> [u64; 4] {
     ["overlay_restore", "tail_replay", "recorded_warmup", "cold_warmup"]
         .map(|route| moved.get(&format!("warm.{route}")))
-}
-
-fn assert_sweep(sweep: &SweepResult, oracle: &SweepResult, what: &str) {
-    assert_eq!(sweep.results.len(), oracle.results.len(), "{what}");
-    for (a, b) in sweep.results.iter().zip(&oracle.results) {
-        assert_eq!(a.core, b.core, "{what}: {} core results diverge", b.policy);
-        assert_eq!(
-            (a.l1i, a.l1d, a.l2, a.slc),
-            (b.l1i, b.l1d, b.l2, b.slc),
-            "{what}: {}",
-            b.policy
-        );
-        assert_eq!(a.tlb, b.tlb, "{what}: {} TLB stats diverge", b.policy);
-    }
 }
 
 #[test]
@@ -136,7 +123,7 @@ fn files_of_another_version_are_misses_and_are_written_again() {
         assert_eq!(store_counts(&moved), store_counts(&trained), "a clean miss, then a save");
         assert!(moved.get("walk.instrs") >= TRAIN, "the profile is trained again");
         let (again, moved) = moved_by(pushed);
-        assert_sweep(&again, &oracle, &format!("sweep over a version {stale} store"));
+        assert_same_sweep(&again, &oracle, &format!("sweep over a version {stale} store"));
         assert_eq!(routes(&moved), routes(&empty_push), "as over an empty store");
         assert_eq!(
             (moved.get("ckpt.hit"), moved.get("ckpt.miss"), moved.get("ckpt.corrupt")),
@@ -152,7 +139,7 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     }
     // And what was written is what a warm pass restores from.
     let (warm, moved) = moved_by(pushed);
-    assert_sweep(&warm, &oracle, "sweep over the rewritten store");
+    assert_same_sweep(&warm, &oracle, "sweep over the rewritten store");
     assert_eq!(routes(&moved), [CELLS, 0, 0, 0]);
     assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.corrupt"), 0);
     let (_, moved) = moved_by(prepare);

@@ -30,15 +30,17 @@
 //! a sibling test in the same binary would move them.
 
 mod common;
+mod rows;
 
 use std::path::{Path, PathBuf};
 
-use common::{ablation_row, mixed_row, row_on_file};
+use common::assert_same_sweep;
+use rows::{ablation_row, mixed_row, row_on_file, simulated};
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    capture_length, policy_cells, policy_sweep_with, simulate, CheckpointStore, PreparedWorkload,
-    SimConfig, SimResult, SweepResult,
+    capture_length, policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig,
+    SweepResult,
 };
 use trrip_snap::corrupt;
 use trrip_workloads::WorkloadSpec;
@@ -54,30 +56,6 @@ fn quick_workload(name: &str) -> PreparedWorkload {
     spec.functions = 50;
     spec.hot_rotation = 8;
     PreparedWorkload::prepare(&spec, 100_000, ClassifierConfig::llvm_defaults())
-}
-
-fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
-    let what = format!("{what}: {} / {}", b.benchmark, b.policy);
-    assert_eq!((&a.benchmark, a.policy), (&b.benchmark, b.policy), "{what}");
-    assert_eq!(a.core, b.core, "{what}: core results diverge");
-    assert_eq!(a.l1i, b.l1i, "{what}: L1-I stats diverge");
-    assert_eq!(a.l1d, b.l1d, "{what}: L1-D stats diverge");
-    assert_eq!(a.l2, b.l2, "{what}: L2 stats diverge");
-    assert_eq!(a.slc, b.slc, "{what}: SLC stats diverge");
-    assert_eq!(a.tlb, b.tlb, "{what}: TLB stats diverge");
-    assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
-    assert_eq!(a.reuse_base, b.reuse_base, "{what}: reuse histograms diverge");
-    assert_eq!(a.reuse_hot_only, b.reuse_hot_only, "{what}: hot-only histograms diverge");
-    let costly =
-        |r: &SimResult| r.costly.as_ref().map(|c| (c.distinct_lines(), c.cost_by_region()));
-    assert_eq!(costly(a), costly(b), "{what}: costly-miss trackers diverge");
-}
-
-fn assert_sweep(sweep: &SweepResult, oracle: &[SimResult], what: &str) {
-    assert_eq!(sweep.results.len(), oracle.len(), "{what}");
-    for (cell, expected) in sweep.results.iter().zip(oracle) {
-        assert_identical(cell, expected, what);
-    }
 }
 
 /// What one sweep moved: the counters the design is stated in.
@@ -176,11 +154,8 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     }
 
     // The pull reference: each cell alone over a walker of its own.
-    let oracle: Vec<SimResult> = workloads
-        .iter()
-        .flat_map(|w| PolicyKind::PAPER_SET.map(|p| simulate(w, &cell(p))))
-        .collect();
-    assert_sweep(&cold, &oracle, "cold pass");
+    let oracle = simulated(&workloads, &cells);
+    assert_same_sweep(&cold, &oracle, "cold pass");
 
     // ---- warm: resume at the boundary, restore every cell ----
     let (warm, moved) = Moved::by(sweep);
@@ -189,7 +164,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
     assert_eq!(moved.get("ckpt.hit"), 2 * (CELLS + 1), "n overlays and ONE prefix per workload");
     assert_eq!(moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
-    assert_sweep(&warm, &oracle, "warm pass");
+    assert_same_sweep(&warm, &oracle, "warm pass");
 
     // ---- a partial store: one overlay gone ----
     // b's producer starts at the first instruction; its other cells
@@ -200,7 +175,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     let (partial, moved) = Moved::by(sweep);
     moved.walked(&[window, stream], "one overlay missing");
     assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
-    assert_sweep(&partial, &oracle, "one overlay missing");
+    assert_same_sweep(&partial, &oracle, "one overlay missing");
     assert!(clip.is_file(), "the cell that warmed up left its overlay");
 
     // ---- a partial store: the prefix gone, every overlay present ----
@@ -212,7 +187,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     let (headless, moved) = Moved::by(sweep);
     moved.walked(&[stream, window], "prefix missing");
     assert_eq!(moved.warm(), [2 * CELLS, 0, 1, 0]);
-    assert_sweep(&headless, &oracle, "prefix missing");
+    assert_same_sweep(&headless, &oracle, "prefix missing");
     assert!(read(&prefix) == prefix_bytes, "a prefix is a function of the stream alone");
 
     // ---- an overlay that is there but does not load ----
@@ -229,19 +204,19 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.get("front.digest.instrs"), window + stream, "two frontends, no other");
     assert_eq!(moved.warm(), [2 * CELLS - 1, 1, 0, 0]);
     assert_eq!(moved.get("ckpt.corrupt"), 1);
-    assert_sweep(&patched, &oracle, "one overlay damaged");
+    assert_same_sweep(&patched, &oracle, "one overlay damaged");
     assert!(read(&emissary) == overlay_bytes, "the rewritten overlay is the cold pass's");
     let (healed, moved) = Moved::by(sweep);
     moved.walked(&[window, window], "healed store");
     assert_eq!(moved.warm(), [2 * CELLS, 0, 0, 0]);
-    assert_sweep(&healed, &oracle, "healed store");
+    assert_same_sweep(&healed, &oracle, "healed store");
 
     // ---- no checkpoint store: walk, warm every cell, keep nothing ----
     let (plain, moved) = Moved::by(|| policy_sweep_with(JOBS, &workloads, &cells, None));
     moved.walked(&[stream, stream], "no checkpoint store");
     assert_eq!(moved.warm(), [0, 0, 0, 2 * CELLS]);
     assert_eq!(moved.get("ckpt.hit") + moved.get("ckpt.miss") + moved.get("ckpt.save"), 0);
-    assert_sweep(&plain, &oracle, "no checkpoint store");
+    assert_same_sweep(&plain, &oracle, "no checkpoint store");
 
     // ---- a geometry sweep of a workload a policy sweep has covered ----
     // Its four machines are new to the store, so the producer starts at
@@ -271,10 +246,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     moved.walked(&[stream], "geometry sweep");
     assert_eq!(ckpts.prefix_path(a, &geometry), ckpts.prefix_path(a, &cells));
     assert_eq!(shared_files(a), 1);
-    let alone = |cells: &[SimConfig], w| -> Vec<SimResult> {
-        cells.iter().map(|cell| simulate(w, cell)).collect()
-    };
-    assert_sweep(&resized_cold, &alone(&geometry, a), "geometry sweep");
+    assert_same_sweep(&resized_cold, &simulated(only_a, &geometry), "geometry sweep");
 
     // ---- a heterogeneous row over an empty store, then over its own ----
     let mixed = [quick_workload("push-store-mixed")];
@@ -291,16 +263,16 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     assert_eq!(moved.get("ckpt.save"), n + 1);
     assert_eq!(shared_files(m), 1);
     assert!(row_on_file(&ckpts, m, &row));
-    let oracle = alone(&row, m);
-    assert!(oracle[1].reuse_base.is_some() && oracle[2].costly.is_some());
-    assert_sweep(&row_cold, &oracle, "heterogeneous row, cold");
+    let oracle = simulated(&mixed, &row);
+    assert!(oracle.results[1].reuse_base.is_some() && oracle.results[2].costly.is_some());
+    assert_same_sweep(&row_cold, &oracle, "heterogeneous row, cold");
 
     let (row_warm, moved) = Moved::by(sweep_row);
     moved.walked(&[window], "heterogeneous row, warm: from the boundary");
     assert_eq!(moved.get("front.digest.instrs"), window);
     assert_eq!(moved.warm(), [n, 0, 0, 0], "every cell restores");
     assert_eq!(moved.get("ckpt.hit"), n + 1, "n overlays and ONE prefix");
-    assert_sweep(&row_warm, &oracle, "heterogeneous row, warm");
+    assert_same_sweep(&row_warm, &oracle, "heterogeneous row, warm");
 
     trrip_obs::journal::close().expect("the journal was open");
     let journal = trrip_obs::read_journal(&journal).expect("read the journal back");
@@ -322,12 +294,12 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     let v = &ablated[0];
     let row = ablation_row(&config);
     let n = row.len() as u64;
-    let oracle = alone(&row, v);
+    let oracle = simulated(&ablated, &row);
     let sweep_row = || policy_sweep_with(JOBS, &ablated, &row, Some(&ckpts));
     let (row_cold, moved) = Moved::by(sweep_row);
     moved.walked(&[stream], "two page sizes, cold");
     assert_eq!(moved.warm(), [0, n, 1, 0], "every cell warms; ONE prefix for both views");
-    assert_sweep(&row_cold, &oracle, "two page sizes, cold");
+    assert_same_sweep(&row_cold, &oracle, "two page sizes, cold");
     assert_eq!(shared_files(v), 1);
     assert!(row_on_file(&ckpts, v, &row));
     assert_ne!(ckpts.prefix_path(v, &row), ckpts.prefix_path(v, &row[..1]));
@@ -335,7 +307,7 @@ fn store_backed_sweeps_equal_per_cell_replay_on_every_route_at_the_promised_cost
     moved.walked(&[window], "two page sizes, warm: from the boundary");
     assert_eq!(moved.warm(), [n, 0, 0, 0], "every cell restores");
     assert_eq!(moved.get("ckpt.hit"), n + 1, "n overlays and ONE prefix");
-    assert_sweep(&row_warm, &oracle, "two page sizes, warm");
+    assert_same_sweep(&row_warm, &oracle, "two page sizes, warm");
 
     std::fs::remove_dir_all(&root).ok();
 }

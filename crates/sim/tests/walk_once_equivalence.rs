@@ -2,7 +2,7 @@
 //! workload's instruction stream once, runs one frontend over it, and
 //! pushes the resulting event turns through every cell on at most `jobs`
 //! threads — and every cell must still equal a [`simulate`] of its own,
-//! field by field, whatever the worker count, the workload count, or
+//! every field of it, whatever the worker count, the workload count, or
 //! where the stream happens to be cut. A cell is a configuration: the
 //! rows swept here are the nine policies on one machine with SRRIP again
 //! on a larger L2, and a
@@ -24,11 +24,13 @@
 //! counts.
 
 mod common;
+mod rows;
 
 use std::collections::BTreeSet;
 use std::sync::{PoisonError, RwLock, RwLockReadGuard};
 
-use common::{ablation_row, mixed_row, row_on_file};
+use common::assert_same_sweep;
+use rows::{ablation_row, mixed_row, row_on_file, simulated};
 
 use trrip_compiler::LayoutKind;
 use trrip_core::ClassifierConfig;
@@ -68,29 +70,6 @@ fn quick_config(fast_forward: u64) -> SimConfig {
     c
 }
 
-fn costly_bytes(result: &SimResult) -> Option<Vec<u8>> {
-    result.costly.as_ref().map(|tracker| {
-        let mut w = SnapWriter::new();
-        tracker.save(&mut w);
-        w.into_bytes()
-    })
-}
-
-fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
-    assert_eq!(a.benchmark, b.benchmark, "{what}: benchmark");
-    assert_eq!(a.policy, b.policy, "{what}: policy");
-    assert_eq!(a.core, b.core, "{what}: core results diverge");
-    assert_eq!(a.l1i, b.l1i, "{what}: L1-I stats diverge");
-    assert_eq!(a.l1d, b.l1d, "{what}: L1-D stats diverge");
-    assert_eq!(a.l2, b.l2, "{what}: L2 stats diverge");
-    assert_eq!(a.slc, b.slc, "{what}: SLC stats diverge");
-    assert_eq!(a.tlb, b.tlb, "{what}: TLB stats diverge");
-    assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
-    assert_eq!(a.reuse_base, b.reuse_base, "{what}: reuse histogram diverges");
-    assert_eq!(a.reuse_hot_only, b.reuse_hot_only, "{what}: hot-only histogram diverges");
-    assert_eq!(costly_bytes(a), costly_bytes(b), "{what}: costly-miss tracker diverges");
-}
-
 /// The machine of `config` under each of the paper's policies, then
 /// SRRIP once more on a 256 KiB L2: ten cells, so teams split unevenly.
 fn policy_row(config: &SimConfig) -> Vec<SimConfig> {
@@ -98,34 +77,6 @@ fn policy_row(config: &SimConfig) -> Vec<SimConfig> {
     let hierarchy = config.hierarchy.clone().with_l2_size(256 << 10);
     row.push(SimConfig { hierarchy, ..config.clone() }.with_policy(PolicyKind::Srrip));
     row
-}
-
-/// One `simulate` per cell: the oracle, workload-major like a sweep.
-fn per_cell(workloads: &[PreparedWorkload], cells: &[SimConfig]) -> Vec<SimResult> {
-    workloads.iter().flat_map(|w| cells.iter().map(move |cell| simulate(w, cell))).collect()
-}
-
-fn assert_sweep_matches(
-    jobs: usize,
-    workloads: &[PreparedWorkload],
-    cells: &[SimConfig],
-    oracle: &[SimResult],
-) {
-    let sweep = policy_sweep_with(jobs, workloads, cells, None);
-    assert_eq!(sweep.cells, cells);
-    assert_eq!(sweep.benchmarks.len(), workloads.len());
-    assert_eq!(sweep.results.len(), oracle.len());
-    for (i, (cell, expected)) in sweep.results.iter().zip(oracle).enumerate() {
-        let what = format!(
-            "{} / cell {} ({}) at jobs={jobs}, {} workload(s), fast_forward={}",
-            expected.benchmark,
-            i % cells.len(),
-            expected.policy,
-            workloads.len(),
-            cells[0].fast_forward
-        );
-        assert_identical(cell, expected, &what);
-    }
 }
 
 /// One workload, so from two jobs up its cells are split across a team
@@ -139,13 +90,14 @@ fn one_workload_split_across_workers_equals_per_cell_simulate() {
     let workloads = [workload("walk-once-a")];
     let config = quick_config(30_000);
     for cells in [policy_row(&config), mixed_row(&config), ablation_row(&config)] {
-        let oracle = per_cell(&workloads, &cells);
+        let oracle = simulated(&workloads, &cells);
         for jobs in [1, 2, 3, 5, cells.len() + 3] {
-            assert_sweep_matches(jobs, &workloads, &cells, &oracle);
+            let sweep = policy_sweep_with(jobs, &workloads, &cells, None);
+            assert_same_sweep(&sweep, &oracle, &format!("jobs={jobs}"));
         }
     }
     // The cells of the heterogeneous row really are different machines.
-    let mixed = per_cell(&workloads, &mixed_row(&config));
+    let mixed = simulated(&workloads, &mixed_row(&config)).results;
     assert!(mixed[1].reuse_base.is_some() && mixed[2].costly.is_some());
     assert!(mixed[0].reuse_base.is_none() && mixed[0].costly.is_none());
     assert_ne!(mixed[0].l2, mixed[5].l2, "SRRIP on two L2s");
@@ -160,8 +112,8 @@ fn whole_workloads_per_worker_equal_per_cell_simulate() {
     let workloads = [workload("walk-once-b"), workload("walk-once-c"), workload("walk-once-d")];
     let config = quick_config(30_000);
     for cells in [policy_row(&config), mixed_row(&config)] {
-        let oracle = per_cell(&workloads, &cells);
-        assert_sweep_matches(2, &workloads, &cells, &oracle);
+        let sweep = policy_sweep_with(2, &workloads, &cells, None);
+        assert_same_sweep(&sweep, &simulated(&workloads, &cells), "three workloads at jobs=2");
     }
 }
 
@@ -177,8 +129,9 @@ fn degenerate_warmups_equal_per_cell_simulate() {
     // Thirteen jobs: more than the row's ten cells.
     for (fast_forward, jobs) in [(0, 3), (1, 13), (47, 2), (48, 1), (49, 3)] {
         let cells = policy_row(&quick_config(fast_forward));
-        let oracle = per_cell(&workloads, &cells);
-        assert_sweep_matches(jobs, &workloads, &cells, &oracle);
+        let sweep = policy_sweep_with(jobs, &workloads, &cells, None);
+        let what = format!("fast_forward={fast_forward} at jobs={jobs}");
+        assert_same_sweep(&sweep, &simulated(&workloads, &cells), &what);
     }
 }
 
@@ -190,9 +143,10 @@ fn profilers_ride_the_pushed_stream_unchanged() {
     config.measure_reuse = true;
     config.track_costly = true;
     let cells = policy_row(&config);
-    let oracle = per_cell(&workloads, &cells);
-    assert!(oracle.iter().all(|r| r.reuse_base.is_some() && r.costly.is_some()));
-    assert_sweep_matches(3, &workloads, &cells, &oracle);
+    let oracle = simulated(&workloads, &cells);
+    assert!(oracle.results.iter().all(|r| r.reuse_base.is_some() && r.costly.is_some()));
+    let sweep = policy_sweep_with(3, &workloads, &cells, None);
+    assert_same_sweep(&sweep, &oracle, "armed profilers at jobs=3");
 }
 
 #[test]
@@ -217,15 +171,13 @@ fn two_page_sizes_over_a_store_equal_per_cell_simulate_cold_and_warm() {
     let _shared = shared();
     let workloads = [workload("walk-once-ablation")];
     let cells = ablation_row(&quick_config(30_000));
-    let oracle = per_cell(&workloads, &cells);
+    let oracle = simulated(&workloads, &cells);
     let dir = std::env::temp_dir().join(format!("trrip-walk-once-views-{}", std::process::id()));
     std::fs::remove_dir_all(&dir).ok();
     let ckpts = CheckpointStore::new(&dir);
     for pass in ["cold", "warm"] {
         let sweep = policy_sweep_with(3, &workloads, &cells, Some(&ckpts));
-        for (i, (cell, expected)) in sweep.results.iter().zip(&oracle).enumerate() {
-            assert_identical(cell, expected, &format!("{pass} pass, cell {i}"));
-        }
+        assert_same_sweep(&sweep, &oracle, &format!("{pass} pass at jobs=3"));
         assert!(row_on_file(&ckpts, &workloads[0], &cells), "{pass}: the row is on file");
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -355,7 +307,7 @@ fn push_seam_equals_pull_wherever_the_stream_is_cut() {
                 let what = format!("{policy}, fast_forward={fast_forward}, cuts={:?}", {
                     &cuts[..cuts.len().min(6)]
                 });
-                assert_identical(&pushed(&w, &config, &stream, cuts), &pulled, &what);
+                assert!(pushed(&w, &config, &stream, cuts) == pulled, "{what}: pushed differs");
             }
         }
     }
@@ -374,7 +326,7 @@ fn push_seam_equals_pull_for_every_policy() {
         let stream = eval_stream(&w, &config);
         let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
         let cuts: Vec<usize> = (1..5).map(|k| k * 16 * 1_024).collect();
-        assert_identical(&pushed(&w, &config, &stream, &cuts), &pulled, &format!("{policy}"));
+        assert!(pushed(&w, &config, &stream, &cuts) == pulled, "{policy}: pushed differs");
     }
 }
 
@@ -405,7 +357,7 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
     assert!(!frontend.digest(usize::MAX, &mut turn));
     assert_eq!(turn.events(), empty.events(), "nothing is left to digest");
     SimRun::push_group(&mut [&mut run], &turn, true);
-    assert_identical(&run.finish(), &pulled, "short stream closed by an empty turn");
+    assert!(run.finish() == pulled, "short stream closed by an empty turn: pushed differs");
 }
 
 /// Streams that end before the core's 48-instruction lookahead ever
@@ -421,7 +373,7 @@ fn push_seam_takes_streams_shorter_than_the_lookahead() {
         let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
         for cuts in [&[][..], &[1, 2, 9, 10, 11, 29]] {
             let what = format!("{length} instructions, fast_forward={fast_forward}, {cuts:?}");
-            assert_identical(&pushed(&w, &config, &stream, cuts), &pulled, &what);
+            assert!(pushed(&w, &config, &stream, cuts) == pulled, "{what}: pushed differs");
         }
     }
 }
@@ -467,7 +419,7 @@ fn push_seam_carries_an_instruction_with_all_four_events() {
     let pulled = simulate_source(&w, &config, VecSource::new(stream.clone(), 1_024));
     assert_eq!(pulled.core.mispredictions, 5);
     for cuts in [&[][..], &[43, 44, 45, 63, 65, 87, 88]] {
-        assert_identical(&pushed(&w, &config, &stream, cuts), &pulled, &format!("{cuts:?}"));
+        assert!(pushed(&w, &config, &stream, cuts) == pulled, "{cuts:?}: pushed differs");
     }
 }
 
@@ -657,8 +609,7 @@ fn rows_of_one_cell_equal_simulate_inline_or_walking_ahead() {
             let results = simulate_rows(jobs, picked.len(), |i| rows[picked[i]].clone());
             assert_eq!(results.len(), picked.len());
             for (result, &row) in results.iter().zip(picked) {
-                let what = format!("row {row} of {picked:?} at jobs={jobs}");
-                assert_identical(result, &oracle[row], &what);
+                assert!(*result == oracle[row], "row {row} of {picked:?} at jobs={jobs} differs");
             }
         }
     }
@@ -826,7 +777,7 @@ fn a_sweep_walks_each_workload_once_on_at_most_jobs_threads() {
 
     // The oracle really does pay per cell, and runs no shared frontend.
     let before = trrip_obs::snapshot();
-    let _ = per_cell(&one, &policy_row(&config));
+    let _ = simulated(&one, &policy_row(&config));
     let moved = trrip_obs::snapshot().since(&before);
     let walked = moved.get("walk.instrs");
     assert!(walked >= cells as u64 * walkers_worth, "per-cell walked only {walked}");

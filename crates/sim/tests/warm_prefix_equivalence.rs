@@ -11,6 +11,9 @@
 //! section out of range included — is written again, and either file is
 //! healed by the sweep that found it.
 
+mod common;
+
+use common::assert_same_sweep;
 use trrip_core::ClassifierConfig;
 use trrip_obs::CounterSnapshot;
 use trrip_policies::PolicyKind;
@@ -39,19 +42,13 @@ fn quick_config(policy: PolicyKind) -> SimConfig {
     c
 }
 
-fn assert_identical(a: &SimResult, b: &SimResult, what: &str) {
-    assert_eq!(a.core, b.core, "{what}: core results diverge");
-    assert_eq!(a.l1i, b.l1i, "{what}: L1-I stats diverge");
-    assert_eq!(a.l1d, b.l1d, "{what}: L1-D stats diverge");
-    assert_eq!(a.l2, b.l2, "{what}: L2 stats diverge");
-    assert_eq!(a.slc, b.slc, "{what}: SLC stats diverge");
-    assert_eq!(a.tlb, b.tlb, "{what}: TLB stats diverge");
-    assert_eq!(a.pages, b.pages, "{what}: page stats diverge");
-    assert_eq!(a.reuse_base, b.reuse_base, "{what}: reuse histograms diverge");
-    assert_eq!(a.reuse_hot_only, b.reuse_hot_only, "{what}: hot-only histograms diverge");
-    let (ca, cb) = (a.costly.as_ref().expect("armed"), b.costly.as_ref().expect("armed"));
-    assert_eq!(ca.distinct_lines(), cb.distinct_lines(), "{what}: costly lines diverge");
-    assert_eq!(ca.cost_by_region(), cb.cost_by_region(), "{what}: costly regions diverge");
+/// The storeless sweep of `row` every warm-start route is held to, its
+/// profilers armed in every cell.
+fn storeless(workloads: &[PreparedWorkload], row: &[SimConfig]) -> SweepResult {
+    let oracle = policy_sweep_with(4, workloads, row, None);
+    let armed = |r: &SimResult| r.reuse_base.is_some() && r.costly.is_some();
+    assert!(oracle.results.iter().all(armed), "both profilers are armed in every cell");
+    oracle
 }
 
 fn scratch(name: &str) -> std::path::PathBuf {
@@ -102,7 +99,7 @@ fn warm_prefix_sweep_is_bit_identical_for_every_policy() {
 
     // Oracle: cold per-cell warmups via the walker engine.
     let row = policy_cells(&config, &PolicyKind::PAPER_SET);
-    let oracle = policy_sweep_with(4, &workloads, &row, None);
+    let oracle = storeless(&workloads, &row);
 
     // Cold populating pass: ONE shared prefix — the frontend's
     // predictor — and nine cells that execute the warm-up turns it
@@ -112,22 +109,14 @@ fn warm_prefix_sweep_is_bit_identical_for_every_policy() {
     let (cold, routes, _) = routes_of(sweep);
     assert_eq!(routes, [0, cells, 1, 0], "one prefix per workload, not per policy");
 
-    for (policy, (a, b)) in
-        PolicyKind::PAPER_SET.iter().zip(oracle.results.iter().zip(&cold.results))
-    {
-        assert_identical(a, b, &format!("{policy}: cold warm-prefix pass"));
-    }
+    assert_same_sweep(&cold, &oracle, "cold warm-prefix pass");
 
     // Warm pass: the frontend resumes from the shared prefix, every
     // cell restores its own overlay.
     let (warm, routes, _) = routes_of(sweep);
     assert_eq!(routes, [cells, 0, 0, 0]);
 
-    for (policy, (a, b)) in
-        PolicyKind::PAPER_SET.iter().zip(oracle.results.iter().zip(&warm.results))
-    {
-        assert_identical(a, b, &format!("{policy}: warm overlay pass"));
-    }
+    assert_same_sweep(&warm, &oracle, "warm overlay pass");
 
     // The prefix file is one per workload, policy-free: every policy's
     // cell alone resolves the row's path.
@@ -153,7 +142,7 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     let policies = [PolicyKind::Srrip, PolicyKind::Ship, PolicyKind::Emissary];
     let cells = policies.len() as u64;
     let row = policy_cells(&config, &policies);
-    let oracle = policy_sweep_with(4, &workloads, &row, None);
+    let oracle = storeless(&workloads, &row);
 
     let ckpt_dir = scratch("trrip-warm-prefix-corrupt-ckpts");
     let ckpts = CheckpointStore::new(&ckpt_dir);
@@ -175,17 +164,13 @@ fn a_damaged_overlay_costs_one_cell_its_warmup_and_heals() {
     assert!((stream..stream + 1_024).contains(&walked), "walked {walked} of a {stream} stream");
     assert_eq!(moved.get("front.digest.instrs"), stream, "one frontend, from the start");
     assert!(std::fs::read(&victim).expect("rewritten") == cold_bytes, "the cold pass's overlay");
-    for (policy, (a, b)) in policies.iter().zip(oracle.results.iter().zip(&patched.results)) {
-        assert_identical(a, b, &format!("{policy}: sweep with a damaged overlay"));
-    }
+    assert_same_sweep(&patched, &oracle, "sweep with a damaged overlay");
 
     // The lone cell left a good overlay: the next sweep is all
     // restores again.
     let (healed, routes, damaged) = routes_of(sweep);
     assert_eq!((routes, damaged), ([cells, 0, 0, 0], 0), "overlay must be healed");
-    for (a, b) in oracle.results.iter().zip(&healed.results) {
-        assert_identical(a, b, "healed sweep");
-    }
+    assert_same_sweep(&healed, &oracle, "healed sweep");
 
     std::fs::remove_dir_all(&ckpt_dir).ok();
 }
@@ -201,7 +186,7 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     let ckpts = CheckpointStore::new(&ckpt_dir);
 
     let row = policy_cells(&config, &policies);
-    let oracle = policy_sweep_with(4, &workloads, &row, None);
+    let oracle = storeless(&workloads, &row);
     let sweep = || policy_sweep_with(4, &workloads, &row, Some(&ckpts));
     let _ = sweep();
 
@@ -220,9 +205,7 @@ fn corrupt_prefix_falls_back_cold_and_is_rewritten() {
     let (patched, routes, damaged) = routes_of(sweep);
     assert_eq!(routes, [0, policies.len() as u64, 1, 0], "a fresh prefix must be written");
     assert_eq!(damaged, 1);
-    for (a, b) in oracle.results.iter().zip(&patched.results) {
-        assert_identical(a, b, "sweep after prefix damage");
-    }
+    assert_same_sweep(&patched, &oracle, "sweep after prefix damage");
 
     // The damaged container was atomically replaced.
     let (_, routes, damaged) = routes_of(sweep);
@@ -249,7 +232,7 @@ fn a_walker_section_out_of_range_is_reported_and_rewritten() {
     let policies = [PolicyKind::Srrip, PolicyKind::Emissary];
     let cells = policies.len() as u64;
     let row = policy_cells(&config, &policies);
-    let oracle = policy_sweep_with(4, &workloads, &row, None);
+    let oracle = storeless(&workloads, &row);
 
     let ckpt_dir = scratch("trrip-warm-prefix-walker-ckpts");
     let ckpts = CheckpointStore::new(&ckpt_dir);
@@ -264,9 +247,7 @@ fn a_walker_section_out_of_range_is_reported_and_rewritten() {
 
     let (patched, routes, damaged) = routes_of(sweep);
     assert_eq!((routes, damaged), ([cells, 0, 1, 0], 1), "reported, warmed, written again");
-    for (a, b) in oracle.results.iter().zip(&patched.results) {
-        assert_identical(a, b, "sweep over a damaged walker section");
-    }
+    assert_same_sweep(&patched, &oracle, "sweep over a damaged walker section");
     let (_, routes, damaged) = routes_of(sweep);
     assert_eq!((routes, damaged), ([cells, 0, 0, 0], 0), "the prefix loads again");
 

@@ -45,8 +45,7 @@ fn main() {
     let from_walker = simulate(&workload, &config);
     let replay = StreamingReplay::open(&path).expect("open capture");
     let from_disk = simulate_source(&workload, &config, replay);
-    assert_eq!(from_walker.core, from_disk.core);
-    assert_eq!(from_walker.l2, from_disk.l2);
+    assert!(from_walker == from_disk, "the replay differs from the walker");
     println!(
         "replayed: IPC {:.3}, L2 I-MPKI {:.3} — identical to the in-memory walker",
         from_disk.core.ipc(),

@@ -118,10 +118,7 @@ fn sweep_is_deterministic_across_runs() {
     let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Clip]);
     let s1 = policy_sweep_with(default_jobs(), &workloads, &cells, None);
     let s2 = policy_sweep_with(default_jobs(), &workloads, &cells, None);
-    for (a, b) in s1.results.iter().zip(&s2.results) {
-        assert_eq!(a.core.cycles, b.core.cycles);
-        assert_eq!(a.l2, b.l2);
-    }
+    assert!(s1 == s2, "two sweeps of one row differ");
 }
 
 #[test]
@@ -129,7 +126,5 @@ fn preparation_is_deterministic() {
     let spec = test_spec();
     let a = PreparedWorkload::prepare(&spec, 100_000, ClassifierConfig::llvm_defaults());
     let b = PreparedWorkload::prepare(&spec, 100_000, ClassifierConfig::llvm_defaults());
-    assert_eq!(a.profile, b.profile);
-    assert_eq!(a.temps.as_slice(), b.temps.as_slice());
-    assert_eq!(a.pgo_object, b.pgo_object);
+    assert!(a == b, "two preparations of one spec differ");
 }
