@@ -10,7 +10,7 @@
 use std::time::Instant;
 
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
+use trrip_bench::Session;
 use trrip_policies::PolicyKind;
 use trrip_sim::{capture_length, capture_trace};
 
@@ -18,14 +18,15 @@ fn main() {
     trrip_bench::run_experiment("trace_capture", run);
 }
 
-fn run(options: &HarnessOptions) {
+fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec!["bench", "instrs", "bytes", "B/instr", "Minstr/s"]);
-    for workload in &workloads {
+    for workload in workloads.iter() {
         let started = Instant::now();
         let path = options.out_dir.join(format!("{}.trrip", workload.spec.name));
         capture_trace(workload, &config, &path).unwrap_or_else(|e| {
@@ -46,4 +47,5 @@ fn run(options: &HarnessOptions) {
     println!("captured traces in {}", options.out_dir.display());
     println!("{table}");
     options.write_report("trace_capture.txt", &table.to_string());
+    Ok(())
 }

@@ -5,8 +5,9 @@
 
 use trrip_analysis::report::{geomean_pct, geomean_reduction_pct};
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
+
+use crate::Session;
 
 /// Paper Table 3 raw SRRIP MPKI (inst, data) per benchmark.
 const PAPER_MPKI: [(&str, f64, f64); 10] = [
@@ -22,20 +23,18 @@ const PAPER_MPKI: [(&str, f64, f64); 10] = [
     ("sqlite", 4.08, 6.99),
 ];
 
-fn main() {
-    trrip_bench::run_experiment("calibrate", run);
-}
-
-fn run(options: &HarnessOptions) {
+/// Prints each proxy's SRRIP MPKI beside the paper's and every policy's speedup, from one sweep of the paper's nine policies; writes no report.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let specs = options.selected_proxies();
     let config = options.sim_config(PolicyKind::Srrip);
 
     eprintln!("preparing {} workloads…", specs.len());
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
 
     let policies = PolicyKind::PAPER_SET;
     eprintln!("sweeping {} policies…", policies.len());
-    let sweep = options.sweep(&workloads, &config, &policies);
+    let sweep = session.sweep(&workloads, &config, &policies);
 
     let mut table = TextTable::new(vec![
         "bench", "I-MPKI", "(paper)", "D-MPKI", "(paper)", "TR1 dI%", "TR1 dD%", "CLIP dI%",
@@ -43,7 +42,7 @@ fn run(options: &HarnessOptions) {
     ]);
     let mut tr1_speedups = Vec::new();
     let mut tr1_reductions = Vec::new();
-    for w in &workloads {
+    for w in workloads.iter() {
         let name = &w.spec.name;
         let base = sweep.get(name, PolicyKind::Srrip);
         let tr1 = sweep.get(name, PolicyKind::Trrip1);
@@ -79,4 +78,5 @@ fn run(options: &HarnessOptions) {
         geomean_pct(&tr1_speedups),
         geomean_reduction_pct(&tr1_reductions),
     );
+    Ok(())
 }

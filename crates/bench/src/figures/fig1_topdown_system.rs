@@ -5,20 +5,19 @@
 
 use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
 use trrip_sim::simulate_rows;
 
-fn main() {
-    trrip_bench::run_experiment("fig1_topdown_system", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Runs Figure 1 and writes `fig1_topdown_system.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     // Figure 1's platform runs the production policy; PGO layout.
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = trrip_workloads::mobile::all();
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec!["component", "retire", "backend", "mispred.", "frontend"]);
     // A row of one cell each, `--jobs` rows at a time.
@@ -43,4 +42,5 @@ fn run(options: &HarnessOptions) {
     println!("{table}");
     println!("paper: all five components show a considerable frontend fraction even with PGO");
     options.write_report("fig1_topdown_system.txt", &format!("{table}\n{}", table.to_csv()));
+    Ok(())
 }

@@ -5,20 +5,19 @@
 
 use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_compiler::LayoutKind;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
 use trrip_sim::{simulate_rows, SimConfig};
 
-fn main() {
-    trrip_bench::run_experiment("fig2_topdown_proxy", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Runs Figure 2 and writes `fig2_topdown_proxy.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec![
         "bench", "retire", "other", "mem", "issue", "depend", "mispred.", "ifetch",
@@ -60,4 +59,5 @@ fn run(options: &HarnessOptions) {
          ifetch remains a major stall class ({pgo_retire_gains} PGO rows shown)"
     );
     options.write_report("fig2_topdown_proxy.txt", &format!("{table}\n{}", table.to_csv()));
+    Ok(())
 }

@@ -7,19 +7,18 @@
 
 use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 use trrip_sim::simulate_rows;
 
-fn main() {
-    trrip_bench::run_experiment("fig3_reuse_distance", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Runs Figure 3 and writes `fig3_reuse_distance.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let mut config = options.sim_config(PolicyKind::Srrip);
     config.measure_reuse = true;
     let specs = options.selected_proxies();
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec!["bench", "0-4", "5-8", "9-16", "16+"]);
     // A row of one cell each, `--jobs` rows at a time.
@@ -45,4 +44,5 @@ fn run(options: &HarnessOptions) {
          the hot-only (~) series collapses toward 0-4 — evictions come from non-hot lines"
     );
     options.write_report("fig3_reuse_distance.txt", &format!("{table}\n{}", table.to_csv()));
+    Ok(())
 }

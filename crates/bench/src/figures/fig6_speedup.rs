@@ -5,20 +5,19 @@
 
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 
-fn main() {
-    trrip_bench::run_experiment("fig6_speedup", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Runs Figure 6 and writes `fig6_speedup.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
     eprintln!("sweeping {} policies…", PolicyKind::PAPER_SET.len());
-    let sweep = options.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
+    let sweep = session.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
 
     let shown: Vec<PolicyKind> =
         PolicyKind::PAPER_SET.into_iter().filter(|&p| p != PolicyKind::Srrip).collect();
@@ -50,4 +49,5 @@ fn run(options: &HarnessOptions) {
          CLIP +1.6, EMISSARY +0.5, TRRIP-1 +3.9, TRRIP-2 +3.9"
     );
     options.write_report("fig6_speedup.txt", &format!("{table}\n{}", table.to_csv()));
+    Ok(())
 }

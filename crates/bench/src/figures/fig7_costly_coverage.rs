@@ -8,21 +8,20 @@
 //!     Emissary finds with hardware.
 
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 use trrip_sim::simulate_rows;
 
+use crate::Session;
+
 const PERCENTILES: [f64; 5] = [50.0, 60.0, 70.0, 80.0, 90.0];
 
-fn main() {
-    trrip_bench::run_experiment("fig7_costly_coverage", run);
-}
-
-fn run(options: &HarnessOptions) {
+/// Runs Figure 7 and writes `fig7_costly_coverage.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let mut config = options.sim_config(PolicyKind::Trrip1);
     config.track_costly = true;
     let specs = options.selected_proxies();
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
 
     let headers: Vec<String> = std::iter::once("bench".to_owned())
         .chain(PERCENTILES.iter().map(|p| format!("{p:.0}%")))
@@ -52,4 +51,5 @@ fn run(options: &HarnessOptions) {
          low coverage; (b) within compiled code, nearly all costly misses are hot"
     );
     options.write_report("fig7_costly_coverage.txt", &format!("(a)\n{table_a}\n(b)\n{table_b}"));
+    Ok(())
 }

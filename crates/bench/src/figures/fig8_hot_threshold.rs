@@ -9,24 +9,29 @@
 //! Each workload trains once; every threshold recompiles from that one
 //! profile.
 
+use std::sync::Arc;
+
 use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
+
+use crate::Session;
 
 const THRESHOLDS: [f64; 5] = [0.10, 0.80, 0.99, 0.9999, 1.0];
 /// The subset of benchmarks Figure 8 plots.
 const BENCHES: [&str; 6] = ["abseil", "deepsjeng", "gcc", "omnetpp", "rapidjson", "sqlite"];
 
-fn main() {
-    trrip_bench::run_experiment("fig8_hot_threshold", run);
-}
-
-fn run(options: &HarnessOptions) {
+/// Runs Figure 8 and writes `fig8_hot_threshold.txt`.
+///
+/// # Errors
+///
+/// When `--bench` selects none of the six benchmarks Figure 8 plots.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let base_config = options.sim_config(PolicyKind::Trrip1);
-    let specs = options.selected_among(&BENCHES);
+    let specs = options.selected_among(&BENCHES)?;
 
     let mut headers = vec!["bench".to_owned(), "section".to_owned()];
     headers.extend(THRESHOLDS.iter().map(|t| format!("{}%", t * 100.0)));
@@ -41,7 +46,7 @@ fn run(options: &HarnessOptions) {
     // from its one training profile, as in the paper.
     let mut fractions: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); specs.len()];
     let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
-    let trained = options.prepare(&specs, &base_config, base_config.classifier);
+    let trained = session.prepare(&specs, &base_config, base_config.classifier);
 
     for &threshold in &THRESHOLDS {
         let classifier = ClassifierConfig {
@@ -50,8 +55,8 @@ fn run(options: &HarnessOptions) {
         };
         let config = SimConfig { classifier, ..base_config.clone() };
         eprintln!("threshold {threshold}: recompiling + sweeping…");
-        let workloads: Vec<_> = trained.iter().map(|w| w.recompile(classifier)).collect();
-        let sweep = options.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        let workloads: Arc<[_]> = trained.iter().map(|w| w.recompile(classifier)).collect();
+        let sweep = session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
         for (i, w) in workloads.iter().enumerate() {
             fractions[i].push(w.text_fractions());
             let base = sweep.get(&w.spec.name, PolicyKind::Srrip);
@@ -86,4 +91,5 @@ fn run(options: &HarnessOptions) {
          speedup needs selectivity — 100% (everything hot, ≈ CLIP) loses to 99%"
     );
     options.write_report("fig8_hot_threshold.txt", &format!("(a)\n{table_a}\n(b)\n{table_b}"));
+    Ok(())
 }

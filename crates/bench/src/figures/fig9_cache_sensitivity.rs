@@ -13,9 +13,10 @@
 
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 use trrip_sim::{policy_cells, SimConfig};
+
+use crate::Session;
 
 const SIZES: [u64; 3] = [128 << 10, 256 << 10, 512 << 10];
 const SIZE_POLICIES: [PolicyKind; 4] =
@@ -23,15 +24,13 @@ const SIZE_POLICIES: [PolicyKind; 4] =
 const WAYS: [usize; 3] = [4, 8, 16];
 const WAYS_POLICIES: [PolicyKind; 2] = [PolicyKind::Srrip, PolicyKind::Trrip1];
 
-fn main() {
-    trrip_bench::run_experiment("fig9_cache_sensitivity", run);
-}
-
-fn run(options: &HarnessOptions) {
+/// Runs Figure 9 and writes `fig9_cache_sensitivity.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let base_config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
-    let workloads = options.prepare(&specs, &base_config, base_config.classifier);
+    let workloads = session.prepare(&specs, &base_config, base_config.classifier);
 
     // (a)'s cells, size-major, then (b)'s off-paper associativities.
     let mut cells = Vec::new();
@@ -53,7 +52,7 @@ fn run(options: &HarnessOptions) {
         }
     }
     eprintln!("{} L2 configurations per workload…", cells.len());
-    let sweep = options.sweep_cells(&workloads, &cells);
+    let sweep = session.sweep_cells(&workloads, &cells);
 
     // ---- (a) size sweep ----
     let mut table_a = TextTable::new(vec!["mechanism", "128kB", "256kB", "512kB"]);
@@ -94,4 +93,5 @@ fn run(options: &HarnessOptions) {
          compile-scope limit) and grow with associativity"
     );
     options.write_report("fig9_cache_sensitivity.txt", &format!("(a)\n{table_a}\n(b)\n{table_b}"));
+    Ok(())
 }

@@ -14,25 +14,24 @@
 
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_compiler::Linker;
 use trrip_mem::PageSize;
 use trrip_os::{Loader, OverlapPolicy};
 use trrip_policies::PolicyKind;
 use trrip_sim::{policy_cells, SimConfig};
 
+use crate::Session;
+
 const RULES: [OverlapPolicy; 3] =
     [OverlapPolicy::FirstByte, OverlapPolicy::DropMixed, OverlapPolicy::Hottest];
 const POLICIES: [PolicyKind; 2] = [PolicyKind::Srrip, PolicyKind::Trrip1];
 
-fn main() {
-    trrip_bench::run_experiment("overlap_ablation", run);
-}
-
-fn run(options: &HarnessOptions) {
+/// Runs the §4.9 ablation and writes `overlap_ablation.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let base = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
-    let workloads = options.prepare(&specs, &base, base.classifier);
+    let workloads = session.prepare(&specs, &base, base.classifier);
 
     // Speedup sensitivity: TRRIP-1 geomean per (page size, rule). Cells
     // are page-size-major, then by rule, an SRRIP / TRRIP-1 pair each.
@@ -43,7 +42,7 @@ fn run(options: &HarnessOptions) {
                 .extend(policy_cells(&SimConfig { page_size, overlap, ..base.clone() }, &POLICIES));
         }
     }
-    let sweep = options.sweep_cells(&workloads, &cells);
+    let sweep = session.sweep_cells(&workloads, &cells);
     let mut table = TextTable::new(vec!["page size", "FirstByte", "DropMixed", "Hottest"]);
     for (si, size) in PageSize::ALL.iter().enumerate() {
         let mut row = vec![size.to_string()];
@@ -65,7 +64,7 @@ fn run(options: &HarnessOptions) {
         "mixed@2MB (page align)",
         "image growth",
     ]);
-    for w in &workloads {
+    for w in workloads.iter() {
         let aligned_obj = Linker::new()
             .with_section_alignment(PageSize::Size2M.bytes())
             .link_pgo(&w.program, &w.profile, &w.temps);
@@ -86,4 +85,5 @@ fn run(options: &HarnessOptions) {
          DropMixed keeps TRRIP safe (untagged pages default to RRIP) at any size"
     );
     options.write_report("overlap_ablation.txt", &format!("{table}\n{table_b}"));
+    Ok(())
 }

@@ -4,16 +4,15 @@
 //! impossible.
 
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_cache::{CacheConfig, Hierarchy};
 use trrip_cpu::{BranchPredictor, CoreConfig};
 use trrip_policies::PolicyKind;
 
-fn main() {
-    trrip_bench::run_experiment("table1_config", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Prints Table 1 and writes `table1_config.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let c = options.sim_config(PolicyKind::Trrip1);
 
     let mut table = TextTable::new(vec!["component", "configuration"]);
@@ -78,4 +77,5 @@ fn run(options: &HarnessOptions) {
     println!("Table 1: simulator configuration");
     println!("{table}");
     options.write_report("table1_config.txt", &table.to_string());
+    Ok(())
 }

@@ -3,14 +3,13 @@
 //! (seeds and scaled fast-forward) used in this reproduction.
 
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 
-fn main() {
-    trrip_bench::run_experiment("table2_benchmarks", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Prints Table 2 and writes `table2_benchmarks.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let mut table = TextTable::new(vec![
         "benchmark",
@@ -39,4 +38,5 @@ fn run(options: &HarnessOptions) {
          branch-probability shift (input_shift), mirroring the paper's differing input sets"
     );
     options.write_report("table2_benchmarks.txt", &format!("{table}\n{}", table.to_csv()));
+    Ok(())
 }

@@ -3,19 +3,18 @@
 
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_policies::PolicyKind;
 
-fn main() {
-    trrip_bench::run_experiment("table3_mpki", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Runs Table 3 and writes `table3_mpki.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
     eprintln!("preparing {} workloads…", specs.len());
-    let workloads = options.prepare(&specs, &config, config.classifier);
-    let sweep = options.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
+    let workloads = session.prepare(&specs, &config, config.classifier);
+    let sweep = session.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
 
     let mut report = String::new();
     let emit = |s: &str, report: &mut String| {
@@ -74,4 +73,5 @@ fn run(options: &HarnessOptions) {
         &mut report,
     );
     options.write_report("table3_mpki.txt", &report);
+    Ok(())
 }

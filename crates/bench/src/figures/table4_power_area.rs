@@ -2,13 +2,12 @@
 //! relative to the SRRIP baseline, from the McPAT-style 22 nm model.
 
 use trrip_analysis::{PowerModel, TextTable};
-use trrip_bench::HarnessOptions;
 
-fn main() {
-    trrip_bench::run_experiment("table4_power_area", run);
-}
+use crate::Session;
 
-fn run(options: &HarnessOptions) {
+/// Prints Table 4 and writes `table4_power_area.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let model = PowerModel::node_22nm();
     let baseline = model.baseline();
 
@@ -26,4 +25,5 @@ fn run(options: &HarnessOptions) {
         baseline.area_mm2, baseline.static_w
     );
     options.write_report("table4_power_area.txt", &table.to_string());
+    Ok(())
 }

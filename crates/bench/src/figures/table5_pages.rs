@@ -3,10 +3,11 @@
 //! overlap-prevention mechanisms.
 
 use trrip_analysis::TextTable;
-use trrip_bench::HarnessOptions;
 use trrip_mem::PageSize;
 use trrip_os::{Loader, OverlapPolicy};
 use trrip_policies::PolicyKind;
+
+use crate::Session;
 
 fn human(bytes: u64) -> String {
     if bytes >= 1 << 20 {
@@ -16,14 +17,12 @@ fn human(bytes: u64) -> String {
     }
 }
 
-fn main() {
-    trrip_bench::run_experiment("table5_pages", run);
-}
-
-fn run(options: &HarnessOptions) {
+/// Prints Table 5 and writes `table5_pages.txt`.
+pub fn run(session: &Session) -> Result<(), String> {
+    let options = &session.options;
     let config = options.sim_config(PolicyKind::Trrip1);
     let specs = options.selected_proxies();
-    let workloads = options.prepare(&specs, &config, config.classifier);
+    let workloads = session.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec![
         "benchmark",
@@ -33,7 +32,7 @@ fn run(options: &HarnessOptions) {
         "mixed(4k/16k/2M)",
         "binary size",
     ]);
-    for w in &workloads {
+    for w in workloads.iter() {
         let mut cells = vec![w.spec.name.clone()];
         let mut mixed = Vec::new();
         for size in PageSize::ALL {
@@ -55,4 +54,5 @@ fn run(options: &HarnessOptions) {
          larger pages mix temperatures more often (§4.9)"
     );
     options.write_report("table5_pages.txt", &format!("{table}\n{}", table.to_csv()));
+    Ok(())
 }

@@ -1,14 +1,20 @@
 //! Shared harness code for the experiment binaries.
 //!
-//! Every table and figure of the paper has a binary under `src/bin/`;
-//! this library holds the pieces they share: command-line scale parsing,
-//! workload preparation with caching, and report writing.
+//! Every table and figure of the paper is a body in [`figures`] and a
+//! binary of the same name under `src/bin/`; this library holds the
+//! pieces they share: command-line scale parsing, workload preparation
+//! with caching, the [`Session`] a regeneration runs its figures in, and
+//! report writing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod figures;
+
+use std::cell::RefCell;
 use std::fs;
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
@@ -62,7 +68,14 @@ fig1_topdown_system, fig2_topdown_proxy, fig3_reuse_distance and
 fig7_costly_coverage sweep nothing — each workload is a row of one cell
 on the fused loop, --jobs rows at a time, its walker running ahead on a
 spare core where --jobs leaves every row one — so of --checkpoint-dir
-they read only the training profile.";
+they read only the training profile.
+
+all_experiments writes the twelve tables' and figures' reports in one
+process: each workload is prepared once and each distinct sweep runs
+once (table3_mpki reads fig6_speedup's), under one telemetry session
+named all_experiments. A figure that fails is named on stderr after the
+others have written their reports, and the run exits 1. Its last line
+is its wall time and the host's core count.";
 
 /// Cap on journal events per run; past it the journal records only the
 /// dropped count (reported on close), so a runaway sweep cannot fill
@@ -325,16 +338,14 @@ impl HarnessOptions {
         all.into_iter().filter(|s| self.benchmarks.contains(&s.name)).collect()
     }
 
-    /// The selected proxies among the benchmarks a figure plots. A
-    /// `--bench` that leaves none of `plotted` is a command-line error,
-    /// like a benchmark nobody knows: the process names the plotted ones
-    /// on stderr and exits 2, rather than writing empty tables.
-    #[must_use]
-    pub fn selected_among(&self, plotted: &[&str]) -> Vec<WorkloadSpec> {
-        select_among(self.selected_proxies(), plotted).unwrap_or_else(|message| {
-            eprintln!("error: {message}");
-            std::process::exit(2);
-        })
+    /// The selected proxies among the benchmarks a figure plots.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the plotted benchmarks when `--bench` leaves none
+    /// of them: the figure fails rather than writing empty tables.
+    pub fn selected_among(&self, plotted: &[&str]) -> Result<Vec<WorkloadSpec>, String> {
+        select_among(self.selected_proxies(), plotted)
     }
 
     /// The paper config scaled by `--scale`.
@@ -442,15 +453,127 @@ impl ObsSession {
     }
 }
 
+/// A figure's body: computes its report and writes it, or fails with
+/// the reason the selection leaves it nothing to plot.
+pub type Figure = fn(&Session) -> Result<(), String>;
+
+/// Workloads prepared together: the training length and classifier they
+/// were prepared under, and the workloads in the order they were asked for.
+type KeptPreparation = (u64, ClassifierConfig, Arc<[PreparedWorkload]>);
+
+/// A kept sweep: its workloads, its cells and what they gave.
+type KeptSweep = (Arc<[PreparedWorkload]>, Vec<SimConfig>, Arc<SweepResult>);
+
+/// One regeneration: the parsed command line, and every preparation and
+/// sweep its figures have asked for so far, so that figures run in one
+/// session prepare each workload once and run each distinct sweep once
+/// (Table 3 reads Figure 6's). Both are found by value: an equal spec,
+/// training length and classifier; equal workloads and equal cells.
+/// Nothing is kept on disk or past the session.
+#[derive(Debug)]
+pub struct Session {
+    /// The parsed command line.
+    pub options: HarnessOptions,
+    preparations: RefCell<Vec<KeptPreparation>>,
+    sweeps: RefCell<Vec<KeptSweep>>,
+}
+
+impl Session {
+    /// A session over `options`, holding nothing yet.
+    #[must_use]
+    pub fn new(options: HarnessOptions) -> Session {
+        Session { options, preparations: RefCell::default(), sweeps: RefCell::default() }
+    }
+
+    /// `specs` prepared under `config`'s training length and `classifier`:
+    /// the workloads this session holds for them, and
+    /// [`HarnessOptions::prepare`] of the rest. The same specs asked for
+    /// again are the same workloads, not a copy.
+    #[must_use]
+    pub fn prepare(
+        &self,
+        specs: &[WorkloadSpec],
+        config: &SimConfig,
+        classifier: ClassifierConfig,
+    ) -> Arc<[PreparedWorkload]> {
+        let train = config.train_instructions;
+        let kept: Vec<Option<PreparedWorkload>> = {
+            let memo = self.preparations.borrow();
+            let groups: Vec<&Arc<[PreparedWorkload]>> = memo
+                .iter()
+                .filter(|(t, c, _)| *t == train && *c == classifier)
+                .map(|(_, _, group)| group)
+                .collect();
+            if let Some(group) = groups.iter().find(|g| g.iter().map(|w| &w.spec).eq(specs)) {
+                return Arc::clone(group);
+            }
+            let held = |spec: &WorkloadSpec| {
+                groups.iter().flat_map(|g| g.iter()).find(|w| w.spec == *spec)
+            };
+            specs.iter().map(|spec| held(spec).cloned()).collect()
+        };
+        let missing: Vec<WorkloadSpec> =
+            specs.iter().zip(&kept).filter(|(_, k)| k.is_none()).map(|(s, _)| s.clone()).collect();
+        let mut fresh = self.options.prepare(&missing, config, classifier).into_iter();
+        let group: Arc<[PreparedWorkload]> =
+            kept.into_iter().map(|k| k.or_else(|| fresh.next()).expect("prepared")).collect();
+        self.preparations.borrow_mut().push((train, classifier, Arc::clone(&group)));
+        group
+    }
+
+    /// [`HarnessOptions::sweep_cells`], unless this session has run the
+    /// same cells over the same workloads: then that result.
+    #[must_use]
+    pub fn sweep_cells(
+        &self,
+        workloads: &Arc<[PreparedWorkload]>,
+        cells: &[SimConfig],
+    ) -> Arc<SweepResult> {
+        let kept = self.sweeps.borrow().iter().find_map(|(w, c, result)| {
+            // One allocation is the common case, and spares comparing
+            // whole programs.
+            let same = c == cells && (Arc::ptr_eq(w, workloads) || w == workloads);
+            same.then(|| Arc::clone(result))
+        });
+        if let Some(result) = kept {
+            trrip_obs::progress!(
+                "{} cells over {} workloads: swept earlier in this session",
+                cells.len(),
+                workloads.len()
+            );
+            return result;
+        }
+        let result = Arc::new(self.options.sweep_cells(workloads, cells));
+        self.sweeps.borrow_mut().push((Arc::clone(workloads), cells.to_vec(), Arc::clone(&result)));
+        result
+    }
+
+    /// [`Session::sweep_cells`] for the machine of `config` under each of
+    /// `policies`.
+    #[must_use]
+    pub fn sweep(
+        &self,
+        workloads: &Arc<[PreparedWorkload]>,
+        config: &SimConfig,
+        policies: &[PolicyKind],
+    ) -> Arc<SweepResult> {
+        self.sweep_cells(workloads, &policy_cells(config, policies))
+    }
+}
+
 /// The `main` of an experiment binary: parses the shared command line,
-/// runs `body` inside a telemetry session named `tool`, and closes the
-/// session — which, with `--metrics`, prints the summary and writes
-/// `obs_report.json` and the Chrome trace, as [`USAGE`] promises of
-/// every binary.
-pub fn run_experiment(tool: &'static str, body: impl FnOnce(&HarnessOptions)) {
-    let options = HarnessOptions::from_args();
-    let obs = options.obs_session(tool);
-    body(&options);
+/// runs `figure` in a session of its own inside a telemetry session named
+/// `tool`, and closes the telemetry session — which, with `--metrics`,
+/// prints the summary and writes `obs_report.json` and the Chrome trace,
+/// as [`USAGE`] promises of every binary. A figure that fails is a
+/// command-line error: its message goes to stderr and the process exits 2.
+pub fn run_experiment(tool: &'static str, figure: Figure) {
+    let session = Session::new(HarnessOptions::from_args());
+    let obs = session.options.obs_session(tool);
+    if let Err(message) = figure(&session) {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    }
     obs.finish(&[]);
 }
 
@@ -665,6 +788,85 @@ mod tests {
         assert!(parse(&["--jobs", "0"]).is_err());
         assert!(parse(&["--jobs", "many"]).is_err());
         assert!(parse(&["--jobs", "-2"]).is_err());
+    }
+
+    /// A small workload and a short run, so that a sweep takes well under
+    /// a second.
+    fn tiny() -> (WorkloadSpec, SimConfig) {
+        let mut spec = WorkloadSpec::named("memo");
+        spec.functions = 50;
+        spec.hot_rotation = 8;
+        let mut config = SimConfig::quick(PolicyKind::Srrip);
+        config.train_instructions = 100_000;
+        config.fast_forward = 10_000;
+        config.instructions = 50_000;
+        (spec, config)
+    }
+
+    fn session() -> Session {
+        Session::new(HarnessOptions { jobs: 2, ..HarnessOptions::default() })
+    }
+
+    #[test]
+    fn equal_sweeps_in_one_session_are_one_result() {
+        let (spec, config) = tiny();
+        let session = session();
+        let workloads = session.prepare(std::slice::from_ref(&spec), &config, config.classifier);
+        let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        let first = session.sweep_cells(&workloads, &cells);
+        // Equal, not the same: copies of the workloads and the cells.
+        let copies: Arc<[PreparedWorkload]> = workloads.iter().cloned().collect();
+        let again = session.sweep_cells(&copies, &cells.clone());
+        assert!(Arc::ptr_eq(&first, &again), "the second sweep is the first one's result");
+        let by_policy =
+            session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        assert!(Arc::ptr_eq(&first, &by_policy), "the same cells named by their policies");
+        assert!(*first == session.options.sweep_cells(&workloads, &cells), "what a sweep gives");
+        assert_eq!(session.sweeps.borrow().len(), 1);
+    }
+
+    #[test]
+    fn cells_or_workloads_that_differ_are_swept_anew() {
+        let (spec, config) = tiny();
+        let session = session();
+        let workloads = session.prepare(std::slice::from_ref(&spec), &config, config.classifier);
+        let first = session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        // One policy differs.
+        let lru = session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Lru]);
+        assert!(!Arc::ptr_eq(&first, &lru));
+        assert_eq!(lru.cells[1].hierarchy.l2_policy, PolicyKind::Lru, "the cells asked for");
+        // One field of the workloads differs: the same spec, recompiled.
+        let hotter = ClassifierConfig { percentile_hot: 0.8, ..config.classifier };
+        let recompiled: Arc<[PreparedWorkload]> =
+            workloads.iter().map(|w| w.recompile(hotter)).collect();
+        assert!(recompiled != workloads, "a different classification");
+        let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        let other = session.sweep_cells(&recompiled, &cells);
+        assert!(!Arc::ptr_eq(&first, &other));
+        assert_eq!(session.sweeps.borrow().len(), 3);
+    }
+
+    #[test]
+    fn a_spec_prepared_twice_is_one_preparation() {
+        let (spec, config) = tiny();
+        let session = session();
+        let specs = std::slice::from_ref(&spec);
+        let first = session.prepare(specs, &config, config.classifier);
+        let again = session.prepare(specs, &config, config.classifier);
+        assert!(Arc::ptr_eq(&first, &again), "the same workloads, not a copy");
+        assert!(*first == *session.options.prepare(specs, &config, config.classifier));
+        // Asked for twice in one call, it is still the one preparation.
+        let twice = session.prepare(&[spec.clone(), spec.clone()], &config, config.classifier);
+        assert!(twice.iter().all(|w| *w == first[0]));
+        // Another training length or classifier is another preparation.
+        let longer = SimConfig { train_instructions: 120_000, ..config.clone() };
+        let hotter = ClassifierConfig { percentile_hot: 0.8, ..config.classifier };
+        for other in [
+            session.prepare(specs, &longer, config.classifier),
+            session.prepare(specs, &config, hotter),
+        ] {
+            assert!(other[0] != first[0]);
+        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! What the figure binaries promise of themselves, checked from outside:
+//! What the figures promise of themselves, checked from outside:
 //! a figure whose points are cells of one row makes **one** sweep, a
 //! figure whose rows are one cell each runs them through **one**
 //! `simulate_rows` call (both read off the source, in the shape of
@@ -20,9 +20,10 @@ fn sweep_calls(source: &str) -> usize {
 
 #[test]
 fn one_stream_figures_make_one_sweep() {
-    let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let figures = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/figures");
     for figure in ["fig9_cache_sensitivity.rs", "overlap_ablation.rs"] {
-        let source = std::fs::read_to_string(bins.join(figure)).expect("read the figure's source");
+        let source =
+            std::fs::read_to_string(figures.join(figure)).expect("read the figure's source");
         assert_eq!(sweep_calls(&source), 1, "{figure} must walk each workload once");
     }
     assert_eq!(sweep_calls("a.sweep(x); b.sweep_cells(y)"), 2, "the count counts");
@@ -30,14 +31,15 @@ fn one_stream_figures_make_one_sweep() {
 
 #[test]
 fn one_cell_rows_run_through_one_helper() {
-    let bins = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/bin");
+    let figures = Path::new(env!("CARGO_MANIFEST_DIR")).join("src/figures");
     for figure in [
         "fig1_topdown_system.rs",
         "fig2_topdown_proxy.rs",
         "fig3_reuse_distance.rs",
         "fig7_costly_coverage.rs",
     ] {
-        let source = std::fs::read_to_string(bins.join(figure)).expect("read the figure's source");
+        let source =
+            std::fs::read_to_string(figures.join(figure)).expect("read the figure's source");
         assert_eq!(source.matches("simulate_rows(").count(), 1, "{figure}: one call for its rows");
         for own in ["parallel_map_with", "simulate(", "simulate,"] {
             assert!(!source.contains(own), "{figure} runs its rows by hand: `{own}`");

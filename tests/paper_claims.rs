@@ -8,7 +8,7 @@ use trrip::policies::PolicyKind;
 use trrip::sim::{
     default_jobs, policy_cells, policy_sweep_with, PreparedWorkload, SimConfig, SweepResult,
 };
-use trrip_analysis::report::geomean_pct;
+use trrip_analysis::report::{geomean_pct, geomean_reduction_pct};
 
 /// A reduced benchmark subset that exercises the headline behaviours
 /// without taking minutes: one code-heavy, one balanced, one data-heavy.
@@ -46,7 +46,7 @@ fn trrip_reduces_instruction_mpki_and_speeds_up() {
         reductions.push(trrip.inst_mpki_reduction_vs(base));
     }
     let geo_speedup = geomean_pct(&speedups);
-    let geo_reduction = geomean_pct(&reductions);
+    let geo_reduction = geomean_reduction_pct(&reductions);
     // Paper: +3.9% speedup, 26.5% MPKI reduction (geomean over 10).
     assert!(geo_speedup > 1.0, "TRRIP-1 geomean speedup too small: {geo_speedup:.2}%");
     assert!(geo_reduction > 8.0, "TRRIP-1 geomean I-MPKI reduction too small: {geo_reduction:.2}%");
