@@ -8,7 +8,7 @@
 use std::time::Instant;
 
 use trrip_bench::figures::*;
-use trrip_bench::{Figure, HarnessOptions, Session};
+use trrip_bench::{Figure, HarnessOptions, Session, USAGE};
 
 /// The paper's twelve tables and figures, in the order they are written.
 const PAPER: [(&str, Figure); 12] = [
@@ -28,7 +28,7 @@ const PAPER: [(&str, Figure); 12] = [
 
 fn main() {
     let started = Instant::now();
-    let session = Session::new(HarnessOptions::from_args());
+    let session = Session::new(HarnessOptions::from_args(std::env::args().skip(1), USAGE));
     let obs = session.options.obs_session("all_experiments");
     let mut failures = Vec::new();
     for (name, figure) in PAPER {

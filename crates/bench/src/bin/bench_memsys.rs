@@ -1,7 +1,7 @@
 //! Wall-clock benchmark of the push executor's **cell loop**: proxy
 //! `gcc` digested into event turns once, its data frames and stride
 //! proposals resolved beside them, then pushed through 1, 2, 5 and 9
-//! policy cells in lockstep ([`SimRun::push_group`]).
+//! policy cells in lockstep ([`CellRun::push_group`]).
 //!
 //! Reported per group size: ns per cell-instruction of the measure phase
 //! (no walker, no frontend), best of N repetitions, and the ratio
@@ -20,7 +20,7 @@ use std::time::Instant;
 
 use trrip_bench::{HarnessOptions, USAGE};
 use trrip_policies::PolicyKind;
-use trrip_sim::{Frontend, PreparedWorkload, SimConfig, SimRun, StreamTurn, TURN_INSTRS};
+use trrip_sim::{CellRun, Frontend, PreparedWorkload, SimConfig, StreamTurn, TURN_INSTRS};
 use trrip_workloads::{InputSet, TraceGenerator};
 
 /// Cells a sweep's worker drives in lockstep — alone, a two-worker team's
@@ -61,18 +61,18 @@ fn lockstep_best(
     let mut best = f64::INFINITY;
     let before = trrip_obs::snapshot();
     for _ in 0..reps {
-        let mut runs: Vec<SimRun<'_>> = PolicyKind::PAPER_SET[..size]
+        let mut runs: Vec<CellRun<'_>> = PolicyKind::PAPER_SET[..size]
             .iter()
-            .map(|&policy| SimRun::cell(workload, &config.clone().with_policy(policy)))
+            .map(|&policy| CellRun::new(workload, &config.clone().with_policy(policy)))
             .collect();
-        let mut group: Vec<&mut SimRun<'_>> = runs.iter_mut().collect();
+        let mut group: Vec<&mut CellRun<'_>> = runs.iter_mut().collect();
         for (i, turn) in warmup.iter().enumerate() {
-            SimRun::push_group(&mut group, turn, i + 1 == warmup.len());
+            CellRun::push_group(&mut group, turn, i + 1 == warmup.len());
         }
         group.iter_mut().for_each(|run| run.begin_measure());
         let start = Instant::now();
         for (i, turn) in window.iter().enumerate() {
-            SimRun::push_group(&mut group, turn, i + 1 == window.len());
+            CellRun::push_group(&mut group, turn, i + 1 == window.len());
         }
         best = best.min(start.elapsed().as_secs_f64());
         for run in group {
@@ -88,25 +88,8 @@ fn main() {
     let mut args: Vec<String> = std::env::args().skip(1).collect();
     let smoke = args.iter().any(|a| a == "--smoke");
     args.retain(|a| a != "--smoke");
-    let options = match HarnessOptions::try_parse(args) {
-        Ok(Some(options)) => options,
-        Ok(None) => {
-            println!("{USAGE}\n  --smoke          quick CI correctness pass");
-            return;
-        }
-        Err(message) => {
-            eprintln!("error: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-    };
-    if let Err(message) = options.validate_dirs() {
-        eprintln!("error: {message}\n\n{USAGE}");
-        std::process::exit(2);
-    }
-    if let Err(message) = options.apply_observability() {
-        eprintln!("error: {message}\n\n{USAGE}");
-        std::process::exit(2);
-    }
+    let usage = format!("{USAGE}\n  --smoke          quick CI correctness pass");
+    let options = HarnessOptions::from_args(args, &usage);
     let obs = options.obs_session("bench_memsys");
     let reps = if smoke { 3 } else { 5 };
 

@@ -22,17 +22,14 @@ fn run(session: &Session) -> Result<(), String> {
     let options = &session.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
-    eprintln!("preparing {} workloads…", specs.len());
     let workloads = session.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec!["bench", "instrs", "bytes", "B/instr", "Minstr/s"]);
     for workload in workloads.iter() {
         let started = Instant::now();
         let path = options.out_dir.join(format!("{}.trrip", workload.spec.name));
-        capture_trace(workload, &config, &path).unwrap_or_else(|e| {
-            eprintln!("error: capturing {}: {e}", workload.spec.name);
-            std::process::exit(1);
-        });
+        capture_trace(workload, &config, &path)
+            .map_err(|e| format!("capturing {}: {e}", workload.spec.name))?;
         let elapsed = started.elapsed();
         let bytes = std::fs::metadata(&path).map_or(0, |m| m.len());
         let instrs = capture_length(&config);

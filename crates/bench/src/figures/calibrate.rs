@@ -29,12 +29,8 @@ pub fn run(session: &Session) -> Result<(), String> {
     let specs = options.selected_proxies();
     let config = options.sim_config(PolicyKind::Srrip);
 
-    eprintln!("preparing {} workloads…", specs.len());
     let workloads = session.prepare(&specs, &config, config.classifier);
-
-    let policies = PolicyKind::PAPER_SET;
-    eprintln!("sweeping {} policies…", policies.len());
-    let sweep = session.sweep(&workloads, &config, &policies);
+    let sweep = session.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
 
     let mut table = TextTable::new(vec![
         "bench", "I-MPKI", "(paper)", "D-MPKI", "(paper)", "TR1 dI%", "TR1 dD%", "CLIP dI%",

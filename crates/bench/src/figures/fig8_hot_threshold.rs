@@ -54,7 +54,7 @@ pub fn run(session: &Session) -> Result<(), String> {
             percentile_cold: ClassifierConfig::llvm_defaults().percentile_cold.max(threshold),
         };
         let config = SimConfig { classifier, ..base_config.clone() };
-        eprintln!("threshold {threshold}: recompiling + sweeping…");
+        trrip_obs::progress!("threshold {threshold}: recompiling + sweeping…");
         let workloads: Arc<[_]> = trained.iter().map(|w| w.recompile(classifier)).collect();
         let sweep = session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
         for (i, w) in workloads.iter().enumerate() {

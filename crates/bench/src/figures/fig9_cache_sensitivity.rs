@@ -29,7 +29,6 @@ pub fn run(session: &Session) -> Result<(), String> {
     let options = &session.options;
     let base_config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
-    eprintln!("preparing {} workloads…", specs.len());
     let workloads = session.prepare(&specs, &base_config, base_config.classifier);
 
     // (a)'s cells, size-major, then (b)'s off-paper associativities.
@@ -51,7 +50,6 @@ pub fn run(session: &Session) -> Result<(), String> {
             ));
         }
     }
-    eprintln!("{} L2 configurations per workload…", cells.len());
     let sweep = session.sweep_cells(&workloads, &cells);
 
     // ---- (a) size sweep ----

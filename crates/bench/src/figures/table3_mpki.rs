@@ -12,7 +12,6 @@ pub fn run(session: &Session) -> Result<(), String> {
     let options = &session.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
-    eprintln!("preparing {} workloads…", specs.len());
     let workloads = session.prepare(&specs, &config, config.classifier);
     let sweep = session.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
 

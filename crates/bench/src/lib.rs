@@ -120,32 +120,30 @@ impl Default for HarnessOptions {
 }
 
 impl HarnessOptions {
-    /// Parses the shared flags from `std::env::args`. On `--help` it
-    /// prints the usage and exits 0; on a malformed command line it
-    /// prints the error plus usage to stderr and exits 2 — it does not
-    /// panic.
+    /// Parses the shared flags from `args`, the command line after the
+    /// program's name, and applies them ([`HarnessOptions::validate_dirs`],
+    /// [`HarnessOptions::apply_observability`]). On `--help` it prints
+    /// `usage` and exits 0; on a malformed command line it prints the
+    /// error plus `usage` to stderr and exits 2 — it does not panic.
     #[must_use]
-    pub fn from_args() -> HarnessOptions {
-        let options = match HarnessOptions::try_parse(std::env::args().skip(1)) {
+    pub fn from_args(args: impl IntoIterator<Item = String>, usage: &str) -> HarnessOptions {
+        let parsed = HarnessOptions::try_parse(args).and_then(|options| {
+            let Some(options) = options else { return Ok(None) };
+            options.validate_dirs()?;
+            options.apply_observability()?;
+            Ok(Some(options))
+        });
+        match parsed {
             Ok(Some(options)) => options,
             Ok(None) => {
-                println!("{USAGE}");
+                println!("{usage}");
                 std::process::exit(0);
             }
             Err(message) => {
-                eprintln!("error: {message}\n\n{USAGE}");
+                eprintln!("error: {message}\n\n{usage}");
                 std::process::exit(2);
             }
-        };
-        if let Err(message) = options.validate_dirs() {
-            eprintln!("error: {message}\n\n{USAGE}");
-            std::process::exit(2);
         }
-        if let Err(message) = options.apply_observability() {
-            eprintln!("error: {message}\n\n{USAGE}");
-            std::process::exit(2);
-        }
-        options
     }
 
     /// Applies the telemetry flags to the process-global `trrip-obs`
@@ -230,6 +228,14 @@ impl HarnessOptions {
                 "--bench" => {
                     options.benchmarks =
                         value_of("--bench")?.split(',').map(str::to_owned).collect();
+                    let known: Vec<String> =
+                        trrip_workloads::proxy::all().into_iter().map(|s| s.name).collect();
+                    if let Some(name) = options.benchmarks.iter().find(|n| !known.contains(n)) {
+                        return Err(format!(
+                            "--bench names an unknown benchmark `{name}` (known: {})",
+                            known.join(", ")
+                        ));
+                    }
                 }
                 "--out" => options.out_dir = PathBuf::from(value_of("--out")?),
                 "--checkpoint-dir" => {
@@ -318,22 +324,14 @@ impl HarnessOptions {
         })
     }
 
-    /// The proxy benchmark specs selected by `--bench` (all by default).
-    /// A name that matches no known benchmark is a command-line error:
-    /// the process prints the known names to stderr and exits 2, rather
-    /// than silently sweeping an empty set.
+    /// The proxy benchmark specs selected by `--bench` (all by default),
+    /// in the paper's order. [`HarnessOptions::try_parse`] has refused
+    /// every name that is not a proxy's.
     #[must_use]
     pub fn selected_proxies(&self) -> Vec<WorkloadSpec> {
         let all = trrip_workloads::proxy::all();
         if self.benchmarks.is_empty() {
             return all;
-        }
-        for name in &self.benchmarks {
-            if !all.iter().any(|s| &s.name == name) {
-                let known: Vec<&str> = all.iter().map(|s| s.name.as_str()).collect();
-                eprintln!("error: unknown benchmark `{name}` (known: {})", known.join(", "));
-                std::process::exit(2);
-            }
         }
         all.into_iter().filter(|s| self.benchmarks.contains(&s.name)).collect()
     }
@@ -514,6 +512,9 @@ impl Session {
         };
         let missing: Vec<WorkloadSpec> =
             specs.iter().zip(&kept).filter(|(_, k)| k.is_none()).map(|(s, _)| s.clone()).collect();
+        if !missing.is_empty() {
+            trrip_obs::progress!("preparing {} workloads…", missing.len());
+        }
         let mut fresh = self.options.prepare(&missing, config, classifier).into_iter();
         let group: Arc<[PreparedWorkload]> =
             kept.into_iter().map(|k| k.or_else(|| fresh.next()).expect("prepared")).collect();
@@ -543,6 +544,7 @@ impl Session {
             );
             return result;
         }
+        trrip_obs::progress!("sweeping {} cells over {} workloads…", cells.len(), workloads.len());
         let result = Arc::new(self.options.sweep_cells(workloads, cells));
         self.sweeps.borrow_mut().push((Arc::clone(workloads), cells.to_vec(), Arc::clone(&result)));
         result
@@ -568,7 +570,7 @@ impl Session {
 /// as [`USAGE`] promises of every binary. A figure that fails is a
 /// command-line error: its message goes to stderr and the process exits 2.
 pub fn run_experiment(tool: &'static str, figure: Figure) {
-    let session = Session::new(HarnessOptions::from_args());
+    let session = Session::new(HarnessOptions::from_args(std::env::args().skip(1), USAGE));
     let obs = session.options.obs_session(tool);
     if let Err(message) = figure(&session) {
         eprintln!("error: {message}");
@@ -769,6 +771,18 @@ mod tests {
         assert_eq!(kept.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["gcc"]);
         let err = select_among(selected(&["clang"]), &plotted).unwrap_err();
         assert!(err.contains("--bench") && err.contains("gcc, sqlite"), "{err}");
+    }
+
+    #[test]
+    fn an_unknown_benchmark_is_a_parse_error_naming_the_flag_and_the_known_names() {
+        let err = parse(&["--bench", "gcc,bogus"]).unwrap_err();
+        assert!(err.contains("--bench") && err.contains("`bogus`"), "{err}");
+        for spec in trrip_workloads::proxy::all() {
+            assert!(err.contains(&spec.name), "the error names {}: {err}", spec.name);
+        }
+        let known = parse(&["--bench", "clang,gcc"]).expect("valid").expect("not help");
+        let names: Vec<String> = known.selected_proxies().into_iter().map(|s| s.name).collect();
+        assert_eq!(names, ["clang", "gcc"]);
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! `simulate_rows` call (both read off the source, in the shape of
 //! `benchmark/tests/denylist.rs`), and a
 //! `--bench` selection that leaves a figure nothing to plot is a
-//! command-line error, not a report of empty tables.
+//! command-line error, not a report of empty tables. Progress goes
+//! through one path, so `--quiet` mutes all of it.
 
 use std::path::Path;
 use std::process::Command;
@@ -61,4 +62,21 @@ fn fig8_refuses_a_selection_outside_its_six_benchmarks() {
         assert!(stderr.contains(plotted), "the error names {plotted}: {stderr}");
     }
     assert!(!out.join("fig8_hot_threshold.txt").exists(), "no report of empty tables");
+}
+
+/// Every progress line — preparing, sweeping, the report written — is
+/// `--quiet`'s to mute: a quiet run that succeeds says nothing on stderr.
+#[test]
+fn a_quiet_figure_leaves_stderr_empty() {
+    let out = std::env::temp_dir().join(format!("trrip-quiet-table3-{}", std::process::id()));
+    let run = Command::new(env!("CARGO_BIN_EXE_table3_mpki"))
+        .args(["--bench", "gcc", "--jobs", "2", "--quiet", "--out"])
+        .arg(&out)
+        .output()
+        .expect("spawn table3_mpki");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert!(run.status.success(), "table3_mpki exited {}: {stderr}", run.status);
+    assert_eq!(stderr, "", "--quiet leaves stderr empty");
+    assert!(out.join("table3_mpki.txt").exists(), "the report is still written");
+    std::fs::remove_dir_all(&out).ok();
 }

@@ -3,12 +3,13 @@
 //!
 //! What the instruction stream alone decides — the frame behind an
 //! anonymous page, the stride prefetcher's proposals — is not worked out
-//! here: a [`StreamView`] resolves it once per stream. Which side a
-//! backend is on is fixed when it is built ([`SystemBackend::new`]): a
-//! run that pulls its own stream owns the view and resolves through it
-//! inline; a sweep's cell owns none and reads its view's column of each
-//! turn ([`SystemBackend::feed`]). Either way the backend asks in the
-//! same order, access by access.
+//! here: a [`Resolver`] answers it, and which one is the backend's type.
+//! A `SystemBackend<StreamView>` belongs to a run that pulls its own
+//! stream: it owns the view and resolves through it inline
+//! ([`SystemBackend::view`]). A `SystemBackend<Feed>` belongs to a
+//! sweep's cell: it reads its view's column of each turn
+//! ([`SystemBackend::feed`]). Either way the backend asks in the same
+//! order, access by access.
 
 use std::sync::Arc;
 
@@ -22,7 +23,7 @@ use trrip_os::Mmu;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::inflight::InflightTable;
-use crate::view::{Feed, StreamView, ViewColumn};
+use crate::view::{Feed, Resolver, StreamView, ViewColumn};
 
 /// Modelled FDIP/prefetch request-file depth: crossing it triggers the
 /// expiry sweep, as the old 512-entry `HashMap` cap did. The
@@ -31,45 +32,6 @@ use crate::view::{Feed, StreamView, ViewColumn};
 /// entries between sweeps, and the headroom preserves that behavior for
 /// any realistic burst instead of dropping requests at exactly 512.
 const MSHR_ENTRIES: usize = 512;
-
-/// Where the backend learns what the stream alone decides of an access.
-#[derive(Debug)]
-enum Resolution {
-    /// The machine pulls its own stream and resolves through its view.
-    Own(Box<StreamView>),
-    /// The machine is pushed turns: it reads its view's column of each.
-    Fed(Feed),
-}
-
-impl Resolution {
-    /// The physical address of a demand fetch into a page the loader did
-    /// not map.
-    #[inline]
-    fn fetch(&mut self, pc: VirtAddr) -> PhysAddr {
-        match self {
-            Resolution::Own(view) => view.fetch(pc).expect("the loader did not map the page"),
-            Resolution::Fed(feed) => feed.next(),
-        }
-    }
-
-    /// The physical address of a demand data access.
-    #[inline]
-    fn data(&mut self, addr: VirtAddr, pc: VirtAddr, store: bool) -> PhysAddr {
-        match self {
-            Resolution::Own(view) => view.data(addr, pc, store),
-            Resolution::Fed(feed) => feed.next(),
-        }
-    }
-
-    /// The stride proposals of the load just resolved.
-    #[inline]
-    fn proposals(&self) -> &[PhysAddr] {
-        match self {
-            Resolution::Own(view) => view.proposals(),
-            Resolution::Fed(feed) => feed.proposals(),
-        }
-    }
-}
 
 /// Implements [`MemoryBackend`] over the full memory system.
 ///
@@ -92,9 +54,9 @@ impl Resolution {
 ///   misses with the code region they landed in.
 ///
 /// Every access is applied in full at the point the core issues it.
-pub struct SystemBackend {
+pub struct SystemBackend<R> {
     mmu: Mmu,
-    resolution: Resolution,
+    resolver: R,
     hierarchy: Hierarchy,
     inflight: InflightTable,
     reuse: Option<ReuseProfiler>,
@@ -110,7 +72,7 @@ pub struct SystemBackend {
     fastpath_bails: u64,
 }
 
-impl std::fmt::Debug for SystemBackend {
+impl<R> std::fmt::Debug for SystemBackend<R> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SystemBackend")
             .field("hierarchy", &self.hierarchy)
@@ -119,19 +81,12 @@ impl std::fmt::Debug for SystemBackend {
     }
 }
 
-impl SystemBackend {
+impl<R> SystemBackend<R> {
     /// Builds the backend for a loaded object, at the stream's first
-    /// instruction. With a `view`, which must stand there too, the
-    /// machine pulls its own stream and resolves every access through
-    /// it; without one, it is fed each turn's column
-    /// ([`SystemBackend::feed`]).
+    /// instruction, resolving what the stream decides through `resolver`
+    /// (a view standing there too, or an empty feed).
     #[must_use]
-    pub fn new(
-        mmu: Mmu,
-        hierarchy: Hierarchy,
-        object: &ObjectFile,
-        view: Option<StreamView>,
-    ) -> SystemBackend {
+    pub fn new(mmu: Mmu, hierarchy: Hierarchy, object: &ObjectFile, resolver: R) -> Self {
         let mut code_regions = Vec::new();
         let mut hot_range = None;
         for s in &object.sections {
@@ -154,10 +109,7 @@ impl SystemBackend {
 
         SystemBackend {
             mmu,
-            resolution: match view {
-                Some(view) => Resolution::Own(Box::new(view)),
-                None => Resolution::Fed(Feed::default()),
-            },
+            resolver,
             hierarchy,
             inflight: InflightTable::new(MSHR_ENTRIES),
             reuse: None,
@@ -167,54 +119,6 @@ impl SystemBackend {
             fastpath_hits: 0,
             fastpath_bails: 0,
         }
-    }
-
-    /// The view this machine resolves through, if it pulls its own
-    /// stream.
-    #[must_use]
-    pub fn view(&self) -> Option<&StreamView> {
-        match &self.resolution {
-            Resolution::Own(view) => Some(view),
-            Resolution::Fed(_) => None,
-        }
-    }
-
-    /// [`SystemBackend::view`], mutably: a whole-state restore replaces
-    /// it.
-    pub(crate) fn view_mut(&mut self) -> Option<&mut StreamView> {
-        match &mut self.resolution {
-            Resolution::Own(view) => Some(view),
-            Resolution::Fed(_) => None,
-        }
-    }
-
-    /// Reads what the stream decides from `column` — the column of this
-    /// machine's page size of the turn it is about to execute — until
-    /// [`SystemBackend::unfeed`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the machine owns a view.
-    pub fn feed(&mut self, column: Arc<ViewColumn>) {
-        assert!(
-            !matches!(self.resolution, Resolution::Own(_)),
-            "a machine that pulls its own stream takes no pushed turns"
-        );
-        self.resolution = Resolution::Fed(Feed::new(column));
-    }
-
-    /// Lets go of the column of the turn just executed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the turn left part of its column unread: the records and
-    /// the column disagree.
-    pub fn unfeed(&mut self) {
-        let Resolution::Fed(feed) = &mut self.resolution else {
-            panic!("unfed a machine that was not fed");
-        };
-        assert!(feed.is_spent(), "a turn's column holds entries its records never asked for");
-        *feed = Feed::default();
     }
 
     /// Publishes the tallies accumulated since the last flush to the
@@ -323,6 +227,44 @@ impl SystemBackend {
     }
 }
 
+impl SystemBackend<StreamView> {
+    /// The view this machine, which pulls its own stream, resolves
+    /// through.
+    #[must_use]
+    pub fn view(&self) -> &StreamView {
+        &self.resolver
+    }
+
+    /// [`SystemBackend::view`], mutably: a whole-state restore replaces
+    /// it.
+    pub(crate) fn view_mut(&mut self) -> &mut StreamView {
+        &mut self.resolver
+    }
+}
+
+impl SystemBackend<Feed> {
+    /// Reads what the stream decides from `column` — the column of this
+    /// machine's page size of the turn it is about to execute — until
+    /// [`SystemBackend::unfeed`].
+    pub fn feed(&mut self, column: Arc<ViewColumn>) {
+        self.resolver = Feed::new(column);
+    }
+
+    /// Lets go of the column of the turn just executed.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the turn left part of its column unread: the records and
+    /// the column disagree.
+    pub fn unfeed(&mut self) {
+        assert!(
+            self.resolver.is_spent(),
+            "a turn's column holds entries its records never asked for"
+        );
+        self.resolver = Feed::default();
+    }
+}
+
 /// The policy-dependent state of the memory system at a phase boundary:
 /// the TLB, all four cache levels with their policy state and the
 /// in-flight prefetch tracker. What the stream alone decides — frames
@@ -331,7 +273,7 @@ impl SystemBackend {
 /// and code-region maps, the loaded image and latencies are
 /// configuration (rebuilt by [`SystemBackend::new`]): neither is part of
 /// the stream.
-impl Snapshot for SystemBackend {
+impl<R> Snapshot for SystemBackend<R> {
     fn save(&self, w: &mut SnapWriter) {
         assert!(
             self.reuse.is_none() && self.costly.is_none(),
@@ -351,14 +293,14 @@ impl Snapshot for SystemBackend {
     }
 }
 
-impl MemoryBackend for SystemBackend {
+impl<R: Resolver> MemoryBackend for SystemBackend<R> {
     fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> MemLatency {
         // The TLB lookup stays on the fast path: its statistics are
         // architectural, and the temperature attribute feeds the L1's
         // (policy-visible) hit hook.
         let (pa, temperature) = match self.mmu.translate(pc) {
             Some(translated) => translated,
-            None => (self.resolution.fetch(pc), None),
+            None => (self.resolver.fetch(pc), None),
         };
         let req = MemoryRequest::fetch(pa, pc)
             .with_temperature(temperature)
@@ -399,18 +341,18 @@ impl MemoryBackend for SystemBackend {
     }
 
     fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
-        let pa = self.resolution.data(addr, pc, false);
+        let pa = self.resolver.data(addr, pc, false);
         let latency = self.data_access(addr, &MemoryRequest::load(pa, pc));
         // The stride prefetcher trained on the demand stream — hits too —
         // in the view; its proposals fill this machine's caches.
-        for &proposal in self.resolution.proposals() {
+        for &proposal in self.resolver.proposals() {
             self.hierarchy.prefetch(&MemoryRequest::load(proposal, pc));
         }
         latency
     }
 
     fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
-        let pa = self.resolution.data(addr, pc, true);
+        let pa = self.resolver.data(addr, pc, true);
         self.data_access(addr, &MemoryRequest::store(pa, pc))
     }
 
@@ -445,7 +387,7 @@ mod tests {
     use trrip_policies::PolicyKind;
     use trrip_workloads::{build_program, WorkloadSpec};
 
-    fn setup() -> (Program, ObjectFile, SystemBackend) {
+    fn setup() -> (Program, ObjectFile, SystemBackend<StreamView>) {
         let mut spec = WorkloadSpec::named("backend-test");
         spec.functions = 40;
         spec.hot_rotation = 8;
@@ -456,7 +398,7 @@ mod tests {
         let mmu = Mmu::new(&image.page_table);
         let hierarchy = Hierarchy::new(&HierarchyConfig::paper(PolicyKind::Srrip));
         let view = StreamView::new(&object, config.page_size);
-        let backend = SystemBackend::new(mmu, hierarchy, &object, Some(view));
+        let backend = SystemBackend::new(mmu, hierarchy, &object, view);
         (program, object, backend)
     }
 
@@ -471,7 +413,7 @@ mod tests {
         let moved = trrip_obs::snapshot().since(&before);
         assert_eq!(moved.get("cache.prefetch_unmapped_drop"), 1);
         assert_eq!(b.mmu().tlb_stats(), TlbStats::default(), "no TLB lookup");
-        let untouched = |b: &SystemBackend| {
+        let untouched = |b: &SystemBackend<StreamView>| {
             let h = b.hierarchy();
             [*h.l1i().stats(), *h.l2().stats(), *h.slc().stats()]
         };
@@ -506,12 +448,13 @@ mod tests {
     fn an_instruction_miss_prefetches_the_next_line_only() {
         let (_p, object, mut b) = setup();
         let pc = VirtAddr::new(object.function_addrs[0].raw() / LINE_BYTES * LINE_BYTES);
-        let line = |b: &SystemBackend, k: u64| {
+        let line = |b: &SystemBackend<StreamView>, k: u64| {
             let va = VirtAddr::new(pc.raw() + k * LINE_BYTES);
             LineAddr::of(b.mmu().loaded(va).expect("a line of the loaded image").0)
         };
         let (next, after) = (line(&b, 1), line(&b, 2));
-        let in_l1i = |b: &SystemBackend, line| b.hierarchy().probe(line, true).0 == ServedBy::L1;
+        let in_l1i =
+            |b: &SystemBackend<StreamView>, line| b.hierarchy().probe(line, true).0 == ServedBy::L1;
         assert!(!in_l1i(&b, next) && !in_l1i(&b, after), "a cold L1-I");
         assert!(!b.ifetch(pc, false, 0).l1_hit, "a demand miss");
         assert!(in_l1i(&b, next), "the next line was prefetched into the L1-I");

@@ -98,6 +98,18 @@
 //! code is in no key: a change that moves the training walk moves kept
 //! profiles and `WALK` sections alike, and must step [`VERSION`] to
 //! retire them.
+//!
+//! # What the store buys
+//!
+//! Measured on a 2-core host (its two-thread spin probe read between one
+//! and two cores' worth), six alternating pairs each, storeless against
+//! a store populated by one untimed run. `all_experiments --jobs 2` over
+//! the ten proxies: median 28.87 s storeless (interquartile range 1.09
+//! s), 27.46 s warm, warm faster in 5 of 6; the store held 16.7 MB.
+//! `fig6_speedup --bench gcc,clang --scale 8 --jobs 2`: 12.94 s (IQR
+//! 1.52 s) against 12.26 s, warm faster in 5 of 6, a difference inside
+//! the spread. About 5 % either way: a warm store skips the warm-up, a
+//! tenth of each stream, and the training walk, and nothing else.
 
 use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
@@ -116,7 +128,7 @@ use trrip_workloads::{WalkerState, WorkloadSpec};
 use crate::capture::{spec_fingerprint, trace_layout, workload_fingerprint};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::system::SimRun;
+use crate::system::{CellRun, SimRun};
 use crate::view::view_page_sizes;
 
 /// Checkpoint file magic: `b"TRRIPCKP"`.
@@ -764,7 +776,7 @@ impl CheckpointStore {
     }
 
     /// Saves `run`'s policy-dependent fast-forward state as its policy's
-    /// overlay ([`SimRun::save_overlay`]).
+    /// overlay ([`crate::system::Run::save_overlay`]).
     ///
     /// # Errors
     ///
@@ -772,9 +784,8 @@ impl CheckpointStore {
     ///
     /// # Panics
     ///
-    /// Panics if `run` has started measuring.
-    pub fn save_overlay(&self, run: &SimRun<'_>) -> Result<PathBuf, CheckpointError> {
-        assert!(!run.is_measuring(), "overlays are fast-forward states");
+    /// Panics if `run` has started measuring, as [`crate::system::Run::save_overlay`].
+    pub fn save_overlay(&self, run: &CellRun<'_>) -> Result<PathBuf, CheckpointError> {
         let meta = self.expected_meta(run.workload(), run.config());
         let mut payload = SnapWriter::new();
         run.save_overlay(&mut payload);
@@ -784,11 +795,11 @@ impl CheckpointStore {
         Ok(path)
     }
 
-    /// Loads the overlay for `(workload, config)` into `run`, a cell
-    /// ([`SimRun::cell`]). The overlay is the policy-dependent half of
-    /// the boundary state; a sweep's cell gets the other half, the
-    /// predictor, from its frontend. Returns `Ok(false)` for a missing or
-    /// differently-keyed file.
+    /// Loads the overlay for `(workload, config)` into `run`, a cell. The
+    /// overlay is the policy-dependent half of the boundary state; a
+    /// sweep's cell gets the other half, the predictor, from its
+    /// frontend. Returns `Ok(false)` for a missing or differently-keyed
+    /// file.
     ///
     /// On a mid-restore error — a damaged payload that nonetheless
     /// passed the container checksum, which keying makes essentially
@@ -799,12 +810,7 @@ impl CheckpointStore {
     ///
     /// Damaged files, as [`CheckpointStore::load`], plus overlay
     /// payloads whose shape does not match the run's machine.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an overlay loads into a run that pulls its own stream
-    /// ([`SimRun::restore_overlay`]).
-    pub fn load_overlay_into(&self, run: &mut SimRun<'_>) -> Result<bool, CheckpointError> {
+    pub fn load_overlay_into(&self, run: &mut CellRun<'_>) -> Result<bool, CheckpointError> {
         let path = self.overlay_path(run.workload(), run.config());
         let expected = self.expected_meta(run.workload(), run.config());
         let loaded = load_keyed(&path, CheckpointKind::PolicyOverlay, &expected, |payload| {

@@ -21,7 +21,8 @@
 //! frames and trains the stride prefetcher — digests the CFG walker's
 //! stream into a small bounded window of shared event turns, each with a
 //! column per view beside its records, and at most `jobs` worker threads
-//! push every turn through their cells, which run only the
+//! push every turn through their cells — each a [`crate::CellRun`], which
+//! reads what the stream decided from its column and runs only the
 //! memory-system-dependent half of the machine. A
 //! worker drives the cells it holds of a workload **in lockstep**: it
 //! reads a turn once, and each record moves every one of those machines
@@ -63,9 +64,10 @@
 //! workloads may share a checkpoint directory.
 //!
 //! The one-cell paths, [`crate::simulate`] and
-//! [`crate::simulate_source`], pull from a source of their own through
-//! the fused loop and share none of the sweep machinery, which is what
-//! makes them the oracle for all of the above. Where nothing is swept
+//! [`crate::simulate_source`], are a [`crate::SimRun`] each: they pull
+//! from a source of their own through the fused loop and share none of
+//! the sweep machinery, which is what makes them the oracle for all of
+//! the above. Neither kind of run can take the other's calls. Where nothing is swept
 //! (Figures 1, 2, 3 and 7) each row is one cell, and [`simulate_rows`]
 //! runs them on the fused loop, `jobs` at a time: a cell with nobody to
 //! share a frontend with needs no window, but where `jobs` leaves every
@@ -86,7 +88,7 @@ use crate::capture::eval_walker;
 use crate::checkpoint::{CheckpointStore, SharedWarmup};
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::system::{Frontend, Resumable, SimResult, SimRun};
+use crate::system::{CellRun, Frontend, Resumable, SimResult};
 use crate::view::StreamTurn;
 use crate::warmstats;
 
@@ -429,7 +431,7 @@ const WINDOW_TURNS: usize = 4;
 /// hold a loadable one and every cell restored its overlay — and the
 /// stream under the frontend it returns (both read from the first cell:
 /// all agree on what they read) is digested and pushed turn by turn
-/// through every cell's [`SimRun`] (see
+/// through every cell's [`CellRun`] (see
 /// [`policy_sweep_with`] for how cells are dealt to workers and what
 /// `checkpoints` add). Generic over the producer: nothing here knows
 /// where the stream comes from.
@@ -529,7 +531,7 @@ fn deal_teams(workloads: usize, cells: usize, workers: usize) -> Vec<Team> {
 struct Cell<'w> {
     /// Index into the sweep's results.
     index: usize,
-    run: SimRun<'w>,
+    run: CellRun<'w>,
     /// Not restored from its overlay: it executes the warm-up turns (a
     /// restored cell lets them go by).
     warms: bool,
@@ -541,7 +543,7 @@ struct Cell<'w> {
 /// — which starts at the boundary only if every cell of every member
 /// restored — and pushes the stream through all of them **in lockstep**:
 /// each turn is read once and drives the whole group
-/// ([`SimRun::push_group`]; during a warm-up, the cells that warm).
+/// ([`CellRun::push_group`]; during a warm-up, the cells that warm).
 /// Returns the results by index. Phase spans are per worker per phase,
 /// not per turn.
 fn run_share<'w, S, F>(
@@ -560,7 +562,7 @@ where
         let restored =
             checkpoints.and_then(|store| restore_at_boundary(workload, cell_config, store));
         let warms = restored.is_none();
-        let run = restored.unwrap_or_else(|| SimRun::cell(workload, cell_config));
+        let run = restored.unwrap_or_else(|| CellRun::new(workload, cell_config));
         cells.push(Cell { index, run, warms });
     }
     let start = window.open(open, cells.iter().all(|cell| !cell.warms));
@@ -573,7 +575,8 @@ where
         let _span = trrip_obs::span!("fast_forward");
         let mut warming: Vec<_> =
             cells.iter_mut().filter(|cell| cell.warms).map(|cell| &mut cell.run).collect();
-        reader.feed(config.fast_forward, |turn, last| SimRun::push_group(&mut warming, turn, last));
+        reader
+            .feed(config.fast_forward, |turn, last| CellRun::push_group(&mut warming, turn, last));
         reader.release();
         for cell in cells.iter().filter(|cell| cell.warms) {
             leave_boundary(checkpoints, &cell.run);
@@ -583,7 +586,7 @@ where
     {
         let _span = trrip_obs::span!("measure");
         let mut group: Vec<_> = cells.iter_mut().map(|cell| &mut cell.run).collect();
-        reader.feed(config.instructions, |turn, last| SimRun::push_group(&mut group, turn, last));
+        reader.feed(config.instructions, |turn, last| CellRun::push_group(&mut group, turn, last));
     }
     drop(reader);
     let finished: Vec<(usize, SimResult)> =
@@ -605,9 +608,9 @@ fn restore_at_boundary<'w>(
     workload: &'w PreparedWorkload,
     config: &SimConfig,
     store: &CheckpointStore,
-) -> Option<SimRun<'w>> {
+) -> Option<CellRun<'w>> {
     let policy = config.hierarchy.l2_policy.name();
-    let mut run = SimRun::cell(workload, config);
+    let mut run = CellRun::new(workload, config);
     match store.load_overlay_into(&mut run) {
         Ok(true) => {
             warmstats::count_overlay_restore();
@@ -640,7 +643,7 @@ fn load_prefix(
 /// store attached, its overlay (the prefix is the frontend's to leave,
 /// through the window); without one, nothing. A save that fails only
 /// costs the warm start next time.
-fn leave_boundary(store: Option<&CheckpointStore>, run: &SimRun<'_>) {
+fn leave_boundary(store: Option<&CheckpointStore>, run: &CellRun<'_>) {
     let (workload, config) = (run.workload(), run.config());
     let policy = config.hierarchy.l2_policy.name();
     let Some(store) = store else {

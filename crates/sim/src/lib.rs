@@ -15,10 +15,11 @@
 //!   memory system — anonymous frames and stride proposals — resolved
 //!   once per stream and page size, and handed to a sweep's cells as
 //!   columns beside each turn's records ([`StreamTurn`]).
-//! * [`system`] — [`simulate`] / [`simulate_source`]: fast-forward,
-//!   measure, collect — over the in-memory walker or any
-//!   [`trrip_trace::TraceSource`]; the one-cell oracle every sweep is
-//!   held to.
+//! * [`system`] — the two kinds of run, one type each: [`SimRun`] pulls
+//!   its own stream, [`CellRun`] is a sweep's cell, pushed turns; and
+//!   [`simulate`] / [`simulate_source`]: fast-forward, measure, collect —
+//!   over the in-memory walker or any [`trrip_trace::TraceSource`]; the
+//!   one-cell oracle every sweep is held to.
 //! * [`capture`] — [`capture_trace`]: record the walker's output to the
 //!   `trrip-trace` binary format, for [`simulate_source`] to replay; no
 //!   sweep reads one. And the workload fingerprint every store key
@@ -68,7 +69,7 @@ pub use experiment::{
 };
 pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
-pub use system::{simulate, simulate_source, Frontend, SimResult, SimRun};
+pub use system::{simulate, simulate_source, CellRun, Frontend, SimResult, SimRun};
 pub use view::{StreamTurn, StreamView};
 // The snapshot substrate, re-exported so callers can drive `SimRun`
 // save/restore without depending on `trrip-snap` directly.

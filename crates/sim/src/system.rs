@@ -1,17 +1,17 @@
 //! One full simulation run, as an explicit phase machine:
 //! **load → fast-forward → (checkpoint) → measure → collect**.
 //!
-//! [`SimRun`] holds the whole machine (core + backend) between phases.
+//! A [`Run`] holds the whole machine (core + backend) between phases.
 //! The checkpoint phase is optional and caller-driven: after
 //! [`SimRun::fast_forward`] the complete architectural state can be
-//! saved with [`SimRun::save`] and later restored into a freshly loaded
-//! [`SimRun`] with [`SimRun::restore`], making the warmed state
+//! saved with [`Snapshot::save`] and later restored into a freshly
+//! loaded [`SimRun`] with [`Snapshot::restore`], making the warmed state
 //! reusable across runs and processes (see [`crate::checkpoint`]).
 //! [`simulate_source`] is the plain load → fast-forward → measure
 //! composition.
 //!
-//! The two simulated phases can be driven from either side, fixed when
-//! the run is loaded. **Pull** ([`SimRun::new`]): the run takes what it
+//! The two simulated phases can be driven from either side, and the side
+//! is the run's type. **Pull**, a [`SimRun`]: the run takes what it
 //! needs from a [`SourceIter`] ([`SimRun::fast_forward`],
 //! [`SimRun::measure`]) — one cell owns one stream and runs the whole
 //! core over it ([`Core::run_batch`]); this is
@@ -19,36 +19,37 @@
 //! side for a row of one cell, which has nobody to share a frontend with
 //! — and the oracle every sweep is held to; no sweep runs its cells on
 //! it.
-//! **Push** ([`SimRun::cell`]): a [`Frontend`]
+//! **Push**, a [`CellRun`]: a [`Frontend`]
 //! runs the policy-independent half of the machine over the stream once —
 //! branch prediction, the FDIP scan, fetch-line tracking, and, through a
 //! [`StreamView`] per page size, demand page allocation and stride
 //! prefetcher training — and writes what it decided as [`StreamTurn`]s:
 //! event records ([`EventTurn`]) with a column per view beside them. The
-//! caller hands those to as many runs as it likes, each of which runs
+//! caller hands those to as many cells as it likes, each of which runs
 //! only the policy-dependent half ([`Core::execute`]) over its own TLB,
 //! loaded image and hierarchy, reading its page size's column — to a
-//! **group** of runs at once ([`SimRun::push_group`]), which take the
+//! **group** of cells at once ([`CellRun::push_group`]), which take the
 //! turn in lockstep, one read of it driving them all, each in its own
-//! phase: warming until [`SimRun::begin_measure`], measuring after. One
-//! run alone is a group of one. Turns may be cut anywhere, an empty one
+//! phase: warming until [`Run::begin_measure`], measuring after. One
+//! cell alone is a group of one. Turns may be cut anywhere, an empty one
 //! included, and `last = true` with the turn that completes a phase
 //! closes it as the pull side does. That is how [`crate::policy_sweep_with`]
 //! walks and predicts a workload's stream once and decodes each turn
 //! once per worker. The two sides are bit-identical
-//! wherever the stream is cut and however the runs are grouped
+//! wherever the stream is cut and however the cells are grouped
 //! (`tests/walk_once_equivalence.rs`).
 //!
 //! Each side has exactly one way to warm a machine up — the fused loop
 //! behind [`SimRun::fast_forward`], the event loop behind
-//! [`SimRun::push_group`] — and both leave the same
-//! policy-dependent boundary state behind ([`SimRun::save_overlay`]);
+//! [`CellRun::push_group`] — and both leave the same
+//! policy-dependent boundary state behind ([`Run::save_overlay`]);
 //! the policy-agnostic rest — the predictor, the stream views, and where
 //! the walker stands — is the [`Frontend`]'s, handed out by
-//! [`Frontend::take_shared_warmup`]. A pulled run owns one stream view
-//! from load and resolves through it inline, through the same code a
-//! frontend's views resolve a turn with; a cell owns none. There is no
-//! other way to resolve, and no switch between the two.
+//! [`Frontend::take_shared_warmup`]. A [`SimRun`]'s backend owns one
+//! stream view from load and resolves through it inline, through the same
+//! code a frontend's views resolve a turn with; a [`CellRun`]'s owns a
+//! [`Feed`] instead. A call that belongs to the other side does not
+//! compile.
 
 use serde::{Deserialize, Serialize};
 use trrip_analysis::{CostlyMissTracker, ReuseHistogram};
@@ -65,7 +66,7 @@ use crate::backend::SystemBackend;
 use crate::checkpoint::SharedWarmup;
 use crate::config::SimConfig;
 use crate::prepare::PreparedWorkload;
-use crate::view::{view_page_sizes, StreamTurn, StreamView};
+use crate::view::{view_page_sizes, Feed, Resolver, StreamTurn, StreamView};
 
 /// Results of one run (one benchmark × one configuration). Two runs
 /// agree when their results are equal (`==`), every field of them.
@@ -350,62 +351,106 @@ impl<S> Drop for Frontend<S> {
     }
 }
 
-/// One simulation in flight, between phases.
+/// One simulation in flight, between phases, on the side `R` resolves
+/// for: a [`SimRun`] pulls its own stream, a [`CellRun`] is pushed turns.
 ///
 /// The phases, in order:
 ///
-/// 1. **load** — [`SimRun::new`] or [`SimRun::cell`]: loader maps the
+/// 1. **load** — [`SimRun::new`] or [`CellRun::new`]: loader maps the
 ///    object (pages + PTEs with temperature bits), the hierarchy and
-///    core are built cold. A run that pulls its stream ([`SimRun::new`])
-///    resolves what the stream alone decides through a [`StreamView`]
-///    of its own; a cell, which is pushed turns, reads it from their
-///    columns.
-/// 2. **fast-forward** — [`SimRun::fast_forward`]: warms caches and
-///    predictors; no statistics are reported from this phase.
-/// 3. **checkpoint** *(optional)* — [`SimRun::save`] captures the full
-///    architectural state; [`SimRun::restore`] loads it into a freshly
-///    constructed run, replacing the fast-forward phase entirely.
-/// 4. **measure** — [`SimRun::measure`] (pushed: [`SimRun::begin_measure`],
-///    [`SimRun::push_group`], [`SimRun::finish`]): statistics reset, then
+///    core are built cold.
+/// 2. **fast-forward** — [`SimRun::fast_forward`] (pushed:
+///    [`CellRun::push_group`]): warms caches and predictors; no
+///    statistics are reported from this phase.
+/// 3. **checkpoint** *(optional)* — a [`SimRun`]'s [`Snapshot::save`]
+///    captures the full architectural state; [`Snapshot::restore`] loads
+///    it into a freshly loaded one, replacing the fast-forward phase
+///    entirely. A cell restores its overlay ([`CellRun::restore_overlay`]).
+/// 4. **measure** — [`SimRun::measure`] (pushed: [`Run::begin_measure`],
+///    [`CellRun::push_group`], [`Run::finish`]): statistics reset, then
 ///    the measured window executes and [`SimResult`] is collected.
 ///
 /// A restored run is bit-identical to one that executed fast-forward
 /// itself — enforced by `tests/checkpoint_roundtrip.rs`.
 #[derive(Debug)]
-pub struct SimRun<'w> {
+pub struct Run<'w, R> {
     workload: &'w PreparedWorkload,
     config: SimConfig,
     pages: PageStats,
-    core: Core<SystemBackend>,
-    /// In-flight state of a *pushed* fast-forward (present between the
-    /// first [`SimRun::push_group`] of the warm-up and the closing one).
-    /// The pull-mode warmup runs in one call and never parks its state.
-    warming: Option<RunState>,
-    /// In-flight measure-phase state (present between `begin_measure`
-    /// and `finish`).
-    measuring: Option<RunState>,
+    core: Core<SystemBackend<R>>,
+    /// The in-flight state of the phase under way, parked between calls:
+    /// the measure phase's from `begin_measure` to `finish`, and a cell's
+    /// pushed fast-forward's from its first [`CellRun::push_group`] to the
+    /// closing one (a pulled fast-forward runs in one call and parks
+    /// nothing).
+    in_flight: Option<RunState>,
+    /// Whether the measure phase has started (and not yet finished).
+    measuring: bool,
 }
 
-impl<'w> SimRun<'w> {
-    /// **Load phase** of a run that pulls its own stream: maps the
-    /// object and builds the cold machine, with a stream view at the
-    /// stream's first instruction.
-    #[must_use]
-    pub fn new(workload: &'w PreparedWorkload, config: &SimConfig) -> SimRun<'w> {
-        SimRun::load(workload, config, true)
-    }
+/// A run that pulls its own stream through the fused loop: the one-cell
+/// path behind [`simulate_source`], and the oracle every sweep is held
+/// to. It alone saves or restores a whole state. It takes no pushed
+/// turns, and an overlay alone, which holds no stream view, does not
+/// restore into it:
+///
+/// ```compile_fail,E0308
+/// fn push(run: &mut trrip_sim::SimRun<'_>, turn: &trrip_sim::StreamTurn) {
+///     trrip_sim::CellRun::push_group(&mut [run], turn, true);
+/// }
+/// ```
+/// ```compile_fail,E0599
+/// fn restore(run: &mut trrip_sim::SimRun<'_>, overlay: &mut trrip_sim::SnapReader<'_>) {
+///     let _ = run.restore_overlay(overlay);
+/// }
+/// ```
+pub type SimRun<'w> = Run<'w, StreamView>;
 
-    /// **Load phase** of a sweep's cell: the cold machine, with no
-    /// stream view. It is pushed turns ([`SimRun::push_group`]) or
-    /// restored from its overlay, and never pulls; its branch predictor
-    /// is never consulted or trained (a [`Frontend`]'s is), so its state
-    /// is not the whole machine's and cannot be checkpointed whole.
-    #[must_use]
-    pub fn cell(workload: &'w PreparedWorkload, config: &SimConfig) -> SimRun<'w> {
-        SimRun::load(workload, config, false)
-    }
+/// A sweep's cell: pushed turns ([`CellRun::push_group`]) or restored
+/// from its overlay ([`CellRun::restore_overlay`]). Its branch predictor
+/// is never consulted or trained (a [`Frontend`]'s is), so its state is
+/// not the whole machine's. It pulls no stream, to fast-forward or to
+/// measure:
+///
+/// ```compile_fail,E0599
+/// use trrip_trace::{SourceIter, TraceSource};
+/// fn pull<S: TraceSource>(cell: &mut trrip_sim::CellRun<'_>, stream: &mut SourceIter<S>) {
+///     cell.fast_forward(stream);
+/// }
+/// ```
+/// ```compile_fail,E0599
+/// use trrip_trace::{SourceIter, TraceSource};
+/// fn pull<S: TraceSource>(cell: &mut trrip_sim::CellRun<'_>, stream: &mut SourceIter<S>) {
+///     let _ = cell.measure(stream);
+/// }
+/// ```
+///
+/// It has no whole state to save, as a snapshot or as a checkpoint, and
+/// a whole state does not restore into it:
+///
+/// ```compile_fail,E0599
+/// use trrip_sim::{CellRun, SnapWriter, Snapshot};
+/// fn save(cell: &CellRun<'_>, w: &mut SnapWriter) {
+///     cell.save(w);
+/// }
+/// ```
+/// ```compile_fail,E0308
+/// fn save(store: &trrip_sim::CheckpointStore, cell: &trrip_sim::CellRun<'_>) {
+///     let _ = store.save(cell);
+/// }
+/// ```
+/// ```compile_fail,E0599
+/// use trrip_sim::{CellRun, SnapReader, Snapshot};
+/// fn restore(cell: &mut CellRun<'_>, state: &mut SnapReader<'_>) {
+///     let _ = cell.restore(state);
+/// }
+/// ```
+pub type CellRun<'w> = Run<'w, Feed>;
 
-    fn load(workload: &'w PreparedWorkload, config: &SimConfig, pulls: bool) -> SimRun<'w> {
+impl<'w, R: Resolver> Run<'w, R> {
+    /// **Load phase**: maps the object and builds the cold machine,
+    /// resolving through `resolver`.
+    fn load(workload: &'w PreparedWorkload, config: &SimConfig, resolver: R) -> Run<'w, R> {
         let _span = trrip_obs::span!("load");
         let object = workload.object(config.layout);
 
@@ -417,10 +462,9 @@ impl<'w> SimRun<'w> {
 
         // ⑨–⑪ the machine itself.
         let hierarchy = Hierarchy::new(&config.hierarchy);
-        let view = pulls.then(|| StreamView::new(object, config.page_size));
-        let backend = SystemBackend::new(mmu, hierarchy, object, view);
+        let backend = SystemBackend::new(mmu, hierarchy, object, resolver);
         let core = Core::new(config.core, backend);
-        SimRun { workload, config: config.clone(), pages, core, warming: None, measuring: None }
+        Run { workload, config: config.clone(), pages, core, in_flight: None, measuring: false }
     }
 
     /// The configuration this run executes.
@@ -436,156 +480,34 @@ impl<'w> SimRun<'w> {
     }
 
     /// This run's own branch predictor: trained by the pull side, never
-    /// touched by the push side (a [`Frontend`]'s is, once for every
-    /// run it feeds).
+    /// touched by a cell (a [`Frontend`]'s is, once for every cell it
+    /// feeds).
     #[must_use]
     pub fn predictor(&self) -> &BranchPredictor {
         self.core.predictor()
     }
 
-    /// Whether the measure phase has started (the run carries in-flight
-    /// [`RunState`]).
+    /// Whether the measure phase has started and not yet finished.
     #[must_use]
     pub fn is_measuring(&self) -> bool {
-        self.measuring.is_some()
-    }
-
-    /// **Fast-forward phase**: warms caches and predictors with the
-    /// stream's first `fast_forward` instructions.
-    pub fn fast_forward<S: TraceSource>(&mut self, stream: &mut SourceIter<S>) {
-        assert!(self.measuring.is_none(), "fast-forward after measurement started");
-        if self.config.fast_forward > 0 {
-            let _span = trrip_obs::span!("fast_forward");
-            let mut state = self.core.begin_run();
-            self.run_batches(&mut state, stream, self.config.fast_forward);
-            self.core.backend_mut().flush_fastpath_counters();
-        }
-    }
-
-    /// One whole phase on the pull side: feeds up to `limit` instructions
-    /// from `stream` to the core via the slice entry point
-    /// ([`Core::run_batch`]) — each decoded source batch flows through as
-    /// one contiguous slice — and drains the lookahead window. The run
-    /// resolves what the stream decides through its own view.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run is a cell ([`SimRun::cell`]).
-    fn run_batches<S: TraceSource>(
-        &mut self,
-        state: &mut RunState,
-        stream: &mut SourceIter<S>,
-        limit: u64,
-    ) {
-        assert!(self.core.backend().view().is_some(), "a cell has no stream view to pull through");
-        let mut remaining = limit as usize;
-        while remaining > 0 {
-            let batch = stream.next_slice(remaining);
-            if batch.is_empty() {
-                break;
-            }
-            remaining -= batch.len();
-            self.core.run_batch(state, batch, false);
-        }
-        // The empty final batch is the window flush.
-        self.core.run_batch(state, &[], true);
-    }
-
-    /// **Pushed**: runs the next turn on every run of `group`, in
-    /// lockstep, in the run's own phase — the warm-up until
-    /// [`SimRun::begin_measure`], the measure window after — as a
-    /// [`Frontend`] digested it. The turns of all calls of a phase
-    /// together must cover its instructions, cut anywhere; pass
-    /// `last = true` with the turn that completes them (an empty one will
-    /// do), which closes the phase exactly as the pull side does. With
-    /// `fast_forward == 0` there is no warm-up to push: go straight to
-    /// [`SimRun::begin_measure`]. After the measure window, collect each
-    /// run with [`SimRun::finish`]; the result's branch counts are the
-    /// frontend's, carried by the turns.
-    ///
-    /// The runs of one workload that a sweep's worker holds — same
-    /// stream, same core, a machine each — take the turn in lockstep
-    /// ([`Core::execute`]), which reads it once for all of them. Each
-    /// run ends up exactly where pushing the turn to it in a group of
-    /// one would leave it.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the turns overrun the phase of any run of the group; if
-    /// its runs are not all in the same phase, or not all at the same
-    /// point of it; if one of them pulls its own stream ([`SimRun::new`]).
-    pub fn push_group(group: &mut [&mut SimRun<'_>], turn: &StreamTurn, last: bool) {
-        let measuring = group.first().is_some_and(|run| run.is_measuring());
-        let mut machines = Vec::with_capacity(group.len());
-        for run in group.iter_mut() {
-            let run = &mut **run;
-            assert_eq!(run.is_measuring(), measuring, "the runs of a group are in one phase");
-            let (state, bound, overrun) = if measuring {
-                (&run.measuring, run.config.instructions, "pushed past the measure window")
-            } else {
-                (&run.warming, run.config.fast_forward, "pushed past the fast-forward boundary")
-            };
-            let consumed = state.as_ref().map_or(0, RunState::consumed);
-            assert!(consumed + turn.instructions() <= bound, "{overrun}");
-            run.feed(turn);
-            let state = if measuring {
-                run.measuring.as_mut().expect("checked above")
-            } else {
-                run.warming.get_or_insert_with(|| run.core.begin_run())
-            };
-            machines.push((&mut run.core, state));
-        }
-        execute_counted(&mut machines, turn.events());
-        for run in group {
-            run.core.backend_mut().unfeed();
-            if last {
-                run.warming = None;
-                run.core.backend_mut().flush_fastpath_counters();
-            }
-        }
-    }
-
-    /// Hands the machine the column of its page size of `turn`, for the
-    /// turn's execution.
-    fn feed(&mut self, turn: &StreamTurn) {
-        let page_size = self.config.page_size;
-        let column = turn.column(page_size).cloned().unwrap_or_else(|| {
-            assert!(
-                turn.events().events().is_empty(),
-                "the turn holds no column for {page_size} pages"
-            );
-            Default::default()
-        });
-        self.core.backend_mut().feed(column);
-    }
-
-    /// **Measure phase**, uninterrupted: arms measurement, runs the
-    /// configured instruction window, and collects the result.
-    pub fn measure<S: TraceSource>(&mut self, stream: &mut SourceIter<S>) -> SimResult {
-        self.begin_measure();
-        let mut state = self.measuring.take().expect("begun above");
-        {
-            let _span = trrip_obs::span!("measure");
-            self.run_batches(&mut state, stream, self.config.instructions);
-        }
-        self.measuring = Some(state);
-        self.finish()
+        self.measuring
     }
 
     /// Starts the measure phase: resets statistics accumulated during
     /// fast-forward and arms the configured profilers.
     pub fn begin_measure(&mut self) {
-        assert!(self.measuring.is_none(), "measurement already started");
-        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
+        assert!(self.in_flight.is_none(), "measurement already started, or a warm-up not closed");
         self.core
             .backend_mut()
             .arm_measurement(self.config.measure_reuse, self.config.track_costly);
-        self.measuring = Some(self.core.begin_run());
+        self.in_flight = Some(self.core.begin_run());
+        self.measuring = true;
     }
 
     /// Ends the measure phase and collects the [`SimResult`].
     pub fn finish(&mut self) -> SimResult {
-        let state = self.measuring.take().expect("begin_measure first");
+        let state = self.in_flight.take().filter(|_| self.measuring).expect("begin_measure first");
+        self.measuring = false;
         let result = self.core.finish_run(state);
         let backend = self.core.backend_mut();
         backend.flush_fastpath_counters();
@@ -607,9 +529,7 @@ impl<'w> SimRun<'w> {
             costly,
         }
     }
-}
 
-impl SimRun<'_> {
     /// Saves the **policy-dependent** half of a fast-forward state: the
     /// starvation FIFO plus the memory system the policy shapes (the TLB,
     /// every cache level with its per-set policy state — tag/RRPV arrays,
@@ -619,35 +539,18 @@ impl SimRun<'_> {
     /// alone: the branch predictor and the stream view (frames and the
     /// stride table); a sweep's [`Frontend`] holds both
     /// ([`Frontend::take_shared_warmup`]). Together the two are exactly
-    /// the full fast-forward state.
+    /// the full fast-forward state. Either side leaves the same bytes.
     ///
     /// # Panics
     ///
     /// Panics mid-measure, or between the turns of a pushed fast-forward:
     /// a checkpoint is a fast-forward-boundary state.
     pub fn save_overlay(&self, w: &mut SnapWriter) {
-        assert!(!self.is_measuring(), "overlay sections are fast-forward states");
-        assert!(self.warming.is_none(), "a pushed fast-forward was not closed");
+        assert!(self.in_flight.is_none(), "overlay sections are fast-forward-boundary states");
         w.section(b"OVLY", |w| {
             self.core.save_starved_state(w);
             self.core.backend().save(w);
         });
-    }
-
-    /// Restores a section written by [`SimRun::save_overlay`] into a
-    /// cell ([`SimRun::cell`]), which then stands at the boundary.
-    ///
-    /// # Errors
-    ///
-    /// As [`Snapshot::restore`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if the run pulls its own stream: an overlay holds no
-    /// stream view to carry on from.
-    pub fn restore_overlay(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        assert!(self.core.backend().view().is_none(), "an overlay alone restores into a cell");
-        self.restore_overlay_section(r)
     }
 
     fn restore_overlay_section(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
@@ -658,12 +561,161 @@ impl SimRun<'_> {
     }
 }
 
+impl<'w> Run<'w, StreamView> {
+    /// **Load phase** of a run that pulls its own stream: maps the
+    /// object and builds the cold machine, with a stream view at the
+    /// stream's first instruction.
+    #[must_use]
+    pub fn new(workload: &'w PreparedWorkload, config: &SimConfig) -> SimRun<'w> {
+        let view = StreamView::new(workload.object(config.layout), config.page_size);
+        Run::load(workload, config, view)
+    }
+
+    /// **Fast-forward phase**: warms caches and predictors with the
+    /// stream's first `fast_forward` instructions.
+    pub fn fast_forward<S: TraceSource>(&mut self, stream: &mut SourceIter<S>) {
+        assert!(!self.measuring, "fast-forward after measurement started");
+        if self.config.fast_forward > 0 {
+            let _span = trrip_obs::span!("fast_forward");
+            let mut state = self.core.begin_run();
+            self.run_batches(&mut state, stream, self.config.fast_forward);
+            self.core.backend_mut().flush_fastpath_counters();
+        }
+    }
+
+    /// One whole phase: feeds up to `limit` instructions from `stream` to
+    /// the core via the slice entry point ([`Core::run_batch`]) — each
+    /// decoded source batch flows through as one contiguous slice — and
+    /// drains the lookahead window. The run resolves what the stream
+    /// decides through its own view.
+    fn run_batches<S: TraceSource>(
+        &mut self,
+        state: &mut RunState,
+        stream: &mut SourceIter<S>,
+        limit: u64,
+    ) {
+        let mut remaining = limit as usize;
+        while remaining > 0 {
+            let batch = stream.next_slice(remaining);
+            if batch.is_empty() {
+                break;
+            }
+            remaining -= batch.len();
+            self.core.run_batch(state, batch, false);
+        }
+        // The empty final batch is the window flush.
+        self.core.run_batch(state, &[], true);
+    }
+
+    /// **Measure phase**, uninterrupted: arms measurement, runs the
+    /// configured instruction window, and collects the result.
+    pub fn measure<S: TraceSource>(&mut self, stream: &mut SourceIter<S>) -> SimResult {
+        self.begin_measure();
+        let mut state = self.in_flight.take().expect("begun above");
+        {
+            let _span = trrip_obs::span!("measure");
+            self.run_batches(&mut state, stream, self.config.instructions);
+        }
+        self.in_flight = Some(state);
+        self.finish()
+    }
+}
+
+impl<'w> Run<'w, Feed> {
+    /// **Load phase** of a sweep's cell: the cold machine, which reads
+    /// what the stream decides from the columns of the turns it is
+    /// pushed.
+    #[must_use]
+    pub fn new(workload: &'w PreparedWorkload, config: &SimConfig) -> CellRun<'w> {
+        Run::load(workload, config, Feed::default())
+    }
+
+    /// Runs the next turn on every cell of `group`, in lockstep, in the
+    /// cell's own phase — the warm-up until [`Run::begin_measure`], the
+    /// measure window after — as a [`Frontend`] digested it. The turns of
+    /// all calls of a phase together must cover its instructions, cut
+    /// anywhere; pass `last = true` with the turn that completes them (an
+    /// empty one will do), which closes the phase exactly as the pull
+    /// side does. With `fast_forward == 0` there is no warm-up to push:
+    /// go straight to [`Run::begin_measure`]. After the measure window,
+    /// collect each cell with [`Run::finish`]; the result's branch counts
+    /// are the frontend's, carried by the turns.
+    ///
+    /// The cells of one workload that a sweep's worker holds — same
+    /// stream, same core, a machine each — take the turn in lockstep
+    /// ([`Core::execute`]), which reads it once for all of them. Each
+    /// cell ends up exactly where pushing the turn to it in a group of
+    /// one would leave it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the turns overrun the phase of any cell of the group; if
+    /// its cells are not all in the same phase, or not all at the same
+    /// point of it.
+    pub fn push_group(group: &mut [&mut CellRun<'_>], turn: &StreamTurn, last: bool) {
+        let measuring = group.first().is_some_and(|run| run.is_measuring());
+        let mut machines = Vec::with_capacity(group.len());
+        for run in group.iter_mut() {
+            let run = &mut **run;
+            assert_eq!(run.is_measuring(), measuring, "the runs of a group are in one phase");
+            let (bound, overrun) = if measuring {
+                (run.config.instructions, "pushed past the measure window")
+            } else {
+                (run.config.fast_forward, "pushed past the fast-forward boundary")
+            };
+            let consumed = run.in_flight.as_ref().map_or(0, RunState::consumed);
+            assert!(consumed + turn.instructions() <= bound, "{overrun}");
+            run.feed(turn);
+            // The measure phase's state was parked by `begin_measure`.
+            let state = run.in_flight.get_or_insert_with(|| run.core.begin_run());
+            machines.push((&mut run.core, state));
+        }
+        execute_counted(&mut machines, turn.events());
+        for run in group {
+            run.core.backend_mut().unfeed();
+            if last {
+                if !measuring {
+                    run.in_flight = None;
+                }
+                run.core.backend_mut().flush_fastpath_counters();
+            }
+        }
+    }
+
+    /// Hands the machine the column of its page size of `turn`, for the
+    /// turn's execution.
+    fn feed(&mut self, turn: &StreamTurn) {
+        let page_size = self.config.page_size;
+        let column = turn.column(page_size).cloned().unwrap_or_else(|| {
+            assert!(
+                turn.events().events().is_empty(),
+                "the turn holds no column for {page_size} pages"
+            );
+            Default::default()
+        });
+        self.core.backend_mut().feed(column);
+    }
+
+    /// Restores a section written by [`Run::save_overlay`], after which
+    /// the cell stands at the boundary.
+    ///
+    /// # Errors
+    ///
+    /// As [`Snapshot::restore`].
+    pub fn restore_overlay(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.restore_overlay_section(r)
+    }
+}
+
 /// [`Core::execute`], counted: `exec.turn_records` moves by the records
 /// of a turn each time a worker reads it, `exec.cell_records` by those
 /// records times the machines they drove — the design as a ratio, which
 /// is the size of the groups a sweep formed. Twice per turn, not per
 /// record.
-fn execute_counted(machines: &mut [(&mut Core<SystemBackend>, &mut RunState)], turn: &EventTurn) {
+fn execute_counted(
+    machines: &mut [(&mut Core<SystemBackend<Feed>>, &mut RunState)],
+    turn: &EventTurn,
+) {
     Core::execute(machines, turn);
     let records = turn.events().len() as u64;
     if !machines.is_empty() {
@@ -707,29 +759,24 @@ fn restore_shared_section<B: MemoryBackend>(
 /// fast-forward boundary, as its two halves — the `SHRD` section (the
 /// policy-agnostic predictor and the run's stream view, as a
 /// [`Frontend`] hands them out) followed by the `OVLY` section
-/// ([`SimRun::save_overlay`]: starvation table, TLB, every cache level
+/// ([`Run::save_overlay`]: starvation table, TLB, every cache level
 /// with per-set policy state and the in-flight prefetch tracker). The checkpoint
 /// store keeps the halves in separate files so one shared prefix serves
 /// every policy ([`crate::checkpoint`]); that pair is what sweeps keep of
 /// the boundary. Between phases no [`RunState`] is in flight and no
 /// profiler is armed, so neither is part of it.
-impl Snapshot for SimRun<'_> {
+impl Snapshot for Run<'_, StreamView> {
     fn save(&self, w: &mut SnapWriter) {
-        let view = self.core.backend().view().expect("a pushed run's predictor was never trained");
-        save_shared_section(&self.core, &[view], w);
+        save_shared_section(&self.core, &[self.core.backend().view()], w);
         self.save_overlay(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         assert!(!self.is_measuring(), "a checkpoint restores into a run between phases");
-        assert!(
-            self.core.backend().view().is_some(),
-            "a whole state restores into a run that pulls its own stream, not into a cell"
-        );
         let mut view =
             StreamView::new(self.workload.object(self.config.layout), self.config.page_size);
         restore_shared_section(&mut self.core, std::slice::from_mut(&mut view), r)?;
-        *self.core.backend_mut().view_mut().expect("checked above") = view;
+        *self.core.backend_mut().view_mut() = view;
         self.restore_overlay_section(r)
     }
 }

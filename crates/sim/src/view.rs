@@ -21,10 +21,15 @@
 //! into a [`ViewColumn`] beside the turn's records ([`StreamTurn`]): the
 //! physical address of every memory operand and of every demand fetch
 //! into a page the loader did not map, and the stride proposals of every
-//! load. A run that pulls its own stream ([`crate::SimRun::new`]) owns
-//! one view from load and resolves through it inline, access by access,
-//! through the same code. At the fast-forward boundary the views are the
-//! frontend's, so they sit in the shared prefix, beside the predictor.
+//! load. At the fast-forward boundary the views are the frontend's, so
+//! they sit in the shared prefix, beside the predictor.
+//!
+//! A machine asks what the stream decided through a [`Resolver`], and
+//! which one is its type: a run that pulls its own stream
+//! ([`crate::SimRun`]) owns a [`StreamView`] and resolves through it
+//! inline, access by access, through the same code a frontend's views
+//! resolve a turn with; a sweep's cell ([`crate::CellRun`]) owns a
+//! [`Feed`], its place in the column of the turn it executes.
 
 use std::collections::HashMap;
 use std::hash::{BuildHasherDefault, Hasher};
@@ -73,6 +78,21 @@ pub fn view_page_sizes(cells: &[SimConfig]) -> Vec<PageSize> {
     sizes.sort_unstable_by_key(|size| size.bytes());
     sizes.dedup();
     sizes
+}
+
+/// What resolves the stream's decisions for a machine
+/// ([`crate::SystemBackend`]), asked in stream order, access by access.
+pub trait Resolver {
+    /// The physical address of a demand fetch at `pc`, into a page the
+    /// machine's loaded image does not map.
+    fn fetch(&mut self, pc: VirtAddr) -> PhysAddr;
+
+    /// The physical address of a demand data access at `addr` by the
+    /// instruction at `pc`.
+    fn data(&mut self, addr: VirtAddr, pc: VirtAddr, store: bool) -> PhysAddr;
+
+    /// The stride proposals of the load just resolved.
+    fn proposals(&self) -> &[PhysAddr];
 }
 
 /// One page size's view of a stream: its frames and its stride table.
@@ -137,28 +157,9 @@ impl StreamView {
     /// and all), else the physical address of the anonymous page it
     /// lands in, allocated if this is its first touch.
     #[inline]
-    pub fn fetch(&mut self, pc: VirtAddr) -> Option<PhysAddr> {
+    pub(crate) fn fetch_anonymous(&mut self, pc: VirtAddr) -> Option<PhysAddr> {
         let (pa, loaded) = self.physical(pc);
         (!loaded).then_some(pa)
-    }
-
-    /// A demand data access at `addr` by the instruction at `pc`: its
-    /// physical address. A load also trains the stride prefetcher, whose
-    /// proposals [`StreamView::proposals`] holds until the next load.
-    #[inline]
-    pub fn data(&mut self, addr: VirtAddr, pc: VirtAddr, store: bool) -> PhysAddr {
-        let (pa, _) = self.physical(addr);
-        if !store {
-            self.proposals.clear();
-            self.stride.propose_into(pc, pa, &mut self.proposals);
-        }
-        pa
-    }
-
-    /// What the stride prefetcher proposed at the last load.
-    #[must_use]
-    pub fn proposals(&self) -> &[PhysAddr] {
-        &self.proposals
     }
 
     /// Resolves one turn's records into `column` (cleared first), in the
@@ -168,7 +169,7 @@ impl StreamView {
         column.clear();
         for event in events {
             if event.fetch() {
-                if let Some(pa) = self.fetch(event.pc()) {
+                if let Some(pa) = self.fetch_anonymous(event.pc()) {
                     column.pa.push(pa);
                 }
             }
@@ -183,6 +184,32 @@ impl StreamView {
                 }
             }
         }
+    }
+}
+
+impl Resolver for StreamView {
+    /// The machine asks only for a page its loaded image does not map,
+    /// which the view allocates if this is its first touch.
+    #[inline]
+    fn fetch(&mut self, pc: VirtAddr) -> PhysAddr {
+        self.physical(pc).0
+    }
+
+    /// A load also trains the stride prefetcher, whose proposals
+    /// [`Resolver::proposals`] holds until the next load.
+    #[inline]
+    fn data(&mut self, addr: VirtAddr, pc: VirtAddr, store: bool) -> PhysAddr {
+        let (pa, _) = self.physical(addr);
+        if !store {
+            self.proposals.clear();
+            self.stride.propose_into(pc, pa, &mut self.proposals);
+        }
+        pa
+    }
+
+    #[inline]
+    fn proposals(&self) -> &[PhysAddr] {
+        &self.proposals
     }
 }
 
@@ -257,9 +284,11 @@ impl ViewColumn {
     }
 }
 
-/// A machine's place in the [`ViewColumn`] of the turn it executes.
+/// A machine's place in the [`ViewColumn`] of the turn it executes: what
+/// a sweep's cell resolves through. Between turns it holds an empty
+/// column.
 #[derive(Debug, Default)]
-pub(crate) struct Feed {
+pub struct Feed {
     column: Arc<ViewColumn>,
     next: usize,
     next_proposal: usize,
@@ -274,7 +303,7 @@ impl Feed {
 
     /// The next entry's physical address.
     #[inline]
-    pub(crate) fn next(&mut self) -> PhysAddr {
+    fn next(&mut self) -> PhysAddr {
         let pa = self.column.pa[self.next];
         let entry = self.next as u32;
         self.next += 1;
@@ -287,15 +316,28 @@ impl Feed {
         pa
     }
 
-    /// The stride proposals of the entry just read.
-    #[inline]
-    pub(crate) fn proposals(&self) -> &[PhysAddr] {
-        &self.column.proposed[self.proposals.clone()]
-    }
-
     /// Whether every entry of the column has been read.
     pub(crate) fn is_spent(&self) -> bool {
         self.next == self.column.pa.len() && self.next_proposal == self.column.proposed.len()
+    }
+}
+
+/// Each question reads the column's next entry: the frontend's view
+/// answered them in the same order.
+impl Resolver for Feed {
+    #[inline]
+    fn fetch(&mut self, _: VirtAddr) -> PhysAddr {
+        self.next()
+    }
+
+    #[inline]
+    fn data(&mut self, _: VirtAddr, _: VirtAddr, _: bool) -> PhysAddr {
+        self.next()
+    }
+
+    #[inline]
+    fn proposals(&self) -> &[PhysAddr] {
+        &self.column.proposed[self.proposals.clone()]
     }
 }
 
@@ -379,8 +421,11 @@ mod tests {
         assert_eq!(pa2.raw(), pa1.raw() + 8);
         // Loaded code is the machine's to translate; an anonymous page
         // reached by a fetch is the view's.
-        assert_eq!(view.fetch(pc), None);
-        assert_eq!(view.fetch(VirtAddr::new(0x9000_0040)), Some(PhysAddr::new(pa1.raw() + 0x40)));
+        assert_eq!(view.fetch_anonymous(pc), None);
+        assert_eq!(
+            view.fetch_anonymous(VirtAddr::new(0x9000_0040)),
+            Some(PhysAddr::new(pa1.raw() + 0x40))
+        );
     }
 
     #[test]
@@ -419,7 +464,7 @@ mod tests {
             };
             turn.record(&instr, fetch, None);
             if fetch.is_some() {
-                inline.extend(view.fetch(instr.pc).map(|pa| (pa, Vec::new())));
+                inline.extend(view.fetch_anonymous(instr.pc).map(|pa| (pa, Vec::new())));
             }
             let mem = instr.mem.expect("a memory operand");
             let pa = view.data(mem.addr, instr.pc, mem.store);

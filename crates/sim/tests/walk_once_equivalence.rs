@@ -9,7 +9,7 @@
 //! heterogeneous row whose cells share nothing but their stream (L2 size
 //! and ways, page size, overlap rule, policy, armed profilers). The seam
 //! underneath,
-//! [`Frontend::digest`] ∘ [`SimRun::push_group`] with a group of one,
+//! [`Frontend::digest`] ∘ [`CellRun::push_group`] with a group of one,
 //! in either phase, is held to the pull path directly. The
 //! thread budget is held over a checkpoint store too, cold and warm: the
 //! same executor, over a walker from the first instruction and over one
@@ -37,12 +37,11 @@ use trrip_core::ClassifierConfig;
 use trrip_cpu::{StallClass, TraceInstr};
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_cells, policy_sweep_with, simulate, simulate_rows, simulate_source, CheckpointStore,
-    Frontend, PreparedWorkload, SimConfig, SimResult, SimRun, SnapReader, SnapWriter, Snapshot,
-    StreamTurn,
+    policy_cells, policy_sweep_with, simulate, simulate_rows, simulate_source, CellRun,
+    CheckpointStore, Frontend, PreparedWorkload, SimConfig, SimResult, StreamTurn,
 };
 use trrip_trace::source::VecSource;
-use trrip_trace::{SourceIter, TraceSource};
+use trrip_trace::TraceSource;
 use trrip_workloads::{InputSet, TraceGenerator, WorkloadSpec};
 
 static WALKING: RwLock<()> = RwLock::new(());
@@ -242,7 +241,7 @@ fn pushed(
 
     let mut frontend =
         Frontend::new(w, std::slice::from_ref(config), VecSource::new(stream.to_vec(), 1_024));
-    let mut run = SimRun::cell(w, config);
+    let mut run = CellRun::new(w, config);
     let mut turn = StreamTurn::new();
     let mut warming = config.fast_forward;
     if warming == 0 {
@@ -256,13 +255,13 @@ fn pushed(
         if warming > 0 {
             warming -= turn.instructions();
             let last = warming == 0 || !more;
-            SimRun::push_group(&mut [&mut run], &turn, last);
+            CellRun::push_group(&mut [&mut run], &turn, last);
             if last {
                 warming = 0;
                 run.begin_measure();
             }
         } else {
-            SimRun::push_group(&mut [&mut run], &turn, !more);
+            CellRun::push_group(&mut [&mut run], &turn, !more);
         }
         if !more {
             break;
@@ -343,20 +342,20 @@ fn push_seam_takes_empty_slices_and_a_short_stream() {
     let mut frontend =
         Frontend::new(&w, std::slice::from_ref(&config), VecSource::new(stream.clone(), 1_024));
     let (empty, mut turn) = (StreamTurn::new(), StreamTurn::new());
-    let mut run = SimRun::cell(&w, &config);
-    SimRun::push_group(&mut [&mut run], &empty, false);
+    let mut run = CellRun::new(&w, &config);
+    CellRun::push_group(&mut [&mut run], &empty, false);
     assert!(frontend.digest(usize::MAX, &mut turn), "the measure window is still to come");
     assert_eq!(turn.instructions(), 5_000, "a turn stops at the fast-forward boundary");
-    SimRun::push_group(&mut [&mut run], &turn, false);
-    SimRun::push_group(&mut [&mut run], &empty, true);
+    CellRun::push_group(&mut [&mut run], &turn, false);
+    CellRun::push_group(&mut [&mut run], &empty, true);
     run.begin_measure();
-    SimRun::push_group(&mut [&mut run], &empty, false);
+    CellRun::push_group(&mut [&mut run], &empty, false);
     assert!(!frontend.digest(usize::MAX, &mut turn), "the source ran dry");
     assert_eq!(turn.instructions(), 25_000);
-    SimRun::push_group(&mut [&mut run], &turn, false);
+    CellRun::push_group(&mut [&mut run], &turn, false);
     assert!(!frontend.digest(usize::MAX, &mut turn));
     assert_eq!(turn.events(), empty.events(), "nothing is left to digest");
-    SimRun::push_group(&mut [&mut run], &turn, true);
+    CellRun::push_group(&mut [&mut run], &turn, true);
     assert!(run.finish() == pulled, "short stream closed by an empty turn: pushed differs");
 }
 
@@ -442,7 +441,7 @@ fn push_seam_refuses_to_overrun_the_warmup() {
     let w = workload("walk-once-overrun");
     let config = quick_config(100);
     let turn = oversized_turn(&w, &config, 101);
-    SimRun::push_group(&mut [&mut SimRun::cell(&w, &config)], &turn, true);
+    CellRun::push_group(&mut [&mut CellRun::new(&w, &config)], &turn, true);
 }
 
 #[test]
@@ -453,65 +452,9 @@ fn push_seam_refuses_to_overrun_the_measure_window() {
     let mut config = quick_config(0);
     config.instructions = 100;
     let turn = oversized_turn(&w, &config, 101);
-    let mut run = SimRun::cell(&w, &config);
+    let mut run = CellRun::new(&w, &config);
     run.begin_measure();
-    SimRun::push_group(&mut [&mut run], &turn, true);
-}
-
-/// A pushed run's predictor was never trained, so its state is not the
-/// machine's: saving it as a checkpoint would poison every restore.
-#[test]
-#[should_panic(expected = "a pushed run's predictor was never trained")]
-fn a_pushed_run_refuses_to_be_checkpointed() {
-    let _shared = shared();
-    let w = workload("walk-once-no-save");
-    let config = quick_config(100);
-    let turn = oversized_turn(&w, &config, 100);
-    let mut run = SimRun::cell(&w, &config);
-    SimRun::push_group(&mut [&mut run], &turn, true);
-    run.save(&mut SnapWriter::new());
-}
-
-/// A run's side is fixed at load: a cell has no stream view to pull
-/// through, a run that pulls its own stream takes no pushed turns, and a
-/// whole state — its predictor and its view included — does not restore
-/// into a cell.
-#[test]
-fn each_side_refuses_what_belongs_to_the_other() {
-    let _shared = shared();
-    let w = workload("walk-once-sides");
-    let config = quick_config(100);
-    let stream = || SourceIter::new(VecSource::new(eval_stream(&w, &config), 1_024));
-    let refused = |attempt: &mut dyn FnMut()| {
-        let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(attempt))
-            .expect_err("the attempt is refused");
-        payload.downcast_ref::<&str>().map_or_else(
-            || payload.downcast_ref::<String>().cloned().unwrap_or_default(),
-            |message| (*message).to_owned(),
-        )
-    };
-
-    let mut cell = SimRun::cell(&w, &config);
-    let message = refused(&mut || cell.fast_forward(&mut stream()));
-    assert!(message.contains("has no stream view to pull through"), "{message}");
-
-    let turn = oversized_turn(&w, &config, 100);
-    let mut pulling = SimRun::new(&w, &config);
-    let message = refused(&mut || SimRun::push_group(&mut [&mut pulling], &turn, true));
-    assert!(
-        message.contains("a machine that pulls its own stream takes no pushed turns"),
-        "{message}"
-    );
-
-    let mut warmed = SimRun::new(&w, &config);
-    warmed.fast_forward(&mut stream());
-    let mut state = SnapWriter::new();
-    warmed.save(&mut state);
-    let mut cell = SimRun::cell(&w, &config);
-    let message = refused(&mut || {
-        let _ = cell.restore(&mut SnapReader::new(state.bytes()));
-    });
-    assert!(message.contains("not into a cell"), "{message}");
+    CellRun::push_group(&mut [&mut run], &turn, true);
 }
 
 // ---- the seam's guards hold for every run of a group ----
@@ -520,21 +463,10 @@ fn each_side_refuses_what_belongs_to_the_other() {
 fn pair_and_turn<'w>(
     w: &'w PreparedWorkload,
     config: &SimConfig,
-) -> (SimRun<'w>, SimRun<'w>, StreamTurn) {
+) -> (CellRun<'w>, CellRun<'w>, StreamTurn) {
     let turn = oversized_turn(w, config, config.fast_forward as usize);
     let other = config.clone().with_policy(PolicyKind::Trrip1);
-    (SimRun::cell(w, config), SimRun::cell(w, &other), turn)
-}
-
-/// The group's second run is saved; it was pushed just as the first.
-#[test]
-#[should_panic(expected = "a pushed run's predictor was never trained")]
-fn every_run_of_a_pushed_group_refuses_to_be_checkpointed() {
-    let _shared = shared();
-    let w = workload("walk-once-group-no-save");
-    let (mut a, mut b, turn) = pair_and_turn(&w, &quick_config(100));
-    SimRun::push_group(&mut [&mut a, &mut b], &turn, true);
-    b.save(&mut SnapWriter::new());
+    (CellRun::new(w, config), CellRun::new(w, &other), turn)
 }
 
 /// One run of the group has a shorter warmup than the turn: the whole
@@ -545,8 +477,8 @@ fn a_group_refuses_a_turn_that_overruns_one_of_its_runs() {
     let _shared = shared();
     let w = workload("walk-once-group-overrun");
     let (mut a, _, turn) = pair_and_turn(&w, &quick_config(100));
-    let mut short = SimRun::cell(&w, &quick_config(99));
-    SimRun::push_group(&mut [&mut a, &mut short], &turn, true);
+    let mut short = CellRun::new(&w, &quick_config(99));
+    CellRun::push_group(&mut [&mut a, &mut short], &turn, true);
 }
 
 /// A run that has begun measuring cannot share a turn with one still
@@ -558,7 +490,7 @@ fn a_group_refuses_runs_in_different_phases() {
     let w = workload("walk-once-group-phases");
     let (mut measuring, mut warming, turn) = pair_and_turn(&w, &quick_config(100));
     measuring.begin_measure();
-    SimRun::push_group(&mut [&mut measuring, &mut warming], &turn, true);
+    CellRun::push_group(&mut [&mut measuring, &mut warming], &turn, true);
 }
 
 /// A run that already took a turn cannot share the next with one that
@@ -574,8 +506,8 @@ fn a_group_refuses_runs_at_different_positions() {
     let (mut ahead, mut behind, _) = pair_and_turn(&w, &config);
     ahead.begin_measure();
     behind.begin_measure();
-    SimRun::push_group(&mut [&mut ahead], &turn, false);
-    SimRun::push_group(&mut [&mut ahead, &mut behind], &turn, true);
+    CellRun::push_group(&mut [&mut ahead], &turn, false);
+    CellRun::push_group(&mut [&mut ahead, &mut behind], &turn, true);
 }
 
 // ---- rows of one cell: inline, or with the walker running ahead ----
