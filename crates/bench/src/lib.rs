@@ -343,7 +343,15 @@ impl HarnessOptions {
     /// A message naming the plotted benchmarks when `--bench` leaves none
     /// of them: the figure fails rather than writing empty tables.
     pub fn selected_among(&self, plotted: &[&str]) -> Result<Vec<WorkloadSpec>, String> {
-        select_among(self.selected_proxies(), plotted)
+        let mut kept = self.selected_proxies();
+        kept.retain(|s| plotted.contains(&s.name.as_str()));
+        if kept.is_empty() {
+            return Err(format!(
+                "--bench selects none of the benchmarks this figure plots ({})",
+                plotted.join(", ")
+            ));
+        }
+        Ok(kept)
     }
 
     /// The paper config scaled by `--scale`.
@@ -579,22 +587,6 @@ pub fn run_experiment(tool: &'static str, figure: Figure) {
     obs.finish(&[]);
 }
 
-/// The testable core of [`HarnessOptions::selected_among`].
-fn select_among(
-    selected: Vec<WorkloadSpec>,
-    plotted: &[&str],
-) -> Result<Vec<WorkloadSpec>, String> {
-    let kept: Vec<WorkloadSpec> =
-        selected.into_iter().filter(|s| plotted.contains(&s.name.as_str())).collect();
-    if kept.is_empty() {
-        return Err(format!(
-            "--bench selects none of the benchmarks this figure plots ({})",
-            plotted.join(", ")
-        ));
-    }
-    Ok(kept)
-}
-
 /// Appends a line to a report and to stdout at once.
 pub fn emit(report: &mut String, line: &str) {
     println!("{line}");
@@ -764,12 +756,15 @@ mod tests {
     #[test]
     fn a_selection_outside_a_figures_benchmarks_is_an_error_naming_them() {
         let plotted = ["gcc", "sqlite"];
-        let selected = |names: &[&str]| {
-            names.iter().map(|n| trrip_workloads::proxy::by_name(n).expect("a proxy")).collect()
+        let selecting = |names: &[&str]| HarnessOptions {
+            benchmarks: names.iter().map(|n| (*n).to_owned()).collect(),
+            ..HarnessOptions::default()
         };
-        let kept = select_among(selected(&["clang", "gcc"]), &plotted).expect("gcc is plotted");
+        let kept = selecting(&["clang", "gcc"]).selected_among(&plotted).expect("gcc is plotted");
         assert_eq!(kept.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["gcc"]);
-        let err = select_among(selected(&["clang"]), &plotted).unwrap_err();
+        let all = selecting(&[]).selected_among(&plotted).expect("all proxies include both");
+        assert_eq!(all.iter().map(|s| s.name.as_str()).collect::<Vec<_>>(), ["gcc", "sqlite"]);
+        let err = selecting(&["clang"]).selected_among(&plotted).unwrap_err();
         assert!(err.contains("--bench") && err.contains("gcc, sqlite"), "{err}");
     }
 

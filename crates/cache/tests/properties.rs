@@ -25,6 +25,11 @@ fn arb_access(addr_space: u64) -> impl Strategy<Value = Access> {
     })
 }
 
+/// Every policy of the paper, [`PolicyKind::PAPER_SET`].
+fn arb_policy() -> impl Strategy<Value = PolicyKind> {
+    (0..PolicyKind::PAPER_SET.len()).prop_map(|i| PolicyKind::PAPER_SET[i])
+}
+
 fn request(a: Access) -> (MemoryRequest, bool) {
     match a {
         Access::Fetch(x) => (MemoryRequest::fetch(PhysAddr::new(x), VirtAddr::new(x)), false),
@@ -41,11 +46,7 @@ proptest! {
     /// resident, for every policy.
     #[test]
     fn occupancy_bounded_and_fills_resident(
-        kind in prop_oneof![
-            Just(PolicyKind::Lru), Just(PolicyKind::Srrip), Just(PolicyKind::Drrip),
-            Just(PolicyKind::Ship), Just(PolicyKind::Clip), Just(PolicyKind::Emissary),
-            Just(PolicyKind::Trrip1), Just(PolicyKind::Trrip2),
-        ],
+        kind in arb_policy(),
         accesses in prop::collection::vec(arb_access(64), 1..300),
     ) {
         let config = CacheConfig::new(4096, 4); // 16 sets × 4 ways
@@ -88,10 +89,7 @@ proptest! {
     /// L2 policy.
     #[test]
     fn hierarchy_invariants_hold(
-        policy in prop_oneof![
-            Just(PolicyKind::Srrip), Just(PolicyKind::Brrip), Just(PolicyKind::Ship),
-            Just(PolicyKind::Clip), Just(PolicyKind::Emissary), Just(PolicyKind::Trrip1),
-        ],
+        policy in arb_policy(),
         accesses in prop::collection::vec(arb_access(100_000), 1..400),
     ) {
         let mut h = Hierarchy::new(&HierarchyConfig::paper(policy));

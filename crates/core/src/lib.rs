@@ -1,5 +1,5 @@
-//! Core TRRIP algorithm: code-temperature classification and the
-//! temperature-aware re-reference interval prediction policy.
+//! Core TRRIP data types: code temperature, its classification, and the
+//! re-reference prediction state every RRIP-family policy runs on.
 //!
 //! This crate is the distilled form of the paper's primary contribution
 //! ("A TRRIP Down Memory Lane", MICRO 2025): pure data types and state
@@ -15,12 +15,11 @@
 //!   width the paper gives every RRIP-based policy (§4.3), with the named
 //!   points used by RRIP-family policies (immediate, near, intermediate,
 //!   distant).
-//! * [`RripTable`] — every set's RRPV registers, and [`TableSet`], one
-//!   set's row of it with the shared eviction mechanism (increment all
-//!   until a distant line is found), and [`BrripCore`] — BRRIP's
-//!   bimodal insertion throttle.
-//! * [`TrripPolicy`] — Algorithm 1 of the paper: the insertion and update
-//!   sub-policies keyed by request temperature, in two variants.
+//! * [`RripTable`] — every set's RRPV registers and the shared eviction
+//!   mechanism (increment all until a distant line is found). TRRIP
+//!   (Algorithm 1) and the other RRIP-family policies differ only in the
+//!   RRPV they write on a fill and on a hit; those rules live in
+//!   `trrip-policies`, one `match` for each.
 //! * [`classify`] — Equations 1 and 2: percentile-based hot/cold thresholds
 //!   over basic-block execution counts, as computed by LLVM's profile
 //!   summary.
@@ -28,16 +27,17 @@
 //! # Example
 //!
 //! ```
-//! use trrip_core::{RripTable, TrripPolicy, TrripVariant, Temperature};
+//! use trrip_core::{RripTable, Rrpv, Temperature, TemperatureBits};
 //!
 //! let mut table = RripTable::new(2, 8);
-//! let policy = TrripPolicy::new(TrripVariant::V1);
 //!
-//! // Fill a hot instruction line: TRRIP inserts it at immediate re-reference.
-//! let mut set = table.set_mut(1);
-//! let victim = set.find_victim();
-//! policy.on_fill(&mut set, victim, Some(Temperature::Hot));
-//! assert_eq!(set.rrpv(victim).raw(), 0);
+//! // A hot instruction line's request carries its temperature in the
+//! // PTE's attribute bits; TRRIP inserts it at immediate re-reference.
+//! let bits = TemperatureBits::encode(Some(Temperature::Hot));
+//! assert_eq!(bits.decode(), Some(Temperature::Hot));
+//! let victim = table.find_victim(1);
+//! table.set_rrpv(1, victim, Rrpv::immediate());
+//! assert_eq!(table.rrpv(1, victim).raw(), 0);
 //! // The other set still holds nothing but distant lines.
 //! assert_eq!(table.rrpv(0, victim).raw(), 3);
 //! ```
@@ -49,10 +49,8 @@ pub mod classify;
 pub mod rrip;
 pub mod rrpv;
 pub mod temperature;
-pub mod trrip;
 
 pub use classify::{ClassifierConfig, ProfileSummary};
-pub use rrip::{BrripCore, RripTable, TableSet};
+pub use rrip::RripTable;
 pub use rrpv::Rrpv;
 pub use temperature::{Temperature, TemperatureBits};
-pub use trrip::{TrripPolicy, TrripVariant};

@@ -3,9 +3,9 @@
 use std::fmt;
 
 use serde::{Deserialize, Serialize};
-use trrip_core::TrripVariant;
 
-use crate::{Brrip, Clip, Drrip, Emissary, Lru, ReplacementPolicy, Ship, Srrip, Trrip};
+use crate::rrip::Rrip;
+use crate::{Emissary, Lru, ReplacementPolicy, Ship};
 
 /// Identifier for every policy the experiments sweep over.
 ///
@@ -72,14 +72,14 @@ impl PolicyKind {
     pub fn build(self, sets: usize, ways: usize) -> Box<dyn ReplacementPolicy> {
         match self {
             PolicyKind::Lru => Box::new(Lru::new(sets, ways)),
-            PolicyKind::Srrip => Box::new(Srrip::new(sets, ways)),
-            PolicyKind::Brrip => Box::new(Brrip::new(sets, ways)),
-            PolicyKind::Drrip => Box::new(Drrip::new(sets, ways)),
             PolicyKind::Ship => Box::new(Ship::new(sets, ways)),
-            PolicyKind::Clip => Box::new(Clip::new(sets, ways)),
             PolicyKind::Emissary => Box::new(Emissary::new(sets, ways)),
-            PolicyKind::Trrip1 => Box::new(Trrip::new(sets, ways, TrripVariant::V1)),
-            PolicyKind::Trrip2 => Box::new(Trrip::new(sets, ways, TrripVariant::V2)),
+            PolicyKind::Srrip
+            | PolicyKind::Brrip
+            | PolicyKind::Drrip
+            | PolicyKind::Clip
+            | PolicyKind::Trrip1
+            | PolicyKind::Trrip2 => Box::new(Rrip::new(self, sets, ways)),
         }
     }
 }

@@ -1,18 +1,22 @@
 //! Cache replacement policies evaluated in the TRRIP paper.
 //!
 //! One object-safe trait, [`ReplacementPolicy`], and an implementation for
-//! every mechanism of §4.3:
+//! every mechanism of §4.3, each built by [`PolicyKind::build`]:
 //!
 //! | policy | module | notes |
 //! |---|---|---|
 //! | LRU | [`lru`] | true-LRU stacks |
-//! | SRRIP | [`srrip`] | the paper's normalization baseline |
-//! | BRRIP | [`brrip`] | bimodal thrash-resistant insertion |
-//! | DRRIP | [`drrip`] | SRRIP/BRRIP set-dueling, 10-bit PSEL |
+//! | SRRIP | `rrip` | the paper's normalization baseline |
+//! | BRRIP | `rrip` | bimodal thrash-resistant insertion |
+//! | DRRIP | `rrip` | SRRIP/BRRIP set-dueling ([`dueling`]), 10-bit PSEL |
 //! | SHiP | [`ship`] | PC-signature hit predictor, instruction lines only |
-//! | CLIP | [`clip`] | code-line preservation with set-dueling |
+//! | CLIP | `rrip` | code-line preservation with set-dueling |
 //! | Emissary | [`emissary`] | starvation-priority way-locking over LRU |
-//! | TRRIP | [`trrip`] | Algorithm 1, variants 1 and 2 |
+//! | TRRIP | `rrip` | Algorithm 1, variants 1 and 2 |
+//!
+//! The six RRIP-family policies are one crate-private type: they share
+//! RRIP's eviction and differ only in the RRPV written on a fill and on a
+//! hit, so `rrip` states their rules as one `match` each.
 //!
 //! The cache model drives a policy through a fixed protocol:
 //!
@@ -31,29 +35,20 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod brrip;
-pub mod clip;
-pub mod drrip;
 pub mod dueling;
 pub mod emissary;
 pub mod info;
 pub mod kind;
 pub mod lru;
+mod rrip;
 pub mod ship;
-pub mod srrip;
-pub mod trrip;
 
-pub use brrip::Brrip;
-pub use clip::Clip;
-pub use drrip::Drrip;
 pub use dueling::SetDueling;
 pub use emissary::Emissary;
 pub use info::RequestInfo;
 pub use kind::PolicyKind;
 pub use lru::Lru;
 pub use ship::Ship;
-pub use srrip::Srrip;
-pub use trrip::Trrip;
 
 /// A cache replacement policy attached to one cache instance.
 ///

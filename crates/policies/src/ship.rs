@@ -112,7 +112,7 @@ impl ReplacementPolicy for Ship {
     }
 
     fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
-        self.sets.set_mut(set).find_victim()
+        self.sets.find_victim(set)
     }
 
     fn on_evict(&mut self, set: usize, way: usize) {
@@ -152,7 +152,7 @@ impl ReplacementPolicy for Ship {
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
         self.meta[set * self.ways + way] = LineMeta::default();
-        self.sets.set_mut(set).invalidate(way);
+        self.sets.invalidate(set, way);
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -183,6 +183,12 @@ impl ReplacementPolicy for Ship {
                 "SHCT size: snapshot has {}, instance has {}",
                 shct.len(),
                 self.shct.len()
+            )));
+        }
+        if let Some(&counter) = shct.iter().find(|&&c| c > Ship::COUNTER_MAX) {
+            return Err(SnapError::Corrupt(format!(
+                "SHCT counter {counter} above its {}-bit maximum",
+                Ship::COUNTER_BITS
             )));
         }
         self.shct.copy_from_slice(shct);
@@ -258,6 +264,31 @@ mod tests {
         p.on_evict(0, 1);
         // Dead data eviction must not train the SHCT.
         assert_eq!(p.counter_for_pc(req.pc), before);
+    }
+
+    #[test]
+    fn an_shct_counter_past_its_width_is_refused() {
+        let mut p = ship();
+        p.on_fill(0, 0, &RequestInfo::ifetch(0x4000));
+        let mut w = SnapWriter::new();
+        p.save_state(&mut w);
+        let bytes = w.into_bytes();
+        let mut restored = ship();
+        restored.restore_state(&mut SnapReader::new(&bytes)).expect("valid bytes");
+        let mut again = SnapWriter::new();
+        restored.save_state(&mut again);
+        assert_eq!(again.bytes(), bytes, "valid bytes restore as they were saved");
+
+        // The SHCT field ends just before the escape counter's one byte.
+        let mut bytes = bytes;
+        let last_counter = bytes.len() - 2;
+        assert_eq!(bytes[last_counter], Ship::COUNTER_START);
+        bytes[last_counter] = Ship::COUNTER_MAX + 1;
+        let err = ship().restore_state(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(&err, SnapError::Corrupt(what) if what.contains("SHCT counter 4")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! must hold for any policy under any access sequence.
 
 use proptest::prelude::*;
-use trrip_core::Temperature;
+use trrip_core::{RripTable, Rrpv, Temperature};
 use trrip_policies::{Emissary, PolicyKind, ReplacementPolicy, RequestInfo};
+use trrip_snap::{SnapReader, SnapWriter, Snapshot};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -13,17 +14,7 @@ enum Op {
 }
 
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
-    prop_oneof![
-        Just(PolicyKind::Lru),
-        Just(PolicyKind::Srrip),
-        Just(PolicyKind::Brrip),
-        Just(PolicyKind::Drrip),
-        Just(PolicyKind::Ship),
-        Just(PolicyKind::Clip),
-        Just(PolicyKind::Emissary),
-        Just(PolicyKind::Trrip1),
-        Just(PolicyKind::Trrip2),
-    ]
+    (0..PolicyKind::PAPER_SET.len()).prop_map(|i| PolicyKind::PAPER_SET[i])
 }
 
 fn arb_op(sets: usize, ways: usize) -> impl Strategy<Value = Op> {
@@ -34,21 +25,62 @@ fn arb_op(sets: usize, ways: usize) -> impl Strategy<Value = Op> {
     ]
 }
 
+fn arb_temperature() -> impl Strategy<Value = Option<Temperature>> {
+    prop_oneof![
+        Just(None),
+        Just(Some(Temperature::Hot)),
+        Just(Some(Temperature::Warm)),
+        Just(Some(Temperature::Cold)),
+    ]
+}
+
 fn arb_request() -> impl Strategy<Value = RequestInfo> {
-    (
-        any::<u64>(),
-        any::<bool>(),
-        prop_oneof![
-            Just(None),
-            Just(Some(Temperature::Hot)),
-            Just(Some(Temperature::Warm)),
-            Just(Some(Temperature::Cold)),
-        ],
-    )
-        .prop_map(|(pc, instr, temp)| {
-            let base = if instr { RequestInfo::ifetch(pc) } else { RequestInfo::data_load(pc) };
-            base.with_temperature(temp)
-        })
+    (any::<u64>(), any::<bool>(), arb_temperature()).prop_map(|(pc, instr, temp)| {
+        let base = if instr { RequestInfo::ifetch(pc) } else { RequestInfo::data_load(pc) };
+        base.with_temperature(temp)
+    })
+}
+
+fn arb_trrip() -> impl Strategy<Value = PolicyKind> {
+    prop_oneof![Just(PolicyKind::Trrip1), Just(PolicyKind::Trrip2)]
+}
+
+/// The row the TRRIP properties drive; row 0 is the neighbour that must
+/// not move.
+const ROW: usize = 1;
+
+/// An RRIP-family policy's RRPVs: its saved state opens with its table.
+fn table_of(policy: &dyn ReplacementPolicy, sets: usize, ways: usize) -> RripTable {
+    let mut w = SnapWriter::new();
+    policy.save_state(&mut w);
+    let mut table = RripTable::new(sets, ways);
+    table.restore(&mut SnapReader::new(w.bytes())).expect("an RRIP state opens with its table");
+    table
+}
+
+/// `kind` over two sets of `ways`, row 0 filled with a mix of hot, warm,
+/// cold and untyped lines, some of them hit: a pattern that aging, a
+/// promotion or a fill of row [`ROW`] would disturb.
+fn two_rows(kind: PolicyKind, ways: usize) -> Box<dyn ReplacementPolicy> {
+    let mut policy = kind.build(2, ways);
+    let temperatures = [Some(Temperature::Hot), Some(Temperature::Warm), None];
+    for way in 0..ways {
+        let req = RequestInfo::ifetch(0x40).with_temperature(temperatures[way % 3]);
+        policy.on_fill(0, way, &req);
+        if way % 2 == 1 {
+            policy.on_hit(
+                0,
+                way,
+                &RequestInfo::ifetch(0x40).with_temperature(Some(Temperature::Cold)),
+            );
+        }
+    }
+    policy
+}
+
+/// Row 0 of `after` is row 0 of `before`.
+fn neighbour_untouched(before: &RripTable, after: &RripTable) -> bool {
+    (0..before.ways()).all(|way| before.rrpv(0, way) == after.rrpv(0, way))
 }
 
 proptest! {
@@ -185,6 +217,81 @@ proptest! {
             policy.on_fill(0, v, &req);
             policy.on_hit(0, protected, &hot);
         }
+    }
+}
+
+proptest! {
+    /// Fills and hits with any temperature keep RRPVs inside the 2-bit
+    /// field, for both TRRIP variants, and leave the other set alone.
+    #[test]
+    fn trrip_ops_stay_in_field(
+        kind in arb_trrip(),
+        ops in prop::collection::vec((0u8..2, 0usize..4, arb_temperature()), 0..64),
+    ) {
+        let mut policy = two_rows(kind, 4);
+        let before = table_of(&*policy, 2, 4);
+        for (op, way, temperature) in ops {
+            let req = RequestInfo::ifetch(0x40).with_temperature(temperature);
+            match op {
+                0 => policy.on_fill(ROW, way, &req),
+                _ => policy.on_hit(ROW, way, &req),
+            }
+            // The table restores only RRPVs inside the field.
+            prop_assert!(table_of(&*policy, 2, 4).rrpv(ROW, way) <= Rrpv::distant());
+        }
+        prop_assert!(neighbour_untouched(&before, &table_of(&*policy, 2, 4)));
+    }
+
+    /// TRRIP insertion priority is monotone in temperature: for either
+    /// variant, hot inserts at a priority at least as high as warm, which
+    /// is at least as high as cold or untyped (lower RRPV = higher priority).
+    #[test]
+    fn trrip_insertion_monotone_in_temperature(kind in arb_trrip(), way in 0usize..4) {
+        let rrpv_for = |temperature: Option<Temperature>| {
+            let mut policy = two_rows(kind, 4);
+            let before = table_of(&*policy, 2, 4);
+            policy.on_fill(ROW, way, &RequestInfo::ifetch(0x40).with_temperature(temperature));
+            let after = table_of(&*policy, 2, 4);
+            assert!(neighbour_untouched(&before, &after));
+            after.rrpv(ROW, way)
+        };
+        let hot = rrpv_for(Some(Temperature::Hot));
+        let warm = rrpv_for(Some(Temperature::Warm));
+        let cold = rrpv_for(Some(Temperature::Cold));
+        let none = rrpv_for(None);
+        prop_assert!(hot <= warm);
+        prop_assert!(warm <= cold);
+        prop_assert_eq!(cold, none);
+    }
+
+    /// TRRIP with no temperature information is exactly SRRIP, whole state
+    /// and victims, for any interleaving of fills, hits and misses, of
+    /// instruction or data requests.
+    #[test]
+    fn untyped_trrip_equals_srrip(
+        kind in arb_trrip(),
+        ops in prop::collection::vec((0u8..3, 0usize..8, any::<bool>()), 0..64),
+    ) {
+        let mut trrip = two_rows(kind, 8);
+        let mut srrip = two_rows(PolicyKind::Srrip, 8);
+        let before = table_of(&*trrip, 2, 8);
+        for (op, way, instruction) in ops {
+            let req = if instruction { RequestInfo::ifetch(0x40) } else { RequestInfo::data_load(0x40) };
+            match op {
+                0 => {
+                    trrip.on_fill(ROW, way, &req);
+                    srrip.on_fill(ROW, way, &req);
+                }
+                1 => {
+                    trrip.on_hit(ROW, way, &req);
+                    srrip.on_hit(ROW, way, &req);
+                }
+                _ => prop_assert_eq!(trrip.choose_victim(ROW, &req), srrip.choose_victim(ROW, &req)),
+            }
+            let (t, s) = (table_of(&*trrip, 2, 8), table_of(&*srrip, 2, 8));
+            prop_assert!((0..8).all(|way| t.rrpv(ROW, way) == s.rrpv(ROW, way)));
+        }
+        prop_assert!(neighbour_untouched(&before, &table_of(&*trrip, 2, 8)));
     }
 }
 

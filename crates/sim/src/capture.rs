@@ -55,7 +55,8 @@ pub(crate) fn eval_walker<'w>(
 ///
 /// # Errors
 ///
-/// Propagates I/O failures from the writer; the partial file is removed.
+/// Propagates I/O failures from the writer and from the final rename;
+/// either way the temp file is removed and `path` is left as it was.
 pub fn capture_trace(
     workload: &PreparedWorkload,
     config: &SimConfig,
@@ -68,17 +69,12 @@ pub fn capture_trace(
             let length = usize::try_from(capture_length(config)).unwrap_or(usize::MAX);
             writer.write_all(eval_walker(workload, config).take(length))?;
             Ok(writer.finish()?)
-        });
-    match written {
-        Ok(meta) => {
-            std::fs::rename(&tmp, path)?;
-            Ok(meta)
-        }
-        Err(e) => {
-            let _ = std::fs::remove_file(&tmp);
-            Err(e)
-        }
+        })
+        .and_then(|meta| std::fs::rename(&tmp, path).map(|()| meta).map_err(TraceError::from));
+    if written.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
+    written
 }
 
 /// Identifies everything `workload`'s eval stream under `config.layout`
@@ -250,6 +246,22 @@ mod tests {
         assert_eq!(meta.name, "capture-test");
         let header = StreamingReplay::open(&path).expect("open").meta().clone();
         assert_eq!(header, meta);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_rename_that_fails_leaves_the_out_dir_as_it_was() {
+        let dir = std::env::temp_dir().join("trrip-capture-rename-test");
+        std::fs::remove_dir_all(&dir).ok();
+        // A directory already sits where the capture would land.
+        let path = dir.join("t.trrip");
+        std::fs::create_dir_all(&path).expect("make the blocking directory");
+        let err = capture_trace(&quick_workload(), &quick_config(), &path).unwrap_err();
+        assert!(matches!(err, TraceError::Io(_)), "{err}");
+        let left: Vec<_> =
+            std::fs::read_dir(&dir).expect("list").map(|e| e.unwrap().path()).collect();
+        assert_eq!(left, std::slice::from_ref(&path), "the temp file stays behind");
+        assert!(path.is_dir() && std::fs::read_dir(&path).expect("list").next().is_none());
         std::fs::remove_dir_all(&dir).ok();
     }
 
