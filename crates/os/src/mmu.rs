@@ -135,8 +135,11 @@ impl Mmu {
     ///
     /// With a good hint, lookup plus stamp update is O(1); a stale hint
     /// costs one scan of the entries, and only misses run the LRU victim
-    /// scan. Inlined: this sits on the L1-hit fast path, where it is
-    /// usually the only work besides the L1 probe.
+    /// scan. This sits on the L1-hit fast path, where it is usually the
+    /// only work besides the L1 probe. `#[inline]` only offers the body
+    /// to other crates: the workspace's release profile (fat LTO, one
+    /// codegen unit) inlines it into the cell loop, `Run::push_group`,
+    /// while a per-crate build keeps an out-of-line copy.
     #[inline]
     pub fn touch(&mut self, vaddr: VirtAddr) {
         let vpn = self.page_size.page_of(vaddr).raw();

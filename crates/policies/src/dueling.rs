@@ -143,7 +143,7 @@ impl Snapshot for SetDueling {
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let psel = r.u64()?;
         if psel > u64::from(self.psel_max) {
-            return Err(SnapError::Mismatch(format!(
+            return Err(SnapError::Corrupt(format!(
                 "PSEL value {psel} exceeds counter maximum {}",
                 self.psel_max
             )));
@@ -210,6 +210,19 @@ mod tests {
             duel.record_miss(4); // B leader (stride 8, half 4)
         }
         assert_eq!(duel.psel(), 0);
+    }
+
+    #[test]
+    fn a_psel_past_its_maximum_is_refused_as_corrupt() {
+        // One past the 10-bit maximum, 1023.
+        let mut w = SnapWriter::new();
+        w.u64(1 << SetDueling::PSEL_BITS);
+        let bytes = w.into_bytes();
+        let err = SetDueling::new(256).restore(&mut SnapReader::new(&bytes)).unwrap_err();
+        assert!(
+            matches!(&err, SnapError::Corrupt(what) if what.contains("PSEL value 1024")),
+            "{err}"
+        );
     }
 
     #[test]

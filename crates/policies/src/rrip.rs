@@ -166,7 +166,7 @@ impl ReplacementPolicy for Rrip {
         if self.throttled() {
             let counter = r.u64()?;
             if counter >= u64::from(Rrip::THROTTLE) {
-                return Err(SnapError::Mismatch(format!(
+                return Err(SnapError::Corrupt(format!(
                     "BRRIP throttle counter {counter} out of range for throttle {}",
                     Rrip::THROTTLE
                 )));
@@ -584,6 +584,22 @@ mod tests {
             srrip.on_hit(0, (v + 1) % 4, &r);
             assert_eq!(trrip.table, srrip.table);
         }
+    }
+
+    #[test]
+    fn a_throttle_counter_past_its_range_is_refused_as_corrupt() {
+        let p = Rrip::new(PolicyKind::Brrip, 4, 4);
+        let mut w = SnapWriter::new();
+        p.table.save(&mut w);
+        w.u64(u64::from(Rrip::THROTTLE));
+        let bytes = w.into_bytes();
+        let err = Rrip::new(PolicyKind::Brrip, 4, 4)
+            .restore_state(&mut SnapReader::new(&bytes))
+            .unwrap_err();
+        assert!(
+            matches!(&err, SnapError::Corrupt(what) if what.contains("throttle counter 32")),
+            "{err}"
+        );
     }
 
     #[test]
