@@ -1,6 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment(
-        "fig2_topdown_proxy",
-        trrip_bench::figures::fig2_topdown_proxy::run,
-    );
+    trrip_bench::run_experiment(&trrip_bench::figures::fig2_topdown_proxy::FIGURE);
 }

@@ -1,3 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment("fig6_speedup", trrip_bench::figures::fig6_speedup::run);
+    trrip_bench::run_experiment(&trrip_bench::figures::fig6_speedup::FIGURE);
 }

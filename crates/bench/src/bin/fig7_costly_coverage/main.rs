@@ -1,6 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment(
-        "fig7_costly_coverage",
-        trrip_bench::figures::fig7_costly_coverage::run,
-    );
+    trrip_bench::run_experiment(&trrip_bench::figures::fig7_costly_coverage::FIGURE);
 }

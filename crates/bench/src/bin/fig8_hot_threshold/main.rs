@@ -1,6 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment(
-        "fig8_hot_threshold",
-        trrip_bench::figures::fig8_hot_threshold::run,
-    );
+    trrip_bench::run_experiment(&trrip_bench::figures::fig8_hot_threshold::FIGURE);
 }

@@ -1,3 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment("overlap_ablation", trrip_bench::figures::overlap_ablation::run);
+    trrip_bench::run_experiment(&trrip_bench::figures::overlap_ablation::FIGURE);
 }

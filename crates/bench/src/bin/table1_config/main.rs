@@ -1,3 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment("table1_config", trrip_bench::figures::table1_config::run);
+    trrip_bench::run_experiment(&trrip_bench::figures::table1_config::FIGURE);
 }

@@ -1,3 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment("table2_benchmarks", trrip_bench::figures::table2_benchmarks::run);
+    trrip_bench::run_experiment(&trrip_bench::figures::table2_benchmarks::FIGURE);
 }

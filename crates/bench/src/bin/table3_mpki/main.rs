@@ -1,3 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment("table3_mpki", trrip_bench::figures::table3_mpki::run);
+    trrip_bench::run_experiment(&trrip_bench::figures::table3_mpki::FIGURE);
 }

@@ -1,3 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment("table4_power_area", trrip_bench::figures::table4_power_area::run);
+    trrip_bench::run_experiment(&trrip_bench::figures::table4_power_area::FIGURE);
 }

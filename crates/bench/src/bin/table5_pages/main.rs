@@ -1,3 +1,3 @@
 fn main() {
-    trrip_bench::run_experiment("table5_pages", trrip_bench::figures::table5_pages::run);
+    trrip_bench::run_experiment(&trrip_bench::figures::table5_pages::FIGURE);
 }

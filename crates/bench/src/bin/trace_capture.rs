@@ -10,19 +10,24 @@
 use std::time::Instant;
 
 use trrip_analysis::TextTable;
-use trrip_bench::Session;
+use trrip_bench::{HarnessOptions, USAGE};
 use trrip_policies::PolicyKind;
 use trrip_sim::{capture_length, capture_trace};
 
 fn main() {
-    trrip_bench::run_experiment("trace_capture", run);
+    let options = HarnessOptions::from_args(std::env::args().skip(1), USAGE);
+    let obs = options.obs_session("trace_capture");
+    if let Err(message) = run(&options) {
+        eprintln!("error: {message}");
+        std::process::exit(2);
+    }
+    obs.finish(&[]);
 }
 
-fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
+fn run(options: &HarnessOptions) -> Result<(), String> {
     let config = options.sim_config(PolicyKind::Srrip);
     let specs = options.selected_proxies();
-    let workloads = session.prepare(&specs, &config, config.classifier);
+    let workloads = options.prepare(&specs, &config, config.classifier);
 
     let mut table = TextTable::new(vec!["bench", "instrs", "bytes", "B/instr", "Minstr/s"]);
     for workload in workloads.iter() {
@@ -43,6 +48,5 @@ fn run(session: &Session) -> Result<(), String> {
     }
     println!("captured traces in {}", options.out_dir.display());
     println!("{table}");
-    options.write_report("trace_capture.txt", &table.to_string());
-    Ok(())
+    options.write_report("trace_capture.txt", &table.to_string())
 }

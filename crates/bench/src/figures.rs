@@ -1,9 +1,9 @@
-//! The body of every report: one module per experiment binary, each a
-//! [`Figure`](crate::Figure) named `run`. A binary runs one in a
-//! [`Session`](crate::Session) of its own; `all_experiments` runs the
-//! paper's twelve in one.
+//! Every report: one module per experiment binary, each a [`Figure`]
+//! named `FIGURE`. A binary [`regenerate`](crate::regenerate)s one;
+//! `all_experiments` the twelve.
 
-pub mod calibrate;
+use crate::Figure;
+
 pub mod fig1_topdown_system;
 pub mod fig2_topdown_proxy;
 pub mod fig3_reuse_distance;
@@ -17,3 +17,19 @@ pub mod table2_benchmarks;
 pub mod table3_mpki;
 pub mod table4_power_area;
 pub mod table5_pages;
+
+/// The paper's twelve tables and figures, in the order they are written.
+pub const PAPER: [Figure; 12] = [
+    table1_config::FIGURE,
+    table2_benchmarks::FIGURE,
+    fig1_topdown_system::FIGURE,
+    fig2_topdown_proxy::FIGURE,
+    fig3_reuse_distance::FIGURE,
+    fig6_speedup::FIGURE,
+    table3_mpki::FIGURE,
+    table4_power_area::FIGURE,
+    fig7_costly_coverage::FIGURE,
+    fig8_hot_threshold::FIGURE,
+    fig9_cache_sensitivity::FIGURE,
+    table5_pages::FIGURE,
+];

@@ -7,40 +7,39 @@ use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
-use trrip_sim::simulate_rows;
 
-use crate::Session;
+use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
-/// Runs Figure 1 and writes `fig1_topdown_system.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
-    // Figure 1's platform runs the production policy; PGO layout.
-    let config = options.sim_config(PolicyKind::Srrip);
-    let specs = trrip_workloads::mobile::all();
-    let workloads = session.prepare(&specs, &config, config.classifier);
+/// Figure 1, written to `fig1_topdown_system.txt`.
+pub const FIGURE: Figure = Figure { name: "fig1_topdown_system", plan, render, claims: &CLAIMS };
 
+/// All five components keep a considerable frontend fraction with PGO.
+const CLAIMS: [(&str, Paper); 1] = [("fig1.frontend_pct_min", Paper::Positive)];
+
+// Figure 1's platform runs the production policy; PGO layout.
+fn plan(options: &HarnessOptions) -> Result<Plan, String> {
+    Ok(Plan::grid(&trrip_workloads::mobile::all(), &[options.sim_config(PolicyKind::Srrip)]))
+}
+
+fn render(results: &Results) -> Report {
+    let config = results.options.sim_config(PolicyKind::Srrip);
     let mut table = TextTable::new(vec!["component", "retire", "backend", "mispred.", "frontend"]);
-    // A row of one cell each, `--jobs` rows at a time.
-    let results = simulate_rows(options.jobs, workloads.len(), |i| (&workloads[i], config.clone()));
-    for (w, r) in workloads.iter().zip(&results) {
-        let td = &r.core.topdown;
+    let mut least_frontend = f64::INFINITY;
+    for spec in trrip_workloads::mobile::all() {
+        let td = &results.get(&spec, &config).core.topdown;
         // Figure 1 groups Top-Down into four buckets: frontend = ifetch,
         // backend = depend + issue + mem + other.
-        let backend = td.fraction(Some(StallClass::Depend))
-            + td.fraction(Some(StallClass::Issue))
-            + td.fraction(Some(StallClass::Mem))
-            + td.fraction(Some(StallClass::Other));
+        let backend = [StallClass::Depend, StallClass::Issue, StallClass::Mem, StallClass::Other];
+        let backend: f64 = backend.map(|c| td.fraction(Some(c))).iter().sum();
+        least_frontend = least_frontend.min(td.fraction(Some(StallClass::Ifetch)) * 100.0);
         table.row(vec![
-            w.spec.name.clone(),
+            spec.name.clone(),
             pct(td.fraction(None)),
             pct(backend),
             pct(td.fraction(Some(StallClass::Mispred))),
             pct(td.fraction(Some(StallClass::Ifetch))),
         ]);
     }
-    println!("Figure 1: Top-Down breakdown of mobile system components (PGO)");
-    println!("{table}");
-    println!("paper: all five components show a considerable frontend fraction even with PGO");
-    options.write_report("fig1_topdown_system.txt", &format!("{table}\n{}", table.to_csv()));
-    Ok(())
+    let file = format!("{table}\n{}", table.to_csv());
+    Report { file, claims: claims(&CLAIMS, [Some(least_frontend)]) }
 }

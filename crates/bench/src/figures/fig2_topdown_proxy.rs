@@ -8,56 +8,44 @@ use trrip_analysis::TextTable;
 use trrip_compiler::LayoutKind;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
-use trrip_sim::{simulate_rows, SimConfig};
+use trrip_sim::SimConfig;
 
-use crate::Session;
+use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
-/// Runs Figure 2 and writes `fig2_topdown_proxy.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
+/// Figure 2, written to `fig2_topdown_proxy.txt`.
+pub const FIGURE: Figure = Figure { name: "fig2_topdown_proxy", plan, render, claims: &CLAIMS };
+
+/// PGO raises retire on every benchmark (the least rise, in points), yet
+/// ifetch stays a major stall class (its least share).
+const CLAIMS: [(&str, Paper); 2] =
+    [("fig2.pgo_retire_gain_min", Paper::Positive), ("fig2.pgo_ifetch_pct_min", Paper::Positive)];
+
+/// Two layouts are two streams: each workload is two rows of one cell.
+fn cells(options: &HarnessOptions) -> [SimConfig; 2] {
     let config = options.sim_config(PolicyKind::Srrip);
-    let specs = options.selected_proxies();
-    let workloads = session.prepare(&specs, &config, config.classifier);
+    [LayoutKind::SourceOrder, LayoutKind::Pgo].map(|layout| SimConfig { layout, ..config.clone() })
+}
 
+fn plan(options: &HarnessOptions) -> Result<Plan, String> {
+    Ok(Plan::grid(&options.selected_proxies(), &cells(options)))
+}
+
+fn render(results: &Results) -> Report {
     let mut table = TextTable::new(vec![
         "bench", "retire", "other", "mem", "issue", "depend", "mispred.", "ifetch",
     ]);
-    let mut pgo_retire_gains = 0usize;
-    // Two layouts are two streams: two rows of one cell per workload,
-    // `--jobs` rows at a time.
-    let layouts = [LayoutKind::SourceOrder, LayoutKind::Pgo];
-    let results = simulate_rows(options.jobs, workloads.len() * layouts.len(), |i| {
-        let layout = layouts[i % layouts.len()];
-        (&workloads[i / layouts.len()], SimConfig { layout, ..config.clone() })
-    });
-    for (w, rows) in workloads.iter().zip(results.chunks(layouts.len())) {
-        for (layout, r) in layouts.into_iter().zip(rows) {
-            let td = &r.core.topdown;
-            let name = match layout {
-                LayoutKind::SourceOrder => w.spec.name.clone(),
-                LayoutKind::Pgo => format!("{}*", w.spec.name),
-            };
-            table.row(vec![
-                name,
-                pct(td.fraction(None)),
-                pct(td.fraction(Some(StallClass::Other))),
-                pct(td.fraction(Some(StallClass::Mem))),
-                pct(td.fraction(Some(StallClass::Issue))),
-                pct(td.fraction(Some(StallClass::Depend))),
-                pct(td.fraction(Some(StallClass::Mispred))),
-                pct(td.fraction(Some(StallClass::Ifetch))),
-            ]);
-            if layout == LayoutKind::Pgo {
-                pgo_retire_gains += 1;
-            }
+    let (mut least_gain, mut least_ifetch) = (f64::INFINITY, f64::INFINITY);
+    for spec in results.options.selected_proxies() {
+        let [plain, pgo] = cells(&results.options).map(|c| &results.get(&spec, &c).core.topdown);
+        let gain = pgo.fraction(None) - plain.fraction(None);
+        least_gain = least_gain.min(gain * 100.0);
+        least_ifetch = least_ifetch.min(pgo.fraction(Some(StallClass::Ifetch)) * 100.0);
+        for (td, name) in [(plain, spec.name.clone()), (pgo, format!("{}*", spec.name))] {
+            // Retire, then the stall classes top to bottom.
+            let classes = std::iter::once(None).chain(StallClass::ALL.into_iter().rev().map(Some));
+            table.row(std::iter::once(name).chain(classes.map(|c| pct(td.fraction(c)))).collect());
         }
     }
-    println!("Figure 2: Top-Down profiles, non-PGO vs PGO (*)");
-    println!("{table}");
-    println!(
-        "paper: PGO raises retire mainly by cutting ifetch/mispred stalls, yet \
-         ifetch remains a major stall class ({pgo_retire_gains} PGO rows shown)"
-    );
-    options.write_report("fig2_topdown_proxy.txt", &format!("{table}\n{}", table.to_csv()));
-    Ok(())
+    let file = format!("{table}\n{}", table.to_csv());
+    Report { file, claims: claims(&CLAIMS, [Some(least_gain), Some(least_ifetch)]) }
 }

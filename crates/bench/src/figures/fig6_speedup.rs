@@ -6,46 +6,47 @@
 use trrip_analysis::report::geomean_pct;
 use trrip_analysis::TextTable;
 use trrip_policies::PolicyKind;
+use trrip_sim::{policy_cells, SimConfig};
 
-use crate::Session;
+use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
-/// Runs Figure 6 and writes `fig6_speedup.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
-    let config = options.sim_config(PolicyKind::Srrip);
-    let specs = options.selected_proxies();
-    let workloads = session.prepare(&specs, &config, config.classifier);
-    let sweep = session.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
+/// Figure 6, written to `fig6_speedup.txt`.
+pub const FIGURE: Figure = Figure { name: "fig6_speedup", plan, render, claims: &CLAIMS };
 
-    let shown: Vec<PolicyKind> =
-        PolicyKind::PAPER_SET.into_iter().filter(|&p| p != PolicyKind::Srrip).collect();
-    let mut headers = vec!["bench".to_owned()];
-    headers.extend(shown.iter().map(|p| p.name().to_owned()));
-    let mut table = TextTable::new(headers);
+/// The paper's geomean speedups, in the order of [`cells`] after SRRIP.
+#[rustfmt::skip]
+const CLAIMS: [(&str, Paper); 8] = [
+    ("fig6.speedup.lru", Paper::Value(0.0)), ("fig6.speedup.brrip", Paper::Negative),
+    ("fig6.speedup.drrip", Paper::Negative), ("fig6.speedup.ship", Paper::Negative),
+    ("fig6.speedup.clip", Paper::Value(1.6)), ("fig6.speedup.emissary", Paper::Value(0.5)),
+    ("fig6.speedup.trrip-1", Paper::Value(3.9)), ("fig6.speedup.trrip-2", Paper::Value(3.9)),
+];
 
-    let mut per_policy: Vec<Vec<f64>> = vec![Vec::new(); shown.len()];
-    for bench in &sweep.benchmarks {
-        let base = sweep.get(bench, PolicyKind::Srrip);
-        let mut row = vec![bench.clone()];
-        for (i, &p) in shown.iter().enumerate() {
-            let s = sweep.get(bench, p).speedup_vs(base);
-            per_policy[i].push(s);
-            row.push(format!("{s:+.2}"));
-        }
-        table.row(row);
+/// The paper machine under the nine policies of the figure, SRRIP first;
+/// Table 3 reads the same cells.
+pub(crate) fn cells(options: &HarnessOptions) -> Vec<SimConfig> {
+    policy_cells(&options.sim_config(PolicyKind::Srrip), &PolicyKind::PAPER_SET)
+}
+
+fn plan(options: &HarnessOptions) -> Result<Plan, String> {
+    Ok(Plan::grid(&options.selected_proxies(), &cells(options)))
+}
+
+fn render(results: &Results) -> Report {
+    let specs = results.options.selected_proxies();
+    let cells = cells(&results.options);
+    let (base, shown) = cells.split_first().expect("SRRIP leads");
+    let names = shown.iter().map(|c| c.hierarchy.l2_policy.name());
+    let mut table = TextTable::new(std::iter::once("bench").chain(names).collect());
+
+    let speedups: Vec<Vec<f64>> = shown.iter().map(|c| results.speedups(&specs, c, base)).collect();
+    for (i, spec) in specs.iter().enumerate() {
+        let row = speedups.iter().map(|s| format!("{:+.2}", s[i]));
+        table.row(std::iter::once(spec.name.clone()).chain(row).collect());
     }
-    let mut geo_row = vec!["geomean".to_owned()];
-    for speeds in &per_policy {
-        geo_row.push(format!("{:+.2}", geomean_pct(speeds)));
-    }
-    table.row(geo_row);
-
-    println!("Figure 6: speedup (%) over SRRIP at the L2");
-    println!("{table}");
-    println!(
-        "paper geomeans: LRU ~0, BRRIP strongly negative, DRRIP/SHiP negative,\n\
-         CLIP +1.6, EMISSARY +0.5, TRRIP-1 +3.9, TRRIP-2 +3.9"
-    );
-    options.write_report("fig6_speedup.txt", &format!("{table}\n{}", table.to_csv()));
-    Ok(())
+    let geomeans: Vec<f64> = speedups.iter().map(|s| geomean_pct(s)).collect();
+    let row = geomeans.iter().map(|g| format!("{g:+.2}"));
+    table.row(std::iter::once("geomean".to_owned()).chain(row).collect());
+    let file = format!("{table}\n{}", table.to_csv());
+    Report { file, claims: claims(&CLAIMS, geomeans.into_iter().map(Some)) }
 }

@@ -6,10 +6,8 @@
 //! (b) TRRIP-1 speedup per threshold, rebuilt per point as in the paper —
 //!     selectivity matters: 100% (≈ CLIP) underperforms 99%.
 //!
-//! Each workload trains once; every threshold recompiles from that one
-//! profile.
-
-use std::sync::Arc;
+//! A threshold is a classifier, so each workload trains once and every
+//! threshold compiles from that one profile.
 
 use trrip_analysis::report::pct;
 use trrip_analysis::TextTable;
@@ -17,79 +15,64 @@ use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
 
-use crate::Session;
+use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+
+/// Figure 8, written to `fig8_hot_threshold.txt`.
+pub const FIGURE: Figure = Figure { name: "fig8_hot_threshold", plan, render, claims: &CLAIMS };
+
+/// Past 99% the hot section grows, and 99% beats 100% (least over the
+/// benchmarks, in points).
+const CLAIMS: [(&str, Paper); 2] = [
+    ("fig8.hot_growth_past_99_min", Paper::Positive),
+    ("fig8.speedup_99_over_100_min", Paper::Positive),
+];
 
 const THRESHOLDS: [f64; 5] = [0.10, 0.80, 0.99, 0.9999, 1.0];
 /// The subset of benchmarks Figure 8 plots.
 const BENCHES: [&str; 6] = ["abseil", "deepsjeng", "gcc", "omnetpp", "rapidjson", "sqlite"];
 
-/// Runs Figure 8 and writes `fig8_hot_threshold.txt`.
-///
-/// # Errors
-///
-/// When `--bench` selects none of the six benchmarks Figure 8 plots.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
-    let base_config = options.sim_config(PolicyKind::Trrip1);
-    let specs = options.selected_among(&BENCHES)?;
+/// The paper machine under `policy`, compiled at `threshold`.
+fn cell(options: &HarnessOptions, threshold: f64, policy: PolicyKind) -> SimConfig {
+    let classifier = ClassifierConfig::with_percentile_hot(threshold);
+    SimConfig { classifier, ..options.sim_config(policy) }
+}
 
-    let mut headers = vec!["bench".to_owned(), "section".to_owned()];
-    headers.extend(THRESHOLDS.iter().map(|t| format!("{}%", t * 100.0)));
-    let mut table_a = TextTable::new(headers);
+/// Fails when `--bench` selects none of the six benchmarks Figure 8 plots.
+fn plan(options: &HarnessOptions) -> Result<Plan, String> {
+    let policies = [PolicyKind::Srrip, PolicyKind::Trrip1];
+    let cells: Vec<SimConfig> =
+        THRESHOLDS.iter().flat_map(|&t| policies.map(|p| cell(options, t, p))).collect();
+    Ok(Plan::grid(&options.selected_among(&BENCHES)?, &cells))
+}
 
-    let mut headers_b = vec!["bench".to_owned()];
-    headers_b.extend(THRESHOLDS.iter().map(|t| format!("{}%", t * 100.0)));
-    let mut table_b = TextTable::new(headers_b);
+fn render(results: &Results) -> Report {
+    let options = &results.options;
+    let headers = |first: &[&str]| {
+        let thresholds = THRESHOLDS.map(|t| format!("{}%", t * 100.0));
+        first.iter().map(|&h| h.to_owned()).chain(thresholds).collect::<Vec<_>>()
+    };
+    let mut table_a = TextTable::new(headers(&["bench", "section"]));
+    let mut table_b = TextTable::new(headers(&["bench"]));
 
-    // Rows keyed per benchmark: collect text fractions and speedups per
-    // threshold. The application is re-"compiled" for every threshold
-    // from its one training profile, as in the paper.
-    let mut fractions: Vec<Vec<(f64, f64, f64)>> = vec![Vec::new(); specs.len()];
-    let mut speedups: Vec<Vec<f64>> = vec![Vec::new(); specs.len()];
-    let trained = session.prepare(&specs, &base_config, base_config.classifier);
-
-    for &threshold in &THRESHOLDS {
-        let classifier = ClassifierConfig {
-            percentile_hot: threshold,
-            percentile_cold: ClassifierConfig::llvm_defaults().percentile_cold.max(threshold),
-        };
-        let config = SimConfig { classifier, ..base_config.clone() };
-        trrip_obs::progress!("threshold {threshold}: recompiling + sweeping…");
-        let workloads: Arc<[_]> = trained.iter().map(|w| w.recompile(classifier)).collect();
-        let sweep = session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-        for (i, w) in workloads.iter().enumerate() {
-            fractions[i].push(w.text_fractions());
-            let base = sweep.get(&w.spec.name, PolicyKind::Srrip);
-            let tr = sweep.get(&w.spec.name, PolicyKind::Trrip1);
-            speedups[i].push(tr.speedup_vs(base));
+    let (mut least_growth, mut least_selectivity) = (f64::INFINITY, f64::INFINITY);
+    for spec in options.selected_among(&BENCHES).expect("planned") {
+        let fractions = THRESHOLDS.map(|t| {
+            results.workload(&spec, &cell(options, t, PolicyKind::Srrip)).text_fractions()
+        });
+        let speedups = THRESHOLDS.map(|t| {
+            let [base, tr] = [PolicyKind::Srrip, PolicyKind::Trrip1].map(|p| cell(options, t, p));
+            results.get(&spec, &tr).speedup_vs(results.get(&spec, &base))
+        });
+        least_growth = least_growth.min((fractions[4].0 - fractions[2].0) * 100.0);
+        least_selectivity = least_selectivity.min(speedups[2] - speedups[4]);
+        for (pick, label) in ["hot", "warm", "cold"].into_iter().enumerate() {
+            let name = if pick == 0 { spec.name.clone() } else { String::new() };
+            let shares = fractions.iter().map(|&(h, w, c)| pct([h, w, c][pick]));
+            table_a.row([name, label.to_owned()].into_iter().chain(shares).collect());
         }
+        let row = speedups.iter().map(|s| format!("{s:+.2}"));
+        table_b.row(std::iter::once(spec.name.clone()).chain(row).collect());
     }
-
-    for (i, spec) in specs.iter().enumerate() {
-        for (label, pick) in [("hot", 0usize), ("warm", 1), ("cold", 2)] {
-            let mut row =
-                vec![if pick == 0 { spec.name.clone() } else { String::new() }, label.to_owned()];
-            for &(h, w, c) in &fractions[i] {
-                let v = [h, w, c][pick];
-                row.push(pct(v));
-            }
-            table_a.row(row);
-        }
-        let mut row = vec![spec.name.clone()];
-        for s in &speedups[i] {
-            row.push(format!("{s:+.2}"));
-        }
-        table_b.row(row);
-    }
-
-    println!("Figure 8a: text-section distribution vs Percentile_hot");
-    println!("{table_a}");
-    println!("Figure 8b: TRRIP-1 speedup (%) vs Percentile_hot (rebuilt per point)");
-    println!("{table_b}");
-    println!(
-        "paper: the hot section stays small until the threshold passes 99% and the best\n\
-         speedup needs selectivity — 100% (everything hot, ≈ CLIP) loses to 99%"
-    );
-    options.write_report("fig8_hot_threshold.txt", &format!("(a)\n{table_a}\n(b)\n{table_b}"));
-    Ok(())
+    let file = format!("(a)\n{table_a}\n(b)\n{table_b}");
+    Report { file, claims: claims(&CLAIMS, [Some(least_growth), Some(least_selectivity)]) }
 }

@@ -20,41 +20,47 @@ use trrip_os::{Loader, OverlapPolicy};
 use trrip_policies::PolicyKind;
 use trrip_sim::{policy_cells, SimConfig};
 
-use crate::Session;
+use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+
+/// The §4.9 ablation, written to `overlap_ablation.txt`.
+pub const FIGURE: Figure = Figure { name: "overlap_ablation", plan, render, claims: &CLAIMS };
+
+/// Padding leaves no mixed page at 2 MB, and DropMixed costs TRRIP-1
+/// nothing at any page size (its least geomean speedup).
+const CLAIMS: [(&str, Paper); 2] =
+    [("overlap.padded_mixed_2mb", Paper::Value(0.0)), ("overlap.dropmixed_min", Paper::Positive)];
 
 const RULES: [OverlapPolicy; 3] =
     [OverlapPolicy::FirstByte, OverlapPolicy::DropMixed, OverlapPolicy::Hottest];
-const POLICIES: [PolicyKind; 2] = [PolicyKind::Srrip, PolicyKind::Trrip1];
 
-/// Runs the §4.9 ablation and writes `overlap_ablation.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
-    let base = options.sim_config(PolicyKind::Srrip);
-    let specs = options.selected_proxies();
-    let workloads = session.prepare(&specs, &base, base.classifier);
+/// The paper machine at `page_size` pages tagged by `overlap`, under
+/// SRRIP then TRRIP-1.
+fn pair(options: &HarnessOptions, page_size: PageSize, overlap: OverlapPolicy) -> Vec<SimConfig> {
+    let machine = SimConfig { page_size, overlap, ..options.sim_config(PolicyKind::Srrip) };
+    policy_cells(&machine, &[PolicyKind::Srrip, PolicyKind::Trrip1])
+}
 
-    // Speedup sensitivity: TRRIP-1 geomean per (page size, rule). Cells
-    // are page-size-major, then by rule, an SRRIP / TRRIP-1 pair each.
-    let mut cells = Vec::new();
-    for page_size in PageSize::ALL {
-        for overlap in RULES {
-            cells
-                .extend(policy_cells(&SimConfig { page_size, overlap, ..base.clone() }, &POLICIES));
-        }
-    }
-    let sweep = session.sweep_cells(&workloads, &cells);
+/// Page-size-major, then by rule.
+fn plan(options: &HarnessOptions) -> Result<Plan, String> {
+    let cells = PageSize::ALL.into_iter().flat_map(|s| RULES.map(|r| pair(options, s, r)));
+    Ok(Plan::grid(&options.selected_proxies(), &cells.flatten().collect::<Vec<_>>()))
+}
+
+fn render(results: &Results) -> Report {
+    let (options, specs) = (&results.options, results.options.selected_proxies());
+    // Speedup sensitivity: TRRIP-1 geomean per (page size, rule).
+    let geomeans = PageSize::ALL.map(|size| {
+        RULES.map(|rule| {
+            let cells = pair(options, size, rule);
+            geomean_pct(&results.speedups(&specs, &cells[1], &cells[0]))
+        })
+    });
     let mut table = TextTable::new(vec!["page size", "FirstByte", "DropMixed", "Hottest"]);
-    for (si, size) in PageSize::ALL.iter().enumerate() {
-        let mut row = vec![size.to_string()];
-        for ri in 0..RULES.len() {
-            let srrip = (si * RULES.len() + ri) * POLICIES.len();
-            let g = geomean_pct(&sweep.cell_speedups(srrip + 1, srrip));
-            row.push(format!("{g:+.2}"));
-        }
-        table.row(row);
+    for (size, row) in PageSize::ALL.iter().zip(&geomeans) {
+        let row = row.iter().map(|g| format!("{g:+.2}"));
+        table.row(std::iter::once(size.to_string()).chain(row).collect());
     }
-    println!("TRRIP-1 geomean speedup (%) vs SRRIP per page size and overlap policy");
-    println!("{table}");
+    let least_dropmixed = geomeans.iter().map(|row| row[1]).fold(f64::INFINITY, f64::min);
 
     // Prevention (1): page-aligned sections — mixed pages vanish but the
     // image grows.
@@ -64,13 +70,16 @@ pub fn run(session: &Session) -> Result<(), String> {
         "mixed@2MB (page align)",
         "image growth",
     ]);
-    for w in workloads.iter() {
+    let mut padded_mixed = 0;
+    for spec in &specs {
+        let w = results.workload(spec, &options.sim_config(PolicyKind::Srrip));
         let aligned_obj = Linker::new()
             .with_section_alignment(PageSize::Size2M.bytes())
             .link_pgo(&w.program, &w.profile, &w.temps);
         let plain = Loader::new(PageSize::Size2M).load(&w.pgo_object);
         let padded = Loader::new(PageSize::Size2M).load(&aligned_obj);
         let growth = padded.stats.total() as f64 / plain.stats.total().max(1) as f64;
+        padded_mixed += padded.stats.mixed;
         table_b.row(vec![
             w.spec.name.clone(),
             plain.stats.mixed.to_string(),
@@ -78,12 +87,6 @@ pub fn run(session: &Session) -> Result<(), String> {
             format!("{growth:.1}x pages"),
         ]);
     }
-    println!("\nPrevention mechanism (1): page-aligned sections at 2MB pages");
-    println!("{table_b}");
-    println!(
-        "§4.9: padding eliminates mixed pages at the cost of address-space/pages;\n\
-         DropMixed keeps TRRIP safe (untagged pages default to RRIP) at any size"
-    );
-    options.write_report("overlap_ablation.txt", &format!("{table}\n{table_b}"));
-    Ok(())
+    let file = format!("{table}\n{table_b}");
+    Report { file, claims: claims(&CLAIMS, [Some(padded_mixed as f64), Some(least_dropmixed)]) }
 }

@@ -8,12 +8,14 @@ use trrip_cache::{CacheConfig, Hierarchy};
 use trrip_cpu::{BranchPredictor, CoreConfig};
 use trrip_policies::PolicyKind;
 
-use crate::Session;
+use crate::{Figure, Plan, Report, Results};
 
-/// Prints Table 1 and writes `table1_config.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
-    let c = options.sim_config(PolicyKind::Trrip1);
+/// Table 1, written to `table1_config.txt`; it simulates nothing.
+pub const FIGURE: Figure =
+    Figure { name: "table1_config", plan: Plan::nothing, render, claims: &[] };
+
+fn render(results: &Results) -> Report {
+    let c = results.options.sim_config(PolicyKind::Trrip1);
 
     let mut table = TextTable::new(vec!["component", "configuration"]);
     table.row(vec![
@@ -74,8 +76,5 @@ pub fn run(session: &Session) -> Result<(), String> {
         ),
     ]);
 
-    println!("Table 1: simulator configuration");
-    println!("{table}");
-    options.write_report("table1_config.txt", &table.to_string());
-    Ok(())
+    Report { file: table.to_string(), claims: Vec::new() }
 }

@@ -5,11 +5,14 @@
 use trrip_analysis::TextTable;
 use trrip_policies::PolicyKind;
 
-use crate::Session;
+use crate::{Figure, Plan, Report, Results};
 
-/// Prints Table 2 and writes `table2_benchmarks.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
+/// Table 2, written to `table2_benchmarks.txt`; it simulates nothing.
+pub const FIGURE: Figure =
+    Figure { name: "table2_benchmarks", plan: Plan::nothing, render, claims: &[] };
+
+fn render(results: &Results) -> Report {
+    let options = &results.options;
     let config = options.sim_config(PolicyKind::Srrip);
     let mut table = TextTable::new(vec![
         "benchmark",
@@ -31,12 +34,5 @@ pub fn run(session: &Session) -> Result<(), String> {
             format!("{}", s.hot_rotation),
         ]);
     }
-    println!("Table 2: benchmarks, inputs and fast-forward");
-    println!("{table}");
-    println!(
-        "note: training and evaluation runs use different seeds plus a deterministic\n\
-         branch-probability shift (input_shift), mirroring the paper's differing input sets"
-    );
-    options.write_report("table2_benchmarks.txt", &format!("{table}\n{}", table.to_csv()));
-    Ok(())
+    Report { file: format!("{table}\n{}", table.to_csv()), claims: Vec::new() }
 }

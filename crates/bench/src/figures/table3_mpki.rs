@@ -1,76 +1,92 @@
 //! Table 3: raw SRRIP L2 MPKI (instruction and data) per benchmark, and
 //! the per-mechanism MPKI reductions (negative = MPKI increased).
 
-use trrip_analysis::report::geomean_pct;
+use trrip_analysis::report::{geomean_pct, geomean_reduction_pct};
 use trrip_analysis::TextTable;
-use trrip_policies::PolicyKind;
+use trrip_sim::SimResult;
 
-use crate::Session;
+use crate::figures::fig6_speedup::cells;
+use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
-/// Runs Table 3 and writes `table3_mpki.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
-    let config = options.sim_config(PolicyKind::Srrip);
-    let specs = options.selected_proxies();
-    let workloads = session.prepare(&specs, &config, config.classifier);
-    let sweep = session.sweep(&workloads, &config, &PolicyKind::PAPER_SET);
+/// Table 3, written to `table3_mpki.txt`.
+pub const FIGURE: Figure = Figure { name: "table3_mpki", plan, render, claims: &CLAIMS };
 
-    let mut report = String::new();
-    let emit = |s: &str, report: &mut String| {
-        println!("{s}");
-        report.push_str(s);
-        report.push('\n');
-    };
+/// The paper's raw SRRIP L2 MPKI (instruction, then data) per proxy in
+/// `proxy::all()` order, then its geomean instruction-MPKI reductions in
+/// the order of Figure 6's mechanisms.
+#[rustfmt::skip]
+const CLAIMS: [(&str, Paper); 28] = [
+    ("table3.inst_mpki.abseil", Paper::Value(1.79)), ("table3.data_mpki.abseil", Paper::Value(17.52)),
+    ("table3.inst_mpki.bullet", Paper::Value(0.13)), ("table3.data_mpki.bullet", Paper::Value(1.76)),
+    ("table3.inst_mpki.clamscan", Paper::Value(0.36)), ("table3.data_mpki.clamscan", Paper::Value(2.73)),
+    ("table3.inst_mpki.clang", Paper::Value(16.68)), ("table3.data_mpki.clang", Paper::Value(19.51)),
+    ("table3.inst_mpki.deepsjeng", Paper::Value(0.70)), ("table3.data_mpki.deepsjeng", Paper::Value(1.22)),
+    ("table3.inst_mpki.gcc", Paper::Value(3.54)), ("table3.data_mpki.gcc", Paper::Value(5.99)),
+    ("table3.inst_mpki.omnetpp", Paper::Value(4.71)), ("table3.data_mpki.omnetpp", Paper::Value(12.30)),
+    ("table3.inst_mpki.python", Paper::Value(4.83)), ("table3.data_mpki.python", Paper::Value(11.04)),
+    ("table3.inst_mpki.rapidjson", Paper::Value(0.57)), ("table3.data_mpki.rapidjson", Paper::Value(8.36)),
+    ("table3.inst_mpki.sqlite", Paper::Value(4.08)), ("table3.data_mpki.sqlite", Paper::Value(6.99)),
+    ("table3.inst_mpki_reduction.lru", Paper::Value(1.8)),
+    ("table3.inst_mpki_reduction.brrip", Paper::Value(-94.5)),
+    ("table3.inst_mpki_reduction.drrip", Paper::Value(-11.5)),
+    ("table3.inst_mpki_reduction.ship", Paper::Value(-10.8)),
+    ("table3.inst_mpki_reduction.clip", Paper::Value(13.6)),
+    ("table3.inst_mpki_reduction.emissary", Paper::Value(22.1)),
+    ("table3.inst_mpki_reduction.trrip-1", Paper::Value(26.5)),
+    ("table3.inst_mpki_reduction.trrip-2", Paper::Value(27.3)),
+];
+
+fn plan(options: &HarnessOptions) -> Result<Plan, String> {
+    Ok(Plan::grid(&options.selected_proxies(), &cells(options)))
+}
+
+fn render(results: &Results) -> Report {
+    let specs = results.options.selected_proxies();
+    let cells = cells(&results.options);
+    let (base, mechanisms) = cells.split_first().expect("SRRIP leads");
 
     // Raw SRRIP MPKI block.
     let mut raw = TextTable::new(vec!["L2 MPKI", "inst.", "data", "inst/data"]);
-    for bench in &sweep.benchmarks {
-        let base = sweep.get(bench, PolicyKind::Srrip);
-        let (i, d) = (base.l2_inst_mpki(), base.l2_data_mpki());
-        raw.row(vec![
-            bench.clone(),
-            format!("{i:.2}"),
-            format!("{d:.2}"),
-            format!("{:.2}", if d > 0.0 { i / d } else { 0.0 }),
-        ]);
+    for spec in &specs {
+        let r = results.get(spec, base);
+        let (i, d) = (r.l2_inst_mpki(), r.l2_data_mpki());
+        let values = [i, d, if d > 0.0 { i / d } else { 0.0 }].map(|v| format!("{v:.2}"));
+        raw.row(std::iter::once(spec.name.clone()).chain(values).collect());
     }
-    emit("Table 3 (top): raw L2 MPKI under SRRIP", &mut report);
-    emit(&raw.to_string(), &mut report);
 
     // Reduction block per mechanism.
-    let mechanisms: Vec<PolicyKind> =
-        PolicyKind::PAPER_SET.into_iter().filter(|&p| p != PolicyKind::Srrip).collect();
-    let mut headers = vec!["mechanism".to_owned(), "side".to_owned()];
-    headers.extend(sweep.benchmarks.iter().cloned());
-    headers.push("geomean".to_owned());
-    let mut table = TextTable::new(headers);
-    for &m in &mechanisms {
-        let mut inst_row = vec![m.name().to_owned(), "Inst.".to_owned()];
-        let mut data_row = vec![String::new(), "Data".to_owned()];
-        let mut inst_all = Vec::new();
-        let mut data_all = Vec::new();
-        for bench in &sweep.benchmarks {
-            let base = sweep.get(bench, PolicyKind::Srrip);
-            let r = sweep.get(bench, m);
-            let di = r.inst_mpki_reduction_vs(base);
-            let dd = r.data_mpki_reduction_vs(base);
-            inst_all.push(di);
-            data_all.push(dd);
-            inst_row.push(format!("{di:.2}"));
-            data_row.push(format!("{dd:.2}"));
+    let names = specs.iter().map(|s| s.name.as_str());
+    let mut table =
+        TextTable::new(["mechanism", "side"].into_iter().chain(names).chain(["geomean"]).collect());
+    let mut reductions = Vec::new();
+    for m in mechanisms {
+        let vs_base = |side: fn(&SimResult, &SimResult) -> f64| -> Vec<f64> {
+            specs.iter().map(|s| side(results.get(s, m), results.get(s, base))).collect()
+        };
+        let inst = vs_base(SimResult::inst_mpki_reduction_vs);
+        let data = vs_base(SimResult::data_mpki_reduction_vs);
+        for (name, side, all) in
+            [(m.hierarchy.l2_policy.name(), "Inst.", &inst), ("", "Data", &data)]
+        {
+            let values = all.iter().copied().chain([geomean_pct(all)]).map(|v| format!("{v:.2}"));
+            table.row([name.to_owned(), side.to_owned()].into_iter().chain(values).collect());
         }
-        inst_row.push(format!("{:.2}", geomean_pct(&inst_all)));
-        data_row.push(format!("{:.2}", geomean_pct(&data_all)));
-        table.row(inst_row);
-        table.row(data_row);
+        reductions.push(Some(geomean_reduction_pct(&inst)));
     }
-    emit("Table 3 (bottom): L2 MPKI reduction (%) vs SRRIP — negative = increase", &mut report);
-    emit(&table.to_string(), &mut report);
-    emit(
-        "paper geomeans (inst): LRU +1.8, BRRIP -94.5, DRRIP -11.5, SHiP -10.8, \
-         CLIP +13.6, EMISSARY +22.1, TRRIP-1 +26.5, TRRIP-2 +27.3",
-        &mut report,
+    let paper = mechanisms.iter().zip(&CLAIMS[20..]);
+    let paper: Vec<String> = paper
+        .map(|(m, (_, value))| format!("{} {value:+.1}", m.hierarchy.l2_policy.name()))
+        .collect();
+    let file = format!(
+        "Table 3 (top): raw L2 MPKI under SRRIP\n{raw}\n\
+         Table 3 (bottom): L2 MPKI reduction (%) vs SRRIP — negative = increase\n{table}\n\
+         paper geomeans (inst): {}\n",
+        paper.join(", ")
     );
-    options.write_report("table3_mpki.txt", &report);
-    Ok(())
+
+    let raw_mpki = trrip_workloads::proxy::all().into_iter().flat_map(|proxy| {
+        let r = specs.iter().find(|s| s.name == proxy.name).map(|s| results.get(s, base));
+        [r.map(SimResult::l2_inst_mpki), r.map(SimResult::l2_data_mpki)]
+    });
+    Report { file, claims: claims(&CLAIMS, raw_mpki.chain(reductions)) }
 }

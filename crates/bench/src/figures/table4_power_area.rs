@@ -3,27 +3,33 @@
 
 use trrip_analysis::{PowerModel, TextTable};
 
-use crate::Session;
+use crate::{claims, Figure, Paper, Plan, Report, Results};
 
-/// Prints Table 4 and writes `table4_power_area.txt`.
-pub fn run(session: &Session) -> Result<(), String> {
-    let options = &session.options;
+/// Table 4, written to `table4_power_area.txt`; it simulates nothing.
+pub const FIGURE: Figure =
+    Figure { name: "table4_power_area", plan: Plan::nothing, render, claims: &CLAIMS };
+
+/// The paper's static power and area overheads (%), in the model's
+/// mechanism order.
+#[rustfmt::skip]
+const CLAIMS: [(&str, Paper); 8] = [
+    ("table4.static_power.trrip", Paper::Value(0.0)), ("table4.area.trrip", Paper::Value(0.0)),
+    ("table4.static_power.clip", Paper::Value(0.0)), ("table4.area.clip", Paper::Value(0.0)),
+    ("table4.static_power.emissary", Paper::Value(0.5)), ("table4.area.emissary", Paper::Value(0.7)),
+    ("table4.static_power.ship", Paper::Value(1.7)), ("table4.area.ship", Paper::Value(3.0)),
+];
+
+fn render(_: &Results) -> Report {
     let model = PowerModel::node_22nm();
     let baseline = model.baseline();
 
     let mut table = TextTable::new(vec!["mechanism", "static power (%)", "area (%)"]);
+    let mut overheads = Vec::new();
     for (name, overhead) in model.table4_mechanisms() {
         let (power, area) = model.evaluate(overhead).overhead_vs(&baseline);
         let fmt = |x: f64| if x.abs() < 0.05 { "~0.0".to_owned() } else { format!("{x:.1}") };
         table.row(vec![name.to_owned(), fmt(power), fmt(area)]);
+        overheads.extend([Some(power), Some(area)]);
     }
-    println!("Table 4: static power and area overheads vs SRRIP (22 nm)");
-    println!("{table}");
-    println!(
-        "paper: TRRIP ~0/~0, CLIP ~0/~0, Emissary 0.5/0.7, SHiP 1.7/3.0;\n\
-         baseline: {:.2} mm², {:.3} W static",
-        baseline.area_mm2, baseline.static_w
-    );
-    options.write_report("table4_power_area.txt", &table.to_string());
-    Ok(())
+    Report { file: table.to_string(), claims: claims(&CLAIMS, overheads) }
 }

@@ -1,25 +1,25 @@
 //! Shared harness code for the experiment binaries.
 //!
-//! Every table and figure of the paper is a body in [`figures`] and a
-//! binary of the same name under `src/bin/`; this library holds the
-//! pieces they share: command-line scale parsing, workload preparation
-//! with caching, the [`Session`] a regeneration runs its figures in, and
-//! report writing.
+//! Every table and figure of the paper is a [`Figure`] in [`figures`]
+//! and a binary of the same name under `src/bin/`: a [`Plan`] of the
+//! points it needs and a render of its [`Report`] from the [`Results`].
+//! This library holds what they share: command-line parsing, the runner
+//! that executes plans as one ([`regenerate`]), and report writing.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod figures;
 
-use std::cell::RefCell;
+use std::fmt;
 use std::fs;
 use std::path::PathBuf;
-use std::sync::Arc;
 
 use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::{
-    policy_cells, policy_sweep_with, CheckpointStore, PreparedWorkload, SimConfig, SweepResult,
+    parallel_map_with, policy_cells, policy_sweep_with, simulate_rows, CheckpointStore,
+    PreparedWorkload, SimConfig, SimResult, SweepResult,
 };
 use trrip_workloads::WorkloadSpec;
 
@@ -68,14 +68,18 @@ fig1_topdown_system, fig2_topdown_proxy, fig3_reuse_distance and
 fig7_costly_coverage sweep nothing — each workload is a row of one cell
 on the fused loop, --jobs rows at a time, its walker running ahead on a
 spare core where --jobs leaves every row one — so of --checkpoint-dir
-they read only the training profile.
+they read only the training profile. Every binary prints its report and
+one `claim <id> paper <value, >0 or <0> reproduced <value>` line per
+claim of the paper it reproduces.
 
-all_experiments writes the twelve tables' and figures' reports in one
-process: each workload is prepared once and each distinct sweep runs
-once (table3_mpki reads fig6_speedup's), under one telemetry session
-named all_experiments. A figure that fails is named on stderr after the
-others have written their reports, and the run exits 1. Its last line
-is its wall time and the host's core count.";
+all_experiments writes the twelve reports from the union of their
+plans: each workload is prepared once and each stream walked once
+(fig6_speedup, table3_mpki, fig9_cache_sensitivity and
+fig8_hot_threshold's 99% pair share one sweep), under one telemetry
+session named all_experiments. A figure that fails (nothing to plot, or
+a report that cannot be written) is named on stderr after the others
+have written theirs, and the run exits 1. Its last line is its wall
+time and the host's core count.";
 
 /// Cap on journal events per run; past it the journal records only the
 /// dropped count (reported on close), so a runaway sweep cannot fill
@@ -169,13 +173,10 @@ impl HarnessOptions {
         Ok(())
     }
 
-    /// Validates that `--checkpoint-dir`, `--obs-dir` and `--out` point
-    /// at usable directories: each must already exist as a
-    /// directory or be creatable (parents included), so an unusable one
-    /// is refused before the experiment runs, not when it goes to write
-    /// its report. Split from [`HarnessOptions::try_parse`]
-    /// so parsing stays pure; [`HarnessOptions::from_args`] applies it
-    /// and rejects the command line with a clear message.
+    /// Validates that `--checkpoint-dir`, `--obs-dir` and `--out` each
+    /// exist as a directory or can be created (parents included), so an
+    /// unusable one is refused before the experiment runs. Split from
+    /// [`HarnessOptions::try_parse`] so parsing stays pure.
     ///
     /// # Errors
     ///
@@ -281,20 +282,12 @@ impl HarnessOptions {
         Ok(Some(options))
     }
 
-    /// Runs every workload under every cell — any configurations that
-    /// share a stream and a frontend ([`trrip_sim::experiment`]) — over
-    /// the walker, warm-started from and populating `--checkpoint-dir` if
-    /// one is given. Each workload's stream is walked and predicted once,
-    /// for all cells, on at most `--jobs` simulating threads. Results are
-    /// bit-identical with or without the store.
-    #[must_use]
-    pub fn sweep_cells(&self, workloads: &[PreparedWorkload], cells: &[SimConfig]) -> SweepResult {
-        let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
-        policy_sweep_with(self.jobs, workloads, cells, checkpoints.as_ref())
-    }
-
-    /// [`HarnessOptions::sweep_cells`] for the common case: the machine
-    /// of `config` under each of `policies`.
+    /// Runs every workload under the machine of `config` with each of
+    /// `policies` over the walker, warm-started from and populating
+    /// `--checkpoint-dir` if one is given. Each workload's stream is
+    /// walked and predicted once, for all cells, on at most `--jobs`
+    /// simulating threads. Results are bit-identical with or without the
+    /// store.
     #[must_use]
     pub fn sweep(
         &self,
@@ -302,7 +295,9 @@ impl HarnessOptions {
         config: &SimConfig,
         policies: &[PolicyKind],
     ) -> SweepResult {
-        self.sweep_cells(workloads, &policy_cells(config, policies))
+        let checkpoints = self.checkpoint_dir.as_ref().map(CheckpointStore::new);
+        let cells = policy_cells(config, policies);
+        policy_sweep_with(self.jobs, workloads, &cells, checkpoints.as_ref())
     }
 
     /// Prepares workloads (training run + classification) under the
@@ -363,21 +358,22 @@ impl HarnessOptions {
     /// Writes a report file under the output directory and echoes the
     /// path to stderr (unless `--quiet`).
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if the directory or file cannot be written.
-    pub fn write_report(&self, name: &str, contents: &str) {
-        fs::create_dir_all(&self.out_dir).expect("create report dir");
+    /// A message naming the file when it cannot be written.
+    pub fn write_report(&self, name: &str, contents: &str) -> Result<(), String> {
         let path = self.out_dir.join(name);
-        fs::write(&path, contents).expect("write report");
+        fs::create_dir_all(&self.out_dir)
+            .and_then(|()| fs::write(&path, contents))
+            .map_err(|e| format!("report {} cannot be written: {e}", path.display()))?;
         trrip_obs::progress!("report written to {}", path.display());
+        Ok(())
     }
 
     /// Opens a telemetry session for one binary invocation: snapshots
     /// the counter registry now so [`ObsSession::finish`] reports only
-    /// this run's deltas. Cheap and safe to call unconditionally — a
-    /// session without `--metrics` does nothing on finish beyond
-    /// closing the journal.
+    /// this run's deltas. Without `--metrics`, finishing it only closes
+    /// the journal.
     #[must_use]
     pub fn obs_session(&self, tool: &'static str) -> ObsSession {
         ObsSession {
@@ -403,13 +399,6 @@ pub struct ObsSession {
 }
 
 impl ObsSession {
-    /// Whether `--metrics` armed this session (spans are recording and
-    /// finish will write telemetry artifacts).
-    #[must_use]
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Closes the journal, prints the telemetry summary (per-phase
     /// timings + counter deltas) and writes `obs_report.json` under
     /// `--out` plus the Chrome trace under `--obs-dir` (or `--out`).
@@ -459,139 +448,261 @@ impl ObsSession {
     }
 }
 
-/// A figure's body: computes its report and writes it, or fails with
-/// the reason the selection leaves it nothing to plot.
-pub type Figure = fn(&Session) -> Result<(), String>;
+/// A workload under one machine, whose training length and classifier
+/// name the workload's preparation.
+pub type Point = (WorkloadSpec, SimConfig);
 
-/// Workloads prepared together: the training length and classifier they
-/// were prepared under, and the workloads in the order they were asked for.
-type KeptPreparation = (u64, ClassifierConfig, Arc<[PreparedWorkload]>);
-
-/// A kept sweep: its workloads, its cells and what they gave.
-type KeptSweep = (Arc<[PreparedWorkload]>, Vec<SimConfig>, Arc<SweepResult>);
-
-/// One regeneration: the parsed command line, and every preparation and
-/// sweep its figures have asked for so far, so that figures run in one
-/// session prepare each workload once and run each distinct sweep once
-/// (Table 3 reads Figure 6's). Both are found by value: an equal spec,
-/// training length and classifier; equal workloads and equal cells.
-/// Nothing is kept on disk or past the session.
-#[derive(Debug)]
-pub struct Session {
-    /// The parsed command line.
-    pub options: HarnessOptions,
-    preparations: RefCell<Vec<KeptPreparation>>,
-    sweeps: RefCell<Vec<KeptSweep>>,
+/// What a figure needs computed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Plan {
+    /// Workloads read without being simulated.
+    pub prepare: Vec<Point>,
+    /// Points simulated (and prepared).
+    pub simulate: Vec<Point>,
 }
 
-impl Session {
-    /// A session over `options`, holding nothing yet.
+impl Plan {
+    /// Every spec under every cell, spec-major.
     #[must_use]
-    pub fn new(options: HarnessOptions) -> Session {
-        Session { options, preparations: RefCell::default(), sweeps: RefCell::default() }
+    pub(crate) fn grid(specs: &[WorkloadSpec], cells: &[SimConfig]) -> Plan {
+        let points = specs.iter().flat_map(|s| cells.iter().map(|c| (s.clone(), c.clone())));
+        Plan { prepare: Vec::new(), simulate: points.collect() }
     }
 
-    /// `specs` prepared under `config`'s training length and `classifier`:
-    /// the workloads this session holds for them, and
-    /// [`HarnessOptions::prepare`] of the rest. The same specs asked for
-    /// again are the same workloads, not a copy.
+    /// The plan of a table that needs nothing computed.
+    pub(crate) fn nothing(_: &HarnessOptions) -> Result<Plan, String> {
+        Ok(Plan::default())
+    }
+}
+
+/// The paper's side of a claim.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Paper {
+    /// The number the paper reports.
+    Value(f64),
+    /// Above zero: the paper shows only the sign. An order between two
+    /// numbers is the sign of their difference.
+    Positive,
+    /// Below zero.
+    Negative,
+}
+
+impl fmt::Display for Paper {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Paper::Value(value) => fmt::Display::fmt(value, f),
+            Paper::Positive => f.write_str(">0"),
+            Paper::Negative => f.write_str("<0"),
+        }
+    }
+}
+
+/// One of the paper's numbers beside this run's.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Claim {
+    /// Stable across runs and selections.
+    pub id: &'static str,
+    /// What the paper says.
+    pub paper: Paper,
+    /// This run's value, over the selected benchmarks.
+    pub reproduced: f64,
+}
+
+/// The claims `declared` beside `reproduced`, in the same order; `None`
+/// leaves a claim out (the selection does not reach it).
+pub(crate) fn claims(
+    declared: &[(&'static str, Paper)],
+    reproduced: impl IntoIterator<Item = Option<f64>>,
+) -> Vec<Claim> {
+    let values = declared.iter().zip(reproduced);
+    values.filter_map(|(&(id, paper), v)| Some(Claim { id, paper, reproduced: v? })).collect()
+}
+
+/// A figure's output.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Report {
+    /// The report, written to `<name>.txt` under `--out`.
+    pub file: String,
+    /// The paper's claims beside this run's values.
+    pub claims: Vec<Claim>,
+}
+
+/// A table or figure: what it needs run, and its report from the results.
+#[derive(Debug, Clone, Copy)]
+pub struct Figure {
+    /// The name of its binary and of its report.
+    pub name: &'static str,
+    /// Its points, or why the selection leaves it nothing to plot.
+    pub plan: fn(&HarnessOptions) -> Result<Plan, String>,
+    /// Its report, from results that hold its plan.
+    pub render: fn(&Results) -> Report,
+    /// Every claim it can make: ids and the paper's side.
+    pub claims: &'static [(&'static str, Paper)],
+}
+
+/// `points` without duplicates (`==`), grouped by workload (spec,
+/// training length, classifier) and stream (layout, run lengths,
+/// profiler flags), in order of first appearance. A group of one runs as
+/// a row of its own; a larger group is one workload's row of a sweep.
+pub fn stream_groups<'p>(points: impl IntoIterator<Item = &'p Point>) -> Vec<Vec<&'p Point>> {
+    let stream = |(s, c): &'p Point| {
+        let lengths = (c.train_instructions, c.fast_forward, c.instructions);
+        (s, lengths, c.classifier, c.layout, c.measure_reuse, c.track_costly)
+    };
+    let mut groups: Vec<Vec<&Point>> = Vec::new();
+    for point in points {
+        match groups.iter_mut().find(|g| stream(g[0]) == stream(point)) {
+            Some(group) if group.contains(&point) => {}
+            Some(group) => group.push(point),
+            None => groups.push(vec![point]),
+        }
+    }
+    groups
+}
+
+/// What a run computed, found by value: the workloads its plans
+/// prepared and the points they simulated.
+#[derive(Debug)]
+pub struct Results {
+    /// The command line the plans were made from.
+    pub(crate) options: HarnessOptions,
+    workloads: Vec<(u64, ClassifierConfig, PreparedWorkload)>,
+    runs: Vec<(Point, SimResult)>,
+}
+
+impl Results {
+    /// Runs `plans` as one. Each spec trains once per training length,
+    /// under the first classifier asked for, and compiles from that
+    /// profile for every other (Figure 8's thresholds). A
+    /// [`stream_groups`] group of one is a row of [`simulate_rows`];
+    /// larger groups with equal cells are one [`policy_sweep_with`].
+    fn run<'p>(options: &HarnessOptions, plans: impl Iterator<Item = &'p Plan> + Clone) -> Results {
+        let mut wanted: Vec<(&WorkloadSpec, u64, Vec<ClassifierConfig>)> = Vec::new();
+        for (spec, c) in plans.clone().flat_map(|p| p.prepare.iter().chain(&p.simulate)) {
+            match wanted.iter_mut().find(|(s, t, _)| *s == spec && *t == c.train_instructions) {
+                Some((_, _, classifiers)) if classifiers.contains(&c.classifier) => {}
+                Some((_, _, classifiers)) => classifiers.push(c.classifier),
+                None => wanted.push((spec, c.train_instructions, vec![c.classifier])),
+            }
+        }
+        if !wanted.is_empty() {
+            let n: usize = wanted.iter().map(|(_, _, classifiers)| classifiers.len()).sum();
+            trrip_obs::progress!("preparing {n} workloads…");
+        }
+        let store = options.checkpoint_dir.as_ref().map(CheckpointStore::new);
+        let prepared = parallel_map_with(options.jobs, wanted.len(), |i| {
+            let (spec, train, ref classifiers) = wanted[i];
+            let trained =
+                PreparedWorkload::prepare_with(spec, train, classifiers[0], store.as_ref());
+            let compiled: Vec<_> = classifiers[1..].iter().map(|&c| trained.recompile(c)).collect();
+            let workloads = std::iter::once(trained).chain(compiled);
+            classifiers.iter().zip(workloads).map(|(&c, w)| (train, c, w)).collect::<Vec<_>>()
+        });
+        let workloads = prepared.into_iter().flatten().collect();
+        let mut results = Results { options: options.clone(), workloads, runs: Vec::new() };
+        let store = store.as_ref();
+
+        let (rows, rest): (Vec<_>, Vec<_>) =
+            stream_groups(plans.flat_map(|p| &p.simulate)).into_iter().partition(|g| g.len() == 1);
+        let mut sweeps: Vec<(Vec<&WorkloadSpec>, Vec<SimConfig>)> = Vec::new();
+        for group in rest {
+            let cells: Vec<SimConfig> = group.iter().map(|(_, c)| c.clone()).collect();
+            match sweeps.iter_mut().find(|(_, c)| *c == cells) {
+                Some((specs, _)) => specs.push(&group[0].0),
+                None => sweeps.push((vec![&group[0].0], cells)),
+            }
+        }
+        let mut runs = Vec::new();
+        for (specs, cells) in sweeps {
+            let workloads: Vec<PreparedWorkload> =
+                specs.iter().map(|s| results.workload(s, &cells[0]).clone()).collect();
+            trrip_obs::progress!("sweeping {} cells over {} workloads…", cells.len(), specs.len());
+            let sweep = policy_sweep_with(options.jobs, &workloads, &cells, store);
+            let points = specs.iter().flat_map(|s| cells.iter().map(|c| ((*s).clone(), c.clone())));
+            runs.extend(points.zip(sweep.results));
+        }
+        let rows: Vec<&Point> = rows.into_iter().flatten().collect();
+        let simulated = simulate_rows(options.jobs, rows.len(), |i| {
+            (results.workload(&rows[i].0, &rows[i].1), rows[i].1.clone())
+        });
+        runs.extend(rows.into_iter().cloned().zip(simulated));
+        results.runs = runs;
+        results
+    }
+
+    /// `spec` prepared under `config`'s training length and classifier
+    /// (a panic if no plan asked for it).
     #[must_use]
-    pub fn prepare(
+    pub(crate) fn workload(&self, spec: &WorkloadSpec, config: &SimConfig) -> &PreparedWorkload {
+        let key = (config.train_instructions, config.classifier);
+        let found = self.workloads.iter().find(|(t, c, w)| (*t, *c) == key && w.spec == *spec);
+        &found.unwrap_or_else(|| panic!("no plan prepared {}", spec.name)).2
+    }
+
+    /// The result of `spec` under `config` (a panic if no plan asked for it).
+    #[must_use]
+    pub(crate) fn get(&self, spec: &WorkloadSpec, config: &SimConfig) -> &SimResult {
+        let found = self.runs.iter().find(|((s, c), _)| c == config && s == spec);
+        &found.unwrap_or_else(|| panic!("no plan simulated {}", spec.name)).1
+    }
+
+    /// Speedups (%) of `cell` over `base`, one per spec, in order.
+    #[must_use]
+    pub(crate) fn speedups(
         &self,
         specs: &[WorkloadSpec],
-        config: &SimConfig,
-        classifier: ClassifierConfig,
-    ) -> Arc<[PreparedWorkload]> {
-        let train = config.train_instructions;
-        let kept: Vec<Option<PreparedWorkload>> = {
-            let memo = self.preparations.borrow();
-            let groups: Vec<&Arc<[PreparedWorkload]>> = memo
-                .iter()
-                .filter(|(t, c, _)| *t == train && *c == classifier)
-                .map(|(_, _, group)| group)
-                .collect();
-            if let Some(group) = groups.iter().find(|g| g.iter().map(|w| &w.spec).eq(specs)) {
-                return Arc::clone(group);
-            }
-            let held = |spec: &WorkloadSpec| {
-                groups.iter().flat_map(|g| g.iter()).find(|w| w.spec == *spec)
-            };
-            specs.iter().map(|spec| held(spec).cloned()).collect()
-        };
-        let missing: Vec<WorkloadSpec> =
-            specs.iter().zip(&kept).filter(|(_, k)| k.is_none()).map(|(s, _)| s.clone()).collect();
-        if !missing.is_empty() {
-            trrip_obs::progress!("preparing {} workloads…", missing.len());
-        }
-        let mut fresh = self.options.prepare(&missing, config, classifier).into_iter();
-        let group: Arc<[PreparedWorkload]> =
-            kept.into_iter().map(|k| k.or_else(|| fresh.next()).expect("prepared")).collect();
-        self.preparations.borrow_mut().push((train, classifier, Arc::clone(&group)));
-        group
-    }
-
-    /// [`HarnessOptions::sweep_cells`], unless this session has run the
-    /// same cells over the same workloads: then that result.
-    #[must_use]
-    pub fn sweep_cells(
-        &self,
-        workloads: &Arc<[PreparedWorkload]>,
-        cells: &[SimConfig],
-    ) -> Arc<SweepResult> {
-        let kept = self.sweeps.borrow().iter().find_map(|(w, c, result)| {
-            // One allocation is the common case, and spares comparing
-            // whole programs.
-            let same = c == cells && (Arc::ptr_eq(w, workloads) || w == workloads);
-            same.then(|| Arc::clone(result))
-        });
-        if let Some(result) = kept {
-            trrip_obs::progress!(
-                "{} cells over {} workloads: swept earlier in this session",
-                cells.len(),
-                workloads.len()
-            );
-            return result;
-        }
-        trrip_obs::progress!("sweeping {} cells over {} workloads…", cells.len(), workloads.len());
-        let result = Arc::new(self.options.sweep_cells(workloads, cells));
-        self.sweeps.borrow_mut().push((Arc::clone(workloads), cells.to_vec(), Arc::clone(&result)));
-        result
-    }
-
-    /// [`Session::sweep_cells`] for the machine of `config` under each of
-    /// `policies`.
-    #[must_use]
-    pub fn sweep(
-        &self,
-        workloads: &Arc<[PreparedWorkload]>,
-        config: &SimConfig,
-        policies: &[PolicyKind],
-    ) -> Arc<SweepResult> {
-        self.sweep_cells(workloads, &policy_cells(config, policies))
+        cell: &SimConfig,
+        base: &SimConfig,
+    ) -> Vec<f64> {
+        specs.iter().map(|s| self.get(s, cell).speedup_vs(self.get(s, base))).collect()
     }
 }
 
-/// The `main` of an experiment binary: parses the shared command line,
-/// runs `figure` in a session of its own inside a telemetry session named
-/// `tool`, and closes the telemetry session — which, with `--metrics`,
-/// prints the summary and writes `obs_report.json` and the Chrome trace,
-/// as [`USAGE`] promises of every binary. A figure that fails is a
-/// command-line error: its message goes to stderr and the process exits 2.
-pub fn run_experiment(tool: &'static str, figure: Figure) {
-    let session = Session::new(HarnessOptions::from_args(std::env::args().skip(1), USAGE));
-    let obs = session.options.obs_session(tool);
-    if let Err(message) = figure(&session) {
+/// Runs `figures` as one plan, then prints each report with one `claim`
+/// line per claim and writes it under `--out`. A figure whose plan fails
+/// (nothing to plot) or whose report cannot be written is named in the
+/// result, and why on stderr; the others still write theirs.
+pub fn regenerate(options: &HarnessOptions, figures: &[Figure]) -> Vec<&'static str> {
+    let mut failed = Vec::new();
+    let mut fail = |figure: &Figure, message: String| {
+        eprintln!("error: {message}");
+        failed.push(figure.name);
+    };
+    let mut planned = Vec::new();
+    for figure in figures {
+        match (figure.plan)(options) {
+            Ok(plan) => planned.push((figure, plan)),
+            Err(message) => fail(figure, message),
+        }
+    }
+    let results = Results::run(options, planned.iter().map(|(_, plan)| plan));
+    for (figure, _) in planned {
+        let report = (figure.render)(&results);
+        println!("\n================ {} ================\n\n{}", figure.name, report.file);
+        for Claim { id, paper, reproduced } in &report.claims {
+            println!("claim {id} paper {paper} reproduced {reproduced:+.2}");
+        }
+        if let Err(message) = options.write_report(&format!("{}.txt", figure.name), &report.file) {
+            fail(figure, message);
+        }
+    }
+    failed
+}
+
+/// The `main` of an experiment binary: parses the shared command line
+/// and [`regenerate`]s `figure` inside a telemetry session named after
+/// it, as [`USAGE`] promises of every binary. A plan that fails is a
+/// command-line error (exit 2); a report that cannot be written exits 1.
+pub fn run_experiment(figure: &Figure) {
+    let options = HarnessOptions::from_args(std::env::args().skip(1), USAGE);
+    if let Err(message) = (figure.plan)(&options) {
         eprintln!("error: {message}");
         std::process::exit(2);
     }
+    let obs = options.obs_session(figure.name);
+    let failed = regenerate(&options, std::slice::from_ref(figure));
     obs.finish(&[]);
-}
-
-/// Appends a line to a report and to stdout at once.
-pub fn emit(report: &mut String, line: &str) {
-    println!("{line}");
-    report.push_str(line);
-    report.push('\n');
+    std::process::exit(i32::from(!failed.is_empty()));
 }
 
 #[cfg(test)]
@@ -812,70 +923,81 @@ mod tests {
         (spec, config)
     }
 
-    fn session() -> Session {
-        Session::new(HarnessOptions { jobs: 2, ..HarnessOptions::default() })
+    fn options() -> HarnessOptions {
+        HarnessOptions { jobs: 2, ..HarnessOptions::default() }
     }
 
     #[test]
-    fn equal_sweeps_in_one_session_are_one_result() {
+    fn equal_points_in_two_plans_run_once() {
         let (spec, config) = tiny();
-        let session = session();
-        let workloads = session.prepare(std::slice::from_ref(&spec), &config, config.classifier);
         let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-        let first = session.sweep_cells(&workloads, &cells);
-        // Equal, not the same: copies of the workloads and the cells.
-        let copies: Arc<[PreparedWorkload]> = workloads.iter().cloned().collect();
-        let again = session.sweep_cells(&copies, &cells.clone());
-        assert!(Arc::ptr_eq(&first, &again), "the second sweep is the first one's result");
-        let by_policy =
-            session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-        assert!(Arc::ptr_eq(&first, &by_policy), "the same cells named by their policies");
-        assert!(*first == session.options.sweep_cells(&workloads, &cells), "what a sweep gives");
-        assert_eq!(session.sweeps.borrow().len(), 1);
+        let plan = Plan::grid(std::slice::from_ref(&spec), &cells);
+        // Equal, not the same: a copy of the plan, and one of its points.
+        let again = Plan { prepare: vec![plan.simulate[1].clone()], ..plan.clone() };
+        let groups = stream_groups(plan.simulate.iter().chain(&again.simulate));
+        assert_eq!(groups.len(), 1, "one workload, one stream");
+        assert_eq!(groups[0].len(), 2, "each point once");
+        let results = Results::run(&options(), [&plan, &again].into_iter());
+        assert_eq!(results.runs.len(), 2);
+        assert_eq!(results.workloads.len(), 1);
+        let workloads = options().prepare(std::slice::from_ref(&spec), &config, config.classifier);
+        let sweep = options().sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        for (cell, result) in cells.iter().zip(&sweep.results) {
+            assert!(results.get(&spec, cell) == result, "what a sweep gives");
+        }
     }
 
     #[test]
     fn cells_or_workloads_that_differ_are_swept_anew() {
         let (spec, config) = tiny();
-        let session = session();
-        let workloads = session.prepare(std::slice::from_ref(&spec), &config, config.classifier);
-        let first = session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
+        let specs = std::slice::from_ref(&spec);
+        let first =
+            Plan::grid(specs, &policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]));
         // One policy differs.
-        let lru = session.sweep(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Lru]);
-        assert!(!Arc::ptr_eq(&first, &lru));
-        assert_eq!(lru.cells[1].hierarchy.l2_policy, PolicyKind::Lru, "the cells asked for");
-        // One field of the workloads differs: the same spec, recompiled.
+        let lru = Plan::grid(specs, &policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Lru]));
+        // The classifier differs: the same spec, recompiled.
         let hotter = ClassifierConfig { percentile_hot: 0.8, ..config.classifier };
-        let recompiled: Arc<[PreparedWorkload]> =
-            workloads.iter().map(|w| w.recompile(hotter)).collect();
-        assert!(recompiled != workloads, "a different classification");
-        let cells = policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-        let other = session.sweep_cells(&recompiled, &cells);
-        assert!(!Arc::ptr_eq(&first, &other));
-        assert_eq!(session.sweeps.borrow().len(), 3);
+        let recompiled = Plan::grid(specs, &[SimConfig { classifier: hotter, ..config.clone() }]);
+        let plans = [&first, &lru, &recompiled];
+        let groups = stream_groups(plans.iter().flat_map(|p| &p.simulate));
+        let sizes: Vec<usize> = groups.iter().map(Vec::len).collect();
+        assert_eq!(sizes, [3, 1], "SRRIP, TRRIP-1 and LRU over one stream; the recompile apart");
+        let results = Results::run(&options(), plans.into_iter());
+        assert_eq!(results.runs.len(), 4);
+        let lru_cell = config.clone().with_policy(PolicyKind::Lru);
+        assert_eq!(results.get(&spec, &lru_cell).policy, PolicyKind::Lru);
+        let hot = SimConfig { classifier: hotter, ..config.clone() };
+        let trained = results.workload(&spec, &config);
+        assert!(*results.workload(&spec, &hot) == trained.recompile(hotter));
+        assert!(*results.workload(&spec, &hot) != *trained, "a different classification");
     }
 
     #[test]
     fn a_spec_prepared_twice_is_one_preparation() {
         let (spec, config) = tiny();
-        let session = session();
         let specs = std::slice::from_ref(&spec);
-        let first = session.prepare(specs, &config, config.classifier);
-        let again = session.prepare(specs, &config, config.classifier);
-        assert!(Arc::ptr_eq(&first, &again), "the same workloads, not a copy");
-        assert!(*first == *session.options.prepare(specs, &config, config.classifier));
-        // Asked for twice in one call, it is still the one preparation.
-        let twice = session.prepare(&[spec.clone(), spec.clone()], &config, config.classifier);
-        assert!(twice.iter().all(|w| *w == first[0]));
-        // Another training length or classifier is another preparation.
+        let point = (spec.clone(), config.clone());
+        let twice = Plan { prepare: vec![point.clone(), point.clone()], simulate: Vec::new() };
+        let results = Results::run(&options(), [&twice, &twice].into_iter());
+        assert_eq!(results.workloads.len(), 1, "the same workload, prepared once");
+        let prepared = options().prepare(specs, &config, config.classifier);
+        assert!(*results.workload(&spec, &config) == prepared[0]);
+        // Another training length is another preparation, another
+        // classifier a recompile of the one profile.
         let longer = SimConfig { train_instructions: 120_000, ..config.clone() };
-        let hotter = ClassifierConfig { percentile_hot: 0.8, ..config.classifier };
-        for other in [
-            session.prepare(specs, &longer, config.classifier),
-            session.prepare(specs, &config, hotter),
-        ] {
-            assert!(other[0] != first[0]);
+        let hotter = SimConfig {
+            classifier: ClassifierConfig { percentile_hot: 0.8, ..config.classifier },
+            ..config.clone()
+        };
+        let prepare = vec![point, (spec.clone(), longer.clone()), (spec.clone(), hotter.clone())];
+        let results =
+            Results::run(&options(), [&Plan { prepare, simulate: Vec::new() }].into_iter());
+        assert_eq!(results.workloads.len(), 3);
+        for other in [&longer, &hotter] {
+            assert!(*results.workload(&spec, other) != prepared[0]);
         }
+        let longer_prepared = options().prepare(specs, &longer, longer.classifier);
+        assert!(*results.workload(&spec, &longer) == longer_prepared[0]);
     }
 
     #[test]

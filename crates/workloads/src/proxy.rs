@@ -1,10 +1,10 @@
 //! The ten proxy mobile benchmarks (Table 2), as synthetic specs.
 //!
 //! Each spec's parameters aim at the SRRIP-baseline L2 MPKI of Table 3,
-//! but the measured values do not land near it: the `calibrate` binary
-//! prints the comparison. Instruction MPKI is below the paper's on all
-//! ten, from 1.7× (`clamscan`) to 20× (`clang`), and data MPKI is up to
-//! 1.75× above it (`sqlite`). The defining characteristics:
+//! but the measured values do not land near it: `table3_mpki` prints the
+//! comparison as its raw-MPKI claims. Instruction MPKI is below the
+//! paper's on all ten, from 1.7× (`clamscan`) to 20× (`clang`), and data
+//! MPKI is up to 1.75× above it (`sqlite`). The defining characteristics:
 //!
 //! | benchmark | role (paper) | defining parameters here |
 //! |---|---|---|

@@ -1,7 +1,11 @@
 //! Qualitative paper-claim tests: the directional results the paper
 //! stakes its contribution on, checked at a reduced (CI-friendly) scale.
-//! The `calibrate` binary prints the full-scale numbers beside the
-//! paper's (its `paper:` columns).
+//! `all_experiments` prints the full-scale numbers beside the paper's,
+//! one `claim <id> paper <value> reproduced <value>` line each. The tests
+//! share one preparation of the subset and the SRRIP / TRRIP-1 sweep of
+//! it that two of them read.
+
+use std::sync::OnceLock;
 
 use trrip::core::ClassifierConfig;
 use trrip::policies::PolicyKind;
@@ -12,15 +16,27 @@ use trrip_analysis::report::{geomean_pct, geomean_reduction_pct};
 
 /// A reduced benchmark subset that exercises the headline behaviours
 /// without taking minutes: one code-heavy, one balanced, one data-heavy.
-fn subset() -> Vec<PreparedWorkload> {
-    let config = SimConfig::paper(PolicyKind::Srrip);
-    ["gcc", "sqlite", "abseil"]
-        .iter()
-        .map(|name| {
-            let spec = trrip::workloads::proxy::by_name(name).expect("known benchmark");
-            PreparedWorkload::prepare(&spec, config.train_instructions, config.classifier)
-        })
-        .collect()
+fn subset() -> &'static [PreparedWorkload] {
+    static SUBSET: OnceLock<Vec<PreparedWorkload>> = OnceLock::new();
+    SUBSET.get_or_init(|| {
+        let config = SimConfig::paper(PolicyKind::Srrip);
+        ["gcc", "sqlite", "abseil"]
+            .iter()
+            .map(|name| {
+                let spec = trrip::workloads::proxy::by_name(name).expect("known benchmark");
+                PreparedWorkload::prepare(&spec, config.train_instructions, config.classifier)
+            })
+            .collect()
+    })
+}
+
+/// The subset under SRRIP and TRRIP-1 at the paper configuration.
+fn trrip_sweep() -> &'static SweepResult {
+    static SWEEP: OnceLock<SweepResult> = OnceLock::new();
+    SWEEP.get_or_init(|| {
+        let config = SimConfig::paper(PolicyKind::Srrip);
+        sweep_policies(subset(), &config, &[PolicyKind::Srrip, PolicyKind::Trrip1])
+    })
 }
 
 fn sweep_policies(
@@ -33,13 +49,10 @@ fn sweep_policies(
 
 #[test]
 fn trrip_reduces_instruction_mpki_and_speeds_up() {
-    let config = SimConfig::paper(PolicyKind::Srrip);
-    let workloads = subset();
-    let sweep = sweep_policies(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-
+    let sweep = trrip_sweep();
     let mut speedups = Vec::new();
     let mut reductions = Vec::new();
-    for w in &workloads {
+    for w in subset() {
         let base = sweep.get(&w.spec.name, PolicyKind::Srrip);
         let trrip = sweep.get(&w.spec.name, PolicyKind::Trrip1);
         speedups.push(trrip.speedup_vs(base));
@@ -56,10 +69,8 @@ fn trrip_reduces_instruction_mpki_and_speeds_up() {
 fn trrip_trades_small_data_mpki_increase() {
     // §4.4: instruction MPKI drops at the cost of a *slight* data MPKI
     // increase — the profitable trade.
-    let config = SimConfig::paper(PolicyKind::Srrip);
-    let workloads = subset();
-    let sweep = sweep_policies(&workloads, &config, &[PolicyKind::Srrip, PolicyKind::Trrip1]);
-    for w in &workloads {
+    let sweep = trrip_sweep();
+    for w in subset() {
         let base = sweep.get(&w.spec.name, PolicyKind::Srrip);
         let trrip = sweep.get(&w.spec.name, PolicyKind::Trrip1);
         let dd = trrip.data_mpki_reduction_vs(base);
@@ -72,9 +83,8 @@ fn brrip_and_ship_underperform_srrip() {
     // Figure 6: BRRIP and SHiP lose to the SRRIP baseline on these
     // workloads.
     let config = SimConfig::paper(PolicyKind::Srrip);
-    let workloads = subset();
     let sweep = sweep_policies(
-        &workloads,
+        subset(),
         &config,
         &[PolicyKind::Srrip, PolicyKind::Brrip, PolicyKind::Ship],
     );
@@ -88,17 +98,15 @@ fn brrip_and_ship_underperform_srrip() {
 fn selectivity_beats_prioritizing_everything() {
     // §4.7: percentile_hot = 100% (every executed line hot ≈ CLIP)
     // should not beat the selective default on a pressure-heavy workload.
-    let spec = trrip::workloads::proxy::by_name("gcc").unwrap();
     let base_config = SimConfig::paper(PolicyKind::Srrip);
-
-    let selective =
-        PreparedWorkload::prepare(&spec, base_config.train_instructions, base_config.classifier);
+    // gcc prepared at the paper's training length and classifier.
+    let selective = subset().iter().find(|w| w.spec.name == "gcc").expect("gcc in the subset");
     let everything_hot = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
     let blanket = selective.recompile(everything_hot);
 
     let trrip_config = base_config.clone().with_policy(PolicyKind::Trrip1);
-    let sel_base = trrip::sim::simulate(&selective, &base_config);
-    let sel_trrip = trrip::sim::simulate(&selective, &trrip_config);
+    let sel_base = trrip::sim::simulate(selective, &base_config);
+    let sel_trrip = trrip::sim::simulate(selective, &trrip_config);
     let all_base = trrip::sim::simulate(
         &blanket,
         &SimConfig { classifier: everything_hot, ..base_config.clone() },
