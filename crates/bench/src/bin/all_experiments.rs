@@ -14,7 +14,10 @@ fn main() {
     let options = HarnessOptions::from_args(std::env::args().skip(1), USAGE);
     let obs = options.obs_session("all_experiments");
     let failures = regenerate(&options, &PAPER);
-    obs.finish(&[]);
+    let finished = obs.finish(&[]);
+    if let Err(message) = &finished {
+        eprintln!("error: {message}");
+    }
     if failures.is_empty() {
         println!("\nall experiments completed; reports in {}", options.out_dir.display());
     } else {
@@ -22,5 +25,5 @@ fn main() {
     }
     let cores = std::thread::available_parallelism().map_or(0, usize::from);
     println!("wall {:.2} s on {cores} host cores", started.elapsed().as_secs_f64());
-    std::process::exit(i32::from(!failures.is_empty()));
+    std::process::exit(i32::from(!failures.is_empty() || finished.is_err()));
 }

@@ -135,5 +135,8 @@ fn main() {
         }
         println!("smoke OK: every group drove its machines off one read of each record");
     }
-    obs.finish(&summary);
+    if let Err(message) = obs.finish(&summary) {
+        eprintln!("error: {message}");
+        std::process::exit(1);
+    }
 }

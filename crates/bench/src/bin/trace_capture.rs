@@ -21,7 +21,10 @@ fn main() {
         eprintln!("error: {message}");
         std::process::exit(2);
     }
-    obs.finish(&[]);
+    if let Err(message) = obs.finish(&[]) {
+        eprintln!("error: {message}");
+        std::process::exit(1);
+    }
 }
 
 fn run(options: &HarnessOptions) -> Result<(), String> {

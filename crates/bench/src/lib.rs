@@ -403,12 +403,12 @@ impl ObsSession {
     /// timings + counter deltas) and writes `obs_report.json` under
     /// `--out` plus the Chrome trace under `--obs-dir` (or `--out`).
     /// `extra` lands in the report as tool-specific top-level fields.
-    /// Returns the report path when `--metrics` was on.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if an artifact cannot be written or fails validation.
-    pub fn finish(self, extra: &[(&str, f64)]) -> Option<PathBuf> {
+    /// A message naming the artifact that cannot be written or fails
+    /// validation.
+    pub fn finish(self, extra: &[(&str, f64)]) -> Result<(), String> {
         if let Some(stats) = trrip_obs::journal_close() {
             trrip_obs::progress_line(&format!(
                 "journal: {} events ({} dropped) in {}",
@@ -418,7 +418,7 @@ impl ObsSession {
             ));
         }
         if !self.enabled {
-            return None;
+            return Ok(());
         }
         let delta = trrip_obs::snapshot().since(&self.start);
         if !trrip_obs::quiet() {
@@ -435,16 +435,18 @@ impl ObsSession {
         for (name, value) in extra {
             report = report.field_f64(name, *value);
         }
-        fs::create_dir_all(&self.out_dir).expect("create out dir");
         let report_path = self.out_dir.join("obs_report.json");
-        report.write(&report_path).expect("write obs report");
+        fs::create_dir_all(&self.out_dir)
+            .and_then(|()| report.write(&report_path))
+            .map_err(|e| format!("obs report {} cannot be written: {e}", report_path.display()))?;
         trrip_obs::progress!("obs report written to {}", report_path.display());
 
         let trace_dir = self.obs_dir.as_deref().unwrap_or(&self.out_dir);
         let trace_path = trace_dir.join("obs_trace.json");
-        fs::write(&trace_path, trrip_obs::chrome_trace_json()).expect("write chrome trace");
+        fs::write(&trace_path, trrip_obs::chrome_trace_json())
+            .map_err(|e| format!("chrome trace {} cannot be written: {e}", trace_path.display()))?;
         trrip_obs::progress!("chrome trace written to {}", trace_path.display());
-        Some(report_path)
+        Ok(())
     }
 }
 
@@ -692,7 +694,8 @@ pub fn regenerate(options: &HarnessOptions, figures: &[Figure]) -> Vec<&'static 
 /// The `main` of an experiment binary: parses the shared command line
 /// and [`regenerate`]s `figure` inside a telemetry session named after
 /// it, as [`USAGE`] promises of every binary. A plan that fails is a
-/// command-line error (exit 2); a report that cannot be written exits 1.
+/// command-line error (exit 2); a report or telemetry artifact that
+/// cannot be written exits 1.
 pub fn run_experiment(figure: &Figure) {
     let options = HarnessOptions::from_args(std::env::args().skip(1), USAGE);
     if let Err(message) = (figure.plan)(&options) {
@@ -701,8 +704,11 @@ pub fn run_experiment(figure: &Figure) {
     }
     let obs = options.obs_session(figure.name);
     let failed = regenerate(&options, std::slice::from_ref(figure));
-    obs.finish(&[]);
-    std::process::exit(i32::from(!failed.is_empty()));
+    let finished = obs.finish(&[]);
+    if let Err(message) = &finished {
+        eprintln!("error: {message}");
+    }
+    std::process::exit(i32::from(!failed.is_empty() || finished.is_err()));
 }
 
 #[cfg(test)]

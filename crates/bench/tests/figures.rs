@@ -202,6 +202,25 @@ fn a_binary_whose_report_cannot_be_written_exits_1_naming_it() {
     std::fs::remove_dir_all(&out).ok();
 }
 
+/// The same for the telemetry report: a figure binary run with
+/// `--metrics` whose `obs_report.json` path is taken by a directory
+/// writes its own report, then says so and exits 1; it does not panic.
+#[test]
+fn a_binary_whose_obs_report_cannot_be_written_exits_1_naming_it() {
+    let out = scratch("unwritable-obs-table4");
+    std::fs::create_dir(out.join("obs_report.json")).expect("a directory in the way");
+    let run = Command::new(env!("CARGO_BIN_EXE_table4_power_area"))
+        .args(["--metrics", "--quiet", "--out"])
+        .arg(&out)
+        .output()
+        .expect("spawn table4_power_area");
+    let stderr = String::from_utf8_lossy(&run.stderr);
+    assert_eq!(run.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("obs_report.json") && !stderr.contains("panicked"), "{stderr}");
+    assert!(out.join("table4_power_area.txt").is_file(), "the figure's report is written");
+    std::fs::remove_dir_all(&out).ok();
+}
+
 /// What `all_experiments` runs: a report that cannot be written fails
 /// its figure alone, and every other figure writes its report.
 #[test]

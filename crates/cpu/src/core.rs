@@ -130,11 +130,12 @@ const CHUNK_WORDS: usize = 1 << (CHUNK_LINE_BITS - 6);
 /// bitmap over line numbers, in chunks allocated when a line first
 /// lands in one: a test is a search of a handful of chunk numbers and
 /// one bit, where a hash set of 8 Ki entries is a probe sequence into
-/// a table that does not fit the host's L1. Measured against a
-/// `HashSet` (`bench_memsys` on `gcc`, 32 alternating pairs, 2-core
-/// host), unresolved: 34.3 → 30.5 ns per cell-instruction for a
-/// lockstep group of 1, the set slower in 16 of 32 pairs, with the
-/// bitmap's own runs spread over an interquartile range of 11.
+/// a table that does not fit the host's L1. Measured against a lazily
+/// grown `HashSet` on the whole-program (fat LTO) release build, 2-core
+/// host, alternating pairs: flat on `fig6_speedup --bench gcc` (+0.1 %
+/// wall with the set, the set faster in 9 of 16 pairs), and slower on
+/// `--bench gcc,clang,sqlite --jobs 2` (+2.7 % wall, +6.4 % CPU, the
+/// set faster in only 3 and 2 of 10 pairs).
 #[derive(Debug, Default)]
 struct StarvedLines {
     order: VecDeque<u64>,

@@ -22,16 +22,17 @@ use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr, LINE_BYTES};
 use trrip_os::Mmu;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::inflight::InflightTable;
-use crate::view::{Feed, Resolver, StreamView, ViewColumn};
+use crate::view::{Feed, NumberMap, Resolver, StreamView, ViewColumn};
 
-/// Modelled FDIP/prefetch request-file depth: crossing it triggers the
-/// expiry sweep, as the old 512-entry `HashMap` cap did. The
-/// [`InflightTable`] itself keeps 2× headroom above this (see its docs):
-/// the `HashMap` it replaces could overshoot the cap with unexpired
-/// entries between sweeps, and the headroom preserves that behavior for
-/// any realistic burst instead of dropping requests at exactly 512.
+/// Modelled FDIP/prefetch request-file depth: once more lines than this
+/// are in flight, the prefetches that have landed are forgotten.
 const MSHR_ENTRIES: usize = 512;
+
+/// The most lines in flight at once: a prefetch of a new line while
+/// this many are in flight is dropped, as when a request file is full.
+/// Twice [`MSHR_ENTRIES`], since the lines still in flight can outnumber
+/// the request file between expiry sweeps.
+const INFLIGHT_LIMIT: usize = 2 * MSHR_ENTRIES;
 
 /// Implements [`MemoryBackend`] over the full memory system.
 ///
@@ -58,7 +59,8 @@ pub struct SystemBackend<R> {
     mmu: Mmu,
     resolver: R,
     hierarchy: Hierarchy,
-    inflight: InflightTable,
+    /// Prefetched line → the cycle its fill completes.
+    inflight: NumberMap,
     reuse: Option<ReuseProfiler>,
     costly: Option<CostlyMissTracker>,
     code_regions: Vec<(u64, u64, CodeRegion)>,
@@ -111,7 +113,7 @@ impl<R> SystemBackend<R> {
             mmu,
             resolver,
             hierarchy,
-            inflight: InflightTable::new(MSHR_ENTRIES),
+            inflight: NumberMap::default(),
             reuse: None,
             costly: None,
             code_regions,
@@ -192,14 +194,35 @@ impl<R> SystemBackend<R> {
     /// demand access waits for the remaining cycles.
     fn timeliness(&mut self, pa: PhysAddr, raw_latency: u64, now: u64) -> u64 {
         let line = LineAddr::of(pa).raw();
-        match self.inflight.get(line) {
-            Some(ready) if ready > now => raw_latency.max(ready - now),
+        match self.inflight.get(&line) {
+            Some(&ready) if ready > now => raw_latency.max(ready - now),
             Some(_) => {
-                self.inflight.remove(line);
+                self.inflight.remove(&line);
                 raw_latency
             }
             None => raw_latency,
         }
+    }
+
+    /// Tracks a prefetch of `line` completing at `ready`, issued at
+    /// `now`. The first prefetch of a line in flight wins, and one of a
+    /// new line is dropped at [`INFLIGHT_LIMIT`]; past [`MSHR_ENTRIES`]
+    /// lines only those still in flight after `now` are kept.
+    fn track_prefetch(&mut self, line: u64, ready: u64, now: u64) {
+        if self.inflight.len() < INFLIGHT_LIMIT {
+            self.inflight.entry(line).or_insert(ready);
+        }
+        if self.inflight.len() > MSHR_ENTRIES {
+            self.inflight.retain(|_, &mut ready| ready > now);
+        }
+    }
+
+    /// The lines in flight with their ready cycles, in line order: the
+    /// map's contents, never its layout.
+    fn lines_in_flight(&self) -> Vec<(u64, u64)> {
+        let mut lines: Vec<(u64, u64)> = self.inflight.iter().map(|(&l, &r)| (l, r)).collect();
+        lines.sort_unstable();
+        lines
     }
 
     /// One demand data access, resolved: the TLB lookup, then the
@@ -282,14 +305,34 @@ impl<R> Snapshot for SystemBackend<R> {
         w.tag(b"SYSB");
         self.mmu.save(w);
         self.hierarchy.save(w);
-        self.inflight.save(w);
+        let inflight = self.lines_in_flight();
+        w.tag(b"INFL");
+        w.usize(inflight.len());
+        for (line, ready) in inflight {
+            w.u64(line);
+            w.u64(ready);
+        }
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(b"SYSB")?;
         self.mmu.restore(r)?;
         self.hierarchy.restore(r)?;
-        self.inflight.restore(r)
+        r.expect_tag(b"INFL")?;
+        let len = r.usize()?;
+        if len > INFLIGHT_LIMIT {
+            return Err(SnapError::Corrupt(format!(
+                "{len} lines in flight, more than {INFLIGHT_LIMIT}"
+            )));
+        }
+        self.inflight.clear();
+        for _ in 0..len {
+            let line = r.u64()?;
+            if self.inflight.insert(line, r.u64()?).is_some() {
+                return Err(SnapError::Corrupt(format!("line {line:#x} in flight twice")));
+            }
+        }
+        Ok(())
     }
 }
 
@@ -369,11 +412,7 @@ impl<R: Resolver> MemoryBackend for SystemBackend<R> {
             return; // already resident
         }
         self.hierarchy.prefetch(&req);
-        self.inflight.insert_if_absent(line.raw(), now + latency);
-        // Bound the in-flight set (a real FDIP queue is small).
-        if self.inflight.len() > MSHR_ENTRIES {
-            self.inflight.prune_expired(now);
-        }
+        self.track_prefetch(line.raw(), now + latency, now);
     }
 }
 
@@ -476,6 +515,92 @@ mod tests {
         b.prefetch_ifetch(pc2, 0);
         let late = b.ifetch(pc2, false, 10_000);
         assert!(late.l1_hit, "arrived prefetch should be an L1 hit");
+    }
+
+    #[test]
+    fn the_first_prefetch_of_a_line_keeps_its_ready_cycle() {
+        let (_p, _o, mut b) = setup();
+        b.track_prefetch(7, 300, 0);
+        b.track_prefetch(7, 900, 10);
+        assert_eq!(b.lines_in_flight(), [(7, 300)]);
+    }
+
+    #[test]
+    fn a_new_line_is_dropped_at_the_limit() {
+        let (_p, _o, mut b) = setup();
+        for line in 0..INFLIGHT_LIMIT as u64 {
+            b.track_prefetch(line, 1_000 + line, 0); // none lands before 1 000
+        }
+        assert_eq!(b.inflight.len(), 1_024);
+        b.track_prefetch(5_000, 2_000, 0);
+        assert_eq!(b.inflight.len(), 1_024);
+        assert!(!b.inflight.contains_key(&5_000), "a full request file drops the prefetch");
+    }
+
+    #[test]
+    fn past_the_request_file_only_lines_still_in_flight_are_kept() {
+        let (_p, _o, mut b) = setup();
+        for line in 0..MSHR_ENTRIES as u64 {
+            b.track_prefetch(line, line, 0);
+        }
+        assert_eq!(b.inflight.len(), 512, "at 512 nothing is forgotten");
+        b.track_prefetch(5_000, 2_000, 300);
+        let kept = b.lines_in_flight();
+        assert_eq!(kept.len(), 512 - 301 + 1, "lines ready by cycle 300 are forgotten");
+        assert_eq!(kept[0], (301, 301), "ready at `now` is landed");
+        assert_eq!(kept.last(), Some(&(5_000, 2_000)));
+    }
+
+    /// The `INFL` section that ends a saved backend.
+    fn infl_section(lines: &[(u64, u64)]) -> SnapWriter {
+        let mut w = SnapWriter::new();
+        w.tag(b"INFL");
+        w.usize(lines.len());
+        for &(line, ready) in lines {
+            w.u64(line);
+            w.u64(ready);
+        }
+        w
+    }
+
+    /// A saved backend: its `SYSB` tag, MMU and hierarchy, then `tail`.
+    fn saved_with(tail: &SnapWriter) -> Vec<u8> {
+        let (_p, _o, b) = setup();
+        let mut w = SnapWriter::new();
+        w.tag(b"SYSB");
+        b.mmu.save(&mut w);
+        b.hierarchy.save(&mut w);
+        let mut bytes = w.bytes().to_vec();
+        bytes.extend_from_slice(tail.bytes());
+        bytes
+    }
+
+    #[test]
+    fn the_infl_section_is_in_line_order_and_round_trips() {
+        let (_p, _o, mut b) = setup();
+        for line in [90, 3, 41, 7_000, 12] {
+            b.track_prefetch(line, 500 + line, 0);
+        }
+        let mut w = SnapWriter::new();
+        b.save(&mut w);
+        let sorted = [(3, 503), (12, 512), (41, 541), (90, 590), (7_000, 7_500)];
+        assert_eq!(w.bytes(), saved_with(&infl_section(&sorted)), "sorted by line");
+
+        let (_p, _o, mut restored) = setup();
+        restored.track_prefetch(55, 66, 0); // forgotten by the restore
+        restored.restore(&mut SnapReader::new(w.bytes())).expect("restore");
+        assert_eq!(restored.lines_in_flight(), sorted);
+    }
+
+    #[test]
+    fn a_restore_refuses_too_many_lines_or_a_repeated_one() {
+        let too_many: Vec<(u64, u64)> = (0..=INFLIGHT_LIMIT as u64).map(|l| (l, 1)).collect();
+        for (lines, what) in [(too_many, "1 025 lines"), (vec![(5, 1), (5, 2)], "line 5 twice")] {
+            let bytes = saved_with(&infl_section(&lines));
+            let (_p, _o, mut b) = setup();
+            let refused = b.restore(&mut SnapReader::new(&bytes));
+            assert!(matches!(refused, Err(SnapError::Corrupt(_))), "{what}: {refused:?}");
+        }
     }
 
     #[test]

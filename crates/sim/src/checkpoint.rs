@@ -46,7 +46,8 @@
 //!   named by field;
 //! * **policy overlay** — the *policy-dependent* rest, one `OVLY`
 //!   section: the starvation FIFO, the TLB, the caches with
-//!   tag/RRPV/policy state and the in-flight prefetch tracker. No frame
+//!   tag/RRPV/policy state and the lines in flight (`INFL`: a count,
+//!   then `(line, ready)` pairs in line order). No frame
 //!   and no stride table: those are the stream's, in the prefix. One file
 //!   per cell — per `(workload, machine)`;
 //! * **full** — a complete [`SimRun`] state at the boundary: whatever a
@@ -134,13 +135,14 @@ use crate::view::view_page_sizes;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v11. The snapshot payload rests as written, and a full state is the
+/// v12. The snapshot payload rests as written, and a full state is the
 /// two sections a shared prefix and an overlay hold (`SHRD`, then
 /// `OVLY`). Every container is a fast-forward-boundary state, a shared
 /// prefix is keyed by what a frontend reads alone, and it holds the
 /// walker's position beside the predictor and the stream views; an
-/// overlay holds neither frames nor a stride table.
-pub const VERSION: u16 = 11;
+/// overlay holds neither frames nor a stride table, and holds its lines
+/// in flight as `(line, ready)` pairs in line order.
+pub const VERSION: u16 = 12;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -9,8 +9,8 @@
 //! * [`backend`] — [`SystemBackend`]: implements the core's memory
 //!   interface over the cell's TLB and loaded image (temperature
 //!   attribution) and the cache hierarchy, adds next-line prefetching,
-//!   stride-prefetch fills and prefetch timeliness, and feeds the
-//!   reuse/costly-miss profilers.
+//!   stride-prefetch fills and prefetch timeliness (a map of the lines
+//!   in flight), and feeds the reuse/costly-miss profilers.
 //! * [`view`] — [`StreamView`]: what the stream alone decides of the
 //!   memory system — anonymous frames and stride proposals — resolved
 //!   once per stream and page size, and handed to a sweep's cells as
@@ -39,8 +39,6 @@
 //! * [`warmstats`] — what the `warm.*` registry counters mean: how
 //!   cells reached the fast-forward boundary (restored, or warmed with
 //!   or without a store), the observable behind fallback tests.
-//! * [`inflight`] — the fixed-size open-addressed prefetch-timeliness
-//!   table behind the backend's allocation-free hot path.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -50,7 +48,6 @@ pub mod capture;
 pub mod checkpoint;
 pub mod config;
 pub mod experiment;
-pub mod inflight;
 pub mod prepare;
 pub mod system;
 pub mod view;
@@ -67,7 +64,6 @@ pub use experiment::{
     default_jobs, parallel_map_with, policy_cells, policy_sweep_with, simulate_rows, SweepResult,
     TURN_INSTRS,
 };
-pub use inflight::InflightTable;
 pub use prepare::PreparedWorkload;
 pub use system::{simulate, simulate_source, CellRun, Frontend, SimResult, SimRun};
 pub use view::{StreamTurn, StreamView};

@@ -44,20 +44,20 @@ use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::config::SimConfig;
 
-/// A page number's hash: one multiply, as the TLB's hint table and the
-/// in-flight table hash, rotated so that the product's well-mixed high
-/// half picks the frame map's bucket.
+/// A page or line number's hash: one multiply, as the TLB's hint table
+/// hashes, rotated so that the product's well-mixed high half picks the
+/// map's bucket.
 #[derive(Debug, Default, Clone, Copy)]
-struct PageHasher(u64);
+pub(crate) struct MultiplyHasher(u64);
 
-impl Hasher for PageHasher {
+impl Hasher for MultiplyHasher {
     fn write(&mut self, _: &[u8]) {
-        unreachable!("the frame map is keyed by page number alone");
+        unreachable!("a multiply-hashed map is keyed by one u64 alone");
     }
 
     #[inline]
-    fn write_u64(&mut self, vpn: u64) {
-        self.0 = vpn.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    fn write_u64(&mut self, number: u64) {
+        self.0 = number.wrapping_mul(0x9E37_79B9_7F4A_7C15);
     }
 
     #[inline]
@@ -66,8 +66,9 @@ impl Hasher for PageHasher {
     }
 }
 
-/// Page number → frame.
-type FrameMap = HashMap<u64, u64, BuildHasherDefault<PageHasher>>;
+/// A `u64` → `u64` map on the [`MultiplyHasher`]: page number → frame
+/// here, line → ready cycle in the backend's in-flight prefetches.
+pub(crate) type NumberMap = HashMap<u64, u64, BuildHasherDefault<MultiplyHasher>>;
 
 /// The distinct page sizes of a row's cells, smallest first: the views
 /// a frontend for that row owns, in the order its shared prefix holds
@@ -101,7 +102,7 @@ pub struct StreamView {
     page_size: PageSize,
     /// Every mapped page's frame: the loader's, then the
     /// demand-allocated ones.
-    frames: FrameMap,
+    frames: NumberMap,
     /// The first demand-allocated frame, above every loaded one: a page
     /// whose frame is below it was mapped by the loader.
     first_anon_frame: u64,
@@ -116,7 +117,7 @@ impl StreamView {
     #[must_use]
     pub fn new(object: &ObjectFile, page_size: PageSize) -> StreamView {
         let image = Loader::new(page_size).load(object);
-        let frames: FrameMap =
+        let frames: NumberMap =
             image.page_table.iter().map(|(vpn, entry)| (vpn, entry.frame)).collect();
         let first_anon_frame = frames.values().max().map_or(0x101, |&frame| frame + 1);
         StreamView {

@@ -4,8 +4,9 @@
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
 //! a store whose every file (training profile, prefix, overlays) says
-//! version 10 — the one whose overlays held frames and the stride table
-//! — or version 9 — the one whose payloads rested LZ-packed — makes the
+//! version 11 — the one whose overlays kept in-flight slot positions —,
+//! 10 — the one whose overlays held frames and the stride table — or 9
+//! — the one whose payloads rested LZ-packed — makes the
 //! next preparation train again and the next sweep do what it does over
 //! an empty store, to the same bits, leaving current files behind. (A
 //! capture of another version is the trace reader's to refuse:
@@ -114,9 +115,10 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(version_of(&ckpts.profile_path(&spec, TRAIN)), current);
 
     // ---- a preparation and a sweep over a store of an earlier version ----
-    // 10: the store whose overlays held the page table and the stride
-    // table; 9: the one whose payloads rested LZ-packed.
-    for stale in [10, 9] {
+    // 11: the store whose overlays kept in-flight slot positions; 10: the
+    // one whose overlays held the page table and the stride table; 9: the
+    // one whose payloads rested LZ-packed.
+    for stale in [11, 10, 9] {
         assert_eq!(stamp_all(&ckpts, stale), files);
         let (retrained, moved) = moved_by(prepare);
         assert_eq!(retrained.profile, workloads[0].profile, "the same profile, trained again");
