@@ -33,7 +33,7 @@ const BENCHES: [&str; 6] = ["abseil", "deepsjeng", "gcc", "omnetpp", "rapidjson"
 
 /// The paper machine under `policy`, compiled at `threshold`.
 fn cell(options: &HarnessOptions, threshold: f64, policy: PolicyKind) -> SimConfig {
-    let classifier = ClassifierConfig::with_percentile_hot(threshold);
+    let classifier = ClassifierConfig { percentile_hot: threshold };
     SimConfig { classifier, ..options.sim_config(policy) }
 }
 

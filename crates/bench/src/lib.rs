@@ -962,7 +962,7 @@ mod tests {
         // One policy differs.
         let lru = Plan::grid(specs, &policy_cells(&config, &[PolicyKind::Srrip, PolicyKind::Lru]));
         // The classifier differs: the same spec, recompiled.
-        let hotter = ClassifierConfig { percentile_hot: 0.8, ..config.classifier };
+        let hotter = ClassifierConfig { percentile_hot: 0.8 };
         let recompiled = Plan::grid(specs, &[SimConfig { classifier: hotter, ..config.clone() }]);
         let plans = [&first, &lru, &recompiled];
         let groups = stream_groups(plans.iter().flat_map(|p| &p.simulate));
@@ -991,10 +991,8 @@ mod tests {
         // Another training length is another preparation, another
         // classifier a recompile of the one profile.
         let longer = SimConfig { train_instructions: 120_000, ..config.clone() };
-        let hotter = SimConfig {
-            classifier: ClassifierConfig { percentile_hot: 0.8, ..config.classifier },
-            ..config.clone()
-        };
+        let hotter =
+            SimConfig { classifier: ClassifierConfig { percentile_hot: 0.8 }, ..config.clone() };
         let prepare = vec![point, (spec.clone(), longer.clone()), (spec.clone(), hotter.clone())];
         let results =
             Results::run(&options(), [&Plan { prepare, simulate: Vec::new() }].into_iter());

@@ -10,7 +10,7 @@
 //! both and let the proptest arbitrate.
 
 use trrip_mem::{LineAddr, MemoryRequest};
-use trrip_policies::{ReplacementPolicy, RequestInfo};
+use trrip_policies::ReplacementPolicy;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::cache::{restore_bitmap, save_bitmap, EvictedLine};
@@ -95,7 +95,6 @@ impl AosCache {
     /// Demand lookup: returns `true` on hit.
     pub fn access(&mut self, req: &MemoryRequest) -> bool {
         let line = self.line_of(req);
-        let info = RequestInfo::from(req);
         match self.find_way(line) {
             Some(way) => {
                 let set = self.set_index(line);
@@ -104,7 +103,7 @@ impl AosCache {
                 } else {
                     self.stats.record_demand(req.kind.is_instruction(), true);
                 }
-                self.policy.on_hit(set, way, &info);
+                self.policy.on_hit(set, way, req);
                 if req.kind.is_write() {
                     let slot = self.slot(set, way);
                     self.lines[slot].dirty = true;
@@ -127,13 +126,12 @@ impl AosCache {
             return None;
         }
         let set = self.set_index(line);
-        let info = RequestInfo::from(req);
 
         let invalid_way = (0..self.config.ways).find(|&way| !self.lines[self.slot(set, way)].valid);
         let (way, evicted) = match invalid_way {
             Some(way) => (way, None),
             None => {
-                let way = self.policy.choose_victim(set, &info);
+                let way = self.policy.choose_victim(set);
                 assert!(way < self.config.ways, "policy returned way out of range");
                 let old = self.lines[self.slot(set, way)];
                 self.policy.on_evict(set, way);
@@ -162,7 +160,7 @@ impl AosCache {
         if req.attrs.prefetch {
             self.stats.prefetch_fills += 1;
         }
-        self.policy.on_fill(set, way, &info);
+        self.policy.on_fill(set, way, req);
         evicted
     }
 

@@ -14,7 +14,7 @@
 //! default parameter.
 
 use trrip_mem::{LineAddr, MemoryRequest};
-use trrip_policies::{ReplacementPolicy, RequestInfo};
+use trrip_policies::ReplacementPolicy;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::config::CacheConfig;
@@ -210,9 +210,7 @@ impl<P: ReplacementPolicy> Cache<P> {
                 } else {
                     self.stats.record_demand(req.kind.is_instruction(), true);
                 }
-                // Built in the argument: a policy that does not read it
-                // (LRU, held by value) never has it built.
-                self.policy.on_hit(set, way, &RequestInfo::from(req));
+                self.policy.on_hit(set, way, req);
                 if req.kind.is_write() {
                     bitmap_set(&mut self.dirty, set * self.config.ways + way, true);
                 }
@@ -240,13 +238,12 @@ impl<P: ReplacementPolicy> Cache<P> {
         }
         let set = self.set_index(line);
         let base = set * self.config.ways;
-        let info = RequestInfo::from(req);
 
         let invalid_way = first_match(&self.tags[base..base + self.config.ways], TAG_INVALID);
         let (way, evicted) = match invalid_way {
             Some(way) => (way, None),
             None => {
-                let way = self.policy.choose_victim(set, &info);
+                let way = self.policy.choose_victim(set);
                 assert!(way < self.config.ways, "policy returned way out of range");
                 let slot = base + way;
                 let old = EvictedLine {
@@ -271,7 +268,7 @@ impl<P: ReplacementPolicy> Cache<P> {
         if req.attrs.prefetch {
             self.stats.prefetch_fills += 1;
         }
-        self.policy.on_fill(set, way, &info);
+        self.policy.on_fill(set, way, req);
         evicted
     }
 

@@ -9,14 +9,12 @@
 use serde::{Deserialize, Serialize};
 use trrip_core::{ClassifierConfig, ProfileSummary, Temperature};
 
-use crate::ir::Program;
 use crate::profile::Profile;
 
-/// Per-function temperatures plus the summary they were derived from.
+/// Per-function temperatures.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FunctionTemperatures {
     temps: Vec<Temperature>,
-    summary: ProfileSummary,
 }
 
 impl FunctionTemperatures {
@@ -30,12 +28,6 @@ impl FunctionTemperatures {
     #[must_use]
     pub fn as_slice(&self) -> &[Temperature] {
         &self.temps
-    }
-
-    /// The Equation 1–2 summary used for classification.
-    #[must_use]
-    pub fn summary(&self) -> &ProfileSummary {
-        &self.summary
     }
 
     /// Number of functions with each temperature: `(hot, warm, cold)`.
@@ -53,24 +45,19 @@ impl FunctionTemperatures {
     }
 }
 
-/// Classifies every function of `program` from `profile` using the given
-/// percentile configuration (Figure 8 sweeps `percentile_hot`).
+/// Classifies every function by its hottest block's count in `profile`,
+/// at `config`'s hot percentile (Figure 8 sweeps it).
 #[must_use]
-pub fn classify_functions(
-    program: &Program,
-    profile: &Profile,
-    config: ClassifierConfig,
-) -> FunctionTemperatures {
+pub fn classify_functions(profile: &Profile, config: ClassifierConfig) -> FunctionTemperatures {
     let summary = ProfileSummary::from_counts(profile.all_counts(), config);
     let temps = profile.function_max_counts().iter().map(|&c| summary.classify(c)).collect();
-    let _ = program; // shape is implied by the profile; kept for API clarity
-    FunctionTemperatures { temps, summary }
+    FunctionTemperatures { temps }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ir::{BasicBlock, Function};
+    use crate::ir::{BasicBlock, Function, Program};
 
     fn program(n: usize) -> Program {
         let functions = (0..n)
@@ -98,7 +85,7 @@ mod tests {
     fn dominant_function_is_hot_unexecuted_is_cold() {
         let p = program(3);
         let prof = profile_with_counts(&p, &[10_000, 50, 0]);
-        let temps = classify_functions(&p, &prof, ClassifierConfig::llvm_defaults());
+        let temps = classify_functions(&prof, ClassifierConfig::llvm_defaults());
         assert_eq!(temps.of(0), Temperature::Hot);
         assert_eq!(temps.of(2), Temperature::Cold);
     }
@@ -107,20 +94,17 @@ mod tests {
     fn histogram_counts_all_classes() {
         let p = program(4);
         let prof = profile_with_counts(&p, &[100_000, 100_000, 30, 0]);
-        let config = ClassifierConfig { percentile_hot: 0.99, percentile_cold: 0.9999 };
-        let temps = classify_functions(&p, &prof, config);
-        let (hot, warm, cold) = temps.histogram();
-        assert_eq!(hot + warm + cold, 4);
-        assert!(hot >= 2, "both heavy functions should be hot");
-        assert!(cold >= 1, "unexecuted function must be cold");
+        let temps = classify_functions(&prof, ClassifierConfig::llvm_defaults());
+        // Both heavy functions are hot, the 30-count one sits in the last
+        // 1% but inside 99.9999% (warm), the unexecuted one is cold.
+        assert_eq!(temps.histogram(), (2, 1, 1));
     }
 
     #[test]
     fn percentile_100_promotes_everything_executed() {
         let p = program(3);
         let prof = profile_with_counts(&p, &[1000, 1, 0]);
-        let config = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
-        let temps = classify_functions(&p, &prof, config);
+        let temps = classify_functions(&prof, ClassifierConfig { percentile_hot: 1.0 });
         assert_eq!(temps.of(0), Temperature::Hot);
         assert_eq!(temps.of(1), Temperature::Hot);
         assert_eq!(temps.of(2), Temperature::Cold);

@@ -287,8 +287,7 @@ mod tests {
             prof.record(2, 0);
         }
         // f0 never executed.
-        let config = ClassifierConfig { percentile_hot: 0.99, percentile_cold: 0.9999 };
-        let temps = classify_functions(p, &prof, config);
+        let temps = classify_functions(&prof, ClassifierConfig::llvm_defaults());
         (prof, temps)
     }
 

@@ -7,72 +7,38 @@
 //! the budget is exceeded; the count reached at that point, `C_n`, becomes
 //! the *hot count threshold*. Any block whose counter is at least `C_n` is
 //! hot. The symmetric computation with a (much higher) cold percentile
-//! yields the cold threshold; blocks at or below it — including
+//! yields the cold threshold; blocks below it — including
 //! never-executed blocks — are cold, and everything else is warm.
 //!
 //! LLVM's defaults are `Percentile_hot = 99%` (the paper's default, §4.7)
-//! and a cold percentile of `99.9999%`.
-
-use std::fmt;
+//! and a cold percentile of `99.9999%`. The paper sweeps only the hot one
+//! (Figure 8), so it is the classifier's one knob; the cold percentile is
+//! LLVM's, raised to the hot one when that is higher so the thresholds
+//! never invert.
 
 use serde::{Deserialize, Serialize};
 
 use crate::temperature::Temperature;
 
-/// Percentile knobs for the classifier.
+/// LLVM's cold percentile: code past 99.9999% of the total count is cold.
+const PERCENTILE_COLD: f64 = 0.999999;
+
+/// The classifier's knob: Equation 1's `Percentile_hot`.
 ///
-/// Percentiles are expressed as fractions in `(0, 1]`; the paper's Figure 8
-/// sweeps `percentile_hot` over {10%, 80%, 99%, 99.99%, 100%}.
+/// A fraction in `(0, 1]`; the paper's Figure 8 sweeps it over {10%, 80%,
+/// 99%, 99.99%, 100%}.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ClassifierConfig {
     /// Fraction of total execution counts that hot code must cover
     /// (Equation 1's `Percentile_hot`).
     pub percentile_hot: f64,
-    /// Fraction of total execution counts beyond which remaining code is
-    /// cold. Must be at least `percentile_hot`.
-    pub percentile_cold: f64,
 }
 
 impl ClassifierConfig {
-    /// LLVM's default percentiles: hot 99%, cold 99.9999%.
+    /// LLVM's default hot percentile, 99%.
     #[must_use]
     pub fn llvm_defaults() -> ClassifierConfig {
-        ClassifierConfig { percentile_hot: 0.99, percentile_cold: 0.999999 }
-    }
-
-    /// Config with a custom hot percentile and the default cold percentile.
-    /// The cold percentile is clamped up to the hot percentile so the two
-    /// thresholds never invert.
-    #[must_use]
-    pub fn with_percentile_hot(percentile_hot: f64) -> ClassifierConfig {
-        let defaults = ClassifierConfig::llvm_defaults();
-        ClassifierConfig {
-            percentile_hot,
-            percentile_cold: defaults.percentile_cold.max(percentile_hot),
-        }
-    }
-
-    /// Validates the knobs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ClassifierConfigError`] when a percentile is outside
-    /// `(0, 1]` or the cold percentile is below the hot percentile.
-    pub fn validate(&self) -> Result<(), ClassifierConfigError> {
-        for (name, p) in
-            [("percentile_hot", self.percentile_hot), ("percentile_cold", self.percentile_cold)]
-        {
-            if !(p > 0.0 && p <= 1.0) {
-                return Err(ClassifierConfigError::PercentileOutOfRange { name, value: p });
-            }
-        }
-        if self.percentile_cold < self.percentile_hot {
-            return Err(ClassifierConfigError::ColdBelowHot {
-                hot: self.percentile_hot,
-                cold: self.percentile_cold,
-            });
-        }
-        Ok(())
+        ClassifierConfig { percentile_hot: 0.99 }
     }
 }
 
@@ -81,40 +47,6 @@ impl Default for ClassifierConfig {
         ClassifierConfig::llvm_defaults()
     }
 }
-
-/// Error produced by [`ClassifierConfig::validate`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum ClassifierConfigError {
-    /// A percentile fell outside `(0, 1]`.
-    PercentileOutOfRange {
-        /// Which knob was invalid.
-        name: &'static str,
-        /// The offending value.
-        value: f64,
-    },
-    /// The cold percentile was below the hot percentile.
-    ColdBelowHot {
-        /// Configured hot percentile.
-        hot: f64,
-        /// Configured cold percentile.
-        cold: f64,
-    },
-}
-
-impl fmt::Display for ClassifierConfigError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ClassifierConfigError::PercentileOutOfRange { name, value } => {
-                write!(f, "{name} must be in (0, 1], got {value}")
-            }
-            ClassifierConfigError::ColdBelowHot { hot, cold } => {
-                write!(f, "percentile_cold ({cold}) must not be below percentile_hot ({hot})")
-            }
-        }
-    }
-}
-
-impl std::error::Error for ClassifierConfigError {}
 
 /// Summary of a basic-block count profile: the count thresholds that
 /// separate hot, warm and cold code.
@@ -134,68 +66,39 @@ impl std::error::Error for ClassifierConfigError {}
 /// assert_eq!(summary.classify(10_000), Temperature::Hot);
 /// assert_eq!(summary.classify(0), Temperature::Cold);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProfileSummary {
     total_count: u64,
-    max_count: u64,
-    num_counts: usize,
     hot_count_threshold: u64,
     cold_count_threshold: u64,
-    config: ClassifierConfig,
 }
 
 impl ProfileSummary {
-    /// Builds the summary from raw basic-block counts (any order).
+    /// Builds the summary from raw basic-block counts (any order): the
+    /// hot threshold at `config`'s percentile, the cold one at
+    /// LLVM's 99.9999% or the hot percentile, the higher.
     ///
     /// An empty or all-zero profile yields thresholds that classify
     /// everything as cold, matching a never-run binary.
     ///
     /// # Panics
     ///
-    /// Panics if `config` fails [`ClassifierConfig::validate`]; use the
-    /// validating constructor paths in callers that accept user input.
+    /// Panics if the hot percentile is outside `(0, 1]`.
     pub fn from_counts<I>(counts: I, config: ClassifierConfig) -> ProfileSummary
     where
         I: IntoIterator<Item = u64>,
     {
-        config.validate().expect("invalid classifier configuration");
+        let hot = config.percentile_hot;
+        assert!(hot > 0.0 && hot <= 1.0, "percentile_hot must be in (0, 1], got {hot}");
         let mut sorted: Vec<u64> = counts.into_iter().collect();
         sorted.sort_unstable_by(|a, b| b.cmp(a));
-        let num_counts = sorted.len();
         let total_count: u64 = sorted.iter().sum();
-        let max_count = sorted.first().copied().unwrap_or(0);
-
-        let hot_count_threshold =
-            min_count_for_percentile(&sorted, total_count, config.percentile_hot);
-        let cold_count_threshold =
-            min_count_for_percentile(&sorted, total_count, config.percentile_cold);
-
+        let cold = PERCENTILE_COLD.max(hot);
         ProfileSummary {
             total_count,
-            max_count,
-            num_counts,
-            hot_count_threshold,
-            cold_count_threshold,
-            config,
+            hot_count_threshold: min_count_for_percentile(&sorted, total_count, hot),
+            cold_count_threshold: min_count_for_percentile(&sorted, total_count, cold),
         }
-    }
-
-    /// Sum of all counts (`C_total` in Equation 1).
-    #[must_use]
-    pub fn total_count(&self) -> u64 {
-        self.total_count
-    }
-
-    /// The largest single basic-block count.
-    #[must_use]
-    pub fn max_count(&self) -> u64 {
-        self.max_count
-    }
-
-    /// Number of profiled basic blocks.
-    #[must_use]
-    pub fn num_counts(&self) -> usize {
-        self.num_counts
     }
 
     /// Counts at or above this are hot (`C_n` of Equation 2).
@@ -204,16 +107,10 @@ impl ProfileSummary {
         self.hot_count_threshold
     }
 
-    /// Counts at or below this are cold.
+    /// Counts below this are cold.
     #[must_use]
     pub fn cold_count_threshold(&self) -> u64 {
         self.cold_count_threshold
-    }
-
-    /// The configuration the summary was built with.
-    #[must_use]
-    pub fn config(&self) -> ClassifierConfig {
-        self.config
     }
 
     /// Classifies one basic-block count.
@@ -259,13 +156,13 @@ fn min_count_for_percentile(sorted_desc: &[u64], total: u64, percentile: f64) ->
 mod tests {
     use super::*;
 
-    fn classify_with(counts: &[u64], config: ClassifierConfig) -> Vec<Temperature> {
-        let summary = ProfileSummary::from_counts(counts.iter().copied(), config);
-        counts.iter().map(|&c| summary.classify(c)).collect()
+    fn summary(counts: &[u64], percentile_hot: f64) -> ProfileSummary {
+        ProfileSummary::from_counts(counts.iter().copied(), ClassifierConfig { percentile_hot })
     }
 
     fn classify(counts: &[u64], percentile_hot: f64) -> Vec<Temperature> {
-        classify_with(counts, ClassifierConfig::with_percentile_hot(percentile_hot))
+        let summary = summary(counts, percentile_hot);
+        counts.iter().map(|&c| summary.classify(c)).collect()
     }
 
     #[test]
@@ -282,12 +179,12 @@ mod tests {
 
     #[test]
     fn rare_tail_is_cold_under_tighter_cold_percentile() {
-        // With percentile_cold = 99.99%, the 1-count tail falls outside the
-        // coverage set and classifies cold while the mid tier stays warm.
-        let mut counts = vec![1_000_000u64, 2_000];
+        // The 1-count tail is under a millionth of the total, so it falls
+        // outside the 99.9999% coverage set and classifies cold while the
+        // mid tier stays warm.
+        let mut counts = vec![100_000_000u64, 200_000];
         counts.extend(std::iter::repeat_n(1, 50));
-        let config = ClassifierConfig { percentile_hot: 0.99, percentile_cold: 0.9999 };
-        let temps = classify_with(&counts, config);
+        let temps = classify(&counts, 0.99);
         assert_eq!(temps[0], Temperature::Hot);
         assert_eq!(temps[1], Temperature::Warm);
         assert!(temps[2..].iter().all(|&t| t == Temperature::Cold), "{temps:?}");
@@ -304,8 +201,7 @@ mod tests {
         // §4.7: Percentile_hot = 100% is "similar to CLIP" — every executed
         // block becomes hot.
         let counts = [1_000_000u64, 1_000, 10, 1, 0];
-        let config = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
-        let temps = classify_with(&counts, config);
+        let temps = classify(&counts, 1.0);
         assert_eq!(
             temps,
             vec![
@@ -347,7 +243,6 @@ mod tests {
         let summary = ProfileSummary::from_counts(std::iter::empty(), ClassifierConfig::default());
         assert_eq!(summary.classify(0), Temperature::Cold);
         assert_eq!(summary.classify(100), Temperature::Cold);
-        assert_eq!(summary.total_count(), 0);
     }
 
     #[test]
@@ -374,21 +269,41 @@ mod tests {
 
     #[test]
     fn config_validation_rejects_bad_percentiles() {
-        assert!(ClassifierConfig { percentile_hot: 0.0, percentile_cold: 0.5 }.validate().is_err());
-        assert!(ClassifierConfig { percentile_hot: 1.1, percentile_cold: 1.0 }.validate().is_err());
-        assert!(ClassifierConfig { percentile_hot: 0.9, percentile_cold: 0.5 }.validate().is_err());
-        assert!(ClassifierConfig::llvm_defaults().validate().is_ok());
+        for percentile_hot in [0.0, -0.5, 1.1, f64::NAN] {
+            let built = std::panic::catch_unwind(|| summary(&[100, 1], percentile_hot));
+            assert!(built.is_err(), "percentile_hot {percentile_hot} accepted");
+        }
+        assert!(std::panic::catch_unwind(|| summary(&[100, 1], 1.0)).is_ok());
     }
 
     #[test]
     fn summary_exposes_thresholds() {
-        let counts = [100u64, 50, 1];
-        let summary =
-            ProfileSummary::from_counts(counts.iter().copied(), ClassifierConfig::llvm_defaults());
-        assert_eq!(summary.total_count(), 151);
-        assert_eq!(summary.max_count(), 100);
-        assert_eq!(summary.num_counts(), 3);
-        assert!(summary.hot_count_threshold() <= summary.max_count());
-        assert!(summary.cold_count_threshold() <= summary.hot_count_threshold());
+        let summary = summary(&[100, 50, 1], 0.99);
+        assert_eq!(summary.hot_count_threshold(), 50);
+        assert_eq!(summary.cold_count_threshold(), 1);
+    }
+
+    /// The (hot, cold) count thresholds of one fixed profile at Figure 8's
+    /// five hot percentiles. The cold cut is LLVM's 99.9999% up to a hot
+    /// percentile of 100%, where it rises with it: below that, the tail
+    /// of counts 1 to 125 (225 of 404 010 000) is cold.
+    #[test]
+    fn figure8_thresholds_are_pinned() {
+        let counts: Vec<u64> = (1..=200).map(|i| i * i * i).collect();
+        let pinned = [
+            (0.10, 7_414_875, 216),
+            (0.80, 2_406_104, 216),
+            (0.99, 250_047, 216),
+            (0.9999, 8_000, 216),
+            (1.0, 1, 1),
+        ];
+        for (percentile_hot, hot, cold) in pinned {
+            let summary = summary(&counts, percentile_hot);
+            assert_eq!(
+                (summary.hot_count_threshold(), summary.cold_count_threshold()),
+                (hot, cold),
+                "percentile_hot {percentile_hot}"
+            );
+        }
     }
 }

@@ -83,7 +83,7 @@ proptest! {
         counts in prop::collection::vec(0u64..1_000_000, 1..128),
         percentile in 1u32..=100,
     ) {
-        let config = ClassifierConfig::with_percentile_hot(f64::from(percentile) / 100.0);
+        let config = ClassifierConfig { percentile_hot: f64::from(percentile) / 100.0 };
         let summary = ProfileSummary::from_counts(counts.iter().copied(), config);
         let mut sorted = counts.clone();
         sorted.sort_unstable();
@@ -100,7 +100,7 @@ proptest! {
         percentile in 1u32..=100,
     ) {
         let fraction = f64::from(percentile) / 100.0;
-        let config = ClassifierConfig::with_percentile_hot(fraction);
+        let config = ClassifierConfig { percentile_hot: fraction };
         let summary = ProfileSummary::from_counts(counts.iter().copied(), config);
         let total: u64 = counts.iter().sum();
         let hot_sum: u64 = counts

@@ -51,8 +51,10 @@ use crate::trace::{MemOp, TraceInstr};
 const MLP_SERIALIZATION: f64 = 4.0;
 
 /// Machines whose clocks [`Core::execute`] keeps on the stack for the
-/// length of a turn; a larger group's go to the heap. A sweep's worker
-/// holds at most one workload's policies, ten at the most.
+/// length of a turn; a larger group's go to the heap. A group is one
+/// worker's share of one workload's cells, all of them with one worker:
+/// 16 in fig9's sweep, 18 in `overlap_ablation`'s and 21 in
+/// `all_experiments`' gcc row.
 const LOCKSTEP_STACK_CLOCKS: usize = 16;
 
 /// How many instructions [`Core::run`] pulls from a generic iterator

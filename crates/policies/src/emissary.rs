@@ -11,10 +11,11 @@
 //! over, with the priority bits cleared to start a fresh epoch — the
 //! original proposal's recycling behaviour.
 
+use trrip_mem::MemoryRequest;
 use trrip_snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::lru::Lru;
-use crate::{ReplacementPolicy, RequestInfo};
+use crate::ReplacementPolicy;
 
 /// Emissary: starvation-priority way-locking built on LRU.
 #[derive(Debug, Clone)]
@@ -61,14 +62,14 @@ impl Emissary {
 }
 
 impl ReplacementPolicy for Emissary {
-    fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
+    fn on_hit(&mut self, set: usize, way: usize, req: &MemoryRequest) {
         self.lru.on_hit(set, way, req);
-        if req.kind.is_instruction() && req.caused_starvation {
+        if req.kind.is_instruction() && req.attrs.caused_starvation {
             self.priority[set * self.ways + way] = true;
         }
     }
 
-    fn choose_victim(&mut self, set: usize, req: &RequestInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         let row = set * self.ways..(set + 1) * self.ways;
         let priority = &self.priority[row.clone()];
         let unprotected = self.lru.lru_way(set, |way| !priority[way]);
@@ -78,14 +79,15 @@ impl ReplacementPolicy for Emissary {
             // to plain LRU and start a fresh priority epoch for the set.
             _ => {
                 self.priority[row].fill(false);
-                self.lru.choose_victim(set, req)
+                self.lru.choose_victim(set)
             }
         }
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo) {
+    fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest) {
         self.lru.on_fill(set, way, req);
-        self.priority[set * self.ways + way] = req.kind.is_instruction() && req.caused_starvation;
+        self.priority[set * self.ways + way] =
+            req.kind.is_instruction() && req.attrs.caused_starvation;
     }
 
     fn on_invalidate(&mut self, set: usize, way: usize) {
@@ -114,9 +116,10 @@ impl ReplacementPolicy for Emissary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{ifetch, load};
 
-    fn starved_fetch(pc: u64) -> RequestInfo {
-        RequestInfo::ifetch(pc).with_starvation()
+    fn starved_fetch(pc: u64) -> MemoryRequest {
+        ifetch(pc).with_starvation(true)
     }
 
     #[test]
@@ -125,9 +128,9 @@ mod tests {
         // Way 0 priority, ways 1..3 plain; way 1 is LRU among plain lines.
         p.on_fill(0, 0, &starved_fetch(0x100));
         for way in 1..4 {
-            p.on_fill(0, way, &RequestInfo::ifetch(0x200 + way as u64));
+            p.on_fill(0, way, &ifetch(0x200 + way as u64));
         }
-        let victim = p.choose_victim(0, &RequestInfo::ifetch(0x900));
+        let victim = p.choose_victim(0);
         assert_eq!(victim, 1);
         assert!(p.is_priority(0, 0));
     }
@@ -141,8 +144,8 @@ mod tests {
         for way in 0..3 {
             p.on_fill(0, way, &starved_fetch(0x100 + way as u64 * 64));
         }
-        p.on_fill(0, 3, &RequestInfo::ifetch(0x900));
-        let victim = p.choose_victim(0, &RequestInfo::ifetch(0xa00));
+        p.on_fill(0, 3, &ifetch(0x900));
+        let victim = p.choose_victim(0);
         assert_eq!(victim, 0);
         assert!((0..4).all(|w| !p.is_priority(0, w)));
     }
@@ -150,7 +153,7 @@ mod tests {
     #[test]
     fn starvation_hit_promotes_to_priority() {
         let mut p = Emissary::new(1, 4);
-        p.on_fill(0, 0, &RequestInfo::ifetch(0x100));
+        p.on_fill(0, 0, &ifetch(0x100));
         assert!(!p.is_priority(0, 0));
         p.on_hit(0, 0, &starved_fetch(0x100));
         assert!(p.is_priority(0, 0));
@@ -159,7 +162,7 @@ mod tests {
     #[test]
     fn data_lines_never_gain_priority() {
         let mut p = Emissary::new(1, 4);
-        let data = RequestInfo { caused_starvation: true, ..RequestInfo::data_load(0x500) };
+        let data = load(0x500).with_starvation(true);
         p.on_fill(0, 2, &data);
         assert!(!p.is_priority(0, 2));
     }

@@ -93,14 +93,14 @@ impl fmt::Display for PolicyKind {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::RequestInfo;
+    use crate::tests::ifetch;
 
     #[test]
     fn build_produces_working_policies() {
-        let req = RequestInfo::ifetch(0x1000);
+        let req = ifetch(0x1000);
         for kind in PolicyKind::PAPER_SET {
             let mut p = kind.build(64, 8);
-            let v = p.choose_victim(3, &req);
+            let v = p.choose_victim(3);
             assert!(v < 8, "{kind}: victim out of range");
             p.on_fill(3, v, &req);
             p.on_hit(3, v, &req);

@@ -26,6 +26,13 @@
 //!    [`ReplacementPolicy::on_evict`] for the displaced line, then
 //!    [`ReplacementPolicy::on_fill`] for the incoming one.
 //!
+//! A hit and a fill hand the policy the cache's own
+//! [`trrip_mem::MemoryRequest`]. Policies read its kind, its PC (SHiP's
+//! signature), its temperature (TRRIP) and its starvation flag
+//! (Emissary), never its physical address or its prefetch mark:
+//! set/way indexing is the cache's job, and `tests/properties.rs` pins
+//! that no policy's victims or state move with either.
+//!
 //! Every policy also exposes its architectural state for checkpointing
 //! ([`ReplacementPolicy::save_state`] / [`ReplacementPolicy::restore_state`]):
 //! a policy rebuilt from its configuration
@@ -35,9 +42,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+use trrip_mem::MemoryRequest;
+
 pub mod dueling;
 pub mod emissary;
-pub mod info;
 pub mod kind;
 pub mod lru;
 mod rrip;
@@ -45,7 +53,6 @@ pub mod ship;
 
 pub use dueling::SetDueling;
 pub use emissary::Emissary;
-pub use info::RequestInfo;
 pub use kind::PolicyKind;
 pub use lru::Lru;
 pub use ship::Ship;
@@ -59,12 +66,12 @@ pub use ship::Ship;
 /// dispatch.
 pub trait ReplacementPolicy: Send {
     /// A line at `(set, way)` was hit by `req`: update its priority.
-    fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo);
+    fn on_hit(&mut self, set: usize, way: usize, req: &MemoryRequest);
 
     /// A miss in `set`, every way of which is valid, needs a victim: the
     /// way returned is `< ways`. May mutate state (RRIP aging, Emissary
     /// epoch resets).
-    fn choose_victim(&mut self, set: usize, req: &RequestInfo) -> usize;
+    fn choose_victim(&mut self, set: usize) -> usize;
 
     /// The line previously at `(set, way)` is being evicted (not merely
     /// invalidated): predictors observe the outcome here.
@@ -73,7 +80,7 @@ pub trait ReplacementPolicy: Send {
     }
 
     /// A new line was filled into `(set, way)` in response to `req`.
-    fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo);
+    fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest);
 
     /// The line at `(set, way)` was invalidated (e.g. inclusive
     /// back-invalidation): forget its metadata.
@@ -104,19 +111,19 @@ pub trait ReplacementPolicy: Send {
 /// policy it holds, with the run-time-chosen `Box<dyn ReplacementPolicy>`
 /// as one instance beside the concrete ones.
 impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
-    fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
+    fn on_hit(&mut self, set: usize, way: usize, req: &MemoryRequest) {
         (**self).on_hit(set, way, req);
     }
 
-    fn choose_victim(&mut self, set: usize, req: &RequestInfo) -> usize {
-        (**self).choose_victim(set, req)
+    fn choose_victim(&mut self, set: usize) -> usize {
+        (**self).choose_victim(set)
     }
 
     fn on_evict(&mut self, set: usize, way: usize) {
         (**self).on_evict(set, way);
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo) {
+    fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest) {
         (**self).on_fill(set, way, req);
     }
 
@@ -137,8 +144,20 @@ impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
+    use trrip_mem::{PhysAddr, VirtAddr};
+
     use super::*;
+
+    /// An instruction fetch at `pc` (its line's address too).
+    pub(crate) fn ifetch(pc: u64) -> MemoryRequest {
+        MemoryRequest::fetch(PhysAddr::new(pc), VirtAddr::new(pc))
+    }
+
+    /// A data load by the instruction at `pc`, of the address `pc`.
+    pub(crate) fn load(pc: u64) -> MemoryRequest {
+        MemoryRequest::load(PhysAddr::new(pc), VirtAddr::new(pc))
+    }
 
     #[test]
     fn trait_is_object_safe() {

@@ -1,8 +1,9 @@
 //! True-LRU replacement.
 
+use trrip_mem::MemoryRequest;
 use trrip_snap::{SnapError, SnapReader, SnapWriter};
 
-use crate::{ReplacementPolicy, RequestInfo};
+use crate::ReplacementPolicy;
 
 /// Least-Recently-Used replacement with full recency stacks.
 ///
@@ -24,15 +25,16 @@ use crate::{ReplacementPolicy, RequestInfo};
 /// # Example
 ///
 /// ```
-/// use trrip_policies::{Lru, ReplacementPolicy, RequestInfo};
+/// use trrip_mem::{MemoryRequest, PhysAddr, VirtAddr};
+/// use trrip_policies::{Lru, ReplacementPolicy};
 ///
 /// let mut lru = Lru::new(1, 4);
-/// let req = RequestInfo::ifetch(0);
+/// let req = MemoryRequest::fetch(PhysAddr::new(0), VirtAddr::new(0));
 /// for way in 0..4 {
 ///     lru.on_fill(0, way, &req);
 /// }
 /// lru.on_hit(0, 0, &req); // way 0 becomes MRU
-/// let victim = lru.choose_victim(0, &req);
+/// let victim = lru.choose_victim(0);
 /// assert_eq!(victim, 1); // oldest untouched way
 /// ```
 #[derive(Debug, Clone)]
@@ -72,16 +74,16 @@ impl Lru {
 
 impl ReplacementPolicy for Lru {
     #[inline]
-    fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
+    fn on_hit(&mut self, set: usize, way: usize, _req: &MemoryRequest) {
         self.touch(set, way);
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         self.lru_way(set, |_| true).expect("a set has at least one way")
     }
 
     #[inline]
-    fn on_fill(&mut self, set: usize, way: usize, _req: &RequestInfo) {
+    fn on_fill(&mut self, set: usize, way: usize, _req: &MemoryRequest) {
         self.touch(set, way);
     }
 
@@ -117,41 +119,42 @@ impl ReplacementPolicy for Lru {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::ifetch;
 
     #[test]
     fn victim_is_least_recently_touched() {
         let mut lru = Lru::new(2, 4);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         for way in 0..4 {
             lru.on_fill(0, way, &req);
         }
         lru.on_hit(0, 0, &req);
         lru.on_hit(0, 2, &req);
-        assert_eq!(lru.choose_victim(0, &req), 1);
+        assert_eq!(lru.choose_victim(0), 1);
     }
 
     #[test]
     fn sets_are_independent() {
         let mut lru = Lru::new(2, 2);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         lru.on_fill(0, 0, &req);
         lru.on_fill(0, 1, &req);
         lru.on_fill(1, 0, &req);
         lru.on_fill(1, 1, &req);
         lru.on_hit(0, 0, &req);
         // Set 1 untouched by the hit: way 0 is still its LRU.
-        assert_eq!(lru.choose_victim(1, &req), 0);
-        assert_eq!(lru.choose_victim(0, &req), 1);
+        assert_eq!(lru.choose_victim(1), 0);
+        assert_eq!(lru.choose_victim(0), 1);
     }
 
     #[test]
     fn invalidate_prefers_way_for_eviction() {
         let mut lru = Lru::new(1, 4);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         for way in 0..4 {
             lru.on_fill(0, way, &req);
         }
         lru.on_invalidate(0, 3);
-        assert_eq!(lru.choose_victim(0, &req), 3);
+        assert_eq!(lru.choose_victim(0), 3);
     }
 }

@@ -36,10 +36,11 @@
 //!   information" (§3.4).
 
 use trrip_core::{RripTable, Rrpv, Temperature};
+use trrip_mem::MemoryRequest;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 use crate::dueling::{DuelChoice, SetDueling};
-use crate::{PolicyKind, ReplacementPolicy, RequestInfo};
+use crate::{PolicyKind, ReplacementPolicy};
 
 /// One RRIP-family policy over per-set RRPV registers: what
 /// [`PolicyKind::build`] returns for SRRIP, BRRIP, DRRIP, CLIP, TRRIP-1
@@ -96,12 +97,12 @@ impl Rrip {
 
 /// The temperature a request carries, if it is an instruction request: a
 /// data request takes the default path even if attribute bits were set.
-fn temperature(req: &RequestInfo) -> Option<Temperature> {
-    req.temperature.filter(|_| req.kind.is_instruction())
+fn temperature(req: &MemoryRequest) -> Option<Temperature> {
+    req.attrs.temperature.filter(|_| req.kind.is_instruction())
 }
 
 impl ReplacementPolicy for Rrip {
-    fn on_hit(&mut self, set: usize, way: usize, req: &RequestInfo) {
+    fn on_hit(&mut self, set: usize, way: usize, req: &MemoryRequest) {
         let rrpv = match (self.kind, temperature(req)) {
             // TRRIP-2, warm or cold: one step, `max(RRPV - 1, immediate)`,
             // so hot lines keep the top priority to themselves (lines 6-8).
@@ -121,7 +122,7 @@ impl ReplacementPolicy for Rrip {
         self.table.set_rrpv(set, way, rrpv);
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         if let Some(dueling) = &mut self.dueling {
             dueling.record_miss(set);
         }
@@ -129,7 +130,7 @@ impl ReplacementPolicy for Rrip {
         self.table.find_victim(set)
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo) {
+    fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest) {
         let rrpv = match (self.kind, temperature(req)) {
             (PolicyKind::Brrip, _) => self.bimodal(),
             (PolicyKind::Drrip, _) if self.duel(set) == DuelChoice::B => self.bimodal(),
@@ -183,6 +184,7 @@ impl ReplacementPolicy for Rrip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{ifetch, load};
 
     /// The row the tests drive; row 0 is the neighbour that must not move.
     const ROW: usize = 1;
@@ -209,14 +211,14 @@ mod tests {
         }
     }
 
-    fn fetch(temperature: Option<Temperature>) -> RequestInfo {
-        RequestInfo::ifetch(0x40).with_temperature(temperature)
+    fn fetch(temperature: Option<Temperature>) -> MemoryRequest {
+        ifetch(0x40).with_temperature(temperature)
     }
 
     const TRRIP: [PolicyKind; 2] = [PolicyKind::Trrip1, PolicyKind::Trrip2];
 
     /// The RRPV one fill by `req` writes into a fresh `kind`.
-    fn filled(kind: PolicyKind, req: &RequestInfo) -> Rrpv {
+    fn filled(kind: PolicyKind, req: &MemoryRequest) -> Rrpv {
         let mut p = two_rows(kind, 8);
         p.on_fill(ROW, 0, req);
         assert_neighbour_untouched(&p);
@@ -224,7 +226,7 @@ mod tests {
     }
 
     /// The RRPV one hit by `req` writes over a distant line of `kind`.
-    fn hit(kind: PolicyKind, req: &RequestInfo) -> Rrpv {
+    fn hit(kind: PolicyKind, req: &MemoryRequest) -> Rrpv {
         let mut p = two_rows(kind, 8);
         p.on_hit(ROW, 0, req);
         assert_neighbour_untouched(&p);
@@ -242,7 +244,7 @@ mod tests {
             p.on_hit(ROW, way, &req);
         }
         p.on_fill(ROW, 1, &req);
-        assert_eq!(p.choose_victim(ROW, &req), 1);
+        assert_eq!(p.choose_victim(ROW), 1);
         for way in [0, 2, 3] {
             assert_eq!(p.table.rrpv(ROW, way), Rrpv::near());
         }
@@ -258,7 +260,7 @@ mod tests {
         p.on_fill(ROW, 0, &req);
         p.on_hit(ROW, 0, &req);
         for _ in 0..16 {
-            let v = p.choose_victim(ROW, &req);
+            let v = p.choose_victim(ROW);
             assert_ne!(v, 0, "scan evicted the reused line");
             p.on_fill(ROW, v, &req);
             p.on_hit(ROW, 0, &req);
@@ -269,22 +271,22 @@ mod tests {
     #[test]
     fn fill_then_hit_promotes() {
         let mut p = Rrip::new(PolicyKind::Srrip, 4, 4);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req);
         // Way 0 is immediate: a victim scan must not pick it before others.
-        assert_ne!(p.choose_victim(0, &req), 0);
+        assert_ne!(p.choose_victim(0), 0);
     }
 
     #[test]
     fn aging_applies_to_whole_set() {
         let mut p = Rrip::new(PolicyKind::Srrip, 1, 2);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req); // way 0 immediate
         p.on_fill(0, 1, &req); // way 1 intermediate
                                // Nothing distant: the set ages until way 1 is (one step).
-        assert_eq!(p.choose_victim(0, &req), 1);
+        assert_eq!(p.choose_victim(0), 1);
         // Way 0 aged from immediate to near as a side effect.
         assert_eq!(p.table.rrpv(0, 0), Rrpv::near());
     }
@@ -311,8 +313,7 @@ mod tests {
         let mut p = Rrip::new(PolicyKind::Brrip, 1, 1);
         let mut distant = 0;
         for i in 0..64 {
-            let req =
-                if i % 2 == 0 { fetch(Some(Temperature::Hot)) } else { RequestInfo::data_load(0) };
+            let req = if i % 2 == 0 { fetch(Some(Temperature::Hot)) } else { load(0) };
             p.on_fill(0, 0, &req);
             if p.table.rrpv(0, 0) == Rrpv::distant() {
                 distant += 1;
@@ -324,7 +325,7 @@ mod tests {
     #[test]
     fn freshly_inserted_distant_line_is_first_victim() {
         let mut p = Rrip::new(PolicyKind::Brrip, 1, 4);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         // Fill ways 0..3, hit 0..2 so they're immediate; way 3 stays distant.
         for way in 0..4 {
             p.on_fill(0, way, &req);
@@ -332,13 +333,13 @@ mod tests {
         for way in 0..3 {
             p.on_hit(0, way, &req);
         }
-        assert_eq!(p.choose_victim(0, &req), 3);
+        assert_eq!(p.choose_victim(0), 3);
     }
 
     #[test]
     fn leader_sets_use_their_policy() {
         let mut p = Rrip::new(PolicyKind::Drrip, 256, 8);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         // Set 0 is an A (SRRIP) leader with stride 8.
         assert_eq!(p.duel(0), DuelChoice::A);
         p.on_fill(0, 0, &req);
@@ -358,11 +359,11 @@ mod tests {
     #[test]
     fn follower_switches_with_psel() {
         let mut p = Rrip::new(PolicyKind::Drrip, 256, 8);
-        let req = RequestInfo::ifetch(0);
+        let req = ifetch(0);
         assert_eq!(p.duel(1), DuelChoice::A);
         // Hammer misses into A-leader sets only.
         for _ in 0..600 {
-            let _ = p.choose_victim(0, &req);
+            let _ = p.choose_victim(0);
         }
         assert_eq!(p.duel(1), DuelChoice::B);
         let before = p.throttle;
@@ -376,9 +377,8 @@ mod tests {
         // The paper's 10-bit PSEL: it saturates at 2^10 - 1.
         for kind in [PolicyKind::Drrip, PolicyKind::Clip] {
             let mut p = Rrip::new(kind, 256, 8);
-            let req = RequestInfo::ifetch(0);
             for _ in 0..2000 {
-                let _ = p.choose_victim(0, &req);
+                let _ = p.choose_victim(0);
             }
             assert_eq!(p.dueling.as_ref().map(SetDueling::psel), Some((1 << 10) - 1), "{kind}");
         }
@@ -388,7 +388,7 @@ mod tests {
     fn instruction_fills_insert_immediate() {
         for set in [0, 1] {
             let mut p = Rrip::new(PolicyKind::Clip, 64, 8);
-            p.on_fill(set, 0, &RequestInfo::ifetch(0x40));
+            p.on_fill(set, 0, &ifetch(0x40));
             assert_eq!(p.table.rrpv(set, 0), Rrpv::immediate());
         }
     }
@@ -397,7 +397,7 @@ mod tests {
     fn data_fills_insert_intermediate() {
         for set in [0, 1] {
             let mut p = Rrip::new(PolicyKind::Clip, 64, 8);
-            p.on_fill(set, 0, &RequestInfo::data_load(0x40));
+            p.on_fill(set, 0, &load(0x40));
             assert_eq!(p.table.rrpv(set, 0), Rrpv::intermediate());
         }
     }
@@ -405,7 +405,7 @@ mod tests {
     #[test]
     fn variant_b_caps_data_promotion_at_near() {
         let mut p = Rrip::new(PolicyKind::Clip, 64, 8);
-        let req = RequestInfo::data_load(0x40);
+        let req = load(0x40);
         // 64 sets: stride 2, so every odd set leads B.
         let b_set = 1;
         assert_eq!(p.dueling.as_ref().and_then(|d| d.leader_of(b_set)), Some(DuelChoice::B));
@@ -419,7 +419,7 @@ mod tests {
     #[test]
     fn variant_a_promotes_data_to_immediate() {
         let mut p = Rrip::new(PolicyKind::Clip, 64, 8);
-        let req = RequestInfo::data_load(0x40);
+        let req = load(0x40);
         let a_set = 0; // set 0 is always an A leader
         p.on_fill(a_set, 0, &req);
         p.on_hit(a_set, 0, &req);
@@ -429,7 +429,7 @@ mod tests {
     #[test]
     fn instruction_hits_promote_to_immediate_in_both_variants() {
         let mut p = Rrip::new(PolicyKind::Clip, 64, 8);
-        let req = RequestInfo::ifetch(0x40);
+        let req = ifetch(0x40);
         for set in [0usize, 1] {
             p.on_fill(set, 0, &req);
             p.table.set_rrpv(set, 0, Rrpv::distant());
@@ -501,7 +501,7 @@ mod tests {
 
     #[test]
     fn temperature_on_data_requests_is_ignored() {
-        let tagged = |t| RequestInfo::data_load(0x100).with_temperature(Some(t));
+        let tagged = |t| load(0x100).with_temperature(Some(t));
         for kind in TRRIP {
             for t in [Temperature::Hot, Temperature::Warm, Temperature::Cold] {
                 assert_eq!(filled(kind, &tagged(t)), Rrpv::intermediate(), "{kind} fill {t:?}");
@@ -516,10 +516,10 @@ mod tests {
         // survives a scan of untyped fills.
         let mut p = two_rows(PolicyKind::Trrip1, 4);
         let hot = fetch(Some(Temperature::Hot));
-        let hot_way = p.choose_victim(ROW, &hot);
+        let hot_way = p.choose_victim(ROW);
         p.on_fill(ROW, hot_way, &hot);
         for _ in 0..12 {
-            let v = p.choose_victim(ROW, &fetch(None));
+            let v = p.choose_victim(ROW);
             assert_ne!(v, hot_way, "hot line evicted by scan");
             p.on_fill(ROW, v, &fetch(None));
             p.on_hit(ROW, hot_way, &hot);
@@ -534,11 +534,11 @@ mod tests {
         // where SRRIP would age it out.
         let mut p = Rrip::new(PolicyKind::Trrip1, 1, 4);
         let hot = fetch(Some(Temperature::Hot));
-        let hot_way = p.choose_victim(0, &hot);
+        let hot_way = p.choose_victim(0);
         p.on_fill(0, hot_way, &hot);
         for i in 0..32 {
-            let data = RequestInfo::data_load(0x9000 + i * 64);
-            let victim = p.choose_victim(0, &data);
+            let data = load(0x9000 + i * 64);
+            let victim = p.choose_victim(0);
             assert_ne!(victim, hot_way, "hot line evicted at iteration {i}");
             p.on_fill(0, victim, &data);
             p.on_hit(0, hot_way, &hot);
@@ -551,11 +551,11 @@ mod tests {
         // strictly more scan fills than an untyped insertion (intermediate).
         let survive = |temperature| {
             let mut p = two_rows(PolicyKind::Trrip1, 4);
-            let way = p.choose_victim(ROW, &fetch(temperature));
+            let way = p.choose_victim(ROW);
             p.on_fill(ROW, way, &fetch(temperature));
             let mut fills = 0u32;
             loop {
-                let v = p.choose_victim(ROW, &fetch(None));
+                let v = p.choose_victim(ROW);
                 if v == way {
                     assert_neighbour_untouched(&p);
                     return fills;
@@ -575,9 +575,9 @@ mod tests {
         let mut trrip = Rrip::new(PolicyKind::Trrip2, 1, 4);
         let mut srrip = Rrip::new(PolicyKind::Srrip, 1, 4);
         for i in 0..64 {
-            let r = RequestInfo::ifetch(0x40 + (i % 8) * 64);
-            let v = trrip.choose_victim(0, &r);
-            assert_eq!(v, srrip.choose_victim(0, &r));
+            let r = ifetch(0x40 + (i % 8) * 64);
+            let v = trrip.choose_victim(0);
+            assert_eq!(v, srrip.choose_victim(0));
             trrip.on_fill(0, v, &r);
             srrip.on_fill(0, v, &r);
             trrip.on_hit(0, (v + 1) % 4, &r);

@@ -10,10 +10,10 @@
 //! predicted dead-on-arrival and inserted at *distant*.
 
 use trrip_core::{RripTable, Rrpv};
-use trrip_mem::VirtAddr;
+use trrip_mem::{MemoryRequest, VirtAddr};
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::{ReplacementPolicy, RequestInfo};
+use crate::ReplacementPolicy;
 
 #[derive(Debug, Clone, Copy, Default)]
 struct LineMeta {
@@ -100,7 +100,7 @@ impl Ship {
 }
 
 impl ReplacementPolicy for Ship {
-    fn on_hit(&mut self, set: usize, way: usize, _req: &RequestInfo) {
+    fn on_hit(&mut self, set: usize, way: usize, _req: &MemoryRequest) {
         let idx = set * self.ways + way;
         let meta = self.meta[idx];
         if meta.tracked && !meta.outcome {
@@ -111,7 +111,7 @@ impl ReplacementPolicy for Ship {
         self.sets.set_rrpv(set, way, Rrpv::immediate());
     }
 
-    fn choose_victim(&mut self, set: usize, _req: &RequestInfo) -> usize {
+    fn choose_victim(&mut self, set: usize) -> usize {
         self.sets.find_victim(set)
     }
 
@@ -126,7 +126,7 @@ impl ReplacementPolicy for Ship {
         self.meta[idx] = LineMeta::default();
     }
 
-    fn on_fill(&mut self, set: usize, way: usize, req: &RequestInfo) {
+    fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest) {
         let idx = set * self.ways + way;
         if req.kind.is_instruction() {
             let signature = self.signature(req.pc);
@@ -204,6 +204,7 @@ impl ReplacementPolicy for Ship {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::{ifetch, load};
 
     fn ship() -> Ship {
         Ship::tiny(4, 4)
@@ -212,7 +213,7 @@ mod tests {
     #[test]
     fn repeated_dead_fills_predict_distant() {
         let mut p = ship();
-        let req = RequestInfo::ifetch(0x4000);
+        let req = ifetch(0x4000);
         // Fill and evict the same signature with no hits until its counter
         // drains to zero.
         for _ in 0..4 {
@@ -227,7 +228,7 @@ mod tests {
     #[test]
     fn hits_restore_confidence() {
         let mut p = ship();
-        let req = RequestInfo::ifetch(0x4000);
+        let req = ifetch(0x4000);
         for _ in 0..4 {
             p.on_fill(0, 0, &req);
             p.on_evict(0, 0);
@@ -245,7 +246,7 @@ mod tests {
     #[test]
     fn outcome_counted_once_per_residency() {
         let mut p = ship();
-        let req = RequestInfo::ifetch(0x4000);
+        let req = ifetch(0x4000);
         let before = p.counter_for_pc(req.pc);
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req);
@@ -257,7 +258,7 @@ mod tests {
     #[test]
     fn data_lines_are_untracked_srrip() {
         let mut p = ship();
-        let req = RequestInfo::data_load(0x9000);
+        let req = load(0x9000);
         let before = p.counter_for_pc(req.pc);
         p.on_fill(0, 1, &req);
         assert_eq!(p.sets.rrpv(0, 1), Rrpv::intermediate());
@@ -269,7 +270,7 @@ mod tests {
     #[test]
     fn an_shct_counter_past_its_width_is_refused() {
         let mut p = ship();
-        p.on_fill(0, 0, &RequestInfo::ifetch(0x4000));
+        p.on_fill(0, 0, &ifetch(0x4000));
         let mut w = SnapWriter::new();
         p.save_state(&mut w);
         let bytes = w.into_bytes();

@@ -3,7 +3,8 @@
 
 use proptest::prelude::*;
 use trrip_core::{RripTable, Rrpv, Temperature};
-use trrip_policies::{Emissary, PolicyKind, ReplacementPolicy, RequestInfo};
+use trrip_mem::{MemoryRequest, PhysAddr, VirtAddr};
+use trrip_policies::{Emissary, PolicyKind, ReplacementPolicy};
 use trrip_snap::{SnapReader, SnapWriter, Snapshot};
 
 #[derive(Debug, Clone)]
@@ -34,15 +35,50 @@ fn arb_temperature() -> impl Strategy<Value = Option<Temperature>> {
     ]
 }
 
-fn arb_request() -> impl Strategy<Value = RequestInfo> {
-    (any::<u64>(), any::<bool>(), arb_temperature()).prop_map(|(pc, instr, temp)| {
-        let base = if instr { RequestInfo::ifetch(pc) } else { RequestInfo::data_load(pc) };
-        base.with_temperature(temp)
-    })
+fn ifetch(pc: u64) -> MemoryRequest {
+    MemoryRequest::fetch(PhysAddr::new(pc), VirtAddr::new(pc))
+}
+
+fn load(pc: u64) -> MemoryRequest {
+    MemoryRequest::load(PhysAddr::new(pc), VirtAddr::new(pc))
+}
+
+fn arb_request() -> impl Strategy<Value = MemoryRequest> {
+    (any::<u64>(), any::<bool>(), arb_temperature(), any::<bool>()).prop_map(
+        |(pc, instr, temp, starved)| {
+            let base = if instr { ifetch(pc) } else { load(pc) };
+            base.with_temperature(temp).with_starvation(starved)
+        },
+    )
 }
 
 fn arb_trrip() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![Just(PolicyKind::Trrip1), Just(PolicyKind::Trrip2)]
+}
+
+/// Drives `policy` through `ops` as a cache would (a miss: victim,
+/// eviction, fill) and returns the victims it chose.
+fn victims(policy: &mut dyn ReplacementPolicy, ops: &[(Op, MemoryRequest)]) -> Vec<usize> {
+    let mut chosen = Vec::new();
+    for (op, req) in ops {
+        match *op {
+            Op::Hit { set, way } => policy.on_hit(set, way, req),
+            Op::MissFill { set } => {
+                let v = policy.choose_victim(set);
+                chosen.push(v);
+                policy.on_evict(set, v);
+                policy.on_fill(set, v, req);
+            }
+            Op::Invalidate { set, way } => policy.on_invalidate(set, way),
+        }
+    }
+    chosen
+}
+
+fn saved(policy: &dyn ReplacementPolicy) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    policy.save_state(&mut w);
+    w.into_bytes()
 }
 
 /// The row the TRRIP properties drive; row 0 is the neighbour that must
@@ -51,10 +87,10 @@ const ROW: usize = 1;
 
 /// An RRIP-family policy's RRPVs: its saved state opens with its table.
 fn table_of(policy: &dyn ReplacementPolicy, sets: usize, ways: usize) -> RripTable {
-    let mut w = SnapWriter::new();
-    policy.save_state(&mut w);
     let mut table = RripTable::new(sets, ways);
-    table.restore(&mut SnapReader::new(w.bytes())).expect("an RRIP state opens with its table");
+    table
+        .restore(&mut SnapReader::new(&saved(policy)))
+        .expect("an RRIP state opens with its table");
     table
 }
 
@@ -65,14 +101,10 @@ fn two_rows(kind: PolicyKind, ways: usize) -> Box<dyn ReplacementPolicy> {
     let mut policy = kind.build(2, ways);
     let temperatures = [Some(Temperature::Hot), Some(Temperature::Warm), None];
     for way in 0..ways {
-        let req = RequestInfo::ifetch(0x40).with_temperature(temperatures[way % 3]);
+        let req = ifetch(0x40).with_temperature(temperatures[way % 3]);
         policy.on_fill(0, way, &req);
         if way % 2 == 1 {
-            policy.on_hit(
-                0,
-                way,
-                &RequestInfo::ifetch(0x40).with_temperature(Some(Temperature::Cold)),
-            );
+            policy.on_hit(0, way, &ifetch(0x40).with_temperature(Some(Temperature::Cold)));
         }
     }
     policy
@@ -98,7 +130,7 @@ proptest! {
             match op {
                 Op::Hit { set, way } => policy.on_hit(set, way, &req),
                 Op::MissFill { set } => {
-                    let victim = policy.choose_victim(set, &req);
+                    let victim = policy.choose_victim(set);
                     prop_assert!(victim < 4, "{}: victim {victim} of 4 ways", kind.name());
                     policy.on_evict(set, victim);
                     policy.on_fill(set, victim, &req);
@@ -115,24 +147,29 @@ proptest! {
         kind in arb_policy(),
         ops in prop::collection::vec((arb_op(4, 4), arb_request()), 1..100),
     ) {
-        let run = |ops: &[(Op, RequestInfo)]| -> Vec<usize> {
-            let mut policy = kind.build(4, 4);
-            let mut victims = Vec::new();
-            for (op, req) in ops {
-                match *op {
-                    Op::Hit { set, way } => policy.on_hit(set, way, req),
-                    Op::MissFill { set } => {
-                        let v = policy.choose_victim(set, req);
-                        victims.push(v);
-                        policy.on_evict(set, v);
-                        policy.on_fill(set, v, req);
-                    }
-                    Op::Invalidate { set, way } => policy.on_invalidate(set, way),
-                }
-            }
-            victims
-        };
+        let run = |ops: &[(Op, MemoryRequest)]| victims(kind.build(4, 4).as_mut(), ops);
         prop_assert_eq!(run(&ops), run(&ops));
+    }
+
+    /// No policy reads a request's physical address or its prefetch mark:
+    /// two scripts that differ only in those give every policy the same
+    /// victims and the same saved state.
+    #[test]
+    fn no_policy_reads_the_address_or_the_prefetch_mark(
+        ops in prop::collection::vec((arb_op(8, 4), arb_request(), any::<u64>()), 1..200),
+    ) {
+        let plain: Vec<_> = ops.iter().map(|(op, req, _)| (op.clone(), *req)).collect();
+        let moved: Vec<_> = ops
+            .iter()
+            .map(|(op, req, paddr)| {
+                (op.clone(), MemoryRequest { paddr: PhysAddr::new(*paddr), ..req.as_prefetch() })
+            })
+            .collect();
+        for kind in PolicyKind::PAPER_SET {
+            let (mut a, mut b) = (kind.build(8, 4), kind.build(8, 4));
+            prop_assert_eq!(victims(a.as_mut(), &plain), victims(b.as_mut(), &moved), "{}", kind);
+            prop_assert_eq!(saved(&*a), saved(&*b), "{}: saved state differs", kind);
+        }
     }
 
     /// Saving a policy's state mid-sequence and restoring it into a
@@ -145,36 +182,18 @@ proptest! {
         warmup in prop::collection::vec((arb_op(8, 4), arb_request()), 0..150),
         probe in prop::collection::vec((arb_op(8, 4), arb_request()), 1..150),
     ) {
-        let drive = |policy: &mut dyn ReplacementPolicy, ops: &[(Op, RequestInfo)]| {
-            let mut victims = Vec::new();
-            for (op, req) in ops {
-                match op {
-                    Op::Hit { set, way } => policy.on_hit(*set, *way, req),
-                    Op::MissFill { set } => {
-                        let v = policy.choose_victim(*set, req);
-                        victims.push(v);
-                        policy.on_evict(*set, v);
-                        policy.on_fill(*set, v, req);
-                    }
-                    Op::Invalidate { set, way } => policy.on_invalidate(*set, *way),
-                }
-            }
-            victims
-        };
-
         let mut original = kind.build(8, 4);
-        drive(original.as_mut(), &warmup);
+        victims(original.as_mut(), &warmup);
 
-        let mut bytes = trrip_snap::SnapWriter::new();
-        original.save_state(&mut bytes);
+        let bytes = saved(&*original);
         let mut restored = kind.build(8, 4);
         restored
-            .restore_state(&mut trrip_snap::SnapReader::new(bytes.bytes()))
+            .restore_state(&mut SnapReader::new(&bytes))
             .expect("restore into an identically configured policy");
 
         prop_assert_eq!(
-            drive(original.as_mut(), &probe),
-            drive(restored.as_mut(), &probe),
+            victims(original.as_mut(), &probe),
+            victims(restored.as_mut(), &probe),
             "{}: restored policy diverged from the original", kind.name()
         );
     }
@@ -183,11 +202,9 @@ proptest! {
     /// silent corruption.
     #[test]
     fn snapshot_rejects_mismatched_geometry(kind in arb_policy()) {
-        let original = kind.build(8, 4);
-        let mut bytes = trrip_snap::SnapWriter::new();
-        original.save_state(&mut bytes);
+        let bytes = saved(&*kind.build(8, 4));
         let mut smaller = kind.build(4, 4);
-        let outcome = smaller.restore_state(&mut trrip_snap::SnapReader::new(bytes.bytes()));
+        let outcome = smaller.restore_state(&mut SnapReader::new(&bytes));
         prop_assert!(outcome.is_err(), "{}: geometry mismatch accepted", kind.name());
     }
 
@@ -202,13 +219,13 @@ proptest! {
         fills in 1usize..32,
     ) {
         let mut policy = kind.build(1, 4);
-        let hot = RequestInfo::ifetch(0x40).with_temperature(Some(Temperature::Hot));
-        let protected = policy.choose_victim(0, &hot);
+        let hot = ifetch(0x40).with_temperature(Some(Temperature::Hot));
+        let protected = policy.choose_victim(0);
         policy.on_fill(0, protected, &hot);
         policy.on_hit(0, protected, &hot);
         for i in 0..fills {
-            let req = RequestInfo::data_load(0x4000 + i as u64 * 64);
-            let v = policy.choose_victim(0, &req);
+            let req = load(0x4000 + i as u64 * 64);
+            let v = policy.choose_victim(0);
             prop_assert_ne!(
                 v, protected,
                 "{}: evicted the continuously-hit line at fill {}", kind.name(), i
@@ -231,7 +248,7 @@ proptest! {
         let mut policy = two_rows(kind, 4);
         let before = table_of(&*policy, 2, 4);
         for (op, way, temperature) in ops {
-            let req = RequestInfo::ifetch(0x40).with_temperature(temperature);
+            let req = ifetch(0x40).with_temperature(temperature);
             match op {
                 0 => policy.on_fill(ROW, way, &req),
                 _ => policy.on_hit(ROW, way, &req),
@@ -250,7 +267,7 @@ proptest! {
         let rrpv_for = |temperature: Option<Temperature>| {
             let mut policy = two_rows(kind, 4);
             let before = table_of(&*policy, 2, 4);
-            policy.on_fill(ROW, way, &RequestInfo::ifetch(0x40).with_temperature(temperature));
+            policy.on_fill(ROW, way, &ifetch(0x40).with_temperature(temperature));
             let after = table_of(&*policy, 2, 4);
             assert!(neighbour_untouched(&before, &after));
             after.rrpv(ROW, way)
@@ -276,7 +293,7 @@ proptest! {
         let mut srrip = two_rows(PolicyKind::Srrip, 8);
         let before = table_of(&*trrip, 2, 8);
         for (op, way, instruction) in ops {
-            let req = if instruction { RequestInfo::ifetch(0x40) } else { RequestInfo::data_load(0x40) };
+            let req = if instruction { ifetch(0x40) } else { load(0x40) };
             match op {
                 0 => {
                     trrip.on_fill(ROW, way, &req);
@@ -286,7 +303,7 @@ proptest! {
                     trrip.on_hit(ROW, way, &req);
                     srrip.on_hit(ROW, way, &req);
                 }
-                _ => prop_assert_eq!(trrip.choose_victim(ROW, &req), srrip.choose_victim(ROW, &req)),
+                _ => prop_assert_eq!(trrip.choose_victim(ROW), srrip.choose_victim(ROW)),
             }
             let (t, s) = (table_of(&*trrip, 2, 8), table_of(&*srrip, 2, 8));
             prop_assert!((0..8).all(|way| t.rrpv(ROW, way) == s.rrpv(ROW, way)));
@@ -303,8 +320,8 @@ proptest! {
 /// set of `ways` reserves `ways / 2` of them, and at least one.
 #[test]
 fn emissary_arms_and_their_ties() {
-    let plain = RequestInfo::ifetch(0x40);
-    let starved = RequestInfo::ifetch(0x80).with_starvation();
+    let plain = ifetch(0x40);
+    let starved = ifetch(0x80).with_starvation(true);
     let priority_of =
         |p: &Emissary, set, ways| (0..ways).map(|way| p.is_priority(set, way)).collect::<Vec<_>>();
 
@@ -315,12 +332,12 @@ fn emissary_arms_and_their_ties() {
     for way in [2, 3, 1] {
         p.on_fill(0, way, &plain);
     }
-    assert_eq!(p.choose_victim(0, &plain), 2);
+    assert_eq!(p.choose_victim(0), 2);
     assert_eq!(priority_of(&p, 0, 4), [true, false, false, false], "arm one clears nothing");
     // Arm one, tied: ways 1 and 3 invalidated, both as old as can be.
     p.on_invalidate(0, 3);
     p.on_invalidate(0, 1);
-    assert_eq!(p.choose_victim(0, &plain), 1);
+    assert_eq!(p.choose_victim(0), 1);
 
     // Arm two, reservation exceeded: three priority lines against two
     // reserved. The oldest line goes though it holds priority.
@@ -328,7 +345,7 @@ fn emissary_arms_and_their_ties() {
         p.on_fill(1, way, &starved);
     }
     p.on_fill(1, 3, &plain);
-    assert_eq!(p.choose_victim(1, &plain), 1);
+    assert_eq!(p.choose_victim(1), 1);
     assert_eq!(priority_of(&p, 1, 4), [false; 4], "the epoch starts over");
     assert_eq!(priority_of(&p, 0, 4), [true, false, false, false], "…in that set alone");
     // Arm two, tied: ways 0 to 2 never touched, ways 3 to 7 priority
@@ -337,12 +354,12 @@ fn emissary_arms_and_their_ties() {
     for way in [7, 6, 5, 4, 3] {
         p.on_fill(0, way, &starved);
     }
-    assert_eq!(p.choose_victim(0, &plain), 0);
+    assert_eq!(p.choose_victim(0), 0);
     assert_eq!(priority_of(&p, 0, 8), [false; 8]);
     // Arm two with the reservation honoured but nothing unprotected: a
     // one-way set reserves its only way.
     let mut p = Emissary::new(1, 1);
     p.on_fill(0, 0, &starved);
-    assert_eq!(p.choose_victim(0, &plain), 0);
+    assert_eq!(p.choose_victim(0), 0);
     assert_eq!(priority_of(&p, 0, 1), [false]);
 }

@@ -10,8 +10,8 @@
 //! compared with a constant.
 
 use trrip_core::Temperature;
-use trrip_mem::{AccessKind, VirtAddr};
-use trrip_policies::{PolicyKind, ReplacementPolicy, RequestInfo};
+use trrip_mem::{MemoryRequest, PhysAddr, VirtAddr};
+use trrip_policies::{PolicyKind, ReplacementPolicy};
 use trrip_snap::SnapWriter;
 
 const SETS: usize = 256;
@@ -49,18 +49,20 @@ impl Script {
 
     /// One request: a small pool of PCs, so SHiP's signatures both
     /// re-reference and die, over every kind and temperature.
-    fn request(&mut self) -> RequestInfo {
+    fn request(&mut self) -> MemoryRequest {
         let pc = 0x40_0000 + 64 * self.next(96) as u64;
+        let (paddr, vpc) = (PhysAddr::new(pc), VirtAddr::new(pc));
+        let fetch = MemoryRequest::fetch(paddr, vpc);
         let mut req = match self.next(7) {
-            0 => RequestInfo::ifetch(pc).with_temperature(Some(Temperature::Hot)),
-            1 => RequestInfo::ifetch(pc).with_temperature(Some(Temperature::Warm)),
-            2 => RequestInfo::ifetch(pc).with_temperature(Some(Temperature::Cold)),
-            3 => RequestInfo::ifetch(pc),
-            4 | 5 => RequestInfo::data_load(pc),
-            _ => RequestInfo { kind: AccessKind::Store, ..RequestInfo::data_load(pc) },
+            0 => fetch.with_temperature(Some(Temperature::Hot)),
+            1 => fetch.with_temperature(Some(Temperature::Warm)),
+            2 => fetch.with_temperature(Some(Temperature::Cold)),
+            3 => fetch,
+            4 | 5 => MemoryRequest::load(paddr, vpc),
+            _ => MemoryRequest::store(paddr, vpc),
         };
         if self.next(5) == 0 {
-            req = req.with_starvation();
+            req = req.with_starvation(true);
         }
         req.pc = VirtAddr::new(req.pc.raw() ^ (self.next(4) as u64) << 20);
         req
@@ -91,7 +93,7 @@ fn drive(policy: &mut dyn ReplacementPolicy) {
                 let way = match valid[set].iter().position(|v| !v) {
                     Some(way) => way,
                     None => {
-                        let way = policy.choose_victim(set, &req);
+                        let way = policy.choose_victim(set);
                         assert!(way < WAYS, "victim {way} of {WAYS} ways");
                         policy.on_evict(set, way);
                         way

@@ -298,7 +298,7 @@ mod tests {
         // walk executes so few functions that the two coincide.
         let prepare = |classifier| PreparedWorkload::prepare(&quick_spec(), 400_000, classifier);
         let hot_99 = prepare(ClassifierConfig::llvm_defaults());
-        let hot_100 = prepare(ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 });
+        let hot_100 = prepare(ClassifierConfig { percentile_hot: 1.0 });
         assert_ne!(
             workload_fingerprint(&hot_99, &config),
             workload_fingerprint(&hot_100, &config),

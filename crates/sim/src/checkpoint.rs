@@ -197,9 +197,6 @@ pub enum CheckpointError {
     },
     /// Structurally invalid content; the message says what.
     Corrupt(String),
-    /// The checkpoint is valid but was captured for a different
-    /// (workload, configuration) key.
-    KeyMismatch(String),
 }
 
 impl std::fmt::Display for CheckpointError {
@@ -214,7 +211,6 @@ impl std::fmt::Display for CheckpointError {
                 write!(f, "checkpoint checksum mismatch: file {expected:#018x}, body {found:#018x}")
             }
             CheckpointError::Corrupt(what) => write!(f, "corrupt checkpoint: {what}"),
-            CheckpointError::KeyMismatch(what) => write!(f, "checkpoint key mismatch: {what}"),
         }
     }
 }
@@ -468,9 +464,8 @@ fn retry_transient<T>(
 ///
 /// # Errors
 ///
-/// Every [`CheckpointError`] variant except `KeyMismatch` — a
-/// truncated file surfaces as `Io`/`Corrupt`, a flipped body byte as
-/// `ChecksumMismatch`.
+/// Any [`CheckpointError`] — a truncated file surfaces as
+/// `Io`/`Corrupt`, a flipped body byte as `ChecksumMismatch`.
 pub fn read_checkpoint(
     path: &Path,
 ) -> Result<(CheckpointKind, CheckpointMeta, Vec<u8>), CheckpointError> {

@@ -97,7 +97,7 @@ impl PreparedWorkload {
         profile: Profile,
         classifier: ClassifierConfig,
     ) -> PreparedWorkload {
-        let temps = classify_functions(&program, &profile, classifier);
+        let temps = classify_functions(&profile, classifier);
         let pgo_object = Linker::new().link_pgo(&program, &profile, &temps);
         PreparedWorkload { spec, program, profile, temps, plain_object, pgo_object }
     }
@@ -211,7 +211,7 @@ mod tests {
 
     #[test]
     fn percentile_100_marks_everything_executed_hot() {
-        let config = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
+        let config = ClassifierConfig { percentile_hot: 1.0 };
         let w = PreparedWorkload::prepare(&quick_spec(), 300_000, config);
         for (fi, t) in w.temps.as_slice().iter().enumerate() {
             let executed = w.profile.function_max_counts()[fi] > 0;

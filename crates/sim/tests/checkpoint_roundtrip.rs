@@ -187,11 +187,8 @@ fn store_keys_by_policy_config_and_fingerprint() {
     let mut spec = WorkloadSpec::named("ckpt-test");
     spec.functions = 50;
     spec.hot_rotation = 8;
-    let blanket = PreparedWorkload::prepare(
-        &spec,
-        400_000,
-        ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 },
-    );
+    let blanket =
+        PreparedWorkload::prepare(&spec, 400_000, ClassifierConfig { percentile_hot: 1.0 });
     assert_ne!(store.path_for(&w, &config), store.path_for(&blanket, &config));
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -290,7 +287,7 @@ fn a_kept_profile_prepares_what_training_does() {
     std::fs::remove_dir_all(&dir).ok();
     let store = CheckpointStore::new(&dir);
     let classifier = ClassifierConfig::llvm_defaults();
-    let blanket = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
+    let blanket = ClassifierConfig { percentile_hot: 1.0 };
     let mut small = WorkloadSpec::named("ckpt-profile-small");
     small.functions = 50;
     small.hot_rotation = 8;

@@ -1126,7 +1126,6 @@ mod tests {
         }
         let profile = generator.into_profile();
         let temps = trrip_compiler::classify_functions(
-            &program,
             &profile,
             trrip_core::ClassifierConfig::llvm_defaults(),
         );

@@ -67,7 +67,7 @@ fn pgo_placement(name: &str) -> (WorkloadSpec, Program, ObjectFile, u64) {
     let linker = Linker::new();
     let plain = linker.link_source_order(&program);
     let profile = TraceGenerator::train(&program, &plain, &spec, TRAIN);
-    let temps = classify_functions(&program, &profile, ClassifierConfig::llvm_defaults());
+    let temps = classify_functions(&profile, ClassifierConfig::llvm_defaults());
     let pgo = linker.link_pgo(&program, &profile, &temps);
     (spec, program, pgo, profile.total())
 }

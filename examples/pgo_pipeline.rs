@@ -32,7 +32,7 @@ fn main() {
     println!("training run: {} basic-block executions profiled", profile.total());
 
     // ② Classify with Equations 1–2 and re-link with PGO.
-    let temps = classify_functions(&program, &profile, ClassifierConfig::llvm_defaults());
+    let temps = classify_functions(&profile, ClassifierConfig::llvm_defaults());
     let (hot, warm, cold) = temps.histogram();
     println!("classification: {hot} hot / {warm} warm / {cold} cold functions");
     let pgo = linker.link_pgo(&program, &profile, &temps);

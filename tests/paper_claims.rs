@@ -101,7 +101,7 @@ fn selectivity_beats_prioritizing_everything() {
     let base_config = SimConfig::paper(PolicyKind::Srrip);
     // gcc prepared at the paper's training length and classifier.
     let selective = subset().iter().find(|w| w.spec.name == "gcc").expect("gcc in the subset");
-    let everything_hot = ClassifierConfig { percentile_hot: 1.0, percentile_cold: 1.0 };
+    let everything_hot = ClassifierConfig { percentile_hot: 1.0 };
     let blanket = selective.recompile(everything_hot);
 
     let trrip_config = base_config.clone().with_policy(PolicyKind::Trrip1);
