@@ -1,17 +1,18 @@
-//! The set-associative tag store with a pluggable replacement policy.
+//! The set-associative tag store of the level under test, with its
+//! replacement policy chosen at run time.
 //!
 //! The tag store is struct-of-arrays: packed `u64` tags in one flat
 //! array (an empty slot holds a sentinel) plus dirty and instruction
-//! bitmaps, so a set probe — the operation every warm instruction pays
-//! at least once — touches a single cache line of tag words instead of
+//! bitmaps, so a set probe touches a single run of tag words instead of
 //! striding over 4-field line structs. The original array-of-structs
 //! layout is kept in [`crate::aos`] as the equivalence oracle.
 //!
-//! The store is generic over its policy. A level whose policy is fixed
-//! by the machine (Table 1: the L1s and the SLC are LRU) holds it by
-//! value, so a hit stamps the way inline; only the level under test
-//! holds the run-time-chosen `Box<dyn ReplacementPolicy>`, which is the
-//! default parameter.
+//! Only the L2 is a [`Cache`]: it holds the boxed
+//! `dyn ReplacementPolicy` that Table 1's sweeps vary. The levels whose
+//! policy the machine fixes to LRU — the L1s and the SLC — are
+//! [`crate::LruCache`]s, which keep each set's tags and recency stamps
+//! together. Both stores share this module's probe, the empty-slot
+//! sentinel and the `"CACB"` snapshot encoding of their lines.
 
 use trrip_mem::{LineAddr, MemoryRequest};
 use trrip_policies::ReplacementPolicy;
@@ -82,7 +83,38 @@ pub(crate) fn first_match(set_tags: &[u64], raw: u64) -> Option<usize> {
     (mask != 0).then(|| mask.trailing_zeros() as usize)
 }
 
-/// One cache level: tag store + replacement policy + statistics.
+/// Where a fill of `raw` goes in a set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum FillSlot {
+    /// `raw` is already resident: the fill is a no-op.
+    Resident,
+    /// The first empty way.
+    Free(usize),
+    /// Every way holds another line: the replacement policy picks one.
+    Full,
+}
+
+/// [`FillSlot`] for `raw` in `set_tags`, from one pass over the tags
+/// that collects both compare masks as [`first_match`] does.
+#[inline]
+pub(crate) fn fill_slot(set_tags: &[u64], raw: u64) -> FillSlot {
+    debug_assert!(set_tags.len() <= MAX_WAYS);
+    let (mut resident, mut free) = (0u64, 0u64);
+    for &tag in set_tags.iter().rev() {
+        resident = resident << 1 | u64::from(tag == raw);
+        free = free << 1 | u64::from(tag == TAG_INVALID);
+    }
+    if resident != 0 {
+        FillSlot::Resident
+    } else if free != 0 {
+        FillSlot::Free(free.trailing_zeros() as usize)
+    } else {
+        FillSlot::Full
+    }
+}
+
+/// The level under test: tag store + boxed replacement policy +
+/// statistics.
 ///
 /// The cache is physically indexed at line granularity. It performs no
 /// timing; the [`crate::Hierarchy`] accumulates latencies from its
@@ -103,7 +135,7 @@ pub(crate) fn first_match(set_tags: &[u64], raw: u64) -> Option<usize> {
 /// l2.fill(&req);
 /// assert!(l2.access(&req)); // now hits
 /// ```
-pub struct Cache<P = Box<dyn ReplacementPolicy>> {
+pub struct Cache {
     config: CacheConfig,
     /// One packed tag word per slot (`set × ways + way`); [`TAG_INVALID`]
     /// marks an empty slot.
@@ -112,12 +144,12 @@ pub struct Cache<P = Box<dyn ReplacementPolicy>> {
     dirty: Vec<u64>,
     /// Instruction-line bitmap, one bit per slot.
     instruction: Vec<u64>,
-    policy: P,
+    policy: Box<dyn ReplacementPolicy>,
     stats: AccessStats,
     num_sets: usize,
 }
 
-impl<P> std::fmt::Debug for Cache<P> {
+impl std::fmt::Debug for Cache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Cache")
             .field("config", &self.config)
@@ -126,7 +158,7 @@ impl<P> std::fmt::Debug for Cache<P> {
     }
 }
 
-impl<P: ReplacementPolicy> Cache<P> {
+impl Cache {
     /// Creates the cache with the given policy.
     ///
     /// # Panics
@@ -135,7 +167,7 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// bits (64), or — lazily, on an out-of-range set index — if the
     /// policy was not built for this geometry.
     #[must_use]
-    pub fn new(config: CacheConfig, policy: P) -> Cache<P> {
+    pub fn new(config: CacheConfig, policy: Box<dyn ReplacementPolicy>) -> Cache {
         assert!(
             config.ways <= MAX_WAYS,
             "{} ways exceed the {MAX_WAYS} a set probe can hold",
@@ -233,16 +265,14 @@ impl<P: ReplacementPolicy> Cache<P> {
     /// (prefetch/demand races).
     pub fn fill(&mut self, req: &MemoryRequest) -> Option<EvictedLine> {
         let line = self.line_of(req);
-        if self.contains(line) {
-            return None;
-        }
         let set = self.set_index(line);
         let base = set * self.config.ways;
 
-        let invalid_way = first_match(&self.tags[base..base + self.config.ways], TAG_INVALID);
-        let (way, evicted) = match invalid_way {
-            Some(way) => (way, None),
-            None => {
+        let set_tags = &self.tags[base..base + self.config.ways];
+        let (way, evicted) = match fill_slot(set_tags, line.raw()) {
+            FillSlot::Resident => return None,
+            FillSlot::Free(way) => (way, None),
+            FillSlot::Full => {
                 let way = self.policy.choose_victim(set);
                 assert!(way < self.config.ways, "policy returned way out of range");
                 let slot = base + way;
@@ -355,77 +385,104 @@ pub(crate) fn restore_bitmap(r: &mut SnapReader<'_>, n: usize) -> Result<Vec<boo
     Ok(out)
 }
 
-/// Snapshot encoding of the tag store.
+/// Appends the `"CACB"` encoding of a tag store's `slots` lines, slot
+/// `s` holding `tag_of(s)` ([`TAG_INVALID`] if empty).
 ///
-/// The encoding (`"CACB"`) is bitmap-packed: one valid-slot bitmap over
-/// all slots, then dirty and instruction bitmaps over the *valid* slots
-/// only, then one varint tag per valid slot. A mostly-empty level (the
-/// SLC right after fast-forward, the dominant term in checkpoint size)
-/// costs ~1 bit per empty slot, and a full level carries no per-line
-/// flag byte. The struct-of-arrays store emits and consumes exactly the
-/// bytes the array-of-structs oracle does.
+/// The encoding is bitmap-packed: one valid-slot bitmap over all slots,
+/// then dirty and instruction bitmaps over the *valid* slots only, then
+/// one varint tag per valid slot. A mostly-empty level (the SLC right
+/// after fast-forward, the dominant term in checkpoint size) costs ~1
+/// bit per empty slot, and a full level carries no per-line flag byte.
+/// [`Cache`] and [`crate::LruCache`] write their lines with it (the
+/// array-of-structs oracle writes the same bytes its own way); each
+/// follows them with its statistics and its replacement state.
+pub(crate) fn save_lines(
+    w: &mut SnapWriter,
+    slots: usize,
+    tag_of: impl Fn(usize) -> u64,
+    dirty: &[u64],
+    instruction: &[u64],
+) {
+    w.tag(b"CACB");
+    w.usize(slots);
+    let valid_slots = || (0..slots).filter(|&slot| tag_of(slot) != TAG_INVALID);
+    save_bitmap(w, (0..slots).map(|slot| tag_of(slot) != TAG_INVALID));
+    save_bitmap(w, valid_slots().map(|slot| bitmap_get(dirty, slot)));
+    save_bitmap(w, valid_slots().map(|slot| bitmap_get(instruction, slot)));
+    for slot in valid_slots() {
+        w.u64(tag_of(slot));
+    }
+}
+
+/// Reads what [`save_lines`] wrote into a store of `slots` slots: sets
+/// both bitmaps (clear on empty slots) and hands every slot's tag to
+/// `set_tag`, [`TAG_INVALID`] for an empty one.
+///
+/// # Errors
+///
+/// A line count other than `slots` is a mismatch; a resident tag equal
+/// to the empty-slot sentinel — which no real physical line address can
+/// reach, so only a corrupt snapshot holds it — is corrupt.
+pub(crate) fn restore_lines(
+    r: &mut SnapReader<'_>,
+    slots: usize,
+    dirty: &mut [u64],
+    instruction: &mut [u64],
+    mut set_tag: impl FnMut(usize, u64),
+) -> Result<(), SnapError> {
+    r.expect_tag(b"CACB")?;
+    r.expect_len("cache line count", slots)?;
+    let valid = restore_bitmap(r, slots)?;
+    let occupancy = valid.iter().filter(|&&v| v).count();
+    let dirty_bits = restore_bitmap(r, occupancy)?;
+    let instr_bits = restore_bitmap(r, occupancy)?;
+    let mut vi = 0;
+    for (slot, &v) in valid.iter().enumerate() {
+        bitmap_set(dirty, slot, v && dirty_bits[vi]);
+        bitmap_set(instruction, slot, v && instr_bits[vi]);
+        if v {
+            vi += 1;
+        } else {
+            set_tag(slot, TAG_INVALID);
+        }
+    }
+    for (slot, &v) in valid.iter().enumerate() {
+        if v {
+            let tag = r.u64()?;
+            if tag == TAG_INVALID {
+                return Err(SnapError::Corrupt("line tag aliases the empty-slot sentinel".into()));
+            }
+            set_tag(slot, tag);
+        }
+    }
+    Ok(())
+}
+
+/// Snapshot encoding: the lines (`"CACB"`: a valid-slot bitmap, dirty
+/// and instruction bitmaps over the valid slots, one varint tag per
+/// valid slot), the statistics, then the policy's state.
 ///
 /// The whole tag store — contents *and* policy state — serializes into
-/// the **per-policy overlay**, never the shared prefix: every level's contents couple to the L2 policy
-/// (the L2/SLC directly through victim choice, the L1s through
-/// inclusive back-invalidation), so none of it is shareable across
-/// policies.
-impl<P: ReplacementPolicy> Snapshot for Cache<P> {
+/// the **per-policy overlay**, never the shared prefix: every level's
+/// contents couple to the L2 policy (the L2/SLC directly through victim
+/// choice, the L1s through inclusive back-invalidation), so none of it
+/// is shareable across policies. The struct-of-arrays store emits and
+/// consumes exactly the bytes the array-of-structs oracle does.
+impl Snapshot for Cache {
     fn save(&self, w: &mut SnapWriter) {
-        let slots = self.tags.len();
-        w.tag(b"CACB");
-        w.usize(slots);
-        let valid_slots = || (0..slots).filter(|&slot| self.tags[slot] != TAG_INVALID);
-        save_bitmap(w, self.tags.iter().map(|&tag| tag != TAG_INVALID));
-        save_bitmap(w, valid_slots().map(|slot| bitmap_get(&self.dirty, slot)));
-        save_bitmap(w, valid_slots().map(|slot| bitmap_get(&self.instruction, slot)));
-        for slot in valid_slots() {
-            w.u64(self.tags[slot]);
-        }
+        save_lines(w, self.tags.len(), |slot| self.tags[slot], &self.dirty, &self.instruction);
         self.stats.save(w);
         self.policy.save_state(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let slots = self.tags.len();
-        r.expect_tag(b"CACB")?;
-        r.expect_len("cache line count", slots)?;
-        let valid = restore_bitmap(r, slots)?;
-        let occupancy = valid.iter().filter(|&&v| v).count();
-        let dirty = restore_bitmap(r, occupancy)?;
-        let instr = restore_bitmap(r, occupancy)?;
-        let mut vi = 0;
-        for (slot, &v) in valid.iter().enumerate() {
-            if v {
-                bitmap_set(&mut self.dirty, slot, dirty[vi]);
-                bitmap_set(&mut self.instruction, slot, instr[vi]);
-                vi += 1;
-            } else {
-                bitmap_set(&mut self.dirty, slot, false);
-                bitmap_set(&mut self.instruction, slot, false);
-                self.tags[slot] = TAG_INVALID;
-            }
-        }
-        debug_assert_eq!(vi, occupancy);
-        for (slot, &v) in valid.iter().enumerate() {
-            if v {
-                self.tags[slot] = read_tag(r)?;
-            }
-        }
+        let tags = &mut self.tags;
+        restore_lines(r, tags.len(), &mut self.dirty, &mut self.instruction, |slot, tag| {
+            tags[slot] = tag;
+        })?;
         self.stats.restore(r)?;
         self.policy.restore_state(r)
     }
-}
-
-/// Reads one resident-line tag, rejecting the empty-slot sentinel (no
-/// real physical line address can reach it, so it only appears in
-/// corrupt snapshots).
-fn read_tag(r: &mut SnapReader<'_>) -> Result<u64, SnapError> {
-    let tag = r.u64()?;
-    if tag == TAG_INVALID {
-        return Err(SnapError::Corrupt("line tag aliases the empty-slot sentinel".into()));
-    }
-    Ok(tag)
 }
 
 #[cfg(test)]
@@ -452,13 +509,33 @@ mod tests {
             let raw = value(probe);
             prop_assert_eq!(first_match(&set_tags, raw), set_tags.iter().position(|&t| t == raw));
         }
+
+        /// A fill's one pass finds what two searches that stop at the
+        /// first match find: the line already resident, else the first
+        /// empty way, else a full set.
+        #[test]
+        fn fill_slot_is_two_first_matches_in_one_pass(
+            ways in 1usize..65,
+            picks in prop::collection::vec(0u64..8, 64..65),
+            probe in 0u64..6,
+        ) {
+            let value = |pick: u64| if pick >= 6 { TAG_INVALID } else { 0x4_0000 + pick };
+            let set_tags: Vec<u64> = picks[..ways].iter().map(|&pick| value(pick)).collect();
+            let raw = value(probe);
+            let expected = if first_match(&set_tags, raw).is_some() {
+                FillSlot::Resident
+            } else {
+                first_match(&set_tags, TAG_INVALID).map_or(FillSlot::Full, FillSlot::Free)
+            };
+            prop_assert_eq!(fill_slot(&set_tags, raw), expected);
+        }
     }
 
     #[test]
     #[should_panic(expected = "128 ways exceed the 64 a set probe can hold")]
     fn a_set_wider_than_the_probe_mask_is_rejected() {
         let config = CacheConfig::new(128 * 64, 128);
-        let _ = Cache::new(config, Lru::new(config.num_sets(), config.ways));
+        let _ = Cache::new(config, Box::new(Lru::new(config.num_sets(), config.ways)));
     }
 
     #[test]
@@ -466,7 +543,7 @@ mod tests {
         // One fully associative set of 64 ways: the last way's compare
         // bit is the mask's top bit.
         let config = CacheConfig::new(64 * 64, 64);
-        let mut c = Cache::new(config, Lru::new(config.num_sets(), config.ways));
+        let mut c = Cache::new(config, Box::new(Lru::new(config.num_sets(), config.ways)));
         for i in 0..64 {
             assert!(c.fill(&fetch(i * 64)).is_none(), "way {i} was free");
         }

@@ -13,7 +13,10 @@
 //!
 //! Only the L2's geometry and policy vary ([`HierarchyConfig`]); the L1s,
 //! the SLC and every level's latency are Table 1's, fixed as
-//! [`Hierarchy`]'s constants.
+//! [`Hierarchy`]'s constants. So the L2 alone is a [`Cache`] with a boxed
+//! policy; the L1s and the SLC are [`LruCache`]s, whose sets keep their
+//! tags and recency stamps in one block (one host cache line per L1
+//! set).
 //!
 //! Invariants maintained:
 //!
@@ -29,11 +32,12 @@
 
 use serde::{Deserialize, Serialize};
 use trrip_mem::{LineAddr, MemoryRequest};
-use trrip_policies::{Lru, PolicyKind};
+use trrip_policies::PolicyKind;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
-use crate::cache::Cache;
+use crate::cache::{Cache, EvictedLine};
 use crate::config::CacheConfig;
+use crate::lru::LruCache;
 
 /// Which level served a demand access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -99,19 +103,15 @@ impl HierarchyConfig {
 }
 
 /// The assembled three-level hierarchy plus DRAM. Table 1 fixes the
-/// policy of the L1s and the SLC, so those levels hold their [`Lru`] by
-/// value — a hit there stamps a way inline — and only the L2 holds the
-/// boxed policy under test. Measured against boxing all four
-/// (`bench_memsys` on `gcc`, 32 alternating pairs, 2-core host),
-/// unresolved: 30.6 → 34.7 ns per cell-instruction for a lockstep group
-/// of 1, boxed slower in 19 of 32 pairs, with the by-value runs spread
-/// over an interquartile range of 13.
+/// policy of the L1s and the SLC to LRU, so those levels are
+/// [`LruCache`]s of Table 1's associativity, and only the L2 holds the
+/// boxed policy under test.
 #[derive(Debug)]
 pub struct Hierarchy {
-    l1i: Cache<Lru>,
-    l1d: Cache<Lru>,
+    l1i: LruCache<4>,
+    l1d: LruCache<4>,
     l2: Cache,
-    slc: Cache<Lru>,
+    slc: LruCache<16>,
 }
 
 impl Hierarchy {
@@ -154,25 +154,24 @@ impl Hierarchy {
     /// LRU; the L2 has the configured geometry and policy.
     #[must_use]
     pub fn new(config: &HierarchyConfig) -> Hierarchy {
-        let lru = |cfg: CacheConfig| Cache::new(cfg, Lru::new(cfg.num_sets(), cfg.ways));
         let l2 = config.l2;
         Hierarchy {
-            l1i: lru(Hierarchy::L1I),
-            l1d: lru(Hierarchy::L1D),
+            l1i: LruCache::new(Hierarchy::L1I),
+            l1d: LruCache::new(Hierarchy::L1D),
             l2: Cache::new(l2, config.l2_policy.build(l2.num_sets(), l2.ways)),
-            slc: lru(Hierarchy::SLC),
+            slc: LruCache::new(Hierarchy::SLC),
         }
     }
 
     /// The L1 instruction cache.
     #[must_use]
-    pub fn l1i(&self) -> &Cache<Lru> {
+    pub fn l1i(&self) -> &LruCache<4> {
         &self.l1i
     }
 
     /// The L1 data cache.
     #[must_use]
-    pub fn l1d(&self) -> &Cache<Lru> {
+    pub fn l1d(&self) -> &LruCache<4> {
         &self.l1d
     }
 
@@ -184,7 +183,7 @@ impl Hierarchy {
 
     /// The system-level cache.
     #[must_use]
-    pub fn slc(&self) -> &Cache<Lru> {
+    pub fn slc(&self) -> &LruCache<16> {
         &self.slc
     }
 
@@ -214,7 +213,7 @@ impl Hierarchy {
     /// on the 97.5% of demand accesses that hit the L1 (measured:
     /// `cache.l1_fastpath_hit_ratio` of the benchmark's `gcc` budget),
     /// skipping the request-dispatch and prefetch machinery of the full
-    /// path. The probe itself is the same `Cache::access` call the slow
+    /// path. The probe itself is the same `LruCache::access` call the slow
     /// path makes (stats + LRU stamp included), so outcomes are
     /// bit-identical.
     #[inline]
@@ -304,7 +303,7 @@ impl Hierarchy {
         Hierarchy::handle_l1_eviction(&mut self.l2, evicted);
     }
 
-    fn handle_l1_eviction(l2: &mut Cache, evicted: Option<crate::cache::EvictedLine>) {
+    fn handle_l1_eviction(l2: &mut Cache, evicted: Option<EvictedLine>) {
         if let Some(ev) = evicted {
             if ev.dirty {
                 // Writeback into the inclusive L2.

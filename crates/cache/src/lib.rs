@@ -1,7 +1,9 @@
 //! Set-associative cache model and the Table 1 memory hierarchy.
 //!
-//! * [`Cache`] — a tag store with pluggable [`trrip_policies::ReplacementPolicy`],
-//!   dirty bits, and per-kind hit/miss statistics.
+//! * [`Cache`] — a tag store with a boxed [`trrip_policies::ReplacementPolicy`],
+//!   dirty bits, and per-kind hit/miss statistics: the level under test.
+//! * [`LruCache`] — a `WAYS`-way LRU level, each set's tags and recency
+//!   stamps in one block: the levels Table 1 fixes to LRU.
 //! * [`prefetch`] — the stride hardware prefetcher.
 //! * [`Hierarchy`] — the paper's memory system: private L1-I/L1-D (LRU),
 //!   a shared unified *inclusive* L2 with the policy under evaluation, an
@@ -14,6 +16,7 @@ pub mod aos;
 pub mod cache;
 pub mod config;
 pub mod hierarchy;
+pub mod lru;
 pub mod prefetch;
 pub mod stats;
 
@@ -21,5 +24,6 @@ pub use aos::AosCache;
 pub use cache::{Cache, EvictedLine};
 pub use config::CacheConfig;
 pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, ServedBy};
+pub use lru::LruCache;
 pub use prefetch::StridePrefetcher;
 pub use stats::AccessStats;

@@ -9,17 +9,18 @@
 //! bytes must be identical: the SoA layout is a pure representation
 //! change.
 //!
-//! So is what the store holds its policy in: the same sequences drive a
-//! `Cache<Lru>` — the policy by value, as the hierarchy's L1s and SLC
-//! hold it — beside the `Cache<Box<dyn ReplacementPolicy>>` that
-//! [`PolicyKind::build`] gives, to the same outcomes and the same bytes.
+//! The same sequences pin [`trrip_cache::LruCache`] — the L1s' and the
+//! SLC's store, each set's tags and stamps in one block, one clock per
+//! level — to a [`trrip_cache::Cache`] holding the boxed LRU policy that
+//! [`PolicyKind::build`] gives: same outcomes, statistics and resident
+//! lines at 4 and 16 ways.
 
 use proptest::prelude::*;
-use trrip_cache::{AosCache, Cache, CacheConfig, EvictedLine};
+use trrip_cache::{AccessStats, AosCache, Cache, CacheConfig, EvictedLine, LruCache};
 use trrip_core::Temperature;
-use trrip_mem::{MemoryRequest, PhysAddr, VirtAddr};
-use trrip_policies::{Lru, PolicyKind, ReplacementPolicy};
-use trrip_snap::{SnapReader, SnapWriter, Snapshot};
+use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr};
+use trrip_policies::PolicyKind;
+use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -131,76 +132,180 @@ fn drive(kind: PolicyKind, ops: &[Op]) {
     prop_assert_eq!(ws.bytes(), wa.bytes(), "snapshot bytes diverge for {}", kind);
 }
 
-/// What one op reports, whatever the store holds its policy in.
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Access { hit: bool, evicted: Option<EvictedLine> },
-    Evicted(Option<EvictedLine>),
-    Marked(bool),
+/// What the op scripts drive: the boxed-policy store and the LRU level
+/// alike.
+trait Store: Snapshot {
+    fn access(&mut self, req: &MemoryRequest) -> bool;
+    fn fill(&mut self, req: &MemoryRequest) -> Option<EvictedLine>;
+    fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine>;
+    fn extract(&mut self, line: LineAddr) -> Option<EvictedLine>;
+    fn stats(&self) -> AccessStats;
+    fn resident(&self) -> Vec<LineAddr>;
 }
 
-fn apply<P: ReplacementPolicy>(cache: &mut Cache<P>, op: Op) -> Outcome {
-    let line_at = |cache: &Cache<P>, addr| cache.line_of(&request(addr, 0, 0));
+macro_rules! store {
+    ([$($generics:tt)*] $ty:ty) => {
+        impl<$($generics)*> Store for $ty {
+            fn access(&mut self, req: &MemoryRequest) -> bool {
+                <$ty>::access(self, req)
+            }
+            fn fill(&mut self, req: &MemoryRequest) -> Option<EvictedLine> {
+                <$ty>::fill(self, req)
+            }
+            fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
+                <$ty>::invalidate(self, line)
+            }
+            fn extract(&mut self, line: LineAddr) -> Option<EvictedLine> {
+                <$ty>::extract(self, line)
+            }
+            fn stats(&self) -> AccessStats {
+                *<$ty>::stats(self)
+            }
+            fn resident(&self) -> Vec<LineAddr> {
+                let mut lines: Vec<_> = self.resident_lines().collect();
+                lines.sort_unstable();
+                lines
+            }
+        }
+    };
+}
+
+store!([] Cache);
+store!([const WAYS: usize] LruCache<WAYS>);
+
+/// What one op reports.
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Access {
+        hit: bool,
+        evicted: Option<EvictedLine>,
+    },
+    Evicted(Option<EvictedLine>),
+    /// A dirty mark: the hierarchy gives one only to the L2, so the LRU
+    /// level is never asked and neither store is.
+    NotMarked,
+}
+
+fn apply(store: &mut impl Store, op: Op) -> Outcome {
+    let line_at = |addr| LineAddr::of(PhysAddr::new(addr));
     match op {
         Op::Access { addr, kind, temp } => {
             let req = request(addr, kind, temp);
-            let hit = cache.access(&req);
-            Outcome::Access { hit, evicted: if hit { None } else { cache.fill(&req) } }
+            let hit = store.access(&req);
+            Outcome::Access { hit, evicted: if hit { None } else { store.fill(&req) } }
         }
-        Op::Fill { addr, kind } => Outcome::Evicted(cache.fill(&request(addr, kind, 0))),
-        Op::Invalidate { addr } => Outcome::Evicted(cache.invalidate(line_at(cache, addr))),
-        Op::Extract { addr } => Outcome::Evicted(cache.extract(line_at(cache, addr))),
-        Op::MarkDirty { addr } => Outcome::Marked(cache.mark_dirty(line_at(cache, addr))),
+        Op::Fill { addr, kind } => Outcome::Evicted(store.fill(&request(addr, kind, 0))),
+        Op::Invalidate { addr } => Outcome::Evicted(store.invalidate(line_at(addr))),
+        Op::Extract { addr } => Outcome::Evicted(store.extract(line_at(addr))),
+        Op::MarkDirty { .. } => Outcome::NotMarked,
     }
 }
 
-fn snapshot_of<P: ReplacementPolicy>(cache: &Cache<P>) -> Vec<u8> {
+fn snapshot_of(store: &impl Snapshot) -> Vec<u8> {
     let mut w = SnapWriter::new();
-    cache.save(&mut w);
+    store.save(&mut w);
     w.into_bytes()
 }
 
-/// `ops` through an LRU held by value and a boxed one, then each store
-/// restored from the *other's* snapshot, then `ops` again.
-fn drive_by_value_beside_boxed(ops: &[Op]) {
-    let config = CacheConfig::new(2048, 4);
-    let (sets, ways) = (config.num_sets(), config.ways);
-    let fresh = || {
-        let boxed: Cache = Cache::new(config, PolicyKind::Lru.build(sets, ways));
-        (Cache::new(config, Lru::new(sets, ways)), boxed)
+/// `ops` through an `LruCache<WAYS>` and a [`Cache`] holding the boxed
+/// LRU policy, both 2 kB: every op's outcome — hit, evicted line with
+/// its dirty and instruction bits — the statistics and the resident
+/// lines agree. Then the LRU level is restored from its own snapshot
+/// into a fresh one, which writes the same bytes and goes on through
+/// `ops` in step with the boxed store.
+fn drive_lru_beside_boxed<const WAYS: usize>(ops: &[Op]) {
+    let config = CacheConfig::new(2048, WAYS);
+    let mut lru = LruCache::<WAYS>::new(config);
+    let mut boxed = Cache::new(config, PolicyKind::Lru.build(config.num_sets(), WAYS));
+    let agree = |lru: &mut LruCache<WAYS>, boxed: &mut Cache, what: &str| {
+        for &op in ops {
+            prop_assert_eq!(apply(lru, op), apply(boxed, op), "{}, {}-way: {:?}", what, WAYS, op);
+        }
+        prop_assert_eq!(Store::stats(lru), Store::stats(boxed), "{}, {}-way", what, WAYS);
+        prop_assert_eq!(lru.resident(), boxed.resident(), "{}, {}-way", what, WAYS);
     };
-    let (mut by_value, mut boxed) = fresh();
-    for &op in ops {
-        prop_assert_eq!(apply(&mut by_value, op), apply(&mut boxed, op), "{:?}", op);
-    }
-    prop_assert_eq!(by_value.stats(), boxed.stats());
-    let (bytes, boxed_bytes) = (snapshot_of(&by_value), snapshot_of(&boxed));
-    prop_assert_eq!(&bytes, &boxed_bytes, "snapshot bytes depend on how the policy is held");
+    agree(&mut lru, &mut boxed, "from empty");
 
-    let (mut by_value, mut boxed) = fresh();
-    by_value.restore(&mut SnapReader::new(&boxed_bytes)).expect("by-value restore");
-    boxed.restore(&mut SnapReader::new(&bytes)).expect("boxed restore");
-    for &op in ops {
-        prop_assert_eq!(apply(&mut by_value, op), apply(&mut boxed, op), "restored, {:?}", op);
-    }
-    prop_assert_eq!(snapshot_of(&by_value), snapshot_of(&boxed));
+    let bytes = snapshot_of(&lru);
+    let mut restored = LruCache::<WAYS>::new(config);
+    let mut r = SnapReader::new(&bytes);
+    restored.restore(&mut r).expect("an LRU level restores its own snapshot");
+    r.finish().expect("no trailing bytes");
+    prop_assert_eq!(snapshot_of(&restored), bytes, "{}-way round trip", WAYS);
+    agree(&mut restored, &mut boxed, "restored");
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// A store that holds its LRU by value is the store that holds it
-    /// boxed: same outcomes, same snapshot bytes, each restorable from
-    /// the other's — over dense sequences (evictions dominate) and
+    /// An LRU level is a boxed-policy store under LRU, at the L1s' 4 ways
+    /// and the SLC's 16, over dense sequences (evictions dominate) and
     /// sparse ones (free-way fills dominate).
     #[test]
-    fn lru_by_value_matches_the_boxed_policy(
+    fn lru_cache_matches_the_boxed_lru_policy(
         dense in prop::collection::vec(arb_op(40), 1..400),
         sparse in prop::collection::vec(arb_op(4096), 1..200),
     ) {
-        drive_by_value_beside_boxed(&dense);
-        drive_by_value_beside_boxed(&sparse);
+        drive_lru_beside_boxed::<4>(&dense);
+        drive_lru_beside_boxed::<4>(&sparse);
+        drive_lru_beside_boxed::<16>(&dense);
+        drive_lru_beside_boxed::<16>(&sparse);
     }
+}
+
+/// An LRU level's snapshot with one resident line in slot 0 of a 4-way,
+/// 8-set level: `tag`, then the level's `clock` and the line's `stamp`.
+fn one_line_image(tag: u64, clock: u64, stamp: u64) -> Vec<u8> {
+    let mut w = SnapWriter::new();
+    w.tag(b"CACB");
+    w.usize(32);
+    for byte in [1, 0, 0, 0] {
+        w.u8(byte); // the valid bitmap: slot 0 alone
+    }
+    w.u8(0); // dirty bit
+    w.u8(1); // instruction bit
+    w.u64(tag);
+    AccessStats::default().save(&mut w);
+    w.u64(clock);
+    w.u64(stamp);
+    w.into_bytes()
+}
+
+fn restore_one_line(image: &[u8]) -> Result<LruCache<4>, SnapError> {
+    let mut level = LruCache::<4>::new(CacheConfig::new(2048, 4));
+    let mut r = SnapReader::new(image);
+    level.restore(&mut r)?;
+    r.finish()?;
+    Ok(level)
+}
+
+#[test]
+fn an_lru_level_refuses_a_sentinel_tag_and_a_stamp_past_its_clock() {
+    let level = restore_one_line(&one_line_image(0x40, 7, 7)).expect("a well-formed image");
+    assert_eq!(level.resident_lines().collect::<Vec<_>>(), [LineAddr(0x40)]);
+
+    let err = restore_one_line(&one_line_image(u64::MAX, 7, 7)).expect_err("sentinel tag");
+    assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+    let err = restore_one_line(&one_line_image(0x40, 7, 8)).expect_err("stamp past the clock");
+    assert!(matches!(err, SnapError::Corrupt(_)), "got {err:?}");
+
+    // Every prefix of an image, and the image with any one byte flipped,
+    // restores or fails; none panics.
+    let image = one_line_image(0x40, 7, 7);
+    for len in 0..image.len() {
+        assert!(restore_one_line(&image[..len]).is_err(), "a {len}-byte prefix restored");
+    }
+    for at in 0..image.len() {
+        for mask in [0x01, 0x80, 0xff] {
+            let mut flipped = image.clone();
+            flipped[at] ^= mask;
+            let _ = restore_one_line(&flipped);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// SoA and AoS stores agree on every operation's result, the stats,
     /// the resident set, and the snapshot bytes, for all nine policies.

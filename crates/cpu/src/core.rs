@@ -690,10 +690,13 @@ impl<B: MemoryBackend> Core<B> {
             *clock = state.cycles;
         }
         // One machine's chain of additions is serial; the machines'
-        // chains are independent of each other.
+        // chains are independent of each other. So the instructions are
+        // the outer loop and the machines the inner one: each step is one
+        // vector add over the group's clocks, and each clock still takes
+        // its additions one at a time, in order.
         let idle = |clocks: &mut [f64], instructions: u64| {
-            for clock in clocks {
-                for _ in 0..instructions {
+            for _ in 0..instructions {
+                for clock in clocks.iter_mut() {
                     *clock += dispatch_cost;
                 }
             }

@@ -5,11 +5,13 @@
 //! PBHA-style bits come back with the translation and are attached to the
 //! outgoing memory request by the simulator. A small fully-associative
 //! TLB tracks locality: it is looked up, kept in LRU order and counted,
-//! and holds no translation of its own. A page the loader did not map is
-//! no translation here: anonymous memory — heap and stack — is
-//! demand-allocated in the order the instruction stream first touches
-//! it, which every machine running that stream shares, so the simulator
-//! resolves it once per stream, not once per machine.
+//! and holds no translation of its own. It is two arrays, the entries'
+//! page numbers and their recency stamps, so a hit compares one word and
+//! writes one, and a miss scans the 64 stamps for its victim. A page the
+//! loader did not map is no translation here: anonymous memory — heap
+//! and stack — is demand-allocated in the order the instruction stream
+//! first touches it, which every machine running that stream shares, so
+//! the simulator resolves it once per stream, not once per machine.
 
 use serde::{Deserialize, Serialize};
 use trrip_core::{Temperature, TemperatureBits};
@@ -27,12 +29,10 @@ pub struct TlbStats {
     pub misses: u64,
 }
 
-#[derive(Debug, Clone, Copy, Default)]
-struct TlbEntry {
-    vpn: u64,
-    stamp: u64,
-    valid: bool,
-}
+/// The page number of an empty TLB slot. No virtual page number reaches
+/// it (an address shifted right by at least the 4 kB page bits), so a
+/// probe compares page numbers and nothing else.
+const EMPTY_VPN: u64 = u64::MAX;
 
 /// Slots of the direct-mapped `vpn → TLB slot` hint table. Sixteen
 /// times the TLB's entries, so two live pages rarely share a hint.
@@ -62,12 +62,16 @@ pub struct Mmu {
     /// together; external text sits apart), so a lookup is a range check
     /// and an index, not a hash.
     image: Vec<Extent>,
-    tlb: Vec<TlbEntry>,
+    /// Each TLB slot's page number; [`EMPTY_VPN`] if the slot is empty.
+    vpns: [u64; Mmu::TLB_ENTRIES],
+    /// Each TLB slot's clock at its last fill or hit; 0 if empty, which
+    /// makes an empty slot the first victim.
+    stamps: [u64; Mmu::TLB_ENTRIES],
     /// For each hashed vpn, the TLB slot that last held a page hashing
     /// there — pure lookup acceleration for the hot path (every fetch
     /// line-change, memory operand, and prefetch looks up). A hint is
     /// only ever *believed after checking* the entry it names, and a
-    /// wrong one falls back to scanning the TLB, so it needs no
+    /// wrong one falls back to scanning the page numbers, so it needs no
     /// invalidation and no place in snapshots: the architectural state
     /// (entries, stamps, victim choice, statistics) is byte-identical
     /// with or without it. Measured against a scan of the 64 entries
@@ -101,7 +105,8 @@ impl Mmu {
         Mmu {
             page_size: page_table.page_size(),
             image,
-            tlb: vec![TlbEntry::default(); Mmu::TLB_ENTRIES],
+            vpns: [EMPTY_VPN; Mmu::TLB_ENTRIES],
+            stamps: [0; Mmu::TLB_ENTRIES],
             hints: Box::new([0; HINT_SLOTS]),
             clock: 0,
             stats: TlbStats::default(),
@@ -133,42 +138,46 @@ impl Mmu {
     /// keeps the entries in LRU order, filling the least recently used
     /// on a miss.
     ///
-    /// With a good hint, lookup plus stamp update is O(1); a stale hint
-    /// costs one scan of the entries, and only misses run the LRU victim
-    /// scan. This sits on the L1-hit fast path, where it is usually the
-    /// only work besides the L1 probe. `#[inline]` only offers the body
-    /// to other crates: the workspace's release profile (fat LTO, one
-    /// codegen unit) inlines it into the cell loop, `Run::push_group`,
-    /// while a per-crate build keeps an out-of-line copy.
+    /// With a good hint, a hit is one compare and one store; a stale hint
+    /// costs one scan of the page numbers, and only misses run the LRU
+    /// victim scan over the stamps. This sits on the L1-hit fast path,
+    /// where it is usually the only work besides the L1 probe.
+    /// `#[inline]` only offers the body to other crates: the workspace's
+    /// release profile (fat LTO, one codegen unit) inlines it into the
+    /// cell loop, `Run::push_group`, while a per-crate build keeps an
+    /// out-of-line copy.
     #[inline]
     pub fn touch(&mut self, vaddr: VirtAddr) {
         let vpn = self.page_size.page_of(vaddr).raw();
         self.clock += 1;
 
         let hint = &mut self.hints[hint_of(vpn)];
-        let holds = |e: &TlbEntry| e.valid && e.vpn == vpn;
-        let hit = if holds(&self.tlb[usize::from(*hint)]) {
-            Some(usize::from(*hint))
+        let hinted = usize::from(*hint);
+        let hit = if self.vpns[hinted] == vpn {
+            Some(hinted)
         } else {
-            self.tlb.iter().position(holds)
+            self.vpns.iter().position(|&held| held == vpn)
         };
-        if let Some(slot) = hit {
-            *hint = slot as u8;
-            self.tlb[slot].stamp = self.clock;
-            self.stats.hits += 1;
-            return;
-        }
-        self.stats.misses += 1;
-
-        // TLB fill: victim scan only on the miss path; the first-minimum
-        // choice matches the original linear scan exactly.
-        let (slot, victim) = self
-            .tlb
-            .iter_mut()
-            .enumerate()
-            .min_by_key(|(_, e)| if e.valid { e.stamp } else { 0 })
-            .expect("TLB is never empty");
-        *victim = TlbEntry { vpn, stamp: self.clock, valid: true };
+        let slot = match hit {
+            Some(slot) => {
+                self.stats.hits += 1;
+                slot
+            }
+            None => {
+                self.stats.misses += 1;
+                // The least recently used slot (an empty one's stamp is
+                // 0), the first among equals.
+                let mut victim = 0;
+                for slot in 1..Mmu::TLB_ENTRIES {
+                    if self.stamps[slot] < self.stamps[victim] {
+                        victim = slot;
+                    }
+                }
+                self.vpns[victim] = vpn;
+                victim
+            }
+        };
+        self.stamps[slot] = self.clock;
         *hint = slot as u8;
     }
 
@@ -186,12 +195,12 @@ impl Mmu {
 impl Snapshot for Mmu {
     fn save(&self, w: &mut SnapWriter) {
         w.tag(b"TLB ");
-        w.usize(self.tlb.len());
-        for e in &self.tlb {
-            w.bool(e.valid);
-            if e.valid {
-                w.u64(e.vpn);
-                w.u64(e.stamp);
+        w.usize(Mmu::TLB_ENTRIES);
+        for (&vpn, &stamp) in self.vpns.iter().zip(&self.stamps) {
+            w.bool(vpn != EMPTY_VPN);
+            if vpn != EMPTY_VPN {
+                w.u64(vpn);
+                w.u64(stamp);
             }
         }
         w.u64(self.clock);
@@ -201,14 +210,16 @@ impl Snapshot for Mmu {
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         r.expect_tag(b"TLB ")?;
-        r.expect_len("TLB entries", self.tlb.len())?;
-        for slot in 0..self.tlb.len() {
-            let mut e = TlbEntry { valid: r.bool()?, ..TlbEntry::default() };
-            if e.valid {
-                e.vpn = r.u64()?;
-                e.stamp = r.u64()?;
+        r.expect_len("TLB entries", Mmu::TLB_ENTRIES)?;
+        for (vpn, stamp) in self.vpns.iter_mut().zip(&mut self.stamps) {
+            (*vpn, *stamp) = (EMPTY_VPN, 0);
+            if r.bool()? {
+                *vpn = r.u64()?;
+                *stamp = r.u64()?;
+                if *vpn == EMPTY_VPN {
+                    return Err(SnapError::Corrupt("TLB page aliases the empty-slot mark".into()));
+                }
             }
-            self.tlb[slot] = e;
         }
         self.clock = r.u64()?;
         self.stats = TlbStats { hits: r.u64()?, misses: r.u64()? };
@@ -391,6 +402,61 @@ mod tests {
         restored.restore(&mut SnapReader::new(&snapshot(&mmu))).expect("restore");
         stream.reverse();
         assert_agree(&mut restored, &mut reference, &stream, "after restore");
+    }
+
+    /// The `TLB ` section's bytes, written out by hand: fills, a hit, an
+    /// eviction of the least recently used entry, a page evicted and
+    /// touched again, and — after a restore, with every hint cold — a
+    /// hit found by the scan and re-hinted. Every number is below 128,
+    /// so each varint is the one byte it reads as.
+    #[test]
+    fn tlb_section_bytes_are_pinned() {
+        let vpn = |vpn: u64| VirtAddr::new(vpn * 4096);
+        let mut mmu = Mmu::new(&hot_page());
+        for page in 10..13 {
+            mmu.touch(vpn(page));
+        }
+        #[rustfmt::skip]
+        let partial: Vec<u8> = [
+            &b"TLB "[..],
+            &[64],
+            // Slots 0-2: (valid, vpn, stamp); the other 61 are empty.
+            &[1, 10, 1, 1, 11, 2, 1, 12, 3],
+            &[0; 61],
+            // Clock, hits, misses.
+            &[3, 0, 3],
+        ]
+        .concat();
+        assert_eq!(snapshot(&mmu), partial, "three fills");
+
+        for page in 13..74 {
+            mmu.touch(vpn(page)); // slot s holds page 10 + s, stamp s + 1
+        }
+        mmu.touch(vpn(10)); // hit: slot 0 restamped 65
+        mmu.touch(vpn(100)); // miss: slot 1 (stamp 2) is the least recent
+        mmu.touch(vpn(11)); // the page slot 1 held misses: slot 2 goes
+        let mut restored = Mmu::new(&hot_page());
+        restored.restore(&mut SnapReader::new(&snapshot(&mmu))).expect("restore");
+        restored.touch(vpn(13)); // every hint names slot 0: found by the scan
+        restored.touch(vpn(12)); // evicted above: slot 4 (stamp 5) goes
+        #[rustfmt::skip]
+        let full: Vec<u8> = [
+            &b"TLB "[..],
+            &[64],
+            &[
+                1, 10, 65, 1, 100, 66, 1, 11, 67, 1, 13, 68, 1, 12, 69, 1, 15, 6, 1, 16, 7, 1, 17, 8,
+                1, 18, 9, 1, 19, 10, 1, 20, 11, 1, 21, 12, 1, 22, 13, 1, 23, 14, 1, 24, 15, 1, 25, 16,
+                1, 26, 17, 1, 27, 18, 1, 28, 19, 1, 29, 20, 1, 30, 21, 1, 31, 22, 1, 32, 23, 1, 33, 24,
+                1, 34, 25, 1, 35, 26, 1, 36, 27, 1, 37, 28, 1, 38, 29, 1, 39, 30, 1, 40, 31, 1, 41, 32,
+                1, 42, 33, 1, 43, 34, 1, 44, 35, 1, 45, 36, 1, 46, 37, 1, 47, 38, 1, 48, 39, 1, 49, 40,
+                1, 50, 41, 1, 51, 42, 1, 52, 43, 1, 53, 44, 1, 54, 45, 1, 55, 46, 1, 56, 47, 1, 57, 48,
+                1, 58, 49, 1, 59, 50, 1, 60, 51, 1, 61, 52, 1, 62, 53, 1, 63, 54, 1, 64, 55, 1, 65, 56,
+                1, 66, 57, 1, 67, 58, 1, 68, 59, 1, 69, 60, 1, 70, 61, 1, 71, 62, 1, 72, 63, 1, 73, 64,
+            ],
+            &[69, 2, 67],
+        ]
+        .concat();
+        assert_eq!(snapshot(&restored), full, "after the hit, the evictions and the re-hint");
     }
 
     #[test]

@@ -61,9 +61,7 @@ pub use ship::Ship;
 ///
 /// Implementations own all their per-set metadata (RRPV arrays, LRU
 /// stacks, priority bits, predictor tables). The trait is object-safe so a
-/// cache can hold a `Box<dyn ReplacementPolicy>` chosen at run time; a
-/// cache whose policy is fixed holds the concrete type and pays no
-/// dispatch.
+/// cache can hold a `Box<dyn ReplacementPolicy>` chosen at run time.
 pub trait ReplacementPolicy: Send {
     /// A line at `(set, way)` was hit by `req`: update its priority.
     fn on_hit(&mut self, set: usize, way: usize, req: &MemoryRequest);
@@ -105,42 +103,6 @@ pub trait ReplacementPolicy: Send {
         &mut self,
         r: &mut trrip_snap::SnapReader<'_>,
     ) -> Result<(), trrip_snap::SnapError>;
-}
-
-/// A boxed policy is a policy: what lets a cache be generic over the
-/// policy it holds, with the run-time-chosen `Box<dyn ReplacementPolicy>`
-/// as one instance beside the concrete ones.
-impl<P: ReplacementPolicy + ?Sized> ReplacementPolicy for Box<P> {
-    fn on_hit(&mut self, set: usize, way: usize, req: &MemoryRequest) {
-        (**self).on_hit(set, way, req);
-    }
-
-    fn choose_victim(&mut self, set: usize) -> usize {
-        (**self).choose_victim(set)
-    }
-
-    fn on_evict(&mut self, set: usize, way: usize) {
-        (**self).on_evict(set, way);
-    }
-
-    fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest) {
-        (**self).on_fill(set, way, req);
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        (**self).on_invalidate(set, way);
-    }
-
-    fn save_state(&self, w: &mut trrip_snap::SnapWriter) {
-        (**self).save_state(w);
-    }
-
-    fn restore_state(
-        &mut self,
-        r: &mut trrip_snap::SnapReader<'_>,
-    ) -> Result<(), trrip_snap::SnapError> {
-        (**self).restore_state(r)
-    }
 }
 
 #[cfg(test)]

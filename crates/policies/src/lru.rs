@@ -8,19 +8,18 @@ use crate::ReplacementPolicy;
 /// Least-Recently-Used replacement with full recency stacks.
 ///
 /// Each set maintains a monotonically increasing timestamp per way; the
-/// victim is the way with the smallest stamp. This is the L1 policy in the
-/// paper's Table 1 configuration and the substrate Emissary builds on.
+/// victim is the way with the smallest stamp. This is the L2 policy when
+/// LRU is the one under test, and the substrate Emissary builds on. The
+/// levels Table 1 fixes to LRU — the L1s and the SLC — do not hold it:
+/// they are `trrip_cache::LruCache`s, which keep each set's stamps beside
+/// its tags and draw them from one clock per level.
 ///
 /// The recency clock is **per set**: a touch in one set never changes the
 /// stamps another set will receive. Victim choices are identical to a
 /// global-clock LRU (only the relative order within a set matters). The
 /// per-set form stays because the snapshot encoding is made of it: every
-/// checkpoint and overlay on disk holds one clock per set and the stamps
-/// drawn from it, and a global clock would change those bytes.
-///
-/// The hit and fill hooks are `#[inline]`: the L1s and the SLC hold an
-/// `Lru` by value, and a hit there should cost the two stores of a
-/// touch, not a call.
+/// overlay of an LRU L2 on disk holds one clock per set and the stamps
+/// drawn from it, and the pinned state bytes are those.
 ///
 /// # Example
 ///
@@ -73,7 +72,6 @@ impl Lru {
 }
 
 impl ReplacementPolicy for Lru {
-    #[inline]
     fn on_hit(&mut self, set: usize, way: usize, _req: &MemoryRequest) {
         self.touch(set, way);
     }
@@ -82,7 +80,6 @@ impl ReplacementPolicy for Lru {
         self.lru_way(set, |_| true).expect("a set has at least one way")
     }
 
-    #[inline]
     fn on_fill(&mut self, set: usize, way: usize, _req: &MemoryRequest) {
         self.touch(set, way);
     }

@@ -135,14 +135,16 @@ use crate::view::view_page_sizes;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v12. The snapshot payload rests as written, and a full state is the
+/// v13. The snapshot payload rests as written, and a full state is the
 /// two sections a shared prefix and an overlay hold (`SHRD`, then
 /// `OVLY`). Every container is a fast-forward-boundary state, a shared
 /// prefix is keyed by what a frontend reads alone, and it holds the
 /// walker's position beside the predictor and the stream views; an
 /// overlay holds neither frames nor a stride table, and holds its lines
-/// in flight as `(line, ready)` pairs in line order.
-pub const VERSION: u16 = 12;
+/// in flight as `(line, ready)` pairs in line order. v13 gives each LRU
+/// level — the L1s and the SLC — one recency clock and a stamp per
+/// resident line, where v12 held a clock per set and a stamp per slot.
+pub const VERSION: u16 = 13;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -115,10 +115,11 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(version_of(&ckpts.profile_path(&spec, TRAIN)), current);
 
     // ---- a preparation and a sweep over a store of an earlier version ----
-    // 11: the store whose overlays kept in-flight slot positions; 10: the
-    // one whose overlays held the page table and the stride table; 9: the
-    // one whose payloads rested LZ-packed.
-    for stale in [11, 10, 9] {
+    // 12: the store whose LRU levels kept one clock per set; 11: the one
+    // whose overlays kept in-flight slot positions; 10: the one whose
+    // overlays held the page table and the stride table; 9: the one whose
+    // payloads rested LZ-packed.
+    for stale in [12, 11, 10, 9] {
         assert_eq!(stamp_all(&ckpts, stale), files);
         let (retrained, moved) = moved_by(prepare);
         assert_eq!(retrained.profile, workloads[0].profile, "the same profile, trained again");
