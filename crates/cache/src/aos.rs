@@ -1,13 +1,17 @@
 //! The original array-of-structs tag store, kept as the equivalence
-//! oracle for the struct-of-arrays [`crate::Cache`].
+//! oracle for the struct-of-arrays [`crate::Cache`] and, holding the
+//! boxed LRU policy, for [`crate::LruCache`].
 //!
-//! This is the pre-SoA implementation verbatim: one `LineState` struct
-//! per slot, scanned field-by-field. It is **not** used on any simulation
-//! path — property tests drive identical request sequences through this
-//! oracle and the SoA store and assert identical hits, evictions,
-//! statistics, resident lines, and snapshot bytes (see
-//! `tests/soa_equivalence.rs`). When changing `Cache` semantics, change
-//! both and let the proptest arbitrate.
+//! This is the pre-SoA implementation: one `LineState` struct per slot,
+//! scanned field-by-field. It is **not** used on any simulation path —
+//! property tests drive identical request sequences through this oracle
+//! and the SoA store and assert identical hits, evictions, statistics,
+//! resident lines, and snapshot bytes (see `tests/soa_equivalence.rs`).
+//! Its `invalidate` and `extract`, which [`crate::Cache`] does not have,
+//! are what the LRU levels are checked against; they empty the way
+//! without a word to the policy, which a fill into the emptied way then
+//! overwrites. When changing `Cache` semantics, change both and let the
+//! proptest arbitrate.
 
 use trrip_mem::{LineAddr, MemoryRequest};
 use trrip_policies::ReplacementPolicy;
@@ -134,7 +138,6 @@ impl AosCache {
                 let way = self.policy.choose_victim(set);
                 assert!(way < self.config.ways, "policy returned way out of range");
                 let old = self.lines[self.slot(set, way)];
-                self.policy.on_evict(set, way);
                 self.stats.evictions += 1;
                 if old.dirty {
                     self.stats.writebacks += 1;
@@ -181,7 +184,6 @@ impl AosCache {
         let old = self.lines[slot];
         self.lines[slot].valid = false;
         self.lines[slot].dirty = false;
-        self.policy.on_invalidate(set, way);
         Some(EvictedLine { line: old.tag, dirty: old.dirty, instruction: old.instruction })
     }
 
@@ -201,12 +203,6 @@ impl AosCache {
     /// Iterates over all resident lines.
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.lines.iter().filter(|s| s.valid).map(|s| s.tag)
-    }
-
-    /// Number of resident lines.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.lines.iter().filter(|s| s.valid).count()
     }
 }
 

@@ -13,6 +13,12 @@
 //! [`crate::LruCache`]s, which keep each set's tags and recency stamps
 //! together. Both stores share this module's probe, the empty-slot
 //! sentinel and the `"CACB"` snapshot encoding of their lines.
+//!
+//! A line leaves a [`Cache`] only as the victim of a fill. The L2 is the
+//! top of inclusion and the SLC below it is exclusive, so only the LRU
+//! levels are back-invalidated or give up a line to a promotion: the
+//! policy under test hears a hit, a fill and the victim it chose, and
+//! nothing else.
 
 use trrip_mem::{LineAddr, MemoryRequest};
 use trrip_policies::ReplacementPolicy;
@@ -260,9 +266,9 @@ impl Cache {
     /// Fills the request's line, evicting if the set is full.
     ///
     /// Invalid ways are used first (without consulting the policy for a
-    /// victim); the policy is asked only about a full set. If the
-    /// line is already resident this is a no-op returning `None`
-    /// (prefetch/demand races).
+    /// victim); the policy is asked only about a full set, and the way it
+    /// returns is evicted. If the line is already resident this is a
+    /// no-op returning `None` (prefetch/demand races).
     pub fn fill(&mut self, req: &MemoryRequest) -> Option<EvictedLine> {
         let line = self.line_of(req);
         let set = self.set_index(line);
@@ -281,7 +287,6 @@ impl Cache {
                     dirty: bitmap_get(&self.dirty, slot),
                     instruction: bitmap_get(&self.instruction, slot),
                 };
-                self.policy.on_evict(set, way);
                 self.stats.evictions += 1;
                 if old.dirty {
                     self.stats.writebacks += 1;
@@ -302,34 +307,6 @@ impl Cache {
         evicted
     }
 
-    /// Invalidates `line` if resident, returning its state (for inclusive
-    /// back-invalidation bookkeeping). Counts as a back-invalidation in
-    /// the statistics.
-    pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
-        let removed = self.extract(line);
-        if removed.is_some() {
-            self.stats.back_invalidations += 1;
-        }
-        removed
-    }
-
-    /// Removes `line` without counting a back-invalidation — used for
-    /// exclusive-cache movement (SLC → L2 promotion), which is a transfer,
-    /// not an invalidation.
-    pub fn extract(&mut self, line: LineAddr) -> Option<EvictedLine> {
-        let (set, way) = self.probe(line)?;
-        let slot = set * self.config.ways + way;
-        let old = EvictedLine {
-            line: LineAddr(self.tags[slot]),
-            dirty: bitmap_get(&self.dirty, slot),
-            instruction: bitmap_get(&self.instruction, slot),
-        };
-        self.tags[slot] = TAG_INVALID;
-        bitmap_set(&mut self.dirty, slot, false);
-        self.policy.on_invalidate(set, way);
-        Some(old)
-    }
-
     /// Marks `line` dirty if resident (dirty L1 writeback landing in an
     /// inclusive L2). Returns whether the line was found.
     pub fn mark_dirty(&mut self, line: LineAddr) -> bool {
@@ -345,12 +322,6 @@ impl Cache {
     /// Iterates over all resident lines (for invariant checks in tests).
     pub fn resident_lines(&self) -> impl Iterator<Item = LineAddr> + '_ {
         self.tags.iter().filter(|&&tag| tag != TAG_INVALID).map(|&tag| LineAddr(tag))
-    }
-
-    /// Number of resident lines.
-    #[must_use]
-    pub fn occupancy(&self) -> usize {
-        self.resident_lines().count()
     }
 }
 
@@ -624,19 +595,7 @@ mod tests {
         let req = fetch(0x1000);
         c.fill(&req);
         assert!(c.fill(&req).is_none());
-        assert_eq!(c.occupancy(), 1);
-    }
-
-    #[test]
-    fn invalidate_removes_line() {
-        let mut c = small_cache(PolicyKind::Srrip);
-        let req = fetch(0x1000);
-        c.fill(&req);
-        let line = c.line_of(&req);
-        assert!(c.invalidate(line).is_some());
-        assert!(!c.contains(line));
-        assert!(c.invalidate(line).is_none());
-        assert_eq!(c.stats().back_invalidations, 1);
+        assert_eq!(c.resident_lines().count(), 1);
     }
 
     #[test]
@@ -671,7 +630,6 @@ mod tests {
         let mut r = SnapReader::new(w.bytes());
         restored.restore(&mut r).expect("restore");
         r.finish().expect("no trailing bytes");
-        assert_eq!(restored.occupancy(), c.occupancy());
         let mut a: Vec<_> = c.resident_lines().collect();
         let mut b: Vec<_> = restored.resident_lines().collect();
         a.sort_unstable();
@@ -723,7 +681,7 @@ mod tests {
                     c.fill(&req);
                 }
             }
-            assert_eq!(c.occupancy(), 8, "{kind}: cache should be full");
+            assert_eq!(c.resident_lines().count(), 8, "{kind}: cache should be full");
             // Re-touch a resident line: must hit.
             let last = fetch(63 * 64);
             assert!(c.access(&last), "{kind}: resident line must hit");

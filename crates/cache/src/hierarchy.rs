@@ -241,13 +241,7 @@ impl Hierarchy {
 
         // SLC probe (exclusive: a hit promotes the line to L2).
         if self.slc.access(req) {
-            let extracted = self.slc.extract(line);
-            self.fill_l2(req);
-            if let Some(ev) = extracted {
-                if ev.dirty {
-                    self.l2.mark_dirty(line);
-                }
-            }
+            self.promote_to_l2(req, line);
             self.fill_l1(req);
             return AccessOutcome { served_by: ServedBy::Slc, latency: Hierarchy::FROM_SLC };
         }
@@ -266,9 +260,7 @@ impl Hierarchy {
         let req = req.as_prefetch();
         let line = self.l2.line_of(&req);
         if !self.l2.contains(line) {
-            // Pull out of the SLC if resident there (exclusivity).
-            let _ = self.slc.extract(line);
-            self.fill_l2(&req);
+            self.promote_to_l2(&req, line);
         } else {
             // Train the L2 policy with a prefetch touch.
             self.l2.access(&req);
@@ -309,6 +301,16 @@ impl Hierarchy {
                 // Writeback into the inclusive L2.
                 l2.mark_dirty(ev.line);
             }
+        }
+    }
+
+    /// Fills the L2 with `req`'s `line`, pulling it out of the SLC if it
+    /// is resident there (exclusivity) with its dirty bit.
+    fn promote_to_l2(&mut self, req: &MemoryRequest, line: LineAddr) {
+        let extracted = self.slc.extract(line);
+        self.fill_l2(req);
+        if extracted.is_some_and(|ev| ev.dirty) {
+            self.l2.mark_dirty(line);
         }
     }
 
@@ -502,6 +504,28 @@ mod tests {
         h.prefetch(&fetch(0));
         assert!(!h.slc().contains(line0), "prefetch must maintain exclusivity");
         assert!(h.l2().contains(line0));
+        h.check_invariants();
+    }
+
+    #[test]
+    fn a_prefetch_promoting_a_dirty_slc_line_keeps_it_dirty() {
+        let mut h = paper_hierarchy();
+        let stride = 256 * 64;
+        h.access(&store(0x8000));
+        for i in 1..=8 {
+            h.access(&load(0x8000 + i * stride));
+        }
+        let line = h.l2.line_of(&store(0x8000));
+        assert!(h.slc().contains(line), "the dirty line went down to the SLC");
+        let written_back = h.l2().stats().writebacks;
+        h.prefetch(&load(0x8000));
+        assert!(h.l2().contains(line) && !h.slc().contains(line));
+        // Evict it from the L2 again: its writeback is counted.
+        for i in 9..=16 {
+            h.access(&load(0x8000 + i * stride));
+        }
+        assert!(!h.l2().contains(line));
+        assert_eq!(h.l2().stats().writebacks, written_back + 1, "the promoted copy is still dirty");
         h.check_invariants();
     }
 

@@ -53,10 +53,10 @@ impl<const WAYS: usize> LruSet<WAYS> {
 /// A `WAYS`-way LRU cache level: the sets, the dirty and instruction
 /// bitmaps, one recency clock and the statistics.
 ///
-/// Its operations are [`crate::Cache`]'s under an LRU policy, outcome
-/// for outcome: a hit or a fill makes its way the most recent, a full
-/// set evicts its least recent way, an extract or invalidate empties a
-/// way.
+/// Its operations are those of [`crate::AosCache`] holding the boxed
+/// LRU policy, outcome for outcome: a hit or a fill makes its way the
+/// most recent, a full set evicts its least recent way, an extract or
+/// invalidate empties a way.
 ///
 /// # Example
 ///
@@ -214,8 +214,8 @@ impl<const WAYS: usize> LruCache<WAYS> {
         }
     }
 
-    /// Invalidates `line` if resident and counts a back-invalidation,
-    /// as [`crate::Cache::invalidate`].
+    /// Invalidates `line` if resident and counts a back-invalidation
+    /// (an L2 eviction reaching the L1s), as [`crate::AosCache::invalidate`].
     pub fn invalidate(&mut self, line: LineAddr) -> Option<EvictedLine> {
         let removed = self.extract(line);
         if removed.is_some() {
@@ -225,7 +225,7 @@ impl<const WAYS: usize> LruCache<WAYS> {
     }
 
     /// Removes `line` without counting a back-invalidation (the SLC's
-    /// promotion of a line to the L2), as [`crate::Cache::extract`].
+    /// promotion of a line to the L2), as [`crate::AosCache::extract`].
     pub fn extract(&mut self, line: LineAddr) -> Option<EvictedLine> {
         let (set, way) = self.probe(line)?;
         let old = self.line_at(set, way);

@@ -58,7 +58,7 @@ proptest! {
                 cache.fill(&req);
                 prop_assert!(cache.contains(cache.line_of(&req)));
             }
-            prop_assert!(cache.occupancy() <= config.num_lines());
+            prop_assert!(cache.resident_lines().count() <= config.num_lines());
         }
     }
 

@@ -109,17 +109,6 @@ impl RripTable {
             }
         }
     }
-
-    /// Resets one way to *distant*, used when the tag store invalidates a
-    /// line (e.g. inclusive back-invalidation) so the way becomes the
-    /// preferred victim.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `set` or `way` is out of bounds.
-    pub fn invalidate(&mut self, set: usize, way: usize) {
-        self.set_rrpv(set, way, Rrpv::distant());
-    }
 }
 
 impl Snapshot for RripTable {
@@ -207,17 +196,6 @@ mod tests {
         table.set_rrpv(ROW, 0, Rrpv::immediate());
         // Ways 1..3 are distant; the scan returns the first.
         assert_eq!(table.find_victim(ROW), 1);
-        assert_neighbour_untouched(&table);
-    }
-
-    #[test]
-    fn invalidate_makes_way_preferred_victim() {
-        let mut table = two_rows(4);
-        for way in 0..4 {
-            table.set_rrpv(ROW, way, Rrpv::immediate());
-        }
-        table.invalidate(ROW, 3);
-        assert_eq!(table.find_victim(ROW), 3);
         assert_neighbour_untouched(&table);
     }
 

@@ -90,11 +90,6 @@ impl ReplacementPolicy for Emissary {
             req.kind.is_instruction() && req.attrs.caused_starvation;
     }
 
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.lru.on_invalidate(set, way);
-        self.priority[set * self.ways + way] = false;
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         self.lru.save_state(w);
         w.usize(self.priority.len());
@@ -165,14 +160,6 @@ mod tests {
         let data = load(0x500).with_starvation(true);
         p.on_fill(0, 2, &data);
         assert!(!p.is_priority(0, 2));
-    }
-
-    #[test]
-    fn invalidate_clears_priority() {
-        let mut p = Emissary::new(1, 4);
-        p.on_fill(0, 0, &starved_fetch(0x100));
-        p.on_invalidate(0, 0);
-        assert!(!p.is_priority(0, 0));
     }
 
     #[test]

@@ -104,8 +104,6 @@ mod tests {
             assert!(v < 8, "{kind}: victim out of range");
             p.on_fill(3, v, &req);
             p.on_hit(3, v, &req);
-            p.on_evict(3, v);
-            p.on_invalidate(3, v);
         }
     }
 }

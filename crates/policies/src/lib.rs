@@ -22,9 +22,15 @@
 //!
 //! 1. hit  → [`ReplacementPolicy::on_hit`]
 //! 2. miss → [`ReplacementPolicy::choose_victim`] (only when the set is
-//!    full; the cache takes an invalid way itself), then
-//!    [`ReplacementPolicy::on_evict`] for the displaced line, then
-//!    [`ReplacementPolicy::on_fill`] for the incoming one.
+//!    full; the cache takes an invalid way itself), which evicts the line
+//!    it returns, then [`ReplacementPolicy::on_fill`] for the incoming
+//!    one.
+//!
+//! These are Algorithm 1's three events: a hit and a fill write an RRPV,
+//! and eviction is RRIP's `GetEvictionLine`. No simulated level removes
+//! a line behind its policy's back: the L2, the only level with a policy
+//! under test, is the top of inclusion, so nothing back-invalidates it,
+//! and the exclusive SLC below it is LRU.
 //!
 //! A hit and a fill hand the policy the cache's own
 //! [`trrip_mem::MemoryRequest`]. Policies read its kind, its PC (SHiP's
@@ -66,25 +72,14 @@ pub trait ReplacementPolicy: Send {
     /// A line at `(set, way)` was hit by `req`: update its priority.
     fn on_hit(&mut self, set: usize, way: usize, req: &MemoryRequest);
 
-    /// A miss in `set`, every way of which is valid, needs a victim: the
-    /// way returned is `< ways`. May mutate state (RRIP aging, Emissary
-    /// epoch resets).
+    /// A miss in `set`, every way of which is valid, evicts the line at
+    /// the way returned (`< ways`): the cache calls this only for a victim
+    /// it then replaces, so a policy observes the eviction here (RRIP
+    /// aging, Emissary epoch resets, SHiP's dead-line training).
     fn choose_victim(&mut self, set: usize) -> usize;
-
-    /// The line previously at `(set, way)` is being evicted (not merely
-    /// invalidated): predictors observe the outcome here.
-    fn on_evict(&mut self, set: usize, way: usize) {
-        let _ = (set, way);
-    }
 
     /// A new line was filled into `(set, way)` in response to `req`.
     fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest);
-
-    /// The line at `(set, way)` was invalidated (e.g. inclusive
-    /// back-invalidation): forget its metadata.
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        let _ = (set, way);
-    }
 
     /// Appends the policy's architectural state (RRPV arrays, LRU
     /// stacks, predictor tables, PSEL counters…) to `w`. Configuration

@@ -84,11 +84,6 @@ impl ReplacementPolicy for Lru {
         self.touch(set, way);
     }
 
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        // Oldest possible stamp: the way becomes the preferred victim.
-        self.stamps[set * self.ways + way] = 0;
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         w.usize(self.clocks.len());
         for &clock in &self.clocks {
@@ -142,16 +137,5 @@ mod tests {
         // Set 1 untouched by the hit: way 0 is still its LRU.
         assert_eq!(lru.choose_victim(1), 0);
         assert_eq!(lru.choose_victim(0), 1);
-    }
-
-    #[test]
-    fn invalidate_prefers_way_for_eviction() {
-        let mut lru = Lru::new(1, 4);
-        let req = ifetch(0);
-        for way in 0..4 {
-            lru.on_fill(0, way, &req);
-        }
-        lru.on_invalidate(0, 3);
-        assert_eq!(lru.choose_victim(0), 3);
     }
 }

@@ -148,10 +148,6 @@ impl ReplacementPolicy for Rrip {
         self.table.set_rrpv(set, way, rrpv);
     }
 
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.table.invalidate(set, way);
-    }
-
     fn save_state(&self, w: &mut SnapWriter) {
         self.table.save(w);
         if self.throttled() {

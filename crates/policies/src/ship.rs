@@ -112,10 +112,7 @@ impl ReplacementPolicy for Ship {
     }
 
     fn choose_victim(&mut self, set: usize) -> usize {
-        self.sets.find_victim(set)
-    }
-
-    fn on_evict(&mut self, set: usize, way: usize) {
+        let way = self.sets.find_victim(set);
         let idx = set * self.ways + way;
         let meta = self.meta[idx];
         if meta.tracked && !meta.outcome {
@@ -124,6 +121,7 @@ impl ReplacementPolicy for Ship {
             self.shct[e] = self.shct[e].saturating_sub(1);
         }
         self.meta[idx] = LineMeta::default();
+        way
     }
 
     fn on_fill(&mut self, set: usize, way: usize, req: &MemoryRequest) {
@@ -148,11 +146,6 @@ impl ReplacementPolicy for Ship {
             self.meta[idx] = LineMeta::default();
             self.sets.set_rrpv(set, way, Rrpv::intermediate());
         }
-    }
-
-    fn on_invalidate(&mut self, set: usize, way: usize) {
-        self.meta[set * self.ways + way] = LineMeta::default();
-        self.sets.invalidate(set, way);
     }
 
     fn save_state(&self, w: &mut SnapWriter) {
@@ -206,8 +199,14 @@ mod tests {
     use super::*;
     use crate::tests::{ifetch, load};
 
+    /// One way per set, so every miss evicts way 0.
     fn ship() -> Ship {
-        Ship::tiny(4, 4)
+        Ship::tiny(4, 1)
+    }
+
+    /// Evicts set 0's only line.
+    fn evict(p: &mut Ship) {
+        assert_eq!(p.choose_victim(0), 0);
     }
 
     #[test]
@@ -218,7 +217,7 @@ mod tests {
         // drains to zero.
         for _ in 0..4 {
             p.on_fill(0, 0, &req);
-            p.on_evict(0, 0);
+            evict(&mut p);
         }
         assert_eq!(p.counter_for_pc(req.pc), 0);
         p.on_fill(0, 0, &req);
@@ -231,14 +230,14 @@ mod tests {
         let req = ifetch(0x4000);
         for _ in 0..4 {
             p.on_fill(0, 0, &req);
-            p.on_evict(0, 0);
+            evict(&mut p);
         }
         assert_eq!(p.counter_for_pc(req.pc), 0);
         // A fill that then hits trains the counter back up.
         p.on_fill(0, 0, &req);
         p.on_hit(0, 0, &req);
         assert_eq!(p.counter_for_pc(req.pc), 1);
-        p.on_evict(0, 0);
+        evict(&mut p);
         p.on_fill(0, 0, &req);
         assert_eq!(p.sets.rrpv(0, 0), Rrpv::intermediate());
     }
@@ -256,13 +255,27 @@ mod tests {
     }
 
     #[test]
+    fn a_victim_trains_the_shct_once() {
+        let mut p = ship();
+        let req = ifetch(0x4000);
+        let before = p.counter_for_pc(req.pc);
+        p.on_fill(0, 0, &req);
+        evict(&mut p);
+        assert_eq!(p.counter_for_pc(req.pc), before - 1, "a dead victim trains its signature");
+        // No fill in between: the way's metadata was cleared with the
+        // first choice, so asking again trains nothing.
+        evict(&mut p);
+        assert_eq!(p.counter_for_pc(req.pc), before - 1);
+    }
+
+    #[test]
     fn data_lines_are_untracked_srrip() {
         let mut p = ship();
         let req = load(0x9000);
         let before = p.counter_for_pc(req.pc);
-        p.on_fill(0, 1, &req);
-        assert_eq!(p.sets.rrpv(0, 1), Rrpv::intermediate());
-        p.on_evict(0, 1);
+        p.on_fill(0, 0, &req);
+        assert_eq!(p.sets.rrpv(0, 0), Rrpv::intermediate());
+        evict(&mut p);
         // Dead data eviction must not train the SHCT.
         assert_eq!(p.counter_for_pc(req.pc), before);
     }

@@ -11,7 +11,6 @@ use trrip_snap::{SnapReader, SnapWriter, Snapshot};
 enum Op {
     Hit { set: usize, way: usize },
     MissFill { set: usize },
-    Invalidate { set: usize, way: usize },
 }
 
 fn arb_policy() -> impl Strategy<Value = PolicyKind> {
@@ -22,7 +21,6 @@ fn arb_op(sets: usize, ways: usize) -> impl Strategy<Value = Op> {
     prop_oneof![
         (0..sets, 0..ways).prop_map(|(set, way)| Op::Hit { set, way }),
         (0..sets).prop_map(|set| Op::MissFill { set }),
-        (0..sets, 0..ways).prop_map(|(set, way)| Op::Invalidate { set, way }),
     ]
 }
 
@@ -56,8 +54,8 @@ fn arb_trrip() -> impl Strategy<Value = PolicyKind> {
     prop_oneof![Just(PolicyKind::Trrip1), Just(PolicyKind::Trrip2)]
 }
 
-/// Drives `policy` through `ops` as a cache would (a miss: victim,
-/// eviction, fill) and returns the victims it chose.
+/// Drives `policy` through `ops` as a cache would (a miss: the victim,
+/// then the fill into its way) and returns the victims it chose.
 fn victims(policy: &mut dyn ReplacementPolicy, ops: &[(Op, MemoryRequest)]) -> Vec<usize> {
     let mut chosen = Vec::new();
     for (op, req) in ops {
@@ -66,10 +64,8 @@ fn victims(policy: &mut dyn ReplacementPolicy, ops: &[(Op, MemoryRequest)]) -> V
             Op::MissFill { set } => {
                 let v = policy.choose_victim(set);
                 chosen.push(v);
-                policy.on_evict(set, v);
                 policy.on_fill(set, v, req);
             }
-            Op::Invalidate { set, way } => policy.on_invalidate(set, way),
         }
     }
     chosen
@@ -132,10 +128,8 @@ proptest! {
                 Op::MissFill { set } => {
                     let victim = policy.choose_victim(set);
                     prop_assert!(victim < 4, "{}: victim {victim} of 4 ways", kind.name());
-                    policy.on_evict(set, victim);
                     policy.on_fill(set, victim, &req);
                 }
-                Op::Invalidate { set, way } => policy.on_invalidate(set, way),
             }
         }
     }
@@ -230,7 +224,6 @@ proptest! {
                 v, protected,
                 "{}: evicted the continuously-hit line at fill {}", kind.name(), i
             );
-            policy.on_evict(0, v);
             policy.on_fill(0, v, &req);
             policy.on_hit(0, protected, &hot);
         }
@@ -334,10 +327,12 @@ fn emissary_arms_and_their_ties() {
     }
     assert_eq!(p.choose_victim(0), 2);
     assert_eq!(priority_of(&p, 0, 4), [true, false, false, false], "arm one clears nothing");
-    // Arm one, tied: ways 1 and 3 invalidated, both as old as can be.
-    p.on_invalidate(0, 3);
-    p.on_invalidate(0, 1);
-    assert_eq!(p.choose_victim(0), 1);
+    // Arm one, tied: ways 1 and 3 never filled, both as old as can be.
+    let mut q = Emissary::new(1, 4);
+    q.on_fill(0, 0, &starved);
+    q.on_fill(0, 2, &plain);
+    assert_eq!(q.choose_victim(0), 1);
+    assert_eq!(priority_of(&q, 0, 4), [true, false, false, false]);
 
     // Arm two, reservation exceeded: three priority lines against two
     // reserved. The oldest line goes though it holds priority.

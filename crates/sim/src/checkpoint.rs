@@ -135,7 +135,7 @@ use crate::view::view_page_sizes;
 /// Checkpoint file magic: `b"TRRIPCKP"`.
 pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// The checkpoint format version, and the only one the store reads:
-/// v13. The snapshot payload rests as written, and a full state is the
+/// v14. The snapshot payload rests as written, and a full state is the
 /// two sections a shared prefix and an overlay hold (`SHRD`, then
 /// `OVLY`). Every container is a fast-forward-boundary state, a shared
 /// prefix is keyed by what a frontend reads alone, and it holds the
@@ -144,7 +144,9 @@ pub const MAGIC: [u8; 8] = *b"TRRIPCKP";
 /// in flight as `(line, ready)` pairs in line order. v13 gives each LRU
 /// level — the L1s and the SLC — one recency clock and a stamp per
 /// resident line, where v12 held a clock per set and a stamp per slot.
-pub const VERSION: u16 = 13;
+/// v14 keeps the dirty bit of a line a prefetch promotes from the SLC to
+/// the L2, where v13's overlays held that L2 copy clean.
+pub const VERSION: u16 = 14;
 
 /// What a container holds (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -423,43 +425,6 @@ pub fn write_checkpoint_kind(
     Ok(())
 }
 
-/// Bounded retry attempts for transient I/O on store load paths.
-const RETRY_ATTEMPTS: u32 = 3;
-
-/// Transient I/O: interruptions and contention that a bounded retry is
-/// allowed to absorb. Everything else (missing files, corruption,
-/// permissions) surfaces immediately.
-fn is_transient(e: &CheckpointError) -> bool {
-    matches!(
-        e,
-        CheckpointError::Io(io) if matches!(
-            io.kind(),
-            std::io::ErrorKind::Interrupted
-                | std::io::ErrorKind::WouldBlock
-                | std::io::ErrorKind::TimedOut
-        )
-    )
-}
-
-/// Runs `op` up to [`RETRY_ATTEMPTS`] times, backing off briefly
-/// between attempts, retrying only [transient](is_transient) failures.
-/// Every retry counts into `ckpt.retry`.
-fn retry_transient<T>(
-    mut op: impl FnMut() -> Result<T, CheckpointError>,
-) -> Result<T, CheckpointError> {
-    let mut attempt = 1;
-    loop {
-        match op() {
-            Err(e) if is_transient(&e) && attempt < RETRY_ATTEMPTS => {
-                trrip_obs::counter!("ckpt.retry").incr();
-                std::thread::sleep(std::time::Duration::from_millis(5 << attempt));
-                attempt += 1;
-            }
-            other => return other,
-        }
-    }
-}
-
 /// Reads and verifies a checkpoint file: magic, version, length and
 /// checksum. Returns the container kind, the metadata and the snapshot
 /// payload.
@@ -539,7 +504,7 @@ fn load_keyed<T>(
     expected: &CheckpointMeta,
     restore: impl FnOnce(Vec<u8>) -> Result<T, CheckpointError>,
 ) -> Result<Option<T>, CheckpointError> {
-    let loaded = match retry_transient(|| read_checkpoint(path)) {
+    let loaded = match read_checkpoint(path) {
         Ok((found, meta, payload)) if found == kind && meta == *expected => {
             restore(payload).map(Some)
         }
@@ -1214,57 +1179,6 @@ mod tests {
         assert_ne!(warmup_prefix_hash(&ablation), warmup_prefix_hash(&one));
         assert_ne!(warmup_prefix_hash(&ablation[1..2]), warmup_prefix_hash(&one));
         assert_eq!(view_page_sizes(&ablation), [small, large]);
-    }
-
-    fn transient(kind: std::io::ErrorKind) -> CheckpointError {
-        CheckpointError::Io(std::io::Error::from(kind))
-    }
-
-    #[test]
-    fn transient_errors_retry_bounded_and_count() {
-        let before = trrip_obs::snapshot();
-
-        // Recovers after two transient failures; each retry counts.
-        let mut calls = 0;
-        let result = retry_transient(|| {
-            calls += 1;
-            if calls < 3 {
-                Err(transient(std::io::ErrorKind::Interrupted))
-            } else {
-                Ok(calls)
-            }
-        });
-        assert_eq!(result.expect("third attempt succeeds"), 3);
-        assert_eq!(trrip_obs::snapshot().since(&before).get("ckpt.retry"), 2);
-
-        // Exhaustion: a persistently transient failure surfaces after
-        // exactly RETRY_ATTEMPTS tries.
-        let mut calls = 0;
-        let result: Result<(), _> = retry_transient(|| {
-            calls += 1;
-            Err(transient(std::io::ErrorKind::TimedOut))
-        });
-        assert!(is_transient(&result.expect_err("must exhaust")));
-        assert_eq!(calls, RETRY_ATTEMPTS);
-    }
-
-    #[test]
-    fn non_transient_errors_never_retry() {
-        for error in [
-            CheckpointError::BadMagic,
-            CheckpointError::Corrupt("x".into()),
-            transient(std::io::ErrorKind::NotFound),
-            transient(std::io::ErrorKind::PermissionDenied),
-        ] {
-            assert!(!is_transient(&error), "{error} must not be retried");
-        }
-        let mut calls = 0;
-        let result: Result<(), _> = retry_transient(|| {
-            calls += 1;
-            Err(CheckpointError::BadMagic)
-        });
-        assert!(matches!(result.expect_err("surfaces"), CheckpointError::BadMagic));
-        assert_eq!(calls, 1, "non-transient errors surface on the first attempt");
     }
 
     // ---- the walker section is on-disk input ----

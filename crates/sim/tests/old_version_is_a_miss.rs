@@ -4,7 +4,9 @@
 //! never `ckpt.corrupt`, with no `artifact_damaged` event — and
 //! overwritten by the save that follows the miss. Held here end to end:
 //! a store whose every file (training profile, prefix, overlays) says
-//! version 11 — the one whose overlays kept in-flight slot positions —,
+//! version 13 — the one whose L2 lost the dirty bit of a line a prefetch
+//! promoted from the SLC —, 12 — the one whose LRU levels kept one clock
+//! per set —, 11 — the one whose overlays kept in-flight slot positions —,
 //! 10 — the one whose overlays held frames and the stride table — or 9
 //! — the one whose payloads rested LZ-packed — makes the
 //! next preparation train again and the next sweep do what it does over
@@ -115,11 +117,13 @@ fn files_of_another_version_are_misses_and_are_written_again() {
     assert_eq!(version_of(&ckpts.profile_path(&spec, TRAIN)), current);
 
     // ---- a preparation and a sweep over a store of an earlier version ----
-    // 12: the store whose LRU levels kept one clock per set; 11: the one
+    // 13: the store whose L2 lost the dirty bit of a line a prefetch
+    // promoted from the SLC; 12: the one whose LRU levels kept one clock
+    // per set; 11: the one
     // whose overlays kept in-flight slot positions; 10: the one whose
     // overlays held the page table and the stride table; 9: the one whose
     // payloads rested LZ-packed.
-    for stale in [12, 11, 10, 9] {
+    for stale in [13, 12, 11, 10, 9] {
         assert_eq!(stamp_all(&ckpts, stale), files);
         let (retrained, moved) = moved_by(prepare);
         assert_eq!(retrained.profile, workloads[0].profile, "the same profile, trained again");
