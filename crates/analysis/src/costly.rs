@@ -14,7 +14,7 @@ use serde::{Deserialize, Serialize};
 use trrip_mem::{VirtAddr, LINE_BYTES};
 
 /// Classification of the code a miss landed in.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CodeRegion {
     /// TRRIP-compiled `.text.hot`.
     Hot,
@@ -87,18 +87,6 @@ impl CostlyMissTracker {
         let top = &costs[cut.min(costs.len() - 1)..];
         let hot = top.iter().filter(|&&(_, _, r)| r == CodeRegion::Hot).count();
         hot as f64 / top.len() as f64
-    }
-
-    /// Total miss cost accumulated per region (for diagnostics).
-    #[must_use]
-    pub fn cost_by_region(&self) -> HashMap<CodeRegion, u64> {
-        let mut out = HashMap::new();
-        for c in self.lines.values() {
-            if let Some(r) = c.region {
-                *out.entry(r).or_insert(0) += c.total_latency;
-            }
-        }
-        out
     }
 }
 
@@ -210,16 +198,5 @@ mod tests {
     fn empty_tracker_reports_zero() {
         let t = CostlyMissTracker::new();
         assert_eq!(t.hot_coverage(90.0, false), 0.0);
-    }
-
-    #[test]
-    fn cost_by_region_sums() {
-        let mut t = CostlyMissTracker::new();
-        t.record(pc(1), 100, CodeRegion::Hot);
-        t.record(pc(1), 100, CodeRegion::Hot);
-        t.record(pc(9), 50, CodeRegion::Warm);
-        let by = t.cost_by_region();
-        assert_eq!(by[&CodeRegion::Hot], 200);
-        assert_eq!(by[&CodeRegion::Warm], 50);
     }
 }

@@ -41,18 +41,6 @@ impl TextTable {
         self
     }
 
-    /// Number of data rows.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no data rows.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
     /// CSV rendering (headers + rows).
     #[must_use]
     pub fn to_csv(&self) -> String {
@@ -166,8 +154,7 @@ mod tests {
     fn short_rows_are_padded() {
         let mut t = TextTable::new(vec!["a", "b", "c"]);
         t.row(vec!["x".into()]);
-        assert_eq!(t.len(), 1);
-        assert!(!t.is_empty());
+        assert_eq!(t.to_csv(), "a,b,c\nx,,\n");
     }
 
     #[test]

@@ -76,12 +76,6 @@ impl AosCache {
         set * self.config.ways + way
     }
 
-    /// The line `req` touches (every cache cuts at [`trrip_mem::LINE_BYTES`]).
-    #[must_use]
-    pub fn line_of(&self, req: &MemoryRequest) -> LineAddr {
-        LineAddr::of(req.paddr)
-    }
-
     /// Whether `line` is currently resident.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
@@ -98,7 +92,7 @@ impl AosCache {
 
     /// Demand lookup: returns `true` on hit.
     pub fn access(&mut self, req: &MemoryRequest) -> bool {
-        let line = self.line_of(req);
+        let line = LineAddr::of(req.paddr);
         match self.find_way(line) {
             Some(way) => {
                 let set = self.set_index(line);
@@ -125,7 +119,7 @@ impl AosCache {
 
     /// Fills the request's line, evicting if the set is full.
     pub fn fill(&mut self, req: &MemoryRequest) -> Option<EvictedLine> {
-        let line = self.line_of(req);
+        let line = LineAddr::of(req.paddr);
         if self.contains(line) {
             return None;
         }

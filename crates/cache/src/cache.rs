@@ -213,12 +213,6 @@ impl Cache {
         (line.raw() as usize) & (self.num_sets - 1)
     }
 
-    /// The line `req` touches (every cache cuts at [`trrip_mem::LINE_BYTES`]).
-    #[must_use]
-    pub fn line_of(&self, req: &MemoryRequest) -> LineAddr {
-        LineAddr::of(req.paddr)
-    }
-
     /// Whether `line` is currently resident.
     #[must_use]
     pub fn contains(&self, line: LineAddr) -> bool {
@@ -240,7 +234,7 @@ impl Cache {
     /// hit, notifies the replacement policy. A miss records nothing in the
     /// tag store — the hierarchy decides whether and when to [`Cache::fill`].
     pub fn access(&mut self, req: &MemoryRequest) -> bool {
-        let line = self.line_of(req);
+        let line = LineAddr::of(req.paddr);
         match self.probe(line) {
             Some((set, way)) => {
                 if req.attrs.prefetch {
@@ -270,7 +264,7 @@ impl Cache {
     /// returns is evicted. If the line is already resident this is a
     /// no-op returning `None` (prefetch/demand races).
     pub fn fill(&mut self, req: &MemoryRequest) -> Option<EvictedLine> {
-        let line = self.line_of(req);
+        let line = LineAddr::of(req.paddr);
         let set = self.set_index(line);
         let base = set * self.config.ways;
 
@@ -522,7 +516,7 @@ mod tests {
             assert!(c.access(&fetch(i * 64)), "line {i} is resident");
         }
         let evicted = c.fill(&fetch(64 * 64)).expect("a full set evicts");
-        assert_eq!(evicted.line, c.line_of(&fetch(63 * 64)), "touched first, so least recent");
+        assert_eq!(evicted.line, LineAddr(63), "touched first, so least recent");
     }
 
     fn small_cache(kind: PolicyKind) -> Cache {
@@ -561,10 +555,10 @@ mod tests {
         c.fill(&a);
         c.fill(&b);
         let evicted = c.fill(&d).expect("third line must evict");
-        assert_eq!(evicted.line, c.line_of(&a));
-        assert!(!c.contains(c.line_of(&a)));
-        assert!(c.contains(c.line_of(&b)));
-        assert!(c.contains(c.line_of(&d)));
+        assert_eq!(evicted.line, LineAddr::of(a.paddr));
+        assert!(!c.contains(LineAddr::of(a.paddr)));
+        assert!(c.contains(LineAddr::of(b.paddr)));
+        assert!(c.contains(LineAddr::of(d.paddr)));
         assert_eq!(c.stats().evictions, 1);
     }
 

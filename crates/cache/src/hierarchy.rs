@@ -25,6 +25,10 @@
 //! * **L2 ∩ SLC = ∅** (exclusive): lines enter the SLC only when evicted
 //!   from L2, and are extracted from the SLC when promoted back to L2.
 //!
+//! A demand access answers with the level that served it
+//! ([`ServedBy`]); its load-to-use cycles are a function of that level
+//! alone ([`ServedBy::cycles`]).
+//!
 //! Prefetch *orchestration* (deciding which lines to prefetch) lives above
 //! this crate — the core/simulator issues [`Hierarchy::prefetch`] calls —
 //! because prefetch addresses need MMU translation to pick up temperature
@@ -52,20 +56,25 @@ pub enum ServedBy {
     Dram,
 }
 
-/// Result of one demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AccessOutcome {
-    /// Level that supplied the line.
-    pub served_by: ServedBy,
-    /// End-to-end load-to-use latency in cycles.
-    pub latency: u64,
-}
-
-impl AccessOutcome {
-    /// Whether the access missed the L2 (i.e. went to SLC or DRAM).
+impl ServedBy {
+    /// Load-to-use cycles of a demand access this level serves: a hit
+    /// pays the level's data cycles, and every level missed on the way
+    /// its tag cycles.
     #[must_use]
-    pub fn l2_miss(&self) -> bool {
-        matches!(self.served_by, ServedBy::Slc | ServedBy::Dram)
+    pub const fn cycles(self) -> u64 {
+        match self {
+            ServedBy::L1 => Hierarchy::L1_DATA_CYCLES,
+            ServedBy::L2 => Hierarchy::L1_TAG_CYCLES + Hierarchy::L2_DATA_CYCLES,
+            ServedBy::Slc => {
+                Hierarchy::L1_TAG_CYCLES + Hierarchy::L2_TAG_CYCLES + Hierarchy::SLC_DATA_CYCLES
+            }
+            ServedBy::Dram => {
+                Hierarchy::L1_TAG_CYCLES
+                    + Hierarchy::L2_TAG_CYCLES
+                    + Hierarchy::SLC_TAG_CYCLES
+                    + Hierarchy::DRAM_LATENCY
+            }
+        }
     }
 }
 
@@ -139,17 +148,6 @@ impl Hierarchy {
     /// Flat DRAM access latency in cycles (Table 1).
     pub const DRAM_LATENCY: u64 = 400;
 
-    /// Load-to-use cycles of an access the L2 serves.
-    const FROM_L2: u64 = Hierarchy::L1_TAG_CYCLES + Hierarchy::L2_DATA_CYCLES;
-    /// Load-to-use cycles of an access the SLC serves.
-    const FROM_SLC: u64 =
-        Hierarchy::L1_TAG_CYCLES + Hierarchy::L2_TAG_CYCLES + Hierarchy::SLC_DATA_CYCLES;
-    /// Load-to-use cycles of an access DRAM serves.
-    const FROM_DRAM: u64 = Hierarchy::L1_TAG_CYCLES
-        + Hierarchy::L2_TAG_CYCLES
-        + Hierarchy::SLC_TAG_CYCLES
-        + Hierarchy::DRAM_LATENCY;
-
     /// Builds the hierarchy: the L1s and the SLC are Table 1's and run
     /// LRU; the L2 has the configured geometry and policy.
     #[must_use]
@@ -195,16 +193,18 @@ impl Hierarchy {
         self.slc.reset_stats();
     }
 
-    /// Performs one demand access, updating every level it touches.
-    pub fn access(&mut self, req: &MemoryRequest) -> AccessOutcome {
-        match self.access_l1(req) {
-            Some(outcome) => outcome,
-            None => self.access_beyond_l1(req),
+    /// Performs one demand access, updating every level it touches, and
+    /// answers with the level that served it.
+    pub fn access(&mut self, req: &MemoryRequest) -> ServedBy {
+        if self.access_l1(req) {
+            ServedBy::L1
+        } else {
+            self.access_beyond_l1(req)
         }
     }
 
     /// The L1-hit fast path: probes only the L1 of the request's kind and
-    /// returns `Some` on a hit, touching nothing below. On a miss the L1
+    /// returns `true` on a hit, touching nothing below. On a miss the L1
     /// statistics have already recorded the demand miss — the caller must
     /// follow up with [`Hierarchy::access_beyond_l1`] (and nothing else)
     /// to finish the access.
@@ -217,39 +217,33 @@ impl Hierarchy {
     /// path makes (stats + LRU stamp included), so outcomes are
     /// bit-identical.
     #[inline]
-    pub fn access_l1(&mut self, req: &MemoryRequest) -> Option<AccessOutcome> {
+    pub fn access_l1(&mut self, req: &MemoryRequest) -> bool {
         debug_assert!(!req.attrs.prefetch, "use prefetch() for prefetch traffic");
         let l1 = if req.kind.is_instruction() { &mut self.l1i } else { &mut self.l1d };
-        if l1.access(req) {
-            Some(AccessOutcome { served_by: ServedBy::L1, latency: Hierarchy::L1_DATA_CYCLES })
-        } else {
-            None
-        }
+        l1.access(req)
     }
 
     /// Finishes a demand access that already missed the L1 (the
     /// [`Hierarchy::access_l1`] probe recorded the miss): probes
     /// L2 → SLC → DRAM and maintains inclusion/exclusion.
-    pub fn access_beyond_l1(&mut self, req: &MemoryRequest) -> AccessOutcome {
-        let line = self.l2.line_of(req);
-
+    pub fn access_beyond_l1(&mut self, req: &MemoryRequest) -> ServedBy {
         // L2 probe.
         if self.l2.access(req) {
             self.fill_l1(req);
-            return AccessOutcome { served_by: ServedBy::L2, latency: Hierarchy::FROM_L2 };
+            return ServedBy::L2;
         }
 
         // SLC probe (exclusive: a hit promotes the line to L2).
         if self.slc.access(req) {
-            self.promote_to_l2(req, line);
+            self.promote_to_l2(req, LineAddr::of(req.paddr));
             self.fill_l1(req);
-            return AccessOutcome { served_by: ServedBy::Slc, latency: Hierarchy::FROM_SLC };
+            return ServedBy::Slc;
         }
 
         // DRAM.
         self.fill_l2(req);
         self.fill_l1(req);
-        AccessOutcome { served_by: ServedBy::Dram, latency: Hierarchy::FROM_DRAM }
+        ServedBy::Dram
     }
 
     /// Installs a prefetched line into the L1 of its kind plus the L2,
@@ -258,7 +252,7 @@ impl Hierarchy {
     /// by the core model's issue distance).
     pub fn prefetch(&mut self, req: &MemoryRequest) {
         let req = req.as_prefetch();
-        let line = self.l2.line_of(&req);
+        let line = LineAddr::of(req.paddr);
         if !self.l2.contains(line) {
             self.promote_to_l2(&req, line);
         } else {
@@ -272,24 +266,23 @@ impl Hierarchy {
         }
     }
 
-    /// Read-only probe: which level would serve `line` right now, and the
-    /// estimated demand latency. Used to model prefetch timeliness.
+    /// Read-only probe: which level would serve an instruction fetch of
+    /// `line` right now. Used to model prefetch timeliness.
     #[must_use]
-    pub fn probe(&self, line: LineAddr, instruction: bool) -> (ServedBy, u64) {
-        let l1 = if instruction { &self.l1i } else { &self.l1d };
-        if l1.contains(line) {
-            (ServedBy::L1, Hierarchy::L1_DATA_CYCLES)
+    pub fn probe(&self, line: LineAddr) -> ServedBy {
+        if self.l1i.contains(line) {
+            ServedBy::L1
         } else if self.l2.contains(line) {
-            (ServedBy::L2, Hierarchy::FROM_L2)
+            ServedBy::L2
         } else if self.slc.contains(line) {
-            (ServedBy::Slc, Hierarchy::FROM_SLC)
+            ServedBy::Slc
         } else {
-            (ServedBy::Dram, Hierarchy::FROM_DRAM)
+            ServedBy::Dram
         }
     }
 
     fn fill_l1(&mut self, req: &MemoryRequest) {
-        debug_assert!(self.l2.contains(self.l2.line_of(req)), "inclusion: fill L2 before L1");
+        debug_assert!(self.l2.contains(LineAddr::of(req.paddr)), "inclusion: fill L2 before L1");
         let l1 = if req.kind.is_instruction() { &mut self.l1i } else { &mut self.l1d };
         let evicted = l1.fill(req);
         Hierarchy::handle_l1_eviction(&mut self.l2, evicted);
@@ -400,12 +393,10 @@ mod tests {
     fn cold_miss_goes_to_dram_then_l1_hits() {
         let mut h = paper_hierarchy();
         let req = fetch(0x4000);
-        let first = h.access(&req);
-        assert_eq!(first.served_by, ServedBy::Dram);
-        assert_eq!(first.latency, 1 + 8 + 10 + 400);
-        let second = h.access(&req);
-        assert_eq!(second.served_by, ServedBy::L1);
-        assert_eq!(second.latency, 3);
+        assert_eq!(h.access(&req), ServedBy::Dram);
+        assert_eq!(ServedBy::Dram.cycles(), 1 + 8 + 10 + 400);
+        assert_eq!(h.access(&req), ServedBy::L1);
+        assert_eq!(ServedBy::L1.cycles(), 3);
         h.check_invariants();
     }
 
@@ -420,9 +411,8 @@ mod tests {
         for i in 1..=4 {
             h.access(&fetch(base + i * stride));
         }
-        let outcome = h.access(&fetch(base));
-        assert_eq!(outcome.served_by, ServedBy::L2);
-        assert_eq!(outcome.latency, 1 + 12);
+        assert_eq!(h.access(&fetch(base)), ServedBy::L2);
+        assert_eq!(ServedBy::L2.cycles(), 1 + 12);
         h.check_invariants();
     }
 
@@ -436,14 +426,13 @@ mod tests {
         }
         // The first line was evicted from L2 → must not be in L1-I, must
         // be in the SLC.
-        let line0 = h.l2.line_of(&fetch(0));
+        let line0 = LineAddr::of(PhysAddr::new(0));
         assert!(!h.l2().contains(line0), "line should have left L2");
         assert!(!h.l1i().contains(line0), "inclusion: back-invalidate L1");
         assert!(h.slc().contains(line0), "victim should land in SLC");
         h.check_invariants();
         // Re-access: served by SLC, promoted back to L2, removed from SLC.
-        let outcome = h.access(&fetch(0));
-        assert_eq!(outcome.served_by, ServedBy::Slc);
+        assert_eq!(h.access(&fetch(0)), ServedBy::Slc);
         assert!(h.l2().contains(line0));
         assert!(!h.slc().contains(line0), "exclusivity after promotion");
         h.check_invariants();
@@ -456,9 +445,8 @@ mod tests {
         for i in 0..9 {
             h.access(&fetch(i * stride));
         }
-        let outcome = h.access(&fetch(0));
-        assert_eq!(outcome.served_by, ServedBy::Slc);
-        assert_eq!(outcome.latency, 1 + 8 + 30);
+        assert_eq!(h.access(&fetch(0)), ServedBy::Slc);
+        assert_eq!(ServedBy::Slc.cycles(), 1 + 8 + 30);
     }
 
     #[test]
@@ -470,7 +458,7 @@ mod tests {
         for i in 1..=8 {
             h.access(&load(0x8000 + i * stride));
         }
-        let line = h.l2.line_of(&store(0x8000));
+        let line = LineAddr::of(PhysAddr::new(0x8000));
         assert!(h.slc().contains(line));
         // Promote back: the dirty bit must survive the SLC round trip.
         h.access(&load(0x8000));
@@ -485,10 +473,9 @@ mod tests {
         h.prefetch(&req);
         assert_eq!(h.l1i().stats().inst_accesses, 0);
         assert_eq!(h.l2().stats().inst_accesses, 0);
-        assert!(h.l1i().contains(h.l2.line_of(&req)));
+        assert!(h.l1i().contains(LineAddr::of(req.paddr)));
         // Demand access now hits in L1.
-        let outcome = h.access(&req);
-        assert_eq!(outcome.served_by, ServedBy::L1);
+        assert_eq!(h.access(&req), ServedBy::L1);
         h.check_invariants();
     }
 
@@ -499,7 +486,7 @@ mod tests {
         for i in 0..9 {
             h.access(&fetch(i * stride));
         }
-        let line0 = h.l2.line_of(&fetch(0));
+        let line0 = LineAddr::of(PhysAddr::new(0));
         assert!(h.slc().contains(line0));
         h.prefetch(&fetch(0));
         assert!(!h.slc().contains(line0), "prefetch must maintain exclusivity");
@@ -515,7 +502,7 @@ mod tests {
         for i in 1..=8 {
             h.access(&load(0x8000 + i * stride));
         }
-        let line = h.l2.line_of(&store(0x8000));
+        let line = LineAddr::of(PhysAddr::new(0x8000));
         assert!(h.slc().contains(line), "the dirty line went down to the SLC");
         let written_back = h.l2().stats().writebacks;
         h.prefetch(&load(0x8000));

@@ -7,7 +7,9 @@
 //! * [`prefetch`] — the stride hardware prefetcher.
 //! * [`Hierarchy`] — the paper's memory system: private L1-I/L1-D (LRU),
 //!   a shared unified *inclusive* L2 with the policy under evaluation, an
-//!   *exclusive* SLC victim cache, and a flat-latency DRAM.
+//!   *exclusive* SLC victim cache, and a flat-latency DRAM. A demand
+//!   access answers with the level that served it ([`ServedBy`]), whose
+//!   cycles are that level's alone.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,7 +25,7 @@ pub mod stats;
 pub use aos::AosCache;
 pub use cache::{Cache, EvictedLine};
 pub use config::CacheConfig;
-pub use hierarchy::{AccessOutcome, Hierarchy, HierarchyConfig, ServedBy};
+pub use hierarchy::{Hierarchy, HierarchyConfig, ServedBy};
 pub use lru::LruCache;
 pub use prefetch::StridePrefetcher;
 pub use stats::AccessStats;

@@ -1,8 +1,8 @@
 //! Property-based tests of the cache model and the hierarchy invariants.
 
 use proptest::prelude::*;
-use trrip_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig};
-use trrip_mem::{MemoryRequest, PhysAddr, VirtAddr};
+use trrip_cache::{Cache, CacheConfig, Hierarchy, HierarchyConfig, ServedBy};
+use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr};
 use trrip_policies::PolicyKind;
 
 #[derive(Debug, Clone, Copy)]
@@ -56,7 +56,7 @@ proptest! {
             let (req, _) = request(a);
             if !cache.access(&req) {
                 cache.fill(&req);
-                prop_assert!(cache.contains(cache.line_of(&req)));
+                prop_assert!(cache.contains(LineAddr::of(req.paddr)));
             }
             prop_assert!(cache.resident_lines().count() <= config.num_lines());
         }
@@ -111,9 +111,8 @@ proptest! {
         let addr = addr * 64;
         let mut h = Hierarchy::new(&HierarchyConfig::paper(PolicyKind::Trrip2));
         let req = MemoryRequest::fetch(PhysAddr::new(addr), VirtAddr::new(addr));
-        h.access(&req);
-        let again = h.access(&req);
-        prop_assert_eq!(again.served_by, trrip_cache::ServedBy::L1);
-        prop_assert_eq!(again.latency, 3);
+        prop_assert_ne!(h.access(&req), ServedBy::L1, "a cold hierarchy");
+        prop_assert_eq!(h.access(&req), ServedBy::L1);
+        prop_assert_eq!(ServedBy::L1.cycles(), 3);
     }
 }

@@ -106,7 +106,7 @@ fn drive(kind: PolicyKind, ops: &[Op]) {
                 prop_assert_eq!(soa.fill(&req), aos.fill(&req));
             }
             Op::MarkDirty { addr } => {
-                let line = soa.line_of(&request(addr, 0, 0));
+                let line = LineAddr::of(request(addr, 0, 0).paddr);
                 prop_assert_eq!(soa.mark_dirty(line), aos.mark_dirty(line));
             }
             Op::Invalidate { .. } | Op::Extract { .. } => unreachable!("the L2 takes neither"),
@@ -360,7 +360,7 @@ fn restored_stores_stay_equivalent() {
         for i in 0..96u64 {
             let req = request(i % 41 * 64, (i % 3) as u8, 0);
             assert_eq!(soa2.access(&req), aos2.access(&req), "{kind}: post-restore access");
-            if !soa2.contains(soa2.line_of(&req)) {
+            if !soa2.contains(LineAddr::of(req.paddr)) {
                 assert_eq!(soa2.fill(&req), aos2.fill(&req), "{kind}: post-restore fill");
             }
         }

@@ -9,8 +9,8 @@
 //!   placed into `.text.hot` / `.text.warm` / `.text.cold`, hottest
 //!   section first; functions inside a section are sorted by descending
 //!   hotness (function reordering) and blocks inside a function are
-//!   reordered so the hot path falls through (block placement). Program
-//!   headers carry each section's temperature for the loader.
+//!   reordered so the hot path falls through (block placement). Each
+//!   section carries its temperature for the loader.
 //!
 //! Both layouts also emit the PLT (one stub per external function), the
 //! data segment, and the external library text — which never receives

@@ -14,9 +14,9 @@
 //! * [`layout`] — code layout: source order (non-PGO baseline) or PGO
 //!   ordering with `.text.hot` / `.text.warm` / `.text.cold` sections
 //!   (Figure 5).
-//! * [`object`] — the ELF-like object file: sections, program headers
-//!   carrying section temperature for the loader, symbols and per-block
-//!   addresses.
+//! * [`object`] — the ELF-like object file: sections (its program
+//!   headers, each carrying its temperature for the loader), symbols and
+//!   per-block addresses.
 //!
 //! The pipeline mirrors Figure 4 ①–⑤: build IR → instrument → profile →
 //! classify → re-layout → emit object.
@@ -33,5 +33,5 @@ pub mod profile;
 pub use classify::{classify_functions, FunctionTemperatures};
 pub use ir::{BasicBlock, CallTarget, Function, Program};
 pub use layout::{LayoutKind, Linker};
-pub use object::{ObjectFile, ProgramHeader, Section};
+pub use object::{ObjectFile, Section};
 pub use profile::Profile;

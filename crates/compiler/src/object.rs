@@ -1,9 +1,9 @@
 //! The ELF-like object file produced by the linker.
 //!
 //! Only the parts TRRIP touches are modelled (Figure 5): text sections —
-//! with per-section temperature recorded in the program headers — the PLT,
+//! each with the temperature the loader reads (Figure 4 ⑥–⑧) — the PLT,
 //! a data segment, and the symbol/block address tables the trace walker
-//! uses.
+//! uses. The sections are the program headers: the loader maps each one.
 
 use serde::{Deserialize, Serialize};
 use trrip_core::Temperature;
@@ -20,7 +20,8 @@ pub struct Section {
     pub size_bytes: u64,
     /// Executable section?
     pub executable: bool,
-    /// Temperature recorded for the loader (code sections under PGO).
+    /// Temperature recorded for the loader (code sections under PGO):
+    /// TRRIP's addition to the program header (Figure 4 ⑥).
     pub temperature: Option<Temperature>,
 }
 
@@ -36,20 +37,6 @@ impl Section {
     pub fn end(&self) -> VirtAddr {
         self.base + self.size_bytes
     }
-}
-
-/// A program header entry: what the loader reads to mmap one segment
-/// (Figure 4 ⑥–⑧). TRRIP's addition is the `temperature` field.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub struct ProgramHeader {
-    /// Segment base virtual address.
-    pub vaddr: VirtAddr,
-    /// Segment size in bytes.
-    pub size_bytes: u64,
-    /// Executable mapping?
-    pub executable: bool,
-    /// Code temperature for the segment's PTEs, if any.
-    pub temperature: Option<Temperature>,
 }
 
 /// The linked object file.
@@ -83,20 +70,6 @@ impl ObjectFile {
     #[must_use]
     pub fn section_named(&self, name: &str) -> Option<&Section> {
         self.sections.iter().find(|s| s.name == name)
-    }
-
-    /// Program headers for the loader, one per section.
-    #[must_use]
-    pub fn headers(&self) -> Vec<ProgramHeader> {
-        self.sections
-            .iter()
-            .map(|s| ProgramHeader {
-                vaddr: s.base,
-                size_bytes: s.size_bytes,
-                executable: s.executable,
-                temperature: s.temperature,
-            })
-            .collect()
     }
 
     /// Temperature recorded for the code at `addr` (what the PTE will
@@ -183,15 +156,6 @@ mod tests {
         assert_eq!(o.temperature_of(VirtAddr::new(0x1000)), Some(Temperature::Hot));
         assert_eq!(o.temperature_of(VirtAddr::new(0x11ff)), Some(Temperature::Cold));
         assert_eq!(o.temperature_of(VirtAddr::new(0x9000)), None);
-    }
-
-    #[test]
-    fn headers_mirror_sections() {
-        let o = object();
-        let h = o.headers();
-        assert_eq!(h.len(), 2);
-        assert_eq!(h[0].temperature, Some(Temperature::Hot));
-        assert!(h[0].executable);
     }
 
     #[test]

@@ -3,45 +3,32 @@
 //! The core is decoupled from address translation and the cache hierarchy
 //! through [`MemoryBackend`]: `trrip-sim` implements it over the MMU (so
 //! requests pick up PTE temperature bits) and the `trrip_cache::Hierarchy`.
+//! A demand access answers with one number, its cycles until the data is
+//! available; the core reads nothing else. An L1 hit costs exactly
+//! [`CoreConfig::L1_HIT_CYCLES`](crate::CoreConfig::L1_HIT_CYCLES), and
+//! anything the core must stall for costs more.
 
 use trrip_mem::VirtAddr;
 
-/// Latency and level information for one demand access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MemLatency {
-    /// End-to-end cycles until data is available.
-    pub cycles: u64,
-    /// Whether the access hit the private L1.
-    pub l1_hit: bool,
-    /// Whether the access missed the L2 (served by SLC or DRAM).
-    pub l2_miss: bool,
-}
-
-impl MemLatency {
-    /// An L1 hit with the given latency.
-    #[must_use]
-    pub fn l1_hit(cycles: u64) -> MemLatency {
-        MemLatency { cycles, l1_hit: true, l2_miss: false }
-    }
-}
-
-/// Memory system interface: demand accesses return latency; prefetches are
-/// fire-and-forget state changes.
+/// Memory system interface: demand reads answer with their cycles; writes
+/// and prefetches are fire-and-forget state changes.
 ///
 /// `now` is the core's current cycle, letting implementations model
 /// prefetch *timeliness*: a prefetch issued shortly before its use only
 /// hides part of the miss latency.
 pub trait MemoryBackend {
-    /// Demand instruction fetch of the line containing `pc`.
-    /// `caused_starvation` is the Emissary signal: this line previously
-    /// caused decode starvation.
-    fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> MemLatency;
+    /// Demand instruction fetch of the line containing `pc`: cycles until
+    /// the line is available. `caused_starvation` is the Emissary signal:
+    /// this line previously caused decode starvation.
+    fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> u64;
 
-    /// Demand data read at `addr` issued by the instruction at `pc`.
-    fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency;
+    /// Demand data read at `addr` issued by the instruction at `pc`:
+    /// cycles until the data is available.
+    fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> u64;
 
-    /// Demand data write at `addr` issued by the instruction at `pc`.
-    fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency;
+    /// Demand data write at `addr` issued by the instruction at `pc`. The
+    /// store buffer hides its latency, so it answers nothing.
+    fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr);
 
     /// FDIP/next-line instruction prefetch of the line containing `pc`.
     fn prefetch_ifetch(&mut self, pc: VirtAddr, now: u64);
@@ -51,10 +38,10 @@ pub trait MemoryBackend {
 /// of the core timing model.
 #[derive(Debug, Clone)]
 pub struct FlatBackend {
-    /// Latency returned for every instruction fetch.
-    pub ifetch_latency: MemLatency,
-    /// Latency returned for every data access.
-    pub data_access_latency: MemLatency,
+    /// Cycles of every instruction fetch.
+    pub ifetch_latency: u64,
+    /// Cycles of every data read.
+    pub data_access_latency: u64,
     /// Number of prefetches received.
     pub prefetches: u64,
 }
@@ -63,26 +50,21 @@ impl FlatBackend {
     /// A backend where everything hits L1.
     #[must_use]
     pub fn all_hits() -> FlatBackend {
-        FlatBackend {
-            ifetch_latency: MemLatency::l1_hit(3),
-            data_access_latency: MemLatency::l1_hit(3),
-            prefetches: 0,
-        }
+        let hit = crate::CoreConfig::L1_HIT_CYCLES;
+        FlatBackend { ifetch_latency: hit, data_access_latency: hit, prefetches: 0 }
     }
 }
 
 impl MemoryBackend for FlatBackend {
-    fn ifetch(&mut self, _pc: VirtAddr, _caused_starvation: bool, _now: u64) -> MemLatency {
+    fn ifetch(&mut self, _pc: VirtAddr, _caused_starvation: bool, _now: u64) -> u64 {
         self.ifetch_latency
     }
 
-    fn dread(&mut self, _addr: VirtAddr, _pc: VirtAddr) -> MemLatency {
+    fn dread(&mut self, _addr: VirtAddr, _pc: VirtAddr) -> u64 {
         self.data_access_latency
     }
 
-    fn dwrite(&mut self, _addr: VirtAddr, _pc: VirtAddr) -> MemLatency {
-        self.data_access_latency
-    }
+    fn dwrite(&mut self, _addr: VirtAddr, _pc: VirtAddr) {}
 
     fn prefetch_ifetch(&mut self, _pc: VirtAddr, _now: u64) {
         self.prefetches += 1;

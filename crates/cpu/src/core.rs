@@ -50,13 +50,6 @@ use crate::trace::{MemOp, TraceInstr};
 /// earlier outstanding miss (queueing/bandwidth serialization).
 const MLP_SERIALIZATION: f64 = 4.0;
 
-/// Machines whose clocks [`Core::execute`] keeps on the stack for the
-/// length of a turn; a larger group's go to the heap. A group is one
-/// worker's share of one workload's cells, all of them with one worker:
-/// 16 in fig9's sweep, 18 in `overlap_ablation`'s and 21 in
-/// `all_experiments`' gcc row.
-const LOCKSTEP_STACK_CLOCKS: usize = 16;
-
 /// How many instructions [`Core::run`] pulls from a generic iterator
 /// before handing them to [`Core::run_batch`] as one slice.
 /// Large enough to amortize per-batch window bookkeeping, small enough
@@ -564,12 +557,12 @@ impl<B: MemoryBackend> Core<B> {
     fn fetch_line(&mut self, topdown: &mut TopDown, clock: &mut f64, pc: VirtAddr) {
         let line = pc.raw() / LINE_BYTES;
         let starved_flag = self.starved.contains(line);
-        let lat = self.backend.ifetch(pc, starved_flag, *clock as u64);
-        if !lat.l1_hit {
-            let stall = lat.cycles.saturating_sub(CoreConfig::L1_HIT_CYCLES) as f64;
+        let cycles = self.backend.ifetch(pc, starved_flag, *clock as u64);
+        if cycles > CoreConfig::L1_HIT_CYCLES {
+            let stall = (cycles - CoreConfig::L1_HIT_CYCLES) as f64;
             topdown.ifetch += stall;
             *clock += stall;
-            if lat.cycles >= CoreConfig::STARVATION_THRESHOLD {
+            if cycles >= CoreConfig::STARVATION_THRESHOLD {
                 self.starved.insert(line);
             }
         }
@@ -590,15 +583,15 @@ impl<B: MemoryBackend> Core<B> {
         mem: MemOp,
         ooo_hide: f64,
     ) -> f64 {
-        let lat = if mem.store {
-            self.backend.dwrite(mem.addr, pc)
-        } else {
-            self.backend.dread(mem.addr, pc)
-        };
-        if mem.store || lat.l1_hit {
+        if mem.store {
+            self.backend.dwrite(mem.addr, pc);
             return 0.0;
         }
-        let raw = lat.cycles.saturating_sub(CoreConfig::L1_HIT_CYCLES) as f64;
+        let cycles = self.backend.dread(mem.addr, pc);
+        if cycles <= CoreConfig::L1_HIT_CYCLES {
+            return 0.0;
+        }
+        let raw = (cycles - CoreConfig::L1_HIT_CYCLES) as f64;
         let exposed = (raw - ooo_hide).max(0.0);
         let overlapped =
             last_miss_instr.is_some_and(|li| retired - li < u64::from(CoreConfig::ROB_ENTRIES));
@@ -648,8 +641,8 @@ impl<B: MemoryBackend> Core<B> {
     /// the dispatch cost, one addition each: a machine performs its own
     /// sequence of `f64` additions in its own order, whatever the group,
     /// so its clock rounds exactly as the fused loop's does. (The clocks
-    /// live in a local array for the length of the turn; a small group's
-    /// stays on the stack.) The predictor is neither consulted nor
+    /// live in one local vector for the length of the turn: one
+    /// allocation per turn.) The predictor is neither consulted nor
     /// trained and no lookahead window is kept: the frontend that
     /// digested the turn ([`Core::digest_batch`]) did both.
     ///
@@ -677,18 +670,7 @@ impl<B: MemoryBackend> Core<B> {
         let mut retired = lead_state.instructions;
         let mut fetched_line = None;
 
-        let mut on_stack = [0.0; LOCKSTEP_STACK_CLOCKS];
-        let mut on_heap = Vec::new();
-        let clocks = match on_stack.get_mut(..group.len()) {
-            Some(clocks) => clocks,
-            None => {
-                on_heap.resize(group.len(), 0.0);
-                &mut on_heap[..]
-            }
-        };
-        for (clock, (_, state)) in clocks.iter_mut().zip(group.iter()) {
-            *clock = state.cycles;
-        }
+        let mut clocks: Vec<f64> = group.iter().map(|(_, state)| state.cycles).collect();
         // One machine's chain of additions is serial; the machines'
         // chains are independent of each other. So the instructions are
         // the outer loop and the machines the inner one: each step is one
@@ -703,7 +685,7 @@ impl<B: MemoryBackend> Core<B> {
         };
 
         for event in turn.events() {
-            idle(clocks, u64::from(event.quiet));
+            idle(&mut clocks, u64::from(event.quiet));
             retired += u64::from(event.quiet) + 1;
             let pc = event.pc();
             if event.fetch() {
@@ -738,9 +720,9 @@ impl<B: MemoryBackend> Core<B> {
                     *clock += extra;
                 }
             }
-            idle(clocks, 1);
+            idle(&mut clocks, 1);
         }
-        idle(clocks, turn.tail());
+        idle(&mut clocks, turn.tail());
         retired += turn.tail();
 
         for ((_, state), &clock) in group.iter_mut().zip(clocks.iter()) {
@@ -846,7 +828,7 @@ impl<B: MemoryBackend> Core<B> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::backend::{FlatBackend, MemLatency};
+    use crate::backend::FlatBackend;
     use crate::events::InstrEvent;
     use crate::topdown::StallClass;
     use crate::trace::TraceInstr;
@@ -867,7 +849,7 @@ mod tests {
     #[test]
     fn fetch_misses_charge_ifetch_bucket() {
         let mut backend = FlatBackend::all_hits();
-        backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
+        backend.ifetch_latency = 13;
         let mut core = Core::new(CoreConfig, backend);
         let r = core.run(straight_line(160));
         // 160 instructions, 4 bytes each = 10 lines fetched, each
@@ -900,7 +882,7 @@ mod tests {
         // A 20-cycle L2 load (17 beyond L1) is fully hidden by the
         // 128/6 = 21-cycle window.
         let mut backend = FlatBackend::all_hits();
-        backend.data_access_latency = MemLatency { cycles: 20, l1_hit: false, l2_miss: false };
+        backend.data_access_latency = 20;
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..100).map(|i| TraceInstr::load(0x1000 + i * 4, 0x80000 + i * 64)).collect();
@@ -911,7 +893,7 @@ mod tests {
     #[test]
     fn dram_loads_stall_the_backend() {
         let mut backend = FlatBackend::all_hits();
-        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.data_access_latency = 419;
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..10).map(|i| TraceInstr::load(0x1000 + i * 4, 0x80000 + i * 4096)).collect();
@@ -926,7 +908,7 @@ mod tests {
     #[test]
     fn stores_never_stall() {
         let mut backend = FlatBackend::all_hits();
-        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.data_access_latency = 419;
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> =
             (0..10).map(|i| TraceInstr::store(0x1000 + i * 4, 0x80000 + i * 4096)).collect();
@@ -970,8 +952,8 @@ mod tests {
 
     fn stall_backend() -> FlatBackend {
         let mut backend = FlatBackend::all_hits();
-        backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
-        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.ifetch_latency = 13;
+        backend.data_access_latency = 419;
         backend
     }
 
@@ -1110,29 +1092,28 @@ mod tests {
             Core::new(CoreConfig, backend)
         }
 
-        fn latency(&self, addr: VirtAddr, miss: u64) -> MemLatency {
+        fn latency(&self, addr: VirtAddr, miss: u64) -> u64 {
             if (addr.raw() / LINE_BYTES).is_multiple_of(self.every) {
-                MemLatency { cycles: miss, l1_hit: false, l2_miss: miss > 100 }
+                miss
             } else {
-                MemLatency::l1_hit(3)
+                CoreConfig::L1_HIT_CYCLES
             }
         }
     }
 
     impl MemoryBackend for Scripted {
-        fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> MemLatency {
+        fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> u64 {
             self.calls.push(('i', pc.raw(), caused_starvation, now));
             self.latency(pc, self.ifetch_miss)
         }
 
-        fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
+        fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> u64 {
             self.calls.push(('r', addr.raw(), false, pc.raw()));
             self.latency(addr, self.data_miss)
         }
 
-        fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
+        fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) {
             self.calls.push(('w', addr.raw(), false, pc.raw()));
-            self.latency(addr, self.data_miss)
         }
 
         fn prefetch_ifetch(&mut self, pc: VirtAddr, now: u64) {
@@ -1226,12 +1207,13 @@ mod tests {
         }
     }
 
-    /// More machines than clocks kept on the stack.
+    /// A group as large as `all_experiments`' gcc row (21 cells) runs
+    /// each machine as the fused loop runs it alone.
     #[test]
-    fn a_large_group_keeps_its_clocks_on_the_heap() {
+    fn a_group_of_21_matches_the_fused_loop() {
         let trace = revisiting_trace(2000);
         let turns = digest(&trace, &[], &[700]);
-        let size = LOCKSTEP_STACK_CLOCKS + 3;
+        let size = 21;
         let mut cores: Vec<_> = (0..size).map(Scripted::machine).collect();
         let mut states: Vec<_> = cores.iter().map(Core::begin_run).collect();
         for turn in &turns {
@@ -1393,8 +1375,8 @@ mod tests {
     #[test]
     fn topdown_total_matches_cycles() {
         let mut backend = FlatBackend::all_hits();
-        backend.ifetch_latency = MemLatency { cycles: 13, l1_hit: false, l2_miss: false };
-        backend.data_access_latency = MemLatency { cycles: 419, l1_hit: false, l2_miss: true };
+        backend.ifetch_latency = 13;
+        backend.data_access_latency = 419;
         let mut core = Core::new(CoreConfig, backend);
         let trace: Vec<TraceInstr> = (0..500)
             .map(|i| {

@@ -10,7 +10,8 @@
 //!   gshare global predictor (1k) and a return-address stack.
 //! * [`backend`] — the [`MemoryBackend`] trait the
 //!   core drives for fetches, loads, stores and prefetches (implemented in
-//!   `trrip-sim` over the MMU + hierarchy).
+//!   `trrip-sim` over the MMU + hierarchy); a fetch or load answers with
+//!   its cycles.
 //! * [`core`] — the Table 1 core as constants ([`CoreConfig`]) and the
 //!   two timing loops, and no third: the fused loop with pseudo-FDIP
 //!   lookahead prefetching and decode-starvation tracking for Emissary,
@@ -35,7 +36,7 @@ pub mod topdown;
 pub mod trace;
 
 pub use crate::core::{Core, CoreConfig, CoreResult, RunState};
-pub use backend::{MemLatency, MemoryBackend};
+pub use backend::MemoryBackend;
 pub use branch::{BranchOutcome, BranchPredictor};
 pub use events::{EventTurn, InstrEvent};
 pub use topdown::{StallClass, TopDown};

@@ -3,8 +3,9 @@
 //! * [`page_table`] — page tables whose entries carry two
 //!   implementation-defined bits (ARM PBHA / x86 AVL style) encoding code
 //!   temperature.
-//! * [`loader`] — the program loader: reads the ELF program headers,
-//!   allocates pages, and populates PTEs — including the temperature bits
+//! * [`loader`] — the program loader: reads the object's sections (its
+//!   program headers), allocates pages, and populates PTEs — frame and
+//!   temperature bits
 //!   — with configurable handling of pages that straddle sections of
 //!   different temperature (§4.9).
 //! * [`mmu`] — translation of loaded pages behind a statistics-only

@@ -1,9 +1,10 @@
 //! The program loader (Figure 4 ⑥–⑧).
 //!
-//! Reads the object file's program headers, allocates physical frames,
-//! and populates PTEs — including the temperature bits read from the
-//! TRRIP-extended headers. Pages that straddle text sections of different
-//! temperature are resolved by an [`OverlapPolicy`] (§4.9).
+//! Reads the object file's sections — its program headers, each carrying
+//! the temperature TRRIP adds — allocates physical frames, and populates
+//! PTEs with the frame and the temperature bits. Pages that straddle text
+//! sections of different temperature are resolved by an [`OverlapPolicy`]
+//! (§4.9); a page no executable section touches is data and untagged.
 
 use serde::{Deserialize, Serialize};
 use trrip_compiler::ObjectFile;
@@ -90,7 +91,7 @@ impl Loader {
     }
 
     /// Loads an object file: maps every section page-by-page, resolving
-    /// each page's temperature from the headers, and allocating physical
+    /// each page's temperature from its sections, and allocating physical
     /// frames sequentially.
     #[must_use]
     pub fn load(&self, object: &ObjectFile) -> LoadedImage {
@@ -157,11 +158,7 @@ impl Loader {
 
             page_table.map(
                 vpn,
-                PageTableEntry {
-                    frame: next_frame,
-                    executable,
-                    pbha: TemperatureBits::encode(temperature),
-                },
+                PageTableEntry { frame: next_frame, pbha: TemperatureBits::encode(temperature) },
             );
             next_frame += 1;
         }

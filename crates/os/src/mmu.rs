@@ -236,11 +236,7 @@ mod tests {
         let mut pt = PageTable::new(PageSize::Size4K);
         pt.map(
             0x400,
-            PageTableEntry {
-                frame: 0x100,
-                executable: true,
-                pbha: TemperatureBits::encode(Some(Temperature::Hot)),
-            },
+            PageTableEntry { frame: 0x100, pbha: TemperatureBits::encode(Some(Temperature::Hot)) },
         );
         pt
     }
@@ -353,15 +349,12 @@ mod tests {
             for vpn in 0..40u64 {
                 let vpn = 0x400 + i as u64 * 40 + vpn;
                 let pbha = TemperatureBits::encode(*temp);
-                pt.map(vpn, PageTableEntry { frame: 0x100 + vpn, executable: true, pbha });
+                pt.map(vpn, PageTableEntry { frame: 0x100 + vpn, pbha });
             }
         }
         // A second extent, apart from the first.
         for vpn in 0x800..0x810u64 {
-            pt.map(
-                vpn,
-                PageTableEntry { frame: vpn, executable: true, pbha: TemperatureBits::NONE },
-            );
+            pt.map(vpn, PageTableEntry { frame: vpn, pbha: TemperatureBits::NONE });
         }
         let (mut mmu, mut reference) = (Mmu::new(&pt), ScanTlb::new(pt.clone()));
 

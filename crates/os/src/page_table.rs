@@ -6,16 +6,14 @@ use serde::{Deserialize, Serialize};
 use trrip_core::TemperatureBits;
 use trrip_mem::{PageSize, PhysAddr, VirtAddr};
 
-/// One page-table entry. Besides the frame and permissions, it carries
-/// the two PBHA-style bits TRRIP repurposes for code temperature —
+/// One page-table entry. Besides the frame, it carries the two PBHA-style
+/// bits TRRIP repurposes for code temperature —
 /// existing storage on commercial mobile cores, hence "no additional
 /// implementation cost" (§3.3).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct PageTableEntry {
     /// Physical frame number.
     pub frame: u64,
-    /// Executable mapping?
-    pub executable: bool,
     /// Implementation-defined attribute bits (temperature encoding).
     pub pbha: TemperatureBits,
 }
@@ -30,11 +28,8 @@ pub struct PageTableEntry {
 /// use trrip_core::{Temperature, TemperatureBits};
 ///
 /// let mut pt = PageTable::new(PageSize::Size4K);
-/// pt.map(1, PageTableEntry {
-///     frame: 0x100,
-///     executable: true,
-///     pbha: TemperatureBits::encode(Some(Temperature::Hot)),
-/// });
+/// let pbha = TemperatureBits::encode(Some(Temperature::Hot));
+/// pt.map(1, PageTableEntry { frame: 0x100, pbha });
 /// let (pa, bits) = pt.lookup(VirtAddr::new(0x1a30)).unwrap();
 /// assert_eq!(pa.raw(), 0x100 * 4096 + 0xa30);
 /// assert_eq!(bits.decode(), Some(Temperature::Hot));
@@ -104,7 +99,7 @@ mod tests {
     use trrip_core::Temperature;
 
     fn entry(frame: u64, temp: Option<Temperature>) -> PageTableEntry {
-        PageTableEntry { frame, executable: true, pbha: TemperatureBits::encode(temp) }
+        PageTableEntry { frame, pbha: TemperatureBits::encode(temp) }
     }
 
     #[test]

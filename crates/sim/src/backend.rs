@@ -10,6 +10,11 @@
 //! sweep's cell: it reads its view's column of each turn
 //! ([`SystemBackend::feed`]). Either way the backend asks in the same
 //! order, access by access.
+//!
+//! A demand access answers the core with its cycles: the level that
+//! served it ([`ServedBy::cycles`]), raised to the arrival of a prefetch
+//! of the line still in flight. The core reads only whether that exceeds
+//! an L1 hit's cycles, and by how much.
 
 use std::sync::Arc;
 
@@ -17,7 +22,7 @@ use trrip_analysis::costly::CodeRegion;
 use trrip_analysis::{CostlyMissTracker, ReuseProfiler};
 use trrip_cache::{Hierarchy, ServedBy};
 use trrip_compiler::ObjectFile;
-use trrip_cpu::{MemLatency, MemoryBackend};
+use trrip_cpu::MemoryBackend;
 use trrip_mem::{LineAddr, MemoryRequest, PhysAddr, VirtAddr, LINE_BYTES};
 use trrip_os::Mmu;
 use trrip_snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -226,27 +231,18 @@ impl<R> SystemBackend<R> {
     }
 
     /// One demand data access, resolved: the TLB lookup, then the
-    /// hierarchy.
+    /// hierarchy. Answers with the level that served it.
     #[inline]
-    fn data_access(&mut self, addr: VirtAddr, req: &MemoryRequest) -> MemLatency {
+    fn data_access(&mut self, addr: VirtAddr, req: &MemoryRequest) -> ServedBy {
         self.mmu.touch(addr);
-        let out = match self.hierarchy.access_l1(req) {
-            Some(out) => {
-                self.fastpath_hits += 1;
-                out
-            }
-            None => {
-                self.fastpath_bails += 1;
-                let out = self.hierarchy.access_beyond_l1(req);
-                self.observe_l2(req.paddr, false);
-                out
-            }
-        };
-        MemLatency {
-            cycles: out.latency,
-            l1_hit: out.served_by == ServedBy::L1,
-            l2_miss: out.l2_miss(),
+        if self.hierarchy.access_l1(req) {
+            self.fastpath_hits += 1;
+            return ServedBy::L1;
         }
+        self.fastpath_bails += 1;
+        let served_by = self.hierarchy.access_beyond_l1(req);
+        self.observe_l2(req.paddr, false);
+        served_by
     }
 }
 
@@ -337,7 +333,7 @@ impl<R> Snapshot for SystemBackend<R> {
 }
 
 impl<R: Resolver> MemoryBackend for SystemBackend<R> {
-    fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> MemLatency {
+    fn ifetch(&mut self, pc: VirtAddr, caused_starvation: bool, now: u64) -> u64 {
         // The TLB lookup stays on the fast path: its statistics are
         // architectural, and the temperature attribute feeds the L1's
         // (policy-visible) hit hook.
@@ -348,55 +344,47 @@ impl<R: Resolver> MemoryBackend for SystemBackend<R> {
         let req = MemoryRequest::fetch(pa, pc)
             .with_temperature(temperature)
             .with_starvation(caused_starvation);
-        let out = match self.hierarchy.access_l1(&req) {
+        let served_by = if self.hierarchy.access_l1(&req) {
             // Fast path: one L1-I set probe, nothing below is touched and
             // no prefetch/profiling machinery runs.
-            Some(out) => {
-                self.fastpath_hits += 1;
-                out
-            }
-            None => {
-                self.fastpath_bails += 1;
-                let out = self.hierarchy.access_beyond_l1(&req);
-                self.observe_l2(pa, self.is_hot_code(pc));
-                // Next-line instruction prefetch (Table 1's stride/next-line
-                // prefetcher on the instruction side): the line after this.
-                let next_pc = VirtAddr::new((pc.raw() / LINE_BYTES + 1) * LINE_BYTES);
-                self.prefetch_ifetch(next_pc, now);
-                if out.l2_miss() {
-                    let region = self.region_of(pc);
-                    if let Some(costly) = &mut self.costly {
-                        costly.record(pc, out.latency, region);
-                    }
+            self.fastpath_hits += 1;
+            ServedBy::L1
+        } else {
+            self.fastpath_bails += 1;
+            let served_by = self.hierarchy.access_beyond_l1(&req);
+            self.observe_l2(pa, self.is_hot_code(pc));
+            // Next-line instruction prefetch (Table 1's stride/next-line
+            // prefetcher on the instruction side): the line after this.
+            let next_pc = VirtAddr::new((pc.raw() / LINE_BYTES + 1) * LINE_BYTES);
+            self.prefetch_ifetch(next_pc, now);
+            if matches!(served_by, ServedBy::Slc | ServedBy::Dram) {
+                let region = self.region_of(pc);
+                if let Some(costly) = &mut self.costly {
+                    costly.record(pc, served_by.cycles(), region);
                 }
-                out
             }
+            served_by
         };
 
         // Timeliness applies even to L1 hits: the line may have been
         // installed by a prefetch that is still physically in flight.
-        let cycles = self.timeliness(pa, out.latency, now);
-        MemLatency {
-            cycles,
-            l1_hit: out.served_by == ServedBy::L1 && cycles <= Hierarchy::L1_DATA_CYCLES,
-            l2_miss: out.l2_miss(),
-        }
+        self.timeliness(pa, served_by.cycles(), now)
     }
 
-    fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
+    fn dread(&mut self, addr: VirtAddr, pc: VirtAddr) -> u64 {
         let pa = self.resolver.data(addr, pc, false);
-        let latency = self.data_access(addr, &MemoryRequest::load(pa, pc));
+        let served_by = self.data_access(addr, &MemoryRequest::load(pa, pc));
         // The stride prefetcher trained on the demand stream — hits too —
         // in the view; its proposals fill this machine's caches.
         for &proposal in self.resolver.proposals() {
             self.hierarchy.prefetch(&MemoryRequest::load(proposal, pc));
         }
-        latency
+        served_by.cycles()
     }
 
-    fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) -> MemLatency {
+    fn dwrite(&mut self, addr: VirtAddr, pc: VirtAddr) {
         let pa = self.resolver.data(addr, pc, true);
-        self.data_access(addr, &MemoryRequest::store(pa, pc))
+        self.data_access(addr, &MemoryRequest::store(pa, pc));
     }
 
     fn prefetch_ifetch(&mut self, pc: VirtAddr, now: u64) {
@@ -407,12 +395,12 @@ impl<R: Resolver> MemoryBackend for SystemBackend<R> {
         self.mmu.touch(pc);
         let line = LineAddr::of(pa);
         let req = MemoryRequest::fetch(pa, pc).with_temperature(temperature);
-        let (level, latency) = self.hierarchy.probe(line, true);
+        let level = self.hierarchy.probe(line);
         if level == ServedBy::L1 {
             return; // already resident
         }
         self.hierarchy.prefetch(&req);
-        self.track_prefetch(line.raw(), now + latency, now);
+        self.track_prefetch(line.raw(), now + level.cycles(), now);
     }
 }
 
@@ -474,11 +462,8 @@ mod tests {
     fn demand_fetch_miss_then_hit() {
         let (_p, object, mut b) = setup();
         let pc = object.function_addrs[0];
-        let first = b.ifetch(pc, false, 0);
-        assert!(!first.l1_hit);
-        assert!(first.cycles > 100, "cold miss should reach DRAM");
-        let second = b.ifetch(pc, false, 1000);
-        assert!(second.l1_hit);
+        assert_eq!(b.ifetch(pc, false, 0), ServedBy::Dram.cycles(), "a cold miss reaches DRAM");
+        assert_eq!(b.ifetch(pc, false, 1000), ServedBy::L1.cycles());
     }
 
     /// An L1-I demand miss prefetches the line after it into the L1-I,
@@ -493,9 +478,9 @@ mod tests {
         };
         let (next, after) = (line(&b, 1), line(&b, 2));
         let in_l1i =
-            |b: &SystemBackend<StreamView>, line| b.hierarchy().probe(line, true).0 == ServedBy::L1;
+            |b: &SystemBackend<StreamView>, line| b.hierarchy().probe(line) == ServedBy::L1;
         assert!(!in_l1i(&b, next) && !in_l1i(&b, after), "a cold L1-I");
-        assert!(!b.ifetch(pc, false, 0).l1_hit, "a demand miss");
+        assert!(b.ifetch(pc, false, 0) > ServedBy::L1.cycles(), "a demand miss");
         assert!(in_l1i(&b, next), "the next line was prefetched into the L1-I");
         assert!(!in_l1i(&b, after), "the line after it was not");
     }
@@ -508,13 +493,12 @@ mod tests {
         // Demand fetch immediately after: line filled but still in
         // flight — pays most of the latency.
         let early = b.ifetch(pc, false, 5);
-        assert!(!early.l1_hit);
-        assert!(early.cycles > 100, "in-flight prefetch cannot be free: {}", early.cycles);
+        assert_eq!(early, ServedBy::Dram.cycles() - 5, "an in-flight prefetch cannot be free");
         // Much later: the prefetch has landed.
         let pc2 = object.function_addrs[2];
         b.prefetch_ifetch(pc2, 0);
         let late = b.ifetch(pc2, false, 10_000);
-        assert!(late.l1_hit, "arrived prefetch should be an L1 hit");
+        assert_eq!(late, ServedBy::L1.cycles(), "an arrived prefetch is an L1 hit");
     }
 
     #[test]
@@ -610,8 +594,7 @@ mod tests {
         // Stream loads at a fixed 256-byte stride.
         let mut slow = 0u64;
         for i in 0..200u64 {
-            let lat = b.dread(VirtAddr::new(0x9000_0000 + i * 256), pc);
-            if !lat.l1_hit {
+            if b.dread(VirtAddr::new(0x9000_0000 + i * 256), pc) != ServedBy::L1.cycles() {
                 slow += 1;
             }
         }

@@ -90,7 +90,7 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use trrip_cache::{CacheConfig, Hierarchy, StridePrefetcher};
+    use trrip_cache::{CacheConfig, Hierarchy, ServedBy, StridePrefetcher};
     use trrip_cpu::BranchPredictor;
     use trrip_policies::{Emissary, SetDueling, Ship};
 
@@ -140,6 +140,17 @@ mod tests {
     #[test]
     fn the_core_hides_exactly_an_l1_hit() {
         assert_eq!(CoreConfig::L1_HIT_CYCLES, Hierarchy::L1_DATA_CYCLES);
+    }
+
+    /// The core tells an L1 hit from a miss by its cycles alone: an L1
+    /// hit costs exactly what the core hides, and every level below
+    /// costs more.
+    #[test]
+    fn only_an_l1_hit_costs_what_the_core_hides() {
+        assert_eq!(ServedBy::L1.cycles(), CoreConfig::L1_HIT_CYCLES);
+        for level in [ServedBy::L2, ServedBy::Slc, ServedBy::Dram] {
+            assert!(level.cycles() > CoreConfig::L1_HIT_CYCLES, "{level:?}");
+        }
     }
 
     #[test]
