@@ -33,3 +33,25 @@ pub const PAPER: [Figure; 12] = [
     fig9_cache_sensitivity::FIGURE,
     table5_pages::FIGURE,
 ];
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `claims.tsv` keys its rows by id: two figures declaring one id
+    /// would read as one claim, and an id outside `[a-z0-9_.-]` could
+    /// break a row or a `grep` for it.
+    #[test]
+    fn claim_ids_are_unique_and_plain() {
+        let figures = PAPER.iter().chain([&overlap_ablation::FIGURE]);
+        let mut ids: Vec<&str> = figures.flat_map(|f| f.claims.iter().map(|c| c.id)).collect();
+        for id in &ids {
+            let plain = |c: char| c.is_ascii_lowercase() || c.is_ascii_digit() || "_.-".contains(c);
+            assert!(!id.is_empty() && id.chars().all(plain), "{id:?}");
+        }
+        let count = ids.len();
+        ids.sort_unstable();
+        ids.dedup();
+        assert_eq!(ids.len(), count, "claim ids are unique");
+    }
+}

@@ -8,13 +8,13 @@ use trrip_analysis::TextTable;
 use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// Figure 1, written to `fig1_topdown_system.txt`.
 pub const FIGURE: Figure = Figure { name: "fig1_topdown_system", plan, render, claims: &CLAIMS };
 
 /// All five components keep a considerable frontend fraction with PGO.
-const CLAIMS: [(&str, Paper); 1] = [("fig1.frontend_pct_min", Paper::Positive)];
+const CLAIMS: [Claim; 1] = [Claim::new("fig1.frontend_pct_min", Paper::Positive)];
 
 // Figure 1's platform runs the production policy; PGO layout.
 fn plan(options: &HarnessOptions) -> Result<Plan, String> {

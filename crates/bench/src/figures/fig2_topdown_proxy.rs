@@ -10,15 +10,17 @@ use trrip_cpu::StallClass;
 use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// Figure 2, written to `fig2_topdown_proxy.txt`.
 pub const FIGURE: Figure = Figure { name: "fig2_topdown_proxy", plan, render, claims: &CLAIMS };
 
 /// PGO raises retire on every benchmark (the least rise, in points), yet
 /// ifetch stays a major stall class (its least share).
-const CLAIMS: [(&str, Paper); 2] =
-    [("fig2.pgo_retire_gain_min", Paper::Positive), ("fig2.pgo_ifetch_pct_min", Paper::Positive)];
+const CLAIMS: [Claim; 2] = [
+    Claim::new("fig2.pgo_retire_gain_min", Paper::Positive),
+    Claim::new("fig2.pgo_ifetch_pct_min", Paper::Positive),
+];
 
 /// Two layouts are two streams: each workload is two rows of one cell.
 fn cells(options: &HarnessOptions) -> [SimConfig; 2] {

@@ -10,16 +10,16 @@ use trrip_analysis::TextTable;
 use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// Figure 3, written to `fig3_reuse_distance.txt`.
 pub const FIGURE: Figure = Figure { name: "fig3_reuse_distance", plan, render, claims: &CLAIMS };
 
 /// Every benchmark has a tail past 8, and counting only hot lines moves
 /// reuses toward 0-4 (least over the benchmarks, in points).
-const CLAIMS: [(&str, Paper); 2] = [
-    ("fig3.tail_past_8_pct_min", Paper::Positive),
-    ("fig3.hot_only_0_4_gain_min", Paper::Positive),
+const CLAIMS: [Claim; 2] = [
+    Claim::new("fig3.tail_past_8_pct_min", Paper::Positive),
+    Claim::new("fig3.hot_only_0_4_gain_min", Paper::Positive),
 ];
 
 /// The paper machine with the reuse profiler armed: a row of one cell.

@@ -8,18 +8,22 @@ use trrip_analysis::TextTable;
 use trrip_policies::PolicyKind;
 use trrip_sim::{policy_cells, SimConfig};
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Band, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// Figure 6, written to `fig6_speedup.txt`.
 pub const FIGURE: Figure = Figure { name: "fig6_speedup", plan, render, claims: &CLAIMS };
 
 /// The paper's geomean speedups, in the order of [`cells`] after SRRIP.
-#[rustfmt::skip]
-const CLAIMS: [(&str, Paper); 8] = [
-    ("fig6.speedup.lru", Paper::Value(0.0)), ("fig6.speedup.brrip", Paper::Negative),
-    ("fig6.speedup.drrip", Paper::Negative), ("fig6.speedup.ship", Paper::Negative),
-    ("fig6.speedup.clip", Paper::Value(1.6)), ("fig6.speedup.emissary", Paper::Value(0.5)),
-    ("fig6.speedup.trrip-1", Paper::Value(3.9)), ("fig6.speedup.trrip-2", Paper::Value(3.9)),
+/// TRRIP-1 must gain, BRRIP must not gain a point and SHiP must lose.
+const CLAIMS: [Claim; 8] = [
+    Claim::new("fig6.speedup.lru", Paper::Value(0.0)),
+    Claim::new("fig6.speedup.brrip", Paper::Negative).within(Band::Below(1.0)),
+    Claim::new("fig6.speedup.drrip", Paper::Negative),
+    Claim::new("fig6.speedup.ship", Paper::Negative).within(Band::Below(0.0)),
+    Claim::new("fig6.speedup.clip", Paper::Value(1.6)),
+    Claim::new("fig6.speedup.emissary", Paper::Value(0.5)),
+    Claim::new("fig6.speedup.trrip-1", Paper::Value(3.9)).within(Band::Above(1.0)),
+    Claim::new("fig6.speedup.trrip-2", Paper::Value(3.9)),
 ];
 
 /// The paper machine under the nine policies of the figure, SRRIP first;

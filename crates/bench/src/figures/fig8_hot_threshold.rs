@@ -15,16 +15,17 @@ use trrip_core::ClassifierConfig;
 use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Band, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// Figure 8, written to `fig8_hot_threshold.txt`.
 pub const FIGURE: Figure = Figure { name: "fig8_hot_threshold", plan, render, claims: &CLAIMS };
 
 /// Past 99% the hot section grows, and 99% beats 100% (least over the
-/// benchmarks, in points).
-const CLAIMS: [(&str, Paper); 2] = [
-    ("fig8.hot_growth_past_99_min", Paper::Positive),
-    ("fig8.speedup_99_over_100_min", Paper::Positive),
+/// benchmarks, in points); §4.7's selectivity must stay within a point
+/// of blanket prioritisation.
+const CLAIMS: [Claim; 2] = [
+    Claim::new("fig8.hot_growth_past_99_min", Paper::Positive),
+    Claim::new("fig8.speedup_99_over_100_min", Paper::Positive).within(Band::AtLeast(-1.0)),
 ];
 
 const THRESHOLDS: [f64; 5] = [0.10, 0.80, 0.99, 0.9999, 1.0];

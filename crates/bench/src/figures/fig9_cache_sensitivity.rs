@@ -16,16 +16,16 @@ use trrip_analysis::TextTable;
 use trrip_policies::PolicyKind;
 use trrip_sim::SimConfig;
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// Figure 9, written to `fig9_cache_sensitivity.txt`.
 pub const FIGURE: Figure = Figure { name: "fig9_cache_sensitivity", plan, render, claims: &CLAIMS };
 
 /// TRRIP-1's geomean gain shrinks from 128 to 512 kB and grows from 4 to
 /// 16 ways (in points).
-const CLAIMS: [(&str, Paper); 2] = [
-    ("fig9.trrip1_lost_to_512kb", Paper::Positive),
-    ("fig9.trrip1_won_to_16_ways", Paper::Positive),
+const CLAIMS: [Claim; 2] = [
+    Claim::new("fig9.trrip1_lost_to_512kb", Paper::Positive),
+    Claim::new("fig9.trrip1_won_to_16_ways", Paper::Positive),
 ];
 
 const SIZES: [u64; 3] = [128 << 10, 256 << 10, 512 << 10];

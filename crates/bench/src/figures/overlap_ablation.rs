@@ -20,15 +20,17 @@ use trrip_os::{Loader, OverlapPolicy};
 use trrip_policies::PolicyKind;
 use trrip_sim::{policy_cells, SimConfig};
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// The §4.9 ablation, written to `overlap_ablation.txt`.
 pub const FIGURE: Figure = Figure { name: "overlap_ablation", plan, render, claims: &CLAIMS };
 
 /// Padding leaves no mixed page at 2 MB, and DropMixed costs TRRIP-1
 /// nothing at any page size (its least geomean speedup).
-const CLAIMS: [(&str, Paper); 2] =
-    [("overlap.padded_mixed_2mb", Paper::Value(0.0)), ("overlap.dropmixed_min", Paper::Positive)];
+const CLAIMS: [Claim; 2] = [
+    Claim::new("overlap.padded_mixed_2mb", Paper::Value(0.0)),
+    Claim::new("overlap.dropmixed_min", Paper::Positive),
+];
 
 const RULES: [OverlapPolicy; 3] =
     [OverlapPolicy::FirstByte, OverlapPolicy::DropMixed, OverlapPolicy::Hottest];

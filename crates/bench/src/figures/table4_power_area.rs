@@ -3,7 +3,7 @@
 
 use trrip_analysis::{PowerModel, TextTable};
 
-use crate::{claims, Figure, Paper, Plan, Report, Results};
+use crate::{claims, Claim, Figure, Paper, Plan, Report, Results};
 
 /// Table 4, written to `table4_power_area.txt`; it simulates nothing.
 pub const FIGURE: Figure =
@@ -11,12 +11,15 @@ pub const FIGURE: Figure =
 
 /// The paper's static power and area overheads (%), in the model's
 /// mechanism order.
-#[rustfmt::skip]
-const CLAIMS: [(&str, Paper); 8] = [
-    ("table4.static_power.trrip", Paper::Value(0.0)), ("table4.area.trrip", Paper::Value(0.0)),
-    ("table4.static_power.clip", Paper::Value(0.0)), ("table4.area.clip", Paper::Value(0.0)),
-    ("table4.static_power.emissary", Paper::Value(0.5)), ("table4.area.emissary", Paper::Value(0.7)),
-    ("table4.static_power.ship", Paper::Value(1.7)), ("table4.area.ship", Paper::Value(3.0)),
+const CLAIMS: [Claim; 8] = [
+    Claim::new("table4.static_power.trrip", Paper::Value(0.0)),
+    Claim::new("table4.area.trrip", Paper::Value(0.0)),
+    Claim::new("table4.static_power.clip", Paper::Value(0.0)),
+    Claim::new("table4.area.clip", Paper::Value(0.0)),
+    Claim::new("table4.static_power.emissary", Paper::Value(0.5)),
+    Claim::new("table4.area.emissary", Paper::Value(0.7)),
+    Claim::new("table4.static_power.ship", Paper::Value(1.7)),
+    Claim::new("table4.area.ship", Paper::Value(3.0)),
 ];
 
 fn render(_: &Results) -> Report {

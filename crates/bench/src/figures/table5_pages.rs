@@ -7,7 +7,7 @@ use trrip_mem::PageSize;
 use trrip_os::{Loader, OverlapPolicy};
 use trrip_policies::PolicyKind;
 
-use crate::{claims, Figure, HarnessOptions, Paper, Plan, Report, Results};
+use crate::{claims, Claim, Figure, HarnessOptions, Paper, Plan, Report, Results};
 
 /// Table 5, written to `table5_pages.txt`; it simulates nothing.
 pub const FIGURE: Figure = Figure { name: "table5_pages", plan, render, claims: &CLAIMS };
@@ -15,8 +15,10 @@ pub const FIGURE: Figure = Figure { name: "table5_pages", plan, render, claims: 
 /// Hot and warm pages fall about 4x from 4 kB to 16 kB pages, and a
 /// larger share of pages mixes temperatures at 2 MB than at 4 kB (in
 /// points).
-const CLAIMS: [(&str, Paper); 2] =
-    [("table5.pages_4kb_over_16kb", Paper::Value(4.0)), ("table5.mixed_2mb_gain", Paper::Positive)];
+const CLAIMS: [Claim; 2] = [
+    Claim::new("table5.pages_4kb_over_16kb", Paper::Value(4.0)),
+    Claim::new("table5.mixed_2mb_gain", Paper::Positive),
+];
 
 fn human(bytes: u64) -> String {
     if bytes >= 1 << 20 {

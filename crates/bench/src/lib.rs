@@ -70,7 +70,12 @@ on the fused loop, --jobs rows at a time, its walker running ahead on a
 spare core where --jobs leaves every row one — so of --checkpoint-dir
 they read only the training profile. Every binary prints its report and
 one `claim <id> paper <value, >0 or <0> reproduced <value>` line per
-claim of the paper it reproduces.
+claim of the paper it reproduces, and writes the same claims under
+--out as claims.tsv: a header, then one tab-separated row per claim
+(id, paper, reproduced, band or `none`, status). The status is
+`out_of_band` when the value lies outside the claim's band, else `sign`
+when the paper states only a sign and the value is not on its side of
+zero, else `ok`.
 
 all_experiments writes the twelve reports from the union of their
 plans: each workload is prepared once and each stream walked once
@@ -362,12 +367,19 @@ impl HarnessOptions {
     ///
     /// A message naming the file when it cannot be written.
     pub fn write_report(&self, name: &str, contents: &str) -> Result<(), String> {
+        let path = self.write_out("report", name, contents)?;
+        trrip_obs::progress!("report written to {}", path.display());
+        Ok(())
+    }
+
+    /// Writes `name` under the output directory and returns its path; an
+    /// error names it as `what`.
+    fn write_out(&self, what: &str, name: &str, contents: &str) -> Result<PathBuf, String> {
         let path = self.out_dir.join(name);
         fs::create_dir_all(&self.out_dir)
             .and_then(|()| fs::write(&path, contents))
-            .map_err(|e| format!("report {} cannot be written: {e}", path.display()))?;
-        trrip_obs::progress!("report written to {}", path.display());
-        Ok(())
+            .map_err(|e| format!("{what} {} cannot be written: {e}", path.display()))?;
+        Ok(path)
     }
 
     /// Opens a telemetry session for one binary invocation: snapshots
@@ -499,25 +511,138 @@ impl fmt::Display for Paper {
     }
 }
 
-/// One of the paper's numbers beside this run's.
-#[derive(Debug, Clone, PartialEq)]
+/// Where a reproduced value must lie for the repo to hold the claim.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Band {
+    /// Above the bound.
+    Above(f64),
+    /// At or above the bound.
+    AtLeast(f64),
+    /// Below the bound.
+    Below(f64),
+}
+
+impl Band {
+    /// Whether `value` lies inside the band.
+    #[must_use]
+    pub(crate) fn contains(self, value: f64) -> bool {
+        match self {
+            Band::Above(bound) => value > bound,
+            Band::AtLeast(bound) => value >= bound,
+            Band::Below(bound) => value < bound,
+        }
+    }
+}
+
+impl fmt::Display for Band {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            Band::Above(bound) => write!(f, ">{bound}"),
+            Band::AtLeast(bound) => write!(f, ">={bound}"),
+            Band::Below(bound) => write!(f, "<{bound}"),
+        }
+    }
+}
+
+/// A claim as its figure declares it.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Claim {
-    /// Stable across runs and selections.
+    /// Stable across runs and selections; one row of `claims.tsv`.
     pub id: &'static str,
     /// What the paper says.
     pub paper: Paper,
+    /// Where the reproduced value must lie, if the repo holds it to a band.
+    pub band: Option<Band>,
+}
+
+impl Claim {
+    /// A claim of the paper with no band.
+    pub(crate) const fn new(id: &'static str, paper: Paper) -> Claim {
+        Claim { id, paper, band: None }
+    }
+
+    /// The claim held to `band`.
+    pub(crate) const fn within(self, band: Band) -> Claim {
+        Claim { band: Some(band), ..self }
+    }
+}
+
+/// How a reproduced value stands against its claim, checked in this
+/// order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Status {
+    /// The claim has a band and the value lies outside it.
+    OutOfBand,
+    /// The paper shows only a sign, and the value is not on its side of
+    /// zero.
+    Sign,
+    /// Neither.
+    Ok,
+}
+
+impl fmt::Display for Status {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(match self {
+            Status::OutOfBand => "out_of_band",
+            Status::Sign => "sign",
+            Status::Ok => "ok",
+        })
+    }
+}
+
+/// One of the paper's claims beside this run's value.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ClaimRow {
+    /// The claim, as declared.
+    pub claim: Claim,
     /// This run's value, over the selected benchmarks.
     pub reproduced: f64,
+}
+
+impl ClaimRow {
+    /// How the value stands against the claim.
+    #[must_use]
+    pub fn status(&self) -> Status {
+        let value = self.reproduced;
+        let other_sign = match self.claim.paper {
+            Paper::Value(_) => false,
+            Paper::Positive => value <= 0.0,
+            Paper::Negative => value >= 0.0,
+        };
+        if self.claim.band.is_some_and(|band| !band.contains(value)) {
+            Status::OutOfBand
+        } else if other_sign {
+            Status::Sign
+        } else {
+            Status::Ok
+        }
+    }
+}
+
+/// The header line of `claims.tsv`.
+pub const CLAIMS_TSV_HEADER: &str = "id\tpaper\treproduced\tband\tstatus";
+
+/// `rows` as `claims.tsv`: [`CLAIMS_TSV_HEADER`], then one line per row,
+/// its value written in full and a missing band as `none`.
+#[must_use]
+pub(crate) fn claims_tsv(rows: &[ClaimRow]) -> String {
+    let mut tsv = format!("{CLAIMS_TSV_HEADER}\n");
+    for row in rows {
+        let Claim { id, paper, band } = row.claim;
+        let band = band.map_or_else(|| "none".to_owned(), |b| b.to_string());
+        tsv += &format!("{id}\t{paper}\t{:+}\t{band}\t{}\n", row.reproduced, row.status());
+    }
+    tsv
 }
 
 /// The claims `declared` beside `reproduced`, in the same order; `None`
 /// leaves a claim out (the selection does not reach it).
 pub(crate) fn claims(
-    declared: &[(&'static str, Paper)],
+    declared: &[Claim],
     reproduced: impl IntoIterator<Item = Option<f64>>,
-) -> Vec<Claim> {
+) -> Vec<ClaimRow> {
     let values = declared.iter().zip(reproduced);
-    values.filter_map(|(&(id, paper), v)| Some(Claim { id, paper, reproduced: v? })).collect()
+    values.filter_map(|(&claim, v)| Some(ClaimRow { claim, reproduced: v? })).collect()
 }
 
 /// A figure's output.
@@ -526,7 +651,7 @@ pub struct Report {
     /// The report, written to `<name>.txt` under `--out`.
     pub file: String,
     /// The paper's claims beside this run's values.
-    pub claims: Vec<Claim>,
+    pub claims: Vec<ClaimRow>,
 }
 
 /// A table or figure: what it needs run, and its report from the results.
@@ -538,8 +663,8 @@ pub struct Figure {
     pub plan: fn(&HarnessOptions) -> Result<Plan, String>,
     /// Its report, from results that hold its plan.
     pub render: fn(&Results) -> Report,
-    /// Every claim it can make: ids and the paper's side.
-    pub claims: &'static [(&'static str, Paper)],
+    /// Every claim it can make, in the order of its rows.
+    pub claims: &'static [Claim],
 }
 
 /// `points` without duplicates (`==`), grouped by workload (spec,
@@ -661,32 +786,42 @@ impl Results {
 }
 
 /// Runs `figures` as one plan, then prints each report with one `claim`
-/// line per claim and writes it under `--out`. A figure whose plan fails
-/// (nothing to plot) or whose report cannot be written is named in the
-/// result, and why on stderr; the others still write theirs.
+/// line per claim and writes it under `--out`, and last writes every
+/// figure's claims, in figure order, to `claims.tsv` there. A figure whose plan fails (nothing to plot) or whose
+/// report cannot be written is named in the result, and why on stderr;
+/// the others still write theirs. A `claims.tsv` that cannot be written
+/// is named too.
 pub fn regenerate(options: &HarnessOptions, figures: &[Figure]) -> Vec<&'static str> {
     let mut failed = Vec::new();
-    let mut fail = |figure: &Figure, message: String| {
+    let mut fail = |name: &'static str, message: String| {
         eprintln!("error: {message}");
-        failed.push(figure.name);
+        failed.push(name);
     };
     let mut planned = Vec::new();
     for figure in figures {
         match (figure.plan)(options) {
             Ok(plan) => planned.push((figure, plan)),
-            Err(message) => fail(figure, message),
+            Err(message) => fail(figure.name, message),
         }
     }
     let results = Results::run(options, planned.iter().map(|(_, plan)| plan));
+    let mut rows = Vec::new();
     for (figure, _) in planned {
         let report = (figure.render)(&results);
         println!("\n================ {} ================\n\n{}", figure.name, report.file);
-        for Claim { id, paper, reproduced } in &report.claims {
+        for ClaimRow { claim: Claim { id, paper, .. }, reproduced } in &report.claims {
             println!("claim {id} paper {paper} reproduced {reproduced:+.2}");
         }
         if let Err(message) = options.write_report(&format!("{}.txt", figure.name), &report.file) {
-            fail(figure, message);
+            fail(figure.name, message);
         }
+        rows.extend(report.claims);
+    }
+    // Not a report: the journal's `report written to` events name the
+    // figures' reports alone.
+    match options.write_out("claims", "claims.tsv", &claims_tsv(&rows)) {
+        Ok(path) => trrip_obs::progress!("claims written to {}", path.display()),
+        Err(message) => fail("claims.tsv", message),
     }
     failed
 }
@@ -694,8 +829,8 @@ pub fn regenerate(options: &HarnessOptions, figures: &[Figure]) -> Vec<&'static 
 /// The `main` of an experiment binary: parses the shared command line
 /// and [`regenerate`]s `figure` inside a telemetry session named after
 /// it, as [`USAGE`] promises of every binary. A plan that fails is a
-/// command-line error (exit 2); a report or telemetry artifact that
-/// cannot be written exits 1.
+/// command-line error (exit 2); a report, `claims.tsv` or telemetry
+/// artifact that cannot be written exits 1.
 pub fn run_experiment(figure: &Figure) {
     let options = HarnessOptions::from_args(std::env::args().skip(1), USAGE);
     if let Err(message) = (figure.plan)(&options) {
@@ -1011,5 +1146,24 @@ mod tests {
         assert!(options.benchmarks.is_empty());
         assert!(options.checkpoint_dir.is_none());
         assert!(options.jobs >= 1, "default jobs must be usable");
+    }
+
+    #[test]
+    fn a_claim_row_checks_its_band_before_its_sign() {
+        let row = |paper, band, reproduced| ClaimRow {
+            claim: Claim { id: "x", paper, band },
+            reproduced,
+        };
+        assert_eq!(
+            row(Paper::Positive, Some(Band::AtLeast(-1.0)), -2.0).status(),
+            Status::OutOfBand
+        );
+        assert_eq!(row(Paper::Positive, Some(Band::AtLeast(-1.0)), -1.0).status(), Status::Sign);
+        assert_eq!(row(Paper::Negative, Some(Band::Above(-60.0)), 0.5).status(), Status::Sign);
+        assert_eq!(row(Paper::Value(3.9), Some(Band::Above(1.0)), 1.0).status(), Status::OutOfBand);
+        assert_eq!(row(Paper::Value(3.9), None, -5.0).status(), Status::Ok);
+        assert_eq!(row(Paper::Negative, Some(Band::Below(0.0)), -0.1).status(), Status::Ok);
+        let tsv = claims_tsv(&[row(Paper::Positive, Some(Band::AtLeast(-1.0)), -0.25)]);
+        assert_eq!(tsv, format!("{CLAIMS_TSV_HEADER}\nx\t>0\t-0.25\t>=-1\tsign\n"));
     }
 }
